@@ -3,16 +3,17 @@
 //! [`NetworkMonitor`] owns the specified topology and, per SNMP-capable
 //! node, the previous [`DeviceSnapshot`]. Each new snapshot yields
 //! per-interface rates (bits/s) via the wrap-safe delta arithmetic of
-//! [`crate::delta`]; the rates table implements
-//! [`netqos_topology::bandwidth::RateProvider`], so path bandwidth is one
-//! call away.
+//! [`crate::delta`]; the rate table (one slot per topology interface)
+//! makes the monitor a [`netqos_topology::bandwidth::RateProvider`], so
+//! path bandwidth is one call away.
 
 use crate::delta;
 use crate::error::MonitorError;
 use crate::poll::DeviceSnapshot;
 use netqos_telemetry::{Counter, Tracer};
-use netqos_topology::bandwidth::{self, IfRates, MapRates, PathBandwidth, RateProvider};
+use netqos_topology::bandwidth::{IfRates, PathBandwidth, RateProvider};
 use netqos_topology::path::{self, CommPath};
+use netqos_topology::plan::{DomainSums, PathPlan, PlanError};
 use netqos_topology::{IfIx, NetworkTopology, NodeId};
 use std::collections::HashMap;
 
@@ -78,8 +79,8 @@ impl Smoothing {
 pub struct NetworkMonitor {
     topology: NetworkTopology,
     previous: HashMap<NodeId, DeviceSnapshot>,
-    rates: MapRates,
-    detail: HashMap<(NodeId, IfIx), IfRateSample>,
+    /// Latest rates, indexed by [`NetworkTopology::interface_slot`].
+    rates: Vec<Option<IfRateSample>>,
     polls_ingested: u64,
     interval_strategy: IntervalStrategy,
     smoothing: Smoothing,
@@ -95,10 +96,9 @@ impl NetworkMonitor {
     /// sysUpTime intervals, no smoothing).
     pub fn new(topology: NetworkTopology) -> Self {
         NetworkMonitor {
+            rates: vec![None; topology.interface_slot_count()],
             topology,
             previous: HashMap::new(),
-            rates: MapRates::new(),
-            detail: HashMap::new(),
             polls_ingested: 0,
             interval_strategy: IntervalStrategy::SysUpTime,
             smoothing: Smoothing::default(),
@@ -163,18 +163,24 @@ impl NetworkMonitor {
         descr: &str,
         if_index: u32,
     ) -> Result<IfIx, MonitorError> {
+        let n = self.topology.node(node)?;
+        let positional =
+            IfIx::from_if_index(if_index).filter(|ifix| ifix.index() < n.interfaces.len());
+        // An agent normally reports the spec's interfaces in the spec's
+        // order, so the positional slot usually carries the reported
+        // name and no search is needed.
+        if let Some(ifix) = positional {
+            if n.interfaces[ifix.index()].local_name == descr {
+                return Ok(ifix);
+            }
+        }
         if let Ok(ifix) = self.topology.interface_by_name(node, descr) {
             return Ok(ifix);
         }
-        let n = self.topology.node(node)?;
-        let positional = IfIx::from_if_index(if_index);
-        match positional {
-            Some(ifix) if ifix.index() < n.interfaces.len() => Ok(ifix),
-            _ => Err(MonitorError::UnknownInterface {
-                node: n.name.clone(),
-                descr: descr.to_owned(),
-            }),
-        }
+        positional.ok_or_else(|| MonitorError::UnknownInterface {
+            node: n.name.clone(),
+            descr: descr.to_owned(),
+        })
     }
 
     /// Ingests a snapshot of `node`. The first snapshot only establishes a
@@ -220,9 +226,15 @@ impl NetworkMonitor {
         }
         span.set_attr("interval_ticks", interval);
 
-        for cur in &snapshot.interfaces {
-            let Some(old) = prev.interfaces.iter().find(|p| p.if_index == cur.if_index) else {
-                continue; // interface appeared between polls
+        for (pos, cur) in snapshot.interfaces.iter().enumerate() {
+            // Successive snapshots of a device list the same interfaces
+            // in the same order; search only when they do not.
+            let old = match prev.interfaces.get(pos) {
+                Some(p) if p.if_index == cur.if_index => p,
+                _ => match prev.interfaces.iter().find(|p| p.if_index == cur.if_index) {
+                    Some(p) => p,
+                    None => continue, // interface appeared between polls
+                },
             };
             if delta::counter_wrapped(old.in_octets, cur.in_octets) {
                 self.counter_wraps.inc();
@@ -249,38 +261,32 @@ impl NetworkMonitor {
                 interval,
             )
             .unwrap_or(0);
+            let slot = self
+                .topology
+                .interface_slot(node, ifix)
+                .expect("a mapped interface exists in the topology");
             // EWMA smoothing (alpha = 1.0 keeps the raw paper behaviour).
-            let (in_bps, out_bps) = match self.detail.get(&(node, ifix)) {
+            let (in_bps, out_bps) = match self.rates[slot] {
                 Some(prev_rates) => (
                     self.smoothing.blend(prev_rates.in_bps, in_bps),
                     self.smoothing.blend(prev_rates.out_bps, out_bps),
                 ),
                 None => (in_bps, out_bps),
             };
-            self.rates.set(node, ifix, IfRates { in_bps, out_bps });
-            self.detail.insert(
-                (node, ifix),
-                IfRateSample {
-                    in_bps,
-                    out_bps,
-                    in_ucast_pps,
-                    out_nucast_pps,
-                },
-            );
+            self.rates[slot] = Some(IfRateSample {
+                in_bps,
+                out_bps,
+                in_ucast_pps,
+                out_nucast_pps,
+            });
         }
         self.previous.insert(node, snapshot);
         Ok(true)
     }
 
-    /// The current rate table (usable as a
-    /// [`RateProvider`]).
-    pub fn rates(&self) -> &MapRates {
-        &self.rates
-    }
-
     /// Full per-interface rate detail for an interface, if monitored.
     pub fn if_rates(&self, node: NodeId, ifix: IfIx) -> Option<IfRateSample> {
-        self.detail.get(&(node, ifix)).copied()
+        self.rates[self.topology.interface_slot(node, ifix)?]
     }
 
     /// Finds the communication path between two hosts (paper §3.3
@@ -297,22 +303,43 @@ impl NetworkMonitor {
         self.path_bandwidth_of(&p)
     }
 
-    /// Computes the bandwidth of a precomputed path.
+    /// Computes the bandwidth of a precomputed path. Callers that
+    /// evaluate the same path every poll should compile it once and use
+    /// [`NetworkMonitor::evaluate_plan`].
     pub fn path_bandwidth_of(&self, p: &CommPath) -> Result<PathBandwidth, MonitorError> {
-        let mut span = self.tracer.span("topology.path", "bandwidth");
-        let bw = bandwidth::path_bandwidth(&self.topology, p, &self.rates)?;
-        if span.is_recording() {
-            span.set_attr("connections", bw.connections.len());
-            span.set_attr("used_bps", bw.used_bps);
-            span.set_attr("available_bps", bw.available_bps);
-        }
+        let plan = PathPlan::compile(&self.topology, p)?;
+        let mut bw = PathBandwidth::default();
+        self.evaluate_plan(&plan, &mut DomainSums::new(&self.topology), &mut bw)
+            .map_err(|e| e.into_topology_error(&self.topology))?;
         Ok(bw)
+    }
+
+    /// Evaluates a plan compiled against [`NetworkMonitor::topology`]
+    /// from the latest rates into `out`, under a `topology.path/bandwidth`
+    /// span. `sums` must have been cleared since the last ingest.
+    pub fn evaluate_plan(
+        &self,
+        plan: &PathPlan,
+        sums: &mut DomainSums,
+        out: &mut PathBandwidth,
+    ) -> Result<(), PlanError> {
+        let mut span = self.tracer.span("topology.path", "bandwidth");
+        plan.evaluate(&self.topology, self, sums, out)?;
+        if span.is_recording() {
+            span.set_attr("connections", out.connections.len());
+            span.set_attr("used_bps", out.used_bps);
+            span.set_attr("available_bps", out.available_bps);
+        }
+        Ok(())
     }
 }
 
 impl RateProvider for NetworkMonitor {
     fn rates(&self, node: NodeId, ifix: IfIx) -> Option<IfRates> {
-        self.rates.rates(node, ifix)
+        self.if_rates(node, ifix).map(|r| IfRates {
+            in_bps: r.in_bps,
+            out_bps: r.out_bps,
+        })
     }
 }
 

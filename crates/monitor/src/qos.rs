@@ -15,7 +15,7 @@ use netqos_snmp::pdu::{generic_trap, TrapPdu, VarBind};
 use netqos_snmp::value::SnmpValue;
 use netqos_spec::QosPathSpec;
 use netqos_topology::bandwidth::PathBandwidth;
-use netqos_topology::path::CommPath;
+use netqos_topology::plan::{DomainSums, PathPlan};
 use netqos_topology::ConnId;
 use std::collections::HashMap;
 
@@ -59,45 +59,70 @@ pub enum QosEvent {
 
 struct Tracked {
     spec: QosPathSpec,
-    path: CommPath,
+    plan: PathPlan,
     in_violation: bool,
+    /// Latest successful evaluation.
+    last: Option<PathBandwidth>,
+    /// Whether `last` comes from the most recent pass.
+    fresh: bool,
 }
 
 /// Evaluates qospath requirements against live monitor state.
 pub struct QosMonitor {
     tracked: Vec<Tracked>,
-    /// Most recent bandwidth evaluation per path name.
-    last: HashMap<String, PathBandwidth>,
+    /// Path name → index into `tracked`.
+    by_name: HashMap<String, usize>,
+    /// Hub-domain sums of the current pass, shared by all paths.
+    sums: DomainSums,
+    /// Evaluation target, swapped into a slot on success so that slot's
+    /// previous detail buffer is reused by the next path.
+    scratch: PathBandwidth,
 }
 
 impl QosMonitor {
     /// Builds a QoS monitor from qospath specs, resolving each path in the
-    /// topology once up front.
+    /// topology and compiling its evaluation plan once up front.
     pub fn new(monitor: &NetworkMonitor, specs: &[QosPathSpec]) -> Result<Self, MonitorError> {
         let mut tracked = Vec::with_capacity(specs.len());
+        let mut by_name = HashMap::with_capacity(specs.len());
         for spec in specs {
             let path = monitor.path(spec.from, spec.to)?;
+            by_name.insert(spec.name.clone(), tracked.len());
             tracked.push(Tracked {
                 spec: spec.clone(),
-                path,
+                plan: PathPlan::compile(monitor.topology(), &path)?,
                 in_violation: false,
+                last: None,
+                fresh: false,
             });
         }
         Ok(QosMonitor {
             tracked,
-            last: HashMap::new(),
+            by_name,
+            sums: DomainSums::new(monitor.topology()),
+            scratch: PathBandwidth::default(),
         })
     }
 
     /// Re-evaluates all paths against the monitor's current rates,
     /// emitting events for state changes. Paths whose rates are not yet
-    /// complete are skipped.
+    /// complete are skipped. `monitor` must be the one this was built
+    /// from.
     pub fn evaluate(&mut self, monitor: &NetworkMonitor) -> Vec<QosEvent> {
         let mut events = Vec::new();
+        self.sums.clear();
         for t in &mut self.tracked {
-            let Ok(bw) = monitor.path_bandwidth_of(&t.path) else {
+            t.fresh = false;
+            if monitor
+                .evaluate_plan(&t.plan, &mut self.sums, &mut self.scratch)
+                .is_err()
+            {
                 continue; // not enough data yet
-            };
+            }
+            let last = t.last.get_or_insert_with(PathBandwidth::default);
+            std::mem::swap(last, &mut self.scratch);
+            let bw = &*last;
+            t.fresh = true;
 
             let mut violation = None;
             if let Some(required) = t.spec.min_available_bps {
@@ -143,14 +168,32 @@ impl QosMonitor {
                 }
                 _ => {}
             }
-            self.last.insert(t.spec.name.clone(), bw);
         }
         events
     }
 
+    /// Number of tracked paths.
+    pub fn len(&self) -> usize {
+        self.tracked.len()
+    }
+
+    /// True when no path is tracked.
+    pub fn is_empty(&self) -> bool {
+        self.tracked.is_empty()
+    }
+
+    /// The paths the most recent [`QosMonitor::evaluate`] pass could
+    /// evaluate, in specification order, with that pass's results.
+    pub fn evaluated(&self) -> impl Iterator<Item = (&QosPathSpec, &PathBandwidth)> {
+        self.tracked
+            .iter()
+            .filter(|t| t.fresh)
+            .filter_map(|t| Some((&t.spec, t.last.as_ref()?)))
+    }
+
     /// The most recent bandwidth evaluation of a named path.
     pub fn last_bandwidth(&self, path_name: &str) -> Option<&PathBandwidth> {
-        self.last.get(path_name)
+        self.tracked[*self.by_name.get(path_name)?].last.as_ref()
     }
 
     /// Names of paths currently in violation.

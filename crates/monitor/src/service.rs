@@ -31,7 +31,6 @@ use netqos_telemetry::{
     DEFAULT_PROFILE_WINDOW, DEFAULT_WINDOW,
 };
 use netqos_topology::bandwidth::BandwidthRule;
-use netqos_topology::path::CommPath;
 use std::collections::HashMap;
 use std::fmt::Write as _;
 use std::path::PathBuf;
@@ -147,7 +146,6 @@ pub struct MonitoringService {
     monitor: NetworkMonitor,
     qos: QosMonitor,
     recorder: SeriesRecorder,
-    paths: Vec<(String, CommPath)>,
     config: ServiceConfig,
     start: SimTime,
     traps: Vec<Vec<u8>>,
@@ -180,10 +178,6 @@ pub struct MonitoringService {
     alerts: AlertEngine,
     /// Webhook delivery of alert transition batches.
     webhook: Option<Arc<WebhookNotifier>>,
-    /// Per-qospath demand from the spec: `(min_available_bps,
-    /// max_utilization)` — the thresholds alert signals are derived
-    /// from.
-    path_rules: HashMap<String, (Option<u64>, Option<f64>)>,
     /// First flight-ring sequence number not yet delivered by OTLP push
     /// (the delta-temporality cursor).
     next_push_seq: u64,
@@ -249,11 +243,7 @@ impl MonitoringService {
         let net = SimNetwork::from_model_with(model, net_options, extra)?;
         let monitor = NetworkMonitor::new(topology);
         let qos = QosMonitor::new(&monitor, &qos_specs)?;
-        let mut paths = Vec::with_capacity(qos_specs.len());
-        for q in &qos_specs {
-            paths.push((q.name.clone(), monitor.path(q.from, q.to)?));
-        }
-        let names: Vec<&str> = paths.iter().map(|(n, _)| n.as_str()).collect();
+        let names: Vec<&str> = qos_specs.iter().map(|q| q.name.as_str()).collect();
         let recorder = SeriesRecorder::new(&names);
         let start = net.lan.now();
         let telemetry = net.telemetry().clone();
@@ -287,10 +277,6 @@ impl MonitoringService {
                 }
             }
         }
-        let path_rules = qos_specs
-            .iter()
-            .map(|q| (q.name.clone(), (q.min_available_bps, q.max_utilization)))
-            .collect();
         let alerts = AlertEngine::new(config.alert_rules.clone());
         // Open the long-term store (if configured); its own health
         // counters land in the shared registry, so the store samples the
@@ -323,7 +309,6 @@ impl MonitoringService {
             monitor,
             qos,
             recorder,
-            paths,
             config,
             start,
             traps: Vec::new(),
@@ -341,7 +326,6 @@ impl MonitoringService {
             baseline_load_warning,
             alerts,
             webhook: None,
-            path_rules,
             next_push_seq: 0,
             wall_start: Instant::now(),
             lts,
@@ -727,121 +711,122 @@ impl MonitoringService {
         let polled = self.net.poll_round(&mut self.monitor)?;
 
         let t_s = self.net.lan.now().duration_since(self.start).as_secs_f64();
-        let mut samples = Vec::new();
-        let mut cycle_events = Vec::new();
-        let mut alert_scopes = Vec::with_capacity(self.paths.len());
-        let mut path_status = Vec::with_capacity(self.paths.len());
-        let mut max_rank = 0.0f64;
-        let window = self.config.baseline_window;
-        let tracing = self.tracer.is_enabled();
-        for (name, path) in &self.paths {
-            if let Ok(bw) = self.monitor.path_bandwidth_of(path) {
-                self.recorder.push(name, PathSample::at(t_s, &bw));
-                // Rank against history *before* folding the sample in, so
-                // the sample cannot vouch for itself.
-                let baseline = self
-                    .path_baselines
-                    .entry(name.clone())
-                    .or_insert_with(|| QuantileBaseline::new(window));
-                let rank = baseline.rank(bw.used_bps);
-                let history = baseline.count();
-                let p50 = baseline.quantile(0.5);
-                let p99 = baseline.quantile(0.99);
-                baseline.record(bw.used_bps);
-                path_status.push((
-                    name.clone(),
-                    bw.used_bps,
-                    bw.available_bps,
-                    rank,
-                    history + 1,
-                    p50,
-                    p99,
-                ));
-                // A mature baseline's rank feeds the sampler's tail
-                // trigger; a young one ranks everything at the extremes.
-                if history >= MIN_BASELINE_HISTORY {
-                    max_rank = max_rank.max(rank);
-                }
-                if history >= MIN_BASELINE_HISTORY && rank > ANOMALY_RANK {
-                    // Pre-violation warning: usage is extreme for *this*
-                    // connection even if no QoS rule has tripped yet.
-                    self.telemetry.anomaly_warnings.inc();
-                    self.events.emit(
-                        Level::Warn,
-                        "monitor.baseline",
-                        "anomalous",
-                        fields![
-                            "path" => name.as_str(),
-                            "used_bps" => bw.used_bps,
-                            "rank" => rank,
-                            "baseline_p99" => p99,
-                        ],
-                    );
-                    cycle_events.push(format!("baseline_anomaly {name}"));
-                }
-                if tracing {
-                    samples.push(SampleAnnotation {
-                        path: name.clone(),
-                        connection: self.monitor.topology().describe_connection(bw.bottleneck),
-                        used_bps: bw.used_bps,
-                        available_bps: bw.available_bps,
-                        used_rank: rank,
-                        baseline_p50: p50,
-                        baseline_p99: p99,
-                    });
-                }
-                // One alert scope per qospath: the signals user rules can
-                // test, plus the bottleneck diagnosis (the paper's §3
-                // model names the worst connection and whether a shared
-                // medium or a switched link is the constraint) carried as
-                // annotations onto any alert raised here.
-                let mut scope = AlertScope::labelled("path", name);
-                scope.set("path_used_bps", bw.used_bps as f64);
-                scope.set("path_available_bps", bw.available_bps as f64);
-                scope.set("path_rank", rank);
-                scope.set("path_baseline_p50_bps", p50 as f64);
-                scope.set("path_baseline_p99_bps", p99 as f64);
-                let worst_util = bw
-                    .connections
-                    .iter()
-                    .map(|c| c.utilization())
-                    .fold(0.0f64, f64::max);
-                scope.set("path_utilization", worst_util);
-                if let Some((min_avail, max_util)) = self.path_rules.get(name) {
-                    if let Some(min) = min_avail {
-                        scope.set("path_min_available_bps", *min as f64);
-                        scope.set("path_headroom_bps", bw.available_bps as f64 - *min as f64);
-                    }
-                    if let Some(limit) = max_util {
-                        scope.set("path_max_utilization", *limit);
-                    }
-                }
-                if let Some(cb) = bw.connections.iter().find(|c| c.conn == bw.bottleneck) {
-                    scope.annotate(
-                        "bottleneck",
-                        self.monitor.topology().describe_connection(cb.conn),
-                    );
-                    scope.annotate(
-                        "bottleneck_kind",
-                        match cb.rule {
-                            BandwidthRule::SharedMedium => "shared_medium",
-                            BandwidthRule::PointToPoint => "point_to_point",
-                        },
-                    );
-                    scope.annotate("bottleneck_available_bps", cb.available_bps.to_string());
-                    scope.annotate("bottleneck_capacity_bps", cb.capacity_bps.to_string());
-                    scope.annotate("bottleneck_utilization", format!("{:.3}", cb.utilization()));
-                }
-                alert_scopes.push(scope);
-            }
-        }
-
+        // The one evaluation of every qospath this tick: the recorder,
+        // baselines, alert scopes and status rows below all read this
+        // pass's results, so a path that could not be evaluated now
+        // contributes nothing rather than a stale figure.
         let events = {
             let mut qos_span = self.tracer.span("monitor.qos", "evaluate");
             let events = self.qos.evaluate(&self.monitor);
             qos_span.set_attr("events", events.len());
             events
         };
+        let mut samples = Vec::new();
+        let mut cycle_events = Vec::new();
+        let mut alert_scopes = Vec::with_capacity(self.qos.len());
+        let mut path_status = Vec::with_capacity(self.qos.len());
+        let mut max_rank = 0.0f64;
+        let window = self.config.baseline_window;
+        let tracing = self.tracer.is_enabled();
+        for (spec, bw) in self.qos.evaluated() {
+            let name = &spec.name;
+            self.recorder.push(name, PathSample::at(t_s, bw));
+            // Rank against history *before* folding the sample in, so
+            // the sample cannot vouch for itself.
+            let baseline = self
+                .path_baselines
+                .entry(name.clone())
+                .or_insert_with(|| QuantileBaseline::new(window));
+            let rank = baseline.rank(bw.used_bps);
+            let history = baseline.count();
+            let p50 = baseline.quantile(0.5);
+            let p99 = baseline.quantile(0.99);
+            baseline.record(bw.used_bps);
+            path_status.push((
+                name.clone(),
+                bw.used_bps,
+                bw.available_bps,
+                rank,
+                history + 1,
+                p50,
+                p99,
+            ));
+            // A mature baseline's rank feeds the sampler's tail
+            // trigger; a young one ranks everything at the extremes.
+            if history >= MIN_BASELINE_HISTORY {
+                max_rank = max_rank.max(rank);
+            }
+            if history >= MIN_BASELINE_HISTORY && rank > ANOMALY_RANK {
+                // Pre-violation warning: usage is extreme for *this*
+                // connection even if no QoS rule has tripped yet.
+                self.telemetry.anomaly_warnings.inc();
+                self.events.emit(
+                    Level::Warn,
+                    "monitor.baseline",
+                    "anomalous",
+                    fields![
+                        "path" => name.as_str(),
+                        "used_bps" => bw.used_bps,
+                        "rank" => rank,
+                        "baseline_p99" => p99,
+                    ],
+                );
+                cycle_events.push(format!("baseline_anomaly {name}"));
+            }
+            if tracing {
+                samples.push(SampleAnnotation {
+                    path: name.clone(),
+                    connection: self.monitor.topology().describe_connection(bw.bottleneck),
+                    used_bps: bw.used_bps,
+                    available_bps: bw.available_bps,
+                    used_rank: rank,
+                    baseline_p50: p50,
+                    baseline_p99: p99,
+                });
+            }
+            // One alert scope per qospath: the signals user rules can
+            // test, plus the bottleneck diagnosis (the paper's §3
+            // model names the worst connection and whether a shared
+            // medium or a switched link is the constraint) carried as
+            // annotations onto any alert raised here.
+            let mut scope = AlertScope::labelled("path", name);
+            scope.set("path_used_bps", bw.used_bps as f64);
+            scope.set("path_available_bps", bw.available_bps as f64);
+            scope.set("path_rank", rank);
+            scope.set("path_baseline_p50_bps", p50 as f64);
+            scope.set("path_baseline_p99_bps", p99 as f64);
+            let worst_util = bw
+                .connections
+                .iter()
+                .map(|c| c.utilization())
+                .fold(0.0f64, f64::max);
+            scope.set("path_utilization", worst_util);
+            if let Some(min) = spec.min_available_bps {
+                scope.set("path_min_available_bps", min as f64);
+                scope.set("path_headroom_bps", bw.available_bps as f64 - min as f64);
+            }
+            if let Some(limit) = spec.max_utilization {
+                scope.set("path_max_utilization", limit);
+            }
+            if let Some(cb) = bw.connections.iter().find(|c| c.conn == bw.bottleneck) {
+                scope.annotate(
+                    "bottleneck",
+                    self.monitor.topology().describe_connection(cb.conn),
+                );
+                scope.annotate(
+                    "bottleneck_kind",
+                    match cb.rule {
+                        BandwidthRule::SharedMedium => "shared_medium",
+                        BandwidthRule::PointToPoint => "point_to_point",
+                    },
+                );
+                scope.annotate("bottleneck_available_bps", cb.available_bps.to_string());
+                scope.annotate("bottleneck_capacity_bps", cb.capacity_bps.to_string());
+                scope.annotate("bottleneck_utilization", format!("{:.3}", cb.utilization()));
+            }
+            alert_scopes.push(scope);
+        }
+
         if !events.is_empty() {
             let monitor_node = self.net.monitor_node();
             let agent_addr = self

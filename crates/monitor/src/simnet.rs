@@ -173,6 +173,8 @@ pub struct SimNetwork {
     model: SpecModel,
     node_to_dev: HashMap<NodeId, DeviceId>,
     agent_addr: HashMap<NodeId, (Ipv4Addr, String)>,
+    /// The keys of `agent_addr` in node order: the poll order.
+    pollable: Vec<NodeId>,
     monitor_dev: DeviceId,
     monitor_node: NodeId,
     inbox: Rc<RefCell<Vec<(SimTime, UdpDatagram)>>>,
@@ -306,11 +308,14 @@ impl SimNetwork {
             Some(registry) => crate::telemetry::MonitorTelemetry::new(registry),
             None => crate::telemetry::MonitorTelemetry::private(),
         };
+        let mut pollable: Vec<NodeId> = agent_addr.keys().copied().collect();
+        pollable.sort();
         Ok(SimNetwork {
             lan: b.build(),
             model,
             node_to_dev,
             agent_addr,
+            pollable,
             monitor_dev,
             monitor_node,
             inbox,
@@ -359,11 +364,9 @@ impl SimNetwork {
         self.node_to_dev.get(&node).copied()
     }
 
-    /// All SNMP-pollable nodes.
+    /// All SNMP-pollable nodes, in node order.
     pub fn pollable_nodes(&self) -> Vec<NodeId> {
-        let mut v: Vec<NodeId> = self.agent_addr.keys().copied().collect();
-        v.sort();
-        v
+        self.pollable.clone()
     }
 
     /// Polls one device through the simulated network, advancing simulated
@@ -442,10 +445,10 @@ impl SimNetwork {
         monitor: &mut crate::monitor::NetworkMonitor,
     ) -> Result<usize, MonitorError> {
         let mut round_span = self.tracer.span("monitor.poll", "round");
-        let nodes = self.pollable_nodes();
-        round_span.set_attr("devices", nodes.len());
+        round_span.set_attr("devices", self.pollable.len());
         let mut ok = 0;
-        for node in nodes {
+        for i in 0..self.pollable.len() {
+            let node = self.pollable[i];
             match self.poll_device(node) {
                 Ok(snap) => {
                     monitor.ingest(node, snap)?;

@@ -5,7 +5,6 @@ use netqos_monitor::qos::{QosEvent, QosMonitor, ViolationKind};
 use netqos_monitor::{MonitorError, NetworkMonitor};
 use netqos_spec::QosPathSpec;
 use netqos_telemetry::{Counter, Histogram, Tracer};
-use netqos_topology::bandwidth;
 use netqos_topology::path;
 use netqos_topology::{ConnId, NodeId};
 use std::collections::HashMap;
@@ -229,7 +228,7 @@ impl ResourceManager {
             if p.connections.contains(&bottleneck) {
                 continue; // still crosses the congested segment
             }
-            let Ok(bw) = bandwidth::path_bandwidth(topo, &p, monitor.rates()) else {
+            let Ok(bw) = monitor.path_bandwidth_of(&p) else {
                 continue;
             };
             if let Some(required) = spec.min_available_bps {

@@ -36,10 +36,10 @@
 //! already observed at a station.
 
 use crate::error::TopologyError;
-use crate::graph::{Endpoint, NetworkTopology};
+use crate::graph::NetworkTopology;
 use crate::ids::{ConnId, IfIx, NodeId};
-
 use crate::path::CommPath;
+use crate::plan::{DomainSums, PathPlan};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
@@ -156,82 +156,17 @@ pub struct PathBandwidth {
     pub connections: Vec<ConnectionBandwidth>,
 }
 
-/// Traffic observed on a connection, preferring the requested endpoint and
-/// falling back to the mirrored rates of the opposite endpoint. Returns
-/// `None` when neither end is monitored.
-fn endpoint_rates(
-    rates: &dyn RateProvider,
-    at: Endpoint,
-    other: Endpoint,
-) -> Option<(IfRates, Endpoint)> {
-    if let Some(r) = rates.rates(at.node, at.ifix) {
-        return Some((r, at));
-    }
-    rates
-        .rates(other.node, other.ifix)
-        .map(|r| (r.mirrored(), other))
-}
-
-/// Collects the full shared-medium domain containing `hub`: the hub itself
-/// plus any hubs cascaded to it (hub-to-hub cables join collision domains).
-pub fn hub_domain(topo: &NetworkTopology, hub: NodeId) -> Vec<NodeId> {
-    let mut domain = vec![hub];
-    let mut stack = vec![hub];
-    while let Some(h) = stack.pop() {
-        for (next, _) in topo.neighbors(h) {
-            if let Ok(n) = topo.node(next) {
-                if n.kind.is_shared_medium() && !domain.contains(&next) {
-                    domain.push(next);
-                    stack.push(next);
-                }
-            }
+impl Default for PathBandwidth {
+    /// The bandwidth of a zero-hop path: unbounded, no connections, and a
+    /// bottleneck id that names no connection.
+    fn default() -> Self {
+        PathBandwidth {
+            available_bps: u64::MAX,
+            used_bps: 0,
+            bottleneck: ConnId(u32::MAX),
+            connections: Vec::new(),
         }
     }
-    domain.sort();
-    domain
-}
-
-/// Used bandwidth of a shared-medium (hub) domain: the sum of traffic of
-/// every attached station, excluding uplinks to selective forwarders
-/// (already accounted at the stations) and the hub-to-hub cables
-/// themselves.
-///
-/// Returns `(sum_bps, stations_counted)`.
-fn shared_medium_used(
-    topo: &NetworkTopology,
-    domain: &[NodeId],
-    rates: &dyn RateProvider,
-) -> Result<(u64, usize), TopologyError> {
-    let mut sum = 0u64;
-    let mut counted = 0usize;
-    for &hub in domain {
-        for conn_id in topo.connections_of(hub) {
-            let conn = topo.connection(conn_id)?;
-            let hub_end = conn.endpoint_on(hub).expect("connection touches hub");
-            let far = conn.other_end(hub).expect("connection touches hub");
-            let far_kind = topo.node(far.node)?.kind;
-            if far_kind.is_shared_medium() {
-                continue; // hub-to-hub cable inside the domain
-            }
-            if far_kind.forwards_selectively() {
-                continue; // uplink: its traffic is already counted at stations
-            }
-            // Prefer the station's own counters; fall back to the hub port.
-            match endpoint_rates(rates, far, hub_end) {
-                Some((r, _)) => {
-                    sum = sum.saturating_add(r.total_bps());
-                    counted += 1;
-                }
-                None => {
-                    return Err(TopologyError::MissingRate {
-                        node: topo.node(far.node)?.name.clone(),
-                        ifix: far.ifix,
-                    })
-                }
-            }
-        }
-    }
-    Ok((sum, counted))
 }
 
 /// Computes the bandwidth of one connection, applying the hub rule when
@@ -241,57 +176,9 @@ pub fn connection_bandwidth(
     conn_id: ConnId,
     rates: &dyn RateProvider,
 ) -> Result<ConnectionBandwidth, TopologyError> {
-    let conn = *topo.connection(conn_id)?;
-    let capacity = topo.connection_speed(conn_id)?;
-    if capacity == 0 {
-        let node = topo.node(conn.a.node)?;
-        return Err(TopologyError::ZeroSpeed {
-            node: node.name.clone(),
-            interface: topo.interface(conn.a.node, conn.a.ifix)?.local_name.clone(),
-        });
-    }
-
-    let a_kind = topo.node(conn.a.node)?.kind;
-    let b_kind = topo.node(conn.b.node)?.kind;
-
-    let (used, rule) = if a_kind.is_shared_medium() || b_kind.is_shared_medium() {
-        let hub = if a_kind.is_shared_medium() {
-            conn.a.node
-        } else {
-            conn.b.node
-        };
-        let domain = hub_domain(topo, hub);
-        let (sum, _) = shared_medium_used(topo, &domain, rates)?;
-        (sum, BandwidthRule::SharedMedium)
-    } else {
-        // Point-to-point: traffic observed at either end. Prefer the
-        // non-device end (the host NIC) when both are monitored, matching
-        // the paper's presentation; the mirrored values are identical in a
-        // loss-free interval anyway.
-        let (first, second) = if b_kind.is_network_device() && !a_kind.is_network_device() {
-            (conn.a, conn.b)
-        } else {
-            (conn.b, conn.a)
-        };
-        match endpoint_rates(rates, first, second) {
-            Some((r, _)) => (r.total_bps(), BandwidthRule::PointToPoint),
-            None => {
-                return Err(TopologyError::MissingRate {
-                    node: topo.node(first.node)?.name.clone(),
-                    ifix: first.ifix,
-                })
-            }
-        }
-    };
-
-    let used = used.min(capacity); // "u_i cannot exceed the maximum speed"
-    Ok(ConnectionBandwidth {
-        conn: conn_id,
-        capacity_bps: capacity,
-        used_bps: used,
-        available_bps: capacity - used,
-        rule,
-    })
+    let plan = PathPlan::from_connections(topo, &[conn_id])?;
+    let mut bw = evaluate_once(topo, &plan, rates)?;
+    Ok(bw.connections.remove(0))
 }
 
 /// Computes the bandwidth of a whole communication path:
@@ -300,33 +187,26 @@ pub fn connection_bandwidth(
 /// A zero-hop path (same source and destination host) yields an error-free
 /// result with `available_bps == u64::MAX` and no connections; callers
 /// normally guard against this case.
+///
+/// This compiles a [`PathPlan`] and evaluates it once; callers that
+/// evaluate the same path on every poll should keep the plan.
 pub fn path_bandwidth(
     topo: &NetworkTopology,
     path: &CommPath,
     rates: &dyn RateProvider,
 ) -> Result<PathBandwidth, TopologyError> {
-    let mut conns = Vec::with_capacity(path.connections.len());
-    for &c in &path.connections {
-        conns.push(connection_bandwidth(topo, c, rates)?);
-    }
-    let bottleneck = conns
-        .iter()
-        .min_by_key(|c| c.available_bps)
-        .map(|c| (c.conn, c.available_bps, c.used_bps));
-    match bottleneck {
-        Some((conn, avail, used)) => Ok(PathBandwidth {
-            available_bps: avail,
-            used_bps: used,
-            bottleneck: conn,
-            connections: conns,
-        }),
-        None => Ok(PathBandwidth {
-            available_bps: u64::MAX,
-            used_bps: 0,
-            bottleneck: ConnId(u32::MAX),
-            connections: conns,
-        }),
-    }
+    evaluate_once(topo, &PathPlan::compile(topo, path)?, rates)
+}
+
+fn evaluate_once(
+    topo: &NetworkTopology,
+    plan: &PathPlan,
+    rates: &dyn RateProvider,
+) -> Result<PathBandwidth, TopologyError> {
+    let mut bw = PathBandwidth::default();
+    plan.evaluate(topo, rates, &mut DomainSums::new(topo), &mut bw)
+        .map_err(|e| e.into_topology_error(topo))?;
+    Ok(bw)
 }
 
 #[cfg(test)]
@@ -580,7 +460,8 @@ mod tests {
         let b0 = t.add_interface(b, "eth0", 10_000_000).unwrap();
         t.connect((b, b0), (h2, IfIx(0))).unwrap();
 
-        assert_eq!(hub_domain(&t, h1), vec![h1, h2]);
+        assert!(t.shared_domain_of(h1).is_some());
+        assert_eq!(t.shared_domain_of(h1), t.shared_domain_of(h2));
 
         let mut rates = MapRates::new();
         rates.set(

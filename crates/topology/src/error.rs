@@ -1,6 +1,6 @@
 //! Error types for topology construction and queries.
 
-use crate::ids::{IfIx, NodeId};
+use crate::ids::{ConnId, IfIx, NodeId};
 use std::fmt;
 
 /// Errors produced while building or querying a
@@ -15,6 +15,8 @@ pub enum TopologyError {
     NoSuchNode(NodeId),
     /// The referenced node name does not exist.
     NoSuchNodeName(String),
+    /// The referenced connection id is out of range.
+    NoSuchConnection(ConnId),
     /// The referenced interface index is out of range for the node.
     NoSuchInterface { node: String, ifix: IfIx },
     /// The referenced interface name does not exist on the node.
@@ -47,6 +49,7 @@ impl fmt::Display for TopologyError {
             }
             TopologyError::NoSuchNode(id) => write!(f, "no such node {id}"),
             TopologyError::NoSuchNodeName(name) => write!(f, "no such node `{name}`"),
+            TopologyError::NoSuchConnection(id) => write!(f, "no such connection {id}"),
             TopologyError::NoSuchInterface { node, ifix } => {
                 write!(f, "node `{node}` has no interface {ifix}")
             }

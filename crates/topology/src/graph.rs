@@ -16,10 +16,12 @@
 //! does not need a live `ifSpeed` query for every computation.
 
 use crate::error::TopologyError;
-use crate::ids::{ConnId, IfIx, NodeId};
+use crate::ids::{ConnId, DomainId, IfIx, NodeId};
+use crate::index::{Station, TopoIndex};
 use crate::kind::NodeKind;
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
+use std::sync::OnceLock;
 
 /// One network interface on a node.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -115,12 +117,20 @@ impl Connection {
 ///
 /// Normally constructed from a DeSiDeRaTa specification file (see the
 /// `netqos-spec` crate) but may also be built programmatically.
+///
+/// Adjacency, dense interface slots and shared-medium domains are derived
+/// tables: built once on the first query after a mutation, dropped by the
+/// next `add_node` / `add_interface` / `connect`. Build the topology
+/// first and query it afterwards; alternating the two rebuilds the
+/// tables every time.
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct NetworkTopology {
     nodes: Vec<Node>,
     connections: Vec<Connection>,
     #[serde(skip)]
     name_index: HashMap<String, NodeId>,
+    #[serde(skip)]
+    index: OnceLock<TopoIndex>,
 }
 
 impl NetworkTopology {
@@ -146,6 +156,7 @@ impl NetworkTopology {
             snmp_community: "public".to_owned(),
         });
         self.name_index.insert(name.to_owned(), id);
+        self.index.take();
         Ok(id)
     }
 
@@ -179,6 +190,7 @@ impl NetworkTopology {
             speed_bps,
             connection: None,
         });
+        self.index.take();
         Ok(ifix)
     }
 
@@ -211,6 +223,7 @@ impl NetworkTopology {
         self.connections.push(Connection { a, b });
         self.nodes[a.node.index()].interfaces[a.ifix.index()].connection = Some(id);
         self.nodes[b.node.index()].interfaces[b.ifix.index()].connection = Some(id);
+        self.index.take();
         Ok(id)
     }
 
@@ -289,23 +302,56 @@ impl NetworkTopology {
     pub fn connection(&self, id: ConnId) -> Result<&Connection, TopologyError> {
         self.connections
             .get(id.index())
-            .ok_or(TopologyError::NoSuchNode(NodeId(id.0))) // unreachable in practice
+            .ok_or(TopologyError::NoSuchConnection(id))
     }
 
-    /// All connections that touch `node`.
-    pub fn connections_of(&self, node: NodeId) -> Vec<ConnId> {
-        self.connections()
-            .filter(|(_, c)| c.touches(node))
-            .map(|(id, _)| id)
-            .collect()
+    fn index(&self) -> &TopoIndex {
+        self.index
+            .get_or_init(|| TopoIndex::build(&self.nodes, &self.connections))
+    }
+
+    /// All connections that touch `node`, in connection-id order.
+    pub fn connections_of(&self, node: NodeId) -> impl Iterator<Item = ConnId> + '_ {
+        self.neighbors(node).iter().map(|&(_, conn)| conn)
     }
 
     /// The nodes adjacent to `node` (one hop over any connection), with the
-    /// connection that reaches them.
-    pub fn neighbors(&self, node: NodeId) -> Vec<(NodeId, ConnId)> {
-        self.connections()
-            .filter_map(|(id, c)| c.other_end(node).map(|ep| (ep.node, id)))
-            .collect()
+    /// connection that reaches them, in connection-id order. Empty for an
+    /// unknown node.
+    pub fn neighbors(&self, node: NodeId) -> &[(NodeId, ConnId)] {
+        self.index().neighbors(node)
+    }
+
+    /// Position of an interface in a table with one slot per interface
+    /// of the topology (see [`NetworkTopology::interface_slot_count`]);
+    /// `None` for an unknown node or interface.
+    pub fn interface_slot(&self, node: NodeId, ifix: IfIx) -> Option<usize> {
+        self.index().interface_slot(node, ifix)
+    }
+
+    /// Total number of interfaces over all nodes.
+    pub fn interface_slot_count(&self) -> usize {
+        self.index().interface_slot_count()
+    }
+
+    /// The shared-medium domain `hub` belongs to: the hub plus every hub
+    /// cascaded to it (hub-to-hub cables join collision domains). `None`
+    /// when `hub` is not a shared-medium node.
+    pub fn shared_domain_of(&self, hub: NodeId) -> Option<DomainId> {
+        self.index().domain_of(hub)
+    }
+
+    /// Number of shared-medium domains.
+    pub fn shared_domain_count(&self) -> usize {
+        self.index().domain_count()
+    }
+
+    /// The stations whose traffic sums to a domain's used bandwidth, in
+    /// evaluation order: hubs by node id, each hub's cables by connection
+    /// id. Uplinks to switches and routers and the hub-to-hub cables are
+    /// not stations.
+    pub fn shared_domain_stations(&self, domain: DomainId) -> &[Station] {
+        self.index().domain_stations(domain)
     }
 
     /// Speed (bits/s) of a connection: the minimum of its two interface
@@ -338,8 +384,9 @@ impl NetworkTopology {
         }
     }
 
-    /// Rebuilds the internal name index. Needed after deserializing a
-    /// topology with `serde`, because the index is not serialized.
+    /// Rebuilds the name index and the derived adjacency, interface-slot
+    /// and shared-domain tables. Needed after deserializing a topology
+    /// with `serde`, because none of them is serialized.
     pub fn rebuild_index(&mut self) {
         self.name_index = self
             .nodes
@@ -347,6 +394,7 @@ impl NetworkTopology {
             .enumerate()
             .map(|(i, n)| (n.name.clone(), NodeId(i as u32)))
             .collect();
+        self.index = OnceLock::from(TopoIndex::build(&self.nodes, &self.connections));
     }
 }
 
@@ -435,8 +483,8 @@ mod tests {
         assert_eq!(n.len(), 2);
         assert!(n.iter().any(|(id, _)| *id == a));
         assert!(n.iter().any(|(id, _)| *id == b));
-        assert_eq!(t.connections_of(a).len(), 1);
-        assert_eq!(t.connections_of(sw).len(), 2);
+        assert_eq!(t.connections_of(a).count(), 1);
+        assert_eq!(t.connections_of(sw).count(), 2);
     }
 
     #[test]
@@ -483,6 +531,87 @@ mod tests {
         t2.rebuild_index();
         assert_eq!(t2.node_by_name("A").unwrap(), a);
         assert!(!json.is_empty());
+    }
+
+    #[test]
+    fn unknown_connection_is_reported_as_such() {
+        let (t, _, _, _) = two_hosts_one_switch();
+        assert_eq!(
+            t.connection(ConnId(2)).unwrap_err(),
+            TopologyError::NoSuchConnection(ConnId(2))
+        );
+        assert_eq!(
+            t.connection_speed(ConnId(9)).unwrap_err(),
+            TopologyError::NoSuchConnection(ConnId(9))
+        );
+    }
+
+    #[test]
+    fn mutation_after_a_query_is_seen_by_the_next_query() {
+        let (mut t, a, sw, _) = two_hosts_one_switch();
+        assert_eq!(t.neighbors(sw).len(), 2);
+        let p3 = t.add_interface(sw, "p3", 100_000_000).unwrap();
+        let c = t.add_node("C", NodeKind::Host).unwrap();
+        assert!(t.neighbors(c).is_empty());
+        let c0 = t.add_interface(c, "eth0", 100_000_000).unwrap();
+        let conn = t.connect((c, c0), (sw, p3)).unwrap();
+        assert_eq!(t.neighbors(c), [(sw, conn)]);
+        assert_eq!(t.neighbors(sw).last(), Some(&(c, conn)));
+        assert_eq!(t.interface_slot_count(), 6);
+        assert_eq!(t.interface_slot(c, c0), Some(5));
+        assert_eq!(t.interface_slot(a, IfIx(1)), None);
+        // Unknown nodes have no neighbours rather than panicking.
+        assert!(t.neighbors(NodeId(99)).is_empty());
+    }
+
+    #[test]
+    fn rebuilt_clone_answers_identically() {
+        use crate::bandwidth::{path_bandwidth, IfRates, MapRates};
+        use crate::path::find_path;
+        // sw -- hub1 == hub2 -- {N1, N2}; A on the switch.
+        let (mut t, a, sw, _) = two_hosts_one_switch();
+        let up = t.add_interface(sw, "p3", 10_000_000).unwrap();
+        let mut hubs = Vec::new();
+        for name in ["hub1", "hub2"] {
+            let h = t.add_node(name, NodeKind::Hub).unwrap();
+            for i in 0..3 {
+                t.add_interface(h, &format!("h{i}"), 10_000_000).unwrap();
+            }
+            hubs.push(h);
+        }
+        t.connect((sw, up), (hubs[0], IfIx(0))).unwrap();
+        t.connect((hubs[0], IfIx(1)), (hubs[1], IfIx(0))).unwrap();
+        let mut rates = MapRates::new();
+        let mut stations = Vec::new();
+        for (i, name) in ["N1", "N2"].iter().enumerate() {
+            let n = t.add_node(name, NodeKind::Host).unwrap();
+            let n0 = t.add_interface(n, "eth0", 10_000_000).unwrap();
+            t.connect((n, n0), (hubs[1], IfIx(1 + i as u32))).unwrap();
+            let bps = 1_000_000 * (i as u64 + 1);
+            rates.set(
+                n,
+                n0,
+                IfRates {
+                    in_bps: bps,
+                    out_bps: 0,
+                },
+            );
+            stations.push(n);
+        }
+        rates.set(a, IfIx(0), IfRates::default());
+
+        let mut rebuilt = t.clone();
+        rebuilt.rebuild_index();
+        for (id, _) in t.nodes() {
+            assert_eq!(t.neighbors(id), rebuilt.neighbors(id));
+        }
+        assert_eq!(t.shared_domain_count(), 1);
+        assert_eq!(rebuilt.shared_domain_count(), 1);
+        let p = find_path(&t, a, stations[1]).unwrap();
+        assert_eq!(find_path(&rebuilt, a, stations[1]).unwrap(), p);
+        let bw = path_bandwidth(&t, &p, &rates).unwrap();
+        assert_eq!(path_bandwidth(&rebuilt, &p, &rates).unwrap(), bw);
+        assert_eq!(bw.used_bps, 3_000_000);
     }
 
     // Tiny stand-in used by the test above so we exercise the Serialize

@@ -25,6 +25,11 @@ pub struct IfIx(pub u32);
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
 pub struct ConnId(pub u32);
 
+/// Identifier of a shared-medium (hub) collision domain within a
+/// topology: a hub plus every hub cascaded to it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+pub struct DomainId(pub u32);
+
 impl NodeId {
     /// Returns the raw index.
     #[inline]
@@ -57,6 +62,14 @@ impl IfIx {
 }
 
 impl ConnId {
+    /// Returns the raw index.
+    #[inline]
+    pub fn index(self) -> usize {
+        self.0 as usize
+    }
+}
+
+impl DomainId {
     /// Returns the raw index.
     #[inline]
     pub fn index(self) -> usize {

@@ -55,12 +55,15 @@ pub mod bandwidth;
 pub mod error;
 pub mod graph;
 pub mod ids;
+mod index;
 pub mod kind;
 pub mod path;
+pub mod plan;
 
 pub use bandwidth::{ConnectionBandwidth, IfRates, PathBandwidth, RateProvider};
 pub use error::TopologyError;
 pub use graph::{Connection, Endpoint, Interface, NetworkTopology, Node};
-pub use ids::{ConnId, IfIx, NodeId};
+pub use ids::{ConnId, DomainId, IfIx, NodeId};
+pub use index::Station;
 pub use kind::NodeKind;
 pub use path::{find_path, CommPath};

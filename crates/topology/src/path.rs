@@ -14,7 +14,9 @@
 use crate::error::TopologyError;
 use crate::graph::NetworkTopology;
 use crate::ids::{ConnId, NodeId};
+use netqos_telemetry::Counter;
 use serde::{Deserialize, Serialize};
+use std::sync::OnceLock;
 
 /// A communication path between two nodes: the ordered list of connections
 /// crossed, plus the node sequence for convenience.
@@ -69,8 +71,9 @@ pub fn find_path(
     from: NodeId,
     to: NodeId,
 ) -> Result<CommPath, TopologyError> {
-    netqos_telemetry::global()
-        .counter("netqos_topology_path_queries_total")
+    static QUERIES: OnceLock<Counter> = OnceLock::new();
+    QUERIES
+        .get_or_init(|| netqos_telemetry::global().counter("netqos_topology_path_queries_total"))
         .inc();
     let mut paths = enumerate_paths(topo, from, to, 1)?;
     match paths.pop() {
@@ -162,7 +165,7 @@ fn dfs(
     if limit != 0 && out.len() >= limit {
         return;
     }
-    for (next, conn) in topo.neighbors(at) {
+    for &(next, conn) in topo.neighbors(at) {
         if limit != 0 && out.len() >= limit {
             return;
         }

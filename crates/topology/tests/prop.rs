@@ -1,8 +1,12 @@
 //! Property-based tests for the topology crate: traversal termination on
-//! arbitrary (possibly cyclic) topologies and algebraic laws of the
-//! bandwidth computation.
+//! arbitrary (possibly cyclic) topologies, algebraic laws of the
+//! bandwidth computation, and equivalence of the indexed, plan-compiled
+//! evaluation with the linear-scan reference oracle.
 
-use netqos_topology::bandwidth::{self, IfRates, MapRates};
+mod oracle;
+
+use netqos_topology::bandwidth::{self, IfRates, MapRates, PathBandwidth};
+use netqos_topology::plan::{DomainSums, PathPlan};
 use netqos_topology::{path, IfIx, NetworkTopology, NodeId, NodeKind};
 use proptest::prelude::*;
 
@@ -10,23 +14,36 @@ use proptest::prelude::*;
 /// set of connections among free interfaces. May contain cycles,
 /// partitions, and self-loops through distinct interfaces.
 fn arb_topology(max_nodes: usize, max_conns: usize) -> impl Strategy<Value = NetworkTopology> {
-    let kinds = prop::sample::select(vec![
+    let kinds = vec![
         NodeKind::Host,
         NodeKind::Switch,
         NodeKind::Hub,
         NodeKind::Router,
-    ]);
+    ];
+    arb_topology_of(max_nodes, max_conns, kinds, vec![10_000_000])
+}
+
+/// [`arb_topology`] with each node's kind drawn from `kinds` and each
+/// interface's speed from `speeds` (repeat an entry to weight it).
+fn arb_topology_of(
+    max_nodes: usize,
+    max_conns: usize,
+    kinds: Vec<NodeKind>,
+    speeds: Vec<u64>,
+) -> impl Strategy<Value = NetworkTopology> {
+    let kinds = prop::sample::select(kinds);
+    let ifaces = prop::collection::vec(prop::sample::select(speeds), 1..5);
     (
-        prop::collection::vec((kinds, 1u32..5), 2..max_nodes),
+        prop::collection::vec((kinds, ifaces), 2..max_nodes),
         prop::collection::vec((any::<u32>(), any::<u32>()), 0..max_conns),
     )
         .prop_map(|(nodes, conn_seeds)| {
             let mut t = NetworkTopology::new();
             let mut ifaces: Vec<(NodeId, IfIx)> = Vec::new();
-            for (i, (kind, n_if)) in nodes.into_iter().enumerate() {
+            for (i, (kind, speeds)) in nodes.into_iter().enumerate() {
                 let id = t.add_node(&format!("n{i}"), kind).unwrap();
-                for j in 0..n_if {
-                    let ifix = t.add_interface(id, &format!("if{j}"), 10_000_000).unwrap();
+                for (j, speed) in speeds.into_iter().enumerate() {
+                    let ifix = t.add_interface(id, &format!("if{j}"), speed).unwrap();
                     ifaces.push((id, ifix));
                 }
             }
@@ -134,6 +151,74 @@ proptest! {
                 for c in &bw.connections {
                     prop_assert!(bw.available_bps <= c.capacity_bps);
                 }
+            }
+        }
+    }
+
+    /// The adjacency index answers exactly what a scan of every
+    /// connection answers, in the same (connection-id) order.
+    #[test]
+    fn neighbors_match_a_scan_of_all_connections(t in arb_topology(12, 30)) {
+        for (id, _) in t.nodes() {
+            prop_assert_eq!(t.neighbors(id).to_vec(), oracle::neighbors(&t, id));
+            prop_assert_eq!(
+                t.connections_of(id).collect::<Vec<_>>(),
+                oracle::connections_of(&t, id)
+            );
+        }
+        prop_assert!(t.neighbors(NodeId(t.node_count() as u32)).is_empty());
+    }
+
+    /// Plan evaluation equals the reference oracle on every path and
+    /// every connection — `Ok` values and the exact error (the same
+    /// `MissingRate` interface, `ZeroSpeed`) — with partial rate tables,
+    /// zero-speed interfaces, cascaded hubs, cycles and self-loops. One
+    /// `DomainSums` serves all paths of a topology, as in the monitor.
+    #[test]
+    fn plan_evaluation_matches_reference_oracle(
+        t in arb_topology_of(
+            10,
+            24,
+            // Hub-heavy, so cascaded domains with several stations are common.
+            vec![NodeKind::Host, NodeKind::Host, NodeKind::Hub, NodeKind::Hub, NodeKind::Switch, NodeKind::Router],
+            vec![10_000_000, 10_000_000, 100_000_000, 0],
+        ),
+        seeds in prop::collection::vec((0u64..30_000_000, 0u8..10), 64),
+        // Between none and half of the interfaces have no rate.
+        missing in 0u8..6,
+    ) {
+        let mut rates = MapRates::new();
+        let mut k = 0usize;
+        for (id, node) in t.nodes() {
+            for (i, _) in node.interfaces.iter().enumerate() {
+                let (bps, present) = seeds[k % seeds.len()];
+                let (out_bps, _) = seeds[(k + 7) % seeds.len()];
+                k += 1;
+                if present >= missing {
+                    rates.set(id, IfIx(i as u32), IfRates { in_bps: bps, out_bps });
+                }
+            }
+        }
+        for (conn, _) in t.connections() {
+            prop_assert_eq!(
+                bandwidth::connection_bandwidth(&t, conn, &rates),
+                oracle::connection_bandwidth(&t, conn, &rates)
+            );
+        }
+        let mut sums = DomainSums::new(&t);
+        let mut out = PathBandwidth::default();
+        let n = t.node_count() as u32;
+        for from in 0..n {
+            for to in 0..n {
+                let Ok(p) = path::find_path(&t, NodeId(from), NodeId(to)) else { continue };
+                let expected = oracle::path_bandwidth(&t, &p, &rates);
+                prop_assert_eq!(bandwidth::path_bandwidth(&t, &p, &rates), expected.clone());
+                let plan = PathPlan::compile(&t, &p).unwrap();
+                let shared = plan
+                    .evaluate(&t, &rates, &mut sums, &mut out)
+                    .map(|()| out.clone())
+                    .map_err(|e| e.into_topology_error(&t));
+                prop_assert_eq!(shared, expected);
             }
         }
     }
