@@ -16,7 +16,6 @@ use crate::error::MonitorError;
 use netqos_snmp::mib2::{interfaces as ifc, system};
 use netqos_snmp::oid::Oid;
 use netqos_snmp::pdu::VarBind;
-use netqos_snmp::value::SnmpValue;
 
 /// Counter sample of one interface at one poll.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -68,16 +67,48 @@ pub fn poll_oids(if_count: u32) -> Vec<Oid> {
     oids
 }
 
-fn need_u32(v: &SnmpValue, oid: &Oid) -> Result<u32, MonitorError> {
-    v.as_u32().ok_or_else(|| MonitorError::WrongType {
-        oid: oid.to_string(),
-        got: v.type_name(),
-    })
+/// What every poll of a device with a given number of interfaces has in
+/// common. Pollers keep one plan per interface count — a thousand
+/// single-NIC hosts share one — and build nothing per poll.
+#[derive(Debug)]
+pub struct PollPlan {
+    if_count: u32,
+    oids: Vec<Oid>,
+}
+
+impl PollPlan {
+    /// The plan for devices with `if_count` interfaces.
+    pub fn new(if_count: u32) -> Self {
+        PollPlan {
+            if_count,
+            oids: poll_oids(if_count),
+        }
+    }
+
+    /// The names to request, as [`poll_oids`] lists them.
+    pub fn oids(&self) -> &[Oid] {
+        &self.oids
+    }
+
+    /// Parses the response to this plan's request.
+    pub fn parse(&self, bindings: &[VarBind]) -> Result<DeviceSnapshot, MonitorError> {
+        parse_snapshot(bindings, self.if_count)
+    }
+}
+
+fn wrong_type(vb: &VarBind) -> MonitorError {
+    MonitorError::WrongType {
+        oid: vb.oid.to_string(),
+        got: vb.value.type_name(),
+    }
+}
+
+fn need_u32(vb: &VarBind) -> Result<u32, MonitorError> {
+    vb.value.as_u32().ok_or_else(|| wrong_type(vb))
 }
 
 /// Parses a poll response (in any binding order) into a snapshot.
 pub fn parse_snapshot(bindings: &[VarBind], if_count: u32) -> Result<DeviceSnapshot, MonitorError> {
-    let uptime_oid = system::sys_uptime_instance();
     let mut uptime_ticks = None;
     let mut samples: Vec<IfSample> = (1..=if_count)
         .map(|i| IfSample {
@@ -93,50 +124,35 @@ pub fn parse_snapshot(bindings: &[VarBind], if_count: u32) -> Result<DeviceSnaps
     let mut seen = vec![0u32; if_count as usize];
 
     for vb in bindings {
-        if vb.oid == uptime_oid {
-            uptime_ticks = Some(need_u32(&vb.value, &vb.oid)?);
-            continue;
-        }
-        let Some((col, ifindex)) = ifc::parse_instance(&vb.oid) else {
-            continue; // tolerate extra objects
+        let (col, ifindex) = match *vb.oid.arcs() {
+            // sysUpTime.0
+            [1, 3, 6, 1, 2, 1, 1, 3, 0] => {
+                uptime_ticks = Some(need_u32(vb)?);
+                continue;
+            }
+            // ifEntry.<column>.<ifIndex>
+            [1, 3, 6, 1, 2, 1, 2, 2, 1, col, ifindex] if (1..=if_count).contains(&ifindex) => {
+                (col, ifindex)
+            }
+            _ => continue, // tolerate extra objects
         };
-        if ifindex == 0 || ifindex > if_count {
-            continue;
-        }
         let s = &mut samples[(ifindex - 1) as usize];
         match col {
-            c if c == ifc::column::IF_DESCR => {
-                s.descr = vb
-                    .value
-                    .as_text()
-                    .ok_or_else(|| MonitorError::WrongType {
-                        oid: vb.oid.to_string(),
-                        got: vb.value.type_name(),
-                    })?
-                    .to_owned();
+            ifc::column::IF_DESCR => {
+                s.descr = vb.value.as_text().ok_or_else(|| wrong_type(vb))?.to_owned();
             }
-            c if c == ifc::column::IF_SPEED => {
-                s.speed_bps = need_u32(&vb.value, &vb.oid)? as u64;
-            }
-            c if c == ifc::column::IF_IN_OCTETS => {
-                s.in_octets = need_u32(&vb.value, &vb.oid)?;
-            }
-            c if c == ifc::column::IF_OUT_OCTETS => {
-                s.out_octets = need_u32(&vb.value, &vb.oid)?;
-            }
-            c if c == ifc::column::IF_IN_UCAST_PKTS => {
-                s.in_ucast_pkts = need_u32(&vb.value, &vb.oid)?;
-            }
-            c if c == ifc::column::IF_OUT_NUCAST_PKTS => {
-                s.out_nucast_pkts = need_u32(&vb.value, &vb.oid)?;
-            }
+            ifc::column::IF_SPEED => s.speed_bps = need_u32(vb)? as u64,
+            ifc::column::IF_IN_OCTETS => s.in_octets = need_u32(vb)?,
+            ifc::column::IF_OUT_OCTETS => s.out_octets = need_u32(vb)?,
+            ifc::column::IF_IN_UCAST_PKTS => s.in_ucast_pkts = need_u32(vb)?,
+            ifc::column::IF_OUT_NUCAST_PKTS => s.out_nucast_pkts = need_u32(vb)?,
             _ => continue,
         }
         seen[(ifindex - 1) as usize] += 1;
     }
 
-    let uptime_ticks =
-        uptime_ticks.ok_or_else(|| MonitorError::MissingObject(uptime_oid.to_string()))?;
+    let uptime_ticks = uptime_ticks
+        .ok_or_else(|| MonitorError::MissingObject(system::sys_uptime_instance().to_string()))?;
     for (i, &count) in seen.iter().enumerate() {
         if count < COLUMNS.len() as u32 {
             return Err(MonitorError::MissingObject(format!(
@@ -159,6 +175,7 @@ mod tests {
     use netqos_snmp::client;
     use netqos_snmp::mib::ScalarMib;
     use netqos_snmp::mib2::{self, IfEntry, SystemInfo};
+    use netqos_snmp::value::SnmpValue;
 
     fn agent_mib() -> ScalarMib {
         let mut mib = ScalarMib::new();

@@ -236,7 +236,7 @@ mod tests {
                 break;
             }
             seen.push(next.clone());
-            cur = next;
+            cur = next.clone();
         }
         // 1 counter (name+value) + 1 gauge (name+value) + 1 histogram
         // (name + 7 stats) = 12 instances.

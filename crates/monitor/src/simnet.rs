@@ -11,41 +11,139 @@
 //! caused by SNMP queries and acknowledgements").
 
 use crate::error::MonitorError;
-use crate::poll::{self, DeviceSnapshot};
+use crate::poll::{DeviceSnapshot, PollPlan};
 use bytes::Bytes;
 use netqos_sim::app::{AppCtx, DiscardSink, EchoResponder, Mailbox, UdpApp};
 use netqos_sim::builder::LanBuilder;
+use netqos_sim::nic::Nic;
 use netqos_sim::packet::{DISCARD_PORT, ECHO_PORT, SNMP_PORT};
 use netqos_sim::time::{SimDuration, SimTime};
 use netqos_sim::traffic::NoiseSource;
 use netqos_sim::{DeviceId, Ipv4Addr, Lan, PortIx, UdpDatagram};
 use netqos_snmp::agent::SnmpAgent;
 use netqos_snmp::client;
-use netqos_snmp::mib::ScalarMib;
-use netqos_snmp::mib2::{self, IfEntry, SystemInfo};
+use netqos_snmp::mib::{MibView, ScalarMib};
+use netqos_snmp::mib2::interfaces::{self as ifc, column};
+use netqos_snmp::mib2::{self, SystemInfo};
+use netqos_snmp::value::ValueRef;
+use netqos_snmp::{Oid, SnmpValue};
 use netqos_spec::SpecModel;
 use netqos_telemetry::{QuantileBaseline, Tracer};
 use netqos_topology::{NodeId, NodeKind};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::cell::RefCell;
+use std::cell::{OnceCell, RefCell};
 use std::collections::HashMap;
 use std::collections::VecDeque;
 use std::rc::Rc;
 
 /// An SNMP agent living inside the simulation as a UDP app.
 ///
-/// On each request it builds a fresh MIB view from the device's live NIC
-/// counters and `sysUpTime`, exactly like a real agent reading kernel
-/// statistics. An optional response-delay distribution models agent
-/// scheduling jitter — the cause of the paper's occasional large
-/// one-sample errors ("some data bytes are counted in a later SNMP message
-/// instead of an earlier one").
+/// Every request is answered from the device's live NIC counters and
+/// `sysUpTime`, exactly like a real agent reading kernel statistics. An
+/// optional response-delay distribution models agent scheduling jitter —
+/// the cause of the paper's occasional large one-sample errors ("some
+/// data bytes are counted in a later SNMP message instead of an earlier
+/// one").
 pub struct SimSnmpAgent {
     agent: SnmpAgent,
     sysinfo: SystemInfo,
     jitter: Option<(StdRng, SimDuration)>,
     pending: VecDeque<(Ipv4Addr, u16, Bytes)>,
+}
+
+/// The MIB of one device at the instant of one request.
+///
+/// What a poll asks for — `sysUpTime.0` and `ifTable` instances — is read
+/// straight off the device's NICs and lent to the agent. Any other name,
+/// and every walk, goes to the full map (the `system` group, the
+/// interfaces group, and on switches the BRIDGE-MIB forwarding
+/// database), which is built from the same readings at most once per
+/// request and only when one of those asks for it.
+struct LiveMib<'a> {
+    sysinfo: &'a SystemInfo,
+    ctx: &'a AppCtx<'a>,
+    full: OnceCell<ScalarMib>,
+}
+
+/// One `ifTable` cell of `nic`, or `None` for a column `ifEntry` lacks.
+fn if_cell(nic: &Nic, if_index: u32, col: u32) -> Option<ValueRef<'_>> {
+    let c = &nic.counters;
+    Some(match col {
+        column::IF_INDEX => ValueRef::Integer(i64::from(if_index)),
+        column::IF_DESCR => ValueRef::OctetString(nic.descr.as_bytes()),
+        column::IF_TYPE => ValueRef::Integer(ifc::IF_TYPE_ETHERNET),
+        column::IF_MTU => ValueRef::Integer(1500),
+        column::IF_SPEED => ValueRef::Gauge32(nic.speed_bps.min(u64::from(u32::MAX)) as u32),
+        column::IF_PHYS_ADDRESS => ValueRef::OctetString(&nic.mac.0),
+        column::IF_ADMIN_STATUS | column::IF_OPER_STATUS => ValueRef::Integer(ifc::STATUS_UP),
+        column::IF_LAST_CHANGE => ValueRef::TimeTicks(0),
+        column::IF_IN_OCTETS => ValueRef::Counter32(c.in_octets.value()),
+        column::IF_IN_UCAST_PKTS => ValueRef::Counter32(c.in_ucast_pkts.value()),
+        column::IF_IN_NUCAST_PKTS => ValueRef::Counter32(c.in_nucast_pkts.value()),
+        column::IF_IN_DISCARDS => ValueRef::Counter32(c.in_discards.value()),
+        column::IF_IN_ERRORS => ValueRef::Counter32(c.in_errors.value()),
+        column::IF_IN_UNKNOWN_PROTOS => ValueRef::Counter32(0),
+        column::IF_OUT_OCTETS => ValueRef::Counter32(c.out_octets.value()),
+        column::IF_OUT_UCAST_PKTS => ValueRef::Counter32(c.out_ucast_pkts.value()),
+        column::IF_OUT_NUCAST_PKTS => ValueRef::Counter32(c.out_nucast_pkts.value()),
+        column::IF_OUT_DISCARDS => ValueRef::Counter32(c.out_discards.value()),
+        column::IF_OUT_ERRORS => ValueRef::Counter32(c.out_errors.value()),
+        column::IF_OUT_QLEN => ValueRef::Gauge32(0),
+        _ => return None,
+    })
+}
+
+impl LiveMib<'_> {
+    fn full(&self) -> &ScalarMib {
+        self.full.get_or_init(|| {
+            let nics = self.ctx.nics();
+            let mut mib = ScalarMib::new();
+            mib2::system::install(&mut mib, self.sysinfo, self.ctx.uptime_ticks());
+            // Switches additionally export their forwarding database
+            // (BRIDGE-MIB), feeding the topology-verification extension.
+            if let Some(fdb) = self.ctx.fdb_snapshot() {
+                let entries: Vec<mib2::bridge::FdbEntry> = fdb
+                    .into_iter()
+                    .map(|(mac, port)| mib2::bridge::FdbEntry {
+                        mac: mac.octets(),
+                        port,
+                    })
+                    .collect();
+                mib2::bridge::install(&mut mib, nics.len() as u32, &entries);
+            }
+            mib.insert(
+                ifc::if_number_instance(),
+                SnmpValue::Integer(nics.len() as i64),
+            );
+            for (nic, if_index) in nics.iter().zip(1..) {
+                for col in column::IF_INDEX..=column::IF_OUT_QLEN {
+                    let cell = if_cell(nic, if_index, col).expect("ifEntry has every column");
+                    mib.insert(ifc::instance_oid(col, if_index), cell.to_value());
+                }
+            }
+            mib
+        })
+    }
+}
+
+impl MibView for LiveMib<'_> {
+    fn get(&self, oid: &Oid) -> Option<ValueRef<'_>> {
+        match *oid.arcs() {
+            // sysUpTime.0
+            [1, 3, 6, 1, 2, 1, 1, 3, 0] => Some(ValueRef::TimeTicks(self.ctx.uptime_ticks())),
+            // ifEntry.<column>.<ifIndex>
+            [1, 3, 6, 1, 2, 1, 2, 2, 1, col, if_index] => {
+                let nic = self.ctx.nics().get((if_index as usize).checked_sub(1)?)?;
+                if_cell(nic, if_index, col)
+            }
+            _ => self.full().get(oid),
+        }
+    }
+
+    fn next_after(&self, oid: &Oid) -> Option<(&Oid, ValueRef<'_>)> {
+        self.full().next_after(oid)
+    }
 }
 
 impl SimSnmpAgent {
@@ -64,54 +162,19 @@ impl SimSnmpAgent {
         self.jitter = Some((StdRng::seed_from_u64(seed), mean));
         self
     }
-
-    fn build_mib(&self, ctx: &AppCtx<'_>) -> ScalarMib {
-        let mut mib = ScalarMib::new();
-        mib2::system::install(&mut mib, &self.sysinfo, ctx.uptime_ticks());
-        // Switches additionally export their forwarding database
-        // (BRIDGE-MIB), feeding the topology-verification extension.
-        if let Some(fdb) = ctx.fdb_snapshot() {
-            let entries: Vec<mib2::bridge::FdbEntry> = fdb
-                .into_iter()
-                .map(|(mac, port)| mib2::bridge::FdbEntry {
-                    mac: mac.octets(),
-                    port,
-                })
-                .collect();
-            mib2::bridge::install(&mut mib, ctx.nic_snapshots().len() as u32, &entries);
-        }
-        let entries: Vec<IfEntry> = ctx
-            .nic_snapshots()
-            .into_iter()
-            .map(|n| {
-                let mut e = IfEntry::ethernet(
-                    n.if_index,
-                    &n.descr,
-                    n.speed_bps.min(u32::MAX as u64) as u32,
-                    n.mac.octets(),
-                );
-                e.in_octets = n.counters.in_octets.value();
-                e.in_ucast_pkts = n.counters.in_ucast_pkts.value();
-                e.in_nucast_pkts = n.counters.in_nucast_pkts.value();
-                e.in_discards = n.counters.in_discards.value();
-                e.in_errors = n.counters.in_errors.value();
-                e.out_octets = n.counters.out_octets.value();
-                e.out_ucast_pkts = n.counters.out_ucast_pkts.value();
-                e.out_nucast_pkts = n.counters.out_nucast_pkts.value();
-                e.out_discards = n.counters.out_discards.value();
-                e.out_errors = n.counters.out_errors.value();
-                e
-            })
-            .collect();
-        mib2::interfaces::install(&mut mib, &entries);
-        mib
-    }
 }
 
 impl UdpApp for SimSnmpAgent {
     fn on_datagram(&mut self, ctx: &mut AppCtx<'_>, dgram: &UdpDatagram) {
-        let mib = self.build_mib(ctx);
-        if let Some(resp) = self.agent.handle(&dgram.payload, &mib) {
+        let resp = {
+            let mib = LiveMib {
+                sysinfo: &self.sysinfo,
+                ctx,
+                full: OnceCell::new(),
+            };
+            self.agent.handle(&dgram.payload, &mib)
+        };
+        if let Some(resp) = resp {
             match &mut self.jitter {
                 Some((rng, mean)) => {
                     let u: f64 = rng.gen_range(1e-6..1.0);
@@ -172,8 +235,10 @@ pub struct SimNetwork {
     pub lan: Lan,
     model: SpecModel,
     node_to_dev: HashMap<NodeId, DeviceId>,
-    agent_addr: HashMap<NodeId, (Ipv4Addr, String)>,
-    /// The keys of `agent_addr` in node order: the poll order.
+    /// The agent of each node, indexed by node id; `None` for a node
+    /// without one.
+    agents: Vec<Option<AgentTarget>>,
+    /// The nodes with an agent, in node order: the poll order.
     pollable: Vec<NodeId>,
     monitor_dev: DeviceId,
     monitor_node: NodeId,
@@ -189,8 +254,16 @@ pub struct SimNetwork {
     rtt_baselines: HashMap<NodeId, QuantileBaseline>,
 }
 
+/// Where and how to poll one node's agent.
+struct AgentTarget {
+    ip: Ipv4Addr,
+    community: String,
+    /// Shared with every other node of the same interface count.
+    plan: Rc<PollPlan>,
+}
+
 /// UDP port the manager mailbox listens on.
-const MANAGER_PORT: u16 = 16100;
+pub const MANAGER_PORT: u16 = 16100;
 
 /// Retransmissions per poll on timeout (matching the UDP transport's
 /// default of 2 retries).
@@ -215,7 +288,8 @@ impl SimNetwork {
     {
         let mut b = LanBuilder::new();
         let mut node_to_dev = HashMap::new();
-        let mut agent_addr = HashMap::new();
+        let mut agents: Vec<Option<AgentTarget>> = Vec::new();
+        let mut plans: HashMap<u32, Rc<PollPlan>> = HashMap::new();
         let mut auto_ip = 1u8;
 
         for (node_id, node) in model.topology.nodes() {
@@ -249,17 +323,24 @@ impl SimNetwork {
                 b.add_nic(dev, &iface.local_name, iface.speed_bps)
                     .map_err(MonitorError::from)?;
             }
-            if node.snmp_capable && !node.kind.is_shared_medium() {
-                agent_addr.insert(
-                    node_id,
-                    (
-                        addr.parse::<Ipv4Addr>()
-                            .map_err(|e| MonitorError::Sim(e.to_string()))?,
-                        node.snmp_community.clone(),
-                    ),
-                );
-            }
+            let agent = if node.snmp_capable && !node.kind.is_shared_medium() {
+                let if_count = node.interfaces.len() as u32;
+                Some(AgentTarget {
+                    ip: addr
+                        .parse::<Ipv4Addr>()
+                        .map_err(|e| MonitorError::Sim(e.to_string()))?,
+                    community: node.snmp_community.clone(),
+                    plan: plans
+                        .entry(if_count)
+                        .or_insert_with(|| Rc::new(PollPlan::new(if_count)))
+                        .clone(),
+                })
+            } else {
+                None
+            };
+            agents.push(agent); // `nodes()` yields node ids in order from 0
         }
+        let is_pollable = |node: NodeId| agents[node.0 as usize].is_some();
 
         for (_, conn) in model.topology.connections() {
             let a = (node_to_dev[&conn.a.node], PortIx(conn.a.ifix.0));
@@ -282,7 +363,7 @@ impl SimNetwork {
                         .map_err(MonitorError::from)?;
                 }
             }
-            if agent_addr.contains_key(&node_id) {
+            if is_pollable(node_id) {
                 let mut agent = SimSnmpAgent::new(&node.name, &node.snmp_community);
                 if let Some(mean) = options.agent_jitter_mean {
                     agent = agent.with_jitter(options.seed ^ node_id.0 as u64, mean);
@@ -308,13 +389,17 @@ impl SimNetwork {
             Some(registry) => crate::telemetry::MonitorTelemetry::new(registry),
             None => crate::telemetry::MonitorTelemetry::private(),
         };
-        let mut pollable: Vec<NodeId> = agent_addr.keys().copied().collect();
-        pollable.sort();
+        let pollable = model
+            .topology
+            .nodes()
+            .map(|(node_id, _)| node_id)
+            .filter(|&node_id| is_pollable(node_id))
+            .collect();
         Ok(SimNetwork {
             lan: b.build(),
             model,
             node_to_dev,
-            agent_addr,
+            agents,
             pollable,
             monitor_dev,
             monitor_node,
@@ -369,35 +454,43 @@ impl SimNetwork {
         self.pollable.clone()
     }
 
+    /// The agent of `node`, or the error naming the node that has none.
+    fn target(&self, node: NodeId) -> Result<&AgentTarget, MonitorError> {
+        match self.agents.get(node.0 as usize) {
+            Some(Some(target)) => Ok(target),
+            _ => Err(MonitorError::NotPollable(self.node_name(node))),
+        }
+    }
+
+    fn node_name(&self, node: NodeId) -> String {
+        match self.model.topology.node(node) {
+            Ok(n) => n.name.clone(),
+            Err(_) => node.to_string(),
+        }
+    }
+
+    fn fresh_request_id(&mut self) -> i32 {
+        let id = self.next_request_id;
+        self.next_request_id = id.wrapping_add(1).max(1);
+        id
+    }
+
     /// Polls one device through the simulated network, advancing simulated
     /// time until its response arrives (or the poll timeout elapses).
     pub fn poll_device(&mut self, node: NodeId) -> Result<DeviceSnapshot, MonitorError> {
-        let community = self
-            .agent_addr
-            .get(&node)
-            .map(|(_, c)| c.clone())
-            .ok_or_else(|| {
-                let name = self
-                    .model
-                    .topology
-                    .node(node)
-                    .map(|n| n.name.clone())
-                    .unwrap_or_else(|_| node.to_string());
-                MonitorError::NotPollable(name)
-            })?;
-        let node_name = self.model.topology.node(node)?.name.clone();
+        let plan = self.target(node)?.plan.clone();
         let mut poll_span = self.tracer.span("monitor.poll", "device");
-        poll_span.set_attr("device", node_name.as_str());
-        let if_count = self.model.topology.node(node)?.interfaces.len() as u32;
-        let oids = poll::poll_oids(if_count);
-        let request_id = self.next_request_id;
-        self.next_request_id = self.next_request_id.wrapping_add(1).max(1);
+        if poll_span.is_recording() {
+            poll_span.set_attr("device", self.model.topology.node(node)?.name.as_str());
+        }
+        let request_id = self.fresh_request_id();
         let req = {
             let mut encode_span = self.tracer.span("snmp.codec", "encode");
-            let req = client::build_get(&community, request_id, &oids)
+            let community = &self.target(node)?.community;
+            let req = client::build_get(community, request_id, plan.oids())
                 .map_err(|e| MonitorError::Snmp(e.to_string()))?;
             encode_span.set_attr("bytes", req.len());
-            encode_span.set_attr("oids", oids.len());
+            encode_span.set_attr("oids", plan.oids().len());
             req
         };
         let sent_at = self.lan.now();
@@ -429,7 +522,7 @@ impl SimNetwork {
             MonitorError::Snmp(e.to_string())
         })?;
         decode_span.set_attr("bindings", bindings.len());
-        let snapshot = poll::parse_snapshot(&bindings, if_count);
+        let snapshot = plan.parse(&bindings);
         drop(decode_span);
         match &snapshot {
             Ok(_) => self.telemetry.polls.inc(),
@@ -471,21 +564,23 @@ impl SimNetwork {
     /// to `node`'s agent and waits for the matching response,
     /// retransmitting up to [`POLL_RETRIES`] times on timeout — the same
     /// recovery a real manager performs over lossy UDP.
+    ///
+    /// Each datagram in the manager's mailbox is looked at once, by its
+    /// request-id alone; only the one that matches is decoded. Late
+    /// duplicates of earlier polls and datagrams that are not SNMP (an
+    /// ECHO reply left by [`SimNetwork::measure_rtt`]) cost a header peek
+    /// and never reach the codec counters.
     fn exchange(
         &mut self,
         node: NodeId,
         request: Vec<u8>,
         request_id: i32,
     ) -> Result<client::Response, MonitorError> {
-        let (agent_ip, _) = self.agent_addr.get(&node).cloned().ok_or_else(|| {
-            let name = self
-                .model
-                .topology
-                .node(node)
-                .map(|n| n.name.clone())
-                .unwrap_or_else(|_| node.to_string());
-            MonitorError::NotPollable(name)
-        })?;
+        let agent_ip = self.target(node)?.ip;
+        let request = Bytes::from(request);
+        // Mailbox entries before this index have been ruled out; the
+        // mailbox only grows while this exchange runs.
+        let mut examined = 0;
         for attempt in 0..=POLL_RETRIES {
             if attempt > 0 {
                 self.telemetry.poll_retransmits.inc();
@@ -495,24 +590,24 @@ impl SimNetwork {
                 MANAGER_PORT,
                 agent_ip,
                 SNMP_PORT,
-                Bytes::from(request.clone()),
+                request.clone(),
             )?;
             let deadline = self.lan.now() + self.poll_timeout;
             loop {
                 {
                     let mut inbox = self.inbox.borrow_mut();
-                    let mut found = None;
-                    for (i, (_, dgram)) in inbox.iter().enumerate() {
-                        if let Ok(resp) = client::parse_response(&dgram.payload) {
-                            if resp.request_id == request_id {
-                                found = Some((i, resp));
-                                break;
-                            }
+                    while examined < inbox.len() {
+                        let payload = &inbox[examined].1.payload;
+                        if client::peek_request_id(payload) != Some(request_id) {
+                            examined += 1;
+                            continue;
                         }
-                    }
-                    if let Some((i, resp)) = found {
-                        inbox.remove(i);
-                        return Ok(resp);
+                        let (_, dgram) = inbox.remove(examined);
+                        // A match that does not decode was damaged on
+                        // the way; keep waiting, as for a lost one.
+                        if let Ok(resp) = client::parse_response(&dgram.payload) {
+                            return Ok(resp);
+                        }
                     }
                 }
                 if self.lan.now() >= deadline {
@@ -523,8 +618,9 @@ impl SimNetwork {
         }
         self.timeouts += 1;
         self.telemetry.poll_timeouts.inc();
-        let name = self.model.topology.node(node)?.name.clone();
-        Err(MonitorError::Timeout { node: name })
+        Err(MonitorError::Timeout {
+            node: self.node_name(node),
+        })
     }
 
     /// Walks a MIB subtree of `node`'s agent with repeated GetNext
@@ -534,24 +630,11 @@ impl SimNetwork {
         node: NodeId,
         prefix: &netqos_snmp::Oid,
     ) -> Result<Vec<netqos_snmp::pdu::VarBind>, MonitorError> {
-        let community = self
-            .agent_addr
-            .get(&node)
-            .map(|(_, c)| c.clone())
-            .ok_or_else(|| {
-                MonitorError::NotPollable(
-                    self.model
-                        .topology
-                        .node(node)
-                        .map(|n| n.name.clone())
-                        .unwrap_or_default(),
-                )
-            })?;
+        let community = self.target(node)?.community.clone();
         let mut out = Vec::new();
         let mut cur = prefix.clone();
         loop {
-            let request_id = self.next_request_id;
-            self.next_request_id = self.next_request_id.wrapping_add(1).max(1);
+            let request_id = self.fresh_request_id();
             let req = client::build_get_next(&community, request_id, std::slice::from_ref(&cur))
                 .map_err(|e| MonitorError::Snmp(e.to_string()))?;
             let resp = self.exchange(node, req, request_id)?;
@@ -579,24 +662,11 @@ impl SimNetwork {
         prefix: &netqos_snmp::Oid,
         max_repetitions: u32,
     ) -> Result<Vec<netqos_snmp::pdu::VarBind>, MonitorError> {
-        let community = self
-            .agent_addr
-            .get(&node)
-            .map(|(_, c)| c.clone())
-            .ok_or_else(|| {
-                MonitorError::NotPollable(
-                    self.model
-                        .topology
-                        .node(node)
-                        .map(|n| n.name.clone())
-                        .unwrap_or_default(),
-                )
-            })?;
+        let community = self.target(node)?.community.clone();
         let mut out = Vec::new();
         let mut cur = prefix.clone();
         'outer: loop {
-            let request_id = self.next_request_id;
-            self.next_request_id = self.next_request_id.wrapping_add(1).max(1);
+            let request_id = self.fresh_request_id();
             let req = client::build_get_bulk(
                 &community,
                 request_id,
@@ -751,6 +821,165 @@ mod tests {
     fn build() -> SimNetwork {
         let model = netqos_spec::parse_and_validate(SMALL).unwrap();
         SimNetwork::from_model(model, SimNetworkOptions::default()).unwrap()
+    }
+
+    /// The per-request MIB as the agent built it before it answered from
+    /// live state: every object materialised from NIC snapshots.
+    fn materialised_mib(sysinfo: &SystemInfo, ctx: &AppCtx<'_>) -> ScalarMib {
+        use netqos_snmp::mib2::IfEntry;
+        let mut mib = ScalarMib::new();
+        mib2::system::install(&mut mib, sysinfo, ctx.uptime_ticks());
+        if let Some(fdb) = ctx.fdb_snapshot() {
+            let entries: Vec<mib2::bridge::FdbEntry> = fdb
+                .into_iter()
+                .map(|(mac, port)| mib2::bridge::FdbEntry {
+                    mac: mac.octets(),
+                    port,
+                })
+                .collect();
+            mib2::bridge::install(&mut mib, ctx.nic_snapshots().len() as u32, &entries);
+        }
+        let entries: Vec<IfEntry> = ctx
+            .nic_snapshots()
+            .into_iter()
+            .map(|n| {
+                let mut e = IfEntry::ethernet(
+                    n.if_index,
+                    &n.descr,
+                    n.speed_bps.min(u32::MAX as u64) as u32,
+                    n.mac.octets(),
+                );
+                e.in_octets = n.counters.in_octets.value();
+                e.in_ucast_pkts = n.counters.in_ucast_pkts.value();
+                e.in_nucast_pkts = n.counters.in_nucast_pkts.value();
+                e.in_discards = n.counters.in_discards.value();
+                e.in_errors = n.counters.in_errors.value();
+                e.out_octets = n.counters.out_octets.value();
+                e.out_ucast_pkts = n.counters.out_ucast_pkts.value();
+                e.out_nucast_pkts = n.counters.out_nucast_pkts.value();
+                e.out_discards = n.counters.out_discards.value();
+                e.out_errors = n.counters.out_errors.value();
+                e
+            })
+            .collect();
+        mib2::interfaces::install(&mut mib, &entries);
+        mib
+    }
+
+    /// What one [`LiveMibProbe`] run compared.
+    #[derive(Default)]
+    struct Compared {
+        device: String,
+        instances: usize,
+        fdb_instances: usize,
+        walk_steps: usize,
+    }
+
+    /// Runs inside the simulation, where an [`AppCtx`] exists: on any
+    /// datagram, compares the live view of its device with the
+    /// materialised MIB.
+    struct LiveMibProbe {
+        sysinfo: SystemInfo,
+        compared: Rc<RefCell<Vec<Compared>>>,
+    }
+
+    impl UdpApp for LiveMibProbe {
+        fn on_datagram(&mut self, ctx: &mut AppCtx<'_>, _dgram: &UdpDatagram) {
+            let expected = materialised_mib(&self.sysinfo, ctx);
+            let live = LiveMib {
+                sysinfo: &self.sysinfo,
+                ctx,
+                full: OnceCell::new(),
+            };
+            let mut compared = Compared {
+                device: ctx.device_name().to_owned(),
+                ..Compared::default()
+            };
+            // Every instance, fetched by name: the direct answers (and
+            // the full map behind the other names) match.
+            let fdb = mib2::bridge::fdb_entry_base();
+            for (oid, value) in expected.iter() {
+                assert_eq!(live.get(oid), Some(value.into()), "{oid}");
+                compared.instances += 1;
+                compared.fdb_instances += usize::from(oid.starts_with(&fdb));
+            }
+            // Names next to real ones have no direct answer either.
+            for missing in [
+                ifc::instance_oid(column::IF_IN_OCTETS, 0),
+                ifc::instance_oid(column::IF_IN_OCTETS, ctx.nics().len() as u32 + 1),
+                ifc::instance_oid(column::IF_OUT_QLEN + 1, 1),
+                ifc::instance_oid(0, 1),
+                ifc::column_oid(column::IF_IN_OCTETS),
+                ifc::instance_oid(column::IF_IN_OCTETS, 1).child(0),
+                mib2::system::sys_uptime_instance().child(0),
+            ] {
+                assert_eq!(expected.get(&missing), None, "{missing}");
+                assert_eq!(live.get(&missing), None, "{missing}");
+            }
+            // A GetNext walk of the whole MIB answers byte for byte alike.
+            let mut agents = (SnmpAgent::new("public"), SnmpAgent::new("public"));
+            let mut cur = Oid::from([1, 3]);
+            loop {
+                let req = client::build_get_next("public", 1, std::slice::from_ref(&cur)).unwrap();
+                let got = agents.0.handle(&req, &live).unwrap();
+                assert_eq!(got, agents.1.handle(&req, &expected).unwrap());
+                let resp = client::parse_response(&got).unwrap();
+                if !resp.error_status.is_ok() {
+                    break;
+                }
+                cur = resp.bindings[0].oid.clone();
+                compared.walk_steps += 1;
+            }
+            assert_eq!(compared.walk_steps, expected.len());
+            self.compared.borrow_mut().push(compared);
+        }
+    }
+
+    #[test]
+    fn live_view_answers_as_the_materialised_mib_on_host_and_switch() {
+        const PROBE_PORT: u16 = 9_999;
+        let compared: Rc<RefCell<Vec<Compared>>> = Rc::default();
+        let model = netqos_spec::parse_and_validate(SMALL).unwrap();
+        let install = |b: &mut LanBuilder, devs: &HashMap<NodeId, DeviceId>, m: &SpecModel| {
+            for name in ["S1", "sw"] {
+                let probe = LiveMibProbe {
+                    sysinfo: SystemInfo::new(name),
+                    compared: compared.clone(),
+                };
+                let dev = devs[&m.topology.node_by_name(name).unwrap()];
+                b.install_app(dev, Box::new(probe), Some(PROBE_PORT))
+                    .unwrap();
+            }
+        };
+        let mut net =
+            SimNetwork::from_model_with(model, SimNetworkOptions::default(), install).unwrap();
+        // Traffic first: counters move and the switch learns addresses.
+        let mut monitor = NetworkMonitor::new(net.model().topology.clone());
+        for _ in 0..3 {
+            net.poll_round(&mut monitor).unwrap();
+        }
+        for ip in [Ipv4Addr::new(10, 0, 0, 11), Ipv4Addr::new(10, 0, 0, 100)] {
+            let ping = Bytes::from_static(b"compare");
+            net.lan
+                .post_udp(net.monitor_dev, MANAGER_PORT, ip, PROBE_PORT, ping)
+                .unwrap();
+        }
+        let later = net.lan.now() + SimDuration::from_millis(50);
+        net.run_until(later);
+
+        let compared = compared.borrow();
+        assert_eq!(compared.len(), 2, "both probes ran");
+        let of = |device: &str| compared.iter().find(|c| c.device == device).unwrap();
+        // Host: 7 system scalars, ifNumber, 21 cells of one interface.
+        assert_eq!(of("S1").instances, 7 + 1 + 21);
+        assert_eq!(of("S1").fdb_instances, 0);
+        // Switch: two interfaces, dot1dBaseNumPorts and the forwarding
+        // database.
+        assert!(of("sw").fdb_instances >= 3, "switch learned no address");
+        assert_eq!(
+            of("sw").instances,
+            7 + 1 + 2 * 21 + 1 + of("sw").fdb_instances
+        );
     }
 
     #[test]

@@ -9,7 +9,7 @@
 
 use crate::error::MonitorError;
 use crate::live::unix_now_ns;
-use crate::poll::{self, DeviceSnapshot};
+use crate::poll::{DeviceSnapshot, PollPlan};
 use crossbeam::channel::{unbounded, Receiver, Sender};
 use netqos_snmp::client::SnmpClient;
 use netqos_snmp::transport::UdpTransport;
@@ -18,6 +18,7 @@ use netqos_telemetry::{
 };
 use netqos_topology::NodeId;
 use parking_lot::Mutex;
+use std::collections::HashMap;
 use std::net::SocketAddr;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -151,7 +152,13 @@ impl DistributedPoller {
         let worker_spans = Arc::new(Mutex::new(Vec::new()));
         let (tx, rx): (Sender<PollMessage>, Receiver<PollMessage>) = unbounded();
         let mut threads = Vec::with_capacity(targets.len());
+        // Workers polling devices of the same interface count share a plan.
+        let mut plans: HashMap<u32, Arc<PollPlan>> = HashMap::new();
         for (i, target) in targets.into_iter().enumerate() {
+            let plan = plans
+                .entry(target.if_count)
+                .or_insert_with(|| Arc::new(PollPlan::new(target.if_count)))
+                .clone();
             let stop = stop.clone();
             let tx = tx.clone();
             let stats = stats.clone();
@@ -167,7 +174,7 @@ impl DistributedPoller {
             };
             threads.push(std::thread::spawn(move || {
                 poll_loop(
-                    target, period, stop, tx, stats, telemetry, tracer, spans, flight,
+                    target, plan, period, stop, tx, stats, telemetry, tracer, spans, flight,
                 )
             }));
         }
@@ -239,6 +246,7 @@ impl Drop for DistributedPoller {
 #[allow(clippy::too_many_arguments)]
 fn poll_loop(
     target: AgentTarget,
+    plan: Arc<PollPlan>,
     period: Duration,
     stop: Arc<AtomicBool>,
     tx: Sender<PollMessage>,
@@ -252,7 +260,6 @@ fn poll_loop(
     // timeline once so this worker's flight cycles export as OTLP with
     // absolute timestamps.
     let epoch_unix_ns = unix_now_ns().saturating_sub(tracer.now_ns());
-    let oids = poll::poll_oids(target.if_count);
     let transport = match UdpTransport::connect(target.addr) {
         Ok(mut t) => {
             t.set_timeout(period.min(Duration::from_millis(500)));
@@ -281,9 +288,9 @@ fn poll_loop(
         }
         let poll_start = Instant::now();
         let result = client
-            .get_many(&oids)
+            .get_many(plan.oids())
             .map_err(MonitorError::from)
-            .and_then(|bindings| poll::parse_snapshot(&bindings, target.if_count));
+            .and_then(|bindings| plan.parse(&bindings));
         let elapsed = poll_start.elapsed();
         poll_span.set_attr("ok", result.is_ok());
         drop(poll_span);

@@ -1,0 +1,95 @@
+//! Allocation budget of one steady-state poll: what the public
+//! signatures force (the request buffer, the response buffer, the vector
+//! of bindings, the `ifDescr` strings, the snapshot's vectors) and
+//! nothing per name, per value or per TLV.
+
+use netqos_monitor::poll::{parse_snapshot, poll_oids};
+use netqos_snmp::mib2::{interfaces, system, IfEntry, SystemInfo};
+use netqos_snmp::{client, ScalarMib, SnmpAgent};
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
+thread_local! {
+    /// Allocations made by this thread while `Some`.
+    static COUNT: Cell<Option<u64>> = const { Cell::new(None) };
+}
+
+struct Counting;
+
+// SAFETY: every call is forwarded unchanged to `System`, which upholds
+// the `GlobalAlloc` contract; the counter is a `const`-initialised
+// thread-local `Cell` of a `Copy` type, so touching it neither allocates
+// nor runs a destructor.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        COUNT.with(|c| c.set(c.get().map(|n| n + 1)));
+        System.alloc(layout)
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout)
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        COUNT.with(|c| c.set(c.get().map(|n| n + 1)));
+        System.realloc(ptr, layout, new_size)
+    }
+}
+
+#[global_allocator]
+static ALLOCATOR: Counting = Counting;
+
+fn allocations_in(f: impl FnOnce()) -> u64 {
+    COUNT.with(|c| c.set(Some(0)));
+    f();
+    COUNT.with(|c| c.replace(None)).expect("counting was on")
+}
+
+/// Allocations of one poll of a device with `if_count` interfaces, after
+/// a warm-up poll.
+fn poll_cycle_allocations(if_count: u32) -> u64 {
+    let mut mib = ScalarMib::new();
+    system::install(&mut mib, &SystemInfo::new("device"), 4_242);
+    let entries: Vec<IfEntry> = (1..=if_count)
+        .map(|i| {
+            IfEntry::ethernet(
+                i,
+                &format!("port{i}"),
+                100_000_000,
+                [2, 0, 0, 0, 0, i as u8],
+            )
+        })
+        .collect();
+    interfaces::install(&mut mib, &entries);
+    let oids = poll_oids(if_count);
+    let mut agent = SnmpAgent::new("public");
+
+    let mut cycle = |request_id| {
+        let request = client::build_get("public", request_id, &oids).unwrap();
+        let response = agent.handle(&request, &mib).unwrap();
+        let parsed = client::parse_response(&response).unwrap();
+        assert_eq!(parsed.request_id, request_id);
+        let snapshot = parse_snapshot(&parsed.bindings, if_count).unwrap();
+        assert_eq!(snapshot.interfaces.len(), if_count as usize);
+    };
+    cycle(1);
+    allocations_in(|| cycle(2))
+}
+
+#[test]
+fn a_poll_allocates_what_its_signatures_force() {
+    // Request, response, bindings, samples, per-interface column counts,
+    // and per interface the `ifDescr` octets and the string made of them.
+    let forced = |if_count: u64| 5 + 2 * if_count;
+    let host = poll_cycle_allocations(1);
+    assert!(
+        (forced(1)..=10).contains(&host),
+        "1 interface: {host} allocations"
+    );
+    let switch = poll_cycle_allocations(9);
+    assert!(
+        (forced(9)..=36).contains(&switch),
+        "9 interfaces: {switch} allocations"
+    );
+    println!("allocations per poll: {host} (1 interface), {switch} (9 interfaces)");
+}

@@ -72,6 +72,12 @@ impl AppCtx<'_> {
         self.now.timeticks_since(self.epoch)
     }
 
+    /// The device's interfaces in ifIndex order (`nics()[i]` has ifIndex
+    /// `i + 1`), borrowed: what an SNMP agent reads its counters from.
+    pub fn nics(&self) -> &[Nic] {
+        self.nics
+    }
+
     /// Snapshots of the device's interfaces in ifIndex order — what an
     /// SNMP agent exports.
     pub fn nic_snapshots(&self) -> Vec<NicSnapshot> {

@@ -120,19 +120,11 @@ impl Frame {
 }
 
 /// Splits an application payload length into per-packet UDP payload sizes
-/// respecting the MTU — the fragmentation the sending host performs.
-pub fn fragment_sizes(total: usize) -> Vec<usize> {
-    if total == 0 {
-        return vec![0];
-    }
-    let mut out = Vec::with_capacity(total.div_ceil(MAX_UDP_PAYLOAD));
-    let mut left = total;
-    while left > 0 {
-        let take = left.min(MAX_UDP_PAYLOAD);
-        out.push(take);
-        left -= take;
-    }
-    out
+/// respecting the MTU — the fragmentation the sending host performs. An
+/// empty payload still travels as one (empty) packet.
+pub fn fragment_sizes(total: usize) -> impl Iterator<Item = usize> {
+    let packets = total.div_ceil(MAX_UDP_PAYLOAD).max(1);
+    (0..packets).map(move |i| (total - i * MAX_UDP_PAYLOAD).min(MAX_UDP_PAYLOAD))
 }
 
 #[cfg(test)]
@@ -178,15 +170,15 @@ mod tests {
 
     #[test]
     fn fragmentation_respects_mtu() {
-        assert_eq!(fragment_sizes(0), vec![0]);
-        assert_eq!(fragment_sizes(100), vec![100]);
-        assert_eq!(fragment_sizes(1472), vec![1472]);
-        assert_eq!(fragment_sizes(1473), vec![1472, 1]);
-        assert_eq!(fragment_sizes(4000), vec![1472, 1472, 1056]);
-        let total: usize = fragment_sizes(100_000).iter().sum();
+        let sizes = |total| fragment_sizes(total).collect::<Vec<_>>();
+        assert_eq!(sizes(0), vec![0]);
+        assert_eq!(sizes(100), vec![100]);
+        assert_eq!(sizes(1472), vec![1472]);
+        assert_eq!(sizes(1473), vec![1472, 1]);
+        assert_eq!(sizes(2944), vec![1472, 1472]);
+        assert_eq!(sizes(4000), vec![1472, 1472, 1056]);
+        let total: usize = fragment_sizes(100_000).sum();
         assert_eq!(total, 100_000);
-        assert!(fragment_sizes(100_000)
-            .iter()
-            .all(|&s| s <= MAX_UDP_PAYLOAD));
+        assert!(fragment_sizes(100_000).all(|s| s <= MAX_UDP_PAYLOAD));
     }
 }

@@ -35,9 +35,11 @@ use crate::nic::{Nic, NicCounters, NicSnapshot};
 use crate::packet::{fragment_sizes, Frame, FramePayload, UdpDatagram};
 use crate::time::{SimDuration, SimTime};
 use bytes::Bytes;
+use netqos_telemetry::Counter;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::HashMap;
+use std::sync::OnceLock;
 
 /// Role-specific device state.
 #[derive(Debug)]
@@ -343,8 +345,9 @@ impl Lan {
             return false;
         };
         debug_assert!(scheduled.at >= self.now, "time went backwards");
-        netqos_telemetry::global()
-            .counter("netqos_sim_events_total")
+        static EVENTS: OnceLock<Counter> = OnceLock::new();
+        EVENTS
+            .get_or_init(|| netqos_telemetry::global().counter("netqos_sim_events_total"))
             .inc();
         self.now = scheduled.at;
         match scheduled.event {
@@ -506,9 +509,8 @@ impl Lan {
         let (_dst_dev, dst_mac) = *self.arp.get(&dst_ip).ok_or(SimError::NoArpEntry(dst_ip))?;
 
         // Fragment to MTU.
-        let sizes = fragment_sizes(payload.len());
         let mut offset = 0usize;
-        for size in sizes {
+        for size in fragment_sizes(payload.len()) {
             let chunk = payload.slice(offset..offset + size);
             offset += size;
             let dgram = UdpDatagram {

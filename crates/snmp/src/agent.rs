@@ -8,12 +8,17 @@
 //!   index of the first offender, bindings echoed;
 //! * `GetNextRequest` past the end of the MIB → `noSuchName`;
 //! * `SetRequest` → `readOnly` (this agent never writes);
-//! * responses/traps received by an agent are ignored.
+//! * responses/traps received by an agent are ignored;
+//! * SNMPv2c `GetBulkRequest` → successors, with `endOfMibView` past the
+//!   end of the MIB; inside a v1 message it is dropped as malformed.
 
-use crate::error::SnmpError;
-use crate::message::{MessageBody, SnmpMessage};
+use crate::ber::{tag, Reader};
+use crate::error::{BerError, SnmpError};
+use crate::message::{self, MessageBody, SnmpMessage, SnmpVersion, Wrapper};
 use crate::mib::MibView;
-use crate::pdu::{ErrorStatus, Pdu, PduType, VarBind};
+use crate::oid::Oid;
+use crate::pdu::{self, ErrorStatus, Pdu, PduType, TrapPdu, VarBind};
+use crate::value::ValueRef;
 
 /// Counters describing an agent's life so far.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -35,6 +40,57 @@ pub struct SnmpAgent {
     community: Vec<u8>,
     stats: AgentStats,
     max_response_bytes: usize,
+}
+
+/// What a well-formed message calls for.
+enum Reply {
+    /// Nothing, and no counter moves: a trap, a response, or an answer
+    /// that cannot be encoded.
+    Silent,
+    /// Nothing: the community does not match.
+    BadCommunity,
+    /// Nothing: a GetBulk inside a v1 message, which exists only in v2c.
+    ProtocolViolation,
+    /// The response written to the output buffer.
+    Answer {
+        request_id: i32,
+        status: ErrorStatus,
+    },
+}
+
+/// Reads one variable binding off `list`, checking all of it, and returns
+/// its name.
+fn read_name(list: &mut Reader<'_>) -> Result<Oid, BerError> {
+    let mut binding = list.expect_element(tag::SEQUENCE)?;
+    let name = binding.read_oid()?;
+    binding.skip_value()?;
+    binding.finish()?;
+    Ok(name)
+}
+
+/// Writes a complete response message with the bindings `bindings`
+/// appends.
+fn write_response(
+    out: &mut Vec<u8>,
+    wrapper: &Wrapper<'_>,
+    request_id: i32,
+    status: ErrorStatus,
+    error_index: u32,
+    bindings: impl FnOnce(&mut Vec<u8>) -> Result<(), BerError>,
+) -> Result<(), BerError> {
+    out.clear();
+    let message = message::open_message(out, wrapper.version, wrapper.community);
+    let pdu = pdu::open_pdu(
+        out,
+        tag::GET_RESPONSE,
+        request_id,
+        status.code(),
+        i64::from(error_index),
+    );
+    bindings(out)?;
+    pdu::close_pdu(out, pdu);
+    message::close_message(out, message);
+    Ok(())
 }
 
 impl SnmpAgent {
@@ -66,156 +122,200 @@ impl SnmpAgent {
     /// Handles one request datagram against `view`. Returns the response
     /// datagram, or `None` when SNMPv1 prescribes silence (bad community,
     /// unparseable message, or a non-request PDU).
+    ///
+    /// Get, GetNext and GetBulk are answered in one pass over the request:
+    /// each name is decoded, looked up, and the name and value the view
+    /// lends are encoded straight into the response.
     pub fn handle(&mut self, request: &[u8], view: &dyn MibView) -> Option<Vec<u8>> {
-        let msg = match SnmpMessage::decode(request) {
-            Ok(m) => m,
-            Err(_) => {
+        let mut out = Vec::new();
+        let reply = message::decode_with(request, |wrapper| {
+            let reply = self.reply(wrapper, view, &mut out)?;
+            // RFC 1157 §4.1.2: if the reply would exceed a local
+            // limitation, respond tooBig with no bindings instead.
+            match reply {
+                Reply::Answer { request_id, .. } if out.len() > self.max_response_bytes => {
+                    let status = ErrorStatus::TooBig;
+                    write_response(&mut out, wrapper, request_id, status, 0, |_| Ok(()))?;
+                    Ok(Reply::Answer { request_id, status })
+                }
+                reply => Ok(reply),
+            }
+        });
+        match reply {
+            Err(_) | Ok(Reply::ProtocolViolation) => {
                 self.stats.malformed += 1;
-                return None;
+                None
             }
-        };
-        if msg.community != self.community {
-            self.stats.bad_community += 1;
-            return None;
-        }
-        let pdu = match msg.body {
-            MessageBody::Pdu(p) => p,
-            MessageBody::Bulk(bulk) => {
-                // GetBulk exists only in v2c; a v1 message carrying it is
-                // a protocol violation and is dropped.
-                if msg.version != crate::message::SnmpVersion::V2c {
-                    self.stats.malformed += 1;
-                    return None;
-                }
-                let response = self.do_get_bulk(&bulk, view);
+            Ok(Reply::BadCommunity) => {
+                self.stats.bad_community += 1;
+                None
+            }
+            Ok(Reply::Silent) => None,
+            Ok(Reply::Answer { status, .. }) => {
                 self.stats.answered += 1;
-                let out = SnmpMessage {
-                    version: msg.version,
-                    community: msg.community,
-                    body: MessageBody::Pdu(response),
-                };
-                let encoded = out.encode().ok()?;
-                if encoded.len() > self.max_response_bytes {
-                    // Shrink by halving repetitions is the RFC's advice;
-                    // we answer tooBig and let the manager adapt.
-                    let too_big = Pdu {
-                        pdu_type: PduType::GetResponse,
-                        request_id: bulk.request_id,
-                        error_status: ErrorStatus::TooBig,
-                        error_index: 0,
-                        bindings: Vec::new(),
-                    };
+                if !status.is_ok() {
                     self.stats.error_responses += 1;
-                    return SnmpMessage {
-                        version: crate::message::SnmpVersion::V2c,
-                        community: self.community.clone(),
-                        body: MessageBody::Pdu(too_big),
-                    }
-                    .encode()
-                    .ok();
                 }
-                return Some(encoded);
+                Some(out)
             }
-            MessageBody::Trap(_) => return None,
-        };
-        let mut response = match pdu.pdu_type {
-            PduType::GetRequest => self.do_get(&pdu, view),
-            PduType::GetNextRequest => self.do_get_next(&pdu, view),
-            PduType::SetRequest => pdu.error_response(ErrorStatus::ReadOnly, 1),
-            PduType::GetResponse => return None, // agents do not answer responses
-        };
-        let mut out = SnmpMessage {
-            version: msg.version,
-            community: msg.community,
-            body: MessageBody::Pdu(response.clone()),
-        };
-        // RFC 1157 §4.1.2: if the reply would exceed a local limitation,
-        // respond tooBig with empty-ish bindings instead.
-        let mut encoded = out.encode().ok()?;
-        if encoded.len() > self.max_response_bytes {
-            response = pdu.error_response(ErrorStatus::TooBig, 0);
-            response.bindings.clear();
-            out.body = MessageBody::Pdu(response.clone());
-            encoded = out.encode().ok()?;
         }
-        self.stats.answered += 1;
-        if !response.error_status.is_ok() {
-            self.stats.error_responses += 1;
-        }
-        Some(encoded)
     }
 
-    fn do_get(&self, pdu: &Pdu, view: &dyn MibView) -> Pdu {
-        let mut bindings = Vec::with_capacity(pdu.bindings.len());
-        for (i, vb) in pdu.bindings.iter().enumerate() {
-            match view.get(&vb.oid) {
-                Some(value) => bindings.push(VarBind::new(vb.oid.clone(), value)),
-                None => return pdu.error_response(ErrorStatus::NoSuchName, (i + 1) as u32),
+    /// Reads the PDU off `wrapper.rest` and writes the answer to `out`.
+    fn reply(
+        &self,
+        wrapper: &mut Wrapper<'_>,
+        view: &dyn MibView,
+        out: &mut Vec<u8>,
+    ) -> Result<Reply, SnmpError> {
+        let community_ok = wrapper.community == self.community;
+        match wrapper.rest.peek_tag()? {
+            tag::GET_REQUEST | tag::GET_NEXT_REQUEST | tag::GET_BULK_REQUEST => {}
+            tag::TRAP => {
+                TrapPdu::decode(&mut wrapper.rest)?;
+                if !community_ok {
+                    return Ok(Reply::BadCommunity);
+                }
+                return Ok(Reply::Silent); // agents do not answer traps
+            }
+            _ => {
+                // A Set, a response, or a tag `Pdu::decode` rejects.
+                let pdu = Pdu::decode(&mut wrapper.rest)?;
+                if !community_ok {
+                    return Ok(Reply::BadCommunity);
+                }
+                if pdu.pdu_type != PduType::SetRequest {
+                    return Ok(Reply::Silent); // agents do not answer responses
+                }
+                // This agent never writes. SNMPv1 echoes the bindings of
+                // a failed request.
+                let status = ErrorStatus::ReadOnly;
+                let echoed = write_response(out, wrapper, pdu.request_id, status, 1, |out| {
+                    pdu::push_varbinds(out, &pdu.bindings)
+                });
+                return Ok(match echoed {
+                    Ok(()) => Reply::Answer {
+                        request_id: pdu.request_id,
+                        status,
+                    },
+                    Err(_) => Reply::Silent,
+                });
             }
         }
-        pdu.response(bindings)
-    }
 
-    /// RFC 1905 §4.2.3 GetBulk semantics: `non_repeaters` leading names
-    /// get one successor each; every remaining name is stepped up to
-    /// `max_repetitions` times; walks past the MIB yield `endOfMibView`
-    /// values (never an error).
-    fn do_get_bulk(&self, bulk: &crate::pdu::BulkPdu, view: &dyn MibView) -> Pdu {
-        let mut bindings = Vec::new();
-        let nr = (bulk.non_repeaters as usize).min(bulk.bindings.len());
-        for vb in &bulk.bindings[..nr] {
-            match view.next_after(&vb.oid) {
-                Some((oid, value)) => bindings.push(VarBind::new(oid, value)),
-                None => bindings.push(VarBind::new(
-                    vb.oid.clone(),
-                    crate::value::SnmpValue::EndOfMibView,
-                )),
+        let (pdu_tag, mut body) = wrapper.rest.read_element()?;
+        let request_id = body.read_integer()? as i32;
+        // Error status and index in Get/GetNext (ignored in a request);
+        // non-repeaters and max-repetitions in GetBulk.
+        let second = body.read_integer()?.max(0) as u32;
+        let third = body.read_integer()?.max(0) as u32;
+        let mut list = body.expect_element(tag::SEQUENCE)?;
+        body.finish()?;
+        let bindings = list.clone();
+
+        let is_bulk = pdu_tag == tag::GET_BULK_REQUEST;
+        let refused = if !community_ok {
+            Some(Reply::BadCommunity)
+        } else if is_bulk && wrapper.version != SnmpVersion::V2c {
+            Some(Reply::ProtocolViolation)
+        } else {
+            None
+        };
+        if let Some(reply) = refused {
+            // Only a message that decodes gets this far.
+            while !list.is_empty() {
+                read_name(&mut list)?;
+            }
+            return Ok(reply);
+        }
+
+        // A lookup that fails turns the whole reply into an error, and a
+        // value that cannot be encoded silences it; in either case the
+        // rest of the request is still read, since a malformed binding
+        // further on outranks both.
+        let mut failed_at = None;
+        let mut encodable = true;
+        let mut cursors: Vec<(Oid, bool)> = Vec::new();
+        let mut position = 0u32;
+        let mut answer = |out: &mut Vec<u8>, name: &Oid, value: ValueRef<'_>| {
+            if encodable && pdu::push_varbind(out, name, value).is_err() {
+                encodable = false;
+            }
+        };
+
+        // Room for the request's own bytes again plus the values.
+        out.reserve(bindings.remaining() * 3 / 2 + 64);
+        let message = message::open_message(out, wrapper.version, wrapper.community);
+        let pdu = pdu::open_pdu(out, tag::GET_RESPONSE, request_id, 0, 0);
+        while !list.is_empty() {
+            position += 1;
+            let name = read_name(&mut list)?;
+            if failed_at.is_some() {
+                continue;
+            }
+            if !is_bulk {
+                let found = match pdu_tag {
+                    tag::GET_REQUEST => view.get(&name).map(|value| (&name, value)),
+                    _ => view.next_after(&name),
+                };
+                match found {
+                    Some((oid, value)) => answer(out, oid, value),
+                    None => failed_at = Some(position),
+                }
+            } else if position <= second {
+                // RFC 1905 §4.2.3: the leading non-repeaters get one
+                // successor each; walking past the MIB yields
+                // `endOfMibView`, never an error.
+                match view.next_after(&name) {
+                    Some((oid, value)) => answer(out, oid, value),
+                    None => answer(out, &name, ValueRef::EndOfMibView),
+                }
+            } else {
+                cursors.push((name, false));
             }
         }
-        let repeaters: Vec<_> = bulk.bindings[nr..].to_vec();
-        let mut cursors: Vec<_> = repeaters.iter().map(|vb| vb.oid.clone()).collect();
-        let mut done: Vec<bool> = vec![false; cursors.len()];
-        for _ in 0..bulk.max_repetitions {
-            if done.iter().all(|&d| d) {
+        if let Some(position) = failed_at {
+            let status = ErrorStatus::NoSuchName;
+            let echoed = write_response(out, wrapper, request_id, status, position, |out| {
+                let mut list = bindings;
+                while !list.is_empty() {
+                    let VarBind { oid, value } = VarBind::decode(&mut list)?;
+                    pdu::push_varbind(out, &oid, (&value).into())?;
+                }
+                Ok(())
+            });
+            return Ok(match echoed {
+                Ok(()) => Reply::Answer { request_id, status },
+                Err(_) => Reply::Silent,
+            });
+        }
+        // Every remaining name is stepped up to max-repetitions times.
+        for _ in 0..third {
+            if cursors.iter().all(|(_, done)| *done) {
                 break;
             }
-            for (i, cursor) in cursors.iter_mut().enumerate() {
-                if done[i] {
-                    continue;
-                }
+            for (cursor, done) in cursors.iter_mut().filter(|(_, done)| !done) {
                 match view.next_after(cursor) {
                     Some((oid, value)) => {
+                        answer(out, oid, value);
                         *cursor = oid.clone();
-                        bindings.push(VarBind::new(oid, value));
                     }
                     None => {
-                        done[i] = true;
-                        bindings.push(VarBind::new(
-                            cursor.clone(),
-                            crate::value::SnmpValue::EndOfMibView,
-                        ));
+                        *done = true;
+                        answer(out, cursor, ValueRef::EndOfMibView);
                     }
                 }
             }
         }
-        Pdu {
-            pdu_type: PduType::GetResponse,
-            request_id: bulk.request_id,
-            error_status: ErrorStatus::NoError,
-            error_index: 0,
-            bindings,
+        if !encodable {
+            return Ok(Reply::Silent);
         }
-    }
-
-    fn do_get_next(&self, pdu: &Pdu, view: &dyn MibView) -> Pdu {
-        let mut bindings = Vec::with_capacity(pdu.bindings.len());
-        for (i, vb) in pdu.bindings.iter().enumerate() {
-            match view.next_after(&vb.oid) {
-                Some((oid, value)) => bindings.push(VarBind::new(oid, value)),
-                None => return pdu.error_response(ErrorStatus::NoSuchName, (i + 1) as u32),
-            }
-        }
-        pdu.response(bindings)
+        pdu::close_pdu(out, pdu);
+        message::close_message(out, message);
+        Ok(Reply::Answer {
+            request_id,
+            status: ErrorStatus::NoError,
+        })
     }
 }
 

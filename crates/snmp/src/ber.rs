@@ -21,8 +21,8 @@
 //! ```
 
 use crate::error::BerError;
-use crate::oid::Oid;
-use crate::value::SnmpValue;
+use crate::oid::{Oid, INLINE_ARCS};
+use crate::value::{SnmpValue, ValueRef};
 
 /// BER tag constants used by SNMPv1.
 pub mod tag {
@@ -69,17 +69,29 @@ pub mod tag {
 // ---------------------------------------------------------------------------
 // Encoding
 // ---------------------------------------------------------------------------
+//
+// Every encoder appends to one caller-owned buffer, front to back. A
+// constructed element is bracketed by `open`/`close`: `open` writes the
+// tag and a one-octet length, `close` patches it once the content length
+// is known, moving the content only when it needs the long form (128
+// octets or more).
+
+/// The octets of a long-form length after its first: `len` big-endian
+/// without leading zeros, as the tail of the returned array.
+fn long_form(len: usize) -> ([u8; std::mem::size_of::<usize>()], usize) {
+    let bytes = len.to_be_bytes();
+    let skip = bytes.iter().take_while(|&&b| b == 0).count();
+    (bytes, skip)
+}
 
 /// Appends a BER definite length to `out`.
 pub fn push_length(out: &mut Vec<u8>, len: usize) {
     if len < 0x80 {
         out.push(len as u8);
     } else {
-        let bytes = len.to_be_bytes();
-        let skip = bytes.iter().take_while(|&&b| b == 0).count();
-        let sig = &bytes[skip..];
-        out.push(0x80 | sig.len() as u8);
-        out.extend_from_slice(sig);
+        let (bytes, skip) = long_form(len);
+        out.push(0x80 | (bytes.len() - skip) as u8);
+        out.extend_from_slice(&bytes[skip..]);
     }
 }
 
@@ -90,132 +102,134 @@ pub fn push_tlv(out: &mut Vec<u8>, tag_byte: u8, content: &[u8]) {
     out.extend_from_slice(content);
 }
 
-/// Encodes a signed INTEGER (minimal two's complement content).
-pub fn encode_integer(value: i64) -> Vec<u8> {
-    let mut content = value.to_be_bytes().to_vec();
-    // Strip redundant leading bytes while the sign is preserved.
-    while content.len() > 1 {
-        let first = content[0];
-        let second_msb = content[1] & 0x80;
-        if (first == 0x00 && second_msb == 0) || (first == 0xFF && second_msb != 0) {
-            content.remove(0);
-        } else {
-            break;
-        }
-    }
-    let mut out = Vec::with_capacity(content.len() + 2);
-    push_tlv(&mut out, tag::INTEGER, &content);
-    out
+/// Starts an element whose content length is not known yet. Returns the
+/// mark to hand to [`close`] after the content has been appended.
+pub fn open(out: &mut Vec<u8>, tag_byte: u8) -> usize {
+    out.push(tag_byte);
+    out.push(0);
+    out.len()
 }
 
-/// Encodes an unsigned 32-bit quantity under an application tag
+/// Finishes the element started by the [`open`] call that returned `mark`:
+/// everything appended since is its content.
+pub fn close(out: &mut Vec<u8>, mark: usize) {
+    let end = out.len();
+    let len = end - mark;
+    if len < 0x80 {
+        out[mark - 1] = len as u8;
+        return;
+    }
+    let (bytes, skip) = long_form(len);
+    let sig = &bytes[skip..];
+    out[mark - 1] = 0x80 | sig.len() as u8;
+    out.resize(end + sig.len(), 0);
+    out.copy_within(mark..end, mark + sig.len());
+    out[mark..mark + sig.len()].copy_from_slice(sig);
+}
+
+/// Appends `value` as minimal two's complement content under `tag_byte`.
+fn push_twos_complement(out: &mut Vec<u8>, tag_byte: u8, value: i64) {
+    // Bits that are not copies of the sign bit, plus the sign bit itself.
+    let bits = 65 - (value ^ (value >> 63)).leading_zeros() as usize;
+    let octets = bits.div_ceil(8);
+    out.extend_from_slice(&[tag_byte, octets as u8]);
+    // All eight octets with the significant ones first, then drop the
+    // rest: two fixed-size writes instead of a variable-length copy.
+    let spare = 8 - octets;
+    out.extend_from_slice(&((value as u64) << (8 * spare)).to_be_bytes());
+    out.truncate(out.len() - spare);
+}
+
+/// Appends a signed INTEGER (minimal two's complement content).
+pub fn push_integer(out: &mut Vec<u8>, value: i64) {
+    push_twos_complement(out, tag::INTEGER, value);
+}
+
+/// Appends an unsigned 32-bit quantity under an application tag
 /// (Counter32 / Gauge32 / TimeTicks). Values with the high bit set gain a
 /// leading zero octet so they are not read back as negative.
-pub fn encode_unsigned(tag_byte: u8, value: u32) -> Vec<u8> {
-    let mut content = value.to_be_bytes().to_vec();
-    while content.len() > 1 && content[0] == 0 && content[1] & 0x80 == 0 {
-        content.remove(0);
-    }
-    if content[0] & 0x80 != 0 {
-        content.insert(0, 0);
-    }
-    // Minimal form: single zero byte for value 0.
-    if value == 0 {
-        content = vec![0];
-    }
-    let mut out = Vec::with_capacity(content.len() + 2);
-    push_tlv(&mut out, tag_byte, &content);
-    out
+pub fn push_unsigned(out: &mut Vec<u8>, tag_byte: u8, value: u32) {
+    push_twos_complement(out, tag_byte, i64::from(value));
 }
 
-/// Encodes an OBJECT IDENTIFIER.
-pub fn encode_oid(oid: &Oid) -> Result<Vec<u8>, BerError> {
+/// Appends an OBJECT IDENTIFIER.
+pub fn push_oid(out: &mut Vec<u8>, oid: &Oid) -> Result<(), BerError> {
     if !oid.is_encodable() {
         return Err(BerError::UnencodableOid);
     }
     let arcs = oid.arcs();
-    let mut content = Vec::with_capacity(arcs.len() + 1);
-    // First two arcs combine into one subidentifier: X*40 + Y.
+    // First two arcs combine into one subidentifier: X*40 + Y
+    // (`is_encodable` has checked that it fits).
     let first = arcs[0] * 40 + arcs[1];
-    push_base128(&mut content, first);
-    for &arc in &arcs[2..] {
-        push_base128(&mut content, arc);
+    // The usual name — few arcs, each below 128 — is one octet per
+    // subidentifier under a one-octet length.
+    if arcs.len() <= 0x80 && first < 0x80 && arcs[2..].iter().all(|&arc| arc < 0x80) {
+        out.extend_from_slice(&[tag::OID, arcs.len() as u8 - 1, first as u8]);
+        out.extend(arcs[2..].iter().map(|&arc| arc as u8));
+        return Ok(());
     }
-    let mut out = Vec::with_capacity(content.len() + 2);
-    push_tlv(&mut out, tag::OID, &content);
+    let mark = open(out, tag::OID);
+    push_base128(out, first);
+    for &arc in &arcs[2..] {
+        push_base128(out, arc);
+    }
+    close(out, mark);
+    Ok(())
+}
+
+fn push_base128(out: &mut Vec<u8>, v: u32) {
+    let groups = (32 - v.leading_zeros()).div_ceil(7).max(1);
+    for i in (1..groups).rev() {
+        out.push(0x80 | (v >> (7 * i)) as u8 & 0x7F);
+    }
+    out.push(v as u8 & 0x7F);
+}
+
+/// Appends any SNMP value.
+pub fn push_value(out: &mut Vec<u8>, value: ValueRef<'_>) -> Result<(), BerError> {
+    match value {
+        ValueRef::Integer(v) => push_integer(out, v),
+        ValueRef::OctetString(b) => push_tlv(out, tag::OCTET_STRING, b),
+        ValueRef::Null => out.extend_from_slice(&[tag::NULL, 0]),
+        ValueRef::Oid(oid) => push_oid(out, oid)?,
+        ValueRef::IpAddress(a) => push_tlv(out, tag::IP_ADDRESS, &a),
+        ValueRef::Counter32(v) => push_unsigned(out, tag::COUNTER32, v),
+        ValueRef::Gauge32(v) => push_unsigned(out, tag::GAUGE32, v),
+        ValueRef::TimeTicks(v) => push_unsigned(out, tag::TIME_TICKS, v),
+        ValueRef::Opaque(b) => push_tlv(out, tag::OPAQUE, b),
+        ValueRef::NoSuchObject => out.extend_from_slice(&[tag::NO_SUCH_OBJECT, 0]),
+        ValueRef::NoSuchInstance => out.extend_from_slice(&[tag::NO_SUCH_INSTANCE, 0]),
+        ValueRef::EndOfMibView => out.extend_from_slice(&[tag::END_OF_MIB_VIEW, 0]),
+    }
+    Ok(())
+}
+
+/// One INTEGER element on its own.
+pub fn encode_integer(value: i64) -> Vec<u8> {
+    let mut out = Vec::with_capacity(10);
+    push_integer(&mut out, value);
+    out
+}
+
+/// One unsigned element on its own (see [`push_unsigned`]).
+pub fn encode_unsigned(tag_byte: u8, value: u32) -> Vec<u8> {
+    let mut out = Vec::with_capacity(7);
+    push_unsigned(&mut out, tag_byte, value);
+    out
+}
+
+/// One OBJECT IDENTIFIER element on its own.
+pub fn encode_oid(oid: &Oid) -> Result<Vec<u8>, BerError> {
+    let mut out = Vec::with_capacity(oid.len() + 2);
+    push_oid(&mut out, oid)?;
     Ok(out)
 }
 
-fn push_base128(out: &mut Vec<u8>, mut v: u32) {
-    let mut stack = [0u8; 5];
-    let mut n = 0;
-    loop {
-        stack[n] = (v & 0x7F) as u8;
-        n += 1;
-        v >>= 7;
-        if v == 0 {
-            break;
-        }
-    }
-    for i in (0..n).rev() {
-        let byte = stack[i] | if i > 0 { 0x80 } else { 0 };
-        out.push(byte);
-    }
-}
-
-/// Encodes any [`SnmpValue`].
+/// One value element on its own.
 pub fn encode_value(value: &SnmpValue) -> Result<Vec<u8>, BerError> {
-    Ok(match value {
-        SnmpValue::Integer(v) => encode_integer(*v),
-        SnmpValue::OctetString(b) => {
-            let mut out = Vec::with_capacity(b.len() + 4);
-            push_tlv(&mut out, tag::OCTET_STRING, b);
-            out
-        }
-        SnmpValue::Null => vec![tag::NULL, 0x00],
-        SnmpValue::Oid(oid) => encode_oid(oid)?,
-        SnmpValue::IpAddress(a) => {
-            let mut out = Vec::with_capacity(6);
-            push_tlv(&mut out, tag::IP_ADDRESS, a);
-            out
-        }
-        SnmpValue::Counter32(v) => encode_unsigned(tag::COUNTER32, *v),
-        SnmpValue::Gauge32(v) => encode_unsigned(tag::GAUGE32, *v),
-        SnmpValue::TimeTicks(v) => encode_unsigned(tag::TIME_TICKS, *v),
-        SnmpValue::Opaque(b) => {
-            let mut out = Vec::with_capacity(b.len() + 4);
-            push_tlv(&mut out, tag::OPAQUE, b);
-            out
-        }
-        SnmpValue::NoSuchObject => vec![tag::NO_SUCH_OBJECT, 0x00],
-        SnmpValue::NoSuchInstance => vec![tag::NO_SUCH_INSTANCE, 0x00],
-        SnmpValue::EndOfMibView => vec![tag::END_OF_MIB_VIEW, 0x00],
-    })
-}
-
-/// Wraps already-encoded elements in a SEQUENCE.
-pub fn encode_sequence(parts: &[&[u8]]) -> Vec<u8> {
-    let content_len: usize = parts.iter().map(|p| p.len()).sum();
-    let mut content = Vec::with_capacity(content_len);
-    for p in parts {
-        content.extend_from_slice(p);
-    }
-    let mut out = Vec::with_capacity(content_len + 4);
-    push_tlv(&mut out, tag::SEQUENCE, &content);
-    out
-}
-
-/// Wraps already-encoded elements under an arbitrary constructed tag
-/// (used for the PDU context tags).
-pub fn encode_constructed(tag_byte: u8, parts: &[&[u8]]) -> Vec<u8> {
-    let content_len: usize = parts.iter().map(|p| p.len()).sum();
-    let mut content = Vec::with_capacity(content_len);
-    for p in parts {
-        content.extend_from_slice(p);
-    }
-    let mut out = Vec::with_capacity(content_len + 4);
-    push_tlv(&mut out, tag_byte, &content);
-    out
+    let mut out = Vec::new();
+    push_value(&mut out, value.into())?;
+    Ok(out)
 }
 
 // ---------------------------------------------------------------------------
@@ -225,33 +239,33 @@ pub fn encode_constructed(tag_byte: u8, parts: &[&[u8]]) -> Vec<u8> {
 /// A cursor over BER input.
 #[derive(Debug, Clone)]
 pub struct Reader<'a> {
+    /// The input not yet consumed.
     data: &'a [u8],
-    pos: usize,
 }
 
 impl<'a> Reader<'a> {
     /// Creates a reader over `data`.
     pub fn new(data: &'a [u8]) -> Self {
-        Reader { data, pos: 0 }
+        Reader { data }
     }
 
     /// Bytes not yet consumed.
     pub fn remaining(&self) -> usize {
-        self.data.len() - self.pos
+        self.data.len()
     }
 
     /// True when all input has been consumed.
     pub fn is_empty(&self) -> bool {
-        self.remaining() == 0
+        self.data.is_empty()
     }
 
     fn take(&mut self, n: usize) -> Result<&'a [u8], BerError> {
-        if self.remaining() < n {
+        if self.data.len() < n {
             return Err(BerError::Truncated);
         }
-        let s = &self.data[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(s)
+        let (taken, rest) = self.data.split_at(n);
+        self.data = rest;
+        Ok(taken)
     }
 
     fn byte(&mut self) -> Result<u8, BerError> {
@@ -260,11 +274,16 @@ impl<'a> Reader<'a> {
 
     /// Peeks at the next tag without consuming it.
     pub fn peek_tag(&self) -> Result<u8, BerError> {
-        self.data.get(self.pos).copied().ok_or(BerError::Truncated)
+        self.data.first().copied().ok_or(BerError::Truncated)
     }
 
     /// Reads a tag byte and definite length.
     pub fn read_header(&mut self) -> Result<(u8, usize), BerError> {
+        // Nearly every element is shorter than 128 octets.
+        if let [t, len @ 0..=0x7F, rest @ ..] = self.data {
+            self.data = rest;
+            return Ok((*t, *len as usize));
+        }
         let t = self.byte()?;
         let len = self.read_length()?;
         Ok((t, len))
@@ -319,10 +338,14 @@ impl<'a> Reader<'a> {
         decode_unsigned_content(content.rest())
     }
 
+    /// Reads a full OCTET STRING element, borrowing its content.
+    pub fn read_octets(&mut self) -> Result<&'a [u8], BerError> {
+        Ok(self.expect_element(tag::OCTET_STRING)?.rest())
+    }
+
     /// Reads a full OCTET STRING element.
     pub fn read_octet_string(&mut self) -> Result<Vec<u8>, BerError> {
-        let content = self.expect_element(tag::OCTET_STRING)?;
-        Ok(content.rest().to_vec())
+        Ok(self.read_octets()?.to_vec())
     }
 
     /// Reads a full OBJECT IDENTIFIER element.
@@ -336,28 +359,27 @@ impl<'a> Reader<'a> {
         let (t, content) = self.read_element()?;
         let bytes = content.rest();
         Ok(match t {
-            tag::INTEGER => SnmpValue::Integer(decode_integer_content(bytes)?),
             tag::OCTET_STRING => SnmpValue::OctetString(bytes.to_vec()),
-            tag::NULL => SnmpValue::Null,
-            tag::OID => SnmpValue::Oid(decode_oid_content(bytes)?),
-            tag::IP_ADDRESS => {
-                let arr: [u8; 4] = bytes.try_into().map_err(|_| BerError::BadIpAddress)?;
-                SnmpValue::IpAddress(arr)
-            }
-            tag::COUNTER32 => SnmpValue::Counter32(decode_unsigned_content(bytes)?),
-            tag::GAUGE32 => SnmpValue::Gauge32(decode_unsigned_content(bytes)?),
-            tag::TIME_TICKS => SnmpValue::TimeTicks(decode_unsigned_content(bytes)?),
+            tag::OID => SnmpValue::oid(decode_oid_content(bytes)?),
             tag::OPAQUE => SnmpValue::Opaque(bytes.to_vec()),
-            tag::NO_SUCH_OBJECT => SnmpValue::NoSuchObject,
-            tag::NO_SUCH_INSTANCE => SnmpValue::NoSuchInstance,
-            tag::END_OF_MIB_VIEW => SnmpValue::EndOfMibView,
-            other => return Err(BerError::UnknownTag(other)),
+            _ => decode_scalar(t, bytes)?,
         })
+    }
+
+    /// Reads past any SNMP value element, checking everything
+    /// [`Reader::read_value`] checks without keeping the value.
+    pub fn skip_value(&mut self) -> Result<(), BerError> {
+        let (t, content) = self.read_element()?;
+        match t {
+            tag::OCTET_STRING | tag::OPAQUE => Ok(()),
+            tag::OID => decode_oid_content(content.rest()).map(drop),
+            _ => decode_scalar(t, content.rest()).map(drop),
+        }
     }
 
     /// The unconsumed input.
     pub fn rest(&self) -> &'a [u8] {
-        &self.data[self.pos..]
+        self.data
     }
 
     /// Fails with [`BerError::TrailingBytes`] unless fully consumed.
@@ -368,6 +390,25 @@ impl<'a> Reader<'a> {
             Err(BerError::TrailingBytes(self.remaining()))
         }
     }
+}
+
+/// Decodes the value kinds that own no memory.
+fn decode_scalar(t: u8, bytes: &[u8]) -> Result<SnmpValue, BerError> {
+    Ok(match t {
+        tag::INTEGER => SnmpValue::Integer(decode_integer_content(bytes)?),
+        tag::NULL => SnmpValue::Null,
+        tag::IP_ADDRESS => {
+            let arr: [u8; 4] = bytes.try_into().map_err(|_| BerError::BadIpAddress)?;
+            SnmpValue::IpAddress(arr)
+        }
+        tag::COUNTER32 => SnmpValue::Counter32(decode_unsigned_content(bytes)?),
+        tag::GAUGE32 => SnmpValue::Gauge32(decode_unsigned_content(bytes)?),
+        tag::TIME_TICKS => SnmpValue::TimeTicks(decode_unsigned_content(bytes)?),
+        tag::NO_SUCH_OBJECT => SnmpValue::NoSuchObject,
+        tag::NO_SUCH_INSTANCE => SnmpValue::NoSuchInstance,
+        tag::END_OF_MIB_VIEW => SnmpValue::EndOfMibView,
+        other => return Err(BerError::UnknownTag(other)),
+    })
 }
 
 fn decode_integer_content(bytes: &[u8]) -> Result<i64, BerError> {
@@ -404,44 +445,53 @@ fn decode_unsigned_content(bytes: &[u8]) -> Result<u32, BerError> {
 }
 
 fn decode_oid_content(bytes: &[u8]) -> Result<Oid, BerError> {
-    if bytes.is_empty() {
+    // Empty content, or a continuation bit on the last octet.
+    if bytes.last().is_none_or(|b| b & 0x80 != 0) {
         return Err(BerError::BadOid);
     }
-    let mut arcs = Vec::with_capacity(bytes.len() + 1);
-    let mut iter = bytes.iter().peekable();
-    let mut first = true;
-    while iter.peek().is_some() {
-        let mut v: u32 = 0;
-        loop {
-            let &b = iter.next().ok_or(BerError::BadOid)?;
-            if v > (u32::MAX >> 7) {
-                return Err(BerError::BadOid);
-            }
-            v = (v << 7) | u32::from(b & 0x7F);
-            if b & 0x80 == 0 {
-                break;
-            }
-            if iter.peek().is_none() {
-                return Err(BerError::BadOid); // continuation bit on last byte
-            }
+    // Split the combined first subidentifier.
+    let split = |v: u32| match v {
+        0..=39 => [0, v],
+        40..=79 => [1, v - 40],
+        _ => [2, v - 80],
+    };
+    // The usual name — few subidentifiers, each one octet — goes straight
+    // into place.
+    if bytes.len() < INLINE_ARCS {
+        let mut oid = Oid::zeroed(bytes.len() + 1);
+        let arcs = oid.inline_arcs_mut();
+        let mut seen = bytes[0];
+        for (arc, &b) in arcs[2..].iter_mut().zip(&bytes[1..]) {
+            *arc = u32::from(b);
+            seen |= b;
         }
-        if first {
-            // Split the combined first subidentifier.
-            let (a, b) = if v < 40 {
-                (0, v)
-            } else if v < 80 {
-                (1, v - 40)
-            } else {
-                (2, v - 80)
-            };
-            arcs.push(a);
-            arcs.push(b);
-            first = false;
-        } else {
-            arcs.push(v);
+        if seen & 0x80 == 0 {
+            arcs[..2].copy_from_slice(&split(u32::from(bytes[0])));
+            return Ok(oid);
         }
     }
-    Ok(Oid::new(arcs))
+    let mut oid = Oid::empty();
+    let mut v: u32 = 0;
+    let mut first = true;
+    for &b in bytes {
+        if v > (u32::MAX >> 7) {
+            return Err(BerError::BadOid);
+        }
+        v = (v << 7) | u32::from(b & 0x7F);
+        if b & 0x80 != 0 {
+            continue;
+        }
+        if first {
+            let [x, y] = split(v);
+            oid.push(x);
+            oid.push(y);
+            first = false;
+        } else {
+            oid.push(v);
+        }
+        v = 0;
+    }
+    Ok(oid)
 }
 
 #[cfg(test)]
@@ -580,6 +630,22 @@ mod tests {
     }
 
     #[test]
+    fn oid_first_subidentifier_overflow_rejected() {
+        // 2 * 40 + second must fit the 32-bit subidentifier.
+        let fits = Oid::from([2, u32::MAX - 80, 7]);
+        let enc = encode_oid(&fits).unwrap();
+        assert_eq!(Reader::new(&enc).read_oid().unwrap(), fits);
+        for second in [u32::MAX - 79, u32::MAX] {
+            assert_eq!(
+                encode_oid(&Oid::from([2, second])),
+                Err(BerError::UnencodableOid)
+            );
+        }
+        let parsed: Oid = "2.4294967295".parse().unwrap();
+        assert!(!parsed.is_encodable());
+    }
+
+    #[test]
     fn oid_truncated_continuation_rejected() {
         // Subidentifier with continuation bit set on the final byte.
         let bad = [0x06, 0x02, 0x2B, 0x86];
@@ -626,7 +692,7 @@ mod tests {
             SnmpValue::Integer(-42),
             SnmpValue::OctetString(b"hello".to_vec()),
             SnmpValue::Null,
-            SnmpValue::Oid(oid("1.3.6.1.2.1.1.3.0")),
+            SnmpValue::oid(oid("1.3.6.1.2.1.1.3.0")),
             SnmpValue::IpAddress([192, 168, 1, 1]),
             SnmpValue::Counter32(3_000_000_000),
             SnmpValue::Gauge32(100_000_000),
@@ -643,15 +709,68 @@ mod tests {
 
     #[test]
     fn sequence_nesting() {
-        let a = encode_integer(1);
-        let b = encode_value(&SnmpValue::text("x")).unwrap();
-        let seq = encode_sequence(&[&a, &b]);
+        let mut seq = Vec::new();
+        let mark = open(&mut seq, tag::SEQUENCE);
+        push_integer(&mut seq, 1);
+        push_value(&mut seq, ValueRef::OctetString(b"x")).unwrap();
+        close(&mut seq, mark);
+        assert_eq!(seq, [0x30, 0x06, 0x02, 0x01, 0x01, 0x04, 0x01, b'x']);
         let mut r = Reader::new(&seq);
         let mut inner = r.expect_element(tag::SEQUENCE).unwrap();
         assert_eq!(inner.read_integer().unwrap(), 1);
         assert_eq!(inner.read_value().unwrap(), SnmpValue::text("x"));
         inner.finish().unwrap();
         r.finish().unwrap();
+    }
+
+    #[test]
+    fn close_moves_content_for_long_form_lengths() {
+        // 127 octets of content keep the one-octet length; 128 and 65 536
+        // need one and three more, with an outer element closing after an
+        // inner one has already grown.
+        for n in [0usize, 127, 128, 255, 256, 65_536] {
+            let content = vec![0xAB; n];
+            let mut nested = vec![0xEE]; // bytes before the element stay put
+            let outer = open(&mut nested, tag::SEQUENCE);
+            let inner = open(&mut nested, tag::OCTET_STRING);
+            nested.extend_from_slice(&content);
+            close(&mut nested, inner);
+            close(&mut nested, outer);
+
+            let mut element = Vec::new();
+            push_tlv(&mut element, tag::OCTET_STRING, &content);
+            let mut expected = vec![0xEE];
+            push_tlv(&mut expected, tag::SEQUENCE, &element);
+            assert_eq!(nested, expected, "content length {n}");
+        }
+    }
+
+    #[test]
+    fn skip_value_checks_what_read_value_checks() {
+        let good = [
+            encode_value(&SnmpValue::text("abc")).unwrap(),
+            encode_value(&SnmpValue::oid(oid("1.3.6.1"))).unwrap(),
+            encode_value(&SnmpValue::Counter32(9)).unwrap(),
+        ];
+        for enc in &good {
+            let mut r = Reader::new(enc);
+            r.skip_value().unwrap();
+            r.finish().unwrap();
+        }
+        let bad: [&[u8]; 4] = [
+            &[0x40, 0x03, 1, 2, 3],    // short IpAddress
+            &[0x1F, 0x01, 0x00],       // unknown tag
+            &[0x06, 0x02, 0x2B, 0x86], // OID ending in a continuation bit
+            &[0x41, 0x06, 1, 0, 0, 0, 0, 0],
+        ];
+        for enc in bad {
+            assert_eq!(
+                Reader::new(enc).skip_value().err(),
+                Reader::new(enc).read_value().err(),
+                "{enc:02x?}"
+            );
+            assert!(Reader::new(enc).skip_value().is_err());
+        }
     }
 
     #[test]

@@ -6,20 +6,45 @@
 //! them with request-id bookkeeping and retries for blocking transports
 //! (UDP and loopback).
 
+use crate::ber::{tag, Reader};
 use crate::error::SnmpError;
-use crate::message::SnmpMessage;
+use crate::message::{self, SnmpVersion};
 use crate::oid::Oid;
-use crate::pdu::{ErrorStatus, Pdu, PduType, VarBind};
+use crate::pdu::{self, ErrorStatus, Pdu, PduType, VarBind};
 use crate::telemetry::ClientTelemetry;
 use crate::transport::Transport;
-use crate::value::SnmpValue;
+use crate::value::{SnmpValue, ValueRef};
 use netqos_telemetry::Tracer;
 use std::time::Instant;
 
+/// Encodes a request for `oids` (NULL-valued bindings) into one buffer.
+fn build_request(
+    version: SnmpVersion,
+    community: &str,
+    pdu_tag: u8,
+    request_id: i32,
+    second: i64,
+    third: i64,
+    oids: &[Oid],
+) -> Result<Vec<u8>, SnmpError> {
+    // Wrapper and PDU header, then per binding two headers, the NULL and
+    // about one octet per arc.
+    let names: usize = oids.iter().map(|oid| oid.len() + 6).sum();
+    let mut out = Vec::with_capacity(32 + community.len() + names);
+    let message = message::open_message(&mut out, version, community.as_bytes());
+    let pdu = pdu::open_pdu(&mut out, pdu_tag, request_id, second, third);
+    for oid in oids {
+        pdu::push_varbind(&mut out, oid, ValueRef::Null)?;
+    }
+    pdu::close_pdu(&mut out, pdu);
+    message::close_message(&mut out, message);
+    Ok(out)
+}
+
 /// Builds an encoded `GetRequest` message.
 pub fn build_get(community: &str, request_id: i32, oids: &[Oid]) -> Result<Vec<u8>, SnmpError> {
-    let pdu = Pdu::request(PduType::GetRequest, request_id, oids);
-    Ok(SnmpMessage::v1(community, pdu).encode()?)
+    let version = SnmpVersion::V1;
+    build_request(version, community, tag::GET_REQUEST, request_id, 0, 0, oids)
 }
 
 /// Builds an encoded `GetNextRequest` message.
@@ -28,8 +53,8 @@ pub fn build_get_next(
     request_id: i32,
     oids: &[Oid],
 ) -> Result<Vec<u8>, SnmpError> {
-    let pdu = Pdu::request(PduType::GetNextRequest, request_id, oids);
-    Ok(SnmpMessage::v1(community, pdu).encode()?)
+    let (version, pdu_tag) = (SnmpVersion::V1, tag::GET_NEXT_REQUEST);
+    build_request(version, community, pdu_tag, request_id, 0, 0, oids)
 }
 
 /// Builds an encoded SNMPv2c `GetBulkRequest` message.
@@ -40,8 +65,15 @@ pub fn build_get_bulk(
     max_repetitions: u32,
     oids: &[Oid],
 ) -> Result<Vec<u8>, SnmpError> {
-    let bulk = crate::pdu::BulkPdu::request(request_id, non_repeaters, max_repetitions, oids);
-    Ok(SnmpMessage::v2c_bulk(community, bulk).encode()?)
+    build_request(
+        SnmpVersion::V2c,
+        community,
+        tag::GET_BULK_REQUEST,
+        request_id,
+        i64::from(non_repeaters),
+        i64::from(max_repetitions),
+        oids,
+    )
 }
 
 /// A parsed agent response.
@@ -82,17 +114,34 @@ impl Response {
 
 /// Parses an encoded `GetResponse`.
 pub fn parse_response(bytes: &[u8]) -> Result<Response, SnmpError> {
-    let msg = SnmpMessage::decode(bytes)?;
-    let pdu = msg.pdu().ok_or(SnmpError::NotAResponse)?;
-    if pdu.pdu_type != PduType::GetResponse {
-        return Err(SnmpError::NotAResponse);
-    }
-    Ok(Response {
+    message::decode_with(bytes, |wrapper| {
+        match wrapper.rest.peek_tag()? {
+            // Well-formed, but not what a manager waits for.
+            tag::TRAP => pdu::TrapPdu::decode(&mut wrapper.rest).map(|_| None),
+            tag::GET_BULK_REQUEST => pdu::BulkPdu::decode(&mut wrapper.rest).map(|_| None),
+            _ => Pdu::decode(&mut wrapper.rest).map(Some),
+        }
+    })?
+    .filter(|pdu| pdu.pdu_type == PduType::GetResponse)
+    .map(|pdu| Response {
         request_id: pdu.request_id,
         error_status: pdu.error_status,
         error_index: pdu.error_index,
-        bindings: pdu.bindings.clone(),
+        bindings: pdu.bindings,
     })
+    .ok_or(SnmpError::NotAResponse)
+}
+
+/// The request-id of an encoded request/response message, read off its
+/// header without decoding the bindings and without touching the codec
+/// counters. `None` when the bytes do not start like an SNMP message; a
+/// `Some` does not mean the rest of the message is well-formed.
+pub fn peek_request_id(bytes: &[u8]) -> Option<i32> {
+    let mut message = Reader::new(bytes).expect_element(tag::SEQUENCE).ok()?;
+    message.read_integer().ok()?;
+    message.read_octets().ok()?;
+    let (_, mut pdu) = message.read_element().ok()?;
+    Some(pdu.read_integer().ok()? as i32)
 }
 
 /// A synchronous SNMP manager bound to one agent.
@@ -245,8 +294,7 @@ impl<T: Transport> SnmpClient<T> {
                 break;
             }
             for vb in bindings {
-                if vb.value == crate::value::SnmpValue::EndOfMibView || !vb.oid.starts_with(prefix)
-                {
+                if vb.value == SnmpValue::EndOfMibView || !vb.oid.starts_with(prefix) {
                     break 'outer;
                 }
                 if vb.oid == cur {

@@ -63,6 +63,67 @@ pub struct SnmpMessage {
     pub body: MessageBody,
 }
 
+/// Starts a message: the outer SEQUENCE, version and community. The PDU is
+/// appended next, then [`close_message`] with the returned mark.
+pub(crate) fn open_message(out: &mut Vec<u8>, version: SnmpVersion, community: &[u8]) -> usize {
+    let mark = ber::open(out, tag::SEQUENCE);
+    ber::push_integer(out, version.code());
+    ber::push_tlv(out, tag::OCTET_STRING, community);
+    mark
+}
+
+/// Finishes the message started at `mark`, which must be the only content
+/// of `out`, and counts it as encoded.
+pub(crate) fn close_message(out: &mut Vec<u8>, mark: usize) {
+    ber::close(out, mark);
+    let codec = crate::telemetry::codec();
+    codec.encodes.inc();
+    codec.encoded_bytes.add(out.len() as u64);
+}
+
+/// The message wrapper decoded in place: the community borrows from the
+/// datagram and `rest` is positioned at the PDU.
+pub(crate) struct Wrapper<'a> {
+    pub version: SnmpVersion,
+    pub community: &'a [u8],
+    /// The wrapper's content from the PDU on.
+    pub rest: Reader<'a>,
+}
+
+/// Decodes one message: opens the wrapper, hands it to `pdu` to read the
+/// PDU off `rest`, then rejects trailing bytes. The outcome lands in the
+/// codec counters, so every decoder built on this counts alike.
+pub(crate) fn decode_with<'a, T>(
+    data: &'a [u8],
+    pdu: impl FnOnce(&mut Wrapper<'a>) -> Result<T, SnmpError>,
+) -> Result<T, SnmpError> {
+    let decode = || {
+        let mut outer = Reader::new(data);
+        let mut rest = outer.expect_element(tag::SEQUENCE)?;
+        let version = SnmpVersion::from_code(rest.read_integer()?)?;
+        let community = rest.read_octets()?;
+        let mut wrapper = Wrapper {
+            version,
+            community,
+            rest,
+        };
+        let decoded = pdu(&mut wrapper)?;
+        wrapper.rest.finish()?;
+        outer.finish()?;
+        Ok(decoded)
+    };
+    let result = decode();
+    let codec = crate::telemetry::codec();
+    match &result {
+        Ok(_) => {
+            codec.decodes.inc();
+            codec.decoded_bytes.add(data.len() as u64);
+        }
+        Err(_) => codec.decode_errors.inc(),
+    }
+    result
+}
+
 impl SnmpMessage {
     /// Wraps a request/response PDU in a v1 message.
     pub fn v1(community: &str, pdu: Pdu) -> Self {
@@ -107,57 +168,30 @@ impl SnmpMessage {
 
     /// Serializes the message to wire bytes.
     pub fn encode(&self) -> Result<Vec<u8>, BerError> {
-        let start = std::time::Instant::now();
-        let version = ber::encode_integer(self.version.code());
-        let mut community = Vec::with_capacity(self.community.len() + 4);
-        ber::push_tlv(&mut community, tag::OCTET_STRING, &self.community);
-        let pdu = match &self.body {
-            MessageBody::Pdu(p) => p.encode()?,
-            MessageBody::Trap(t) => t.encode()?,
-            MessageBody::Bulk(b) => b.encode()?,
-        };
-        let wire = ber::encode_sequence(&[&version, &community, &pdu]);
-        let codec = crate::telemetry::codec();
-        codec.encodes.inc();
-        codec.encoded_bytes.add(wire.len() as u64);
-        codec.encode_ns.add(start.elapsed().as_nanos() as u64);
+        let mut wire = Vec::with_capacity(64);
+        let mark = open_message(&mut wire, self.version, &self.community);
+        match &self.body {
+            MessageBody::Pdu(p) => p.encode_into(&mut wire)?,
+            MessageBody::Trap(t) => t.encode_into(&mut wire)?,
+            MessageBody::Bulk(b) => b.encode_into(&mut wire)?,
+        }
+        close_message(&mut wire, mark);
         Ok(wire)
     }
 
     /// Parses a message from wire bytes, rejecting trailing garbage.
     pub fn decode(data: &[u8]) -> Result<Self, SnmpError> {
-        let start = std::time::Instant::now();
-        let codec = crate::telemetry::codec();
-        let result = Self::decode_inner(data);
-        match &result {
-            Ok(_) => {
-                codec.decodes.inc();
-                codec.decoded_bytes.add(data.len() as u64);
-                codec.decode_ns.add(start.elapsed().as_nanos() as u64);
-            }
-            Err(_) => codec.decode_errors.inc(),
-        }
-        result
-    }
-
-    fn decode_inner(data: &[u8]) -> Result<Self, SnmpError> {
-        let mut outer = Reader::new(data);
-        let mut seq = outer
-            .expect_element(tag::SEQUENCE)
-            .map_err(SnmpError::from)?;
-        let version = SnmpVersion::from_code(seq.read_integer()?)?;
-        let community = seq.read_octet_string()?;
-        let body = match seq.peek_tag().map_err(SnmpError::from)? {
-            tag::TRAP => MessageBody::Trap(TrapPdu::decode(&mut seq)?),
-            tag::GET_BULK_REQUEST => MessageBody::Bulk(BulkPdu::decode(&mut seq)?),
-            _ => MessageBody::Pdu(Pdu::decode(&mut seq)?),
-        };
-        seq.finish().map_err(SnmpError::from)?;
-        outer.finish().map_err(SnmpError::from)?;
-        Ok(SnmpMessage {
-            version,
-            community,
-            body,
+        decode_with(data, |wrapper| {
+            let body = match wrapper.rest.peek_tag()? {
+                tag::TRAP => MessageBody::Trap(TrapPdu::decode(&mut wrapper.rest)?),
+                tag::GET_BULK_REQUEST => MessageBody::Bulk(BulkPdu::decode(&mut wrapper.rest)?),
+                _ => MessageBody::Pdu(Pdu::decode(&mut wrapper.rest)?),
+            };
+            Ok(SnmpMessage {
+                version: wrapper.version,
+                community: wrapper.community.to_vec(),
+                body,
+            })
         })
     }
 
@@ -237,11 +271,15 @@ mod tests {
     #[test]
     fn unknown_version_rejected_v2c_accepted() {
         let build = |code: i64| {
-            let version = ber::encode_integer(code);
-            let mut community = Vec::new();
-            ber::push_tlv(&mut community, tag::OCTET_STRING, b"public");
-            let pdu = Pdu::request(PduType::GetRequest, 1, &[]).encode().unwrap();
-            ber::encode_sequence(&[&version, &community, &pdu])
+            let mut wire = Vec::new();
+            let mark = ber::open(&mut wire, tag::SEQUENCE);
+            ber::push_integer(&mut wire, code);
+            ber::push_tlv(&mut wire, tag::OCTET_STRING, b"public");
+            Pdu::request(PduType::GetRequest, 1, &[])
+                .encode_into(&mut wire)
+                .unwrap();
+            ber::close(&mut wire, mark);
+            wire
         };
         // SNMPv3 (and garbage) rejected; v2c accepted.
         assert_eq!(

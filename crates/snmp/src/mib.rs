@@ -6,18 +6,23 @@
 //! `BTreeMap<Oid, SnmpValue>` whose key order *is* MIB order.
 
 use crate::oid::Oid;
-use crate::value::SnmpValue;
+use crate::value::{SnmpValue, ValueRef};
 use std::collections::BTreeMap;
 use std::ops::Bound;
 
 /// Read-only view of a MIB, sufficient to serve Get/GetNext.
+///
+/// A view *lends* what it finds: the agent encodes the borrowed name and
+/// value straight into its response, so answering clones nothing. A view
+/// over live state (interface counters, a clock) returns scalars by value
+/// inside the [`ValueRef`] and borrows only strings it already holds.
 pub trait MibView {
     /// Exact instance lookup.
-    fn get(&self, oid: &Oid) -> Option<SnmpValue>;
+    fn get(&self, oid: &Oid) -> Option<ValueRef<'_>>;
 
     /// The first instance strictly after `oid` in MIB order, together with
     /// its value. `None` signals the end of the MIB.
-    fn next_after(&self, oid: &Oid) -> Option<(Oid, SnmpValue)>;
+    fn next_after(&self, oid: &Oid) -> Option<(&Oid, ValueRef<'_>)>;
 }
 
 /// A flat OID-to-value store.
@@ -69,15 +74,15 @@ impl ScalarMib {
 }
 
 impl MibView for ScalarMib {
-    fn get(&self, oid: &Oid) -> Option<SnmpValue> {
-        self.entries.get(oid).cloned()
+    fn get(&self, oid: &Oid) -> Option<ValueRef<'_>> {
+        self.entries.get(oid).map(ValueRef::from)
     }
 
-    fn next_after(&self, oid: &Oid) -> Option<(Oid, SnmpValue)> {
+    fn next_after(&self, oid: &Oid) -> Option<(&Oid, ValueRef<'_>)> {
         self.entries
             .range::<Oid, _>((Bound::Excluded(oid), Bound::Unbounded))
             .next()
-            .map(|(k, v)| (k.clone(), v.clone()))
+            .map(|(k, v)| (k, v.into()))
     }
 }
 
@@ -92,11 +97,11 @@ pub struct LayeredMib<'a> {
 }
 
 impl MibView for LayeredMib<'_> {
-    fn get(&self, oid: &Oid) -> Option<SnmpValue> {
+    fn get(&self, oid: &Oid) -> Option<ValueRef<'_>> {
         self.upper.get(oid).or_else(|| self.base.get(oid))
     }
 
-    fn next_after(&self, oid: &Oid) -> Option<(Oid, SnmpValue)> {
+    fn next_after(&self, oid: &Oid) -> Option<(&Oid, ValueRef<'_>)> {
         match (self.upper.next_after(oid), self.base.next_after(oid)) {
             (Some(a), Some(b)) => Some(if a.0 <= b.0 { a } else { b }),
             (Some(a), None) => Some(a),
@@ -129,7 +134,7 @@ mod tests {
         let m = sample();
         assert_eq!(
             m.get(&oid("1.3.6.1.2.1.1.3.0")),
-            Some(SnmpValue::TimeTicks(100))
+            Some(ValueRef::TimeTicks(100))
         );
         assert_eq!(m.get(&oid("1.3.6.1.2.1.1.3")), None); // prefix ≠ instance
     }
@@ -141,7 +146,7 @@ mod tests {
         let mut seen = Vec::new();
         while let Some((next, _)) = m.next_after(&cur) {
             seen.push(next.to_string());
-            cur = next;
+            cur = next.clone();
         }
         assert_eq!(
             seen,
@@ -159,7 +164,7 @@ mod tests {
     fn next_after_from_prefix_enters_subtree() {
         let m = sample();
         let (next, _) = m.next_after(&oid("1.3.6.1.2.1.2.2")).unwrap();
-        assert_eq!(next, oid("1.3.6.1.2.1.2.2.1.10.1"));
+        assert_eq!(next, &oid("1.3.6.1.2.1.2.2.1.10.1"));
     }
 
     #[test]
@@ -190,11 +195,11 @@ mod tests {
             upper: &upper,
             base: &base,
         };
-        assert_eq!(layered.get(&oid("1.3")), Some(SnmpValue::Integer(30)));
-        assert_eq!(layered.get(&oid("1.1")), Some(SnmpValue::Integer(1)));
+        assert_eq!(layered.get(&oid("1.3")), Some(ValueRef::Integer(30)));
+        assert_eq!(layered.get(&oid("1.1")), Some(ValueRef::Integer(1)));
         let (n1, _) = layered.next_after(&oid("1.1")).unwrap();
-        assert_eq!(n1, oid("1.2"));
+        assert_eq!(n1, &oid("1.2"));
         let (n2, v2) = layered.next_after(&oid("1.2")).unwrap();
-        assert_eq!((n2, v2), (oid("1.3"), SnmpValue::Integer(30)));
+        assert_eq!((n2, v2), (&oid("1.3"), ValueRef::Integer(30)));
     }
 }

@@ -129,6 +129,7 @@ mod tests {
     use super::*;
     use crate::mib::MibView;
     use crate::pdu::VarBind;
+    use crate::value::ValueRef;
 
     const MAC: [u8; 6] = [0x02, 0x00, 0x00, 0xAA, 0xBB, 0xCC];
 
@@ -164,15 +165,15 @@ mod tests {
         );
         assert_eq!(
             mib.get(&base_num_ports_instance()),
-            Some(SnmpValue::Integer(8))
+            Some(ValueRef::Integer(8))
         );
         assert_eq!(
             mib.get(&instance_oid(column::PORT, MAC)),
-            Some(SnmpValue::Integer(3))
+            Some(ValueRef::Integer(3))
         );
         assert_eq!(
             mib.get(&instance_oid(column::STATUS, MAC)),
-            Some(SnmpValue::Integer(STATUS_LEARNED))
+            Some(ValueRef::Integer(STATUS_LEARNED))
         );
         // 1 scalar + 2 rows × 3 columns.
         assert_eq!(mib.len(), 7);

@@ -238,6 +238,7 @@ pub fn install(mib: &mut ScalarMib, entries: &[IfEntry]) {
 mod tests {
     use super::*;
     use crate::mib::MibView;
+    use crate::value::ValueRef;
 
     #[test]
     fn instance_oid_layout() {
@@ -265,13 +266,11 @@ mod tests {
         assert_eq!(mib.len(), 22);
         assert_eq!(
             mib.get(&instance_oid(column::IF_SPEED, 1)),
-            Some(SnmpValue::Gauge32(100_000_000))
+            Some(ValueRef::Gauge32(100_000_000))
         );
         assert_eq!(
-            mib.get(&instance_oid(column::IF_DESCR, 1))
-                .unwrap()
-                .as_text(),
-            Some("eth0")
+            mib.get(&instance_oid(column::IF_DESCR, 1)),
+            Some(ValueRef::OctetString(b"eth0"))
         );
     }
 
@@ -288,7 +287,7 @@ mod tests {
         // MIB order within the table: column, then ifIndex — the standard
         // SNMP walk order (all ifDescr before any ifType, etc.).
         let (next, _) = mib.next_after(&instance_oid(column::IF_INDEX, 2)).unwrap();
-        assert_eq!(next, instance_oid(column::IF_DESCR, 1));
+        assert_eq!(next, &instance_oid(column::IF_DESCR, 1));
     }
 
     #[test]
@@ -300,11 +299,11 @@ mod tests {
         install(&mut mib, &[e]);
         assert_eq!(
             mib.get(&instance_oid(column::IF_IN_OCTETS, 2)),
-            Some(SnmpValue::Counter32(u32::MAX))
+            Some(ValueRef::Counter32(u32::MAX))
         );
         assert_eq!(
             mib.get(&instance_oid(column::IF_OUT_OCTETS, 2)),
-            Some(SnmpValue::Counter32(7))
+            Some(ValueRef::Counter32(7))
         );
     }
 }

@@ -85,7 +85,7 @@ pub fn install(mib: &mut ScalarMib, info: &SystemInfo, uptime_ticks: u32) {
     mib.insert(sys_descr_instance(), SnmpValue::text(&info.descr));
     mib.insert(
         sys_object_id_instance(),
-        SnmpValue::Oid(info.object_id.clone()),
+        SnmpValue::oid(info.object_id.clone()),
     );
     mib.insert(sys_uptime_instance(), SnmpValue::TimeTicks(uptime_ticks));
     mib.insert(sys_contact_instance(), SnmpValue::text(&info.contact));
@@ -98,6 +98,7 @@ pub fn install(mib: &mut ScalarMib, info: &SystemInfo, uptime_ticks: u32) {
 mod tests {
     use super::*;
     use crate::mib::MibView;
+    use crate::value::ValueRef;
 
     #[test]
     fn install_populates_all_seven_scalars() {
@@ -106,9 +107,12 @@ mod tests {
         assert_eq!(mib.len(), 7);
         assert_eq!(
             mib.get(&sys_uptime_instance()),
-            Some(SnmpValue::TimeTicks(4242))
+            Some(ValueRef::TimeTicks(4242))
         );
-        assert_eq!(mib.get(&sys_name_instance()).unwrap().as_text(), Some("S1"));
+        assert_eq!(
+            mib.get(&sys_name_instance()),
+            Some(ValueRef::OctetString(b"S1"))
+        );
     }
 
     #[test]
@@ -125,7 +129,7 @@ mod tests {
         assert_eq!(mib.len(), 7);
         assert_eq!(
             mib.get(&sys_uptime_instance()),
-            Some(SnmpValue::TimeTicks(2))
+            Some(ValueRef::TimeTicks(2))
         );
     }
 }

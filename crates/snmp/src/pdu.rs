@@ -17,7 +17,7 @@
 use crate::ber::{self, tag, Reader};
 use crate::error::{BerError, SnmpError};
 use crate::oid::Oid;
-use crate::value::SnmpValue;
+use crate::value::{SnmpValue, ValueRef};
 use std::fmt;
 
 /// The request/response PDU kinds of SNMPv1.
@@ -142,19 +142,78 @@ impl VarBind {
         VarBind { oid, value }
     }
 
-    fn encode(&self) -> Result<Vec<u8>, BerError> {
-        let name = ber::encode_oid(&self.oid)?;
-        let value = ber::encode_value(&self.value)?;
-        Ok(ber::encode_sequence(&[&name, &value]))
-    }
-
-    fn decode(r: &mut Reader<'_>) -> Result<Self, BerError> {
+    pub(crate) fn decode(r: &mut Reader<'_>) -> Result<Self, BerError> {
         let mut seq = r.expect_element(tag::SEQUENCE)?;
         let oid = seq.read_oid()?;
         let value = seq.read_value()?;
         seq.finish()?;
         Ok(VarBind { oid, value })
     }
+}
+
+/// Appends one variable binding.
+pub(crate) fn push_varbind(
+    out: &mut Vec<u8>,
+    name: &Oid,
+    value: ValueRef<'_>,
+) -> Result<(), BerError> {
+    let mark = ber::open(out, tag::SEQUENCE);
+    ber::push_oid(out, name)?;
+    ber::push_value(out, value)?;
+    ber::close(out, mark);
+    Ok(())
+}
+
+/// Appends each of `bindings` in turn.
+pub(crate) fn push_varbinds(out: &mut Vec<u8>, bindings: &[VarBind]) -> Result<(), BerError> {
+    bindings
+        .iter()
+        .try_for_each(|b| push_varbind(out, &b.oid, (&b.value).into()))
+}
+
+/// The open elements of a PDU whose bindings are being appended.
+pub(crate) struct OpenPdu {
+    pdu: usize,
+    bindings: usize,
+}
+
+/// Starts a PDU of the common layout — the request-id, two more integers,
+/// then the binding list — leaving the list open for [`push_varbind`].
+pub(crate) fn open_pdu(
+    out: &mut Vec<u8>,
+    tag_byte: u8,
+    request_id: i32,
+    second: i64,
+    third: i64,
+) -> OpenPdu {
+    let pdu = ber::open(out, tag_byte);
+    ber::push_integer(out, i64::from(request_id));
+    ber::push_integer(out, second);
+    ber::push_integer(out, third);
+    let bindings = ber::open(out, tag::SEQUENCE);
+    OpenPdu { pdu, bindings }
+}
+
+/// Closes the binding list and the PDU.
+pub(crate) fn close_pdu(out: &mut Vec<u8>, open: OpenPdu) {
+    ber::close(out, open.bindings);
+    ber::close(out, open.pdu);
+}
+
+fn decode_varbinds(list: &mut Reader<'_>) -> Result<Vec<VarBind>, BerError> {
+    // Count the elements first so the vector is allocated once; the
+    // count is bounded by the datagram, every element taking two octets
+    // or more.
+    let mut count = 0;
+    let mut scan = list.clone();
+    while scan.read_element().is_ok() {
+        count += 1;
+    }
+    let mut bindings = Vec::with_capacity(count);
+    while !list.is_empty() {
+        bindings.push(VarBind::decode(list)?);
+    }
+    Ok(bindings)
 }
 
 /// A request/response PDU.
@@ -209,19 +268,24 @@ impl Pdu {
 
     /// Encodes the PDU (without the message wrapper).
     pub fn encode(&self) -> Result<Vec<u8>, BerError> {
-        let rid = ber::encode_integer(i64::from(self.request_id));
-        let status = ber::encode_integer(self.error_status.code());
-        let index = ber::encode_integer(i64::from(self.error_index));
-        let mut binds = Vec::new();
-        for b in &self.bindings {
-            binds.push(b.encode()?);
-        }
-        let bind_refs: Vec<&[u8]> = binds.iter().map(|v| v.as_slice()).collect();
-        let bindings_seq = ber::encode_sequence(&bind_refs);
-        Ok(ber::encode_constructed(
+        let mut out = Vec::new();
+        self.encode_into(&mut out)?;
+        Ok(out)
+    }
+
+    /// Appends the encoded PDU to `out`; on error `out` ends in a partial
+    /// element.
+    pub(crate) fn encode_into(&self, out: &mut Vec<u8>) -> Result<(), BerError> {
+        let open = open_pdu(
+            out,
             self.pdu_type.tag(),
-            &[&rid, &status, &index, &bindings_seq],
-        ))
+            self.request_id,
+            self.error_status.code(),
+            i64::from(self.error_index),
+        );
+        push_varbinds(out, &self.bindings)?;
+        close_pdu(out, open);
+        Ok(())
     }
 
     /// Decodes a PDU from a reader positioned at the PDU tag.
@@ -231,11 +295,7 @@ impl Pdu {
         let request_id = content.read_integer()? as i32;
         let error_status = ErrorStatus::from_code(content.read_integer()?);
         let error_index = content.read_integer()?.max(0) as u32;
-        let mut binds_seq = content.expect_element(tag::SEQUENCE)?;
-        let mut bindings = Vec::new();
-        while !binds_seq.is_empty() {
-            bindings.push(VarBind::decode(&mut binds_seq)?);
-        }
+        let bindings = decode_varbinds(&mut content.expect_element(tag::SEQUENCE)?)?;
         content.finish()?;
         Ok(Pdu {
             pdu_type,
@@ -284,19 +344,24 @@ impl BulkPdu {
 
     /// Encodes the PDU (without the message wrapper).
     pub fn encode(&self) -> Result<Vec<u8>, BerError> {
-        let rid = ber::encode_integer(i64::from(self.request_id));
-        let nr = ber::encode_integer(i64::from(self.non_repeaters));
-        let mr = ber::encode_integer(i64::from(self.max_repetitions));
-        let mut binds = Vec::new();
-        for b in &self.bindings {
-            binds.push(b.encode()?);
-        }
-        let bind_refs: Vec<&[u8]> = binds.iter().map(|v| v.as_slice()).collect();
-        let bindings_seq = ber::encode_sequence(&bind_refs);
-        Ok(ber::encode_constructed(
+        let mut out = Vec::new();
+        self.encode_into(&mut out)?;
+        Ok(out)
+    }
+
+    /// Appends the encoded PDU to `out`; on error `out` ends in a partial
+    /// element.
+    pub(crate) fn encode_into(&self, out: &mut Vec<u8>) -> Result<(), BerError> {
+        let open = open_pdu(
+            out,
             tag::GET_BULK_REQUEST,
-            &[&rid, &nr, &mr, &bindings_seq],
-        ))
+            self.request_id,
+            i64::from(self.non_repeaters),
+            i64::from(self.max_repetitions),
+        );
+        push_varbinds(out, &self.bindings)?;
+        close_pdu(out, open);
+        Ok(())
     }
 
     /// Decodes a GetBulk PDU from a reader positioned at its tag.
@@ -307,11 +372,7 @@ impl BulkPdu {
         let request_id = content.read_integer()? as i32;
         let non_repeaters = content.read_integer()?.max(0) as u32;
         let max_repetitions = content.read_integer()?.max(0) as u32;
-        let mut binds_seq = content.expect_element(tag::SEQUENCE)?;
-        let mut bindings = Vec::new();
-        while !binds_seq.is_empty() {
-            bindings.push(VarBind::decode(&mut binds_seq)?);
-        }
+        let bindings = decode_varbinds(&mut content.expect_element(tag::SEQUENCE)?)?;
         content.finish()?;
         Ok(BulkPdu {
             request_id,
@@ -360,28 +421,25 @@ pub struct TrapPdu {
 impl TrapPdu {
     /// Encodes the Trap-PDU (without the message wrapper).
     pub fn encode(&self) -> Result<Vec<u8>, BerError> {
-        let enterprise = ber::encode_oid(&self.enterprise)?;
-        let addr = ber::encode_value(&SnmpValue::IpAddress(self.agent_addr))?;
-        let generic = ber::encode_integer(i64::from(self.generic_trap));
-        let specific = ber::encode_integer(i64::from(self.specific_trap));
-        let stamp = ber::encode_unsigned(tag::TIME_TICKS, self.time_stamp);
-        let mut binds = Vec::new();
-        for b in &self.bindings {
-            binds.push(b.encode()?);
-        }
-        let bind_refs: Vec<&[u8]> = binds.iter().map(|v| v.as_slice()).collect();
-        let bindings_seq = ber::encode_sequence(&bind_refs);
-        Ok(ber::encode_constructed(
-            tag::TRAP,
-            &[
-                &enterprise,
-                &addr,
-                &generic,
-                &specific,
-                &stamp,
-                &bindings_seq,
-            ],
-        ))
+        let mut out = Vec::new();
+        self.encode_into(&mut out)?;
+        Ok(out)
+    }
+
+    /// Appends the encoded Trap-PDU to `out`; on error `out` ends in a
+    /// partial element.
+    pub(crate) fn encode_into(&self, out: &mut Vec<u8>) -> Result<(), BerError> {
+        let pdu = ber::open(out, tag::TRAP);
+        ber::push_oid(out, &self.enterprise)?;
+        ber::push_tlv(out, tag::IP_ADDRESS, &self.agent_addr);
+        ber::push_integer(out, i64::from(self.generic_trap));
+        ber::push_integer(out, i64::from(self.specific_trap));
+        ber::push_unsigned(out, tag::TIME_TICKS, self.time_stamp);
+        let bindings = ber::open(out, tag::SEQUENCE);
+        push_varbinds(out, &self.bindings)?;
+        ber::close(out, bindings);
+        ber::close(out, pdu);
+        Ok(())
     }
 
     /// Decodes a Trap-PDU from a reader positioned at the trap tag.
@@ -396,11 +454,7 @@ impl TrapPdu {
         let generic_trap = content.read_integer()? as i32;
         let specific_trap = content.read_integer()? as i32;
         let time_stamp = content.read_unsigned(tag::TIME_TICKS)?;
-        let mut binds_seq = content.expect_element(tag::SEQUENCE)?;
-        let mut bindings = Vec::new();
-        while !binds_seq.is_empty() {
-            bindings.push(VarBind::decode(&mut binds_seq)?);
-        }
+        let bindings = decode_varbinds(&mut content.expect_element(tag::SEQUENCE)?)?;
         content.finish()?;
         Ok(TrapPdu {
             enterprise,
@@ -517,11 +571,9 @@ mod tests {
     #[test]
     fn bulk_negative_fields_clamp_to_zero() {
         // Hand-encode a bulk PDU with negative non-repeaters.
-        let rid = crate::ber::encode_integer(1);
-        let nr = crate::ber::encode_integer(-5);
-        let mr = crate::ber::encode_integer(-1);
-        let empty = crate::ber::encode_sequence(&[]);
-        let enc = crate::ber::encode_constructed(0xA5, &[&rid, &nr, &mr, &empty]);
+        let mut enc = Vec::new();
+        let open = open_pdu(&mut enc, tag::GET_BULK_REQUEST, 1, -5, -1);
+        close_pdu(&mut enc, open);
         let back = BulkPdu::decode(&mut Reader::new(&enc)).unwrap();
         assert_eq!(back.non_repeaters, 0);
         assert_eq!(back.max_repetitions, 0);

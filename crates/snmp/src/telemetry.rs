@@ -74,20 +74,17 @@ impl TransportTelemetry {
     }
 }
 
-/// Codec metrics, recorded by `SnmpMessage::{encode, decode}`.
+/// Codec metrics: one encode per message written, one decode (or decode
+/// error) per datagram parsed, whichever entry point did it.
 pub struct CodecTelemetry {
     /// Messages encoded.
     pub encodes: Counter,
     /// Bytes produced by encoding.
     pub encoded_bytes: Counter,
-    /// Wall-clock nanoseconds spent encoding.
-    pub encode_ns: Counter,
     /// Successfully decoded messages.
     pub decodes: Counter,
     /// Bytes consumed by successful decodes.
     pub decoded_bytes: Counter,
-    /// Wall-clock nanoseconds spent decoding.
-    pub decode_ns: Counter,
     /// Decode attempts rejected as malformed.
     pub decode_errors: Counter,
 }
@@ -100,10 +97,8 @@ pub fn codec() -> &'static CodecTelemetry {
         CodecTelemetry {
             encodes: registry.counter("netqos_snmp_codec_encodes_total"),
             encoded_bytes: registry.counter("netqos_snmp_codec_encoded_bytes_total"),
-            encode_ns: registry.counter("netqos_snmp_codec_encode_ns_total"),
             decodes: registry.counter("netqos_snmp_codec_decodes_total"),
             decoded_bytes: registry.counter("netqos_snmp_codec_decoded_bytes_total"),
-            decode_ns: registry.counter("netqos_snmp_codec_decode_ns_total"),
             decode_errors: registry.counter("netqos_snmp_codec_decode_errors_total"),
         }
     })

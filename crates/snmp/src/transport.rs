@@ -75,6 +75,9 @@ pub struct UdpTransport {
     timeout: Duration,
     retries: u32,
     telemetry: crate::telemetry::TransportTelemetry,
+    /// Receive buffer, one maximum-size datagram, reused by every
+    /// exchange.
+    recv_buf: Vec<u8>,
 }
 
 impl UdpTransport {
@@ -101,6 +104,7 @@ impl UdpTransport {
             timeout: Duration::from_secs(1),
             retries: 2,
             telemetry: crate::telemetry::TransportTelemetry::global(),
+            recv_buf: vec![0u8; 65_535],
         })
     }
 
@@ -131,7 +135,6 @@ impl Transport for UdpTransport {
         self.socket
             .set_read_timeout(Some(self.timeout))
             .map_err(|e| SnmpError::Transport(e.to_string()))?;
-        let mut buf = vec![0u8; 65_535];
         let mut last_err = String::from("no attempt made");
         for attempt in 0..=self.retries {
             if attempt > 0 {
@@ -140,8 +143,8 @@ impl Transport for UdpTransport {
             self.socket
                 .send(request)
                 .map_err(|e| SnmpError::Transport(e.to_string()))?;
-            match self.socket.recv(&mut buf) {
-                Ok(n) => return Ok(buf[..n].to_vec()),
+            match self.socket.recv(&mut self.recv_buf) {
+                Ok(n) => return Ok(self.recv_buf[..n].to_vec()),
                 Err(e) => {
                     self.telemetry.timeouts.inc();
                     last_err = e.to_string();

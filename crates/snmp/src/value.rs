@@ -17,8 +17,10 @@ pub enum SnmpValue {
     OctetString(Vec<u8>),
     /// ASN.1 NULL — the placeholder value in requests.
     Null,
-    /// ASN.1 OBJECT IDENTIFIER.
-    Oid(Oid),
+    /// ASN.1 OBJECT IDENTIFIER. Boxed so a value stays 32 bytes: every
+    /// MIB entry and every variable binding holds one, while OID-valued
+    /// objects (`sysObjectID`) are rare.
+    Oid(Box<Oid>),
     /// RFC 1155 IpAddress: 4 octets, network byte order.
     IpAddress([u8; 4]),
     /// RFC 1155 Counter: wraps modulo 2^32 (e.g. `ifInOctets`).
@@ -42,6 +44,11 @@ impl SnmpValue {
     /// Builds an `OctetString` from text.
     pub fn text(s: &str) -> Self {
         SnmpValue::OctetString(s.as_bytes().to_vec())
+    }
+
+    /// Builds an `Oid` value.
+    pub fn oid(oid: Oid) -> Self {
+        SnmpValue::Oid(Box::new(oid))
     }
 
     /// The value as an unsigned 32-bit quantity, if it is one of the
@@ -99,6 +106,77 @@ impl SnmpValue {
             self,
             SnmpValue::NoSuchObject | SnmpValue::NoSuchInstance | SnmpValue::EndOfMibView
         )
+    }
+}
+
+/// A borrowed [`SnmpValue`]: scalars by value, octets and OIDs by
+/// reference. A [`MibView`](crate::mib::MibView) lends these, so an agent
+/// answers from a stored MIB or from live counters without cloning a
+/// value it is only going to encode.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ValueRef<'a> {
+    /// See [`SnmpValue::Integer`].
+    Integer(i64),
+    /// See [`SnmpValue::OctetString`].
+    OctetString(&'a [u8]),
+    /// See [`SnmpValue::Null`].
+    Null,
+    /// See [`SnmpValue::Oid`].
+    Oid(&'a Oid),
+    /// See [`SnmpValue::IpAddress`].
+    IpAddress([u8; 4]),
+    /// See [`SnmpValue::Counter32`].
+    Counter32(u32),
+    /// See [`SnmpValue::Gauge32`].
+    Gauge32(u32),
+    /// See [`SnmpValue::TimeTicks`].
+    TimeTicks(u32),
+    /// See [`SnmpValue::Opaque`].
+    Opaque(&'a [u8]),
+    /// See [`SnmpValue::NoSuchObject`].
+    NoSuchObject,
+    /// See [`SnmpValue::NoSuchInstance`].
+    NoSuchInstance,
+    /// See [`SnmpValue::EndOfMibView`].
+    EndOfMibView,
+}
+
+impl<'a> From<&'a SnmpValue> for ValueRef<'a> {
+    fn from(value: &'a SnmpValue) -> Self {
+        match value {
+            SnmpValue::Integer(v) => ValueRef::Integer(*v),
+            SnmpValue::OctetString(b) => ValueRef::OctetString(b),
+            SnmpValue::Null => ValueRef::Null,
+            SnmpValue::Oid(oid) => ValueRef::Oid(oid),
+            SnmpValue::IpAddress(a) => ValueRef::IpAddress(*a),
+            SnmpValue::Counter32(v) => ValueRef::Counter32(*v),
+            SnmpValue::Gauge32(v) => ValueRef::Gauge32(*v),
+            SnmpValue::TimeTicks(v) => ValueRef::TimeTicks(*v),
+            SnmpValue::Opaque(b) => ValueRef::Opaque(b),
+            SnmpValue::NoSuchObject => ValueRef::NoSuchObject,
+            SnmpValue::NoSuchInstance => ValueRef::NoSuchInstance,
+            SnmpValue::EndOfMibView => ValueRef::EndOfMibView,
+        }
+    }
+}
+
+impl ValueRef<'_> {
+    /// Copies the borrowed parts into an owned value.
+    pub fn to_value(self) -> SnmpValue {
+        match self {
+            ValueRef::Integer(v) => SnmpValue::Integer(v),
+            ValueRef::OctetString(b) => SnmpValue::OctetString(b.to_vec()),
+            ValueRef::Null => SnmpValue::Null,
+            ValueRef::Oid(oid) => SnmpValue::oid(oid.clone()),
+            ValueRef::IpAddress(a) => SnmpValue::IpAddress(a),
+            ValueRef::Counter32(v) => SnmpValue::Counter32(v),
+            ValueRef::Gauge32(v) => SnmpValue::Gauge32(v),
+            ValueRef::TimeTicks(v) => SnmpValue::TimeTicks(v),
+            ValueRef::Opaque(b) => SnmpValue::Opaque(b.to_vec()),
+            ValueRef::NoSuchObject => SnmpValue::NoSuchObject,
+            ValueRef::NoSuchInstance => SnmpValue::NoSuchInstance,
+            ValueRef::EndOfMibView => SnmpValue::EndOfMibView,
+        }
     }
 }
 

@@ -1,71 +1,90 @@
 //! Property-based tests for the SNMP codec layers: round-trip identities
 //! and decoder robustness against arbitrary bytes.
 
+mod strategies;
+
 use netqos_snmp::ber::{self, Reader};
 use netqos_snmp::message::{MessageBody, SnmpMessage, SnmpVersion};
-use netqos_snmp::oid::Oid;
-use netqos_snmp::pdu::{ErrorStatus, Pdu, PduType, TrapPdu, VarBind};
+use netqos_snmp::oid::{Oid, INLINE_ARCS};
+use netqos_snmp::pdu::TrapPdu;
 use netqos_snmp::value::SnmpValue;
 use proptest::prelude::*;
+use std::collections::hash_map::DefaultHasher;
+use std::hash::{Hash, Hasher};
+use strategies::{arb_arc, arb_oid, arb_pdu, arb_value, arb_varbind};
 
-/// Arbitrary BER-encodable OID: first arc 0..=2, second constrained, then
-/// up to 10 free arcs.
-fn arb_oid() -> impl Strategy<Value = Oid> {
-    (
-        0u32..=2,
-        0u32..40,
-        prop::collection::vec(any::<u32>(), 0..10),
-    )
-        .prop_map(|(first, second, rest)| {
-            let mut arcs = vec![first, second];
-            arcs.extend(rest);
-            Oid::new(arcs)
-        })
+/// Two arc sequences on either side of the inline capacity that often
+/// share a prefix, so prefix tests and near-equal comparisons occur.
+fn arb_arc_pair() -> impl Strategy<Value = (Vec<u32>, Vec<u32>)> {
+    let arcs = || prop::collection::vec(arb_arc(), 0..2 * INLINE_ARCS);
+    (arcs(), arcs(), 0..2 * INLINE_ARCS, any::<bool>()).prop_map(|(a, tail, keep, related)| {
+        if related {
+            let mut b = a[..keep.min(a.len())].to_vec();
+            b.extend(&tail[..tail.len().min(3)]);
+            (a, b)
+        } else {
+            (a, tail)
+        }
+    })
 }
 
-fn arb_value() -> impl Strategy<Value = SnmpValue> {
-    prop_oneof![
-        any::<i64>().prop_map(SnmpValue::Integer),
-        prop::collection::vec(any::<u8>(), 0..64).prop_map(SnmpValue::OctetString),
-        Just(SnmpValue::Null),
-        arb_oid().prop_map(SnmpValue::Oid),
-        any::<[u8; 4]>().prop_map(SnmpValue::IpAddress),
-        any::<u32>().prop_map(SnmpValue::Counter32),
-        any::<u32>().prop_map(SnmpValue::Gauge32),
-        any::<u32>().prop_map(SnmpValue::TimeTicks),
-        prop::collection::vec(any::<u8>(), 0..32).prop_map(SnmpValue::Opaque),
-    ]
-}
-
-fn arb_varbind() -> impl Strategy<Value = VarBind> {
-    (arb_oid(), arb_value()).prop_map(|(oid, value)| VarBind { oid, value })
-}
-
-fn arb_pdu() -> impl Strategy<Value = Pdu> {
-    (
-        prop::sample::select(vec![
-            PduType::GetRequest,
-            PduType::GetNextRequest,
-            PduType::GetResponse,
-            PduType::SetRequest,
-        ]),
-        any::<i32>(),
-        0i64..6,
-        0u32..10,
-        prop::collection::vec(arb_varbind(), 0..8),
-    )
-        .prop_map(
-            |(pdu_type, request_id, status, error_index, bindings)| Pdu {
-                pdu_type,
-                request_id,
-                error_status: ErrorStatus::from_code(status),
-                error_index,
-                bindings,
-            },
-        )
+fn hash_of(value: &(impl Hash + ?Sized)) -> u64 {
+    let mut hasher = DefaultHasher::new();
+    value.hash(&mut hasher);
+    hasher.finish()
 }
 
 proptest! {
+    /// An OID behaves as its arc sequence whichever way it was built and
+    /// wherever the arcs are stored: at most `INLINE_ARCS` arcs live
+    /// inline, longer ones (BRIDGE-MIB forwarding-database instances have
+    /// 17) on the heap.
+    #[test]
+    fn oid_is_its_arcs_on_both_sides_of_the_inline_capacity(
+        (a, b) in arb_arc_pair(),
+        arc in arb_arc(),
+    ) {
+        let (oa, ob) = (Oid::new(a.clone()), Oid::new(b.clone()));
+        prop_assert_eq!(oa.arcs(), &a[..]);
+        prop_assert_eq!(oa.len(), a.len());
+        prop_assert_eq!(oa.is_empty(), a.is_empty());
+
+        // Every construction route yields the same OID.
+        let mut pushed = Oid::empty();
+        for &x in &a {
+            pushed.push(x);
+        }
+        let routes = [Oid::from(&a[..]), pushed, Oid::empty().extend(&a), oa.clone()];
+        for other in &routes {
+            prop_assert_eq!(other, &oa);
+            prop_assert_eq!(hash_of(other), hash_of(&oa));
+            prop_assert_eq!(other.cmp(&oa), std::cmp::Ordering::Equal);
+        }
+        if !a.is_empty() {
+            prop_assert_eq!(&oa.to_string().parse::<Oid>().unwrap(), &oa);
+        }
+
+        // Comparison, equality and hashing follow the arcs.
+        prop_assert_eq!(oa.cmp(&ob), a.cmp(&b));
+        prop_assert_eq!(oa == ob, a == b);
+        prop_assert_eq!(hash_of(&oa) == hash_of(&ob), a == b);
+        prop_assert_eq!(hash_of(&oa), hash_of(&a[..]));
+
+        let dotted: Vec<String> = a.iter().map(u32::to_string).collect();
+        prop_assert_eq!(oa.to_string(), dotted.join("."));
+
+        prop_assert_eq!(oa.starts_with(&ob), a.starts_with(&b));
+        prop_assert_eq!(oa.suffix_of(&ob), a.strip_prefix(&b[..]));
+
+        let mut with_arc = a.clone();
+        with_arc.push(arc);
+        prop_assert_eq!(oa.child(arc).arcs(), &with_arc[..]);
+        let joined = [&a[..], &b[..]].concat();
+        prop_assert_eq!(oa.extend(&b).arcs(), &joined[..]);
+        prop_assert!(oa.child(arc) > oa);
+        prop_assert!(oa.child(arc).starts_with(&oa));
+    }
+
     #[test]
     fn value_round_trip(v in arb_value()) {
         let enc = ber::encode_value(&v).unwrap();
@@ -171,9 +190,10 @@ proptest! {
 
         let mut mib = ScalarMib::new();
         for (oid, value) in &entries {
-            // Request-side placeholders cannot be response values in a
-            // walk comparison; replace Null with an Integer marker.
-            let v = if matches!(value, SnmpValue::Null) {
+            // Request-side placeholders and the end-of-walk marker
+            // cannot be response values in a walk comparison; replace
+            // them with an Integer marker.
+            let v = if matches!(value, SnmpValue::Null) || value.is_exception() {
                 SnmpValue::Integer(0)
             } else {
                 value.clone()
