@@ -585,10 +585,10 @@ impl MonitoringService {
             return None;
         }
         let store = self.lts.as_mut()?;
-        let reader = LtsReader::open(store.dir());
         // Evaluate at the newest stored instant, not the wall clock:
         // derived points then line up with the data they summarize.
-        let t = reader.newest_t()?;
+        let t = store.newest_t()?;
+        let reader = LtsReader::open(store.dir());
         let engine = QueryEngine::new().with_source(None, Arc::new(LtsSource::new(reader)));
         let mut span = self.tracer.span("record.rules", "evaluate");
         let report = netqos_telemetry::evaluate_record_rules(

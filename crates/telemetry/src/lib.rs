@@ -60,12 +60,13 @@ pub use flight::{
 pub use http::{http_get, EventSource, HttpRequest, HttpResponse, HttpRoute, HttpServer, Router};
 pub use json::{parse_json, JsonError, JsonValue};
 pub use lts::{
-    compact_store, compact_store_to, decode_segment_v2, decode_segment_v2_header, downsample,
-    encode_segment_v2, fold_series_range, hist_delta, json_escape, migrate_store, parse_range,
-    report_flush, selector_matches, store_stats, verify_store, CompactReport, FlushReport,
-    LtsConfig, LtsCounters, LtsReader, LtsRetention, LtsStore, MigrateReport, Point, PointValue,
-    RangeFold, RegistrySampler, Resolution, ResolutionStat, RetentionDeletion, SegmentCodec,
-    SegmentHeader, SegmentStat, SegmentStats, SeriesInfo, SeriesKind, StoreStats, VerifyReport,
+    compact_store, compact_store_to, decode_point_line, decode_segment_v2,
+    decode_segment_v2_header, downsample, encode_point_line, encode_segment_v2, fold_series_range,
+    hist_delta, json_escape, migrate_store, parse_range, report_flush, selector_matches,
+    store_stats, verify_store, CompactReport, FlushReport, LtsConfig, LtsCounters, LtsReader,
+    LtsRetention, LtsStore, MigrateReport, Point, PointValue, RangeFold, RegistrySampler,
+    Resolution, ResolutionStat, RetentionDeletion, SegmentCodec, SegmentHeader, SegmentStat,
+    SegmentStats, SeriesInfo, SeriesKind, StoreStats, VerifyReport,
 };
 pub use metrics::{
     Counter, Gauge, Histogram, HistogramState, HistogramSummary, HistogramTimer, BUCKETS,
@@ -76,7 +77,7 @@ pub use promql::{
     api_query_outcome, api_query_response, check_query, fmt_value, parse_duration,
     parse_series_name, query_error_json, resolution_for_step, wants_stats, LtsSource, MatrixSeries,
     PromSeries, QueryEngine, QueryOutcome, QueryResult, QueryStats, RegistrySource, Sample,
-    SeriesSource, LOOKBACK_FLOOR_SECS, MAX_RANGE_STEPS,
+    SeriesFilter, SeriesSource, LOOKBACK_FLOOR_SECS, MAX_RANGE_STEPS,
 };
 pub use push::{
     parse_push_url, parse_webhook_url, OtlpPusher, PushConfig, PushCounters, PushTarget,

@@ -25,7 +25,8 @@
 //! [`encode_segment_v2`]). The open tail stays JSONL regardless of the
 //! configured codec — line-oriented appends keep the
 //! truncate-on-torn-line crash recovery — and is transcoded at seal
-//! time. [`migrate_store`] converts sealed segments between codecs with
+//! time. One codec reads and writes every JSONL line
+//! ([`encode_point_line`], [`decode_point_line`]). [`migrate_store`] converts sealed segments between codecs with
 //! the same tmp-file-plus-rename discipline, and the byte-identical
 //! query guarantee holds across a migration.
 //!
@@ -52,6 +53,10 @@
 //! (sort by time, first write wins), so the same store yields
 //! byte-identical JSON before and after a restart or a compaction.
 
+mod line;
+
+pub use line::{decode_point_line, encode_point_line};
+
 use crate::events::{EventSink, FieldValue, Level};
 use crate::json::parse_json;
 use crate::metrics::{bucket_high, bucket_low};
@@ -59,7 +64,7 @@ use crate::{Counter, Gauge, Histogram, HistogramState, Registry};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::fs::{self, File, OpenOptions};
-use std::io::{self, Read, Write};
+use std::io::{self, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 
 /// Storage resolutions, coarsest-last. Raw points land in `1s`; the
@@ -205,8 +210,8 @@ impl Default for LtsRetention {
 
 /// Sealed-segment encoding. The open tail is always JSONL; this picks
 /// what a tail is transcoded into when it seals (and what
-/// [`compact_store_to`] / [`migrate_store`] write).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// [`compact_store_to`] / [`migrate_store`] write). Ordered by version.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum SegmentCodec {
     /// Codec v1: one JSON document per line, `.seg` extension.
     Jsonl,
@@ -321,13 +326,38 @@ pub struct FlushReport {
     pub deleted: Vec<RetentionDeletion>,
 }
 
+/// One sealed segment the writer knows to be on disk; its file name
+/// follows from the range and the codec. Ordered as retention deletes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+struct SealedSegment {
+    last: u64,
+    first: u64,
+    codec: SegmentCodec,
+    bytes: u64,
+}
+
+impl SealedSegment {
+    fn of(f: &SegmentFile) -> SealedSegment {
+        SealedSegment {
+            last: f.last,
+            first: f.first,
+            codec: f.codec,
+            bytes: f.bytes,
+        }
+    }
+
+    fn file_name(&self) -> String {
+        segment_file_name(self.first, self.last, self.codec)
+    }
+}
+
 struct SeriesState {
     name: String,
     kind: SeriesKind,
     slug: String,
     /// Raw points appended since the last flush.
     buf: Vec<Point>,
-    /// Newest point time per resolution (persisted or buffered).
+    /// Newest persisted point time per resolution.
     last_t: [Option<u64>; 3],
     /// Points in the open tail per resolution.
     open_len: [usize; 3],
@@ -344,17 +374,95 @@ struct SeriesState {
     pending: [Vec<Point>; 2],
     /// Needs a `series.idx` line on next flush.
     new_to_index: bool,
+    /// `DIR/<res>/<slug>/open.seg` per resolution; its parent is the
+    /// series directory.
+    open_path: [PathBuf; 3],
+    /// Size of the open tail per resolution, `None` while there is no
+    /// tail file.
+    open_bytes: [Option<u64>; 3],
+    /// The catalog: every sealed segment per resolution, in retention
+    /// order (oldest `last` first).
+    sealed: [Vec<SealedSegment>; 3],
+}
+
+impl SeriesState {
+    fn new(root: &Path, name: String, kind: SeriesKind, slug: String, new_to_index: bool) -> Self {
+        let open_path = Resolution::ALL.map(|res| {
+            let mut p = root.join(res.dir_name());
+            p.push(&slug);
+            p.push("open.seg");
+            p
+        });
+        SeriesState {
+            name,
+            kind,
+            slug,
+            buf: Vec::new(),
+            last_t: [None; 3],
+            open_len: [0; 3],
+            open_first: [None; 3],
+            open_pts: [Vec::new(), Vec::new(), Vec::new()],
+            pending: [Vec::new(), Vec::new()],
+            new_to_index,
+            open_path,
+            open_bytes: [None; 3],
+            sealed: [Vec::new(), Vec::new(), Vec::new()],
+        }
+    }
+
+    fn series_dir(&self, res: Resolution) -> &Path {
+        dir_of(&self.open_path[res.index()])
+    }
+
+    /// Rebuilds the catalog and the tail sizes from the series'
+    /// directories; returns what the scan found, per resolution.
+    fn scan_disk(&mut self) -> io::Result<[Vec<SegmentFile>; 3]> {
+        let mut found = [Vec::new(), Vec::new(), Vec::new()];
+        for res in Resolution::ALL {
+            let ri = res.index();
+            found[ri] = segment_files(self.series_dir(res))?;
+            self.sealed[ri] = found[ri].iter().map(SealedSegment::of).collect();
+            self.sealed[ri].sort_unstable();
+            self.open_bytes[ri] = fs::metadata(&self.open_path[ri]).ok().map(|m| m.len());
+        }
+        Ok(found)
+    }
+
+    fn accept(&mut self, counters: &LtsCounters, t: u64, value: PointValue) {
+        let newest = self.buf.last().map(|p| p.t).or(self.last_t[0]);
+        if self.kind != value.kind() || newest.is_some_and(|n| t <= n) {
+            counters.dropped.inc();
+            return;
+        }
+        self.buf.push(Point { t, value });
+        counters.appends.inc();
+    }
 }
 
 /// The writable store. Single-writer by design: the monitor owns one
 /// `LtsStore` and flushes on its baseline-save cadence; readers go
 /// through [`LtsReader`], which never touches writer state.
+///
+/// The writer keeps a catalog of what it has on disk — every sealed
+/// segment's range and size, each open tail's size, the index's size —
+/// built by the directory scan in [`LtsStore::open`] and kept current
+/// where the writer seals, deletes and compacts, so a flush learns
+/// nothing from the file system. That is sound because nothing else may
+/// change a store a writer has open: a second writer, [`compact_store`]
+/// or [`migrate_store`] against a live store were never supported.
+/// Directories `series.idx` does not name are invisible to the writer
+/// ([`verify_store`] reports them).
 pub struct LtsStore {
     dir: PathBuf,
+    index_path: PathBuf,
+    /// Size of `series.idx`.
+    index_bytes: u64,
     config: LtsConfig,
     counters: LtsCounters,
     series: BTreeMap<String, SeriesState>,
     warnings: Vec<String>,
+    /// The lines of one write, reused by every write.
+    line_buf: String,
 }
 
 impl LtsStore {
@@ -372,16 +480,18 @@ impl LtsStore {
             fs::create_dir_all(dir.join(res.dir_name()))?;
         }
         let mut store = LtsStore {
+            index_path: dir.join("series.idx"),
+            index_bytes: 0,
             dir,
             config,
             counters,
             series: BTreeMap::new(),
             warnings: Vec::new(),
+            line_buf: String::new(),
         };
         store.load_index()?;
-        let names: Vec<String> = store.series.keys().cloned().collect();
-        for name in names {
-            store.recover_series(&name)?;
+        for s in store.series.values_mut() {
+            recover_series(s, &mut store.warnings)?;
         }
         store.update_disk_gauges();
         Ok(store)
@@ -397,13 +507,19 @@ impl LtsStore {
         std::mem::take(&mut self.warnings)
     }
 
+    /// Newest flushed raw-resolution point time across every series —
+    /// what [`LtsReader::newest_t`] reads off the disk, from memory.
+    pub fn newest_t(&self) -> Option<u64> {
+        self.series.values().filter_map(|s| s.last_t[0]).max()
+    }
+
     fn load_index(&mut self) -> io::Result<()> {
-        let idx = self.dir.join("series.idx");
-        let text = match fs::read_to_string(&idx) {
+        let text = match fs::read_to_string(&self.index_path) {
             Ok(t) => t,
             Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(()),
             Err(e) => return Err(e),
         };
+        self.index_bytes = text.len() as u64;
         let mut good = 0usize;
         for line in text.lines() {
             if line.trim().is_empty() {
@@ -413,94 +529,21 @@ impl LtsStore {
             match parse_index_line(line) {
                 Some((slug, name, kind)) => {
                     good += line.len() + 1;
-                    self.series
-                        .entry(name.clone())
-                        .or_insert_with(|| SeriesState {
-                            name,
-                            kind,
-                            slug,
-                            buf: Vec::new(),
-                            last_t: [None; 3],
-                            open_len: [0; 3],
-                            open_first: [None; 3],
-                            open_pts: [Vec::new(), Vec::new(), Vec::new()],
-                            pending: [Vec::new(), Vec::new()],
-                            new_to_index: false,
-                        });
+                    if !self.series.contains_key(&name) {
+                        let state = SeriesState::new(&self.dir, name.clone(), kind, slug, false);
+                        self.series.insert(name, state);
+                    }
                 }
                 None => {
                     // Torn or foreign tail: keep the good prefix only.
                     self.warnings.push(format!(
                         "series.idx: unparseable line at byte {good}; truncating index tail"
                     ));
-                    truncate_file(&idx, good as u64)?;
+                    truncate_file(&self.index_path, good as u64)?;
+                    self.index_bytes = good as u64;
                     break;
                 }
             }
-        }
-        Ok(())
-    }
-
-    fn recover_series(&mut self, name: &str) -> io::Result<()> {
-        // One mutable borrow per series: destructure so the series map,
-        // the root dir, and the warnings queue are disjoint borrows.
-        let LtsStore {
-            dir,
-            series,
-            warnings,
-            ..
-        } = self;
-        let Some(s) = series.get_mut(name) else {
-            return Ok(());
-        };
-        for res in Resolution::ALL {
-            let sdir = dir.join(res.dir_name()).join(&s.slug);
-            let sealed_last = segment_files(&sdir)?.iter().map(|x| x.last).max();
-            let mut last = sealed_last;
-            let open = sdir.join("open.seg");
-            if open.exists() {
-                let (pts, warn) = read_segment_recovering(&open, s.kind)?;
-                if let Some(w) = warn {
-                    warnings.push(w);
-                }
-                let stale = matches!(
-                    (pts.last(), sealed_last),
-                    (Some(p), Some(sl)) if p.t <= sl
-                );
-                if stale {
-                    // Leftover of a crash between sealing the tail and
-                    // removing it (binary seals copy then delete): the
-                    // sealed segment already holds every point.
-                    fs::remove_file(&open)?;
-                    warnings.push(format!(
-                        "{}: stale open tail from interrupted seal; removed",
-                        open.display()
-                    ));
-                } else {
-                    s.open_len[res.index()] = pts.len();
-                    s.open_first[res.index()] = pts.first().map(|p| p.t);
-                    if let Some(p) = pts.last() {
-                        last = Some(last.map_or(p.t, |l: u64| l.max(p.t)));
-                    }
-                }
-            }
-            s.last_t[res.index()] = last;
-        }
-        // Rebuild the pending downsample buffers: every finer-resolution
-        // point past the last written window belongs to a window that
-        // has not been folded yet.
-        for (pi, (fine, coarse)) in [
-            (Resolution::Raw1s, Resolution::Min1),
-            (Resolution::Min1, Resolution::Hour1),
-        ]
-        .into_iter()
-        .enumerate()
-        {
-            let cutoff = match s.last_t[coarse.index()] {
-                Some(w) => w + coarse.window_secs(),
-                None => 0,
-            };
-            s.pending[pi] = read_series_points(dir, &s.slug, s.kind, fine, cutoff, u64::MAX);
         }
         Ok(())
     }
@@ -509,128 +552,57 @@ impl LtsStore {
     /// order per series and keep their first-seen kind; violations are
     /// counted in `netqos_lts_dropped_total` and discarded.
     pub fn append(&mut self, name: &str, t: u64, value: PointValue) {
-        let kind = value.kind();
-        let s = self
-            .series
+        if let Some(s) = self.series.get_mut(name) {
+            return s.accept(&self.counters, t, value);
+        }
+        let state = SeriesState::new(
+            &self.dir,
+            name.to_string(),
+            value.kind(),
+            slug_for(name),
+            true,
+        );
+        self.series
             .entry(name.to_string())
-            .or_insert_with(|| SeriesState {
-                name: name.to_string(),
-                kind,
-                slug: slug_for(name),
-                buf: Vec::new(),
-                last_t: [None; 3],
-                open_len: [0; 3],
-                open_first: [None; 3],
-                open_pts: [Vec::new(), Vec::new(), Vec::new()],
-                pending: [Vec::new(), Vec::new()],
-                new_to_index: true,
-            });
-        if s.kind != kind {
-            self.counters.dropped.inc();
-            return;
-        }
-        let newest = s.buf.last().map(|p| p.t).or(s.last_t[0]);
-        if newest.is_some_and(|n| t <= n) {
-            self.counters.dropped.inc();
-            return;
-        }
-        s.buf.push(Point { t, value });
-        self.counters.appends.inc();
+            .or_insert(state)
+            .accept(&self.counters, t, value);
     }
 
     /// Writes buffered points to disk, folds completed `1m`/`1h`
     /// windows, seals oversized tails, and enforces retention.
     pub fn flush(&mut self) -> io::Result<FlushReport> {
         let mut report = FlushReport::default();
-        let names: Vec<String> = self
-            .series
-            .iter()
-            .filter(|(_, s)| {
-                s.new_to_index
-                    || !s.buf.is_empty()
-                    || !s.pending[0].is_empty()
-                    || !s.pending[1].is_empty()
-            })
-            .map(|(n, _)| n.clone())
-            .collect();
-        for name in names {
-            self.flush_series(&name, &mut report)?;
+        let mut out = TailWriter {
+            config: &self.config,
+            line_buf: &mut self.line_buf,
+        };
+        for s in self.series.values_mut() {
+            if s.new_to_index {
+                let line = &mut *out.line_buf;
+                line.clear();
+                push_index_line(line, &s.slug, &s.name, s.kind);
+                let mut f = OpenOptions::new()
+                    .create(true)
+                    .append(true)
+                    .open(&self.index_path)?;
+                f.write_all(line.as_bytes())?;
+                self.index_bytes += line.len() as u64;
+                s.new_to_index = false;
+            }
+            if !s.buf.is_empty() || !s.pending[0].is_empty() || !s.pending[1].is_empty() {
+                flush_series(&mut out, s, &mut report)?;
+            }
         }
         report.deleted = self.enforce_retention()?;
         self.update_disk_gauges();
         Ok(report)
     }
 
-    fn flush_series(&mut self, name: &str, report: &mut FlushReport) -> io::Result<()> {
-        // One mutable borrow per series per flush (not one per step):
-        // destructure so `s` coexists with the dir and config borrows.
-        let LtsStore {
-            dir,
-            config,
-            series,
-            ..
-        } = self;
-        let Some(s) = series.get_mut(name) else {
-            return Ok(());
-        };
-        if s.new_to_index {
-            let line = format!(
-                "{{\"slug\":\"{}\",\"name\":{},\"kind\":\"{}\"}}\n",
-                s.slug,
-                json_escape(&s.name),
-                s.kind.as_str()
-            );
-            let mut f = OpenOptions::new()
-                .create(true)
-                .append(true)
-                .open(dir.join("series.idx"))?;
-            f.write_all(line.as_bytes())?;
-            s.new_to_index = false;
-        }
-
-        let buf = std::mem::take(&mut s.buf);
-        if !buf.is_empty() {
-            report.points_written += buf.len() as u64;
-            report.segments_sealed += write_points(dir, config, s, Resolution::Raw1s, &buf)?;
-            s.last_t[0] = buf.last().map(|p| p.t).or(s.last_t[0]);
-            s.pending[0].extend(buf);
-        }
-
-        // Fold completed windows, finest resolution first so a fresh
-        // `1m` point can immediately complete an `1h` window.
-        for (pi, coarse) in [Resolution::Min1, Resolution::Hour1]
-            .into_iter()
-            .enumerate()
-        {
-            let window = coarse.window_secs();
-            // The clock that closes windows is the newest point of the
-            // finer resolution.
-            let Some(newest) = s.last_t[pi] else { continue };
-            let mut produced: Vec<Point> = Vec::new();
-            while let Some(first) = s.pending[pi].first() {
-                let w = (first.t / window) * window;
-                if newest < w + window {
-                    break;
-                }
-                let split = s.pending[pi].partition_point(|p| p.t < w + window);
-                let consumed: Vec<Point> = s.pending[pi].drain(..split).collect();
-                if let Some(v) = downsample(s.kind, &consumed) {
-                    produced.push(Point { t: w, value: v });
-                }
-            }
-            if produced.is_empty() {
-                continue;
-            }
-            report.downsampled += produced.len() as u64;
-            report.segments_sealed += write_points(dir, config, s, coarse, &produced)?;
-            s.last_t[coarse.index()] = produced.last().map(|p| p.t).or(s.last_t[coarse.index()]);
-            if coarse == Resolution::Min1 {
-                s.pending[1].extend(produced);
-            }
-        }
-        Ok(())
-    }
-
+    /// Deletes sealed segments past the age bound, then the oldest
+    /// survivors while the store is over its size budget. The order is
+    /// total and depends only on what was appended: ascending
+    /// `(last, resolution, series name, first)`, a JSONL segment before
+    /// a binary one of the same range.
     fn enforce_retention(&mut self) -> io::Result<Vec<RetentionDeletion>> {
         let ret = self.config.retention;
         let mut deleted = Vec::new();
@@ -643,58 +615,50 @@ impl LtsStore {
             .flat_map(|s| s.last_t.iter().flatten().copied())
             .max()
             .unwrap_or(0);
-        // All sealed segments, oldest data first.
-        let mut segs: Vec<(PathBuf, u64, u64)> = Vec::new(); // (path, last_t, bytes)
-        let mut total_bytes = 0u64;
-        for res in Resolution::ALL {
-            let rdir = self.dir.join(res.dir_name());
-            for entry in fs::read_dir(&rdir)? {
-                let sdir = entry?.path();
-                if !sdir.is_dir() {
-                    continue;
-                }
-                for seg in segment_files(&sdir)? {
-                    total_bytes += seg.bytes;
-                    segs.push((seg.path, seg.last, seg.bytes));
-                }
-                let open = sdir.join("open.seg");
-                if let Ok(m) = fs::metadata(&open) {
-                    total_bytes += m.len();
-                }
-            }
-        }
-        total_bytes += fs::metadata(self.dir.join("series.idx"))
-            .map(|m| m.len())
-            .unwrap_or(0);
-        segs.sort_by_key(|&(_, last, _)| last);
-
-        let mut survivors = Vec::new();
-        for (path, last, bytes) in segs {
-            if ret.max_age_secs > 0 && newest.saturating_sub(last) > ret.max_age_secs {
-                fs::remove_file(&path)?;
-                total_bytes -= bytes;
-                deleted.push(RetentionDeletion {
-                    path: rel_path(&self.dir, &path),
-                    bytes,
-                    reason: "age",
-                });
-            } else {
-                survivors.push((path, bytes));
-            }
-        }
-        if ret.max_bytes > 0 {
-            for (path, bytes) in survivors {
-                if total_bytes <= ret.max_bytes {
+        let (_, mut total_bytes) = self.disk_usage();
+        loop {
+            // Every list is in retention order, so the next victim is
+            // the smallest head; the series' rank stands for its name.
+            let oldest = self
+                .series
+                .values()
+                .enumerate()
+                .flat_map(|(rank, s)| {
+                    Resolution::ALL
+                        .into_iter()
+                        .filter_map(move |res| Some((s.sealed[res.index()].first()?, res, rank)))
+                })
+                .min_by_key(|&(seg, res, rank)| (seg.last, res, rank, seg.first, seg.codec))
+                .map(|(seg, res, rank)| (*seg, res, rank));
+            let Some((seg, res, rank)) = oldest else {
+                break;
+            };
+            let reason =
+                if ret.max_age_secs > 0 && newest.saturating_sub(seg.last) > ret.max_age_secs {
+                    "age"
+                } else if ret.max_bytes > 0 && total_bytes > ret.max_bytes {
+                    "size"
+                } else {
                     break;
-                }
-                fs::remove_file(&path)?;
-                total_bytes -= bytes;
-                deleted.push(RetentionDeletion {
-                    path: rel_path(&self.dir, &path),
-                    bytes,
-                    reason: "size",
-                });
+                };
+            let s = self
+                .series
+                .values_mut()
+                .nth(rank)
+                .expect("rank came from this map");
+            let file = seg.file_name();
+            match fs::remove_file(s.series_dir(res).join(&file)) {
+                Ok(()) => deleted.push(RetentionDeletion {
+                    path: format!("{}/{}/{file}", res.dir_name(), s.slug),
+                    bytes: seg.bytes,
+                    reason,
+                }),
+                // Already gone: nothing to report, only to forget.
+                Err(e) if e.kind() == io::ErrorKind::NotFound => {}
+                Err(e) => return Err(e),
             }
+            s.sealed[res.index()].remove(0);
+            total_bytes -= seg.bytes;
         }
         Ok(deleted)
     }
@@ -702,99 +666,229 @@ impl LtsStore {
     /// In-process compaction: flushes buffered points, then rewrites
     /// every series/resolution as a single sealed segment (the
     /// [`compact_store`] pass) and resets the writer's open-tail state
-    /// to match — the open tails were folded into the sealed segment
-    /// and their files removed. Readers canonicalize, so answers are
-    /// byte-identical before and after; only the layout changes. This
-    /// is the safe form of [`compact_store`] for a store a writer has
-    /// open.
+    /// and catalog to match — the open tails were folded into the
+    /// sealed segment and their files removed. Readers canonicalize, so
+    /// answers are byte-identical before and after; only the layout
+    /// changes. This is the safe form of [`compact_store`] for a store a
+    /// writer has open.
     pub fn compact(&mut self) -> io::Result<CompactReport> {
         self.flush()?;
         let report = compact_store_to(&self.dir, self.config.codec)?;
+        self.index_bytes = fs::metadata(&self.index_path).map_or(0, |m| m.len());
         for s in self.series.values_mut() {
             s.open_len = [0; 3];
             s.open_first = [None; 3];
             s.open_pts = [Vec::new(), Vec::new(), Vec::new()];
+            s.scan_disk()?;
         }
         self.counters.compactions.inc();
         self.update_disk_gauges();
         Ok(report)
     }
 
-    fn update_disk_gauges(&self) {
-        let (mut segments, mut bytes) = (0i64, 0u64);
-        bytes += fs::metadata(self.dir.join("series.idx"))
-            .map(|m| m.len())
-            .unwrap_or(0);
-        for res in Resolution::ALL {
-            let rdir = self.dir.join(res.dir_name());
-            let Ok(entries) = fs::read_dir(&rdir) else {
-                continue;
-            };
-            for sdir in entries.flatten() {
-                let sdir = sdir.path();
-                let Ok(files) = fs::read_dir(&sdir) else {
-                    continue;
-                };
-                for f in files.flatten() {
-                    if f.path()
-                        .extension()
-                        .is_some_and(|e| e == "seg" || e == "bin")
-                    {
-                        segments += 1;
-                        bytes += f.metadata().map(|m| m.len()).unwrap_or(0);
-                    }
-                }
+    /// Segment files (sealed and open) and total bytes, index included,
+    /// by the catalog.
+    fn disk_usage(&self) -> (u64, u64) {
+        let (mut files, mut bytes) = (0u64, self.index_bytes);
+        for s in self.series.values() {
+            for ri in 0..3 {
+                files += s.sealed[ri].len() as u64 + u64::from(s.open_bytes[ri].is_some());
+                bytes += s.sealed[ri].iter().map(|seg| seg.bytes).sum::<u64>()
+                    + s.open_bytes[ri].unwrap_or(0);
             }
         }
-        self.counters.segments.set(segments);
+        (files, bytes)
+    }
+
+    fn update_disk_gauges(&self) {
+        let (files, bytes) = self.disk_usage();
+        self.counters
+            .segments
+            .set(files.min(i64::MAX as u64) as i64);
         self.counters
             .bytes_on_disk
             .set(bytes.min(i64::MAX as u64) as i64);
     }
 }
 
-/// Appends `pts` to `s`'s open tail at `res`, sealing the tail into the
-/// configured codec once it crosses the configured size. Returns
-/// segments sealed. Free function so [`LtsStore::flush_series`] can
-/// hold a single mutable borrow of the series state.
-fn write_points(
-    dir: &Path,
-    config: &LtsConfig,
+/// Brings one indexed series' state up from its directories on open:
+/// the catalog, the tails (a torn final line truncated away, a stale
+/// tail removed), the newest times and the pending downsample windows.
+fn recover_series(s: &mut SeriesState, warnings: &mut Vec<String>) -> io::Result<()> {
+    let found = s.scan_disk()?;
+    for res in Resolution::ALL {
+        let ri = res.index();
+        let sealed_last = found[ri].iter().map(|x| x.last).max();
+        let mut last = sealed_last;
+        let open = &s.open_path[ri];
+        if s.open_bytes[ri].is_some() {
+            let (pts, good_bytes, warn) = read_segment_recovering(open, s.kind)?;
+            if let Some(w) = warn {
+                warnings.push(w);
+            }
+            let stale = matches!(
+                (pts.last(), sealed_last),
+                (Some(p), Some(sl)) if p.t <= sl
+            );
+            if stale {
+                // Leftover of a crash between sealing the tail and
+                // removing it (binary seals copy then delete): the
+                // sealed segment already holds every point.
+                fs::remove_file(open)?;
+                s.open_bytes[ri] = None;
+                warnings.push(format!(
+                    "{}: stale open tail from interrupted seal; removed",
+                    open.display()
+                ));
+            } else {
+                s.open_bytes[ri] = Some(good_bytes);
+                s.open_len[ri] = pts.len();
+                s.open_first[ri] = pts.first().map(|p| p.t);
+                if let Some(p) = pts.last() {
+                    last = Some(last.map_or(p.t, |l: u64| l.max(p.t)));
+                }
+            }
+        }
+        s.last_t[ri] = last;
+    }
+    // Rebuild the pending downsample buffers: every finer-resolution
+    // point past the last written window belongs to a window that
+    // has not been folded yet.
+    for (pi, (fine, coarse)) in [
+        (Resolution::Raw1s, Resolution::Min1),
+        (Resolution::Min1, Resolution::Hour1),
+    ]
+    .into_iter()
+    .enumerate()
+    {
+        let cutoff = match s.last_t[coarse.index()] {
+            Some(w) => w + coarse.window_secs(),
+            None => 0,
+        };
+        s.pending[pi] = read_points(
+            &found[fine.index()],
+            &s.open_path[fine.index()],
+            s.kind,
+            cutoff,
+            u64::MAX,
+        );
+    }
+    Ok(())
+}
+
+/// The series directory of a tail path (`DIR/<res>/<slug>/open.seg`).
+fn dir_of(open: &Path) -> &Path {
+    open.parent().expect("a tail path ends in <slug>/open.seg")
+}
+
+/// What writing a series' points needs from the store.
+struct TailWriter<'a> {
+    config: &'a LtsConfig,
+    line_buf: &'a mut String,
+}
+
+/// Writes one series' buffered points and every window they complete.
+fn flush_series(
+    out: &mut TailWriter<'_>,
     s: &mut SeriesState,
-    res: Resolution,
-    pts: &[Point],
-) -> io::Result<u64> {
-    let ri = res.index();
-    let sdir = dir.join(res.dir_name()).join(&s.slug);
-    fs::create_dir_all(&sdir)?;
-    let open = sdir.join("open.seg");
-    let mut f = OpenOptions::new().create(true).append(true).open(&open)?;
-    let mut body = String::new();
-    for p in pts {
-        body.push_str(&point_to_json(p));
-        body.push('\n');
+    report: &mut FlushReport,
+) -> io::Result<()> {
+    if !s.buf.is_empty() {
+        // Out and back in, so the buffer keeps its capacity.
+        let mut buf = std::mem::take(&mut s.buf);
+        report.points_written += buf.len() as u64;
+        report.segments_sealed += out.write_points(s, Resolution::Raw1s, &buf)?;
+        s.last_t[0] = buf.last().map(|p| p.t).or(s.last_t[0]);
+        s.pending[0].append(&mut buf);
+        s.buf = buf;
     }
-    f.write_all(body.as_bytes())?;
-    drop(f);
-    if s.open_first[ri].is_none() {
-        s.open_first[ri] = pts.first().map(|p| p.t);
+
+    // Fold completed windows, finest resolution first so a fresh
+    // `1m` point can immediately complete an `1h` window.
+    for (pi, coarse) in [Resolution::Min1, Resolution::Hour1]
+        .into_iter()
+        .enumerate()
+    {
+        let window = coarse.window_secs();
+        // The clock that closes windows is the newest point of the
+        // finer resolution.
+        let Some(newest) = s.last_t[pi] else { continue };
+        let mut produced: Vec<Point> = Vec::new();
+        while let Some(first) = s.pending[pi].first() {
+            let w = (first.t / window) * window;
+            if newest < w + window {
+                break;
+            }
+            let split = s.pending[pi].partition_point(|p| p.t < w + window);
+            if let Some(v) = downsample(s.kind, &s.pending[pi][..split]) {
+                produced.push(Point { t: w, value: v });
+            }
+            s.pending[pi].drain(..split);
+        }
+        if produced.is_empty() {
+            continue;
+        }
+        report.downsampled += produced.len() as u64;
+        report.segments_sealed += out.write_points(s, coarse, &produced)?;
+        s.last_t[coarse.index()] = produced.last().map(|p| p.t).or(s.last_t[coarse.index()]);
+        if coarse == Resolution::Min1 {
+            s.pending[1].extend(produced);
+        }
     }
-    if s.open_pts[ri].len() == s.open_len[ri] {
-        s.open_pts[ri].extend_from_slice(pts);
-    } else {
-        s.open_pts[ri].clear();
-    }
-    s.open_len[ri] += pts.len();
-    let mut sealed = 0;
-    if s.open_len[ri] >= config.seal_points {
-        match config.codec {
+    Ok(())
+}
+
+impl TailWriter<'_> {
+    /// Appends `pts` to `s`'s open tail at `res`, sealing the tail into
+    /// the configured codec once it crosses the configured size.
+    /// Returns segments sealed.
+    fn write_points(
+        &mut self,
+        s: &mut SeriesState,
+        res: Resolution,
+        pts: &[Point],
+    ) -> io::Result<u64> {
+        let ri = res.index();
+        self.line_buf.clear();
+        for p in pts {
+            encode_point_line(self.line_buf, p);
+            self.line_buf.push('\n');
+        }
+        let open = &s.open_path[ri];
+        let mut options = OpenOptions::new();
+        options.create(true).append(true);
+        let mut f = match options.open(open) {
+            // The series' first write at this resolution.
+            Err(e) if e.kind() == io::ErrorKind::NotFound => {
+                fs::create_dir_all(dir_of(open))?;
+                options.open(open)?
+            }
+            other => other?,
+        };
+        f.write_all(self.line_buf.as_bytes())?;
+        drop(f);
+        let tail_bytes = s.open_bytes[ri].unwrap_or(0) + self.line_buf.len() as u64;
+        s.open_bytes[ri] = Some(tail_bytes);
+        if s.open_first[ri].is_none() {
+            s.open_first[ri] = pts.first().map(|p| p.t);
+        }
+        if s.open_pts[ri].len() == s.open_len[ri] {
+            s.open_pts[ri].extend_from_slice(pts);
+        } else {
+            s.open_pts[ri].clear();
+        }
+        s.open_len[ri] += pts.len();
+        if s.open_len[ri] < self.config.seal_points {
+            return Ok(0);
+        }
+        let codec = self.config.codec;
+        let sdir = dir_of(open);
+        let sealed = match codec {
             SegmentCodec::Jsonl => {
                 let first = s.open_first[ri].unwrap_or(0);
                 let last = pts.last().map(|p| p.t).unwrap_or(first);
-                fs::rename(
-                    &open,
-                    sdir.join(segment_file_name(first, last, config.codec)),
-                )?;
+                fs::rename(open, sdir.join(segment_file_name(first, last, codec)))?;
+                (first, last, tail_bytes)
             }
             SegmentCodec::Binary => {
                 // The tail spans many flushes; encode it from the
@@ -806,27 +900,34 @@ fn write_points(
                 let tail = if s.open_pts[ri].len() == s.open_len[ri] {
                     std::mem::take(&mut s.open_pts[ri])
                 } else {
-                    read_segment_recovering(&open, s.kind)?.0
+                    read_segment_recovering(open, s.kind)?.0
                 };
                 let Some((first, last)) = tail.first().zip(tail.last()).map(|(a, b)| (a.t, b.t))
                 else {
                     return Ok(0);
                 };
+                let encoded = encode_segment_v2(s.kind, &tail);
                 let tmp = sdir.join("seal.tmp");
-                fs::write(&tmp, encode_segment_v2(s.kind, &tail))?;
-                fs::rename(
-                    &tmp,
-                    sdir.join(segment_file_name(first, last, config.codec)),
-                )?;
-                fs::remove_file(&open)?;
+                fs::write(&tmp, &encoded)?;
+                fs::rename(&tmp, sdir.join(segment_file_name(first, last, codec)))?;
+                fs::remove_file(open)?;
+                (first, last, encoded.len() as u64)
             }
-        }
+        };
+        let seg = SealedSegment {
+            last: sealed.1,
+            first: sealed.0,
+            codec,
+            bytes: sealed.2,
+        };
+        let at = s.sealed[ri].partition_point(|x| *x <= seg);
+        s.sealed[ri].insert(at, seg);
+        s.open_bytes[ri] = None;
         s.open_len[ri] = 0;
         s.open_first[ri] = None;
         s.open_pts[ri].clear();
-        sealed = 1;
+        Ok(1)
     }
-    Ok(sealed)
 }
 
 /// Folds one completed window of finer-resolution points into a single
@@ -997,23 +1098,17 @@ impl LtsReader {
 
     /// Newest raw-resolution point timestamp across every indexed
     /// series, reading only segment filenames (which encode their time
-    /// range) and open tails. `None` for an empty or missing store.
+    /// range) and the last line of each open tail. `None` for an empty
+    /// or missing store.
     pub fn newest_t(&self) -> Option<u64> {
-        let mut newest = None;
+        let mut newest: Option<u64> = None;
         for info in self.index() {
             let sdir = self.dir.join(Resolution::Raw1s.dir_name()).join(&info.slug);
-            if let Ok(segs) = segment_files(&sdir) {
-                if let Some(last) = segs.iter().map(|s| s.last).max() {
-                    newest = Some(newest.map_or(last, |n: u64| n.max(last)));
-                }
-            }
-            if let Ok(text) = fs::read_to_string(sdir.join("open.seg")) {
-                for line in text.lines() {
-                    if let Some(p) = point_from_json(line) {
-                        newest = Some(newest.map_or(p.t, |n: u64| n.max(p.t)));
-                    }
-                }
-            }
+            let sealed = segment_files(&sdir)
+                .ok()
+                .and_then(|segs| segs.iter().map(|s| s.last).max());
+            let tail = last_tail_point(&sdir.join("open.seg")).map(|p| p.t);
+            newest = newest.max(sealed).max(tail);
         }
         newest
     }
@@ -1267,7 +1362,7 @@ pub fn verify_store(dir: &Path) -> io::Result<VerifyReport> {
                 let mut first_t: Option<u64> = None;
                 let mut bad = false;
                 for (ln, line) in text.lines().enumerate() {
-                    match point_from_json(line) {
+                    match decode_point_line(line) {
                         Some(p) if p.value.kind() == info.kind => {
                             if last_t.is_some_and(|l| p.t <= l) {
                                 rep.issues.push(format!(
@@ -1378,13 +1473,7 @@ pub fn compact_store_to(dir: &Path, codec: SegmentCodec) -> io::Result<CompactRe
         let tmp = dir.join("series.idx.tmp");
         let mut body = String::new();
         for info in &index {
-            let _ = writeln!(
-                body,
-                "{{\"slug\":\"{}\",\"name\":{},\"kind\":\"{}\"}}",
-                info.slug,
-                json_escape(&info.name),
-                info.kind.as_str()
-            );
+            push_index_line(&mut body, &info.slug, &info.name, info.kind);
         }
         fs::write(&tmp, body)?;
         fs::rename(&tmp, dir.join("series.idx"))?;
@@ -1415,17 +1504,8 @@ pub fn compact_store_to(dir: &Path, codec: SegmentCodec) -> io::Result<CompactRe
             let dest = sdir.join(segment_file_name(pts[0].t, pts[pts.len() - 1].t, codec));
             let tmp = sdir.join("compact.tmp");
             match codec {
-                SegmentCodec::Jsonl => {
-                    let mut body = String::new();
-                    for p in &pts {
-                        body.push_str(&point_to_json(p));
-                        body.push('\n');
-                    }
-                    fs::write(&tmp, body)?;
-                }
-                SegmentCodec::Binary => {
-                    fs::write(&tmp, encode_segment_v2(info.kind, &pts))?;
-                }
+                SegmentCodec::Jsonl => fs::write(&tmp, encode_segment_v1(&pts))?,
+                SegmentCodec::Binary => fs::write(&tmp, encode_segment_v2(info.kind, &pts))?,
             }
             fs::rename(&tmp, &dest)?;
             for p in old {
@@ -1485,17 +1565,8 @@ pub fn migrate_store(dir: &Path, codec: SegmentCodec) -> io::Result<MigrateRepor
                 let dest = sdir.join(segment_file_name(first, last, codec));
                 let tmp = sdir.join("migrate.tmp");
                 match codec {
-                    SegmentCodec::Jsonl => {
-                        let mut body = String::new();
-                        for p in &pts {
-                            body.push_str(&point_to_json(p));
-                            body.push('\n');
-                        }
-                        fs::write(&tmp, body)?;
-                    }
-                    SegmentCodec::Binary => {
-                        fs::write(&tmp, encode_segment_v2(info.kind, &pts))?;
-                    }
+                    SegmentCodec::Jsonl => fs::write(&tmp, encode_segment_v1(&pts))?,
+                    SegmentCodec::Binary => fs::write(&tmp, encode_segment_v2(info.kind, &pts))?,
                 }
                 fs::rename(&tmp, &dest)?;
                 if dest != seg.path {
@@ -1631,7 +1702,7 @@ pub fn fold_series_range(
             if line.trim().is_empty() {
                 continue;
             }
-            let Some(p) = point_from_json(line) else {
+            let Some(p) = decode_point_line(line) else {
                 continue;
             };
             let PointValue::Counter(v) = p.value else {
@@ -1798,64 +1869,14 @@ pub fn report_flush(
 // On-disk encoding
 // ---------------------------------------------------------------------
 
-/// One point as a single JSON line. Histogram `min`/`max` are omitted
-/// for empty intervals so the `u64::MAX` "empty" sentinel never hits a
-/// float-backed JSON parser.
-fn point_to_json(p: &Point) -> String {
-    match &p.value {
-        PointValue::Counter(v) => format!("{{\"t\":{},\"kind\":\"counter\",\"v\":{}}}", p.t, v),
-        PointValue::Gauge(v) => format!("{{\"t\":{},\"kind\":\"gauge\",\"v\":{}}}", p.t, v),
-        PointValue::Histogram(h) => {
-            let mut out = format!(
-                "{{\"t\":{},\"kind\":\"histogram\",\"count\":{},\"sum\":{}",
-                p.t, h.count, h.sum
-            );
-            if h.count > 0 {
-                let _ = write!(out, ",\"min\":{},\"max\":{}", h.min, h.max);
-            }
-            out.push_str(",\"buckets\":[");
-            for (i, &(b, n)) in h.buckets.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                let _ = write!(out, "[{b},{n}]");
-            }
-            out.push_str("]}");
-            out
-        }
+/// `pts` as one JSONL (codec v1) segment: a tail line per point.
+fn encode_segment_v1(pts: &[Point]) -> String {
+    let mut body = String::new();
+    for p in pts {
+        encode_point_line(&mut body, p);
+        body.push('\n');
     }
-}
-
-fn point_from_json(line: &str) -> Option<Point> {
-    let v = parse_json(line).ok()?;
-    let t = v.get("t")?.as_u64()?;
-    let kind = SeriesKind::parse(v.get("kind")?.as_str()?)?;
-    let value = match kind {
-        SeriesKind::Counter => PointValue::Counter(v.get("v")?.as_u64()?),
-        SeriesKind::Gauge => {
-            let n = v.get("v")?.as_f64()?;
-            PointValue::Gauge(n.round() as i64)
-        }
-        SeriesKind::Histogram => {
-            let count = v.get("count")?.as_u64()?;
-            let mut buckets = Vec::new();
-            for b in v.get("buckets")?.as_array()? {
-                let pair = b.as_array()?;
-                if pair.len() != 2 {
-                    return None;
-                }
-                buckets.push((pair[0].as_u64()? as u32, pair[1].as_u64()?));
-            }
-            PointValue::Histogram(HistogramState {
-                buckets,
-                count,
-                sum: v.get("sum")?.as_u64()?,
-                min: v.get("min").and_then(|m| m.as_u64()).unwrap_or(u64::MAX),
-                max: v.get("max").and_then(|m| m.as_u64()).unwrap_or(0),
-            })
-        }
-    };
-    Some(Point { t, value })
+    body
 }
 
 // ---------------------------------------------------------------------
@@ -2158,6 +2179,16 @@ pub fn decode_segment_v2(buf: &[u8]) -> Result<(SegmentHeader, Vec<Point>), Stri
     Ok((header, pts))
 }
 
+/// Appends one `series.idx` line, newline included.
+fn push_index_line(out: &mut String, slug: &str, name: &str, kind: SeriesKind) {
+    let _ = writeln!(
+        out,
+        "{{\"slug\":\"{slug}\",\"name\":{},\"kind\":\"{}\"}}",
+        json_escape(name),
+        kind.as_str()
+    );
+}
+
 fn parse_index_line(line: &str) -> Option<(String, String, SeriesKind)> {
     let v = parse_json(line).ok()?;
     let slug = v.get("slug")?.as_str()?.to_string();
@@ -2253,8 +2284,8 @@ fn read_sealed_points(seg: &SegmentFile, kind: SeriesKind) -> Result<Vec<Point>,
                 if line.trim().is_empty() {
                     continue;
                 }
-                let p =
-                    point_from_json(line).ok_or_else(|| format!("line {}: unparseable", ln + 1))?;
+                let p = decode_point_line(line)
+                    .ok_or_else(|| format!("line {}: unparseable", ln + 1))?;
                 if p.value.kind() != kind {
                     return Err(format!("line {}: kind mismatch", ln + 1));
                 }
@@ -2278,11 +2309,12 @@ fn read_sealed_points(seg: &SegmentFile, kind: SeriesKind) -> Result<Vec<Point>,
 
 /// Reads one segment file leniently: a torn *final* line is truncated
 /// off the file and reported; a bad line mid-file stops the read there
-/// (everything after a corrupt line is untrusted).
+/// (everything after a corrupt line is untrusted). Returns the points,
+/// the file's length afterwards, and the report.
 fn read_segment_recovering(
     path: &Path,
     kind: SeriesKind,
-) -> io::Result<(Vec<Point>, Option<String>)> {
+) -> io::Result<(Vec<Point>, u64, Option<String>)> {
     let mut text = String::new();
     File::open(path)?.read_to_string(&mut text)?;
     let mut pts = Vec::new();
@@ -2294,7 +2326,7 @@ fn read_segment_recovering(
             good_bytes += line.len();
             continue;
         }
-        match point_from_json(trimmed) {
+        match decode_point_line(trimmed) {
             Some(p) if p.value.kind() == kind && line.ends_with('\n') => {
                 pts.push(p);
                 good_bytes += line.len();
@@ -2309,7 +2341,7 @@ fn read_segment_recovering(
             }
         }
     }
-    Ok((pts, warn))
+    Ok((pts, good_bytes as u64, warn))
 }
 
 /// Canonical read used by both the reader and the writer's recovery:
@@ -2326,6 +2358,19 @@ fn read_series_points(
     end: u64,
 ) -> Vec<Point> {
     let sdir = dir.join(res.dir_name()).join(slug);
+    let segs = segment_files(&sdir).unwrap_or_default();
+    read_points(&segs, &sdir.join("open.seg"), kind, start, end)
+}
+
+/// [`read_series_points`] over an already listed series directory:
+/// `segs` oldest-first, then the tail at `open`.
+fn read_points(
+    segs: &[SegmentFile],
+    open: &Path,
+    kind: SeriesKind,
+    start: u64,
+    end: u64,
+) -> Vec<Point> {
     let mut pts: Vec<Point> = Vec::new();
     let read_jsonl = |path: &Path, pts: &mut Vec<Point>| {
         let Ok(text) = fs::read_to_string(path) else {
@@ -2335,7 +2380,7 @@ fn read_series_points(
             if line.trim().is_empty() {
                 continue;
             }
-            let Some(p) = point_from_json(line) else {
+            let Some(p) = decode_point_line(line) else {
                 continue;
             };
             if p.value.kind() == kind && p.t >= start && p.t <= end {
@@ -2343,7 +2388,7 @@ fn read_series_points(
             }
         }
     };
-    for seg in segment_files(&sdir).unwrap_or_default() {
+    for seg in segs {
         // Whole segment out of range: skip without reading.
         if seg.last < start || seg.first > end {
             continue;
@@ -2364,13 +2409,39 @@ fn read_series_points(
             }
         }
     }
-    let open = sdir.join("open.seg");
-    if open.exists() {
-        read_jsonl(&open, &mut pts);
-    }
+    read_jsonl(open, &mut pts);
     pts.sort_by_key(|p| p.t);
     pts.dedup_by_key(|p| p.t);
     pts
+}
+
+/// The last point of a JSONL tail. A writer only ever appends newer
+/// points, so the last line that decodes holds the tail's newest time;
+/// torn or corrupt lines after it are passed over. Reads the end of the
+/// file, and the whole of it only when no line in that piece decodes.
+fn last_tail_point(path: &Path) -> Option<Point> {
+    const PIECE: u64 = 8 * 1024;
+    let last_in = |bytes: &[u8]| {
+        let text = std::str::from_utf8(bytes).ok()?;
+        text.lines().rev().find_map(decode_point_line)
+    };
+    let mut f = File::open(path).ok()?;
+    let len = f.metadata().ok()?.len();
+    let mut buf = Vec::new();
+    if len > PIECE {
+        f.seek(SeekFrom::Start(len - PIECE)).ok()?;
+        f.read_to_end(&mut buf).ok()?;
+        // The piece starts mid-line; whole lines start after the first
+        // newline (an ASCII byte, so what follows is a char boundary).
+        let whole = buf.iter().position(|&b| b == b'\n').map(|i| &buf[i + 1..]);
+        if let Some(found) = whole.and_then(last_in) {
+            return Some(found);
+        }
+        f.seek(SeekFrom::Start(0)).ok()?;
+        buf.clear();
+    }
+    f.read_to_end(&mut buf).ok()?;
+    last_in(&buf)
 }
 
 fn truncate_file(path: &Path, len: u64) -> io::Result<()> {
@@ -2454,8 +2525,9 @@ mod tests {
                 }),
             },
         ] {
-            let line = point_to_json(&p);
-            let back = point_from_json(&line).expect(&line);
+            let mut line = String::new();
+            encode_point_line(&mut line, &p);
+            let back = decode_point_line(&line).expect(&line);
             assert_eq!(back, p, "{line}");
         }
     }
@@ -2538,11 +2610,15 @@ mod tests {
         let d = hist_delta(Some(&b), &b);
         assert_eq!(d.count, 0);
         assert_eq!(d.min, u64::MAX);
-        assert!(point_from_json(&point_to_json(&Point {
-            t: 0,
-            value: PointValue::Histogram(d)
-        }))
-        .is_some());
+        let mut line = String::new();
+        encode_point_line(
+            &mut line,
+            &Point {
+                t: 0,
+                value: PointValue::Histogram(d),
+            },
+        );
+        assert!(decode_point_line(&line).is_some());
     }
 
     #[test]

@@ -32,14 +32,18 @@
 use crate::http::{HttpRequest, HttpResponse};
 use crate::lts::{
     downsample, fold_series_range, json_escape, selector_matches, LtsReader, Point, PointValue,
-    RangeFold,
+    RangeFold, SeriesInfo,
 };
 use crate::lts::{Resolution, SeriesKind};
 use crate::metrics::Histogram;
 use crate::Registry;
+use parking_lot::Mutex;
 use std::cell::RefCell;
 use std::fmt::Write as _;
+use std::fs;
+use std::path::PathBuf;
 use std::sync::Arc;
+use std::time::SystemTime;
 
 /// How far back an instant evaluation looks for the newest sample
 /// before declaring a series stale, floor value (seconds). The
@@ -871,12 +875,27 @@ pub struct PromSeries {
     pub fetch: Arc<dyn Fn(Resolution, u64, u64) -> Vec<Point> + Send + Sync>,
 }
 
+/// Decides from a series' base name and sorted labels whether a query
+/// wants it ([`SeriesSource::select`]).
+pub type SeriesFilter<'a> = dyn FnMut(&str, &[(String, String)]) -> bool + 'a;
+
 /// Anything the engine can evaluate over: enumerates its series or
 /// fails with a reason (which becomes a response warning, not a query
 /// failure, on multi-source engines).
 pub trait SeriesSource: Send + Sync {
     /// Every series this source can serve.
     fn series(&self) -> Result<Vec<PromSeries>, String>;
+
+    /// The series whose base name and sorted labels `want` accepts —
+    /// what a query asks a source for. The default filters
+    /// [`SeriesSource::series`]; a source that keeps its catalogue
+    /// matches against that first, so a series no selector names is
+    /// never built.
+    fn select(&self, want: &mut SeriesFilter<'_>) -> Result<Vec<PromSeries>, String> {
+        let mut all = self.series()?;
+        all.retain(|s| want(&s.base, &s.labels));
+        Ok(all)
+    }
 
     /// Newest point timestamp across the source, if cheaply known —
     /// used as the default evaluation time for instant queries.
@@ -900,42 +919,92 @@ pub trait SeriesSource: Send + Sync {
     }
 }
 
-/// A [`SeriesSource`] over a long-term store directory.
+/// A [`SeriesSource`] over a long-term store directory. Keeps the
+/// parsed `series.idx` across queries: the file only ever changes by
+/// growing a line (a new series), shrinking (recovery truncating a torn
+/// tail) or being rewritten by a compaction, and each of those moves
+/// its length or its modification time, which every query checks.
 pub struct LtsSource {
-    reader: LtsReader,
+    reader: Arc<LtsReader>,
+    index_path: PathBuf,
+    index: Mutex<CachedIndex>,
+}
+
+/// One `series.idx` entry with its name already split into base and
+/// sorted labels.
+struct IndexedSeries {
+    info: SeriesInfo,
+    base: String,
+    labels: Vec<(String, String)>,
+}
+
+#[derive(Default)]
+struct CachedIndex {
+    /// Length and modification time of `series.idx` when `entries` was
+    /// read; `None` while the file is missing.
+    stamp: Option<(u64, Option<SystemTime>)>,
+    entries: Arc<[Arc<IndexedSeries>]>,
 }
 
 impl LtsSource {
     /// A source reading `reader`'s store.
     pub fn new(reader: LtsReader) -> LtsSource {
-        LtsSource { reader }
+        LtsSource {
+            index_path: reader.dir().join("series.idx"),
+            reader: Arc::new(reader),
+            index: Mutex::new(CachedIndex::default()),
+        }
     }
-}
 
-impl SeriesSource for LtsSource {
-    fn series(&self) -> Result<Vec<PromSeries>, String> {
-        if !self.reader.dir().is_dir() {
+    /// The index as of now, re-read only when the file has changed.
+    fn entries(&self) -> Result<Arc<[Arc<IndexedSeries>]>, String> {
+        // Stamp before reading: a line added in between makes the next
+        // query read again, never this one's result stick.
+        let stamp = fs::metadata(&self.index_path)
+            .ok()
+            .map(|m| (m.len(), m.modified().ok()));
+        if stamp.is_none() && !self.reader.dir().is_dir() {
             return Err(format!(
                 "no long-term store at {}",
                 self.reader.dir().display()
             ));
         }
+        let mut cached = self.index.lock();
+        if cached.stamp != stamp {
+            cached.entries = self
+                .reader
+                .index()
+                .into_iter()
+                .map(|info| {
+                    let (base, labels) = parse_series_name(&info.name);
+                    Arc::new(IndexedSeries { info, base, labels })
+                })
+                .collect();
+            cached.stamp = stamp;
+        }
+        Ok(cached.entries.clone())
+    }
+}
+
+impl SeriesSource for LtsSource {
+    fn series(&self) -> Result<Vec<PromSeries>, String> {
+        self.select(&mut |_, _| true)
+    }
+
+    fn select(&self, want: &mut SeriesFilter<'_>) -> Result<Vec<PromSeries>, String> {
         Ok(self
-            .reader
-            .index()
-            .into_iter()
-            .map(|info| {
-                let (base, labels) = parse_series_name(&info.name);
-                let reader = self.reader.clone();
-                let kind = info.kind;
-                let key = info.slug.clone();
+            .entries()?
+            .iter()
+            .filter(|e| want(&e.base, &e.labels))
+            .map(|e| {
+                let (reader, entry) = (self.reader.clone(), e.clone());
                 PromSeries {
-                    base,
-                    labels,
-                    kind,
-                    key,
+                    base: e.base.clone(),
+                    labels: e.labels.clone(),
+                    kind: e.info.kind,
+                    key: e.info.slug.clone(),
                     fetch: Arc::new(move |res, start, end| {
-                        reader.series_points(&info, res, start, end)
+                        reader.series_points(&entry.info, res, start, end)
                     }),
                 }
             })
@@ -1168,7 +1237,14 @@ impl QueryEngine {
         let mut warnings = self.extra_warnings.clone();
         let mut series = Vec::new();
         for (shard, source) in &self.sources {
-            let metas = match source.series() {
+            let selected = source.select(&mut |base, labels| match shard {
+                None => selectors.iter().any(|sel| sel_matches(sel, base, labels)),
+                Some(name) => {
+                    let labels = shard_labels(labels.to_vec(), name);
+                    selectors.iter().any(|sel| sel_matches(sel, base, &labels))
+                }
+            });
+            let metas = match selected {
                 Ok(m) => m,
                 Err(e) => {
                     warnings.push(match shard {
@@ -1179,21 +1255,12 @@ impl QueryEngine {
                 }
             };
             for meta in metas {
-                let mut labels = meta.labels;
-                if let Some(name) = shard {
-                    labels.retain(|(k, _)| k != "shard");
-                    labels.push(("shard".to_owned(), name.clone()));
-                    labels.sort();
-                }
-                if !selectors
-                    .iter()
-                    .any(|sel| sel_matches(sel, &meta.base, &labels))
-                {
-                    continue;
-                }
                 series.push(SeriesData {
                     base: meta.base,
-                    labels,
+                    labels: match shard {
+                        Some(name) => shard_labels(meta.labels, name),
+                        None => meta.labels,
+                    },
                     kind: meta.kind,
                     key: meta.key,
                     source: source.clone(),
@@ -1312,6 +1379,15 @@ impl QueryEngine {
             stats: ctx.stats.into_inner(),
         })
     }
+}
+
+/// `labels` as a shard's series carry them: its own `shard` label, if
+/// any, replaced by the shard's name.
+fn shard_labels(mut labels: Vec<(String, String)>, shard: &str) -> Vec<(String, String)> {
+    labels.retain(|(k, _)| k != "shard");
+    labels.push(("shard".to_owned(), shard.to_owned()));
+    labels.sort();
+    labels
 }
 
 /// The data resolution a range step implies.

@@ -1,0 +1,148 @@
+//! Allocation budgets of the stats plane's steady state: an append to a
+//! known series, a flush that seals nothing, and an instant query that
+//! selects one series out of many. The counts are exact; the budgets
+//! leave room for amortised buffer growth and the allocations the public
+//! result types force, and none for work per point, per line or per
+//! unselected series.
+
+use netqos_telemetry::{
+    LtsConfig, LtsCounters, LtsReader, LtsRetention, LtsSource, LtsStore, PointValue, QueryEngine,
+    QueryResult, Resolution, SegmentCodec,
+};
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+use std::path::PathBuf;
+use std::sync::Arc;
+
+thread_local! {
+    /// Allocations made by this thread while `Some`.
+    static COUNT: Cell<Option<u64>> = const { Cell::new(None) };
+}
+
+struct Counting;
+
+// SAFETY: every call is forwarded unchanged to `System`, which upholds
+// the `GlobalAlloc` contract; the counter is a `const`-initialised
+// thread-local `Cell` of a `Copy` type, so touching it neither allocates
+// nor runs a destructor.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        COUNT.with(|c| c.set(c.get().map(|n| n + 1)));
+        System.alloc(layout)
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout)
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        COUNT.with(|c| c.set(c.get().map(|n| n + 1)));
+        System.realloc(ptr, layout, new_size)
+    }
+}
+
+#[global_allocator]
+static ALLOCATOR: Counting = Counting;
+
+fn allocations_in<T>(f: impl FnOnce() -> T) -> (u64, T) {
+    COUNT.with(|c| c.set(Some(0)));
+    let out = f();
+    (
+        COUNT.with(|c| c.replace(None)).expect("counting was on"),
+        out,
+    )
+}
+
+fn tmpdir(tag: &str) -> PathBuf {
+    let dir = std::env::temp_dir().join(format!("netqos-alloc-{tag}-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    dir
+}
+
+fn open(dir: &PathBuf) -> LtsStore {
+    let config = LtsConfig {
+        seal_points: 1 << 20,
+        retention: LtsRetention::default(),
+        codec: SegmentCodec::Binary,
+    };
+    LtsStore::open(dir, config, LtsCounters::detached()).unwrap()
+}
+
+fn series_name(i: usize) -> String {
+    format!("qb_octets_total{{dev=\"d{i:03}\",grp=\"g{}\"}}", i % 8)
+}
+
+const T0: u64 = 1_700_000_000;
+
+#[test]
+fn appends_and_a_sealless_flush_allocate_per_series_not_per_point() {
+    const SERIES: usize = 64;
+    const PERIOD: u64 = 60;
+    let dir = tmpdir("write");
+    let mut store = open(&dir);
+    let names: Vec<String> = (0..SERIES).map(series_name).collect();
+    let mut now = T0;
+    let mut period = |store: &mut LtsStore| {
+        let (appending, ()) = allocations_in(|| {
+            for t in now..now + PERIOD {
+                for name in &names {
+                    store.append(name, t, PointValue::Counter(t % 7));
+                }
+            }
+        });
+        now += PERIOD;
+        let (flushing, report) = allocations_in(|| store.flush().unwrap());
+        assert_eq!(report.points_written, SERIES as u64 * PERIOD);
+        assert_eq!(report.segments_sealed, 0);
+        (appending, flushing)
+    };
+    // Buffers reach their working size over the first periods.
+    for _ in 0..4 {
+        period(&mut store);
+    }
+    for _ in 0..3 {
+        let (appending, flushing) = period(&mut store);
+        assert_eq!(appending, 0, "appends to known series");
+        assert!(
+            flushing <= 12 * SERIES as u64,
+            "{flushing} allocations in a flush of {SERIES} series"
+        );
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn an_instant_query_allocates_for_the_series_it_selects() {
+    const SERIES: usize = 256;
+    const PICKED: usize = 137;
+    let dir = tmpdir("read");
+    let mut store = open(&dir);
+    for i in 0..SERIES {
+        store.append(&series_name(i), T0, PointValue::Counter(1));
+    }
+    for t in T0 + 1..T0 + 2_000 {
+        store.append(&series_name(PICKED), t, PointValue::Counter(3));
+    }
+    store.flush().unwrap();
+    let engine =
+        QueryEngine::new().with_source(None, Arc::new(LtsSource::new(LtsReader::open(&dir))));
+    let query = format!("rate(qb_octets_total{{dev=\"d{PICKED:03}\"}}[300])");
+    let run = || {
+        let out = engine
+            .instant(&query, T0 + 1_999, Resolution::Raw1s)
+            .unwrap();
+        assert_eq!(out.stats.series, 1);
+        assert_eq!(out.stats.points_scanned, 2_000);
+        match out.result {
+            QueryResult::Vector(v) => assert_eq!((v.len(), v[0].v), (1, 3.0)),
+            other => panic!("{other:?}"),
+        }
+    };
+    run();
+    let (allocations, ()) = allocations_in(run);
+    assert!(
+        allocations <= 100,
+        "{allocations} allocations to read one series of {SERIES}"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}

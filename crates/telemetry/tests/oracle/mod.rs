@@ -1,0 +1,237 @@
+//! Reference implementations the store's tests compare against: the
+//! tail-line decoder that builds a JSON document and looks fields up in
+//! it, the `format!` encoder, and the directory walks the writer used to
+//! make on every flush (disk gauges, retention) and the reader on every
+//! `newest_t`. Slow and obviously right; kept out of the library.
+#![allow(dead_code)]
+
+use netqos_telemetry::{
+    parse_json, HistogramState, LtsReader, LtsRetention, Point, PointValue, Resolution, SeriesKind,
+};
+use std::fmt::Write as _;
+use std::fs;
+use std::path::{Path, PathBuf};
+
+/// One point as a single JSON line.
+pub fn point_to_json(p: &Point) -> String {
+    match &p.value {
+        PointValue::Counter(v) => format!("{{\"t\":{},\"kind\":\"counter\",\"v\":{}}}", p.t, v),
+        PointValue::Gauge(v) => format!("{{\"t\":{},\"kind\":\"gauge\",\"v\":{}}}", p.t, v),
+        PointValue::Histogram(h) => {
+            let mut out = format!(
+                "{{\"t\":{},\"kind\":\"histogram\",\"count\":{},\"sum\":{}",
+                p.t, h.count, h.sum
+            );
+            if h.count > 0 {
+                let _ = write!(out, ",\"min\":{},\"max\":{}", h.min, h.max);
+            }
+            out.push_str(",\"buckets\":[");
+            for (i, &(b, n)) in h.buckets.iter().enumerate() {
+                if i > 0 {
+                    out.push(',');
+                }
+                let _ = write!(out, "[{b},{n}]");
+            }
+            out.push_str("]}");
+            out
+        }
+    }
+}
+
+/// The document-building decoder. Every number goes through `f64`, so a
+/// value above 2^53 comes back rounded.
+pub fn point_from_json(line: &str) -> Option<Point> {
+    let v = parse_json(line).ok()?;
+    let t = v.get("t")?.as_u64()?;
+    let kind = SeriesKind::parse(v.get("kind")?.as_str()?)?;
+    let value = match kind {
+        SeriesKind::Counter => PointValue::Counter(v.get("v")?.as_u64()?),
+        SeriesKind::Gauge => {
+            let n = v.get("v")?.as_f64()?;
+            PointValue::Gauge(n.round() as i64)
+        }
+        SeriesKind::Histogram => {
+            let count = v.get("count")?.as_u64()?;
+            let mut buckets = Vec::new();
+            for b in v.get("buckets")?.as_array()? {
+                let pair = b.as_array()?;
+                if pair.len() != 2 {
+                    return None;
+                }
+                buckets.push((pair[0].as_u64()? as u32, pair[1].as_u64()?));
+            }
+            PointValue::Histogram(HistogramState {
+                buckets,
+                count,
+                sum: v.get("sum")?.as_u64()?,
+                min: v.get("min").and_then(|m| m.as_u64()).unwrap_or(u64::MAX),
+                max: v.get("max").and_then(|m| m.as_u64()).unwrap_or(0),
+            })
+        }
+    };
+    Some(Point { t, value })
+}
+
+/// A sealed segment file as a directory walk finds it.
+#[derive(Debug, Clone)]
+pub struct WalkedSegment {
+    pub path: PathBuf,
+    pub first: u64,
+    pub last: u64,
+    pub bytes: u64,
+}
+
+fn parse_segment_name(name: &str) -> Option<(u64, u64)> {
+    let rest = name.strip_prefix("seg-")?;
+    let body = rest
+        .strip_suffix(".seg")
+        .or_else(|| rest.strip_suffix(".bin"))?;
+    let (a, b) = body.split_once('-')?;
+    Some((a.parse().ok()?, b.parse().ok()?))
+}
+
+fn sealed_in(sdir: &Path) -> Vec<WalkedSegment> {
+    let Ok(entries) = fs::read_dir(sdir) else {
+        return Vec::new();
+    };
+    let mut out = Vec::new();
+    for entry in entries.flatten() {
+        let path = entry.path();
+        let name = path.file_name().unwrap().to_string_lossy().to_string();
+        if let Some((first, last)) = parse_segment_name(&name) {
+            out.push(WalkedSegment {
+                path,
+                first,
+                last,
+                bytes: entry.metadata().unwrap().len(),
+            });
+        }
+    }
+    out.sort_by_key(|s| (s.first, s.last));
+    out
+}
+
+/// `(netqos_lts_segments, netqos_lts_bytes_on_disk)` by walking the
+/// store: every `.seg`/`.bin` file under a series directory, plus the
+/// index.
+pub fn disk_gauges(dir: &Path) -> (i64, i64) {
+    let (mut segments, mut bytes) = (0i64, 0u64);
+    bytes += fs::metadata(dir.join("series.idx"))
+        .map(|m| m.len())
+        .unwrap_or(0);
+    for res in Resolution::ALL {
+        let Ok(entries) = fs::read_dir(dir.join(res.dir_name())) else {
+            continue;
+        };
+        for sdir in entries.flatten() {
+            let Ok(files) = fs::read_dir(sdir.path()) else {
+                continue;
+            };
+            for f in files.flatten() {
+                if f.path()
+                    .extension()
+                    .is_some_and(|e| e == "seg" || e == "bin")
+                {
+                    segments += 1;
+                    bytes += f.metadata().map(|m| m.len()).unwrap_or(0);
+                }
+            }
+        }
+    }
+    (segments, bytes as i64)
+}
+
+/// One deletion retention decides on: path relative to the store root,
+/// size, `"age"` or `"size"`.
+pub type Deletion = (String, u64, &'static str);
+
+/// What retention deletes from the store at `dir`, given the newest
+/// point time, by walking every series directory: sealed segments older
+/// than the age bound, then the oldest survivors while the store (sealed
+/// segments, open tails and index) is over its byte budget. The walk's
+/// ties are broken by the documented total order — `(last, resolution,
+/// series name, first)`, `.bin` after `.seg` — where the old writer left
+/// them in `read_dir` order.
+pub fn retention_plan(dir: &Path, ret: LtsRetention, newest: u64) -> Vec<Deletion> {
+    let mut deleted = Vec::new();
+    if ret.max_age_secs == 0 && ret.max_bytes == 0 {
+        return deleted;
+    }
+    let names: std::collections::BTreeMap<String, String> = LtsReader::open(dir)
+        .index()
+        .into_iter()
+        .map(|i| (i.slug, i.name))
+        .collect();
+    let mut segs = Vec::new();
+    let mut total_bytes = 0u64;
+    for (ri, res) in Resolution::ALL.into_iter().enumerate() {
+        let Ok(entries) = fs::read_dir(dir.join(res.dir_name())) else {
+            continue;
+        };
+        for entry in entries.flatten() {
+            let sdir = entry.path();
+            if !sdir.is_dir() {
+                continue;
+            }
+            let slug = sdir.file_name().unwrap().to_string_lossy().to_string();
+            for seg in sealed_in(&sdir) {
+                total_bytes += seg.bytes;
+                let is_bin = seg.path.extension().is_some_and(|e| e == "bin");
+                segs.push(((seg.last, ri, names[&slug].clone(), seg.first, is_bin), seg));
+            }
+            if let Ok(m) = fs::metadata(sdir.join("open.seg")) {
+                total_bytes += m.len();
+            }
+        }
+    }
+    total_bytes += fs::metadata(dir.join("series.idx"))
+        .map(|m| m.len())
+        .unwrap_or(0);
+    segs.sort_by(|a, b| a.0.cmp(&b.0));
+
+    let rel = |p: &Path| {
+        p.strip_prefix(dir)
+            .unwrap()
+            .to_string_lossy()
+            .replace('\\', "/")
+    };
+    let mut survivors = Vec::new();
+    for (_, seg) in segs {
+        if ret.max_age_secs > 0 && newest.saturating_sub(seg.last) > ret.max_age_secs {
+            total_bytes -= seg.bytes;
+            deleted.push((rel(&seg.path), seg.bytes, "age"));
+        } else {
+            survivors.push(seg);
+        }
+    }
+    if ret.max_bytes > 0 {
+        for seg in survivors {
+            if total_bytes <= ret.max_bytes {
+                break;
+            }
+            total_bytes -= seg.bytes;
+            deleted.push((rel(&seg.path), seg.bytes, "size"));
+        }
+    }
+    deleted
+}
+
+/// Newest raw-resolution point time by reading every line of every
+/// indexed series' `1s` tail and every sealed file name.
+pub fn newest_t(dir: &Path) -> Option<u64> {
+    let mut newest = None;
+    for info in LtsReader::open(dir).index() {
+        let sdir = dir.join(Resolution::Raw1s.dir_name()).join(&info.slug);
+        if let Some(last) = sealed_in(&sdir).iter().map(|s| s.last).max() {
+            newest = Some(newest.map_or(last, |n: u64| n.max(last)));
+        }
+        if let Ok(text) = fs::read_to_string(sdir.join("open.seg")) {
+            for line in text.lines() {
+                if let Some(p) = point_from_json(line) {
+                    newest = Some(newest.map_or(p.t, |n: u64| n.max(p.t)));
+                }
+            }
+        }
+    }
+    newest
+}

@@ -722,3 +722,282 @@ proptest! {
         let _ = std::fs::remove_dir_all(&base);
     }
 }
+
+// ---------------------------------------------------------------------
+// Tail-line codec against the document-building oracle
+// ---------------------------------------------------------------------
+
+mod oracle;
+
+use netqos_telemetry::{decode_point_line, encode_point_line, HistogramState};
+
+/// Values the float-backed oracle still reads exactly.
+const EXACT: u64 = 1 << 53;
+
+fn arb_point(limit: u64) -> impl Strategy<Value = Point> {
+    let bound = limit as i64;
+    let value = prop_oneof![
+        (0..limit).prop_map(PointValue::Counter),
+        (-bound + 1..bound).prop_map(PointValue::Gauge),
+        (
+            prop::collection::vec((any::<u32>(), 0..limit), 0..6),
+            prop_oneof![Just(0u64), 1..limit],
+            0..limit,
+            0..limit,
+            0..limit,
+        )
+            .prop_map(|(buckets, count, sum, min, max)| {
+                PointValue::Histogram(HistogramState {
+                    buckets,
+                    count,
+                    sum,
+                    min,
+                    max,
+                })
+            }),
+    ];
+    (0..limit, value).prop_map(|(t, value)| Point { t, value })
+}
+
+fn encoded(p: &Point) -> String {
+    let mut line = String::new();
+    encode_point_line(&mut line, p);
+    line
+}
+
+/// A stream of small choices drawn from one seed (splitmix64).
+struct Choices(u64);
+
+impl Choices {
+    fn next(&mut self, n: usize) -> usize {
+        self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = self.0;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        ((z ^ (z >> 31)) % n as u64) as usize
+    }
+
+    fn ws(&mut self) -> &'static str {
+        ["", "", "", " ", "\t", "  ", "\r", " \t "][self.next(8)]
+    }
+}
+
+/// `s` as a JSON string literal, some characters written as `\uXXXX`.
+fn spell_string(s: &str, c: &mut Choices) -> String {
+    let mut out = String::from("\"");
+    for ch in s.chars() {
+        match ch {
+            _ if c.next(4) == 0 || ch.is_control() => {
+                out.push_str(&format!("\\u{:04x}", ch as u32))
+            }
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str(["\\\\", "\\u005c"][c.next(2)]),
+            '/' => out.push_str(["/", "\\/"][c.next(2)]),
+            _ => out.push(ch),
+        }
+    }
+    out.push('"');
+    out
+}
+
+/// An integer written as an integer, or with a fraction or exponent that
+/// does not change its value.
+fn spell_number(n: i128, c: &mut Choices) -> String {
+    match c.next(6) {
+        0 => format!("{n}.0"),
+        1 => format!("{n}e0"),
+        2 => format!("{n}E+0"),
+        _ => n.to_string(),
+    }
+}
+
+/// A well-formed JSON value no point field uses.
+fn spell_junk(c: &mut Choices, depth: u32) -> String {
+    match c.next(if depth >= 3 { 5 } else { 7 }) {
+        0 => "null".into(),
+        1 => "true".into(),
+        2 => "false".into(),
+        3 => format!("-{}.5e-3", c.next(1000)),
+        4 => spell_string("a\"b\\c\n/ é", c),
+        5 => {
+            let items: Vec<String> = (0..c.next(3)).map(|_| spell_junk(c, depth + 1)).collect();
+            format!("[{}{}]", c.ws(), items.join(&format!("{},", c.ws())))
+        }
+        _ => {
+            let items: Vec<String> = (0..c.next(3))
+                .map(|i| format!("\"k{i}\"{}:{}{}", c.ws(), c.ws(), spell_junk(c, depth + 1)))
+                .collect();
+            format!("{{{}{}}}", c.ws(), items.join(","))
+        }
+    }
+}
+
+/// The members of `p`'s line as `(key, value text)`, numbers and strings
+/// re-spelled.
+fn spell_members(p: &Point, c: &mut Choices) -> Vec<(String, String)> {
+    let mut m = vec![("t".to_string(), spell_number(p.t as i128, c))];
+    let kind = |k: &str, c: &mut Choices| ("kind".to_string(), spell_string(k, c));
+    match &p.value {
+        PointValue::Counter(v) => {
+            m.push(kind("counter", c));
+            m.push(("v".into(), spell_number(*v as i128, c)));
+        }
+        PointValue::Gauge(v) => {
+            m.push(kind("gauge", c));
+            m.push(("v".into(), spell_number(*v as i128, c)));
+        }
+        PointValue::Histogram(h) => {
+            m.push(kind("histogram", c));
+            m.push(("count".into(), spell_number(h.count as i128, c)));
+            m.push(("sum".into(), spell_number(h.sum as i128, c)));
+            if h.count > 0 {
+                m.push(("min".into(), spell_number(h.min as i128, c)));
+                m.push(("max".into(), spell_number(h.max as i128, c)));
+            }
+            let pairs: Vec<String> = h
+                .buckets
+                .iter()
+                .map(|&(b, n)| {
+                    format!(
+                        "[{}{}{},{}{}]",
+                        c.ws(),
+                        spell_number(b as i128, c),
+                        c.ws(),
+                        c.ws(),
+                        spell_number(n as i128, c)
+                    )
+                })
+                .collect();
+            m.push((
+                "buckets".into(),
+                format!(
+                    "[{}{}{}]",
+                    c.ws(),
+                    pairs.join(&format!("{},", c.ws())),
+                    c.ws()
+                ),
+            ));
+        }
+    }
+    m
+}
+
+/// `p`'s line re-spelled: members shuffled, unknown members mixed in,
+/// whitespace between tokens, keys and strings partly escaped.
+fn respell(p: &Point, seed: u64) -> String {
+    let c = &mut Choices(seed);
+    let mut members = spell_members(p, c);
+    for i in 0..c.next(3) {
+        members.push((format!("x{i}"), spell_junk(c, 0)));
+    }
+    for i in (1..members.len()).rev() {
+        members.swap(i, c.next(i + 1));
+    }
+    let body: Vec<String> = members
+        .iter()
+        .map(|(k, v)| {
+            format!(
+                "{}{}{}:{}{v}{}",
+                c.ws(),
+                spell_string(k, c),
+                c.ws(),
+                c.ws(),
+                c.ws()
+            )
+        })
+        .collect();
+    format!("{}{{{}}}{}", c.ws(), body.join(","), c.ws())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// Same bytes out, same point back, for every kind.
+    #[test]
+    fn tail_line_codec_matches_oracle(p in arb_point(EXACT)) {
+        let line = encoded(&p);
+        prop_assert_eq!(&line, &oracle::point_to_json(&p));
+        let back = decode_point_line(&line);
+        prop_assert_eq!(&back, &oracle::point_from_json(&line));
+        // Empty histograms come back with the sentinels, not what went in.
+        if !matches!(&p.value, PointValue::Histogram(h) if h.count == 0) {
+            prop_assert_eq!(back, Some(p));
+        }
+    }
+
+    /// Key order, whitespace, escapes, number spelling and unknown
+    /// members change nothing, and both decoders agree on what a line
+    /// means.
+    #[test]
+    fn tail_line_respellings_decode_alike(p in arb_point(EXACT), seed in any::<u64>()) {
+        let line = respell(&p, seed);
+        let got = decode_point_line(&line);
+        prop_assert_eq!(&got, &oracle::point_from_json(&line), "{}", line);
+        prop_assert_eq!(got, decode_point_line(&encoded(&p)), "{}", line);
+    }
+
+    /// No corruption of a valid line panics the decoder or makes it
+    /// disagree with the oracle. Values stay under 10^14, so that no
+    /// single changed byte (a digit, or a sign turned into one) can pass
+    /// 2^53, where only the oracle rounds.
+    #[test]
+    fn tail_line_corruptions_decode_alike(
+        p in arb_point(100_000_000_000_000),
+        seed in any::<u64>(),
+        junk in "\\PC{0,12}",
+    ) {
+        let c = &mut Choices(seed);
+        let plain = encoded(&p);
+        let line = if c.next(2) == 0 { plain.clone() } else { respell(&p, seed) };
+        let agree = |text: &str| {
+            assert_eq!(
+                decode_point_line(text),
+                oracle::point_from_json(text),
+                "{text:?}"
+            );
+        };
+        // Truncated at every byte.
+        for cut in (0..line.len()).filter(|&i| line.is_char_boundary(i)) {
+            agree(&line[..cut]);
+        }
+        // One byte replaced.
+        for _ in 0..16 {
+            let at = c.next(plain.len());
+            let mut bytes = plain.clone().into_bytes();
+            const BYTES: &[u8] = b" \t\"\\{}[],:-+.eE0123456789abtrufnl/x\x7f";
+            bytes[at] = BYTES[c.next(BYTES.len())];
+            agree(std::str::from_utf8(&bytes).unwrap());
+        }
+        // Content after the document.
+        agree(&format!("{line}{junk}"));
+        agree(&format!("{line} {line}"));
+        // Another kind, or none.
+        for kind in ["counter", "gauge", "histogram", "Counter", "", "summary"] {
+            agree(&plain.replacen(&format!("\"{}\"", p.value.kind().as_str()), &format!("\"{kind}\""), 1));
+        }
+        agree(&plain.replacen("\"kind\":", "\"kind\":7,\"was\":", 1));
+        // A key given twice: the later one counts, whatever it holds.
+        let members = spell_members(&p, c);
+        for (key, _) in &members {
+            for value in ["3", "-3", "\"x\"", "null", "[[1,2]]", "[[1]]", "[1,2]", "{}", "2.5", "1e400"] {
+                let extra = format!("\"{key}\":{value}");
+                agree(&format!("{{{extra},{}", &plain[1..]));
+                agree(&format!("{},{extra}}}", &plain[..plain.len() - 1]));
+            }
+        }
+    }
+
+    /// Arbitrary text is never a panic and never a disagreement.
+    #[test]
+    fn tail_line_garbage_decodes_alike(text in "\\PC{0,64}", seed in any::<u64>()) {
+        prop_assert_eq!(decode_point_line(&text), oracle::point_from_json(&text));
+        // The same characters, JSON punctuation mixed in.
+        const PUNCTUATION: &[u8] = b"{}[]\",:\\ 0-";
+        let c = &mut Choices(seed);
+        let mixed: String = text
+            .chars()
+            .flat_map(|ch| [ch, PUNCTUATION[c.next(PUNCTUATION.len())] as char])
+            .collect();
+        prop_assert_eq!(decode_point_line(&mixed), oracle::point_from_json(&mixed));
+    }
+}

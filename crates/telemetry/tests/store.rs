@@ -1,0 +1,586 @@
+//! The long-term store against its oracles: the writer's catalog equals
+//! a walk of the directory at every step of a store's life, retention
+//! order depends only on what was appended, `newest_t` agrees with a full
+//! scan, integers survive every representation exactly, and the query
+//! source's cached index follows the file.
+
+mod oracle;
+
+use netqos_telemetry::{
+    migrate_store, parse_json, report_flush, verify_store, Counter, EventSink, FlushReport,
+    Histogram, LtsConfig, LtsCounters, LtsReader, LtsRetention, LtsSource, LtsStore, PointValue,
+    QueryEngine, QueryResult, Resolution, SegmentCodec,
+};
+use std::collections::{BTreeMap, BTreeSet};
+use std::fs;
+use std::io::Write;
+use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Mutex};
+
+fn tmpdir(tag: &str) -> PathBuf {
+    static N: AtomicU64 = AtomicU64::new(0);
+    let dir = std::env::temp_dir().join(format!(
+        "netqos-store-{tag}-{}-{}",
+        std::process::id(),
+        N.fetch_add(1, Ordering::Relaxed)
+    ));
+    let _ = fs::remove_dir_all(&dir);
+    dir
+}
+
+const KEEP_ALL: LtsRetention = LtsRetention {
+    max_age_secs: 0,
+    max_bytes: 0,
+};
+
+fn config(seal_points: usize, codec: SegmentCodec, retention: LtsRetention) -> LtsConfig {
+    LtsConfig {
+        seal_points,
+        retention,
+        codec,
+    }
+}
+
+/// Every file under `dir` with its content, by relative path.
+fn tree(dir: &Path) -> BTreeMap<String, Vec<u8>> {
+    fn walk(root: &Path, dir: &Path, out: &mut BTreeMap<String, Vec<u8>>) {
+        for entry in fs::read_dir(dir).unwrap().flatten() {
+            let path = entry.path();
+            if path.is_dir() {
+                walk(root, &path, out);
+            } else {
+                let rel = path
+                    .strip_prefix(root)
+                    .unwrap()
+                    .to_string_lossy()
+                    .to_string();
+                out.insert(rel, fs::read(&path).unwrap());
+            }
+        }
+    }
+    let mut out = BTreeMap::new();
+    walk(dir, dir, &mut out);
+    out
+}
+
+fn hist(values: &[u64]) -> PointValue {
+    let h = Histogram::new();
+    for &v in values {
+        h.record(v);
+    }
+    PointValue::Histogram(h.to_state())
+}
+
+/// Every series' canonical points at every resolution, as `/query` text.
+fn full_query(dir: &Path) -> String {
+    let reader = LtsReader::open(dir);
+    Resolution::ALL
+        .map(|res| reader.query("*", 0, u64::MAX, res))
+        .join("\n")
+}
+
+// ---------------------------------------------------------------------
+// Catalog ≡ directory
+// ---------------------------------------------------------------------
+
+/// A store under test beside a twin that never deletes: the twin's
+/// directory, walked by the oracle after each flush, says what the
+/// subject's catalog should have decided.
+struct Twins {
+    codec: SegmentCodec,
+    subject_dir: PathBuf,
+    twin_dir: PathBuf,
+    subject: Option<LtsStore>,
+    twin: Option<LtsStore>,
+    gauges: LtsCounters,
+    retention: LtsRetention,
+    /// Newest appended time and the next to append.
+    newest: u64,
+    /// Sealed files seen at any step, by resolution directory.
+    sealed_seen: BTreeSet<String>,
+    deletions: Vec<oracle::Deletion>,
+}
+
+const SEAL_POINTS: usize = 4;
+const SPACING: u64 = 600;
+
+impl Twins {
+    fn new(codec: SegmentCodec, retention: LtsRetention) -> Twins {
+        let mut t = Twins {
+            codec,
+            subject_dir: tmpdir("subject"),
+            twin_dir: tmpdir("twin"),
+            subject: None,
+            twin: None,
+            gauges: LtsCounters::detached(),
+            retention,
+            newest: 1_700_000_000 - 1_700_000_000 % 3_600,
+            sealed_seen: BTreeSet::new(),
+            deletions: Vec::new(),
+        };
+        t.reopen(retention);
+        t
+    }
+
+    /// Drops both writers and opens them again, the subject under
+    /// `retention`.
+    fn reopen(&mut self, retention: LtsRetention) {
+        self.subject = None;
+        self.twin = None;
+        self.retention = retention;
+        self.gauges = LtsCounters::detached();
+        let open = |dir: &Path, retention, counters| {
+            LtsStore::open(dir, config(SEAL_POINTS, self.codec, retention), counters).unwrap()
+        };
+        let subject = open(&self.subject_dir, retention, self.gauges.clone());
+        let twin = open(&self.twin_dir, KEEP_ALL, LtsCounters::detached());
+        self.subject = Some(subject);
+        self.twin = Some(twin);
+        self.check("reopen");
+    }
+
+    fn append(&mut self, points: usize) {
+        for _ in 0..points {
+            self.newest += SPACING;
+            let t = self.newest;
+            for store in [self.subject.as_mut().unwrap(), self.twin.as_mut().unwrap()] {
+                store.append("c_total", t, PointValue::Counter(t % 97));
+                store.append("g{side=\"a\"}", t, PointValue::Gauge(50 - (t % 101) as i64));
+                store.append("h_ns", t, hist(&[t % 1_000 + 1, 90_000]));
+            }
+        }
+    }
+
+    /// Flushes both; the subject's deletions must be the oracle's plan
+    /// for the twin's directory, which the test then carries out there.
+    fn flush(&mut self, step: &str) {
+        let report = self.subject.as_mut().unwrap().flush().unwrap();
+        self.twin.as_mut().unwrap().flush().unwrap();
+        let plan = oracle::retention_plan(&self.twin_dir, self.retention, self.newest);
+        let got: Vec<oracle::Deletion> = report
+            .deleted
+            .iter()
+            .map(|d| (d.path.clone(), d.bytes, d.reason))
+            .collect();
+        assert_eq!(got, plan, "{step}: retention decisions");
+        for (path, _, _) in &plan {
+            fs::remove_file(self.twin_dir.join(path)).unwrap();
+        }
+        self.deletions.extend(plan);
+        self.check(step);
+    }
+
+    fn compact(&mut self) {
+        self.subject.as_mut().unwrap().compact().unwrap();
+        self.twin.as_mut().unwrap().compact().unwrap();
+        self.check("compact");
+    }
+
+    /// Same files in both directories; the subject's gauges equal a walk
+    /// of its own.
+    fn check(&mut self, step: &str) {
+        let files = tree(&self.subject_dir);
+        assert!(
+            files == tree(&self.twin_dir),
+            "{step}: the two stores' files differ"
+        );
+        let walked = oracle::disk_gauges(&self.subject_dir);
+        let gauges = (self.gauges.segments.get(), self.gauges.bytes_on_disk.get());
+        assert_eq!(gauges, walked, "{step}: gauges against the directory");
+        self.sealed_seen.extend(
+            files
+                .keys()
+                .filter(|p| p.contains("/seg-"))
+                .map(|p| p[..2].to_string()),
+        );
+    }
+
+    /// The same bytes appended to the same file in both directories.
+    fn scribble(&self, rel: &str, bytes: &[u8]) {
+        for dir in [&self.subject_dir, &self.twin_dir] {
+            let mut f = fs::OpenOptions::new()
+                .create(true)
+                .append(true)
+                .open(dir.join(rel))
+                .unwrap();
+            f.write_all(bytes).unwrap();
+        }
+    }
+}
+
+impl Drop for Twins {
+    fn drop(&mut self) {
+        let _ = fs::remove_dir_all(&self.subject_dir);
+        let _ = fs::remove_dir_all(&self.twin_dir);
+    }
+}
+
+#[test]
+fn catalog_equals_the_directory_through_a_stores_life() {
+    for codec in [SegmentCodec::Binary, SegmentCodec::Jsonl] {
+        let by_age = LtsRetention {
+            max_age_secs: 12 * SPACING,
+            max_bytes: 0,
+        };
+        let mut t = Twins::new(codec, by_age);
+        // Appends across seals at all three resolutions, old segments
+        // ageing out as they go.
+        for round in 0..14 {
+            t.append(3);
+            t.flush(&format!("age round {round}"));
+        }
+        assert_eq!(
+            t.sealed_seen.iter().map(String::as_str).collect::<Vec<_>>(),
+            ["1h", "1m", "1s"],
+            "seals at every resolution"
+        );
+        assert!(t.deletions.iter().any(|d| d.2 == "age"));
+
+        // The same store under a byte budget it is already over.
+        let (_, bytes) = oracle::disk_gauges(&t.subject_dir);
+        t.reopen(LtsRetention {
+            max_age_secs: 0,
+            max_bytes: bytes as u64 * 2 / 3,
+        });
+        for round in 0..6 {
+            t.append(3);
+            t.flush(&format!("size round {round}"));
+        }
+        assert!(t.deletions.iter().any(|d| d.2 == "size"));
+
+        t.compact();
+        t.append(5);
+        t.flush("after compact");
+        t.reopen(by_age);
+        t.append(2);
+        t.flush("after reopen");
+
+        // A crash mid-append: a torn last line in a raw tail.
+        let slug = LtsReader::open(&t.subject_dir)
+            .index()
+            .into_iter()
+            .find(|i| i.name == "c_total")
+            .unwrap()
+            .slug;
+        assert!(t.subject_dir.join(format!("1s/{slug}/open.seg")).exists());
+        t.scribble(&format!("1s/{slug}/open.seg"), b"{\"t\":99,\"ki");
+        t.reopen(by_age);
+        t.append(1);
+        t.flush("after torn tail");
+
+        // A crash between writing a sealed segment and removing its
+        // tail: seal the raw tail, then put an already sealed point back.
+        while t.subject_dir.join(format!("1s/{slug}/open.seg")).exists() {
+            t.append(1);
+            t.flush("towards a seal");
+        }
+        let stale = format!("{{\"t\":{},\"kind\":\"counter\",\"v\":1}}\n", t.newest);
+        t.scribble(&format!("1s/{slug}/open.seg"), stale.as_bytes());
+        t.reopen(by_age);
+        assert!(!t.subject_dir.join(format!("1s/{slug}/open.seg")).exists());
+        t.append(4);
+        t.flush("after stale tail");
+
+        let report = verify_store(&t.subject_dir).unwrap();
+        assert!(report.issues.is_empty(), "{:?}", report.issues);
+    }
+}
+
+// ---------------------------------------------------------------------
+// Retention order
+// ---------------------------------------------------------------------
+
+/// A sink whose JSONL lines can be read back.
+fn capturing_sink() -> (EventSink, Arc<Mutex<Vec<u8>>>) {
+    struct Shared(Arc<Mutex<Vec<u8>>>);
+    impl Write for Shared {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.0.lock().unwrap().extend_from_slice(buf);
+            Ok(buf.len())
+        }
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+    let buf = Arc::new(Mutex::new(Vec::new()));
+    (EventSink::to_writer(Box::new(Shared(buf.clone()))), buf)
+}
+
+/// A store of many series whose segments are all equally old, run under
+/// a byte budget; returns every deletion and every `retention_delete`
+/// event's fields, in order.
+fn run_equally_old_series(tag: &str) -> (Vec<(String, u64, &'static str)>, Vec<String>) {
+    let dir = tmpdir(tag);
+    let retention = LtsRetention {
+        max_age_secs: 0,
+        max_bytes: 2_000,
+    };
+    let mut store = LtsStore::open(
+        &dir,
+        config(4, SegmentCodec::Binary, retention),
+        LtsCounters::detached(),
+    )
+    .unwrap();
+    let (sink, events) = capturing_sink();
+    let deleted_total = Counter::new();
+    let mut deletions = Vec::new();
+    for t in 0..64u64 {
+        for i in 0..12 {
+            let name = format!("m_total{{dev=\"d{i:02}\"}}");
+            store.append(&name, 1_000 + t, PointValue::Counter(t + i));
+        }
+        if t % 4 == 3 {
+            let report: FlushReport = store.flush().unwrap();
+            report_flush(&sink, &deleted_total, &report, &[]);
+            deletions.extend(
+                report
+                    .deleted
+                    .into_iter()
+                    .map(|d| (d.path, d.bytes, d.reason)),
+            );
+        }
+    }
+    sink.flush();
+    let text = String::from_utf8(events.lock().unwrap().clone()).unwrap();
+    let fields = text
+        .lines()
+        .map(|l| parse_json(l).unwrap())
+        .filter(|e| e.get("kind").and_then(|k| k.as_str()) == Some("retention_delete"))
+        .map(|e| format!("{:?}", e.get("fields").unwrap()))
+        .collect();
+    let _ = fs::remove_dir_all(&dir);
+    (deletions, fields)
+}
+
+#[test]
+fn retention_order_depends_only_on_what_was_appended() {
+    let (first, first_events) = run_equally_old_series("order-a");
+    let (second, second_events) = run_equally_old_series("order-b");
+    assert!(first.len() > 12, "{} deletions", first.len());
+    assert_eq!(first, second);
+    assert_eq!(first_events, second_events);
+    assert_eq!(first_events.len(), first.len());
+    // Twelve series seal together, so their segments tie on `last`: a
+    // tie goes by series name (here also the order of the slugs), not by
+    // the order a directory listing happens to have.
+    let last = |path: &str| path.rsplit('-').next().unwrap().to_string();
+    let ties: Vec<_> = first
+        .windows(2)
+        .filter(|w| last(&w[0].0) == last(&w[1].0))
+        .collect();
+    assert!(ties.len() >= 11, "{} tied neighbours", ties.len());
+    for pair in ties {
+        assert!(pair[0].0 < pair[1].0, "{} before {}", pair[0].0, pair[1].0);
+    }
+}
+
+// ---------------------------------------------------------------------
+// newest_t
+// ---------------------------------------------------------------------
+
+#[test]
+fn newest_t_agrees_with_a_full_scan() {
+    let dir = tmpdir("newest");
+    let cfg = config(8, SegmentCodec::Binary, KEEP_ALL);
+    let agree = |store: &LtsStore, want: Option<u64>, what: &str| {
+        assert_eq!(oracle::newest_t(&dir), want, "{what}: full scan");
+        assert_eq!(LtsReader::open(&dir).newest_t(), want, "{what}: reader");
+        assert_eq!(store.newest_t(), want, "{what}: writer");
+    };
+    let mut store = LtsStore::open(&dir, cfg.clone(), LtsCounters::detached()).unwrap();
+    agree(&store, None, "empty store");
+
+    // `sealed_total` ends exactly on a seal (no tail left), `tail_total`
+    // has sealed segments and an open tail, `young` only a tail.
+    for t in 100..116 {
+        store.append("sealed_total", t, PointValue::Counter(1));
+        store.append("tail_total", t + 3, PointValue::Counter(1));
+    }
+    store.flush().unwrap();
+    agree(&store, Some(118), "sealed segments only");
+    store.append("tail_total", 119, PointValue::Counter(1));
+    store.append("tail_total", 120, PointValue::Counter(1));
+    store.append("young", 117, PointValue::Gauge(-4));
+    store.flush().unwrap();
+    agree(&store, Some(120), "sealed segments and tails");
+    // Buffered points are not stored points.
+    store.append("young", 500, PointValue::Gauge(1));
+    assert_eq!(store.newest_t(), Some(120));
+    drop(store);
+
+    let slug = |name: &str| {
+        LtsReader::open(&dir)
+            .index()
+            .into_iter()
+            .find(|i| i.name == name)
+            .unwrap()
+            .slug
+    };
+    // A torn final line after the newest point, and an empty tail beside
+    // sealed segments.
+    let tail = dir.join(format!("1s/{}/open.seg", slug("tail_total")));
+    let mut f = fs::OpenOptions::new().append(true).open(&tail).unwrap();
+    f.write_all(b"{\"t\":900,\"kind\":\"coun").unwrap();
+    drop(f);
+    let empty = dir.join(format!("1s/{}/open.seg", slug("sealed_total")));
+    assert!(!empty.exists());
+    fs::write(&empty, b"").unwrap();
+    assert_eq!(oracle::newest_t(&dir), Some(120));
+    assert_eq!(LtsReader::open(&dir).newest_t(), Some(120));
+
+    // A tail far longer than the piece the reader looks at first, ending
+    // in lines that do not decode.
+    let store = LtsStore::open(&dir, cfg, LtsCounters::detached()).unwrap();
+    agree(&store, Some(120), "reopened over a torn and an empty tail");
+    drop(store);
+    let mut long = String::new();
+    for t in 200..1_200 {
+        long.push_str(&format!("{{\"t\":{t},\"kind\":\"gauge\",\"v\":{t}}}\n"));
+    }
+    long.push_str(&"x".repeat(20_000));
+    long.push('\n');
+    fs::write(dir.join(format!("1s/{}/open.seg", slug("young"))), long).unwrap();
+    assert_eq!(oracle::newest_t(&dir), Some(1_199));
+    assert_eq!(LtsReader::open(&dir).newest_t(), Some(1_199));
+    let _ = fs::remove_dir_all(&dir);
+}
+
+// ---------------------------------------------------------------------
+// Exact integers
+// ---------------------------------------------------------------------
+
+#[test]
+fn integers_above_2_53_read_the_same_from_every_representation() {
+    const ODD: u64 = (1 << 53) + 1;
+    let dir = tmpdir("exact");
+    let cfg = config(8, SegmentCodec::Binary, KEEP_ALL);
+    let mut store = LtsStore::open(&dir, cfg.clone(), LtsCounters::detached()).unwrap();
+    let append = |store: &mut LtsStore, t: u64, first: bool| {
+        // One point a minute: every point is its own `1m` window, and
+        // the hourly sums stay inside `u64`.
+        let big = if first { u64::MAX - 1 } else { 0 };
+        store.append("big_total", t, PointValue::Counter(big));
+        store.append("odd_total", t, PointValue::Counter(ODD));
+        store.append("low", t, PointValue::Gauge(i64::MIN + 1));
+        let mut h = Histogram::new().to_state();
+        (h.count, h.sum, h.min, h.max) = (1, ODD, ODD, ODD);
+        h.buckets = vec![(400, 1)];
+        store.append("h_ns", t, PointValue::Histogram(h));
+    };
+    for i in 0..4 {
+        append(&mut store, 6_000 + i * 60, i == 0);
+    }
+    store.flush().unwrap();
+
+    // Through the open tail: exact.
+    let reader = LtsReader::open(&dir);
+    let points = |name: &str| {
+        let info = reader.index().into_iter().find(|i| i.name == name).unwrap();
+        reader.series_points(&info, Resolution::Raw1s, 0, 6_000 + 3 * 60)
+    };
+    let snapshot = || ["big_total", "odd_total", "low", "h_ns"].map(&points);
+    let from_tail = snapshot();
+    assert_eq!(from_tail[0][0].value, PointValue::Counter(u64::MAX - 1));
+    assert_eq!(from_tail[1][3].value, PointValue::Counter(ODD));
+    assert_eq!(from_tail[2][0].value, PointValue::Gauge(i64::MIN + 1));
+    let PointValue::Histogram(h) = &from_tail[3][0].value else {
+        panic!("histogram expected");
+    };
+    assert_eq!((h.sum, h.min, h.max), (ODD, ODD, ODD));
+    let text = reader.query("*", 0, 6_000 + 3 * 60, Resolution::Raw1s);
+    for exact in [
+        "18446744073709551614",
+        "9007199254740993",
+        "-9223372036854775807",
+    ] {
+        assert!(text.contains(exact), "{exact} in {text}");
+    }
+
+    // Force the seal: the same points now come from a binary segment.
+    for i in 4..8 {
+        append(&mut store, 6_000 + i * 60, false);
+    }
+    let report = store.flush().unwrap();
+    assert_eq!(report.segments_sealed, 4, "the four raw tails");
+    assert_eq!(snapshot(), from_tail, "after the seal");
+    drop(store);
+
+    let whole = full_query(&dir);
+    let store = LtsStore::open(&dir, cfg, LtsCounters::detached()).unwrap();
+    drop(store);
+    assert_eq!(snapshot(), from_tail, "after a reopen");
+    assert_eq!(full_query(&dir), whole);
+
+    // To JSONL and back: nothing rounds on the way.
+    let to_jsonl = migrate_store(&dir, SegmentCodec::Jsonl).unwrap();
+    assert!(to_jsonl.segments_converted > 0);
+    assert_eq!(snapshot(), from_tail, "from JSONL segments");
+    assert_eq!(full_query(&dir), whole);
+    migrate_store(&dir, SegmentCodec::Binary).unwrap();
+    assert_eq!(snapshot(), from_tail, "from binary segments again");
+    assert_eq!(full_query(&dir), whole);
+    let report = verify_store(&dir).unwrap();
+    assert!(report.issues.is_empty(), "{:?}", report.issues);
+    let _ = fs::remove_dir_all(&dir);
+}
+
+// ---------------------------------------------------------------------
+// The query source's index
+// ---------------------------------------------------------------------
+
+#[test]
+fn one_source_follows_the_index_across_queries() {
+    let dir = tmpdir("index-cache");
+    let cfg = config(64, SegmentCodec::Binary, KEEP_ALL);
+    let mut store = LtsStore::open(&dir, cfg.clone(), LtsCounters::detached()).unwrap();
+    let engine =
+        QueryEngine::new().with_source(None, Arc::new(LtsSource::new(LtsReader::open(&dir))));
+    let samples = |query: &str| match engine.instant(query, 1_010, Resolution::Raw1s) {
+        Ok(out) => match out.result {
+            QueryResult::Vector(v) => v.len(),
+            other => panic!("{query}: {other:?}"),
+        },
+        Err(e) => panic!("{query}: {e}"),
+    };
+    assert_eq!(samples("a_total"), 0, "nothing flushed yet");
+    for t in 1_000..1_010 {
+        store.append("a_total", t, PointValue::Counter(1));
+    }
+    store.flush().unwrap();
+    assert_eq!(samples("a_total"), 1);
+    assert_eq!(samples("b_total"), 0);
+
+    // A series that first appears between two queries.
+    for name in ["b_total", "c_total"] {
+        store.append(name, 1_009, PointValue::Counter(7));
+    }
+    store.flush().unwrap();
+    assert_eq!(samples("b_total"), 1);
+    assert_eq!(samples("c_total"), 1);
+    drop(store);
+
+    // A foreign line in the middle of the index: readers pass over it,
+    // recovery cuts the index there, and the series after the cut stop
+    // being served.
+    let index = dir.join("series.idx");
+    let lines: Vec<String> = fs::read_to_string(&index)
+        .unwrap()
+        .lines()
+        .map(String::from)
+        .collect();
+    let (kept, cut): (Vec<&String>, Vec<&String>) =
+        lines.iter().partition(|l| !l.contains("c_total"));
+    assert_eq!((kept.len(), cut.len()), (2, 1));
+    fs::write(
+        &index,
+        format!("{}\n{}\nnot an index line\n{}\n", kept[0], kept[1], cut[0]),
+    )
+    .unwrap();
+    assert_eq!(samples("c_total"), 1, "readers skip what they cannot parse");
+    let mut store = LtsStore::open(&dir, cfg, LtsCounters::detached()).unwrap();
+    assert_eq!(store.take_warnings().len(), 1);
+    assert_eq!(samples("c_total"), 0, "the truncated index was read again");
+    assert_eq!(samples("a_total"), 1);
+    let _ = fs::remove_dir_all(&dir);
+}
