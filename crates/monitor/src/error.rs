@@ -46,9 +46,17 @@ impl fmt::Display for MonitorError {
 
 impl std::error::Error for MonitorError {}
 
-impl From<netqos_snmp::SnmpError> for MonitorError {
-    fn from(e: netqos_snmp::SnmpError) -> Self {
-        MonitorError::Snmp(e.to_string())
+impl MonitorError {
+    /// An SNMP failure while talking to the agent of `node`. Silence keeps
+    /// its type (a poll round skips a [`MonitorError::Timeout`] and tries
+    /// again next round); everything else is [`MonitorError::Snmp`].
+    pub fn from_snmp(e: netqos_snmp::SnmpError, node: &str) -> Self {
+        match e {
+            netqos_snmp::SnmpError::Timeout => MonitorError::Timeout {
+                node: node.to_owned(),
+            },
+            e => MonitorError::Snmp(e.to_string()),
+        }
     }
 }
 
@@ -70,8 +78,10 @@ mod tests {
 
     #[test]
     fn conversions_preserve_messages() {
-        let e: MonitorError = netqos_snmp::SnmpError::NotAResponse.into();
+        let e = MonitorError::from_snmp(netqos_snmp::SnmpError::NotAResponse, "S1");
         assert!(e.to_string().contains("SNMP"));
+        let e = MonitorError::from_snmp(netqos_snmp::SnmpError::Timeout, "S1");
+        assert_eq!(e, MonitorError::Timeout { node: "S1".into() });
         let e: MonitorError = netqos_topology::TopologyError::NoSuchNodeName("X".into()).into();
         assert!(e.to_string().contains("X"));
     }

@@ -13,6 +13,7 @@
 //! | `ifInUcastPkts` / `ifOutNUcastPkts` | packet-rate statistics |
 
 use crate::error::MonitorError;
+use netqos_snmp::client::Session;
 use netqos_snmp::mib2::{interfaces as ifc, system};
 use netqos_snmp::oid::Oid;
 use netqos_snmp::pdu::VarBind;
@@ -94,6 +95,20 @@ impl PollPlan {
     pub fn parse(&self, bindings: &[VarBind]) -> Result<DeviceSnapshot, MonitorError> {
         parse_snapshot(bindings, self.if_count)
     }
+}
+
+/// One poll of the device `node`: a Get of `plan`'s names through
+/// `client`, parsed into a snapshot. The one device poll — over the
+/// simulator, a UDP socket or the loopback alike.
+pub fn poll_once(
+    client: &mut Session<'_>,
+    node: &str,
+    plan: &PollPlan,
+) -> Result<DeviceSnapshot, MonitorError> {
+    let bindings = client
+        .get_many(plan.oids())
+        .map_err(|e| MonitorError::from_snmp(e, node))?;
+    plan.parse(&bindings)
 }
 
 fn wrong_type(vb: &VarBind) -> MonitorError {

@@ -4,14 +4,16 @@
 //! LAN: every host gets DISCARD and ECHO services, every SNMP-capable
 //! node gets an in-simulation SNMP agent ([`SimSnmpAgent`]) answering on
 //! port 161, and the designated monitor host gets a manager mailbox. The
-//! poll runtime then sends *real encoded SNMP messages through the
-//! simulated network* — so, exactly as in the paper's testbed, the
-//! monitoring traffic itself consumes bandwidth and contributes to the
-//! measurement bias (the paper attributes ~2 % of its error to "traffic
-//! caused by SNMP queries and acknowledgements").
+//! simulated LAN is then one more [`Transport`] ([`SimLink`]) under the
+//! SNMP manager that also polls over UDP, which sends *real encoded SNMP
+//! messages through the simulated network* — so, exactly as in the
+//! paper's testbed, the monitoring traffic itself consumes bandwidth and
+//! contributes to the measurement bias (the paper attributes ~2 % of its
+//! error to "traffic caused by SNMP queries and acknowledgements").
 
 use crate::error::MonitorError;
-use crate::poll::{DeviceSnapshot, PollPlan};
+use crate::poll::{self, DeviceSnapshot, PollPlan};
+use crate::telemetry::MonitorTelemetry;
 use bytes::Bytes;
 use netqos_sim::app::{AppCtx, DiscardSink, EchoResponder, Mailbox, UdpApp};
 use netqos_sim::builder::LanBuilder;
@@ -19,14 +21,15 @@ use netqos_sim::nic::Nic;
 use netqos_sim::packet::{DISCARD_PORT, ECHO_PORT, SNMP_PORT};
 use netqos_sim::time::{SimDuration, SimTime};
 use netqos_sim::traffic::NoiseSource;
-use netqos_sim::{DeviceId, Ipv4Addr, Lan, PortIx, UdpDatagram};
+use netqos_sim::{DeviceId, Ipv4Addr, Lan, PortIx, SimError, UdpDatagram};
 use netqos_snmp::agent::SnmpAgent;
-use netqos_snmp::client;
+use netqos_snmp::client::{self, Manager};
 use netqos_snmp::mib::{MibView, ScalarMib};
 use netqos_snmp::mib2::interfaces::{self as ifc, column};
 use netqos_snmp::mib2::{self, SystemInfo};
+use netqos_snmp::transport::Transport;
 use netqos_snmp::value::ValueRef;
-use netqos_snmp::{Oid, SnmpValue};
+use netqos_snmp::{Oid, SnmpError, SnmpValue};
 use netqos_spec::SpecModel;
 use netqos_telemetry::{QuantileBaseline, Tracer};
 use netqos_topology::{NodeId, NodeKind};
@@ -243,11 +246,14 @@ pub struct SimNetwork {
     monitor_dev: DeviceId,
     monitor_node: NodeId,
     inbox: Rc<RefCell<Vec<(SimTime, UdpDatagram)>>>,
-    next_request_id: i32,
+    /// The one manager behind every poll and walk: one request-id
+    /// sequence across all devices. Its polls are counted by `telemetry`,
+    /// so it records no metrics of its own.
+    manager: Manager,
     poll_timeout: SimDuration,
     /// Polls that timed out (for diagnostics).
     pub timeouts: u64,
-    telemetry: crate::telemetry::MonitorTelemetry,
+    telemetry: MonitorTelemetry,
     tracer: Tracer,
     /// Per-device poll-RTT baseline (simulated microseconds), so traces
     /// can rank each RTT against the device's recent history.
@@ -268,6 +274,86 @@ pub const MANAGER_PORT: u16 = 16100;
 /// Retransmissions per poll on timeout (matching the UDP transport's
 /// default of 2 retries).
 const POLL_RETRIES: u32 = 2;
+
+/// The simulated LAN as the [`Transport`] from the manager's mailbox to
+/// one agent. It borrows the network for one call: an exchange posts the
+/// request and steps simulated time until the answer is in the mailbox,
+/// retransmitting up to [`POLL_RETRIES`] times — the same recovery a real
+/// manager performs over lossy UDP.
+///
+/// Each datagram in the mailbox is looked at once, by its request-id
+/// alone, and only the one that matches is handed back to be decoded.
+/// Late duplicates of earlier polls and datagrams that are not SNMP (an
+/// ECHO reply left by [`SimNetwork::measure_rtt`]) cost a header peek and
+/// never reach the codec counters.
+pub struct SimLink<'a> {
+    lan: &'a mut Lan,
+    inbox: &'a RefCell<Vec<(SimTime, UdpDatagram)>>,
+    manager_dev: DeviceId,
+    agent_ip: Ipv4Addr,
+    timeout: SimDuration,
+    telemetry: &'a MonitorTelemetry,
+    timeouts: &'a mut u64,
+    /// Why the simulator refused to post a request, when that is what
+    /// failed an exchange.
+    unposted: Option<SimError>,
+}
+
+impl SimLink<'_> {
+    /// The `result` of a conversation over this link — or, if it ended
+    /// because the simulator refused a request, the simulator's error in
+    /// its own type instead of as an SNMP failure.
+    fn checked<R>(self, result: Result<R, MonitorError>) -> Result<R, MonitorError> {
+        self.unposted.map_or(result, |e| Err(e.into()))
+    }
+}
+
+impl Transport for SimLink<'_> {
+    fn exchange(&mut self, request: &[u8]) -> Result<Vec<u8>, SnmpError> {
+        let request_id = client::peek_request_id(request)
+            .ok_or_else(|| SnmpError::Transport("request carries no request-id".into()))?;
+        let request = Bytes::copy_from_slice(request);
+        // Mailbox entries before this index have been ruled out; the
+        // mailbox only grows while this exchange runs.
+        let mut examined = 0;
+        for attempt in 0..=POLL_RETRIES {
+            if attempt > 0 {
+                self.telemetry.poll_retransmits.inc();
+            }
+            if let Err(e) = self.lan.post_udp(
+                self.manager_dev,
+                MANAGER_PORT,
+                self.agent_ip,
+                SNMP_PORT,
+                request.clone(),
+            ) {
+                let failure = SnmpError::Transport(e.to_string());
+                self.unposted = Some(e);
+                return Err(failure);
+            }
+            let deadline = self.lan.now() + self.timeout;
+            loop {
+                {
+                    let mut inbox = self.inbox.borrow_mut();
+                    while examined < inbox.len() {
+                        let payload = &inbox[examined].1.payload;
+                        if client::peek_request_id(payload) == Some(request_id) {
+                            return Ok(inbox.remove(examined).1.payload.to_vec());
+                        }
+                        examined += 1;
+                    }
+                }
+                if self.lan.now() >= deadline {
+                    break; // this attempt timed out; maybe retransmit
+                }
+                self.lan.step_before(deadline);
+            }
+        }
+        *self.timeouts += 1;
+        self.telemetry.poll_timeouts.inc();
+        Err(SnmpError::Timeout)
+    }
+}
 
 impl SimNetwork {
     /// Materializes a spec model with default options.
@@ -386,8 +472,8 @@ impl SimNetwork {
         extra(&mut b, &node_to_dev, &model);
 
         let telemetry = match options.registry {
-            Some(registry) => crate::telemetry::MonitorTelemetry::new(registry),
-            None => crate::telemetry::MonitorTelemetry::private(),
+            Some(registry) => MonitorTelemetry::new(registry),
+            None => MonitorTelemetry::private(),
         };
         let pollable = model
             .topology
@@ -404,7 +490,7 @@ impl SimNetwork {
             monitor_dev,
             monitor_node,
             inbox,
-            next_request_id: 1,
+            manager: Manager::default(),
             poll_timeout: options.poll_timeout,
             timeouts: 0,
             telemetry,
@@ -415,6 +501,7 @@ impl SimNetwork {
 
     /// Routes this network's poll-pipeline spans into `tracer`.
     pub fn set_tracer(&mut self, tracer: Tracer) {
+        self.manager.set_tracer(tracer.clone());
         self.tracer = tracer;
     }
 
@@ -430,7 +517,7 @@ impl SimNetwork {
 
     /// The poll runtime's telemetry handles (and through them, the
     /// registry everything on this network records into).
-    pub fn telemetry(&self) -> &crate::telemetry::MonitorTelemetry {
+    pub fn telemetry(&self) -> &MonitorTelemetry {
         &self.telemetry
     }
 
@@ -454,50 +541,61 @@ impl SimNetwork {
         self.pollable.clone()
     }
 
-    /// The agent of `node`, or the error naming the node that has none.
-    fn target(&self, node: NodeId) -> Result<&AgentTarget, MonitorError> {
-        match self.agents.get(node.0 as usize) {
-            Some(Some(target)) => Ok(target),
-            _ => Err(MonitorError::NotPollable(self.node_name(node))),
-        }
+    /// What it takes to talk to the agent of `node`: the link to it, the
+    /// manager, where and how the agent is polled, and the node's name.
+    fn agent(
+        &mut self,
+        node: NodeId,
+    ) -> Result<(SimLink<'_>, &mut Manager, &AgentTarget, &str), MonitorError> {
+        let name = match self.model.topology.node(node) {
+            Ok(n) => n.name.as_str(),
+            Err(_) => return Err(MonitorError::NotPollable(node.to_string())),
+        };
+        let Some(target) = &self.agents[node.0 as usize] else {
+            return Err(MonitorError::NotPollable(name.to_owned()));
+        };
+        let link = SimLink {
+            lan: &mut self.lan,
+            inbox: &self.inbox,
+            manager_dev: self.monitor_dev,
+            agent_ip: target.ip,
+            timeout: self.poll_timeout,
+            telemetry: &self.telemetry,
+            timeouts: &mut self.timeouts,
+            unposted: None,
+        };
+        Ok((link, &mut self.manager, target, name))
     }
 
-    fn node_name(&self, node: NodeId) -> String {
-        match self.model.topology.node(node) {
-            Ok(n) => n.name.clone(),
-            Err(_) => node.to_string(),
-        }
-    }
-
-    fn fresh_request_id(&mut self) -> i32 {
-        let id = self.next_request_id;
-        self.next_request_id = id.wrapping_add(1).max(1);
-        id
+    /// The simulated network as a [`Transport`] from the monitor host to
+    /// the agent of `node`, for a manager of the caller's own — how tests
+    /// put the simulator beside the other transports. Polling goes through
+    /// [`SimNetwork::poll_device`].
+    pub fn link(&mut self, node: NodeId) -> Result<SimLink<'_>, MonitorError> {
+        self.agent(node).map(|(link, ..)| link)
     }
 
     /// Polls one device through the simulated network, advancing simulated
     /// time until its response arrives (or the poll timeout elapses).
     pub fn poll_device(&mut self, node: NodeId) -> Result<DeviceSnapshot, MonitorError> {
-        let plan = self.target(node)?.plan.clone();
         let mut poll_span = self.tracer.span("monitor.poll", "device");
-        if poll_span.is_recording() {
-            poll_span.set_attr("device", self.model.topology.node(node)?.name.as_str());
-        }
-        let request_id = self.fresh_request_id();
-        let req = {
-            let mut encode_span = self.tracer.span("snmp.codec", "encode");
-            let community = &self.target(node)?.community;
-            let req = client::build_get(community, request_id, plan.oids())
-                .map_err(|e| MonitorError::Snmp(e.to_string()))?;
-            encode_span.set_attr("bytes", req.len());
-            encode_span.set_attr("oids", plan.oids().len());
-            req
-        };
         let sent_at = self.lan.now();
-        let resp = {
-            let _exchange_span = self.tracer.span("snmp.client", "exchange");
-            self.exchange(node, req, request_id)?
+        let snapshot = {
+            let (mut link, manager, target, name) = self.agent(node)?;
+            if poll_span.is_recording() {
+                poll_span.set_attr("device", name);
+            }
+            let mut session = manager.session(&mut link, &target.community);
+            let snapshot = poll::poll_once(&mut session, name, &target.plan);
+            link.checked(snapshot)
         };
+        match &snapshot {
+            Ok(_) => self.telemetry.polls.inc(),
+            // Nothing came back to time or to count as a failed poll: the
+            // link counts its timeouts, and a refused post never left.
+            Err(MonitorError::Timeout { .. } | MonitorError::Sim(_)) => return snapshot,
+            Err(_) => self.telemetry.poll_failures.inc(),
+        }
         let rtt_us = self.lan.now().duration_since(sent_at).as_micros();
         self.telemetry.poll_rtt_us.record(rtt_us);
         // Rank this RTT against the device's own history before folding
@@ -510,24 +608,10 @@ impl SimNetwork {
         baseline.record(rtt_us);
         // Drop stale datagrams (late duplicates from retransmitted polls)
         // so the inbox cannot grow without bound across long experiments.
-        {
-            let now = self.lan.now();
-            self.inbox
-                .borrow_mut()
-                .retain(|(t, _)| now.duration_since(*t) < SimDuration::from_secs(10));
-        }
-        let mut decode_span = self.tracer.span("snmp.codec", "decode");
-        let bindings = resp.into_result().map_err(|e| {
-            self.telemetry.poll_failures.inc();
-            MonitorError::Snmp(e.to_string())
-        })?;
-        decode_span.set_attr("bindings", bindings.len());
-        let snapshot = plan.parse(&bindings);
-        drop(decode_span);
-        match &snapshot {
-            Ok(_) => self.telemetry.polls.inc(),
-            Err(_) => self.telemetry.poll_failures.inc(),
-        }
+        let now = self.lan.now();
+        self.inbox
+            .borrow_mut()
+            .retain(|(t, _)| now.duration_since(*t) < SimDuration::from_secs(10));
         snapshot
     }
 
@@ -560,136 +644,6 @@ impl SimNetwork {
         self.lan.run_until(t);
     }
 
-    /// One SNMP exchange through the simulated network: sends `request`
-    /// to `node`'s agent and waits for the matching response,
-    /// retransmitting up to [`POLL_RETRIES`] times on timeout — the same
-    /// recovery a real manager performs over lossy UDP.
-    ///
-    /// Each datagram in the manager's mailbox is looked at once, by its
-    /// request-id alone; only the one that matches is decoded. Late
-    /// duplicates of earlier polls and datagrams that are not SNMP (an
-    /// ECHO reply left by [`SimNetwork::measure_rtt`]) cost a header peek
-    /// and never reach the codec counters.
-    fn exchange(
-        &mut self,
-        node: NodeId,
-        request: Vec<u8>,
-        request_id: i32,
-    ) -> Result<client::Response, MonitorError> {
-        let agent_ip = self.target(node)?.ip;
-        let request = Bytes::from(request);
-        // Mailbox entries before this index have been ruled out; the
-        // mailbox only grows while this exchange runs.
-        let mut examined = 0;
-        for attempt in 0..=POLL_RETRIES {
-            if attempt > 0 {
-                self.telemetry.poll_retransmits.inc();
-            }
-            self.lan.post_udp(
-                self.monitor_dev,
-                MANAGER_PORT,
-                agent_ip,
-                SNMP_PORT,
-                request.clone(),
-            )?;
-            let deadline = self.lan.now() + self.poll_timeout;
-            loop {
-                {
-                    let mut inbox = self.inbox.borrow_mut();
-                    while examined < inbox.len() {
-                        let payload = &inbox[examined].1.payload;
-                        if client::peek_request_id(payload) != Some(request_id) {
-                            examined += 1;
-                            continue;
-                        }
-                        let (_, dgram) = inbox.remove(examined);
-                        // A match that does not decode was damaged on
-                        // the way; keep waiting, as for a lost one.
-                        if let Ok(resp) = client::parse_response(&dgram.payload) {
-                            return Ok(resp);
-                        }
-                    }
-                }
-                if self.lan.now() >= deadline {
-                    break; // this attempt timed out; maybe retransmit
-                }
-                self.lan.step_before(deadline);
-            }
-        }
-        self.timeouts += 1;
-        self.telemetry.poll_timeouts.inc();
-        Err(MonitorError::Timeout {
-            node: self.node_name(node),
-        })
-    }
-
-    /// Walks a MIB subtree of `node`'s agent with repeated GetNext
-    /// requests through the simulated network.
-    pub fn walk_subtree(
-        &mut self,
-        node: NodeId,
-        prefix: &netqos_snmp::Oid,
-    ) -> Result<Vec<netqos_snmp::pdu::VarBind>, MonitorError> {
-        let community = self.target(node)?.community.clone();
-        let mut out = Vec::new();
-        let mut cur = prefix.clone();
-        loop {
-            let request_id = self.fresh_request_id();
-            let req = client::build_get_next(&community, request_id, std::slice::from_ref(&cur))
-                .map_err(|e| MonitorError::Snmp(e.to_string()))?;
-            let resp = self.exchange(node, req, request_id)?;
-            if !resp.error_status.is_ok() {
-                break; // noSuchName = end of MIB in v1
-            }
-            let Some(vb) = resp.bindings.into_iter().next() else {
-                break;
-            };
-            if !vb.oid.starts_with(prefix) || vb.oid == cur {
-                break;
-            }
-            cur = vb.oid.clone();
-            out.push(vb);
-        }
-        Ok(out)
-    }
-
-    /// Walks a MIB subtree with SNMPv2c GetBulk requests through the
-    /// simulated network — far fewer round trips than
-    /// [`SimNetwork::walk_subtree`] on large tables.
-    pub fn walk_subtree_bulk(
-        &mut self,
-        node: NodeId,
-        prefix: &netqos_snmp::Oid,
-        max_repetitions: u32,
-    ) -> Result<Vec<netqos_snmp::pdu::VarBind>, MonitorError> {
-        let community = self.target(node)?.community.clone();
-        let mut out = Vec::new();
-        let mut cur = prefix.clone();
-        'outer: loop {
-            let request_id = self.fresh_request_id();
-            let req = client::build_get_bulk(
-                &community,
-                request_id,
-                0,
-                max_repetitions.max(1),
-                std::slice::from_ref(&cur),
-            )
-            .map_err(|e| MonitorError::Snmp(e.to_string()))?;
-            let resp = self.exchange(node, req, request_id)?;
-            if !resp.error_status.is_ok() || resp.bindings.is_empty() {
-                break;
-            }
-            for vb in resp.bindings {
-                if vb.value.is_exception() || !vb.oid.starts_with(prefix) || vb.oid == cur {
-                    break 'outer;
-                }
-                cur = vb.oid.clone();
-                out.push(vb);
-            }
-        }
-        Ok(out)
-    }
-
     /// Reads the forwarding database of a managed switch (BRIDGE-MIB
     /// `dot1dTpFdbPort` walk, fetched with SNMPv2c GetBulk).
     pub fn poll_fdb(
@@ -698,7 +652,11 @@ impl SimNetwork {
     ) -> Result<Vec<netqos_snmp::mib2::bridge::FdbEntry>, MonitorError> {
         let col = netqos_snmp::mib2::bridge::fdb_entry_base()
             .child(netqos_snmp::mib2::bridge::column::PORT);
-        let bindings = self.walk_subtree_bulk(node, &col, 16)?;
+        let (mut link, manager, target, name) = self.agent(node)?;
+        let walked = manager
+            .session(&mut link, &target.community)
+            .bulk_walk(&col, 16);
+        let bindings = link.checked(walked.map_err(|e| MonitorError::from_snmp(e, name)))?;
         Ok(netqos_snmp::mib2::bridge::entries_from_port_walk(&bindings))
     }
 
@@ -710,7 +668,9 @@ impl SimNetwork {
         node: NodeId,
     ) -> Result<Vec<(u32, [u8; 6])>, MonitorError> {
         let col = mib2::interfaces::column_oid(mib2::interfaces::column::IF_PHYS_ADDRESS);
-        let bindings = self.walk_subtree(node, &col)?;
+        let (mut link, manager, target, name) = self.agent(node)?;
+        let walked = manager.session(&mut link, &target.community).walk(&col);
+        let bindings = link.checked(walked.map_err(|e| MonitorError::from_snmp(e, name)))?;
         Ok(bindings
             .iter()
             .filter_map(|vb| {
@@ -1070,6 +1030,37 @@ mod tests {
         // an out-of-range id to hit the NotPollable path via lookup.
         let bogus = NodeId(99);
         assert!(net.poll_device(bogus).is_err());
+    }
+
+    #[test]
+    fn a_request_the_simulator_refuses_is_a_sim_error_and_not_a_failed_poll() {
+        let mut net = build();
+        let s1 = net.model().topology.node_by_name("S1").unwrap();
+        net.poll_device(s1).unwrap();
+        net.monitor_dev = DeviceId(99); // no such device: nothing can be posted
+        assert!(matches!(net.poll_device(s1), Err(MonitorError::Sim(_))));
+        assert!(matches!(
+            net.poll_phys_addresses(s1),
+            Err(MonitorError::Sim(_))
+        ));
+        assert!(matches!(net.poll_fdb(s1), Err(MonitorError::Sim(_))));
+        let telemetry = net.telemetry();
+        assert_eq!(telemetry.polls.get(), 1);
+        assert_eq!(telemetry.poll_failures.get(), 0);
+        assert_eq!(telemetry.poll_timeouts.get(), 0);
+        assert_eq!(telemetry.poll_rtt_us.count(), 1);
+        // A caller's own manager over the link sees a transport failure.
+        let mut link = net.link(s1).unwrap();
+        let request = client::build_get("public", 1, &[]).unwrap();
+        assert!(matches!(
+            link.exchange(&request),
+            Err(SnmpError::Transport(_))
+        ));
+        // So does one whose request carries no request-id to match.
+        assert!(matches!(
+            link.exchange(b"not snmp"),
+            Err(SnmpError::Transport(_))
+        ));
     }
 
     #[test]

@@ -1,5 +1,6 @@
 //! Distributed monitoring over real UDP — the paper's future-work item
-//! "distributed network monitoring", built on the sans-IO SNMP client.
+//! "distributed network monitoring": the SNMP manager that polls the
+//! simulator, here over one UDP transport per agent.
 //!
 //! One poller thread per agent sends the Table-1 GetRequest every
 //! `period`, pushing parsed snapshots into a crossbeam channel; the
@@ -9,9 +10,10 @@
 
 use crate::error::MonitorError;
 use crate::live::unix_now_ns;
-use crate::poll::{DeviceSnapshot, PollPlan};
+use crate::poll::{poll_once, DeviceSnapshot, PollPlan};
 use crossbeam::channel::{unbounded, Receiver, Sender};
-use netqos_snmp::client::SnmpClient;
+use netqos_snmp::client::Manager;
+use netqos_snmp::telemetry::{ClientTelemetry, TransportTelemetry};
 use netqos_snmp::transport::UdpTransport;
 use netqos_telemetry::{
     Counter, CycleTrace, FlightRecorder, Gauge, Histogram, Registry, SpanRecord, Tracer,
@@ -81,8 +83,9 @@ pub struct PollerStats {
 }
 
 /// Telemetry handles shared by one poller's worker threads.
-#[derive(Clone)]
 struct WorkerTelemetry {
+    client: ClientTelemetry,
+    transport: TransportTelemetry,
     successes: Counter,
     failures: Counter,
     queue_depth: Gauge,
@@ -93,54 +96,24 @@ struct WorkerTelemetry {
 }
 
 impl DistributedPoller {
-    /// Spawns one polling thread per target, with metrics in the
-    /// process-global registry.
-    pub fn spawn(targets: Vec<AgentTarget>, period: Duration) -> Self {
-        Self::spawn_with_registry(targets, period, netqos_telemetry::global())
-    }
-
-    /// Spawns one polling thread per target, resolving metrics against
-    /// `registry`: aggregate success/failure counters, a wall-clock poll
-    /// latency histogram (plus one per worker), and a queue-depth gauge
-    /// tracking undrained [`PollMessage`]s.
-    pub fn spawn_with_registry(
-        targets: Vec<AgentTarget>,
-        period: Duration,
-        registry: &Registry,
-    ) -> Self {
-        Self::spawn_inner(targets, period, registry, &Tracer::disabled(), None)
-    }
-
-    /// Like [`DistributedPoller::spawn_with_registry`], but each worker
-    /// thread records causal spans into a fork of `tracer` (sharing its
-    /// enable switch, not its cycle buffer — workers are concurrent, so
-    /// each poll becomes its own trace). Drained spans accumulate up to
-    /// [`WORKER_SPAN_CAP`]; collect them with
-    /// [`DistributedPoller::take_spans`].
-    pub fn spawn_traced(
-        targets: Vec<AgentTarget>,
-        period: Duration,
-        registry: &Registry,
-        tracer: &Tracer,
-    ) -> Self {
-        Self::spawn_inner(targets, period, registry, tracer, None)
-    }
-
-    /// Like [`DistributedPoller::spawn_traced`], additionally pushing
-    /// each worker poll as its own [`CycleTrace`] into `flight`, so
-    /// real-UDP polls land in the same forensic ring (and OTLP/Chrome
-    /// snapshots) as the simulated pipeline's cycles.
-    pub fn spawn_traced_with_flight(
-        targets: Vec<AgentTarget>,
-        period: Duration,
-        registry: &Registry,
-        tracer: &Tracer,
-        flight: Arc<FlightRecorder>,
-    ) -> Self {
-        Self::spawn_inner(targets, period, registry, tracer, Some(flight))
-    }
-
-    fn spawn_inner(
+    /// Spawns one polling thread per target.
+    ///
+    /// Every metric resolves against `registry` (pass
+    /// [`netqos_telemetry::global()`] for the process-wide one): aggregate
+    /// success/failure counters, a wall-clock poll latency histogram (plus
+    /// one per worker), a queue-depth gauge tracking undrained
+    /// [`PollMessage`]s, and the SNMP client's and UDP transport's own
+    /// `netqos_snmp_client_*` / `netqos_snmp_udp_*` series.
+    ///
+    /// Each worker records causal spans into a fork of `tracer` (sharing
+    /// its enable switch, not its cycle buffer — workers are concurrent,
+    /// so each poll becomes its own trace; pass [`Tracer::disabled()`] for
+    /// none). Drained spans accumulate up to [`WORKER_SPAN_CAP`]; collect
+    /// them with [`DistributedPoller::take_spans`]. With a `flight`
+    /// recorder each worker poll is additionally pushed as its own
+    /// [`CycleTrace`], so real-UDP polls land in the same forensic ring
+    /// (and OTLP/Chrome snapshots) as the simulated pipeline's cycles.
+    pub fn spawn(
         targets: Vec<AgentTarget>,
         period: Duration,
         registry: &Registry,
@@ -166,6 +139,8 @@ impl DistributedPoller {
             let spans = worker_spans.clone();
             let flight = flight.clone();
             let telemetry = WorkerTelemetry {
+                client: ClientTelemetry::from_registry(registry),
+                transport: TransportTelemetry::from_registry(registry),
                 successes: registry.counter("netqos_threaded_polls_total"),
                 failures: registry.counter("netqos_threaded_poll_failures_total"),
                 queue_depth: registry.gauge("netqos_threaded_queue_depth"),
@@ -189,8 +164,7 @@ impl DistributedPoller {
     }
 
     /// Takes every span the worker threads have recorded since the last
-    /// call (empty unless spawned via [`DistributedPoller::spawn_traced`]
-    /// with tracing enabled).
+    /// call (empty unless spawned with an enabled tracer).
     pub fn take_spans(&self) -> Vec<SpanRecord> {
         std::mem::take(&mut *self.worker_spans.lock())
     }
@@ -260,22 +234,25 @@ fn poll_loop(
     // timeline once so this worker's flight cycles export as OTLP with
     // absolute timestamps.
     let epoch_unix_ns = unix_now_ns().saturating_sub(tracer.now_ns());
-    let transport = match UdpTransport::connect(target.addr) {
+    let node = target.node.to_string();
+    let mut transport = match UdpTransport::connect(target.addr) {
         Ok(mut t) => {
             t.set_timeout(period.min(Duration::from_millis(500)));
             t.set_retries(1);
+            t.set_telemetry(telemetry.transport);
             t
         }
         Err(e) => {
             let _ = tx.send(PollMessage::Failure {
                 node: target.node,
-                error: MonitorError::Snmp(e.to_string()),
+                error: MonitorError::from_snmp(e, &node),
             });
             return;
         }
     };
-    let mut client = SnmpClient::new(transport, &target.community);
-    client.set_tracer(tracer.clone());
+    let mut manager = Manager::default();
+    manager.set_telemetry(telemetry.client);
+    manager.set_tracer(tracer.clone());
     while !stop.load(Ordering::Relaxed) {
         // Each poll is its own trace: workers are concurrent, so their
         // spans cannot share the service's per-tick cycle buffer.
@@ -283,14 +260,12 @@ fn poll_loop(
         let cycle_start_ns = tracer.now_ns();
         let mut poll_span = tracer.span("monitor.poll", "device");
         if poll_span.is_recording() {
-            poll_span.set_attr("device", target.node.to_string());
+            poll_span.set_attr("device", node.as_str());
             poll_span.set_attr("addr", target.addr.to_string());
         }
         let poll_start = Instant::now();
-        let result = client
-            .get_many(plan.oids())
-            .map_err(MonitorError::from)
-            .and_then(|bindings| plan.parse(&bindings));
+        let mut session = manager.session(&mut transport, &target.community);
+        let result = poll_once(&mut session, &node, &plan);
         let elapsed = poll_start.elapsed();
         poll_span.set_attr("ok", result.is_ok());
         drop(poll_span);
@@ -396,6 +371,10 @@ mod tests {
         // poll -> exactly 1 Mb/s regardless of wall-clock pacing.
         let server = spawn_growing_agent(125_000, 100);
         let (topo, node) = one_node_topology();
+        // Everything the poller, its SNMP clients and their UDP transports
+        // count lands in the registry the poller was given.
+        let registry = Registry::new();
+        let client_requests = || registry.counter("netqos_snmp_client_requests_total").get();
         let poller = DistributedPoller::spawn(
             vec![AgentTarget {
                 node,
@@ -404,6 +383,9 @@ mod tests {
                 if_count: 1,
             }],
             Duration::from_millis(50),
+            &registry,
+            &Tracer::disabled(),
+            None,
         );
         let mut monitor = NetworkMonitor::new(topo);
         let deadline = std::time::Instant::now() + Duration::from_secs(3);
@@ -417,6 +399,15 @@ mod tests {
         assert!(poller.stats().successes >= 2);
         poller.stop();
         server.stop();
+        // One request per poll, whichever way the poll ended.
+        assert!(client_requests() >= 2, "{} requests", client_requests());
+        assert_eq!(
+            client_requests(),
+            registry.counter("netqos_threaded_polls_total").get()
+                + registry
+                    .counter("netqos_threaded_poll_failures_total")
+                    .get()
+        );
     }
 
     #[test]
@@ -426,7 +417,7 @@ mod tests {
         let registry = Registry::new();
         let tracer = Tracer::new(); // enabled
         let flight = Arc::new(FlightRecorder::new(16));
-        let poller = DistributedPoller::spawn_traced_with_flight(
+        let poller = DistributedPoller::spawn(
             vec![AgentTarget {
                 node,
                 addr: server.local_addr(),
@@ -436,7 +427,7 @@ mod tests {
             Duration::from_millis(30),
             &registry,
             &tracer,
-            flight.clone(),
+            Some(flight.clone()),
         );
         let mut monitor = NetworkMonitor::new(topo);
         let deadline = std::time::Instant::now() + Duration::from_secs(3);
@@ -484,6 +475,9 @@ mod tests {
                 if_count: 1,
             }],
             Duration::from_millis(50),
+            &Registry::new(),
+            &Tracer::disabled(),
+            None,
         );
         let mut monitor = NetworkMonitor::new(topo);
         let deadline = std::time::Instant::now() + Duration::from_secs(5);
@@ -493,7 +487,7 @@ mod tests {
             failures = poller.drain_into(&mut monitor);
             std::thread::sleep(Duration::from_millis(20));
         }
-        assert!(matches!(failures[0].1, MonitorError::Snmp(_)));
+        assert!(matches!(failures[0].1, MonitorError::Timeout { .. }));
         poller.stop();
     }
 }

@@ -1,9 +1,11 @@
 //! Allocation budget of one steady-state poll: what the public
 //! signatures force (the request buffer, the response buffer, the vector
 //! of bindings, the `ifDescr` strings, the snapshot's vectors) and
-//! nothing per name, per value or per TLV.
+//! nothing per name, per value or per TLV — for the codec and agent
+//! alone, and for a whole `SimNetwork::poll_device`.
 
 use netqos_monitor::poll::{parse_snapshot, poll_oids};
+use netqos_monitor::simnet::{SimNetwork, SimNetworkOptions};
 use netqos_snmp::mib2::{interfaces, system, IfEntry, SystemInfo};
 use netqos_snmp::{client, ScalarMib, SnmpAgent};
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -93,3 +95,43 @@ fn a_poll_allocates_what_its_signatures_force() {
     );
     println!("allocations per poll: {host} (1 interface), {switch} (9 interfaces)");
 }
+
+/// Allocations of one steady-state `SimNetwork::poll_device` of a
+/// 1-interface host: the poll above plus what carrying two datagrams
+/// through the simulator costs.
+fn sim_poll_allocations() -> u64 {
+    const SPEC: &str = r#"
+        host L  { address 10.0.0.1;  snmp community "public"; interface eth0 { speed 100Mbps; } }
+        host S1 { address 10.0.0.11; snmp community "public"; interface hme0 { speed 100Mbps; } }
+        device sw switch { address 10.0.0.100; snmp community "public"; speed 100Mbps;
+                           interface p1; interface p2; }
+        connection L.eth0 <-> sw.p1;
+        connection S1.hme0 <-> sw.p2;
+    "#;
+    let model = netqos_spec::parse_and_validate(SPEC).unwrap();
+    let mut net = SimNetwork::from_model(model, SimNetworkOptions::default()).unwrap();
+    let s1 = net.model().topology.node_by_name("S1").unwrap();
+    // Warm up: the switch learns both addresses, queues and the RTT
+    // baseline reach their steady size.
+    for _ in 0..8 {
+        net.poll_device(s1).unwrap();
+    }
+    allocations_in(|| {
+        net.poll_device(s1).unwrap();
+    })
+}
+
+#[test]
+fn a_poll_through_the_simulator_stays_within_the_parent_commits_count() {
+    let polled = sim_poll_allocations();
+    println!("allocations per simulated poll: {polled}");
+    assert!(
+        polled <= SIM_POLL_BUDGET,
+        "{polled} allocations, budget {SIM_POLL_BUDGET}"
+    );
+}
+
+/// What one such poll cost before the simulator became a `Transport` of
+/// the one SNMP manager (measured at that commit; 13 since, the request
+/// being encoded into a buffer the manager keeps).
+const SIM_POLL_BUDGET: u64 = 14;

@@ -1,10 +1,15 @@
-//! The manager (client) side: request building, response parsing, and a
-//! synchronous convenience client over any [`Transport`].
+//! The manager (client) side: request building, response parsing, and the
+//! one synchronous manager every poller in the tree uses.
 //!
-//! The request builders and [`parse_response`] are sans-IO so the monitor
-//! can drive them from the event-driven simulator; [`SnmpClient`] wraps
-//! them with request-id bookkeeping and retries for blocking transports
-//! (UDP and loopback).
+//! The request builders and [`parse_response`] are sans-IO. [`Session`] is
+//! the one implementation of Get, GetNext, the GetNext walk and the
+//! GetBulk walk on top of them, over any [`Transport`]: the in-process
+//! loopback, a UDP socket, or the simulated LAN. What a manager keeps from
+//! one request to the next — its request-id sequence, telemetry handles,
+//! tracer and encode buffer — is a [`Manager`]; it outlives the transports
+//! it talks through, so one manager can poll a thousand agents over links
+//! that each exist for a single call. [`SnmpClient`] is the common case
+//! bundled up: a manager that owns the transport to its one agent.
 
 use crate::ber::{tag, Reader};
 use crate::error::SnmpError;
@@ -17,20 +22,39 @@ use crate::value::{SnmpValue, ValueRef};
 use netqos_telemetry::Tracer;
 use std::time::Instant;
 
-/// Encodes a request for `oids` (NULL-valued bindings) into one buffer.
-fn build_request(
-    version: SnmpVersion,
+/// The three requests a manager sends.
+#[derive(Clone, Copy)]
+enum Request {
+    Get,
+    GetNext,
+    /// SNMPv2c only: non-repeaters, max-repetitions.
+    GetBulk(u32, u32),
+}
+
+/// Encodes `request` for `oids` (NULL-valued bindings) into `out`, over
+/// whatever it held, and hands the buffer back.
+fn encode_request(
+    mut out: Vec<u8>,
     community: &str,
-    pdu_tag: u8,
+    request: Request,
     request_id: i32,
-    second: i64,
-    third: i64,
     oids: &[Oid],
 ) -> Result<Vec<u8>, SnmpError> {
+    let (version, pdu_tag, second, third) = match request {
+        Request::Get => (SnmpVersion::V1, tag::GET_REQUEST, 0, 0),
+        Request::GetNext => (SnmpVersion::V1, tag::GET_NEXT_REQUEST, 0, 0),
+        Request::GetBulk(non_repeaters, max_repetitions) => (
+            SnmpVersion::V2c,
+            tag::GET_BULK_REQUEST,
+            non_repeaters.into(),
+            max_repetitions.into(),
+        ),
+    };
     // Wrapper and PDU header, then per binding two headers, the NULL and
     // about one octet per arc.
     let names: usize = oids.iter().map(|oid| oid.len() + 6).sum();
-    let mut out = Vec::with_capacity(32 + community.len() + names);
+    out.clear();
+    out.reserve(32 + community.len() + names);
     let message = message::open_message(&mut out, version, community.as_bytes());
     let pdu = pdu::open_pdu(&mut out, pdu_tag, request_id, second, third);
     for oid in oids {
@@ -43,8 +67,7 @@ fn build_request(
 
 /// Builds an encoded `GetRequest` message.
 pub fn build_get(community: &str, request_id: i32, oids: &[Oid]) -> Result<Vec<u8>, SnmpError> {
-    let version = SnmpVersion::V1;
-    build_request(version, community, tag::GET_REQUEST, request_id, 0, 0, oids)
+    encode_request(Vec::new(), community, Request::Get, request_id, oids)
 }
 
 /// Builds an encoded `GetNextRequest` message.
@@ -53,8 +76,7 @@ pub fn build_get_next(
     request_id: i32,
     oids: &[Oid],
 ) -> Result<Vec<u8>, SnmpError> {
-    let (version, pdu_tag) = (SnmpVersion::V1, tag::GET_NEXT_REQUEST);
-    build_request(version, community, pdu_tag, request_id, 0, 0, oids)
+    encode_request(Vec::new(), community, Request::GetNext, request_id, oids)
 }
 
 /// Builds an encoded SNMPv2c `GetBulkRequest` message.
@@ -65,15 +87,8 @@ pub fn build_get_bulk(
     max_repetitions: u32,
     oids: &[Oid],
 ) -> Result<Vec<u8>, SnmpError> {
-    build_request(
-        SnmpVersion::V2c,
-        community,
-        tag::GET_BULK_REQUEST,
-        request_id,
-        i64::from(non_repeaters),
-        i64::from(max_repetitions),
-        oids,
-    )
+    let request = Request::GetBulk(non_repeaters, max_repetitions);
+    encode_request(Vec::new(), community, request, request_id, oids)
 }
 
 /// A parsed agent response.
@@ -144,89 +159,104 @@ pub fn peek_request_id(bytes: &[u8]) -> Option<i32> {
     Some(pdu.read_integer().ok()? as i32)
 }
 
-/// A synchronous SNMP manager bound to one agent.
-pub struct SnmpClient<T: Transport> {
-    transport: T,
-    community: String,
-    next_id: i32,
-    /// How many stale (wrong request-id) responses to skip per request
-    /// before giving up.
-    stale_tolerance: u32,
-    telemetry: ClientTelemetry,
+/// What a manager keeps from one request to the next, whichever agent and
+/// transport the next one goes through: the request-id sequence, where its
+/// metrics and spans go, and the buffer requests are encoded into. The
+/// default starts at request-id 1, records no metrics and traces nothing.
+#[derive(Default)]
+pub struct Manager {
+    last_id: i32,
+    /// `None` for a manager whose owner already counts its polls.
+    telemetry: Option<ClientTelemetry>,
     tracer: Tracer,
+    /// The request being sent; reused so a steady-state request allocates
+    /// nothing on the way out.
+    request: Vec<u8>,
 }
 
-impl<T: Transport> SnmpClient<T> {
-    /// Creates a client using the given transport and community string.
-    pub fn new(transport: T, community: &str) -> Self {
-        SnmpClient {
-            transport,
-            community: community.to_owned(),
-            next_id: 1,
-            stale_tolerance: 4,
-            telemetry: ClientTelemetry::global(),
-            tracer: Tracer::disabled(),
-        }
-    }
-
-    /// Routes this client's metrics to `telemetry` instead of the
-    /// process-wide registry (used by services with their own registry).
+impl Manager {
+    /// Records this manager's request metrics into `telemetry`.
     pub fn set_telemetry(&mut self, telemetry: ClientTelemetry) {
-        self.telemetry = telemetry;
+        self.telemetry = Some(telemetry);
     }
 
-    /// Routes this client's causal spans into `tracer` (disabled by
+    /// Routes this manager's causal spans into `tracer` (disabled by
     /// default, which costs one atomic load per request).
     pub fn set_tracer(&mut self, tracer: Tracer) {
         self.tracer = tracer;
     }
 
-    /// Access to the underlying transport (e.g. to adjust timeouts).
-    pub fn transport_mut(&mut self) -> &mut T {
-        &mut self.transport
+    /// This manager talking to the agent behind `link` under `community`,
+    /// for as long as the borrow lasts.
+    pub fn session<'a>(
+        &'a mut self,
+        link: &'a mut dyn Transport,
+        community: &'a str,
+    ) -> Session<'a> {
+        Session {
+            manager: self,
+            link,
+            community,
+        }
     }
 
+    /// Request ids run 1, 2, … `i32::MAX`, 1, …
     fn fresh_id(&mut self) -> i32 {
-        let id = self.next_id;
-        self.next_id = self.next_id.wrapping_add(1).max(1);
-        id
+        self.last_id = self.last_id.wrapping_add(1).max(1);
+        self.last_id
     }
+}
 
-    fn exchange_checked(&mut self, request: &[u8], id: i32) -> Result<Response, SnmpError> {
-        self.telemetry.requests.inc();
-        self.telemetry.bytes_sent.add(request.len() as u64);
-        let start = Instant::now();
-        let mut stale = 0;
-        let result = loop {
-            let bytes = match self.transport.exchange(request) {
-                Ok(b) => b,
-                Err(e) => break Err(e),
-            };
-            self.telemetry.bytes_received.add(bytes.len() as u64);
-            let resp = match parse_response(&bytes) {
-                Ok(r) => r,
-                Err(e) => break Err(e),
-            };
-            if resp.request_id == id {
-                break Ok(resp);
+/// One manager's requests to one agent: the only implementation of Get,
+/// GetNext and the two walks.
+pub struct Session<'a> {
+    manager: &'a mut Manager,
+    link: &'a mut dyn Transport,
+    community: &'a str,
+}
+
+impl Session<'_> {
+    /// Encodes `request` under a fresh id, exchanges it and decodes the
+    /// answer, which must carry that id.
+    fn send(&mut self, request: Request, oids: &[Oid]) -> Result<Response, SnmpError> {
+        let id = self.manager.fresh_id();
+        {
+            let mut span = self.manager.tracer.span("snmp.codec", "encode");
+            let buffer = std::mem::take(&mut self.manager.request);
+            self.manager.request = encode_request(buffer, self.community, request, id, oids)?;
+            span.set_attr("bytes", self.manager.request.len());
+            span.set_attr("oids", oids.len());
+        }
+        let _span = self.manager.tracer.span("snmp.client", "exchange");
+        let Manager {
+            request, telemetry, ..
+        } = &*self.manager;
+        let start = telemetry.as_ref().map(|t| {
+            t.requests.inc();
+            t.bytes_sent.add(request.len() as u64);
+            Instant::now()
+        });
+        let result = self.link.exchange(request).and_then(|bytes| {
+            if let Some(t) = telemetry {
+                t.bytes_received.add(bytes.len() as u64);
             }
-            // A late retransmission answer from an earlier request: skip a
-            // bounded number of them.
-            self.telemetry.stale_responses.inc();
-            stale += 1;
-            if stale > self.stale_tolerance {
-                break Err(SnmpError::RequestIdMismatch {
+            let response = parse_response(&bytes)?;
+            if response.request_id != id {
+                return Err(SnmpError::RequestIdMismatch {
                     expected: id,
-                    got: resp.request_id,
+                    got: response.request_id,
                 });
             }
-        };
-        match &result {
-            Ok(_) => {
-                self.telemetry.responses.inc();
-                self.telemetry.rtt_ns.record_duration(start.elapsed());
+            Ok(response)
+        });
+        if let (Some(t), Some(start)) = (telemetry, start) {
+            match &result {
+                Ok(_) => {
+                    t.responses.inc();
+                    t.rtt_ns.record_duration(start.elapsed());
+                }
+                Err(_) => t.errors.inc(),
             }
-            Err(_) => self.telemetry.errors.inc(),
         }
         result
     }
@@ -234,20 +264,9 @@ impl<T: Transport> SnmpClient<T> {
     /// `GetRequest` for several objects; returns the bound values in
     /// request order.
     pub fn get_many(&mut self, oids: &[Oid]) -> Result<Vec<VarBind>, SnmpError> {
-        let id = self.fresh_id();
-        let req = {
-            let mut span = self.tracer.span("snmp.codec", "encode");
-            let req = build_get(&self.community, id, oids)?;
-            span.set_attr("bytes", req.len());
-            span.set_attr("oids", oids.len());
-            req
-        };
-        let resp = {
-            let _span = self.tracer.span("snmp.client", "exchange");
-            self.exchange_checked(&req, id)?
-        };
-        let mut span = self.tracer.span("snmp.codec", "decode");
-        let bindings = resp.into_result()?;
+        let response = self.send(Request::Get, oids)?;
+        let mut span = self.manager.tracer.span("snmp.codec", "decode");
+        let bindings = response.into_result()?;
         span.set_attr("bindings", bindings.len());
         Ok(bindings)
     }
@@ -263,78 +282,95 @@ impl<T: Transport> SnmpClient<T> {
 
     /// One `GetNextRequest` step.
     pub fn get_next(&mut self, oids: &[Oid]) -> Result<Vec<VarBind>, SnmpError> {
-        let id = self.fresh_id();
-        let req = build_get_next(&self.community, id, oids)?;
-        self.exchange_checked(&req, id)?.into_result()
-    }
-
-    /// Walks a subtree with SNMPv2c `GetBulkRequest`s (`max_repetitions`
-    /// successors per round trip), returning all instances under `prefix`
-    /// in MIB order. Dramatically fewer messages than [`SnmpClient::walk`]
-    /// on large tables — see the `ablation` bench.
-    pub fn bulk_walk(
-        &mut self,
-        prefix: &Oid,
-        max_repetitions: u32,
-    ) -> Result<Vec<VarBind>, SnmpError> {
-        let mut out = Vec::new();
-        let mut cur = prefix.clone();
-        'outer: loop {
-            let id = self.fresh_id();
-            let req = build_get_bulk(
-                &self.community,
-                id,
-                0,
-                max_repetitions.max(1),
-                &[cur.clone()],
-            )?;
-            let resp = self.exchange_checked(&req, id)?;
-            let bindings = resp.into_result()?;
-            if bindings.is_empty() {
-                break;
-            }
-            for vb in bindings {
-                if vb.value == SnmpValue::EndOfMibView || !vb.oid.starts_with(prefix) {
-                    break 'outer;
-                }
-                if vb.oid == cur {
-                    break 'outer; // defensive against broken agents
-                }
-                cur = vb.oid.clone();
-                out.push(vb);
-            }
-        }
-        Ok(out)
+        self.send(Request::GetNext, oids)?.into_result()
     }
 
     /// Walks an entire subtree with repeated `GetNextRequest`s, returning
     /// all instances under `prefix` in MIB order.
     pub fn walk(&mut self, prefix: &Oid) -> Result<Vec<VarBind>, SnmpError> {
-        let mut out = Vec::new();
-        let mut cur = prefix.clone();
+        self.walk_by(prefix, Request::GetNext)
+    }
+
+    /// Walks a subtree with SNMPv2c `GetBulkRequest`s (`max_repetitions`
+    /// successors per round trip), returning all instances under `prefix`
+    /// in MIB order. Dramatically fewer messages than [`Session::walk`] on
+    /// large tables — see the `ablation` bench.
+    pub fn bulk_walk(
+        &mut self,
+        prefix: &Oid,
+        max_repetitions: u32,
+    ) -> Result<Vec<VarBind>, SnmpError> {
+        self.walk_by(prefix, Request::GetBulk(0, max_repetitions.max(1)))
+    }
+
+    /// Collects the instances under `prefix`, asking with `step` for the
+    /// successors of the last one collected. The walk ends on `noSuchName`
+    /// (how SNMPv1 says "end of MIB"), on an exception value (how SNMPv2c
+    /// does), on leaving the subtree, on an empty answer and on an agent
+    /// that does not advance; any other error status is an error.
+    fn walk_by(&mut self, prefix: &Oid, step: Request) -> Result<Vec<VarBind>, SnmpError> {
+        let mut out: Vec<VarBind> = Vec::new();
         loop {
-            let step = match self.get_next(std::slice::from_ref(&cur)) {
-                Ok(vbs) => vbs,
-                // End of MIB within v1 is signalled by noSuchName.
+            let last = out.last().map_or(prefix, |vb| &vb.oid);
+            let answer = self.send(step, std::slice::from_ref(last));
+            let bindings = match answer.and_then(Response::into_result) {
+                Ok(bindings) => bindings,
                 Err(SnmpError::ErrorStatus {
                     status: ErrorStatus::NoSuchName,
                     ..
-                }) => break,
+                }) => return Ok(out),
                 Err(e) => return Err(e),
             };
-            let Some(vb) = step.into_iter().next() else {
-                break;
-            };
-            if !vb.oid.starts_with(prefix) {
-                break; // walked past the subtree
+            if bindings.is_empty() {
+                return Ok(out);
             }
-            if vb.oid == cur {
-                break; // defensive: a broken agent echoing the same OID
+            for vb in bindings {
+                let last = out.last().map_or(prefix, |vb| &vb.oid);
+                if vb.value.is_exception() || !vb.oid.starts_with(prefix) || vb.oid == *last {
+                    return Ok(out);
+                }
+                out.push(vb);
             }
-            cur = vb.oid.clone();
-            out.push(vb);
         }
-        Ok(out)
+    }
+}
+
+/// A synchronous SNMP manager bound to one agent: a [`Manager`] that owns
+/// the transport it talks through.
+pub struct SnmpClient<T: Transport> {
+    transport: T,
+    community: String,
+    manager: Manager,
+}
+
+impl<T: Transport> SnmpClient<T> {
+    /// Creates a client using the given transport and community string,
+    /// with metrics in the process-wide registry.
+    pub fn new(transport: T, community: &str) -> Self {
+        let mut manager = Manager::default();
+        manager.set_telemetry(ClientTelemetry::global());
+        SnmpClient {
+            transport,
+            community: community.to_owned(),
+            manager,
+        }
+    }
+
+    /// Access to the underlying transport (e.g. to adjust timeouts).
+    pub fn transport_mut(&mut self) -> &mut T {
+        &mut self.transport
+    }
+
+    /// This client's session with its agent: the way in to every request
+    /// and walk.
+    pub fn session(&mut self) -> Session<'_> {
+        self.manager.session(&mut self.transport, &self.community)
+    }
+
+    /// `self.session().get_many(oids)`, kept under its old name for the
+    /// benchmark harness, which cannot change.
+    pub fn get_many(&mut self, oids: &[Oid]) -> Result<Vec<VarBind>, SnmpError> {
+        self.session().get_many(oids)
     }
 }
 
@@ -342,9 +378,10 @@ impl<T: Transport> SnmpClient<T> {
 mod tests {
     use super::*;
     use crate::agent::SnmpAgent;
+    use crate::message::SnmpMessage;
     use crate::mib::ScalarMib;
     use crate::mib2::{self, interfaces::IfEntry, SystemInfo};
-    use crate::transport::LoopbackTransport;
+    use crate::transport::{FnTransport, LoopbackTransport};
 
     fn demo_mib() -> ScalarMib {
         let mut mib = ScalarMib::new();
@@ -367,7 +404,10 @@ mod tests {
     #[test]
     fn get_one_uptime() {
         let mut c = client();
-        let v = c.get_one(&mib2::system::sys_uptime_instance()).unwrap();
+        let v = c
+            .session()
+            .get_one(&mib2::system::sys_uptime_instance())
+            .unwrap();
         assert_eq!(v, SnmpValue::TimeTicks(777));
     }
 
@@ -386,7 +426,10 @@ mod tests {
     #[test]
     fn get_missing_maps_to_error_status() {
         let mut c = client();
-        let err = c.get_one(&"1.3.9.9".parse().unwrap()).unwrap_err();
+        let err = c
+            .session()
+            .get_one(&"1.3.9.9".parse().unwrap())
+            .unwrap_err();
         assert!(matches!(
             err,
             SnmpError::ErrorStatus {
@@ -400,7 +443,7 @@ mod tests {
     fn walk_iftable_octets_column() {
         let mut c = client();
         let col = mib2::interfaces::column_oid(mib2::interfaces::column::IF_IN_OCTETS);
-        let vbs = c.walk(&col).unwrap();
+        let vbs = c.session().walk(&col).unwrap();
         assert_eq!(vbs.len(), 2);
         assert_eq!(
             vbs[0].oid,
@@ -415,7 +458,7 @@ mod tests {
     #[test]
     fn walk_whole_mib() {
         let mut c = client();
-        let vbs = c.walk(&Oid::from([1, 3])).unwrap();
+        let vbs = c.session().walk(&Oid::from([1, 3])).unwrap();
         // 7 system + ifNumber + 2 * 21 table cells.
         assert_eq!(vbs.len(), 7 + 1 + 42);
     }
@@ -424,10 +467,10 @@ mod tests {
     fn bulk_walk_matches_getnext_walk() {
         let mut c = client();
         let prefix: Oid = "1.3.6.1.2.1.2".parse().unwrap();
-        let via_next = c.walk(&prefix).unwrap();
+        let via_next = c.session().walk(&prefix).unwrap();
         let mut c = client();
         for reps in [1u32, 5, 10, 100] {
-            let via_bulk = c.bulk_walk(&prefix, reps).unwrap();
+            let via_bulk = c.session().bulk_walk(&prefix, reps).unwrap();
             assert_eq!(via_bulk, via_next, "max_repetitions={reps}");
         }
     }
@@ -435,16 +478,104 @@ mod tests {
     #[test]
     fn bulk_walk_empty_subtree() {
         let mut c = client();
-        let vbs = c.bulk_walk(&"1.3.6.1.2.1.99".parse().unwrap(), 10).unwrap();
+        let vbs = c
+            .session()
+            .bulk_walk(&"1.3.6.1.2.1.99".parse().unwrap(), 10)
+            .unwrap();
         assert!(vbs.is_empty());
+    }
+
+    /// An agent that answers each request with `answer(&request)`; of the
+    /// request only the id is filled in.
+    fn scripted(mut answer: impl FnMut(&Pdu) -> Pdu) -> SnmpClient<impl Transport> {
+        let transport = FnTransport(move |request: &[u8]| {
+            let id = peek_request_id(request).unwrap();
+            let request = Pdu::request(PduType::GetRequest, id, &[]);
+            Some(
+                SnmpMessage::v2c("public", answer(&request))
+                    .encode()
+                    .unwrap(),
+            )
+        });
+        SnmpClient::new(transport, "public")
+    }
+
+    #[test]
+    fn walks_report_error_statuses_other_than_no_such_name() {
+        let prefix = Oid::from([1, 3, 6]);
+        for (status, ends_quietly) in [
+            (ErrorStatus::NoSuchName, true),
+            (ErrorStatus::GenErr, false),
+            (ErrorStatus::TooBig, false),
+        ] {
+            let mut c = scripted(|request| request.error_response(status, 1));
+            for walked in [c.session().walk(&prefix), c.session().bulk_walk(&prefix, 8)] {
+                match walked {
+                    Ok(vbs) => assert!(ends_quietly && vbs.is_empty(), "{status:?}"),
+                    Err(e) => {
+                        assert!(!ends_quietly, "{status:?}");
+                        assert_eq!(e, SnmpError::ErrorStatus { status, index: 1 });
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn walks_end_on_any_exception_value_and_on_a_stuck_agent() {
+        let prefix = Oid::from([1, 3, 6]);
+        let first = VarBind::new(prefix.child(1), SnmpValue::Integer(1));
+        for end in [
+            VarBind::new(prefix.child(2), SnmpValue::EndOfMibView),
+            VarBind::new(prefix.child(2), SnmpValue::NoSuchObject),
+            VarBind::new(prefix.child(2), SnmpValue::NoSuchInstance),
+            VarBind::new(Oid::from([1, 4]), SnmpValue::Integer(2)), // past the subtree
+            first.clone(),                                          // not advancing
+        ] {
+            let mut c = scripted(|request| request.response(vec![first.clone(), end.clone()]));
+            assert_eq!(
+                c.session().bulk_walk(&prefix, 2).unwrap(),
+                std::slice::from_ref(&first)
+            );
+            let mut step = 0;
+            let mut c = scripted(|request| {
+                step += 1;
+                let vb = if step == 1 { &first } else { &end };
+                request.response(vec![vb.clone()])
+            });
+            assert_eq!(
+                c.session().walk(&prefix).unwrap(),
+                std::slice::from_ref(&first)
+            );
+        }
+    }
+
+    #[test]
+    fn an_answer_under_another_request_id_is_an_error() {
+        let mut c = scripted(|request| {
+            let mut other = request.response(Vec::new());
+            other.request_id += 1;
+            other
+        });
+        let err = c
+            .session()
+            .get_one(&mib2::system::sys_uptime_instance())
+            .unwrap_err();
+        assert!(
+            matches!(err, SnmpError::RequestIdMismatch { .. }),
+            "{err:?}"
+        );
     }
 
     #[test]
     fn wrong_community_times_out() {
         let t = LoopbackTransport::new(SnmpAgent::new("secret"), demo_mib());
         let mut c = SnmpClient::new(t, "public");
-        let err = c.get_one(&mib2::system::sys_uptime_instance()).unwrap_err();
-        assert!(matches!(err, SnmpError::Transport(_)), "{err:?}");
+        let err = c
+            .session()
+            .get_one(&mib2::system::sys_uptime_instance())
+            .unwrap_err();
+        assert_eq!(err, SnmpError::Timeout);
     }
 
     #[test]
@@ -468,10 +599,16 @@ mod tests {
     #[test]
     fn request_ids_increment_and_skip_zero() {
         let mut c = client();
-        c.next_id = i32::MAX;
+        c.manager.last_id = i32::MAX - 1;
         // Must not panic and must keep ids positive.
-        let _ = c.get_one(&mib2::system::sys_uptime_instance()).unwrap();
-        let _ = c.get_one(&mib2::system::sys_uptime_instance()).unwrap();
-        assert!(c.next_id >= 1);
+        let _ = c
+            .session()
+            .get_one(&mib2::system::sys_uptime_instance())
+            .unwrap();
+        let _ = c
+            .session()
+            .get_one(&mib2::system::sys_uptime_instance())
+            .unwrap();
+        assert_eq!(c.manager.last_id, 1);
     }
 }

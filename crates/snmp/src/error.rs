@@ -74,7 +74,10 @@ pub enum SnmpError {
     RequestIdMismatch { expected: i32, got: i32 },
     /// A response was expected but a non-response PDU arrived.
     NotAResponse,
-    /// The transport gave up (timeout after retries, or I/O failure).
+    /// The agent did not answer: every transmission the transport makes
+    /// went unanswered, or the agent ignored the request.
+    Timeout,
+    /// The transport failed for a reason other than silence (I/O failure).
     Transport(String),
     /// A varbind was missing from a response that should contain it.
     MissingBinding(String),
@@ -100,6 +103,7 @@ impl fmt::Display for SnmpError {
                 write!(f, "request-id mismatch: expected {expected}, got {got}")
             }
             SnmpError::NotAResponse => f.write_str("received PDU is not a GetResponse"),
+            SnmpError::Timeout => f.write_str("no response from the agent"),
             SnmpError::Transport(msg) => write!(f, "transport failure: {msg}"),
             SnmpError::MissingBinding(oid) => write!(f, "response missing binding for {oid}"),
             SnmpError::WrongType { expected, got } => {

@@ -9,7 +9,7 @@
 //! byte slices, so the same agent and manager code runs over real UDP
 //! sockets ([`transport::UdpTransport`]), over an in-process loopback
 //! ([`transport::LoopbackTransport`]), and over the simulated LAN of
-//! `netqos-sim` (glue in `netqos-monitor`).
+//! `netqos-sim` (`netqos-monitor`'s `SimLink` transport).
 //!
 //! ## Layers
 //!
@@ -24,7 +24,8 @@
 //! * [`mib`] — an OID-ordered store and the `MibView` lookup trait.
 //! * [`mib2`] — the `system` and `interfaces` groups; includes the exact
 //!   six objects of the paper's Table 1.
-//! * [`agent`] / [`client`] — request handling and request building.
+//! * [`agent`] / [`client`] — request handling; request building and the
+//!   one manager (Get, GetNext, both walks) over any transport.
 //! * [`transport`] — pluggable request/response transports with timeout
 //!   and retry behaviour.
 //!

@@ -15,8 +15,6 @@ pub struct ClientTelemetry {
     pub requests: Counter,
     /// Successful request/response exchanges.
     pub responses: Counter,
-    /// Responses discarded for a request-id mismatch.
-    pub stale_responses: Counter,
     /// Exchanges that ended in a transport or protocol error.
     pub errors: Counter,
     /// Round-trip time of successful exchanges, nanoseconds.
@@ -33,7 +31,6 @@ impl ClientTelemetry {
         ClientTelemetry {
             requests: registry.counter("netqos_snmp_client_requests_total"),
             responses: registry.counter("netqos_snmp_client_responses_total"),
-            stale_responses: registry.counter("netqos_snmp_client_stale_responses_total"),
             errors: registry.counter("netqos_snmp_client_errors_total"),
             rtt_ns: registry.histogram("netqos_snmp_client_rtt_ns"),
             bytes_sent: registry.counter("netqos_snmp_client_bytes_sent_total"),
@@ -54,6 +51,9 @@ pub struct TransportTelemetry {
     pub timeouts: Counter,
     /// Retransmissions after a timeout.
     pub retransmits: Counter,
+    /// Datagrams passed over because they answer another request (late
+    /// answers to a retransmitted one).
+    pub stale_responses: Counter,
     /// Exchanges that exhausted every retry.
     pub exchange_failures: Counter,
 }
@@ -64,6 +64,7 @@ impl TransportTelemetry {
         TransportTelemetry {
             timeouts: registry.counter("netqos_snmp_udp_timeouts_total"),
             retransmits: registry.counter("netqos_snmp_udp_retransmits_total"),
+            stale_responses: registry.counter("netqos_snmp_udp_stale_responses_total"),
             exchange_failures: registry.counter("netqos_snmp_udp_exchange_failures_total"),
         }
     }

@@ -5,20 +5,24 @@
 //! * [`UdpTransport`] — real sockets on port 161 (or any port), with
 //!   timeout and retry; used by the threaded "distributed monitoring"
 //!   runtime.
-//!
-//! The event-driven simulator transport lives in `netqos-monitor` (it needs
-//! the simulator types); it bypasses this trait entirely because the sim is
-//! not blocking.
+//! * the simulated LAN — `netqos-monitor`'s `simnet` implements
+//!   [`Transport`] over the simulator (it needs the simulator types), so
+//!   the same manager polls simulated, in-process and real agents.
 
 use crate::agent::SnmpAgent;
+use crate::client::peek_request_id;
 use crate::error::SnmpError;
 use crate::mib::{MibView, ScalarMib};
 use std::net::{SocketAddr, ToSocketAddrs, UdpSocket};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// A blocking request/response exchange with one agent.
 pub trait Transport {
-    /// Sends `request` and returns the next response datagram.
+    /// Sends `request` and returns the datagram that answers it — the one
+    /// carrying its request-id, not a late answer to an earlier request —
+    /// or [`SnmpError::Timeout`] when the agent stays silent.
+    /// Retransmission is the transport's business: a caller that gets
+    /// `Timeout` does not try again.
     fn exchange(&mut self, request: &[u8]) -> Result<Vec<u8>, SnmpError>;
 }
 
@@ -51,7 +55,7 @@ impl Transport for LoopbackTransport {
     fn exchange(&mut self, request: &[u8]) -> Result<Vec<u8>, SnmpError> {
         self.agent
             .handle(request, &self.mib)
-            .ok_or_else(|| SnmpError::Transport("agent dropped the request".to_owned()))
+            .ok_or(SnmpError::Timeout)
     }
 }
 
@@ -64,7 +68,7 @@ where
     F: FnMut(&[u8]) -> Option<Vec<u8>>,
 {
     fn exchange(&mut self, request: &[u8]) -> Result<Vec<u8>, SnmpError> {
-        (self.0)(request).ok_or_else(|| SnmpError::Transport("handler dropped request".to_owned()))
+        (self.0)(request).ok_or(SnmpError::Timeout)
     }
 }
 
@@ -132,10 +136,8 @@ impl UdpTransport {
 
 impl Transport for UdpTransport {
     fn exchange(&mut self, request: &[u8]) -> Result<Vec<u8>, SnmpError> {
-        self.socket
-            .set_read_timeout(Some(self.timeout))
-            .map_err(|e| SnmpError::Transport(e.to_string()))?;
-        let mut last_err = String::from("no attempt made");
+        let wanted = peek_request_id(request)
+            .ok_or_else(|| SnmpError::Transport("request carries no request-id".into()))?;
         for attempt in 0..=self.retries {
             if attempt > 0 {
                 self.telemetry.retransmits.inc();
@@ -143,20 +145,27 @@ impl Transport for UdpTransport {
             self.socket
                 .send(request)
                 .map_err(|e| SnmpError::Transport(e.to_string()))?;
-            match self.socket.recv(&mut self.recv_buf) {
-                Ok(n) => return Ok(self.recv_buf[..n].to_vec()),
-                Err(e) => {
-                    self.telemetry.timeouts.inc();
-                    last_err = e.to_string();
+            let deadline = Instant::now() + self.timeout;
+            loop {
+                let remaining = deadline.saturating_duration_since(Instant::now());
+                if remaining.is_zero() {
+                    break;
+                }
+                self.socket
+                    .set_read_timeout(Some(remaining))
+                    .map_err(|e| SnmpError::Transport(e.to_string()))?;
+                match self.socket.recv(&mut self.recv_buf) {
+                    Ok(n) if peek_request_id(&self.recv_buf[..n]) == Some(wanted) => {
+                        return Ok(self.recv_buf[..n].to_vec());
+                    }
+                    Ok(_) => self.telemetry.stale_responses.inc(),
+                    Err(_) => break,
                 }
             }
+            self.telemetry.timeouts.inc();
         }
         self.telemetry.exchange_failures.inc();
-        Err(SnmpError::Transport(format!(
-            "no response from {} after {} attempts: {last_err}",
-            self.peer,
-            self.retries + 1
-        )))
+        Err(SnmpError::Timeout)
     }
 }
 
@@ -267,7 +276,7 @@ impl Transport for SharedMibTransport {
             .map_err(|_| SnmpError::Transport("poisoned MIB lock".into()))?;
         self.agent
             .handle(request, &*mib as &dyn MibView)
-            .ok_or_else(|| SnmpError::Transport("agent dropped the request".to_owned()))
+            .ok_or(SnmpError::Timeout)
     }
 }
 
@@ -290,6 +299,7 @@ mod tests {
         let t = UdpTransport::connect(server.local_addr()).unwrap();
         let mut client = SnmpClient::new(t, "public");
         let v = client
+            .session()
             .get_one(&mib2::system::sys_uptime_instance())
             .unwrap();
         assert_eq!(v, crate::value::SnmpValue::TimeTicks(31337));
@@ -304,12 +314,47 @@ mod tests {
         t.set_retries(1);
         let mut client = SnmpClient::new(t, "public");
         let err = client
+            .session()
             .get_one(&mib2::system::sys_uptime_instance())
             .unwrap_err();
-        match err {
-            SnmpError::Transport(msg) => assert!(msg.contains("2 attempts"), "{msg}"),
-            other => panic!("expected transport error, got {other:?}"),
-        }
+        assert_eq!(err, SnmpError::Timeout);
+    }
+
+    #[test]
+    fn udp_passes_over_answers_to_other_requests() {
+        // An agent that answers three times: with something that is not
+        // SNMP, under a request-id nobody asked with, then properly.
+        let socket = UdpSocket::bind("127.0.0.1:0").unwrap();
+        let addr = socket.local_addr().unwrap();
+        let server = std::thread::spawn(move || {
+            let mut agent = SnmpAgent::new("public");
+            let mib = mib_with_uptime(5);
+            let mut buf = [0u8; 1500];
+            let (n, from) = socket.recv_from(&mut buf).unwrap();
+            let id = peek_request_id(&buf[..n]).unwrap();
+            let oids = [mib2::system::sys_uptime_instance()];
+            let other = crate::client::build_get("public", id + 1000, &oids).unwrap();
+            socket.send_to(b"garbage", from).unwrap();
+            socket
+                .send_to(&agent.handle(&other, &mib).unwrap(), from)
+                .unwrap();
+            socket
+                .send_to(&agent.handle(&buf[..n], &mib).unwrap(), from)
+                .unwrap();
+        });
+        let mut client = SnmpClient::new(UdpTransport::connect(addr).unwrap(), "public");
+        let v = client
+            .session()
+            .get_one(&mib2::system::sys_uptime_instance());
+        assert_eq!(v, Ok(crate::value::SnmpValue::TimeTicks(5)));
+        server.join().unwrap();
+        // A request without a readable request-id matches no answer, and
+        // is refused before it is sent.
+        let refused = client.transport_mut().exchange(b"garbage");
+        assert!(
+            matches!(refused, Err(SnmpError::Transport(_))),
+            "{refused:?}"
+        );
     }
 
     #[test]
@@ -321,6 +366,7 @@ mod tests {
         t.set_retries(0);
         let mut client = SnmpClient::new(t, "public");
         assert!(client
+            .session()
             .get_one(&mib2::system::sys_uptime_instance())
             .is_err());
         server.stop();
@@ -333,6 +379,7 @@ mod tests {
         let mut client = SnmpClient::new(t, "public");
         assert_eq!(
             client
+                .session()
                 .get_one(&mib2::system::sys_uptime_instance())
                 .unwrap(),
             crate::value::SnmpValue::TimeTicks(1)
@@ -340,6 +387,7 @@ mod tests {
         *shared.lock().unwrap() = mib_with_uptime(2);
         assert_eq!(
             client
+                .session()
                 .get_one(&mib2::system::sys_uptime_instance())
                 .unwrap(),
             crate::value::SnmpValue::TimeTicks(2)
@@ -363,9 +411,13 @@ mod tests {
         let mut client = SnmpClient::new(t, "public");
         // First get fails (drop)...
         assert!(client
+            .session()
             .get_one(&mib2::system::sys_uptime_instance())
             .is_err());
         // ...second succeeds.
-        assert!(client.get_one(&mib2::system::sys_uptime_instance()).is_ok());
+        assert!(client
+            .session()
+            .get_one(&mib2::system::sys_uptime_instance())
+            .is_ok());
     }
 }

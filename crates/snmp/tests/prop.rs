@@ -204,11 +204,11 @@ proptest! {
 
         let t = LoopbackTransport::new(SnmpAgent::new("c"), mib.clone());
         let mut c1 = SnmpClient::new(t, "c");
-        let via_next = c1.walk(&prefix).unwrap();
+        let via_next = c1.session().walk(&prefix).unwrap();
 
         let t = LoopbackTransport::new(SnmpAgent::new("c"), mib);
         let mut c2 = SnmpClient::new(t, "c");
-        let via_bulk = c2.bulk_walk(&prefix, reps).unwrap();
+        let via_bulk = c2.session().bulk_walk(&prefix, reps).unwrap();
 
         prop_assert_eq!(via_next, via_bulk);
     }

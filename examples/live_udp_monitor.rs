@@ -17,6 +17,7 @@ use netqos::monitor::NetworkMonitor;
 use netqos::snmp::mib::ScalarMib;
 use netqos::snmp::mib2::{self, IfEntry, SystemInfo};
 use netqos::snmp::transport::UdpAgentServer;
+use netqos::telemetry::Tracer;
 use netqos::topology::{IfIx, NetworkTopology, NodeKind};
 use std::net::UdpSocket;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -106,6 +107,9 @@ fn main() {
             },
         ],
         Duration::from_millis(500),
+        netqos::telemetry::global(),
+        &Tracer::disabled(),
+        None,
     );
     let mut monitor = NetworkMonitor::new(topo);
 
