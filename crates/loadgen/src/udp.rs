@@ -57,9 +57,6 @@ impl UdpLoadGenerator {
         socket.connect(self.dest)?;
         let chunk = vec![0u8; self.chunk_bytes];
         let start = Instant::now();
-        let r = netqos_telemetry::global();
-        let datagrams_total = r.counter("netqos_loadgen_datagrams_total");
-        let bytes_total = r.counter("netqos_loadgen_bytes_total");
         let mut carry = 0.0f64;
         let mut bytes_sent = 0u64;
         let mut datagrams = 0u64;
@@ -79,8 +76,6 @@ impl UdpLoadGenerator {
                     socket.send(&chunk)?;
                     bytes_sent += self.chunk_bytes as u64;
                     datagrams += 1;
-                    datagrams_total.inc();
-                    bytes_total.add(self.chunk_bytes as u64);
                 }
             } else {
                 carry = 0.0;

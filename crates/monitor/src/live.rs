@@ -349,7 +349,7 @@ pub fn instrumented_query_response(
     }
 }
 
-/// Everything [`build_router_full`] can wire into the export plane.
+/// Everything [`build_router`] can wire into the export plane.
 /// `registry` and `live` are mandatory; the rest default off.
 pub struct RouterOptions {
     /// The registry behind `/metrics` and registry-backed queries.
@@ -385,38 +385,13 @@ impl RouterOptions {
 /// Builds the endpoint router for [`HttpServer::serve`]
 /// (`netqos_telemetry::HttpServer`): `/metrics`, `/healthz`,
 /// `/snapshot` and `/alerts` (buffered or SSE), `/query` (when a
-/// long-term store is attached), `/api/v1/query` and
-/// `/api/v1/query_range` (PromQL-subset evaluation over the store when
-/// attached, else over the live registry), and `/` (a tiny index).
-/// Unknown paths return `None` (404).
-pub fn build_router(
-    registry: Arc<Registry>,
-    live: Arc<LiveStatus>,
-    lts: Option<LtsReader>,
-) -> Arc<Router> {
-    build_router_with_events(registry, live, lts, None)
-}
-
-/// [`build_router`] with an optional event sink wired into the query
-/// path, so slow `/api/v1/query` evaluations land in the JSONL stream.
-pub fn build_router_with_events(
-    registry: Arc<Registry>,
-    live: Arc<LiveStatus>,
-    lts: Option<LtsReader>,
-    events: Option<Arc<EventSink>>,
-) -> Arc<Router> {
-    build_router_full(RouterOptions {
-        lts,
-        events,
-        ..RouterOptions::new(registry, live)
-    })
-}
-
-/// [`build_router`] with every optional plane explicit: the long-term
-/// store, the slow-query event sink and threshold, and the tick-phase
-/// profiler behind `GET /profile` (JSON phase tree, or folded stacks
-/// with `?format=folded`).
-pub fn build_router_full(opts: RouterOptions) -> Arc<Router> {
+/// long-term store is attached), `/profile` (when a tick-phase profiler
+/// is attached: JSON phase tree, or folded stacks with
+/// `?format=folded`), `/api/v1/query` and `/api/v1/query_range`
+/// (PromQL-subset evaluation over the store when attached, else over
+/// the live registry; slow evaluations land in the event sink when one
+/// is wired), and `/` (a tiny index). Unknown paths return `None` (404).
+pub fn build_router(opts: RouterOptions) -> Arc<Router> {
     let RouterOptions {
         registry,
         live,
@@ -568,7 +543,7 @@ mod tests {
         registry.counter("netqos_monitor_ticks_total").add(3);
         let live = LiveStatus::new();
         live.record_tick(unix_now_ns(), "{\"ticks\":1,\"paths\":[]}".into());
-        let router = build_router(registry, live, None);
+        let router = build_router(RouterOptions::new(registry, live));
         let Some(HttpRoute::Response(metrics)) = router(&get("/metrics")) else {
             panic!("no /metrics route");
         };
@@ -588,7 +563,7 @@ mod tests {
     #[test]
     fn snapshot_follow_upgrades_to_event_stream() {
         let live = LiveStatus::new();
-        let router = build_router(Registry::new(), live.clone(), None);
+        let router = build_router(RouterOptions::new(Registry::new(), live.clone()));
         let mut req = get("/snapshot");
         req.query = "follow=1".into();
         assert!(matches!(router(&req), Some(HttpRoute::EventStream(_))));
@@ -623,7 +598,7 @@ mod tests {
     #[test]
     fn alerts_endpoint_and_healthz_summary() {
         let live = LiveStatus::new();
-        let router = build_router(Registry::new(), live.clone(), None);
+        let router = build_router(RouterOptions::new(Registry::new(), live.clone()));
         // Empty engine state before the first evaluation.
         let Some(HttpRoute::Response(resp)) = router(&get("/alerts")) else {
             panic!("no /alerts route");

@@ -27,7 +27,7 @@ use netqos_telemetry::{
     FlushReport, Level, LtsConfig, LtsCounters, LtsReader, LtsSource, LtsStore, OtlpPusher,
     PointValue, ProfileHub, PushConfig, PushCounters, QuantileBaseline, QueryEngine, RecordRule,
     RecordingCounters, Registry, RegistrySampler, RetentionPolicy, SampleAnnotation, SampleConfig,
-    SampleDecision, Sampler, SnapshotPaths, Tracer, WebhookNotifier, DEFAULT_FLIGHT_CAPACITY,
+    SampleDecision, Sampler, SnapshotPaths, Tracer, DEFAULT_FLIGHT_CAPACITY,
     DEFAULT_PROFILE_WINDOW, DEFAULT_WINDOW,
 };
 use netqos_topology::bandwidth::BandwidthRule;
@@ -177,7 +177,7 @@ pub struct MonitoringService {
     /// Per-tick alert rule evaluation (pending/firing/resolved).
     alerts: AlertEngine,
     /// Webhook delivery of alert transition batches.
-    webhook: Option<Arc<WebhookNotifier>>,
+    webhook: Option<Arc<OtlpPusher>>,
     /// First flight-ring sequence number not yet delivered by OTLP push
     /// (the delta-temporality cursor).
     next_push_seq: u64,
@@ -417,19 +417,19 @@ impl MonitoringService {
     /// transitions POSTs one JSON batch to the configured endpoint.
     /// Delivery counters land in this service's registry
     /// (`netqos_alert_webhook_*`).
-    pub fn enable_alert_webhook(&mut self, config: PushConfig) -> Arc<WebhookNotifier> {
+    pub fn enable_alert_webhook(&mut self, config: PushConfig) -> Arc<OtlpPusher> {
         let counters = PushCounters {
             pushed: self.telemetry.alert_webhook_delivered.clone(),
             retries: self.telemetry.alert_webhook_retries.clone(),
             dropped: self.telemetry.alert_webhook_dropped.clone(),
         };
-        let hook = Arc::new(WebhookNotifier::start(config, counters));
+        let hook = Arc::new(OtlpPusher::start(config, counters));
         self.webhook = Some(hook.clone());
         hook
     }
 
     /// The webhook notifier, when transition delivery is enabled.
-    pub fn alert_webhook(&self) -> Option<&Arc<WebhookNotifier>> {
+    pub fn alert_webhook(&self) -> Option<&Arc<OtlpPusher>> {
         self.webhook.as_ref()
     }
 

@@ -35,11 +35,9 @@ use crate::nic::{Nic, NicCounters, NicSnapshot};
 use crate::packet::{fragment_sizes, Frame, FramePayload, UdpDatagram};
 use crate::time::{SimDuration, SimTime};
 use bytes::Bytes;
-use netqos_telemetry::Counter;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::HashMap;
-use std::sync::OnceLock;
 
 /// Role-specific device state.
 #[derive(Debug)]
@@ -345,10 +343,6 @@ impl Lan {
             return false;
         };
         debug_assert!(scheduled.at >= self.now, "time went backwards");
-        static EVENTS: OnceLock<Counter> = OnceLock::new();
-        EVENTS
-            .get_or_init(|| netqos_telemetry::global().counter("netqos_sim_events_total"))
-            .inc();
         self.now = scheduled.at;
         match scheduled.event {
             Event::FrameArrive { dev, port, frame } => self.handle_frame_arrive(dev, port, frame),

@@ -233,13 +233,7 @@ pub fn validate(file: &SpecFile) -> Result<SpecModel, SpecError> {
 
 /// One-shot: parse source text and validate it.
 pub fn parse_and_validate(src: &str) -> Result<SpecModel, SpecError> {
-    let r = netqos_telemetry::global();
-    let result = crate::parser::parse(src).and_then(|ast| validate(&ast));
-    match &result {
-        Ok(_) => r.counter("netqos_spec_parses_total").inc(),
-        Err(_) => r.counter("netqos_spec_parse_failures_total").inc(),
-    }
-    result
+    crate::parser::parse(src).and_then(|ast| validate(&ast))
 }
 
 #[cfg(test)]

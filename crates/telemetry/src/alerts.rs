@@ -18,12 +18,11 @@
 //! Alerts are deduplicated by `(rule, labelset)` fingerprint, so a rule
 //! matching three paths maintains three independent state machines.
 //! Every state change is reported as an [`AlertTransition`] — the hook
-//! for flight-recorder events, transition counters, and the
-//! [`WebhookNotifier`] (a thin wrapper over the bounded-queue push
-//! worker in [`crate::push`]).
+//! for flight-recorder events, transition counters, and webhook
+//! delivery ([`transitions_to_json`] bodies queued on a
+//! [`crate::push::OtlpPusher`], the bounded-queue push worker).
 
 use crate::events::escape_json_into;
-use crate::push::{OtlpPusher, PushConfig, PushCounters, PushTarget};
 use crate::{escape_label_value, Registry};
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::fmt;
@@ -801,43 +800,6 @@ pub fn transitions_to_json(source: &str, tick: u64, transitions: &[AlertTransiti
     }
     out.push_str("]}");
     out
-}
-
-/// Webhook delivery of transition batches: the same bounded-queue,
-/// background-worker, capped-backoff machinery as the OTLP pusher,
-/// POSTing [`transitions_to_json`] bodies to an operator endpoint.
-pub struct WebhookNotifier {
-    inner: OtlpPusher,
-}
-
-impl WebhookNotifier {
-    /// Spawns the delivery worker.
-    pub fn start(config: PushConfig, counters: PushCounters) -> WebhookNotifier {
-        WebhookNotifier {
-            inner: OtlpPusher::start(config, counters),
-        }
-    }
-
-    /// Queues one transition batch; never blocks (a full queue counts a
-    /// drop and returns `false`).
-    pub fn enqueue(&self, body: String) -> bool {
-        self.inner.enqueue(body)
-    }
-
-    /// Delivery counters (shared handles, live).
-    pub fn counters(&self) -> &PushCounters {
-        self.inner.counters()
-    }
-
-    /// The configured webhook endpoint.
-    pub fn target(&self) -> &PushTarget {
-        self.inner.target()
-    }
-
-    /// Closes the queue, drains accepted batches, joins the worker.
-    pub fn shutdown(&self) {
-        self.inner.shutdown()
-    }
 }
 
 #[cfg(test)]

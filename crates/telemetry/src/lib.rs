@@ -43,7 +43,7 @@ mod trace;
 pub use alerts::{
     builtin_alert_rules, fingerprint, parse_alert_rules, transitions_to_json, ActiveAlert,
     AlertContext, AlertEngine, AlertRule, AlertScope, AlertSeverity, AlertState, AlertTransition,
-    CmpOp, ResolvedAlert, WebhookNotifier,
+    CmpOp, ResolvedAlert,
 };
 pub use baseline::{
     baselines_from_json, baselines_to_json, load_baselines, save_baselines, BaselineState,

@@ -14,9 +14,7 @@
 use crate::error::TopologyError;
 use crate::graph::NetworkTopology;
 use crate::ids::{ConnId, NodeId};
-use netqos_telemetry::Counter;
 use serde::{Deserialize, Serialize};
-use std::sync::OnceLock;
 
 /// A communication path between two nodes: the ordered list of connections
 /// crossed, plus the node sequence for convenience.
@@ -71,10 +69,6 @@ pub fn find_path(
     from: NodeId,
     to: NodeId,
 ) -> Result<CommPath, TopologyError> {
-    static QUERIES: OnceLock<Counter> = OnceLock::new();
-    QUERIES
-        .get_or_init(|| netqos_telemetry::global().counter("netqos_topology_path_queries_total"))
-        .inc();
     let mut paths = enumerate_paths(topo, from, to, 1)?;
     match paths.pop() {
         Some(p) => Ok(p),

@@ -7,7 +7,7 @@
 //! resolve once the load stops.
 
 use netqos::loadgen::{LoadProfile, ProfiledSource};
-use netqos::monitor::live::build_router;
+use netqos::monitor::live::{build_router, RouterOptions};
 use netqos::monitor::service::{MonitoringService, ServiceConfig};
 use netqos::monitor::simnet::SimNetworkOptions;
 use netqos_telemetry::{parse_json, parse_webhook_url, HttpServer, JsonValue, PushConfig};
@@ -144,7 +144,10 @@ fn trunk_overload_fires_diagnosed_alert_end_to_end() {
     assert!(fired_at >= 2, "hysteresis cannot fire on the first tick");
 
     // GET /alerts names the rule, the path, and the true bottleneck.
-    let router = build_router(svc.registry().clone(), svc.live().clone(), None);
+    let router = build_router(RouterOptions::new(
+        svc.registry().clone(),
+        svc.live().clone(),
+    ));
     let server = HttpServer::serve("127.0.0.1:0", router).expect("bind ephemeral port");
     let addr = server.local_addr().to_string();
     let (status, body) = http_get(&addr, "/alerts");

@@ -181,6 +181,97 @@ fn usage_on_bad_invocations() {
 }
 
 #[test]
+fn options_a_command_does_not_act_on_are_refused_with_its_own_usage() {
+    let full = String::from_utf8(run(&["help"]).stdout).unwrap();
+    // Each of these exited 0 at the parent, having ignored the option.
+    for (args, option) in [
+        (
+            &["stats", "specs/lirtss.spec", "--serve", "127.0.0.1:0"][..],
+            "--serve",
+        ),
+        (
+            &["stats", "specs/lirtss.spec", "--lts-compact"],
+            "--lts-compact",
+        ),
+        (
+            &["trace", "specs/two-switch.spec", "--serve", "127.0.0.1:0"],
+            "--serve",
+        ),
+        (
+            &["trace", "specs/two-switch.spec", "--pace-ms", "5"],
+            "--pace-ms",
+        ),
+        (&["monitor", "specs/lirtss.spec", "--out", "x"], "--out"),
+        (
+            &[
+                "federate",
+                "specs/lirtss.spec",
+                "specs/two-switch.spec",
+                "--slow-query-ms",
+                "5",
+            ],
+            "--slow-query-ms",
+        ),
+        (
+            &[
+                "federate",
+                "specs/lirtss.spec",
+                "specs/two-switch.spec",
+                "--load",
+                "L:N1:1",
+            ],
+            "--load",
+        ),
+        (&["flight", "show", "x.jsonl", "--otlp"], "--otlp"),
+        (
+            &["check", "specs/lirtss.spec", "--duration", "1"],
+            "--duration",
+        ),
+    ] {
+        let out = run(args);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {out:?}");
+        assert!(out.stdout.is_empty(), "{args:?}: {out:?}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.contains(&format!("unknown option `{option}`")),
+            "{stderr}"
+        );
+        let command = args[..if args[0] == "flight" { 2 } else { 1 }].join(" ");
+        assert!(stderr.contains(&format!("netqos {command}")), "{stderr}");
+        assert!(
+            stderr.lines().count() * 3 < full.lines().count(),
+            "one command's usage, not the listing: {stderr}"
+        );
+    }
+}
+
+#[test]
+fn options_and_positionals_interleave() {
+    let csv = |args: &[&str]| {
+        let out = run(args);
+        assert!(out.status.success(), "{args:?}: {out:?}");
+        String::from_utf8(out.stdout).unwrap()
+    };
+    let after = csv(&["monitor", "specs/lirtss.spec", "--duration", "2"]);
+    assert_eq!(after.lines().count(), 4, "{after}");
+    assert_eq!(
+        csv(&["monitor", "--duration", "2", "specs/lirtss.spec"]),
+        after
+    );
+
+    // federate counted "0" specs when an option came first.
+    let shards = csv(&[
+        "federate",
+        "--duration",
+        "1",
+        "specs/two-switch.spec",
+        "specs/lirtss.spec",
+    ]);
+    assert!(shards.contains("shard two-switch: 1 ticks"), "{shards}");
+    assert!(shards.contains("shard lirtss: 1 ticks"), "{shards}");
+}
+
+#[test]
 fn stats_prints_prometheus_snapshot() {
     let out = run(&["stats", "specs/lirtss.spec", "--duration", "3"]);
     assert!(out.status.success(), "{out:?}");

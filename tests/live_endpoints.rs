@@ -3,7 +3,7 @@
 //! TCP — first in-process (service + router + HttpServer), then through
 //! the `netqos monitor --serve` CLI, scraping while the loop is alive.
 
-use netqos::monitor::live::{build_router, unix_now_ns};
+use netqos::monitor::live::{build_router, unix_now_ns, RouterOptions};
 use netqos::monitor::service::{MonitoringService, ServiceConfig};
 use netqos::monitor::simnet::SimNetworkOptions;
 use netqos_telemetry::{parse_json, HttpServer, JsonValue};
@@ -48,7 +48,10 @@ fn in_process_router_serves_all_endpoints() {
     let mut svc = MonitoringService::from_model(model, options, ServiceConfig::default()).unwrap();
     svc.run_ticks(4).unwrap();
 
-    let router = build_router(svc.registry().clone(), svc.live().clone(), None);
+    let router = build_router(RouterOptions::new(
+        svc.registry().clone(),
+        svc.live().clone(),
+    ));
     let server = HttpServer::serve("127.0.0.1:0", router).expect("bind ephemeral port");
     let addr = server.local_addr().to_string();
 
@@ -148,7 +151,10 @@ fn snapshot_sse_streams_one_event_per_tick() {
         ..SimNetworkOptions::default()
     };
     let mut svc = MonitoringService::from_model(model, options, ServiceConfig::default()).unwrap();
-    let router = build_router(svc.registry().clone(), svc.live().clone(), None);
+    let router = build_router(RouterOptions::new(
+        svc.registry().clone(),
+        svc.live().clone(),
+    ));
     let server = HttpServer::serve("127.0.0.1:0", router).expect("bind ephemeral port");
     let addr = server.local_addr().to_string();
 

@@ -3,7 +3,7 @@
 //! byte-identical across a process restart and across `netqos lts
 //! compact` — the durability contract the whole subsystem hangs on.
 
-use netqos::monitor::live::{build_router, query_response};
+use netqos::monitor::live::{build_router, query_response, RouterOptions};
 use netqos::monitor::service::{MonitoringService, ServiceConfig};
 use netqos::monitor::simnet::SimNetworkOptions;
 use netqos_telemetry::{
@@ -133,11 +133,10 @@ fn router_serves_query_and_rejects_bad_params() {
     svc.run_ticks(3).unwrap();
     svc.flush_lts().unwrap();
 
-    let router = build_router(
-        svc.registry().clone(),
-        svc.live().clone(),
-        Some(LtsReader::open(&dir)),
-    );
+    let router = build_router(RouterOptions {
+        lts: Some(LtsReader::open(&dir)),
+        ..RouterOptions::new(svc.registry().clone(), svc.live().clone())
+    });
     let get = |query: &str| -> (u16, String) {
         let req = HttpRequest {
             method: "GET".into(),
@@ -167,7 +166,10 @@ fn router_serves_query_and_rejects_bad_params() {
     assert_eq!(status, 400, "{body}");
 
     // Without a store the endpoint exists but answers 404.
-    let bare = build_router(svc.registry().clone(), svc.live().clone(), None);
+    let bare = build_router(RouterOptions::new(
+        svc.registry().clone(),
+        svc.live().clone(),
+    ));
     let req = HttpRequest {
         method: "GET".into(),
         path: "/query".into(),

@@ -4,7 +4,7 @@
 //! compaction, and the federation engine's cross-shard merge agreeing
 //! with hand-merged per-shard answers.
 
-use netqos::monitor::live::{build_router, shard_for};
+use netqos::monitor::live::{build_router, shard_for, RouterOptions};
 use netqos::monitor::service::{MonitoringService, ServiceConfig};
 use netqos::monitor::simnet::SimNetworkOptions;
 use netqos_telemetry::{
@@ -63,11 +63,10 @@ fn api_v1_golden_shapes_through_live_router() {
     svc.run_ticks(7).unwrap();
     svc.flush_lts().expect("final flush");
 
-    let router = build_router(
-        svc.registry().clone(),
-        svc.live().clone(),
-        Some(LtsReader::open(&dir)),
-    );
+    let router = build_router(RouterOptions {
+        lts: Some(LtsReader::open(&dir)),
+        ..RouterOptions::new(svc.registry().clone(), svc.live().clone())
+    });
     let t = LtsReader::open(&dir).newest_t().expect("store has points");
 
     // Golden instant vector: after 7 ticks the self-tick counter's
@@ -149,11 +148,10 @@ fn rate_range_is_byte_identical_across_inmonitor_compaction() {
     svc.run_ticks(7).unwrap();
     svc.flush_lts().expect("flush");
 
-    let router = build_router(
-        svc.registry().clone(),
-        svc.live().clone(),
-        Some(LtsReader::open(&dir)),
-    );
+    let router = build_router(RouterOptions {
+        lts: Some(LtsReader::open(&dir)),
+        ..RouterOptions::new(svc.registry().clone(), svc.live().clone())
+    });
     let t = LtsReader::open(&dir).newest_t().unwrap();
     let range_query = format!(
         "query=rate(netqos_path_used_bps[5])&start={}&end={t}&step=1",
@@ -302,11 +300,10 @@ fn stats_param_exposes_pushdown_through_router() {
     svc.run_ticks(12).unwrap();
     svc.flush_lts().expect("final flush");
 
-    let router = build_router(
-        svc.registry().clone(),
-        svc.live().clone(),
-        Some(LtsReader::open(&dir)),
-    );
+    let router = build_router(RouterOptions {
+        lts: Some(LtsReader::open(&dir)),
+        ..RouterOptions::new(svc.registry().clone(), svc.live().clone())
+    });
     let t = LtsReader::open(&dir).newest_t().expect("store has points");
     let expr = format!("query=increase(netqos_monitor_ticks_total[10])&time={t}");
 
