@@ -183,9 +183,11 @@ pub struct MonitoringService {
     next_push_seq: u64,
     /// Wall-clock anchor for `netqos_monitor_uptime_seconds`.
     wall_start: Instant,
-    /// Long-term stats store (when `lts_dir` is set) and the delta
-    /// sampler that feeds it from the registry each tick.
-    lts: Option<LtsStore>,
+    /// Long-term stats store (when `lts_dir` is set), the query source
+    /// over it that every recording-rule pass reads through (so its
+    /// index cache lasts from pass to pass), and the delta sampler that
+    /// feeds the store from the registry each tick.
+    lts: Option<(LtsStore, Arc<LtsSource>)>,
     lts_sampler: RegistrySampler,
     /// Why opening `lts_dir` failed, if it did (the service runs without
     /// durable stats rather than refusing to start).
@@ -290,7 +292,10 @@ impl MonitoringService {
             };
             let counters = LtsCounters::register_in(telemetry.registry());
             match LtsStore::open(dir, lts_config, counters) {
-                Ok(store) => lts = Some(store),
+                Ok(store) => {
+                    let source = LtsSource::new(LtsReader::open(store.dir()));
+                    lts = Some((store, Arc::new(source)));
+                }
                 Err(e) => {
                     lts_open_warning =
                         Some(format!("lts store at {} unavailable: {e}", dir.display()));
@@ -510,7 +515,7 @@ impl MonitoringService {
     /// Returns `None` when no store is attached or the flush failed (the
     /// failure is reported on the event sink).
     pub fn flush_lts(&mut self) -> Option<FlushReport> {
-        let store = self.lts.as_mut()?;
+        let (store, _) = self.lts.as_mut()?;
         match store.flush() {
             Ok(report) => {
                 let warnings = store.take_warnings();
@@ -543,7 +548,7 @@ impl MonitoringService {
     /// (the failure is reported on the event sink).
     pub fn compact_lts(&mut self) -> Option<netqos_telemetry::CompactReport> {
         self.flush_lts()?;
-        let store = self.lts.as_mut()?;
+        let (store, _) = self.lts.as_mut()?;
         match store.compact() {
             Ok(report) => {
                 self.events.emit(
@@ -584,12 +589,11 @@ impl MonitoringService {
         if self.config.record_rules.is_empty() {
             return None;
         }
-        let store = self.lts.as_mut()?;
+        let (store, source) = self.lts.as_mut()?;
         // Evaluate at the newest stored instant, not the wall clock:
         // derived points then line up with the data they summarize.
         let t = store.newest_t()?;
-        let reader = LtsReader::open(store.dir());
-        let engine = QueryEngine::new().with_source(None, Arc::new(LtsSource::new(reader)));
+        let engine = QueryEngine::new().with_source(None, source.clone());
         let mut span = self.tracer.span("record.rules", "evaluate");
         let report = netqos_telemetry::evaluate_record_rules(
             &self.config.record_rules,
@@ -967,7 +971,7 @@ impl MonitoringService {
         // Long-term stats: one sample per tick at 1s resolution, placed
         // at sim-anchored Unix seconds so a restarted run extends the
         // same series instead of starting a parallel timeline.
-        if let Some(store) = self.lts.as_mut() {
+        if let Some((store, _)) = self.lts.as_mut() {
             let t_unix = self.epoch_unix_ns / 1_000_000_000 + t_s as u64;
             for (name, used, avail, rank, _count, p50, p99) in &path_status {
                 let as_i64 = |v: u64| v.min(i64::MAX as u64) as i64;
@@ -1476,6 +1480,45 @@ mod tests {
         assert_eq!(svc2.baseline_load_warning(), None);
         assert_eq!(svc2.restored_baselines(), 1);
         assert_eq!(svc2.path_baseline("mw").unwrap().count(), count);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn record_rule_passes_read_through_one_source_and_see_new_series() {
+        let dir = std::env::temp_dir().join(format!("netqos-svc-record-{}", std::process::id()));
+        std::fs::remove_dir_all(&dir).ok();
+        let model = netqos_spec::parse_and_validate(SPEC).unwrap();
+        let options = SimNetworkOptions {
+            monitor_host: "M".into(),
+            ..SimNetworkOptions::default()
+        };
+        let config = ServiceConfig {
+            lts_dir: Some(dir.clone()),
+            record_rules: vec![RecordRule {
+                name: "late:copy".into(),
+                expr: "late_gauge".into(),
+            }],
+            ..ServiceConfig::default()
+        };
+        let mut svc = MonitoringService::from_model(model, options, config).unwrap();
+        let source = svc.lts.as_ref().expect("store opened").1.clone();
+        svc.run_ticks(3).unwrap();
+        svc.flush_lts().unwrap();
+        let first = svc.run_record_rules().unwrap();
+        assert_eq!((first.evals, first.points), (1, 0), "nothing to copy yet");
+
+        // A series that first appears between two passes.
+        let (store, _) = svc.lts.as_mut().unwrap();
+        let t = store.newest_t().unwrap();
+        store.append("late_gauge", t, PointValue::Gauge(7));
+        svc.flush_lts().unwrap();
+        let second = svc.run_record_rules().unwrap();
+        assert_eq!((second.evals, second.points), (1, 1));
+
+        // Both passes read through the source built beside the store,
+        // and neither kept it.
+        assert!(Arc::ptr_eq(&source, &svc.lts.as_ref().unwrap().1));
+        assert_eq!(Arc::strong_count(&source), 2);
         std::fs::remove_dir_all(&dir).ok();
     }
 

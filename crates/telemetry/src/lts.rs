@@ -64,7 +64,7 @@ use crate::{Counter, Gauge, Histogram, HistogramState, Registry};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::fs::{self, File, OpenOptions};
-use std::io::{self, Read, Seek, SeekFrom, Write};
+use std::io::{self, BufRead, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 
 /// Storage resolutions, coarsest-last. Raw points land in `1s`; the
@@ -342,7 +342,7 @@ impl SealedSegment {
             last: f.last,
             first: f.first,
             codec: f.codec,
-            bytes: f.bytes,
+            bytes: f.bytes(),
         }
     }
 
@@ -1101,16 +1101,22 @@ impl LtsReader {
     /// range) and the last line of each open tail. `None` for an empty
     /// or missing store.
     pub fn newest_t(&self) -> Option<u64> {
-        let mut newest: Option<u64> = None;
-        for info in self.index() {
-            let sdir = self.dir.join(Resolution::Raw1s.dir_name()).join(&info.slug);
-            let sealed = segment_files(&sdir)
-                .ok()
-                .and_then(|segs| segs.iter().map(|s| s.last).max());
-            let tail = last_tail_point(&sdir.join("open.seg")).map(|p| p.t);
-            newest = newest.max(sealed).max(tail);
-        }
-        newest
+        let index = self.index();
+        index.iter().filter_map(|i| self.newest_of(&i.slug)).max()
+    }
+
+    /// [`LtsReader::newest_t`] of the one series stored under `slug`.
+    pub(crate) fn newest_of(&self, slug: &str) -> Option<u64> {
+        let sdir = self.dir.join(Resolution::Raw1s.dir_name()).join(slug);
+        let sealed = segment_files(&sdir)
+            .ok()
+            .and_then(|segs| segs.iter().map(|s| s.last).max());
+        // The walk ends at the tail's last line that decodes.
+        let mut tail = None;
+        walk_tail_back(&sdir.join("open.seg"), u64::MAX, |p| {
+            tail = tail.max(Some(p.t))
+        });
+        sealed.max(tail)
     }
 
     /// Every indexed series, sorted by name, duplicates dropped
@@ -1546,10 +1552,11 @@ pub fn migrate_store(dir: &Path, codec: SegmentCodec) -> io::Result<MigrateRepor
         for res in Resolution::ALL {
             let sdir = dir.join(res.dir_name()).join(&info.slug);
             for seg in segment_files(&sdir)? {
-                rep.bytes_before += seg.bytes;
+                let bytes = seg.bytes();
+                rep.bytes_before += bytes;
                 if seg.codec == codec {
                     rep.segments_skipped += 1;
-                    rep.bytes_after += seg.bytes;
+                    rep.bytes_after += bytes;
                     continue;
                 }
                 let pts = read_sealed_points(&seg, info.kind).map_err(|e| {
@@ -1623,7 +1630,8 @@ impl Default for RangeFold {
 /// would. Returns `None` when the fast path cannot be trusted and the
 /// caller must take the general (materialize + canonicalize) path:
 /// non-counter series, overlapping sealed segments, an open tail
-/// overlapping the sealed range, or an undecodable segment.
+/// overlapping the sealed range or out of order where the fold walked
+/// it ([`walk_tail_back`]), or an undecodable segment.
 pub fn fold_series_range(
     dir: &Path,
     slug: &str,
@@ -1671,8 +1679,7 @@ pub fn fold_series_range(
         }
         let covered = seg.first >= low && seg.last <= upto;
         if covered && seg.codec == SegmentCodec::Binary {
-            let buf = fs::read(&seg.path).ok()?;
-            let header = decode_segment_v2_header(&buf).ok()?;
+            let header = read_segment_header(&seg.path)?;
             let stats = header.stats?;
             if header.kind != kind {
                 return None;
@@ -1696,31 +1703,21 @@ pub fn fold_series_range(
         }
     }
     let open = sdir.join("open.seg");
-    if let Ok(text) = fs::read_to_string(&open) {
-        let mut first_open: Option<u64> = None;
-        for line in text.lines() {
-            if line.trim().is_empty() {
-                continue;
-            }
-            let Some(p) = decode_point_line(line) else {
-                continue;
-            };
-            let PointValue::Counter(v) = p.value else {
-                continue;
-            };
-            first_open.get_or_insert(p.t);
+    // A tail at or before the sealed range (crashed seal leftover)
+    // would double-count: only the canonical path dedups. Its first
+    // point is at the head of the file, wherever the window lies.
+    if let (Some(sl), Some(first)) = (sealed_last, first_tail_point(&open, kind)) {
+        if first.t <= sl {
+            return None;
+        }
+    }
+    let ordered = walk_tail_back(&open, low, |p| {
+        if let PointValue::Counter(v) = p.value {
             fold.points_scanned += 1;
             add(p.t, v, &mut fold);
         }
-        // A tail at or before the sealed range (crashed seal leftover)
-        // would double-count: only the canonical path dedups.
-        if let (Some(f), Some(sl)) = (first_open, sealed_last) {
-            if f <= sl {
-                return None;
-            }
-        }
-    }
-    Some(fold)
+    });
+    ordered.then_some(fold)
 }
 
 /// Per-segment detail for [`store_stats`].
@@ -1791,25 +1788,22 @@ pub fn store_stats(dir: &Path) -> io::Result<StoreStats> {
             for seg in segment_files(&sdir)? {
                 let points = match seg.codec {
                     SegmentCodec::Jsonl => count_jsonl(&seg.path),
-                    SegmentCodec::Binary => fs::read(&seg.path)
-                        .ok()
-                        .and_then(|b| decode_segment_v2_header(&b).ok())
-                        .map(|h| h.count)
-                        .unwrap_or(0),
+                    SegmentCodec::Binary => read_segment_header(&seg.path).map_or(0, |h| h.count),
                 };
+                let bytes = seg.bytes();
                 rs.segments += 1;
                 match seg.codec {
                     SegmentCodec::Jsonl => rs.v1_segments += 1,
                     SegmentCodec::Binary => rs.v2_segments += 1,
                 }
-                rs.bytes += seg.bytes;
+                rs.bytes += bytes;
                 rs.points += points;
                 stats.segments.push(SegmentStat {
                     path: rel_path(dir, &seg.path),
                     codec_version: seg.codec.version(),
                     sealed: true,
                     points,
-                    bytes: seg.bytes,
+                    bytes,
                 });
             }
             let open = sdir.join("open.seg");
@@ -2238,8 +2232,14 @@ struct SegmentFile {
     path: PathBuf,
     first: u64,
     last: u64,
-    bytes: u64,
     codec: SegmentCodec,
+}
+
+impl SegmentFile {
+    /// The file's size; 0 when it cannot be read.
+    fn bytes(&self) -> u64 {
+        fs::metadata(&self.path).map(|m| m.len()).unwrap_or(0)
+    }
 }
 
 /// Sealed segments in a series directory (either codec), oldest first.
@@ -2258,12 +2258,10 @@ fn segment_files(sdir: &Path) -> io::Result<Vec<SegmentFile>> {
             .to_string_lossy()
             .to_string();
         if let Some((first, last, codec)) = parse_segment_name(&name) {
-            let bytes = entry.metadata().map(|m| m.len()).unwrap_or(0);
             out.push(SegmentFile {
                 path,
                 first,
                 last,
-                bytes,
                 codec,
             });
         }
@@ -2363,7 +2361,8 @@ fn read_series_points(
 }
 
 /// [`read_series_points`] over an already listed series directory:
-/// `segs` oldest-first, then the tail at `open`.
+/// `segs` oldest-first, then the tail at `open`, read from its end down
+/// to `start` ([`walk_tail_back`]).
 fn read_points(
     segs: &[SegmentFile],
     open: &Path,
@@ -2372,21 +2371,12 @@ fn read_points(
     end: u64,
 ) -> Vec<Point> {
     let mut pts: Vec<Point> = Vec::new();
+    let wanted = |p: &Point| p.value.kind() == kind && p.t >= start && p.t <= end;
     let read_jsonl = |path: &Path, pts: &mut Vec<Point>| {
         let Ok(text) = fs::read_to_string(path) else {
             return;
         };
-        for line in text.lines() {
-            if line.trim().is_empty() {
-                continue;
-            }
-            let Some(p) = decode_point_line(line) else {
-                continue;
-            };
-            if p.value.kind() == kind && p.t >= start && p.t <= end {
-                pts.push(p);
-            }
-        }
+        pts.extend(text.lines().filter_map(decode_point_line).filter(wanted));
     };
     for seg in segs {
         // Whole segment out of range: skip without reading.
@@ -2405,43 +2395,121 @@ fn read_points(
                 if header.kind != kind {
                     continue;
                 }
-                pts.extend(decoded.into_iter().filter(|p| p.t >= start && p.t <= end));
+                pts.extend(decoded.into_iter().filter(wanted));
             }
         }
     }
-    read_jsonl(open, &mut pts);
+    let sealed = pts.len();
+    let push = |p: Point| {
+        if wanted(&p) {
+            pts.push(p)
+        }
+    };
+    if walk_tail_back(open, start, push) {
+        pts[sealed..].reverse();
+    } else {
+        pts.truncate(sealed);
+        read_jsonl(open, &mut pts);
+    }
     pts.sort_by_key(|p| p.t);
     pts.dedup_by_key(|p| p.t);
     pts
 }
 
-/// The last point of a JSONL tail. A writer only ever appends newer
-/// points, so the last line that decodes holds the tail's newest time;
-/// torn or corrupt lines after it are passed over. Reads the end of the
-/// file, and the whole of it only when no line in that piece decodes.
-fn last_tail_point(path: &Path) -> Option<Point> {
-    const PIECE: u64 = 8 * 1024;
-    let last_in = |bytes: &[u8]| {
-        let text = std::str::from_utf8(bytes).ok()?;
-        text.lines().rev().find_map(decode_point_line)
+/// Bytes a backward walk reads from the end of a tail first; each
+/// further piece is twice the last, so a walk that does go far makes few
+/// reads and none reads more than twice what it needed.
+const TAIL_PIECE: u64 = 8 * 1024;
+
+/// Hands `visit` the points of the JSONL tail at `path` from its end —
+/// every line that decodes, newest first — down to and including the
+/// first one not newer than `low`, reading the file a piece at a time,
+/// so the cost follows how much of the tail lies after `low` and not its
+/// length. A missing file has no points.
+///
+/// Stopping there is sound because times strictly increase down a tail:
+/// [`LtsStore::append`] drops any point that is not newer than the
+/// series' last, and [`verify_store`] reports a tail where they do not.
+/// The walk checks what it reads against that. `false` means it saw
+/// something no writer leaves — a time that does not decrease, bytes
+/// that are not UTF-8, a read that failed — and the caller must discard
+/// what it was handed and read the file forward, whole.
+fn walk_tail_back(path: &Path, low: u64, mut visit: impl FnMut(Point)) -> bool {
+    let Ok(mut f) = File::open(path) else {
+        return true;
     };
-    let mut f = File::open(path).ok()?;
-    let len = f.metadata().ok()?.len();
-    let mut buf = Vec::new();
-    if len > PIECE {
-        f.seek(SeekFrom::Start(len - PIECE)).ok()?;
-        f.read_to_end(&mut buf).ok()?;
-        // The piece starts mid-line; whole lines start after the first
-        // newline (an ASCII byte, so what follows is a char boundary).
-        let whole = buf.iter().position(|&b| b == b'\n').map(|i| &buf[i + 1..]);
-        if let Some(found) = whole.and_then(last_in) {
-            return Some(found);
+    let Ok(mut unread) = f.metadata().map(|m| m.len()) else {
+        return false;
+    };
+    // Between pieces: the end of a line whose start lies in a piece not
+    // read yet.
+    let mut buf: Vec<u8> = Vec::new();
+    let mut newer: Option<u64> = None;
+    let mut piece = TAIL_PIECE;
+    while unread > 0 {
+        let (take, carried) = (unread.min(piece) as usize, buf.len());
+        unread -= take as u64;
+        piece = piece.saturating_mul(2);
+        // The piece goes in front of what is carried.
+        buf.resize(take + carried, 0);
+        buf.copy_within(..carried, take);
+        let read = f
+            .seek(SeekFrom::Start(unread))
+            .and_then(|_| f.read_exact(&mut buf[..take]));
+        if read.is_err() {
+            return false;
         }
-        f.seek(SeekFrom::Start(0)).ok()?;
-        buf.clear();
+        // Whole lines start after the first newline, or at the first
+        // byte once that is the file's; with neither, all is carried.
+        let whole = match buf.iter().position(|&b| b == b'\n') {
+            _ if unread == 0 => 0,
+            Some(i) => i + 1,
+            None => continue,
+        };
+        // From a line's start to a line's end: text if the file is.
+        let Ok(lines) = std::str::from_utf8(&buf[whole..]) else {
+            return false;
+        };
+        for p in lines.rsplit('\n').filter_map(decode_point_line) {
+            if newer.is_some_and(|n| p.t >= n) {
+                return false;
+            }
+            let t = *newer.insert(p.t);
+            visit(p);
+            if t <= low {
+                return true;
+            }
+        }
+        buf.truncate(whole.saturating_sub(1));
     }
-    f.read_to_end(&mut buf).ok()?;
-    last_in(&buf)
+    true
+}
+
+/// The first point of `kind` in a JSONL tail, read from the head of the
+/// file.
+fn first_tail_point(path: &Path, kind: SeriesKind) -> Option<Point> {
+    let lines = io::BufReader::new(File::open(path).ok()?).lines();
+    lines
+        .map_while(Result::ok)
+        .filter_map(|l| decode_point_line(&l))
+        .find(|p| p.value.kind() == kind)
+}
+
+/// Longest v2 header: magic, version, kind, then six varints.
+const SEG_HEADER_MAX: usize = 6 + 6 * 10;
+
+/// A v2 segment's header from a read of the file's first bytes only.
+fn read_segment_header(path: &Path) -> Option<SegmentHeader> {
+    let mut buf = [0u8; SEG_HEADER_MAX];
+    let mut f = File::open(path).ok()?;
+    let mut len = 0;
+    while len < buf.len() {
+        match f.read(&mut buf[len..]).ok()? {
+            0 => break,
+            n => len += n,
+        }
+    }
+    decode_segment_v2_header(&buf[..len]).ok()
 }
 
 fn truncate_file(path: &Path, len: u64) -> io::Result<()> {

@@ -39,9 +39,11 @@ use crate::metrics::Histogram;
 use crate::Registry;
 use parking_lot::Mutex;
 use std::cell::RefCell;
+use std::collections::{BTreeMap, HashMap};
 use std::fmt::Write as _;
 use std::fs;
 use std::path::PathBuf;
+use std::rc::Rc;
 use std::sync::Arc;
 use std::time::SystemTime;
 
@@ -838,17 +840,34 @@ fn expr_is_scalar(e: &Expr) -> bool {
     }
 }
 
-fn collect_selectors<'a>(e: &'a Expr, out: &mut Vec<&'a Selector>) {
+/// The selector-bearing leaves of `e`, each with its selector.
+fn collect_leaves<'a>(e: &'a Expr, out: &mut Vec<(&'a Selector, &'a Expr)>) {
     match e {
         Expr::Number(_) => {}
-        Expr::Selector(s) => out.push(s),
-        Expr::RangeFn { sel, .. } => out.push(sel),
-        Expr::HistQuantile { sel, .. } => out.push(sel),
-        Expr::Agg { arg, .. } => collect_selectors(arg, out),
-        Expr::Bin { lhs, rhs, .. } => {
-            collect_selectors(lhs, out);
-            collect_selectors(rhs, out);
+        Expr::Selector(sel) | Expr::RangeFn { sel, .. } | Expr::HistQuantile { sel, .. } => {
+            out.push((sel, e))
         }
+        Expr::Agg { arg, .. } => collect_leaves(arg, out),
+        Expr::Bin { lhs, rhs, .. } => {
+            collect_leaves(lhs, out);
+            collect_leaves(rhs, out);
+        }
+    }
+}
+
+/// The earliest time an evaluation of `leaf` at `t` reads from a series
+/// of `kind`: a window function reads its window, an instant read looks
+/// back for the newest sample, and a bare counter reads everything —
+/// its instant value is the running total of its deltas.
+fn reads_from(leaf: &Expr, kind: SeriesKind, t: u64, lookback: u64) -> u64 {
+    match leaf {
+        Expr::RangeFn { window, .. }
+        | Expr::HistQuantile {
+            window: Some(window),
+            ..
+        } => t.saturating_sub(*window),
+        Expr::Selector(_) if kind == SeriesKind::Counter => 0,
+        _ => t.saturating_sub(lookback),
     }
 }
 
@@ -1012,7 +1031,11 @@ impl SeriesSource for LtsSource {
     }
 
     fn newest_t(&self) -> Option<u64> {
-        self.reader.newest_t()
+        let entries = self.entries().ok()?;
+        entries
+            .iter()
+            .filter_map(|e| self.reader.newest_of(&e.info.slug))
+            .max()
     }
 
     fn fold_range(
@@ -1098,6 +1121,9 @@ impl SeriesSource for RegistrySource {
 // Engine
 // ---------------------------------------------------------------------
 
+/// A label set, shared by every sample of every step that carries it.
+type Labels = Rc<[(String, String)]>;
+
 /// Per-query view of one matched series. Points are materialized
 /// lazily: an instant evaluation whose windows the source can fold
 /// ([`SeriesSource::fold_range`]) never fetches the vector at all; the
@@ -1105,30 +1131,36 @@ impl SeriesSource for RegistrySource {
 /// prefix-sum over counter deltas so later steps are a binary search.
 struct SeriesData {
     base: String,
-    labels: Vec<(String, String)>,
+    labels: Labels,
     kind: SeriesKind,
     key: String,
     source: Arc<dyn SeriesSource>,
     #[allow(clippy::type_complexity)]
     fetch: Arc<dyn Fn(Resolution, u64, u64) -> Vec<Point> + Send + Sync>,
+    /// The earliest time any step of the query reads from this series:
+    /// [`reads_from`] at the first evaluation time, over the leaves
+    /// that select it.
+    fetch_start: u64,
     /// `(pts, cum)` where `cum[i]` = sum of counter deltas
-    /// `pts[0..=i]` (counters only). `None` until first needed.
+    /// `pts[0..=i]` (counters only), kept as an integer too wide to
+    /// overflow so a window's sum is the same wherever the fetch
+    /// started. `None` until first needed.
     #[allow(clippy::type_complexity)]
-    data: RefCell<Option<(Vec<Point>, Vec<f64>)>>,
+    data: RefCell<Option<(Vec<Point>, Vec<u128>)>>,
 }
 
 impl SeriesData {
     /// Materializes (once) the point vector and counter prefix sums.
-    fn ensure(&self, ctx: &Ctx) -> std::cell::Ref<'_, (Vec<Point>, Vec<f64>)> {
+    fn ensure(&self, ctx: &Ctx) -> std::cell::Ref<'_, (Vec<Point>, Vec<u128>)> {
         if self.data.borrow().is_none() {
-            let pts = (self.fetch)(ctx.res, 0, ctx.fetch_end);
+            let pts = (self.fetch)(ctx.res, self.fetch_start, ctx.fetch_end);
             ctx.stats.borrow_mut().points_scanned += pts.len() as u64;
             let cum = if self.kind == SeriesKind::Counter {
-                let mut acc = 0.0;
+                let mut acc = 0u128;
                 pts.iter()
                     .map(|p| {
                         if let PointValue::Counter(v) = &p.value {
-                            acc += *v as f64;
+                            acc += u128::from(*v);
                         }
                         acc
                     })
@@ -1160,6 +1192,14 @@ impl SeriesData {
     }
 }
 
+/// Sum of the counter deltas `pts[lo..hi]` off their prefix sums,
+/// saturating as [`RangeFold::sum`] does, so the fold and the
+/// materialized path give one answer at any magnitude.
+fn window_sum(cum: &[u128], lo: usize, hi: usize) -> f64 {
+    let sum = cum[hi - 1] - if lo > 0 { cum[lo - 1] } else { 0 };
+    u64::try_from(sum).unwrap_or(u64::MAX) as f64
+}
+
 struct Ctx {
     series: Vec<SeriesData>,
     lookback: u64,
@@ -1169,19 +1209,45 @@ struct Ctx {
     /// [`SeriesSource::fold_range`]; range queries always materialize.
     allow_fold: bool,
     stats: RefCell<QueryStats>,
+    /// What an aggregation without grouping groups by.
+    no_labels: Labels,
+    /// Group keys derived so far, by aggregation and input label set,
+    /// both by address, so a range query derives each once and not once
+    /// per step. An entry holds its input set: the address stays taken.
+    #[allow(clippy::type_complexity)]
+    group_keys: RefCell<HashMap<(*const Grouping, *const [(String, String)]), (Labels, Labels)>>,
 }
 
-/// An intermediate vector element (timestamp implied by the step).
+impl Ctx {
+    /// The labels of `labels` that `g` groups by.
+    fn group_key(&self, g: &Grouping, labels: &Labels) -> Labels {
+        let mut keys = self.group_keys.borrow_mut();
+        let (_, key) = keys
+            .entry((g as *const Grouping, Rc::as_ptr(labels)))
+            .or_insert_with(|| {
+                let key = labels
+                    .iter()
+                    .filter(|(k, _)| g.labels.contains(k) != g.without)
+                    .cloned()
+                    .collect();
+                (labels.clone(), key)
+            });
+        key.clone()
+    }
+}
+
+/// An intermediate vector element (timestamp implied by the step); the
+/// name is the series' own, or empty once an operation dropped it.
 #[derive(Debug, Clone)]
-struct VSample {
-    name: String,
-    labels: Vec<(String, String)>,
+struct VSample<'a> {
+    name: &'a str,
+    labels: Labels,
     v: f64,
 }
 
-enum Val {
+enum Val<'a> {
     Scalar(f64),
-    Vector(Vec<VSample>),
+    Vector(Vec<VSample<'a>>),
 }
 
 /// The evaluator: expressions over any number of sources, each
@@ -1225,23 +1291,29 @@ impl QueryEngine {
         self.sources.iter().filter_map(|(_, s)| s.newest_t()).max()
     }
 
+    /// The context of evaluations at `first_eval` and later, up to
+    /// `fetch_end`.
     fn build_ctx(
         &self,
         ast: &Expr,
         res: Resolution,
+        first_eval: u64,
         fetch_end: u64,
         allow_fold: bool,
     ) -> (Ctx, Vec<String>) {
-        let mut selectors = Vec::new();
-        collect_selectors(ast, &mut selectors);
+        let mut leaves = Vec::new();
+        collect_leaves(ast, &mut leaves);
+        let lookback = LOOKBACK_FLOOR_SECS.max(2 * res.window_secs());
         let mut warnings = self.extra_warnings.clone();
         let mut series = Vec::new();
         for (shard, source) in &self.sources {
             let selected = source.select(&mut |base, labels| match shard {
-                None => selectors.iter().any(|sel| sel_matches(sel, base, labels)),
+                None => leaves.iter().any(|(sel, _)| sel_matches(sel, base, labels)),
                 Some(name) => {
                     let labels = shard_labels(labels.to_vec(), name);
-                    selectors.iter().any(|sel| sel_matches(sel, base, &labels))
+                    leaves
+                        .iter()
+                        .any(|(sel, _)| sel_matches(sel, base, &labels))
                 }
             });
             let metas = match selected {
@@ -1255,21 +1327,28 @@ impl QueryEngine {
                 }
             };
             for meta in metas {
+                let labels = match shard {
+                    Some(name) => shard_labels(meta.labels, name),
+                    None => meta.labels,
+                };
+                let fetch_start = leaves
+                    .iter()
+                    .filter(|(sel, _)| sel_matches(sel, &meta.base, &labels))
+                    .map(|(_, leaf)| reads_from(leaf, meta.kind, first_eval, lookback))
+                    .min()
+                    .unwrap_or(0);
                 series.push(SeriesData {
                     base: meta.base,
-                    labels: match shard {
-                        Some(name) => shard_labels(meta.labels, name),
-                        None => meta.labels,
-                    },
+                    labels: labels.into(),
                     kind: meta.kind,
                     key: meta.key,
                     source: source.clone(),
                     fetch: meta.fetch,
+                    fetch_start,
                     data: RefCell::new(None),
                 });
             }
         }
-        let lookback = LOOKBACK_FLOOR_SECS.max(2 * res.window_secs());
         let stats = RefCell::new(QueryStats {
             series: series.len() as u64,
             ..QueryStats::default()
@@ -1282,6 +1361,8 @@ impl QueryEngine {
                 fetch_end,
                 allow_fold,
                 stats,
+                no_labels: Rc::new([]),
+                group_keys: RefCell::default(),
             },
             warnings,
         )
@@ -1290,7 +1371,7 @@ impl QueryEngine {
     /// Evaluates `query` at time `t` against data at resolution `res`.
     pub fn instant(&self, query: &str, t: u64, res: Resolution) -> Result<QueryOutcome, String> {
         let ast = parse_query(query)?;
-        let (ctx, warnings) = self.build_ctx(&ast, res, t, true);
+        let (ctx, warnings) = self.build_ctx(&ast, res, t, t, true);
         let result = match eval(&ast, &ctx, t)? {
             Val::Scalar(v) => QueryResult::Scalar { t, v },
             Val::Vector(samples) => QueryResult::Vector(sorted_samples(samples, t)),
@@ -1325,7 +1406,7 @@ impl QueryEngine {
         }
         let res = resolution_for_step(step);
         let ast = parse_query(query)?;
-        let (ctx, warnings) = self.build_ctx(&ast, res, end, false);
+        let (ctx, warnings) = self.build_ctx(&ast, res, start, end, false);
         let result = if expr_is_scalar(&ast) {
             let mut values = Vec::new();
             let mut t = start;
@@ -1344,9 +1425,7 @@ impl QueryEngine {
                 values,
             }])
         } else {
-            type SeriesKey = (String, Vec<(String, String)>);
-            let mut grouped: std::collections::BTreeMap<SeriesKey, Vec<(u64, f64)>> =
-                std::collections::BTreeMap::new();
+            let mut grouped: BTreeMap<(&str, Labels), Vec<(u64, f64)>> = BTreeMap::new();
             let mut t = start;
             while t <= end {
                 if let Val::Vector(samples) = eval(&ast, &ctx, t)? {
@@ -1366,8 +1445,8 @@ impl QueryEngine {
                 grouped
                     .into_iter()
                     .map(|((name, labels), values)| MatrixSeries {
-                        name,
-                        labels,
+                        name: name.to_owned(),
+                        labels: labels.to_vec(),
                         values,
                     })
                     .collect(),
@@ -1405,8 +1484,8 @@ fn sorted_samples(samples: Vec<VSample>, t: u64) -> Vec<Sample> {
     let mut out: Vec<Sample> = samples
         .into_iter()
         .map(|s| Sample {
-            name: s.name,
-            labels: s.labels,
+            name: s.name.to_owned(),
+            labels: s.labels.to_vec(),
             t,
             v: s.v,
         })
@@ -1462,7 +1541,7 @@ fn gauge_value(p: &Point) -> f64 {
     }
 }
 
-fn eval(e: &Expr, ctx: &Ctx, t: u64) -> Result<Val, String> {
+fn eval<'a>(e: &'a Expr, ctx: &'a Ctx, t: u64) -> Result<Val<'a>, String> {
     match e {
         Expr::Number(n) => Ok(Val::Scalar(*n)),
         Expr::Selector(sel) => {
@@ -1480,7 +1559,7 @@ fn eval(e: &Expr, ctx: &Ctx, t: u64) -> Result<Val, String> {
                             continue;
                         }
                         out.push(VSample {
-                            name: sd.base.clone(),
+                            name: &sd.base,
                             labels: sd.labels.clone(),
                             v: fold.sum as f64,
                         });
@@ -1500,12 +1579,12 @@ fn eval(e: &Expr, ctx: &Ctx, t: u64) -> Result<Val, String> {
                 let v = match sd.kind {
                     // Counters are stored as per-interval deltas; the
                     // instant value is the running total.
-                    SeriesKind::Counter => cum[hi - 1],
+                    SeriesKind::Counter => window_sum(cum, 0, hi),
                     SeriesKind::Gauge => gauge_value(last),
                     SeriesKind::Histogram => continue,
                 };
                 out.push(VSample {
-                    name: sd.base.clone(),
+                    name: &sd.base,
                     labels: sd.labels.clone(),
                     v,
                 });
@@ -1519,45 +1598,29 @@ fn eval(e: &Expr, ctx: &Ctx, t: u64) -> Result<Val, String> {
                 if !sel_matches(sel, &sd.base, &sd.labels) {
                     continue;
                 }
-                match (f, sd.kind) {
+                let v = match (f, sd.kind) {
                     (RangeFn::Rate | RangeFn::Increase, SeriesKind::Counter) => {
                         // Pushdown: rate/increase need only the delta
                         // sum over (t-window, t], which the source can
                         // fold segment-by-segment.
-                        if let Some(fold) = sd.fold(ctx, after, t) {
+                        let sum = if let Some(fold) = sd.fold(ctx, after, t) {
                             if fold.count == 0 {
                                 continue;
                             }
-                            let sum = fold.sum as f64;
-                            let v = if *f == RangeFn::Rate {
-                                sum / *window as f64
-                            } else {
-                                sum
-                            };
-                            out.push(VSample {
-                                name: String::new(),
-                                labels: sd.labels.clone(),
-                                v,
-                            });
-                            continue;
-                        }
-                        let d = sd.ensure(ctx);
-                        let (pts, cum) = (&d.0, &d.1);
-                        let (lo, hi) = window_indices(pts, after, t);
-                        if lo >= hi {
-                            continue;
-                        }
-                        let sum = cum[hi - 1] - if lo > 0 { cum[lo - 1] } else { 0.0 };
-                        let v = if *f == RangeFn::Rate {
+                            fold.sum as f64
+                        } else {
+                            let d = sd.ensure(ctx);
+                            let (lo, hi) = window_indices(&d.0, after, t);
+                            if lo >= hi {
+                                continue;
+                            }
+                            window_sum(&d.1, lo, hi)
+                        };
+                        if *f == RangeFn::Rate {
                             sum / *window as f64
                         } else {
                             sum
-                        };
-                        out.push(VSample {
-                            name: String::new(),
-                            labels: sd.labels.clone(),
-                            v,
-                        });
+                        }
                     }
                     (RangeFn::Delta, SeriesKind::Gauge) => {
                         let d = sd.ensure(ctx);
@@ -1566,17 +1629,17 @@ fn eval(e: &Expr, ctx: &Ctx, t: u64) -> Result<Val, String> {
                         if hi.saturating_sub(lo) < 2 {
                             continue;
                         }
-                        let v = gauge_value(&pts[hi - 1]) - gauge_value(&pts[lo]);
-                        out.push(VSample {
-                            name: String::new(),
-                            labels: sd.labels.clone(),
-                            v,
-                        });
+                        gauge_value(&pts[hi - 1]) - gauge_value(&pts[lo])
                     }
                     // Kind mismatches drop the series, like Prometheus
                     // evaluating rate() over a gauge: no match, no error.
                     _ => continue,
-                }
+                };
+                out.push(VSample {
+                    name: "",
+                    labels: sd.labels.clone(),
+                    v,
+                });
             }
             Ok(Val::Vector(out))
         }
@@ -1612,7 +1675,7 @@ fn eval(e: &Expr, ctx: &Ctx, t: u64) -> Result<Val, String> {
                 }
                 let v = Histogram::from_state(&state).quantile(*q) as f64;
                 out.push(VSample {
-                    name: String::new(),
+                    name: "",
                     labels: sd.labels.clone(),
                     v,
                 });
@@ -1626,23 +1689,11 @@ fn eval(e: &Expr, ctx: &Ctx, t: u64) -> Result<Val, String> {
                     op.name()
                 ));
             };
-            let mut groups: std::collections::BTreeMap<Vec<(String, String)>, Vec<f64>> =
-                std::collections::BTreeMap::new();
+            let mut groups: BTreeMap<Labels, Vec<f64>> = BTreeMap::new();
             for s in samples {
-                let key: Vec<(String, String)> = match grouping {
-                    None => Vec::new(),
-                    Some(g) if g.without => s
-                        .labels
-                        .iter()
-                        .filter(|(k, _)| !g.labels.contains(k))
-                        .cloned()
-                        .collect(),
-                    Some(g) => s
-                        .labels
-                        .iter()
-                        .filter(|(k, _)| g.labels.contains(k))
-                        .cloned()
-                        .collect(),
+                let key = match grouping {
+                    None => ctx.no_labels.clone(),
+                    Some(g) => ctx.group_key(g, &s.labels),
                 };
                 groups.entry(key).or_default().push(s.v);
             }
@@ -1657,7 +1708,7 @@ fn eval(e: &Expr, ctx: &Ctx, t: u64) -> Result<Val, String> {
                         AggOp::Count => vs.len() as f64,
                     };
                     VSample {
-                        name: String::new(),
+                        name: "",
                         labels,
                         v,
                     }
@@ -1713,7 +1764,7 @@ fn scalar_cmp(op: BinOp, a: f64, b: f64) -> bool {
 /// Vector-scalar operation. `flipped` means the scalar was the left
 /// operand. Comparisons filter the vector (keeping names); arithmetic
 /// maps values and drops metric names, like Prometheus.
-fn apply_vs(op: BinOp, v: Vec<VSample>, s: f64, flipped: bool) -> Vec<VSample> {
+fn apply_vs(op: BinOp, v: Vec<VSample<'_>>, s: f64, flipped: bool) -> Vec<VSample<'_>> {
     if op.is_comparison() {
         v.into_iter()
             .filter(|sample| {
@@ -1734,7 +1785,7 @@ fn apply_vs(op: BinOp, v: Vec<VSample>, s: f64, flipped: bool) -> Vec<VSample> {
                     (sample.v, s)
                 };
                 sample.v = scalar_arith(op, a, b);
-                sample.name = String::new();
+                sample.name = "";
                 sample
             })
             .collect()
@@ -2197,6 +2248,32 @@ mod tests {
             .instant("rate(reqs_total[5])", 9, Resolution::Raw1s)
             .unwrap();
         assert!(vector_of(&out).is_empty());
+    }
+
+    #[test]
+    fn window_sums_are_exact_whatever_came_before_the_window() {
+        // Past 2^53 a float prefix sum stops counting by ones, and past
+        // 2^64 only saturation is left: the fold's arithmetic.
+        let eng = engine_with(vec![(
+            "big_total".into(),
+            SeriesKind::Counter,
+            counter_pts(&[(10, 1 << 60), (20, 1), (30, 1), (40, 1), (50, u64::MAX)]),
+        )]);
+        let increase = |window: u64, t: u64| {
+            let out = eng
+                .instant(
+                    &format!("increase(big_total[{window}])"),
+                    t,
+                    Resolution::Raw1s,
+                )
+                .unwrap();
+            vector_of(&out)[0].v
+        };
+        assert_eq!(increase(30, 40), 3.0);
+        assert_eq!(increase(40, 40), ((1u64 << 60) + 3) as f64);
+        assert_eq!(increase(20, 50), u64::MAX as f64);
+        let total = eng.instant("big_total", 50, Resolution::Raw1s).unwrap();
+        assert_eq!(vector_of(&total)[0].v, u64::MAX as f64);
     }
 
     #[test]

@@ -1,9 +1,10 @@
 //! Allocation budgets of the stats plane's steady state: an append to a
-//! known series, a flush that seals nothing, and an instant query that
-//! selects one series out of many. The counts are exact; the budgets
-//! leave room for amortised buffer growth and the allocations the public
-//! result types force, and none for work per point, per line or per
-//! unselected series.
+//! known series, a flush that seals nothing, an instant query that
+//! selects one series out of many, and a range query over tails far
+//! longer than its window. The counts are exact; the budgets leave room
+//! for amortised buffer growth and the allocations the public result
+//! types force, and none for work per point, per line or per unselected
+//! series, nor for the history behind a query's window.
 
 use netqos_telemetry::{
     LtsConfig, LtsCounters, LtsReader, LtsRetention, LtsSource, LtsStore, PointValue, QueryEngine,
@@ -132,7 +133,13 @@ fn an_instant_query_allocates_for_the_series_it_selects() {
             .instant(&query, T0 + 1_999, Resolution::Raw1s)
             .unwrap();
         assert_eq!(out.stats.series, 1);
-        assert_eq!(out.stats.points_scanned, 2_000);
+        // The window's 300 points and at most the line that ends the
+        // walk, of the tail's 2 000.
+        assert!(
+            out.stats.points_scanned <= 301,
+            "{} points scanned",
+            out.stats.points_scanned
+        );
         match out.result {
             QueryResult::Vector(v) => assert_eq!((v.len(), v[0].v), (1, 3.0)),
             other => panic!("{other:?}"),
@@ -143,6 +150,67 @@ fn an_instant_query_allocates_for_the_series_it_selects() {
     assert!(
         allocations <= 100,
         "{allocations} allocations to read one series of {SERIES}"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_range_query_costs_its_window_not_the_tails_behind_it() {
+    const SERIES: usize = 8;
+    let dir = tmpdir("range");
+    let mut store = open(&dir);
+    let engine =
+        QueryEngine::new().with_source(None, Arc::new(LtsSource::new(LtsReader::open(&dir))));
+    // One point a minute, so every `1m` window holds one and the `1m`
+    // tails grow a line a minute.
+    let mut minutes = 0;
+    let mut grow_to = |store: &mut LtsStore, lines: u64| {
+        for minute in minutes..=lines {
+            for i in 0..SERIES {
+                let name = format!("qb_octets_total{{dev=\"d{i}\",grp=\"g{}\"}}", i % 2);
+                store.append(&name, T0 + minute * 60, PointValue::Counter(600));
+            }
+        }
+        minutes = lines + 1;
+        store.flush().unwrap();
+        // The newest closed minute.
+        T0 + (lines - 1) * 60
+    };
+    let hour = |end: u64| {
+        let out = engine
+            .range(
+                "sum by (grp) (rate(qb_octets_total[300]))",
+                end - 3_600,
+                end,
+                60,
+            )
+            .unwrap();
+        assert_eq!(out.stats.series, SERIES as u64);
+        assert!(
+            out.stats.points_scanned <= SERIES as u64 * 70,
+            "{} points scanned",
+            out.stats.points_scanned
+        );
+        match out.result {
+            QueryResult::Matrix(rows) => {
+                assert_eq!(rows.len(), 2);
+                for row in rows {
+                    assert_eq!(row.values.len(), 61);
+                    assert!(row.values.iter().all(|(_, v)| *v == 40.0), "{row:?}");
+                }
+            }
+            other => panic!("{other:?}"),
+        }
+    };
+    let end = grow_to(&mut store, 2_000);
+    hour(end);
+    let (short_tails, ()) = allocations_in(|| hour(end));
+    let end = grow_to(&mut store, 4_000);
+    hour(end);
+    let (long_tails, ()) = allocations_in(|| hour(end));
+    assert_eq!(
+        short_tails, long_tails,
+        "allocations over 2 000-line and 4 000-line tails"
     );
     let _ = std::fs::remove_dir_all(&dir);
 }

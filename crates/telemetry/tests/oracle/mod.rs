@@ -1,12 +1,15 @@
 //! Reference implementations the store's tests compare against: the
 //! tail-line decoder that builds a JSON document and looks fields up in
-//! it, the `format!` encoder, and the directory walks the writer used to
+//! it, the `format!` encoder, the directory walks the writer used to
 //! make on every flush (disk gauges, retention) and the reader on every
-//! `newest_t`. Slow and obviously right; kept out of the library.
+//! `newest_t`, and the reads that parse every line of a tail whatever
+//! window was asked for. Slow and obviously right; kept out of the
+//! library.
 #![allow(dead_code)]
 
 use netqos_telemetry::{
-    parse_json, HistogramState, LtsReader, LtsRetention, Point, PointValue, Resolution, SeriesKind,
+    decode_point_line, decode_segment_v2, fold_series_range, parse_json, HistogramState, LtsReader,
+    LtsRetention, Point, PointValue, RangeFold, Resolution, SeriesInfo, SeriesKind,
 };
 use std::fmt::Write as _;
 use std::fs;
@@ -90,7 +93,8 @@ fn parse_segment_name(name: &str) -> Option<(u64, u64)> {
     Some((a.parse().ok()?, b.parse().ok()?))
 }
 
-fn sealed_in(sdir: &Path) -> Vec<WalkedSegment> {
+/// The sealed segments of one series directory, oldest first.
+pub fn sealed_in(sdir: &Path) -> Vec<WalkedSegment> {
     let Ok(entries) = fs::read_dir(sdir) else {
         return Vec::new();
     };
@@ -234,4 +238,100 @@ pub fn newest_t(dir: &Path) -> Option<u64> {
         }
     }
     newest
+}
+
+/// Canonical points of one series at one resolution in `[start, end]`,
+/// reading forward and whole: every sealed segment the window touches,
+/// oldest first, then every line of the open tail, front to back;
+/// clipped, stable-sorted by time, the first-written point winning a
+/// tie. Lines and segments that do not decode are passed over.
+pub fn series_points(
+    dir: &Path,
+    info: &SeriesInfo,
+    res: Resolution,
+    start: u64,
+    end: u64,
+) -> Vec<Point> {
+    let sdir = dir.join(res.dir_name()).join(&info.slug);
+    let mut pts: Vec<Point> = Vec::new();
+    let read_jsonl = |path: &Path, pts: &mut Vec<Point>| {
+        if let Ok(text) = fs::read_to_string(path) {
+            pts.extend(text.lines().filter_map(decode_point_line));
+        }
+    };
+    for seg in sealed_in(&sdir) {
+        if seg.last < start || seg.first > end {
+            continue;
+        }
+        if seg.path.extension().is_some_and(|e| e == "bin") {
+            match fs::read(&seg.path).map(|buf| decode_segment_v2(&buf)) {
+                Ok(Ok((header, decoded))) if header.kind == info.kind => pts.extend(decoded),
+                _ => {}
+            }
+        } else {
+            read_jsonl(&seg.path, &mut pts);
+        }
+    }
+    read_jsonl(&sdir.join("open.seg"), &mut pts);
+    pts.retain(|p| p.value.kind() == info.kind && p.t >= start && p.t <= end);
+    pts.sort_by_key(|p| p.t);
+    pts.dedup_by_key(|p| p.t);
+    pts
+}
+
+/// The fold of a counter series over `(after, upto]` by a scan of all
+/// its canonical points: what `fold_series_range` must report whenever
+/// it answers (its two work counters aside, which are left at zero).
+pub fn window_fold(
+    dir: &Path,
+    info: &SeriesInfo,
+    res: Resolution,
+    after: Option<u64>,
+    upto: u64,
+) -> RangeFold {
+    let mut fold = RangeFold::default();
+    for p in series_points(dir, info, res, 0, upto) {
+        let PointValue::Counter(v) = p.value else {
+            continue;
+        };
+        fold.last_t = Some(p.t);
+        if after.is_none_or(|a| p.t > a) {
+            fold.count += 1;
+            fold.sum = fold.sum.saturating_add(v);
+            fold.min = fold.min.min(v);
+            fold.max = fold.max.max(v);
+        }
+    }
+    fold
+}
+
+/// Holds `fold_series_range` over `(after, upto]` to [`window_fold`].
+/// `false` when the fold stood down instead of answering.
+pub fn fold_agrees(
+    dir: &Path,
+    info: &SeriesInfo,
+    res: Resolution,
+    after: Option<u64>,
+    upto: u64,
+) -> bool {
+    let Some(got) = fold_series_range(dir, &info.slug, info.kind, res, after, upto) else {
+        return false;
+    };
+    let want = window_fold(dir, info, res, after, upto);
+    let what = format!(
+        "{} at {} over ({after:?}, {upto}]",
+        info.name,
+        res.dir_name()
+    );
+    assert_eq!(
+        (got.count, got.sum, got.min, got.max),
+        (want.count, want.sum, want.min, want.max),
+        "{what}"
+    );
+    // A window that ends before it starts is answered without a look at
+    // the store.
+    if after.is_none_or(|a| a < upto) {
+        assert_eq!(got.last_t, want.last_t, "{what}");
+    }
+    true
 }

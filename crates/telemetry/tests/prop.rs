@@ -1001,3 +1001,358 @@ proptest! {
         prop_assert_eq!(decode_point_line(&mixed), oracle::point_from_json(&mixed));
     }
 }
+
+// ---------------------------------------------------------------------
+// Windowed reads against the forward whole-file scan
+// ---------------------------------------------------------------------
+
+use netqos_telemetry::{
+    fold_series_range, parse_series_name, LtsConfig, LtsCounters, LtsReader, LtsRetention,
+    LtsSource, LtsStore, SegmentCodec, SeriesInfo, LOOKBACK_FLOOR_SECS,
+};
+use std::path::{Path, PathBuf};
+use std::sync::Arc;
+
+/// A store the writer produced: three labelled series of each kind with
+/// a point wherever `gaps` puts one (values follow from the time),
+/// flushed every `flush_every` points, so tails, seals and `1m`/`1h`
+/// windows fall wherever the inputs put them. Some series join late and
+/// some skip points, so their tails differ.
+fn written_store(
+    tag: &str,
+    seal_points: usize,
+    codec: SegmentCodec,
+    gaps: &[u64],
+    flush_every: usize,
+) -> PathBuf {
+    let dir = std::env::temp_dir().join(format!("netqos-prop-{tag}-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let config = LtsConfig {
+        codec,
+        seal_points,
+        retention: LtsRetention {
+            max_age_secs: 0,
+            max_bytes: 0,
+        },
+    };
+    let mut store = LtsStore::open(&dir, config, LtsCounters::detached()).unwrap();
+    let mut t = 1_700_000_000u64;
+    for (n, gap) in gaps.iter().enumerate() {
+        t += gap;
+        for (i, (dev, grp)) in [("a", "x"), ("b", "x"), ("c", "y")].into_iter().enumerate() {
+            if n < i * 7 || (i == 1 && n % 5 == 0) {
+                continue;
+            }
+            let labels = format!("{{dev=\"{dev}\",grp=\"{grp}\"}}");
+            let c = t % 1_000 + i as u64;
+            store.append(&format!("c_total{labels}"), t, PointValue::Counter(c));
+            let g = (t % 97) as i64 - 40 * i as i64;
+            store.append(&format!("depth{labels}"), t, PointValue::Gauge(g));
+            let h = Histogram::new();
+            for k in 0..t % 4 {
+                h.record((t % 13 + k) * (i as u64 + 1) * 100);
+            }
+            store.append(
+                &format!("lat_ns{labels}"),
+                t,
+                PointValue::Histogram(h.to_state()),
+            );
+        }
+        if n % flush_every == flush_every - 1 {
+            store.flush().unwrap();
+        }
+    }
+    store.flush().unwrap();
+    dir
+}
+
+/// Gaps between points: mostly seconds, some minutes, a few hours.
+fn arb_gaps() -> impl Strategy<Value = Vec<u64>> {
+    prop::collection::vec(
+        prop_oneof![
+            1u64..4,
+            1u64..4,
+            1u64..4,
+            1u64..4,
+            1u64..4,
+            20u64..200,
+            20u64..200,
+            1_000u64..5_000
+        ],
+        60..140,
+    )
+}
+
+/// Window bounds worth asking about in a series whose canonical points
+/// are `all`: both ends of time, just outside and on the first and last
+/// point, on and beside a few points picked by `c`, and the edges of
+/// the sealed segments in `sdir`.
+fn bounds_of(all: &[Point], sdir: &Path, c: &mut Choices) -> Vec<u64> {
+    let mut bounds = vec![0, u64::MAX];
+    if let (Some(first), Some(last)) = (all.first(), all.last()) {
+        bounds.extend([first.t - 1, first.t, last.t, last.t + 1]);
+        for _ in 0..3 {
+            let t = all[c.next(all.len())].t;
+            bounds.extend([t - 1, t, t + 1]);
+        }
+    }
+    let sealed = oracle::sealed_in(sdir);
+    for _ in 0..2.min(sealed.len()) {
+        let seg = &sealed[c.next(sealed.len())];
+        bounds.extend([seg.first, seg.last, seg.last + 1]);
+    }
+    bounds.sort_unstable();
+    bounds.dedup();
+    bounds
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(12))]
+
+    /// Whatever window is asked of whatever the writer left — starting
+    /// on a point, between two, before the first, after the last,
+    /// across a seal, inside sealed data, over a missing or an empty
+    /// tail — the reader and the pushdown fold say what a forward scan
+    /// of every line says, at every resolution and for every kind.
+    #[test]
+    fn windowed_reads_match_a_forward_scan(
+        seal_points in 2usize..40,
+        binary in any::<bool>(),
+        gaps in arb_gaps(),
+        flush_every in 3usize..40,
+        seed in any::<u64>(),
+    ) {
+        let codec = if binary { SegmentCodec::Binary } else { SegmentCodec::Jsonl };
+        let dir = written_store("windows", seal_points, codec, &gaps, flush_every);
+        let reader = LtsReader::open(&dir);
+        let c = &mut Choices(seed);
+        for info in reader.index() {
+            for res in Resolution::ALL {
+                let sdir = dir.join(res.dir_name()).join(&info.slug);
+                // An empty tail where a seal left none.
+                if c.next(2) == 0 && sdir.is_dir() && !sdir.join("open.seg").exists() {
+                    std::fs::write(sdir.join("open.seg"), b"").unwrap();
+                }
+                let all = oracle::series_points(&dir, &info, res, 0, u64::MAX);
+                let bounds = bounds_of(&all, &sdir, c);
+                for (i, &start) in bounds.iter().enumerate() {
+                    for &end in &bounds[i..] {
+                        prop_assert_eq!(
+                            reader.series_points(&info, res, start, end),
+                            oracle::series_points(&dir, &info, res, start, end),
+                            "{} at {} in [{}, {}]", info.name, res.dir_name(), start, end
+                        );
+                    }
+                }
+                if info.kind != SeriesKind::Counter {
+                    prop_assert!(
+                        fold_series_range(&dir, &info.slug, info.kind, res, None, u64::MAX)
+                            .is_none()
+                    );
+                    continue;
+                }
+                let afters = std::iter::once(None).chain(bounds.iter().copied().map(Some));
+                for after in afters {
+                    for &upto in &bounds {
+                        prop_assert!(
+                            oracle::fold_agrees(&dir, &info, res, after, upto),
+                            "a store the writer left folds"
+                        );
+                    }
+                }
+            }
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(8))]
+
+    /// A tail is read from its end a fixed piece at a time; wherever in
+    /// a piece its lines end — padded to any length, some longer than a
+    /// piece, some blank, some not decodable, the last one torn — every
+    /// window reads as the forward scan of the file reads it.
+    #[test]
+    fn tails_of_any_line_lengths_read_like_a_forward_scan(
+        seed in any::<u64>(),
+        lines in 100usize..600,
+    ) {
+        let dir = written_store("pieces", 1 << 20, SegmentCodec::Binary, &[1], 1);
+        let reader = LtsReader::open(&dir);
+        let index = reader.index();
+        let info = index.iter().find(|i| i.kind == SeriesKind::Gauge).unwrap();
+        let c = &mut Choices(seed);
+        let (mut text, mut times) = (String::new(), Vec::new());
+        let mut t = 10u64;
+        for _ in 0..lines {
+            t += 1 + c.next(3) as u64;
+            let pad = match c.next(40) {
+                0 => {
+                    text.push_str(" \n\n");
+                    0
+                }
+                1 => {
+                    text.push_str("{\"t\":7,\"kind\":\n");
+                    0
+                }
+                2 => 8_000 + c.next(40_000),
+                _ => {
+                    let most = [1, 1, 40, 300][c.next(4)];
+                    c.next(most)
+                }
+            };
+            let pad = "x".repeat(pad);
+            text.push_str(&format!(
+                "{{\"pad\":\"{pad}\",\"t\":{t},\"kind\":\"gauge\",\"v\":-3}}\n"
+            ));
+            times.push(t);
+        }
+        if c.next(2) == 0 {
+            text.push_str("{\"t\":99999,\"kind\":\"gau");
+        }
+        let tail = dir.join("1s").join(&info.slug).join("open.seg");
+        std::fs::write(tail, text).unwrap();
+        let mut bounds = vec![0, 10, t, t + 1, u64::MAX];
+        for _ in 0..5 {
+            let at = times[c.next(times.len())];
+            bounds.extend([at, at + c.next(2) as u64]);
+        }
+        bounds.sort_unstable();
+        for (i, &start) in bounds.iter().enumerate() {
+            for &end in &bounds[i..] {
+                prop_assert_eq!(
+                    reader.series_points(info, Resolution::Raw1s, start, end),
+                    oracle::series_points(&dir, info, Resolution::Raw1s, start, end),
+                    "[{}, {}]", start, end
+                );
+            }
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}
+
+// ---------------------------------------------------------------------
+// Queries through the store against the same engine over all the points
+// ---------------------------------------------------------------------
+
+/// Every series of a store with all its points in memory, served
+/// whatever bounds a fetch names: what a query must answer however
+/// little of the store it reads.
+struct WholeStore(Vec<(SeriesInfo, PointsByRes)>);
+
+/// A series' canonical points at each resolution, finest first.
+type PointsByRes = Arc<[Vec<Point>; 3]>;
+
+impl WholeStore {
+    fn of(dir: &Path) -> WholeStore {
+        let series = LtsReader::open(dir).index().into_iter().map(|info| {
+            let all =
+                Resolution::ALL.map(|res| oracle::series_points(dir, &info, res, 0, u64::MAX));
+            (info, Arc::new(all))
+        });
+        WholeStore(series.collect())
+    }
+}
+
+impl SeriesSource for WholeStore {
+    fn series(&self) -> Result<Vec<PromSeries>, String> {
+        let series = self.0.iter().map(|(info, all)| {
+            let (base, labels) = parse_series_name(&info.name);
+            let all = all.clone();
+            PromSeries {
+                base,
+                labels,
+                kind: info.kind,
+                key: info.slug.clone(),
+                fetch: Arc::new(move |res, _start, _end| {
+                    let at = Resolution::ALL.iter().position(|r| *r == res).unwrap();
+                    all[at].clone()
+                }),
+            }
+        });
+        Ok(series.collect())
+    }
+}
+
+/// A random expression of the supported subset.
+fn spell_query(c: &mut Choices) -> String {
+    let matcher = ["", "", "{grp=\"x\"}", "{dev=~\"*b\"}", "{dev!=\"a\"}"][c.next(5)];
+    let window = [3, 20, 60, 90, 300, 400, 3_600, 7_200][c.next(8)];
+    let q = ["0.5", "0.99"][c.next(2)];
+    let leaf = match c.next(9) {
+        0 => format!("c_total{matcher}"),
+        1 => format!("depth{matcher}"),
+        2 => "{grp=\"x\"}".to_string(),
+        3 => format!("rate(c_total{matcher}[{window}])"),
+        4 => format!("increase(c_total{matcher}[{window}])"),
+        5 => format!("delta(depth{matcher}[{window}])"),
+        6 => format!("histogram_quantile({q}, lat_ns{matcher}[{window}])"),
+        7 => format!("histogram_quantile({q}, lat_ns{matcher})"),
+        // A window function over the wrong kind selects nothing.
+        _ => format!("rate({{dev=\"a\"}}[{window}])"),
+    };
+    let grouped = match c.next(6) {
+        0 => format!("sum by (grp) ({leaf})"),
+        1 => format!("avg without (dev) ({leaf})"),
+        2 => format!("max({leaf})"),
+        3 => format!("count by (dev, grp) (sum without (grp) ({leaf}))"),
+        _ => leaf,
+    };
+    match c.next(5) {
+        0 => format!("{grouped} * 8"),
+        1 => format!("1000 - {grouped}"),
+        2 => format!("{grouped} > 40"),
+        _ => grouped,
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(12))]
+
+    /// A query reads only as far back as its expression can reach, and
+    /// answers as if it had read everything: instant and range results
+    /// through `LtsSource` are those of the same engine over a source
+    /// that hands it every point whatever bounds it names.
+    #[test]
+    fn queries_through_the_store_match_queries_over_every_point(
+        seal_points in 2usize..40,
+        binary in any::<bool>(),
+        gaps in arb_gaps(),
+        flush_every in 3usize..40,
+        seed in any::<u64>(),
+    ) {
+        let codec = if binary { SegmentCodec::Binary } else { SegmentCodec::Jsonl };
+        let dir = written_store("reach", seal_points, codec, &gaps, flush_every);
+        let stored = QueryEngine::new()
+            .with_source(None, Arc::new(LtsSource::new(LtsReader::open(&dir))));
+        let whole = QueryEngine::new().with_source(None, Arc::new(WholeStore::of(&dir)));
+        let mut times = Vec::new();
+        for gap in &gaps {
+            times.push(times.last().unwrap_or(&1_700_000_000u64) + gap);
+        }
+        let c = &mut Choices(seed);
+        for _ in 0..48 {
+            let query = spell_query(c);
+            let res = Resolution::ALL[c.next(3)];
+            // At a point, soon after one, where it is about to go
+            // stale, or well past it.
+            let stale = LOOKBACK_FLOOR_SECS.max(2 * res.window_secs());
+            let after = [0, 1, 2, 59, stale - 1, stale - 1, stale, 9_000][c.next(8)];
+            let t = times[c.next(times.len())] / res.window_secs() * res.window_secs() + after;
+            prop_assert_eq!(
+                stored.instant(&query, t, res).unwrap().to_api_json(),
+                whole.instant(&query, t, res).unwrap().to_api_json(),
+                "{} at {} on {}", query, t, res.dir_name()
+            );
+            let step = [1, 7, 60, 300, 3_600][c.next(5)];
+            let end = t + step * c.next(40) as u64;
+            prop_assert_eq!(
+                stored.range(&query, t, end, step).unwrap().to_api_json(),
+                whole.range(&query, t, end, step).unwrap().to_api_json(),
+                "{} over [{}, {}] step {}", query, t, end, step
+            );
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}

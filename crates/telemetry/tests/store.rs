@@ -1,15 +1,17 @@
 //! The long-term store against its oracles: the writer's catalog equals
 //! a walk of the directory at every step of a store's life, retention
 //! order depends only on what was appended, `newest_t` agrees with a full
-//! scan, integers survive every representation exactly, and the query
-//! source's cached index follows the file.
+//! scan, integers survive every representation exactly, the query
+//! source's cached index follows the file, and a tail read from its end
+//! gives what a forward scan of it gives, crash leftovers and hand-made
+//! damage included.
 
 mod oracle;
 
 use netqos_telemetry::{
     migrate_store, parse_json, report_flush, verify_store, Counter, EventSink, FlushReport,
     Histogram, LtsConfig, LtsCounters, LtsReader, LtsRetention, LtsSource, LtsStore, PointValue,
-    QueryEngine, QueryResult, Resolution, SegmentCodec,
+    QueryEngine, QueryResult, Resolution, SegmentCodec, SeriesSource,
 };
 use std::collections::{BTreeMap, BTreeSet};
 use std::fs;
@@ -582,5 +584,181 @@ fn one_source_follows_the_index_across_queries() {
     assert_eq!(store.take_warnings().len(), 1);
     assert_eq!(samples("c_total"), 0, "the truncated index was read again");
     assert_eq!(samples("a_total"), 1);
+    let _ = fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn the_query_sources_newest_t_follows_the_store() {
+    let dir = tmpdir("source-newest");
+    let cfg = config(4, SegmentCodec::Binary, KEEP_ALL);
+    let mut store = LtsStore::open(&dir, cfg, LtsCounters::detached()).unwrap();
+    // One source throughout: it answers from its cached index.
+    let source = LtsSource::new(LtsReader::open(&dir));
+    let agree = |want: Option<u64>, what: &str| {
+        assert_eq!(oracle::newest_t(&dir), want, "{what}: full scan");
+        assert_eq!(source.newest_t(), want, "{what}: query source");
+    };
+    agree(None, "empty store");
+    for t in 10..16 {
+        store.append("a_total", t, PointValue::Counter(1));
+    }
+    store.flush().unwrap();
+    agree(Some(15), "a sealed segment and no tail");
+    store.append("b_depth", 20, PointValue::Gauge(-1));
+    store.flush().unwrap();
+    agree(Some(20), "a series the cached index had not seen");
+    drop(store);
+    let slug = &LtsReader::open(&dir).index()[1].slug;
+    let mut f = fs::OpenOptions::new()
+        .append(true)
+        .open(dir.join(format!("1s/{slug}/open.seg")))
+        .unwrap();
+    f.write_all(b"{\"t\":900,\"kind\":\"gau").unwrap();
+    agree(Some(20), "a torn final line");
+    let _ = fs::remove_dir_all(&dir);
+}
+
+// ---------------------------------------------------------------------
+// Tails read from their end
+// ---------------------------------------------------------------------
+
+/// Holds every raw window `[start, end]` of `c_total` to the forward
+/// scan, and the fold over `(start, end]` too wherever it answers.
+/// Returns whether it answered everywhere.
+fn reads_agree(dir: &Path, starts: &[u64], ends: &[u64], what: &str) -> bool {
+    let raw = Resolution::Raw1s;
+    let reader = LtsReader::open(dir);
+    let info = reader
+        .index()
+        .into_iter()
+        .find(|i| i.name == "c_total")
+        .unwrap();
+    let mut folded = true;
+    for &start in starts {
+        for &end in ends.iter().filter(|e| **e >= start) {
+            assert_eq!(
+                reader.series_points(&info, raw, start, end),
+                oracle::series_points(dir, &info, raw, start, end),
+                "{what}: [{start}, {end}]"
+            );
+            folded &= oracle::fold_agrees(dir, &info, raw, Some(start), end);
+        }
+    }
+    folded
+}
+
+#[test]
+fn hand_made_tails_read_like_a_forward_scan() {
+    let dir = tmpdir("tail-walk");
+    let cfg = config(8, SegmentCodec::Binary, KEEP_ALL);
+    let mut store = LtsStore::open(&dir, cfg, LtsCounters::detached()).unwrap();
+    for t in 100..108 {
+        store.append("c_total", t, PointValue::Counter(t));
+    }
+    assert_eq!(store.flush().unwrap().segments_sealed, 1);
+    for t in 108..111 {
+        store.append("c_total", t, PointValue::Counter(t));
+    }
+    store.flush().unwrap();
+    drop(store);
+    let slug = LtsReader::open(&dir).index()[0].slug.clone();
+    let sdir = dir.join("1s").join(slug);
+    let tail = sdir.join("open.seg");
+    let line = |t: u64| format!("{{\"t\":{t},\"kind\":\"counter\",\"v\":{t}}}\n");
+    let lines = |ts: &[u64]| ts.iter().map(|t| line(*t)).collect::<String>();
+    let all = [0, 99, 100, 104, 107, 108, 109, 110, 111, u64::MAX];
+
+    // A sealed segment and a tail far shorter than one piece.
+    assert!(reads_agree(&dir, &all, &all, "as written"));
+
+    // A torn final line.
+    let written = fs::read_to_string(&tail).unwrap();
+    fs::write(&tail, format!("{written}{{\"t\":111,\"kind\":\"coun")).unwrap();
+    assert!(reads_agree(&dir, &all, &all, "torn final line"));
+
+    // Blank lines and lines that do not decode, mid-tail.
+    let damaged = format!(
+        "{}\n\nnot json\n{}{{\"t\":1}}\n \t\r\n{}",
+        line(108),
+        line(109),
+        line(110)
+    );
+    fs::write(&tail, damaged).unwrap();
+    assert!(reads_agree(&dir, &all, &all, "blank and undecodable lines"));
+
+    // No tail, and an empty one.
+    fs::remove_file(&tail).unwrap();
+    assert!(reads_agree(&dir, &all, &all, "missing tail"));
+    fs::write(&tail, "").unwrap();
+    assert!(reads_agree(&dir, &all, &all, "empty tail"));
+
+    // Many pieces, with lines that decode and one that does not each
+    // longer than a piece — the last longer than the first two pieces
+    // together — so that line ends fall anywhere in a piece or in none.
+    let padded = |t: u64, pad: usize| {
+        let pad = "x".repeat(pad);
+        format!("{{\"t\":{t},\"pad\":\"{pad}\",\"kind\":\"counter\",\"v\":5}}\n")
+    };
+    let mut long = String::new();
+    for t in 108..3_000u64 {
+        match t {
+            1_000 => long.push_str(&padded(t, 20_000)),
+            2_000 => long.push_str(&format!("{}\n", "y".repeat(20_000))),
+            _ => long.push_str(&line(t)),
+        }
+    }
+    long.push_str(&padded(3_000, 40_000));
+    fs::write(&tail, &long).unwrap();
+    let far = [
+        0,
+        107,
+        108,
+        999,
+        1_000,
+        1_001,
+        1_999,
+        2_000,
+        2_001,
+        2_999,
+        3_000,
+        3_001,
+        u64::MAX,
+    ];
+    assert!(reads_agree(&dir, &far, &far, "tail of many pieces"));
+
+    // Times that go backwards where the walk reads them: no writer
+    // leaves that (`verify` says so), the fold stands down and the read
+    // goes forward over the whole file.
+    fs::write(&tail, lines(&[108, 109, 115, 112, 116, 116, 120])).unwrap();
+    let issues = verify_store(&dir).unwrap().issues;
+    assert!(
+        issues.iter().any(|i| i.contains("time not increasing")),
+        "{issues:?}"
+    );
+    let folded = reads_agree(&dir, &[0, 104, 108, 112], &all, "times go backwards");
+    assert!(!folded, "the fold answered over a tail out of order");
+    assert!(reads_agree(
+        &dir,
+        &[117, 120, 121],
+        &all,
+        "disorder before the window"
+    ));
+
+    // What a crash between sealing a tail and removing it leaves: the
+    // sealed points once more, then newer ones. Reads keep the first
+    // copy of each; the fold stands down.
+    fs::write(
+        &tail,
+        lines(&[100, 101, 102, 103, 104, 105, 106, 107, 108, 109]),
+    )
+    .unwrap();
+    assert!(!reads_agree(&dir, &all, &all, "stale tail"));
+    fs::write(&tail, lines(&[106, 107, 108])).unwrap();
+    assert!(!reads_agree(
+        &dir,
+        &all,
+        &all,
+        "tail overlapping the sealed range"
+    ));
     let _ = fs::remove_dir_all(&dir);
 }
