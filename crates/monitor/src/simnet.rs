@@ -256,8 +256,9 @@ pub struct SimNetwork {
     telemetry: MonitorTelemetry,
     tracer: Tracer,
     /// Per-device poll-RTT baseline (simulated microseconds), so traces
-    /// can rank each RTT against the device's recent history.
-    rtt_baselines: HashMap<NodeId, QuantileBaseline>,
+    /// can rank each RTT against the device's recent history. Indexed by
+    /// node id like `agents`; `None` until the node's first answered poll.
+    rtt_baselines: Vec<Option<QuantileBaseline>>,
 }
 
 /// Where and how to poll one node's agent.
@@ -481,6 +482,7 @@ impl SimNetwork {
             .map(|(node_id, _)| node_id)
             .filter(|&node_id| is_pollable(node_id))
             .collect();
+        let rtt_baselines = vec![None; agents.len()];
         Ok(SimNetwork {
             lan: b.build(),
             model,
@@ -495,7 +497,7 @@ impl SimNetwork {
             timeouts: 0,
             telemetry,
             tracer: Tracer::disabled(),
-            rtt_baselines: HashMap::new(),
+            rtt_baselines,
         })
     }
 
@@ -512,7 +514,7 @@ impl SimNetwork {
 
     /// The poll-RTT baseline of a device, if it has been polled.
     pub fn rtt_baseline(&self, node: NodeId) -> Option<&QuantileBaseline> {
-        self.rtt_baselines.get(&node)
+        self.rtt_baselines.get(node.0 as usize)?.as_ref()
     }
 
     /// The poll runtime's telemetry handles (and through them, the
@@ -600,7 +602,7 @@ impl SimNetwork {
         self.telemetry.poll_rtt_us.record(rtt_us);
         // Rank this RTT against the device's own history before folding
         // it into the baseline.
-        let baseline = self.rtt_baselines.entry(node).or_default();
+        let baseline = self.rtt_baselines[node.0 as usize].get_or_insert_with(Default::default);
         if poll_span.is_recording() {
             poll_span.set_attr("rtt_us", rtt_us);
             poll_span.set_attr("rtt_rank", baseline.rank(rtt_us));

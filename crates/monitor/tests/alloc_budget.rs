@@ -6,6 +6,7 @@
 
 use netqos_monitor::poll::{parse_snapshot, poll_oids};
 use netqos_monitor::simnet::{SimNetwork, SimNetworkOptions};
+use netqos_sim::time::SimDuration;
 use netqos_snmp::mib2::{interfaces, system, IfEntry, SystemInfo};
 use netqos_snmp::{client, ScalarMib, SnmpAgent};
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -98,8 +99,10 @@ fn a_poll_allocates_what_its_signatures_force() {
 
 /// Allocations of one steady-state `SimNetwork::poll_device` of a
 /// 1-interface host: the poll above plus what carrying two datagrams
-/// through the simulator costs.
-fn sim_poll_allocations() -> u64 {
+/// through the simulator costs. With `agent_jitter_mean` the agent parks
+/// its answer and sends it from a timer (`on_datagram` → `pending` →
+/// `on_timer`), as every agent of `qosbench`'s `lan-wide` does.
+fn sim_poll_allocations(agent_jitter_mean: Option<SimDuration>) -> u64 {
     const SPEC: &str = r#"
         host L  { address 10.0.0.1;  snmp community "public"; interface eth0 { speed 100Mbps; } }
         host S1 { address 10.0.0.11; snmp community "public"; interface hme0 { speed 100Mbps; } }
@@ -109,7 +112,11 @@ fn sim_poll_allocations() -> u64 {
         connection S1.hme0 <-> sw.p2;
     "#;
     let model = netqos_spec::parse_and_validate(SPEC).unwrap();
-    let mut net = SimNetwork::from_model(model, SimNetworkOptions::default()).unwrap();
+    let options = SimNetworkOptions {
+        agent_jitter_mean,
+        ..SimNetworkOptions::default()
+    };
+    let mut net = SimNetwork::from_model(model, options).unwrap();
     let s1 = net.model().topology.node_by_name("S1").unwrap();
     // Warm up: the switch learns both addresses, queues and the RTT
     // baseline reach their steady size.
@@ -123,7 +130,7 @@ fn sim_poll_allocations() -> u64 {
 
 #[test]
 fn a_poll_through_the_simulator_stays_within_the_parent_commits_count() {
-    let polled = sim_poll_allocations();
+    let polled = sim_poll_allocations(None);
     println!("allocations per simulated poll: {polled}");
     assert!(
         polled <= SIM_POLL_BUDGET,
@@ -131,7 +138,26 @@ fn a_poll_through_the_simulator_stays_within_the_parent_commits_count() {
     );
 }
 
-/// What one such poll cost before the simulator became a `Transport` of
-/// the one SNMP manager (measured at that commit; 13 since, the request
-/// being encoded into a buffer the manager keeps).
-const SIM_POLL_BUDGET: u64 = 14;
+#[test]
+fn a_poll_answered_from_the_agents_timer_stays_within_the_same_count() {
+    let polled = sim_poll_allocations(Some(SimDuration::from_millis(1)));
+    println!("allocations per simulated poll, jittered agent: {polled}");
+    assert!(
+        polled <= SIM_POLL_BUDGET,
+        "{polled} allocations, budget {SIM_POLL_BUDGET}"
+    );
+}
+
+/// What one such poll measures, with and without jitter: the five of the
+/// parse (bindings, samples, column counts, the `ifDescr` octets and the
+/// string made of them) and four for carrying the exchange — the request
+/// copied once into the `Bytes` that travels (`Transport::exchange` lends
+/// a slice, and the manager keeps its encode buffer), the `Vec` the agent
+/// answers with, the `Bytes` made of it, and the `Vec` `exchange` must
+/// return. Nothing per hop, per event or per app callback: frames share
+/// their payload, a payload that fits one packet is not copied to be
+/// "fragmented", and callbacks push into a buffer the engine lends them.
+/// (It was 13, and 14 with a jittered agent, before the engine stopped
+/// allocating per callback and the `bytes` shim per `slice` and `from`;
+/// 14 before the simulator was a `Transport`.)
+const SIM_POLL_BUDGET: u64 = 9;

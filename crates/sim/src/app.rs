@@ -7,11 +7,12 @@
 //! defers all side effects until the callback returns; this keeps the
 //! engine single-threaded, borrow-clean, and deterministic.
 
-use crate::addr::Ipv4Addr;
+use crate::addr::{Ipv4Addr, MacAddr};
 use crate::events::{DeviceId, PortIx};
 use crate::nic::{Nic, NicSnapshot};
 use crate::packet::UdpDatagram;
 use crate::time::{SimDuration, SimTime};
+use crate::world::KeyMap;
 use bytes::Bytes;
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -42,7 +43,8 @@ pub struct AppCtx<'a> {
     pub(crate) nics: &'a [Nic],
     /// Learning-bridge forwarding database (switches only): learned MAC →
     /// port index.
-    pub(crate) fdb: Option<&'a std::collections::HashMap<crate::addr::MacAddr, PortIx>>,
+    pub(crate) fdb: Option<&'a KeyMap<MacAddr, PortIx>>,
+    /// Lent by the engine for the callback and taken back when it returns.
     pub(crate) actions: Vec<Action>,
 }
 
@@ -97,9 +99,9 @@ impl AppCtx<'_> {
     /// The device's bridge forwarding database, as `(mac, ifIndex)` pairs
     /// sorted by MAC, when this device is a learning switch — what the
     /// BRIDGE-MIB `dot1dTpFdbTable` exports. `None` on hosts and hubs.
-    pub fn fdb_snapshot(&self) -> Option<Vec<(crate::addr::MacAddr, u32)>> {
+    pub fn fdb_snapshot(&self) -> Option<Vec<(MacAddr, u32)>> {
         self.fdb.map(|table| {
-            let mut v: Vec<(crate::addr::MacAddr, u32)> = table
+            let mut v: Vec<(MacAddr, u32)> = table
                 .iter()
                 .map(|(mac, port)| (*mac, port.if_index()))
                 .collect();
@@ -233,7 +235,6 @@ impl UdpApp for Mailbox {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::addr::MacAddr;
 
     fn ctx_with_nics(nics: &[Nic]) -> AppCtx<'_> {
         AppCtx {
@@ -253,7 +254,7 @@ mod tests {
         let ctx = ctx_with_nics(&[]);
         assert!(ctx.fdb_snapshot().is_none());
 
-        let mut table = std::collections::HashMap::new();
+        let mut table = KeyMap::default();
         table.insert(MacAddr::from_seed(9), PortIx(2));
         table.insert(MacAddr::from_seed(1), PortIx(0));
         let mut ctx = ctx_with_nics(&[]);

@@ -10,14 +10,14 @@ use crate::error::SimError;
 use crate::events::{AppId, DeviceId, LinkId, PortIx};
 use crate::nic::Nic;
 use crate::time::{SimDuration, SimTime};
-use crate::world::{Device, DeviceKind, Lan, Link};
+use crate::world::{Device, DeviceKind, KeyMap, Lan, Link};
 use std::collections::HashMap;
 
 /// Builder for a [`Lan`].
 pub struct LanBuilder {
     devices: Vec<Device>,
     links: Vec<Link>,
-    arp: HashMap<Ipv4Addr, (DeviceId, MacAddr)>,
+    arp: KeyMap<Ipv4Addr, (DeviceId, MacAddr)>,
     name_index: HashMap<String, DeviceId>,
     mac_seed: u64,
     default_propagation: SimDuration,
@@ -35,7 +35,7 @@ impl LanBuilder {
         LanBuilder {
             devices: Vec::new(),
             links: Vec::new(),
-            arp: HashMap::new(),
+            arp: KeyMap::default(),
             name_index: HashMap::new(),
             mac_seed: 1,
             default_propagation: SimDuration::from_micros(2), // ~400 m of cable
@@ -57,7 +57,7 @@ impl LanBuilder {
             kind,
             nics: Vec::new(),
             apps: Vec::new(),
-            udp_bindings: HashMap::new(),
+            udp_bindings: KeyMap::default(),
             epoch: SimTime::ZERO,
         });
         self.name_index.insert(name.to_owned(), id);
@@ -81,7 +81,7 @@ impl LanBuilder {
             name,
             DeviceKind::Host {
                 ip,
-                routes: HashMap::new(),
+                routes: KeyMap::default(),
             },
         )?;
         // ARP registration completes when the first NIC appears; reserve
@@ -110,8 +110,7 @@ impl LanBuilder {
             name,
             DeviceKind::Switch {
                 mgmt,
-                mac_table: HashMap::new(),
-                proc_delay: SimDuration::from_micros(5),
+                mac_table: KeyMap::default(),
             },
         )?;
         if let Some((ip, mac)) = mgmt {

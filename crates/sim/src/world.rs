@@ -6,6 +6,11 @@
 //!   everything else is filtered in "hardware" and — matching real
 //!   non-promiscuous NICs — not counted by the interface counters. UDP
 //!   datagrams are delivered to the app bound to the destination port.
+//!   The filter is applied where the frame is put on the cable
+//!   (`put_on_cable`): a frame the NIC at the far end would filter is
+//!   carried and counted but its arrival is never an event — except on a
+//!   lossy cable, where every arrival is one (see
+//!   [`Lan::set_link_loss`]).
 //! * **Switches** are store-and-forward learning bridges: the source MAC
 //!   of every frame is learned against its ingress port; unicast frames go
 //!   out the learned port only (or flood when unknown); broadcasts flood.
@@ -37,7 +42,42 @@ use crate::time::{SimDuration, SimTime};
 use bytes::Bytes;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::borrow::Cow;
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
+
+/// Hasher of the simulator's lookup tables, whose keys — MACs, IPs, UDP
+/// ports — are a few bytes the builder assigned: nobody crafts them to
+/// collide, so a bridge hop need not pay SipHash twice. Each word of the
+/// key, read as one integer, is multiplied into the state and the high
+/// half of the 128-bit product folded onto the low. The fold is the
+/// point: `HashMap` picks the bucket from a hash's low bits, and in a
+/// product alone those depend only on the low bits of the word — measured
+/// with the key's first bytes there, all constant across builder MACs,
+/// every station of a LAN shared one probe chain and the tick was slower
+/// than under SipHash.
+#[derive(Default)]
+pub(crate) struct KeyHasher(u64);
+
+impl Hasher for KeyHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for chunk in bytes.chunks(8) {
+            let mut word = [0u8; 8];
+            word[8 - chunk.len()..].copy_from_slice(chunk);
+            let product =
+                u128::from(self.0 ^ u64::from_be_bytes(word)) * 0x9E37_79B9_7F4A_7C15_u128;
+            self.0 = product as u64 ^ (product >> 64) as u64;
+        }
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+/// The one map type of the tables above. Nothing may depend on its
+/// iteration order (`fdb_snapshot`, the only iteration, sorts).
+pub(crate) type KeyMap<K, V> = HashMap<K, V, BuildHasherDefault<KeyHasher>>;
 
 /// Role-specific device state.
 #[derive(Debug)]
@@ -47,13 +87,12 @@ pub(crate) enum DeviceKind {
         ip: Ipv4Addr,
         /// Static routes: destination IP → out port. Missing entries fall
         /// back to port 0 (hosts are usually single-homed).
-        routes: HashMap<Ipv4Addr, PortIx>,
+        routes: KeyMap<Ipv4Addr, PortIx>,
     },
     /// A learning switch, optionally managed (management IP + MAC).
     Switch {
         mgmt: Option<(Ipv4Addr, MacAddr)>,
-        mac_table: HashMap<MacAddr, PortIx>,
-        proc_delay: SimDuration,
+        mac_table: KeyMap<MacAddr, PortIx>,
     },
     /// A repeater hub with a shared medium.
     Hub {
@@ -67,7 +106,7 @@ pub(crate) struct Device {
     pub(crate) kind: DeviceKind,
     pub(crate) nics: Vec<Nic>,
     pub(crate) apps: Vec<Option<Box<dyn UdpApp>>>,
-    pub(crate) udp_bindings: HashMap<u16, AppId>,
+    pub(crate) udp_bindings: KeyMap<u16, AppId>,
     pub(crate) epoch: SimTime,
 }
 
@@ -107,7 +146,8 @@ impl Link {
 /// Global engine statistics.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct LanStats {
-    /// Frames fully delivered to a device port.
+    /// Frames carried to a device port: counted on arrival, or — a frame
+    /// the host NIC at the far end filters — when put on the cable.
     pub frames_delivered: u64,
     /// Frames a switch forwarded to a known port.
     pub frames_forwarded: u64,
@@ -135,10 +175,14 @@ pub struct Lan {
     pub(crate) links: Vec<Link>,
     pub(crate) queue: EventQueue,
     pub(crate) now: SimTime,
-    pub(crate) arp: HashMap<Ipv4Addr, (DeviceId, MacAddr)>,
+    pub(crate) arp: KeyMap<Ipv4Addr, (DeviceId, MacAddr)>,
     pub(crate) name_index: HashMap<String, DeviceId>,
     pub(crate) stats: LanStats,
     pub(crate) rng: StdRng,
+    /// The buffer app callbacks push their deferred actions into: lent to
+    /// the callback's context by `with_app` and taken back drained, so a
+    /// dispatch allocates none of its own.
+    actions: Vec<Action>,
     started: bool,
 }
 
@@ -146,7 +190,7 @@ impl Lan {
     pub(crate) fn from_parts(
         devices: Vec<Device>,
         links: Vec<Link>,
-        arp: HashMap<Ipv4Addr, (DeviceId, MacAddr)>,
+        arp: KeyMap<Ipv4Addr, (DeviceId, MacAddr)>,
         name_index: HashMap<String, DeviceId>,
     ) -> Self {
         Lan {
@@ -158,6 +202,7 @@ impl Lan {
             name_index,
             stats: LanStats::default(),
             rng: StdRng::seed_from_u64(0xC0FF_EE00),
+            actions: Vec::new(),
             started: false,
         }
     }
@@ -165,6 +210,16 @@ impl Lan {
     /// Sets the corruption probability of the link attached to the given
     /// port (failure injection). Frames lost this way increment the
     /// receiver's `ifInErrors`.
+    ///
+    /// Loss applies to frames put on the cable from now on, which is every
+    /// frame when it is set before traffic starts. Raising it from 0 while
+    /// frames are in flight misses one kind: a unicast frame already on its
+    /// way to a host NIC that will filter it was counted as carried when it
+    /// was sent and has no arrival left to corrupt (see `put_on_cable`). All
+    /// it could still have done is bump `ifInErrors` on a NIC it was not
+    /// addressed to and draw once from the loss RNG. Frames in flight
+    /// toward a NIC that accepts them, a switch or a hub are subject to the
+    /// new loss as ever.
     pub fn set_link_loss(
         &mut self,
         dev: DeviceId,
@@ -414,7 +469,10 @@ impl Lan {
         let Some(mut obj) = slot.take() else {
             return; // re-entrant dispatch; cannot happen with deferred actions
         };
-        let actions = {
+        // A dispatch made while actions are being applied (loopback
+        // delivery) finds the buffer already lent and starts an empty one.
+        let mut actions = std::mem::take(&mut self.actions);
+        {
             let d = &self.devices[dev_ix];
             let fdb = match &d.kind {
                 DeviceKind::Switch { mac_table, .. } => Some(mac_table),
@@ -428,17 +486,18 @@ impl Lan {
                 epoch: d.epoch,
                 nics: &d.nics,
                 fdb,
-                actions: Vec::new(),
+                actions,
             };
             f(&mut obj, &mut ctx);
-            ctx.actions
-        };
+            actions = ctx.actions;
+        }
         self.devices[dev_ix].apps[app.index()] = Some(obj);
-        self.apply_actions(dev, app, actions);
+        self.apply_actions(dev, app, &mut actions);
+        self.actions = actions;
     }
 
-    fn apply_actions(&mut self, dev: DeviceId, app: AppId, actions: Vec<Action>) {
-        for action in actions {
+    fn apply_actions(&mut self, dev: DeviceId, app: AppId, actions: &mut Vec<Action>) {
+        for action in actions.drain(..) {
             match action {
                 Action::SendUdp {
                     src_port,
@@ -463,7 +522,7 @@ impl Lan {
                         continue;
                     };
                     let frame = Frame::raw(nic.mac, MacAddr::BROADCAST, ip_len);
-                    self.transmit(dev, port, frame);
+                    self.transmit(dev, port, Cow::Owned(frame));
                 }
                 Action::Timer { after, token } => {
                     self.queue
@@ -519,7 +578,7 @@ impl Lan {
                 OutPort::Port(p) => {
                     let src_mac = self.device(dev)?.nics[p.index()].mac;
                     let frame = Frame::udp(src_mac, dst_mac, dgram);
-                    self.transmit(dev, p, frame);
+                    self.transmit(dev, p, Cow::Owned(frame));
                 }
                 OutPort::FloodAll => {
                     // Management stack with unlearned destination: send a
@@ -530,7 +589,7 @@ impl Lan {
                     for p in ports {
                         let src_mac = self.device(dev)?.nics[p.index()].mac;
                         let frame = Frame::udp(src_mac, dst_mac, dgram.clone());
-                        self.transmit(dev, p, frame);
+                        self.transmit(dev, p, Cow::Owned(frame));
                     }
                 }
             }
@@ -560,8 +619,9 @@ impl Lan {
         })
     }
 
-    /// Serializes a frame out of a port onto its link.
-    fn transmit(&mut self, dev: DeviceId, port: PortIx, frame: Frame) {
+    /// Serializes a frame out of a port onto its link. A borrowed frame
+    /// is cloned only if its arrival is scheduled.
+    fn transmit(&mut self, dev: DeviceId, port: PortIx, frame: Cow<'_, Frame>) {
         let Ok(d) = self.device(dev) else { return };
         let Some(nic) = d.nics.get(port.index()) else {
             return;
@@ -585,16 +645,40 @@ impl Lan {
         nic.tx_free_at = start + ser;
         nic.counters.record_tx(&frame);
 
-        let (fdev, fport) = link.far_end(dev, port);
         let arrive = start + ser + link.propagation;
-        self.queue.push(
-            arrive,
-            Event::FrameArrive {
-                dev: fdev,
-                port: fport,
-                frame,
-            },
-        );
+        self.put_on_cable(&link, link.far_end(dev, port), arrive, frame);
+    }
+
+    /// Carries a frame down `link` to the port at its far end, to arrive at
+    /// `arrive` — the one place that decides whether an arrival is an
+    /// event.
+    ///
+    /// A unicast frame reaching a *host* NIC it is not addressed to is
+    /// dropped by that NIC's hardware filter without touching a counter, so
+    /// its arrival can change nothing: the filter is applied here and the
+    /// frame only counted as carried. A lossy cable is exempt and schedules
+    /// everything, because there the receiver decides corruption before it
+    /// filters — it bumps `ifInErrors` and draws from the loss RNG even
+    /// for frames meant for somebody else.
+    fn put_on_cable(
+        &mut self,
+        link: &Link,
+        (dev, port): (DeviceId, PortIx),
+        arrive: SimTime,
+        frame: Cow<'_, Frame>,
+    ) {
+        let far = &self.devices[dev.index()];
+        if matches!(far.kind, DeviceKind::Host { .. })
+            && frame.dst != far.nics[port.index()].mac
+            && !frame.is_broadcast()
+            && link.loss_probability == 0.0
+        {
+            self.stats.frames_delivered += 1;
+            return;
+        }
+        let frame = frame.into_owned();
+        self.queue
+            .push(arrive, Event::FrameArrive { dev, port, frame });
     }
 
     // ------------------------------------------------------------------
@@ -696,20 +780,10 @@ impl Lan {
                     }
                     return;
                 }
-                let proc = match &self.devices[dev_ix].kind {
-                    DeviceKind::Switch { proc_delay, .. } => *proc_delay,
-                    _ => SimDuration::ZERO,
-                };
-                // Store-and-forward processing latency is modelled by
-                // delaying the transmit start; we fold it into the event
-                // time by scheduling through `transmit` at now (+proc is
-                // negligible vs serialization; kept simple and counted in
-                // tx_free_at ordering).
-                let _ = proc;
                 match maybe_port {
                     Some(out) => {
                         self.stats.frames_forwarded += 1;
-                        self.transmit(dev, out, frame);
+                        self.transmit(dev, out, Cow::Owned(frame));
                     }
                     None => {
                         self.stats.frames_flooded += 1;
@@ -717,7 +791,7 @@ impl Lan {
                         for p in 0..nports {
                             let p = PortIx(p);
                             if p != port {
-                                self.transmit(dev, p, frame.clone());
+                                self.transmit(dev, p, Cow::Borrowed(&frame));
                             }
                         }
                     }
@@ -734,7 +808,7 @@ impl Lan {
         let wire = frame.wire_len();
         let now = self.now;
 
-        let (start, after_medium) = {
+        let after_medium = {
             let DeviceKind::Hub {
                 medium_bps,
                 medium_free_at,
@@ -754,9 +828,8 @@ impl Lan {
             }
             let busy = SimDuration::serialization(wire, *medium_bps);
             *medium_free_at = start + busy;
-            (start, start + busy)
+            start + busy
         };
-        let _ = start;
 
         let nports = self.devices[dev_ix].nics.len();
         for p in 0..nports {
@@ -764,28 +837,13 @@ impl Lan {
             if p == in_port {
                 continue;
             }
-            let (link_id, _) = {
-                let nic = &self.devices[dev_ix].nics[p.index()];
-                match nic.link {
-                    Some(l) => (l, ()),
-                    None => continue,
-                }
-            };
-            let link = self.links[link_id.index()];
+            let nic = &mut self.devices[dev_ix].nics[p.index()];
+            let Some(link_id) = nic.link else { continue };
             // Count the repeat on the hub's own egress port.
-            self.devices[dev_ix].nics[p.index()]
-                .counters
-                .record_tx(&frame);
-            let (fdev, fport) = link.far_end(dev, p);
+            nic.counters.record_tx(&frame);
+            let link = self.links[link_id.index()];
             let arrive = after_medium + link.propagation;
-            self.queue.push(
-                arrive,
-                Event::FrameArrive {
-                    dev: fdev,
-                    port: fport,
-                    frame: frame.clone(),
-                },
-            );
+            self.put_on_cable(&link, link.far_end(dev, p), arrive, Cow::Borrowed(&frame));
         }
     }
 
@@ -837,6 +895,36 @@ mod tests {
 
     fn ip(s: &str) -> Ipv4Addr {
         s.parse().unwrap()
+    }
+
+    /// The keys the builder hands out are sequential: MACs that differ in
+    /// their last octets only, addresses of one subnet. `HashMap` takes a
+    /// key's bucket from the low bits of its hash and a 7-bit tag from the
+    /// top, so both ends must spread as a random function's would — 4 096
+    /// keys thrown at 4 096 buckets hit 63 % of them.
+    #[test]
+    fn sequential_keys_spread_over_both_ends_of_the_hash() {
+        use std::collections::HashSet;
+        use std::hash::{BuildHasher, Hash};
+        const KEYS: u64 = 4096;
+        fn spread<K: Hash>(what: &str, key: impl Fn(u64) -> K) {
+            let build = BuildHasherDefault::<KeyHasher>::default();
+            let hashes: Vec<u64> = (1..=KEYS).map(|i| build.hash_one(key(i))).collect();
+            let buckets: HashSet<u64> = hashes.iter().map(|h| h % KEYS).collect();
+            assert!(
+                buckets.len() as u64 > KEYS * 55 / 100,
+                "{what}: {} of {KEYS} buckets",
+                buckets.len()
+            );
+            let tags: HashSet<u64> = hashes.iter().map(|h| h >> 57).collect();
+            assert_eq!(tags.len(), 128, "{what}: tags");
+        }
+        spread("NIC MACs", MacAddr::from_seed);
+        spread("management MACs", |i| MacAddr::from_seed(0xAAAA_0000 + i));
+        spread("addresses", |i| {
+            Ipv4Addr::new(10, 0, (i >> 8) as u8, i as u8)
+        });
+        spread("ports", |i| i as u16);
     }
 
     #[test]
