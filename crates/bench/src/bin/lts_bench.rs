@@ -1,5 +1,6 @@
-//! Measures the long-term stats store's append throughput and range-query
-//! latency with plain wall-clock timing and writes the results as
+//! Measures the long-term stats store's append throughput, range-query
+//! latency and resident bytes per unsealed point (a live-bytes count in
+//! the allocator) with plain wall-clock timing and writes the results as
 //! `BENCH_lts.json` (repo root when run from there, else the current
 //! directory) in the unified `netqos-bench/v1` schema. The workloads
 //! mirror `benches/lts.rs`; this binary exists so a canonical result
@@ -11,8 +12,41 @@ use netqos_telemetry::{
     compact_store_to, LtsConfig, LtsCounters, LtsReader, LtsStore, PointValue, Resolution,
     SegmentCodec,
 };
+use std::alloc::{GlobalAlloc, Layout, System};
 use std::path::PathBuf;
+use std::sync::atomic::{AtomicIsize, Ordering};
 use std::time::Instant;
+
+/// Bytes allocated and not freed.
+static LIVE: AtomicIsize = AtomicIsize::new(0);
+
+struct CountingLive;
+
+// SAFETY: every call is forwarded unchanged to `System`, which upholds
+// the `GlobalAlloc` contract; the count is a relaxed atomic that
+// publishes nothing.
+unsafe impl GlobalAlloc for CountingLive {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        LIVE.fetch_add(layout.size() as isize, Ordering::Relaxed);
+        System.alloc(layout)
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        LIVE.fetch_sub(layout.size() as isize, Ordering::Relaxed);
+        System.dealloc(ptr, layout)
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        LIVE.fetch_add(
+            new_size as isize - layout.size() as isize,
+            Ordering::Relaxed,
+        );
+        System.realloc(ptr, layout, new_size)
+    }
+}
+
+#[global_allocator]
+static ALLOCATOR: CountingLive = CountingLive;
 
 const SERIES: usize = 16;
 const APPEND_TICKS: u64 = 20_000;
@@ -53,6 +87,30 @@ fn main() {
     let total_points = APPEND_TICKS * SERIES as u64;
     let points_per_sec = total_points as f64 / append_elapsed.as_secs_f64();
     let append_ns_per_point = append_elapsed.as_nanos() as f64 / total_points as f64;
+    std::fs::remove_dir_all(&dir).ok();
+
+    // Open-tail memory: what the writer holds resident for tails one
+    // flush short of sealing at the default `seal_points`, everything it
+    // keeps per series included, over the points in those tails.
+    let dir = fresh_dir("tail-memory");
+    let config = LtsConfig::default();
+    let tail_ticks = (config.seal_points as u64 - 1) / 60 * 60;
+    let before = LIVE.load(Ordering::Relaxed);
+    let mut store = LtsStore::open(&dir, config, LtsCounters::detached()).expect("open tail store");
+    let mut unsealed_points = 0;
+    for t in 0..tail_ticks {
+        for name in &names {
+            store.append(name, t, PointValue::Counter(t % 17));
+        }
+        if t % 60 == 59 {
+            let report = store.flush().expect("cadence flush");
+            assert_eq!(report.segments_sealed, 0, "tails stay open");
+            unsealed_points += report.points_written + report.downsampled;
+        }
+    }
+    let retained = (LIVE.load(Ordering::Relaxed) - before) as f64;
+    let retained_per_point = retained / unsealed_points as f64;
+    drop(store);
     std::fs::remove_dir_all(&dir).ok();
 
     // Query latency over a store holding an hour of 1s points per series.
@@ -134,6 +192,14 @@ fn main() {
             .param("points", total_points)
             .metric("points_per_sec", points_per_sec)
             .metric("ns_per_point", append_ns_per_point),
+    );
+    report.push(
+        BenchRow::new("open-tail-memory")
+            .param("series", SERIES)
+            .param("seal_points", LtsConfig::default().seal_points)
+            .param("flush_every_ticks", 60u64)
+            .param("unsealed_points", unsealed_points)
+            .metric("retained_per_point_bytes", retained_per_point),
     );
     report.push(
         BenchRow::new("query-one-series-1h-raw1s")

@@ -24,8 +24,9 @@
 //! are the delta-varint binary format (codec v2, see
 //! [`encode_segment_v2`]). The open tail stays JSONL regardless of the
 //! configured codec — line-oriented appends keep the
-//! truncate-on-torn-line crash recovery — and is transcoded at seal
-//! time. One codec reads and writes every JSONL line
+//! truncate-on-torn-line crash recovery — and a binary seal writes the
+//! encoding of it the writer built as it appended, without reading it
+//! back. One codec reads and writes every JSONL line
 //! ([`encode_point_line`], [`decode_point_line`]). [`migrate_store`] converts sealed segments between codecs with
 //! the same tmp-file-plus-rename discipline, and the byte-identical
 //! query guarantee holds across a migration.
@@ -363,12 +364,12 @@ struct SeriesState {
     open_len: [usize; 3],
     /// First point time in the open tail per resolution.
     open_first: [Option<u64>; 3],
-    /// In-memory copy of the open tail per resolution, kept only while
-    /// every tail point was written by this process (a preexisting tail
-    /// on open leaves it empty). Lets a binary seal encode from memory
-    /// instead of re-reading and parsing the JSONL tail; bounded by
-    /// `seal_points` entries per resolution.
-    open_pts: [Vec<Point>; 3],
+    /// The open tail per resolution as the binary segment it will seal
+    /// into: holds every tail point (recovery seeds it from a tail found
+    /// on open, each write feeds it what it wrote), so a seal reads
+    /// nothing back. Empty under [`SegmentCodec::Jsonl`], whose seal is
+    /// a rename.
+    open_enc: [SegmentEncoder; 3],
     /// Flushed-but-not-yet-downsampled points feeding `1m` (raw points)
     /// and `1h` (`1m` points).
     pending: [Vec<Point>; 2],
@@ -401,7 +402,7 @@ impl SeriesState {
             last_t: [None; 3],
             open_len: [0; 3],
             open_first: [None; 3],
-            open_pts: [Vec::new(), Vec::new(), Vec::new()],
+            open_enc: Default::default(),
             pending: [Vec::new(), Vec::new()],
             new_to_index,
             open_path,
@@ -426,6 +427,18 @@ impl SeriesState {
             self.open_bytes[ri] = fs::metadata(&self.open_path[ri]).ok().map(|m| m.len());
         }
         Ok(found)
+    }
+
+    /// Accounts for `pts` now being the end of the open tail at `ri`: the
+    /// one place a tail grows, so its encoder misses no point.
+    fn tail_grew(&mut self, ri: usize, pts: &[Point], codec: SegmentCodec) {
+        if self.open_first[ri].is_none() {
+            self.open_first[ri] = pts.first().map(|p| p.t);
+        }
+        self.open_len[ri] += pts.len();
+        if codec == SegmentCodec::Binary {
+            self.open_enc[ri].extend(pts);
+        }
     }
 
     fn accept(&mut self, counters: &LtsCounters, t: u64, value: PointValue) {
@@ -463,6 +476,8 @@ pub struct LtsStore {
     warnings: Vec<String>,
     /// The lines of one write, reused by every write.
     line_buf: String,
+    /// The points one fold produces, reused by every fold.
+    fold_buf: Vec<Point>,
 }
 
 impl LtsStore {
@@ -488,10 +503,11 @@ impl LtsStore {
             series: BTreeMap::new(),
             warnings: Vec::new(),
             line_buf: String::new(),
+            fold_buf: Vec::new(),
         };
         store.load_index()?;
         for s in store.series.values_mut() {
-            recover_series(s, &mut store.warnings)?;
+            recover_series(s, store.config.codec, &mut store.warnings)?;
         }
         store.update_disk_gauges();
         Ok(store)
@@ -575,6 +591,7 @@ impl LtsStore {
         let mut out = TailWriter {
             config: &self.config,
             line_buf: &mut self.line_buf,
+            fold_buf: &mut self.fold_buf,
         };
         for s in self.series.values_mut() {
             if s.new_to_index {
@@ -678,7 +695,7 @@ impl LtsStore {
         for s in self.series.values_mut() {
             s.open_len = [0; 3];
             s.open_first = [None; 3];
-            s.open_pts = [Vec::new(), Vec::new(), Vec::new()];
+            s.open_enc = Default::default();
             s.scan_disk()?;
         }
         self.counters.compactions.inc();
@@ -714,7 +731,11 @@ impl LtsStore {
 /// Brings one indexed series' state up from its directories on open:
 /// the catalog, the tails (a torn final line truncated away, a stale
 /// tail removed), the newest times and the pending downsample windows.
-fn recover_series(s: &mut SeriesState, warnings: &mut Vec<String>) -> io::Result<()> {
+fn recover_series(
+    s: &mut SeriesState,
+    codec: SegmentCodec,
+    warnings: &mut Vec<String>,
+) -> io::Result<()> {
     let found = s.scan_disk()?;
     for res in Resolution::ALL {
         let ri = res.index();
@@ -742,8 +763,7 @@ fn recover_series(s: &mut SeriesState, warnings: &mut Vec<String>) -> io::Result
                 ));
             } else {
                 s.open_bytes[ri] = Some(good_bytes);
-                s.open_len[ri] = pts.len();
-                s.open_first[ri] = pts.first().map(|p| p.t);
+                s.tail_grew(ri, &pts, codec);
                 if let Some(p) = pts.last() {
                     last = Some(last.map_or(p.t, |l: u64| l.max(p.t)));
                 }
@@ -785,6 +805,7 @@ fn dir_of(open: &Path) -> &Path {
 struct TailWriter<'a> {
     config: &'a LtsConfig,
     line_buf: &'a mut String,
+    fold_buf: &'a mut Vec<Point>,
 }
 
 /// Writes one series' buffered points and every window they complete.
@@ -813,7 +834,8 @@ fn flush_series(
         // The clock that closes windows is the newest point of the
         // finer resolution.
         let Some(newest) = s.last_t[pi] else { continue };
-        let mut produced: Vec<Point> = Vec::new();
+        // Out and back in, as `buf` above.
+        let mut produced = std::mem::take(out.fold_buf);
         while let Some(first) = s.pending[pi].first() {
             let w = (first.t / window) * window;
             if newest < w + window {
@@ -825,15 +847,16 @@ fn flush_series(
             }
             s.pending[pi].drain(..split);
         }
-        if produced.is_empty() {
-            continue;
+        if !produced.is_empty() {
+            report.downsampled += produced.len() as u64;
+            report.segments_sealed += out.write_points(s, coarse, &produced)?;
+            s.last_t[coarse.index()] = produced.last().map(|p| p.t);
+            if coarse == Resolution::Min1 {
+                s.pending[1].append(&mut produced);
+            }
+            produced.clear();
         }
-        report.downsampled += produced.len() as u64;
-        report.segments_sealed += out.write_points(s, coarse, &produced)?;
-        s.last_t[coarse.index()] = produced.last().map(|p| p.t).or(s.last_t[coarse.index()]);
-        if coarse == Resolution::Min1 {
-            s.pending[1].extend(produced);
-        }
+        *out.fold_buf = produced;
     }
     Ok(())
 }
@@ -869,19 +892,12 @@ impl TailWriter<'_> {
         drop(f);
         let tail_bytes = s.open_bytes[ri].unwrap_or(0) + self.line_buf.len() as u64;
         s.open_bytes[ri] = Some(tail_bytes);
-        if s.open_first[ri].is_none() {
-            s.open_first[ri] = pts.first().map(|p| p.t);
-        }
-        if s.open_pts[ri].len() == s.open_len[ri] {
-            s.open_pts[ri].extend_from_slice(pts);
-        } else {
-            s.open_pts[ri].clear();
-        }
-        s.open_len[ri] += pts.len();
+        let codec = self.config.codec;
+        s.tail_grew(ri, pts, codec);
         if s.open_len[ri] < self.config.seal_points {
             return Ok(0);
         }
-        let codec = self.config.codec;
+        let open = &s.open_path[ri];
         let sdir = dir_of(open);
         let sealed = match codec {
             SegmentCodec::Jsonl => {
@@ -891,22 +907,13 @@ impl TailWriter<'_> {
                 (first, last, tail_bytes)
             }
             SegmentCodec::Binary => {
-                // The tail spans many flushes; encode it from the
-                // in-memory copy when this process wrote every point,
-                // else re-read it whole. Rename is atomic and the
-                // tail is removed only after the sealed file exists; a
-                // crash in between leaves both, which readers
-                // canonicalize and `open` cleans up as a stale tail.
-                let tail = if s.open_pts[ri].len() == s.open_len[ri] {
-                    std::mem::take(&mut s.open_pts[ri])
-                } else {
-                    read_segment_recovering(open, s.kind)?.0
-                };
-                let Some((first, last)) = tail.first().zip(tail.last()).map(|(a, b)| (a.t, b.t))
-                else {
-                    return Ok(0);
-                };
-                let encoded = encode_segment_v2(s.kind, &tail);
+                // Rename is atomic and the tail is removed only after
+                // the sealed file exists; a crash in between leaves
+                // both, which readers canonicalize and `open` cleans up
+                // as a stale tail.
+                let enc = &s.open_enc[ri];
+                let (first, last) = (enc.first_t, enc.prev_t);
+                let encoded = enc.finish(s.kind);
                 let tmp = sdir.join("seal.tmp");
                 fs::write(&tmp, &encoded)?;
                 fs::rename(&tmp, sdir.join(segment_file_name(first, last, codec)))?;
@@ -925,7 +932,7 @@ impl TailWriter<'_> {
         s.open_bytes[ri] = None;
         s.open_len[ri] = 0;
         s.open_first[ri] = None;
-        s.open_pts[ri].clear();
+        s.open_enc[ri].clear();
         Ok(1)
     }
 }
@@ -1990,74 +1997,108 @@ fn kind_from_byte(b: u8) -> Option<SeriesKind> {
     }
 }
 
-/// Encodes `pts` (strictly increasing `t`, all of `kind`) as one v2
-/// binary segment.
-pub fn encode_segment_v2(kind: SeriesKind, pts: &[Point]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(16 + pts.len() * 3);
-    out.extend_from_slice(&SEG_MAGIC);
-    out.push(2);
-    out.push(kind_byte(kind));
-    push_varint(&mut out, pts.len() as u64);
-    let first_t = pts.first().map(|p| p.t).unwrap_or(0);
-    let last_t = pts.last().map(|p| p.t).unwrap_or(0);
-    push_varint(&mut out, first_t);
-    push_varint(&mut out, last_t);
-    if kind == SeriesKind::Counter {
-        let mut stats = SegmentStats {
-            min: u64::MAX,
-            ..SegmentStats::default()
-        };
-        let mut any = false;
-        for p in pts {
-            if let PointValue::Counter(v) = &p.value {
+/// A v2 segment under construction: the point payload as the bytes it
+/// will have on disk and the running folds its header needs, so a
+/// writer holds the 2-3 bytes a point seals into and not the point.
+#[derive(Debug, Default)]
+struct SegmentEncoder {
+    body: Vec<u8>,
+    count: u64,
+    first_t: u64,
+    prev_t: u64,
+    prev_v: u64,
+    /// Fold of the counter values pushed, once there is one.
+    stats: Option<SegmentStats>,
+}
+
+impl SegmentEncoder {
+    /// Appends one point's payload bytes and folds it into the header.
+    fn push(&mut self, p: &Point) {
+        if self.count == 0 {
+            (self.first_t, self.prev_t) = (p.t, p.t);
+        }
+        self.count += 1;
+        let out = &mut self.body;
+        push_varint(out, p.t.wrapping_sub(self.prev_t));
+        self.prev_t = p.t;
+        match &p.value {
+            PointValue::Counter(v) => {
+                push_varint(out, zigzag(v.wrapping_sub(self.prev_v) as i64));
+                self.prev_v = *v;
+                let stats = self.stats.get_or_insert(SegmentStats {
+                    min: u64::MAX,
+                    ..SegmentStats::default()
+                });
                 stats.sum = stats.sum.saturating_add(*v);
                 stats.min = stats.min.min(*v);
                 stats.max = stats.max.max(*v);
-                any = true;
-            }
-        }
-        if !any {
-            stats.min = 0;
-        }
-        push_varint(&mut out, stats.sum);
-        push_varint(&mut out, stats.min);
-        push_varint(&mut out, stats.max);
-    }
-    let mut prev_t = first_t;
-    let mut prev_v: u64 = 0;
-    for p in pts {
-        push_varint(&mut out, p.t.wrapping_sub(prev_t));
-        prev_t = p.t;
-        match &p.value {
-            PointValue::Counter(v) => {
-                push_varint(&mut out, zigzag(v.wrapping_sub(prev_v) as i64));
-                prev_v = *v;
             }
             PointValue::Gauge(v) => {
-                push_varint(&mut out, zigzag(v.wrapping_sub(prev_v as i64)));
-                prev_v = *v as u64;
+                push_varint(out, zigzag(v.wrapping_sub(self.prev_v as i64)));
+                self.prev_v = *v as u64;
             }
             PointValue::Histogram(h) => {
-                push_varint(&mut out, h.count);
-                push_varint(&mut out, h.sum);
+                push_varint(out, h.count);
+                push_varint(out, h.sum);
                 if h.count > 0 {
                     out.push(1);
-                    push_varint(&mut out, h.min);
-                    push_varint(&mut out, h.max);
+                    push_varint(out, h.min);
+                    push_varint(out, h.max);
                 } else {
                     out.push(0);
                 }
-                push_varint(&mut out, h.buckets.len() as u64);
+                push_varint(out, h.buckets.len() as u64);
                 let mut prev_i: u32 = 0;
                 for &(i, n) in &h.buckets {
-                    push_varint(&mut out, i.wrapping_sub(prev_i) as u64);
+                    push_varint(out, i.wrapping_sub(prev_i) as u64);
                     prev_i = i;
-                    push_varint(&mut out, n);
+                    push_varint(out, n);
                 }
             }
         }
     }
-    out
+
+    fn extend(&mut self, pts: &[Point]) {
+        pts.iter().for_each(|p| self.push(p));
+    }
+
+    /// The segment holding every point pushed: header, then payload.
+    fn finish(&self, kind: SeriesKind) -> Vec<u8> {
+        let mut out = Vec::with_capacity(SEG_HEADER_MAX + self.body.len());
+        out.extend_from_slice(&SEG_MAGIC);
+        out.push(2);
+        out.push(kind_byte(kind));
+        push_varint(&mut out, self.count);
+        push_varint(&mut out, self.first_t);
+        push_varint(&mut out, self.prev_t);
+        if kind == SeriesKind::Counter {
+            let SegmentStats { sum, min, max } = self.stats.unwrap_or_default();
+            push_varint(&mut out, sum);
+            push_varint(&mut out, min);
+            push_varint(&mut out, max);
+        }
+        out.extend_from_slice(&self.body);
+        out
+    }
+
+    /// Back to empty, keeping the payload buffer's capacity.
+    fn clear(&mut self) {
+        let mut body = std::mem::take(&mut self.body);
+        body.clear();
+        *self = SegmentEncoder {
+            body,
+            ..SegmentEncoder::default()
+        };
+    }
+}
+
+/// Encodes `pts` (strictly increasing `t`, all of `kind`) as one v2
+/// binary segment.
+pub fn encode_segment_v2(kind: SeriesKind, pts: &[Point]) -> Vec<u8> {
+    let mut enc = SegmentEncoder::default();
+    enc.body.reserve(pts.len() * 3);
+    enc.extend(pts);
+    enc.finish(kind)
 }
 
 /// Decodes a v2 header. Errors on a bad magic/version/kind or a
@@ -2102,6 +2143,16 @@ pub fn decode_segment_v2_header(buf: &[u8]) -> Result<SegmentHeader, String> {
 pub fn decode_segment_v2(buf: &[u8]) -> Result<(SegmentHeader, Vec<Point>), String> {
     let header = decode_segment_v2_header(buf)?;
     let mut pos = header.payload;
+    // The count sizes an allocation, so it is held to what the payload
+    // can hold first: a point takes at least two bytes, a histogram five.
+    let least = match header.kind {
+        SeriesKind::Histogram => 5,
+        _ => 2,
+    };
+    let room = ((buf.len() - pos) / least) as u64;
+    if header.count > room {
+        return Err(format!("truncated: room for {room} points"));
+    }
     let mut pts = Vec::with_capacity(header.count as usize);
     let mut prev_t = header.first_t;
     let mut prev_v: u64 = 0;
@@ -3129,6 +3180,74 @@ mod tests {
         bad_magic[0] = b'X';
         assert!(decode_segment_v2(&bad_magic).is_err());
         assert!(decode_segment_v2(b"NQ").is_err());
+    }
+
+    /// The header's count sizes an allocation; one the payload cannot
+    /// hold is a truncated file, not a reservation of 2^62 points.
+    #[test]
+    fn codec_v2_rejects_a_count_the_payload_cannot_hold() {
+        let mut buf = SEG_MAGIC.to_vec();
+        buf.extend([2, kind_byte(SeriesKind::Counter)]);
+        push_varint(&mut buf, 1 << 62);
+        buf.extend([0; 5]);
+        assert_eq!(buf.len(), 20);
+        assert_eq!(decode_segment_v2_header(&buf).unwrap().count, 1 << 62);
+        let err = decode_segment_v2(&buf).unwrap_err();
+        assert!(err.starts_with("truncated"), "{err}");
+
+        let dir = tmpdir("v2-count");
+        let mut store =
+            LtsStore::open(&dir, LtsConfig::default(), LtsCounters::detached()).unwrap();
+        store.append("c", 1, PointValue::Counter(1));
+        store.flush().unwrap();
+        let sdir = dir.join("1s").join(slug_for("c"));
+        fs::write(
+            sdir.join(segment_file_name(2, 3, SegmentCodec::Binary)),
+            &buf,
+        )
+        .unwrap();
+        let rep = verify_store(&dir).unwrap();
+        assert!(
+            rep.issues.iter().any(|i| i.contains("truncated")),
+            "{:?}",
+            rep.issues
+        );
+        // The reader passes over it.
+        let reader = LtsReader::open(&dir);
+        let pts = reader.series_points(&reader.index()[0], Resolution::Raw1s, 0, u64::MAX);
+        assert_eq!(pts.len(), 1);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// However its points arrive, and whatever it held before it was
+    /// cleared, the encoder gives the bytes of the slice encoded whole.
+    #[test]
+    fn segment_encoder_is_indifferent_to_chunking_and_reuse() {
+        let pts: Vec<Point> = (0..200u64)
+            .map(|i| Point {
+                t: 1_700_000_000 + i * 3,
+                value: match i % 3 {
+                    0 => PointValue::Counter(u64::MAX - i),
+                    1 => PointValue::Gauge(-(i as i64)),
+                    _ => PointValue::Histogram(sample_hist(&[i, i * 1_000])),
+                },
+            })
+            .collect();
+        let mut enc = SegmentEncoder::default();
+        for kind in [
+            SeriesKind::Counter,
+            SeriesKind::Gauge,
+            SeriesKind::Histogram,
+        ] {
+            for chunk in [1, 7, 60, 200] {
+                pts.chunks(chunk).for_each(|c| enc.extend(c));
+                assert_eq!(enc.finish(kind), encode_segment_v2(kind, &pts));
+                let held = enc.body.capacity();
+                enc.clear();
+                assert_eq!(enc.body.capacity(), held);
+                assert_eq!(enc.finish(kind), encode_segment_v2(kind, &[]));
+            }
+        }
     }
 
     fn seeded_store(dir: &Path, codec: SegmentCodec) {

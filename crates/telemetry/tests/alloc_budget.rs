@@ -4,7 +4,9 @@
 //! longer than its window. The counts are exact; the budgets leave room
 //! for amortised buffer growth and the allocations the public result
 //! types force, and none for work per point, per line or per unselected
-//! series, nor for the history behind a query's window.
+//! series, nor for the history behind a query's window. What the writer
+//! keeps resident for its open tails is held to bytes per unsealed
+//! point by the same allocator's count of live bytes.
 
 use netqos_telemetry::{
     LtsConfig, LtsCounters, LtsReader, LtsRetention, LtsSource, LtsStore, PointValue, QueryEngine,
@@ -18,6 +20,8 @@ use std::sync::Arc;
 thread_local! {
     /// Allocations made by this thread while `Some`.
     static COUNT: Cell<Option<u64>> = const { Cell::new(None) };
+    /// Bytes this thread has allocated and not freed.
+    static LIVE: Cell<isize> = const { Cell::new(0) };
 }
 
 struct Counting;
@@ -25,19 +29,22 @@ struct Counting;
 // SAFETY: every call is forwarded unchanged to `System`, which upholds
 // the `GlobalAlloc` contract; the counter is a `const`-initialised
 // thread-local `Cell` of a `Copy` type, so touching it neither allocates
-// nor runs a destructor.
+// nor runs a destructor; the same holds for the live-byte count.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         COUNT.with(|c| c.set(c.get().map(|n| n + 1)));
+        LIVE.with(|l| l.set(l.get() + layout.size() as isize));
         System.alloc(layout)
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        LIVE.with(|l| l.set(l.get() - layout.size() as isize));
         System.dealloc(ptr, layout)
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         COUNT.with(|c| c.set(c.get().map(|n| n + 1)));
+        LIVE.with(|l| l.set(l.get() + new_size as isize - layout.size() as isize));
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -61,12 +68,21 @@ fn tmpdir(tag: &str) -> PathBuf {
 }
 
 fn open(dir: &PathBuf) -> LtsStore {
+    open_with(dir, 1 << 20, SegmentCodec::Binary)
+}
+
+fn open_with(dir: &PathBuf, seal_points: usize, codec: SegmentCodec) -> LtsStore {
     let config = LtsConfig {
-        seal_points: 1 << 20,
+        seal_points,
         retention: LtsRetention::default(),
-        codec: SegmentCodec::Binary,
+        codec,
     };
     LtsStore::open(dir, config, LtsCounters::detached()).unwrap()
+}
+
+/// Bytes this thread holds allocated.
+fn live_bytes() -> isize {
+    LIVE.with(|l| l.get())
 }
 
 fn series_name(i: usize) -> String {
@@ -212,5 +228,82 @@ fn a_range_query_costs_its_window_not_the_tails_behind_it() {
         short_tails, long_tails,
         "allocations over 2 000-line and 4 000-line tails"
     );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+const TAIL_SERIES: usize = 16;
+
+/// One flush period of a 16-series store that began on the hour: 60
+/// counter points a series, then the flush. Returns what the flush
+/// allocated, how many segments it sealed and the bytes live after it.
+fn tail_period(store: &mut LtsStore, names: &[String], period: u64) -> (u64, u64, isize) {
+    let start = T0 / 3_600 * 3_600 + period * 60;
+    for t in start..start + 60 {
+        for name in names {
+            store.append(name, t, PointValue::Counter(t % 7));
+        }
+    }
+    let (allocations, report) = allocations_in(|| store.flush().unwrap());
+    assert_eq!(report.points_written, TAIL_SERIES as u64 * 60);
+    (allocations, report.segments_sealed, live_bytes())
+}
+
+#[test]
+fn an_open_tail_is_held_as_the_bytes_it_seals_into() {
+    let names: Vec<String> = (0..TAIL_SERIES).map(series_name).collect();
+    for codec in [SegmentCodec::Binary, SegmentCodec::Jsonl] {
+        let dir = tmpdir(&format!("tail-{codec:?}"));
+        let mut store = open_with(&dir, 4_096, codec);
+        // After flush `k`, at index `k - 1`.
+        let mut live = Vec::with_capacity(64);
+        for period in 0..64 {
+            let (allocations, sealed, now) = tail_period(&mut store, &names, period);
+            assert_eq!(sealed, 0);
+            live.push(now);
+            // Every buffer is at its working size by the 40th flush and
+            // the hour closes in the 61st: in between, a flush that
+            // writes 60 points a series and closes a `1m` window for
+            // each allocates nothing.
+            if (40..60).contains(&period) {
+                assert_eq!(allocations, 0, "{codec:?}, flush {}", period + 1);
+            }
+        }
+        let points = |flushes: usize| (flushes * 60 * TAIL_SERIES) as f64;
+        match codec {
+            // Since the second flush, when the write buffers had their
+            // size: the two encoders and the `1m` points waiting for
+            // their hour. The points themselves are 64 bytes each.
+            SegmentCodec::Binary => {
+                let per_point = (live[63] - live[1]) as f64 / points(62);
+                assert!(per_point <= 8.0, "{per_point:.2} bytes a point retained");
+            }
+            // Nothing of a tail a rename will seal.
+            SegmentCodec::Jsonl => assert_eq!(live[63] - live[39], 0, "over {} points", points(24)),
+        }
+        drop(store);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}
+
+#[test]
+fn a_tail_that_has_sealed_once_does_not_grow_its_encoder_again() {
+    let names: Vec<String> = (0..TAIL_SERIES).map(series_name).collect();
+    let dir = tmpdir("reseal");
+    // Ten flushes a seal.
+    let mut store = open_with(&dir, 600, SegmentCodec::Binary);
+    for period in 0..60 {
+        let (allocations, sealed, _) = tail_period(&mut store, &names, period);
+        let sealing = period % 10 == 9;
+        assert_eq!(sealed, if sealing { TAIL_SERIES as u64 } else { 0 });
+        if period >= 40 && !sealing {
+            assert_eq!(
+                allocations,
+                0,
+                "flush {} of a tail's cycle",
+                period % 10 + 1
+            );
+        }
+    }
+    drop(store);
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -1003,6 +1003,212 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------
+// The v2 segment codec: the encoder against the slice-walking oracle,
+// the decoders against damage
+// ---------------------------------------------------------------------
+
+use netqos_telemetry::{decode_segment_v2, decode_segment_v2_header, encode_segment_v2};
+
+const KINDS: [SeriesKind; 3] = [
+    SeriesKind::Counter,
+    SeriesKind::Gauge,
+    SeriesKind::Histogram,
+];
+
+/// A `u64` from wherever codecs go wrong: small, around 2^53, at the
+/// top, or any bits at all.
+fn spell_u64(c: &mut Choices) -> u64 {
+    match c.next(4) {
+        0 => c.next(200) as u64,
+        1 => (1 << 53) - 2 + c.next(5) as u64,
+        2 => u64::MAX - c.next(3) as u64,
+        _ => c.next(usize::MAX) as u64,
+    }
+}
+
+/// A value of `kind`: counters past 2^53, gauges on both sides of zero,
+/// histograms empty (as a quiet interval leaves them, and as they decode)
+/// and populated.
+fn spell_value(kind: SeriesKind, c: &mut Choices) -> PointValue {
+    match kind {
+        SeriesKind::Counter => PointValue::Counter(spell_u64(c)),
+        SeriesKind::Gauge => PointValue::Gauge(match c.next(3) {
+            0 => -(c.next(200) as i64),
+            _ => spell_u64(c) as i64,
+        }),
+        SeriesKind::Histogram => {
+            let empty = c.next(4) == 0;
+            PointValue::Histogram(HistogramState {
+                buckets: (0..c.next(6))
+                    .map(|_| (spell_u64(c) as u32, spell_u64(c)))
+                    .collect(),
+                count: if empty { 0 } else { spell_u64(c).max(1) },
+                sum: spell_u64(c),
+                min: if empty { u64::MAX } else { spell_u64(c) },
+                max: if empty { 0 } else { spell_u64(c) },
+            })
+        }
+    }
+}
+
+/// What a segment of `kind` might be asked to hold: nothing, one point,
+/// many; times a second apart, far apart, not increasing at all; and,
+/// with `foreign`, values that are not of `kind`, which the encoder has
+/// always taken.
+fn spell_points(kind: SeriesKind, c: &mut Choices, foreign: bool) -> Vec<Point> {
+    let len = [0, 1, 2, c.next(40)][c.next(4)];
+    let mut t = spell_u64(c);
+    (0..len)
+        .map(|_| {
+            t = t.wrapping_add([1, 1, 1, 60, 3_600, spell_u64(c)][c.next(6)]);
+            let kind = if foreign && c.next(5) == 0 {
+                KINDS[c.next(3)]
+            } else {
+                kind
+            };
+            Point {
+                t,
+                value: spell_value(kind, c),
+            }
+        })
+        .collect()
+}
+
+/// The library's encoder, which takes a point at a time, writes the
+/// bytes the one that walked the whole slice wrote.
+fn encoder_matches_the_oracle(seed: u64) {
+    let c = &mut Choices(seed);
+    let kind = KINDS[c.next(3)];
+    let pts = spell_points(kind, c, true);
+    assert_eq!(
+        encode_segment_v2(kind, &pts),
+        oracle::encode_segment_v2(kind, &pts),
+        "{kind:?} {pts:?}"
+    );
+}
+
+/// A v2 header from its varints.
+fn header_bytes(kind: SeriesKind, fields: &[u64]) -> Vec<u8> {
+    let mut out = b"NQS2\x02".to_vec();
+    out.push(KINDS.iter().position(|k| *k == kind).unwrap() as u8);
+    fields
+        .iter()
+        .for_each(|f| oracle::push_varint(&mut out, *f));
+    out
+}
+
+/// Both decoders over `buf`: neither panics, and where the whole segment
+/// decodes, the header alone says the same as the header in it and both
+/// describe the points. Returns the full decode.
+fn decode_both(buf: &[u8]) -> Result<Vec<Point>, String> {
+    let head = decode_segment_v2_header(buf);
+    let (full, pts) = decode_segment_v2(buf)?;
+    let head = head.expect("the header of a segment that decodes");
+    assert_eq!(
+        (head.kind, head.count, head.first_t, head.last_t, head.stats),
+        (full.kind, full.count, full.first_t, full.last_t, full.stats)
+    );
+    assert_eq!(full.count, pts.len() as u64);
+    assert_eq!(full.stats.is_some(), full.kind == SeriesKind::Counter);
+    assert!(pts.iter().all(|p| p.value.kind() == full.kind));
+    Ok(pts)
+}
+
+/// No damage to a segment panics a decoder or has it reserve what the
+/// file cannot hold; an undamaged one comes back point for point.
+fn decoders_survive_damage(seed: u64) {
+    let c = &mut Choices(seed);
+    let kind = KINDS[c.next(3)];
+    let pts = spell_points(kind, c, false);
+    let seg = encode_segment_v2(kind, &pts);
+    assert_eq!(decode_both(&seg).as_ref(), Ok(&pts));
+
+    // Cut short at every byte.
+    for cut in 0..seg.len() {
+        assert!(decode_both(&seg[..cut]).is_err(), "{cut} of {seg:?}");
+    }
+    // Every byte flipped: all of its bits, and one.
+    for at in 0..seg.len() {
+        for mask in [0xff, 1 << c.next(8)] {
+            let mut damaged = seg.clone();
+            damaged[at] ^= mask;
+            let _ = decode_both(&damaged);
+        }
+    }
+    // Content after the last point.
+    let mut long = seg.clone();
+    long.extend((0..1 + c.next(4)).map(|_| c.next(256) as u8));
+    assert!(decode_both(&long).is_err(), "{long:?}");
+    let _ = decode_both(&[&seg[..], &seg[..]].concat());
+
+    // Header numbers that are not the payload's: count, first, last and
+    // the counter fold, each replaced by whatever a `u64` can hold.
+    let mut fields = vec![pts.len() as u64, 0, 0];
+    if let (Some(first), Some(last)) = (pts.first(), pts.last()) {
+        (fields[1], fields[2]) = (first.t, last.t);
+    }
+    if kind == SeriesKind::Counter {
+        let values = pts.iter().map(|p| match p.value {
+            PointValue::Counter(v) => v,
+            _ => unreachable!(),
+        });
+        fields.push(values.clone().fold(0, u64::saturating_add));
+        fields.push(values.clone().min().unwrap_or(0));
+        fields.push(values.max().unwrap_or(0));
+    }
+    let head = header_bytes(kind, &fields);
+    assert_eq!(seg[..head.len()], head[..]);
+    let payload = &seg[head.len()..];
+    for _ in 0..8 {
+        let mut lied = fields.clone();
+        for field in lied.iter_mut() {
+            if c.next(2) == 0 {
+                *field = spell_u64(c);
+            }
+        }
+        let _ = decode_both(&[&header_bytes(kind, &lied)[..], payload].concat());
+    }
+    // A count with next to nothing behind it.
+    for kind in KINDS {
+        let bare = header_bytes(kind, &[spell_u64(c).max(2), 0, 0, 0, 0, 0]);
+        assert!(decode_both(&bare).is_err(), "{bare:?}");
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn segment_encoder_matches_the_oracle(seed in any::<u64>()) {
+        encoder_matches_the_oracle(seed);
+    }
+
+    #[test]
+    fn segment_decoders_survive_damage(seed in any::<u64>()) {
+        decoders_survive_damage(seed);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(20_000))]
+
+    /// The two properties above over enough segments to be CI's
+    /// release-mode gate
+    /// (`cargo test --release -p netqos-telemetry --test prop -- --ignored`).
+    #[test]
+    #[ignore = "20 000 cases: run in release mode"]
+    fn segment_encoder_matches_the_oracle_at_length(seed in any::<u64>()) {
+        encoder_matches_the_oracle(seed);
+    }
+
+    #[test]
+    #[ignore = "20 000 cases: run in release mode"]
+    fn segment_decoders_survive_damage_at_length(seed in any::<u64>()) {
+        decoders_survive_damage(seed);
+    }
+}
+
+// ---------------------------------------------------------------------
 // Windowed reads against the forward whole-file scan
 // ---------------------------------------------------------------------
 

@@ -4,15 +4,17 @@
 //! scan, integers survive every representation exactly, the query
 //! source's cached index follows the file, and a tail read from its end
 //! gives what a forward scan of it gives, crash leftovers and hand-made
-//! damage included.
+//! damage included, and a binary store is its JSONL twin with every
+//! sealed tail encoded by the slice-walking encoder.
 
 mod oracle;
 
 use netqos_telemetry::{
-    migrate_store, parse_json, report_flush, verify_store, Counter, EventSink, FlushReport,
-    Histogram, LtsConfig, LtsCounters, LtsReader, LtsRetention, LtsSource, LtsStore, PointValue,
-    QueryEngine, QueryResult, Resolution, SegmentCodec, SeriesSource,
+    decode_point_line, migrate_store, parse_json, report_flush, verify_store, Counter, EventSink,
+    FlushReport, Histogram, LtsConfig, LtsCounters, LtsReader, LtsRetention, LtsSource, LtsStore,
+    Point, PointValue, QueryEngine, QueryResult, Resolution, SegmentCodec, SeriesSource,
 };
+use proptest::prelude::*;
 use std::collections::{BTreeMap, BTreeSet};
 use std::fs;
 use std::io::Write;
@@ -761,4 +763,166 @@ fn hand_made_tails_read_like_a_forward_scan() {
         "tail overlapping the sealed range"
     ));
     let _ = fs::remove_dir_all(&dir);
+}
+
+// ---------------------------------------------------------------------
+// Binary seals ≡ the oracle's encoding of the tail a JSONL seal renames
+// ---------------------------------------------------------------------
+
+/// One step in the life of a pair of stores.
+#[derive(Debug, Clone)]
+enum TailOp {
+    /// Points this many seconds apart, to every series.
+    Append(Vec<u64>),
+    Flush,
+    /// The writer is dropped (what it had not flushed is lost) and the
+    /// store opened again, after a crash mid-append if `torn`.
+    Reopen {
+        torn: bool,
+    },
+    Compact,
+}
+
+/// Runs `ops` on a binary and a JSONL store side by side. Both seal on
+/// the same point counts, and a JSONL seal is a rename of the tail, so
+/// after every step the binary store must be the JSONL store file for
+/// file — index, tails, names — with each sealed `.seg` replaced by the
+/// oracle's v2 encoding of exactly the lines in it: whichever process
+/// began the tail, however many flushes it spanned. Returns the binary
+/// store's files at the end.
+fn binary_store_is_its_jsonl_twin_sealed_by_the_oracle(
+    seal_points: usize,
+    ops: &[TailOp],
+) -> BTreeMap<String, Vec<u8>> {
+    let dirs = [tmpdir("seal-bin"), tmpdir("seal-seg")];
+    let open = || {
+        [SegmentCodec::Binary, SegmentCodec::Jsonl].map(|codec| {
+            let dir = &dirs[usize::from(codec == SegmentCodec::Jsonl)];
+            LtsStore::open(
+                dir,
+                config(seal_points, codec, KEEP_ALL),
+                LtsCounters::detached(),
+            )
+            .unwrap()
+        })
+    };
+    let mut stores = Some(open());
+    let mut t = 1_700_000_000u64;
+    for (step, op) in ops.iter().enumerate() {
+        let pair = stores.as_mut().unwrap();
+        match op {
+            TailOp::Append(gaps) => {
+                for gap in gaps {
+                    t += gap;
+                    // Counters past 2^53, gauges below zero, histograms
+                    // empty and not.
+                    let c = if t.is_multiple_of(3) {
+                        (1 << 53) + t % 1_000
+                    } else {
+                        t % 17
+                    };
+                    let h: Vec<u64> = (0..t % 4).map(|k| (t % 13 + k) * 100).collect();
+                    for store in pair.iter_mut() {
+                        store.append("c_total", t, PointValue::Counter(c));
+                        store.append("depth", t, PointValue::Gauge((t % 97) as i64 - 60));
+                        store.append("lat_ns", t, hist(&h));
+                    }
+                }
+                continue;
+            }
+            TailOp::Flush => pair.iter_mut().for_each(|s| {
+                s.flush().unwrap();
+            }),
+            TailOp::Compact => pair.iter_mut().for_each(|s| {
+                s.compact().unwrap();
+            }),
+            TailOp::Reopen { torn } => {
+                drop(stores.take());
+                for dir in dirs.iter().filter(|_| *torn) {
+                    for tail in tree(dir).keys().filter(|p| p.ends_with("/open.seg")) {
+                        let f = fs::OpenOptions::new().append(true).open(dir.join(tail));
+                        f.unwrap().write_all(b"{\"t\":17000").unwrap();
+                    }
+                }
+                stores = Some(open());
+            }
+        }
+        let kinds: BTreeMap<String, _> = LtsReader::open(&dirs[1])
+            .index()
+            .into_iter()
+            .map(|i| (i.slug, i.kind))
+            .collect();
+        let expected: BTreeMap<String, Vec<u8>> = tree(&dirs[1])
+            .into_iter()
+            .map(|(path, bytes)| {
+                let parts: Vec<&str> = path.split('/').collect();
+                if parts.len() != 3 || !parts[2].starts_with("seg-") {
+                    return (path, bytes);
+                }
+                let pts: Vec<Point> = std::str::from_utf8(&bytes)
+                    .unwrap()
+                    .lines()
+                    .map(|l| decode_point_line(l).unwrap())
+                    .collect();
+                let sealed = oracle::encode_segment_v2(kinds[parts[1]], &pts);
+                (path.replace(".seg", ".bin"), sealed)
+            })
+            .collect();
+        assert!(tree(&dirs[0]) == expected, "step {step}, {op:?}");
+    }
+    drop(stores);
+    assert_eq!(verify_store(&dirs[0]).unwrap().issues, Vec::<String>::new());
+    let files = tree(&dirs[0]);
+    for dir in &dirs {
+        let _ = fs::remove_dir_all(dir);
+    }
+    files
+}
+
+/// The case the seal used to re-read the tail for: begun by one
+/// process, torn by its crash, sealed by the next.
+#[test]
+fn a_tail_begun_by_one_process_is_sealed_by_the_next_from_memory() {
+    let files = binary_store_is_its_jsonl_twin_sealed_by_the_oracle(
+        10,
+        &[
+            TailOp::Append(vec![1; 7]),
+            TailOp::Flush,
+            TailOp::Reopen { torn: true },
+            TailOp::Append(vec![1; 7]),
+            TailOp::Flush,
+        ],
+    );
+    let sealed: Vec<&String> = files.keys().filter(|p| p.ends_with(".bin")).collect();
+    assert_eq!(sealed.len(), 3, "{sealed:?}");
+    assert!(sealed.iter().all(|p| p.starts_with("1s/")), "{sealed:?}");
+    assert!(!files
+        .keys()
+        .any(|p| p.starts_with("1s/") && p.ends_with("open.seg")));
+}
+
+fn tail_op() -> impl Strategy<Value = TailOp> {
+    let gap = prop_oneof![1u64..4, 1u64..4, 1u64..4, 20u64..200, 1_000u64..5_000];
+    prop_oneof![
+        prop::collection::vec(gap, 1..30).prop_map(TailOp::Append),
+        prop::collection::vec(1u64..3, 1..30).prop_map(TailOp::Append),
+        Just(TailOp::Flush),
+        Just(TailOp::Flush),
+        any::<bool>().prop_map(|torn| TailOp::Reopen { torn }),
+        Just(TailOp::Compact),
+    ]
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    #[test]
+    fn every_binary_seal_is_the_oracles_encoding_of_its_tail(
+        seal_points in 5usize..=50,
+        ops in prop::collection::vec(tail_op(), 10..50),
+    ) {
+        let mut ops = ops;
+        ops.push(TailOp::Flush);
+        binary_store_is_its_jsonl_twin_sealed_by_the_oracle(seal_points, &ops);
+    }
 }
