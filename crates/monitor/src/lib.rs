@@ -38,8 +38,9 @@
 //! * [`qos`] — violation detection against `qospath` requirements.
 //! * [`latency`] — path RTT probes (future-work item: "measurement of
 //!   network latency").
-//! * [`report`] — time-series collection and CSV rendering for the
-//!   experiment harness.
+//! * [`report`] — [`report::PathRow`], the per-path row a service tick
+//!   builds and every consumer reads; time-series collection and CSV
+//!   rendering for the experiment harness.
 
 pub mod delta;
 pub mod discovery;
@@ -60,6 +61,6 @@ pub use error::MonitorError;
 pub use monitor::NetworkMonitor;
 pub use poll::DeviceSnapshot;
 pub use qos::{QosEvent, QosMonitor};
-pub use report::{PathSample, SeriesRecorder};
+pub use report::{PathRow, PathSample, SeriesRecorder};
 pub use service::{MonitoringService, ServiceConfig};
 pub use simnet::SimNetwork;

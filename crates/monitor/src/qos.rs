@@ -183,12 +183,13 @@ impl QosMonitor {
     }
 
     /// The paths the most recent [`QosMonitor::evaluate`] pass could
-    /// evaluate, in specification order, with that pass's results.
-    pub fn evaluated(&self) -> impl Iterator<Item = (&QosPathSpec, &PathBandwidth)> {
+    /// evaluate, in specification order, with that pass's results and
+    /// whether it left the path in violation.
+    pub fn evaluated(&self) -> impl Iterator<Item = (&QosPathSpec, &PathBandwidth, bool)> {
         self.tracked
             .iter()
             .filter(|t| t.fresh)
-            .filter_map(|t| Some((&t.spec, t.last.as_ref()?)))
+            .filter_map(|t| Some((&t.spec, t.last.as_ref()?, t.in_violation)))
     }
 
     /// The most recent bandwidth evaluation of a named path.

@@ -1,7 +1,136 @@
-//! Time-series recording and rendering for experiments and the RM feed.
+//! The per-path row a service tick builds, and time-series recording and
+//! rendering for experiments and the RM feed.
 
-use netqos_topology::bandwidth::PathBandwidth;
+use netqos_telemetry::{AlertScope, SampleAnnotation};
+use netqos_topology::bandwidth::{BandwidthRule, ConnectionBandwidth, PathBandwidth};
 use serde::{Deserialize, Serialize};
+use std::fmt::Write as _;
+
+/// Everything one service tick knows about one qospath it could
+/// evaluate. `MonitoringService::tick` builds each row exactly once, in
+/// its evaluate stage; the alert scope, the trace annotation, the
+/// long-term series, `/snapshot` and `netqos monitor`'s CSV all read it.
+#[derive(Debug, Clone, PartialEq)]
+pub struct PathRow {
+    /// The qospath name from the specification.
+    pub name: String,
+    /// Used bandwidth at the bottleneck, bits/s.
+    pub used_bps: u64,
+    /// Available bandwidth of the path, bits/s.
+    pub available_bps: u64,
+    /// Percentile rank of `used_bps` against the path's own baseline,
+    /// taken before the sample was folded in.
+    pub rank: f64,
+    /// Samples in the baseline, this one included.
+    pub baseline_count: u64,
+    /// Baseline median used bandwidth before this sample, bits/s.
+    pub baseline_p50: u64,
+    /// Baseline p99 used bandwidth before this sample, bits/s.
+    pub baseline_p99: u64,
+    /// Highest utilisation of any connection on the path.
+    pub utilization: f64,
+    /// Whether the path is in QoS violation after this evaluation.
+    pub violated: bool,
+    /// The bottleneck connection, described (`a.if0 <-> b.if1`).
+    pub bottleneck: String,
+    /// The bottleneck's own figures: rule, capacity, available and
+    /// utilisation. `None` only for a zero-hop path, whose bottleneck
+    /// names no connection.
+    pub bottleneck_bandwidth: Option<ConnectionBandwidth>,
+    /// The spec's `min_available` floor, bits/s.
+    pub min_available_bps: Option<u64>,
+    /// The spec's `max_utilization` limit, a fraction.
+    pub max_utilization: Option<f64>,
+}
+
+impl PathRow {
+    /// This row as a recorder sample taken at `t_s`.
+    pub fn sample(&self, t_s: f64) -> PathSample {
+        PathSample {
+            t_s,
+            used_bps: self.used_bps,
+            available_bps: self.available_bps,
+        }
+    }
+
+    /// This row as the annotated sample a flight cycle carries.
+    pub fn annotation(&self) -> SampleAnnotation {
+        SampleAnnotation {
+            path: self.name.clone(),
+            connection: self.bottleneck.clone(),
+            used_bps: self.used_bps,
+            available_bps: self.available_bps,
+            used_rank: self.rank,
+            baseline_p50: self.baseline_p50,
+            baseline_p99: self.baseline_p99,
+        }
+    }
+
+    /// This row as an alert scope: the signals user rules can test, plus
+    /// the bottleneck diagnosis (the paper's §3 model names the worst
+    /// connection and whether a shared medium or a switched link is the
+    /// constraint) carried as annotations onto any alert raised here.
+    pub fn alert_scope(&self) -> AlertScope {
+        let mut scope = AlertScope::labelled("path", &self.name);
+        scope.set("path_used_bps", self.used_bps as f64);
+        scope.set("path_available_bps", self.available_bps as f64);
+        scope.set("path_rank", self.rank);
+        scope.set("path_baseline_p50_bps", self.baseline_p50 as f64);
+        scope.set("path_baseline_p99_bps", self.baseline_p99 as f64);
+        scope.set("path_utilization", self.utilization);
+        scope.set("path_violated", if self.violated { 1.0 } else { 0.0 });
+        if let Some(min) = self.min_available_bps {
+            scope.set("path_min_available_bps", min as f64);
+            scope.set("path_headroom_bps", self.available_bps as f64 - min as f64);
+        }
+        if let Some(limit) = self.max_utilization {
+            scope.set("path_max_utilization", limit);
+        }
+        if let Some(cb) = &self.bottleneck_bandwidth {
+            scope.annotate("bottleneck", self.bottleneck.as_str());
+            scope.annotate(
+                "bottleneck_kind",
+                match cb.rule {
+                    BandwidthRule::SharedMedium => "shared_medium",
+                    BandwidthRule::PointToPoint => "point_to_point",
+                },
+            );
+            scope.annotate("bottleneck_available_bps", cb.available_bps.to_string());
+            scope.annotate("bottleneck_capacity_bps", cb.capacity_bps.to_string());
+            scope.annotate("bottleneck_utilization", format!("{:.3}", cb.utilization()));
+        }
+        scope
+    }
+
+    /// This row's long-term gauges: each `(signal, value)` is one point
+    /// of the series `netqos_path_<signal>{path="<name>"}`.
+    pub fn gauges(&self) -> [(&'static str, i64); 5] {
+        let as_i64 = |v: u64| v.min(i64::MAX as u64) as i64;
+        [
+            ("used_bps", as_i64(self.used_bps)),
+            ("available_bps", as_i64(self.available_bps)),
+            ("used_rank_permille", (self.rank * 1000.0) as i64),
+            ("baseline_p50_bps", as_i64(self.baseline_p50)),
+            ("baseline_p99_bps", as_i64(self.baseline_p99)),
+        ]
+    }
+
+    /// Appends this row's object of the `/snapshot` digest's `paths`.
+    pub fn write_json(&self, out: &mut String) {
+        let _ = write!(
+            out,
+            "{{\"name\":{:?},\"used_bps\":{},\"available_bps\":{},\"rank\":{:.4},\
+             \"baseline\":{{\"count\":{},\"p50\":{},\"p99\":{}}}}}",
+            self.name,
+            self.used_bps,
+            self.available_bps,
+            self.rank,
+            self.baseline_count,
+            self.baseline_p50,
+            self.baseline_p99,
+        );
+    }
+}
 
 /// One sample of one monitored path.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]

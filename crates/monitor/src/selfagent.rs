@@ -128,11 +128,6 @@ impl SelfAgent {
         self.name_to_value_oid(2, name)
     }
 
-    /// The instance OID holding the sample count of the named histogram.
-    pub fn histogram_count_oid(&self, name: &str) -> Option<Oid> {
-        self.name_to_value_oid(3, name)
-    }
-
     fn name_to_value_oid(&self, table: u32, name: &str) -> Option<Oid> {
         let name_col = telemetry_base().extend(&[table, 1]);
         for (oid, value) in self.mib.subtree(&name_col) {

@@ -1,13 +1,26 @@
 //! The high-level monitoring service: everything the paper's monitoring
 //! *program* did, behind one API.
 //!
-//! [`MonitoringService`] owns the simulated network, the monitor state,
-//! the QoS evaluator, and a time-series recorder. Each [`tick`] advances
-//! simulated time by one poll period, polls every agent, re-evaluates the
-//! qospath requirements, records samples, and — when violations begin or
-//! clear — emits SNMPv1 enterprise traps (kept in an outbox, and
-//! optionally transmitted through the simulated network to a management
-//! station).
+//! [`MonitoringService`] owns the simulated network, the monitor state
+//! and the QoS evaluator, and each [`tick`] is the list of its stages
+//! ([`TICK_STAGES`]), every one a method of its own and one span directly
+//! under `monitor.cycle`:
+//!
+//! 1. **advance** — the simulated network runs one poll period;
+//! 2. **poll** — [`SimNetwork::poll_round`] polls every agent and ingests
+//!    each snapshot as it arrives (counters become rates per device);
+//! 3. **evaluate** — every qospath is walked and `min(m_i − u_i)` taken
+//!    once, ranked against its baseline, and written down as one
+//!    [`PathRow`]; everything after this reads the rows;
+//! 4. **detect** — QoS state changes become events and SNMPv1 traps (kept
+//!    in an outbox, optionally sent through the simulated network to a
+//!    management station), and the alert rules see one scope per row;
+//! 5. **record** — rows and registry are sampled into the long-term
+//!    store, and on a save tick baselines persist, the store flushes and
+//!    the recording rules run;
+//!
+//! then, the cycle closed, **publish** files its trace (sampler, flight
+//! ring, violation snapshot, OTLP push) and posts `/snapshot`.
 //!
 //! [`tick`]: MonitoringService::tick
 
@@ -15,7 +28,7 @@ use crate::error::MonitorError;
 use crate::live::{unix_now_ns, LiveStatus};
 use crate::monitor::NetworkMonitor;
 use crate::qos::{self, QosEvent, QosMonitor};
-use crate::report::{PathSample, SeriesRecorder};
+use crate::report::PathRow;
 use crate::simnet::{SimNetwork, SimNetworkOptions};
 use crate::telemetry::MonitorTelemetry;
 use bytes::Bytes;
@@ -23,17 +36,16 @@ use netqos_sim::time::{SimDuration, SimTime};
 use netqos_sim::Ipv4Addr;
 use netqos_telemetry::{
     builtin_alert_rules, fields, report_flush, to_otlp, transitions_to_json, AdaptiveConfig,
-    AlertContext, AlertEngine, AlertRule, AlertScope, CycleTrace, EventSink, FlightRecorder,
+    AlertContext, AlertEngine, AlertRule, Counter, CycleTrace, EventSink, FlightRecorder,
     FlushReport, Level, LtsConfig, LtsCounters, LtsReader, LtsSource, LtsStore, OtlpPusher,
     PointValue, ProfileHub, PushConfig, PushCounters, QuantileBaseline, QueryEngine, RecordRule,
-    RecordingCounters, Registry, RegistrySampler, RetentionPolicy, SampleAnnotation, SampleConfig,
-    SampleDecision, Sampler, SnapshotPaths, Tracer, DEFAULT_FLIGHT_CAPACITY,
-    DEFAULT_PROFILE_WINDOW, DEFAULT_WINDOW,
+    RecordingCounters, Registry, RegistrySampler, RetentionPolicy, SampleConfig, SampleDecision,
+    Sampler, SnapshotPaths, Tracer, DEFAULT_FLIGHT_CAPACITY, DEFAULT_PROFILE_WINDOW,
+    DEFAULT_WINDOW,
 };
-use netqos_topology::bandwidth::BandwidthRule;
 use std::collections::HashMap;
 use std::fmt::Write as _;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -47,6 +59,17 @@ pub const MIN_BASELINE_HISTORY: u64 = 16;
 /// Percentile rank above which a bandwidth sample is "anomalous vs.
 /// baseline" (a pre-violation warning, not a QoS violation).
 pub const ANOMALY_RANK: f64 = 0.99;
+
+/// The stages of a tick, in order: the spans directly under
+/// `monitor.cycle`, so the phases `/profile` attributes a tick to, and
+/// the calls [`MonitoringService::tick`] makes.
+pub const TICK_STAGES: [&str; 5] = [
+    "monitor.sim.advance",
+    "monitor.poll.round",
+    "monitor.qos.evaluate",
+    "monitor.alerts.detect",
+    "monitor.stats.record",
+];
 
 /// Service configuration.
 #[derive(Debug, Clone)]
@@ -140,49 +163,44 @@ impl Default for ServiceConfig {
     }
 }
 
-/// The assembled monitoring program.
+/// The assembled monitoring program. Its fields are grouped by the
+/// stage of [`MonitoringService::tick`] that owns them.
 pub struct MonitoringService {
-    net: SimNetwork,
-    monitor: NetworkMonitor,
-    qos: QosMonitor,
-    recorder: SeriesRecorder,
     config: ServiceConfig,
     start: SimTime,
-    traps: Vec<Vec<u8>>,
     telemetry: MonitorTelemetry,
     events: Arc<EventSink>,
     tracer: Tracer,
-    flight: FlightRecorder,
-    /// Rolling tick-phase profile aggregated from the tracer's spans
-    /// (populated only while tracing is on; serves `GET /profile`).
-    profile: Arc<ProfileHub>,
-    /// Used-bandwidth baseline per qospath (the bottleneck sample the
-    /// recorder also tracks), so each tick can be ranked against recent
-    /// history.
-    path_baselines: HashMap<String, QuantileBaseline>,
-    /// Snapshots written this session (newest last).
-    snapshots: Vec<SnapshotPaths>,
+    /// Wall-clock anchor for `netqos_monitor_uptime_seconds`.
+    wall_start: Instant,
     /// Wall-clock nanoseconds of the tracer's origin: added to monotonic
-    /// span offsets to place traces on the Unix timeline (OTLP export).
+    /// span offsets to place traces on the Unix timeline (OTLP export),
+    /// and to simulated seconds to place long-term samples on it.
     epoch_unix_ns: u64,
-    /// Head/tail trace sampling state.
-    sampler: Sampler,
-    /// Status shared with HTTP endpoint threads.
-    live: Arc<LiveStatus>,
-    /// Push-based OTLP delivery of flight snapshots at violation time.
-    pusher: Option<Arc<OtlpPusher>>,
+
+    // advance, poll
+    net: SimNetwork,
+    monitor: NetworkMonitor,
+
+    // evaluate
+    qos: QosMonitor,
+    /// Used-bandwidth baseline per qospath, so each tick can be ranked
+    /// against recent history.
+    path_baselines: HashMap<String, QuantileBaseline>,
     /// Why restoring `baseline_state` failed, if it did (the service
     /// starts cold rather than refusing to run).
     baseline_load_warning: Option<String>,
+    /// This tick's row per evaluated qospath, in specification order.
+    rows: Vec<PathRow>,
+
+    // detect
+    traps: Vec<Vec<u8>>,
     /// Per-tick alert rule evaluation (pending/firing/resolved).
     alerts: AlertEngine,
     /// Webhook delivery of alert transition batches.
     webhook: Option<Arc<OtlpPusher>>,
-    /// First flight-ring sequence number not yet delivered by OTLP push
-    /// (the delta-temporality cursor).
-    next_push_seq: u64,
-    /// Wall-clock anchor for `netqos_monitor_uptime_seconds`.
-    wall_start: Instant,
+
+    // record
     /// Long-term stats store (when `lts_dir` is set), the query source
     /// over it that every recording-rule pass reads through (so its
     /// index cache lasts from pass to pass), and the delta sampler that
@@ -195,6 +213,56 @@ pub struct MonitoringService {
     /// Self-metrics for the recording-rule engine (registered only when
     /// rules are configured).
     record_counters: RecordingCounters,
+
+    // publish
+    /// Head/tail trace sampling state.
+    sampler: Sampler,
+    flight: FlightRecorder,
+    /// Rolling tick-phase profile aggregated from the tracer's spans
+    /// (populated only while tracing is on; serves `GET /profile`).
+    profile: Arc<ProfileHub>,
+    /// Snapshots written this session (newest last).
+    snapshots: Vec<SnapshotPaths>,
+    /// Push-based OTLP delivery of flight snapshots at violation time.
+    pusher: Option<Arc<OtlpPusher>>,
+    /// First flight-ring sequence number not yet delivered by OTLP push
+    /// (the delta-temporality cursor).
+    next_push_seq: u64,
+    /// Status shared with HTTP endpoint threads.
+    live: Arc<LiveStatus>,
+}
+
+/// What a tick's stages leave behind for [`MonitoringService::publish_trace`].
+struct Cycle {
+    trace_id: u64,
+    start_ns: u64,
+    /// One line per thing that happened (`qos_violation feed1`): the
+    /// flight cycle's event list, and the sampler's tail trigger.
+    happened: Vec<String>,
+    /// Highest rank among the paths whose baseline is mature.
+    max_rank: f64,
+}
+
+/// A count as a gauge value (gauges are signed; counts saturate).
+fn gauge(count: u64) -> i64 {
+    count.min(i64::MAX as u64) as i64
+}
+
+/// Starts a push worker counting into `pushed`, `retries` and `dropped`
+/// (in that order) and keeps it in `slot`.
+fn start_pusher(
+    slot: &mut Option<Arc<OtlpPusher>>,
+    config: PushConfig,
+    [pushed, retries, dropped]: [&Counter; 3],
+) -> Arc<OtlpPusher> {
+    let counters = PushCounters {
+        pushed: pushed.clone(),
+        retries: retries.clone(),
+        dropped: dropped.clone(),
+    };
+    let pusher = Arc::new(OtlpPusher::start(config, counters));
+    *slot = Some(pusher.clone());
+    pusher
 }
 
 impl MonitoringService {
@@ -242,11 +310,9 @@ impl MonitoringService {
         if net_options.registry.is_none() {
             net_options.registry = Some(Registry::new());
         }
-        let net = SimNetwork::from_model_with(model, net_options, extra)?;
-        let monitor = NetworkMonitor::new(topology);
+        let mut net = SimNetwork::from_model_with(model, net_options, extra)?;
+        let mut monitor = NetworkMonitor::new(topology);
         let qos = QosMonitor::new(&monitor, &qos_specs)?;
-        let names: Vec<&str> = qos_specs.iter().map(|q| q.name.as_str()).collect();
-        let recorder = SeriesRecorder::new(&names);
         let start = net.lan.now();
         let telemetry = net.telemetry().clone();
         // One tracer, shared by every pipeline stage so their spans land
@@ -254,19 +320,18 @@ impl MonitoringService {
         // until `set_tracing(true)`: each stage then pays one relaxed
         // atomic load per span site.
         let tracer = Tracer::disabled();
-        let mut net = net;
         net.set_tracer(tracer.clone());
-        let mut monitor = monitor;
         monitor.set_tracer(tracer.clone());
         monitor.set_health_counters(
             telemetry.uptime_resets.clone(),
             telemetry.counter_wraps.clone(),
         );
-        let flight = FlightRecorder::new(config.flight_capacity);
         // Anchor the tracer's monotonic origin on the Unix timeline once;
         // every cycle carries this epoch so OTLP timestamps are absolute.
         let epoch_unix_ns = unix_now_ns().saturating_sub(tracer.now_ns());
         let sampler = Sampler::new(config.sample);
+        let flight = FlightRecorder::new(config.flight_capacity);
+        let alerts = AlertEngine::new(config.alert_rules.clone());
         // Restore persisted baselines (if configured and present); a
         // missing or corrupt state file degrades to a cold start.
         let mut path_baselines = HashMap::new();
@@ -279,7 +344,6 @@ impl MonitoringService {
                 }
             }
         }
-        let alerts = AlertEngine::new(config.alert_rules.clone());
         // Open the long-term store (if configured); its own health
         // counters land in the shared registry, so the store samples the
         // cost of its existence. Failure degrades to a stats-less run.
@@ -310,34 +374,40 @@ impl MonitoringService {
         let profile =
             ProfileHub::with_registry(DEFAULT_PROFILE_WINDOW, telemetry.registry().clone());
         Ok(MonitoringService {
-            net,
-            monitor,
-            qos,
-            recorder,
             config,
             start,
-            traps: Vec::new(),
             telemetry,
             events: Arc::new(EventSink::null()),
             tracer,
-            flight,
-            profile,
-            path_baselines,
-            snapshots: Vec::new(),
+            wall_start: Instant::now(),
             epoch_unix_ns,
-            sampler,
-            live: LiveStatus::new(),
-            pusher: None,
+            net,
+            monitor,
+            rows: Vec::with_capacity(qos.len()),
+            qos,
+            path_baselines,
             baseline_load_warning,
+            traps: Vec::new(),
             alerts,
             webhook: None,
-            next_push_seq: 0,
-            wall_start: Instant::now(),
             lts,
             lts_sampler: RegistrySampler::new(),
             lts_open_warning,
             record_counters,
+            sampler,
+            flight,
+            profile,
+            snapshots: Vec::new(),
+            pusher: None,
+            next_push_seq: 0,
+            live: LiveStatus::new(),
         })
+    }
+
+    /// Reports a failed side task on the event trail; the tick carries on.
+    fn warn_failed(&self, target: &str, kind: &str, error: &dyn std::fmt::Display) {
+        let fields = fields!["error" => error.to_string()];
+        self.events.emit(Level::Warn, target, kind, fields);
     }
 
     /// The registry holding this service's pipeline metrics.
@@ -403,19 +473,9 @@ impl MonitoringService {
     /// service's registry (`netqos_monitor_otlp_*`). Implies nothing
     /// about tracing — enable it too, or the snapshots will be empty.
     pub fn enable_otlp_push(&mut self, config: PushConfig) -> Arc<OtlpPusher> {
-        let counters = PushCounters {
-            pushed: self.telemetry.otlp_pushed.clone(),
-            retries: self.telemetry.otlp_push_retries.clone(),
-            dropped: self.telemetry.otlp_push_dropped.clone(),
-        };
-        let pusher = Arc::new(OtlpPusher::start(config, counters));
-        self.pusher = Some(pusher.clone());
-        pusher
-    }
-
-    /// The OTLP pusher, when push delivery is enabled.
-    pub fn otlp_pusher(&self) -> Option<&Arc<OtlpPusher>> {
-        self.pusher.as_ref()
+        let t = &self.telemetry;
+        let counters = [&t.otlp_pushed, &t.otlp_push_retries, &t.otlp_push_dropped];
+        start_pusher(&mut self.pusher, config, counters)
     }
 
     /// Starts a background webhook notifier: every tick with alert
@@ -423,19 +483,13 @@ impl MonitoringService {
     /// Delivery counters land in this service's registry
     /// (`netqos_alert_webhook_*`).
     pub fn enable_alert_webhook(&mut self, config: PushConfig) -> Arc<OtlpPusher> {
-        let counters = PushCounters {
-            pushed: self.telemetry.alert_webhook_delivered.clone(),
-            retries: self.telemetry.alert_webhook_retries.clone(),
-            dropped: self.telemetry.alert_webhook_dropped.clone(),
-        };
-        let hook = Arc::new(OtlpPusher::start(config, counters));
-        self.webhook = Some(hook.clone());
-        hook
-    }
-
-    /// The webhook notifier, when transition delivery is enabled.
-    pub fn alert_webhook(&self) -> Option<&Arc<OtlpPusher>> {
-        self.webhook.as_ref()
+        let t = &self.telemetry;
+        let counters = [
+            &t.alert_webhook_delivered,
+            &t.alert_webhook_retries,
+            &t.alert_webhook_dropped,
+        ];
+        start_pusher(&mut self.webhook, config, counters)
     }
 
     /// The alert engine's current state (rules, active alerts, history).
@@ -528,12 +582,7 @@ impl MonitoringService {
                 Some(report)
             }
             Err(e) => {
-                self.events.emit(
-                    Level::Warn,
-                    "monitor.lts",
-                    "flush_failed",
-                    fields!["error" => e.to_string()],
-                );
+                self.warn_failed("monitor.lts", "flush_failed", &e);
                 None
             }
         }
@@ -565,12 +614,7 @@ impl MonitoringService {
                 Some(report)
             }
             Err(e) => {
-                self.events.emit(
-                    Level::Warn,
-                    "monitor.lts",
-                    "compact_failed",
-                    fields!["error" => e.to_string()],
-                );
+                self.warn_failed("monitor.lts", "compact_failed", &e);
                 None
             }
         }
@@ -646,11 +690,7 @@ impl MonitoringService {
     }
 
     /// Renders the `/snapshot` JSON digest for the current tick.
-    fn status_json(
-        &self,
-        t_s: f64,
-        path_status: &[(String, u64, u64, f64, u64, u64, u64)],
-    ) -> String {
+    fn status_json(&self, t_s: f64, rows: &[PathRow]) -> String {
         let mut out = String::from("{");
         let _ = write!(
             out,
@@ -658,16 +698,11 @@ impl MonitoringService {
             self.telemetry.ticks.get()
         );
         out.push_str(",\"paths\":[");
-        for (i, (name, used, avail, rank, count, p50, p99)) in path_status.iter().enumerate() {
+        for (i, row) in rows.iter().enumerate() {
             if i > 0 {
                 out.push(',');
             }
-            let _ = write!(
-                out,
-                "{{\"name\":{name:?},\"used_bps\":{used},\"available_bps\":{avail},\
-                 \"rank\":{rank:.4},\"baseline\":{{\"count\":{count},\"p50\":{p50},\
-                 \"p99\":{p99}}}}}"
-            );
+            row.write_json(&mut out);
         }
         out.push_str("],\"violated\":[");
         for (i, name) in self.qos.violated_paths().iter().enumerate() {
@@ -702,468 +737,33 @@ impl MonitoringService {
         out
     }
 
-    /// Advances one poll period: runs the network, polls every agent,
-    /// records samples, evaluates QoS, and emits traps for state changes.
+    /// One poll period, as the list of its stages ([`TICK_STAGES`]):
+    /// advance the network, poll every agent (each snapshot ingested as
+    /// it arrives), evaluate every qospath into its [`PathRow`], detect
+    /// (QoS events, traps, alert rules), record (long-term store, save
+    /// tick) — then, the cycle closed, publish its trace and `/snapshot`.
     /// Returns the QoS events of this tick.
     pub fn tick(&mut self) -> Result<Vec<QosEvent>, MonitorError> {
         let wall_timer = self.telemetry.tick_ns.start_timer();
-        let trace_id = self.tracer.begin_cycle();
-        let cycle_start_ns = self.tracer.now_ns();
-        let cycle_span = self.tracer.span("monitor", "cycle");
-        let next = self.net.lan.now() + self.config.poll_period;
-        self.net.run_until(next);
-        let polled = self.net.poll_round(&mut self.monitor)?;
-
-        let t_s = self.net.lan.now().duration_since(self.start).as_secs_f64();
-        // The one evaluation of every qospath this tick: the recorder,
-        // baselines, alert scopes and status rows below all read this
-        // pass's results, so a path that could not be evaluated now
-        // contributes nothing rather than a stale figure.
-        let events = {
-            let mut qos_span = self.tracer.span("monitor.qos", "evaluate");
-            let events = self.qos.evaluate(&self.monitor);
-            qos_span.set_attr("events", events.len());
-            events
+        let mut cycle = Cycle {
+            trace_id: self.tracer.begin_cycle(),
+            start_ns: self.tracer.now_ns(),
+            happened: Vec::new(),
+            max_rank: 0.0,
         };
-        let mut samples = Vec::new();
-        let mut cycle_events = Vec::new();
-        let mut alert_scopes = Vec::with_capacity(self.qos.len());
-        let mut path_status = Vec::with_capacity(self.qos.len());
-        let mut max_rank = 0.0f64;
-        let window = self.config.baseline_window;
-        let tracing = self.tracer.is_enabled();
-        for (spec, bw) in self.qos.evaluated() {
-            let name = &spec.name;
-            self.recorder.push(name, PathSample::at(t_s, bw));
-            // Rank against history *before* folding the sample in, so
-            // the sample cannot vouch for itself.
-            let baseline = self
-                .path_baselines
-                .entry(name.clone())
-                .or_insert_with(|| QuantileBaseline::new(window));
-            let rank = baseline.rank(bw.used_bps);
-            let history = baseline.count();
-            let p50 = baseline.quantile(0.5);
-            let p99 = baseline.quantile(0.99);
-            baseline.record(bw.used_bps);
-            path_status.push((
-                name.clone(),
-                bw.used_bps,
-                bw.available_bps,
-                rank,
-                history + 1,
-                p50,
-                p99,
-            ));
-            // A mature baseline's rank feeds the sampler's tail
-            // trigger; a young one ranks everything at the extremes.
-            if history >= MIN_BASELINE_HISTORY {
-                max_rank = max_rank.max(rank);
-            }
-            if history >= MIN_BASELINE_HISTORY && rank > ANOMALY_RANK {
-                // Pre-violation warning: usage is extreme for *this*
-                // connection even if no QoS rule has tripped yet.
-                self.telemetry.anomaly_warnings.inc();
-                self.events.emit(
-                    Level::Warn,
-                    "monitor.baseline",
-                    "anomalous",
-                    fields![
-                        "path" => name.as_str(),
-                        "used_bps" => bw.used_bps,
-                        "rank" => rank,
-                        "baseline_p99" => p99,
-                    ],
-                );
-                cycle_events.push(format!("baseline_anomaly {name}"));
-            }
-            if tracing {
-                samples.push(SampleAnnotation {
-                    path: name.clone(),
-                    connection: self.monitor.topology().describe_connection(bw.bottleneck),
-                    used_bps: bw.used_bps,
-                    available_bps: bw.available_bps,
-                    used_rank: rank,
-                    baseline_p50: p50,
-                    baseline_p99: p99,
-                });
-            }
-            // One alert scope per qospath: the signals user rules can
-            // test, plus the bottleneck diagnosis (the paper's §3
-            // model names the worst connection and whether a shared
-            // medium or a switched link is the constraint) carried as
-            // annotations onto any alert raised here.
-            let mut scope = AlertScope::labelled("path", name);
-            scope.set("path_used_bps", bw.used_bps as f64);
-            scope.set("path_available_bps", bw.available_bps as f64);
-            scope.set("path_rank", rank);
-            scope.set("path_baseline_p50_bps", p50 as f64);
-            scope.set("path_baseline_p99_bps", p99 as f64);
-            let worst_util = bw
-                .connections
-                .iter()
-                .map(|c| c.utilization())
-                .fold(0.0f64, f64::max);
-            scope.set("path_utilization", worst_util);
-            if let Some(min) = spec.min_available_bps {
-                scope.set("path_min_available_bps", min as f64);
-                scope.set("path_headroom_bps", bw.available_bps as f64 - min as f64);
-            }
-            if let Some(limit) = spec.max_utilization {
-                scope.set("path_max_utilization", limit);
-            }
-            if let Some(cb) = bw.connections.iter().find(|c| c.conn == bw.bottleneck) {
-                scope.annotate(
-                    "bottleneck",
-                    self.monitor.topology().describe_connection(cb.conn),
-                );
-                scope.annotate(
-                    "bottleneck_kind",
-                    match cb.rule {
-                        BandwidthRule::SharedMedium => "shared_medium",
-                        BandwidthRule::PointToPoint => "point_to_point",
-                    },
-                );
-                scope.annotate("bottleneck_available_bps", cb.available_bps.to_string());
-                scope.annotate("bottleneck_capacity_bps", cb.capacity_bps.to_string());
-                scope.annotate("bottleneck_utilization", format!("{:.3}", cb.utilization()));
-            }
-            alert_scopes.push(scope);
-        }
-
-        if !events.is_empty() {
-            let monitor_node = self.net.monitor_node();
-            let agent_addr = self
-                .net
-                .model()
-                .addresses
-                .get(&monitor_node)
-                .and_then(|a| a.parse::<Ipv4Addr>().ok())
-                .map(|ip| ip.octets())
-                .unwrap_or([0, 0, 0, 0]);
-            let uptime = (t_s * 100.0) as u32;
-            for event in &events {
-                match event {
-                    QosEvent::Violated { path_name, .. } => {
-                        self.telemetry.qos_violations.inc();
-                        cycle_events.push(format!("qos_violation {path_name}"));
-                        self.events.emit(
-                            Level::Warn,
-                            "monitor.qos",
-                            "violation",
-                            fields!["path" => path_name.as_str(), "t_s" => t_s],
-                        );
-                    }
-                    QosEvent::Cleared { path_name, .. } => {
-                        self.telemetry.qos_cleared.inc();
-                        cycle_events.push(format!("qos_cleared {path_name}"));
-                        self.events.emit(
-                            Level::Info,
-                            "monitor.qos",
-                            "cleared",
-                            fields!["path" => path_name.as_str(), "t_s" => t_s],
-                        );
-                    }
-                }
-                let bytes =
-                    qos::encode_trap(event, &self.config.trap_community, agent_addr, uptime)?;
-                if let Some(dst) = self.config.trap_destination {
-                    let monitor_dev = self
-                        .net
-                        .device_of(monitor_node)
-                        .ok_or_else(|| MonitorError::Sim("monitor device missing".into()))?;
-                    // Trap transmission is fire-and-forget UDP.
-                    let _ = self.net.lan.post_udp(
-                        monitor_dev,
-                        TRAP_PORT,
-                        dst,
-                        TRAP_PORT,
-                        Bytes::from(bytes.clone()),
-                    );
-                }
-                self.telemetry.traps_emitted.inc();
-                // Bounded outbox: evict oldest rather than grow forever.
-                if self.traps.len() >= self.config.trap_outbox_capacity.max(1) {
-                    self.traps.remove(0);
-                    self.telemetry.traps_dropped.inc();
-                    self.events.emit(
-                        Level::Warn,
-                        "monitor.traps",
-                        "outbox_full",
-                        fields!["capacity" => self.config.trap_outbox_capacity],
-                    );
-                }
-                self.traps.push(bytes);
-            }
-        }
-        self.telemetry.ticks.inc();
-        self.telemetry
-            .trap_outbox_depth
-            .set(self.traps.len() as i64);
-
-        // Alert pass: rules see the registry (every self-telemetry
-        // counter and gauge) plus one labelled scope per qospath. The
-        // evaluation happens inside the traced cycle so transitions land
-        // as cycle events and wake the sampler's tail trigger.
-        {
-            let violated: std::collections::HashSet<&str> =
-                self.qos.violated_paths().into_iter().collect();
-            for scope in &mut alert_scopes {
-                let is_violated = scope
-                    .labels
-                    .iter()
-                    .any(|(k, v)| k == "path" && violated.contains(v.as_str()));
-                scope.set("path_violated", if is_violated { 1.0 } else { 0.0 });
-            }
-            self.telemetry
-                .uptime_seconds
-                .set(self.wall_start.elapsed().as_secs().min(i64::MAX as u64) as i64);
-            let tick_no = self.telemetry.ticks.get();
-            let mut ctx = AlertContext::new(tick_no);
-            ctx.add_registry(self.telemetry.registry());
-            ctx.scopes.append(&mut alert_scopes);
-            let transitions = self.alerts.evaluate(&ctx);
-            for tr in &transitions {
-                match tr.to {
-                    "pending" => self.telemetry.alerts_pending_total.inc(),
-                    "firing" => self.telemetry.alerts_firing_total.inc(),
-                    _ => self.telemetry.alerts_resolved_total.inc(),
-                }
-                cycle_events.push(format!("alert_{} {}", tr.to, tr.fingerprint));
-                let level = if tr.to == "firing" {
-                    Level::Warn
-                } else {
-                    Level::Info
-                };
-                self.events.emit(
-                    level,
-                    "monitor.alerts",
-                    tr.to,
-                    fields![
-                        "rule" => tr.rule.as_str(),
-                        "fingerprint" => tr.fingerprint.as_str(),
-                        "from" => tr.from,
-                        "value" => tr.value,
-                    ],
-                );
-            }
-            let pending = self.alerts.pending_count();
-            let firing = self.alerts.firing_count();
-            self.telemetry
-                .alerts_pending
-                .set(pending.min(i64::MAX as u64) as i64);
-            self.telemetry
-                .alerts_firing
-                .set(firing.min(i64::MAX as u64) as i64);
-            if !transitions.is_empty() {
-                if let Some(hook) = &self.webhook {
-                    hook.enqueue(transitions_to_json("netqos", tick_no, &transitions));
-                }
-            }
-            self.live.record_alerts(
-                self.alerts.render_json(),
-                pending,
-                firing,
-                transitions.len() as u64,
-            );
-        }
-
-        // Long-term stats: one sample per tick at 1s resolution, placed
-        // at sim-anchored Unix seconds so a restarted run extends the
-        // same series instead of starting a parallel timeline.
-        if let Some((store, _)) = self.lts.as_mut() {
-            let t_unix = self.epoch_unix_ns / 1_000_000_000 + t_s as u64;
-            for (name, used, avail, rank, _count, p50, p99) in &path_status {
-                let as_i64 = |v: u64| v.min(i64::MAX as u64) as i64;
-                store.append(
-                    &format!("netqos_path_used_bps{{path=\"{name}\"}}"),
-                    t_unix,
-                    PointValue::Gauge(as_i64(*used)),
-                );
-                store.append(
-                    &format!("netqos_path_available_bps{{path=\"{name}\"}}"),
-                    t_unix,
-                    PointValue::Gauge(as_i64(*avail)),
-                );
-                store.append(
-                    &format!("netqos_path_used_rank_permille{{path=\"{name}\"}}"),
-                    t_unix,
-                    PointValue::Gauge((rank * 1000.0) as i64),
-                );
-                store.append(
-                    &format!("netqos_path_baseline_p50_bps{{path=\"{name}\"}}"),
-                    t_unix,
-                    PointValue::Gauge(as_i64(*p50)),
-                );
-                store.append(
-                    &format!("netqos_path_baseline_p99_bps{{path=\"{name}\"}}"),
-                    t_unix,
-                    PointValue::Gauge(as_i64(*p99)),
-                );
-            }
-            self.lts_sampler
-                .sample(self.telemetry.registry(), store, t_unix);
-        }
-        let save_every = self.config.baseline_save_ticks.max(1);
-        let on_save_tick = self.telemetry.ticks.get().is_multiple_of(save_every);
-        if self.config.baseline_state.is_some() && on_save_tick {
-            if let Err(e) = self.persist_baselines() {
-                self.events.emit(
-                    Level::Warn,
-                    "monitor.baseline",
-                    "persist_failed",
-                    fields!["error" => e.to_string()],
-                );
-            }
-        }
-        if on_save_tick {
-            if self.config.lts_compact {
-                self.compact_lts();
-            } else {
-                self.flush_lts();
-            }
-            self.run_record_rules();
-        }
+        let cycle_span = self.tracer.span("monitor", "cycle");
+        self.advance();
+        let polled = self.net.poll_round(&mut self.monitor)?;
+        let t_s = self.net.lan.now().duration_since(self.start).as_secs_f64();
+        let events = self.evaluate(&mut cycle);
+        self.detect(t_s, &events, &mut cycle)?;
+        self.record(t_s);
         drop(cycle_span);
-        if tracing {
-            let cycle_end_ns = self.tracer.now_ns();
-            // The sampler decides *after* the cycle completes: tail
-            // triggers need its outcome (duration, ranks, QoS events).
-            let decision = self.sampler.decide(
-                cycle_end_ns.saturating_sub(cycle_start_ns),
-                max_rank,
-                !cycle_events.is_empty(),
-            );
-            match decision {
-                SampleDecision::Head => self.telemetry.trace_kept_head.inc(),
-                SampleDecision::Tail(trigger) => {
-                    self.telemetry.trace_kept_tail.inc();
-                    self.events.emit(
-                        Level::Debug,
-                        "monitor.trace",
-                        "tail_sampled",
-                        fields!["trigger" => trigger],
-                    );
-                }
-                SampleDecision::Drop => self.telemetry.trace_dropped.inc(),
-            }
-            // Feedback loop: under flight-ring pressure (too many kept
-            // cycles per window) the head stride backs off; when the
-            // keep rate falls again it relaxes toward the base rate.
-            if let Some(policy) = &self.config.adaptive_sample {
-                if let Some(next) = self.sampler.adapt(policy) {
-                    self.events.emit(
-                        Level::Info,
-                        "monitor.trace",
-                        "head_every_adapted",
-                        fields!["head_every" => next],
-                    );
-                }
-            }
-            self.telemetry
-                .trace_head_every
-                .set(self.sampler.head_every().min(i64::MAX as u64) as i64);
-            let spans = self.tracer.end_cycle();
-            // Every traced cycle feeds the rolling phase profile, even
-            // ones the sampler drops from the flight ring — profiling
-            // wants the full population, not the kept forensic subset.
-            self.profile.record_spans(&spans);
-            if decision.keep() {
-                let cycle = CycleTrace {
-                    seq: 0, // assigned by the recorder
-                    trace_id,
-                    start_ns: cycle_start_ns,
-                    end_ns: cycle_end_ns,
-                    epoch_unix_ns: self.epoch_unix_ns,
-                    spans,
-                    samples,
-                    events: cycle_events,
-                };
-                // Push before snapshotting so the violating cycle itself
-                // is part of the forensic record.
-                let seq = self.flight.push(cycle);
-                let violated = events
-                    .iter()
-                    .any(|e| matches!(e, QosEvent::Violated { .. }));
-                if violated {
-                    if let Some(pusher) = self.pusher.clone() {
-                        // Push the forensic record to the collector; a
-                        // full queue counts a drop instead of blocking
-                        // the tick. Under delta temporality only cycles
-                        // newer than the last acked push are shipped.
-                        let (cycles, next_seq) = self.pending_push_cycles();
-                        if !cycles.is_empty() && pusher.enqueue(to_otlp(&cycles)) {
-                            self.next_push_seq = next_seq;
-                            self.events.emit(
-                                Level::Debug,
-                                "monitor.flight",
-                                "otlp_push_enqueued",
-                                fields!["cycles" => cycles.len() as u64],
-                            );
-                        }
-                    }
-                    if let Some(dir) = self.config.flight_dir.clone() {
-                        match netqos_telemetry::write_snapshot(&dir, seq, &self.flight.snapshot()) {
-                            Ok(paths) => {
-                                self.telemetry.flight_snapshots.inc();
-                                self.events.emit(
-                                    Level::Info,
-                                    "monitor.flight",
-                                    "snapshot",
-                                    fields![
-                                        "cycles" => self.flight.len(),
-                                        "path" => paths.chrome.display().to_string(),
-                                    ],
-                                );
-                                self.snapshots.push(paths);
-                            }
-                            Err(e) => self.events.emit(
-                                Level::Warn,
-                                "monitor.flight",
-                                "snapshot_failed",
-                                fields!["error" => e.to_string()],
-                            ),
-                        }
-                        // Keep the snapshot directory within budget now
-                        // that a new snapshot landed.
-                        match netqos_telemetry::enforce_retention(&dir, self.config.retention) {
-                            Ok(deleted) => {
-                                for d in &deleted {
-                                    // One event per deleted snapshot so
-                                    // reclaimed history is auditable, and
-                                    // the cross-plane deletion total the
-                                    // LTS retention also feeds.
-                                    self.telemetry.flight_retention_deleted.inc();
-                                    self.telemetry.retention_deleted.inc();
-                                    self.events.emit(
-                                        Level::Info,
-                                        "monitor.flight",
-                                        "retention_delete",
-                                        fields![
-                                            "tag" => d.tag,
-                                            "files" => d.files as u64,
-                                            "bytes" => d.bytes,
-                                            "reason" => d.reason,
-                                        ],
-                                    );
-                                }
-                            }
-                            Err(e) => self.events.emit(
-                                Level::Warn,
-                                "monitor.flight",
-                                "retention_failed",
-                                fields!["error" => e.to_string()],
-                            ),
-                        }
-                    }
-                }
-            }
+        if self.tracer.is_enabled() {
+            self.publish_trace(cycle, &events);
         }
-
         let wall = wall_timer.stop();
-        // Publish this tick to the live endpoints and, periodically, the
-        // baselines to their state file.
-        let status = self.status_json(t_s, &path_status);
+        let status = self.status_json(t_s, &self.rows);
         self.live.record_tick(
             self.epoch_unix_ns.saturating_add(self.tracer.now_ns()),
             status,
@@ -1180,6 +780,386 @@ impl MonitoringService {
             ],
         );
         Ok(events)
+    }
+
+    /// Stage 1: the simulated network runs one poll period (background
+    /// traffic and load generators keep flowing).
+    fn advance(&mut self) {
+        let _span = self.tracer.span("monitor.sim", "advance");
+        let next = self.net.lan.now() + self.config.poll_period;
+        self.net.run_until(next);
+    }
+
+    /// Stage 3: the one evaluation of every qospath this tick, written
+    /// down as one [`PathRow`] each — a path that could not be evaluated
+    /// now has no row rather than a stale figure. Every later stage
+    /// reads the rows.
+    fn evaluate(&mut self, cycle: &mut Cycle) -> Vec<QosEvent> {
+        let mut span = self.tracer.span("monitor.qos", "evaluate");
+        let events = self.qos.evaluate(&self.monitor);
+        span.set_attr("events", events.len());
+        self.rows.clear();
+        for (spec, bw, violated) in self.qos.evaluated() {
+            let name = &spec.name;
+            if !self.path_baselines.contains_key(name) {
+                let fresh = QuantileBaseline::new(self.config.baseline_window);
+                self.path_baselines.insert(name.clone(), fresh);
+            }
+            let baseline = self.path_baselines.get_mut(name).expect("just inserted");
+            // Rank against history *before* folding the sample in, so
+            // the sample cannot vouch for itself.
+            let rank = baseline.rank(bw.used_bps);
+            let history = baseline.count();
+            let p50 = baseline.quantile(0.5);
+            let p99 = baseline.quantile(0.99);
+            baseline.record(bw.used_bps);
+            // A mature baseline's rank feeds the sampler's tail
+            // trigger; a young one ranks everything at the extremes.
+            let mature = history >= MIN_BASELINE_HISTORY;
+            if mature {
+                cycle.max_rank = cycle.max_rank.max(rank);
+            }
+            if mature && rank > ANOMALY_RANK {
+                // Pre-violation warning: usage is extreme for *this*
+                // connection even if no QoS rule has tripped yet.
+                self.telemetry.anomaly_warnings.inc();
+                self.events.emit(
+                    Level::Warn,
+                    "monitor.baseline",
+                    "anomalous",
+                    fields![
+                        "path" => name.as_str(),
+                        "used_bps" => bw.used_bps,
+                        "rank" => rank,
+                        "baseline_p99" => p99,
+                    ],
+                );
+                cycle.happened.push(format!("baseline_anomaly {name}"));
+            }
+            let worst = bw.connections.iter().map(|c| c.utilization());
+            let at_bottleneck = bw.connections.iter().find(|c| c.conn == bw.bottleneck);
+            self.rows.push(PathRow {
+                name: name.clone(),
+                used_bps: bw.used_bps,
+                available_bps: bw.available_bps,
+                rank,
+                baseline_count: history + 1,
+                baseline_p50: p50,
+                baseline_p99: p99,
+                utilization: worst.fold(0.0, f64::max),
+                violated,
+                bottleneck: self.monitor.topology().describe_connection(bw.bottleneck),
+                bottleneck_bandwidth: at_bottleneck.cloned(),
+                min_available_bps: spec.min_available_bps,
+                max_utilization: spec.max_utilization,
+            });
+        }
+        events
+    }
+
+    /// Stage 4: QoS state changes become events and traps, then the
+    /// alert rules see the registry (every self-telemetry counter and
+    /// gauge) plus one labelled scope per row. Inside the traced cycle,
+    /// so transitions land as cycle events and wake the sampler's tail
+    /// trigger.
+    fn detect(
+        &mut self,
+        t_s: f64,
+        events: &[QosEvent],
+        cycle: &mut Cycle,
+    ) -> Result<(), MonitorError> {
+        let _span = self.tracer.span("monitor.alerts", "detect");
+        if !events.is_empty() {
+            self.emit_traps(t_s, events, cycle)?;
+        }
+        self.telemetry.ticks.inc();
+        self.telemetry
+            .trap_outbox_depth
+            .set(self.traps.len() as i64);
+        self.telemetry
+            .uptime_seconds
+            .set(gauge(self.wall_start.elapsed().as_secs()));
+        let tick_no = self.telemetry.ticks.get();
+        let mut ctx = AlertContext::new(tick_no);
+        ctx.add_registry(self.telemetry.registry());
+        ctx.scopes
+            .extend(self.rows.iter().map(PathRow::alert_scope));
+        let transitions = self.alerts.evaluate(&ctx);
+        for tr in &transitions {
+            match tr.to {
+                "pending" => self.telemetry.alerts_pending_total.inc(),
+                "firing" => self.telemetry.alerts_firing_total.inc(),
+                _ => self.telemetry.alerts_resolved_total.inc(),
+            }
+            cycle
+                .happened
+                .push(format!("alert_{} {}", tr.to, tr.fingerprint));
+            let level = if tr.to == "firing" {
+                Level::Warn
+            } else {
+                Level::Info
+            };
+            self.events.emit(
+                level,
+                "monitor.alerts",
+                tr.to,
+                fields![
+                    "rule" => tr.rule.as_str(),
+                    "fingerprint" => tr.fingerprint.as_str(),
+                    "from" => tr.from,
+                    "value" => tr.value,
+                ],
+            );
+        }
+        let pending = self.alerts.pending_count();
+        let firing = self.alerts.firing_count();
+        self.telemetry.alerts_pending.set(gauge(pending));
+        self.telemetry.alerts_firing.set(gauge(firing));
+        if !transitions.is_empty() {
+            if let Some(hook) = &self.webhook {
+                hook.enqueue(transitions_to_json("netqos", tick_no, &transitions));
+            }
+        }
+        self.live.record_alerts(
+            self.alerts.render_json(),
+            pending,
+            firing,
+            transitions.len() as u64,
+        );
+        Ok(())
+    }
+
+    /// Counts and reports each QoS state change and emits its SNMPv1
+    /// trap: into the bounded outbox, and through the simulated network
+    /// when a trap destination is configured.
+    fn emit_traps(
+        &mut self,
+        t_s: f64,
+        events: &[QosEvent],
+        cycle: &mut Cycle,
+    ) -> Result<(), MonitorError> {
+        let monitor_node = self.net.monitor_node();
+        let agent_addr = self
+            .net
+            .model()
+            .addresses
+            .get(&monitor_node)
+            .and_then(|a| a.parse::<Ipv4Addr>().ok())
+            .map(|ip| ip.octets())
+            .unwrap_or([0, 0, 0, 0]);
+        let uptime = (t_s * 100.0) as u32;
+        for event in events {
+            let (counter, level, kind, path_name) = match event {
+                QosEvent::Violated { path_name, .. } => (
+                    &self.telemetry.qos_violations,
+                    Level::Warn,
+                    "violation",
+                    path_name,
+                ),
+                QosEvent::Cleared { path_name } => (
+                    &self.telemetry.qos_cleared,
+                    Level::Info,
+                    "cleared",
+                    path_name,
+                ),
+            };
+            counter.inc();
+            cycle.happened.push(format!("qos_{kind} {path_name}"));
+            self.events.emit(
+                level,
+                "monitor.qos",
+                kind,
+                fields!["path" => path_name.as_str(), "t_s" => t_s],
+            );
+            let bytes = qos::encode_trap(event, &self.config.trap_community, agent_addr, uptime)?;
+            if let Some(dst) = self.config.trap_destination {
+                let monitor_dev = self
+                    .net
+                    .device_of(monitor_node)
+                    .ok_or_else(|| MonitorError::Sim("monitor device missing".into()))?;
+                // Trap transmission is fire-and-forget UDP.
+                let _ = self.net.lan.post_udp(
+                    monitor_dev,
+                    TRAP_PORT,
+                    dst,
+                    TRAP_PORT,
+                    Bytes::from(bytes.clone()),
+                );
+            }
+            self.telemetry.traps_emitted.inc();
+            // Bounded outbox: evict oldest rather than grow forever.
+            if self.traps.len() >= self.config.trap_outbox_capacity.max(1) {
+                self.traps.remove(0);
+                self.telemetry.traps_dropped.inc();
+                self.events.emit(
+                    Level::Warn,
+                    "monitor.traps",
+                    "outbox_full",
+                    fields!["capacity" => self.config.trap_outbox_capacity],
+                );
+            }
+            self.traps.push(bytes);
+        }
+        Ok(())
+    }
+
+    /// Stage 5: long-term stats — one sample per row signal and per
+    /// registry series at 1s resolution, placed at sim-anchored Unix
+    /// seconds so a restarted run extends the same series instead of
+    /// starting a parallel timeline — and, on a save tick, the baselines
+    /// to their state file, the store's flush (or compaction) and the
+    /// recording rules.
+    fn record(&mut self, t_s: f64) {
+        let _span = self.tracer.span("monitor.stats", "record");
+        if let Some((store, _)) = self.lts.as_mut() {
+            let t_unix = self.epoch_unix_ns / 1_000_000_000 + t_s as u64;
+            for row in &self.rows {
+                for (signal, value) in row.gauges() {
+                    let series = format!("netqos_path_{signal}{{path=\"{}\"}}", row.name);
+                    store.append(&series, t_unix, PointValue::Gauge(value));
+                }
+            }
+            self.lts_sampler
+                .sample(self.telemetry.registry(), store, t_unix);
+        }
+        let save_every = self.config.baseline_save_ticks.max(1);
+        if !self.telemetry.ticks.get().is_multiple_of(save_every) {
+            return;
+        }
+        if self.config.baseline_state.is_some() {
+            if let Err(e) = self.persist_baselines() {
+                self.warn_failed("monitor.baseline", "persist_failed", &e);
+            }
+        }
+        if self.config.lts_compact {
+            self.compact_lts();
+        } else {
+            self.flush_lts();
+        }
+        self.run_record_rules();
+    }
+
+    /// After the cycle span closes (the sampler's tail triggers need the
+    /// cycle's outcome: duration, ranks, events): the sampler decides,
+    /// every traced cycle feeds the rolling phase profile — even ones
+    /// the sampler drops; profiling wants the full population, not the
+    /// kept forensic subset — and a kept cycle enters the flight ring.
+    /// A cycle in which a violation began is pushed to the collector and
+    /// snapshotted, itself included in the forensic record.
+    fn publish_trace(&mut self, cycle: Cycle, events: &[QosEvent]) {
+        let end_ns = self.tracer.now_ns();
+        let decision = self.sample_cycle(end_ns.saturating_sub(cycle.start_ns), &cycle);
+        let spans = self.tracer.end_cycle();
+        self.profile.record_spans(&spans);
+        if !decision.keep() {
+            return;
+        }
+        let seq = self.flight.push(CycleTrace {
+            seq: 0, // assigned by the recorder
+            trace_id: cycle.trace_id,
+            start_ns: cycle.start_ns,
+            end_ns,
+            epoch_unix_ns: self.epoch_unix_ns,
+            spans,
+            samples: self.rows.iter().map(PathRow::annotation).collect(),
+            events: cycle.happened,
+        });
+        if !(events.iter()).any(|e| matches!(e, QosEvent::Violated { .. })) {
+            return;
+        }
+        // A full push queue counts a drop instead of blocking the tick.
+        if let Some(cycles) = self.flush_otlp_push() {
+            self.events.emit(
+                Level::Debug,
+                "monitor.flight",
+                "otlp_push_enqueued",
+                fields!["cycles" => cycles],
+            );
+        }
+        if let Some(dir) = self.config.flight_dir.clone() {
+            self.snapshot_flight(&dir, seq);
+        }
+    }
+
+    /// The sampler's verdict on a finished cycle, counted and reported,
+    /// and the head stride's feedback loop: under flight-ring pressure
+    /// (too many kept cycles per window) the stride backs off; when the
+    /// keep rate falls again it relaxes toward the base rate.
+    fn sample_cycle(&mut self, duration_ns: u64, cycle: &Cycle) -> SampleDecision {
+        let decision = self
+            .sampler
+            .decide(duration_ns, cycle.max_rank, !cycle.happened.is_empty());
+        match decision {
+            SampleDecision::Head => self.telemetry.trace_kept_head.inc(),
+            SampleDecision::Tail(trigger) => {
+                self.telemetry.trace_kept_tail.inc();
+                self.events.emit(
+                    Level::Debug,
+                    "monitor.trace",
+                    "tail_sampled",
+                    fields!["trigger" => trigger],
+                );
+            }
+            SampleDecision::Drop => self.telemetry.trace_dropped.inc(),
+        }
+        if let Some(policy) = &self.config.adaptive_sample {
+            if let Some(next) = self.sampler.adapt(policy) {
+                self.events.emit(
+                    Level::Info,
+                    "monitor.trace",
+                    "head_every_adapted",
+                    fields!["head_every" => next],
+                );
+            }
+        }
+        self.telemetry
+            .trace_head_every
+            .set(gauge(self.sampler.head_every()));
+        decision
+    }
+
+    /// Writes the flight ring to `dir` as snapshot `seq`, then keeps the
+    /// directory within its retention budget now that one more landed.
+    fn snapshot_flight(&mut self, dir: &Path, seq: u64) {
+        match netqos_telemetry::write_snapshot(dir, seq, &self.flight.snapshot()) {
+            Ok(paths) => {
+                self.telemetry.flight_snapshots.inc();
+                self.events.emit(
+                    Level::Info,
+                    "monitor.flight",
+                    "snapshot",
+                    fields![
+                        "cycles" => self.flight.len(),
+                        "path" => paths.chrome.display().to_string(),
+                    ],
+                );
+                self.snapshots.push(paths);
+            }
+            Err(e) => self.warn_failed("monitor.flight", "snapshot_failed", &e),
+        }
+        match netqos_telemetry::enforce_retention(dir, self.config.retention) {
+            Ok(deleted) => {
+                for d in &deleted {
+                    // One event per deleted snapshot so reclaimed history
+                    // is auditable, and the cross-plane deletion total the
+                    // LTS retention also feeds.
+                    self.telemetry.flight_retention_deleted.inc();
+                    self.telemetry.retention_deleted.inc();
+                    self.events.emit(
+                        Level::Info,
+                        "monitor.flight",
+                        "retention_delete",
+                        fields![
+                            "tag" => d.tag,
+                            "files" => d.files as u64,
+                            "bytes" => d.bytes,
+                            "reason" => d.reason,
+                        ],
+                    );
+                }
+            }
+            Err(e) => self.warn_failed("monitor.flight", "retention_failed", &e),
+        }
     }
 
     /// Runs `n` ticks, collecting all events.
@@ -1201,9 +1181,10 @@ impl MonitoringService {
         &mut self.net
     }
 
-    /// The recorded per-path time series.
-    pub fn recorder(&self) -> &SeriesRecorder {
-        &self.recorder
+    /// The rows of the most recent tick: one per qospath it could
+    /// evaluate, in specification order.
+    pub fn rows(&self) -> &[PathRow] {
+        &self.rows
     }
 
     /// All traps emitted so far (encoded SNMPv1 messages, newest last).
@@ -1240,8 +1221,14 @@ mod tests {
     #[test]
     fn ticks_record_series() {
         let mut svc = idle_service();
-        svc.run_ticks(3).unwrap();
-        let series = svc.recorder().get("mw").unwrap();
+        let mut recorder = crate::report::SeriesRecorder::default();
+        for tick in 1..=3 {
+            svc.tick().unwrap();
+            for row in svc.rows() {
+                recorder.push(&row.name, row.sample(tick as f64));
+            }
+        }
+        let series = recorder.get("mw").unwrap();
         assert!(!series.samples.is_empty());
         // Idle network: usage is tiny (just SNMP chatter).
         assert!(series.samples.last().unwrap().used_kbytes_per_sec() < 10.0);

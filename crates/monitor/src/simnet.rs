@@ -512,11 +512,6 @@ impl SimNetwork {
         &self.tracer
     }
 
-    /// The poll-RTT baseline of a device, if it has been polled.
-    pub fn rtt_baseline(&self, node: NodeId) -> Option<&QuantileBaseline> {
-        self.rtt_baselines.get(node.0 as usize)?.as_ref()
-    }
-
     /// The poll runtime's telemetry handles (and through them, the
     /// registry everything on this network records into).
     pub fn telemetry(&self) -> &MonitorTelemetry {

@@ -97,16 +97,6 @@ impl ResourceManager {
         self.tracer = tracer;
     }
 
-    /// Re-resolves this manager's metric handles against `registry`
-    /// instead of the process-global one (used by services that keep one
-    /// registry per pipeline).
-    pub fn set_registry(&mut self, registry: &netqos_telemetry::Registry) {
-        self.evaluations = registry.counter("netqos_rm_evaluations_total");
-        self.advice_issued = registry.counter("netqos_rm_advice_total");
-        self.no_remedy = registry.counter("netqos_rm_no_remedy_total");
-        self.decision_ns = registry.histogram("netqos_rm_decision_latency_ns");
-    }
-
     /// Builds a manager straight from a validated specification: the
     /// spec's `application` declarations become the initial allocation,
     /// and every `qospath` with an `application` property is bound to it.

@@ -42,11 +42,6 @@ impl LanBuilder {
         }
     }
 
-    /// Sets the propagation delay used by subsequent `connect` calls.
-    pub fn set_propagation(&mut self, d: SimDuration) {
-        self.default_propagation = d;
-    }
-
     fn add_device(&mut self, name: &str, kind: DeviceKind) -> Result<DeviceId, SimError> {
         if self.name_index.contains_key(name) {
             return Err(SimError::DuplicateName(name.to_owned()));

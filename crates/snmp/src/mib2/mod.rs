@@ -15,11 +15,6 @@ pub use system::SystemInfo;
 
 use crate::oid::Oid;
 
-/// `iso.org.dod.internet.mgmt.mib-2` = 1.3.6.1.2.1
-pub fn mib2_base() -> Oid {
-    Oid::from([1, 3, 6, 1, 2, 1])
-}
-
 /// One row of the paper's Table 1: an object the monitor polls.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Table1Row {

@@ -44,11 +44,6 @@ impl LoopbackTransport {
     pub fn mib_mut(&mut self) -> &mut ScalarMib {
         &mut self.mib
     }
-
-    /// The agent's statistics.
-    pub fn agent_stats(&self) -> crate::agent::AgentStats {
-        self.agent.stats()
-    }
 }
 
 impl Transport for LoopbackTransport {

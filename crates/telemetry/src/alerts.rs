@@ -509,11 +509,6 @@ impl AlertEngine {
         }
     }
 
-    /// An engine with only the built-in rules.
-    pub fn with_builtin_rules() -> Self {
-        AlertEngine::new(builtin_alert_rules())
-    }
-
     /// The effective rule set (deduplicated, sorted by name).
     pub fn rules(&self) -> &[AlertRule] {
         &self.rules

@@ -179,11 +179,6 @@ impl Tracer {
         }
     }
 
-    /// Number of spans buffered in the current cycle.
-    pub fn pending_spans(&self) -> usize {
-        self.core.state.lock().spans.len()
-    }
-
     fn finish(&self, span: &mut ActiveSpan) {
         // One shared timebase (`now_ns`) for both endpoints: a second
         // clock read at open time would let a span's recorded end drift

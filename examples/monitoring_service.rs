@@ -5,7 +5,8 @@
 //!
 //! This example drives the two-switch scenario through a trunk-congestion
 //! episode and prints the service's view: per-tick QoS events, the traps
-//! it would send to a management station, and the final CSV series.
+//! it would send to a management station, and the CSV series recorded
+//! from each tick's rows.
 //!
 //! ```text
 //! cargo run --example monitoring_service
@@ -13,6 +14,7 @@
 
 use netqos::loadgen::{LoadProfile, ProfiledSource};
 use netqos::monitor::qos::{self, QosEvent};
+use netqos::monitor::report::SeriesRecorder;
 use netqos::monitor::service::{MonitoringService, ServiceConfig};
 use netqos::monitor::simnet::SimNetworkOptions;
 use netqos::sim::time::SimDuration;
@@ -30,6 +32,8 @@ fn main() {
         ..ServiceConfig::default()
     };
     let model = netqos::spec::parse_and_validate(SPEC).expect("spec parses");
+    let names: Vec<&str> = model.qos_paths.iter().map(|q| q.name.as_str()).collect();
+    let mut recorder = SeriesRecorder::new(&names);
     // Sustained trunk congestion: sensor2 streams 11 MB/s to display
     // during t = 3..8 s, pushing the 100 Mb/s trunk near saturation.
     let mut service =
@@ -50,9 +54,19 @@ fn main() {
         })
         .expect("service builds");
 
+    let start = service.net_mut().lan.now();
     println!("tick  events");
     for tick in 0..10 {
         let events = service.tick().expect("tick");
+        let t_s = service
+            .net_mut()
+            .lan
+            .now()
+            .duration_since(start)
+            .as_secs_f64();
+        for row in service.rows() {
+            recorder.push(&row.name, row.sample(t_s));
+        }
         for e in &events {
             match e {
                 QosEvent::Violated { path_name, .. } => {
@@ -80,5 +94,5 @@ fn main() {
     }
 
     println!("\nrecorded series (CSV):");
-    print!("{}", service.recorder().to_csv());
+    print!("{}", recorder.to_csv());
 }

@@ -437,14 +437,16 @@ fn cmd_monitor(args: &Args) -> Result<(), String> {
             .duration_since(start)
             .as_secs_f64();
         print!("{t_s:.0}");
+        // One row per path the tick could evaluate, in qospath order.
+        let mut rows = service.rows().iter().peekable();
         for q in &qos_paths {
-            match service.monitor().path_bandwidth(q.from, q.to) {
-                Ok(bw) => print!(
+            match rows.next_if(|row| row.name == q.name) {
+                Some(row) => print!(
                     ",{:.1},{:.1}",
-                    bw.used_bps as f64 / 8000.0,
-                    bw.available_bps as f64 / 8000.0
+                    row.used_bps as f64 / 8000.0,
+                    row.available_bps as f64 / 8000.0
                 ),
-                Err(_) => print!(",,"),
+                None => print!(",,"),
             }
         }
         println!();
