@@ -29,6 +29,9 @@ pub struct ProfiledSource {
     /// Max payload bytes per datagram (the paper's generator used packets
     /// near the MTU; default 1400).
     pub chunk_bytes: usize,
+    /// `chunk_bytes` zeros, shared by every datagram sent while that is
+    /// the chunk size: a send clones a reference, not the payload.
+    zeros: Bytes,
     carry: f64,
     sent_bytes: u64,
 }
@@ -43,6 +46,7 @@ impl ProfiledSource {
             profile,
             tick: SimDuration::from_millis(10),
             chunk_bytes: 1400,
+            zeros: Bytes::new(),
             carry: 0.0,
             sent_bytes: 0,
         }
@@ -66,11 +70,14 @@ impl UdpApp for ProfiledSource {
             while self.carry >= self.chunk_bytes as f64 {
                 self.carry -= self.chunk_bytes as f64;
                 self.sent_bytes += self.chunk_bytes as u64;
+                if self.zeros.len() != self.chunk_bytes {
+                    self.zeros = Bytes::from(vec![0u8; self.chunk_bytes]);
+                }
                 ctx.send_udp(
                     self.src_port,
                     self.dst_ip,
                     self.dst_port,
-                    Bytes::from(vec![0u8; self.chunk_bytes]),
+                    self.zeros.clone(),
                 );
             }
         } else {
@@ -98,6 +105,12 @@ mod tests {
     use netqos_sim::PortIx;
 
     fn run_profile(profile: LoadProfile, seconds: u64) -> u64 {
+        let src = ProfiledSource::new("10.0.0.2".parse().unwrap(), profile);
+        run_source(src, seconds).1
+    }
+
+    /// Datagrams and payload bytes `src` delivers to B's DISCARD sink.
+    fn run_source(src: ProfiledSource, seconds: u64) -> (u64, u64) {
         let mut b = LanBuilder::new();
         let a = b.add_host("A", "10.0.0.1").unwrap();
         b.add_nic(a, "eth0", 100_000_000).unwrap();
@@ -107,16 +120,11 @@ mod tests {
         let (sink, handle) = DiscardSink::with_handle();
         b.install_app(d, Box::new(sink), Some(DISCARD_PORT))
             .unwrap();
-        b.install_app(
-            a,
-            Box::new(ProfiledSource::new("10.0.0.2".parse().unwrap(), profile)),
-            None,
-        )
-        .unwrap();
+        b.install_app(a, Box::new(src), None).unwrap();
         let mut lan = b.build();
         lan.run_until(SimTime::ZERO + SimDuration::from_secs(seconds));
-        let bytes = handle.borrow().payload_bytes;
-        bytes
+        let stats = handle.borrow();
+        (stats.datagrams, stats.payload_bytes)
     }
 
     #[test]
@@ -148,6 +156,20 @@ mod tests {
         // Pulse only in [10, 12): nothing should arrive in the first 10 s.
         let got = run_profile(LoadProfile::pulse(10, 12, 100_000), 9);
         assert_eq!(got, 0);
+    }
+
+    #[test]
+    fn every_datagram_carries_the_chunk_size_it_was_sent_with() {
+        for chunk_bytes in [1400, 500] {
+            let mut src = ProfiledSource::new(
+                "10.0.0.2".parse().unwrap(),
+                LoadProfile::pulse(0, 5, 100_000),
+            );
+            src.chunk_bytes = chunk_bytes;
+            let (datagrams, bytes) = run_source(src, 6);
+            assert!(datagrams > 0);
+            assert_eq!(bytes, datagrams * chunk_bytes as u64, "{chunk_bytes}");
+        }
     }
 
     #[test]

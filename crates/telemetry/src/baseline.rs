@@ -1,20 +1,30 @@
 //! Incremental quantile baselines over a sliding sample window.
 //!
-//! A [`QuantileBaseline`] answers two questions about a fresh sample in
-//! O(1)/O(buckets) time without retaining raw samples: *where does this
-//! value rank against recent history?* (percentile rank) and *what are
-//! the recent p50/p99?* (quantile readout). It reuses the telemetry
-//! crate's log-bucketed [`Histogram`] — the incremental-quantile role
-//! that P² plays in Chambers et al. — and ages data with two rotating
-//! windows: samples land in the *active* histogram, and when the active
-//! window fills it becomes the *previous* window and a fresh one starts.
-//! Queries merge both windows, so the effective history is between one
-//! and two windows — old traffic patterns fall away instead of
-//! permanently skewing the baseline.
+//! A [`QuantileBaseline`] answers two questions about a fresh sample
+//! without retaining raw samples: *where does this value rank against
+//! recent history?* (percentile rank) and *what are the recent p50/p99?*
+//! (quantile readout). It buckets samples in the telemetry crate's
+//! log-bucketed [`Histogram`](crate::Histogram) layout — the
+//! incremental-quantile role that P² plays in Chambers et al. — and ages
+//! data with two rotating windows: samples land in the *active* window,
+//! and when it fills it becomes the *previous* window and a fresh one
+//! starts. Queries merge both windows, so the effective history is
+//! between one and two windows — old traffic patterns fall away instead
+//! of permanently skewing the baseline.
+//!
+//! A window is kept as the [`HistogramState`] it is persisted as: the
+//! occupied buckets in ascending order plus count, sum, min and max. A
+//! device's RTTs or a path's rates occupy a few dozen of the layout's 496
+//! buckets, so a baseline costs what it has seen (1 160 bytes with two
+//! full windows over 32 buckets) instead of two dense histograms (8 104
+//! bytes from its first sample). Every answer and every saved state is
+//! the one two dense histograms gave; `tests/oracle/baseline.rs` is that
+//! baseline.
 
 use crate::json::{parse_json, JsonValue};
-use crate::metrics::{Histogram, HistogramState};
+use crate::metrics::{bucket_index, bucket_mid, HistogramState, BUCKETS};
 use parking_lot::Mutex;
+use std::cmp::Ordering;
 use std::fmt::Write as _;
 use std::path::Path;
 use std::sync::Arc;
@@ -23,9 +33,14 @@ use std::sync::Arc;
 /// history, matching the "p99.8 of last 10 min" framing in the issue.
 pub const DEFAULT_WINDOW: u64 = 300;
 
+/// Buckets a window's list is sized for on its first sample (fewer when
+/// the window holds fewer samples), so that a window that stays within
+/// them never grows its list.
+const FIRST_BUCKETS: u64 = 32;
+
 struct BaselineWindows {
-    active: Histogram,
-    previous: Histogram,
+    active: HistogramState,
+    previous: HistogramState,
 }
 
 /// A self-aging quantile estimator for one monitored series (a
@@ -43,55 +58,165 @@ impl Default for QuantileBaseline {
     }
 }
 
+/// A window with no samples (`min` at its `u64::MAX` sentinel) and no
+/// list yet.
+fn empty_window() -> HistogramState {
+    HistogramState {
+        min: u64::MAX,
+        ..HistogramState::default()
+    }
+}
+
+/// Folds `v` into `w` as `Histogram::record` does, additions wrapping as
+/// `fetch_add` does. A list without room is sized to `first` buckets.
+fn record_into(w: &mut HistogramState, v: u64, first: usize) {
+    let idx = bucket_index(v) as u32;
+    match w.buckets.binary_search_by_key(&idx, |&(i, _)| i) {
+        Ok(at) => {
+            let n = &mut w.buckets[at].1;
+            *n = n.wrapping_add(1);
+            // Only a loaded count of `u64::MAX` wraps; an empty bucket
+            // is not listed.
+            if *n == 0 {
+                w.buckets.remove(at);
+            }
+        }
+        Err(at) => {
+            if w.buckets.capacity() == 0 {
+                w.buckets.reserve_exact(first);
+            }
+            w.buckets.insert(at, (idx, 1));
+        }
+    }
+    w.count = w.count.wrapping_add(1);
+    w.sum = w.sum.wrapping_add(v);
+    w.min = w.min.min(v);
+    w.max = w.max.max(v);
+}
+
+/// Samples of `w` in bucket `idx` or below: a prefix of the list.
+fn count_le(w: &HistogramState, idx: u32) -> u64 {
+    let end = w.buckets.partition_point(|&(i, _)| i <= idx);
+    w.buckets[..end]
+        .iter()
+        .fold(0, |sum, &(_, n)| sum.wrapping_add(n))
+}
+
+/// Two ascending bucket lists as one, the counts of a bucket both hold
+/// added.
+fn merged<'a>(a: &'a [(u32, u64)], b: &'a [(u32, u64)]) -> impl Iterator<Item = (u32, u64)> + 'a {
+    let (mut a, mut b) = (a.iter().copied().peekable(), b.iter().copied().peekable());
+    std::iter::from_fn(move || match (a.peek().copied(), b.peek().copied()) {
+        (Some((i, n)), Some((j, m))) => Some(match i.cmp(&j) {
+            Ordering::Less => a.next()?,
+            Ordering::Greater => b.next()?,
+            Ordering::Equal => {
+                a.next();
+                b.next();
+                (i, n.wrapping_add(m))
+            }
+        }),
+        (Some(_), None) => a.next(),
+        (None, _) => b.next(),
+    })
+}
+
+/// `Histogram::quantile` over ascending `buckets` holding `total`
+/// samples: the midpoint of the bucket where the `ceil(q · total)`-th
+/// sample falls, or `max` when the buckets hold fewer.
+fn quantile_of(buckets: impl Iterator<Item = (u32, u64)>, total: u64, max: u64, q: f64) -> u64 {
+    if total == 0 {
+        return 0;
+    }
+    let rank = ((q.clamp(0.0, 1.0) * total as f64).ceil() as u64).max(1);
+    let mut cum = 0u64;
+    for (i, n) in buckets {
+        cum = cum.wrapping_add(n);
+        if cum >= rank {
+            return bucket_mid(i as usize);
+        }
+    }
+    max
+}
+
+/// A window as `Histogram::from_state` rebuilds one: indexes past the
+/// layout ignored, the last of a repeated index kept, empty buckets
+/// dropped, ascending.
+fn window_from_state(state: &HistogramState) -> HistogramState {
+    let mut dense = [0u64; BUCKETS];
+    for &(i, n) in &state.buckets {
+        if let Some(cell) = dense.get_mut(i as usize) {
+            *cell = n;
+        }
+    }
+    HistogramState {
+        buckets: (0..).zip(dense).filter(|&(_, n)| n != 0).collect(),
+        count: state.count,
+        sum: state.sum,
+        min: state.min,
+        max: state.max,
+    }
+}
+
 impl QuantileBaseline {
     /// A baseline rotating after `window` samples (min 1).
     pub fn new(window: u64) -> Self {
         QuantileBaseline {
             window: window.max(1),
             inner: Arc::new(Mutex::new(BaselineWindows {
-                active: Histogram::new(),
-                previous: Histogram::new(),
+                active: empty_window(),
+                previous: empty_window(),
             })),
         }
     }
 
     /// Records a sample, rotating the windows when the active one fills.
+    /// The list the rotation displaces is emptied and reused, so a
+    /// baseline whose windows have both been sized records without
+    /// allocating.
     pub fn record(&self, v: u64) {
         let mut w = self.inner.lock();
-        if w.active.count() >= self.window {
-            w.previous = std::mem::take(&mut w.active);
+        let w = &mut *w;
+        if w.active.count >= self.window {
+            std::mem::swap(&mut w.active, &mut w.previous);
+            w.active.buckets.clear();
+            w.active = HistogramState {
+                buckets: std::mem::take(&mut w.active.buckets),
+                ..empty_window()
+            };
         }
-        w.active.record(v);
+        record_into(&mut w.active, v, self.window.min(FIRST_BUCKETS) as usize);
     }
 
     /// Percentile rank of `v` against the merged windows, in [0, 1].
     /// 0.0 when no history exists yet.
     pub fn rank(&self, v: u64) -> f64 {
         let w = self.inner.lock();
-        let total = w.active.count() + w.previous.count();
+        let total = w.active.count.wrapping_add(w.previous.count);
         if total == 0 {
             return 0.0;
         }
-        let le = w.active.count_le(v) + w.previous.count_le(v);
+        let idx = bucket_index(v) as u32;
+        let le = count_le(&w.active, idx).wrapping_add(count_le(&w.previous, idx));
         (le.min(total) as f64) / total as f64
     }
 
     /// The value at quantile `q` over the merged windows (0 when empty).
+    /// A loaded state's `previous` counts only when its `count` is not 0.
     pub fn quantile(&self, q: f64) -> u64 {
         let w = self.inner.lock();
-        if w.previous.count() == 0 {
-            return w.active.quantile(q);
+        let (a, p) = (&w.active, &w.previous);
+        if p.count == 0 {
+            return quantile_of(a.buckets.iter().copied(), a.count, a.max, q);
         }
-        let merged = Histogram::new();
-        merged.merge_from(&w.active);
-        merged.merge_from(&w.previous);
-        merged.quantile(q)
+        let total = a.count.wrapping_add(p.count);
+        quantile_of(merged(&a.buckets, &p.buckets), total, a.max.max(p.max), q)
     }
 
     /// Total samples across both windows.
     pub fn count(&self) -> u64 {
         let w = self.inner.lock();
-        w.active.count() + w.previous.count()
+        w.active.count.wrapping_add(w.previous.count)
     }
 
     /// A serializable copy of both windows.
@@ -99,8 +224,8 @@ impl QuantileBaseline {
         let w = self.inner.lock();
         BaselineState {
             window: self.window,
-            active: w.active.to_state(),
-            previous: w.previous.to_state(),
+            active: w.active.clone(),
+            previous: w.previous.clone(),
         }
     }
 
@@ -109,8 +234,8 @@ impl QuantileBaseline {
         QuantileBaseline {
             window: state.window.max(1),
             inner: Arc::new(Mutex::new(BaselineWindows {
-                active: Histogram::from_state(&state.active),
-                previous: Histogram::from_state(&state.previous),
+                active: window_from_state(&state.active),
+                previous: window_from_state(&state.previous),
             })),
         }
     }
@@ -178,7 +303,8 @@ fn read_histogram_state(v: &JsonValue) -> Result<HistogramState, String> {
         let idx = pair
             .first()
             .and_then(JsonValue::as_u64)
-            .ok_or("bad bucket index")? as u32;
+            .ok_or("bad bucket index")?;
+        let idx = u32::try_from(idx).map_err(|_| format!("bucket index {idx} does not fit u32"))?;
         let n = match pair.get(1) {
             Some(JsonValue::String(s)) => s.parse().map_err(|_| "bad bucket count")?,
             Some(other) => other.as_u64().ok_or("bad bucket count")?,

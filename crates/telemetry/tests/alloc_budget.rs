@@ -6,11 +6,13 @@
 //! types force, and none for work per point, per line or per unselected
 //! series, nor for the history behind a query's window. What the writer
 //! keeps resident for its open tails is held to bytes per unsealed
-//! point by the same allocator's count of live bytes.
+//! point by the same allocator's count of live bytes. A quantile
+//! baseline is held to the buckets it has seen, and to no allocation once
+//! its windows are sized.
 
 use netqos_telemetry::{
-    LtsConfig, LtsCounters, LtsReader, LtsRetention, LtsSource, LtsStore, PointValue, QueryEngine,
-    QueryResult, Resolution, SegmentCodec,
+    LtsConfig, LtsCounters, LtsReader, LtsRetention, LtsSource, LtsStore, PointValue,
+    QuantileBaseline, QueryEngine, QueryResult, Resolution, SegmentCodec,
 };
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -306,4 +308,60 @@ fn a_tail_that_has_sealed_once_does_not_grow_its_encoder_again() {
     }
     drop(store);
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// One sample from each of the histogram layout's first 32 buckets, in
+/// turn: exact below 16, then two and four values a bucket.
+fn sample_over_32_buckets(i: usize) -> u64 {
+    match i % 32 {
+        b @ 0..=15 => b as u64,
+        b @ 16..=23 => 16 + 2 * (b as u64 - 16),
+        b => 32 + 4 * (b as u64 - 24),
+    }
+}
+
+/// A baseline whose two 300-sample windows are full: 600 samples over
+/// 32 buckets. Returns it with the bytes it holds.
+fn full_baseline() -> (QuantileBaseline, isize) {
+    let before = live_bytes();
+    let b = QuantileBaseline::new(300);
+    (0..600).for_each(|i| b.record(sample_over_32_buckets(i)));
+    let state = b.to_state();
+    assert_eq!((state.active.count, state.previous.count), (300, 300));
+    assert_eq!(state.active.buckets.len(), 32);
+    assert_eq!(state.previous.buckets.len(), 32);
+    drop(state);
+    let held = live_bytes() - before;
+    (b, held)
+}
+
+#[test]
+fn a_baseline_holds_the_buckets_it_has_seen() {
+    let (b, held) = full_baseline();
+    // Two lists of 32 16-byte buckets and the shared, locked header; the
+    // dense baseline held two 496-bucket atomic histograms (≈ 8 KiB).
+    assert!(held <= 1_280, "{held} bytes held by a full baseline");
+    drop(b);
+}
+
+#[test]
+fn a_warm_baseline_records_without_allocating() {
+    let (b, _) = full_baseline();
+    // Four more windows: every rotation reuses the list it displaces.
+    let (allocations, ()) =
+        allocations_in(|| (0..1_200).for_each(|i| b.record(sample_over_32_buckets(i * 7))));
+    assert_eq!(allocations, 0, "records into a warm baseline");
+}
+
+#[test]
+fn rank_and_quantile_over_two_full_windows_allocate_nothing() {
+    let (b, _) = full_baseline();
+    let (allocations, answers) = allocations_in(|| {
+        let ranks: f64 = (0..64).map(|v| b.rank(v)).sum();
+        let quantiles: u64 = [0.0, 0.5, 0.99, 1.0].map(|q| b.quantile(q)).iter().sum();
+        (ranks, quantiles)
+    });
+    // The dense baseline allocated a 4 KiB histogram per `quantile`.
+    assert_eq!(allocations, 0, "rank/quantile of a rotated baseline");
+    assert!(answers.0 > 0.0 && answers.1 > 0);
 }

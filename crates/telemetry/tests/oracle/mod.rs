@@ -4,9 +4,11 @@
 //! make on every flush (disk gauges, retention) and the reader on every
 //! `newest_t`, and the reads that parse every line of a tail whatever
 //! window was asked for, and the v2 segment encoder that takes the whole
-//! slice and walks it twice. Slow and obviously right; kept out of the
-//! library.
+//! slice and walks it twice; and the dense-histogram `QuantileBaseline`
+//! (`baseline.rs`). Slow and obviously right; kept out of the library.
 #![allow(dead_code)]
+
+pub mod baseline;
 
 use netqos_telemetry::{
     decode_point_line, decode_segment_v2, fold_series_range, parse_json, HistogramState, LtsReader,

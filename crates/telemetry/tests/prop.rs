@@ -1562,3 +1562,382 @@ proptest! {
         let _ = std::fs::remove_dir_all(&dir);
     }
 }
+
+// ---------------------------------------------------------------------
+// Quantile baselines against the dense-histogram oracle
+// ---------------------------------------------------------------------
+
+use netqos_telemetry::{BaselineState, BUCKETS};
+use oracle::baseline::DenseBaseline;
+
+/// A sample a baseline might be fed: exact small values, RTT-like and
+/// rate-like magnitudes, anything, and the top of `u64`, so sums wrap.
+fn spell_sample(c: &mut Choices) -> u64 {
+    match c.next(7) {
+        0 => 0,
+        1 => c.next(16) as u64,
+        2 => 500 + c.next(20_000) as u64,
+        3 => 1_000_000 + c.next(100_000_000) as u64,
+        4 => u64::MAX - c.next(3) as u64,
+        _ => spell_u64(c),
+    }
+}
+
+/// One window as a state file might hold it: buckets unsorted, repeated,
+/// empty, past the layout and past `u16`; a `count` that agrees with the
+/// buckets or not. Counts stay far enough below 2^64 that no sum of them
+/// overflows, which the oracle's plain `+` would take for a bug.
+fn spell_window(c: &mut Choices) -> HistogramState {
+    let len = [0, 1, 3, c.next(40)][c.next(4)];
+    let buckets: Vec<(u32, u64)> = (0..len)
+        .map(|_| {
+            let idx = match c.next(6) {
+                0 => (BUCKETS + c.next(100)) as u32,
+                1 => u32::MAX - c.next(2) as u32,
+                2 => c.next(12) as u32,
+                _ => c.next(BUCKETS) as u32,
+            };
+            let n = [0, 1 + c.next(5) as u64, c.next(1 << 40) as u64][c.next(3)];
+            (idx, n)
+        })
+        .collect();
+    let agreeing = buckets
+        .iter()
+        .filter(|(i, _)| (*i as usize) < BUCKETS)
+        .map(|(_, n)| n)
+        .sum();
+    let empty = c.next(5) == 0;
+    HistogramState {
+        count: [agreeing, 0, c.next(1 << 44) as u64][c.next(3)],
+        sum: spell_u64(c),
+        min: if empty { u64::MAX } else { spell_u64(c) },
+        max: if empty { 0 } else { spell_u64(c) },
+        buckets,
+    }
+}
+
+/// The windows the service and the poller use, and the small ones that
+/// rotate every few samples.
+fn spell_window_len(c: &mut Choices) -> u64 {
+    if c.next(3) == 0 {
+        300
+    } else {
+        1 + c.next(8) as u64
+    }
+}
+
+/// Every question a caller can ask: the count, the rank of fixed probes
+/// and of `last` and its neighbours, four quantiles, the whole state.
+fn assert_same_answers(new: &QuantileBaseline, old: &DenseBaseline, last: u64, at: &str) {
+    assert_eq!(new.count(), old.count(), "count {at}");
+    let probes = [
+        0,
+        1,
+        7,
+        8,
+        1_000,
+        1 << 40,
+        u64::MAX,
+        last,
+        last.wrapping_sub(1),
+        last.wrapping_add(1),
+    ];
+    for v in probes {
+        assert_eq!(
+            new.rank(v).to_bits(),
+            old.rank(v).to_bits(),
+            "rank({v}) {at}"
+        );
+    }
+    for q in [0.0, 0.5, 0.99, 1.0] {
+        assert_eq!(new.quantile(q), old.quantile(q), "quantile({q}) {at}");
+    }
+    assert_eq!(new.to_state(), old.to_state(), "state {at}");
+}
+
+/// Feeds both baselines the same samples, comparing after every one.
+fn feed_both(new: &QuantileBaseline, old: &DenseBaseline, c: &mut Choices, samples: usize) {
+    for i in 0..samples {
+        let v = spell_sample(c);
+        new.record(v);
+        old.record(v);
+        assert_same_answers(new, old, v, &format!("after sample {i} ({v})"));
+    }
+}
+
+/// A fresh baseline answers as the dense one did, sample by sample,
+/// through as many rotations as its window allows.
+fn baseline_matches_the_dense_oracle(seed: u64) {
+    let c = &mut Choices(seed);
+    let window = spell_window_len(c);
+    let (new, old) = (QuantileBaseline::new(window), DenseBaseline::new(window));
+    assert_same_answers(&new, &old, 0, "empty");
+    let samples = c.next(3 * window as usize + 4);
+    feed_both(&new, &old, c, samples);
+}
+
+/// So does one rebuilt from any state a file can hold, before and after
+/// it records.
+fn loaded_baseline_matches_the_dense_oracle(seed: u64) {
+    let c = &mut Choices(seed);
+    let state = BaselineState {
+        window: [spell_window_len(c), 0, spell_u64(c)][c.next(3)],
+        active: spell_window(c),
+        previous: spell_window(c),
+    };
+    let (new, old) = (
+        QuantileBaseline::from_state(&state),
+        DenseBaseline::from_state(&state),
+    );
+    assert_same_answers(&new, &old, 0, &format!("loaded from {state:?}"));
+    let samples = c.next(24);
+    feed_both(&new, &old, c, samples);
+}
+
+fn save(entries: &[(String, QuantileBaseline)]) -> String {
+    baselines_to_json(entries.iter().map(|(n, b)| (n.as_str(), b)))
+}
+
+/// `src` is refused, or what it loads saves to a file that loads back
+/// to itself.
+fn loads_or_refuses(src: &str) {
+    if let Ok(entries) = baselines_from_json(src) {
+        let saved = save(&entries);
+        let again = baselines_from_json(&saved).expect("a saved file loads");
+        assert_eq!(save(&again), saved, "from {src:?}");
+    }
+}
+
+/// No damage to a real state file panics the loader.
+fn state_file_survives_damage(seed: u64) {
+    let c = &mut Choices(seed);
+    let entries: Vec<(String, QuantileBaseline)> = (0..1 + c.next(2))
+        .map(|i| {
+            let b = QuantileBaseline::new(spell_window_len(c));
+            (0..c.next(16)).for_each(|_| b.record(spell_sample(c)));
+            (format!("p{i}"), b)
+        })
+        .collect();
+    let file = save(&entries).into_bytes();
+    let text = |bytes: &[u8]| String::from_utf8_lossy(bytes).into_owned();
+    assert_eq!(
+        save(&baselines_from_json(&text(&file)).unwrap()),
+        text(&file)
+    );
+    for cut in 0..file.len() {
+        loads_or_refuses(&text(&file[..cut]));
+    }
+    // Every byte flipped: all of its bits or one.
+    for at in 0..file.len() {
+        let mut damaged = file.clone();
+        damaged[at] ^= [0xff, 1 << c.next(8)][c.next(2)];
+        loads_or_refuses(&text(&damaged));
+    }
+    let mut long = file.clone();
+    long.extend((0..1 + c.next(8)).map(|_| c.next(256) as u8));
+    loads_or_refuses(&text(&long));
+    loads_or_refuses(&text(&[&file[..], &file[..]].concat()));
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn baseline_matches_the_dense_baseline(seed in any::<u64>()) {
+        baseline_matches_the_dense_oracle(seed);
+    }
+
+    #[test]
+    fn loaded_baseline_matches_the_dense_baseline(seed in any::<u64>()) {
+        loaded_baseline_matches_the_dense_oracle(seed);
+    }
+
+    #[test]
+    fn baseline_state_files_survive_damage(seed in any::<u64>()) {
+        state_file_survives_damage(seed);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(20_000))]
+
+    /// The two oracle properties above at CI's release-mode length.
+    #[test]
+    #[ignore = "20 000 cases: run in release mode"]
+    fn baseline_matches_the_dense_baseline_at_length(seed in any::<u64>()) {
+        baseline_matches_the_dense_oracle(seed);
+    }
+
+    #[test]
+    #[ignore = "20 000 cases: run in release mode"]
+    fn loaded_baseline_matches_the_dense_baseline_at_length(seed in any::<u64>()) {
+        loaded_baseline_matches_the_dense_oracle(seed);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(2_000))]
+
+    /// Each case parses its file twice per byte, so the damage property
+    /// runs a tenth as many cases (~9 s in release mode).
+    #[test]
+    #[ignore = "2 000 cases: run in release mode"]
+    fn baseline_state_files_survive_damage_at_length(seed in any::<u64>()) {
+        state_file_survives_damage(seed);
+    }
+}
+
+/// An index that does not fit the `u32` the state holds is refused by
+/// name, not counted in the bucket it wraps to.
+#[test]
+fn a_bucket_index_past_u32_is_an_error() {
+    let file = |idx: u64| {
+        format!(
+            "{{\"version\":1,\"baselines\":{{\"feed1\":{{\"window\":300,\
+             \"active\":{{\"count\":\"1\",\"sum\":\"5\",\"min\":\"5\",\"max\":\"5\",\
+             \"buckets\":[[{idx},\"1\"]]}},\
+             \"previous\":{{\"count\":\"0\",\"sum\":\"0\",\"min\":\"{}\",\"max\":\"0\",\
+             \"buckets\":[]}}}}}}}}\n",
+            u64::MAX
+        )
+    };
+    let loaded = baselines_from_json(&file(5)).unwrap();
+    assert_eq!(loaded[0].1.to_state().active.buckets, [(5, 1)]);
+    assert_eq!(save(&loaded), file(5));
+    let Err(err) = baselines_from_json(&file((1 << 32) + 5)) else {
+        panic!("index 2^32 + 5 loaded");
+    };
+    assert!(err.contains("feed1") && err.contains("4294967301"), "{err}");
+    // The largest `u32` fits; past the layout, it is ignored as before.
+    let loaded = baselines_from_json(&file(u32::MAX as u64)).unwrap();
+    assert!(loaded[0].1.to_state().active.buckets.is_empty());
+}
+
+/// A loaded bucket count of `u64::MAX` wraps to 0 on the next sample in
+/// that bucket, as `fetch_add` does, and an empty bucket is not listed.
+#[test]
+fn a_bucket_count_that_wraps_leaves_the_list() {
+    let state = BaselineState {
+        window: 300,
+        active: HistogramState {
+            buckets: vec![(5, u64::MAX), (9, 2)],
+            count: 3,
+            sum: 5,
+            min: 5,
+            max: 9,
+        },
+        previous: HistogramState::default(),
+    };
+    let (new, old) = (
+        QuantileBaseline::from_state(&state),
+        DenseBaseline::from_state(&state),
+    );
+    new.record(5);
+    old.record(5);
+    assert_same_answers(&new, &old, 5, "after the wrap");
+    assert_eq!(new.to_state().active.buckets, [(9, 2)]);
+}
+
+// ---- the state file the dense baseline wrote --------------------------
+
+const GOLDEN_STATE: &str = "tests/golden/baselines.json";
+const GOLDEN_ANSWERS: &str = "tests/golden/baselines.answers.txt";
+
+/// The baselines behind [`GOLDEN_STATE`], by name order: empty, one
+/// sample, RTT-like and rate-like windows rotated once and twice, windows
+/// of one and four samples, sums that wrap.
+fn golden_baselines() -> Vec<(String, QuantileBaseline)> {
+    let mut lcg = 0x2545_f491_4f6c_dd1du64;
+    let mut next = move || {
+        lcg = lcg
+            .wrapping_mul(6_364_136_223_846_793_005)
+            .wrapping_add(1_442_695_040_888_963_407);
+        lcg >> 33
+    };
+    let fed = |window: u64, samples: Vec<u64>| {
+        let b = QuantileBaseline::new(window);
+        samples.into_iter().for_each(|v| b.record(v));
+        b
+    };
+    let rtt: Vec<u64> = (0..700)
+        .map(|_| 800 + next() % 4_000 + if next() % 50 == 0 { 20_000 } else { 0 })
+        .collect();
+    let rate: Vec<u64> = (0..450).map(|_| 1_000_000 * (1 + next() % 90)).collect();
+    let small: Vec<u64> = (0..50).map(|_| next() % 100).collect();
+    let wrap = vec![u64::MAX, u64::MAX, 3, 0, 1 << 63, u64::MAX - 1, 9];
+    [
+        ("a_empty", fed(300, vec![])),
+        ("b_one", fed(300, vec![77])),
+        ("c_rtt", fed(300, rtt)),
+        ("d_rate", fed(300, rate)),
+        ("e_tiny", fed(1, vec![5, 0, u64::MAX])),
+        ("f_wrap", fed(4, wrap)),
+        ("g_small", fed(7, small)),
+    ]
+    .into_iter()
+    .map(|(n, b)| (n.to_owned(), b))
+    .collect()
+}
+
+/// Count, six quantiles and twelve ranks of every baseline, one a line.
+fn golden_answers(entries: &[(String, QuantileBaseline)]) -> String {
+    let mut out = String::new();
+    for (name, b) in entries {
+        out += &format!("{name} count {}\n", b.count());
+        for q in [0.0, 0.01, 0.5, 0.9, 0.99, 1.0] {
+            out += &format!("{name} quantile({q}) {}\n", b.quantile(q));
+        }
+        for v in [
+            0,
+            1,
+            5,
+            8,
+            100,
+            1_000,
+            3_000,
+            10_000,
+            1_000_000,
+            50_000_000,
+            1 << 63,
+            u64::MAX,
+        ] {
+            out += &format!("{name} rank({v}) {:?}\n", b.rank(v));
+        }
+    }
+    out
+}
+
+/// Fails unless `actual` is the golden file at `path`, leaving `actual`
+/// beside the test binary for a deliberate re-recording.
+fn assert_golden(path: &str, actual: &str) {
+    let golden = std::fs::read_to_string(path).unwrap_or_default();
+    if actual != golden {
+        let name = Path::new(path).file_name().unwrap();
+        let dump = Path::new(env!("CARGO_TARGET_TMPDIR")).join(name);
+        std::fs::write(&dump, actual).unwrap();
+        panic!("differs from {path}; now: {}", dump.display());
+    }
+}
+
+/// The state file and answers recorded from the dense baseline at the
+/// commit before windows became sparse: the same samples save the same
+/// bytes, the file loads and saves back byte for byte, and the loaded
+/// baselines answer what the dense ones did.
+#[test]
+fn the_state_file_the_dense_baseline_wrote_round_trips() {
+    let built = golden_baselines();
+    assert_golden(GOLDEN_STATE, &save(&built));
+    assert_golden(GOLDEN_ANSWERS, &golden_answers(&built));
+    let file = std::fs::read_to_string(GOLDEN_STATE).unwrap();
+    let loaded = baselines_from_json(&file).unwrap();
+    assert_eq!(save(&loaded), file);
+    assert_eq!(
+        golden_answers(&loaded),
+        std::fs::read_to_string(GOLDEN_ANSWERS).unwrap()
+    );
+    // Every quirk of the file cut at every byte stays a refusal or a
+    // fixed point.
+    for cut in 0..file.len() {
+        loads_or_refuses(&file[..cut]);
+    }
+}
