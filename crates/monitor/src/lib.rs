@@ -51,7 +51,6 @@ pub mod monitor;
 pub mod poll;
 pub mod qos;
 pub mod report;
-pub mod selfagent;
 pub mod service;
 pub mod simnet;
 pub mod telemetry;

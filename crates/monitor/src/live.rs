@@ -14,7 +14,7 @@
 //! * `GET /healthz` — tick-loop liveness: age of the last tick against a
 //!   staleness budget (`503` when stale, `200` otherwise);
 //! * `GET /snapshot` — the latest tick digest (paths, baselines, flight
-//!   recorder and sampler state) as JSON; with `Accept:
+//!   recorder state) as JSON; with `Accept:
 //!   text/event-stream` (or `?follow=1`) it upgrades to a server-sent
 //!   event stream delivering one event per tick, `id:` = tick number;
 //! * `GET /alerts` — the alert engine's document (active alerts with
@@ -27,9 +27,9 @@
 //! can sit behind one merged export surface (`netqos federate`).
 
 use netqos_telemetry::{
-    api_query_outcome, fields, json_escape, parse_range, profile_response, wants_stats, EventSink,
-    EventSource, HttpRequest, HttpResponse, HttpRoute, Level, LtsReader, LtsSource, ProfileHub,
-    QueryEngine, Registry, RegistrySource, Resolution, Router, SeriesSource, Shard, ShardHealth,
+    api_query_outcome, json_escape, parse_range, profile_response, wants_stats, EventSource,
+    HttpRequest, HttpResponse, HttpRoute, LtsReader, LtsSource, ProfileHub, QueryEngine, Registry,
+    RegistrySource, Resolution, Router, SeriesSource, Shard, ShardHealth,
 };
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -276,21 +276,20 @@ pub fn query_response(reader: &LtsReader, req: &HttpRequest) -> HttpResponse {
 }
 
 /// Default slow-query threshold: a `/api/v1/query` evaluation slower
-/// than this is worth a JSONL event and a response warning. 50 ms is two
-/// orders of magnitude above a typical store scan; override it with
+/// than this is worth a response warning. 50 ms is two orders of
+/// magnitude above a typical store scan; override it with
 /// `--slow-query-ms`.
 pub const SLOW_QUERY_NS: u64 = 50_000_000;
 
 /// Serves one `/api/v1/query[_range]` request and instruments it:
 /// `netqos_query_requests_total{endpoint,status}` counts outcomes, the
 /// `netqos_query_eval_ns` histogram tracks wall-clock evaluation time,
-/// and evaluations past `slow_query_ns` (default [`SLOW_QUERY_NS`])
-/// emit a `slow_query` event and carry a `warnings` entry in the
-/// response body. A zero threshold flags every evaluation.
+/// and evaluations past `slow_query_ns` (default [`SLOW_QUERY_NS`]) carry
+/// a `warnings` entry in the response body. A zero threshold flags every
+/// evaluation.
 pub fn instrumented_query_response(
     engine: &QueryEngine,
     registry: &Registry,
-    events: Option<&EventSink>,
     req: &HttpRequest,
     range: bool,
     slow_query_ns: u64,
@@ -309,27 +308,6 @@ pub fn instrumented_query_response(
         .histogram("netqos_query_eval_ns")
         .record(elapsed_ns);
     let slow = elapsed_ns >= slow_query_ns;
-    if slow {
-        // Stats come from the evaluation itself; a rejected request
-        // touched nothing, so its stats stay zero.
-        let stats = outcome.as_ref().map(|o| o.stats).unwrap_or_default();
-        if let Some(sink) = events {
-            sink.emit(
-                Level::Warn,
-                "monitor.query",
-                "slow_query",
-                fields![
-                    "endpoint" => endpoint,
-                    "query" => req.query_param("query").unwrap_or_default(),
-                    "eval_ms" => elapsed_ns / 1_000_000,
-                    "threshold_ms" => slow_query_ns / 1_000_000,
-                    "series" => stats.series,
-                    "points_scanned" => stats.points_scanned,
-                    "pushdown_evals" => stats.pushdown_evals,
-                ],
-            );
-        }
-    }
     match outcome {
         Ok(mut o) => {
             if slow {
@@ -358,8 +336,6 @@ pub struct RouterOptions {
     pub live: Arc<LiveStatus>,
     /// Long-term store behind `/query` (and the `/api/v1` source).
     pub lts: Option<LtsReader>,
-    /// Event sink for slow-query JSONL events.
-    pub events: Option<Arc<EventSink>>,
     /// Tick-phase profiler behind `/profile`.
     pub profile: Option<Arc<ProfileHub>>,
     /// Slow-query threshold for the `/api/v1` plane, nanoseconds.
@@ -375,7 +351,6 @@ impl RouterOptions {
             registry,
             live,
             lts: None,
-            events: None,
             profile: None,
             slow_query_ns: SLOW_QUERY_NS,
         }
@@ -389,14 +364,13 @@ impl RouterOptions {
 /// is attached: JSON phase tree, or folded stacks with
 /// `?format=folded`), `/api/v1/query` and `/api/v1/query_range`
 /// (PromQL-subset evaluation over the store when attached, else over
-/// the live registry; slow evaluations land in the event sink when one
-/// is wired), and `/` (a tiny index). Unknown paths return `None` (404).
+/// the live registry), and `/` (a tiny index). Unknown paths return
+/// `None` (404).
 pub fn build_router(opts: RouterOptions) -> Arc<Router> {
     let RouterOptions {
         registry,
         live,
         lts,
-        events,
         profile,
         slow_query_ns,
     } = opts;
@@ -446,32 +420,16 @@ pub fn build_router(opts: RouterOptions) -> Arc<Router> {
             Some(hub) => profile_response(hub, req).into(),
             None => HttpResponse::json(
                 404,
-                "{\"error\":\"no profiler attached (run with tracing enabled)\"}\n".into(),
+                "{\"error\":\"no profiler attached (run with --serve)\"}\n".into(),
             )
             .into(),
         }),
-        "/api/v1/query" => Some(
-            instrumented_query_response(
-                &engine,
-                &registry,
-                events.as_deref(),
-                req,
-                false,
-                slow_query_ns,
-            )
-            .into(),
-        ),
-        "/api/v1/query_range" => Some(
-            instrumented_query_response(
-                &engine,
-                &registry,
-                events.as_deref(),
-                req,
-                true,
-                slow_query_ns,
-            )
-            .into(),
-        ),
+        "/api/v1/query" => {
+            Some(instrumented_query_response(&engine, &registry, req, false, slow_query_ns).into())
+        }
+        "/api/v1/query_range" => {
+            Some(instrumented_query_response(&engine, &registry, req, true, slow_query_ns).into())
+        }
         "/" => Some(HttpResponse::json(200, index.clone()).into()),
         _ => None,
     })

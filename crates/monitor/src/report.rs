@@ -104,14 +104,11 @@ impl PathRow {
 
     /// This row's long-term gauges: each `(signal, value)` is one point
     /// of the series `netqos_path_<signal>{path="<name>"}`.
-    pub fn gauges(&self) -> [(&'static str, i64); 5] {
+    pub fn gauges(&self) -> [(&'static str, i64); 2] {
         let as_i64 = |v: u64| v.min(i64::MAX as u64) as i64;
         [
             ("used_bps", as_i64(self.used_bps)),
             ("available_bps", as_i64(self.available_bps)),
-            ("used_rank_permille", (self.rank * 1000.0) as i64),
-            ("baseline_p50_bps", as_i64(self.baseline_p50)),
-            ("baseline_p99_bps", as_i64(self.baseline_p99)),
         ]
     }
 

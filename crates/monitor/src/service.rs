@@ -19,8 +19,8 @@
 //!    store, and on a save tick baselines persist, the store flushes and
 //!    the recording rules run;
 //!
-//! then, the cycle closed, **publish** files its trace (sampler, flight
-//! ring, violation snapshot, OTLP push) and posts `/snapshot`.
+//! then, the cycle closed, **publish** files its trace (flight ring,
+//! violation snapshot, OTLP push) and posts `/snapshot`.
 //!
 //! [`tick`]: MonitoringService::tick
 
@@ -35,19 +35,17 @@ use bytes::Bytes;
 use netqos_sim::time::{SimDuration, SimTime};
 use netqos_sim::Ipv4Addr;
 use netqos_telemetry::{
-    builtin_alert_rules, fields, report_flush, to_otlp, transitions_to_json, AdaptiveConfig,
-    AlertContext, AlertEngine, AlertRule, Counter, CycleTrace, EventSink, FlightRecorder,
-    FlushReport, Level, LtsConfig, LtsCounters, LtsReader, LtsSource, LtsStore, OtlpPusher,
-    PointValue, ProfileHub, PushConfig, PushCounters, QuantileBaseline, QueryEngine, RecordRule,
-    RecordingCounters, Registry, RegistrySampler, RetentionPolicy, SampleConfig, SampleDecision,
-    Sampler, SnapshotPaths, Tracer, DEFAULT_FLIGHT_CAPACITY, DEFAULT_PROFILE_WINDOW,
-    DEFAULT_WINDOW,
+    builtin_alert_rules, fields, report_flush, to_otlp, transitions_to_json, AlertContext,
+    AlertEngine, AlertRule, CycleTrace, EventSink, FlightRecorder, FlushReport, Level, LtsConfig,
+    LtsCounters, LtsReader, LtsSource, LtsStore, OtlpPusher, PointValue, ProfileHub, PushConfig,
+    PushCounters, QuantileBaseline, QueryEngine, RecordRule, RecordingCounters, Registry,
+    RegistrySampler, RetentionPolicy, SnapshotPaths, Tracer, DEFAULT_FLIGHT_CAPACITY,
+    DEFAULT_PROFILE_WINDOW, DEFAULT_WINDOW,
 };
 use std::collections::HashMap;
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
-use std::time::Instant;
 
 /// SNMP trap port.
 pub const TRAP_PORT: u16 = 162;
@@ -82,7 +80,7 @@ pub struct ServiceConfig {
     /// to this address's UDP port 162 (a management station).
     pub trap_destination: Option<Ipv4Addr>,
     /// Maximum traps kept in the outbox; when full, the oldest trap is
-    /// evicted (and counted as dropped in telemetry).
+    /// evicted.
     pub trap_outbox_capacity: usize,
     /// Cycle traces kept in the flight-recorder ring.
     pub flight_capacity: usize,
@@ -95,13 +93,6 @@ pub struct ServiceConfig {
     /// Cap on on-disk flight snapshots (count and bytes), enforced after
     /// every snapshot write. The newest snapshot is never deleted.
     pub retention: RetentionPolicy,
-    /// Head/tail trace sampling thresholds. The default keeps every
-    /// cycle (the pre-sampling behaviour).
-    pub sample: SampleConfig,
-    /// If set, the sampler's head stride adapts to flight-ring
-    /// pressure: a window keeping too many cycles doubles `head_every`,
-    /// a quiet one halves it back toward the configured base rate.
-    pub adaptive_sample: Option<AdaptiveConfig>,
     /// If set, per-path bandwidth baselines are restored from this file
     /// at startup and saved back periodically and via
     /// [`MonitoringService::persist_baselines`].
@@ -110,10 +101,6 @@ pub struct ServiceConfig {
     /// set; user rules appended after a builtin with the same name
     /// override it.
     pub alert_rules: Vec<AlertRule>,
-    /// Delta temporality for OTLP push: deliver only cycles newer than
-    /// the last acknowledged push instead of the whole flight ring, so
-    /// collectors without trace-id dedupe stop double-counting.
-    pub otlp_push_delta: bool,
     /// If set, a long-term stats store under this directory samples the
     /// registry and per-path QoS signals every tick at 1s resolution
     /// (downsampled on flush to 1m and 1h).
@@ -149,11 +136,8 @@ impl Default for ServiceConfig {
             flight_dir: None,
             baseline_window: DEFAULT_WINDOW,
             retention: RetentionPolicy::default(),
-            sample: SampleConfig::keep_all(),
-            adaptive_sample: None,
             baseline_state: None,
             alert_rules: builtin_alert_rules(),
-            otlp_push_delta: false,
             lts_dir: None,
             lts_retention: netqos_telemetry::LtsRetention::default(),
             baseline_save_ticks: 60,
@@ -171,8 +155,6 @@ pub struct MonitoringService {
     telemetry: MonitorTelemetry,
     events: Arc<EventSink>,
     tracer: Tracer,
-    /// Wall-clock anchor for `netqos_monitor_uptime_seconds`.
-    wall_start: Instant,
     /// Wall-clock nanoseconds of the tracer's origin: added to monotonic
     /// span offsets to place traces on the Unix timeline (OTLP export),
     /// and to simulated seconds to place long-term samples on it.
@@ -215,8 +197,6 @@ pub struct MonitoringService {
     record_counters: RecordingCounters,
 
     // publish
-    /// Head/tail trace sampling state.
-    sampler: Sampler,
     flight: FlightRecorder,
     /// Rolling tick-phase profile aggregated from the tracer's spans
     /// (populated only while tracing is on; serves `GET /profile`).
@@ -225,9 +205,6 @@ pub struct MonitoringService {
     snapshots: Vec<SnapshotPaths>,
     /// Push-based OTLP delivery of flight snapshots at violation time.
     pusher: Option<Arc<OtlpPusher>>,
-    /// First flight-ring sequence number not yet delivered by OTLP push
-    /// (the delta-temporality cursor).
-    next_push_seq: u64,
     /// Status shared with HTTP endpoint threads.
     live: Arc<LiveStatus>,
 }
@@ -237,10 +214,8 @@ struct Cycle {
     trace_id: u64,
     start_ns: u64,
     /// One line per thing that happened (`qos_violation feed1`): the
-    /// flight cycle's event list, and the sampler's tail trigger.
+    /// flight cycle's event list.
     happened: Vec<String>,
-    /// Highest rank among the paths whose baseline is mature.
-    max_rank: f64,
 }
 
 /// A count as a gauge value (gauges are signed; counts saturate).
@@ -248,19 +223,13 @@ fn gauge(count: u64) -> i64 {
     count.min(i64::MAX as u64) as i64
 }
 
-/// Starts a push worker counting into `pushed`, `retries` and `dropped`
-/// (in that order) and keeps it in `slot`.
+/// Starts a push worker counting into `counters` and keeps it in `slot`.
 fn start_pusher(
     slot: &mut Option<Arc<OtlpPusher>>,
     config: PushConfig,
-    [pushed, retries, dropped]: [&Counter; 3],
+    counters: &PushCounters,
 ) -> Arc<OtlpPusher> {
-    let counters = PushCounters {
-        pushed: pushed.clone(),
-        retries: retries.clone(),
-        dropped: dropped.clone(),
-    };
-    let pusher = Arc::new(OtlpPusher::start(config, counters));
+    let pusher = Arc::new(OtlpPusher::start(config, counters.clone()));
     *slot = Some(pusher.clone());
     pusher
 }
@@ -329,7 +298,6 @@ impl MonitoringService {
         // Anchor the tracer's monotonic origin on the Unix timeline once;
         // every cycle carries this epoch so OTLP timestamps are absolute.
         let epoch_unix_ns = unix_now_ns().saturating_sub(tracer.now_ns());
-        let sampler = Sampler::new(config.sample);
         let flight = FlightRecorder::new(config.flight_capacity);
         let alerts = AlertEngine::new(config.alert_rules.clone());
         // Restore persisted baselines (if configured and present); a
@@ -379,7 +347,6 @@ impl MonitoringService {
             telemetry,
             events: Arc::new(EventSink::null()),
             tracer,
-            wall_start: Instant::now(),
             epoch_unix_ns,
             net,
             monitor,
@@ -394,12 +361,10 @@ impl MonitoringService {
             lts_sampler: RegistrySampler::new(),
             lts_open_warning,
             record_counters,
-            sampler,
             flight,
             profile,
             snapshots: Vec::new(),
             pusher: None,
-            next_push_seq: 0,
             live: LiveStatus::new(),
         })
     }
@@ -463,19 +428,12 @@ impl MonitoringService {
         self.path_baselines.get(path_name)
     }
 
-    /// The trace sampler (decision counters for tests and status).
-    pub fn sampler(&self) -> &Sampler {
-        &self.sampler
-    }
-
     /// Starts a background OTLP pusher delivering the flight snapshot
     /// whenever a QoS violation begins. Delivery counters land in this
     /// service's registry (`netqos_monitor_otlp_*`). Implies nothing
     /// about tracing — enable it too, or the snapshots will be empty.
     pub fn enable_otlp_push(&mut self, config: PushConfig) -> Arc<OtlpPusher> {
-        let t = &self.telemetry;
-        let counters = [&t.otlp_pushed, &t.otlp_push_retries, &t.otlp_push_dropped];
-        start_pusher(&mut self.pusher, config, counters)
+        start_pusher(&mut self.pusher, config, &self.telemetry.otlp_push)
     }
 
     /// Starts a background webhook notifier: every tick with alert
@@ -483,13 +441,7 @@ impl MonitoringService {
     /// Delivery counters land in this service's registry
     /// (`netqos_alert_webhook_*`).
     pub fn enable_alert_webhook(&mut self, config: PushConfig) -> Arc<OtlpPusher> {
-        let t = &self.telemetry;
-        let counters = [
-            &t.alert_webhook_delivered,
-            &t.alert_webhook_retries,
-            &t.alert_webhook_dropped,
-        ];
-        start_pusher(&mut self.webhook, config, counters)
+        start_pusher(&mut self.webhook, config, &self.telemetry.alert_webhook)
     }
 
     /// The alert engine's current state (rules, active alerts, history).
@@ -497,43 +449,14 @@ impl MonitoringService {
         &self.alerts
     }
 
-    /// Cycles the OTLP pusher still owes the collector, and the cursor
-    /// value to store once they are accepted. Full temporality returns
-    /// the whole ring every time; delta temporality only what landed
-    /// after the last accepted push.
-    fn pending_push_cycles(&self) -> (Vec<CycleTrace>, u64) {
-        let snapshot = self.flight.snapshot();
-        let cycles: Vec<CycleTrace> = if self.config.otlp_push_delta {
-            snapshot
-                .into_iter()
-                .filter(|c| c.seq >= self.next_push_seq)
-                .collect()
-        } else {
-            snapshot
-        };
-        let next = cycles
-            .iter()
-            .map(|c| c.seq + 1)
-            .max()
-            .unwrap_or(self.next_push_seq);
-        (cycles, next)
-    }
-
-    /// Pushes the cycles the collector has not seen yet (the whole ring
-    /// unless delta temporality already delivered a prefix) and returns
-    /// the number of cycles enqueued. `None` when push is disabled,
-    /// nothing is pending, or the queue is full.
-    pub fn flush_otlp_push(&mut self) -> Option<usize> {
-        let pusher = self.pusher.clone()?;
-        let (cycles, next_seq) = self.pending_push_cycles();
-        if cycles.is_empty() {
-            return None;
-        }
-        if pusher.enqueue(to_otlp(&cycles)) {
-            self.next_push_seq = next_seq;
-            Some(cycles.len())
-        } else {
-            None
+    /// Pushes the whole flight ring, if push is enabled and the ring
+    /// holds a cycle; the collector deduplicates by trace and span id. A
+    /// full push queue counts a drop instead of blocking.
+    pub fn flush_otlp_push(&self) {
+        let Some(pusher) = &self.pusher else { return };
+        let cycles = self.flight.snapshot();
+        if !cycles.is_empty() {
+            pusher.enqueue(to_otlp(&cycles));
         }
     }
 
@@ -599,20 +522,7 @@ impl MonitoringService {
         self.flush_lts()?;
         let (store, _) = self.lts.as_mut()?;
         match store.compact() {
-            Ok(report) => {
-                self.events.emit(
-                    Level::Info,
-                    "monitor.lts",
-                    "compacted",
-                    fields![
-                        "segments_before" => report.segments_before,
-                        "segments_after" => report.segments_after,
-                        "bytes_before" => report.bytes_before,
-                        "bytes_after" => report.bytes_after,
-                    ],
-                );
-                Some(report)
-            }
+            Ok(report) => Some(report),
             Err(e) => {
                 self.warn_failed("monitor.lts", "compact_failed", &e);
                 None
@@ -626,9 +536,9 @@ impl MonitoringService {
     /// immediately. Runs on the save-tick cadence, after the regular
     /// flush, so each pass sees the data of its own tick. The pass is
     /// traced (`record.rules/evaluate`), counted
-    /// (`netqos_recording_rules_{evals,failures}_total`), and reported
-    /// as a `record_rules` JSONL event with one `record_rule_failed`
-    /// warning per broken rule. A failed rule never stops the rest.
+    /// (`netqos_recording_rules_{evals,failures}_total`), and each broken
+    /// rule is reported as a `record_rule_failed` warning. A failed rule
+    /// never stops the rest.
     pub fn run_record_rules(&mut self) -> Option<netqos_telemetry::RecordReport> {
         if self.config.record_rules.is_empty() {
             return None;
@@ -658,17 +568,6 @@ impl MonitoringService {
                 fields!["rule" => rule.as_str(), "error" => error.as_str()],
             );
         }
-        self.events.emit(
-            Level::Info,
-            "monitor.record",
-            "record_rules",
-            fields![
-                "t" => t,
-                "rules" => report.evals,
-                "points" => report.points,
-                "failures" => report.failures,
-            ],
-        );
         self.flush_lts();
         Some(report)
     }
@@ -720,16 +619,6 @@ impl MonitoringService {
         );
         let _ = write!(
             out,
-            ",\"sampler\":{{\"seen\":{},\"kept_head\":{},\"kept_tail\":{},\"dropped\":{},\
-             \"head_every\":{}}}",
-            self.sampler.cycles_seen(),
-            self.sampler.kept_head(),
-            self.sampler.kept_tail(),
-            self.sampler.dropped(),
-            self.sampler.head_every().max(1),
-        );
-        let _ = write!(
-            out,
             ",\"alerts\":{{\"pending\":{},\"firing\":{}}}}}",
             self.alerts.pending_count(),
             self.alerts.firing_count(),
@@ -749,7 +638,6 @@ impl MonitoringService {
             trace_id: self.tracer.begin_cycle(),
             start_ns: self.tracer.now_ns(),
             happened: Vec::new(),
-            max_rank: 0.0,
         };
         let cycle_span = self.tracer.span("monitor", "cycle");
         self.advance();
@@ -813,13 +701,8 @@ impl MonitoringService {
             let p50 = baseline.quantile(0.5);
             let p99 = baseline.quantile(0.99);
             baseline.record(bw.used_bps);
-            // A mature baseline's rank feeds the sampler's tail
-            // trigger; a young one ranks everything at the extremes.
-            let mature = history >= MIN_BASELINE_HISTORY;
-            if mature {
-                cycle.max_rank = cycle.max_rank.max(rank);
-            }
-            if mature && rank > ANOMALY_RANK {
+            // A young baseline ranks everything at the extremes.
+            if history >= MIN_BASELINE_HISTORY && rank > ANOMALY_RANK {
                 // Pre-violation warning: usage is extreme for *this*
                 // connection even if no QoS rule has tripped yet.
                 self.telemetry.anomaly_warnings.inc();
@@ -860,8 +743,7 @@ impl MonitoringService {
     /// Stage 4: QoS state changes become events and traps, then the
     /// alert rules see the registry (every self-telemetry counter and
     /// gauge) plus one labelled scope per row. Inside the traced cycle,
-    /// so transitions land as cycle events and wake the sampler's tail
-    /// trigger.
+    /// so transitions land as cycle events.
     fn detect(
         &mut self,
         t_s: f64,
@@ -876,9 +758,6 @@ impl MonitoringService {
         self.telemetry
             .trap_outbox_depth
             .set(self.traps.len() as i64);
-        self.telemetry
-            .uptime_seconds
-            .set(gauge(self.wall_start.elapsed().as_secs()));
         let tick_no = self.telemetry.ticks.get();
         let mut ctx = AlertContext::new(tick_no);
         ctx.add_registry(self.telemetry.registry());
@@ -913,7 +792,6 @@ impl MonitoringService {
         }
         let pending = self.alerts.pending_count();
         let firing = self.alerts.firing_count();
-        self.telemetry.alerts_pending.set(gauge(pending));
         self.telemetry.alerts_firing.set(gauge(firing));
         if !transitions.is_empty() {
             if let Some(hook) = &self.webhook {
@@ -929,9 +807,9 @@ impl MonitoringService {
         Ok(())
     }
 
-    /// Counts and reports each QoS state change and emits its SNMPv1
-    /// trap: into the bounded outbox, and through the simulated network
-    /// when a trap destination is configured.
+    /// Reports each QoS state change and emits its SNMPv1 trap: into the
+    /// bounded outbox, and through the simulated network when a trap
+    /// destination is configured.
     fn emit_traps(
         &mut self,
         t_s: f64,
@@ -949,21 +827,10 @@ impl MonitoringService {
             .unwrap_or([0, 0, 0, 0]);
         let uptime = (t_s * 100.0) as u32;
         for event in events {
-            let (counter, level, kind, path_name) = match event {
-                QosEvent::Violated { path_name, .. } => (
-                    &self.telemetry.qos_violations,
-                    Level::Warn,
-                    "violation",
-                    path_name,
-                ),
-                QosEvent::Cleared { path_name } => (
-                    &self.telemetry.qos_cleared,
-                    Level::Info,
-                    "cleared",
-                    path_name,
-                ),
+            let (level, kind, path_name) = match event {
+                QosEvent::Violated { path_name, .. } => (Level::Warn, "violation", path_name),
+                QosEvent::Cleared { path_name } => (Level::Info, "cleared", path_name),
             };
-            counter.inc();
             cycle.happened.push(format!("qos_{kind} {path_name}"));
             self.events.emit(
                 level,
@@ -986,17 +853,9 @@ impl MonitoringService {
                     Bytes::from(bytes.clone()),
                 );
             }
-            self.telemetry.traps_emitted.inc();
             // Bounded outbox: evict oldest rather than grow forever.
             if self.traps.len() >= self.config.trap_outbox_capacity.max(1) {
                 self.traps.remove(0);
-                self.telemetry.traps_dropped.inc();
-                self.events.emit(
-                    Level::Warn,
-                    "monitor.traps",
-                    "outbox_full",
-                    fields!["capacity" => self.config.trap_outbox_capacity],
-                );
             }
             self.traps.push(bytes);
         }
@@ -1039,21 +898,14 @@ impl MonitoringService {
         self.run_record_rules();
     }
 
-    /// After the cycle span closes (the sampler's tail triggers need the
-    /// cycle's outcome: duration, ranks, events): the sampler decides,
-    /// every traced cycle feeds the rolling phase profile — even ones
-    /// the sampler drops; profiling wants the full population, not the
-    /// kept forensic subset — and a kept cycle enters the flight ring.
-    /// A cycle in which a violation began is pushed to the collector and
-    /// snapshotted, itself included in the forensic record.
+    /// After the cycle span closes: the cycle feeds the rolling phase
+    /// profile and enters the flight ring. A cycle in which a violation
+    /// began is pushed to the collector and snapshotted, itself included
+    /// in the forensic record.
     fn publish_trace(&mut self, cycle: Cycle, events: &[QosEvent]) {
         let end_ns = self.tracer.now_ns();
-        let decision = self.sample_cycle(end_ns.saturating_sub(cycle.start_ns), &cycle);
         let spans = self.tracer.end_cycle();
         self.profile.record_spans(&spans);
-        if !decision.keep() {
-            return;
-        }
         let seq = self.flight.push(CycleTrace {
             seq: 0, // assigned by the recorder
             trace_id: cycle.trace_id,
@@ -1067,55 +919,10 @@ impl MonitoringService {
         if !(events.iter()).any(|e| matches!(e, QosEvent::Violated { .. })) {
             return;
         }
-        // A full push queue counts a drop instead of blocking the tick.
-        if let Some(cycles) = self.flush_otlp_push() {
-            self.events.emit(
-                Level::Debug,
-                "monitor.flight",
-                "otlp_push_enqueued",
-                fields!["cycles" => cycles],
-            );
-        }
+        self.flush_otlp_push();
         if let Some(dir) = self.config.flight_dir.clone() {
             self.snapshot_flight(&dir, seq);
         }
-    }
-
-    /// The sampler's verdict on a finished cycle, counted and reported,
-    /// and the head stride's feedback loop: under flight-ring pressure
-    /// (too many kept cycles per window) the stride backs off; when the
-    /// keep rate falls again it relaxes toward the base rate.
-    fn sample_cycle(&mut self, duration_ns: u64, cycle: &Cycle) -> SampleDecision {
-        let decision = self
-            .sampler
-            .decide(duration_ns, cycle.max_rank, !cycle.happened.is_empty());
-        match decision {
-            SampleDecision::Head => self.telemetry.trace_kept_head.inc(),
-            SampleDecision::Tail(trigger) => {
-                self.telemetry.trace_kept_tail.inc();
-                self.events.emit(
-                    Level::Debug,
-                    "monitor.trace",
-                    "tail_sampled",
-                    fields!["trigger" => trigger],
-                );
-            }
-            SampleDecision::Drop => self.telemetry.trace_dropped.inc(),
-        }
-        if let Some(policy) = &self.config.adaptive_sample {
-            if let Some(next) = self.sampler.adapt(policy) {
-                self.events.emit(
-                    Level::Info,
-                    "monitor.trace",
-                    "head_every_adapted",
-                    fields!["head_every" => next],
-                );
-            }
-        }
-        self.telemetry
-            .trace_head_every
-            .set(gauge(self.sampler.head_every()));
-        decision
     }
 
     /// Writes the flight ring to `dir` as snapshot `seq`, then keeps the
@@ -1124,40 +931,13 @@ impl MonitoringService {
         match netqos_telemetry::write_snapshot(dir, seq, &self.flight.snapshot()) {
             Ok(paths) => {
                 self.telemetry.flight_snapshots.inc();
-                self.events.emit(
-                    Level::Info,
-                    "monitor.flight",
-                    "snapshot",
-                    fields![
-                        "cycles" => self.flight.len(),
-                        "path" => paths.chrome.display().to_string(),
-                    ],
-                );
                 self.snapshots.push(paths);
             }
             Err(e) => self.warn_failed("monitor.flight", "snapshot_failed", &e),
         }
         match netqos_telemetry::enforce_retention(dir, self.config.retention) {
-            Ok(deleted) => {
-                for d in &deleted {
-                    // One event per deleted snapshot so reclaimed history
-                    // is auditable, and the cross-plane deletion total the
-                    // LTS retention also feeds.
-                    self.telemetry.flight_retention_deleted.inc();
-                    self.telemetry.retention_deleted.inc();
-                    self.events.emit(
-                        Level::Info,
-                        "monitor.flight",
-                        "retention_delete",
-                        fields![
-                            "tag" => d.tag,
-                            "files" => d.files as u64,
-                            "bytes" => d.bytes,
-                            "reason" => d.reason,
-                        ],
-                    );
-                }
-            }
+            // The cross-plane deletion total the LTS retention also feeds.
+            Ok(deleted) => self.telemetry.retention_deleted.add(deleted as u64),
             Err(e) => self.warn_failed("monitor.flight", "retention_failed", &e),
         }
     }
@@ -1326,98 +1106,6 @@ mod tests {
     }
 
     #[test]
-    fn sampler_thins_flight_ring_but_keeps_qos_cycles() {
-        let model = netqos_spec::parse_and_validate(SPEC).unwrap();
-        let options = SimNetworkOptions {
-            monitor_host: "M".into(),
-            ..SimNetworkOptions::default()
-        };
-        let config = ServiceConfig {
-            sample: netqos_telemetry::SampleConfig {
-                head_every: 4,
-                slow_tick_ns: 0,
-                tail_rank: f64::INFINITY,
-            },
-            ..ServiceConfig::default()
-        };
-        let mut svc = MonitoringService::from_model(model, options, config).unwrap();
-        svc.set_tracing(true);
-        svc.run_ticks(8).unwrap();
-        // Head keeps ticks 0 and 4; the other six are dropped.
-        assert_eq!(svc.flight().len(), 2);
-        assert_eq!(svc.sampler().kept_head(), 2);
-        assert_eq!(svc.sampler().dropped(), 6);
-        assert_eq!(svc.telemetry().trace_dropped.get(), 6);
-        // Force a violation: the qos_event tail trigger must keep it.
-        let m = svc.monitor().topology().node_by_name("M").unwrap();
-        let m_dev = svc.net_mut().device_of(m).unwrap();
-        for _ in 0..40 {
-            svc.net_mut()
-                .lan
-                .post_udp(
-                    m_dev,
-                    5000,
-                    "10.0.0.2".parse().unwrap(),
-                    9,
-                    vec![0u8; 50_000].into(),
-                )
-                .unwrap();
-        }
-        let before = svc.flight().len();
-        let events = svc.run_ticks(3).unwrap();
-        assert!(events
-            .iter()
-            .any(|e| matches!(e, QosEvent::Violated { .. })));
-        assert!(
-            svc.sampler().kept_tail() >= 1,
-            "violation cycle sampled out"
-        );
-        assert!(svc.flight().len() > before);
-        let violation_kept = svc
-            .flight()
-            .snapshot()
-            .iter()
-            .any(|c| c.events.iter().any(|e| e.starts_with("qos_violation")));
-        assert!(violation_kept, "violating cycle missing from the ring");
-    }
-
-    #[test]
-    fn adaptive_sampling_backs_off_under_keep_pressure() {
-        let model = netqos_spec::parse_and_validate(SPEC).unwrap();
-        let options = SimNetworkOptions {
-            monitor_host: "M".into(),
-            ..SimNetworkOptions::default()
-        };
-        let config = ServiceConfig {
-            // keep_all keeps every cycle, so every 4-tick window is at
-            // 100% keep rate: the stride must double per window.
-            sample: SampleConfig::keep_all(),
-            adaptive_sample: Some(AdaptiveConfig {
-                window: 4,
-                raise_above: 0.4,
-                relax_below: 0.05,
-                max_head_every: 8,
-            }),
-            ..ServiceConfig::default()
-        };
-        let mut svc = MonitoringService::from_model(model, options, config).unwrap();
-        svc.set_tracing(true);
-        svc.run_ticks(8).unwrap();
-        // Two full windows of pure keeps: 1 -> 2 -> 4.
-        assert_eq!(svc.sampler().head_every(), 4);
-        assert_eq!(svc.telemetry().trace_head_every.get(), 4);
-        // The stride is visible in the live snapshot too.
-        let snap = svc.live().snapshot_response();
-        let doc = netqos_telemetry::parse_json(&snap.body).unwrap();
-        assert_eq!(
-            doc.get("sampler")
-                .and_then(|s| s.get("head_every"))
-                .and_then(|v| v.as_u64()),
-            Some(4)
-        );
-    }
-
-    #[test]
     fn live_status_publishes_snapshot_json() {
         let mut svc = idle_service();
         svc.run_ticks(3).unwrap();
@@ -1433,7 +1121,6 @@ mod tests {
             Some("mw"),
             "snapshot lists the qospath"
         );
-        assert!(doc.get("sampler").is_some());
         // Healthz sees the recent tick.
         let h = live.healthz(crate::live::unix_now_ns());
         assert_eq!(h.status, 200);
@@ -1641,34 +1328,5 @@ mod tests {
                 .and_then(|v| v.as_u64()),
             Some(0)
         );
-    }
-
-    #[test]
-    fn delta_push_cursor_only_ships_new_cycles() {
-        let model = netqos_spec::parse_and_validate(SPEC).unwrap();
-        let options = SimNetworkOptions {
-            monitor_host: "M".into(),
-            ..SimNetworkOptions::default()
-        };
-        let config = ServiceConfig {
-            otlp_push_delta: true,
-            ..ServiceConfig::default()
-        };
-        let mut svc = MonitoringService::from_model(model, options, config).unwrap();
-        svc.set_tracing(true);
-        svc.run_ticks(3).unwrap();
-        let (cycles, next) = svc.pending_push_cycles();
-        assert_eq!(cycles.len(), 3, "all cycles pending before first push");
-        // Simulate an acked push: the cursor advances past what shipped.
-        svc.next_push_seq = next;
-        let (cycles, _) = svc.pending_push_cycles();
-        assert!(cycles.is_empty(), "acked cycles must not ship again");
-        svc.run_ticks(2).unwrap();
-        let (cycles, _) = svc.pending_push_cycles();
-        assert_eq!(cycles.len(), 2, "only post-ack cycles are pending");
-        // Full temporality ignores the cursor and re-ships the ring.
-        svc.config.otlp_push_delta = false;
-        let (cycles, _) = svc.pending_push_cycles();
-        assert_eq!(cycles.len(), 5);
     }
 }

@@ -11,7 +11,7 @@
 //! (what the monitor observes on the virtual wire); histograms named
 //! `*_ns` hold **wall-clock** nanoseconds (what the monitor itself costs).
 
-use netqos_telemetry::{Counter, Gauge, Histogram, Registry};
+use netqos_telemetry::{Counter, Gauge, Histogram, PushCounters, Registry};
 use std::sync::Arc;
 
 /// Handles for every stage of the monitoring pipeline.
@@ -32,14 +32,6 @@ pub struct MonitorTelemetry {
     pub ticks: Counter,
     /// Wall-clock cost of one service tick, nanoseconds.
     pub tick_ns: Histogram,
-    /// QoS violation onsets observed.
-    pub qos_violations: Counter,
-    /// QoS violations cleared.
-    pub qos_cleared: Counter,
-    /// Traps encoded into the outbox.
-    pub traps_emitted: Counter,
-    /// Traps evicted because the outbox was full.
-    pub traps_dropped: Counter,
     /// Current trap outbox length.
     pub trap_outbox_depth: Gauge,
     /// Echo-probe path round-trip time, simulated microseconds.
@@ -54,47 +46,23 @@ pub struct MonitorTelemetry {
     pub anomaly_warnings: Counter,
     /// Flight-recorder snapshots written to disk.
     pub flight_snapshots: Counter,
-    /// Stale snapshot files deleted by the retention policy.
-    pub flight_retention_deleted: Counter,
     /// Files deleted by any retention policy (flight snapshots and
-    /// long-term-store segments alike) — the cross-plane total that
-    /// pairs with the per-deletion `retention_delete` JSONL events.
+    /// long-term-store segments alike).
     pub retention_deleted: Counter,
-    /// Traced cycles kept by the sampler's head rate.
-    pub trace_kept_head: Counter,
-    /// Traced cycles kept by a sampler tail trigger.
-    pub trace_kept_tail: Counter,
-    /// Traced cycles dropped by the sampler.
-    pub trace_dropped: Counter,
-    /// Current head sampling stride (`head_every`); moves when adaptive
-    /// sampling reacts to flight-ring pressure.
-    pub trace_head_every: Gauge,
-    /// Flight snapshots acknowledged by the OTLP push collector.
-    pub otlp_pushed: Counter,
-    /// OTLP push retry attempts (refused connections or non-2xx).
-    pub otlp_push_retries: Counter,
-    /// Flight snapshots dropped by the OTLP pusher (queue full or
-    /// retries exhausted).
-    pub otlp_push_dropped: Counter,
+    /// Flight snapshots pushed to the OTLP collector
+    /// (`netqos_monitor_otlp_{pushed,push_retries,push_dropped}_total`).
+    pub otlp_push: PushCounters,
     /// Alert transitions into pending.
     pub alerts_pending_total: Counter,
     /// Alert transitions into firing.
     pub alerts_firing_total: Counter,
     /// Alert transitions into resolved.
     pub alerts_resolved_total: Counter,
-    /// Alerts currently pending.
-    pub alerts_pending: Gauge,
     /// Alerts currently firing.
     pub alerts_firing: Gauge,
-    /// Webhook transition batches acknowledged 2xx.
-    pub alert_webhook_delivered: Counter,
-    /// Webhook delivery retry attempts.
-    pub alert_webhook_retries: Counter,
-    /// Webhook transition batches dropped (queue full or retries
-    /// exhausted).
-    pub alert_webhook_dropped: Counter,
-    /// Seconds since the service was constructed (wall clock).
-    pub uptime_seconds: Gauge,
+    /// Alert transition batches posted to the webhook
+    /// (`netqos_alert_webhook_{delivered,retries,dropped}_total`).
+    pub alert_webhook: PushCounters,
     /// Constant-1 gauge carrying build provenance in its labels.
     pub build_info: Gauge,
 }
@@ -111,10 +79,6 @@ impl MonitorTelemetry {
             poll_rtt_us: r.histogram("netqos_monitor_poll_rtt_us"),
             ticks: r.counter("netqos_monitor_ticks_total"),
             tick_ns: r.histogram("netqos_monitor_tick_duration_ns"),
-            qos_violations: r.counter("netqos_monitor_qos_violations_total"),
-            qos_cleared: r.counter("netqos_monitor_qos_cleared_total"),
-            traps_emitted: r.counter("netqos_monitor_traps_emitted_total"),
-            traps_dropped: r.counter("netqos_monitor_traps_dropped_total"),
             trap_outbox_depth: r.gauge("netqos_monitor_trap_outbox_depth"),
             path_rtt_us: r.histogram("netqos_monitor_path_rtt_us"),
             probes_lost: r.counter("netqos_monitor_probes_lost_total"),
@@ -122,24 +86,21 @@ impl MonitorTelemetry {
             counter_wraps: r.counter("netqos_monitor_counter_wraps_total"),
             anomaly_warnings: r.counter("netqos_monitor_anomaly_warnings_total"),
             flight_snapshots: r.counter("netqos_monitor_flight_snapshots_total"),
-            flight_retention_deleted: r.counter("netqos_monitor_flight_retention_deleted_total"),
             retention_deleted: r.counter("netqos_retention_deleted_total"),
-            trace_kept_head: r.counter("netqos_monitor_trace_kept_head_total"),
-            trace_kept_tail: r.counter("netqos_monitor_trace_kept_tail_total"),
-            trace_dropped: r.counter("netqos_monitor_trace_dropped_total"),
-            trace_head_every: r.gauge("netqos_monitor_trace_head_every"),
-            otlp_pushed: r.counter("netqos_monitor_otlp_pushed_total"),
-            otlp_push_retries: r.counter("netqos_monitor_otlp_push_retries_total"),
-            otlp_push_dropped: r.counter("netqos_monitor_otlp_push_dropped_total"),
+            otlp_push: PushCounters {
+                pushed: r.counter("netqos_monitor_otlp_pushed_total"),
+                retries: r.counter("netqos_monitor_otlp_push_retries_total"),
+                dropped: r.counter("netqos_monitor_otlp_push_dropped_total"),
+            },
             alerts_pending_total: r.counter("netqos_alerts_pending_total"),
             alerts_firing_total: r.counter("netqos_alerts_firing_total"),
             alerts_resolved_total: r.counter("netqos_alerts_resolved_total"),
-            alerts_pending: r.gauge("netqos_alerts_pending"),
             alerts_firing: r.gauge("netqos_alerts_firing"),
-            alert_webhook_delivered: r.counter("netqos_alert_webhook_delivered_total"),
-            alert_webhook_retries: r.counter("netqos_alert_webhook_retries_total"),
-            alert_webhook_dropped: r.counter("netqos_alert_webhook_dropped_total"),
-            uptime_seconds: r.gauge("netqos_monitor_uptime_seconds"),
+            alert_webhook: PushCounters {
+                pushed: r.counter("netqos_alert_webhook_delivered_total"),
+                retries: r.counter("netqos_alert_webhook_retries_total"),
+                dropped: r.counter("netqos_alert_webhook_dropped_total"),
+            },
             build_info: {
                 // Build provenance rides in an embedded label set: the
                 // registry key itself is the full series, rendered as
@@ -181,15 +142,9 @@ mod tests {
         let t = MonitorTelemetry::private();
         t.polls.inc();
         t.poll_rtt_us.record(1_500);
-        let snap = t.registry().snapshot();
-        assert!(snap
-            .counters
-            .iter()
-            .any(|(n, v)| n == "netqos_monitor_polls_total" && *v == 1));
-        assert!(snap
-            .histograms
-            .iter()
-            .any(|(n, s)| n == "netqos_monitor_poll_rtt_us" && s.count == 1));
+        let r = t.registry();
+        assert_eq!(r.counter("netqos_monitor_polls_total").get(), 1);
+        assert_eq!(r.histogram("netqos_monitor_poll_rtt_us").count(), 1);
     }
 
     #[test]

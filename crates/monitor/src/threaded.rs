@@ -13,11 +13,9 @@ use crate::live::unix_now_ns;
 use crate::poll::{poll_once, DeviceSnapshot, PollPlan};
 use crossbeam::channel::{unbounded, Receiver, Sender};
 use netqos_snmp::client::Manager;
-use netqos_snmp::telemetry::{ClientTelemetry, TransportTelemetry};
+use netqos_snmp::telemetry::ClientTelemetry;
 use netqos_snmp::transport::UdpTransport;
-use netqos_telemetry::{
-    Counter, CycleTrace, FlightRecorder, Gauge, Histogram, Registry, SpanRecord, Tracer,
-};
+use netqos_telemetry::{Counter, CycleTrace, FlightRecorder, Registry, SpanRecord, Tracer};
 use netqos_topology::NodeId;
 use parking_lot::Mutex;
 use std::collections::HashMap;
@@ -25,7 +23,7 @@ use std::net::SocketAddr;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// One agent to poll.
 #[derive(Debug, Clone)]
@@ -65,7 +63,6 @@ pub struct DistributedPoller {
     threads: Vec<JoinHandle<()>>,
     rx: Receiver<PollMessage>,
     stats: Arc<Mutex<PollerStats>>,
-    queue_depth: Gauge,
     worker_spans: Arc<Mutex<Vec<SpanRecord>>>,
 }
 
@@ -85,14 +82,8 @@ pub struct PollerStats {
 /// Telemetry handles shared by one poller's worker threads.
 struct WorkerTelemetry {
     client: ClientTelemetry,
-    transport: TransportTelemetry,
     successes: Counter,
     failures: Counter,
-    queue_depth: Gauge,
-    poll_ns: Histogram,
-    /// This worker's own poll-latency histogram
-    /// (`netqos_threaded_worker_<i>_poll_ns`).
-    worker_poll_ns: Histogram,
 }
 
 impl DistributedPoller {
@@ -100,10 +91,7 @@ impl DistributedPoller {
     ///
     /// Every metric resolves against `registry` (pass
     /// [`netqos_telemetry::global()`] for the process-wide one): aggregate
-    /// success/failure counters, a wall-clock poll latency histogram (plus
-    /// one per worker), a queue-depth gauge tracking undrained
-    /// [`PollMessage`]s, and the SNMP client's and UDP transport's own
-    /// `netqos_snmp_client_*` / `netqos_snmp_udp_*` series.
+    /// success/failure counters and the SNMP client's request counter.
     ///
     /// Each worker records causal spans into a fork of `tracer` (sharing
     /// its enable switch, not its cycle buffer — workers are concurrent,
@@ -127,7 +115,7 @@ impl DistributedPoller {
         let mut threads = Vec::with_capacity(targets.len());
         // Workers polling devices of the same interface count share a plan.
         let mut plans: HashMap<u32, Arc<PollPlan>> = HashMap::new();
-        for (i, target) in targets.into_iter().enumerate() {
+        for target in targets {
             let plan = plans
                 .entry(target.if_count)
                 .or_insert_with(|| Arc::new(PollPlan::new(target.if_count)))
@@ -140,12 +128,8 @@ impl DistributedPoller {
             let flight = flight.clone();
             let telemetry = WorkerTelemetry {
                 client: ClientTelemetry::from_registry(registry),
-                transport: TransportTelemetry::from_registry(registry),
                 successes: registry.counter("netqos_threaded_polls_total"),
                 failures: registry.counter("netqos_threaded_poll_failures_total"),
-                queue_depth: registry.gauge("netqos_threaded_queue_depth"),
-                poll_ns: registry.histogram("netqos_threaded_poll_ns"),
-                worker_poll_ns: registry.histogram(&format!("netqos_threaded_worker_{i}_poll_ns")),
             };
             threads.push(std::thread::spawn(move || {
                 poll_loop(
@@ -158,7 +142,6 @@ impl DistributedPoller {
             threads,
             rx,
             stats,
-            queue_depth: registry.gauge("netqos_threaded_queue_depth"),
             worker_spans,
         }
     }
@@ -203,7 +186,6 @@ impl DistributedPoller {
                 PollMessage::Failure { node, error } => failures.push((node, error)),
             }
         }
-        self.queue_depth.set(self.rx.len() as i64);
         failures
     }
 }
@@ -239,7 +221,6 @@ fn poll_loop(
         Ok(mut t) => {
             t.set_timeout(period.min(Duration::from_millis(500)));
             t.set_retries(1);
-            t.set_telemetry(telemetry.transport);
             t
         }
         Err(e) => {
@@ -263,10 +244,8 @@ fn poll_loop(
             poll_span.set_attr("device", node.as_str());
             poll_span.set_attr("addr", target.addr.to_string());
         }
-        let poll_start = Instant::now();
         let mut session = manager.session(&mut transport, &target.community);
         let result = poll_once(&mut session, &node, &plan);
-        let elapsed = poll_start.elapsed();
         poll_span.set_attr("ok", result.is_ok());
         drop(poll_span);
         let drained = tracer.end_cycle();
@@ -290,8 +269,6 @@ fn poll_loop(
                 buf.drain(..len - WORKER_SPAN_CAP);
             }
         }
-        telemetry.poll_ns.record_duration(elapsed);
-        telemetry.worker_poll_ns.record_duration(elapsed);
         let msg = match result {
             Ok(snapshot) => {
                 stats.lock().successes += 1;
@@ -313,7 +290,6 @@ fn poll_loop(
         if tx.send(msg).is_err() {
             return; // consumer gone
         }
-        telemetry.queue_depth.set(tx.len() as i64);
         // Sleep in small slices so stop is responsive.
         let mut remaining = period;
         while !stop.load(Ordering::Relaxed) && remaining > Duration::ZERO {
@@ -371,8 +347,8 @@ mod tests {
         // poll -> exactly 1 Mb/s regardless of wall-clock pacing.
         let server = spawn_growing_agent(125_000, 100);
         let (topo, node) = one_node_topology();
-        // Everything the poller, its SNMP clients and their UDP transports
-        // count lands in the registry the poller was given.
+        // Everything the poller and its SNMP clients count lands in the
+        // registry the poller was given.
         let registry = Registry::new();
         let client_requests = || registry.counter("netqos_snmp_client_requests_total").get();
         let poller = DistributedPoller::spawn(

@@ -4,7 +4,7 @@ use crate::app::Allocation;
 use netqos_monitor::qos::{QosEvent, QosMonitor, ViolationKind};
 use netqos_monitor::{MonitorError, NetworkMonitor};
 use netqos_spec::QosPathSpec;
-use netqos_telemetry::{Counter, Histogram, Tracer};
+use netqos_telemetry::Tracer;
 use netqos_topology::path;
 use netqos_topology::{ConnId, NodeId};
 use std::collections::HashMap;
@@ -62,10 +62,6 @@ pub struct ResourceManager {
     path_apps: HashMap<String, String>,
     allocation: Allocation,
     history: Vec<RmEvent>,
-    evaluations: Counter,
-    advice_issued: Counter,
-    no_remedy: Counter,
-    decision_ns: Histogram,
     tracer: Tracer,
 }
 
@@ -76,17 +72,12 @@ impl ResourceManager {
         specs: &[QosPathSpec],
         allocation: Allocation,
     ) -> Result<Self, MonitorError> {
-        let r = netqos_telemetry::global();
         Ok(ResourceManager {
             qos: QosMonitor::new(monitor, specs)?,
             specs: specs.iter().map(|s| (s.name.clone(), s.clone())).collect(),
             path_apps: HashMap::new(),
             allocation,
             history: Vec::new(),
-            evaluations: r.counter("netqos_rm_evaluations_total"),
-            advice_issued: r.counter("netqos_rm_advice_total"),
-            no_remedy: r.counter("netqos_rm_no_remedy_total"),
-            decision_ns: r.histogram("netqos_rm_decision_latency_ns"),
             tracer: Tracer::disabled(),
         })
     }
@@ -136,15 +127,8 @@ impl ResourceManager {
     }
 
     /// Runs one RM evaluation cycle against current monitor state.
-    ///
-    /// The cycle's wall-clock cost lands in the
-    /// `netqos_rm_decision_latency_ns` histogram — the RM is part of the
-    /// paper's real-time control loop, so its own decision latency is a
-    /// monitored quantity.
     pub fn evaluate(&mut self, monitor: &NetworkMonitor) -> Vec<RmEvent> {
         let mut span = self.tracer.span("rm.manager", "decision");
-        let decision_timer = self.decision_ns.start_timer();
-        self.evaluations.inc();
         let mut out = Vec::new();
         for event in self.qos.evaluate(monitor) {
             match event {
@@ -160,14 +144,8 @@ impl ResourceManager {
                         bottleneck_desc: monitor.topology().describe_connection(bottleneck),
                     });
                     match self.diagnose(monitor, &path_name, bottleneck) {
-                        Some(advice) => {
-                            self.advice_issued.inc();
-                            out.push(RmEvent::Advice(advice));
-                        }
-                        None => {
-                            self.no_remedy.inc();
-                            out.push(RmEvent::NoRemedy { path_name });
-                        }
+                        Some(advice) => out.push(RmEvent::Advice(advice)),
+                        None => out.push(RmEvent::NoRemedy { path_name }),
                     }
                 }
                 QosEvent::Cleared { path_name } => {
@@ -176,7 +154,6 @@ impl ResourceManager {
             }
         }
         self.history.extend(out.iter().cloned());
-        drop(decision_timer);
         span.set_attr("events", out.len());
         out
     }

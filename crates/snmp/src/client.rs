@@ -20,7 +20,6 @@ use crate::telemetry::ClientTelemetry;
 use crate::transport::Transport;
 use crate::value::{SnmpValue, ValueRef};
 use netqos_telemetry::Tracer;
-use std::time::Instant;
 
 /// The three requests a manager sends.
 #[derive(Clone, Copy)]
@@ -231,15 +230,10 @@ impl Session<'_> {
         let Manager {
             request, telemetry, ..
         } = &*self.manager;
-        let start = telemetry.as_ref().map(|t| {
+        if let Some(t) = telemetry {
             t.requests.inc();
-            t.bytes_sent.add(request.len() as u64);
-            Instant::now()
-        });
-        let result = self.link.exchange(request).and_then(|bytes| {
-            if let Some(t) = telemetry {
-                t.bytes_received.add(bytes.len() as u64);
-            }
+        }
+        self.link.exchange(request).and_then(|bytes| {
             let response = parse_response(&bytes)?;
             if response.request_id != id {
                 return Err(SnmpError::RequestIdMismatch {
@@ -248,17 +242,7 @@ impl Session<'_> {
                 });
             }
             Ok(response)
-        });
-        if let (Some(t), Some(start)) = (telemetry, start) {
-            match &result {
-                Ok(_) => {
-                    t.responses.inc();
-                    t.rtt_ns.record_duration(start.elapsed());
-                }
-                Err(_) => t.errors.inc(),
-            }
-        }
-        result
+        })
     }
 
     /// `GetRequest` for several objects; returns the bound values in

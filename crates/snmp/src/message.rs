@@ -73,12 +73,9 @@ pub(crate) fn open_message(out: &mut Vec<u8>, version: SnmpVersion, community: &
 }
 
 /// Finishes the message started at `mark`, which must be the only content
-/// of `out`, and counts it as encoded.
+/// of `out`.
 pub(crate) fn close_message(out: &mut Vec<u8>, mark: usize) {
     ber::close(out, mark);
-    let codec = crate::telemetry::codec();
-    codec.encodes.inc();
-    codec.encoded_bytes.add(out.len() as u64);
 }
 
 /// The message wrapper decoded in place: the community borrows from the
@@ -115,10 +112,7 @@ pub(crate) fn decode_with<'a, T>(
     let result = decode();
     let codec = crate::telemetry::codec();
     match &result {
-        Ok(_) => {
-            codec.decodes.inc();
-            codec.decoded_bytes.add(data.len() as u64);
-        }
+        Ok(_) => codec.decodes.inc(),
         Err(_) => codec.decode_errors.inc(),
     }
     result

@@ -73,7 +73,6 @@ pub struct UdpTransport {
     peer: SocketAddr,
     timeout: Duration,
     retries: u32,
-    telemetry: crate::telemetry::TransportTelemetry,
     /// Receive buffer, one maximum-size datagram, reused by every
     /// exchange.
     recv_buf: Vec<u8>,
@@ -102,15 +101,8 @@ impl UdpTransport {
             peer,
             timeout: Duration::from_secs(1),
             retries: 2,
-            telemetry: crate::telemetry::TransportTelemetry::global(),
             recv_buf: vec![0u8; 65_535],
         })
-    }
-
-    /// Routes this transport's metrics to `telemetry` instead of the
-    /// process-wide registry.
-    pub fn set_telemetry(&mut self, telemetry: crate::telemetry::TransportTelemetry) {
-        self.telemetry = telemetry;
     }
 
     /// Sets the per-attempt receive timeout.
@@ -133,10 +125,7 @@ impl Transport for UdpTransport {
     fn exchange(&mut self, request: &[u8]) -> Result<Vec<u8>, SnmpError> {
         let wanted = peek_request_id(request)
             .ok_or_else(|| SnmpError::Transport("request carries no request-id".into()))?;
-        for attempt in 0..=self.retries {
-            if attempt > 0 {
-                self.telemetry.retransmits.inc();
-            }
+        for _ in 0..=self.retries {
             self.socket
                 .send(request)
                 .map_err(|e| SnmpError::Transport(e.to_string()))?;
@@ -153,13 +142,12 @@ impl Transport for UdpTransport {
                     Ok(n) if peek_request_id(&self.recv_buf[..n]) == Some(wanted) => {
                         return Ok(self.recv_buf[..n].to_vec());
                     }
-                    Ok(_) => self.telemetry.stale_responses.inc(),
+                    // A late answer to a retransmitted request.
+                    Ok(_) => {}
                     Err(_) => break,
                 }
             }
-            self.telemetry.timeouts.inc();
         }
-        self.telemetry.exchange_failures.inc();
         Err(SnmpError::Timeout)
     }
 }

@@ -722,33 +722,15 @@ fn snapshot_tag(file_name: &str) -> Option<u64> {
         .ok()
 }
 
-/// One snapshot trio deleted by [`enforce_retention`], for the caller
-/// to surface (JSONL event + `netqos_retention_deleted_total`) instead
-/// of unlinking silently.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SnapshotDeletion {
-    /// The `flight-<tag>.*` sequence number.
-    pub tag: u64,
-    /// Total bytes freed across the group's files.
-    pub bytes: u64,
-    /// Files removed in the group.
-    pub files: usize,
-    /// Which budget forced the delete: `"count"` or `"bytes"`.
-    pub reason: &'static str,
-}
-
 /// Deletes the oldest tagged `flight-<seq>.*` files in `dir` until the
 /// policy's count and byte budgets both hold. The newest snapshot is
 /// never deleted, even when it alone exceeds the byte budget — it is
-/// the forensic record of the most recent violation. Returns one record
-/// per deleted snapshot (tag group), oldest first. Files that vanish
-/// concurrently are skipped, not errors.
-pub fn enforce_retention(
-    dir: &Path,
-    policy: RetentionPolicy,
-) -> std::io::Result<Vec<SnapshotDeletion>> {
+/// the forensic record of the most recent violation. Returns how many
+/// snapshots (tag groups) it deleted. Files that vanish concurrently are
+/// skipped, not errors.
+pub fn enforce_retention(dir: &Path, policy: RetentionPolicy) -> std::io::Result<usize> {
     if policy.max_snapshots == 0 && policy.max_bytes == 0 {
-        return Ok(Vec::new());
+        return Ok(0);
     }
     // Group tagged files by sequence number, totalling their bytes.
     let mut groups: std::collections::BTreeMap<u64, (u64, Vec<PathBuf>)> =
@@ -765,13 +747,12 @@ pub fn enforce_retention(
         g.1.push(entry.path());
     }
     let mut total_bytes: u64 = groups.values().map(|(b, _)| *b).sum();
-    let mut deleted = Vec::new();
+    let mut deleted = 0;
     // BTreeMap iterates tags ascending = oldest first; spare the newest.
     let mut tags: Vec<u64> = groups.keys().copied().collect();
     tags.pop();
     for tag in tags {
-        let over_count =
-            policy.max_snapshots > 0 && groups.len() - deleted.len() > policy.max_snapshots;
+        let over_count = policy.max_snapshots > 0 && groups.len() - deleted > policy.max_snapshots;
         let over_bytes = policy.max_bytes > 0 && total_bytes > policy.max_bytes;
         if !over_count && !over_bytes {
             break;
@@ -785,12 +766,7 @@ pub fn enforce_retention(
             }
         }
         total_bytes = total_bytes.saturating_sub(*bytes);
-        deleted.push(SnapshotDeletion {
-            tag,
-            bytes: *bytes,
-            files: paths.len(),
-            reason: if over_count { "count" } else { "bytes" },
-        });
+        deleted += 1;
     }
     Ok(deleted)
 }
@@ -947,14 +923,7 @@ mod tests {
             },
         )
         .unwrap();
-        assert_eq!(deleted.len(), 3);
-        assert_eq!(
-            deleted.iter().map(|d| d.tag).collect::<Vec<_>>(),
-            vec![0, 1, 2]
-        );
-        assert!(deleted
-            .iter()
-            .all(|d| d.reason == "count" && d.files >= 3 && d.bytes > 0));
+        assert_eq!(deleted, 3);
         for tag in 0..3u64 {
             assert!(!dir.join(format!("flight-{tag}.jsonl")).exists(), "{tag}");
         }
@@ -975,8 +944,7 @@ mod tests {
             },
         )
         .unwrap();
-        assert!(!deleted.is_empty(), "byte budget should evict something");
-        assert!(deleted.iter().all(|d| d.reason == "bytes"));
+        assert!(deleted > 0, "byte budget should evict something");
         assert!(dir.join("flight-5.jsonl").exists(), "newest must survive");
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -987,9 +955,10 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("netqos-retention-nop-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         write_snapshot(&dir, 1, &[traced_cycle(&t)]).unwrap();
-        assert!(enforce_retention(&dir, RetentionPolicy::unlimited())
-            .unwrap()
-            .is_empty());
+        assert_eq!(
+            enforce_retention(&dir, RetentionPolicy::unlimited()).unwrap(),
+            0
+        );
         assert!(dir.join("flight-1.jsonl").exists());
         let _ = std::fs::remove_dir_all(&dir);
     }

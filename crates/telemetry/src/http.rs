@@ -6,8 +6,9 @@
 //! It exists to serve the monitor's read-only endpoints (`/metrics`,
 //! `/healthz`, `/snapshot`) — it is deliberately not a general web
 //! server: GET/HEAD only, no keep-alive, no chunked encoding, request
-//! bodies ignored, and a read timeout so a stalled client cannot pin a
-//! thread.
+//! bodies ignored, and a request head bounded in size ([`MAX_HEAD`]) and
+//! in time (one [`READ_TIMEOUT`] for all of it), so a client can neither
+//! grow a buffer without limit nor pin a thread by dripping bytes.
 //!
 //! Routing is a caller-supplied closure from [`HttpRequest`] (path,
 //! query string, `Accept` header) to [`HttpRoute`]; `None` becomes a
@@ -15,18 +16,21 @@
 //! [`EventSource`] served as a server-sent-event stream (`Content-Type:
 //! text/event-stream`, one `data:` event per published tick) so
 //! dashboards can follow `/snapshot` without polling. The server itself
-//! answers 405 for non-GET methods and 400 for unparseable request
-//! lines.
+//! answers 405 for non-GET methods and 400 for unparseable, oversized or
+//! late request heads.
 
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
-/// How long a connection may take to deliver its request head.
+/// How long a connection may take to deliver its whole request head.
 const READ_TIMEOUT: Duration = Duration::from_secs(2);
+
+/// The most bytes a request head (request line and headers) may take.
+const MAX_HEAD: u64 = 8 * 1024;
 
 /// How long an event-stream connection sleeps between source polls.
 const STREAM_POLL: Duration = Duration::from_millis(20);
@@ -325,59 +329,69 @@ fn stream_events(
     }
 }
 
-fn handle_connection(mut stream: TcpStream, router: &Router, stop: &AtomicBool) {
-    let _ = stream.set_read_timeout(Some(READ_TIMEOUT));
-    let mut reader = BufReader::new(match stream.try_clone() {
-        Ok(s) => s,
-        Err(_) => return,
-    });
-    let mut request_line = String::new();
-    if reader.read_line(&mut request_line).is_err() {
-        return;
-    }
-    // Drain headers (keeping `Accept`) so well-behaved clients see a
-    // clean close.
-    let mut accept = String::new();
-    let mut header = String::new();
+/// Reads a request head off `stream`: up to [`MAX_HEAD`] bytes, all
+/// within one [`READ_TIMEOUT`], ending at the blank line (or at end of
+/// input). `None` when the head runs past either limit.
+fn read_head(stream: &TcpStream) -> Option<Vec<u8>> {
+    let deadline = Instant::now() + READ_TIMEOUT;
+    let mut input = stream.take(MAX_HEAD);
+    let (mut head, mut buf) = (Vec::new(), [0u8; 1024]);
     loop {
-        header.clear();
-        match reader.read_line(&mut header) {
-            Ok(0) => break,
-            Ok(_) if header == "\r\n" || header == "\n" => break,
-            Ok(_) => {
-                if let Some((name, value)) = header.split_once(':') {
-                    if name.trim().eq_ignore_ascii_case("accept") {
-                        accept = value.trim().to_string();
-                    }
-                }
-            }
-            Err(_) => break,
+        let left = deadline.saturating_duration_since(Instant::now());
+        if left.is_zero() || stream.set_read_timeout(Some(left)).is_err() {
+            return None;
+        }
+        match input.read(&mut buf) {
+            Ok(0) => return (input.limit() > 0).then_some(head),
+            Ok(n) => head.extend_from_slice(&buf[..n]),
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
+            Err(_) => return None,
+        }
+        // A blank line, `\r` or not, ends the head.
+        if head.windows(2).any(|w| w == b"\n\n") || head.windows(3).any(|w| w == b"\n\r\n") {
+            return Some(head);
         }
     }
-    let mut parts = request_line.split_whitespace();
-    let (method, target) = match (parts.next(), parts.next()) {
-        (Some(m), Some(p)) => (m, p),
-        _ => {
-            let resp = HttpResponse::json(400, "{\"error\":\"bad request\"}".into());
-            write_response(&mut stream, false, &resp);
-            return;
+}
+
+/// Parses a request head: the request line's method and target, and the
+/// `Accept` header (the last one given). What follows the blank line
+/// that ends the head is not read. `None` when the request line lacks a
+/// method or a target.
+fn parse_head(head: &[u8]) -> Option<HttpRequest> {
+    let text = String::from_utf8_lossy(head);
+    let mut lines = text.split('\n').map(|l| l.strip_suffix('\r').unwrap_or(l));
+    let mut parts = lines.next()?.split_whitespace();
+    let (method, target) = (parts.next()?, parts.next()?);
+    let mut accept = String::new();
+    for line in lines.take_while(|l| !l.is_empty()) {
+        if let Some((name, value)) = line.split_once(':') {
+            if name.trim().eq_ignore_ascii_case("accept") {
+                accept = value.trim().to_string();
+            }
         }
+    }
+    let (path, query) = target.split_once('?').unwrap_or((target, ""));
+    Some(HttpRequest {
+        method: method.to_string(),
+        path: path.to_string(),
+        query: query.to_string(),
+        accept,
+    })
+}
+
+fn handle_connection(mut stream: TcpStream, router: &Router, stop: &AtomicBool) {
+    let Some(request) = read_head(&stream).as_deref().and_then(parse_head) else {
+        let resp = HttpResponse::json(400, "{\"error\":\"bad request\"}".into());
+        write_response(&mut stream, false, &resp);
+        return;
     };
+    let method = request.method.as_str();
     if method != "GET" && method != "HEAD" {
         let resp = HttpResponse::json(405, "{\"error\":\"method not allowed\"}".into());
         write_response(&mut stream, false, &resp);
         return;
     }
-    let (path, query) = match target.split_once('?') {
-        Some((p, q)) => (p, q),
-        None => (target, ""),
-    };
-    let request = HttpRequest {
-        method: method.to_string(),
-        path: path.to_string(),
-        query: query.to_string(),
-        accept,
-    };
     let head_only = method == "HEAD";
     match router(&request) {
         Some(HttpRoute::Response(resp)) => write_response(&mut stream, head_only, &resp),
@@ -385,8 +399,10 @@ fn handle_connection(mut stream: TcpStream, router: &Router, stop: &AtomicBool) 
             stream_events(&mut stream, head_only, &*source, stop)
         }
         None => {
-            let resp =
-                HttpResponse::json(404, format!("{{\"error\":\"no such endpoint {path:?}\"}}"));
+            let resp = HttpResponse::json(
+                404,
+                format!("{{\"error\":\"no such endpoint {:?}\"}}", request.path),
+            );
             write_response(&mut stream, head_only, &resp);
         }
     }
@@ -440,7 +456,7 @@ pub fn http_get(host: &str, port: u16, path_and_query: &str) -> Result<(u16, Str
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::io::Read;
+    use proptest::prelude::*;
 
     fn get(addr: SocketAddr, target: &str) -> (u16, String, String) {
         let mut stream = TcpStream::connect(addr).unwrap();
@@ -576,6 +592,112 @@ mod tests {
         let mut other = base;
         other.query = "follower=1".into();
         assert!(!other.wants_event_stream());
+    }
+
+    /// Reads what the server sends until it closes (or resets) the
+    /// connection.
+    fn read_until_closed(stream: &mut TcpStream) -> String {
+        let (mut raw, mut buf) = (Vec::new(), [0u8; 1024]);
+        while let Ok(n @ 1..) = stream.read(&mut buf) {
+            raw.extend_from_slice(&buf[..n]);
+        }
+        String::from_utf8_lossy(&raw).into_owned()
+    }
+
+    #[test]
+    fn an_endless_request_line_is_refused_and_the_server_carries_on() {
+        let server = test_server();
+        let mut stream = TcpStream::connect(server.local_addr()).unwrap();
+        let mut writer = stream.try_clone().unwrap();
+        // 64 KiB and no newline; the server stops reading long before.
+        let sender = std::thread::spawn(move || {
+            let _ = writer.write_all(&vec![b'a'; 64 * 1024]);
+        });
+        stream.set_read_timeout(Some(READ_TIMEOUT * 2)).unwrap();
+        let raw = read_until_closed(&mut stream);
+        assert!(raw.starts_with("HTTP/1.1 400"), "{raw:?}");
+        sender.join().unwrap();
+        let (status, _, body) = get(server.local_addr(), "/healthz");
+        assert_eq!((status, body.as_str()), (200, "{\"status\":\"ok\"}"));
+        server.stop();
+    }
+
+    #[test]
+    fn a_dripping_head_is_closed_at_the_deadline() {
+        let server = test_server();
+        let mut stream = TcpStream::connect(server.local_addr()).unwrap();
+        let started = Instant::now();
+        let mut writer = stream.try_clone().unwrap();
+        // One header line every 300 ms: each read is quick, the head never
+        // ends.
+        let sender = std::thread::spawn(move || {
+            let _ = writer.write_all(b"GET /healthz HTTP/1.1\r\n");
+            while writer.write_all(b"X-Drip: 1\r\n").is_ok() {
+                std::thread::sleep(Duration::from_millis(300));
+                if started.elapsed() > READ_TIMEOUT * 3 {
+                    break;
+                }
+            }
+        });
+        stream.set_read_timeout(Some(READ_TIMEOUT * 3)).unwrap();
+        let raw = read_until_closed(&mut stream);
+        let waited = started.elapsed();
+        assert!(raw.starts_with("HTTP/1.1 400"), "{raw:?}");
+        assert!(
+            waited >= READ_TIMEOUT && waited < READ_TIMEOUT * 2,
+            "closed after {waited:?}"
+        );
+        drop(stream);
+        sender.join().unwrap();
+        server.stop();
+    }
+
+    /// A request head from its parts, `extra` further headers in front of
+    /// the `Accept` one.
+    fn head_bytes(method: &str, target: &str, accept: &str, extra: usize) -> Vec<u8> {
+        let mut head = format!("{method} {target} HTTP/1.1\r\nHost: t\r\n");
+        for i in 0..extra {
+            head.push_str(&format!("X-{i}: {i}\n"));
+        }
+        head.push_str(&format!("Accept: {accept}\r\n\r\n"));
+        head.into_bytes()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// No damage to a request head panics the parser: cut at every
+        /// byte, each byte flipped (all its bits, and one), content after
+        /// the head. Undamaged, it parses to its parts, whatever follows.
+        #[test]
+        fn parse_head_survives_damage(
+            method in "[A-Z]{1,7}",
+            path in "/[a-z0-9/]{0,12}",
+            query in "[a-z0-9=&]{0,8}",
+            accept in "[a-z/;=.*]{0,16}",
+            extra in 0usize..4,
+            bit in 0u32..8,
+            tail in prop::collection::vec(any::<u8>(), 0..64),
+        ) {
+            let head = head_bytes(&method, &format!("{path}?{query}"), &accept, extra);
+            let parsed = parse_head(&head).expect("an undamaged head parses");
+            prop_assert_eq!(
+                (&*parsed.method, &*parsed.path, &*parsed.query, &*parsed.accept),
+                (&*method, &*path, &*query, &*accept)
+            );
+            let long = [&head[..], &tail[..]].concat();
+            prop_assert_eq!(format!("{:?}", parse_head(&long)), format!("{:?}", Some(parsed)));
+            for cut in 0..head.len() {
+                let _ = parse_head(&head[..cut]);
+            }
+            for at in 0..head.len() {
+                for mask in [0xff, 1 << bit] {
+                    let mut damaged = head.clone();
+                    damaged[at] ^= mask;
+                    let _ = parse_head(&damaged);
+                }
+            }
+        }
     }
 
     #[test]

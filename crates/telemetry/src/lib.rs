@@ -4,15 +4,10 @@
 //! A [`Registry`] holds named [`Counter`]s, [`Gauge`]s, and streaming
 //! [`Histogram`]s. Handles are `Arc`-backed and cheap to clone, so hot
 //! paths fetch their handle once and record lock-free afterwards.
-//! Three read paths come out of one registry:
-//!
-//! 1. [`Registry::render_prometheus`] — text exposition for scraping or
-//!    snapshot files;
-//! 2. [`Registry::snapshot`] — structured digests for the `netqos stats`
-//!    CLI and tests;
-//! 3. the monitor's self-monitoring SNMP sub-agent (see
-//!    `netqos-monitor::selfagent`), which maps a snapshot into an
-//!    enterprise OID subtree.
+//! [`Registry::render_prometheus`] is the read path: text exposition for
+//! `/metrics`, `netqos stats` and `--telemetry` files; the alert engine,
+//! the long-term store's sampler and federation read the registry's
+//! sorted name/handle entries.
 //!
 //! Structured events ride alongside metrics through [`EventSink`]
 //! (JSONL with per-target level filtering).
@@ -37,7 +32,6 @@ mod profile;
 mod promql;
 mod push;
 mod record;
-mod sample;
 mod trace;
 
 pub use alerts::{
@@ -54,7 +48,7 @@ pub use federation::{Shard, ShardHealth, ShardRegistry};
 pub use flight::{
     cycles_from_jsonl, enforce_retention, parsed_to_chrome_trace, to_chrome_trace, to_jsonl,
     validate_chrome_trace, write_snapshot, ChromeTraceStats, CycleTrace, FlightRecorder,
-    ParsedCycle, ParsedSpan, RetentionPolicy, SampleAnnotation, SnapshotDeletion, SnapshotPaths,
+    ParsedCycle, ParsedSpan, RetentionPolicy, SampleAnnotation, SnapshotPaths,
     DEFAULT_FLIGHT_CAPACITY,
 };
 pub use http::{http_get, EventSource, HttpRequest, HttpResponse, HttpRoute, HttpServer, Router};
@@ -68,9 +62,7 @@ pub use lts::{
     Resolution, ResolutionStat, RetentionDeletion, SegmentCodec, SegmentHeader, SegmentStat,
     SegmentStats, SeriesInfo, SeriesKind, StoreStats, VerifyReport,
 };
-pub use metrics::{
-    Counter, Gauge, Histogram, HistogramState, HistogramSummary, HistogramTimer, BUCKETS,
-};
+pub use metrics::{Counter, Gauge, Histogram, HistogramState, HistogramTimer, BUCKETS};
 pub use otlp::{parsed_to_otlp, to_otlp, validate_otlp, OtlpStats, OTLP_SCOPE, OTLP_SERVICE};
 pub use profile::{profile_response, ProfileHub, SpanView, DEFAULT_PROFILE_WINDOW};
 pub use promql::{
@@ -85,7 +77,6 @@ pub use push::{
 pub use record::{
     evaluate_record_rules, parse_record_rules, RecordReport, RecordRule, RecordingCounters,
 };
-pub use sample::{AdaptiveConfig, SampleConfig, SampleDecision, Sampler};
 pub use trace::{SpanGuard, SpanId, SpanRecord, TraceId, Tracer};
 
 use parking_lot::RwLock;
@@ -100,17 +91,6 @@ pub struct Registry {
     counters: RwLock<BTreeMap<String, Counter>>,
     gauges: RwLock<BTreeMap<String, Gauge>>,
     histograms: RwLock<BTreeMap<String, Histogram>>,
-}
-
-/// Point-in-time digest of a whole registry, sorted by metric name.
-#[derive(Debug, Clone, Default)]
-pub struct Snapshot {
-    /// Counter name/value pairs.
-    pub counters: Vec<(String, u64)>,
-    /// Gauge name/value pairs.
-    pub gauges: Vec<(String, i64)>,
-    /// Histogram digests.
-    pub histograms: Vec<(String, HistogramSummary)>,
 }
 
 impl Registry {
@@ -154,30 +134,6 @@ impl Registry {
             .entry(name.to_string())
             .or_default()
             .clone()
-    }
-
-    /// Digest of every registered metric.
-    pub fn snapshot(&self) -> Snapshot {
-        Snapshot {
-            counters: self
-                .counters
-                .read()
-                .iter()
-                .map(|(k, v)| (k.clone(), v.get()))
-                .collect(),
-            gauges: self
-                .gauges
-                .read()
-                .iter()
-                .map(|(k, v)| (k.clone(), v.get()))
-                .collect(),
-            histograms: self
-                .histograms
-                .read()
-                .iter()
-                .map(|(k, v)| (k.clone(), v.summary()))
-                .collect(),
-        }
     }
 
     /// Name/handle pairs of every counter, sorted by name. Handles are
@@ -471,16 +427,11 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_is_sorted_by_name() {
+    fn entries_are_sorted_by_name() {
         let reg = Registry::new();
         reg.counter("zzz").inc();
         reg.counter("aaa").inc();
-        let names: Vec<_> = reg
-            .snapshot()
-            .counters
-            .iter()
-            .map(|(n, _)| n.clone())
-            .collect();
+        let names: Vec<_> = reg.counter_entries().into_iter().map(|(n, _)| n).collect();
         assert_eq!(names, vec!["aaa".to_string(), "zzz".to_string()]);
     }
 }

@@ -341,20 +341,6 @@ impl Histogram {
         }
         out
     }
-
-    /// An immutable summary of the current state.
-    pub fn summary(&self) -> HistogramSummary {
-        HistogramSummary {
-            count: self.count(),
-            sum: self.sum(),
-            min: self.min(),
-            max: self.max(),
-            mean: self.mean(),
-            p50: self.quantile(0.50),
-            p90: self.quantile(0.90),
-            p99: self.quantile(0.99),
-        }
-    }
 }
 
 /// Records elapsed wall-clock time into a histogram on drop.
@@ -394,27 +380,6 @@ pub struct HistogramState {
     pub min: u64,
     /// Largest sample.
     pub max: u64,
-}
-
-/// Point-in-time digest of a histogram.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct HistogramSummary {
-    /// Sample count.
-    pub count: u64,
-    /// Sum of samples.
-    pub sum: u64,
-    /// Smallest sample (0 when empty).
-    pub min: u64,
-    /// Largest sample.
-    pub max: u64,
-    /// Arithmetic mean (0.0 when empty).
-    pub mean: f64,
-    /// Median.
-    pub p50: u64,
-    /// 90th percentile.
-    pub p90: u64,
-    /// 99th percentile.
-    pub p99: u64,
 }
 
 #[cfg(test)]

@@ -1,13 +1,12 @@
 //! Property tests for the streaming histogram (quantile accuracy
 //! against an exact sorted reference, merge associativity, concurrent
-//! recording), the trace sampler (keep/drop invariants), and baseline
-//! persistence (JSON round trips preserve quantiles).
+//! recording) and baseline persistence (JSON round trips preserve
+//! quantiles).
 
 use netqos_telemetry::{
     baselines_from_json, baselines_to_json, downsample, AlertContext, AlertEngine, AlertRule,
     AlertScope, AlertSeverity, CmpOp, Histogram, Point, PointValue, PromSeries, QuantileBaseline,
-    QueryEngine, QueryResult, Registry, Resolution, SampleConfig, SampleDecision, Sampler,
-    SeriesKind, SeriesSource, Shard, ShardRegistry,
+    QueryEngine, QueryResult, Registry, Resolution, SeriesKind, SeriesSource, Shard, ShardRegistry,
 };
 use proptest::prelude::*;
 
@@ -133,85 +132,6 @@ proptest! {
         for q in [0.5, 0.9, 0.99] {
             prop_assert_eq!(shared.quantile(q), reference.quantile(q), "q={}", q);
         }
-    }
-
-    /// A cycle with a QoS event is never dropped, whatever the
-    /// thresholds — losing the trace of the violation that triggered the
-    /// snapshot would defeat the flight recorder.
-    // Ranks are generated as integer thousandths (the vendored proptest
-    // has no f64 range strategy) and scaled into [0, 1].
-    #[test]
-    fn sampler_never_drops_qos_cycles(
-        head_every in 1u64..100,
-        slow_tick_ns in 0u64..1_000_000,
-        tail_rank_milli in 0u64..2000,
-        cycles in prop::collection::vec((0u64..2_000_000, 0u64..1000, any::<bool>()), 1..300),
-    ) {
-        let s = Sampler::new(SampleConfig {
-            head_every,
-            slow_tick_ns,
-            tail_rank: tail_rank_milli as f64 / 1000.0,
-        });
-        for &(tick_ns, rank_milli, qos) in &cycles {
-            let d = s.decide(tick_ns, rank_milli as f64 / 1000.0, qos);
-            if qos {
-                prop_assert!(d.keep(), "qos cycle dropped under {:?}", s.config());
-            }
-        }
-    }
-
-    /// With all tail triggers disabled, head sampling keeps exactly the
-    /// cycles at indices ≡ 0 (mod N) — ceil(n/N) of n — and the decision
-    /// counters partition the cycles seen.
-    #[test]
-    fn sampler_head_rate_is_exact(
-        head_every in 1u64..50,
-        n in 1u64..500,
-    ) {
-        let s = Sampler::new(SampleConfig {
-            head_every,
-            slow_tick_ns: 0,
-            tail_rank: f64::INFINITY,
-        });
-        let mut kept = 0u64;
-        for i in 0..n {
-            let d = s.decide(1_000, 0.5, false);
-            prop_assert_eq!(
-                d.keep(),
-                i % head_every == 0,
-                "cycle {} of head_every {}",
-                i,
-                head_every
-            );
-            prop_assert!(!matches!(d, SampleDecision::Tail(_)));
-            kept += d.keep() as u64;
-        }
-        prop_assert_eq!(kept, n.div_ceil(head_every));
-        prop_assert_eq!(s.cycles_seen(), n);
-        prop_assert_eq!(s.kept_head() + s.kept_tail() + s.dropped(), n);
-    }
-
-    /// The decision counters always partition the cycles seen, and every
-    /// keep is attributed to exactly one of head/tail.
-    #[test]
-    fn sampler_counters_partition_cycles(
-        head_every in 1u64..20,
-        slow_tick_ns in 0u64..100_000,
-        tail_rank_milli in 500u64..1500,
-        cycles in prop::collection::vec((0u64..200_000, 0u64..1000, any::<bool>()), 0..200),
-    ) {
-        let s = Sampler::new(SampleConfig {
-            head_every,
-            slow_tick_ns,
-            tail_rank: tail_rank_milli as f64 / 1000.0,
-        });
-        let mut keeps = 0u64;
-        for &(tick_ns, rank_milli, qos) in &cycles {
-            keeps += s.decide(tick_ns, rank_milli as f64 / 1000.0, qos).keep() as u64;
-        }
-        prop_assert_eq!(s.cycles_seen(), cycles.len() as u64);
-        prop_assert_eq!(s.kept_head() + s.kept_tail() + s.dropped(), cycles.len() as u64);
-        prop_assert_eq!(s.kept_head() + s.kept_tail(), keeps);
     }
 
     /// Federating K shard registries preserves counter sums and
@@ -1939,5 +1859,88 @@ fn the_state_file_the_dense_baseline_wrote_round_trips() {
     // fixed point.
     for cut in 0..file.len() {
         loads_or_refuses(&file[..cut]);
+    }
+}
+
+// ---------------------------------------------------------------------
+// Rule files against damage
+// ---------------------------------------------------------------------
+
+use netqos_telemetry::{parse_alert_rules, parse_record_rules};
+
+const ALERT_RULES: &str = include_str!("../../../specs/alerts.rules");
+const RECORD_RULES: &str = include_str!("../../../specs/record.rules");
+
+/// `parse` over `bytes` read as text: whatever the damage, `Ok` or `Err`.
+fn parses_or_refuses<T>(parse: fn(&str) -> Result<Vec<T>, String>, bytes: &[u8]) {
+    let _ = parse(&String::from_utf8_lossy(bytes));
+}
+
+/// One damage of each kind to `file`, chosen by `c`: cut at a byte,
+/// a few bytes flipped (all their bits or one), content appended.
+fn rule_file_survives_damage<T>(
+    parse: fn(&str) -> Result<Vec<T>, String>,
+    file: &str,
+    c: &mut Choices,
+) {
+    let file = file.as_bytes();
+    parses_or_refuses(parse, &file[..c.next(file.len() + 1)]);
+    let mut damaged = file.to_vec();
+    for _ in 0..1 + c.next(4) {
+        damaged[c.next(file.len())] ^= [0xff, 1 << c.next(8)][c.next(2)];
+    }
+    parses_or_refuses(parse, &damaged);
+    let mut long = file.to_vec();
+    long.extend((0..1 + c.next(32)).map(|_| c.next(256) as u8));
+    parses_or_refuses(parse, &long);
+    parses_or_refuses(parse, &[file, &file[..c.next(file.len())]].concat());
+}
+
+fn rule_files_survive_damage(seed: u64) {
+    let c = &mut Choices(seed);
+    rule_file_survives_damage(parse_alert_rules, ALERT_RULES, c);
+    rule_file_survives_damage(parse_record_rules, RECORD_RULES, c);
+}
+
+/// The shipped files parse to the rules they hold, and survive being cut
+/// at every byte and having every byte flipped.
+#[test]
+fn rule_files_survive_every_cut_and_flip() {
+    assert_eq!(parse_alert_rules(ALERT_RULES).unwrap().len(), 5);
+    assert_eq!(parse_record_rules(RECORD_RULES).unwrap().len(), 4);
+    fn every<T>(parse: fn(&str) -> Result<Vec<T>, String>, file: &str) {
+        let file = file.as_bytes();
+        for cut in 0..file.len() {
+            parses_or_refuses(parse, &file[..cut]);
+        }
+        for at in 0..file.len() {
+            for mask in [0xff, 1, 2, 4, 8, 16, 32, 64, 128] {
+                let mut damaged = file.to_vec();
+                damaged[at] ^= mask;
+                parses_or_refuses(parse, &damaged);
+            }
+        }
+    }
+    every(parse_alert_rules, ALERT_RULES);
+    every(parse_record_rules, RECORD_RULES);
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn rule_files_survive_damage_anywhere(seed in any::<u64>()) {
+        rule_files_survive_damage(seed);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(20_000))]
+
+    /// The property above at CI's release-mode length.
+    #[test]
+    #[ignore = "20 000 cases: run in release mode"]
+    fn rule_files_survive_damage_anywhere_at_length(seed in any::<u64>()) {
+        rule_files_survive_damage(seed);
     }
 }

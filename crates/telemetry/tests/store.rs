@@ -350,7 +350,10 @@ fn run_equally_old_series(tag: &str) -> (Vec<(String, u64, &'static str)>, Vec<S
     let fields = text
         .lines()
         .map(|l| parse_json(l).unwrap())
-        .filter(|e| e.get("kind").and_then(|k| k.as_str()) == Some("retention_delete"))
+        .filter(|e| {
+            let field = |k: &str| e.get(k).and_then(|v| v.as_str());
+            (field("target"), field("kind")) == (Some("lts"), Some("retention_delete"))
+        })
         .map(|e| format!("{:?}", e.get("fields").unwrap()))
         .collect();
     let _ = fs::remove_dir_all(&dir);

@@ -48,14 +48,6 @@ const TELEMETRY: Opt = Opt(
     "also write PATH.prom (the registry at exit) and PATH.jsonl (the event trail)",
 );
 const PACE_MS: Opt = Opt("--pace-ms MS", "sleep MS wall-clock ms per tick");
-const TRACE_SAMPLE: Opt = Opt(
-    "--trace-sample N",
-    "enable tracing, keep 1-in-N cycles (tail triggers always kept)",
-);
-const TRACE_ADAPTIVE: Opt = Opt(
-    "--trace-adaptive",
-    "let the head rate adapt to flight ring pressure (implies tracing)",
-);
 const ALERT_RULES: Opt = Opt(
     "--alert-rules PATH",
     "load alert rules from PATH on top of the built-ins (same-name rules override); see \
@@ -129,22 +121,16 @@ pub static COMMANDS: &[Cmd] = &[
             TELEMETRY,
             Opt(
                 "--serve ADDR",
-                "serve GET /metrics /healthz /snapshot /alerts and /api/v1/query[_range] on \
-                 ADDR (bound address printed to stderr); with tracing on also GET /profile \
-                 (tick-phase profile; ?format=folded for flamegraph folded stacks)",
+                "serve GET /metrics /healthz /snapshot /alerts /profile and \
+                 /api/v1/query[_range] on ADDR (bound address printed to stderr); turns \
+                 tracing on so /profile has a tick-phase profile (?format=folded for \
+                 flamegraph folded stacks)",
             ),
             PACE_MS,
-            TRACE_SAMPLE,
-            TRACE_ADAPTIVE,
             Opt(
                 "--otlp-push URL",
                 "push flight snapshots to an OTLP collector at http://host:port/path on \
-                 violation and at exit (implies tracing)",
-            ),
-            Opt(
-                "--otlp-push-delta",
-                "delta temporality: each --otlp-push only carries cycles newer than the last \
-                 acknowledged push",
+                 violation and at exit (turns tracing on)",
             ),
             ALERT_RULES,
             Opt(
@@ -158,8 +144,7 @@ pub static COMMANDS: &[Cmd] = &[
             RECORD_RULES,
             Opt(
                 "--slow-query-ms MS",
-                "flag /api/v1 evaluations slower than MS in response warnings and the event \
-                 stream (default 50)",
+                "flag /api/v1 evaluations slower than MS in response warnings (default 50)",
             ),
         ],
         run: super::cmd_monitor,
@@ -179,8 +164,6 @@ pub static COMMANDS: &[Cmd] = &[
                  printed to stderr)",
             ),
             PACE_MS,
-            TRACE_SAMPLE,
-            TRACE_ADAPTIVE,
             ALERT_RULES,
             BASELINE_SAVE_TICKS,
             LTS,
@@ -217,8 +200,6 @@ pub static COMMANDS: &[Cmd] = &[
                 "--out DIR",
                 "directory the snapshots go to (default flight/)",
             ),
-            TRACE_SAMPLE,
-            TRACE_ADAPTIVE,
             ALERT_RULES,
             BASELINE_STATE,
             BASELINE_SAVE_TICKS,
@@ -350,7 +331,7 @@ pub static COMMANDS: &[Cmd] = &[
         name: "profile",
         args: "[PATH.jsonl]",
         about: "tick-phase profile of a flight-recorder snapshot (offline), or with --url of \
-                a live monitor, which must be tracing",
+                a live monitor's export plane",
         opts: &[
             Opt(
                 "--url http://host:port",
@@ -668,7 +649,7 @@ mod tests {
             err.starts_with("--duration given more than once\n"),
             "{err}"
         );
-        assert!(parse(monitor, &argv(&["--trace-adaptive", "--trace-adaptive"])).is_err());
+        assert!(parse(monitor, &argv(&["--lts-compact", "--lts-compact"])).is_err());
     }
 
     #[test]

@@ -118,28 +118,15 @@ fn parse_load(s: &str) -> Option<(String, String, LoadProfile)> {
     Some((parts[0].to_owned(), parts[1].to_owned(), profile))
 }
 
-/// Folds the sampling/persistence/alerting options into a service
-/// config. User alert rules are appended after the built-ins so a
-/// same-name rule overrides its built-in (the engine keeps the last).
+/// Folds the persistence/alerting options into a service config. User
+/// alert rules are appended after the built-ins so a same-name rule
+/// overrides its built-in (the engine keeps the last).
 fn apply_service_options(mut config: ServiceConfig, args: &Args) -> Result<ServiceConfig, String> {
-    if let Some(n) = args.num::<u64>("--trace-sample")? {
-        config.sample = netqos_telemetry::SampleConfig {
-            head_every: n.max(1),
-            ..netqos_telemetry::SampleConfig::default()
-        };
-    }
-    if args.flag("--trace-adaptive") {
-        config.adaptive_sample = Some(netqos_telemetry::AdaptiveConfig::default());
-    }
     if let Some(path) = args.value("--alert-rules") {
         let rules = netqos_telemetry::parse_alert_rules(&read_file(path)?)
             .map_err(|e| format!("{path}: {e}"))?;
         config.alert_rules.extend(rules);
     }
-    if args.flag("--otlp-push-delta") && args.value("--otlp-push").is_none() {
-        return Err("--otlp-push-delta needs --otlp-push".into());
-    }
-    config.otlp_push_delta = args.flag("--otlp-push-delta");
     config.baseline_state = args.path("--baseline-state");
     if let Some(n) = args.num::<NonZeroU64>("--baseline-save-ticks")? {
         config.baseline_save_ticks = n.get();
@@ -158,9 +145,10 @@ fn apply_service_options(mut config: ServiceConfig, args: &Args) -> Result<Servi
     Ok(config)
 }
 
-/// Whether any of the options imply causal tracing.
+/// Whether an option consumes the traces: `/profile` behind `--serve`,
+/// or the collector behind `--otlp-push`.
 fn wants_tracing(args: &Args) -> bool {
-    args.flag("--trace-sample") || args.flag("--trace-adaptive") || args.flag("--otlp-push")
+    args.flag("--serve") || args.flag("--otlp-push")
 }
 
 /// Starts the push worker behind `--otlp-push` or `--alert-webhook`
@@ -222,21 +210,18 @@ fn start_serve_plane(
     if let (Some(dir), true) = (args.value("--lts"), service.lts_enabled()) {
         options.lts = Some(netqos_telemetry::LtsReader::open(dir));
     }
-    // /profile only answers when spans actually flow into the profiler,
-    // i.e. when tracing is on; otherwise the route 404s with a hint.
-    options.profile = wants_tracing(args).then(|| service.profile().clone());
-    options.events = Some(service.event_sink().clone());
+    // Serving is what turns tracing on, so spans flow into the profiler.
+    options.profile = Some(service.profile().clone());
     if let Some(ms) = args.num::<u64>("--slow-query-ms")? {
         options.slow_query_ns = ms.saturating_mul(1_000_000);
     }
-    let (has_query, has_profile) = (options.lts.is_some(), options.profile.is_some());
+    let has_query = options.lts.is_some();
     let server = netqos_telemetry::HttpServer::serve(addr, live::build_router(options))
         .map_err(|e| format!("cannot bind {addr}: {e}"))?;
     eprintln!(
-        "serving http://{}/ (metrics, healthz, snapshot, alerts{}{})",
+        "serving http://{}/ (metrics, healthz, snapshot, alerts{}, profile)",
         server.local_addr(),
         if has_query { ", query" } else { "" },
-        if has_profile { ", profile" } else { "" }
     );
     Ok(Some(server))
 }
@@ -313,7 +298,7 @@ fn build_service(
 /// shard): reads and validates the spec at `path`, requires a qospath,
 /// builds the service the options describe on top of `config`, reports
 /// what it could not restore, and turns tracing on when an option
-/// implies it.
+/// reads the traces.
 fn open_service(
     path: &str,
     args: &Args,
@@ -467,8 +452,7 @@ fn cmd_monitor(args: &Args) -> Result<(), String> {
     }
     finish_run(&mut service, args)?;
     // Push the final flight snapshot, so short runs without violations
-    // still deliver their traces — under delta temporality only the
-    // cycles not yet acknowledged.
+    // still deliver their traces.
     service.flush_otlp_push();
     for (what, pusher) in [("otlp push", pusher), ("alert webhook", webhook)] {
         if let Some(pusher) = pusher {
@@ -540,7 +524,9 @@ fn cmd_federate(args: &Args) -> Result<(), String> {
             .name(format!("netqos-shard-{name}"))
             .spawn(move || -> Result<(String, u64, usize), String> {
                 let mut service = match open_service(&path, &shard_args, ServiceConfig::default()) {
-                    Ok((service, _)) => {
+                    Ok((mut service, _)) => {
+                        // The merged plane always serves /profile?shard=.
+                        service.set_tracing(true);
                         let live = service.live().clone();
                         live.set_stale_after_ns(stale_after_ns(pace_ms));
                         let _ = tx.send(Ok((
@@ -577,13 +563,9 @@ fn cmd_federate(args: &Args) -> Result<(), String> {
     for handles in handle_rx {
         match handles {
             Ok((name, registry, live, profile)) => {
-                let mut shard = live::shard_for(name.clone(), registry.clone(), live);
-                // /profile?shard=NAME serves this shard's phase tree;
-                // the hub only fills while the shard traces.
-                if wants_tracing(args) {
-                    shard = shard
-                        .with_profile(move |req| netqos_telemetry::profile_response(&profile, req));
-                }
+                // /profile?shard=NAME serves this shard's phase tree.
+                let mut shard = live::shard_for(name.clone(), registry.clone(), live)
+                    .with_profile(move |req| netqos_telemetry::profile_response(&profile, req));
                 // The cross-shard /api/v1 engine reads each shard's
                 // store from disk when one exists, else answers instant
                 // queries from the shard's live registry.

@@ -3,17 +3,19 @@
 //! `path_qos_violation` alert through its pending → firing hysteresis,
 //! diagnose the trunk as the bottleneck, publish the alert over
 //! `GET /alerts`, summarize it in `/healthz`, record the transition in
-//! the flight ring, deliver transition batches to a webhook sink, and
-//! resolve once the load stops.
+//! the flight ring and the event trail, deliver transition batches to a
+//! webhook sink, and resolve once the load stops.
 
 use netqos::loadgen::{LoadProfile, ProfiledSource};
 use netqos::monitor::live::{build_router, RouterOptions};
 use netqos::monitor::service::{MonitoringService, ServiceConfig};
 use netqos::monitor::simnet::SimNetworkOptions;
-use netqos_telemetry::{parse_json, parse_webhook_url, HttpServer, JsonValue, PushConfig};
+use netqos_telemetry::{
+    parse_json, parse_webhook_url, EventSink, HttpServer, JsonValue, PushConfig,
+};
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{TcpListener, TcpStream};
-use std::sync::mpsc;
+use std::sync::{mpsc, Arc};
 use std::thread;
 use std::time::Duration;
 
@@ -130,6 +132,9 @@ fn trunk_overload_fires_diagnosed_alert_end_to_end() {
     let mut svc = trunk_overload_service();
     let target = parse_webhook_url(&format!("http://127.0.0.1:{port}/alerts")).unwrap();
     let hook = svc.enable_alert_webhook(PushConfig::new(target));
+    let trail =
+        std::env::temp_dir().join(format!("netqos-alert-trail-{}.jsonl", std::process::id()));
+    svc.set_event_sink(Arc::new(EventSink::to_file(&trail).unwrap()));
 
     // Tick until the builtin rule crosses its `for 2` hysteresis.
     let mut fired_at = None;
@@ -227,6 +232,39 @@ fn trunk_overload_fires_diagnosed_alert_end_to_end() {
     }
     assert!(resolved_at.is_some(), "alert never resolved after the load");
     assert!(svc.telemetry().alerts_resolved_total.get() >= 1);
+
+    // The event trail tells the same story: feed1's QoS rule tripped and
+    // cleared, and its alert went pending, firing, resolved.
+    svc.event_sink().flush();
+    let events = std::fs::read_to_string(&trail).unwrap();
+    std::fs::remove_file(&trail).ok();
+    for (target, kind, subject) in [
+        ("monitor.qos", "violation", "\"path\":\"feed1\""),
+        ("monitor.qos", "cleared", "\"path\":\"feed1\""),
+        (
+            "monitor.alerts",
+            "pending",
+            "\"rule\":\"path_qos_violation\"",
+        ),
+        (
+            "monitor.alerts",
+            "firing",
+            "\"rule\":\"path_qos_violation\"",
+        ),
+        (
+            "monitor.alerts",
+            "resolved",
+            "\"rule\":\"path_qos_violation\"",
+        ),
+    ] {
+        let head = format!("\"target\":\"{target}\",\"kind\":\"{kind}\"");
+        assert!(
+            events
+                .lines()
+                .any(|l| l.contains(&head) && l.contains(subject)),
+            "no {kind} event for {subject}:\n{events}"
+        );
+    }
 
     // The webhook sink saw the firing batch and the resolved batch:
     // shutdown drains the queue synchronously, so every delivered body

@@ -203,8 +203,6 @@ fn cli_federate_serves_merged_metrics_from_two_spec_files() {
             "120",
             "--pace-ms",
             "100",
-            "--trace-sample",
-            "2",
             "--serve",
             "127.0.0.1:0",
         ])
@@ -251,6 +249,9 @@ fn cli_federate_serves_merged_metrics_from_two_spec_files() {
             .map(|s| s.len()),
         Some(2)
     );
+    // Every shard traces, so each has a phase profile.
+    let (status, profile) = http_get(&addr, "/profile?shard=lirtss");
+    assert_eq!(status, 200, "{profile}");
 
     let _ = child.kill();
     let _ = child.wait();

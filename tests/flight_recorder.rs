@@ -9,8 +9,11 @@ use netqos::loadgen::{LoadProfile, ProfiledSource};
 use netqos::monitor::qos::QosEvent;
 use netqos::monitor::service::{MonitoringService, ServiceConfig};
 use netqos::monitor::simnet::SimNetworkOptions;
-use netqos_telemetry::{cycles_from_jsonl, validate_chrome_trace, ParsedCycle};
+use netqos_telemetry::{
+    cycles_from_jsonl, parse_json, validate_chrome_trace, EventSink, ParsedCycle,
+};
 use std::path::PathBuf;
+use std::sync::Arc;
 
 const SPEC: &str = include_str!("../specs/two-switch.spec");
 
@@ -216,6 +219,9 @@ fn anomaly_warnings_fire_before_violation_threshold() {
         })
         .unwrap();
     svc.set_tracing(true);
+    std::fs::create_dir_all(&dir).unwrap();
+    let trail = dir.join("events.jsonl");
+    svc.set_event_sink(Arc::new(EventSink::to_file(&trail).unwrap()));
     let mut violations = 0;
     for _ in 0..32 {
         violations += svc
@@ -226,9 +232,26 @@ fn anomaly_warnings_fire_before_violation_threshold() {
             .count();
     }
     assert_eq!(violations, 0, "the step load must stay under QoS limits");
+    let warnings = svc.telemetry().anomaly_warnings.get();
     assert!(
-        svc.telemetry().anomaly_warnings.get() > 0,
+        warnings > 0,
         "the load step should rank above p99 of the quiet baseline"
     );
+    // Each warning is one `anomalous` event naming the path and a rank
+    // past the anomaly threshold.
+    svc.event_sink().flush();
+    let events = std::fs::read_to_string(&trail).unwrap();
+    let anomalous: Vec<_> = events
+        .lines()
+        .filter(|l| l.contains("\"target\":\"monitor.baseline\",\"kind\":\"anomalous\""))
+        .map(|l| parse_json(l).unwrap())
+        .collect();
+    assert_eq!(anomalous.len() as u64, warnings, "{events}");
+    for event in &anomalous {
+        let fields = event.get("fields").unwrap();
+        assert!(fields.get("path").and_then(|p| p.as_str()).is_some());
+        let rank = fields.get("rank").and_then(|r| r.as_f64()).unwrap();
+        assert!(rank > 0.99, "{event:?}");
+    }
     std::fs::remove_dir_all(&dir).ok();
 }

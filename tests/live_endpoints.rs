@@ -85,7 +85,7 @@ fn in_process_router_serves_all_endpoints() {
         assert!(p.get("baseline").is_some());
     }
     assert!(doc.get("flight").is_some());
-    assert!(doc.get("sampler").is_some());
+    assert!(doc.get("sampler").is_none(), "{body}");
     assert!(doc.get("alerts").is_some());
 
     // /alerts: the alerting plane's state — quiet run, nothing firing,
@@ -231,8 +231,6 @@ fn cli_monitor_serve_scrapes_while_running() {
             "120",
             "--pace-ms",
             "100",
-            "--trace-sample",
-            "3",
             "--serve",
             "127.0.0.1:0",
         ])
@@ -259,17 +257,32 @@ fn cli_monitor_serve_scrapes_while_running() {
     let (status, health) = http_get(&addr, "/healthz");
     assert_eq!(status, 200, "{health}");
     // Give the loop time to tick a few times, then check the snapshot
-    // reflects live progress and the sampler is thinning traces.
+    // reflects live progress: serving turned tracing on, so every tick
+    // landed in the flight ring.
     std::thread::sleep(Duration::from_millis(600));
     let (status, snap) = http_get(&addr, "/snapshot");
     assert_eq!(status, 200);
     let doc = parse_json(&snap).expect("snapshot JSON");
-    assert!(doc.get("ticks").and_then(JsonValue::as_u64).unwrap_or(0) >= 2);
-    let sampler = doc.get("sampler").expect("sampler block");
-    let seen = sampler.get("seen").and_then(JsonValue::as_u64).unwrap();
-    let dropped = sampler.get("dropped").and_then(JsonValue::as_u64).unwrap();
-    assert!(seen >= 2, "sampler saw {seen} cycles");
-    assert!(dropped >= 1, "1-in-3 head sampling should drop cycles");
+    let ticks = doc.get("ticks").and_then(JsonValue::as_u64).unwrap_or(0);
+    assert!(ticks >= 2, "{snap}");
+    let cycles = (doc.get("flight").and_then(|f| f.get("cycles")))
+        .and_then(JsonValue::as_u64)
+        .unwrap_or(0);
+    let capacity = (doc.get("flight").and_then(|f| f.get("capacity")))
+        .and_then(JsonValue::as_u64)
+        .unwrap_or(0);
+    assert_eq!(cycles, ticks.min(capacity), "{snap}");
+    assert!(doc.get("sampler").is_none(), "{snap}");
+    // And /profile answers without any tracing option.
+    let (status, profile) = http_get(&addr, "/profile");
+    assert_eq!(status, 200, "{profile}");
+    let doc = parse_json(&profile).expect("profile JSON");
+    assert!(
+        doc.get("window_cycles")
+            .and_then(JsonValue::as_u64)
+            .unwrap_or(0)
+            >= 2
+    );
 
     let _ = child.kill();
     let _ = child.wait();

@@ -186,7 +186,9 @@ fn retention_policy_caps_snapshot_files() {
         .filter(|n| n.starts_with("flight-") && n.ends_with(".jsonl"))
         .collect();
     assert_eq!(tagged.len(), 2, "retention left {tagged:?}");
-    assert!(svc.telemetry().flight_retention_deleted.get() > 0);
+    // Every snapshot but those two counts as deleted.
+    let written = svc.snapshots().len() as u64;
+    assert_eq!(svc.telemetry().retention_deleted.get(), written - 2);
     // The newest snapshot always survives.
     let newest = svc.snapshots().last().unwrap();
     assert!(newest.jsonl.exists() && newest.otlp.exists());

@@ -120,9 +120,9 @@ fn violation_pushes_valid_otlp_snapshot_to_sink() {
     assert!(stats.spans > 0);
     assert!(stats.traces >= 1);
     // Several paths can trip across ticks, each onset pushing once.
-    let pushed = svc.telemetry().otlp_pushed.get();
+    let pushed = svc.telemetry().otlp_push.pushed.get();
     assert!(pushed >= 1);
-    assert_eq!(svc.telemetry().otlp_push_dropped.get(), 0);
+    assert_eq!(svc.telemetry().otlp_push.dropped.get(), 0);
     // Delivery counters surface on /metrics.
     let text = svc.registry().render_prometheus();
     assert!(
@@ -154,13 +154,13 @@ fn dead_collector_counts_drops_not_hangs() {
     // retries in the background while ticks continue.
     assert!(start.elapsed() < Duration::from_secs(5));
     pusher.shutdown();
-    assert_eq!(svc.telemetry().otlp_pushed.get(), 0);
+    assert_eq!(svc.telemetry().otlp_push.pushed.get(), 0);
     assert!(
-        svc.telemetry().otlp_push_retries.get() >= 1,
+        svc.telemetry().otlp_push.retries.get() >= 1,
         "refused connection must be retried"
     );
     assert!(
-        svc.telemetry().otlp_push_dropped.get() >= 1,
+        svc.telemetry().otlp_push.dropped.get() >= 1,
         "exhausted retries must count a drop"
     );
 }

@@ -157,8 +157,8 @@ fn transcript() -> String {
         writeln!(out, "counter {name} {}", counter.get()).unwrap();
     }
     for (name, gauge) in svc.registry().gauge_entries() {
-        // Wall-clock uptime and the build's own labels are not the tick's.
-        if name != "netqos_monitor_uptime_seconds" && !name.starts_with("netqos_build_info") {
+        // The build's own labels are not the tick's.
+        if !name.starts_with("netqos_build_info") {
             writeln!(out, "gauge {name} {}", gauge.get()).unwrap();
         }
     }
