@@ -21,10 +21,21 @@ pub fn counter_delta(old: u32, new: u32) -> u32 {
 /// Whether two consecutive Counter32 samples crossed the 2^32 boundary.
 /// At 100 Mb/s an `ifInOctets` counter wraps every ~5.7 minutes, so this
 /// is routine operation, not an anomaly — but it is worth counting, since
-/// a poll period longer than one wrap interval silently undercounts.
+/// a poll period longer than one wrap interval would silently undercount
+/// ([`wraps_ambiguous`] is how the monitor refuses such a rate).
 #[inline]
 pub fn counter_wrapped(old: u32, new: u32) -> bool {
     new < old
+}
+
+/// Whether an interface of `speed_bps` could have carried 2^32 octets or
+/// more in `interval_ticks`: then its Counter32 may have wrapped more than
+/// once, the number of wraps cannot be known, and no rate formed from the
+/// modular delta can be trusted.
+#[inline]
+pub fn wraps_ambiguous(speed_bps: u64, interval_ticks: u32) -> bool {
+    // octets = speed / 8 * ticks / 100, compared without rounding.
+    speed_bps.saturating_mul(u64::from(interval_ticks)) >= 800 << 32
 }
 
 /// Wrap-safe difference of two TimeTicks samples, in ticks (10 ms units).
@@ -131,6 +142,21 @@ mod tests {
         let d = counter_delta(old, new);
         assert_eq!(d, 125_000);
         assert_eq!(rate_bps(d, 100), Some(1_000_000));
+    }
+
+    #[test]
+    fn wraps_become_ambiguous_at_2_pow_32_octets_per_interval() {
+        // 100 Mb/s moves 12.5 MB/s: 2^32 octets take 343.597 s.
+        assert!(!wraps_ambiguous(100_000_000, 34_359));
+        assert!(wraps_ambiguous(100_000_000, 34_360));
+        // 10 Gb/s wraps every 3.44 s.
+        assert!(!wraps_ambiguous(10_000_000_000, 343));
+        assert!(wraps_ambiguous(10_000_000_000, 344));
+        // Exactly 2^32 octets is already ambiguous: zero or one wrap.
+        assert!(wraps_ambiguous(8 << 32, 100));
+        assert!(!wraps_ambiguous((8 << 32) - 1, 100));
+        // An unknown (zero) speed never flags.
+        assert!(!wraps_ambiguous(0, u32::MAX));
     }
 
     #[test]

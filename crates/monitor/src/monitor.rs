@@ -243,6 +243,16 @@ impl NetworkMonitor {
                 self.counter_wraps.inc();
             }
             let ifix = self.map_interface(node, &cur.descr, cur.if_index)?;
+            let slot = self
+                .topology
+                .interface_slot(node, ifix)
+                .expect("a mapped interface exists in the topology");
+            // A port fast enough to wrap its counter twice in this
+            // interval has no knowable rate: none beats a wrong one.
+            if delta::wraps_ambiguous(cur.speed_bps, interval) {
+                self.rates[slot] = None;
+                continue;
+            }
             let in_bps =
                 delta::rate_bps(delta::counter_delta(old.in_octets, cur.in_octets), interval)
                     .unwrap_or(0);
@@ -261,10 +271,6 @@ impl NetworkMonitor {
                 interval,
             )
             .unwrap_or(0);
-            let slot = self
-                .topology
-                .interface_slot(node, ifix)
-                .expect("a mapped interface exists in the topology");
             // EWMA smoothing (alpha = 1.0 keeps the raw paper behaviour).
             let (in_bps, out_bps) = match self.rates[slot] {
                 Some(prev_rates) => (
@@ -449,6 +455,42 @@ mod tests {
         // A normal interval adds no wraps.
         m.ingest(a, snap(200, 249_899, 24_949)).unwrap();
         assert_eq!(m.counter_wraps(), 2);
+    }
+
+    #[test]
+    fn a_port_that_may_have_wrapped_twice_has_no_rate() {
+        let mut t = NetworkTopology::new();
+        let a = t.add_node("A", NodeKind::Switch).unwrap();
+        t.add_interface(a, "eth0", 10_000_000_000).unwrap();
+        t.add_interface(a, "eth1", 100_000_000).unwrap();
+        let mut m = NetworkMonitor::new(t);
+        let snap = |uptime, octets| {
+            let iface = |if_index, descr: &str, speed_bps| IfSample {
+                if_index,
+                descr: descr.into(),
+                speed_bps,
+                in_octets: octets,
+                out_octets: 0,
+                in_ucast_pkts: 0,
+                out_nucast_pkts: 0,
+            };
+            DeviceSnapshot {
+                uptime_ticks: uptime,
+                interfaces: vec![
+                    iface(1, "eth0", 10_000_000_000),
+                    iface(2, "eth1", 100_000_000),
+                ],
+            }
+        };
+        m.ingest(a, snap(0, 0)).unwrap();
+        m.ingest(a, snap(100, 125_000)).unwrap();
+        assert_eq!(m.if_rates(a, IfIx(0)).unwrap().in_bps, 1_000_000);
+        // 5 s at 10 Gb/s is 6.25 GB, more than a Counter32 holds: the
+        // earlier rate is withdrawn, not replaced by a wrong one. The
+        // 100 Mb/s port cannot wrap in 5 s and still gets its rate.
+        m.ingest(a, snap(600, 750_000)).unwrap();
+        assert_eq!(m.if_rates(a, IfIx(0)), None);
+        assert_eq!(m.if_rates(a, IfIx(1)).unwrap().in_bps, 1_000_000);
     }
 
     #[test]

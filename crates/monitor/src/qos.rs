@@ -16,7 +16,7 @@ use netqos_snmp::value::SnmpValue;
 use netqos_spec::QosPathSpec;
 use netqos_topology::bandwidth::PathBandwidth;
 use netqos_topology::plan::{DomainSums, PathPlan};
-use netqos_topology::ConnId;
+use netqos_topology::{ConnId, NodeId};
 use std::collections::HashMap;
 
 /// Why a path is in violation.
@@ -170,6 +170,21 @@ impl QosMonitor {
             }
         }
         events
+    }
+
+    /// The nodes whose rates any tracked path's evaluation may read —
+    /// the union of the compiled plans' [`PathPlan::reads`], sorted and
+    /// deduplicated. `monitor` must be the one this was built from.
+    pub fn demand(&self, monitor: &NetworkMonitor) -> Vec<NodeId> {
+        let topo = monitor.topology();
+        let mut nodes: Vec<NodeId> = self
+            .tracked
+            .iter()
+            .flat_map(|t| t.plan.reads(topo))
+            .collect();
+        nodes.sort_unstable();
+        nodes.dedup();
+        nodes
     }
 
     /// Number of tracked paths.

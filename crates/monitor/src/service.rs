@@ -7,8 +7,12 @@
 //! under `monitor.cycle`:
 //!
 //! 1. **advance** — the simulated network runs one poll period;
-//! 2. **poll** — [`SimNetwork::poll_round`] polls every agent and ingests
-//!    each snapshot as it arrives (counters become rates per device);
+//! 2. **poll** — [`SimNetwork::poll_nodes`] polls this tick's round and
+//!    ingests each snapshot as it arrives (counters become rates per
+//!    device). The round is the *demand set* — every device whose
+//!    counters some qospath's evaluation may read ([`QosMonitor::demand`])
+//!    — then the next slice of the *survey*, the agents no path reads,
+//!    taken round-robin so each is polled once every [`SURVEY_TICKS`];
 //! 3. **evaluate** — every qospath is walked and `min(m_i − u_i)` taken
 //!    once, ranked against its baseline, and written down as one
 //!    [`PathRow`]; everything after this reads the rows;
@@ -42,6 +46,7 @@ use netqos_telemetry::{
     RegistrySampler, RetentionPolicy, SnapshotPaths, Tracer, DEFAULT_FLIGHT_CAPACITY,
     DEFAULT_PROFILE_WINDOW, DEFAULT_WINDOW,
 };
+use netqos_topology::NodeId;
 use std::collections::HashMap;
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
@@ -68,6 +73,64 @@ pub const TICK_STAGES: [&str; 5] = [
     "monitor.alerts.detect",
     "monitor.stats.record",
 ];
+
+/// Ticks over which the survey — the pollable devices no qospath reads —
+/// is polled once round-robin. At a 1 s poll period every device is then
+/// read at least every 30 s, well inside the 343 s in which a 100 Mb/s
+/// port's `Counter32` wraps.
+pub const SURVEY_TICKS: usize = 30;
+
+/// Which devices each tick polls: all of `demand` in node order, then
+/// the next `ceil(survey.len() / SURVEY_TICKS)` devices of `survey` from
+/// a wrapping cursor.
+///
+/// The survey is kept in stride order — every `SURVEY_TICKS`-th device in
+/// node order, from the first, then from the second, and so on — so one
+/// tick's slice is spread over the network. Consecutive node ids sit on
+/// the same access switch; surveying them together puts a tick's survey
+/// traffic on one uplink, which a path crossing it reads as load (on
+/// `lan-wide`, `p1` up to 5.6 % over its offered load instead of 1.3 %).
+struct PollSchedule {
+    demand: Vec<NodeId>,
+    survey: Vec<NodeId>,
+    /// Survey devices polled per tick.
+    slice: usize,
+    cursor: usize,
+    /// This tick's round, rebuilt in place each tick.
+    round: Vec<NodeId>,
+}
+
+impl PollSchedule {
+    /// Splits `pollable` (in node order) into the nodes `demand` (sorted)
+    /// names and the rest.
+    fn new(pollable: Vec<NodeId>, demand: &[NodeId]) -> Self {
+        let (demand, rest): (Vec<_>, Vec<_>) = pollable
+            .into_iter()
+            .partition(|node| demand.binary_search(node).is_ok());
+        let survey: Vec<NodeId> = (0..SURVEY_TICKS)
+            .flat_map(|first| rest.iter().skip(first).step_by(SURVEY_TICKS).copied())
+            .collect();
+        let slice = survey.len().div_ceil(SURVEY_TICKS);
+        PollSchedule {
+            round: Vec::with_capacity(demand.len() + slice),
+            demand,
+            survey,
+            slice,
+            cursor: 0,
+        }
+    }
+
+    /// The next tick's round.
+    fn next_round(&mut self) -> &[NodeId] {
+        self.round.clear();
+        self.round.extend_from_slice(&self.demand);
+        for _ in 0..self.slice {
+            self.round.push(self.survey[self.cursor]);
+            self.cursor = (self.cursor + 1) % self.survey.len();
+        }
+        &self.round
+    }
+}
 
 /// Service configuration.
 #[derive(Debug, Clone)]
@@ -163,6 +226,7 @@ pub struct MonitoringService {
     // advance, poll
     net: SimNetwork,
     monitor: NetworkMonitor,
+    schedule: PollSchedule,
 
     // evaluate
     qos: QosMonitor,
@@ -282,6 +346,7 @@ impl MonitoringService {
         let mut net = SimNetwork::from_model_with(model, net_options, extra)?;
         let mut monitor = NetworkMonitor::new(topology);
         let qos = QosMonitor::new(&monitor, &qos_specs)?;
+        let schedule = PollSchedule::new(net.pollable_nodes(), &qos.demand(&monitor));
         let start = net.lan.now();
         let telemetry = net.telemetry().clone();
         // One tracer, shared by every pipeline stage so their spans land
@@ -350,6 +415,7 @@ impl MonitoringService {
             epoch_unix_ns,
             net,
             monitor,
+            schedule,
             rows: Vec::with_capacity(qos.len()),
             qos,
             path_baselines,
@@ -627,10 +693,11 @@ impl MonitoringService {
     }
 
     /// One poll period, as the list of its stages ([`TICK_STAGES`]):
-    /// advance the network, poll every agent (each snapshot ingested as
-    /// it arrives), evaluate every qospath into its [`PathRow`], detect
-    /// (QoS events, traps, alert rules), record (long-term store, save
-    /// tick) — then, the cycle closed, publish its trace and `/snapshot`.
+    /// advance the network, poll the demand set and a survey slice (each
+    /// snapshot ingested as it arrives), evaluate every qospath into its
+    /// [`PathRow`], detect (QoS events, traps, alert rules), record
+    /// (long-term store, save tick) — then, the cycle closed, publish its
+    /// trace and `/snapshot`.
     /// Returns the QoS events of this tick.
     pub fn tick(&mut self) -> Result<Vec<QosEvent>, MonitorError> {
         let wall_timer = self.telemetry.tick_ns.start_timer();
@@ -641,7 +708,7 @@ impl MonitoringService {
         };
         let cycle_span = self.tracer.span("monitor", "cycle");
         self.advance();
-        let polled = self.net.poll_round(&mut self.monitor)?;
+        let polled = self.poll()?;
         let t_s = self.net.lan.now().duration_since(self.start).as_secs_f64();
         let events = self.evaluate(&mut cycle);
         self.detect(t_s, &events, &mut cycle)?;
@@ -676,6 +743,13 @@ impl MonitoringService {
         let _span = self.tracer.span("monitor.sim", "advance");
         let next = self.net.lan.now() + self.config.poll_period;
         self.net.run_until(next);
+    }
+
+    /// Stage 2: this tick's round of the [`PollSchedule`], each snapshot
+    /// ingested as it arrives. Returns the number of successful polls.
+    fn poll(&mut self) -> Result<usize, MonitorError> {
+        let round = self.schedule.next_round();
+        self.net.poll_nodes(round, &mut self.monitor)
     }
 
     /// Stage 3: the one evaluation of every qospath this tick, written

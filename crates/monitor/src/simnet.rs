@@ -618,11 +618,25 @@ impl SimNetwork {
         &mut self,
         monitor: &mut crate::monitor::NetworkMonitor,
     ) -> Result<usize, MonitorError> {
+        let pollable = std::mem::take(&mut self.pollable);
+        let polled = self.poll_nodes(&pollable, monitor);
+        self.pollable = pollable;
+        polled
+    }
+
+    /// Polls each of `nodes` once, in the order given, feeding the
+    /// snapshots into `monitor`. A device that times out is skipped until
+    /// the next round; any other failure ends the round. Returns the
+    /// number of successful polls.
+    pub fn poll_nodes(
+        &mut self,
+        nodes: &[NodeId],
+        monitor: &mut crate::monitor::NetworkMonitor,
+    ) -> Result<usize, MonitorError> {
         let mut round_span = self.tracer.span("monitor.poll", "round");
-        round_span.set_attr("devices", self.pollable.len());
+        round_span.set_attr("devices", nodes.len());
         let mut ok = 0;
-        for i in 0..self.pollable.len() {
-            let node = self.pollable[i];
+        for &node in nodes {
             match self.poll_device(node) {
                 Ok(snap) => {
                     monitor.ingest(node, snap)?;

@@ -277,6 +277,7 @@ fn a_poll_too_big_for_one_datagram_times_out_and_the_service_ticks_on() {
             device big switch {{ address 10.0.0.100; snmp community "public"; speed 100Mbps; {interfaces} }}
             connection L.eth0 <-> big.{};
             connection S1.hme0 <-> big.{};
+            qospath ls from L to S1 {{ min_available 1Mbps; }}
             "#,
             name(1),
             name(2),
@@ -296,6 +297,7 @@ fn a_poll_too_big_for_one_datagram_times_out_and_the_service_ticks_on() {
         let model = netqos_spec::parse_and_validate(&spec).unwrap();
         let big = model.topology.node_by_name("big").unwrap();
         let s1 = model.topology.node_by_name("S1").unwrap();
+        // The qospath reads all three devices, so every tick polls each.
         let (options, config) = (SimNetworkOptions::default(), ServiceConfig::default());
         let mut svc = MonitoringService::from_model(model, options, config).unwrap();
         let decode_errors = telemetry::codec().decode_errors.get();

@@ -14,7 +14,7 @@
 use crate::bandwidth::{BandwidthRule, ConnectionBandwidth, PathBandwidth, RateProvider};
 use crate::error::TopologyError;
 use crate::graph::{Endpoint, NetworkTopology};
-use crate::ids::{ConnId, DomainId};
+use crate::ids::{ConnId, DomainId, NodeId};
 use crate::path::CommPath;
 
 /// Why a plan could not be evaluated. Small and `Copy` so a monitor that
@@ -222,6 +222,25 @@ impl PathPlan {
             .map(|&c| Hop::compile(topo, c))
             .collect::<Result<_, _>>()?;
         Ok(PathPlan { hops })
+    }
+
+    /// Every node an evaluation may ask the [`RateProvider`] about: both
+    /// ends of a point-to-point hop (the fallback too, so a preferred
+    /// agent that never answers is still covered), and every station and
+    /// hub port of a shared-medium hop's domain. Hop order; a node may
+    /// repeat.
+    pub fn reads<'a>(&'a self, topo: &'a NetworkTopology) -> impl Iterator<Item = NodeId> + 'a {
+        self.hops.iter().flat_map(move |hop| {
+            let (pair, stations) = match hop.usage {
+                Usage::PointToPoint {
+                    preferred,
+                    fallback,
+                } => (Some([preferred, fallback]), &[][..]),
+                Usage::SharedMedium(domain) => (None, topo.shared_domain_stations(domain)),
+            };
+            let stations = stations.iter().flat_map(|s| [s.station, s.hub_port]);
+            pair.into_iter().flatten().chain(stations).map(|ep| ep.node)
+        })
     }
 
     /// Evaluates the plan into `out` (reusing its `connections` buffer):

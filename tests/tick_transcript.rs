@@ -11,7 +11,12 @@
 //!
 //! To re-record after a deliberate change of answers, copy the
 //! `tick_transcript.actual.txt` the failure message names over the
-//! golden file.
+//! golden file. It was last re-recorded when the service began polling
+//! the demand set first: `display`, the one device no qospath reads,
+//! moved to the survey and is now polled last in each round (a survey of
+//! one is still polled every tick, so `polled` stays 7). The later poll
+//! instants move every path's rate window, which moved rows and the
+//! timing of `path_hot` alerts.
 
 use netqos::loadgen::{LoadProfile, ProfiledSource};
 use netqos::monitor::service::{MonitoringService, ServiceConfig};
