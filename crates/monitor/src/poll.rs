@@ -122,6 +122,10 @@ fn need_u32(vb: &VarBind) -> Result<u32, MonitorError> {
     vb.value.as_u32().ok_or_else(|| wrong_type(vb))
 }
 
+/// Devices with up to this many interfaces count a response's columns on
+/// the stack; every device of `specs/` and of the generator has at most 26.
+const STACK_ROWS: usize = 64;
+
 /// Parses a poll response (in any binding order) into a snapshot.
 pub fn parse_snapshot(bindings: &[VarBind], if_count: u32) -> Result<DeviceSnapshot, MonitorError> {
     let mut uptime_ticks = None;
@@ -136,7 +140,14 @@ pub fn parse_snapshot(bindings: &[VarBind], if_count: u32) -> Result<DeviceSnaps
             out_nucast_pkts: 0,
         })
         .collect();
-    let mut seen = vec![0u32; if_count as usize];
+    let mut on_stack = [0u32; STACK_ROWS];
+    let mut on_heap;
+    let seen: &mut [u32] = if if_count as usize <= STACK_ROWS {
+        &mut on_stack[..if_count as usize]
+    } else {
+        on_heap = vec![0u32; if_count as usize];
+        &mut on_heap
+    };
 
     for vb in bindings {
         let (col, ifindex) = match *vb.oid.arcs() {
@@ -271,6 +282,42 @@ mod tests {
             parse_snapshot(&bindings, 0),
             Err(MonitorError::WrongType { .. })
         ));
+    }
+
+    /// A device past `STACK_ROWS` interfaces counts its columns on the
+    /// heap, and is held to every row as one below it is.
+    #[test]
+    fn rows_are_checked_on_both_sides_of_the_stack_bound() {
+        let bindings = |if_count: u32, columns_of_last: usize| {
+            let mut bindings = vec![VarBind::new(
+                system::sys_uptime_instance(),
+                SnmpValue::TimeTicks(7),
+            )];
+            for ifindex in 1..=if_count {
+                let columns = if ifindex == if_count {
+                    columns_of_last
+                } else {
+                    COLUMNS.len()
+                };
+                for &col in &COLUMNS[..columns] {
+                    let value = match col {
+                        ifc::column::IF_DESCR => SnmpValue::text("p"),
+                        _ => SnmpValue::Counter32(ifindex),
+                    };
+                    bindings.push(VarBind::new(ifc::instance_oid(col, ifindex), value));
+                }
+            }
+            bindings
+        };
+        for if_count in [STACK_ROWS as u32, STACK_ROWS as u32 + 1] {
+            let snap = parse_snapshot(&bindings(if_count, COLUMNS.len()), if_count).unwrap();
+            assert_eq!(snap.interfaces.len(), if_count as usize);
+            assert_eq!(snap.interfaces.last().unwrap().in_octets, if_count);
+            assert!(matches!(
+                parse_snapshot(&bindings(if_count, COLUMNS.len() - 1), if_count),
+                Err(MonitorError::MissingObject(_))
+            ));
+        }
     }
 
     #[test]

@@ -9,9 +9,11 @@
 //! that substrate in software with the properties the monitor depends on:
 //!
 //! * **Frame-level forwarding semantics.** A switch learns source MACs and
-//!   forwards unicast frames only toward their destination port (flooding
-//!   unknowns and broadcasts); a **hub** repeats every frame to every other
-//!   port through one shared medium whose capacity all stations share.
+//!   forwards unicast frames only toward their destination port, resolving
+//!   a destination it has not heard from as a preceding ARP exchange would
+//!   have (it floods broadcasts and destinations no cable reaches); a
+//!   **hub** repeats every frame to every other port through one shared
+//!   medium whose capacity all stations share.
 //! * **MIB-visible counters.** Every NIC maintains the MIB-II interface
 //!   counters (`ifInOctets`, `ifOutOctets`, unicast/non-unicast packets,
 //!   discards) as wrapping 32-bit counters, exactly what an SNMP agent

@@ -12,10 +12,17 @@
 //!   lossy cable, where every arrival is one (see
 //!   [`Lan::set_link_loss`]).
 //! * **Switches** are store-and-forward learning bridges: the source MAC
-//!   of every frame is learned against its ingress port; unicast frames go
-//!   out the learned port only (or flood when unknown); broadcasts flood.
-//!   A managed switch additionally owns a management MAC/IP and delivers
-//!   frames addressed to it to its own apps (the SNMP agent).
+//!   of every frame is learned against its ingress port, a unicast frame
+//!   goes out the learned port only, and broadcasts flood. A managed
+//!   switch additionally owns a management MAC/IP and delivers frames
+//!   addressed to it to its own apps (the SNMP agent).
+//! * **Addresses resolve before a bridge floods.** There are no ARP
+//!   frames: senders read the LAN's static ARP table. A bridge about to
+//!   flood a unicast UDP frame to a MAC it has not learned asks that table
+//!   first (`Lan::resolve`), and it and every bridge between it and the
+//!   station learn the port toward the station — what the ARP reply before
+//!   a real unicast would have taught them. Only broadcasts, MACs no NIC
+//!   owns and stations no cable reaches flood.
 //! * **Hubs** repeat every arriving frame out all other ports through one
 //!   shared medium: the repeat serializes at the hub's rate through a
 //!   single `medium_free_at` gate, so concurrent senders share the hub's
@@ -183,6 +190,13 @@ pub struct Lan {
     /// the callback's context by `with_app` and taken back drained, so a
     /// dispatch allocates none of its own.
     actions: Vec<Action>,
+    /// `resolve`'s breadth-first search, both sized to the device count
+    /// at build and reused: per device reached, the neighbour one step
+    /// closer to the station and its own port toward it; and the devices
+    /// reached, in order — the search's queue, and the list of what to
+    /// clear when it ends.
+    resolve_via: Vec<Option<(DeviceId, PortIx)>>,
+    resolve_queue: Vec<DeviceId>,
     started: bool,
 }
 
@@ -193,7 +207,10 @@ impl Lan {
         arp: KeyMap<Ipv4Addr, (DeviceId, MacAddr)>,
         name_index: HashMap<String, DeviceId>,
     ) -> Self {
+        let device_count = devices.len();
         Lan {
+            resolve_via: vec![None; device_count],
+            resolve_queue: Vec::with_capacity(device_count),
             devices,
             links,
             queue: EventQueue::new(),
@@ -581,12 +598,11 @@ impl Lan {
                     self.transmit(dev, p, Cow::Owned(frame));
                 }
                 OutPort::FloodAll => {
-                    // Management stack with unlearned destination: send a
-                    // copy out of every port (a real bridge floods).
-                    let ports: Vec<PortIx> = (0..self.device(dev)?.nics.len() as u32)
-                        .map(PortIx)
-                        .collect();
-                    for p in ports {
+                    // Management stack with a destination it cannot
+                    // resolve: send a copy out of every port (a real
+                    // bridge floods).
+                    let nports = self.device(dev)?.nics.len() as u32;
+                    for p in (0..nports).map(PortIx) {
                         let src_mac = self.device(dev)?.nics[p.index()].mac;
                         let frame = Frame::udp(src_mac, dst_mac, dgram.clone());
                         self.transmit(dev, p, Cow::Owned(frame));
@@ -598,7 +614,7 @@ impl Lan {
     }
 
     fn pick_out_port(
-        &self,
+        &mut self,
         dev: DeviceId,
         dst_ip: Ipv4Addr,
         dst_mac: MacAddr,
@@ -607,16 +623,90 @@ impl Lan {
         if d.nics.is_empty() {
             return Err(SimError::NoNic(dev));
         }
-        Ok(match &d.kind {
+        let learned = match &d.kind {
             DeviceKind::Host { routes, .. } => {
-                OutPort::Port(routes.get(&dst_ip).copied().unwrap_or(PortIx(0)))
+                return Ok(OutPort::Port(
+                    routes.get(&dst_ip).copied().unwrap_or(PortIx(0)),
+                ))
             }
-            DeviceKind::Switch { mac_table, .. } => match mac_table.get(&dst_mac) {
-                Some(&p) => OutPort::Port(p),
-                None => OutPort::FloodAll,
-            },
-            DeviceKind::Hub { .. } => OutPort::Port(PortIx(0)),
-        })
+            DeviceKind::Switch { mac_table, .. } => mac_table.get(&dst_mac).copied(),
+            DeviceKind::Hub { .. } => return Ok(OutPort::Port(PortIx(0))),
+        };
+        let out = learned.or_else(|| self.resolve(dev, dst_ip, dst_mac));
+        Ok(out.map_or(OutPort::FloodAll, OutPort::Port))
+    }
+
+    /// The port through which the bridge `bridge` reaches the station
+    /// that `dst_ip` resolves to, if the static ARP table maps `dst_ip` to
+    /// `dst_mac` and a cable path leads there: what the ARP reply that
+    /// precedes a unicast on a real LAN would have taught it. The bridge
+    /// and every bridge between it and the station learn their port
+    /// toward it, so the station is found once per path, not per frame.
+    ///
+    /// One breadth-first search over the device graph, from the station
+    /// outward through switches and hubs (hosts do not forward) until it
+    /// reaches `bridge`. It starts at the NIC that owns `dst_mac` — a
+    /// multi-homed host is learned toward that NIC, not toward whichever
+    /// of its NICs is nearer — or, for a management MAC, at the switch
+    /// itself. `None`, and the caller floods, for a MAC no NIC owns (a host
+    /// with an address and no NIC), a NIC with no cable and a station no
+    /// path joins to `bridge`. The search allocates nothing: it runs in
+    /// buffers sized to the device count at build.
+    fn resolve(&mut self, bridge: DeviceId, dst_ip: Ipv4Addr, dst_mac: MacAddr) -> Option<PortIx> {
+        let &(station, mac) = self.arp.get(&dst_ip)?;
+        if mac != dst_mac || station == bridge {
+            return None;
+        }
+        let owner = &self.devices[station.index()];
+        let is_mgmt =
+            matches!(owner.kind, DeviceKind::Switch { mgmt: Some((_, m)), .. } if m == dst_mac);
+        let (via, queue) = (&mut self.resolve_via, &mut self.resolve_queue);
+        if is_mgmt {
+            // Only marks the switch as reached; the walk below stops there.
+            via[station.index()] = Some((station, PortIx(0)));
+            queue.push(station);
+        } else {
+            let nic = owner.nics.iter().position(|n| n.mac == dst_mac)?;
+            let nic = PortIx(nic as u32);
+            let link = &self.links[owner.nics[nic.index()].link?.index()];
+            let (next, port) = link.far_end(station, nic);
+            if matches!(self.devices[next.index()].kind, DeviceKind::Host { .. }) {
+                return None;
+            }
+            via[next.index()] = Some((station, port));
+            queue.push(next);
+        }
+        let mut head = 0;
+        while via[bridge.index()].is_none() && head < queue.len() {
+            let at = queue[head];
+            head += 1;
+            for (p, nic) in self.devices[at.index()].nics.iter().enumerate() {
+                let Some(link) = nic.link else { continue };
+                let (next, port) = self.links[link.index()].far_end(at, PortIx(p as u32));
+                if via[next.index()].is_some()
+                    || matches!(self.devices[next.index()].kind, DeviceKind::Host { .. })
+                {
+                    continue;
+                }
+                via[next.index()] = Some((at, port));
+                queue.push(next);
+            }
+        }
+        let toward = via[bridge.index()].map(|(_, port)| port);
+        if toward.is_some() {
+            let mut at = bridge;
+            while at != station {
+                let (closer, port) = via[at.index()].expect("on the search tree");
+                if let DeviceKind::Switch { mac_table, .. } = &mut self.devices[at.index()].kind {
+                    mac_table.insert(dst_mac, port);
+                }
+                at = closer;
+            }
+        }
+        for reached in queue.drain(..) {
+            via[reached.index()] = None;
+        }
+        toward
     }
 
     /// Serializes a frame out of a port onto its link. A borrowed frame
@@ -709,7 +799,11 @@ impl Lan {
         enum Disposition {
             HostDeliver(Option<UdpDatagram>),
             HostFiltered,
-            SwitchForward(Option<PortIx>, bool /* deliver to mgmt */),
+            SwitchToMgmt,
+            SwitchForward(PortIx),
+            /// A unicast to a MAC the bridge has not learned.
+            SwitchUnlearned,
+            SwitchFlood,
             HubRepeat,
         }
 
@@ -742,22 +836,19 @@ impl Lan {
                     if !frame.src.is_broadcast() {
                         mac_table.insert(frame.src, port);
                     }
-                    let to_mgmt = matches!(mgmt, Some((_, mac)) if frame.dst == *mac);
-                    if to_mgmt {
-                        Disposition::SwitchForward(None, true)
+                    if matches!(mgmt, Some((_, mac)) if frame.dst == *mac) {
+                        Disposition::SwitchToMgmt
                     } else if frame.is_broadcast() {
-                        Disposition::SwitchForward(None, false) // flood
+                        Disposition::SwitchFlood
                     } else {
                         match mac_table.get(&frame.dst) {
-                            Some(&out) if out != port => {
-                                Disposition::SwitchForward(Some(out), false)
-                            }
+                            Some(&out) if out != port => Disposition::SwitchForward(out),
                             Some(_) => {
                                 // Destination lives on the ingress port
                                 // segment: filter (already delivered).
                                 return;
                             }
-                            None => Disposition::SwitchForward(None, false), // flood
+                            None => Disposition::SwitchUnlearned,
                         }
                     }
                 }
@@ -769,35 +860,47 @@ impl Lan {
         };
 
         match disposition {
-            Disposition::HostFiltered => {}
+            Disposition::HostFiltered | Disposition::HostDeliver(None) => {}
             Disposition::HostDeliver(Some(dgram)) => self.deliver_udp(dev, dgram),
-            Disposition::HostDeliver(None) => {}
-            Disposition::SwitchForward(maybe_port, to_mgmt) => {
-                if to_mgmt {
-                    if let FramePayload::Udp(dgram) = &frame.payload {
-                        let dgram = dgram.clone();
-                        self.deliver_udp(dev, dgram);
-                    }
-                    return;
-                }
-                match maybe_port {
-                    Some(out) => {
-                        self.stats.frames_forwarded += 1;
-                        self.transmit(dev, out, Cow::Owned(frame));
-                    }
-                    None => {
-                        self.stats.frames_flooded += 1;
-                        let nports = self.devices[dev_ix].nics.len() as u32;
-                        for p in 0..nports {
-                            let p = PortIx(p);
-                            if p != port {
-                                self.transmit(dev, p, Cow::Borrowed(&frame));
-                            }
-                        }
-                    }
+            Disposition::SwitchToMgmt => {
+                if let FramePayload::Udp(dgram) = &frame.payload {
+                    let dgram = dgram.clone();
+                    self.deliver_udp(dev, dgram);
                 }
             }
+            Disposition::SwitchForward(out) => self.forward(dev, out, frame),
+            Disposition::SwitchUnlearned => {
+                let resolved = match &frame.payload {
+                    FramePayload::Udp(dgram) => self.resolve(dev, dgram.dst_ip, frame.dst),
+                    FramePayload::Raw { .. } => None,
+                };
+                match resolved {
+                    // The station lives on the ingress port segment: filter.
+                    Some(out) if out == port => {}
+                    Some(out) => self.forward(dev, out, frame),
+                    None => self.flood(dev, port, &frame),
+                }
+            }
+            Disposition::SwitchFlood => self.flood(dev, port, &frame),
             Disposition::HubRepeat => self.hub_repeat(dev, port, frame),
+        }
+    }
+
+    /// Sends a frame out of a bridge's learned port.
+    fn forward(&mut self, dev: DeviceId, out: PortIx, frame: Frame) {
+        self.stats.frames_forwarded += 1;
+        self.transmit(dev, out, Cow::Owned(frame));
+    }
+
+    /// Sends a copy of a frame out of every bridge port but the one it
+    /// came in on.
+    fn flood(&mut self, dev: DeviceId, in_port: PortIx, frame: &Frame) {
+        self.stats.frames_flooded += 1;
+        let nports = self.devices[dev.index()].nics.len() as u32;
+        for p in (0..nports).map(PortIx) {
+            if p != in_port {
+                self.transmit(dev, p, Cow::Borrowed(frame));
+            }
         }
     }
 
@@ -870,7 +973,8 @@ mod tests {
     use crate::builder::LanBuilder;
     use crate::packet::{DISCARD_PORT, ECHO_PORT};
 
-    /// A <-> switch <-> B plus C on the switch.
+    /// A <-> switch <-> B plus C on the switch, and D, an address with no
+    /// NIC: its ARP entry names a MAC no station owns.
     fn three_hosts_on_switch() -> (Lan, DeviceId, DeviceId, DeviceId) {
         let mut b = LanBuilder::new();
         let a = b.add_host("A", "10.0.0.1").unwrap();
@@ -890,6 +994,7 @@ mod tests {
             .unwrap();
         b.install_app(h3, Box::new(DiscardSink::default()), Some(DISCARD_PORT))
             .unwrap();
+        b.add_host("D", "10.0.0.4").unwrap();
         (b.build(), a, h2, h3)
     }
 
@@ -930,45 +1035,59 @@ mod tests {
     #[test]
     fn unicast_reaches_destination_only() {
         let (mut lan, a, bdev, c) = three_hosts_on_switch();
-        // First frame floods (unlearned); send one to prime the tables,
-        // then check isolation on the second.
+        let sw = lan.device_by_name("sw").unwrap();
+        // B has never transmitted, yet the first frame to it is not
+        // flooded: the switch resolves B's address and learns its port.
         lan.post_udp(a, 5000, ip("10.0.0.2"), DISCARD_PORT, vec![0u8; 100].into())
             .unwrap();
         lan.run_for(SimDuration::from_millis(10));
-        // B replies nothing, but B's MAC is unknown to the switch until B
-        // transmits; flooding is expected on frame 1. Now B learns via...
-        // actually only A's MAC is learned. Prime B by sending from B.
-        lan.post_udp(bdev, 5000, ip("10.0.0.1"), 4242, vec![0u8; 10].into())
-            .unwrap();
-        lan.run_for(SimDuration::from_millis(10));
-
-        let c_before = lan.nic_counters(c, PortIx(0)).unwrap();
-        lan.post_udp(a, 5000, ip("10.0.0.2"), DISCARD_PORT, vec![0u8; 100].into())
-            .unwrap();
-        lan.run_for(SimDuration::from_millis(10));
-        let c_after = lan.nic_counters(c, PortIx(0)).unwrap();
-        // C saw nothing of the A->B unicast once the switch had learned B.
+        let toward_c = lan.nic_counters(sw, PortIx(2)).unwrap();
         assert_eq!(
-            c_before.in_octets.value(),
-            c_after.in_octets.value(),
+            toward_c.out_octets.value(),
+            0,
             "switch must isolate unicast traffic"
         );
+        assert_eq!(lan.nic_counters(c, PortIx(0)).unwrap().in_octets.value(), 0);
+        assert_eq!(lan.stats().frames_flooded, 0);
         let b_ctr = lan.nic_counters(bdev, PortIx(0)).unwrap();
         assert!(b_ctr.in_octets.value() > 0);
     }
 
     #[test]
     fn unknown_destination_floods() {
-        let (mut lan, a, _b, c) = three_hosts_on_switch();
-        let c_before = lan.nic_counters(c, PortIx(0)).unwrap();
-        lan.post_udp(a, 5000, ip("10.0.0.2"), DISCARD_PORT, vec![0u8; 100].into())
+        let (mut lan, a, bdev, c) = three_hosts_on_switch();
+        let sw = lan.device_by_name("sw").unwrap();
+        // D's MAC is on no NIC, so nothing can resolve it.
+        lan.post_udp(a, 5000, ip("10.0.0.4"), DISCARD_PORT, vec![0u8; 100].into())
             .unwrap();
         lan.run_for(SimDuration::from_millis(10));
-        let c_after = lan.nic_counters(c, PortIx(0)).unwrap();
-        // The frame was flooded, so C's port transmitted it; but C's NIC
-        // filters it (wrong dst MAC) and must NOT count it.
-        assert_eq!(c_before.in_octets.value(), c_after.in_octets.value());
-        assert!(lan.stats().frames_flooded >= 1);
+        assert_eq!(lan.stats().frames_flooded, 1);
+        // The frame was flooded, so B's and C's ports transmitted it; but
+        // their NICs filter it (wrong dst MAC) and must NOT count it.
+        for (port, host) in [(PortIx(1), bdev), (PortIx(2), c)] {
+            let egress = lan.nic_counters(sw, port).unwrap();
+            assert_eq!(egress.out_ucast_pkts.value(), 1);
+            let nic = lan.nic_counters(host, PortIx(0)).unwrap();
+            assert_eq!(nic.in_octets.value(), 0);
+        }
+    }
+
+    /// A resolution searches buffers sized at build and leaves them clear,
+    /// whether it found the station or not.
+    #[test]
+    fn resolving_leaves_its_buffers_clear_and_their_size_unchanged() {
+        let (mut lan, a, _b, _c) = three_hosts_on_switch();
+        let devices = lan.device_count();
+        for to in ["10.0.0.2", "10.0.0.3", "10.0.0.4"] {
+            lan.post_udp(a, 5000, ip(to), DISCARD_PORT, vec![0u8; 10].into())
+                .unwrap();
+            lan.run_for(SimDuration::from_millis(1));
+            assert!(lan.resolve_via.iter().all(Option::is_none), "after {to}");
+            assert!(lan.resolve_queue.is_empty(), "after {to}");
+            assert_eq!(lan.resolve_via.len(), devices);
+            assert_eq!(lan.resolve_queue.capacity(), devices);
+        }
+        assert_eq!(lan.stats().frames_flooded, 1, "D only");
     }
 
     #[test]

@@ -591,10 +591,11 @@ proptest! {
 /// The cases the property must cover, each made to happen: a hub under a
 /// switch, cascaded hubs, two stations of one hub talking, a multi-homed
 /// host (the filter is per receiving NIC), a managed switch answering on
-/// its management address, a bridge that has not learned the destination,
-/// a MAC nobody has, broadcasts, bursts past a queue and a medium limit,
-/// and an app sending to its own host (dispatch re-entered while actions
-/// are being applied).
+/// its management address, a unicast to a station no bridge has heard
+/// from (resolved, not flooded), a MAC nobody has and a station no cable
+/// reaches (both flooded), broadcasts, bursts past a queue and a medium
+/// limit, and an app sending to its own host (dispatch re-entered while
+/// actions are being applied).
 #[test]
 fn both_engines_agree_on_a_tour_of_the_named_cases() {
     let host = |speed, attach| HostPlan {
@@ -657,9 +658,11 @@ fn both_engines_agree_on_a_tour_of_the_named_cases() {
         script: vec![
             send(1, Target::Host(2), DISCARD_PORT), // same hub, nothing learned yet
             settle(),
+            send(1, Target::Host(6), DISCARD_PORT), // never heard: crosses i0 and i3 unflooded
+            settle(),
             send(2, Target::Host(1), ECHO_PORT), // the switch above has learned h1
             settle(),
-            send(0, Target::Host(3), DISCARD_PORT), // unknown to the switch: flooded
+            send(0, Target::Host(3), DISCARD_PORT), // unknown to the switch: resolved
             settle(),
             send(3, Target::Host(0), ECHO_PORT), // known: forwarded
             settle(),
@@ -667,7 +670,7 @@ fn both_engines_agree_on_a_tour_of_the_named_cases() {
             send(4, Target::Mgmt(0), DISCARD_PORT),
             settle(),
             send(4, Target::Absent, DISCARD_PORT),
-            send(0, Target::Host(5), DISCARD_PORT), // reaches both NICs of h5
+            send(0, Target::Host(5), DISCARD_PORT), // resolved toward eth0, h5's ARP MAC
             send(5, Target::Host(1), UNBOUND_PORT), // leaves h5 by eth1
             send(0, Target::Host(7), DISCARD_PORT), // flooded toward nobody
             send(7, Target::Host(0), DISCARD_PORT), // leaves by no cable
@@ -710,7 +713,11 @@ fn both_engines_agree_on_a_tour_of_the_named_cases() {
         ],
     };
     let (observed, stats) = both_engines_agree(&plan);
-    assert!(stats.frames_flooded > 0 && stats.frames_forwarded > 0);
+    // Each of i0 and i3 floods the two broadcasts and the two unicasts
+    // nothing resolves (the absent host, h7's uncabled NIC); every other
+    // unicast, to a station heard from or not, is forwarded.
+    assert_eq!(stats.frames_flooded, 2 * 4);
+    assert!(stats.frames_forwarded > 0);
     assert!(stats.frames_dropped_queue > 0, "{stats:?}");
     assert!(stats.frames_dropped_medium > 0, "{stats:?}");
     assert_eq!(stats.datagrams_unbound, 1);

@@ -348,11 +348,12 @@ impl AlertContext {
     /// and gauge becomes a signal under its metric name.
     pub fn add_registry(&mut self, registry: &Registry) {
         let mut scope = AlertScope::global();
+        // The entries' names are already owned copies: move them in.
         for (name, c) in registry.counter_entries() {
-            scope.set(&name, c.get() as f64);
+            scope.signals.insert(name, c.get() as f64);
         }
         for (name, g) in registry.gauge_entries() {
-            scope.set(&name, g.get() as f64);
+            scope.signals.insert(name, g.get() as f64);
         }
         self.scopes.push(scope);
     }

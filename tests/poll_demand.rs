@@ -16,7 +16,7 @@ use netqos::loadgen::{LoadProfile, ProfiledSource};
 use netqos::monitor::service::{MonitoringService, ServiceConfig, SURVEY_TICKS};
 use netqos::monitor::simnet::{SimNetwork, SimNetworkOptions};
 use netqos::monitor::{NetworkMonitor, QosEvent, QosMonitor};
-use netqos::spec::{generate_spec, parse_and_validate, GenParams, SpecModel};
+use netqos::spec::{parse_and_validate, SpecModel};
 use netqos::topology::bandwidth::{IfRates, PathBandwidth, RateProvider};
 use netqos::topology::path::find_path;
 use netqos::topology::plan::{DomainSums, PathPlan};
@@ -28,34 +28,11 @@ use std::collections::BTreeSet;
 use std::io::Write;
 use std::sync::{Arc, Mutex, OnceLock};
 
+mod common;
+use common::managed_access_network;
+
 const LIRTSS: &str = include_str!("../specs/lirtss.spec");
 const TWO_SWITCH: &str = include_str!("../specs/two-switch.spec");
-
-/// A generated access network of `hosts` hosts with its site switches
-/// given SNMP agents, so every cross-access-point qospath is evaluable
-/// (as generated, only hosts run agents).
-fn managed_access_network(hosts: usize, qos_paths: usize) -> SpecModel {
-    let src = generate_spec(&GenParams {
-        hosts,
-        qos_paths,
-        ..GenParams::default()
-    });
-    let mut out = String::with_capacity(src.len() + 1024);
-    for line in src.lines() {
-        out.push_str(line);
-        out.push('\n');
-        let site = line
-            .strip_prefix("device site")
-            .and_then(|rest| rest.strip_suffix(" switch {"))
-            .and_then(|n| n.parse::<u32>().ok());
-        if let Some(n) = site {
-            let agent = format!("    address 10.240.0.{};\n", n + 1);
-            out.push_str(&agent);
-            out.push_str("    snmp community \"public\";\n");
-        }
-    }
-    parse_and_validate(&out).expect("generated spec validates")
-}
 
 /// xorshift64*: reproducible variety, not quality.
 fn mix(mut x: u64) -> u64 {
