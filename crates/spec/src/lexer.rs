@@ -4,16 +4,20 @@
 //! parser), string literals, bandwidth quantities (`100Mbps`), bare
 //! integers, percentages (`80%`), and punctuation (`{ } ; . <->`).
 //! `#` starts a comment running to end of line.
+//!
+//! The parser pulls one token at a time from a [`Lexer`]; identifiers and
+//! strings are slices of the source, so lexing allocates nothing but the
+//! text of an error. Columns count chars, not bytes.
 
 use crate::error::{Span, SpecError};
 
-/// A lexical token.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Token {
+/// A lexical token, borrowing its text from the source.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum Token<'src> {
     /// Identifier or keyword.
-    Ident(String),
+    Ident(&'src str),
     /// Double-quoted string (contents, unescaped).
-    Str(String),
+    Str(&'src str),
     /// A bare integer.
     Int(u64),
     /// A bandwidth quantity resolved to bits/second.
@@ -34,7 +38,7 @@ pub enum Token {
     Eof,
 }
 
-impl Token {
+impl Token<'_> {
     /// Human-readable description for error messages.
     pub fn describe(&self) -> String {
         match self {
@@ -54,10 +58,10 @@ impl Token {
 }
 
 /// A token plus its source position.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Spanned {
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Spanned<'src> {
     /// The token.
-    pub token: Token,
+    pub token: Token<'src>,
     /// Where it starts.
     pub span: Span,
 }
@@ -76,172 +80,175 @@ fn unit_multiplier(unit: &str) -> Option<u64> {
     })
 }
 
-/// Tokenizes the whole input.
-pub fn lex(src: &str) -> Result<Vec<Spanned>, SpecError> {
-    let mut out = Vec::new();
-    let mut chars = src.chars().peekable();
-    let mut line: u32 = 1;
-    let mut col: u32 = 1;
+/// Tokens on demand from one source text.
+///
+/// After an error the lexer is exhausted: every later call returns
+/// [`Token::Eof`], so the first error is the only one it reports.
+pub struct Lexer<'src> {
+    src: &'src str,
+    /// Byte offset of the next char.
+    pos: usize,
+    line: u32,
+    col: u32,
+}
 
-    macro_rules! bump {
-        () => {{
-            let c = chars.next();
-            if let Some(c) = c {
-                if c == '\n' {
-                    line += 1;
-                    col = 1;
-                } else {
-                    col += 1;
-                }
-            }
-            c
-        }};
+impl<'src> Lexer<'src> {
+    /// A lexer at the start of `src`.
+    pub fn new(src: &'src str) -> Self {
+        Lexer {
+            src,
+            pos: 0,
+            line: 1,
+            col: 1,
+        }
     }
 
-    loop {
-        // Skip whitespace and comments.
-        loop {
-            match chars.peek() {
-                Some(c) if c.is_whitespace() => {
-                    bump!();
-                }
-                Some('#') => {
-                    while let Some(&c) = chars.peek() {
-                        if c == '\n' {
-                            break;
-                        }
-                        bump!();
-                    }
-                }
-                _ => break,
+    /// The next token, or the error that ends the input.
+    pub fn next_token(&mut self) -> Result<Spanned<'src>, SpecError> {
+        self.lex_token().inspect_err(|_| self.pos = self.src.len())
+    }
+
+    /// Lexes the rest of the input, returning its first error.
+    pub fn finish(&mut self) -> Result<(), SpecError> {
+        while self.next_token()?.token != Token::Eof {}
+        Ok(())
+    }
+
+    fn peek_byte(&self, ahead: usize) -> Option<u8> {
+        self.src.as_bytes().get(self.pos + ahead).copied()
+    }
+
+    fn peek_char(&self) -> Option<char> {
+        match self.peek_byte(0)? {
+            b if b.is_ascii() => Some(b as char),
+            _ => self.src[self.pos..].chars().next(),
+        }
+    }
+
+    /// Moves past `len` bytes that hold no newline.
+    fn advance(&mut self, len: usize) -> &'src str {
+        let src = self.src;
+        let text = &src[self.pos..self.pos + len];
+        self.pos += len;
+        self.col += text.chars().count() as u32;
+        text
+    }
+
+    /// Moves past the ASCII bytes that satisfy `accept` (none of which may
+    /// be a newline).
+    fn eat_ascii(&mut self, accept: fn(&u8) -> bool) -> &'src str {
+        let len = self.src.as_bytes()[self.pos..]
+            .iter()
+            .take_while(|b| accept(b))
+            .count();
+        self.advance(len)
+    }
+
+    fn skip_trivia(&mut self) {
+        while let Some(c) = self.peek_char() {
+            if c == '\n' {
+                self.pos += 1;
+                self.line += 1;
+                self.col = 1;
+            } else if c.is_whitespace() {
+                self.advance(c.len_utf8());
+            } else if c == '#' {
+                let rest = &self.src.as_bytes()[self.pos..];
+                self.advance(rest.iter().position(|&b| b == b'\n').unwrap_or(rest.len()));
+            } else {
+                break;
             }
         }
+    }
 
-        let span = Span::new(line, col);
-        let Some(&c) = chars.peek() else {
-            out.push(Spanned {
+    fn lex_token(&mut self) -> Result<Spanned<'src>, SpecError> {
+        self.skip_trivia();
+        let span = Span::new(self.line, self.col);
+        let Some(c) = self.peek_char() else {
+            return Ok(Spanned {
                 token: Token::Eof,
                 span,
             });
-            return Ok(out);
         };
-
-        let token = if c.is_ascii_alphabetic() || c == '_' {
-            let mut s = String::new();
-            while let Some(&c) = chars.peek() {
-                if c.is_ascii_alphanumeric() || c == '_' || c == '-' {
-                    s.push(c);
-                    bump!();
-                } else {
-                    break;
-                }
-            }
-            Token::Ident(s)
-        } else if c.is_ascii_digit() {
-            let mut digits = String::new();
-            while let Some(&c) = chars.peek() {
-                if c.is_ascii_digit() {
-                    digits.push(c);
-                    bump!();
-                } else {
-                    break;
-                }
-            }
-            // A dot may begin a fractional quantity (`1.5Mbps`) or an IP
-            // address / endpoint separator (`10.0.0.1`). Tentatively scan
-            // a fraction and backtrack unless a unit letter follows.
-            if chars.peek() == Some(&'.') {
-                let save = (chars.clone(), line, col);
-                bump!();
-                let mut frac = String::new();
-                while let Some(&c) = chars.peek() {
-                    if c.is_ascii_digit() {
-                        frac.push(c);
-                        bump!();
-                    } else {
-                        break;
+        let token = match c {
+            'a'..='z' | 'A'..='Z' | '_' => Token::Ident(
+                self.eat_ascii(|b| b.is_ascii_alphanumeric() || *b == b'_' || *b == b'-'),
+            ),
+            '0'..='9' => self.number(span)?,
+            '"' => {
+                let rest = &self.src.as_bytes()[self.pos + 1..];
+                match rest.iter().position(|&b| b == b'"' || b == b'\n') {
+                    Some(end) if rest[end] == b'"' => {
+                        let quoted = self.advance(end + 2);
+                        Token::Str(&quoted[1..end + 1])
                     }
-                }
-                let unit_follows =
-                    !frac.is_empty() && matches!(chars.peek(), Some(c) if c.is_ascii_alphabetic());
-                if unit_follows {
-                    digits.push('.');
-                    digits.push_str(&frac);
-                } else {
-                    (chars, line, col) = save;
+                    _ => return Err(SpecError::UnterminatedString { span }),
                 }
             }
-            // Optional unit suffix or percent sign.
-            let mut unit = String::new();
-            while let Some(&c) = chars.peek() {
-                if c.is_ascii_alphabetic() {
-                    unit.push(c);
-                    bump!();
-                } else {
-                    break;
-                }
-            }
-            if unit.is_empty() && chars.peek() == Some(&'%') {
-                bump!();
-                let v: f64 = digits.parse().map_err(|_| SpecError::BadNumber {
-                    span,
-                    text: digits.clone(),
-                })?;
-                Token::Percent(v / 100.0)
-            } else if unit.is_empty() {
-                // Dotted numbers without a unit are ambiguous with
-                // endpoint refs; only integers are allowed bare.
-                let v: u64 = digits.parse().map_err(|_| SpecError::BadNumber {
-                    span,
-                    text: digits.clone(),
-                })?;
-                Token::Int(v)
-            } else {
-                let mult = unit_multiplier(&unit).ok_or_else(|| SpecError::UnknownUnit {
-                    span,
-                    unit: unit.clone(),
-                })?;
-                let v: f64 = digits.parse().map_err(|_| SpecError::BadNumber {
-                    span,
-                    text: digits.clone(),
-                })?;
-                Token::Bandwidth((v * mult as f64).round() as u64)
-            }
-        } else if c == '"' {
-            bump!();
-            let mut s = String::new();
-            loop {
-                match bump!() {
-                    Some('"') => break,
-                    Some('\n') | None => return Err(SpecError::UnterminatedString { span }),
-                    Some(c) => s.push(c),
-                }
-            }
-            Token::Str(s)
-        } else if c == '<' {
-            bump!();
-            if chars.peek() == Some(&'-') {
-                bump!();
-                if chars.peek() == Some(&'>') {
-                    bump!();
+            '<' => match (self.peek_byte(1), self.peek_byte(2)) {
+                (Some(b'-'), Some(b'>')) => {
+                    self.advance(3);
                     Token::Arrow
-                } else {
-                    return Err(SpecError::UnexpectedChar { span, ch: '-' });
                 }
-            } else {
-                return Err(SpecError::UnexpectedChar { span, ch: '<' });
+                (Some(b'-'), _) => return Err(SpecError::UnexpectedChar { span, ch: '-' }),
+                _ => return Err(SpecError::UnexpectedChar { span, ch: '<' }),
+            },
+            '{' | '}' | ';' | '.' => {
+                self.advance(1);
+                match c {
+                    '{' => Token::LBrace,
+                    '}' => Token::RBrace,
+                    ';' => Token::Semi,
+                    _ => Token::Dot,
+                }
             }
-        } else {
-            bump!();
-            match c {
-                '{' => Token::LBrace,
-                '}' => Token::RBrace,
-                ';' => Token::Semi,
-                '.' => Token::Dot,
-                other => return Err(SpecError::UnexpectedChar { span, ch: other }),
-            }
+            other => return Err(SpecError::UnexpectedChar { span, ch: other }),
         };
-        out.push(Spanned { token, span });
+        Ok(Spanned { token, span })
+    }
+
+    /// An integer, a percentage, or a bandwidth quantity.
+    fn number(&mut self, span: Span) -> Result<Token<'src>, SpecError> {
+        let start = self.pos;
+        self.eat_ascii(u8::is_ascii_digit);
+        // A dot may begin a fractional quantity (`1.5Mbps`) or an IP
+        // address / endpoint separator (`10.0.0.1`): it belongs to the
+        // number only when digits and then a unit letter follow it.
+        if self.peek_byte(0) == Some(b'.') {
+            let frac = self.src.as_bytes()[self.pos + 1..]
+                .iter()
+                .take_while(|b| b.is_ascii_digit())
+                .count();
+            if frac > 0
+                && self
+                    .peek_byte(1 + frac)
+                    .is_some_and(|b| b.is_ascii_alphabetic())
+            {
+                self.advance(1 + frac);
+            }
+        }
+        let text = &self.src[start..self.pos];
+        let bad_number = || SpecError::BadNumber {
+            span,
+            text: text.to_owned(),
+        };
+        let unit = self.eat_ascii(u8::is_ascii_alphabetic);
+        if unit.is_empty() && self.peek_byte(0) == Some(b'%') {
+            self.advance(1);
+            let v: f64 = text.parse().map_err(|_| bad_number())?;
+            Ok(Token::Percent(v / 100.0))
+        } else if unit.is_empty() {
+            // Dotted numbers without a unit are ambiguous with endpoint
+            // refs; only integers are allowed bare.
+            Ok(Token::Int(text.parse().map_err(|_| bad_number())?))
+        } else {
+            let mult = unit_multiplier(unit).ok_or_else(|| SpecError::UnknownUnit {
+                span,
+                unit: unit.to_owned(),
+            })?;
+            let v: f64 = text.parse().map_err(|_| bad_number())?;
+            Ok(Token::Bandwidth((v * mult as f64).round() as u64))
+        }
     }
 }
 
@@ -249,7 +256,19 @@ pub fn lex(src: &str) -> Result<Vec<Spanned>, SpecError> {
 mod tests {
     use super::*;
 
-    fn tokens(src: &str) -> Vec<Token> {
+    fn lex(src: &str) -> Result<Vec<Spanned<'_>>, SpecError> {
+        let mut lexer = Lexer::new(src);
+        let mut out = Vec::new();
+        loop {
+            let t = lexer.next_token()?;
+            out.push(t);
+            if t.token == Token::Eof {
+                return Ok(out);
+            }
+        }
+    }
+
+    fn tokens(src: &str) -> Vec<Token<'_>> {
         lex(src).unwrap().into_iter().map(|s| s.token).collect()
     }
 
@@ -258,8 +277,8 @@ mod tests {
         assert_eq!(
             tokens("host L { }"),
             vec![
-                Token::Ident("host".into()),
-                Token::Ident("L".into()),
+                Token::Ident("host"),
+                Token::Ident("L"),
                 Token::LBrace,
                 Token::RBrace,
                 Token::Eof
@@ -289,10 +308,10 @@ mod tests {
         assert_eq!(
             toks,
             vec![
-                Token::Ident("os".into()),
-                Token::Str("Windows NT".into()),
+                Token::Ident("os"),
+                Token::Str("Windows NT"),
                 Token::Semi,
-                Token::Ident("host".into()),
+                Token::Ident("host"),
                 Token::Eof
             ]
         );
@@ -303,13 +322,13 @@ mod tests {
         assert_eq!(
             tokens("L.eth0 <-> sw.p1"),
             vec![
-                Token::Ident("L".into()),
+                Token::Ident("L"),
                 Token::Dot,
-                Token::Ident("eth0".into()),
+                Token::Ident("eth0"),
                 Token::Arrow,
-                Token::Ident("sw".into()),
+                Token::Ident("sw"),
                 Token::Dot,
-                Token::Ident("p1".into()),
+                Token::Ident("p1"),
                 Token::Eof
             ]
         );
@@ -320,6 +339,30 @@ mod tests {
         let spanned = lex("host\n  L").unwrap();
         assert_eq!(spanned[0].span, Span::new(1, 1));
         assert_eq!(spanned[1].span, Span::new(2, 3));
+    }
+
+    #[test]
+    fn columns_count_chars_and_unicode_whitespace_separates() {
+        // `é` is two bytes, NBSP and U+2028 are whitespace.
+        let spanned = lex("os \"é\"\u{a0};\u{2028}# é\n \u{a0}x").unwrap();
+        let at: Vec<_> = spanned.iter().map(|s| (s.token, s.span)).collect();
+        assert_eq!(
+            at,
+            vec![
+                (Token::Ident("os"), Span::new(1, 1)),
+                (Token::Str("é"), Span::new(1, 4)),
+                (Token::Semi, Span::new(1, 8)),
+                (Token::Ident("x"), Span::new(2, 3)),
+                (Token::Eof, Span::new(2, 4)),
+            ]
+        );
+        assert_eq!(
+            lex("\"é\" é"),
+            Err(SpecError::UnexpectedChar {
+                span: Span::new(1, 5),
+                ch: 'é'
+            })
+        );
     }
 
     #[test]
@@ -334,6 +377,27 @@ mod tests {
         ));
         assert!(matches!(lex("10Zbps"), Err(SpecError::UnknownUnit { .. })));
         assert!(matches!(lex("< x"), Err(SpecError::UnexpectedChar { .. })));
+        assert_eq!(
+            lex("99999999999999999999"),
+            Err(SpecError::BadNumber {
+                span: Span::new(1, 1),
+                text: "99999999999999999999".into()
+            })
+        );
+    }
+
+    #[test]
+    fn an_error_exhausts_the_lexer() {
+        let mut lexer = Lexer::new("a $ b");
+        assert_eq!(lexer.next_token().unwrap().token, Token::Ident("a"));
+        assert!(lexer.next_token().is_err());
+        assert_eq!(lexer.next_token().unwrap().token, Token::Eof);
+        assert_eq!(
+            Lexer::new("a \"b\n c $ d %").finish(),
+            Err(SpecError::UnterminatedString {
+                span: Span::new(1, 3)
+            })
+        );
     }
 
     #[test]
@@ -357,18 +421,13 @@ mod tests {
         // Trailing dot without digits stays a separate Dot token.
         assert_eq!(
             tokens("1.x"),
-            vec![
-                Token::Int(1),
-                Token::Dot,
-                Token::Ident("x".into()),
-                Token::Eof
-            ]
+            vec![Token::Int(1), Token::Dot, Token::Ident("x"), Token::Eof]
         );
     }
 
     #[test]
     fn ident_with_digits_and_dashes() {
-        assert_eq!(tokens("S1 eth-0")[0], Token::Ident("S1".into()));
-        assert_eq!(tokens("S1 eth-0")[1], Token::Ident("eth-0".into()));
+        assert_eq!(tokens("S1 eth-0")[0], Token::Ident("S1"));
+        assert_eq!(tokens("S1 eth-0")[1], Token::Ident("eth-0"));
     }
 }

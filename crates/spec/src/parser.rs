@@ -17,92 +17,81 @@
 //! qos-item    := "min_available" BW ";" | "max_utilization" PCT ";"
 //! ip          := INT "." INT "." INT "." INT
 //! ```
+//!
+//! The parser pulls tokens from the lexer one at a time and copies each
+//! name once, into the AST. A lexing error anywhere in the file outranks
+//! a parse error: on a parse error the rest of the file is lexed, and its
+//! first lexing error, if any, is what [`parse`] returns.
 
 use crate::ast::*;
 use crate::error::{Span, SpecError};
-use crate::lexer::{lex, Spanned, Token};
+use crate::lexer::{Lexer, Spanned, Token};
 use netqos_topology::NodeKind;
+use std::fmt::Write as _;
 
-struct Parser {
-    tokens: Vec<Spanned>,
-    pos: usize,
+struct Parser<'src> {
+    lexer: Lexer<'src>,
+    /// The one token of lookahead.
+    peek: Spanned<'src>,
 }
 
-impl Parser {
-    fn peek(&self) -> &Spanned {
-        &self.tokens[self.pos.min(self.tokens.len() - 1)]
-    }
-
-    fn bump(&mut self) -> Spanned {
-        let t = self.peek().clone();
-        if self.pos + 1 < self.tokens.len() {
-            self.pos += 1;
-        }
-        t
+impl<'src> Parser<'src> {
+    /// Consumes the lookahead, lexing the token after it.
+    fn bump(&mut self) -> Result<Spanned<'src>, SpecError> {
+        let next = self.lexer.next_token()?;
+        Ok(std::mem::replace(&mut self.peek, next))
     }
 
     fn expected(&self, what: &'static str) -> SpecError {
         SpecError::Expected {
-            span: self.peek().span,
+            span: self.peek.span,
             expected: what,
-            found: self.peek().token.describe(),
+            found: self.peek.token.describe(),
         }
     }
 
-    fn expect_ident(&mut self) -> Result<(String, Span), SpecError> {
-        match &self.peek().token {
-            Token::Ident(_) => {
-                let t = self.bump();
-                match t.token {
-                    Token::Ident(s) => Ok((s, t.span)),
-                    _ => unreachable!(),
-                }
-            }
+    fn expect_ident(&mut self) -> Result<(&'src str, Span), SpecError> {
+        match self.peek.token {
+            Token::Ident(s) => Ok((s, self.bump()?.span)),
             _ => Err(self.expected("an identifier")),
         }
     }
 
+    fn expect_name(&mut self) -> Result<String, SpecError> {
+        Ok(self.expect_ident()?.0.to_owned())
+    }
+
     fn expect_keyword(&mut self, kw: &'static str) -> Result<Span, SpecError> {
-        match &self.peek().token {
-            Token::Ident(s) if s == kw => Ok(self.bump().span),
-            _ => Err(SpecError::Expected {
-                span: self.peek().span,
-                expected: kw,
-                found: self.peek().token.describe(),
-            }),
+        match self.peek.token {
+            Token::Ident(s) if s == kw => Ok(self.bump()?.span),
+            _ => Err(self.expected(kw)),
         }
     }
 
     fn expect(&mut self, t: Token, what: &'static str) -> Result<Span, SpecError> {
-        if self.peek().token == t {
-            Ok(self.bump().span)
+        if self.peek.token == t {
+            Ok(self.bump()?.span)
         } else {
             Err(self.expected(what))
         }
     }
 
     fn expect_string(&mut self) -> Result<String, SpecError> {
-        match &self.peek().token {
-            Token::Str(_) => {
-                let t = self.bump();
-                match t.token {
-                    Token::Str(s) => Ok(s),
-                    _ => unreachable!(),
-                }
+        match self.peek.token {
+            Token::Str(s) => {
+                self.bump()?;
+                Ok(s.to_owned())
             }
             _ => Err(self.expected("a string literal")),
         }
     }
 
     fn expect_bandwidth(&mut self) -> Result<u64, SpecError> {
-        match self.peek().token {
-            Token::Bandwidth(b) => {
-                self.bump();
+        match self.peek.token {
+            // bare numbers are bits/second
+            Token::Bandwidth(b) | Token::Int(b) => {
+                self.bump()?;
                 Ok(b)
-            }
-            Token::Int(n) => {
-                self.bump();
-                Ok(n) // bare numbers are bits/second
             }
             _ => Err(self.expected("a bandwidth (e.g. 100Mbps)")),
         }
@@ -111,181 +100,164 @@ impl Parser {
     /// An IPv4 address: INT . INT . INT . INT (validated structurally; the
     /// simulator validates ranges).
     fn expect_ip(&mut self) -> Result<String, SpecError> {
-        let mut parts = Vec::with_capacity(4);
+        let mut ip = String::with_capacity("255.255.255.255".len());
         for i in 0..4 {
-            match self.peek().token {
-                Token::Int(n) => {
-                    self.bump();
-                    parts.push(n.to_string());
-                }
-                _ => return Err(self.expected("an IPv4 address")),
-            }
+            let Token::Int(n) = self.peek.token else {
+                return Err(self.expected("an IPv4 address"));
+            };
+            self.bump()?;
+            let _ = write!(ip, "{n}");
             if i < 3 {
                 self.expect(Token::Dot, "`.` in IPv4 address")?;
+                ip.push('.');
             }
         }
-        Ok(parts.join("."))
+        Ok(ip)
     }
 
     fn parse_file(&mut self) -> Result<SpecFile, SpecError> {
         let mut file = SpecFile::default();
         loop {
-            match &self.peek().token {
-                Token::Eof => return Ok(file),
-                Token::Ident(kw) => match kw.as_str() {
-                    "host" => {
-                        let span = self.bump().span;
-                        file.nodes.push(self.parse_node(NodeKind::Host, span)?);
-                    }
-                    "device" => {
-                        let span = self.bump().span;
-                        let (_name_peek, _) = (self.peek().token.clone(), ());
-                        // device NAME KIND { ... }
-                        let (name, _) = self.expect_ident()?;
-                        let (kind_word, kind_span) = self.expect_ident()?;
-                        let kind: NodeKind =
-                            kind_word.parse().map_err(|_| SpecError::UnknownKind {
-                                span: kind_span,
-                                kind: kind_word.clone(),
-                            })?;
-                        let mut node = self.parse_node_body(name, kind, span)?;
-                        node.span = span;
-                        file.nodes.push(node);
-                    }
-                    "connection" => {
-                        let span = self.bump().span;
-                        let a = self.parse_endpoint()?;
-                        self.expect(Token::Arrow, "`<->`")?;
-                        let b = self.parse_endpoint()?;
-                        self.expect(Token::Semi, "`;`")?;
-                        file.connections.push(ConnectionDecl { a, b, span });
-                    }
-                    "qospath" => {
-                        let span = self.bump().span;
-                        file.qos_paths.push(self.parse_qospath(span)?);
-                    }
-                    "application" => {
-                        let span = self.bump().span;
-                        file.applications.push(self.parse_application(span)?);
-                    }
-                    _ => {
-                        return Err(self.expected(
-                            "`host`, `device`, `connection`, `application`, or `qospath`",
-                        ))
-                    }
-                },
-                _ => return Err(self.expected("a declaration")),
+            let Token::Ident(kw) = self.peek.token else {
+                return match self.peek.token {
+                    Token::Eof => Ok(file),
+                    _ => Err(self.expected("a declaration")),
+                };
+            };
+            let span = self.peek.span;
+            match kw {
+                "host" => {
+                    self.bump()?;
+                    let (name, _) = self.expect_ident()?;
+                    file.nodes
+                        .push(self.parse_node_body(name, NodeKind::Host, span)?);
+                }
+                "device" => {
+                    self.bump()?;
+                    // device NAME KIND { ... }
+                    let (name, _) = self.expect_ident()?;
+                    let (kind_word, kind_span) = self.expect_ident()?;
+                    let kind: NodeKind = kind_word.parse().map_err(|_| SpecError::UnknownKind {
+                        span: kind_span,
+                        kind: kind_word.to_owned(),
+                    })?;
+                    file.nodes.push(self.parse_node_body(name, kind, span)?);
+                }
+                "connection" => {
+                    self.bump()?;
+                    let a = self.parse_endpoint()?;
+                    self.expect(Token::Arrow, "`<->`")?;
+                    let b = self.parse_endpoint()?;
+                    self.expect(Token::Semi, "`;`")?;
+                    file.connections.push(ConnectionDecl { a, b, span });
+                }
+                "qospath" => {
+                    self.bump()?;
+                    file.qos_paths.push(self.parse_qospath(span)?);
+                }
+                "application" => {
+                    self.bump()?;
+                    file.applications.push(self.parse_application(span)?);
+                }
+                _ => {
+                    return Err(self
+                        .expected("`host`, `device`, `connection`, `application`, or `qospath`"))
+                }
             }
         }
     }
 
-    fn parse_node(&mut self, kind: NodeKind, span: Span) -> Result<NodeDecl, SpecError> {
-        let (name, _) = self.expect_ident()?;
-        self.parse_node_body(name, kind, span)
-    }
-
     fn parse_node_body(
         &mut self,
-        name: String,
+        name: &str,
         kind: NodeKind,
         span: Span,
     ) -> Result<NodeDecl, SpecError> {
-        let mut node = NodeDecl::new(&name, kind);
+        let mut node = NodeDecl::new(name, kind);
         node.span = span;
         self.expect(Token::LBrace, "`{`")?;
         loop {
-            match &self.peek().token {
+            let kw = match self.peek.token {
                 Token::RBrace => {
-                    self.bump();
+                    self.bump()?;
                     return Ok(node);
                 }
-                Token::Ident(kw) => {
-                    let kw = kw.clone();
-                    let kw_span = self.peek().span;
-                    match kw.as_str() {
-                        "os" => {
-                            self.bump();
-                            let v = self.expect_string()?;
-                            if node.os.replace(v).is_some() {
-                                return Err(SpecError::DuplicateProperty {
-                                    span: kw_span,
-                                    name: "os".into(),
-                                });
-                            }
-                            self.expect(Token::Semi, "`;`")?;
-                        }
-                        "address" => {
-                            self.bump();
-                            let v = self.expect_ip()?;
-                            if node.address.replace(v).is_some() {
-                                return Err(SpecError::DuplicateProperty {
-                                    span: kw_span,
-                                    name: "address".into(),
-                                });
-                            }
-                            self.expect(Token::Semi, "`;`")?;
-                        }
-                        "snmp" => {
-                            self.bump();
-                            self.expect_keyword("community")?;
-                            let v = self.expect_string()?;
-                            if node.snmp_community.replace(v).is_some() {
-                                return Err(SpecError::DuplicateProperty {
-                                    span: kw_span,
-                                    name: "snmp community".into(),
-                                });
-                            }
-                            self.expect(Token::Semi, "`;`")?;
-                        }
-                        "speed" => {
-                            self.bump();
-                            let v = self.expect_bandwidth()?;
-                            if node.default_speed.replace(v).is_some() {
-                                return Err(SpecError::DuplicateProperty {
-                                    span: kw_span,
-                                    name: "speed".into(),
-                                });
-                            }
-                            self.expect(Token::Semi, "`;`")?;
-                        }
-                        "interface" => {
-                            self.bump();
-                            node.interfaces.push(self.parse_interface(kw_span)?);
-                        }
-                        _ => {
-                            return Err(self
-                                .expected("`os`, `address`, `snmp`, `speed`, `interface`, or `}`"))
-                        }
-                    }
-                }
+                Token::Ident(kw) => kw,
                 _ => return Err(self.expected("a node property or `}`")),
+            };
+            let kw_span = self.peek.span;
+            let duplicate = |name: &str| SpecError::DuplicateProperty {
+                span: kw_span,
+                name: name.into(),
+            };
+            match kw {
+                "os" => {
+                    self.bump()?;
+                    let v = self.expect_string()?;
+                    if node.os.replace(v).is_some() {
+                        return Err(duplicate("os"));
+                    }
+                    self.expect(Token::Semi, "`;`")?;
+                }
+                "address" => {
+                    self.bump()?;
+                    let v = self.expect_ip()?;
+                    if node.address.replace(v).is_some() {
+                        return Err(duplicate("address"));
+                    }
+                    self.expect(Token::Semi, "`;`")?;
+                }
+                "snmp" => {
+                    self.bump()?;
+                    self.expect_keyword("community")?;
+                    let v = self.expect_string()?;
+                    if node.snmp_community.replace(v).is_some() {
+                        return Err(duplicate("snmp community"));
+                    }
+                    self.expect(Token::Semi, "`;`")?;
+                }
+                "speed" => {
+                    self.bump()?;
+                    let v = self.expect_bandwidth()?;
+                    if node.default_speed.replace(v).is_some() {
+                        return Err(duplicate("speed"));
+                    }
+                    self.expect(Token::Semi, "`;`")?;
+                }
+                "interface" => {
+                    self.bump()?;
+                    node.interfaces.push(self.parse_interface(kw_span)?);
+                }
+                _ => {
+                    return Err(
+                        self.expected("`os`, `address`, `snmp`, `speed`, `interface`, or `}`")
+                    )
+                }
             }
         }
     }
 
     fn parse_interface(&mut self, span: Span) -> Result<InterfaceDecl, SpecError> {
-        let (local_name, _) = self.expect_ident()?;
         let mut decl = InterfaceDecl {
-            local_name,
+            local_name: self.expect_name()?,
             speed_bps: None,
             span,
         };
-        match self.peek().token {
+        match self.peek.token {
             Token::Semi => {
-                self.bump();
+                self.bump()?;
                 Ok(decl)
             }
             Token::LBrace => {
-                self.bump();
+                self.bump()?;
                 loop {
-                    match &self.peek().token {
+                    match self.peek.token {
                         Token::RBrace => {
-                            self.bump();
+                            self.bump()?;
                             return Ok(decl);
                         }
-                        Token::Ident(kw) if kw == "speed" => {
-                            let kw_span = self.peek().span;
-                            self.bump();
+                        Token::Ident("speed") => {
+                            let kw_span = self.bump()?.span;
                             let v = self.expect_bandwidth()?;
                             if decl.speed_bps.replace(v).is_some() {
                                 return Err(SpecError::DuplicateProperty {
@@ -305,30 +277,29 @@ impl Parser {
 
     /// `application NAME on HOST ( ";" | "{" ("pinned" ";")* "}" )`
     fn parse_application(&mut self, span: Span) -> Result<AppDecl, SpecError> {
-        let (name, _) = self.expect_ident()?;
+        let name = self.expect_name()?;
         self.expect_keyword("on")?;
-        let (host, _) = self.expect_ident()?;
         let mut decl = AppDecl {
             name,
-            host,
+            host: self.expect_name()?,
             pinned: false,
             span,
         };
-        match self.peek().token {
+        match self.peek.token {
             Token::Semi => {
-                self.bump();
+                self.bump()?;
                 Ok(decl)
             }
             Token::LBrace => {
-                self.bump();
+                self.bump()?;
                 loop {
-                    match &self.peek().token {
+                    match self.peek.token {
                         Token::RBrace => {
-                            self.bump();
+                            self.bump()?;
                             return Ok(decl);
                         }
-                        Token::Ident(kw) if kw == "pinned" => {
-                            self.bump();
+                        Token::Ident("pinned") => {
+                            self.bump()?;
                             decl.pinned = true;
                             self.expect(Token::Semi, "`;`")?;
                         }
@@ -341,22 +312,23 @@ impl Parser {
     }
 
     fn parse_endpoint(&mut self) -> Result<EndpointRef, SpecError> {
-        let (node, _) = self.expect_ident()?;
+        let node = self.expect_name()?;
         self.expect(Token::Dot, "`.`")?;
-        let (interface, _) = self.expect_ident()?;
-        Ok(EndpointRef { node, interface })
+        Ok(EndpointRef {
+            node,
+            interface: self.expect_name()?,
+        })
     }
 
     fn parse_qospath(&mut self, span: Span) -> Result<QosPathDecl, SpecError> {
-        let (name, _) = self.expect_ident()?;
+        let name = self.expect_name()?;
         self.expect_keyword("from")?;
-        let (from, _) = self.expect_ident()?;
+        let from = self.expect_name()?;
         self.expect_keyword("to")?;
-        let (to, _) = self.expect_ident()?;
         let mut decl = QosPathDecl {
             name,
             from,
-            to,
+            to: self.expect_name()?,
             min_available_bps: None,
             max_utilization: None,
             application: None,
@@ -364,62 +336,52 @@ impl Parser {
         };
         self.expect(Token::LBrace, "`{`")?;
         loop {
-            match &self.peek().token {
+            let kw = match self.peek.token {
                 Token::RBrace => {
-                    self.bump();
+                    self.bump()?;
                     return Ok(decl);
                 }
-                Token::Ident(kw) => {
-                    let kw = kw.clone();
-                    let kw_span = self.peek().span;
-                    match kw.as_str() {
-                        "min_available" => {
-                            self.bump();
-                            let v = self.expect_bandwidth()?;
-                            if decl.min_available_bps.replace(v).is_some() {
-                                return Err(SpecError::DuplicateProperty {
-                                    span: kw_span,
-                                    name: "min_available".into(),
-                                });
-                            }
-                            self.expect(Token::Semi, "`;`")?;
-                        }
-                        "max_utilization" => {
-                            self.bump();
-                            let v = match self.peek().token {
-                                Token::Percent(p) => {
-                                    self.bump();
-                                    p
-                                }
-                                _ => return Err(self.expected("a percentage (e.g. 80%)")),
-                            };
-                            if decl.max_utilization.replace(v).is_some() {
-                                return Err(SpecError::DuplicateProperty {
-                                    span: kw_span,
-                                    name: "max_utilization".into(),
-                                });
-                            }
-                            self.expect(Token::Semi, "`;`")?;
-                        }
-                        "application" => {
-                            self.bump();
-                            let (app, _) = self.expect_ident()?;
-                            if decl.application.replace(app).is_some() {
-                                return Err(SpecError::DuplicateProperty {
-                                    span: kw_span,
-                                    name: "application".into(),
-                                });
-                            }
-                            self.expect(Token::Semi, "`;`")?;
-                        }
-                        _ => {
-                            return Err(self.expected(
-                                "`min_available`, `max_utilization`, `application`, or `}`",
-                            ))
-                        }
-                    }
-                }
+                Token::Ident(kw) => kw,
                 _ => return Err(self.expected("a qospath property or `}`")),
+            };
+            let kw_span = self.peek.span;
+            let duplicate = |name: &str| SpecError::DuplicateProperty {
+                span: kw_span,
+                name: name.into(),
+            };
+            match kw {
+                "min_available" => {
+                    self.bump()?;
+                    let v = self.expect_bandwidth()?;
+                    if decl.min_available_bps.replace(v).is_some() {
+                        return Err(duplicate("min_available"));
+                    }
+                    self.expect(Token::Semi, "`;`")?;
+                }
+                "max_utilization" => {
+                    self.bump()?;
+                    let Token::Percent(v) = self.peek.token else {
+                        return Err(self.expected("a percentage (e.g. 80%)"));
+                    };
+                    self.bump()?;
+                    if decl.max_utilization.replace(v).is_some() {
+                        return Err(duplicate("max_utilization"));
+                    }
+                    self.expect(Token::Semi, "`;`")?;
+                }
+                "application" => {
+                    self.bump()?;
+                    let app = self.expect_name()?;
+                    if decl.application.replace(app).is_some() {
+                        return Err(duplicate("application"));
+                    }
+                    self.expect(Token::Semi, "`;`")?;
+                }
+                _ => {
+                    return Err(
+                        self.expected("`min_available`, `max_utilization`, `application`, or `}`")
+                    )
+                }
             }
         }
     }
@@ -427,9 +389,13 @@ impl Parser {
 
 /// Parses a specification file into its AST.
 pub fn parse(src: &str) -> Result<SpecFile, SpecError> {
-    let tokens = lex(src)?;
-    let mut p = Parser { tokens, pos: 0 };
+    let mut lexer = Lexer::new(src);
+    let peek = lexer.next_token()?;
+    let mut p = Parser { lexer, peek };
+    // A lexing error already reported exhausted the lexer, so `finish`
+    // finds no later one in its place.
     p.parse_file()
+        .map_err(|e| p.lexer.finish().err().unwrap_or(e))
 }
 
 #[cfg(test)]
@@ -520,6 +486,20 @@ mod tests {
             SpecError::Expected { span, .. } => assert_eq!(span.line, 3),
             other => panic!("{other:?}"),
         }
+    }
+
+    #[test]
+    fn a_lexing_error_after_a_parse_error_outranks_it() {
+        assert_eq!(
+            parse("host L { banana }\nhost M { os \"unterminated\n}"),
+            Err(SpecError::UnterminatedString {
+                span: Span::new(2, 13)
+            })
+        );
+        assert!(matches!(
+            parse("host L { banana }"),
+            Err(SpecError::Expected { .. })
+        ));
     }
 
     #[test]

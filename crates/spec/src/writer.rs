@@ -18,6 +18,18 @@ fn fmt_bandwidth(bps: u64) -> String {
     }
 }
 
+/// `fraction` as a percentage the lexer reads back: the integer when it
+/// is one (`0.57 * 100.0` is `56.99999999999999`, which the lexer
+/// refuses).
+fn fmt_percent(fraction: f64) -> f64 {
+    let p = fraction * 100.0;
+    if p.round() / 100.0 == fraction {
+        p.round()
+    } else {
+        p
+    }
+}
+
 /// Renders a specification file as canonical text.
 pub fn write_spec(file: &SpecFile) -> String {
     let mut out = String::new();
@@ -80,7 +92,7 @@ pub fn write_spec(file: &SpecFile) -> String {
             out.push_str(&format!("    min_available {};\n", fmt_bandwidth(v)));
         }
         if let Some(u) = q.max_utilization {
-            out.push_str(&format!("    max_utilization {}%;\n", u * 100.0));
+            out.push_str(&format!("    max_utilization {}%;\n", fmt_percent(u)));
         }
         if let Some(app) = &q.application {
             out.push_str(&format!("    application {app};\n"));
@@ -149,6 +161,17 @@ mod tests {
             ast1.qos_paths[0].max_utilization,
             ast2.qos_paths[0].max_utilization
         );
+    }
+
+    #[test]
+    fn every_integer_percentage_reads_back() {
+        for p in 1..=100u32 {
+            let src = format!("qospath q from a to b {{ max_utilization {p}%; }}");
+            let ast = parse(&src).unwrap();
+            let text = write_spec(&ast);
+            assert!(text.contains(&format!(" {p}%;")), "{p}%: {text}");
+            assert_eq!(parse(&text).unwrap().qos_paths, ast.qos_paths, "{p}%");
+        }
     }
 
     #[test]

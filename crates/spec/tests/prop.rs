@@ -61,23 +61,54 @@ fn arb_node(ix: usize) -> impl Strategy<Value = NodeDecl> {
         })
 }
 
+/// A qospath between two of `nodes` nodes, with any integer percentage.
+fn arb_qos_path(ix: usize, nodes: usize) -> impl Strategy<Value = QosPathDecl> {
+    (
+        0..nodes,
+        0..nodes,
+        prop::option::of(arb_speed()),
+        prop::option::of((1u32..=100).prop_map(|p| p as f64 / 100.0)),
+    )
+        .prop_map(
+            move |(from, to, min_available_bps, max_utilization)| QosPathDecl {
+                name: format!("q{ix}"),
+                from: format!("n{from}"),
+                to: format!("n{to}"),
+                min_available_bps,
+                max_utilization,
+                application: None,
+                span: Default::default(),
+            },
+        )
+}
+
 fn arb_spec() -> impl Strategy<Value = SpecFile> {
-    prop::collection::vec(Just(()), 1..5).prop_flat_map(|nodes| {
-        let n = nodes.len();
-        (0..n)
-            .map(arb_node)
-            .collect::<Vec<_>>()
-            .prop_map(|nodes| SpecFile {
+    (1usize..5, 0usize..6).prop_flat_map(|(n, paths)| {
+        (
+            (0..n).map(arb_node).collect::<Vec<_>>(),
+            (0..paths).map(|ix| arb_qos_path(ix, n)).collect::<Vec<_>>(),
+        )
+            .prop_map(|(nodes, qos_paths)| SpecFile {
                 nodes,
                 connections: Vec::new(),
                 applications: Vec::new(),
-                qos_paths: Vec::new(),
+                qos_paths,
             })
     })
 }
 
 fn semantically_equal(a: &SpecFile, b: &SpecFile) -> bool {
-    if a.nodes.len() != b.nodes.len() {
+    // Parsed declarations carry spans; generated ones do not.
+    let same_path = |(x, y): (&QosPathDecl, &QosPathDecl)| {
+        QosPathDecl {
+            span: y.span,
+            ..x.clone()
+        } == *y
+    };
+    if a.nodes.len() != b.nodes.len()
+        || a.qos_paths.len() != b.qos_paths.len()
+        || !a.qos_paths.iter().zip(&b.qos_paths).all(same_path)
+    {
         return false;
     }
     a.nodes.iter().zip(&b.nodes).all(|(x, y)| {

@@ -176,11 +176,10 @@ impl NetworkTopology {
         local_name: &str,
         speed_bps: u64,
     ) -> Result<IfIx, TopologyError> {
-        let node_name = self.node(node)?.name.clone();
         let n = self.node_mut(node)?;
         if n.interfaces.iter().any(|i| i.local_name == local_name) {
             return Err(TopologyError::DuplicateInterfaceName {
-                node: node_name,
+                node: n.name.clone(),
                 interface: local_name.to_owned(),
             });
         }
@@ -210,11 +209,10 @@ impl NetworkTopology {
             return Err(TopologyError::SelfConnection { node, interface });
         }
         for ep in [a, b] {
-            let node_name = self.node(ep.node)?.name.clone();
             let iface = self.interface(ep.node, ep.ifix)?;
             if iface.connection.is_some() {
                 return Err(TopologyError::InterfaceAlreadyConnected {
-                    node: node_name,
+                    node: self.nodes[ep.node.index()].name.clone(),
                     interface: iface.local_name.clone(),
                 });
             }
@@ -431,10 +429,17 @@ mod tests {
         let mut t = NetworkTopology::new();
         let a = t.add_node("A", NodeKind::Host).unwrap();
         t.add_interface(a, "eth0", 1).unwrap();
-        assert!(matches!(
+        assert_eq!(
             t.add_interface(a, "eth0", 1),
-            Err(TopologyError::DuplicateInterfaceName { .. })
-        ));
+            Err(TopologyError::DuplicateInterfaceName {
+                node: "A".into(),
+                interface: "eth0".into()
+            })
+        );
+        assert_eq!(
+            t.add_interface(NodeId(7), "eth0", 1),
+            Err(TopologyError::NoSuchNode(NodeId(7)))
+        );
     }
 
     #[test]
@@ -447,11 +452,26 @@ mod tests {
         let b0 = t.add_interface(b, "eth0", 1).unwrap();
         let c0 = t.add_interface(c, "eth0", 1).unwrap();
         t.connect((a, a0), (b, b0)).unwrap();
-        // a0 is now taken; a second connection through it must fail.
-        assert!(matches!(
+        // a0 and b0 are now taken; a second connection through either
+        // must fail, naming it.
+        assert_eq!(
             t.connect((a, a0), (c, c0)),
-            Err(TopologyError::InterfaceAlreadyConnected { .. })
-        ));
+            Err(TopologyError::InterfaceAlreadyConnected {
+                node: "A".into(),
+                interface: "eth0".into()
+            })
+        );
+        assert_eq!(
+            t.connect((c, c0), (b, b0)),
+            Err(TopologyError::InterfaceAlreadyConnected {
+                node: "B".into(),
+                interface: "eth0".into()
+            })
+        );
+        assert_eq!(
+            t.connect((c, c0), (NodeId(7), a0)),
+            Err(TopologyError::NoSuchNode(NodeId(7)))
+        );
     }
 
     #[test]

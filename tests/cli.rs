@@ -60,6 +60,30 @@ fn fmt_output_reparses_identically() {
 }
 
 #[test]
+fn fmt_writes_percentages_check_reads_back() {
+    // 0.57 * 100.0 is 56.99999999999999, which the lexer refuses.
+    let dir = std::env::temp_dir().join("netqos-cli-test");
+    std::fs::create_dir_all(&dir).unwrap();
+    let spec = dir.join("percent.spec");
+    std::fs::write(
+        &spec,
+        "host A { interface e { speed 10Mbps; } }\n\
+         host B { interface e { speed 10Mbps; } }\n\
+         connection A.e <-> B.e;\n\
+         qospath ab from A to B { max_utilization 57%; }\n",
+    )
+    .unwrap();
+    let out = run(&["fmt", spec.to_str().unwrap()]);
+    assert!(out.status.success(), "{out:?}");
+    let formatted = String::from_utf8(out.stdout).unwrap();
+    assert!(formatted.contains("max_utilization 57%;"), "{formatted}");
+    let written = dir.join("percent.fmt.spec");
+    std::fs::write(&written, &formatted).unwrap();
+    let out = run(&["check", written.to_str().unwrap()]);
+    assert!(out.status.success(), "{out:?}");
+}
+
+#[test]
 fn paths_lists_all_qospaths() {
     let out = run(&["paths", "specs/lirtss.spec"]);
     assert!(out.status.success());
