@@ -1,7 +1,7 @@
 //! The core monitor state machine.
 //!
-//! [`NetworkMonitor`] owns the specified topology and, per SNMP-capable
-//! node, the previous [`DeviceSnapshot`]. Each new snapshot yields
+//! [`NetworkMonitor`] owns the specified topology and, per node it has
+//! polled, the previous [`DeviceSnapshot`]. Each new snapshot yields
 //! per-interface rates (bits/s) via the wrap-safe delta arithmetic of
 //! [`crate::delta`]; the rate table (one slot per topology interface)
 //! makes the monitor a [`netqos_topology::bandwidth::RateProvider`], so
@@ -14,8 +14,7 @@ use netqos_telemetry::{Counter, Tracer};
 use netqos_topology::bandwidth::{IfRates, PathBandwidth, RateProvider};
 use netqos_topology::path::{self, CommPath};
 use netqos_topology::plan::{DomainSums, PathPlan, PlanError};
-use netqos_topology::{IfIx, NetworkTopology, NodeId};
-use std::collections::HashMap;
+use netqos_topology::{IfIx, NetworkTopology, NodeId, TopologyError};
 
 /// Per-interface rates computed from one poll interval.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -78,7 +77,10 @@ impl Smoothing {
 /// The monitor.
 pub struct NetworkMonitor {
     topology: NetworkTopology,
-    previous: HashMap<NodeId, DeviceSnapshot>,
+    /// The last snapshot of each node, indexed by [`NodeId`]: one slot
+    /// per topology node, so storing a device's first snapshot allocates
+    /// nothing.
+    previous: Vec<Option<DeviceSnapshot>>,
     /// Latest rates, indexed by [`NetworkTopology::interface_slot`].
     rates: Vec<Option<IfRateSample>>,
     polls_ingested: u64,
@@ -97,8 +99,8 @@ impl NetworkMonitor {
     pub fn new(topology: NetworkTopology) -> Self {
         NetworkMonitor {
             rates: vec![None; topology.interface_slot_count()],
+            previous: vec![None; topology.node_count()],
             topology,
-            previous: HashMap::new(),
             polls_ingested: 0,
             interval_strategy: IntervalStrategy::SysUpTime,
             smoothing: Smoothing::default(),
@@ -185,7 +187,8 @@ impl NetworkMonitor {
 
     /// Ingests a snapshot of `node`. The first snapshot only establishes a
     /// baseline (returns `false`); subsequent snapshots update the rate
-    /// table (returns `true`).
+    /// table (returns `true`). A node the topology does not have is
+    /// refused, its first snapshot included.
     pub fn ingest(&mut self, node: NodeId, snapshot: DeviceSnapshot) -> Result<bool, MonitorError> {
         self.polls_ingested += 1;
         let mut span = self.tracer.span("monitor.delta", "ingest");
@@ -195,9 +198,12 @@ impl NetworkMonitor {
             }
             span.set_attr("interfaces", snapshot.interfaces.len());
         }
-        let Some(prev) = self.previous.get(&node) else {
+        let Some(previous) = self.previous.get(node.index()) else {
+            return Err(TopologyError::NoSuchNode(node).into());
+        };
+        let Some(prev) = previous else {
             span.set_attr("baseline", true);
-            self.previous.insert(node, snapshot);
+            self.previous[node.index()] = Some(snapshot);
             return Ok(false);
         };
 
@@ -208,7 +214,7 @@ impl NetworkMonitor {
         if delta::uptime_reset(prev.uptime_ticks, snapshot.uptime_ticks) {
             self.uptime_resets.inc();
             span.set_attr("uptime_reset", true);
-            self.previous.insert(node, snapshot);
+            self.previous[node.index()] = Some(snapshot);
             return Ok(false);
         }
 
@@ -221,7 +227,7 @@ impl NetworkMonitor {
         if interval == 0 {
             // Same-tick re-poll: keep the newer counters as baseline but
             // no rate can be formed.
-            self.previous.insert(node, snapshot);
+            self.previous[node.index()] = Some(snapshot);
             return Ok(false);
         }
         span.set_attr("interval_ticks", interval);
@@ -286,7 +292,7 @@ impl NetworkMonitor {
                 out_nucast_pps,
             });
         }
-        self.previous.insert(node, snapshot);
+        self.previous[node.index()] = Some(snapshot);
         Ok(true)
     }
 
@@ -388,6 +394,24 @@ mod tests {
         let mut m = NetworkMonitor::new(t);
         assert!(!m.ingest(a, snap(100, 0, 0)).unwrap());
         assert!(m.if_rates(a, IfIx(0)).is_none());
+    }
+
+    #[test]
+    fn a_node_the_topology_lacks_is_refused_from_its_first_snapshot() {
+        let (t, a, _) = topo();
+        let mut m = NetworkMonitor::new(t);
+        for ghost in [NodeId(2), NodeId(u32::MAX)] {
+            for uptime in [100, 200] {
+                assert_eq!(
+                    m.ingest(ghost, snap(uptime, 0, 0)),
+                    Err(TopologyError::NoSuchNode(ghost).into())
+                );
+            }
+        }
+        assert_eq!(m.previous.len(), 2);
+        // The nodes it has are not disturbed.
+        assert!(!m.ingest(a, snap(100, 0, 0)).unwrap());
+        assert!(m.ingest(a, snap(200, 125_000, 0)).unwrap());
     }
 
     #[test]

@@ -29,7 +29,7 @@ use netqos_snmp::mib2::interfaces::{self as ifc, column};
 use netqos_snmp::mib2::{self, SystemInfo};
 use netqos_snmp::transport::Transport;
 use netqos_snmp::value::ValueRef;
-use netqos_snmp::{Oid, SnmpError, SnmpValue};
+use netqos_snmp::{Oid, SnmpError};
 use netqos_spec::SpecModel;
 use netqos_telemetry::{QuantileBaseline, Tracer};
 use netqos_topology::{NodeId, NodeKind};
@@ -101,30 +101,31 @@ impl LiveMib<'_> {
     fn full(&self) -> &ScalarMib {
         self.full.get_or_init(|| {
             let nics = self.ctx.nics();
-            let mut mib = ScalarMib::new();
-            mib2::system::install(&mut mib, self.sysinfo, self.ctx.uptime_ticks());
             // Switches additionally export their forwarding database
             // (BRIDGE-MIB), feeding the topology-verification extension.
-            if let Some(fdb) = self.ctx.fdb_snapshot() {
-                let entries: Vec<mib2::bridge::FdbEntry> = fdb
-                    .into_iter()
+            let fdb: Option<Vec<mib2::bridge::FdbEntry>> = self.ctx.fdb_snapshot().map(|fdb| {
+                fdb.into_iter()
                     .map(|(mac, port)| mib2::bridge::FdbEntry {
                         mac: mac.octets(),
                         port,
                     })
-                    .collect();
-                mib2::bridge::install(&mut mib, nics.len() as u32, &entries);
-            }
-            mib.insert(
-                ifc::if_number_instance(),
-                SnmpValue::Integer(nics.len() as i64),
-            );
-            for (nic, if_index) in nics.iter().zip(1..) {
-                for col in column::IF_INDEX..=column::IF_OUT_QLEN {
-                    let cell = if_cell(nic, if_index, col).expect("ifEntry has every column");
-                    mib.insert(ifc::instance_oid(col, if_index), cell.to_value());
-                }
-            }
+                    .collect()
+            });
+            let system = mib2::system::instances(self.sysinfo, self.ctx.uptime_ticks());
+            let interfaces = ifc::instances(nics.len(), |col, row| {
+                let if_index = row as u32 + 1;
+                let cell = if_cell(&nics[row], if_index, col).expect("ifEntry has every column");
+                (if_index, cell.to_value())
+            });
+            let bridge = fdb
+                .iter()
+                .flat_map(|fdb| mib2::bridge::instances(nics.len() as u32, fdb));
+            let cells = column::IF_OUT_QLEN as usize * nics.len();
+            let fdb_cells = fdb.as_ref().map_or(0, |fdb| 1 + 3 * fdb.len());
+            let mut mib = ScalarMib::with_capacity(7 + 1 + cells + fdb_cells);
+            // The three groups in MIB order, each column by column, so
+            // nothing is sorted.
+            mib.extend(system.into_iter().chain(interfaces).chain(bridge));
             mib
         })
     }

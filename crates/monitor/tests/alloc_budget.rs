@@ -163,3 +163,42 @@ fn a_poll_answered_from_the_agents_timer_stays_within_the_same_count() {
 /// 14 before the simulator was a `Transport`, and 9 before the parse
 /// counted columns on the stack.)
 const SIM_POLL_BUDGET: u64 = 8;
+
+/// Storing a device's first snapshot, the counter baseline, takes no
+/// allocation: the previous-poll table has a slot for every node from
+/// the start. (As a `HashMap` it grew, and rehashed, as devices were
+/// first seen.)
+#[test]
+fn ingesting_a_devices_first_snapshot_allocates_nothing() {
+    use netqos_monitor::poll::{DeviceSnapshot, IfSample};
+    use netqos_monitor::NetworkMonitor;
+    use netqos_topology::{NetworkTopology, NodeKind};
+
+    let mut topology = NetworkTopology::new();
+    let nodes: Vec<_> = (0..64)
+        .map(|i| {
+            let node = topology.add_node(&format!("h{i}"), NodeKind::Host).unwrap();
+            topology.add_interface(node, "eth0", 100_000_000).unwrap();
+            node
+        })
+        .collect();
+    let mut monitor = NetworkMonitor::new(topology);
+    for node in nodes {
+        let snapshot = DeviceSnapshot {
+            uptime_ticks: 100,
+            interfaces: vec![IfSample {
+                if_index: 1,
+                descr: "eth0".into(),
+                speed_bps: 100_000_000,
+                in_octets: 0,
+                out_octets: 0,
+                in_ucast_pkts: 0,
+                out_nucast_pkts: 0,
+            }],
+        };
+        let ingested = allocations_in(|| {
+            assert!(!monitor.ingest(node, snapshot).unwrap());
+        });
+        assert_eq!(ingested, 0, "first snapshot of {node:?}");
+    }
+}

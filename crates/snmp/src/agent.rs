@@ -10,7 +10,9 @@
 //! * `SetRequest` → `readOnly` (this agent never writes);
 //! * responses/traps received by an agent are ignored;
 //! * SNMPv2c `GetBulkRequest` → successors, with `endOfMibView` past the
-//!   end of the MIB; inside a v1 message it is dropped as malformed.
+//!   end of the MIB; inside a v1 message it is dropped as malformed. Its
+//!   repetitions stop as soon as the answer passes the response limit,
+//!   and the agent answers `tooBig`.
 
 use crate::ber::{tag, Reader};
 use crate::error::{BerError, SnmpError};
@@ -19,6 +21,7 @@ use crate::mib::MibView;
 use crate::oid::Oid;
 use crate::pdu::{self, ErrorStatus, Pdu, PduType, TrapPdu, VarBind};
 use crate::value::ValueRef;
+use std::cell::Cell;
 
 /// Counters describing an agent's life so far.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -56,6 +59,15 @@ enum Reply {
         request_id: i32,
         status: ErrorStatus,
     },
+}
+
+/// Why an answer stopped taking bindings.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Halt {
+    /// A binding could not be encoded: the reply is silence.
+    Unencodable,
+    /// The response passed its size limit: the reply is `tooBig`.
+    TooBig,
 }
 
 /// Reads one variable binding off `list`, checking all of it, and returns
@@ -232,21 +244,30 @@ impl SnmpAgent {
         // A lookup that fails turns the whole reply into an error, and a
         // value that cannot be encoded silences it; in either case the
         // rest of the request is still read, since a malformed binding
-        // further on outranks both.
+        // further on outranks both. A GetBulk answer stops growing at its
+        // first binding that cannot be encoded (silence) or that takes it
+        // past the response limit (`tooBig`), whichever comes first: its
+        // repetitions are the one part of a reply the request does not
+        // bound.
         let mut failed_at = None;
-        let mut encodable = true;
+        let halted = Cell::new(None);
         let mut cursors: Vec<(Oid, bool)> = Vec::new();
         let mut position = 0u32;
-        let mut answer = |out: &mut Vec<u8>, name: &Oid, value: ValueRef<'_>| {
-            if encodable && pdu::push_varbind(out, name, value).is_err() {
-                encodable = false;
-            }
-        };
 
         // Room for the request's own bytes again plus the values.
         out.reserve(bindings.remaining() * 3 / 2 + 64);
         let message = message::open_message(out, wrapper.version, wrapper.community);
         let pdu = pdu::open_pdu(out, tag::GET_RESPONSE, request_id, 0, 0);
+        let limit = self.max_response_bytes;
+        let answer = |out: &mut Vec<u8>, name: &Oid, value: ValueRef<'_>| {
+            if halted.get().is_none() {
+                halted.set(match pdu::push_varbind(out, name, value) {
+                    Err(_) => Some(Halt::Unencodable),
+                    Ok(()) if is_bulk && pdu.closed_len(out, message) > limit => Some(Halt::TooBig),
+                    Ok(()) => None,
+                });
+            }
+        };
         while !list.is_empty() {
             position += 1;
             let name = read_name(&mut list)?;
@@ -291,7 +312,7 @@ impl SnmpAgent {
         }
         // Every remaining name is stepped up to max-repetitions times.
         for _ in 0..third {
-            if cursors.iter().all(|(_, done)| *done) {
+            if halted.get().is_some() || cursors.iter().all(|(_, done)| *done) {
                 break;
             }
             for (cursor, done) in cursors.iter_mut().filter(|(_, done)| !done) {
@@ -307,9 +328,11 @@ impl SnmpAgent {
                 }
             }
         }
-        if !encodable {
+        if halted.get() == Some(Halt::Unencodable) {
             return Ok(Reply::Silent);
         }
+        // An answer halted past the limit is closed as it stands, and
+        // `handle` replaces it with `tooBig`.
         pdu::close_pdu(out, pdu);
         message::close_message(out, message);
         Ok(Reply::Answer {

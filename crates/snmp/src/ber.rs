@@ -127,6 +127,20 @@ pub fn close(out: &mut Vec<u8>, mark: usize) {
     out[mark..mark + sig.len()].copy_from_slice(sig);
 }
 
+/// The length `out` will have once the elements [`open`] returned `marks`
+/// for, outermost first, are closed: each content of 128 octets or more
+/// takes the long form's octets on top of its one placeholder.
+pub(crate) fn closed_len(out: &[u8], marks: &[usize]) -> usize {
+    marks.iter().rev().fold(out.len(), |len, &mark| {
+        let content = len - mark;
+        if content < 0x80 {
+            len
+        } else {
+            len + std::mem::size_of::<usize>() - long_form(content).1
+        }
+    })
+}
+
 /// Appends `value` as minimal two's complement content under `tag_byte`.
 fn push_twos_complement(out: &mut Vec<u8>, tag_byte: u8, value: i64) {
     // Bits that are not copies of the sign bit, plus the sign bit itself.
@@ -651,6 +665,21 @@ mod tests {
         let bad = [0x06, 0x02, 0x2B, 0x86];
         let mut r = Reader::new(&bad);
         assert_eq!(r.read_oid(), Err(BerError::BadOid));
+    }
+
+    #[test]
+    fn closed_len_is_the_length_closing_gives() {
+        for content in [0, 1, 120, 124, 125, 127, 128, 250, 255, 256, 70_000] {
+            let mut out = Vec::new();
+            let outer = open(&mut out, tag::SEQUENCE);
+            push_integer(&mut out, 7);
+            let inner = open(&mut out, tag::SEQUENCE);
+            out.resize(out.len() + content, 0xAB);
+            let predicted = closed_len(&out, &[outer, inner]);
+            close(&mut out, inner);
+            close(&mut out, outer);
+            assert_eq!(predicted, out.len(), "{content} octets of content");
+        }
     }
 
     #[test]

@@ -89,24 +89,30 @@ pub fn parse_instance(oid: &Oid) -> Option<(u32, [u8; 6])> {
 
 /// Installs `dot1dBaseNumPorts` and the FDB table.
 pub fn install(mib: &mut ScalarMib, num_ports: u32, entries: &[FdbEntry]) {
-    mib.insert(
+    mib.extend(instances(num_ports, entries));
+}
+
+/// `dot1dBaseNumPorts` and every FDB cell, column by column (the order a
+/// walk visits them, so entries sorted by MAC need no sort).
+pub fn instances(
+    num_ports: u32,
+    entries: &[FdbEntry],
+) -> impl Iterator<Item = (Oid, SnmpValue)> + '_ {
+    let rows = entries.len();
+    let cells = (0..column::STATUS as usize * rows).map(move |k| {
+        let (col, e) = (k / rows + 1, entries[k % rows]);
+        let value = match col as u32 {
+            column::ADDRESS => SnmpValue::OctetString(e.mac.to_vec()),
+            column::PORT => SnmpValue::Integer(e.port as i64),
+            _ => SnmpValue::Integer(STATUS_LEARNED),
+        };
+        (instance_oid(col as u32, e.mac), value)
+    });
+    let num_ports = (
         base_num_ports_instance(),
         SnmpValue::Integer(num_ports as i64),
     );
-    for e in entries {
-        mib.insert(
-            instance_oid(column::ADDRESS, e.mac),
-            SnmpValue::OctetString(e.mac.to_vec()),
-        );
-        mib.insert(
-            instance_oid(column::PORT, e.mac),
-            SnmpValue::Integer(e.port as i64),
-        );
-        mib.insert(
-            instance_oid(column::STATUS, e.mac),
-            SnmpValue::Integer(STATUS_LEARNED),
-        );
-    }
+    std::iter::once(num_ports).chain(cells)
 }
 
 /// Extracts FDB entries from a walk of the `dot1dTpFdbPort` column.

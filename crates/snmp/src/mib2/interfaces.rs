@@ -159,79 +159,57 @@ impl IfEntry {
     }
 }
 
+/// The value `ifEntry` column `col` holds for `e`.
+fn cell(e: &IfEntry, col: u32) -> SnmpValue {
+    use column::*;
+    match col {
+        IF_INDEX => SnmpValue::Integer(i64::from(e.if_index)),
+        IF_DESCR => SnmpValue::text(&e.descr),
+        IF_TYPE => SnmpValue::Integer(e.if_type),
+        IF_MTU => SnmpValue::Integer(e.mtu),
+        IF_SPEED => SnmpValue::Gauge32(e.speed_bps),
+        IF_PHYS_ADDRESS => SnmpValue::OctetString(e.phys_address.to_vec()),
+        IF_ADMIN_STATUS => SnmpValue::Integer(e.admin_status),
+        IF_OPER_STATUS => SnmpValue::Integer(e.oper_status),
+        IF_LAST_CHANGE => SnmpValue::TimeTicks(0),
+        IF_IN_OCTETS => SnmpValue::Counter32(e.in_octets),
+        IF_IN_UCAST_PKTS => SnmpValue::Counter32(e.in_ucast_pkts),
+        IF_IN_NUCAST_PKTS => SnmpValue::Counter32(e.in_nucast_pkts),
+        IF_IN_DISCARDS => SnmpValue::Counter32(e.in_discards),
+        IF_IN_ERRORS => SnmpValue::Counter32(e.in_errors),
+        IF_IN_UNKNOWN_PROTOS => SnmpValue::Counter32(0),
+        IF_OUT_OCTETS => SnmpValue::Counter32(e.out_octets),
+        IF_OUT_UCAST_PKTS => SnmpValue::Counter32(e.out_ucast_pkts),
+        IF_OUT_NUCAST_PKTS => SnmpValue::Counter32(e.out_nucast_pkts),
+        IF_OUT_DISCARDS => SnmpValue::Counter32(e.out_discards),
+        IF_OUT_ERRORS => SnmpValue::Counter32(e.out_errors),
+        IF_OUT_QLEN => SnmpValue::Gauge32(e.out_qlen),
+        _ => unreachable!("ifEntry has columns 1 to 21"),
+    }
+}
+
 /// Installs `ifNumber` and every `ifTable` column for the given entries.
 pub fn install(mib: &mut ScalarMib, entries: &[IfEntry]) {
-    mib.insert(
-        if_number_instance(),
-        SnmpValue::Integer(entries.len() as i64),
-    );
-    for e in entries {
-        let i = e.if_index;
-        use column::*;
-        mib.insert(instance_oid(IF_INDEX, i), SnmpValue::Integer(i as i64));
-        mib.insert(instance_oid(IF_DESCR, i), SnmpValue::text(&e.descr));
-        mib.insert(instance_oid(IF_TYPE, i), SnmpValue::Integer(e.if_type));
-        mib.insert(instance_oid(IF_MTU, i), SnmpValue::Integer(e.mtu));
-        mib.insert(instance_oid(IF_SPEED, i), SnmpValue::Gauge32(e.speed_bps));
-        mib.insert(
-            instance_oid(IF_PHYS_ADDRESS, i),
-            SnmpValue::OctetString(e.phys_address.to_vec()),
-        );
-        mib.insert(
-            instance_oid(IF_ADMIN_STATUS, i),
-            SnmpValue::Integer(e.admin_status),
-        );
-        mib.insert(
-            instance_oid(IF_OPER_STATUS, i),
-            SnmpValue::Integer(e.oper_status),
-        );
-        mib.insert(instance_oid(IF_LAST_CHANGE, i), SnmpValue::TimeTicks(0));
-        mib.insert(
-            instance_oid(IF_IN_OCTETS, i),
-            SnmpValue::Counter32(e.in_octets),
-        );
-        mib.insert(
-            instance_oid(IF_IN_UCAST_PKTS, i),
-            SnmpValue::Counter32(e.in_ucast_pkts),
-        );
-        mib.insert(
-            instance_oid(IF_IN_NUCAST_PKTS, i),
-            SnmpValue::Counter32(e.in_nucast_pkts),
-        );
-        mib.insert(
-            instance_oid(IF_IN_DISCARDS, i),
-            SnmpValue::Counter32(e.in_discards),
-        );
-        mib.insert(
-            instance_oid(IF_IN_ERRORS, i),
-            SnmpValue::Counter32(e.in_errors),
-        );
-        mib.insert(
-            instance_oid(IF_IN_UNKNOWN_PROTOS, i),
-            SnmpValue::Counter32(0),
-        );
-        mib.insert(
-            instance_oid(IF_OUT_OCTETS, i),
-            SnmpValue::Counter32(e.out_octets),
-        );
-        mib.insert(
-            instance_oid(IF_OUT_UCAST_PKTS, i),
-            SnmpValue::Counter32(e.out_ucast_pkts),
-        );
-        mib.insert(
-            instance_oid(IF_OUT_NUCAST_PKTS, i),
-            SnmpValue::Counter32(e.out_nucast_pkts),
-        );
-        mib.insert(
-            instance_oid(IF_OUT_DISCARDS, i),
-            SnmpValue::Counter32(e.out_discards),
-        );
-        mib.insert(
-            instance_oid(IF_OUT_ERRORS, i),
-            SnmpValue::Counter32(e.out_errors),
-        );
-        mib.insert(instance_oid(IF_OUT_QLEN, i), SnmpValue::Gauge32(e.out_qlen));
-    }
+    mib.extend(instances(entries.len(), |col, row| {
+        let e = &entries[row];
+        (e.if_index, cell(e, col))
+    }));
+}
+
+/// `ifNumber` and every `ifTable` cell of `rows` interfaces, column by
+/// column (the order a walk visits them, so rows in ifIndex order need no
+/// sort). `cell(col, row)` gives the row's ifIndex and its value in `col`.
+pub fn instances(
+    rows: usize,
+    cell: impl Fn(u32, usize) -> (u32, SnmpValue),
+) -> impl Iterator<Item = (Oid, SnmpValue)> {
+    let cells = (0..column::IF_OUT_QLEN as usize * rows).map(move |k| {
+        let col = (k / rows + 1) as u32;
+        let (if_index, value) = cell(col, k % rows);
+        (instance_oid(col, if_index), value)
+    });
+    let if_number = (if_number_instance(), SnmpValue::Integer(rows as i64));
+    std::iter::once(if_number).chain(cells)
 }
 
 #[cfg(test)]

@@ -82,16 +82,23 @@ impl SystemInfo {
 /// Installs the system group into `mib` with the given uptime (TimeTicks,
 /// hundredths of a second).
 pub fn install(mib: &mut ScalarMib, info: &SystemInfo, uptime_ticks: u32) {
-    mib.insert(sys_descr_instance(), SnmpValue::text(&info.descr));
-    mib.insert(
-        sys_object_id_instance(),
-        SnmpValue::oid(info.object_id.clone()),
-    );
-    mib.insert(sys_uptime_instance(), SnmpValue::TimeTicks(uptime_ticks));
-    mib.insert(sys_contact_instance(), SnmpValue::text(&info.contact));
-    mib.insert(sys_name_instance(), SnmpValue::text(&info.name));
-    mib.insert(sys_location_instance(), SnmpValue::text(&info.location));
-    mib.insert(sys_services_instance(), SnmpValue::Integer(info.services));
+    mib.extend(instances(info, uptime_ticks));
+}
+
+/// The seven instances of the system group, in MIB order.
+pub fn instances(info: &SystemInfo, uptime_ticks: u32) -> [(Oid, SnmpValue); 7] {
+    [
+        (sys_descr_instance(), SnmpValue::text(&info.descr)),
+        (
+            sys_object_id_instance(),
+            SnmpValue::oid(info.object_id.clone()),
+        ),
+        (sys_uptime_instance(), SnmpValue::TimeTicks(uptime_ticks)),
+        (sys_contact_instance(), SnmpValue::text(&info.contact)),
+        (sys_name_instance(), SnmpValue::text(&info.name)),
+        (sys_location_instance(), SnmpValue::text(&info.location)),
+        (sys_services_instance(), SnmpValue::Integer(info.services)),
+    ]
 }
 
 #[cfg(test)]

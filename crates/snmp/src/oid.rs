@@ -34,8 +34,8 @@ enum Repr {
 
 /// An object identifier: a sequence of arcs.
 ///
-/// `Ord` is lexicographic over arcs, which is MIB ordering, so `Oid` works
-/// directly as a `BTreeMap` key for `GetNext`. Comparison, equality and
+/// `Ord` is lexicographic over arcs, which is MIB ordering, so a slice of
+/// entries sorted by `Oid` answers `GetNext` by binary search. Comparison, equality and
 /// hashing see only the arcs, never where they are stored.
 #[derive(Clone)]
 pub struct Oid {

@@ -194,6 +194,14 @@ pub(crate) fn open_pdu(
     OpenPdu { pdu, bindings }
 }
 
+impl OpenPdu {
+    /// The length of the message `out` holds once this PDU and the
+    /// message opened at `message` around it are closed.
+    pub(crate) fn closed_len(&self, out: &[u8], message: usize) -> usize {
+        ber::closed_len(out, &[message, self.pdu, self.bindings])
+    }
+}
+
 /// Closes the binding list and the PDU.
 pub(crate) fn close_pdu(out: &mut Vec<u8>, open: OpenPdu) {
     ber::close(out, open.bindings);

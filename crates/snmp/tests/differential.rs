@@ -1,5 +1,10 @@
-//! Differential tests: the single-buffer encoder and the one-pass agent
-//! against the reference oracle (the encoder and agent they replaced).
+//! Differential tests: the single-buffer encoder, the one-pass agent and
+//! the flat MIB against the reference oracle (the encoder, agent and
+//! B-tree MIB they replaced).
+//!
+//! The `#[ignore]`d twin runs the MIB property at CI's release-mode
+//! length: `cargo test --release -p netqos-snmp --test differential --
+//! --ignored`.
 
 mod oracle;
 mod strategies;
@@ -7,38 +12,56 @@ mod strategies;
 use netqos_snmp::agent::{decode_response, SnmpAgent};
 use netqos_snmp::client;
 use netqos_snmp::message::{MessageBody, SnmpMessage, SnmpVersion};
+use netqos_snmp::mib::MibView;
 use netqos_snmp::mib::ScalarMib;
 use netqos_snmp::pdu::{BulkPdu, ErrorStatus, Pdu, PduType, VarBind};
 use netqos_snmp::{Oid, SnmpValue};
+use oracle::mib::OracleMib;
 use oracle::OracleAgent;
 use proptest::prelude::*;
 use strategies::{arb_any_oid, arb_any_value, arb_message, arb_oid};
 
 const COMMUNITY: &str = "public";
 
-/// Both agents over the same MIB, fed the same datagrams.
+/// The library agent over the flat MIB and the oracle agent over the
+/// B-tree, both MIBs holding the same entries, fed the same datagrams.
 struct Pair {
     library: SnmpAgent,
     oracle: OracleAgent,
     mib: ScalarMib,
+    oracle_mib: OracleMib,
 }
 
 impl Pair {
-    fn new(mib: ScalarMib, max_response_bytes: Option<usize>) -> Self {
+    /// Both MIBs hold `entries`, inserted one by one into the oracle and,
+    /// into the library's, one by one or in one bulk build.
+    fn new(entries: &[(Oid, SnmpValue)], bulk: bool, max_response_bytes: Option<usize>) -> Self {
         let mut library = SnmpAgent::new(COMMUNITY);
         if let Some(limit) = max_response_bytes {
             library.set_max_response_bytes(limit);
+        }
+        let mut mib = ScalarMib::new();
+        let mut oracle_mib = OracleMib::default();
+        if bulk {
+            mib.extend(entries.iter().cloned());
+        }
+        for (oid, value) in entries {
+            if !bulk {
+                mib.insert(oid.clone(), value.clone());
+            }
+            oracle_mib.insert(oid.clone(), value.clone());
         }
         Pair {
             library,
             oracle: OracleAgent::new(COMMUNITY, max_response_bytes.unwrap_or(65_507)),
             mib,
+            oracle_mib,
         }
     }
 
     /// Asserts both agents answer `request` alike and returns the answer.
     fn handle(&mut self, request: &[u8]) -> Option<Vec<u8>> {
-        let expected = self.oracle.handle(request, &self.mib);
+        let expected = self.oracle.handle(request, &self.oracle_mib);
         let got = self.library.handle(request, &self.mib);
         assert_eq!(got, expected, "request {request:02x?}");
         assert_eq!(self.library.stats(), self.oracle.stats);
@@ -50,19 +73,19 @@ fn oid(s: &str) -> Oid {
     s.parse().unwrap()
 }
 
-fn demo_mib() -> ScalarMib {
-    let mut mib = ScalarMib::new();
-    mib.insert(oid("1.3.6.1.2.1.1.3.0"), SnmpValue::TimeTicks(4242));
-    mib.insert(oid("1.3.6.1.2.1.1.5.0"), SnmpValue::text("a host name"));
-    mib.insert(
-        oid("1.3.6.1.2.1.2.2.1.10.1"),
-        SnmpValue::Counter32(u32::MAX),
-    );
-    mib.insert(
-        oid("1.3.6.1.2.1.17.4.3.1.2.2.0.0.170.187.204"),
-        SnmpValue::Integer(3),
-    );
-    mib
+fn demo_mib() -> Vec<(Oid, SnmpValue)> {
+    vec![
+        (oid("1.3.6.1.2.1.1.3.0"), SnmpValue::TimeTicks(4242)),
+        (oid("1.3.6.1.2.1.1.5.0"), SnmpValue::text("a host name")),
+        (
+            oid("1.3.6.1.2.1.2.2.1.10.1"),
+            SnmpValue::Counter32(u32::MAX),
+        ),
+        (
+            oid("1.3.6.1.2.1.17.4.3.1.2.2.0.0.170.187.204"),
+            SnmpValue::Integer(3),
+        ),
+    ]
 }
 
 fn request(pdu_type: PduType, names: &[&str]) -> Vec<u8> {
@@ -76,7 +99,7 @@ fn request(pdu_type: PduType, names: &[&str]) -> Vec<u8> {
 
 #[test]
 fn get_hit_and_get_next_agree() {
-    let mut pair = Pair::new(demo_mib(), None);
+    let mut pair = Pair::new(&demo_mib(), false, None);
     let names = ["1.3.6.1.2.1.1.3.0", "1.3.6.1.2.1.2.2.1.10.1"];
     let resp = pair.handle(&request(PduType::GetRequest, &names)).unwrap();
     let pdu = decode_response(&resp).unwrap();
@@ -91,7 +114,7 @@ fn get_hit_and_get_next_agree() {
 
 #[test]
 fn no_such_name_reports_index_and_echoes_bindings() {
-    let mut pair = Pair::new(demo_mib(), None);
+    let mut pair = Pair::new(&demo_mib(), false, None);
     // A request whose bindings carry values: the echo must carry them too.
     let msg = SnmpMessage::v1(
         COMMUNITY,
@@ -127,7 +150,7 @@ fn no_such_name_reports_index_and_echoes_bindings() {
 
 #[test]
 fn too_big_under_a_response_limit() {
-    let mut pair = Pair::new(demo_mib(), Some(48));
+    let mut pair = Pair::new(&demo_mib(), true, Some(48));
     let names = ["1.3.6.1.2.1.1.3.0", "1.3.6.1.2.1.1.5.0"];
     let resp = pair.handle(&request(PduType::GetRequest, &names)).unwrap();
     let pdu = decode_response(&resp).unwrap();
@@ -142,7 +165,7 @@ fn too_big_under_a_response_limit() {
 
 #[test]
 fn silences_agree() {
-    let mut pair = Pair::new(demo_mib(), None);
+    let mut pair = Pair::new(&demo_mib(), false, None);
     let get = Pdu::request(PduType::GetRequest, 1, &[oid("1.3.6.1.2.1.1.3.0")]);
     // Bad community.
     let wrong = oracle::encode_message(&SnmpMessage::v1("private", get.clone())).unwrap();
@@ -177,7 +200,7 @@ fn silences_agree() {
 
 #[test]
 fn bulk_runs_into_end_of_mib_view() {
-    let mut pair = Pair::new(demo_mib(), None);
+    let mut pair = Pair::new(&demo_mib(), false, None);
     let bulk = BulkPdu::request(3, 1, 4, &[oid("1.3.6.1.2.1.1.3"), oid("1.3.6.1.2.1.2")]);
     let msg = SnmpMessage::v2c_bulk(COMMUNITY, bulk);
     let resp = pair.handle(&oracle::encode_message(&msg).unwrap()).unwrap();
@@ -190,8 +213,8 @@ fn bulk_runs_into_end_of_mib_view() {
 #[test]
 fn unencodable_answers_are_silent_unless_a_later_lookup_fails() {
     let mut mib = demo_mib();
-    mib.insert(oid("1.3.7.0"), SnmpValue::oid(Oid::from([1])));
-    let mut pair = Pair::new(mib, None);
+    mib.push((oid("1.3.7.0"), SnmpValue::oid(Oid::from([1]))));
+    let mut pair = Pair::new(&mib, false, None);
     assert_eq!(
         pair.handle(&request(PduType::GetRequest, &["1.3.7.0"])),
         None
@@ -388,12 +411,9 @@ proptest! {
             1..6,
         ),
         limit in prop_oneof![Just(None), (30usize..400).prop_map(Some)],
+        bulk in any::<bool>(),
     ) {
-        let mut mib = ScalarMib::new();
-        for (oid, value) in &entries {
-            mib.insert(oid.clone(), value.clone());
-        }
-        let mut pair = Pair::new(mib, limit);
+        let mut pair = Pair::new(&entries, bulk, limit);
         for (kind, names, request_id, community, position, flip) in &requests {
             let community = if *community == 0 { "private" } else { COMMUNITY };
             let request = build_request(kind, community, *request_id, names, &entries);
@@ -408,7 +428,7 @@ proptest! {
     /// Arbitrary bytes never panic either agent and are dropped alike.
     #[test]
     fn agents_drop_garbage_alike(bytes in prop::collection::vec(any::<u8>(), 0..256)) {
-        let mut pair = Pair::new(demo_mib(), None);
+        let mut pair = Pair::new(&demo_mib(), false, None);
         pair.handle(&bytes);
     }
 
@@ -417,11 +437,199 @@ proptest! {
     #[test]
     fn agents_treat_any_message_alike(msg in arb_message(), limit in 30usize..200) {
         if let Ok(request) = oracle::encode_message(&msg) {
-            let mut pair = Pair::new(demo_mib(), Some(limit));
+            let mut pair = Pair::new(&demo_mib(), true, Some(limit));
             pair.handle(&request);
             let mut public = msg;
             public.community = COMMUNITY.into();
             pair.handle(&oracle::encode_message(&public).unwrap());
         }
+    }
+}
+
+/// How a MIB operation names an instance: one the MIB holds, the name
+/// just before or just after one it holds, or any name at all.
+#[derive(Debug, Clone)]
+enum Key {
+    Held(usize),
+    Before(usize),
+    After(usize),
+    Any(Oid),
+}
+
+impl Key {
+    fn resolve(&self, held: &OracleMib) -> Oid {
+        let nth = |i: usize| {
+            held.iter()
+                .nth(i % held.len().max(1))
+                .map(|(k, _)| k.clone())
+        };
+        let near = |i: usize| nth(i).unwrap_or_else(|| oid("1.3"));
+        match self {
+            Key::Held(i) => near(*i),
+            Key::Before(i) => {
+                let k = near(*i);
+                Oid::from(&k.arcs()[..k.len().saturating_sub(1)])
+            }
+            Key::After(i) => near(*i).child(0),
+            Key::Any(oid) => oid.clone(),
+        }
+    }
+}
+
+#[derive(Debug, Clone)]
+enum MibOp {
+    Insert(Key, SnmpValue),
+    /// A bulk build of names in any order, duplicates included.
+    Install(Vec<(Key, SnmpValue)>),
+    /// A bulk build of names under the last one held, in order: the path
+    /// that needs no sort.
+    Append(Vec<u32>, SnmpValue),
+    Remove(Key),
+    Get(Key),
+    NextAfter(Key),
+    Subtree(Key),
+}
+
+fn arb_key() -> impl Strategy<Value = Key> {
+    prop_oneof![
+        any::<usize>().prop_map(Key::Held),
+        any::<usize>().prop_map(Key::Held),
+        any::<usize>().prop_map(Key::Before),
+        any::<usize>().prop_map(Key::After),
+        arb_any_oid().prop_map(Key::Any),
+    ]
+}
+
+fn arb_mib_ops() -> impl Strategy<Value = Vec<MibOp>> {
+    let op = prop_oneof![
+        (arb_key(), arb_any_value()).prop_map(|(k, v)| MibOp::Insert(k, v)),
+        (arb_key(), arb_any_value()).prop_map(|(k, v)| MibOp::Insert(k, v)),
+        prop::collection::vec((arb_key(), arb_any_value()), 0..24).prop_map(MibOp::Install),
+        (prop::collection::vec(0u32..64, 0..12), arb_any_value())
+            .prop_map(|(arcs, v)| MibOp::Append(arcs, v)),
+        arb_key().prop_map(MibOp::Remove),
+        arb_key().prop_map(MibOp::Get),
+        arb_key().prop_map(MibOp::NextAfter),
+        arb_key().prop_map(MibOp::Subtree),
+    ];
+    prop::collection::vec(op, 0..48)
+}
+
+/// Runs `ops` on the flat MIB and on the B-tree, requiring every answer,
+/// every length, and at the end every entry and every lookup to agree.
+fn mib_ops_agree(ops: &[MibOp]) {
+    let mut mib = ScalarMib::new();
+    let mut oracle = OracleMib::default();
+    for op in ops {
+        match op {
+            MibOp::Insert(key, value) => {
+                let name = key.resolve(&oracle);
+                mib.insert(name.clone(), value.clone());
+                oracle.insert(name, value.clone());
+            }
+            MibOp::Install(batch) => {
+                let batch: Vec<(Oid, SnmpValue)> = batch
+                    .iter()
+                    .map(|(key, value)| (key.resolve(&oracle), value.clone()))
+                    .collect();
+                mib.extend(batch.iter().cloned());
+                for (name, value) in batch {
+                    oracle.insert(name, value);
+                }
+            }
+            MibOp::Append(arcs, value) => {
+                let base = oracle
+                    .iter()
+                    .last()
+                    .map_or_else(|| oid("1.3"), |(k, _)| k.clone());
+                let mut arcs = arcs.clone();
+                arcs.sort_unstable();
+                arcs.dedup();
+                let run: Vec<(Oid, SnmpValue)> = arcs
+                    .iter()
+                    .map(|&a| (base.child(a), value.clone()))
+                    .collect();
+                mib.extend(run.iter().cloned());
+                for (name, value) in run {
+                    oracle.insert(name, value);
+                }
+            }
+            MibOp::Remove(key) => {
+                let name = key.resolve(&oracle);
+                assert_eq!(mib.remove(&name), oracle.remove(&name), "remove {name}");
+            }
+            MibOp::Get(key) => {
+                let name = key.resolve(&oracle);
+                assert_eq!(mib.get(&name), oracle.get(&name), "get {name}");
+            }
+            MibOp::NextAfter(key) => {
+                let name = key.resolve(&oracle);
+                assert_eq!(
+                    mib.next_after(&name),
+                    oracle.next_after(&name),
+                    "next_after {name}"
+                );
+            }
+            MibOp::Subtree(key) => {
+                let name = key.resolve(&oracle);
+                assert!(
+                    mib.subtree(&name).eq(oracle.subtree(&name)),
+                    "subtree {name}"
+                );
+            }
+        }
+        assert_eq!(mib.len(), oracle.len());
+        assert_eq!(mib.is_empty(), oracle.len() == 0);
+    }
+    assert!(mib.iter().eq(oracle.iter()));
+    for (name, value) in oracle.iter() {
+        assert_eq!(mib.get(name), Some(value.into()), "get {name}");
+    }
+}
+
+#[test]
+fn a_bulk_walk_stops_where_the_response_passes_its_limit() {
+    // Forty counters, then a value no message can carry.
+    let mut mib: Vec<(Oid, SnmpValue)> = (1..=40)
+        .map(|i| {
+            (
+                oid("1.3.6.1.2.1.2.2.1.10").child(i),
+                SnmpValue::Counter32(i),
+            )
+        })
+        .collect();
+    mib.push((oid("1.3.7.0"), SnmpValue::oid(Oid::from([1]))));
+    let walk = BulkPdu::request(5, 0, i32::MAX as u32, &[oid("1.3"), oid("1.3")]);
+    let walk = oracle::encode_message(&SnmpMessage::v2c_bulk(COMMUNITY, walk)).unwrap();
+    // The answer passes 200 bytes long before the walk meets the value.
+    let mut pair = Pair::new(&mib, true, Some(200));
+    let resp = pair.handle(&walk).unwrap();
+    assert_eq!(
+        decode_response(&resp).unwrap().error_status,
+        ErrorStatus::TooBig
+    );
+    assert_eq!(pair.library.stats().error_responses, 1);
+    // With room for the whole walk, the value comes first: silence.
+    let mut pair = Pair::new(&mib, false, None);
+    assert_eq!(pair.handle(&walk), None);
+    assert_eq!(pair.library.stats().answered, 0);
+}
+
+proptest! {
+    /// Any sequence of inserts (of new names and held ones), bulk builds,
+    /// removals and lookups leaves the flat MIB answering as the B-tree.
+    #[test]
+    fn the_flat_mib_answers_as_the_btree(ops in arb_mib_ops()) {
+        mib_ops_agree(&ops);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(20_000))]
+
+    #[test]
+    #[ignore = "20 000 cases: run in release mode"]
+    fn the_flat_mib_answers_as_the_btree_at_length(ops in arb_mib_ops()) {
+        mib_ops_agree(&ops);
     }
 }

@@ -8,11 +8,16 @@
 //! differential tests (`crates/snmp/tests/differential.rs`) require the
 //! library's bytes, its silences and its [`AgentStats`] to equal these.
 //!
-//! Two defects of the removed code are fixed here as in the library, so
+//! Three defects of the removed code are fixed here as in the library, so
 //! that the comparison can cover the inputs that reach them: the first
 //! OID subidentifier `40 * 2 + second` is refused when it overflows 32
-//! bits (through [`Oid::is_encodable`]), and a GetBulk whose answer
-//! cannot be encoded no longer counts as `answered`.
+//! bits (through [`Oid::is_encodable`]); a GetBulk whose answer cannot be
+//! encoded no longer counts as `answered`; and a GetBulk answer stops at
+//! its first binding that cannot be encoded (silence) or that takes the
+//! response past the limit (`tooBig`), instead of being built whole and
+//! judged afterwards.
+//!
+//! [`mib::OracleMib`] is the MIB the library kept before its flat table.
 
 use netqos_snmp::agent::AgentStats;
 use netqos_snmp::ber::tag;
@@ -21,6 +26,8 @@ use netqos_snmp::message::{MessageBody, SnmpMessage, SnmpVersion};
 use netqos_snmp::mib::MibView;
 use netqos_snmp::pdu::{BulkPdu, ErrorStatus, Pdu, PduType, TrapPdu, VarBind};
 use netqos_snmp::{Oid, SnmpValue};
+
+pub mod mib;
 
 // ---------------------------------------------------------------------------
 // Encoder: one `Vec` per element
@@ -263,31 +270,42 @@ impl OracleAgent {
                     self.stats.malformed += 1;
                     return None;
                 }
-                let response = do_get_bulk(&bulk, view);
-                let out = SnmpMessage {
-                    version: msg.version,
-                    community: msg.community,
-                    body: MessageBody::Pdu(response),
-                };
-                let encoded = encode_message(&out).ok()?;
-                self.stats.answered += 1;
-                if encoded.len() > self.max_response_bytes {
-                    let too_big = Pdu {
-                        pdu_type: PduType::GetResponse,
-                        request_id: bulk.request_id,
-                        error_status: ErrorStatus::TooBig,
-                        error_index: 0,
-                        bindings: Vec::new(),
-                    };
-                    self.stats.error_responses += 1;
-                    return encode_message(&SnmpMessage {
-                        version: SnmpVersion::V2c,
-                        community: self.community.clone(),
-                        body: MessageBody::Pdu(too_big),
+                let encode = |bindings: &[VarBind]| {
+                    encode_message(&SnmpMessage {
+                        version: msg.version,
+                        community: msg.community.clone(),
+                        body: MessageBody::Pdu(success(bulk.request_id, bindings.to_vec())),
                     })
-                    .ok();
+                };
+                let limit = self.max_response_bytes;
+                let fits = |bindings: &[VarBind]| match encode(bindings) {
+                    Err(_) => Err(Halt::Unencodable),
+                    Ok(bytes) if bytes.len() > limit => Err(Halt::TooBig),
+                    Ok(_) => Ok(()),
+                };
+                let encoded = match do_get_bulk(&bulk, view, fits) {
+                    Err(Halt::Unencodable) => return None,
+                    Err(Halt::TooBig) => None,
+                    Ok(bindings) => Some(encode(&bindings).ok()?),
+                };
+                self.stats.answered += 1;
+                if let Some(encoded) = encoded.filter(|e| e.len() <= limit) {
+                    return Some(encoded);
                 }
-                return Some(encoded);
+                let too_big = Pdu {
+                    pdu_type: PduType::GetResponse,
+                    request_id: bulk.request_id,
+                    error_status: ErrorStatus::TooBig,
+                    error_index: 0,
+                    bindings: Vec::new(),
+                };
+                self.stats.error_responses += 1;
+                return encode_message(&SnmpMessage {
+                    version: SnmpVersion::V2c,
+                    community: self.community.clone(),
+                    body: MessageBody::Pdu(too_big),
+                })
+                .ok();
             }
             MessageBody::Trap(_) => return None,
         };
@@ -341,17 +359,33 @@ fn do_get_next(pdu: &Pdu, view: &dyn MibView) -> Pdu {
     success(pdu.request_id, bindings)
 }
 
+/// Why a GetBulk answer stopped taking bindings.
+enum Halt {
+    Unencodable,
+    TooBig,
+}
+
 /// RFC 1905 §4.2.3 GetBulk semantics: `non_repeaters` leading names get
 /// one successor each; every remaining name is stepped up to
 /// `max_repetitions` times; walks past the MIB yield `endOfMibView`
-/// values (never an error).
-fn do_get_bulk(bulk: &BulkPdu, view: &dyn MibView) -> Pdu {
+/// values (never an error). After each binding, `fits` judges the
+/// response with the bindings so far, and the first verdict against it
+/// ends the walk.
+fn do_get_bulk(
+    bulk: &BulkPdu,
+    view: &dyn MibView,
+    fits: impl Fn(&[VarBind]) -> Result<(), Halt>,
+) -> Result<Vec<VarBind>, Halt> {
     let mut bindings = Vec::new();
+    let mut push = |binding: VarBind| {
+        bindings.push(binding);
+        fits(&bindings)
+    };
     let nr = (bulk.non_repeaters as usize).min(bulk.bindings.len());
     for vb in &bulk.bindings[..nr] {
         match next_after(view, &vb.oid) {
-            Some((oid, value)) => bindings.push(VarBind::new(oid, value)),
-            None => bindings.push(VarBind::new(vb.oid.clone(), SnmpValue::EndOfMibView)),
+            Some((oid, value)) => push(VarBind::new(oid, value))?,
+            None => push(VarBind::new(vb.oid.clone(), SnmpValue::EndOfMibView))?,
         }
     }
     let mut cursors: Vec<Oid> = bulk.bindings[nr..]
@@ -370,14 +404,14 @@ fn do_get_bulk(bulk: &BulkPdu, view: &dyn MibView) -> Pdu {
             match next_after(view, cursor) {
                 Some((oid, value)) => {
                     *cursor = oid.clone();
-                    bindings.push(VarBind::new(oid, value));
+                    push(VarBind::new(oid, value))?;
                 }
                 None => {
                     done[i] = true;
-                    bindings.push(VarBind::new(cursor.clone(), SnmpValue::EndOfMibView));
+                    push(VarBind::new(cursor.clone(), SnmpValue::EndOfMibView))?;
                 }
             }
         }
     }
-    success(bulk.request_id, bindings)
+    Ok(bindings)
 }
