@@ -17,7 +17,7 @@
 
 use crate::error::TopologyError;
 use crate::ids::{ConnId, DomainId, IfIx, NodeId};
-use crate::index::{Station, TopoIndex};
+use crate::index::{Forest, Station, TopoIndex};
 use crate::kind::NodeKind;
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
@@ -120,7 +120,9 @@ impl Connection {
 ///
 /// Adjacency, dense interface slots and shared-medium domains are derived
 /// tables: built once on the first query after a mutation, dropped by the
-/// next `add_node` / `add_interface` / `connect`. Build the topology
+/// next `add_node` / `add_interface` / `connect`. The spanning forest that
+/// answers path queries is built on the first path query and dropped
+/// with them. Build the topology
 /// first and query it afterwards; alternating the two rebuilds the
 /// tables every time.
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
@@ -308,6 +310,10 @@ impl NetworkTopology {
             .get_or_init(|| TopoIndex::build(&self.nodes, &self.connections))
     }
 
+    pub(crate) fn forest(&self) -> &Forest {
+        self.index().forest()
+    }
+
     /// All connections that touch `node`, in connection-id order.
     pub fn connections_of(&self, node: NodeId) -> impl Iterator<Item = ConnId> + '_ {
         self.neighbors(node).iter().map(|&(_, conn)| conn)
@@ -383,8 +389,9 @@ impl NetworkTopology {
     }
 
     /// Rebuilds the name index and the derived adjacency, interface-slot
-    /// and shared-domain tables. Needed after deserializing a topology
-    /// with `serde`, because none of them is serialized.
+    /// and shared-domain tables (the forest follows on the next path
+    /// query). Needed after deserializing a topology with `serde`,
+    /// because none of them is serialized.
     pub fn rebuild_index(&mut self) {
         self.name_index = self
             .nodes
@@ -632,6 +639,52 @@ mod tests {
         let bw = path_bandwidth(&t, &p, &rates).unwrap();
         assert_eq!(path_bandwidth(&rebuilt, &p, &rates).unwrap(), bw);
         assert_eq!(bw.used_bps, 3_000_000);
+    }
+
+    #[test]
+    fn a_deserialized_topology_answers_paths_like_the_original_once_rebuilt() {
+        use crate::path::{find_path, find_unique_path};
+        // A tree (A - SW - B), a triangle of switches with a host, and a
+        // lone host.
+        let (mut t, _, _, _) = two_hosts_one_switch();
+        let s: Vec<_> = (0..3)
+            .map(|i| t.add_node(&format!("t{i}"), NodeKind::Switch).unwrap())
+            .collect();
+        for &sw in &s {
+            for p in 0..3 {
+                t.add_interface(sw, &format!("p{p}"), 100).unwrap();
+            }
+        }
+        t.connect((s[0], IfIx(0)), (s[1], IfIx(0))).unwrap();
+        t.connect((s[1], IfIx(1)), (s[2], IfIx(0))).unwrap();
+        t.connect((s[2], IfIx(1)), (s[0], IfIx(1))).unwrap();
+        let h = t.add_node("H", NodeKind::Host).unwrap();
+        let h0 = t.add_interface(h, "eth0", 100).unwrap();
+        t.connect((h, h0), (s[2], IfIx(2))).unwrap();
+        t.add_node("lone", NodeKind::Host).unwrap();
+        let n = t.node_count() as u32;
+        // Answer on the original first, so its forest is built.
+        let answers = |t: &NetworkTopology| {
+            let mut out = Vec::new();
+            for a in (0..n).map(NodeId) {
+                for b in (0..n).map(NodeId) {
+                    out.push((find_path(t, a, b), find_unique_path(t, a, b)));
+                }
+            }
+            out
+        };
+        let expected = answers(&t);
+
+        // What serde's derive yields: the two serialized lists, and the
+        // skipped name index and derived tables at their defaults.
+        let mut restored = NetworkTopology {
+            nodes: t.nodes.clone(),
+            connections: t.connections.clone(),
+            ..NetworkTopology::default()
+        };
+        restored.rebuild_index();
+        assert_eq!(restored.node_by_name("H").unwrap(), h);
+        assert_eq!(answers(&restored), expected);
     }
 
     // Tiny stand-in used by the test above so we exercise the Serialize

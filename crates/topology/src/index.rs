@@ -1,5 +1,6 @@
 //! Derived lookup tables of a [`NetworkTopology`](crate::NetworkTopology):
-//! per-node adjacency, dense interface slots, and shared-medium domains.
+//! per-node adjacency, dense interface slots, shared-medium domains, and
+//! a spanning forest for path queries.
 //!
 //! Everything here is a pure function of the node and connection lists.
 //! The topology builds it on first use and drops it on every mutation
@@ -7,10 +8,14 @@
 //! mutations cost O(degree) or O(1) instead of a scan of every
 //! connection. All tables are flat (one `Vec` each, CSR-style offsets):
 //! a monitor holds several topology clones, and a `Vec` per node would
-//! cost a heap block per host.
+//! cost a heap block per host. The forest is built on the first path
+//! query, not with the rest, so a clone that never asks for a path never
+//! pays for it.
 
 use crate::graph::{Connection, Endpoint, Node};
 use crate::ids::{ConnId, DomainId, IfIx, NodeId};
+use crate::path::CommPath;
+use std::sync::OnceLock;
 
 /// One station of a shared-medium domain: a host interface cabled to a
 /// hub port. The station's own counters are preferred; the hub port's
@@ -37,6 +42,7 @@ pub(crate) struct TopoIndex {
     /// `stations[domain_start[d]..domain_start[d + 1]]`.
     domain_start: Vec<u32>,
     stations: Vec<Station>,
+    forest: OnceLock<Forest>,
 }
 
 impl TopoIndex {
@@ -137,7 +143,12 @@ impl TopoIndex {
             hub_domains,
             domain_start,
             stations,
+            forest: OnceLock::new(),
         }
+    }
+
+    pub(crate) fn forest(&self) -> &Forest {
+        self.forest.get_or_init(|| Forest::build(self))
     }
 
     pub(crate) fn neighbors(&self, node: NodeId) -> &[(NodeId, ConnId)] {
@@ -177,5 +188,138 @@ impl TopoIndex {
             (Some(&lo), Some(&hi)) => &self.stations[lo as usize..hi as usize],
             _ => &[],
         }
+    }
+}
+
+/// A node's place in the spanning forest: its parent, the cable to the
+/// parent, and its depth below the root. A root is its own parent.
+#[derive(Debug, Clone, Copy)]
+struct TreeLink {
+    parent: NodeId,
+    conn: ConnId,
+    depth: u32,
+}
+
+/// A spanning forest: one breadth-first tree per connected component,
+/// rooted at the component's lowest node id.
+///
+/// A component is a tree when it has one cable fewer than nodes, not
+/// counting cables from a node to itself (a self-loop is never on a
+/// simple path). There the simple path between two nodes is unique, so
+/// it runs up both parent chains to where they meet, and it is the path
+/// a depth-first search finds. A component with a loop is listed by its
+/// root (two cables between the same pair are a loop), and its path
+/// queries go to the depth-first search.
+#[derive(Debug, Clone)]
+pub(crate) struct Forest {
+    links: Vec<TreeLink>,
+    /// Roots of the components with a loop, sorted.
+    cyclic: Vec<NodeId>,
+}
+
+/// What the forest answers for a pair of nodes.
+pub(crate) enum Route {
+    /// The nodes lie in different components: there is no path.
+    Apart,
+    /// They share a component with a loop: the forest does not say.
+    Loop,
+    /// The unique simple path between them.
+    Tree(CommPath),
+}
+
+impl Forest {
+    fn build(index: &TopoIndex) -> Forest {
+        const UNSEEN: NodeId = NodeId(u32::MAX);
+        let n = index.adj_start.len() - 1;
+        let mut links = vec![
+            TreeLink {
+                parent: UNSEEN,
+                conn: ConnId(u32::MAX),
+                depth: 0,
+            };
+            n
+        ];
+        let mut cyclic = Vec::new();
+        let mut queue = Vec::new();
+        for root in (0..n as u32).map(NodeId) {
+            if links[root.index()].parent != UNSEEN {
+                continue;
+            }
+            links[root.index()].parent = root;
+            queue.clear();
+            queue.push(root);
+            // Every cable between two nodes is seen once from each end.
+            let mut ends = 0;
+            let mut head = 0;
+            while let Some(&at) = queue.get(head) {
+                head += 1;
+                let depth = links[at.index()].depth + 1;
+                for &(next, conn) in index.neighbors(at) {
+                    if next == at {
+                        continue;
+                    }
+                    ends += 1;
+                    if links[next.index()].parent == UNSEEN {
+                        links[next.index()] = TreeLink {
+                            parent: at,
+                            conn,
+                            depth,
+                        };
+                        queue.push(next);
+                    }
+                }
+            }
+            if ends != 2 * (queue.len() - 1) {
+                cyclic.push(root);
+            }
+        }
+        Forest { links, cyclic }
+    }
+
+    /// The route from `from` to `to`, both nodes of the topology: climb
+    /// the deeper end, then both, until the chains meet.
+    pub(crate) fn route(&self, from: NodeId, to: NodeId) -> Route {
+        let link = |node: NodeId| self.links[node.index()];
+        let (mut a, mut b) = (from, to);
+        while link(a).depth > link(b).depth {
+            a = link(a).parent;
+        }
+        while link(b).depth > link(a).depth {
+            b = link(b).parent;
+        }
+        while a != b {
+            if link(a).parent == a {
+                return Route::Apart; // two roots
+            }
+            a = link(a).parent;
+            b = link(b).parent;
+        }
+        let mut root = a;
+        while link(root).parent != root {
+            root = link(root).parent;
+        }
+        if self.cyclic.binary_search(&root).is_ok() {
+            return Route::Loop;
+        }
+        let up = (link(from).depth - link(a).depth) as usize;
+        let hops = up + (link(to).depth - link(a).depth) as usize;
+        let mut nodes = vec![a; hops + 1];
+        let mut connections = vec![ConnId(0); hops];
+        let mut at = from;
+        for (node, conn) in nodes[..up].iter_mut().zip(&mut connections[..up]) {
+            (*node, *conn) = (at, link(at).conn);
+            at = link(at).parent;
+        }
+        at = to;
+        for (node, conn) in nodes[up + 1..].iter_mut().zip(&mut connections[up..]).rev() {
+            (*node, *conn) = (at, link(at).conn);
+            at = link(at).parent;
+        }
+        Route::Tree(CommPath {
+            from,
+            to,
+            connections,
+            nodes,
+        })
     }
 }

@@ -10,8 +10,10 @@
 //!   one or more **interfaces**, plus a set of **connections**. A connection
 //!   joins exactly two `(node, interface)` pairs — the 1-to-1 rule of the
 //!   paper's Figure 1.
-//! * The **communication path** between two hosts is found by a recursive
-//!   traversal with infinite-loop detection ([`path::find_path`]).
+//! * The **communication path** between two hosts ([`path::find_path`]) is
+//!   read off a spanning forest where the LAN is a tree, climbing both
+//!   parent chains to where they meet; where it has a loop, the paper's
+//!   recursive traversal with infinite-loop detection finds it.
 //! * The **available bandwidth** of a path is the minimum of the available
 //!   bandwidths of its connections, `A = min(a_1, …, a_n)`, where
 //!   `a_i = m_i − u_i` ([`bandwidth`]). Used bandwidth `u_i` is computed

@@ -5,15 +5,22 @@
 //! function implemented. The result of the path is described as a series of
 //! network connections."
 //!
-//! The traversal is a depth-first search over connections with a visited
-//! set on nodes. In a correctly-specified LAN (a tree), the path between
-//! two hosts is unique; [`find_path`] returns the first path found, while
-//! [`find_unique_path`] additionally verifies that no alternative exists
-//! and reports [`TopologyError::AmbiguousPath`] otherwise.
+//! In a correctly-specified LAN (a tree) the path between two hosts is
+//! unique. The topology keeps a spanning forest (one parent, connection
+//! and depth per node), and on a component that is a tree [`find_path`]
+//! and [`find_unique_path`] climb both parent chains to where they meet:
+//! O(path length), whatever the size of the LAN. On a component with a
+//! loop both fall back to [`enumerate_paths`], a depth-first search over
+//! connections in connection-id order with a visited set on nodes (the
+//! paper's loop detection): [`find_path`] returns the first path found,
+//! and [`find_unique_path`] reports [`TopologyError::AmbiguousPath`] when
+//! a second one exists. On a tree the depth-first search would find the
+//! same path, so the forest changes no answer, only its cost.
 
 use crate::error::TopologyError;
 use crate::graph::NetworkTopology;
 use crate::ids::{ConnId, NodeId};
+use crate::index::Route;
 use serde::{Deserialize, Serialize};
 
 /// A communication path between two nodes: the ordered list of connections
@@ -59,9 +66,9 @@ impl CommPath {
     }
 }
 
-/// Finds a communication path from `from` to `to` by recursive traversal
-/// with loop detection. Returns the first path found in deterministic
-/// (connection-id) order.
+/// Finds a communication path from `from` to `to`: the unique one on a
+/// component that is a tree, else the first one a depth-first search
+/// finds in deterministic (connection-id) order.
 ///
 /// Errors with [`TopologyError::NoPath`] when the nodes are disconnected.
 pub fn find_path(
@@ -69,13 +76,13 @@ pub fn find_path(
     from: NodeId,
     to: NodeId,
 ) -> Result<CommPath, TopologyError> {
-    let mut paths = enumerate_paths(topo, from, to, 1)?;
-    match paths.pop() {
-        Some(p) => Ok(p),
-        None => Err(TopologyError::NoPath {
-            from: topo.node(from)?.name.clone(),
-            to: topo.node(to)?.name.clone(),
-        }),
+    match route(topo, from, to)? {
+        Route::Tree(p) => Ok(p),
+        Route::Apart => no_path(topo, from, to),
+        Route::Loop => match enumerate_paths(topo, from, to, 1)?.pop() {
+            Some(p) => Ok(p),
+            None => no_path(topo, from, to),
+        },
     }
 }
 
@@ -89,22 +96,41 @@ pub fn find_unique_path(
     from: NodeId,
     to: NodeId,
 ) -> Result<CommPath, TopologyError> {
-    let mut paths = enumerate_paths(topo, from, to, 2)?;
-    match paths.len() {
-        0 => Err(TopologyError::NoPath {
-            from: topo.node(from)?.name.clone(),
-            to: topo.node(to)?.name.clone(),
-        }),
-        1 => Ok(paths.pop().expect("len checked")),
-        _ => Err(TopologyError::AmbiguousPath {
-            from: topo.node(from)?.name.clone(),
-            to: topo.node(to)?.name.clone(),
-        }),
+    match route(topo, from, to)? {
+        Route::Tree(p) => Ok(p),
+        Route::Apart => no_path(topo, from, to),
+        Route::Loop => {
+            let mut paths = enumerate_paths(topo, from, to, 2)?;
+            match paths.len() {
+                0 => no_path(topo, from, to),
+                1 => Ok(paths.pop().expect("len checked")),
+                _ => Err(TopologyError::AmbiguousPath {
+                    from: topo.node(from)?.name.clone(),
+                    to: topo.node(to)?.name.clone(),
+                }),
+            }
+        }
     }
+}
+
+/// The spanning forest's answer, once both ends are known nodes.
+fn route(topo: &NetworkTopology, from: NodeId, to: NodeId) -> Result<Route, TopologyError> {
+    topo.node(from)?;
+    topo.node(to)?;
+    Ok(topo.forest().route(from, to))
+}
+
+fn no_path<T>(topo: &NetworkTopology, from: NodeId, to: NodeId) -> Result<T, TopologyError> {
+    Err(TopologyError::NoPath {
+        from: topo.node(from)?.name.clone(),
+        to: topo.node(to)?.name.clone(),
+    })
 }
 
 /// Enumerates up to `limit` simple paths from `from` to `to` (DFS with a
 /// visited set on nodes — the loop-detection function of the paper).
+/// With `limit` 1 and 2 it is the reference the tests hold
+/// [`find_path`] and [`find_unique_path`] to.
 ///
 /// `limit == 0` enumerates all simple paths.
 pub fn enumerate_paths(
@@ -343,6 +369,93 @@ mod tests {
         t.connect((b, b0), (sw, IfIx(3))).unwrap();
         let p = find_path(&t, a, b).unwrap();
         assert_eq!(p.len(), 2);
+    }
+
+    fn on_forest(t: &NetworkTopology, a: NodeId, b: NodeId) -> bool {
+        matches!(t.forest().route(a, b), Route::Tree(_))
+    }
+
+    fn names(t: &NetworkTopology, p: &CommPath) -> Vec<String> {
+        p.nodes
+            .iter()
+            .map(|n| t.node(*n).unwrap().name.clone())
+            .collect()
+    }
+
+    #[test]
+    fn a_connect_that_closes_a_loop_hands_the_component_to_the_search() {
+        use crate::ids::IfIx;
+        let mut t = lirtss();
+        let (sw, hub) = (
+            t.node_by_name("switch").unwrap(),
+            t.node_by_name("hub").unwrap(),
+        );
+        let s1 = t.node_by_name("S1").unwrap();
+        let n1 = t.node_by_name("N1").unwrap();
+        let tree = find_path(&t, s1, n1).unwrap();
+        assert!(on_forest(&t, s1, n1));
+
+        // A second cable between the switch (p9) and the hub.
+        let h4 = t.add_interface(hub, "h4", 10_000_000).unwrap();
+        t.connect((sw, IfIx(8)), (hub, h4)).unwrap();
+        assert!(matches!(t.forest().route(s1, n1), Route::Loop));
+        let p = find_path(&t, s1, n1).unwrap();
+        assert_eq!(Some(&p), enumerate_paths(&t, s1, n1, 1).unwrap().first());
+        // The search goes in connection-id order: the older cable.
+        assert_eq!(p, tree);
+        assert!(matches!(
+            find_unique_path(&t, s1, n1),
+            Err(TopologyError::AmbiguousPath { .. })
+        ));
+    }
+
+    #[test]
+    fn a_connect_that_joins_two_components_lets_a_path_cross_them() {
+        use crate::ids::IfIx;
+        let mut t = lirtss();
+        let sw = t.node_by_name("switch").unwrap();
+        let l = t.node_by_name("L").unwrap();
+        let sw2 = t.add_node("switch2", NodeKind::Switch).unwrap();
+        for q in 0..3 {
+            t.add_interface(sw2, &format!("q{q}"), 100_000_000).unwrap();
+        }
+        let x = t.add_node("X", NodeKind::Host).unwrap();
+        let x0 = t.add_interface(x, "eth0", 100_000_000).unwrap();
+        t.connect((x, x0), (sw2, IfIx(0))).unwrap();
+        assert!(matches!(t.forest().route(l, x), Route::Apart));
+        assert!(matches!(
+            find_path(&t, l, x),
+            Err(TopologyError::NoPath { .. })
+        ));
+
+        t.connect((sw, IfIx(8)), (sw2, IfIx(2))).unwrap();
+        let p = find_unique_path(&t, l, x).unwrap();
+        assert!(on_forest(&t, l, x));
+        assert_eq!(names(&t, &p), ["L", "switch", "switch2", "X"]);
+        assert_eq!(Some(&p), enumerate_paths(&t, l, x, 1).unwrap().first());
+    }
+
+    #[test]
+    fn a_self_loop_leaves_a_tree_on_the_forest_and_a_second_cable_does_not() {
+        use crate::ids::IfIx;
+        let mut t = lirtss();
+        let (sw, hub) = (
+            t.node_by_name("switch").unwrap(),
+            t.node_by_name("hub").unwrap(),
+        );
+        let s1 = t.node_by_name("S1").unwrap();
+        let n2 = t.node_by_name("N2").unwrap();
+        let a = t.add_interface(sw, "p10", 100_000_000).unwrap();
+        let b = t.add_interface(sw, "p11", 100_000_000).unwrap();
+        t.connect((sw, a), (sw, b)).unwrap();
+        assert!(on_forest(&t, s1, n2));
+        let p = find_unique_path(&t, s1, n2).unwrap();
+        assert_eq!(names(&t, &p), ["S1", "switch", "hub", "N2"]);
+
+        let h4 = t.add_interface(hub, "h4", 10_000_000).unwrap();
+        t.connect((hub, h4), (sw, IfIx(8))).unwrap();
+        assert!(!on_forest(&t, s1, n2));
+        assert_eq!(find_path(&t, s1, n2).unwrap(), p);
     }
 
     #[test]

@@ -1,13 +1,14 @@
 //! Property-based tests for the topology crate: traversal termination on
-//! arbitrary (possibly cyclic) topologies, algebraic laws of the
-//! bandwidth computation, and equivalence of the indexed, plan-compiled
-//! evaluation with the linear-scan reference oracle.
+//! arbitrary (possibly cyclic) topologies, paths from the spanning forest
+//! equal to the depth-first search's, algebraic laws of the bandwidth
+//! computation, and equivalence of the indexed, plan-compiled evaluation
+//! with the linear-scan reference oracle.
 
 mod oracle;
 
 use netqos_topology::bandwidth::{self, IfRates, MapRates, PathBandwidth};
 use netqos_topology::plan::{DomainSums, PathPlan};
-use netqos_topology::{path, IfIx, NetworkTopology, NodeId, NodeKind};
+use netqos_topology::{path, IfIx, NetworkTopology, NodeId, NodeKind, TopologyError};
 use proptest::prelude::*;
 
 /// Strategy: a random topology with `n` nodes of random kinds and a random
@@ -59,6 +60,121 @@ fn arb_topology_of(
             }
             t
         })
+}
+
+/// Strategy: a LAN that is mostly a forest, so that most path queries are
+/// answered by the spanning forest. Each node after the first is cabled
+/// to a random earlier node, or (one time in ten) starts a component of
+/// its own. Then now and then an extra cable joins two random nodes, a
+/// node to itself, or a node to its parent a second time. Every cable
+/// gets a fresh interface at each end.
+fn arb_tree_topology(max_nodes: usize) -> impl Strategy<Value = NetworkTopology> {
+    let kinds = prop::sample::select(vec![
+        NodeKind::Host,
+        NodeKind::Switch,
+        NodeKind::Hub,
+        NodeKind::Router,
+    ]);
+    (
+        prop::collection::vec((kinds, any::<u32>()), 1..max_nodes),
+        prop::collection::vec((0u8..10, any::<u32>(), any::<u32>()), 0..3),
+    )
+        .prop_map(|(nodes, extras)| {
+            let mut t = NetworkTopology::new();
+            let cable = |t: &mut NetworkTopology, a: NodeId, b: NodeId| {
+                let mut port = |n: NodeId| {
+                    let name = format!("if{}", t.node(n).unwrap().interfaces.len());
+                    (n, t.add_interface(n, &name, 10_000_000).unwrap())
+                };
+                let (a, b) = (port(a), port(b));
+                t.connect(a, b).unwrap();
+            };
+            let mut parent = Vec::new();
+            for (i, (kind, seed)) in nodes.into_iter().enumerate() {
+                let id = t.add_node(&format!("n{i}"), kind).unwrap();
+                let up = (i > 0 && seed % 10 != 0).then(|| NodeId((seed / 10) % i as u32));
+                if let Some(up) = up {
+                    cable(&mut t, id, up);
+                }
+                parent.push(up);
+            }
+            let n = t.node_count() as u32;
+            for (what, a, b) in extras {
+                let (a, b) = (NodeId(a % n), NodeId(b % n));
+                match (what, parent[a.index()]) {
+                    (0, _) => cable(&mut t, a, b),
+                    (1, _) => cable(&mut t, a, a),
+                    (2, Some(up)) => cable(&mut t, a, up),
+                    _ => {}
+                }
+            }
+            t
+        })
+}
+
+/// `find_path` returns what the depth-first search returns first, and
+/// `find_unique_path` what the search's first two paths decide, for every
+/// ordered pair of nodes: the same path or the same error.
+fn paths_match_the_depth_first_search(t: &NetworkTopology) {
+    let n = t.node_count() as u32;
+    for a in (0..n).map(NodeId) {
+        for b in (0..n).map(NodeId) {
+            assert_eq!(
+                path::find_path(t, a, b).ok(),
+                path::enumerate_paths(t, a, b, 1).unwrap().pop(),
+                "find_path {a:?} -> {b:?}"
+            );
+            let mut two = path::enumerate_paths(t, a, b, 2).unwrap();
+            let expected = match two.len() {
+                0 => Err(TopologyError::NoPath {
+                    from: t.node(a).unwrap().name.clone(),
+                    to: t.node(b).unwrap().name.clone(),
+                }),
+                1 => Ok(two.pop().unwrap()),
+                _ => Err(TopologyError::AmbiguousPath {
+                    from: t.node(a).unwrap().name.clone(),
+                    to: t.node(b).unwrap().name.clone(),
+                }),
+            };
+            assert_eq!(
+                path::find_unique_path(t, a, b),
+                expected,
+                "find_unique_path {a:?} -> {b:?}"
+            );
+        }
+    }
+}
+
+proptest! {
+    /// On LANs with cycles, self-loops, partitions and parallel cables.
+    #[test]
+    fn paths_match_the_search_on_arbitrary_lans(t in arb_topology(12, 30)) {
+        paths_match_the_depth_first_search(&t);
+    }
+
+    /// On LANs that are mostly forests, where the forest answers.
+    #[test]
+    fn paths_match_the_search_on_mostly_tree_lans(t in arb_tree_topology(16)) {
+        paths_match_the_depth_first_search(&t);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(20_000))]
+
+    /// Both properties over enough LANs to be CI's release-mode gate
+    /// (`cargo test --release -p netqos-topology --test prop -- --ignored`).
+    #[test]
+    #[ignore = "20 000 cases: run in release mode"]
+    fn paths_match_the_search_on_arbitrary_lans_at_length(t in arb_topology(12, 30)) {
+        paths_match_the_depth_first_search(&t);
+    }
+
+    #[test]
+    #[ignore = "20 000 cases: run in release mode"]
+    fn paths_match_the_search_on_mostly_tree_lans_at_length(t in arb_tree_topology(16)) {
+        paths_match_the_depth_first_search(&t);
+    }
 }
 
 proptest! {
