@@ -1,7 +1,7 @@
 //! Criterion benches for the long-term stats store's two hot paths:
 //! appending one tick's worth of samples (the per-tick cost the monitor
-//! pays) and answering a `/query` range read (the cost a dashboard
-//! pays). `cargo run --release -p netqos-bench --bin lts_bench` produces
+//! pays) and answering an `LtsReader::query` range read (the cost a
+//! dashboard pays). `cargo run --release -p netqos-bench --bin lts_bench` produces
 //! the checked-in `BENCH_lts.json` from the same workloads.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughput};

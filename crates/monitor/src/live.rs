@@ -22,14 +22,15 @@
 //!   fresh document whenever a transition lands, `id:` = transition
 //!   epoch.
 //!
-//! [`shard_for`] adapts a `(name, registry, live)` triple into a
-//! federation [`Shard`](netqos_telemetry::Shard) so N of these planes
-//! can sit behind one merged export surface (`netqos federate`).
+//! [`shard_for`] makes one such plane a federation
+//! [`Shard`](netqos_telemetry::Shard) answered by its own router, so N of
+//! these planes can sit behind one merged export surface (`netqos
+//! federate`).
 
 use netqos_telemetry::{
     api_query_outcome, profile_response, wants_stats, EventSource, HttpRequest, HttpResponse,
     HttpRoute, LtsReader, LtsSource, ProfileHub, QueryEngine, Registry, RegistrySource, Router,
-    SeriesSource, Shard, ShardHealth,
+    SeriesSource, Shard,
 };
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -326,12 +327,28 @@ impl RouterOptions {
 /// the live registry), and `/` (a tiny index). Unknown paths return
 /// `None` (404).
 pub fn build_router(opts: RouterOptions) -> Arc<Router> {
+    let source = query_source(&opts);
+    router_over(opts, source)
+}
+
+/// The one source `/api/v1` reads, never both: with a store attached its
+/// history is the query surface (the live registry feeds it anyway);
+/// without one the registry's current values answer instant queries.
+fn query_source(opts: &RouterOptions) -> Arc<dyn SeriesSource> {
+    match &opts.lts {
+        Some(reader) => Arc::new(LtsSource::new(reader.clone())),
+        None => Arc::new(RegistrySource::new(opts.registry.clone())),
+    }
+}
+
+/// [`build_router`] with its query source already derived.
+fn router_over(opts: RouterOptions, source: Arc<dyn SeriesSource>) -> Arc<Router> {
     let RouterOptions {
         registry,
         live,
-        lts,
         profile,
         slow_query_ns,
+        ..
     } = opts;
     let index = {
         let mut endpoints = vec!["/metrics", "/healthz", "/snapshot", "/alerts"];
@@ -343,16 +360,7 @@ pub fn build_router(opts: RouterOptions) -> Arc<Router> {
         let quoted: Vec<String> = endpoints.iter().map(|e| format!("\"{e}\"")).collect();
         format!("{{\"endpoints\":[{}]}}\n", quoted.join(","))
     };
-    // One source, never both: with a store attached its history is the
-    // query surface (the live registry feeds it anyway); without one the
-    // registry's current values answer instant queries.
-    let engine = {
-        let source: Arc<dyn SeriesSource> = match &lts {
-            Some(reader) => Arc::new(LtsSource::new(reader.clone())),
-            None => Arc::new(RegistrySource::new(registry.clone())),
-        };
-        Arc::new(QueryEngine::new().with_source(None, source))
-    };
+    let engine = Arc::new(QueryEngine::new().with_source(None, source));
     Arc::new(move |req: &HttpRequest| match req.path.as_str() {
         "/metrics" => Some(HttpResponse::prometheus(registry.render_prometheus()).into()),
         "/healthz" => Some(live.healthz(unix_now_ns()).into()),
@@ -383,25 +391,13 @@ pub fn build_router(opts: RouterOptions) -> Arc<Router> {
     })
 }
 
-/// Adapts one export plane into a federation member: health comes from
-/// the live `/healthz` verdict, the digest from the latest snapshot.
-pub fn shard_for(name: impl Into<String>, registry: Arc<Registry>, live: Arc<LiveStatus>) -> Shard {
-    let health_live = live.clone();
-    let snap_live = live.clone();
-    let alerts_live = live.clone();
-    Shard::new(
-        name,
-        registry,
-        move || {
-            let resp = health_live.healthz(unix_now_ns());
-            ShardHealth {
-                healthy: resp.status == 200,
-                detail: resp.body.trim_end().to_string(),
-            }
-        },
-        move || snap_live.snapshot_json(),
-    )
-    .with_alerts(move || alerts_live.alerts_json())
+/// Makes one export plane a federation member: the federation reads the
+/// plane's own router, and its `/api/v1` engine reads the same source the
+/// plane's queries do.
+pub fn shard_for(name: impl Into<String>, opts: RouterOptions) -> Shard {
+    let source = query_source(&opts);
+    let registry = opts.registry.clone();
+    Shard::new(name, registry, router_over(opts, source.clone())).with_promql(source)
 }
 
 #[cfg(test)]
@@ -572,7 +568,7 @@ mod tests {
             1,
             1,
         );
-        let shard = shard_for("subnet-a", registry, live.clone());
+        let shard = shard_for("subnet-a", RouterOptions::new(registry, live.clone()));
         assert_eq!(shard.name(), "subnet-a");
         let fed = netqos_telemetry::ShardRegistry::new();
         fed.register(shard).unwrap();
@@ -593,7 +589,7 @@ mod tests {
                 .and_then(|v| v.as_u64()),
             Some(1)
         );
-        // The alerts hook feeds the merged federation view.
+        // The shard's own /alerts feeds the merged federation view.
         let alerts = fed.alerts_response();
         let doc = parse_json(&alerts.body).unwrap();
         assert_eq!(doc.get("firing").and_then(|v| v.as_u64()), Some(1));

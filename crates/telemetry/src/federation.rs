@@ -3,23 +3,27 @@
 //! A production deployment runs one `MonitoringService` per subnet (one
 //! spec file each); centralized observability should receive *mergeable
 //! summaries* from them, not raw streams. Each shard hands the
-//! [`ShardRegistry`] three things: its metrics [`Registry`], a health
-//! probe, and a snapshot renderer. The federation then serves a single
-//! combined surface:
+//! [`ShardRegistry`] its metrics [`Registry`] and its monitor's own
+//! endpoint [`Router`], and optionally the [`SeriesSource`] its queries
+//! read. The federation answers from those at scrape time:
 //!
 //! * `/metrics` — every shard's series labelled `shard="..."`, plus an
 //!   unlabelled aggregate per family (counters and gauges summed,
 //!   log-bucketed histograms merged bucket-by-bucket, rendered with
 //!   full `_bucket{le="..."}` exposition);
-//! * `/healthz` — `503` if *any* shard reports unhealthy, with the
-//!   per-shard detail in the body;
-//! * `/snapshot` — an array of per-shard tick digests.
+//! * `/healthz` — `503` unless every shard's own `/healthz` answers
+//!   `200`, with each shard's body as its detail;
+//! * `/snapshot` and `/alerts` — every shard's own body in one array,
+//!   `/alerts` with the pending/firing counts summed;
+//! * `/profile?shard=NAME` — the request, unchanged, to that shard;
+//! * `/api/v1/query[_range]` — one query engine over every shard's
+//!   source.
 //!
 //! Merging happens at scrape time from live handles — no copies are
 //! kept between scrapes, and a scrape never blocks a shard's hot path
 //! (reads are the same relaxed atomic loads the shard itself uses).
 
-use crate::http::{HttpRequest, HttpResponse, Router};
+use crate::http::{HttpRequest, HttpResponse, HttpRoute, Router};
 use crate::lts::json_escape;
 use crate::promql::{api_query_response, QueryEngine, SeriesSource};
 use crate::{escape_label_value, render_histogram_into, split_labeled_name, Registry};
@@ -29,70 +33,27 @@ use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-/// One shard's health as seen by its probe.
-#[derive(Debug, Clone)]
-pub struct ShardHealth {
-    /// Whether the shard's tick loop is live (a stalled shard turns the
-    /// whole federation's `/healthz` to 503).
-    pub healthy: bool,
-    /// The shard's own `/healthz` JSON document, embedded verbatim in
-    /// the federated body.
-    pub detail: String,
-}
-
-/// A shard's `/profile` handler: renders its tick-phase profile.
-type ProfileHook = Arc<dyn Fn(&HttpRequest) -> HttpResponse + Send + Sync>;
-
-/// A member of the federation: a name, its metrics registry, and the
-/// two read closures the combined endpoints call at scrape time.
+/// A member of the federation: a name, its metrics registry, its
+/// monitor's own endpoint router, and the series source the federated
+/// `/api/v1` engine reads for it, if any.
 pub struct Shard {
     name: String,
     registry: Arc<Registry>,
-    health: Arc<dyn Fn() -> ShardHealth + Send + Sync>,
-    snapshot: Arc<dyn Fn() -> String + Send + Sync>,
-    alerts: Arc<dyn Fn() -> String + Send + Sync>,
-    profile: Option<ProfileHook>,
+    router: Arc<Router>,
     promql: Option<Arc<dyn SeriesSource>>,
 }
 
 impl Shard {
-    /// A shard with live read hooks. `health` is polled by `/healthz`,
-    /// `snapshot` must return the shard's tick digest as a JSON
-    /// document.
-    pub fn new(
-        name: impl Into<String>,
-        registry: Arc<Registry>,
-        health: impl Fn() -> ShardHealth + Send + Sync + 'static,
-        snapshot: impl Fn() -> String + Send + Sync + 'static,
-    ) -> Self {
+    /// A shard answered by `router`: the federation embeds its
+    /// `/healthz`, `/snapshot` and `/alerts` bodies and forwards
+    /// `/profile?shard=` requests to it.
+    pub fn new(name: impl Into<String>, registry: Arc<Registry>, router: Arc<Router>) -> Self {
         Shard {
             name: name.into(),
             registry,
-            health: Arc::new(health),
-            snapshot: Arc::new(snapshot),
-            alerts: Arc::new(|| "{}".into()),
-            profile: None,
+            router,
             promql: None,
         }
-    }
-
-    /// Attaches the shard's `/alerts` document hook (the live alert
-    /// engine state as JSON); without it the federated view shows `{}`.
-    pub fn with_alerts(mut self, alerts: impl Fn() -> String + Send + Sync + 'static) -> Self {
-        self.alerts = Arc::new(alerts);
-        self
-    }
-
-    /// Attaches the shard's tick-phase `/profile` handler (same
-    /// request contract as the live endpoint, including
-    /// `?format=json|folded`); without it the federated `/profile`
-    /// answers 404 for this shard.
-    pub fn with_profile(
-        mut self,
-        profile: impl Fn(&HttpRequest) -> HttpResponse + Send + Sync + 'static,
-    ) -> Self {
-        self.profile = Some(Arc::new(profile));
-        self
     }
 
     /// Attaches the shard's query-engine series source (usually an
@@ -104,24 +65,39 @@ impl Shard {
         self
     }
 
-    /// A shard that is always healthy and has an empty snapshot — for
-    /// registries without a live tick loop behind them (tests, batch
-    /// jobs).
+    /// A shard that is always healthy and has empty snapshot and alert
+    /// documents — for registries without a live tick loop behind them
+    /// (tests, batch jobs).
     pub fn metrics_only(name: impl Into<String>, registry: Arc<Registry>) -> Self {
-        Shard::new(
-            name,
-            registry,
-            || ShardHealth {
-                healthy: true,
-                detail: "{\"status\":\"ok\"}".into(),
-            },
-            || "{}".into(),
-        )
+        let router: Arc<Router> = Arc::new(|req: &HttpRequest| {
+            let body = match req.path.as_str() {
+                "/healthz" => "{\"status\":\"ok\"}",
+                "/snapshot" | "/alerts" => "{}",
+                _ => return None,
+            };
+            Some(HttpResponse::json(200, body.into()).into())
+        });
+        Shard::new(name, registry, router)
     }
 
     /// The shard's name (the `shard` label value).
     pub fn name(&self) -> &str {
         &self.name
+    }
+
+    /// The shard's own buffered answer to `GET path`; a path it does not
+    /// answer, or streams, reads as a 404.
+    fn get(&self, path: &str) -> HttpResponse {
+        let req = HttpRequest {
+            method: "GET".into(),
+            path: path.into(),
+            query: String::new(),
+            accept: String::new(),
+        };
+        match (self.router)(&req) {
+            Some(HttpRoute::Response(resp)) => resp,
+            _ => HttpResponse::json(404, "{}".into()),
+        }
     }
 }
 
@@ -254,29 +230,33 @@ impl ShardRegistry {
         out
     }
 
+    /// One `{"shard":NAME,…}` entry per shard, comma-joined, from each
+    /// shard's own answer to `GET path` (one call per shard); `fields`
+    /// writes the rest of the entry.
+    fn entries(&self, path: &str, mut fields: impl FnMut(&mut String, &HttpResponse)) -> String {
+        let mut out = String::new();
+        for (i, shard) in self.shards.read().iter().enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            let _ = write!(out, "{{\"shard\":{},", json_escape(&shard.name));
+            fields(&mut out, &shard.get(path));
+            out.push('}');
+        }
+        out
+    }
+
     /// The federated `/alerts`: summed pending/firing counts over every
     /// shard's alert engine, with the per-shard documents embedded.
     pub fn alerts_response(&self) -> HttpResponse {
-        let shards = self.shards.read();
-        let mut pending = 0u64;
-        let mut firing = 0u64;
-        let mut entries = String::new();
-        for (i, shard) in shards.iter().enumerate() {
-            let doc = (shard.alerts)();
-            if let Ok(parsed) = crate::parse_json(&doc) {
-                pending += parsed.get("pending").and_then(|v| v.as_u64()).unwrap_or(0);
-                firing += parsed.get("firing").and_then(|v| v.as_u64()).unwrap_or(0);
+        let (mut pending, mut firing) = (0u64, 0u64);
+        let entries = self.entries("/alerts", |out, resp| {
+            if let Ok(doc) = crate::parse_json(&resp.body) {
+                pending += doc.get("pending").and_then(|v| v.as_u64()).unwrap_or(0);
+                firing += doc.get("firing").and_then(|v| v.as_u64()).unwrap_or(0);
             }
-            if i > 0 {
-                entries.push(',');
-            }
-            let _ = write!(
-                entries,
-                "{{\"shard\":{},\"alerts\":{}}}",
-                json_escape(&shard.name),
-                embed_json(&doc),
-            );
-        }
+            let _ = write!(out, "\"alerts\":{}", embed_json(&resp.body));
+        });
         HttpResponse::json(
             200,
             format!("{{\"pending\":{pending},\"firing\":{firing},\"shards\":[{entries}]}}\n"),
@@ -284,48 +264,28 @@ impl ShardRegistry {
     }
 
     /// The federated `/profile`: tick-phase profiles are per-shard, so
-    /// the request must pick one with `shard=<name>`; the rest of the
-    /// query string (`format=json|folded`) is handed to that shard's
-    /// handler unchanged.
-    pub fn profile_dispatch(&self, req: &HttpRequest) -> HttpResponse {
-        let Some(name) = req.query_param("shard") else {
-            let shards = self.shards.read();
-            let with_profile: Vec<&str> = shards
-                .iter()
-                .filter(|s| s.profile.is_some())
-                .map(|s| s.name.as_str())
-                .collect();
-            return HttpResponse::json(
-                400,
-                format!(
-                    "{{\"error\":\"missing shard= parameter\",\"shards\":[{}]}}\n",
-                    with_profile
-                        .iter()
-                        .map(|n| json_escape(n))
-                        .collect::<Vec<_>>()
-                        .join(",")
-                ),
-            );
-        };
+    /// the request must pick one with `shard=<name>` and goes to that
+    /// shard's router unchanged (`format=json|folded` included). Without
+    /// `shard=`, a 400 lists every shard.
+    pub fn profile_dispatch(&self, req: &HttpRequest) -> Option<HttpRoute> {
         let shards = self.shards.read();
-        let Some(shard) = shards.iter().find(|s| s.name == name) else {
-            return HttpResponse::json(
-                404,
-                format!(
+        let Some(name) = req.query_param("shard") else {
+            let names: Vec<String> = shards.iter().map(|s| json_escape(&s.name)).collect();
+            let body = format!(
+                "{{\"error\":\"missing shard= parameter\",\"shards\":[{}]}}\n",
+                names.join(",")
+            );
+            return Some(HttpResponse::json(400, body).into());
+        };
+        match shards.iter().find(|s| s.name == name) {
+            Some(shard) => (shard.router)(req),
+            None => {
+                let body = format!(
                     "{{\"error\":\"unknown shard\",\"shard\":{}}}\n",
                     json_escape(&name)
-                ),
-            );
-        };
-        match &shard.profile {
-            Some(p) => p(req),
-            None => HttpResponse::json(
-                404,
-                format!(
-                    "{{\"error\":\"shard has no profiler attached\",\"shard\":{}}}\n",
-                    json_escape(&name)
-                ),
-            ),
+                );
+                Some(HttpResponse::json(404, body).into())
+            }
         }
     }
 
@@ -360,68 +320,46 @@ impl ShardRegistry {
         api_query_response(&self.promql_engine(), req, range, now)
     }
 
-    /// The federated `/healthz`: 200 only when every shard is healthy,
-    /// 503 otherwise, always with per-shard detail in the body.
+    /// The federated `/healthz`: 200 only when every shard's own
+    /// `/healthz` answers 200, 503 otherwise, always with each shard's
+    /// body as its detail. Each shard is asked once, so its verdict and
+    /// its detail cannot disagree.
     pub fn healthz_response(&self) -> HttpResponse {
-        let shards = self.shards.read();
-        let mut body = String::from("{\"status\":");
-        let unhealthy: Vec<&str> = shards
-            .iter()
-            .filter(|s| !(s.health)().healthy)
-            .map(|s| s.name.as_str())
-            .collect();
-        let healthy = unhealthy.is_empty() && !shards.is_empty();
-        let _ = write!(
-            body,
-            "\"{}\",\"shards\":[",
-            if shards.is_empty() {
-                "empty"
-            } else if healthy {
-                "ok"
-            } else {
-                "degraded"
-            }
-        );
-        for (i, shard) in shards.iter().enumerate() {
-            let health = (shard.health)();
-            if i > 0 {
-                body.push(',');
-            }
+        let (mut shards, mut healthy) = (0, true);
+        let entries = self.entries("/healthz", |out, resp| {
+            shards += 1;
+            healthy &= resp.status == 200;
             let _ = write!(
-                body,
-                "{{\"shard\":{},\"healthy\":{},\"detail\":{}}}",
-                json_escape(&shard.name),
-                health.healthy,
-                embed_json(&health.detail),
+                out,
+                "\"healthy\":{},\"detail\":{}",
+                resp.status == 200,
+                embed_json(&resp.body)
             );
-        }
-        body.push_str("]}\n");
-        HttpResponse::json(if healthy { 200 } else { 503 }, body)
+        });
+        let status = match (shards, healthy) {
+            (0, _) => "empty",
+            (_, true) => "ok",
+            _ => "degraded",
+        };
+        HttpResponse::json(
+            if status == "ok" { 200 } else { 503 },
+            format!("{{\"status\":\"{status}\",\"shards\":[{entries}]}}\n"),
+        )
     }
 
     /// The federated `/snapshot`: every shard's tick digest in one
     /// array, newest state at scrape time.
     pub fn snapshot_response(&self) -> HttpResponse {
-        let shards = self.shards.read();
-        let mut body = String::from("{\"shards\":[");
-        for (i, shard) in shards.iter().enumerate() {
-            if i > 0 {
-                body.push(',');
-            }
-            let _ = write!(
-                body,
-                "{{\"shard\":{},\"snapshot\":{}}}",
-                json_escape(&shard.name),
-                embed_json(&(shard.snapshot)()),
-            );
-        }
-        body.push_str("]}\n");
-        HttpResponse::json(200, body)
+        let entries = self.entries("/snapshot", |out, resp| {
+            let _ = write!(out, "\"snapshot\":{}", embed_json(&resp.body));
+        });
+        HttpResponse::json(200, format!("{{\"shards\":[{entries}]}}\n"))
     }
 
     /// The endpoint router for [`HttpServer::serve`]
     /// (`crate::HttpServer`): combined `/metrics`, `/healthz`,
-    /// `/alerts`, `/snapshot`, and `/` index.
+    /// `/alerts` and `/snapshot`, `/profile?shard=NAME`,
+    /// `/api/v1/query[_range]`, and the `/` index.
     pub fn router(self: &Arc<Self>) -> Arc<Router> {
         let fed = self.clone();
         Arc::new(move |req: &HttpRequest| match req.path.as_str() {
@@ -429,7 +367,7 @@ impl ShardRegistry {
             "/healthz" => Some(fed.healthz_response().into()),
             "/alerts" => Some(fed.alerts_response().into()),
             "/snapshot" => Some(fed.snapshot_response().into()),
-            "/profile" => Some(fed.profile_dispatch(req).into()),
+            "/profile" => fed.profile_dispatch(req),
             "/api/v1/query" => Some(fed.promql_response(req, false).into()),
             "/api/v1/query_range" => Some(fed.promql_response(req, true).into()),
             "/" => Some(
@@ -479,7 +417,17 @@ fn embed_json(doc: &str) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{parse_json, HttpRoute};
+    use crate::parse_json;
+
+    /// A shard whose router answers each listed path with its status and
+    /// body.
+    fn fixed_shard(name: &str, answers: &'static [(&str, u16, &str)]) -> Shard {
+        let router: Arc<Router> = Arc::new(|req: &HttpRequest| {
+            (answers.iter().find(|(path, ..)| *path == req.path))
+                .map(|&(_, status, body)| HttpResponse::json(status, body.into()).into())
+        });
+        Shard::new(name, Registry::new(), router)
+    }
 
     fn two_shard_registry() -> Arc<ShardRegistry> {
         let fed = ShardRegistry::new();
@@ -551,14 +499,9 @@ mod tests {
         let fed = ShardRegistry::new();
         fed.register(Shard::metrics_only("ok-shard", Registry::new()))
             .unwrap();
-        fed.register(Shard::new(
+        fed.register(fixed_shard(
             "stalled-shard",
-            Registry::new(),
-            || ShardHealth {
-                healthy: false,
-                detail: "{\"status\":\"stale\",\"ticks\":9}".into(),
-            },
-            || "{}".into(),
+            &[("/healthz", 503, "{\"status\":\"stale\",\"ticks\":9}\n")],
         ))
         .unwrap();
         let resp = fed.healthz_response();
@@ -581,16 +524,36 @@ mod tests {
     }
 
     #[test]
+    fn healthz_asks_each_shard_once_per_scrape() {
+        // A shard whose own /healthz flips between 200 and 503 on every
+        // call: the verdict and the shard's entry come from one answer.
+        let calls = AtomicU64::new(0);
+        let router: Arc<Router> = Arc::new(move |req: &HttpRequest| {
+            (req.path == "/healthz").then(|| {
+                let status = [200, 503][(calls.fetch_add(1, Ordering::Relaxed) % 2) as usize];
+                HttpResponse::json(status, "{}\n".into()).into()
+            })
+        });
+        let fed = ShardRegistry::new();
+        fed.register(Shard::new("flapping", Registry::new(), router))
+            .unwrap();
+        for _ in 0..4 {
+            let resp = fed.healthz_response();
+            let doc = parse_json(&resp.body).unwrap();
+            let shards = doc.get("shards").and_then(|v| v.as_array()).unwrap();
+            let healthy = shards[0].get("healthy").and_then(|v| v.as_bool());
+            assert_eq!(Some(resp.status == 200), healthy, "{}", resp.body);
+            let status = doc.get("status").and_then(|v| v.as_str());
+            assert_eq!(status == Some("ok"), resp.status == 200, "{}", resp.body);
+        }
+    }
+
+    #[test]
     fn snapshot_lists_every_shard_digest() {
         let fed = ShardRegistry::new();
-        fed.register(Shard::new(
+        fed.register(fixed_shard(
             "a",
-            Registry::new(),
-            || ShardHealth {
-                healthy: true,
-                detail: "{}".into(),
-            },
-            || "{\"ticks\":5,\"paths\":[]}".into(),
+            &[("/snapshot", 200, "{\"ticks\":5,\"paths\":[]}\n")],
         ))
         .unwrap();
         let resp = fed.snapshot_response();
@@ -609,10 +572,14 @@ mod tests {
     #[test]
     fn alerts_response_sums_shard_counts() {
         let fed = ShardRegistry::new();
-        fed.register(
-            Shard::metrics_only("a", Registry::new())
-                .with_alerts(|| "{\"pending\":1,\"firing\":2,\"alerts\":[]}".into()),
-        )
+        fed.register(fixed_shard(
+            "a",
+            &[(
+                "/alerts",
+                200,
+                "{\"pending\":1,\"firing\":2,\"alerts\":[]}\n",
+            )],
+        ))
         .unwrap();
         fed.register(Shard::metrics_only("b", Registry::new()))
             .unwrap();
@@ -732,12 +699,12 @@ mod tests {
             name: "cycle",
             dur_ns: 500,
         }]);
+        let router: Arc<Router> = Arc::new(move |req: &HttpRequest| {
+            (req.path == "/profile").then(|| profile_response(&hub, req).into())
+        });
         let fed = ShardRegistry::new();
-        fed.register(
-            Shard::metrics_only("a", Registry::new())
-                .with_profile(move |req| profile_response(&hub, req)),
-        )
-        .unwrap();
+        fed.register(Shard::new("a", Registry::new(), router))
+            .unwrap();
         fed.register(Shard::metrics_only("b", Registry::new()))
             .unwrap();
         let req = |query: &str| HttpRequest {
@@ -746,18 +713,21 @@ mod tests {
             query: query.into(),
             accept: String::new(),
         };
-        // Dispatch reaches the named shard's profiler, format passthrough.
-        let resp = fed.profile_dispatch(&req("shard=a&format=folded"));
-        assert_eq!(resp.status, 200);
-        assert_eq!(resp.body, "monitor.cycle 500\n");
-        // Missing shard param: 400 listing the shards that can answer.
-        let resp = fed.profile_dispatch(&req("format=json"));
-        assert_eq!(resp.status, 400);
-        assert!(resp.body.contains("\"a\""), "{}", resp.body);
-        assert!(!resp.body.contains("\"b\""), "{}", resp.body);
-        // Unknown shard and profiler-less shard: 404.
-        assert_eq!(fed.profile_dispatch(&req("shard=zz")).status, 404);
-        assert_eq!(fed.profile_dispatch(&req("shard=b")).status, 404);
+        let answer = |query: &str| match fed.profile_dispatch(&req(query)) {
+            Some(HttpRoute::Response(resp)) => Some((resp.status, resp.body)),
+            Some(HttpRoute::EventStream(_)) => panic!("{query}: a stream"),
+            None => None,
+        };
+        // Dispatch reaches the named shard's router, format passthrough.
+        let folded = answer("shard=a&format=folded");
+        assert_eq!(folded, Some((200, "monitor.cycle 500\n".into())));
+        // Missing shard param: 400 listing every shard.
+        let (status, body) = answer("format=json").unwrap();
+        assert_eq!(status, 400);
+        assert!(body.contains("\"shards\":[\"a\",\"b\"]"), "{body}");
+        // Unknown shard: 404; a shard without /profile: no route (404).
+        assert_eq!(answer("shard=zz").map(|(status, _)| status), Some(404));
+        assert_eq!(answer("shard=b"), None);
         // The route is wired into the router.
         let router = fed.router();
         assert!(router(&req("shard=a")).is_some());

@@ -2,7 +2,9 @@
 //!
 //! The build environment forbids new dependencies, so this is a small,
 //! std-only server: one accept thread on a [`std::net::TcpListener`],
-//! one short-lived thread per connection, `Connection: close` semantics.
+//! one thread per connection up to [`MAX_CONNECTIONS`] (an event-stream
+//! follower counts while connected; past the cap, 503 and close),
+//! `Connection: close` semantics.
 //! It exists to serve the monitor's read-only endpoints (`/metrics`,
 //! `/healthz`, `/snapshot`) — it is deliberately not a general web
 //! server: GET/HEAD only, no keep-alive, no chunked encoding, request
@@ -19,7 +21,7 @@
 //! answers 405 for non-GET methods and 400 for unparseable, oversized or
 //! late request heads.
 
-use std::io::{BufRead, BufReader, Read, Write};
+use std::io::{BufRead, BufReader, ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -32,8 +34,12 @@ const READ_TIMEOUT: Duration = Duration::from_secs(2);
 /// The most bytes a request head (request line and headers) may take.
 const MAX_HEAD: u64 = 8 * 1024;
 
-/// How long an event-stream connection sleeps between source polls.
+/// How long an event-stream connection waits on its client between
+/// source polls.
 const STREAM_POLL: Duration = Duration::from_millis(20);
+
+/// The most connections served at once.
+const MAX_CONNECTIONS: usize = 64;
 
 /// A response the router hands back: status, content type, body.
 #[derive(Debug, Clone)]
@@ -191,19 +197,30 @@ impl HttpServer {
         let requests = Arc::new(AtomicU64::new(0));
         let accept_stop = stop.clone();
         let accept_requests = requests.clone();
+        // Every connection thread holds a clone: the count past this one
+        // is the connections open. Only the accept thread clones it.
+        let slots = Arc::new(());
         let accept_thread = std::thread::spawn(move || {
             for stream in listener.incoming() {
                 if accept_stop.load(Ordering::Relaxed) {
                     break;
                 }
-                let Ok(stream) = stream else { continue };
+                let Ok(mut stream) = stream else { continue };
+                if Arc::strong_count(&slots) > MAX_CONNECTIONS {
+                    let _ = stream.set_write_timeout(Some(Duration::from_millis(100)));
+                    let body = "{\"error\":\"too many connections\"}".into();
+                    write_response(&mut stream, false, &HttpResponse::json(503, body));
+                    continue;
+                }
+                let slot = slots.clone();
                 let router = router.clone();
                 let requests = accept_requests.clone();
                 let stop = accept_stop.clone();
-                // One short-lived thread per connection: buffered
-                // endpoints render in microseconds; event streams watch
-                // the stop flag so shutdown is never blocked on them.
+                // One thread per connection: buffered endpoints render
+                // in microseconds; event streams watch the stop flag so
+                // shutdown is never blocked on them.
                 std::thread::spawn(move || {
+                    let _slot = slot;
                     requests.fetch_add(1, Ordering::Relaxed);
                     handle_connection(stream, &*router, &stop);
                 });
@@ -279,13 +296,14 @@ fn write_response(stream: &mut TcpStream, head_only: bool, resp: &HttpResponse) 
 
 /// Serves an SSE stream: headers, then one `id:`/`data:` event per
 /// source publication until the source finishes, the client goes away
-/// (write error), or the server stops.
+/// (hangs up, or a write fails), or the server stops.
 fn stream_events(
     stream: &mut TcpStream,
     head_only: bool,
     source: &dyn EventSource,
     stop: &AtomicBool,
 ) {
+    use ErrorKind::{Interrupted, TimedOut, WouldBlock};
     let head = "HTTP/1.1 200 OK\r\nContent-Type: text/event-stream\r\n\
                 Cache-Control: no-cache\r\nConnection: close\r\n\r\n";
     if stream.write_all(head.as_bytes()).is_err() {
@@ -301,6 +319,7 @@ fn stream_events(
         return;
     }
     let _ = stream.flush();
+    let _ = stream.set_read_timeout(Some(STREAM_POLL));
     let mut cursor = 0u64;
     loop {
         if stop.load(Ordering::Relaxed) {
@@ -324,7 +343,13 @@ fn stream_events(
                 let _ = stream.flush();
             }
             None if source.finished() => return,
-            None => std::thread::sleep(STREAM_POLL),
+            // Waiting on the client between polls notices a hang-up
+            // while the source is quiet, which frees the slot.
+            None => match stream.read(&mut [0u8; 256]) {
+                Ok(0) => return,
+                Err(e) if !matches!(e.kind(), WouldBlock | TimedOut | Interrupted) => return,
+                _ => {}
+            },
         }
     }
 }
@@ -344,7 +369,7 @@ fn read_head(stream: &TcpStream) -> Option<Vec<u8>> {
         match input.read(&mut buf) {
             Ok(0) => return (input.limit() > 0).then_some(head),
             Ok(n) => head.extend_from_slice(&buf[..n]),
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
+            Err(e) if e.kind() == ErrorKind::Interrupted => continue,
             Err(_) => return None,
         }
         // A blank line, `\r` or not, ends the head.
@@ -698,6 +723,58 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// A source that never publishes and never finishes.
+    struct QuietSource;
+
+    impl EventSource for QuietSource {
+        fn next_after(&self, _: u64) -> Option<(u64, String)> {
+            None
+        }
+    }
+
+    /// The status a GET of `target` is answered with, read to the close.
+    fn status_of(addr: SocketAddr, target: &str) -> String {
+        let mut stream = TcpStream::connect(addr).unwrap();
+        let _ = write!(stream, "GET {target} HTTP/1.1\r\nHost: t\r\n\r\n");
+        let raw = read_until_closed(&mut stream);
+        raw.split_whitespace()
+            .nth(1)
+            .unwrap_or_default()
+            .to_string()
+    }
+
+    #[test]
+    fn past_the_connection_cap_a_request_is_refused_with_503() {
+        let router: Arc<Router> = Arc::new(|req| match req.path.as_str() {
+            "/snapshot" => Some(HttpRoute::EventStream(Arc::new(QuietSource))),
+            "/healthz" => Some(HttpResponse::json(200, "{}".into()).into()),
+            _ => None,
+        });
+        let server = HttpServer::serve("127.0.0.1:0", router).unwrap();
+        let addr = server.local_addr();
+        // Followers hold their slots while connected, events or not.
+        let mut followers: Vec<TcpStream> = (0..MAX_CONNECTIONS)
+            .map(|_| {
+                let mut stream = TcpStream::connect(addr).unwrap();
+                write!(stream, "GET /snapshot?follow=1 HTTP/1.1\r\n\r\n").unwrap();
+                let mut status_line = [0u8; 12];
+                stream.read_exact(&mut status_line).unwrap();
+                assert_eq!(&status_line, b"HTTP/1.1 200");
+                stream
+            })
+            .collect();
+        assert_eq!(status_of(addr, "/healthz"), "503");
+        // One follower hangs up: its slot comes back within a poll or so.
+        drop(followers.pop());
+        let deadline = Instant::now() + READ_TIMEOUT;
+        while status_of(addr, "/healthz") != "200" {
+            assert!(Instant::now() < deadline, "the slot never came back");
+            std::thread::sleep(STREAM_POLL);
+        }
+        drop(followers);
+        server.stop();
     }
 
     #[test]

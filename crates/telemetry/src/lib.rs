@@ -44,7 +44,7 @@ pub use baseline::{
     QuantileBaseline, DEFAULT_WINDOW,
 };
 pub use events::{Event, EventSink, FieldValue, Level};
-pub use federation::{Shard, ShardHealth, ShardRegistry};
+pub use federation::{Shard, ShardRegistry};
 pub use flight::{
     cycles_from_jsonl, enforce_retention, parsed_to_chrome_trace, to_chrome_trace, to_jsonl,
     validate_chrome_trace, write_snapshot, ChromeTraceStats, CycleTrace, FlightRecorder,

@@ -1155,10 +1155,11 @@ impl LtsReader {
         read_series_points(&self.dir, &info.slug, info.kind, res, start, end)
     }
 
-    /// Serves `GET /query`: every indexed series matching `selector`,
-    /// at resolution `step`, restricted to `[start, end]`. The output is
-    /// deterministic — sorted by series name, canonical point order —
-    /// so identical stores yield byte-identical JSON.
+    /// The offline read behind `netqos lts query`: every indexed series
+    /// matching `selector`, at resolution `step`, restricted to `[start,
+    /// end]`. The output is deterministic — sorted by series name,
+    /// canonical point order — so identical stores yield byte-identical
+    /// JSON.
     pub fn query(&self, selector: &str, start: u64, end: u64, step: Resolution) -> String {
         let mut out = String::new();
         let _ = write!(

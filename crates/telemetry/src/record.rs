@@ -15,8 +15,8 @@
 //! too); [`evaluate_record_rules`] runs every rule at one timestamp
 //! against a [`QueryEngine`] and appends each resulting sample as a
 //! gauge point into the [`LtsStore`]. Derived series are first-class:
-//! they downsample, compact, migrate, and serve through `/query` and
-//! `/api/v1/query[_range]` like any sampled series. Idempotence across
+//! they downsample, compact, migrate, and serve through
+//! `/api/v1/query[_range]` and `netqos lts query` like any sampled series. Idempotence across
 //! restarts falls out of the store's append contract — a re-evaluated
 //! point at `t <= newest(series)` is dropped, so replaying a tick after
 //! re-open cannot duplicate derived points.

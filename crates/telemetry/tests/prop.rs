@@ -558,7 +558,7 @@ proptest! {
 
     /// The segment codec is invisible to every read surface: the same
     /// appends stored under JSONL (v1) and binary (v2) segments answer
-    /// `/query` and `/api/v1/query_range` byte-identically — and stay
+    /// `LtsReader::query` and `/api/v1/query_range` byte-identically — and stay
     /// identical across `lts migrate` (both directions) and compaction.
     #[test]
     fn codec_choice_never_changes_query_bytes(

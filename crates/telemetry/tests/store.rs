@@ -76,7 +76,7 @@ fn hist(values: &[u64]) -> PointValue {
     PointValue::Histogram(h.to_state())
 }
 
-/// Every series' canonical points at every resolution, as `/query` text.
+/// Every series' canonical points at every resolution, as `LtsReader::query` text.
 fn full_query(dir: &Path) -> String {
     let reader = LtsReader::open(dir);
     Resolution::ALL

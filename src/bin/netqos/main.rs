@@ -190,18 +190,16 @@ fn stale_after_ns(pace_ms: u64) -> u64 {
     (pace_ms.saturating_mul(10_000_000)).max(2_000_000_000)
 }
 
-/// Starts the export plane when `--serve` is given: binds ADDR, prints
-/// the bound address to stderr (`:0` picks an ephemeral port), and wires
-/// `/metrics`, `/healthz`, and `/snapshot` to the service's registry and
-/// live status.
-fn start_serve_plane(
+/// The export plane `args` ask for over `service`: `/healthz` goes stale
+/// after [`stale_after_ns`], `/api/v1` reads the `--lts` store when one
+/// is open, `/profile` the service's profiler, and `--slow-query-ms`
+/// sets the slow-query threshold. `monitor --serve` and every `federate`
+/// shard build their routers from it.
+fn router_options(
     service: &MonitoringService,
     args: &Args,
     pace_ms: u64,
-) -> Result<Option<netqos_telemetry::HttpServer>, String> {
-    let Some(addr) = args.value("--serve") else {
-        return Ok(None);
-    };
+) -> Result<RouterOptions, String> {
     let live = service.live().clone();
     live.set_stale_after_ns(stale_after_ns(pace_ms));
     let mut options = RouterOptions::new(service.registry().clone(), live);
@@ -215,6 +213,21 @@ fn start_serve_plane(
     if let Some(ms) = args.num::<u64>("--slow-query-ms")? {
         options.slow_query_ns = ms.saturating_mul(1_000_000);
     }
+    Ok(options)
+}
+
+/// Starts the export plane when `--serve` is given: binds ADDR, prints
+/// the bound address to stderr (`:0` picks an ephemeral port), and
+/// serves the [`router_options`] plane.
+fn start_serve_plane(
+    service: &MonitoringService,
+    args: &Args,
+    pace_ms: u64,
+) -> Result<Option<netqos_telemetry::HttpServer>, String> {
+    let Some(addr) = args.value("--serve") else {
+        return Ok(None);
+    };
+    let options = router_options(service, args, pace_ms)?;
     let server = netqos_telemetry::HttpServer::serve(addr, live::build_router(options))
         .map_err(|e| format!("cannot bind {addr}: {e}"))?;
     eprintln!(
@@ -468,8 +481,9 @@ fn cmd_monitor(args: &Args) -> Result<(), String> {
 /// behind a single federated export plane. Shard names come from the
 /// spec file stems (deduplicated); the merged `/metrics` carries every
 /// shard's series labelled `shard="..."` plus unlabelled aggregates,
-/// `/healthz` is 503 if any shard stalls, and `/snapshot` lists every
-/// shard's tick digest.
+/// `/healthz` is 503 if any shard stalls, `/snapshot` and `/alerts` list
+/// every shard's own document, `/profile?shard=NAME` is that shard's
+/// phase profile, and `/api/v1` queries every shard at once.
 fn cmd_federate(args: &Args) -> Result<(), String> {
     let specs = &args.positionals;
     if specs.len() < 2 {
@@ -479,7 +493,6 @@ fn cmd_federate(args: &Args) -> Result<(), String> {
         )));
     }
     let (duration, pace_ms) = run_length(args)?;
-    let lts_root = args.path("--lts");
 
     // Shard names: file stems, deduplicated by suffixing an index.
     let mut names: Vec<String> = Vec::new();
@@ -498,16 +511,11 @@ fn cmd_federate(args: &Args) -> Result<(), String> {
     }
 
     // Each shard builds and runs its service inside its own thread
-    // (the service itself never crosses threads); only the registry and
-    // live-status handles come back for federation.
+    // (the service itself never crosses threads); only the handles its
+    // export plane reads come back for federation.
     let fed = netqos_telemetry::ShardRegistry::new();
-    type ShardHandles = (
-        String,
-        Arc<netqos_telemetry::Registry>,
-        Arc<live::LiveStatus>,
-        Arc<netqos_telemetry::ProfileHub>,
-    );
-    let (handle_tx, handle_rx) = std::sync::mpsc::channel::<Result<ShardHandles, String>>();
+    let (handle_tx, handle_rx) =
+        std::sync::mpsc::channel::<Result<(String, RouterOptions), String>>();
     let mut workers = Vec::new();
     for (name, path) in names.iter().cloned().zip(specs.iter().cloned()) {
         let tx = handle_tx.clone();
@@ -521,29 +529,26 @@ fn cmd_federate(args: &Args) -> Result<(), String> {
         let worker = std::thread::Builder::new()
             .name(format!("netqos-shard-{name}"))
             .spawn(move || -> Result<(String, u64, usize), String> {
-                let mut service = match open_service(&path, &shard_args, ServiceConfig::default()) {
-                    Ok((mut service, _)) => {
+                let opened = open_service(&path, &shard_args, ServiceConfig::default()).and_then(
+                    |(mut service, _)| {
                         // The merged plane always serves /profile?shard=.
                         service.set_tracing(true);
-                        let live = service.live().clone();
-                        live.set_stale_after_ns(stale_after_ns(pace_ms));
-                        let _ = tx.send(Ok((
-                            name.clone(),
-                            service.registry().clone(),
-                            live,
-                            service.profile().clone(),
-                        )));
-                        // Close this worker's sender now: the main
-                        // thread serves as soon as every shard has
-                        // checked in, not when the runs end.
-                        drop(tx);
-                        service
-                    }
+                        let options = router_options(&service, &shard_args, pace_ms)?;
+                        Ok((service, options))
+                    },
+                );
+                let (mut service, options) = match opened {
+                    Ok(opened) => opened,
                     Err(e) => {
                         let _ = tx.send(Err(e.clone()));
                         return Err(e);
                     }
                 };
+                // Close this worker's sender once it has sent: the main
+                // thread serves as soon as every shard has checked in,
+                // not when the runs end.
+                let _ = tx.send(Ok((name.clone(), options)));
+                drop(tx);
                 let violations = run_ticks(&mut service, duration, pace_ms, |_| {})
                     .map_err(|e| format!("{name}: {e}"))?;
                 finish_run(&mut service, &shard_args)?;
@@ -560,22 +565,9 @@ fn cmd_federate(args: &Args) -> Result<(), String> {
     let mut startup_errors = Vec::new();
     for handles in handle_rx {
         match handles {
-            Ok((name, registry, live, profile)) => {
-                // /profile?shard=NAME serves this shard's phase tree.
-                let mut shard = live::shard_for(name.clone(), registry.clone(), live)
-                    .with_profile(move |req| netqos_telemetry::profile_response(&profile, req));
-                // The cross-shard /api/v1 engine reads each shard's
-                // store from disk when one exists, else answers instant
-                // queries from the shard's live registry.
-                let source: Arc<dyn netqos_telemetry::SeriesSource> = match &lts_root {
-                    Some(root) => Arc::new(netqos_telemetry::LtsSource::new(
-                        netqos_telemetry::LtsReader::open(root.join(&name)),
-                    )),
-                    None => Arc::new(netqos_telemetry::RegistrySource::new(registry)),
-                };
-                shard = shard.with_promql(source);
-                fed.register(shard).map_err(|e| e.to_string())?;
-            }
+            Ok((name, options)) => fed
+                .register(live::shard_for(name, options))
+                .map_err(|e| e.to_string())?,
             Err(e) => startup_errors.push(e),
         }
     }
@@ -590,7 +582,8 @@ fn cmd_federate(args: &Args) -> Result<(), String> {
     let server = netqos_telemetry::HttpServer::serve(addr, fed.router())
         .map_err(|e| format!("cannot bind {addr}: {e}"))?;
     eprintln!(
-        "federation serving http://{}/ ({} shards: metrics, healthz, snapshot)",
+        "federation serving http://{}/ ({} shards: metrics, healthz, snapshot, alerts, \
+         profile, api/v1)",
         server.local_addr(),
         fed.len()
     );

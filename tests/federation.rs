@@ -1,12 +1,16 @@
 //! Integration coverage for the federated export plane: N monitoring
-//! shards behind one merged `/metrics`, `/healthz`, and `/snapshot` —
-//! first in-process (two concurrently ticking services behind one
-//! `ShardRegistry`), then through the `netqos federate` CLI.
+//! shards behind one merged `/metrics`, `/healthz`, `/snapshot`,
+//! `/alerts` and `/profile` — first in-process (a federation of one
+//! against its shard's own router, then two concurrently ticking
+//! services behind one `ShardRegistry`), then through the `netqos
+//! federate` CLI.
 
-use netqos::monitor::live::shard_for;
+use netqos::monitor::live::{build_router, shard_for, RouterOptions};
 use netqos::monitor::service::{MonitoringService, ServiceConfig};
 use netqos::monitor::simnet::SimNetworkOptions;
-use netqos_telemetry::{parse_json, HttpServer, JsonValue, ShardRegistry};
+use netqos_telemetry::{
+    parse_json, HttpRequest, HttpRoute, HttpServer, JsonValue, Router, ShardRegistry,
+};
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
 use std::time::Duration;
@@ -47,6 +51,105 @@ fn service_from(spec: &str, monitor_host: &str) -> MonitoringService {
     MonitoringService::from_model(model, options, ServiceConfig::default()).unwrap()
 }
 
+/// `router`'s buffered answer to `GET target`, its body's trailing
+/// newline trimmed.
+fn answer(router: &Router, target: &str) -> (u16, String) {
+    let (path, query) = target.split_once('?').unwrap_or((target, ""));
+    let req = HttpRequest {
+        method: "GET".into(),
+        path: path.into(),
+        query: query.into(),
+        accept: String::new(),
+    };
+    match router(&req) {
+        Some(HttpRoute::Response(resp)) => (resp.status, resp.body.trim_end().to_string()),
+        _ => panic!("no buffered answer to {target}"),
+    }
+}
+
+/// A `/healthz` body without its `"last_tick_age_ms":N,` field, which
+/// reads the clock.
+fn without_tick_age(body: &str) -> String {
+    let (head, tail) = body.split_once("\"last_tick_age_ms\":").unwrap();
+    format!("{head}{}", &tail[tail.find(',').unwrap() + 1..])
+}
+
+#[test]
+fn a_federation_of_one_embeds_its_shard_routers_own_bodies() {
+    let mut svc = service_from(TWO_SWITCH, "console");
+    svc.set_tracing(true);
+    let (registry, live, profile) = (
+        svc.registry().clone(),
+        svc.live().clone(),
+        svc.profile().clone(),
+    );
+    live.set_stale_after_ns(0);
+    let options = || RouterOptions {
+        profile: Some(profile.clone()),
+        ..RouterOptions::new(registry.clone(), live.clone())
+    };
+    let own = &*build_router(options());
+    let fed = ShardRegistry::new();
+    fed.register(shard_for("two-switch", options())).unwrap();
+    let federated = &*fed.router();
+    svc.run_ticks(12).unwrap();
+
+    let (_, snapshot) = answer(own, "/snapshot");
+    assert_eq!(
+        answer(federated, "/snapshot"),
+        (
+            200,
+            format!("{{\"shards\":[{{\"shard\":\"two-switch\",\"snapshot\":{snapshot}}}]}}")
+        )
+    );
+    let (_, alerts) = answer(own, "/alerts");
+    let doc = parse_json(&alerts).unwrap();
+    let count = |key| doc.get(key).and_then(JsonValue::as_u64).unwrap();
+    assert_eq!(
+        answer(federated, "/alerts"),
+        (
+            200,
+            format!(
+                "{{\"pending\":{},\"firing\":{},\"shards\":[{{\"shard\":\"two-switch\",\
+                 \"alerts\":{alerts}}}]}}",
+                count("pending"),
+                count("firing")
+            )
+        )
+    );
+    let (status, health) = answer(own, "/healthz");
+    assert_eq!(status, 200);
+    let (status, fed_health) = answer(federated, "/healthz");
+    assert_eq!(
+        (status, without_tick_age(&fed_health)),
+        (
+            200,
+            format!(
+                "{{\"status\":\"ok\",\"shards\":[{{\"shard\":\"two-switch\",\
+                 \"healthy\":true,\"detail\":{}}}]}}",
+                without_tick_age(&health)
+            )
+        )
+    );
+    let (status, folded) = answer(own, "/profile?format=folded");
+    assert_eq!(status, 200);
+    assert!(folded.contains("monitor.cycle"), "{folded}");
+    assert_eq!(
+        answer(federated, "/profile?shard=two-switch&format=folded"),
+        (200, folded)
+    );
+    // The one answer that changed with the shard's router: without
+    // `shard=`, the 400 lists every shard, not only those with a
+    // profiler.
+    assert_eq!(
+        answer(federated, "/profile"),
+        (
+            400,
+            "{\"error\":\"missing shard= parameter\",\"shards\":[\"two-switch\"]}".into()
+        )
+    );
+}
+
 #[test]
 fn two_shards_merge_behind_one_export_plane() {
     // Two independent services from two different spec files, each
@@ -81,7 +184,8 @@ fn two_shards_merge_behind_one_export_plane() {
     let mut lives = std::collections::HashMap::new();
     for (name, registry, live) in rx.iter().take(2) {
         lives.insert(name, live.clone());
-        fed.register(shard_for(name, registry, live)).unwrap();
+        fed.register(shard_for(name, RouterOptions::new(registry, live)))
+            .unwrap();
     }
     let server = HttpServer::serve("127.0.0.1:0", fed.router()).expect("bind ephemeral port");
     let addr = server.local_addr().to_string();

@@ -1,7 +1,8 @@
 //! Integration coverage for the long-term stats plane: a monitor run
-//! with `lts_dir` set leaves a store behind whose `/query` answers are
-//! byte-identical across a process restart and across `netqos lts
-//! compact` — the durability contract the whole subsystem hangs on.
+//! with `lts_dir` set leaves a store behind whose `LtsReader::query`
+//! answers (what `netqos lts query` prints) are byte-identical across a
+//! process restart and across `netqos lts compact` — the durability
+//! contract the whole subsystem hangs on.
 
 use netqos::monitor::live::{build_router, shard_for, RouterOptions};
 use netqos::monitor::service::{MonitoringService, ServiceConfig};
@@ -174,8 +175,7 @@ fn router_serves_query_and_rejects_bad_params() {
     let fed = ShardRegistry::new();
     fed.register(shard_for(
         "two-switch",
-        svc.registry().clone(),
-        svc.live().clone(),
+        RouterOptions::new(svc.registry().clone(), svc.live().clone()),
     ))
     .unwrap();
     let federated = fed.router();

@@ -233,8 +233,13 @@ fn federation_cross_shard_sum_matches_hand_merged_answers() {
     for (name, dir) in [("north", &dir_a), ("south", &dir_b)] {
         let registry = netqos_telemetry::Registry::new();
         let live = netqos::monitor::live::LiveStatus::new();
-        let shard: Shard = shard_for(name, registry, live)
-            .with_promql(Arc::new(LtsSource::new(LtsReader::open(dir))));
+        let shard: Shard = shard_for(
+            name,
+            RouterOptions {
+                lts: Some(LtsReader::open(dir)),
+                ..RouterOptions::new(registry, live)
+            },
+        );
         fed.register(shard).unwrap();
     }
     let fed_query = |q: &str| -> (u16, String) {
