@@ -190,6 +190,21 @@ impl NetworkMonitor {
     /// table (returns `true`). A node the topology does not have is
     /// refused, its first snapshot included.
     pub fn ingest(&mut self, node: NodeId, snapshot: DeviceSnapshot) -> Result<bool, MonitorError> {
+        let mut snapshot = snapshot;
+        self.ingest_swap(node, &mut snapshot)
+    }
+
+    /// [`NetworkMonitor::ingest`] without giving the snapshot up: once
+    /// the rates are computed the snapshot becomes the node's baseline by
+    /// swapping places with the previous one, which is handed back in
+    /// `snapshot` (an empty snapshot after a node's first). A poller that
+    /// parses into what comes back reuses one snapshot's memory poll after
+    /// poll. On `Err` nothing is swapped and the baseline stays as it was.
+    pub(crate) fn ingest_swap(
+        &mut self,
+        node: NodeId,
+        snapshot: &mut DeviceSnapshot,
+    ) -> Result<bool, MonitorError> {
         self.polls_ingested += 1;
         let mut span = self.tracer.span("monitor.delta", "ingest");
         if span.is_recording() {
@@ -203,7 +218,7 @@ impl NetworkMonitor {
         };
         let Some(prev) = previous else {
             span.set_attr("baseline", true);
-            self.previous[node.index()] = Some(snapshot);
+            self.previous[node.index()] = Some(std::mem::take(snapshot));
             return Ok(false);
         };
 
@@ -214,7 +229,7 @@ impl NetworkMonitor {
         if delta::uptime_reset(prev.uptime_ticks, snapshot.uptime_ticks) {
             self.uptime_resets.inc();
             span.set_attr("uptime_reset", true);
-            self.previous[node.index()] = Some(snapshot);
+            self.retire(node, snapshot);
             return Ok(false);
         }
 
@@ -227,7 +242,7 @@ impl NetworkMonitor {
         if interval == 0 {
             // Same-tick re-poll: keep the newer counters as baseline but
             // no rate can be formed.
-            self.previous[node.index()] = Some(snapshot);
+            self.retire(node, snapshot);
             return Ok(false);
         }
         span.set_attr("interval_ticks", interval);
@@ -292,8 +307,16 @@ impl NetworkMonitor {
                 out_nucast_pps,
             });
         }
-        self.previous[node.index()] = Some(snapshot);
+        self.retire(node, snapshot);
         Ok(true)
+    }
+
+    /// Makes `snapshot` the baseline of `node`, which has one, and hands
+    /// the baseline it replaces back in `snapshot`.
+    fn retire(&mut self, node: NodeId, snapshot: &mut DeviceSnapshot) {
+        if let Some(previous) = &mut self.previous[node.index()] {
+            std::mem::swap(previous, snapshot);
+        }
     }
 
     /// Full per-interface rate detail for an interface, if monitored.
@@ -412,6 +435,39 @@ mod tests {
         // The nodes it has are not disturbed.
         assert!(!m.ingest(a, snap(100, 0, 0)).unwrap());
         assert!(m.ingest(a, snap(200, 125_000, 0)).unwrap());
+    }
+
+    /// The swap hands back the baseline it replaced (nothing after a
+    /// first snapshot), and an ingest that fails swaps nothing.
+    #[test]
+    fn ingest_swap_hands_back_the_replaced_baseline() {
+        let (t, a, _) = topo();
+        let mut m = NetworkMonitor::new(t);
+        let mut s = snap(100, 0, 0);
+        assert!(!m.ingest_swap(a, &mut s).unwrap());
+        assert_eq!(s, DeviceSnapshot::default());
+        s = snap(200, 125_000, 0);
+        assert!(m.ingest_swap(a, &mut s).unwrap());
+        assert_eq!(s, snap(100, 0, 0));
+        assert_eq!(m.if_rates(a, IfIx(0)).unwrap().in_bps, 1_000_000);
+
+        // An interface the topology cannot place fails the ingest once
+        // the baseline has it too.
+        let mystery = |uptime| {
+            let mut s = snap(uptime, 0, 0);
+            s.interfaces[0].if_index = 9;
+            s.interfaces[0].descr = "mystery9".into();
+            s
+        };
+        s = mystery(300);
+        assert!(m.ingest_swap(a, &mut s).unwrap());
+        s = mystery(400);
+        assert!(m.ingest_swap(a, &mut s).is_err());
+        assert_eq!(s, mystery(400));
+        // The baseline is still the snapshot at 300.
+        s = snap(500, 0, 0);
+        assert!(m.ingest_swap(a, &mut s).unwrap());
+        assert_eq!(s, mystery(300));
     }
 
     #[test]

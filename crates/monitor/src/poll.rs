@@ -17,9 +17,10 @@ use netqos_snmp::client::Session;
 use netqos_snmp::mib2::{interfaces as ifc, system};
 use netqos_snmp::oid::Oid;
 use netqos_snmp::pdu::VarBind;
+use netqos_snmp::value::ValueRef;
 
 /// Counter sample of one interface at one poll.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct IfSample {
     /// 1-based MIB ifIndex.
     pub if_index: u32,
@@ -38,7 +39,7 @@ pub struct IfSample {
 }
 
 /// Everything one poll of one device returns.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct DeviceSnapshot {
     /// `sysUpTime.0` in TimeTicks.
     pub uptime_ticks: u32,
@@ -91,107 +92,195 @@ impl PollPlan {
         &self.oids
     }
 
-    /// Parses the response to this plan's request.
-    pub fn parse(&self, bindings: &[VarBind]) -> Result<DeviceSnapshot, MonitorError> {
-        parse_snapshot(bindings, self.if_count)
+    /// One poll of the device `node`: a Get of this plan's names through
+    /// `client`, each binding of the answer decoded straight into
+    /// `snapshot`, whose vectors and strings are reused. With a snapshot of
+    /// this plan's shape — the one a previous poll of such a device left —
+    /// the poll allocates nothing beyond the datagrams its transport
+    /// carries. On `Err`, what `snapshot` holds is unspecified.
+    pub fn poll_into(
+        &self,
+        client: &mut Session<'_>,
+        node: &str,
+        snapshot: &mut DeviceSnapshot,
+    ) -> Result<(), MonitorError> {
+        let mut parse = Parse::begin(snapshot, self.if_count);
+        client
+            .get_visit(&self.oids, |oid, value| parse.binding(oid, value))
+            .map_err(|e| MonitorError::from_snmp(e, node))??;
+        parse.finish()
     }
 }
 
 /// One poll of the device `node`: a Get of `plan`'s names through
-/// `client`, parsed into a snapshot. The one device poll — over the
+/// `client`, parsed into a fresh snapshot — [`PollPlan::poll_into`] for a
+/// caller that keeps no snapshot. The one device poll — over the
 /// simulator, a UDP socket or the loopback alike.
 pub fn poll_once(
     client: &mut Session<'_>,
     node: &str,
     plan: &PollPlan,
 ) -> Result<DeviceSnapshot, MonitorError> {
-    let bindings = client
-        .get_many(plan.oids())
-        .map_err(|e| MonitorError::from_snmp(e, node))?;
-    plan.parse(&bindings)
+    let mut snapshot = DeviceSnapshot::default();
+    plan.poll_into(client, node, &mut snapshot)?;
+    Ok(snapshot)
 }
-
-fn wrong_type(vb: &VarBind) -> MonitorError {
-    MonitorError::WrongType {
-        oid: vb.oid.to_string(),
-        got: vb.value.type_name(),
-    }
-}
-
-fn need_u32(vb: &VarBind) -> Result<u32, MonitorError> {
-    vb.value.as_u32().ok_or_else(|| wrong_type(vb))
-}
-
-/// Devices with up to this many interfaces count a response's columns on
-/// the stack; every device of `specs/` and of the generator has at most 26.
-const STACK_ROWS: usize = 64;
 
 /// Parses a poll response (in any binding order) into a snapshot.
 pub fn parse_snapshot(bindings: &[VarBind], if_count: u32) -> Result<DeviceSnapshot, MonitorError> {
-    let mut uptime_ticks = None;
-    let mut samples: Vec<IfSample> = (1..=if_count)
-        .map(|i| IfSample {
-            if_index: i,
-            descr: String::new(),
-            speed_bps: 0,
-            in_octets: 0,
-            out_octets: 0,
-            in_ucast_pkts: 0,
-            out_nucast_pkts: 0,
-        })
-        .collect();
-    let mut on_stack = [0u32; STACK_ROWS];
-    let mut on_heap;
-    let seen: &mut [u32] = if if_count as usize <= STACK_ROWS {
-        &mut on_stack[..if_count as usize]
-    } else {
-        on_heap = vec![0u32; if_count as usize];
-        &mut on_heap
-    };
-
+    let mut snapshot = DeviceSnapshot::default();
+    let mut parse = Parse::begin(&mut snapshot, if_count);
     for vb in bindings {
-        let (col, ifindex) = match *vb.oid.arcs() {
+        parse.binding(&vb.oid, (&vb.value).into())?;
+    }
+    parse.finish()?;
+    Ok(snapshot)
+}
+
+/// Devices with up to this many interfaces track a response's columns on
+/// the stack; every device of `specs/` and of the generator has at most 26.
+const STACK_ROWS: usize = 64;
+
+/// The one poll-response parser, fed one binding at a time: what it has
+/// written into the snapshot so far, and which columns of which rows it
+/// has seen.
+struct Parse<'s> {
+    snapshot: &'s mut DeviceSnapshot,
+    uptime_ticks: Option<u32>,
+    /// One bit per column of [`COLUMNS`], per row.
+    seen_on_stack: [u8; STACK_ROWS],
+    seen_on_heap: Vec<u8>,
+}
+
+impl<'s> Parse<'s> {
+    /// Starts a parse into `snapshot`, reshaped in place to `if_count`
+    /// zeroed rows: the vector and each row's `descr` keep their memory.
+    fn begin(snapshot: &'s mut DeviceSnapshot, if_count: u32) -> Self {
+        let rows = if_count as usize;
+        let interfaces = &mut snapshot.interfaces;
+        interfaces.truncate(rows);
+        for (sample, if_index) in interfaces.iter_mut().zip(1..) {
+            let mut descr = std::mem::take(&mut sample.descr);
+            descr.clear();
+            *sample = IfSample {
+                if_index,
+                descr,
+                ..IfSample::default()
+            };
+        }
+        // Exactly the rows asked for: a fresh snapshot is sized as the
+        // parse always sized it.
+        let kept = interfaces.len() as u32;
+        interfaces.reserve_exact((if_count - kept) as usize);
+        interfaces.extend((kept + 1..=if_count).map(|if_index| IfSample {
+            if_index,
+            ..IfSample::default()
+        }));
+        Parse {
+            snapshot,
+            uptime_ticks: None,
+            seen_on_stack: [0; STACK_ROWS],
+            seen_on_heap: if rows > STACK_ROWS {
+                vec![0; rows]
+            } else {
+                Vec::new()
+            },
+        }
+    }
+
+    fn seen(&mut self) -> &mut [u8] {
+        let rows = self.snapshot.interfaces.len();
+        if rows > STACK_ROWS {
+            &mut self.seen_on_heap
+        } else {
+            &mut self.seen_on_stack[..rows]
+        }
+    }
+
+    /// Takes one binding of the response.
+    fn binding(&mut self, oid: &Oid, value: ValueRef<'_>) -> Result<(), MonitorError> {
+        let if_count = self.snapshot.interfaces.len() as u32;
+        let (col, ifindex) = match *oid.arcs() {
             // sysUpTime.0
             [1, 3, 6, 1, 2, 1, 1, 3, 0] => {
-                uptime_ticks = Some(need_u32(vb)?);
-                continue;
+                self.uptime_ticks = Some(need_u32(oid, value)?);
+                return Ok(());
             }
             // ifEntry.<column>.<ifIndex>
             [1, 3, 6, 1, 2, 1, 2, 2, 1, col, ifindex] if (1..=if_count).contains(&ifindex) => {
                 (col, ifindex)
             }
-            _ => continue, // tolerate extra objects
+            _ => return Ok(()), // tolerate extra objects
         };
-        let s = &mut samples[(ifindex - 1) as usize];
-        match col {
+        let row = (ifindex - 1) as usize;
+        let s = &mut self.snapshot.interfaces[row];
+        // The column's bit is its place in `COLUMNS`.
+        let bit = match col {
             ifc::column::IF_DESCR => {
-                s.descr = vb.value.as_text().ok_or_else(|| wrong_type(vb))?.to_owned();
+                let text = value.as_text().ok_or_else(|| wrong_type(oid, value))?;
+                // Refilled in place when it fits; otherwise replaced by a
+                // copy of exactly its size, as a fresh parse makes it.
+                if s.descr.capacity() < text.len() {
+                    s.descr = text.to_owned();
+                } else {
+                    s.descr.clear();
+                    s.descr.push_str(text);
+                }
+                0
             }
-            ifc::column::IF_SPEED => s.speed_bps = need_u32(vb)? as u64,
-            ifc::column::IF_IN_OCTETS => s.in_octets = need_u32(vb)?,
-            ifc::column::IF_OUT_OCTETS => s.out_octets = need_u32(vb)?,
-            ifc::column::IF_IN_UCAST_PKTS => s.in_ucast_pkts = need_u32(vb)?,
-            ifc::column::IF_OUT_NUCAST_PKTS => s.out_nucast_pkts = need_u32(vb)?,
-            _ => continue,
-        }
-        seen[(ifindex - 1) as usize] += 1;
+            ifc::column::IF_SPEED => {
+                s.speed_bps = u64::from(need_u32(oid, value)?);
+                1
+            }
+            ifc::column::IF_IN_OCTETS => {
+                s.in_octets = need_u32(oid, value)?;
+                2
+            }
+            ifc::column::IF_OUT_OCTETS => {
+                s.out_octets = need_u32(oid, value)?;
+                3
+            }
+            ifc::column::IF_IN_UCAST_PKTS => {
+                s.in_ucast_pkts = need_u32(oid, value)?;
+                4
+            }
+            ifc::column::IF_OUT_NUCAST_PKTS => {
+                s.out_nucast_pkts = need_u32(oid, value)?;
+                5
+            }
+            _ => return Ok(()), // a column the poll did not ask for
+        };
+        self.seen()[row] |= 1 << bit;
+        Ok(())
     }
 
-    let uptime_ticks = uptime_ticks
-        .ok_or_else(|| MonitorError::MissingObject(system::sys_uptime_instance().to_string()))?;
-    for (i, &count) in seen.iter().enumerate() {
-        if count < COLUMNS.len() as u32 {
+    /// Checks that every object was there.
+    fn finish(mut self) -> Result<(), MonitorError> {
+        self.snapshot.uptime_ticks = self.uptime_ticks.ok_or_else(|| {
+            MonitorError::MissingObject(system::sys_uptime_instance().to_string())
+        })?;
+        let all = (1u8 << COLUMNS.len()) - 1;
+        if let Some(row) = self.seen().iter().position(|&seen| seen != all) {
             return Err(MonitorError::MissingObject(format!(
-                "ifTable row {} incomplete ({count}/{} columns)",
-                i + 1,
+                "ifTable row {} incomplete ({}/{} columns)",
+                row + 1,
+                self.seen()[row].count_ones(),
                 COLUMNS.len()
             )));
         }
+        Ok(())
     }
-    Ok(DeviceSnapshot {
-        uptime_ticks,
-        interfaces: samples,
-    })
+}
+
+fn wrong_type(oid: &Oid, value: ValueRef<'_>) -> MonitorError {
+    MonitorError::WrongType {
+        oid: oid.to_string(),
+        got: value.type_name(),
+    }
+}
+
+fn need_u32(oid: &Oid, value: ValueRef<'_>) -> Result<u32, MonitorError> {
+    value.as_u32().ok_or_else(|| wrong_type(oid, value))
 }
 
 #[cfg(test)]
@@ -270,6 +359,34 @@ mod tests {
             parse_snapshot(&bindings, 1),
             Err(MonitorError::MissingObject(_))
         ));
+    }
+
+    /// A row is complete when it has every column, not as many bindings:
+    /// `ifDescr.1` twice does not stand in for a missing
+    /// `ifOutNUcastPkts.1`, whose counter would read 0.
+    #[test]
+    fn a_repeated_column_does_not_complete_a_row() {
+        let mut bindings = vec![VarBind::new(
+            system::sys_uptime_instance(),
+            SnmpValue::TimeTicks(1),
+        )];
+        for col in COLUMNS {
+            let value = match col {
+                ifc::column::IF_DESCR => SnmpValue::text("eth0"),
+                _ => SnmpValue::Counter32(7),
+            };
+            bindings.push(VarBind::new(ifc::instance_oid(col, 1), value));
+        }
+        let descr = bindings[1].clone();
+        bindings.push(descr);
+        assert!(parse_snapshot(&bindings, 1).is_ok());
+        bindings.remove(COLUMNS.len()); // ifOutNUcastPkts.1
+        assert_eq!(
+            parse_snapshot(&bindings, 1),
+            Err(MonitorError::MissingObject(
+                "ifTable row 1 incomplete (5/6 columns)".into()
+            ))
+        );
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! The per-path row a service tick builds, and time-series recording and
 //! rendering for experiments and the RM feed.
 
-use netqos_telemetry::{AlertScope, SampleAnnotation};
+use netqos_telemetry::{push_json_str, AlertScope, SampleAnnotation};
 use netqos_topology::bandwidth::{BandwidthRule, ConnectionBandwidth, PathBandwidth};
 use serde::{Deserialize, Serialize};
 use std::fmt::Write as _;
@@ -114,11 +114,12 @@ impl PathRow {
 
     /// Appends this row's object of the `/snapshot` digest's `paths`.
     pub fn write_json(&self, out: &mut String) {
+        out.push_str("{\"name\":");
+        push_json_str(out, &self.name);
         let _ = write!(
             out,
-            "{{\"name\":{:?},\"used_bps\":{},\"available_bps\":{},\"rank\":{:.4},\
+            ",\"used_bps\":{},\"available_bps\":{},\"rank\":{:.4},\
              \"baseline\":{{\"count\":{},\"p50\":{},\"p99\":{}}}}}",
-            self.name,
             self.used_bps,
             self.available_bps,
             self.rank,

@@ -39,12 +39,12 @@ use bytes::Bytes;
 use netqos_sim::time::{SimDuration, SimTime};
 use netqos_sim::Ipv4Addr;
 use netqos_telemetry::{
-    builtin_alert_rules, fields, report_flush, to_otlp, transitions_to_json, AlertContext,
-    AlertEngine, AlertRule, CycleTrace, EventSink, FlightRecorder, FlushReport, Level, LtsConfig,
-    LtsCounters, LtsReader, LtsSource, LtsStore, OtlpPusher, PointValue, ProfileHub, PushConfig,
-    PushCounters, QuantileBaseline, QueryEngine, RecordRule, RecordingCounters, Registry,
-    RegistrySampler, RetentionPolicy, SnapshotPaths, Tracer, DEFAULT_FLIGHT_CAPACITY,
-    DEFAULT_PROFILE_WINDOW, DEFAULT_WINDOW,
+    builtin_alert_rules, fields, push_json_str, report_flush, to_otlp, transitions_to_json,
+    AlertContext, AlertEngine, AlertRule, CycleTrace, EventSink, FlightRecorder, FlushReport,
+    Level, LtsConfig, LtsCounters, LtsReader, LtsSource, LtsStore, OtlpPusher, PointValue,
+    ProfileHub, PushConfig, PushCounters, QuantileBaseline, QueryEngine, RecordRule,
+    RecordingCounters, Registry, RegistrySampler, RetentionPolicy, SnapshotPaths, Tracer,
+    DEFAULT_FLIGHT_CAPACITY, DEFAULT_PROFILE_WINDOW, DEFAULT_WINDOW,
 };
 use netqos_topology::NodeId;
 use std::collections::HashMap;
@@ -674,7 +674,7 @@ impl MonitoringService {
             if i > 0 {
                 out.push(',');
             }
-            let _ = write!(out, "{name:?}");
+            push_json_str(&mut out, name);
         }
         let _ = write!(
             out,
@@ -1198,6 +1198,31 @@ mod tests {
         // Healthz sees the recent tick.
         let h = live.healthz(crate::live::unix_now_ns());
         assert_eq!(h.status, 200);
+    }
+
+    /// A qospath name is written into `/snapshot` as a JSON string, in the
+    /// path rows and in the violated list alike, whatever it holds.
+    #[test]
+    fn snapshot_writes_path_names_as_json_strings() {
+        const NAME: &str = "a\"b\n\u{1}é";
+        let mut model = netqos_spec::parse_and_validate(SPEC).unwrap();
+        model.qos_paths[0].name = NAME.into();
+        let options = SimNetworkOptions {
+            monitor_host: "M".into(),
+            ..SimNetworkOptions::default()
+        };
+        let mut svc =
+            MonitoringService::from_model(model, options, ServiceConfig::default()).unwrap();
+        svc.run_ticks(2).unwrap();
+        saturate_link(&mut svc);
+        svc.run_ticks(1).unwrap();
+        assert_eq!(svc.violated_paths(), [NAME]);
+        let snap = svc.live().snapshot_response();
+        let doc = netqos_telemetry::parse_json(&snap.body).unwrap();
+        let paths = doc.get("paths").and_then(|v| v.as_array()).unwrap();
+        assert_eq!(paths[0].get("name").and_then(|v| v.as_str()), Some(NAME));
+        let violated = doc.get("violated").and_then(|v| v.as_array()).unwrap();
+        assert_eq!(violated[0].as_str(), Some(NAME));
     }
 
     #[test]

@@ -12,7 +12,7 @@
 //! error to "traffic caused by SNMP queries and acknowledgements").
 
 use crate::error::MonitorError;
-use crate::poll::{self, DeviceSnapshot, PollPlan};
+use crate::poll::{DeviceSnapshot, PollPlan};
 use crate::telemetry::MonitorTelemetry;
 use bytes::Bytes;
 use netqos_sim::app::{AppCtx, DiscardSink, EchoResponder, Mailbox, UdpApp};
@@ -22,7 +22,7 @@ use netqos_sim::packet::{DISCARD_PORT, ECHO_PORT, SNMP_PORT};
 use netqos_sim::time::{SimDuration, SimTime};
 use netqos_sim::traffic::NoiseSource;
 use netqos_sim::{DeviceId, Ipv4Addr, Lan, PortIx, SimError, UdpDatagram};
-use netqos_snmp::agent::SnmpAgent;
+use netqos_snmp::agent::{self, SnmpAgent};
 use netqos_snmp::client::{self, Manager};
 use netqos_snmp::mib::{MibView, ScalarMib};
 use netqos_snmp::mib2::interfaces::{self as ifc, column};
@@ -170,27 +170,29 @@ impl SimSnmpAgent {
 
 impl UdpApp for SimSnmpAgent {
     fn on_datagram(&mut self, ctx: &mut AppCtx<'_>, dgram: &UdpDatagram) {
-        let resp = {
-            let mib = LiveMib {
-                sysinfo: &self.sysinfo,
-                ctx,
-                full: OnceCell::new(),
-            };
-            self.agent.handle(&dgram.payload, &mib)
+        let mib = LiveMib {
+            sysinfo: &self.sysinfo,
+            ctx,
+            full: OnceCell::new(),
         };
-        if let Some(resp) = resp {
-            match &mut self.jitter {
-                Some((rng, mean)) => {
-                    let u: f64 = rng.gen_range(1e-6..1.0);
-                    let d = SimDuration::from_secs_f64((-u.ln()) * mean.as_secs_f64());
-                    self.pending
-                        .push_back((dgram.src_ip, dgram.src_port, Bytes::from(resp)));
-                    ctx.schedule(d, 0);
-                }
-                None => {
-                    ctx.send_udp(SNMP_PORT, dgram.src_ip, dgram.src_port, Bytes::from(resp));
-                }
+        // Written into the thread's answer buffer, then copied once into
+        // the `Bytes` that travels.
+        let answered = agent::with_answer_buffer(|answer| {
+            self.agent
+                .handle_into(&dgram.payload, &mib, answer)
+                .then(|| Bytes::copy_from_slice(answer))
+        });
+        let Some(resp) = answered else {
+            return;
+        };
+        match &mut self.jitter {
+            Some((rng, mean)) => {
+                let u: f64 = rng.gen_range(1e-6..1.0);
+                let d = SimDuration::from_secs_f64((-u.ln()) * mean.as_secs_f64());
+                self.pending.push_back((dgram.src_ip, dgram.src_port, resp));
+                ctx.schedule(d, 0);
             }
+            None => ctx.send_udp(SNMP_PORT, dgram.src_ip, dgram.src_port, resp),
         }
     }
 
@@ -244,6 +246,9 @@ pub struct SimNetwork {
     agents: Vec<Option<AgentTarget>>,
     /// The nodes with an agent, in node order: the poll order.
     pollable: Vec<NodeId>,
+    /// One plan per interface count among the agents, and beside each a
+    /// snapshot of its shape that [`SimNetwork::poll_nodes`] parses into.
+    plans: Vec<(PollPlan, DeviceSnapshot)>,
     monitor_dev: DeviceId,
     monitor_node: NodeId,
     inbox: Rc<RefCell<Vec<(SimTime, UdpDatagram)>>>,
@@ -266,8 +271,19 @@ pub struct SimNetwork {
 struct AgentTarget {
     ip: Ipv4Addr,
     community: String,
-    /// Shared with every other node of the same interface count.
-    plan: Rc<PollPlan>,
+    /// Index into `SimNetwork::plans`, shared with every other node of the
+    /// same interface count.
+    plan: usize,
+}
+
+/// What it takes to talk to one node's agent: the link to it, the
+/// manager, how the agent is polled, and the node's name.
+struct Agent<'a> {
+    link: SimLink<'a>,
+    manager: &'a mut Manager,
+    community: &'a str,
+    plan: &'a PollPlan,
+    name: &'a str,
 }
 
 /// UDP port the manager mailbox listens on.
@@ -377,7 +393,8 @@ impl SimNetwork {
         let mut b = LanBuilder::new();
         let mut node_to_dev = HashMap::new();
         let mut agents: Vec<Option<AgentTarget>> = Vec::new();
-        let mut plans: HashMap<u32, Rc<PollPlan>> = HashMap::new();
+        let mut plans: Vec<(PollPlan, DeviceSnapshot)> = Vec::new();
+        let mut plan_of: HashMap<u32, usize> = HashMap::new();
         let mut auto_ip = 1u8;
 
         for (node_id, node) in model.topology.nodes() {
@@ -418,10 +435,10 @@ impl SimNetwork {
                         .parse::<Ipv4Addr>()
                         .map_err(|e| MonitorError::Sim(e.to_string()))?,
                     community: node.snmp_community.clone(),
-                    plan: plans
-                        .entry(if_count)
-                        .or_insert_with(|| Rc::new(PollPlan::new(if_count)))
-                        .clone(),
+                    plan: *plan_of.entry(if_count).or_insert_with(|| {
+                        plans.push((PollPlan::new(if_count), DeviceSnapshot::default()));
+                        plans.len() - 1
+                    }),
                 })
             } else {
                 None
@@ -490,6 +507,7 @@ impl SimNetwork {
             node_to_dev,
             agents,
             pollable,
+            plans,
             monitor_dev,
             monitor_node,
             inbox,
@@ -539,12 +557,8 @@ impl SimNetwork {
         self.pollable.clone()
     }
 
-    /// What it takes to talk to the agent of `node`: the link to it, the
-    /// manager, where and how the agent is polled, and the node's name.
-    fn agent(
-        &mut self,
-        node: NodeId,
-    ) -> Result<(SimLink<'_>, &mut Manager, &AgentTarget, &str), MonitorError> {
+    /// What it takes to talk to the agent of `node`.
+    fn agent(&mut self, node: NodeId) -> Result<Agent<'_>, MonitorError> {
         let name = match self.model.topology.node(node) {
             Ok(n) => n.name.as_str(),
             Err(_) => return Err(MonitorError::NotPollable(node.to_string())),
@@ -562,7 +576,13 @@ impl SimNetwork {
             timeouts: &mut self.timeouts,
             unposted: None,
         };
-        Ok((link, &mut self.manager, target, name))
+        Ok(Agent {
+            link,
+            manager: &mut self.manager,
+            community: &target.community,
+            plan: &self.plans[target.plan].0,
+            name,
+        })
     }
 
     /// The simulated network as a [`Transport`] from the monitor host to
@@ -570,28 +590,45 @@ impl SimNetwork {
     /// put the simulator beside the other transports. Polling goes through
     /// [`SimNetwork::poll_device`].
     pub fn link(&mut self, node: NodeId) -> Result<SimLink<'_>, MonitorError> {
-        self.agent(node).map(|(link, ..)| link)
+        self.agent(node).map(|agent| agent.link)
     }
 
     /// Polls one device through the simulated network, advancing simulated
     /// time until its response arrives (or the poll timeout elapses).
     pub fn poll_device(&mut self, node: NodeId) -> Result<DeviceSnapshot, MonitorError> {
+        let mut snapshot = DeviceSnapshot::default();
+        self.poll_into(node, &mut snapshot)?;
+        Ok(snapshot)
+    }
+
+    /// [`SimNetwork::poll_device`] into `snapshot`, whose memory is reused
+    /// (see [`PollPlan::poll_into`]).
+    fn poll_into(
+        &mut self,
+        node: NodeId,
+        snapshot: &mut DeviceSnapshot,
+    ) -> Result<(), MonitorError> {
         let mut poll_span = self.tracer.span("monitor.poll", "device");
         let sent_at = self.lan.now();
-        let snapshot = {
-            let (mut link, manager, target, name) = self.agent(node)?;
+        let polled = {
+            let Agent {
+                mut link,
+                manager,
+                community,
+                plan,
+                name,
+            } = self.agent(node)?;
             if poll_span.is_recording() {
                 poll_span.set_attr("device", name);
             }
-            let mut session = manager.session(&mut link, &target.community);
-            let snapshot = poll::poll_once(&mut session, name, &target.plan);
-            link.checked(snapshot)
+            let polled = plan.poll_into(&mut manager.session(&mut link, community), name, snapshot);
+            link.checked(polled)
         };
-        match &snapshot {
-            Ok(_) => self.telemetry.polls.inc(),
+        match &polled {
+            Ok(()) => self.telemetry.polls.inc(),
             // Nothing came back to time or to count as a failed poll: the
             // link counts its timeouts, and a refused post never left.
-            Err(MonitorError::Timeout { .. } | MonitorError::Sim(_)) => return snapshot,
+            Err(MonitorError::Timeout { .. } | MonitorError::Sim(_)) => return polled,
             Err(_) => self.telemetry.poll_failures.inc(),
         }
         let rtt_us = self.lan.now().duration_since(sent_at).as_micros();
@@ -610,7 +647,7 @@ impl SimNetwork {
         self.inbox
             .borrow_mut()
             .retain(|(t, _)| now.duration_since(*t) < SimDuration::from_secs(10));
-        snapshot
+        polled
     }
 
     /// Polls every SNMP-capable device once, in node order, feeding the
@@ -629,6 +666,11 @@ impl SimNetwork {
     /// snapshots into `monitor`. A device that times out is skipped until
     /// the next round; any other failure ends the round. Returns the
     /// number of successful polls.
+    ///
+    /// Each poll parses into its plan's snapshot, and the ingest swaps
+    /// that with the device's previous one, which becomes the plan's
+    /// snapshot for the next device of its shape: a steady-state poll
+    /// allocates only the datagrams it carries.
     pub fn poll_nodes(
         &mut self,
         nodes: &[NodeId],
@@ -638,11 +680,23 @@ impl SimNetwork {
         round_span.set_attr("devices", nodes.len());
         let mut ok = 0;
         for &node in nodes {
-            match self.poll_device(node) {
-                Ok(snap) => {
-                    monitor.ingest(node, snap)?;
-                    ok += 1;
-                }
+            // A node with no agent fails in `poll_into`, snapshot unused.
+            let plan = self
+                .agents
+                .get(node.0 as usize)
+                .and_then(Option::as_ref)
+                .map(|target| target.plan);
+            let mut snapshot = plan.map_or_else(DeviceSnapshot::default, |plan| {
+                std::mem::take(&mut self.plans[plan].1)
+            });
+            let polled = self
+                .poll_into(node, &mut snapshot)
+                .and_then(|()| monitor.ingest_swap(node, &mut snapshot));
+            if let Some(plan) = plan {
+                self.plans[plan].1 = snapshot;
+            }
+            match polled {
+                Ok(_) => ok += 1,
                 Err(MonitorError::Timeout { .. }) => continue, // retry next round
                 Err(e) => return Err(e),
             }
@@ -664,10 +718,14 @@ impl SimNetwork {
     ) -> Result<Vec<netqos_snmp::mib2::bridge::FdbEntry>, MonitorError> {
         let col = netqos_snmp::mib2::bridge::fdb_entry_base()
             .child(netqos_snmp::mib2::bridge::column::PORT);
-        let (mut link, manager, target, name) = self.agent(node)?;
-        let walked = manager
-            .session(&mut link, &target.community)
-            .bulk_walk(&col, 16);
+        let Agent {
+            mut link,
+            manager,
+            community,
+            name,
+            ..
+        } = self.agent(node)?;
+        let walked = manager.session(&mut link, community).bulk_walk(&col, 16);
         let bindings = link.checked(walked.map_err(|e| MonitorError::from_snmp(e, name)))?;
         Ok(netqos_snmp::mib2::bridge::entries_from_port_walk(&bindings))
     }
@@ -680,8 +738,14 @@ impl SimNetwork {
         node: NodeId,
     ) -> Result<Vec<(u32, [u8; 6])>, MonitorError> {
         let col = mib2::interfaces::column_oid(mib2::interfaces::column::IF_PHYS_ADDRESS);
-        let (mut link, manager, target, name) = self.agent(node)?;
-        let walked = manager.session(&mut link, &target.community).walk(&col);
+        let Agent {
+            mut link,
+            manager,
+            community,
+            name,
+            ..
+        } = self.agent(node)?;
+        let walked = manager.session(&mut link, community).walk(&col);
         let bindings = link.checked(walked.map_err(|e| MonitorError::from_snmp(e, name)))?;
         Ok(bindings
             .iter()

@@ -1,11 +1,15 @@
-//! Allocation budget of one steady-state poll: what the public
-//! signatures force (the request buffer, the response buffer, the vector
-//! of bindings, the `ifDescr` strings, the snapshot's vectors) and
-//! nothing per name, per value or per TLV — for the codec and agent
-//! alone, and for a whole `SimNetwork::poll_device`.
+//! Allocation budget of one steady-state poll. Through the simulator,
+//! `SimNetwork::poll_nodes` decodes each answer into a reused snapshot
+//! and allocates only the datagrams it carries, whatever the device's
+//! interface count; `poll_device` adds the owned snapshot it returns. The
+//! codec and agent alone, through the public owned-value path, allocate
+//! what its signatures force (the request buffer, the response buffer,
+//! the vector of bindings, the `ifDescr` strings, the snapshot's vectors)
+//! and nothing per name, per value or per TLV.
 
 use netqos_monitor::poll::{parse_snapshot, poll_oids};
 use netqos_monitor::simnet::{SimNetwork, SimNetworkOptions};
+use netqos_monitor::NetworkMonitor;
 use netqos_sim::time::SimDuration;
 use netqos_snmp::mib2::{interfaces, system, IfEntry, SystemInfo};
 use netqos_snmp::{client, ScalarMib, SnmpAgent};
@@ -98,71 +102,126 @@ fn a_poll_allocates_what_its_signatures_force() {
     println!("allocations per poll: {host} (1 interface), {switch} (9 interfaces)");
 }
 
-/// Allocations of one steady-state `SimNetwork::poll_device` of a
-/// 1-interface host: the poll above plus what carrying two datagrams
-/// through the simulator costs. With `agent_jitter_mean` the agent parks
-/// its answer and sends it from a timer (`on_datagram` → `pending` →
-/// `on_timer`), as every agent of `qosbench`'s `lan-wide` does.
-fn sim_poll_allocations(agent_jitter_mean: Option<SimDuration>) -> u64 {
-    const SPEC: &str = r#"
-        host L  { address 10.0.0.1;  snmp community "public"; interface eth0 { speed 100Mbps; } }
-        host S1 { address 10.0.0.11; snmp community "public"; interface hme0 { speed 100Mbps; } }
-        device sw switch { address 10.0.0.100; snmp community "public"; speed 100Mbps;
-                           interface p1; interface p2; }
+/// A monitor host `L` and two single-NIC hosts `S1` and `S2` on a switch
+/// of `ports` ports, with or without agent jitter. With
+/// `agent_jitter_mean` each agent parks its answer and sends it from a
+/// timer (`on_datagram` → `pending` → `on_timer`), as every agent of
+/// `qosbench`'s `lan-wide` does.
+fn network(ports: u32, agent_jitter_mean: Option<SimDuration>) -> (SimNetwork, NetworkMonitor) {
+    let interfaces: String = (1..=ports).map(|i| format!("interface p{i}; ")).collect();
+    let spec = format!(
+        r#"
+        host L  {{ address 10.0.0.1;  snmp community "public"; interface eth0 {{ speed 100Mbps; }} }}
+        host S1 {{ address 10.0.0.11; snmp community "public"; interface hme0 {{ speed 100Mbps; }} }}
+        host S2 {{ address 10.0.0.12; snmp community "public"; interface hme0 {{ speed 100Mbps; }} }}
+        device sw switch {{ address 10.0.0.100; snmp community "public"; speed 100Mbps; {interfaces} }}
         connection L.eth0 <-> sw.p1;
         connection S1.hme0 <-> sw.p2;
-    "#;
-    let model = netqos_spec::parse_and_validate(SPEC).unwrap();
+        connection S2.hme0 <-> sw.p3;
+        "#
+    );
+    let model = netqos_spec::parse_and_validate(&spec).unwrap();
+    let monitor = NetworkMonitor::new(model.topology.clone());
     let options = SimNetworkOptions {
         agent_jitter_mean,
         ..SimNetworkOptions::default()
     };
-    let mut net = SimNetwork::from_model(model, options).unwrap();
+    (SimNetwork::from_model(model, options).unwrap(), monitor)
+}
+
+/// Allocations of one steady-state `SimNetwork::poll_nodes` of the node
+/// `name`, its snapshot ingested: eight warm-up rounds a simulated second
+/// apart (the switch learns both addresses, queues and the RTT baseline
+/// reach their steady size, and the poll's snapshot has its shape), then
+/// the counted one.
+fn steady_poll_allocations(name: &str, ports: u32, jitter: Option<SimDuration>) -> u64 {
+    let (mut net, mut monitor) = network(ports, jitter);
+    let node = net.model().topology.node_by_name(name).unwrap();
+    let mut round = || {
+        let next = net.lan.now() + SimDuration::from_secs(1);
+        net.run_until(next);
+        allocations_in(|| {
+            assert_eq!(net.poll_nodes(&[node], &mut monitor).unwrap(), 1);
+        })
+    };
+    for _ in 0..8 {
+        round();
+    }
+    let polled = round();
+    assert_eq!(monitor.polls_ingested(), 9);
+    polled
+}
+
+/// What a steady-state poll of any device costs: the datagrams it carries
+/// and nothing else — the request copied once into the `Bytes` that
+/// travels (`Transport::exchange` lends a slice, and the manager keeps its
+/// encode buffer), the agent's answer copied once from the buffer it keeps
+/// into the `Bytes` that travels back, and the `Vec` `exchange` must
+/// return. The answer is decoded straight into the poll plan's snapshot,
+/// which the ingest swaps with the device's previous one, so neither the
+/// bindings nor the `ifDescr` strings nor the snapshot are allocated, and
+/// the count does not grow with the device's interfaces. Nothing per hop,
+/// per event or per app callback either: frames share their payload, a
+/// payload that fits one packet is not copied to be "fragmented", and
+/// callbacks push into a buffer the engine lends them. (It was 8 for a
+/// host and 24 for a 9-port switch while each poll decoded into a vector
+/// of bindings and a fresh snapshot; 13, and 14 with a jittered agent,
+/// before the engine stopped allocating per callback.)
+const SIM_POLL_BUDGET: u64 = 3;
+
+#[test]
+fn a_steady_poll_through_the_simulator_allocates_only_its_datagrams() {
+    for jitter in [None, Some(SimDuration::from_millis(1))] {
+        for (name, ports) in [("S1", 3), ("sw", 9)] {
+            let polled = steady_poll_allocations(name, ports, jitter);
+            println!("allocations per steady poll of {name}, jitter {jitter:?}: {polled}");
+            assert_eq!(polled, SIM_POLL_BUDGET, "{name}, jitter {jitter:?}");
+        }
+    }
+}
+
+/// `poll_device` hands back an owned snapshot: the datagrams, then the
+/// snapshot's vector and the one `ifDescr` string of a host.
+#[test]
+fn an_owned_poll_allocates_its_datagrams_and_its_snapshot() {
+    let (mut net, _) = network(3, None);
     let s1 = net.model().topology.node_by_name("S1").unwrap();
-    // Warm up: the switch learns both addresses, queues and the RTT
-    // baseline reach their steady size.
     for _ in 0..8 {
         net.poll_device(s1).unwrap();
     }
-    allocations_in(|| {
+    let polled = allocations_in(|| {
         net.poll_device(s1).unwrap();
-    })
+    });
+    assert_eq!(polled, SIM_POLL_BUDGET + 2);
 }
 
+/// A device's first poll keeps its snapshot as the device's baseline:
+/// the poll itself costs its datagrams, and the next poll of that shape
+/// parses into a fresh snapshot — the host's vector and string — so a
+/// first poll costs 5 all told, as `poll_device` does. (The device is
+/// known to the simulator beforehand: the switch has learned it and its
+/// RTT baseline exists, which a first contact pays for on its own.)
 #[test]
-fn a_poll_through_the_simulator_stays_within_the_parent_commits_count() {
-    let polled = sim_poll_allocations(None);
-    println!("allocations per simulated poll: {polled}");
-    assert!(
-        polled <= SIM_POLL_BUDGET,
-        "{polled} allocations, budget {SIM_POLL_BUDGET}"
-    );
+fn a_devices_first_poll_costs_the_snapshot_it_keeps() {
+    let (mut net, mut monitor) = network(3, None);
+    let s1 = net.model().topology.node_by_name("S1").unwrap();
+    let s2 = net.model().topology.node_by_name("S2").unwrap();
+    net.poll_device(s2).unwrap();
+    let mut poll = |node| {
+        let next = net.lan.now() + SimDuration::from_secs(1);
+        net.run_until(next);
+        allocations_in(|| {
+            assert_eq!(net.poll_nodes(&[node], &mut monitor).unwrap(), 1);
+        })
+    };
+    for _ in 0..8 {
+        poll(s1);
+    }
+    let first = poll(s2);
+    let next = poll(s1);
+    assert_eq!((first, next), (SIM_POLL_BUDGET, SIM_POLL_BUDGET + 2));
+    assert_eq!(poll(s2), SIM_POLL_BUDGET);
 }
-
-#[test]
-fn a_poll_answered_from_the_agents_timer_stays_within_the_same_count() {
-    let polled = sim_poll_allocations(Some(SimDuration::from_millis(1)));
-    println!("allocations per simulated poll, jittered agent: {polled}");
-    assert!(
-        polled <= SIM_POLL_BUDGET,
-        "{polled} allocations, budget {SIM_POLL_BUDGET}"
-    );
-}
-
-/// What one such poll measures, with and without jitter: the four of the
-/// parse (bindings, samples, the `ifDescr` octets and the string made of
-/// them) and four for carrying the exchange — the request
-/// copied once into the `Bytes` that travels (`Transport::exchange` lends
-/// a slice, and the manager keeps its encode buffer), the `Vec` the agent
-/// answers with, the `Bytes` made of it, and the `Vec` `exchange` must
-/// return. Nothing per hop, per event or per app callback: frames share
-/// their payload, a payload that fits one packet is not copied to be
-/// "fragmented", and callbacks push into a buffer the engine lends them.
-/// (It was 13, and 14 with a jittered agent, before the engine stopped
-/// allocating per callback and the `bytes` shim per `slice` and `from`;
-/// 14 before the simulator was a `Transport`, and 9 before the parse
-/// counted columns on the stack.)
-const SIM_POLL_BUDGET: u64 = 8;
 
 /// Storing a device's first snapshot, the counter baseline, takes no
 /// allocation: the previous-poll table has a slot for every node from
@@ -171,7 +230,6 @@ const SIM_POLL_BUDGET: u64 = 8;
 #[test]
 fn ingesting_a_devices_first_snapshot_allocates_nothing() {
     use netqos_monitor::poll::{DeviceSnapshot, IfSample};
-    use netqos_monitor::NetworkMonitor;
     use netqos_topology::{NetworkTopology, NodeKind};
 
     let mut topology = NetworkTopology::new();

@@ -1,17 +1,21 @@
 //! One poll through the simulator costs exactly two SNMP decodes — the
 //! agent's of the request and the manager's of the response — whatever
-//! else sits in the manager's mailbox.
+//! else sits in the manager's mailbox; and the manager's decode is
+//! counted once, whether the poll's parse accepts the answer or not.
 //!
 //! The codec counters are process-wide, so this file holds a single test:
 //! nothing else in its process decodes anything.
 
 use bytes::Bytes;
-use netqos_monitor::poll::poll_oids;
+use netqos_monitor::poll::{poll_oids, poll_once, PollPlan};
 use netqos_monitor::simnet::{SimNetwork, SimNetworkOptions, MANAGER_PORT};
 use netqos_sim::packet::{ECHO_PORT, SNMP_PORT};
 use netqos_sim::time::SimDuration;
 use netqos_sim::Ipv4Addr;
-use netqos_snmp::{client, telemetry};
+use netqos_snmp::client::{self, Manager};
+use netqos_snmp::mib2::{interfaces as ifc, system, IfEntry, SystemInfo};
+use netqos_snmp::transport::FnTransport;
+use netqos_snmp::{telemetry, ScalarMib, SnmpAgent, SnmpValue};
 
 const SPEC: &str = r#"
     host L  { address 10.0.0.1;  snmp community "public"; interface eth0 { speed 100Mbps; } }
@@ -53,4 +57,32 @@ fn late_duplicate_and_foreign_datagram_are_never_decoded() {
         assert_eq!(codec.decode_errors.get(), errors);
     }
     assert_eq!(net.timeouts, 0);
+
+    // The manager decodes each answer once, however the poll ends: an
+    // answer the parse refuses is one decode, a cut one one decode error.
+    let mut mib = ScalarMib::new();
+    system::install(&mut mib, &SystemInfo::new("dev"), 7);
+    ifc::install(
+        &mut mib,
+        &[IfEntry::ethernet(1, "eth0", 1, [2, 0, 0, 0, 0, 1])],
+    );
+    mib.insert(ifc::instance_oid(ifc::column::IF_SPEED, 1), SnmpValue::Null);
+    let mut agent = SnmpAgent::new("public");
+    for (cut, refused) in [(0, "WrongType"), (1, "Snmp")] {
+        let (decodes, errors) = (codec.decodes.get(), codec.decode_errors.get());
+        let mut link = FnTransport(|request: &[u8]| {
+            let answer = agent.handle(request, &mib)?;
+            Some(answer[..answer.len() - cut].to_vec())
+        });
+        let mut manager = Manager::default();
+        let polled = poll_once(
+            &mut manager.session(&mut link, "public"),
+            "dev",
+            &PollPlan::new(1),
+        );
+        assert!(format!("{polled:?}").contains(refused), "{polled:?}");
+        // The agent's decode of the request, then the manager's.
+        assert_eq!(codec.decodes.get() - decodes, 2 - cut as u64);
+        assert_eq!(codec.decode_errors.get() - errors, cut as u64);
+    }
 }

@@ -14,14 +14,14 @@
 //!   repetitions stop as soon as the answer passes the response limit,
 //!   and the agent answers `tooBig`.
 
-use crate::ber::{tag, Reader};
+use crate::ber::tag;
 use crate::error::{BerError, SnmpError};
 use crate::message::{self, MessageBody, SnmpMessage, SnmpVersion, Wrapper};
 use crate::mib::MibView;
 use crate::oid::Oid;
-use crate::pdu::{self, ErrorStatus, Pdu, PduType, TrapPdu, VarBind};
+use crate::pdu::{self, ErrorStatus, Pdu, PduType, TrapPdu};
 use crate::value::ValueRef;
-use std::cell::Cell;
+use std::cell::{Cell, RefCell};
 
 /// Counters describing an agent's life so far.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -68,16 +68,6 @@ enum Halt {
     Unencodable,
     /// The response passed its size limit: the reply is `tooBig`.
     TooBig,
-}
-
-/// Reads one variable binding off `list`, checking all of it, and returns
-/// its name.
-fn read_name(list: &mut Reader<'_>) -> Result<Oid, BerError> {
-    let mut binding = list.expect_element(tag::SEQUENCE)?;
-    let name = binding.read_oid()?;
-    binding.skip_value()?;
-    binding.finish()?;
-    Ok(name)
 }
 
 /// Writes a complete response message with the bindings `bindings`
@@ -134,20 +124,30 @@ impl SnmpAgent {
     /// Handles one request datagram against `view`. Returns the response
     /// datagram, or `None` when SNMPv1 prescribes silence (bad community,
     /// unparseable message, or a non-request PDU).
+    pub fn handle(&mut self, request: &[u8], view: &dyn MibView) -> Option<Vec<u8>> {
+        let mut out = Vec::new();
+        self.handle_into(request, view, &mut out).then_some(out)
+    }
+
+    /// [`SnmpAgent::handle`] into a buffer the caller keeps: `out` is
+    /// overwritten with the response datagram and `true` returned, or
+    /// `false` when SNMPv1 prescribes silence (`out` then holds nothing of
+    /// use). An agent that answers from one kept buffer allocates nothing
+    /// per request once the buffer has grown to its largest answer.
     ///
     /// Get, GetNext and GetBulk are answered in one pass over the request:
     /// each name is decoded, looked up, and the name and value the view
     /// lends are encoded straight into the response.
-    pub fn handle(&mut self, request: &[u8], view: &dyn MibView) -> Option<Vec<u8>> {
-        let mut out = Vec::new();
+    pub fn handle_into(&mut self, request: &[u8], view: &dyn MibView, out: &mut Vec<u8>) -> bool {
+        out.clear();
         let reply = message::decode_with(request, |wrapper| {
-            let reply = self.reply(wrapper, view, &mut out)?;
+            let reply = self.reply(wrapper, view, out)?;
             // RFC 1157 §4.1.2: if the reply would exceed a local
             // limitation, respond tooBig with no bindings instead.
             match reply {
                 Reply::Answer { request_id, .. } if out.len() > self.max_response_bytes => {
                     let status = ErrorStatus::TooBig;
-                    write_response(&mut out, wrapper, request_id, status, 0, |_| Ok(()))?;
+                    write_response(out, wrapper, request_id, status, 0, |_| Ok(()))?;
                     Ok(Reply::Answer { request_id, status })
                 }
                 reply => Ok(reply),
@@ -156,19 +156,19 @@ impl SnmpAgent {
         match reply {
             Err(_) | Ok(Reply::ProtocolViolation) => {
                 self.stats.malformed += 1;
-                None
+                false
             }
             Ok(Reply::BadCommunity) => {
                 self.stats.bad_community += 1;
-                None
+                false
             }
-            Ok(Reply::Silent) => None,
+            Ok(Reply::Silent) => false,
             Ok(Reply::Answer { status, .. }) => {
                 self.stats.answered += 1;
                 if !status.is_ok() {
                     self.stats.error_responses += 1;
                 }
-                Some(out)
+                true
             }
         }
     }
@@ -236,7 +236,7 @@ impl SnmpAgent {
         if let Some(reply) = refused {
             // Only a message that decodes gets this far.
             while !list.is_empty() {
-                read_name(&mut list)?;
+                pdu::skip_varbind(&mut list)?;
             }
             return Ok(reply);
         }
@@ -270,7 +270,7 @@ impl SnmpAgent {
         };
         while !list.is_empty() {
             position += 1;
-            let name = read_name(&mut list)?;
+            let name = pdu::skip_varbind(&mut list)?;
             if failed_at.is_some() {
                 continue;
             }
@@ -299,11 +299,8 @@ impl SnmpAgent {
             let status = ErrorStatus::NoSuchName;
             let echoed = write_response(out, wrapper, request_id, status, position, |out| {
                 let mut list = bindings;
-                while !list.is_empty() {
-                    let VarBind { oid, value } = VarBind::decode(&mut list)?;
-                    pdu::push_varbind(out, &oid, (&value).into())?;
-                }
-                Ok(())
+                pdu::visit_varbinds(&mut list, |oid, value| pdu::push_varbind(out, &oid, value))?
+                    .map(drop)
             });
             return Ok(match echoed {
                 Ok(()) => Reply::Answer { request_id, status },
@@ -342,6 +339,18 @@ impl SnmpAgent {
     }
 }
 
+thread_local! {
+    static ANSWER_BUFFER: RefCell<Vec<u8>> = const { RefCell::new(Vec::new()) };
+}
+
+/// Lends `f` this thread's answer buffer, for [`SnmpAgent::handle_into`]:
+/// agents that copy each answer out before they return can share it, so a
+/// process holding a thousand in-process agents keeps one buffer, not a
+/// thousand. `f` must not call this again.
+pub fn with_answer_buffer<R>(f: impl FnOnce(&mut Vec<u8>) -> R) -> R {
+    ANSWER_BUFFER.with_borrow_mut(f)
+}
+
 /// Convenience for tests and simple deployments: decode a response message
 /// and extract its PDU, verifying it is a `GetResponse`.
 pub fn decode_response(bytes: &[u8]) -> Result<Pdu, SnmpError> {
@@ -358,6 +367,7 @@ mod tests {
     use crate::mib::ScalarMib;
     use crate::mib2::{self, interfaces::IfEntry, SystemInfo};
     use crate::oid::Oid;
+    use crate::pdu::VarBind;
     use crate::value::SnmpValue;
 
     fn oid(s: &str) -> Oid {

@@ -370,12 +370,29 @@ impl<'a> Reader<'a> {
 
     /// Reads any SNMP value element.
     pub fn read_value(&mut self) -> Result<SnmpValue, BerError> {
+        let mut oid = Oid::empty();
+        Ok(match self.read_value_ref(&mut oid)? {
+            ValueRef::Oid(_) => SnmpValue::oid(std::mem::take(&mut oid)),
+            value => value.to_value(),
+        })
+    }
+
+    /// Reads any SNMP value element without copying it: octets are lent
+    /// from the input, and an OID value is decoded into `oid` and lent
+    /// from there. Checks everything [`Reader::read_value`] checks.
+    pub(crate) fn read_value_ref<'o>(&mut self, oid: &'o mut Oid) -> Result<ValueRef<'o>, BerError>
+    where
+        'a: 'o,
+    {
         let (t, content) = self.read_element()?;
         let bytes = content.rest();
         Ok(match t {
-            tag::OCTET_STRING => SnmpValue::OctetString(bytes.to_vec()),
-            tag::OID => SnmpValue::oid(decode_oid_content(bytes)?),
-            tag::OPAQUE => SnmpValue::Opaque(bytes.to_vec()),
+            tag::OCTET_STRING => ValueRef::OctetString(bytes),
+            tag::OID => {
+                *oid = decode_oid_content(bytes)?;
+                ValueRef::Oid(oid)
+            }
+            tag::OPAQUE => ValueRef::Opaque(bytes),
             _ => decode_scalar(t, bytes)?,
         })
     }
@@ -407,20 +424,20 @@ impl<'a> Reader<'a> {
 }
 
 /// Decodes the value kinds that own no memory.
-fn decode_scalar(t: u8, bytes: &[u8]) -> Result<SnmpValue, BerError> {
+fn decode_scalar(t: u8, bytes: &[u8]) -> Result<ValueRef<'static>, BerError> {
     Ok(match t {
-        tag::INTEGER => SnmpValue::Integer(decode_integer_content(bytes)?),
-        tag::NULL => SnmpValue::Null,
+        tag::INTEGER => ValueRef::Integer(decode_integer_content(bytes)?),
+        tag::NULL => ValueRef::Null,
         tag::IP_ADDRESS => {
             let arr: [u8; 4] = bytes.try_into().map_err(|_| BerError::BadIpAddress)?;
-            SnmpValue::IpAddress(arr)
+            ValueRef::IpAddress(arr)
         }
-        tag::COUNTER32 => SnmpValue::Counter32(decode_unsigned_content(bytes)?),
-        tag::GAUGE32 => SnmpValue::Gauge32(decode_unsigned_content(bytes)?),
-        tag::TIME_TICKS => SnmpValue::TimeTicks(decode_unsigned_content(bytes)?),
-        tag::NO_SUCH_OBJECT => SnmpValue::NoSuchObject,
-        tag::NO_SUCH_INSTANCE => SnmpValue::NoSuchInstance,
-        tag::END_OF_MIB_VIEW => SnmpValue::EndOfMibView,
+        tag::COUNTER32 => ValueRef::Counter32(decode_unsigned_content(bytes)?),
+        tag::GAUGE32 => ValueRef::Gauge32(decode_unsigned_content(bytes)?),
+        tag::TIME_TICKS => ValueRef::TimeTicks(decode_unsigned_content(bytes)?),
+        tag::NO_SUCH_OBJECT => ValueRef::NoSuchObject,
+        tag::NO_SUCH_INSTANCE => ValueRef::NoSuchInstance,
+        tag::END_OF_MIB_VIEW => ValueRef::EndOfMibView,
         other => return Err(BerError::UnknownTag(other)),
     })
 }

@@ -12,10 +12,10 @@
 //! bundled up: a manager that owns the transport to its one agent.
 
 use crate::ber::{tag, Reader};
-use crate::error::SnmpError;
+use crate::error::{BerError, SnmpError};
 use crate::message::{self, SnmpVersion};
 use crate::oid::Oid;
-use crate::pdu::{self, ErrorStatus, Pdu, PduType, VarBind};
+use crate::pdu::{self, ErrorStatus, PduHead, PduType, VarBind};
 use crate::telemetry::ClientTelemetry;
 use crate::transport::Transport;
 use crate::value::{SnmpValue, ValueRef};
@@ -129,21 +129,77 @@ impl Response {
 /// Parses an encoded `GetResponse`.
 pub fn parse_response(bytes: &[u8]) -> Result<Response, SnmpError> {
     message::decode_with(bytes, |wrapper| {
-        match wrapper.rest.peek_tag()? {
-            // Well-formed, but not what a manager waits for.
-            tag::TRAP => pdu::TrapPdu::decode(&mut wrapper.rest).map(|_| None),
-            tag::GET_BULK_REQUEST => pdu::BulkPdu::decode(&mut wrapper.rest).map(|_| None),
-            _ => Pdu::decode(&mut wrapper.rest).map(Some),
-        }
+        let Some((head, mut list, content)) = read_answer_head(&mut wrapper.rest)? else {
+            return Ok(None);
+        };
+        let bindings = pdu::decode_varbinds(&mut list)?;
+        content.finish()?;
+        Ok((head.pdu_type == PduType::GetResponse).then_some(Response {
+            request_id: head.request_id,
+            error_status: head.error_status,
+            error_index: head.error_index,
+            bindings,
+        }))
     })?
-    .filter(|pdu| pdu.pdu_type == PduType::GetResponse)
-    .map(|pdu| Response {
-        request_id: pdu.request_id,
-        error_status: pdu.error_status,
-        error_index: pdu.error_index,
-        bindings: pdu.bindings,
-    })
     .ok_or(SnmpError::NotAResponse)
+}
+
+/// Reads the PDU at `rest` up to its bindings, as [`PduHead::read`] does,
+/// or, for a trap or a GetBulk — well-formed, but not what a manager waits
+/// for — decodes all of it and returns `None`.
+fn read_answer_head<'a>(
+    rest: &mut Reader<'a>,
+) -> Result<Option<(PduHead, Reader<'a>, Reader<'a>)>, SnmpError> {
+    match rest.peek_tag()? {
+        tag::TRAP => pdu::TrapPdu::decode(rest).map(|_| None),
+        tag::GET_BULK_REQUEST => pdu::BulkPdu::decode(rest).map(|_| None),
+        _ => PduHead::read(rest).map(Some),
+    }
+}
+
+/// Decodes the answer to the Get sent under request-id `id` and hands its
+/// binding list to `read` — but only an answer that passes judgement: a
+/// datagram that is not a GetResponse, answers another request or reports
+/// an error status is that error, and `read` never sees its bindings.
+/// Every binding is checked either way, and a malformed message anywhere
+/// outranks the judgement and whatever `read` returned. The outcome is
+/// counted once in the codec counters, as for [`parse_response`].
+fn decode_answer<T>(
+    bytes: &[u8],
+    id: i32,
+    read: impl FnOnce(&mut Reader<'_>) -> Result<T, BerError>,
+) -> Result<T, SnmpError> {
+    message::decode_with(bytes, |wrapper| {
+        let Some((head, mut list, content)) = read_answer_head(&mut wrapper.rest)? else {
+            return Ok(Err(SnmpError::NotAResponse));
+        };
+        let refusal = if head.pdu_type != PduType::GetResponse {
+            Some(SnmpError::NotAResponse)
+        } else if head.request_id != id {
+            Some(SnmpError::RequestIdMismatch {
+                expected: id,
+                got: head.request_id,
+            })
+        } else if !head.error_status.is_ok() {
+            Some(SnmpError::ErrorStatus {
+                status: head.error_status,
+                index: head.error_index,
+            })
+        } else {
+            None
+        };
+        let answer = match refusal {
+            Some(refusal) => {
+                while !list.is_empty() {
+                    pdu::skip_varbind(&mut list)?;
+                }
+                Err(refusal)
+            }
+            None => Ok(read(&mut list)?),
+        };
+        content.finish()?;
+        Ok(answer)
+    })?
 }
 
 /// The request-id of an encoded request/response message, read off its
@@ -215,9 +271,9 @@ pub struct Session<'a> {
 }
 
 impl Session<'_> {
-    /// Encodes `request` under a fresh id, exchanges it and decodes the
-    /// answer, which must carry that id.
-    fn send(&mut self, request: Request, oids: &[Oid]) -> Result<Response, SnmpError> {
+    /// Encodes `request` under a fresh id and exchanges it: the id and the
+    /// datagram that answers it.
+    fn exchange(&mut self, request: Request, oids: &[Oid]) -> Result<(i32, Vec<u8>), SnmpError> {
         let id = self.manager.fresh_id();
         {
             let mut span = self.manager.tracer.span("snmp.codec", "encode");
@@ -233,24 +289,54 @@ impl Session<'_> {
         if let Some(t) = telemetry {
             t.requests.inc();
         }
-        self.link.exchange(request).and_then(|bytes| {
-            let response = parse_response(&bytes)?;
-            if response.request_id != id {
-                return Err(SnmpError::RequestIdMismatch {
-                    expected: id,
-                    got: response.request_id,
-                });
-            }
-            Ok(response)
-        })
+        Ok((id, self.link.exchange(request)?))
+    }
+
+    /// Exchanges `request` and decodes the answer, which must carry its id.
+    fn send(&mut self, request: Request, oids: &[Oid]) -> Result<Response, SnmpError> {
+        let (id, bytes) = self.exchange(request, oids)?;
+        let response = parse_response(&bytes)?;
+        if response.request_id != id {
+            return Err(SnmpError::RequestIdMismatch {
+                expected: id,
+                got: response.request_id,
+            });
+        }
+        Ok(response)
+    }
+
+    /// `GetRequest` for several objects, each binding of the answer handed
+    /// to `visit` in order as it is decoded — its value borrowed from the
+    /// datagram — until `visit` first refuses one. Nothing is copied out of
+    /// the datagram and nothing is allocated for the bindings.
+    ///
+    /// `Err` is what [`Session::get_many`] would fail with for the same
+    /// answer: `visit` sees no binding of an answer that is not a
+    /// GetResponse, answers another request or reports an error status,
+    /// and a malformed binding anywhere outranks what `visit` said.
+    /// Otherwise `Ok` holds `visit`'s refusal, or the number of bindings.
+    pub fn get_visit<E>(
+        &mut self,
+        oids: &[Oid],
+        mut visit: impl FnMut(&Oid, ValueRef<'_>) -> Result<(), E>,
+    ) -> Result<Result<usize, E>, SnmpError> {
+        let (id, bytes) = self.exchange(Request::Get, oids)?;
+        let mut span = self.manager.tracer.span("snmp.codec", "decode");
+        let visited = decode_answer(&bytes, id, |list| {
+            pdu::visit_varbinds(list, |oid, value| visit(&oid, value))
+        })?;
+        if let Ok(bindings) = visited {
+            span.set_attr("bindings", bindings);
+        }
+        Ok(visited)
     }
 
     /// `GetRequest` for several objects; returns the bound values in
     /// request order.
     pub fn get_many(&mut self, oids: &[Oid]) -> Result<Vec<VarBind>, SnmpError> {
-        let response = self.send(Request::Get, oids)?;
+        let (id, bytes) = self.exchange(Request::Get, oids)?;
         let mut span = self.manager.tracer.span("snmp.codec", "decode");
-        let bindings = response.into_result()?;
+        let bindings = decode_answer(&bytes, id, pdu::decode_varbinds)?;
         span.set_attr("bindings", bindings.len());
         Ok(bindings)
     }
@@ -365,6 +451,7 @@ mod tests {
     use crate::message::SnmpMessage;
     use crate::mib::ScalarMib;
     use crate::mib2::{self, interfaces::IfEntry, SystemInfo};
+    use crate::pdu::Pdu;
     use crate::transport::{FnTransport, LoopbackTransport};
 
     fn demo_mib() -> ScalarMib {

@@ -141,14 +141,6 @@ impl VarBind {
     pub fn new(oid: Oid, value: SnmpValue) -> Self {
         VarBind { oid, value }
     }
-
-    pub(crate) fn decode(r: &mut Reader<'_>) -> Result<Self, BerError> {
-        let mut seq = r.expect_element(tag::SEQUENCE)?;
-        let oid = seq.read_oid()?;
-        let value = seq.read_value()?;
-        seq.finish()?;
-        Ok(VarBind { oid, value })
-    }
 }
 
 /// Appends one variable binding.
@@ -208,19 +200,56 @@ pub(crate) fn close_pdu(out: &mut Vec<u8>, open: OpenPdu) {
     ber::close(out, open.pdu);
 }
 
-fn decode_varbinds(list: &mut Reader<'_>) -> Result<Vec<VarBind>, BerError> {
-    // Count the elements first so the vector is allocated once; the
-    // count is bounded by the datagram, every element taking two octets
-    // or more.
+/// Reads one variable binding off `list`, checking all of it, and returns
+/// its name.
+pub(crate) fn skip_varbind(list: &mut Reader<'_>) -> Result<Oid, BerError> {
+    let mut binding = list.expect_element(tag::SEQUENCE)?;
+    let name = binding.read_oid()?;
+    binding.skip_value()?;
+    binding.finish()?;
+    Ok(name)
+}
+
+/// The one binding-list decoder: reads `list` to its end, handing each
+/// binding to `visit` in order — its name, and its value borrowed from the
+/// datagram — until `visit` first refuses one. Every binding is checked
+/// whether or not it was visited, so a malformed binding anywhere is the
+/// error (`Err`), and only a list that decodes whole reports what `visit`
+/// said (`Ok`): its refusal, or how many bindings it took.
+pub(crate) fn visit_varbinds<E>(
+    list: &mut Reader<'_>,
+    mut visit: impl FnMut(Oid, ValueRef<'_>) -> Result<(), E>,
+) -> Result<Result<usize, E>, BerError> {
+    let mut verdict = Ok(0);
+    let mut oid_value = Oid::empty();
+    while !list.is_empty() {
+        let Ok(visited) = verdict else {
+            skip_varbind(list)?;
+            continue;
+        };
+        let mut binding = list.expect_element(tag::SEQUENCE)?;
+        let name = binding.read_oid()?;
+        let value = binding.read_value_ref(&mut oid_value)?;
+        binding.finish()?;
+        verdict = visit(name, value).map(|()| visited + 1);
+    }
+    Ok(verdict)
+}
+
+/// Collects the bindings of `list`. The elements are counted first so the
+/// vector is allocated once; the count is bounded by the datagram, every
+/// element taking two octets or more.
+pub(crate) fn decode_varbinds(list: &mut Reader<'_>) -> Result<Vec<VarBind>, BerError> {
     let mut count = 0;
     let mut scan = list.clone();
     while scan.read_element().is_ok() {
         count += 1;
     }
     let mut bindings = Vec::with_capacity(count);
-    while !list.is_empty() {
-        bindings.push(VarBind::decode(list)?);
-    }
+    let Ok(_) = visit_varbinds(list, |oid, value| {
+        bindings.push(VarBind::new(oid, value.to_value()));
+        Ok::<(), std::convert::Infallible>(())
+    })?;
     Ok(bindings)
 }
 
@@ -298,20 +327,48 @@ impl Pdu {
 
     /// Decodes a PDU from a reader positioned at the PDU tag.
     pub fn decode(r: &mut Reader<'_>) -> Result<Self, SnmpError> {
+        let (head, mut list, content) = PduHead::read(r)?;
+        let bindings = decode_varbinds(&mut list)?;
+        content.finish()?;
+        Ok(Pdu {
+            pdu_type: head.pdu_type,
+            request_id: head.request_id,
+            error_status: head.error_status,
+            error_index: head.error_index,
+            bindings,
+        })
+    }
+}
+
+/// What a request/response PDU says before its bindings.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct PduHead {
+    pub pdu_type: PduType,
+    pub request_id: i32,
+    pub error_status: ErrorStatus,
+    pub error_index: u32,
+}
+
+impl PduHead {
+    /// Reads the PDU at `r` up to its binding list. Returns the header, a
+    /// reader over the list, and the PDU's content past the list, which
+    /// the caller must [`Reader::finish`] once the list is read.
+    pub(crate) fn read<'a>(
+        r: &mut Reader<'a>,
+    ) -> Result<(Self, Reader<'a>, Reader<'a>), SnmpError> {
         let (t, mut content) = r.read_element().map_err(SnmpError::from)?;
         let pdu_type = PduType::from_tag(t).ok_or(SnmpError::UnknownPduType(t))?;
         let request_id = content.read_integer()? as i32;
         let error_status = ErrorStatus::from_code(content.read_integer()?);
         let error_index = content.read_integer()?.max(0) as u32;
-        let bindings = decode_varbinds(&mut content.expect_element(tag::SEQUENCE)?)?;
-        content.finish()?;
-        Ok(Pdu {
+        let list = content.expect_element(tag::SEQUENCE)?;
+        let head = PduHead {
             pdu_type,
             request_id,
             error_status,
             error_index,
-            bindings,
-        })
+        };
+        Ok((head, list, content))
     }
 }
 

@@ -48,9 +48,13 @@ impl LoopbackTransport {
 
 impl Transport for LoopbackTransport {
     fn exchange(&mut self, request: &[u8]) -> Result<Vec<u8>, SnmpError> {
-        self.agent
-            .handle(request, &self.mib)
-            .ok_or(SnmpError::Timeout)
+        crate::agent::with_answer_buffer(|answer| {
+            if self.agent.handle_into(request, &self.mib, answer) {
+                Ok(answer.clone())
+            } else {
+                Err(SnmpError::Timeout)
+            }
+        })
     }
 }
 
@@ -214,12 +218,13 @@ impl UdpAgentServer {
         let mut agent = SnmpAgent::new(community);
         let thread = std::thread::spawn(move || {
             let mut buf = vec![0u8; 65_535];
+            let mut answer = Vec::new();
             while !stop2.load(std::sync::atomic::Ordering::Relaxed) {
                 match socket.recv_from(&mut buf) {
                     Ok((n, from)) => {
                         let view = view_fn();
-                        if let Some(resp) = agent.handle(&buf[..n], &view) {
-                            let _ = socket.send_to(&resp, from);
+                        if agent.handle_into(&buf[..n], &view, &mut answer) {
+                            let _ = socket.send_to(&answer, from);
                         }
                     }
                     Err(_) => continue, // timeout tick: check stop flag

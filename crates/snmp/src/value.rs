@@ -55,11 +55,7 @@ impl SnmpValue {
     /// counter-like types (Counter32 / Gauge32 / TimeTicks) or a
     /// non-negative Integer that fits.
     pub fn as_u32(&self) -> Option<u32> {
-        match self {
-            SnmpValue::Counter32(v) | SnmpValue::Gauge32(v) | SnmpValue::TimeTicks(v) => Some(*v),
-            SnmpValue::Integer(v) => u32::try_from(*v).ok(),
-            _ => None,
-        }
+        ValueRef::from(self).as_u32()
     }
 
     /// The value as a signed integer, if integral.
@@ -76,28 +72,12 @@ impl SnmpValue {
     /// The value as UTF-8 text, if it is an octet string holding valid
     /// UTF-8.
     pub fn as_text(&self) -> Option<&str> {
-        match self {
-            SnmpValue::OctetString(b) => std::str::from_utf8(b).ok(),
-            _ => None,
-        }
+        ValueRef::from(self).as_text()
     }
 
     /// Short type name, useful in diagnostics.
     pub fn type_name(&self) -> &'static str {
-        match self {
-            SnmpValue::Integer(_) => "INTEGER",
-            SnmpValue::OctetString(_) => "OCTET STRING",
-            SnmpValue::Null => "NULL",
-            SnmpValue::Oid(_) => "OBJECT IDENTIFIER",
-            SnmpValue::IpAddress(_) => "IpAddress",
-            SnmpValue::Counter32(_) => "Counter32",
-            SnmpValue::Gauge32(_) => "Gauge32",
-            SnmpValue::TimeTicks(_) => "TimeTicks",
-            SnmpValue::Opaque(_) => "Opaque",
-            SnmpValue::NoSuchObject => "noSuchObject",
-            SnmpValue::NoSuchInstance => "noSuchInstance",
-            SnmpValue::EndOfMibView => "endOfMibView",
-        }
+        ValueRef::from(self).type_name()
     }
 
     /// True for the SNMPv2c exception markers.
@@ -142,6 +122,7 @@ pub enum ValueRef<'a> {
 }
 
 impl<'a> From<&'a SnmpValue> for ValueRef<'a> {
+    #[inline]
     fn from(value: &'a SnmpValue) -> Self {
         match value {
             SnmpValue::Integer(v) => ValueRef::Integer(*v),
@@ -160,7 +141,44 @@ impl<'a> From<&'a SnmpValue> for ValueRef<'a> {
     }
 }
 
-impl ValueRef<'_> {
+impl<'a> ValueRef<'a> {
+    /// See [`SnmpValue::as_u32`].
+    #[inline]
+    pub fn as_u32(self) -> Option<u32> {
+        match self {
+            ValueRef::Counter32(v) | ValueRef::Gauge32(v) | ValueRef::TimeTicks(v) => Some(v),
+            ValueRef::Integer(v) => u32::try_from(v).ok(),
+            _ => None,
+        }
+    }
+
+    /// See [`SnmpValue::as_text`].
+    #[inline]
+    pub fn as_text(self) -> Option<&'a str> {
+        match self {
+            ValueRef::OctetString(b) => std::str::from_utf8(b).ok(),
+            _ => None,
+        }
+    }
+
+    /// See [`SnmpValue::type_name`].
+    pub fn type_name(self) -> &'static str {
+        match self {
+            ValueRef::Integer(_) => "INTEGER",
+            ValueRef::OctetString(_) => "OCTET STRING",
+            ValueRef::Null => "NULL",
+            ValueRef::Oid(_) => "OBJECT IDENTIFIER",
+            ValueRef::IpAddress(_) => "IpAddress",
+            ValueRef::Counter32(_) => "Counter32",
+            ValueRef::Gauge32(_) => "Gauge32",
+            ValueRef::TimeTicks(_) => "TimeTicks",
+            ValueRef::Opaque(_) => "Opaque",
+            ValueRef::NoSuchObject => "noSuchObject",
+            ValueRef::NoSuchInstance => "noSuchInstance",
+            ValueRef::EndOfMibView => "endOfMibView",
+        }
+    }
+
     /// Copies the borrowed parts into an owned value.
     pub fn to_value(self) -> SnmpValue {
         match self {

@@ -22,7 +22,7 @@
 //! delivery ([`transitions_to_json`] bodies queued on a
 //! [`crate::push::OtlpPusher`], the bounded-queue push worker).
 
-use crate::events::escape_json_into;
+use crate::events::push_json_str;
 use crate::{escape_label_value, Registry};
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::fmt;
@@ -740,12 +740,6 @@ fn make_transition(
         severity: alert.severity,
         annotations: alert.annotations.clone(),
     }
-}
-
-fn push_json_str(out: &mut String, s: &str) {
-    out.push('"');
-    escape_json_into(out, s);
-    out.push('"');
 }
 
 fn push_json_f64(out: &mut String, v: f64) {

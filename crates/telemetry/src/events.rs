@@ -159,6 +159,14 @@ pub struct Event {
     pub fields: Vec<(String, FieldValue)>,
 }
 
+/// Appends `s` as a quoted JSON string literal — quotes, backslashes and
+/// control characters escaped — growing `out` and allocating nothing else.
+pub fn push_json_str(out: &mut String, s: &str) {
+    out.push('"');
+    escape_json_into(out, s);
+    out.push('"');
+}
+
 pub(crate) fn escape_json_into(out: &mut String, s: &str) {
     for c in s.chars() {
         match c {

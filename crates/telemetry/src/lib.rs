@@ -43,7 +43,7 @@ pub use baseline::{
     baselines_from_json, baselines_to_json, load_baselines, save_baselines, BaselineState,
     QuantileBaseline, DEFAULT_WINDOW,
 };
-pub use events::{Event, EventSink, FieldValue, Level};
+pub use events::{push_json_str, Event, EventSink, FieldValue, Level};
 pub use federation::{Shard, ShardRegistry};
 pub use flight::{
     cycles_from_jsonl, enforce_retention, parsed_to_chrome_trace, to_chrome_trace, to_jsonl,
