@@ -18,7 +18,6 @@ fn bench_poll_round(c: &mut Criterion) {
                 let options = TestbedOptions {
                     noise_mean: None, // isolate the poll cost
                     agent_jitter_mean: None,
-                    ..TestbedOptions::default()
                 };
                 build_testbed(&[], &options)
             },

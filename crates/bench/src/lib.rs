@@ -1,27 +1,21 @@
 //! # netqos-bench
 //!
 //! The experiment harness: rebuilds the paper's LIRTSS testbed inside the
-//! simulator and regenerates **every table and figure** of the evaluation
-//! section:
+//! simulator and regenerates the evaluation section:
 //!
-//! | Paper item | Regenerator |
+//! | Paper item | Where |
 //! |---|---|
-//! | Table 1 (MIB-II objects) | `cargo run -p netqos-bench --bin table1_mib` |
-//! | Figure 3 (testbed) | [`testbed::build_testbed`] from `specs/lirtss.spec` |
-//! | Figure 4 + Table 2 (dynamic load) | `cargo run -p netqos-bench --bin fig4_dynamic_load` |
-//! | Figure 5 (hub-connected hosts) | `cargo run -p netqos-bench --bin fig5_hub` |
-//! | Figure 6 (switch-connected hosts) | `cargo run -p netqos-bench --bin fig6_switch` |
+//! | Table 1 (MIB-II objects) | static in EXPERIMENTS.md; `netqos_snmp::mib2`'s tests assert it |
+//! | Figure 3 (testbed) | [`testbed::build_testbed`] and [`testbed::build_service`] from `specs/lirtss.spec` |
+//! | Figures 4–6, Table 2, the interval-source and poll-period sweeps, latency vs. load | [`experiment::scenarios`], run by [`experiment::run`]; `tests/experiments.rs` writes them into EXPERIMENTS.md and checks it |
 //!
 //! Criterion performance benches (`cargo bench -p netqos-bench`) cover the
-//! building blocks: BER codec, path traversal, bandwidth computation,
-//! simulator throughput, and full poll rounds.
+//! building blocks: BER codec, simulator throughput, full poll rounds,
+//! telemetry, tracing, the long-term store and queries.
 
 pub mod experiment;
 pub mod report;
-pub mod stats;
 pub mod testbed;
 
-pub use experiment::{run_experiment, ExperimentConfig, ExperimentResult};
 pub use report::{percentiles, time_iters, BenchReport, BenchRow, BENCH_SCHEMA};
-pub use stats::{render_table, step_stats, StepStat};
-pub use testbed::{build_testbed, Load, Testbed, TestbedOptions, LIRTSS_SPEC};
+pub use testbed::{build_service, build_testbed, Load, Testbed, TestbedOptions, LIRTSS_SPEC};

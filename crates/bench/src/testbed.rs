@@ -3,9 +3,13 @@
 
 use netqos_loadgen::{LoadProfile, ProfiledSource};
 use netqos_monitor::simnet::{SimNetwork, SimNetworkOptions};
-use netqos_monitor::NetworkMonitor;
+use netqos_monitor::{MonitorError, MonitoringService, NetworkMonitor, ServiceConfig};
+use netqos_sim::builder::LanBuilder;
 use netqos_sim::time::SimDuration;
-use netqos_sim::Ipv4Addr;
+use netqos_sim::{DeviceId, Ipv4Addr};
+use netqos_spec::SpecModel;
+use netqos_topology::NodeId;
+use std::collections::HashMap;
 
 /// The specification of the paper's Figure 3 testbed.
 pub const LIRTSS_SPEC: &str = include_str!("../../../specs/lirtss.spec");
@@ -33,31 +37,31 @@ impl Load {
     }
 }
 
+/// Seed of every testbed's noise and agent jitter.
+const SEED: u64 = 42;
+
+/// Payload bytes per generated datagram: the paper used MTU-sized
+/// packets, 1472 payload + 28 header = 1500-byte IP packets.
+const CHUNK_BYTES: usize = 1472;
+
 /// Environmental knobs for experiments.
 #[derive(Debug, Clone)]
 pub struct TestbedOptions {
-    /// Deterministic seed for noise and jitter.
-    pub seed: u64,
     /// Mean interval of per-host background broadcasts (None = silent).
     pub noise_mean: Option<SimDuration>,
     /// Mean SNMP agent response jitter (None = instant agents).
     pub agent_jitter_mean: Option<SimDuration>,
-    /// Payload bytes per generated datagram (paper used MTU-sized
-    /// packets: 1472 payload + 28 header = 1500-byte IP packets).
-    pub chunk_bytes: usize,
 }
 
 impl Default for TestbedOptions {
     fn default() -> Self {
         TestbedOptions {
-            seed: 42,
             // ≈0.6 KB/s of broadcast chatter visible on every segment —
             // the "background traffic" the paper measures and subtracts.
             noise_mean: Some(SimDuration::from_millis(2000)),
             // Occasional delayed agent responses: the source of the
             // paper's isolated large single-sample errors.
             agent_jitter_mean: Some(SimDuration::from_millis(15)),
-            chunk_bytes: 1472,
         }
     }
 }
@@ -72,26 +76,44 @@ pub struct Testbed {
 
 /// Builds the LIRTSS testbed with the given loads installed.
 pub fn build_testbed(loads: &[Load], options: &TestbedOptions) -> Testbed {
-    build_testbed_from(LIRTSS_SPEC, loads, options)
+    let model = netqos_spec::parse_and_validate(LIRTSS_SPEC).expect("specification must be valid");
+    let topology = model.topology.clone();
+    let net = SimNetwork::from_model_with(model, net_options(options), install_loads(loads))
+        .expect("testbed must build");
+    Testbed {
+        net,
+        monitor: NetworkMonitor::new(topology),
+    }
 }
 
-/// Builds a testbed from any specification source.
-pub fn build_testbed_from(spec: &str, loads: &[Load], options: &TestbedOptions) -> Testbed {
-    let model = netqos_spec::parse_and_validate(spec).expect("specification must be valid");
-    let topology = model.topology.clone();
+/// The monitoring service over the LIRTSS testbed with the given loads
+/// installed: the system that ships, on the testbed's network.
+pub fn build_service(
+    loads: &[Load],
+    options: &TestbedOptions,
+    config: ServiceConfig,
+) -> Result<MonitoringService, MonitorError> {
+    let model = netqos_spec::parse_and_validate(LIRTSS_SPEC).expect("specification must be valid");
+    MonitoringService::from_model_with(model, net_options(options), config, install_loads(loads))
+}
 
-    let net_options = SimNetworkOptions {
+fn net_options(options: &TestbedOptions) -> SimNetworkOptions {
+    SimNetworkOptions {
         monitor_host: "L".to_owned(),
         noise_mean: options.noise_mean,
-        seed: options.seed,
+        seed: SEED,
         agent_jitter_mean: options.agent_jitter_mean,
         poll_timeout: SimDuration::from_millis(800),
         registry: None,
-    };
+    }
+}
 
+/// The hook that installs each load's generator on its sending host.
+fn install_loads(
+    loads: &[Load],
+) -> impl FnOnce(&mut LanBuilder, &HashMap<NodeId, DeviceId>, &SpecModel) {
     let loads = loads.to_vec();
-    let chunk = options.chunk_bytes;
-    let net = SimNetwork::from_model_with(model, net_options, move |builder, node_to_dev, m| {
+    move |builder, node_to_dev, m| {
         for load in &loads {
             let from = m
                 .topology
@@ -100,17 +122,11 @@ pub fn build_testbed_from(spec: &str, loads: &[Load], options: &TestbedOptions) 
             let to = m.topology.node_by_name(&load.to).expect("load sink exists");
             let dst_ip: Ipv4Addr = m.addresses[&to].parse().expect("sink has an address");
             let mut src = ProfiledSource::new(dst_ip, load.profile.clone());
-            src.chunk_bytes = chunk;
+            src.chunk_bytes = CHUNK_BYTES;
             builder
                 .install_app(node_to_dev[&from], Box::new(src), None)
                 .expect("install generator");
         }
-    })
-    .expect("testbed must build");
-
-    Testbed {
-        net,
-        monitor: NetworkMonitor::new(topology),
     }
 }
 

@@ -32,7 +32,8 @@
 //!   mapping snapshots to per-interface rates and path bandwidth.
 //! * [`simnet`] — runs the whole system inside the `netqos-sim` LAN:
 //!   agents as simulated apps, polls as simulated SNMP/UDP traffic (so
-//!   monitoring overhead perturbs the measurement, as in the paper).
+//!   monitoring overhead perturbs the measurement, as in the paper), and
+//!   [`simnet::TrueRates`], the ground truth the monitor is judged by.
 //! * [`threaded`] — distributed monitoring over real UDP sockets (the
 //!   paper's future-work item), one poller thread per agent.
 //! * [`qos`] — violation detection against `qospath` requirements.
@@ -40,7 +41,7 @@
 //!   network latency").
 //! * [`report`] — [`report::PathRow`], the per-path row a service tick
 //!   builds and every consumer reads; time-series collection and CSV
-//!   rendering for the experiment harness.
+//!   rendering.
 
 pub mod delta;
 pub mod discovery;

@@ -35,43 +35,15 @@ pub struct IfRateSample {
 /// polling processes can be found using the system uptime data" — counter
 /// and clock are sampled atomically in one PDU, so agent response delays
 /// do not corrupt the rate. `NominalPeriod` is the naive alternative
-/// (assume polls land exactly one period apart); it is provided for the
-/// ablation study, which quantifies how much accuracy the paper's choice
-/// buys under agent jitter.
+/// (assume polls land exactly one period apart); the interval-source
+/// experiment in EXPERIMENTS.md measures how much accuracy the paper's
+/// choice buys under agent jitter.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum IntervalStrategy {
     /// Use the delta of the agent's `sysUpTime` (the paper's method).
     SysUpTime,
     /// Assume a fixed poll period, in TimeTicks (hundredths of a second).
     NominalPeriod(u32),
-}
-
-/// Exponentially weighted smoothing of per-interface rates.
-///
-/// `alpha = 1.0` (the default) reproduces the paper exactly — each poll's
-/// raw interval rate is reported. Smaller alphas trade responsiveness for
-/// stability; the RM can use a smoothed feed to avoid reacting to single
-/// polling-delay spikes.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Smoothing {
-    /// Weight of the newest sample in `(0, 1]`.
-    pub alpha: f64,
-}
-
-impl Default for Smoothing {
-    fn default() -> Self {
-        Smoothing { alpha: 1.0 }
-    }
-}
-
-impl Smoothing {
-    /// EWMA update.
-    fn blend(&self, old: u64, new: u64) -> u64 {
-        if self.alpha >= 1.0 {
-            return new;
-        }
-        (old as f64 * (1.0 - self.alpha) + new as f64 * self.alpha).round() as u64
-    }
 }
 
 /// The monitor.
@@ -85,7 +57,6 @@ pub struct NetworkMonitor {
     rates: Vec<Option<IfRateSample>>,
     polls_ingested: u64,
     interval_strategy: IntervalStrategy,
-    smoothing: Smoothing,
     tracer: Tracer,
     /// Samples discarded because the device rebooted between polls.
     uptime_resets: Counter,
@@ -94,8 +65,8 @@ pub struct NetworkMonitor {
 }
 
 impl NetworkMonitor {
-    /// Creates a monitor over a specified topology (paper defaults:
-    /// sysUpTime intervals, no smoothing).
+    /// Creates a monitor over a specified topology (the paper's
+    /// sysUpTime intervals).
     pub fn new(topology: NetworkTopology) -> Self {
         NetworkMonitor {
             rates: vec![None; topology.interface_slot_count()],
@@ -103,7 +74,6 @@ impl NetworkMonitor {
             topology,
             polls_ingested: 0,
             interval_strategy: IntervalStrategy::SysUpTime,
-            smoothing: Smoothing::default(),
             tracer: Tracer::disabled(),
             uptime_resets: Counter::new(),
             counter_wraps: Counter::new(),
@@ -136,15 +106,6 @@ impl NetworkMonitor {
     /// Selects how poll intervals are measured (see [`IntervalStrategy`]).
     pub fn set_interval_strategy(&mut self, strategy: IntervalStrategy) {
         self.interval_strategy = strategy;
-    }
-
-    /// Enables EWMA smoothing of reported rates.
-    pub fn set_smoothing(&mut self, smoothing: Smoothing) {
-        assert!(
-            smoothing.alpha > 0.0 && smoothing.alpha <= 1.0,
-            "alpha must be in (0, 1]"
-        );
-        self.smoothing = smoothing;
     }
 
     /// The topology under monitoring.
@@ -292,14 +253,6 @@ impl NetworkMonitor {
                 interval,
             )
             .unwrap_or(0);
-            // EWMA smoothing (alpha = 1.0 keeps the raw paper behaviour).
-            let (in_bps, out_bps) = match self.rates[slot] {
-                Some(prev_rates) => (
-                    self.smoothing.blend(prev_rates.in_bps, in_bps),
-                    self.smoothing.blend(prev_rates.out_bps, out_bps),
-                ),
-                None => (in_bps, out_bps),
-            };
             self.rates[slot] = Some(IfRateSample {
                 in_bps,
                 out_bps,
@@ -659,30 +612,6 @@ mod tests {
         m.ingest(a, snap(150, 187_500, 0)).unwrap();
         // SysUpTime strategy recovers the true 1 Mb/s.
         assert_eq!(m.if_rates(a, IfIx(0)).unwrap().in_bps, 1_000_000);
-    }
-
-    #[test]
-    fn ewma_smoothing_damps_spikes() {
-        let (t, a, _) = topo();
-        let mut m = NetworkMonitor::new(t);
-        m.set_smoothing(Smoothing { alpha: 0.5 });
-        m.ingest(a, snap(0, 0, 0)).unwrap();
-        m.ingest(a, snap(100, 125_000, 0)).unwrap(); // raw 1 Mb/s
-        assert_eq!(m.if_rates(a, IfIx(0)).unwrap().in_bps, 1_000_000);
-        // Raw spike to 3 Mb/s; smoothed to 2 Mb/s.
-        m.ingest(a, snap(200, 500_000, 0)).unwrap();
-        assert_eq!(m.if_rates(a, IfIx(0)).unwrap().in_bps, 2_000_000);
-        // Raw back to 1 Mb/s; smoothed to 1.5 Mb/s.
-        m.ingest(a, snap(300, 625_000, 0)).unwrap();
-        assert_eq!(m.if_rates(a, IfIx(0)).unwrap().in_bps, 1_500_000);
-    }
-
-    #[test]
-    #[should_panic]
-    fn zero_alpha_rejected() {
-        let (t, _, _) = topo();
-        let mut m = NetworkMonitor::new(t);
-        m.set_smoothing(Smoothing { alpha: 0.0 });
     }
 
     #[test]

@@ -1,8 +1,8 @@
 //! The per-path row a service tick builds, and time-series recording and
-//! rendering for experiments and the RM feed.
+//! rendering for the RM feed.
 
 use netqos_telemetry::{push_json_str, AlertScope, SampleAnnotation};
-use netqos_topology::bandwidth::{BandwidthRule, ConnectionBandwidth, PathBandwidth};
+use netqos_topology::bandwidth::{BandwidthRule, ConnectionBandwidth};
 use serde::{Deserialize, Serialize};
 use std::fmt::Write as _;
 
@@ -142,15 +142,6 @@ pub struct PathSample {
 }
 
 impl PathSample {
-    /// Builds a sample from a path-bandwidth evaluation.
-    pub fn at(t_s: f64, bw: &PathBandwidth) -> Self {
-        PathSample {
-            t_s,
-            used_bps: bw.used_bps,
-            available_bps: bw.available_bps,
-        }
-    }
-
     /// Used bandwidth in Kbytes/second — the unit of the paper's figures.
     pub fn used_kbytes_per_sec(&self) -> f64 {
         self.used_bps as f64 / 8.0 / 1000.0
@@ -164,32 +155,6 @@ pub struct Series {
     pub name: String,
     /// The samples in time order.
     pub samples: Vec<PathSample>,
-}
-
-impl Series {
-    /// Mean used bandwidth (Kbytes/s) over samples in `[from_s, to_s)`.
-    pub fn mean_used_kbps(&self, from_s: f64, to_s: f64) -> Option<f64> {
-        let window: Vec<f64> = self
-            .samples
-            .iter()
-            .filter(|s| s.t_s >= from_s && s.t_s < to_s)
-            .map(|s| s.used_kbytes_per_sec())
-            .collect();
-        if window.is_empty() {
-            None
-        } else {
-            Some(window.iter().sum::<f64>() / window.len() as f64)
-        }
-    }
-
-    /// Maximum used bandwidth (Kbytes/s) over samples in `[from_s, to_s)`.
-    pub fn max_used_kbps(&self, from_s: f64, to_s: f64) -> Option<f64> {
-        self.samples
-            .iter()
-            .filter(|s| s.t_s >= from_s && s.t_s < to_s)
-            .map(|s| s.used_kbytes_per_sec())
-            .max_by(|a, b| a.total_cmp(b))
-    }
 }
 
 /// Collects several named series and renders them as CSV.
@@ -282,22 +247,6 @@ mod tests {
     fn unit_conversion() {
         let s = sample(0.0, 100.0);
         assert!((s.used_kbytes_per_sec() - 100.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn mean_and_max_windows() {
-        let mut series = Series {
-            name: "x".into(),
-            samples: vec![],
-        };
-        for t in 0..10 {
-            series.samples.push(sample(t as f64, t as f64 * 10.0));
-        }
-        let mean = series.mean_used_kbps(2.0, 5.0).unwrap(); // 20,30,40
-        assert!((mean - 30.0).abs() < 1e-9);
-        let max = series.max_used_kbps(2.0, 5.0).unwrap();
-        assert!((max - 40.0).abs() < 1e-9);
-        assert!(series.mean_used_kbps(100.0, 200.0).is_none());
     }
 
     #[test]

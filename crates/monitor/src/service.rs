@@ -1030,6 +1030,13 @@ impl MonitoringService {
         &self.monitor
     }
 
+    /// The monitor state, to choose its [`IntervalStrategy`].
+    ///
+    /// [`IntervalStrategy`]: crate::monitor::IntervalStrategy
+    pub fn monitor_mut(&mut self) -> &mut NetworkMonitor {
+        &mut self.monitor
+    }
+
     /// The simulated network (to install extra state or read counters).
     pub fn net_mut(&mut self) -> &mut SimNetwork {
         &mut self.net

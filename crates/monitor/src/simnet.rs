@@ -32,7 +32,8 @@ use netqos_snmp::value::ValueRef;
 use netqos_snmp::{Oid, SnmpError};
 use netqos_spec::SpecModel;
 use netqos_telemetry::{QuantileBaseline, Tracer};
-use netqos_topology::{NodeId, NodeKind};
+use netqos_topology::bandwidth::{IfRates, RateProvider};
+use netqos_topology::{IfIx, NetworkTopology, NodeId, NodeKind};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::cell::{OnceCell, RefCell};
@@ -840,6 +841,83 @@ impl SimNetwork {
     }
 }
 
+/// Ground truth for judging the monitor: the rates the simulator's own
+/// octet counters give, in the shape the monitor answers in.
+///
+/// [`TrueRates::record`] reads the 64-bit total behind every interface
+/// counter of every node with an agent — the totals never wrap — and the
+/// [`RateProvider`] answer is the in/out rate over the interval between
+/// the last two records. Interfaces of nodes without an agent answer
+/// `None`, as the monitor's do, so a [`PathPlan`] evaluated over this
+/// reads the same endpoints it reads over the monitor.
+///
+/// [`PathPlan`]: netqos_topology::plan::PathPlan
+pub struct TrueRates {
+    topology: NetworkTopology,
+    /// Per [`NetworkTopology::interface_slot`]: the reading before the
+    /// last, and the last.
+    slots: Vec<[Option<Octets>; 2]>,
+}
+
+/// One interface's octet totals at one instant.
+#[derive(Debug, Clone, Copy)]
+struct Octets {
+    at: SimTime,
+    in_octets: u64,
+    out_octets: u64,
+}
+
+impl TrueRates {
+    /// A provider over `net`'s topology with nothing recorded yet.
+    pub fn new(net: &SimNetwork) -> Self {
+        let topology = net.model.topology.clone();
+        TrueRates {
+            slots: vec![[None; 2]; topology.interface_slot_count()],
+            topology,
+        }
+    }
+
+    /// Reads every agent node's interface totals at `net`'s current
+    /// instant.
+    pub fn record(&mut self, net: &SimNetwork) {
+        let at = net.lan.now();
+        for &node in &net.pollable {
+            let dev = net.node_to_dev[&node];
+            let ports = self.topology.node(node).map_or(0, |n| n.interfaces.len());
+            for port in 0..ports as u32 {
+                let (Some(slot), Ok(c)) = (
+                    self.topology.interface_slot(node, IfIx(port)),
+                    net.lan.nic_counters(dev, PortIx(port)),
+                ) else {
+                    continue;
+                };
+                let [before, last] = &mut self.slots[slot];
+                *before = last.take();
+                *last = Some(Octets {
+                    at,
+                    in_octets: c.in_octets.total(),
+                    out_octets: c.out_octets.total(),
+                });
+            }
+        }
+    }
+}
+
+impl RateProvider for TrueRates {
+    fn rates(&self, node: NodeId, ifix: IfIx) -> Option<IfRates> {
+        let [Some(before), Some(last)] = self.slots[self.topology.interface_slot(node, ifix)?]
+        else {
+            return None;
+        };
+        let secs = last.at.duration_since(before.at).as_secs_f64();
+        let bps = |octets: u64| (octets as f64 * 8.0 / secs).round() as u64;
+        (secs > 0.0).then(|| IfRates {
+            in_bps: bps(last.in_octets - before.in_octets),
+            out_bps: bps(last.out_octets - before.out_octets),
+        })
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1152,5 +1230,95 @@ mod tests {
         let ldev = net.device_of(l).unwrap();
         let c = net.lan.nic_counters(ldev, PortIx(0)).unwrap();
         assert!(c.in_nucast_pkts.value() > 0, "no background noise seen");
+    }
+
+    /// `spec` with L sending S1 a constant 100 000 B/s in 1 000-byte
+    /// datagrams: 100 frames of 1 046 wire bytes a second.
+    fn loaded(spec: &str) -> SimNetwork {
+        let model = netqos_spec::parse_and_validate(spec).unwrap();
+        SimNetwork::from_model_with(model, SimNetworkOptions::default(), |b, devs, m| {
+            let l = m.topology.node_by_name("L").unwrap();
+            let dst = "10.0.0.11".parse().unwrap();
+            let cbr = netqos_sim::traffic::CbrSource::new(dst, DISCARD_PORT, 100_000, 1_000);
+            b.install_app(devs[&l], Box::new(cbr), None).unwrap();
+        })
+        .unwrap()
+    }
+
+    const WIRE_BPS: u64 = 100 * 1_046 * 8;
+
+    /// Truth recorded at `records` instants (ms), each between two frames.
+    fn truth_at(net: &mut SimNetwork, records: &[u64]) -> TrueRates {
+        let mut truth = TrueRates::new(net);
+        for &ms in records {
+            net.run_until(SimTime::ZERO + SimDuration::from_millis(ms));
+            truth.record(net);
+        }
+        truth
+    }
+
+    #[test]
+    fn true_rates_read_a_constant_load_at_its_wire_rate() {
+        let mut net = loaded(SMALL);
+        let truth = truth_at(&mut net, &[1_005, 2_005]);
+        let topo = &net.model().topology;
+        let node = |name| topo.node_by_name(name).unwrap();
+        let rates = |name, port| truth.rates(node(name), IfIx(port)).unwrap();
+        assert_eq!(
+            rates("L", 0),
+            IfRates {
+                in_bps: 0,
+                out_bps: WIRE_BPS
+            }
+        );
+        assert_eq!(
+            rates("S1", 0),
+            IfRates {
+                in_bps: WIRE_BPS,
+                out_bps: 0
+            }
+        );
+        assert_eq!(rates("sw", 1).out_bps, WIRE_BPS);
+    }
+
+    #[test]
+    fn true_rates_read_across_a_counter32_wrap() {
+        let unwrapped = truth_at(&mut loaded(SMALL), &[1_005, 2_005]);
+        let mut net = loaded(SMALL);
+        let s1 = net.model().topology.node_by_name("S1").unwrap();
+        let dev = net.device_of(s1).unwrap();
+        net.lan
+            .preload_octet_counters(dev, PortIx(0), u32::MAX - 999, 0)
+            .unwrap();
+        let truth = truth_at(&mut net, &[1_005, 2_005]);
+        let c = net.lan.nic_counters(dev, PortIx(0)).unwrap().in_octets;
+        assert!(c.total() > u32::MAX as u64, "the counter must have wrapped");
+        assert_eq!(truth.rates(s1, IfIx(0)), unwrapped.rates(s1, IfIx(0)));
+        assert_eq!(truth.rates(s1, IfIx(0)).unwrap().in_bps, WIRE_BPS);
+    }
+
+    #[test]
+    fn true_rates_answer_nothing_for_a_node_without_an_agent() {
+        let agentless = SMALL.replace(
+            r#"host S1 { address 10.0.0.11; snmp community "public";"#,
+            "host S1 { address 10.0.0.11;",
+        );
+        let mut net = loaded(&agentless);
+        let truth = truth_at(&mut net, &[1_005, 2_005]);
+        let topo = &net.model().topology;
+        let (l, s1) = (
+            topo.node_by_name("L").unwrap(),
+            topo.node_by_name("S1").unwrap(),
+        );
+        assert_eq!(truth.rates(s1, IfIx(0)), None);
+        assert_eq!(truth.rates(l, IfIx(0)).unwrap().out_bps, WIRE_BPS);
+    }
+
+    #[test]
+    fn true_rates_answer_nothing_before_two_records() {
+        let mut net = loaded(SMALL);
+        let l = net.model().topology.node_by_name("L").unwrap();
+        assert_eq!(truth_at(&mut net, &[]).rates(l, IfIx(0)), None);
+        assert_eq!(truth_at(&mut net, &[1_005]).rates(l, IfIx(0)), None);
     }
 }
