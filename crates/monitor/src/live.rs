@@ -91,25 +91,35 @@ impl LiveStatus {
         self.stale_after_ns.store(ns, Ordering::Relaxed);
     }
 
-    /// Publishes one tick's outcome.
-    pub fn record_tick(&self, unix_ns: u64, snapshot_json: String) {
+    /// Publishes one tick's outcome and hands back the document it
+    /// replaces, for the caller to render the next one into.
+    pub fn record_tick(&self, unix_ns: u64, snapshot_json: String) -> String {
         self.last_tick_unix_ns.store(unix_ns, Ordering::Relaxed);
         // Snapshot first, tick count second: an SSE poller that sees
         // tick N is guaranteed the snapshot is at least as new as N.
-        *self.snapshot_json.lock() = snapshot_json;
+        let retired = std::mem::replace(&mut *self.snapshot_json.lock(), snapshot_json);
         self.ticks.fetch_add(1, Ordering::Relaxed);
+        retired
     }
 
     /// Publishes the alert engine's state after one evaluation. The
     /// epoch (the `/alerts` SSE cursor) advances only when `transitions`
-    /// is non-zero, so followers see exactly the lifecycle edges.
-    pub fn record_alerts(&self, alerts_json: String, pending: u64, firing: u64, transitions: u64) {
-        *self.alerts_json.lock() = alerts_json;
+    /// is non-zero, so followers see exactly the lifecycle edges. Hands
+    /// back the document it replaces, as [`LiveStatus::record_tick`] does.
+    pub fn record_alerts(
+        &self,
+        alerts_json: String,
+        pending: u64,
+        firing: u64,
+        transitions: u64,
+    ) -> String {
+        let retired = std::mem::replace(&mut *self.alerts_json.lock(), alerts_json);
         self.alerts_pending.store(pending, Ordering::Relaxed);
         self.alerts_firing.store(firing, Ordering::Relaxed);
         if transitions > 0 {
             self.alerts_epoch.fetch_add(1, Ordering::Relaxed);
         }
+        retired
     }
 
     /// Currently `(pending, firing)` alert counts.

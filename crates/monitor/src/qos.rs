@@ -214,11 +214,14 @@ impl QosMonitor {
 
     /// Names of paths currently in violation.
     pub fn violated_paths(&self) -> Vec<&str> {
-        self.tracked
-            .iter()
+        self.violated().collect()
+    }
+
+    /// [`QosMonitor::violated_paths`] without collecting them.
+    pub fn violated(&self) -> impl Iterator<Item = &str> {
+        (self.tracked.iter())
             .filter(|t| t.in_violation)
             .map(|t| t.spec.name.as_str())
-            .collect()
     }
 }
 

@@ -40,15 +40,15 @@ use netqos_sim::time::{SimDuration, SimTime};
 use netqos_sim::Ipv4Addr;
 use netqos_telemetry::{
     builtin_alert_rules, fields, push_json_str, report_flush, to_otlp, transitions_to_json,
-    AlertContext, AlertEngine, AlertRule, CycleTrace, EventSink, FlightRecorder, FlushReport,
-    Level, LtsConfig, LtsCounters, LtsReader, LtsSource, LtsStore, OtlpPusher, PointValue,
-    ProfileHub, PushConfig, PushCounters, QuantileBaseline, QueryEngine, RecordRule,
+    AlertContext, AlertEngine, AlertRule, AlertScope, CycleTrace, EventSink, FlightRecorder,
+    FlushReport, Level, LtsConfig, LtsCounters, LtsReader, LtsSource, LtsStore, OtlpPusher,
+    PointValue, ProfileHub, PushConfig, PushCounters, QuantileBaseline, QueryEngine, RecordRule,
     RecordingCounters, Registry, RegistrySampler, RetentionPolicy, SnapshotPaths, Tracer,
     DEFAULT_FLIGHT_CAPACITY, DEFAULT_PROFILE_WINDOW, DEFAULT_WINDOW,
 };
 use netqos_topology::NodeId;
 use std::collections::HashMap;
-use std::fmt::Write as _;
+use std::fmt::{self, Write as _};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
@@ -236,11 +236,15 @@ pub struct MonitoringService {
     /// Why restoring `baseline_state` failed, if it did (the service
     /// starts cold rather than refusing to run).
     baseline_load_warning: Option<String>,
-    /// This tick's row per evaluated qospath, in specification order.
+    /// This tick's row per evaluated qospath, in specification order,
+    /// each rewritten in place from tick to tick.
     rows: Vec<PathRow>,
 
     // detect
     traps: Vec<Vec<u8>>,
+    /// What the alert rules see: the registry's scope, then one scope per
+    /// row, refreshed in place each tick.
+    alert_context: AlertContext,
     /// Per-tick alert rule evaluation (pending/firing/resolved).
     alerts: AlertEngine,
     /// Webhook delivery of alert transition batches.
@@ -253,6 +257,9 @@ pub struct MonitoringService {
     /// feeds the store from the registry each tick.
     lts: Option<(LtsStore, Arc<LtsSource>)>,
     lts_sampler: RegistrySampler,
+    /// Each qospath's long-term series names, in [`PathRow::gauges`]
+    /// order, built the first time the path has a row.
+    path_series: HashMap<String, [String; 2]>,
     /// Why opening `lts_dir` failed, if it did (the service runs without
     /// durable stats rather than refusing to start).
     lts_open_warning: Option<String>,
@@ -271,15 +278,31 @@ pub struct MonitoringService {
     pusher: Option<Arc<OtlpPusher>>,
     /// Status shared with HTTP endpoint threads.
     live: Arc<LiveStatus>,
+    /// The `/snapshot` and `/alerts` documents [`LiveStatus`] retired on
+    /// the last publication: the next ones are rendered into them.
+    spare_snapshot: String,
+    spare_alerts: String,
 }
 
 /// What a tick's stages leave behind for [`MonitoringService::publish_trace`].
 struct Cycle {
+    /// Whether the tracer is on, so the cycle will be published.
+    traced: bool,
     trace_id: u64,
     start_ns: u64,
     /// One line per thing that happened (`qos_violation feed1`): the
     /// flight cycle's event list.
     happened: Vec<String>,
+}
+
+impl Cycle {
+    /// Notes one thing that happened; formatted only if the cycle will
+    /// be published.
+    fn note(&mut self, what: fmt::Arguments) {
+        if self.traced {
+            self.happened.push(what.to_string());
+        }
+    }
 }
 
 /// A count as a gauge value (gauges are signed; counts saturate).
@@ -421,10 +444,12 @@ impl MonitoringService {
             path_baselines,
             baseline_load_warning,
             traps: Vec::new(),
+            alert_context: AlertContext::default(),
             alerts,
             webhook: None,
             lts,
             lts_sampler: RegistrySampler::new(),
+            path_series: HashMap::new(),
             lts_open_warning,
             record_counters,
             flight,
@@ -432,12 +457,14 @@ impl MonitoringService {
             snapshots: Vec::new(),
             pusher: None,
             live: LiveStatus::new(),
+            spare_snapshot: String::new(),
+            spare_alerts: String::new(),
         })
     }
 
     /// Reports a failed side task on the event trail; the tick carries on.
     fn warn_failed(&self, target: &str, kind: &str, error: &dyn std::fmt::Display) {
-        let fields = fields!["error" => error.to_string()];
+        let fields = || fields!["error" => error.to_string()];
         self.events.emit(Level::Warn, target, kind, fields);
     }
 
@@ -631,7 +658,7 @@ impl MonitoringService {
                 Level::Warn,
                 "monitor.record",
                 "record_rule_failed",
-                fields!["rule" => rule.as_str(), "error" => error.as_str()],
+                || fields!["rule" => rule.as_str(), "error" => error.as_str()],
             );
         }
         self.flush_lts();
@@ -654,9 +681,9 @@ impl MonitoringService {
         Ok(true)
     }
 
-    /// Renders the `/snapshot` JSON digest for the current tick.
-    fn status_json(&self, t_s: f64, rows: &[PathRow]) -> String {
-        let mut out = String::from("{");
+    /// Appends the `/snapshot` JSON digest for the current tick to `out`.
+    fn write_status_json(&self, out: &mut String, t_s: f64, rows: &[PathRow]) {
+        out.push('{');
         let _ = write!(
             out,
             "\"t_s\":{t_s:.3},\"ticks\":{}",
@@ -667,14 +694,14 @@ impl MonitoringService {
             if i > 0 {
                 out.push(',');
             }
-            row.write_json(&mut out);
+            row.write_json(out);
         }
         out.push_str("],\"violated\":[");
-        for (i, name) in self.qos.violated_paths().iter().enumerate() {
+        for (i, name) in self.qos.violated().enumerate() {
             if i > 0 {
                 out.push(',');
             }
-            push_json_str(&mut out, name);
+            push_json_str(out, name);
         }
         let _ = write!(
             out,
@@ -689,7 +716,6 @@ impl MonitoringService {
             self.alerts.pending_count(),
             self.alerts.firing_count(),
         );
-        out
     }
 
     /// One poll period, as the list of its stages ([`TICK_STAGES`]):
@@ -702,6 +728,7 @@ impl MonitoringService {
     pub fn tick(&mut self) -> Result<Vec<QosEvent>, MonitorError> {
         let wall_timer = self.telemetry.tick_ns.start_timer();
         let mut cycle = Cycle {
+            traced: self.tracer.is_enabled(),
             trace_id: self.tracer.begin_cycle(),
             start_ns: self.tracer.now_ns(),
             happened: Vec::new(),
@@ -714,26 +741,25 @@ impl MonitoringService {
         self.detect(t_s, &events, &mut cycle)?;
         self.record(t_s);
         drop(cycle_span);
-        if self.tracer.is_enabled() {
+        if cycle.traced {
             self.publish_trace(cycle, &events);
         }
         let wall = wall_timer.stop();
-        let status = self.status_json(t_s, &self.rows);
-        self.live.record_tick(
+        let mut status = std::mem::take(&mut self.spare_snapshot);
+        status.clear();
+        self.write_status_json(&mut status, t_s, &self.rows);
+        self.spare_snapshot = self.live.record_tick(
             self.epoch_unix_ns.saturating_add(self.tracer.now_ns()),
             status,
         );
-        self.events.emit(
-            Level::Debug,
-            "monitor.tick",
-            "tick",
+        self.events.emit(Level::Debug, "monitor.tick", "tick", || {
             fields![
                 "t_s" => t_s,
                 "polled" => polled,
                 "events" => events.len(),
                 "wall_us" => (wall.as_nanos() / 1_000) as u64,
-            ],
-        );
+            ]
+        });
         Ok(events)
     }
 
@@ -755,12 +781,12 @@ impl MonitoringService {
     /// Stage 3: the one evaluation of every qospath this tick, written
     /// down as one [`PathRow`] each — a path that could not be evaluated
     /// now has no row rather than a stale figure. Every later stage
-    /// reads the rows.
+    /// reads the rows, which are rewritten in place.
     fn evaluate(&mut self, cycle: &mut Cycle) -> Vec<QosEvent> {
         let mut span = self.tracer.span("monitor.qos", "evaluate");
         let events = self.qos.evaluate(&self.monitor);
         span.set_attr("events", events.len());
-        self.rows.clear();
+        let mut count = 0;
         for (spec, bw, violated) in self.qos.evaluated() {
             let name = &spec.name;
             if !self.path_baselines.contains_key(name) {
@@ -780,37 +806,40 @@ impl MonitoringService {
                 // Pre-violation warning: usage is extreme for *this*
                 // connection even if no QoS rule has tripped yet.
                 self.telemetry.anomaly_warnings.inc();
-                self.events.emit(
-                    Level::Warn,
-                    "monitor.baseline",
-                    "anomalous",
-                    fields![
-                        "path" => name.as_str(),
-                        "used_bps" => bw.used_bps,
-                        "rank" => rank,
-                        "baseline_p99" => p99,
-                    ],
-                );
-                cycle.happened.push(format!("baseline_anomaly {name}"));
+                self.events
+                    .emit(Level::Warn, "monitor.baseline", "anomalous", || {
+                        fields![
+                            "path" => name.as_str(),
+                            "used_bps" => bw.used_bps,
+                            "rank" => rank,
+                            "baseline_p99" => p99,
+                        ]
+                    });
+                cycle.note(format_args!("baseline_anomaly {name}"));
             }
+            if count == self.rows.len() {
+                self.rows.push(PathRow::default());
+            }
+            let row = &mut self.rows[count];
+            count += 1;
+            row.name.clone_from(name);
+            row.used_bps = bw.used_bps;
+            row.available_bps = bw.available_bps;
+            row.rank = rank;
+            row.baseline_count = history + 1;
+            row.baseline_p50 = p50;
+            row.baseline_p99 = p99;
             let worst = bw.connections.iter().map(|c| c.utilization());
+            row.utilization = worst.fold(0.0, f64::max);
+            row.violated = violated;
+            let topology = self.monitor.topology();
+            topology.describe_connection_into(bw.bottleneck, &mut row.bottleneck);
             let at_bottleneck = bw.connections.iter().find(|c| c.conn == bw.bottleneck);
-            self.rows.push(PathRow {
-                name: name.clone(),
-                used_bps: bw.used_bps,
-                available_bps: bw.available_bps,
-                rank,
-                baseline_count: history + 1,
-                baseline_p50: p50,
-                baseline_p99: p99,
-                utilization: worst.fold(0.0, f64::max),
-                violated,
-                bottleneck: self.monitor.topology().describe_connection(bw.bottleneck),
-                bottleneck_bandwidth: at_bottleneck.cloned(),
-                min_available_bps: spec.min_available_bps,
-                max_utilization: spec.max_utilization,
-            });
+            row.bottleneck_bandwidth = at_bottleneck.cloned();
+            row.min_available_bps = spec.min_available_bps;
+            row.max_utilization = spec.max_utilization;
         }
+        self.rows.truncate(count);
         events
     }
 
@@ -833,36 +862,35 @@ impl MonitoringService {
             .trap_outbox_depth
             .set(self.traps.len() as i64);
         let tick_no = self.telemetry.ticks.get();
-        let mut ctx = AlertContext::new(tick_no);
-        ctx.add_registry(self.telemetry.registry());
+        let ctx = &mut self.alert_context;
+        ctx.tick = tick_no;
         ctx.scopes
-            .extend(self.rows.iter().map(PathRow::alert_scope));
-        let transitions = self.alerts.evaluate(&ctx);
+            .resize_with(1 + self.rows.len(), AlertScope::default);
+        ctx.scopes[0].set_from_registry(self.telemetry.registry());
+        for (row, scope) in self.rows.iter().zip(&mut ctx.scopes[1..]) {
+            row.fill_alert_scope(scope);
+        }
+        let transitions = self.alerts.evaluate(ctx);
         for tr in &transitions {
             match tr.to {
                 "pending" => self.telemetry.alerts_pending_total.inc(),
                 "firing" => self.telemetry.alerts_firing_total.inc(),
                 _ => self.telemetry.alerts_resolved_total.inc(),
             }
-            cycle
-                .happened
-                .push(format!("alert_{} {}", tr.to, tr.fingerprint));
+            cycle.note(format_args!("alert_{} {}", tr.to, tr.fingerprint));
             let level = if tr.to == "firing" {
                 Level::Warn
             } else {
                 Level::Info
             };
-            self.events.emit(
-                level,
-                "monitor.alerts",
-                tr.to,
+            self.events.emit(level, "monitor.alerts", tr.to, || {
                 fields![
                     "rule" => tr.rule.as_str(),
                     "fingerprint" => tr.fingerprint.as_str(),
                     "from" => tr.from,
                     "value" => tr.value,
-                ],
-            );
+                ]
+            });
         }
         let pending = self.alerts.pending_count();
         let firing = self.alerts.firing_count();
@@ -872,12 +900,12 @@ impl MonitoringService {
                 hook.enqueue(transitions_to_json("netqos", tick_no, &transitions));
             }
         }
-        self.live.record_alerts(
-            self.alerts.render_json(),
-            pending,
-            firing,
-            transitions.len() as u64,
-        );
+        let mut doc = std::mem::take(&mut self.spare_alerts);
+        doc.clear();
+        self.alerts.render_json_into(&mut doc);
+        self.spare_alerts = self
+            .live
+            .record_alerts(doc, pending, firing, transitions.len() as u64);
         Ok(())
     }
 
@@ -905,12 +933,12 @@ impl MonitoringService {
                 QosEvent::Violated { path_name, .. } => (Level::Warn, "violation", path_name),
                 QosEvent::Cleared { path_name } => (Level::Info, "cleared", path_name),
             };
-            cycle.happened.push(format!("qos_{kind} {path_name}"));
+            cycle.note(format_args!("qos_{kind} {path_name}"));
             self.events.emit(
                 level,
                 "monitor.qos",
                 kind,
-                fields!["path" => path_name.as_str(), "t_s" => t_s],
+                || fields!["path" => path_name.as_str(), "t_s" => t_s],
             );
             let bytes = qos::encode_trap(event, &self.config.trap_community, agent_addr, uptime)?;
             if let Some(dst) = self.config.trap_destination {
@@ -947,9 +975,15 @@ impl MonitoringService {
         if let Some((store, _)) = self.lts.as_mut() {
             let t_unix = self.epoch_unix_ns / 1_000_000_000 + t_s as u64;
             for row in &self.rows {
-                for (signal, value) in row.gauges() {
-                    let series = format!("netqos_path_{signal}{{path=\"{}\"}}", row.name);
-                    store.append(&series, t_unix, PointValue::Gauge(value));
+                if !self.path_series.contains_key(&row.name) {
+                    let series = (row.gauges()).map(|(signal, _)| {
+                        format!("netqos_path_{signal}{{path=\"{}\"}}", row.name)
+                    });
+                    self.path_series.insert(row.name.clone(), series);
+                }
+                let series = &self.path_series[&row.name];
+                for ((_, value), name) in row.gauges().into_iter().zip(series) {
+                    store.append(name, t_unix, PointValue::Gauge(value));
                 }
             }
             self.lts_sampler
@@ -1425,7 +1459,8 @@ mod tests {
             "resolved history records the episode"
         );
         // The snapshot digest carries the summary too.
-        let status = svc.status_json(0.0, &[]);
+        let mut status = String::new();
+        svc.write_status_json(&mut status, 0.0, &[]);
         let s_doc = netqos_telemetry::parse_json(&status).unwrap();
         assert_eq!(
             s_doc

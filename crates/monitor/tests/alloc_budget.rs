@@ -5,9 +5,11 @@
 //! codec and agent alone, through the public owned-value path, allocate
 //! what its signatures force (the request buffer, the response buffer,
 //! the vector of bindings, the `ifDescr` strings, the snapshot's vectors)
-//! and nothing per name, per value or per TLV.
+//! and nothing per name, per value or per TLV. A steady service tick
+//! allocates what its polls carry and nothing after them.
 
 use netqos_monitor::poll::{parse_snapshot, poll_oids};
+use netqos_monitor::service::{MonitoringService, ServiceConfig, SURVEY_TICKS};
 use netqos_monitor::simnet::{SimNetwork, SimNetworkOptions};
 use netqos_monitor::NetworkMonitor;
 use netqos_sim::time::SimDuration;
@@ -259,4 +261,95 @@ fn ingesting_a_devices_first_snapshot_allocates_nothing() {
         });
         assert_eq!(ingested, 0, "first snapshot of {node:?}");
     }
+}
+
+const TWO_SWITCH: &str = include_str!("../../../specs/two-switch.spec");
+
+/// The two-switch testbed's service, monitored from `console`, tracing
+/// off, after a warm-up long enough for every device to have been polled
+/// twice: every poll of a counted tick is a repeat poll.
+fn steady_two_switch_service(config: ServiceConfig) -> MonitoringService {
+    let options = SimNetworkOptions {
+        monitor_host: "console".into(),
+        ..SimNetworkOptions::default()
+    };
+    let mut svc = MonitoringService::from_spec(TWO_SWITCH, options, config).unwrap();
+    svc.run_ticks(2 * SURVEY_TICKS + 2).unwrap();
+    svc
+}
+
+/// One tick's allocations and the polls it made.
+fn counted_tick(svc: &mut MonitoringService) -> (u64, u64) {
+    let polls = svc.telemetry().polls.clone();
+    let before = polls.get();
+    let allocated = allocations_in(|| {
+        assert!(
+            svc.tick().unwrap().is_empty(),
+            "a steady tick has no QoS events"
+        );
+    });
+    (allocated, polls.get() - before)
+}
+
+/// After the poll, a steady tick allocates nothing: the rows, the alert
+/// context and the `/snapshot` and `/alerts` documents are rewritten in
+/// place, the alert engine keys its state in buffers it keeps, and the
+/// tick event the default sink filters is never built. (It was 3 per
+/// poll plus ≈ 700 on `lan-wide`'s eight paths, ≈ 14 a row in evaluate
+/// and ≈ 75 a scope in detect.)
+#[test]
+fn a_steady_service_tick_allocates_only_what_its_polls_carry() {
+    let mut svc = steady_two_switch_service(ServiceConfig::default());
+    for _ in 0..12 {
+        let (allocated, polls) = counted_tick(&mut svc);
+        assert_eq!(polls, 7, "every device, every tick");
+        assert_eq!(allocated, SIM_POLL_BUDGET * polls);
+    }
+    // The tick did its observing: a row per qospath with its bottleneck,
+    // published, and an alert document.
+    let rows = svc.rows();
+    assert_eq!(rows.len(), 3);
+    assert!(rows.iter().all(|r| r.bottleneck.contains(" <-> ")));
+    let snapshot = svc.live().snapshot_json();
+    assert!(snapshot.contains("\"name\":\"archiving\""), "{snapshot}");
+    assert!(svc.live().alerts_json().starts_with("{\"tick\":"));
+}
+
+/// Histograms in `registry` and their counts.
+fn histogram_counts(registry: &netqos_telemetry::Registry) -> Vec<(String, u64)> {
+    (registry.histogram_entries().into_iter())
+        .map(|(name, h)| (name, h.count()))
+        .collect()
+}
+
+/// With a long-term store, a steady tick that does not flush adds to its
+/// polls one block per histogram that moved — the delta point the store
+/// keeps — and nothing for the rows' series, whose names are built once,
+/// nor for the counters' and gauges' samples.
+#[test]
+fn with_a_store_a_steady_tick_adds_only_its_histogram_points() {
+    const SAVE_EVERY: u64 = 8;
+    let dir = std::env::temp_dir().join(format!("netqos-alloc-lts-{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    let config = ServiceConfig {
+        lts_dir: Some(dir.clone()),
+        baseline_save_ticks: SAVE_EVERY,
+        ..ServiceConfig::default()
+    };
+    let mut svc = steady_two_switch_service(config);
+    assert!(svc.lts_enabled(), "{:?}", svc.lts_open_warning());
+    let mut counted = 0;
+    while counted < 12 {
+        let before = histogram_counts(svc.registry());
+        let (allocated, polls) = counted_tick(&mut svc);
+        if svc.telemetry().ticks.get().is_multiple_of(SAVE_EVERY) {
+            continue; // a flush writes files
+        }
+        let after = histogram_counts(svc.registry());
+        let moved = before.iter().zip(&after).filter(|(b, a)| b != a).count() as u64;
+        assert_eq!(moved, 2, "poll round trips and tick durations: {after:?}");
+        assert_eq!(allocated, SIM_POLL_BUDGET * polls + moved);
+        counted += 1;
+    }
+    std::fs::remove_dir_all(&dir).ok();
 }

@@ -23,7 +23,7 @@
 //! [`crate::push::OtlpPusher`], the bounded-queue push worker).
 
 use crate::events::push_json_str;
-use crate::{escape_label_value, Registry};
+use crate::{push_label_value, Registry};
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::fmt;
 use std::fmt::Write as _;
@@ -290,7 +290,14 @@ fn parse_rule_line(line: &str) -> Result<AlertRule, String> {
 
 /// One labelled evaluation scope: signals a rule can test and
 /// annotations (diagnosis) attached to any alert that fires in it.
-#[derive(Debug, Clone, Default)]
+///
+/// A scope can be kept from one tick to the next and refreshed in place:
+/// [`AlertScope::set`] and [`AlertScope::annotate`] overwrite a key that
+/// is already there without allocating, and
+/// [`AlertScope::set_from_registry`] rewrites the global scope. A refresh
+/// must leave the scope equal to the one a fresh build would make, so
+/// whoever refreshes also removes what a fresh build would not hold.
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct AlertScope {
     /// Identity labels (part of the alert fingerprint). Empty for the
     /// global scope.
@@ -314,19 +321,55 @@ impl AlertScope {
         scope
     }
 
-    /// Sets a signal value.
+    /// Sets a signal value, in place when the signal is already there.
     pub fn set(&mut self, signal: &str, value: f64) {
-        self.signals.insert(signal.to_string(), value);
+        match self.signals.get_mut(signal) {
+            Some(slot) => *slot = value,
+            None => {
+                self.signals.insert(signal.to_string(), value);
+            }
+        }
     }
 
-    /// Attaches a diagnosis annotation.
-    pub fn annotate(&mut self, key: &str, value: impl Into<String>) {
-        self.annotations.insert(key.to_string(), value.into());
+    /// Attaches a diagnosis annotation: `value` as it displays, written
+    /// over the previous value of `key` in place.
+    pub fn annotate(&mut self, key: &str, value: impl fmt::Display) {
+        let slot = match self.annotations.get_mut(key) {
+            Some(slot) => {
+                slot.clear();
+                slot
+            }
+            None => self.annotations.entry(key.to_string()).or_default(),
+        };
+        let _ = write!(slot, "{value}");
+    }
+
+    /// Makes this the global scope of `registry`: unlabelled, with every
+    /// counter and gauge as a signal under its metric name (a gauge wins
+    /// over a counter of the same name). Signals already present are
+    /// overwritten in place, so refreshing a scope from the same
+    /// registry tick after tick allocates only for metrics registered
+    /// since.
+    pub fn set_from_registry(&mut self, registry: &Registry) {
+        self.labels.clear();
+        self.annotations.clear();
+        // Every counter and gauge reads as an integer, never NaN: a
+        // signal still NaN after the visit is one the registry lacks.
+        self.signals.values_mut().for_each(|v| *v = f64::NAN);
+        registry.visit_counters(|name, c| self.set(name, c.get() as f64));
+        registry.visit_gauges(|name, g| self.set(name, g.get() as f64));
+        self.signals.retain(|_, v| !v.is_nan());
     }
 }
 
 /// Everything one evaluation sees: the tick number and the scopes.
-#[derive(Debug, Clone, Default)]
+///
+/// A caller evaluating every tick can keep one context: set `tick`,
+/// resize `scopes` to this tick's count and refresh each scope in place
+/// (see [`AlertScope`]). [`AlertEngine::evaluate`] reads only what the
+/// context holds, so a context refreshed in place and one built fresh
+/// that compare equal give the same transitions.
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct AlertContext {
     /// Monotonic tick counter (timestamps on transitions).
     pub tick: u64,
@@ -348,13 +391,7 @@ impl AlertContext {
     /// and gauge becomes a signal under its metric name.
     pub fn add_registry(&mut self, registry: &Registry) {
         let mut scope = AlertScope::global();
-        // The entries' names are already owned copies: move them in.
-        for (name, c) in registry.counter_entries() {
-            scope.signals.insert(name, c.get() as f64);
-        }
-        for (name, g) in registry.gauge_entries() {
-            scope.signals.insert(name, g.get() as f64);
-        }
+        scope.set_from_registry(registry);
         self.scopes.push(scope);
     }
 }
@@ -449,41 +486,84 @@ pub struct AlertTransition {
 /// the empty labelset. Labels render in sorted order, so the same
 /// labelset always produces the same fingerprint.
 pub fn fingerprint(rule: &str, labels: &BTreeMap<String, String>) -> String {
-    let mut out = String::from(rule);
+    let mut out = String::new();
+    push_fingerprint(&mut out, rule, labels);
+    out
+}
+
+/// Appends [`fingerprint`]`(rule, labels)` to `out`.
+fn push_fingerprint(out: &mut String, rule: &str, labels: &BTreeMap<String, String>) {
+    out.push_str(rule);
     if labels.is_empty() {
-        return out;
+        return;
     }
     out.push('{');
     for (i, (k, v)) in labels.iter().enumerate() {
         if i > 0 {
             out.push(',');
         }
-        let _ = write!(out, "{k}=\"{}\"", escape_label_value(v));
+        out.push_str(k);
+        out.push_str("=\"");
+        push_label_value(out, v);
+        out.push('"');
     }
     out.push('}');
-    out
 }
 
-/// Key for the previous-value store backing `delta` rules: one slot per
-/// `(labelset, signal)`.
-fn delta_key(labels: &BTreeMap<String, String>, signal: &str) -> String {
-    let mut key = fingerprint("", labels);
+/// Writes into `key` the key of the previous-value store backing `delta`
+/// rules: one slot per `(labelset, signal)`.
+fn set_delta_key(key: &mut String, labels: &BTreeMap<String, String>, signal: &str) {
+    key.clear();
+    push_fingerprint(key, "", labels);
     key.push('\u{1}');
     key.push_str(signal);
-    key
+}
+
+/// Makes `dst` equal to `src`, overwriting the values in place when both
+/// hold the same keys.
+fn copy_map(dst: &mut BTreeMap<String, String>, src: &BTreeMap<String, String>) {
+    if dst.len() == src.len() && dst.keys().eq(src.keys()) {
+        for (d, s) in dst.values_mut().zip(src.values()) {
+            d.clone_from(s);
+        }
+    } else {
+        *dst = src.clone();
+    }
 }
 
 /// Resolved episodes kept for `/alerts` history.
 const RESOLVED_HISTORY: usize = 32;
 
+/// A condition that holds this tick: its fingerprint, the first
+/// `(rule, scope)` that raised it and the value it held at.
+#[derive(Default)]
+struct Held {
+    fingerprint: String,
+    rule: usize,
+    scope: usize,
+    value: f64,
+}
+
 /// The rule-evaluation engine: feed it one [`AlertContext`] per tick.
+///
+/// An evaluation in which no alert changes state allocates nothing once
+/// the engine has seen the context's shape: fingerprints and delta keys
+/// are written into buffers the engine keeps.
 pub struct AlertEngine {
     rules: Vec<AlertRule>,
+    /// The signals some `delta` rule reads, sorted and deduplicated: the
+    /// only ones whose last level is kept.
+    delta_signals: Vec<String>,
     active: BTreeMap<String, ActiveAlert>,
     resolved: VecDeque<ResolvedAlert>,
     last_values: BTreeMap<String, f64>,
     transitions_total: u64,
     tick: u64,
+    /// The delta key being looked up or stored.
+    key: String,
+    /// This tick's holding conditions; slots past the tick's count are
+    /// spare, their fingerprint buffers kept for the next tick.
+    held: Vec<Held>,
 }
 
 impl AlertEngine {
@@ -500,13 +580,22 @@ impl AlertEngine {
             }
         }
         dedup.sort_by(|a, b| a.name.cmp(&b.name));
+        let mut delta_signals: Vec<String> = (dedup.iter())
+            .filter(|r| r.delta)
+            .map(|r| r.signal.clone())
+            .collect();
+        delta_signals.sort();
+        delta_signals.dedup();
         AlertEngine {
             rules: dedup,
+            delta_signals,
             active: BTreeMap::new(),
             resolved: VecDeque::new(),
             last_values: BTreeMap::new(),
             transitions_total: 0,
             tick: 0,
+            key: String::new(),
+            held: Vec::new(),
         }
     }
 
@@ -553,19 +642,15 @@ impl AlertEngine {
     pub fn evaluate(&mut self, ctx: &AlertContext) -> Vec<AlertTransition> {
         self.tick = ctx.tick;
         // Pass 1: which fingerprints hold this tick, and at what value.
-        // Rules are name-sorted and a fingerprint embeds its rule name,
-        // so this map is independent of caller-supplied rule order.
-        let mut true_now: BTreeMap<String, (usize, usize, f64)> = BTreeMap::new();
+        let mut count = 0;
         for (ri, rule) in self.rules.iter().enumerate() {
             for (si, scope) in ctx.scopes.iter().enumerate() {
                 let Some(&current) = scope.signals.get(&rule.signal) else {
                     continue;
                 };
                 let value = if rule.delta {
-                    match self
-                        .last_values
-                        .get(&delta_key(&scope.labels, &rule.signal))
-                    {
+                    set_delta_key(&mut self.key, &scope.labels, &rule.signal);
+                    match self.last_values.get(&self.key) {
                         Some(prev) => current - prev,
                         // No previous observation: a delta is undefined,
                         // so the condition cannot hold yet.
@@ -575,22 +660,46 @@ impl AlertEngine {
                     current
                 };
                 if rule.op.holds(value, rule.threshold) {
-                    true_now
-                        .entry(fingerprint(&rule.name, &scope.labels))
-                        .or_insert((ri, si, value));
+                    if count == self.held.len() {
+                        self.held.push(Held::default());
+                    }
+                    let held = &mut self.held[count];
+                    held.fingerprint.clear();
+                    push_fingerprint(&mut held.fingerprint, &rule.name, &scope.labels);
+                    (held.rule, held.scope, held.value) = (ri, si, value);
+                    count += 1;
                 }
             }
         }
+        // In fingerprint order, one entry per fingerprint: the first
+        // `(rule, scope)` that raised it. Rules are name-sorted and a
+        // fingerprint embeds its rule name, so this list is independent
+        // of caller-supplied rule order.
+        let held = &mut self.held[..count];
+        held.sort_unstable_by(|a, b| {
+            (a.fingerprint.cmp(&b.fingerprint))
+                .then(a.rule.cmp(&b.rule))
+                .then(a.scope.cmp(&b.scope))
+        });
+        let mut unique = 0;
+        for i in 0..held.len() {
+            if unique == 0 || held[i].fingerprint != held[unique - 1].fingerprint {
+                // Swapped, not overwritten: the duplicate's buffer stays
+                // behind as a spare.
+                held.swap(unique, i);
+                unique += 1;
+            }
+        }
+        let held = &self.held[..unique];
 
         // Pass 2: advance state machines for true conditions.
         let mut transitions = Vec::new();
-        for (fp, &(ri, si, value)) in &true_now {
-            let rule = &self.rules[ri];
-            let scope = &ctx.scopes[si];
-            let alert = self
-                .active
-                .entry(fp.clone())
-                .or_insert_with(|| ActiveAlert {
+        for h in held {
+            let rule = &self.rules[h.rule];
+            let scope = &ctx.scopes[h.scope];
+            let fp = h.fingerprint.as_str();
+            if !self.active.contains_key(fp) {
+                let fresh = ActiveAlert {
                     rule: rule.name.clone(),
                     severity: rule.severity,
                     for_ticks: rule.for_ticks.max(1),
@@ -599,13 +708,16 @@ impl AlertEngine {
                     started_tick: ctx.tick,
                     since_tick: ctx.tick,
                     consecutive: 0,
-                    value,
-                    annotations: scope.annotations.clone(),
-                });
+                    value: h.value,
+                    annotations: BTreeMap::new(),
+                };
+                self.active.insert(fp.to_string(), fresh);
+            }
+            let alert = self.active.get_mut(fp).expect("just inserted");
             let fresh = alert.consecutive == 0;
             alert.consecutive += 1;
-            alert.value = value;
-            alert.annotations = scope.annotations.clone();
+            alert.value = h.value;
+            copy_map(&mut alert.annotations, &scope.annotations);
             if alert.state == AlertState::Pending && alert.consecutive >= alert.for_ticks {
                 let from = if fresh { "inactive" } else { "pending" };
                 alert.state = AlertState::Firing;
@@ -619,10 +731,12 @@ impl AlertEngine {
         // Pass 3: conditions that stopped holding. Firing alerts resolve
         // (and join the history); pending ones return to inactive
         // silently, Prometheus-style.
-        let stale: Vec<String> = self
-            .active
-            .keys()
-            .filter(|fp| !true_now.contains_key(*fp))
+        let holds = |fp: &str| {
+            held.binary_search_by(|h| h.fingerprint.as_str().cmp(fp))
+                .is_ok()
+        };
+        let stale: Vec<String> = (self.active.keys())
+            .filter(|fp| !holds(fp))
             .cloned()
             .collect();
         for fp in stale {
@@ -646,11 +760,20 @@ impl AlertEngine {
             }
         }
 
-        // Pass 4: remember every signal level for next tick's deltas.
+        // Pass 4: remember the level of every signal a delta rule reads,
+        // for next tick's deltas.
         for scope in &ctx.scopes {
-            for (signal, &value) in &scope.signals {
-                self.last_values
-                    .insert(delta_key(&scope.labels, signal), value);
+            for signal in &self.delta_signals {
+                let Some(&value) = scope.signals.get(signal) else {
+                    continue;
+                };
+                set_delta_key(&mut self.key, &scope.labels, signal);
+                match self.last_values.get_mut(&self.key) {
+                    Some(last) => *last = value,
+                    None => {
+                        self.last_values.insert(self.key.clone(), value);
+                    }
+                }
             }
         }
 
@@ -661,7 +784,14 @@ impl AlertEngine {
     /// The `/alerts` JSON document: summary counts, every active alert
     /// with its diagnosis annotations, and the resolved history.
     pub fn render_json(&self) -> String {
-        let mut out = String::from("{");
+        let mut out = String::new();
+        self.render_json_into(&mut out);
+        out
+    }
+
+    /// Appends [`AlertEngine::render_json`]'s document to `out`.
+    pub fn render_json_into(&self, out: &mut String) {
+        out.push('{');
         let _ = write!(
             out,
             "\"tick\":{},\"rules\":{},\"pending\":{},\"firing\":{},\"transitions_total\":{}",
@@ -677,9 +807,9 @@ impl AlertEngine {
                 out.push(',');
             }
             out.push_str("{\"rule\":");
-            push_json_str(&mut out, &a.rule);
+            push_json_str(out, &a.rule);
             out.push_str(",\"fingerprint\":");
-            push_json_str(&mut out, fp);
+            push_json_str(out, fp);
             let _ = write!(
                 out,
                 ",\"state\":\"{}\",\"severity\":\"{}\",\"started_tick\":{},\
@@ -691,11 +821,11 @@ impl AlertEngine {
                 a.for_ticks,
                 a.consecutive,
             );
-            push_json_f64(&mut out, a.value);
+            push_json_f64(out, a.value);
             out.push_str(",\"labels\":");
-            push_json_map(&mut out, &a.labels);
+            push_json_map(out, &a.labels);
             out.push_str(",\"annotations\":");
-            push_json_map(&mut out, &a.annotations);
+            push_json_map(out, &a.annotations);
             out.push('}');
         }
         out.push_str("],\"resolved\":[");
@@ -704,21 +834,20 @@ impl AlertEngine {
                 out.push(',');
             }
             out.push_str("{\"rule\":");
-            push_json_str(&mut out, &r.rule);
+            push_json_str(out, &r.rule);
             out.push_str(",\"fingerprint\":");
-            push_json_str(&mut out, &r.fingerprint);
+            push_json_str(out, &r.fingerprint);
             let _ = write!(
                 out,
                 ",\"severity\":\"{}\",\"started_tick\":{},\"resolved_tick\":{},\"value\":",
                 r.severity, r.started_tick, r.resolved_tick,
             );
-            push_json_f64(&mut out, r.value);
+            push_json_f64(out, r.value);
             out.push_str(",\"labels\":");
-            push_json_map(&mut out, &r.labels);
+            push_json_map(out, &r.labels);
             out.push('}');
         }
         out.push_str("]}");
-        out
     }
 }
 

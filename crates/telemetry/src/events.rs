@@ -298,23 +298,31 @@ impl EventSink {
         level >= self.level_for(target)
     }
 
-    /// Emits one event; filtered events count as suppressed.
-    pub fn emit(&self, level: Level, target: &str, kind: &str, fields: Vec<(String, FieldValue)>) {
+    /// Emits one event; filtered events count as suppressed. `fields`
+    /// builds the payload and is called only when the event is written,
+    /// so an event the sink filters or discards allocates nothing.
+    pub fn emit(
+        &self,
+        level: Level,
+        target: &str,
+        kind: &str,
+        fields: impl FnOnce() -> Vec<(String, FieldValue)>,
+    ) {
         use std::sync::atomic::Ordering;
         if !self.enabled(target, level) {
             self.suppressed.fetch_add(1, Ordering::Relaxed);
             return;
         }
-        let ev = Event {
-            t_s: self.start.elapsed().as_secs_f64(),
-            level,
-            target: target.to_string(),
-            kind: kind.to_string(),
-            fields,
-        };
         self.emitted.fetch_add(1, Ordering::Relaxed);
         let mut out = self.out.lock();
         if let SinkOut::Writer(w) = &mut *out {
+            let ev = Event {
+                t_s: self.start.elapsed().as_secs_f64(),
+                level,
+                target: target.to_string(),
+                kind: kind.to_string(),
+                fields: fields(),
+            };
             let _ = writeln!(w, "{}", ev.to_json());
         }
     }
@@ -343,8 +351,9 @@ impl Drop for EventSink {
     }
 }
 
-/// Builds the `fields` vector for [`EventSink::emit`] from `key => value`
-/// pairs; values can be anything `Into<FieldValue>`.
+/// Builds a `fields` vector from `key => value` pairs; values can be
+/// anything `Into<FieldValue>`. [`EventSink::emit`] takes it behind a
+/// closure: `|| fields!["path" => name]`.
 #[macro_export]
 macro_rules! fields {
     ($($k:literal => $v:expr),* $(,)?) => {
@@ -384,7 +393,7 @@ mod tests {
             Level::Info,
             "snmp.client",
             "timeout",
-            fields!["agent" => "10.0.0.7", "attempt" => 2u64, "ok" => false],
+            || fields!["agent" => "10.0.0.7", "attempt" => 2u64, "ok" => false],
         );
         sink.flush();
         let s = String::from_utf8(buf.lock().unwrap().clone()).unwrap();
@@ -414,8 +423,8 @@ mod tests {
     fn suppressed_events_are_counted_not_written() {
         let (sink, buf) = capture_sink();
         sink.set_default_level(Level::Error);
-        sink.emit(Level::Info, "monitor", "tick", vec![]);
-        sink.emit(Level::Error, "monitor", "boom", vec![]);
+        sink.emit(Level::Info, "monitor", "tick", Vec::new);
+        sink.emit(Level::Error, "monitor", "boom", Vec::new);
         sink.flush();
         assert_eq!(sink.emitted(), 1);
         assert_eq!(sink.suppressed(), 1);

@@ -94,11 +94,17 @@ impl fmt::Display for JsonError {
 
 impl std::error::Error for JsonError {}
 
+/// Arrays and objects nested deeper than this are refused: each level is
+/// a frame of the recursive parser, and a document of a few hundred
+/// kilobytes of `[` would otherwise overflow the stack.
+pub const MAX_JSON_DEPTH: usize = 128;
+
 /// Parses one complete JSON document (rejecting trailing content).
 pub fn parse_json(src: &str) -> Result<JsonValue, JsonError> {
     let mut p = Parser {
         bytes: src.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     p.skip_ws();
     let v = p.value()?;
@@ -112,6 +118,8 @@ pub fn parse_json(src: &str) -> Result<JsonValue, JsonError> {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects open around `pos`.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -152,8 +160,19 @@ impl<'a> Parser<'a> {
 
     fn value(&mut self) -> Result<JsonValue, JsonError> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(open @ (b'{' | b'[')) => {
+                if self.depth == MAX_JSON_DEPTH {
+                    return Err(self.err("nested too deeply"));
+                }
+                self.depth += 1;
+                let v = if open == b'{' {
+                    self.object()
+                } else {
+                    self.array()
+                };
+                self.depth -= 1;
+                v
+            }
             Some(b'"') => Ok(JsonValue::String(self.string()?)),
             Some(b't') => self.literal("true", JsonValue::Bool(true)),
             Some(b'f') => self.literal("false", JsonValue::Bool(false)),
@@ -320,6 +339,18 @@ mod tests {
         assert!(parse_json("[1,]").is_err());
         assert!(parse_json("{} extra").is_err());
         assert!(parse_json("\"unterminated").is_err());
+    }
+
+    #[test]
+    fn nesting_is_capped_not_a_stack_overflow() {
+        let nested = |n: usize| format!("{}{}", "[".repeat(n), "]".repeat(n));
+        assert!(parse_json(&nested(MAX_JSON_DEPTH)).is_ok());
+        let err = parse_json(&nested(MAX_JSON_DEPTH + 1)).unwrap_err();
+        assert_eq!(
+            (err.offset, err.message.as_str()),
+            (MAX_JSON_DEPTH, "nested too deeply")
+        );
+        assert!(parse_json(&"[{\"a\":".repeat(100_000)).is_err());
     }
 
     #[test]

@@ -52,7 +52,7 @@ pub use flight::{
     DEFAULT_FLIGHT_CAPACITY,
 };
 pub use http::{http_get, EventSource, HttpRequest, HttpResponse, HttpRoute, HttpServer, Router};
-pub use json::{parse_json, JsonError, JsonValue};
+pub use json::{parse_json, JsonError, JsonValue, MAX_JSON_DEPTH};
 pub use lts::{
     compact_store, compact_store_to, decode_point_line, decode_segment_v2,
     decode_segment_v2_header, downsample, encode_point_line, encode_segment_v2, fold_series_range,
@@ -134,6 +134,31 @@ impl Registry {
             .entry(name.to_string())
             .or_default()
             .clone()
+    }
+
+    /// Calls `f` with the name and handle of every counter, in name
+    /// order, under the registry's read lock. Nothing is copied, so a
+    /// caller refreshing its own state from the registry allocates only
+    /// for names it has not seen. `f` must not register a metric: that
+    /// takes the write lock.
+    pub fn visit_counters(&self, mut f: impl FnMut(&str, &Counter)) {
+        for (name, c) in self.counters.read().iter() {
+            f(name, c);
+        }
+    }
+
+    /// [`Registry::visit_counters`] for gauges.
+    pub fn visit_gauges(&self, mut f: impl FnMut(&str, &Gauge)) {
+        for (name, g) in self.gauges.read().iter() {
+            f(name, g);
+        }
+    }
+
+    /// [`Registry::visit_counters`] for histograms.
+    pub fn visit_histograms(&self, mut f: impl FnMut(&str, &Histogram)) {
+        for (name, h) in self.histograms.read().iter() {
+            f(name, h);
+        }
     }
 
     /// Name/handle pairs of every counter, sorted by name. Handles are
@@ -255,6 +280,13 @@ pub(crate) fn render_histogram_into(
 /// Escapes a Prometheus label value (backslash, quote, newline).
 pub(crate) fn escape_label_value(v: &str) -> String {
     let mut out = String::with_capacity(v.len());
+    push_label_value(&mut out, v);
+    out
+}
+
+/// Appends `v` to `out` escaped as [`escape_label_value`] does, growing
+/// `out` and allocating nothing else.
+pub(crate) fn push_label_value(out: &mut String, v: &str) {
     for c in v.chars() {
         match c {
             '\\' => out.push_str("\\\\"),
@@ -263,7 +295,6 @@ pub(crate) fn escape_label_value(v: &str) -> String {
             _ => out.push(c),
         }
     }
-    out
 }
 
 /// Splits a registry key that embeds a label set — e.g.

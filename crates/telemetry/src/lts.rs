@@ -60,7 +60,7 @@ pub use line::{decode_point_line, encode_point_line};
 
 use crate::events::{EventSink, FieldValue, Level};
 use crate::json::parse_json;
-use crate::metrics::{bucket_high, bucket_low};
+use crate::metrics::{bucket_high, bucket_low, BUCKETS};
 use crate::{Counter, Gauge, Histogram, HistogramState, Registry};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -989,10 +989,17 @@ pub fn downsample(kind: SeriesKind, window: &[Point]) -> Option<PointValue> {
 /// current value is the delta), gauges as-is, histograms as delta
 /// states with min/max re-derived from the delta's occupied bucket
 /// bounds.
+///
+/// Once every metric has been seen, a sample allocates one block per
+/// histogram whose count moved (the delta point the store keeps) and
+/// nothing else: the previous states and the one being read have room
+/// for every bucket.
 #[derive(Default)]
 pub struct RegistrySampler {
     prev_counters: BTreeMap<String, u64>,
     prev_hists: BTreeMap<String, HistogramState>,
+    /// The histogram state just read, reused for every histogram.
+    current: HistogramState,
 }
 
 impl RegistrySampler {
@@ -1003,22 +1010,49 @@ impl RegistrySampler {
 
     /// Samples every metric in `reg` into `store` at time `t`.
     pub fn sample(&mut self, reg: &Registry, store: &mut LtsStore, t: u64) {
-        for (name, c) in reg.counter_entries() {
+        reg.visit_counters(|name, c| {
             let cur = c.get();
-            let prev = self.prev_counters.insert(name.clone(), cur).unwrap_or(0);
+            let prev = match self.prev_counters.get_mut(name) {
+                Some(prev) => std::mem::replace(prev, cur),
+                None => {
+                    self.prev_counters.insert(name.to_string(), cur);
+                    0
+                }
+            };
             let delta = if cur >= prev { cur - prev } else { cur };
-            store.append(&name, t, PointValue::Counter(delta));
-        }
-        for (name, g) in reg.gauge_entries() {
-            store.append(&name, t, PointValue::Gauge(g.get()));
-        }
-        for (name, h) in reg.histogram_entries() {
-            let cur = h.to_state();
-            let prev = self.prev_hists.insert(name.clone(), cur.clone());
-            let delta = hist_delta(prev.as_ref(), &cur);
-            store.append(&name, t, PointValue::Histogram(delta));
-        }
+            store.append(name, t, PointValue::Counter(delta));
+        });
+        reg.visit_gauges(|name, g| store.append(name, t, PointValue::Gauge(g.get())));
+        let cur = &mut self.current;
+        cur.buckets.clear();
+        cur.buckets.reserve_exact(BUCKETS);
+        reg.visit_histograms(|name, h| {
+            h.state_into(cur);
+            let delta = match self.prev_hists.get_mut(name) {
+                Some(prev) => {
+                    let delta = hist_delta(Some(prev), cur);
+                    copy_state(prev, cur);
+                    delta
+                }
+                None => {
+                    let mut prev = HistogramState {
+                        buckets: Vec::with_capacity(BUCKETS),
+                        ..HistogramState::default()
+                    };
+                    copy_state(&mut prev, cur);
+                    self.prev_hists.insert(name.to_string(), prev);
+                    cur.clone()
+                }
+            };
+            store.append(name, t, PointValue::Histogram(delta));
+        });
     }
+}
+
+/// Makes `dst` equal to `src` within `dst`'s own bucket vector.
+fn copy_state(dst: &mut HistogramState, src: &HistogramState) {
+    dst.buckets.clone_from(&src.buckets);
+    (dst.count, dst.sum, dst.min, dst.max) = (src.count, src.sum, src.min, src.max);
 }
 
 /// The per-interval difference between two cumulative histogram states.
@@ -1031,14 +1065,19 @@ pub fn hist_delta(prev: Option<&HistogramState>, cur: &HistogramState) -> Histog
     if cur.count < prev.count {
         return cur.clone();
     }
-    let prev_map: BTreeMap<u32, u64> = prev.buckets.iter().copied().collect();
-    let mut buckets: Vec<(u32, u64)> = Vec::new();
-    for &(i, n) in &cur.buckets {
-        let d = n.saturating_sub(prev_map.get(&i).copied().unwrap_or(0));
-        if d > 0 {
-            buckets.push((i, d));
-        }
-    }
+    // Both bucket lists ascend: walk them together, once to size the
+    // delta and once to fill it.
+    let deltas = || {
+        let mut before = prev.buckets.iter().peekable();
+        cur.buckets.iter().filter_map(move |&(i, n)| {
+            while before.next_if(|&&(j, _)| j < i).is_some() {}
+            let was = before.next_if(|&&(j, _)| j == i).map_or(0, |&(_, m)| m);
+            let d = n.saturating_sub(was);
+            (d > 0).then_some((i, d))
+        })
+    };
+    let mut buckets = Vec::with_capacity(deltas().count());
+    buckets.extend(deltas());
     let count = cur.count - prev.count;
     let (min, max) = if count == 0 || buckets.is_empty() {
         (u64::MAX, 0)
@@ -1846,24 +1885,18 @@ pub fn report_flush(
 ) {
     for d in &report.deleted {
         retention_deleted.inc();
-        sink.emit(
-            Level::Info,
-            "lts",
-            "retention_delete",
+        sink.emit(Level::Info, "lts", "retention_delete", || {
             vec![
                 ("path".to_string(), FieldValue::Str(d.path.clone())),
                 ("bytes".to_string(), FieldValue::U64(d.bytes)),
                 ("reason".to_string(), FieldValue::Str(d.reason.to_string())),
-            ],
-        );
+            ]
+        });
     }
     for w in warnings {
-        sink.emit(
-            Level::Warn,
-            "lts",
-            "recovered",
-            vec![("detail".to_string(), FieldValue::Str(w.clone()))],
-        );
+        sink.emit(Level::Warn, "lts", "recovered", || {
+            vec![("detail".to_string(), FieldValue::Str(w.clone()))]
+        });
     }
 }
 

@@ -288,20 +288,25 @@ impl Histogram {
     /// persistence). Concurrent recording during the copy can skew a
     /// bucket by a sample or two — harmless for a baseline.
     pub fn to_state(&self) -> HistogramState {
-        let mut buckets = Vec::new();
+        let mut state = HistogramState::default();
+        self.state_into(&mut state);
+        state
+    }
+
+    /// [`Histogram::to_state`] written over `state`, its bucket vector
+    /// reused.
+    pub fn state_into(&self, state: &mut HistogramState) {
+        state.buckets.clear();
         for i in 0..BUCKETS {
             let n = self.core.buckets[i].load(Ordering::Relaxed);
             if n != 0 {
-                buckets.push((i as u32, n));
+                state.buckets.push((i as u32, n));
             }
         }
-        HistogramState {
-            buckets,
-            count: self.count(),
-            sum: self.sum(),
-            min: self.core.min.load(Ordering::Relaxed),
-            max: self.max(),
-        }
+        state.count = self.count();
+        state.sum = self.sum();
+        state.min = self.core.min.load(Ordering::Relaxed);
+        state.max = self.max();
     }
 
     /// Rebuilds a histogram from a saved state. Bucket indexes outside

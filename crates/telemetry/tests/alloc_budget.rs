@@ -8,11 +8,13 @@
 //! keeps resident for its open tails is held to bytes per unsealed
 //! point by the same allocator's count of live bytes. A quantile
 //! baseline is held to the buckets it has seen, and to no allocation once
-//! its windows are sized.
+//! its windows are sized. An alert evaluation over a context refreshed in
+//! place allocates nothing on a tick in which no alert changes state.
 
 use netqos_telemetry::{
-    LtsConfig, LtsCounters, LtsReader, LtsRetention, LtsSource, LtsStore, PointValue,
-    QuantileBaseline, QueryEngine, QueryResult, Resolution, SegmentCodec,
+    builtin_alert_rules, parse_alert_rules, AlertContext, AlertEngine, AlertScope, LtsConfig,
+    LtsCounters, LtsReader, LtsRetention, LtsSource, LtsStore, PointValue, QuantileBaseline,
+    QueryEngine, QueryResult, Registry, Resolution, SegmentCodec,
 };
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -364,4 +366,66 @@ fn rank_and_quantile_over_two_full_windows_allocate_nothing() {
     // The dense baseline allocated a 4 KiB histogram per `quantile`.
     assert_eq!(allocations, 0, "rank/quantile of a rotated baseline");
     assert!(answers.0 > 0.0 && answers.1 > 0);
+}
+
+const PATHS: [&str; 3] = ["feed1", "feed2", "archiving"];
+
+/// Refreshes `ctx` in place the way the monitoring service does: the
+/// registry's scope, then one scope per path carrying its used bandwidth
+/// and a bottleneck diagnosis.
+fn refresh(ctx: &mut AlertContext, registry: &Registry, tick: u64, used: [u64; 3]) {
+    ctx.tick = tick;
+    ctx.scopes.resize_with(1 + PATHS.len(), AlertScope::default);
+    ctx.scopes[0].set_from_registry(registry);
+    for (i, scope) in ctx.scopes[1..].iter_mut().enumerate() {
+        match scope.labels.get_mut("path") {
+            Some(path) => path.replace_range(.., PATHS[i]),
+            None => {
+                scope.labels.insert("path".into(), PATHS[i].into());
+            }
+        }
+        scope.set("path_used_bps", used[i] as f64);
+        scope.set("path_available_bps", (100_000 - used[i]) as f64);
+        scope.annotate("bottleneck", format_args!("sw.p{i} <-> h{i}.eth0"));
+        scope.annotate("bottleneck_available_bps", 100_000 - used[i]);
+    }
+}
+
+#[test]
+fn a_steady_alert_evaluation_allocates_nothing() {
+    let registry = Registry::new();
+    let polls = registry.counter("netqos_monitor_polls_total");
+    registry.counter("netqos_monitor_counter_wraps_total");
+    registry.gauge("netqos_monitor_trap_outbox_depth");
+    // The built-in delta rules read two registry counters; `path_hot`
+    // fires on feed2, which stays hot through the counted ticks.
+    let mut rules = builtin_alert_rules();
+    rules.extend(parse_alert_rules("alert path_hot if path_used_bps > 50000 for 2").unwrap());
+    let mut engine = AlertEngine::new(rules);
+    let mut ctx = AlertContext::default();
+    let mut doc = String::new();
+    let mut tick = 0;
+    let mut step = |ctx: &mut AlertContext, engine: &mut AlertEngine, doc: &mut String| {
+        tick += 1;
+        polls.add(3);
+        let used = [10_000 + tick, 60_000 + tick, 20_000 + tick];
+        refresh(ctx, &registry, tick, used);
+        let transitions = engine.evaluate(ctx);
+        doc.clear();
+        engine.render_json_into(doc);
+        transitions
+    };
+    for _ in 0..4 {
+        step(&mut ctx, &mut engine, &mut doc);
+    }
+    assert_eq!((engine.pending_count(), engine.firing_count()), (0, 1));
+    for _ in 0..16 {
+        let (allocated, transitions) = allocations_in(|| step(&mut ctx, &mut engine, &mut doc));
+        assert!(transitions.is_empty());
+        assert_eq!(allocated, 0, "tick {}", ctx.tick);
+    }
+    assert!(
+        doc.contains("\"fingerprint\":\"path_hot{path=\\\"feed2\\\"}\""),
+        "{doc}"
+    );
 }

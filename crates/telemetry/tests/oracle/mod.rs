@@ -4,10 +4,12 @@
 //! make on every flush (disk gauges, retention) and the reader on every
 //! `newest_t`, and the reads that parse every line of a tail whatever
 //! window was asked for, and the v2 segment encoder that takes the whole
-//! slice and walks it twice; and the dense-histogram `QuantileBaseline`
-//! (`baseline.rs`). Slow and obviously right; kept out of the library.
+//! slice and walks it twice; the dense-histogram `QuantileBaseline`
+//! (`baseline.rs`); and the alert engine that rebuilt every key each tick
+//! (`alerts.rs`). Slow and obviously right; kept out of the library.
 #![allow(dead_code)]
 
+pub mod alerts;
 pub mod baseline;
 
 use netqos_telemetry::{

@@ -1944,3 +1944,257 @@ proptest! {
         rule_files_survive_damage(seed);
     }
 }
+
+// ---------------------------------------------------------------------
+// Alert contexts refreshed in place
+// ---------------------------------------------------------------------
+
+use oracle::alerts::OracleEngine;
+
+/// Signals a scope may carry. Rules read the first three and `reg_total`
+/// (a registry counter); none reads `unread`.
+const SCOPE_SIGNALS: [&str; 4] = ["load", "errors", "depth", "unread"];
+
+/// One scope of one tick.
+#[derive(Debug, Clone)]
+enum ScopeSpec {
+    /// The registry's global scope.
+    Registry,
+    /// A scope built by hand.
+    Built {
+        labels: Vec<(&'static str, &'static str)>,
+        signals: Vec<(&'static str, f64)>,
+        annotations: Vec<(&'static str, &'static str)>,
+    },
+}
+
+fn spell_alert_rules(c: &mut Choices) -> Vec<AlertRule> {
+    let ops = [CmpOp::Lt, CmpOp::Le, CmpOp::Gt, CmpOp::Ge];
+    let severities = [
+        AlertSeverity::Info,
+        AlertSeverity::Warning,
+        AlertSeverity::Critical,
+    ];
+    (0..1 + c.next(6))
+        .map(|_| AlertRule {
+            // Names repeat: the last definition of one wins.
+            name: ["hot", "cold", "busy", "stall"][c.next(4)].into(),
+            signal: ["load", "errors", "depth", "reg_total"][c.next(4)].into(),
+            delta: c.next(3) == 0,
+            op: ops[c.next(4)],
+            threshold: [-1.0, 0.0, 0.5, 1.0, 2.5][c.next(5)],
+            for_ticks: 1 + c.next(3) as u64,
+            severity: severities[c.next(3)],
+        })
+        .collect()
+}
+
+fn spell_scope(c: &mut Choices) -> ScopeSpec {
+    if c.next(6) == 0 {
+        return ScopeSpec::Registry;
+    }
+    let mut labels = Vec::new();
+    if c.next(6) != 0 {
+        labels.push(("path", ["feed1", "feed2", "a\"b\\c", "x\ny"][c.next(4)]));
+    }
+    if c.next(4) == 0 {
+        labels.push(("site", ["fore", "aft"][c.next(2)]));
+    }
+    let mut signals = Vec::new();
+    for signal in SCOPE_SIGNALS {
+        if c.next(3) != 0 {
+            signals.push((signal, c.next(7) as f64 - 2.0));
+        }
+    }
+    let mut annotations = Vec::new();
+    for key in ["bottleneck", "kind"] {
+        if c.next(2) == 0 {
+            annotations.push((key, ["sw.p1 <-> a.eth0", "shared_medium", ""][c.next(3)]));
+        }
+    }
+    ScopeSpec::Built {
+        labels,
+        signals,
+        annotations,
+    }
+}
+
+/// The next tick's scopes: mostly the last tick's with new values, some
+/// vanished and some new ones slipped in anywhere (so the rest shift),
+/// sometimes a new set altogether.
+fn spell_next_scopes(c: &mut Choices, last: &[ScopeSpec]) -> Vec<ScopeSpec> {
+    if last.is_empty() || c.next(5) == 0 {
+        return (0..c.next(6)).map(|_| spell_scope(c)).collect();
+    }
+    let mut next = Vec::new();
+    for spec in last {
+        if c.next(8) == 0 {
+            continue;
+        }
+        if c.next(8) == 0 {
+            next.insert(c.next(next.len() + 1), spell_scope(c));
+        }
+        next.push(match spec {
+            ScopeSpec::Built {
+                labels,
+                signals,
+                annotations,
+            } => ScopeSpec::Built {
+                labels: labels.clone(),
+                signals: (signals.iter())
+                    .map(|&(s, v)| {
+                        (
+                            s,
+                            if c.next(3) == 0 {
+                                c.next(7) as f64 - 2.0
+                            } else {
+                                v
+                            },
+                        )
+                    })
+                    .collect(),
+                annotations: annotations.clone(),
+            },
+            registry => registry.clone(),
+        });
+    }
+    next
+}
+
+/// `spec` built from nothing; the registry's scope as the engine read it
+/// before it had a visitor, from the registry's copied entries.
+fn fresh_scope(spec: &ScopeSpec, registry: &Registry) -> AlertScope {
+    let mut scope = AlertScope::global();
+    match spec {
+        ScopeSpec::Registry => {
+            for (name, c) in registry.counter_entries() {
+                scope.signals.insert(name, c.get() as f64);
+            }
+            for (name, g) in registry.gauge_entries() {
+                scope.signals.insert(name, g.get() as f64);
+            }
+        }
+        ScopeSpec::Built {
+            labels,
+            signals,
+            annotations,
+        } => {
+            for &(k, v) in labels {
+                scope.labels.insert(k.into(), v.into());
+            }
+            for &(s, v) in signals {
+                scope.set(s, v);
+            }
+            for &(k, v) in annotations {
+                scope.annotate(k, v);
+            }
+        }
+    }
+    scope
+}
+
+/// `scope`, whatever it held, rewritten in place to hold `spec`.
+fn refill_scope(scope: &mut AlertScope, spec: &ScopeSpec, registry: &Registry) {
+    let ScopeSpec::Built {
+        labels,
+        signals,
+        annotations,
+    } = spec
+    else {
+        scope.set_from_registry(registry);
+        return;
+    };
+    scope
+        .labels
+        .retain(|k, _| labels.iter().any(|(l, _)| l == k));
+    for &(k, v) in labels {
+        match scope.labels.get_mut(k) {
+            Some(value) => value.replace_range(.., v),
+            None => {
+                scope.labels.insert(k.into(), v.into());
+            }
+        }
+    }
+    scope
+        .signals
+        .retain(|k, _| signals.iter().any(|(s, _)| s == k));
+    for &(s, v) in signals {
+        scope.set(s, v);
+    }
+    scope
+        .annotations
+        .retain(|k, _| annotations.iter().any(|(a, _)| a == k));
+    for &(k, v) in annotations {
+        scope.annotate(k, v);
+    }
+}
+
+/// One engine fed a context refreshed in place, one fed contexts built
+/// fresh, and the engine that rebuilt its keys every tick fed the fresh
+/// ones: the same transitions and the same `/alerts` document, tick after
+/// tick, while scopes appear, vanish, shift position, carry signals no
+/// rule reads, and registry counters move under delta rules.
+fn refreshed_contexts_match_fresh_ones(seed: u64) {
+    let c = &mut Choices(seed);
+    let rules = spell_alert_rules(c);
+    let mut in_place = AlertEngine::new(rules.clone());
+    let mut fresh = AlertEngine::new(rules.clone());
+    let mut oracle = OracleEngine::new(rules);
+    let registry = Registry::new();
+    let reg_total = registry.counter("reg_total");
+    // A gauge and a counter of one name: the gauge is the signal.
+    registry.counter("depth").add(5);
+    let depth = registry.gauge("depth");
+    let mut ctx = AlertContext::default();
+    let mut doc = String::new();
+    let mut scopes: Vec<ScopeSpec> = Vec::new();
+    for tick in 1..=8 + c.next(24) as u64 {
+        reg_total.add(c.next(3) as u64);
+        depth.set(c.next(5) as i64 - 2);
+        if c.next(10) == 0 {
+            registry.counter(["late_total", "errors"][c.next(2)]).inc();
+        }
+        scopes = spell_next_scopes(c, &scopes);
+        ctx.tick = tick;
+        ctx.scopes.resize_with(scopes.len(), AlertScope::default);
+        for (scope, spec) in ctx.scopes.iter_mut().zip(&scopes) {
+            refill_scope(scope, spec, &registry);
+        }
+        let mut built = AlertContext::new(tick);
+        built.scopes = scopes.iter().map(|s| fresh_scope(s, &registry)).collect();
+        assert_eq!(ctx, built, "tick {tick}: {scopes:?}");
+
+        let want = oracle.evaluate(&built);
+        assert_eq!(fresh.evaluate(&built), want, "tick {tick}, fresh context");
+        assert_eq!(
+            in_place.evaluate(&ctx),
+            want,
+            "tick {tick}, refreshed context"
+        );
+        let want = oracle.render_json();
+        assert_eq!(fresh.render_json(), want, "tick {tick}");
+        doc.clear();
+        in_place.render_json_into(&mut doc);
+        assert_eq!(doc, want, "tick {tick}");
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn alert_contexts_refreshed_in_place_evaluate_as_fresh_ones(seed in any::<u64>()) {
+        refreshed_contexts_match_fresh_ones(seed);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(20_000))]
+
+    /// The property above at CI's release-mode length.
+    #[test]
+    #[ignore = "20 000 cases: run in release mode"]
+    fn alert_contexts_refreshed_in_place_evaluate_as_fresh_ones_at_length(seed in any::<u64>()) {
+        refreshed_contexts_match_fresh_ones(seed);
+    }
+}

@@ -21,6 +21,7 @@ use crate::index::{Forest, Station, TopoIndex};
 use crate::kind::NodeKind;
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
+use std::fmt::Write as _;
 use std::sync::OnceLock;
 
 /// One network interface on a node.
@@ -369,23 +370,37 @@ impl NetworkTopology {
 
     /// Human-readable description of a connection, e.g. `L.eth0 <-> sw.p1`.
     pub fn describe_connection(&self, id: ConnId) -> String {
-        match self.connection(id) {
-            Ok(c) => {
-                let fmt_ep = |ep: &Endpoint| -> String {
-                    let node = self
-                        .node(ep.node)
-                        .map(|n| n.name.clone())
-                        .unwrap_or_else(|_| ep.node.to_string());
-                    let ifname = self
-                        .interface(ep.node, ep.ifix)
-                        .map(|i| i.local_name.clone())
-                        .unwrap_or_else(|_| ep.ifix.to_string());
-                    format!("{node}.{ifname}")
-                };
-                format!("{} <-> {}", fmt_ep(&c.a), fmt_ep(&c.b))
+        let mut out = String::new();
+        self.describe_connection_into(id, &mut out);
+        out
+    }
+
+    /// [`NetworkTopology::describe_connection`] written over `out`: a
+    /// description that fits `out`'s capacity allocates nothing.
+    pub fn describe_connection_into(&self, id: ConnId, out: &mut String) {
+        out.clear();
+        let Ok(c) = self.connection(id) else {
+            let _ = write!(out, "{id}");
+            return;
+        };
+        let push_endpoint = |out: &mut String, ep: &Endpoint| {
+            match self.node(ep.node) {
+                Ok(n) => out.push_str(&n.name),
+                Err(_) => {
+                    let _ = write!(out, "{}", ep.node);
+                }
             }
-            Err(_) => id.to_string(),
-        }
+            out.push('.');
+            match self.interface(ep.node, ep.ifix) {
+                Ok(i) => out.push_str(&i.local_name),
+                Err(_) => {
+                    let _ = write!(out, "{}", ep.ifix);
+                }
+            }
+        };
+        push_endpoint(out, &c.a);
+        out.push_str(" <-> ");
+        push_endpoint(out, &c.b);
     }
 
     /// Rebuilds the name index and the derived adjacency, interface-slot
