@@ -10,8 +10,8 @@
 
 use netqos_bench::{time_iters, BenchReport, BenchRow};
 use netqos_telemetry::{
-    compact_store_to, HttpRequest, LtsConfig, LtsCounters, LtsReader, LtsSource, LtsStore,
-    PointValue, QueryEngine, Resolution, SegmentCodec, SeriesSource, Shard, ShardRegistry,
+    compact_store, HttpRequest, LtsConfig, LtsCounters, LtsReader, LtsSource, LtsStore, PointValue,
+    QueryEngine, Resolution, SeriesSource, Shard, ShardRegistry,
 };
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -88,7 +88,7 @@ fn main() {
     // edge inside a segment falls back to decoding it). The range path
     // on the same store is the materializing baseline.
     let dir = loaded_store("pushdown");
-    compact_store_to(&dir, SegmentCodec::Binary).expect("seal binary");
+    compact_store(&dir).expect("seal binary");
     let engine = QueryEngine::new().with_source(
         None,
         Arc::new(LtsSource::new(LtsReader::open(&dir))) as Arc<dyn SeriesSource>,

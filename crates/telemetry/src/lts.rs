@@ -12,24 +12,21 @@
 //! ```text
 //! DIR/
 //!   series.idx                  # JSONL: {"slug","name","kind"} per series
-//!   1s/<slug>/open.seg          # JSONL append tail (mutable, always v1)
-//!   1s/<slug>/seg-A-B.seg       # sealed, immutable, covers [A, B] (JSONL, codec v1)
+//!   1s/<slug>/open.seg          # JSONL append tail (mutable)
 //!   1s/<slug>/seg-A-B.bin       # sealed, immutable, covers [A, B] (binary, codec v2)
 //!   1m/<slug>/...               # same shape per resolution
 //!   1h/<slug>/...
 //! ```
 //!
-//! Two sealed-segment codecs coexist in one directory and readers handle
-//! both transparently: `.seg` files are JSONL (codec v1), `.bin` files
-//! are the delta-varint binary format (codec v2, see
-//! [`encode_segment_v2`]). The open tail stays JSONL regardless of the
-//! configured codec — line-oriented appends keep the
-//! truncate-on-torn-line crash recovery — and a binary seal writes the
-//! encoding of it the writer built as it appended, without reading it
-//! back. One codec reads and writes every JSONL line
-//! ([`encode_point_line`], [`decode_point_line`]). [`migrate_store`] converts sealed segments between codecs with
-//! the same tmp-file-plus-rename discipline, and the byte-identical
-//! query guarantee holds across a migration.
+//! Sealed segments have one codec, the delta-varint binary format
+//! (codec v2, see [`encode_segment_v2`]). The open tail stays JSON lines
+//! — line-oriented appends keep the truncate-on-torn-line crash recovery
+//! — and a seal writes the binary encoding of it the writer built as it
+//! appended, without reading it back. One codec reads and writes every
+//! tail line ([`encode_point_line`], [`decode_point_line`]). A sealed
+//! JSONL (codec v1) segment, `seg-A-B.seg`, is no longer read: a series
+//! directory holding one is refused with [`io::ErrorKind::InvalidData`]
+//! by every entry that lists it, never half-read.
 //!
 //! Points are stored as *interval* values, which is what makes
 //! downsampling a pure merge: counters hold per-interval deltas (merge =
@@ -42,13 +39,14 @@
 //!
 //! # Crash safety
 //!
-//! Appends go to `open.seg`, one JSON document per line. Sealing renames
-//! `open.seg` to its immutable `seg-A-B.seg` name — atomic on POSIX, so
-//! a crash leaves either the old tail or the sealed file, never a
-//! half-sealed hybrid. On open, a torn final line (crash mid-append) is
-//! truncated away and reported, never silently read. Sealed segments and
-//! the index are rewritten only by [`compact_store`], always via
-//! tmp-file-plus-rename.
+//! Appends go to `open.seg`, one JSON document per line. Sealing writes
+//! the segment to `seal.tmp`, renames it to its immutable `seg-A-B.bin`
+//! name — atomic on POSIX — and only then removes `open.seg`, so a crash
+//! leaves the old tail, or the sealed file beside a stale tail that
+//! [`LtsStore::open`] removes, never a half-sealed hybrid. On open, a
+//! torn final line (crash mid-append) is truncated away and reported,
+//! never silently read. Sealed segments and the index are rewritten only
+//! by [`compact_store`], always via tmp-file-plus-rename.
 //!
 //! Queries ([`LtsReader`]) read exclusively from disk and canonicalize
 //! (sort by time, first write wins), so the same store yields
@@ -209,34 +207,13 @@ impl Default for LtsRetention {
     }
 }
 
-/// Sealed-segment encoding. The open tail is always JSONL; this picks
-/// what a tail is transcoded into when it seals (and what
-/// [`compact_store_to`] / [`migrate_store`] write). Ordered by version.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+/// Sealed-segment encoding: binary v2, the one sealed codec. It stays a
+/// type, and [`LtsConfig::codec`] a field, only because the frozen
+/// benchmark names them.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SegmentCodec {
-    /// Codec v1: one JSON document per line, `.seg` extension.
-    Jsonl,
     /// Codec v2: delta-varint binary, `.bin` extension.
     Binary,
-}
-
-impl SegmentCodec {
-    /// On-disk codec version byte (1 = JSONL, 2 = binary).
-    pub fn version(self) -> u8 {
-        match self {
-            SegmentCodec::Jsonl => 1,
-            SegmentCodec::Binary => 2,
-        }
-    }
-
-    /// Parses a CLI token (`jsonl`/`v1` or `binary`/`v2`).
-    pub fn parse(s: &str) -> Option<SegmentCodec> {
-        match s {
-            "jsonl" | "v1" => Some(SegmentCodec::Jsonl),
-            "binary" | "v2" => Some(SegmentCodec::Binary),
-            _ => None,
-        }
-    }
 }
 
 /// Store tuning knobs.
@@ -246,8 +223,7 @@ pub struct LtsConfig {
     pub seal_points: usize,
     /// Age/size bounds enforced on every flush.
     pub retention: LtsRetention,
-    /// Codec for newly sealed segments. Existing segments of either
-    /// codec stay readable.
+    /// Codec for sealed segments; see [`SegmentCodec`].
     pub codec: SegmentCodec,
 }
 
@@ -328,12 +304,11 @@ pub struct FlushReport {
 }
 
 /// One sealed segment the writer knows to be on disk; its file name
-/// follows from the range and the codec. Ordered as retention deletes.
+/// follows from the range. Ordered as retention deletes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 struct SealedSegment {
     last: u64,
     first: u64,
-    codec: SegmentCodec,
     bytes: u64,
 }
 
@@ -342,13 +317,12 @@ impl SealedSegment {
         SealedSegment {
             last: f.last,
             first: f.first,
-            codec: f.codec,
             bytes: f.bytes(),
         }
     }
 
     fn file_name(&self) -> String {
-        segment_file_name(self.first, self.last, self.codec)
+        segment_file_name(self.first, self.last)
     }
 }
 
@@ -360,15 +334,10 @@ struct SeriesState {
     buf: Vec<Point>,
     /// Newest persisted point time per resolution.
     last_t: [Option<u64>; 3],
-    /// Points in the open tail per resolution.
-    open_len: [usize; 3],
-    /// First point time in the open tail per resolution.
-    open_first: [Option<u64>; 3],
     /// The open tail per resolution as the binary segment it will seal
     /// into: holds every tail point (recovery seeds it from a tail found
     /// on open, each write feeds it what it wrote), so a seal reads
-    /// nothing back. Empty under [`SegmentCodec::Jsonl`], whose seal is
-    /// a rename.
+    /// nothing back and its count is the tail's length.
     open_enc: [SegmentEncoder; 3],
     /// Flushed-but-not-yet-downsampled points feeding `1m` (raw points)
     /// and `1h` (`1m` points).
@@ -400,8 +369,6 @@ impl SeriesState {
             slug,
             buf: Vec::new(),
             last_t: [None; 3],
-            open_len: [0; 3],
-            open_first: [None; 3],
             open_enc: Default::default(),
             pending: [Vec::new(), Vec::new()],
             new_to_index,
@@ -429,18 +396,6 @@ impl SeriesState {
         Ok(found)
     }
 
-    /// Accounts for `pts` now being the end of the open tail at `ri`: the
-    /// one place a tail grows, so its encoder misses no point.
-    fn tail_grew(&mut self, ri: usize, pts: &[Point], codec: SegmentCodec) {
-        if self.open_first[ri].is_none() {
-            self.open_first[ri] = pts.first().map(|p| p.t);
-        }
-        self.open_len[ri] += pts.len();
-        if codec == SegmentCodec::Binary {
-            self.open_enc[ri].extend(pts);
-        }
-    }
-
     fn accept(&mut self, counters: &LtsCounters, t: u64, value: PointValue) {
         let newest = self.buf.last().map(|p| p.t).or(self.last_t[0]);
         if self.kind != value.kind() || newest.is_some_and(|n| t <= n) {
@@ -461,8 +416,8 @@ impl SeriesState {
 /// built by the directory scan in [`LtsStore::open`] and kept current
 /// where the writer seals, deletes and compacts, so a flush learns
 /// nothing from the file system. That is sound because nothing else may
-/// change a store a writer has open: a second writer, [`compact_store`]
-/// or [`migrate_store`] against a live store were never supported.
+/// change a store a writer has open: a second writer or
+/// [`compact_store`] against a live store were never supported.
 /// Directories `series.idx` does not name are invisible to the writer
 /// ([`verify_store`] reports them).
 pub struct LtsStore {
@@ -507,7 +462,7 @@ impl LtsStore {
         };
         store.load_index()?;
         for s in store.series.values_mut() {
-            recover_series(s, store.config.codec, &mut store.warnings)?;
+            recover_series(s, &mut store.warnings)?;
         }
         store.update_disk_gauges();
         Ok(store)
@@ -618,8 +573,7 @@ impl LtsStore {
     /// Deletes sealed segments past the age bound, then the oldest
     /// survivors while the store is over its size budget. The order is
     /// total and depends only on what was appended: ascending
-    /// `(last, resolution, series name, first)`, a JSONL segment before
-    /// a binary one of the same range.
+    /// `(last, resolution, series name, first)`.
     fn enforce_retention(&mut self) -> io::Result<Vec<RetentionDeletion>> {
         let ret = self.config.retention;
         let mut deleted = Vec::new();
@@ -645,7 +599,7 @@ impl LtsStore {
                         .into_iter()
                         .filter_map(move |res| Some((s.sealed[res.index()].first()?, res, rank)))
                 })
-                .min_by_key(|&(seg, res, rank)| (seg.last, res, rank, seg.first, seg.codec))
+                .min_by_key(|&(seg, res, rank)| (seg.last, res, rank, seg.first))
                 .map(|(seg, res, rank)| (*seg, res, rank));
             let Some((seg, res, rank)) = oldest else {
                 break;
@@ -690,11 +644,9 @@ impl LtsStore {
     /// writer has open.
     pub fn compact(&mut self) -> io::Result<CompactReport> {
         self.flush()?;
-        let report = compact_store_to(&self.dir, self.config.codec)?;
+        let report = compact_store(&self.dir)?;
         self.index_bytes = fs::metadata(&self.index_path).map_or(0, |m| m.len());
         for s in self.series.values_mut() {
-            s.open_len = [0; 3];
-            s.open_first = [None; 3];
             s.open_enc = Default::default();
             s.scan_disk()?;
         }
@@ -731,11 +683,7 @@ impl LtsStore {
 /// Brings one indexed series' state up from its directories on open:
 /// the catalog, the tails (a torn final line truncated away, a stale
 /// tail removed), the newest times and the pending downsample windows.
-fn recover_series(
-    s: &mut SeriesState,
-    codec: SegmentCodec,
-    warnings: &mut Vec<String>,
-) -> io::Result<()> {
+fn recover_series(s: &mut SeriesState, warnings: &mut Vec<String>) -> io::Result<()> {
     let found = s.scan_disk()?;
     for res in Resolution::ALL {
         let ri = res.index();
@@ -763,7 +711,7 @@ fn recover_series(
                 ));
             } else {
                 s.open_bytes[ri] = Some(good_bytes);
-                s.tail_grew(ri, &pts, codec);
+                s.open_enc[ri].extend(&pts);
                 if let Some(p) = pts.last() {
                     last = Some(last.map_or(p.t, |l: u64| l.max(p.t)));
                 }
@@ -862,8 +810,8 @@ fn flush_series(
 }
 
 impl TailWriter<'_> {
-    /// Appends `pts` to `s`'s open tail at `res`, sealing the tail into
-    /// the configured codec once it crosses the configured size.
+    /// Appends `pts` to `s`'s open tail at `res`, sealing the tail once
+    /// it crosses the configured size.
     /// Returns segments sealed.
     fn write_points(
         &mut self,
@@ -890,48 +838,30 @@ impl TailWriter<'_> {
         };
         f.write_all(self.line_buf.as_bytes())?;
         drop(f);
-        let tail_bytes = s.open_bytes[ri].unwrap_or(0) + self.line_buf.len() as u64;
-        s.open_bytes[ri] = Some(tail_bytes);
-        let codec = self.config.codec;
-        s.tail_grew(ri, pts, codec);
-        if s.open_len[ri] < self.config.seal_points {
+        s.open_bytes[ri] = Some(s.open_bytes[ri].unwrap_or(0) + self.line_buf.len() as u64);
+        let enc = &mut s.open_enc[ri];
+        enc.extend(pts);
+        if enc.count < self.config.seal_points as u64 {
             return Ok(0);
         }
-        let open = &s.open_path[ri];
+        // Rename is atomic and the tail is removed only after the sealed
+        // file exists; a crash in between leaves both, which readers
+        // canonicalize and `open` cleans up as a stale tail.
+        let (first, last) = (enc.first_t, enc.prev_t);
+        let encoded = enc.finish(s.kind);
         let sdir = dir_of(open);
-        let sealed = match codec {
-            SegmentCodec::Jsonl => {
-                let first = s.open_first[ri].unwrap_or(0);
-                let last = pts.last().map(|p| p.t).unwrap_or(first);
-                fs::rename(open, sdir.join(segment_file_name(first, last, codec)))?;
-                (first, last, tail_bytes)
-            }
-            SegmentCodec::Binary => {
-                // Rename is atomic and the tail is removed only after
-                // the sealed file exists; a crash in between leaves
-                // both, which readers canonicalize and `open` cleans up
-                // as a stale tail.
-                let enc = &s.open_enc[ri];
-                let (first, last) = (enc.first_t, enc.prev_t);
-                let encoded = enc.finish(s.kind);
-                let tmp = sdir.join("seal.tmp");
-                fs::write(&tmp, &encoded)?;
-                fs::rename(&tmp, sdir.join(segment_file_name(first, last, codec)))?;
-                fs::remove_file(open)?;
-                (first, last, encoded.len() as u64)
-            }
-        };
+        let tmp = sdir.join("seal.tmp");
+        fs::write(&tmp, &encoded)?;
+        fs::rename(&tmp, sdir.join(segment_file_name(first, last)))?;
+        fs::remove_file(open)?;
         let seg = SealedSegment {
-            last: sealed.1,
-            first: sealed.0,
-            codec,
-            bytes: sealed.2,
+            last,
+            first,
+            bytes: encoded.len() as u64,
         };
         let at = s.sealed[ri].partition_point(|x| *x <= seg);
         s.sealed[ri].insert(at, seg);
         s.open_bytes[ri] = None;
-        s.open_len[ri] = 0;
-        s.open_first[ri] = None;
         s.open_enc[ri].clear();
         Ok(1)
     }
@@ -1284,9 +1214,11 @@ pub struct VerifyReport {
     pub issues: Vec<String>,
 }
 
-/// Structural check of a store: the index parses, every segment's every
-/// line parses as the indexed kind, timestamps are strictly increasing
-/// within a file, and sealed filenames match their contents' range.
+/// Structural check of a store: the index parses, every sealed segment
+/// decodes exactly and every tail line parses as the indexed kind,
+/// timestamps are strictly increasing within a file, and sealed
+/// filenames match their contents' range. A store holding a sealed v1
+/// segment is refused ([`io::ErrorKind::InvalidData`]), not checked.
 pub fn verify_store(dir: &Path) -> io::Result<VerifyReport> {
     let mut rep = VerifyReport::default();
     let reader = LtsReader::open(dir);
@@ -1325,6 +1257,7 @@ pub fn verify_store(dir: &Path) -> io::Result<VerifyReport> {
             };
             let mut files: Vec<PathBuf> = Vec::new();
             for f in fs::read_dir(&sdir)?.flatten() {
+                refuse_v1(&f.path())?;
                 files.push(f.path());
             }
             files.sort();
@@ -1344,8 +1277,8 @@ pub fn verify_store(dir: &Path) -> io::Result<VerifyReport> {
                 }
                 rep.segments += 1;
                 rep.bytes += fs::metadata(&path).map(|m| m.len()).unwrap_or(0);
-                if let Some((_, _, SegmentCodec::Binary)) = sealed {
-                    // Binary segments are immutable: decode strictly and
+                if let Some((a, b)) = sealed {
+                    // Sealed segments are immutable: decode strictly and
                     // cross-check the header's fold against the points.
                     let buf = fs::read(&path)?;
                     match decode_segment_v2(&buf) {
@@ -1396,15 +1329,13 @@ pub fn verify_store(dir: &Path) -> io::Result<VerifyReport> {
                                     ));
                                 }
                             }
-                            if let Some((a, b, _)) = sealed {
-                                if first_t != Some(a) || last_t != Some(b) {
-                                    rep.issues.push(format!(
-                                        "{}/{slug}/{fname}: name range [{a},{b}] != content range [{:?},{:?}]",
-                                        res.dir_name(),
-                                        first_t,
-                                        last_t
-                                    ));
-                                }
+                            if first_t != Some(a) || last_t != Some(b) {
+                                rep.issues.push(format!(
+                                    "{}/{slug}/{fname}: name range [{a},{b}] != content range [{:?},{:?}]",
+                                    res.dir_name(),
+                                    first_t,
+                                    last_t
+                                ));
                             }
                         }
                     }
@@ -1412,8 +1343,6 @@ pub fn verify_store(dir: &Path) -> io::Result<VerifyReport> {
                 }
                 let text = fs::read_to_string(&path)?;
                 let mut last_t: Option<u64> = None;
-                let mut first_t: Option<u64> = None;
-                let mut bad = false;
                 for (ln, line) in text.lines().enumerate() {
                     match decode_point_line(line) {
                         Some(p) if p.value.kind() == info.kind => {
@@ -1424,7 +1353,6 @@ pub fn verify_store(dir: &Path) -> io::Result<VerifyReport> {
                                     ln + 1
                                 ));
                             }
-                            first_t.get_or_insert(p.t);
                             last_t = Some(p.t);
                             rep.points += 1;
                         }
@@ -1435,7 +1363,6 @@ pub fn verify_store(dir: &Path) -> io::Result<VerifyReport> {
                                 ln + 1,
                                 info.kind.as_str()
                             ));
-                            bad = true;
                         }
                         None => {
                             rep.issues.push(format!(
@@ -1443,18 +1370,7 @@ pub fn verify_store(dir: &Path) -> io::Result<VerifyReport> {
                                 res.dir_name(),
                                 ln + 1
                             ));
-                            bad = true;
                         }
-                    }
-                }
-                if let Some((a, b, _)) = sealed {
-                    if !bad && (first_t != Some(a) || last_t != Some(b)) {
-                        rep.issues.push(format!(
-                            "{}/{slug}/{fname}: name range [{a},{b}] != content range [{:?},{:?}]",
-                            res.dir_name(),
-                            first_t,
-                            last_t
-                        ));
                     }
                 }
             }
@@ -1476,18 +1392,14 @@ pub struct CompactReport {
     pub bytes_after: u64,
 }
 
-/// [`compact_store_to`] with the default (binary) codec.
+/// Rewrites every series/resolution as a single sealed segment holding
+/// its canonical point sequence, and the index as one deduplicated,
+/// sorted file — both via tmp-file-plus-rename. Because queries already
+/// canonicalize, a query over the compacted store is byte-identical to
+/// one over the original. A store holding a sealed v1 segment is refused
+/// before anything is rewritten. Must not run while a writer has the
+/// store open (offline maintenance only).
 pub fn compact_store(dir: &Path) -> io::Result<CompactReport> {
-    compact_store_to(dir, SegmentCodec::Binary)
-}
-
-/// Rewrites every series/resolution as a single sealed segment (encoded
-/// in `codec`) holding its canonical point sequence, and the index as
-/// one deduplicated, sorted file — both via tmp-file-plus-rename.
-/// Because queries already canonicalize, a query over the compacted
-/// store is byte-identical to one over the original. Must not run while
-/// a writer has the store open (offline maintenance only).
-pub fn compact_store_to(dir: &Path, codec: SegmentCodec) -> io::Result<CompactReport> {
     let mut rep = CompactReport::default();
     let reader = LtsReader::open(dir);
     let index = reader.index();
@@ -1507,6 +1419,7 @@ pub fn compact_store_to(dir: &Path, codec: SegmentCodec) -> io::Result<CompactRe
                     continue;
                 };
                 for f in files.flatten() {
+                    refuse_v1(&f.path())?;
                     if f.path()
                         .extension()
                         .is_some_and(|e| e == "seg" || e == "bin")
@@ -1554,12 +1467,9 @@ pub fn compact_store_to(dir: &Path, codec: SegmentCodec) -> io::Result<CompactRe
                 }
                 continue;
             }
-            let dest = sdir.join(segment_file_name(pts[0].t, pts[pts.len() - 1].t, codec));
+            let dest = sdir.join(segment_file_name(pts[0].t, pts[pts.len() - 1].t));
             let tmp = sdir.join("compact.tmp");
-            match codec {
-                SegmentCodec::Jsonl => fs::write(&tmp, encode_segment_v1(&pts))?,
-                SegmentCodec::Binary => fs::write(&tmp, encode_segment_v2(info.kind, &pts))?,
-            }
+            fs::write(&tmp, encode_segment_v2(info.kind, &pts))?;
             fs::rename(&tmp, &dest)?;
             for p in old {
                 if p != dest {
@@ -1569,68 +1479,6 @@ pub fn compact_store_to(dir: &Path, codec: SegmentCodec) -> io::Result<CompactRe
         }
     }
     measure(&mut rep.segments_after, &mut rep.bytes_after)?;
-    Ok(rep)
-}
-
-/// What [`migrate_store`] did.
-#[derive(Debug, Clone, Default)]
-pub struct MigrateReport {
-    /// Sealed segments rewritten into the target codec.
-    pub segments_converted: u64,
-    /// Sealed segments already in the target codec, left untouched.
-    pub segments_skipped: u64,
-    /// Total sealed-segment bytes before/after.
-    pub bytes_before: u64,
-    /// Total sealed-segment bytes after.
-    pub bytes_after: u64,
-}
-
-/// Converts every sealed segment of every indexed series to `codec`,
-/// one segment at a time via tmp-file-plus-rename: the replacement is
-/// renamed into place before the source file is removed, so a crash at
-/// any byte leaves a store whose canonicalizing readers still answer
-/// byte-identically (an interim duplicate pair dedups first-wins), and
-/// re-running the migration finishes the job. Open tails and the index
-/// are untouched. Must not run while a writer has the store open.
-pub fn migrate_store(dir: &Path, codec: SegmentCodec) -> io::Result<MigrateReport> {
-    let mut rep = MigrateReport::default();
-    let reader = LtsReader::open(dir);
-    for info in reader.index() {
-        for res in Resolution::ALL {
-            let sdir = dir.join(res.dir_name()).join(&info.slug);
-            for seg in segment_files(&sdir)? {
-                let bytes = seg.bytes();
-                rep.bytes_before += bytes;
-                if seg.codec == codec {
-                    rep.segments_skipped += 1;
-                    rep.bytes_after += bytes;
-                    continue;
-                }
-                let pts = read_sealed_points(&seg, info.kind).map_err(|e| {
-                    io::Error::new(
-                        io::ErrorKind::InvalidData,
-                        format!("{}: {e}", rel_path(dir, &seg.path)),
-                    )
-                })?;
-                let (first, last) = match (pts.first(), pts.last()) {
-                    (Some(a), Some(b)) => (a.t, b.t),
-                    _ => (seg.first, seg.last),
-                };
-                let dest = sdir.join(segment_file_name(first, last, codec));
-                let tmp = sdir.join("migrate.tmp");
-                match codec {
-                    SegmentCodec::Jsonl => fs::write(&tmp, encode_segment_v1(&pts))?,
-                    SegmentCodec::Binary => fs::write(&tmp, encode_segment_v2(info.kind, &pts))?,
-                }
-                fs::rename(&tmp, &dest)?;
-                if dest != seg.path {
-                    fs::remove_file(&seg.path)?;
-                }
-                rep.segments_converted += 1;
-                rep.bytes_after += fs::metadata(&dest).map(|m| m.len()).unwrap_or(0);
-            }
-        }
-    }
     Ok(rep)
 }
 
@@ -1725,7 +1573,7 @@ pub fn fold_series_range(
             continue;
         }
         let covered = seg.first >= low && seg.last <= upto;
-        if covered && seg.codec == SegmentCodec::Binary {
+        if covered {
             let header = read_segment_header(&seg.path)?;
             let stats = header.stats?;
             if header.kind != kind {
@@ -1772,8 +1620,6 @@ pub fn fold_series_range(
 pub struct SegmentStat {
     /// Path relative to the store root.
     pub path: String,
-    /// Codec version byte (1 = JSONL, 2 = binary); open tails are 1.
-    pub codec_version: u8,
     /// `false` for open tails.
     pub sealed: bool,
     /// Points held.
@@ -1787,10 +1633,8 @@ pub struct SegmentStat {
 pub struct ResolutionStat {
     /// Segment files (sealed + open).
     pub segments: u64,
-    /// Sealed JSONL (v1) segments.
-    pub v1_segments: u64,
-    /// Sealed binary (v2) segments.
-    pub v2_segments: u64,
+    /// Sealed segments.
+    pub sealed: u64,
     /// Open tails.
     pub open_tails: u64,
     /// Bytes on disk.
@@ -1809,16 +1653,12 @@ pub struct StoreStats {
     pub segments: Vec<SegmentStat>,
 }
 
-/// Measures on-disk layout per resolution and per segment: bytes, point
-/// counts, and codec versions. Binary point counts come from segment
-/// headers; JSONL files are line-counted.
+/// Measures on-disk layout per resolution and per segment: bytes and
+/// point counts. Sealed point counts come from segment headers; open
+/// tails are line-counted. A store holding a sealed v1 segment is
+/// refused ([`io::ErrorKind::InvalidData`]).
 pub fn store_stats(dir: &Path) -> io::Result<StoreStats> {
     let mut stats = StoreStats::default();
-    let count_jsonl = |path: &Path| -> u64 {
-        fs::read_to_string(path)
-            .map(|t| t.lines().filter(|l| !l.trim().is_empty()).count() as u64)
-            .unwrap_or(0)
-    };
     for res in Resolution::ALL {
         let rdir = dir.join(res.dir_name());
         let entries = match fs::read_dir(&rdir) {
@@ -1833,21 +1673,14 @@ pub fn store_stats(dir: &Path) -> io::Result<StoreStats> {
                 continue;
             }
             for seg in segment_files(&sdir)? {
-                let points = match seg.codec {
-                    SegmentCodec::Jsonl => count_jsonl(&seg.path),
-                    SegmentCodec::Binary => read_segment_header(&seg.path).map_or(0, |h| h.count),
-                };
+                let points = read_segment_header(&seg.path).map_or(0, |h| h.count);
                 let bytes = seg.bytes();
                 rs.segments += 1;
-                match seg.codec {
-                    SegmentCodec::Jsonl => rs.v1_segments += 1,
-                    SegmentCodec::Binary => rs.v2_segments += 1,
-                }
+                rs.sealed += 1;
                 rs.bytes += bytes;
                 rs.points += points;
                 stats.segments.push(SegmentStat {
                     path: rel_path(dir, &seg.path),
-                    codec_version: seg.codec.version(),
                     sealed: true,
                     points,
                     bytes,
@@ -1855,14 +1688,15 @@ pub fn store_stats(dir: &Path) -> io::Result<StoreStats> {
             }
             let open = sdir.join("open.seg");
             if let Ok(m) = fs::metadata(&open) {
-                let points = count_jsonl(&open);
+                let points = fs::read_to_string(&open).map_or(0, |t| {
+                    t.lines().filter(|l| !l.trim().is_empty()).count() as u64
+                });
                 rs.segments += 1;
                 rs.open_tails += 1;
                 rs.bytes += m.len();
                 rs.points += points;
                 stats.segments.push(SegmentStat {
                     path: rel_path(dir, &open),
-                    codec_version: SegmentCodec::Jsonl.version(),
                     sealed: false,
                     points,
                     bytes: m.len(),
@@ -1898,20 +1732,6 @@ pub fn report_flush(
             vec![("detail".to_string(), FieldValue::Str(w.clone()))]
         });
     }
-}
-
-// ---------------------------------------------------------------------
-// On-disk encoding
-// ---------------------------------------------------------------------
-
-/// `pts` as one JSONL (codec v1) segment: a tail line per point.
-fn encode_segment_v1(pts: &[Point]) -> String {
-    let mut body = String::new();
-    for p in pts {
-        encode_point_line(&mut body, p);
-        body.push('\n');
-    }
-    body
 }
 
 // ---------------------------------------------------------------------
@@ -2293,31 +2113,40 @@ fn slug_for(name: &str) -> String {
     format!("{s}-{hash:016x}")
 }
 
-/// Sealed-segment filename covering `[first, last]` in `codec`.
-/// Zero-padded so lexicographic directory order is chronological order.
-fn segment_file_name(first: u64, last: u64, codec: SegmentCodec) -> String {
-    let ext = match codec {
-        SegmentCodec::Jsonl => "seg",
-        SegmentCodec::Binary => "bin",
-    };
-    format!("seg-{first:012}-{last:012}.{ext}")
+/// Sealed-segment filename covering `[first, last]`. Zero-padded so
+/// lexicographic directory order is chronological order.
+fn segment_file_name(first: u64, last: u64) -> String {
+    format!("seg-{first:012}-{last:012}.bin")
 }
 
-fn parse_segment_name(name: &str) -> Option<(u64, u64, SegmentCodec)> {
-    let (body, codec) = match name.strip_prefix("seg-")? {
-        rest if rest.ends_with(".seg") => (rest.strip_suffix(".seg")?, SegmentCodec::Jsonl),
-        rest if rest.ends_with(".bin") => (rest.strip_suffix(".bin")?, SegmentCodec::Binary),
-        _ => return None,
-    };
+fn parse_segment_name(name: &str) -> Option<(u64, u64)> {
+    let body = name.strip_prefix("seg-")?.strip_suffix(".bin")?;
     let (a, b) = body.split_once('-')?;
-    Some((a.parse().ok()?, b.parse().ok()?, codec))
+    Some((a.parse().ok()?, b.parse().ok()?))
+}
+
+/// Refuses a sealed v1 (JSONL) segment, `seg-A-B.seg`, found where a
+/// series directory is listed: v1 is no longer read, and a directory
+/// holding one must not be half-read. `open.seg` is the tail, not one.
+fn refuse_v1(path: &Path) -> io::Result<()> {
+    let name = path.file_name().and_then(|n| n.to_str()).unwrap_or("");
+    if name.starts_with("seg-") && name.ends_with(".seg") {
+        return Err(io::Error::new(
+            io::ErrorKind::InvalidData,
+            format!(
+                "{}: a sealed v1 (JSONL) segment; v1 segments are no longer read, convert \
+                 the store with `netqos lts migrate` from an earlier release",
+                path.display()
+            ),
+        ));
+    }
+    Ok(())
 }
 
 struct SegmentFile {
     path: PathBuf,
     first: u64,
     last: u64,
-    codec: SegmentCodec,
 }
 
 impl SegmentFile {
@@ -2327,7 +2156,8 @@ impl SegmentFile {
     }
 }
 
-/// Sealed segments in a series directory (either codec), oldest first.
+/// Sealed segments in a series directory, oldest first; a v1 segment
+/// there is an error ([`refuse_v1`]).
 fn segment_files(sdir: &Path) -> io::Result<Vec<SegmentFile>> {
     let mut out = Vec::new();
     let entries = match fs::read_dir(sdir) {
@@ -2337,57 +2167,32 @@ fn segment_files(sdir: &Path) -> io::Result<Vec<SegmentFile>> {
     };
     for entry in entries.flatten() {
         let path = entry.path();
+        refuse_v1(&path)?;
         let name = path
             .file_name()
             .unwrap_or_default()
             .to_string_lossy()
             .to_string();
-        if let Some((first, last, codec)) = parse_segment_name(&name) {
-            out.push(SegmentFile {
-                path,
-                first,
-                last,
-                codec,
-            });
+        if let Some((first, last)) = parse_segment_name(&name) {
+            out.push(SegmentFile { path, first, last });
         }
     }
     out.sort_by_key(|s| (s.first, s.last));
     Ok(out)
 }
 
-/// Reads one sealed segment's points (codec from the filename), strict:
-/// any undecodable content is an error. Used by verify/migrate; the
-/// query path ([`read_series_points`]) stays lenient.
+/// Reads one sealed segment's points, strict: any undecodable content is
+/// an error. The query path ([`read_series_points`]) stays lenient.
 fn read_sealed_points(seg: &SegmentFile, kind: SeriesKind) -> Result<Vec<Point>, String> {
-    match seg.codec {
-        SegmentCodec::Jsonl => {
-            let text = fs::read_to_string(&seg.path).map_err(|e| e.to_string())?;
-            let mut pts = Vec::new();
-            for (ln, line) in text.lines().enumerate() {
-                if line.trim().is_empty() {
-                    continue;
-                }
-                let p = decode_point_line(line)
-                    .ok_or_else(|| format!("line {}: unparseable", ln + 1))?;
-                if p.value.kind() != kind {
-                    return Err(format!("line {}: kind mismatch", ln + 1));
-                }
-                pts.push(p);
-            }
-            Ok(pts)
-        }
-        SegmentCodec::Binary => {
-            let buf = fs::read(&seg.path).map_err(|e| e.to_string())?;
-            let (header, pts) = decode_segment_v2(&buf)?;
-            if header.kind != kind {
-                return Err(format!(
-                    "kind mismatch (segment says {})",
-                    header.kind.as_str()
-                ));
-            }
-            Ok(pts)
-        }
+    let buf = fs::read(&seg.path).map_err(|e| e.to_string())?;
+    let (header, pts) = decode_segment_v2(&buf)?;
+    if header.kind != kind {
+        return Err(format!(
+            "kind mismatch (segment says {})",
+            header.kind.as_str()
+        ));
     }
+    Ok(pts)
 }
 
 /// Reads one segment file leniently: a torn *final* line is truncated
@@ -2457,31 +2262,13 @@ fn read_points(
 ) -> Vec<Point> {
     let mut pts: Vec<Point> = Vec::new();
     let wanted = |p: &Point| p.value.kind() == kind && p.t >= start && p.t <= end;
-    let read_jsonl = |path: &Path, pts: &mut Vec<Point>| {
-        let Ok(text) = fs::read_to_string(path) else {
-            return;
-        };
-        pts.extend(text.lines().filter_map(decode_point_line).filter(wanted));
-    };
     for seg in segs {
         // Whole segment out of range: skip without reading.
         if seg.last < start || seg.first > end {
             continue;
         }
-        match seg.codec {
-            SegmentCodec::Jsonl => read_jsonl(&seg.path, &mut pts),
-            SegmentCodec::Binary => {
-                let Ok(buf) = fs::read(&seg.path) else {
-                    continue;
-                };
-                let Ok((header, decoded)) = decode_segment_v2(&buf) else {
-                    continue;
-                };
-                if header.kind != kind {
-                    continue;
-                }
-                pts.extend(decoded.into_iter().filter(wanted));
-            }
+        if let Ok(decoded) = read_sealed_points(seg, kind) {
+            pts.extend(decoded.into_iter().filter(wanted));
         }
     }
     let sealed = pts.len();
@@ -2494,7 +2281,9 @@ fn read_points(
         pts[sealed..].reverse();
     } else {
         pts.truncate(sealed);
-        read_jsonl(open, &mut pts);
+        if let Ok(text) = fs::read_to_string(open) {
+            pts.extend(text.lines().filter_map(decode_point_line).filter(wanted));
+        }
     }
     pts.sort_by_key(|p| p.t);
     pts.dedup_by_key(|p| p.t);
@@ -2827,7 +2616,7 @@ mod tests {
     fn sealing_and_hourly_fold() {
         let dir = tmpdir("seal");
         let config = LtsConfig {
-            codec: SegmentCodec::Jsonl,
+            codec: SegmentCodec::Binary,
             seal_points: 100,
             retention: LtsRetention {
                 max_age_secs: 0,
@@ -2945,7 +2734,7 @@ mod tests {
     fn retention_by_age_and_size() {
         let dir = tmpdir("retention");
         let config = LtsConfig {
-            codec: SegmentCodec::Jsonl,
+            codec: SegmentCodec::Binary,
             seal_points: 10,
             retention: LtsRetention {
                 max_age_secs: 100,
@@ -2977,11 +2766,11 @@ mod tests {
 
         let dir2 = tmpdir("retention-size");
         let config = LtsConfig {
-            codec: SegmentCodec::Jsonl,
+            codec: SegmentCodec::Binary,
             seal_points: 10,
             retention: LtsRetention {
                 max_age_secs: 0,
-                max_bytes: 2000,
+                max_bytes: 600,
             },
         };
         let mut store = LtsStore::open(&dir2, config, LtsCounters::detached()).unwrap();
@@ -3001,7 +2790,7 @@ mod tests {
     fn query_json_is_stable_across_compact_and_reopen() {
         let dir = tmpdir("stable");
         let config = LtsConfig {
-            codec: SegmentCodec::Jsonl,
+            codec: SegmentCodec::Binary,
             seal_points: 50,
             retention: LtsRetention {
                 max_age_secs: 0,
@@ -3221,11 +3010,7 @@ mod tests {
         store.append("c", 1, PointValue::Counter(1));
         store.flush().unwrap();
         let sdir = dir.join("1s").join(slug_for("c"));
-        fs::write(
-            sdir.join(segment_file_name(2, 3, SegmentCodec::Binary)),
-            &buf,
-        )
-        .unwrap();
+        fs::write(sdir.join(segment_file_name(2, 3)), &buf).unwrap();
         let rep = verify_store(&dir).unwrap();
         assert!(
             rep.issues.iter().any(|i| i.contains("truncated")),
@@ -3270,10 +3055,10 @@ mod tests {
         }
     }
 
-    fn seeded_store(dir: &Path, codec: SegmentCodec) {
+    fn seeded_store(dir: &Path, seal_points: usize) {
         let config = LtsConfig {
-            codec,
-            seal_points: 64,
+            codec: SegmentCodec::Binary,
+            seal_points,
             retention: LtsRetention {
                 max_age_secs: 0,
                 max_bytes: 0,
@@ -3305,58 +3090,35 @@ mod tests {
         out
     }
 
+    /// A store that never seals holds every point in its JSON-line
+    /// tails: the reference a sealing store must answer like.
     #[test]
-    fn binary_and_jsonl_stores_answer_identically() {
-        let d1 = tmpdir("codec-jsonl");
-        let d2 = tmpdir("codec-bin");
-        seeded_store(&d1, SegmentCodec::Jsonl);
-        seeded_store(&d2, SegmentCodec::Binary);
-        assert_eq!(full_query(&d1), full_query(&d2));
-        // The binary store actually sealed binary segments.
-        let stats = store_stats(&d2).unwrap();
-        assert!(stats.resolutions[0].v2_segments > 0);
-        assert_eq!(stats.resolutions[0].v1_segments, 0);
-        for d in [&d1, &d2] {
+    fn sealed_and_never_sealed_stores_answer_identically() {
+        let tails = tmpdir("tails");
+        let sealed = tmpdir("sealed");
+        seeded_store(&tails, usize::MAX);
+        seeded_store(&sealed, 64);
+        assert_eq!(full_query(&tails), full_query(&sealed));
+        let stats = store_stats(&sealed).unwrap();
+        assert!(stats.resolutions[0].sealed > 0);
+        assert_eq!(store_stats(&tails).unwrap().resolutions[0].sealed, 0);
+        for d in [&tails, &sealed] {
             let report = verify_store(d).unwrap();
             assert!(report.issues.is_empty(), "{:?}", report.issues);
         }
-        let _ = fs::remove_dir_all(&d1);
-        let _ = fs::remove_dir_all(&d2);
+        let _ = fs::remove_dir_all(&tails);
+        let _ = fs::remove_dir_all(&sealed);
     }
 
     #[test]
-    fn migrate_preserves_queries_both_ways() {
-        let dir = tmpdir("migrate");
-        seeded_store(&dir, SegmentCodec::Jsonl);
-        let before = full_query(&dir);
-        let up = migrate_store(&dir, SegmentCodec::Binary).unwrap();
-        assert!(up.segments_converted > 0);
-        assert_eq!(up.segments_skipped, 0);
-        assert!(up.bytes_after < up.bytes_before);
-        assert_eq!(full_query(&dir), before);
-        let report = verify_store(&dir).unwrap();
-        assert!(report.issues.is_empty(), "{:?}", report.issues);
-        // Second run is a no-op; migrating back restores JSONL answers.
-        let again = migrate_store(&dir, SegmentCodec::Binary).unwrap();
-        assert_eq!(again.segments_converted, 0);
-        assert_eq!(again.segments_skipped, up.segments_converted);
-        let down = migrate_store(&dir, SegmentCodec::Jsonl).unwrap();
-        assert_eq!(down.segments_converted, up.segments_converted);
-        assert_eq!(full_query(&dir), before);
-        assert!(verify_store(&dir).unwrap().issues.is_empty());
-        let _ = fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn compaction_keeps_codec_and_answers() {
+    fn compaction_keeps_answers() {
         let dir = tmpdir("codec-compact");
-        seeded_store(&dir, SegmentCodec::Binary);
+        seeded_store(&dir, 64);
         let before = full_query(&dir);
-        compact_store_to(&dir, SegmentCodec::Binary).unwrap();
+        compact_store(&dir).unwrap();
         assert_eq!(full_query(&dir), before);
         let stats = store_stats(&dir).unwrap();
-        assert!(stats.resolutions[0].v2_segments > 0);
-        assert_eq!(stats.resolutions[0].v1_segments, 0);
+        assert!(stats.resolutions[0].sealed > 0);
         assert_eq!(stats.resolutions[0].open_tails, 0);
         let _ = fs::remove_dir_all(&dir);
     }
@@ -3364,7 +3126,7 @@ mod tests {
     #[test]
     fn fold_matches_materialized_scan() {
         let dir = tmpdir("fold");
-        seeded_store(&dir, SegmentCodec::Binary);
+        seeded_store(&dir, 64);
         let reader = LtsReader::open(&dir);
         let info = reader
             .index()
@@ -3439,7 +3201,7 @@ mod tests {
     #[test]
     fn stale_open_tail_from_interrupted_seal_is_removed() {
         let dir = tmpdir("stale-tail");
-        seeded_store(&dir, SegmentCodec::Binary);
+        seeded_store(&dir, 64);
         let reader = LtsReader::open(&dir);
         let info = reader
             .index()

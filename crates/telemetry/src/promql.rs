@@ -57,6 +57,13 @@ pub const LOOKBACK_FLOOR_SECS: u64 = 300;
 /// many evaluation points (mirrors Prometheus' 11k-point limit).
 pub const MAX_RANGE_STEPS: u64 = 11_000;
 
+/// Expressions whose tree is deeper than this are refused, a pair of
+/// parentheses counting as a level: the parser, the evaluator and `Drop`
+/// all recurse over the tree, and a query that fits in one request head
+/// would otherwise overflow the stack of the thread serving it. The
+/// same bound as [`MAX_JSON_DEPTH`](crate::MAX_JSON_DEPTH).
+const MAX_QUERY_DEPTH: usize = 128;
+
 // ---------------------------------------------------------------------
 // Durations and label-set parsing
 // ---------------------------------------------------------------------
@@ -491,6 +498,34 @@ enum Expr {
 struct Parser {
     toks: Vec<Tok>,
     pos: usize,
+    /// Parentheses, unary minuses and aggregations open around the
+    /// current token.
+    nesting: usize,
+}
+
+/// An expression and the depth of its tree.
+type Parsed = (Expr, usize);
+
+fn too_deep() -> String {
+    format!("expression nests deeper than {MAX_QUERY_DEPTH} levels")
+}
+
+/// `e` as a tree `depth` deep, refused past [`MAX_QUERY_DEPTH`].
+fn bounded(e: Expr, depth: usize) -> Result<Parsed, String> {
+    if depth > MAX_QUERY_DEPTH {
+        return Err(too_deep());
+    }
+    Ok((e, depth))
+}
+
+/// `lhs op rhs`, refused past [`MAX_QUERY_DEPTH`].
+fn bin(op: BinOp, (lhs, l): Parsed, (rhs, r): Parsed) -> Result<Parsed, String> {
+    let e = Expr::Bin {
+        op,
+        lhs: Box::new(lhs),
+        rhs: Box::new(rhs),
+    };
+    bounded(e, 1 + l.max(r))
 }
 
 impl Parser {
@@ -521,7 +556,19 @@ impl Parser {
         }
     }
 
-    fn parse_expr(&mut self) -> Result<Expr, String> {
+    /// Parses what `parse` reads one level further in, refusing before
+    /// it recurses past [`MAX_QUERY_DEPTH`].
+    fn nested(&mut self, parse: fn(&mut Self) -> Result<Parsed, String>) -> Result<Parsed, String> {
+        if self.nesting == MAX_QUERY_DEPTH {
+            return Err(too_deep());
+        }
+        self.nesting += 1;
+        let inner = parse(self);
+        self.nesting -= 1;
+        inner
+    }
+
+    fn parse_expr(&mut self) -> Result<Parsed, String> {
         let mut lhs = self.parse_additive()?;
         loop {
             let op = match self.peek() {
@@ -534,16 +581,11 @@ impl Parser {
                 _ => return Ok(lhs),
             };
             self.bump();
-            let rhs = self.parse_additive()?;
-            lhs = Expr::Bin {
-                op,
-                lhs: Box::new(lhs),
-                rhs: Box::new(rhs),
-            };
+            lhs = bin(op, lhs, self.parse_additive()?)?;
         }
     }
 
-    fn parse_additive(&mut self) -> Result<Expr, String> {
+    fn parse_additive(&mut self) -> Result<Parsed, String> {
         let mut lhs = self.parse_multiplicative()?;
         loop {
             let op = match self.peek() {
@@ -552,16 +594,11 @@ impl Parser {
                 _ => return Ok(lhs),
             };
             self.bump();
-            let rhs = self.parse_multiplicative()?;
-            lhs = Expr::Bin {
-                op,
-                lhs: Box::new(lhs),
-                rhs: Box::new(rhs),
-            };
+            lhs = bin(op, lhs, self.parse_multiplicative()?)?;
         }
     }
 
-    fn parse_multiplicative(&mut self) -> Result<Expr, String> {
+    fn parse_multiplicative(&mut self) -> Result<Parsed, String> {
         let mut lhs = self.parse_unary()?;
         loop {
             let op = match self.peek() {
@@ -570,42 +607,34 @@ impl Parser {
                 _ => return Ok(lhs),
             };
             self.bump();
-            let rhs = self.parse_unary()?;
-            lhs = Expr::Bin {
-                op,
-                lhs: Box::new(lhs),
-                rhs: Box::new(rhs),
-            };
+            lhs = bin(op, lhs, self.parse_unary()?)?;
         }
     }
 
-    fn parse_unary(&mut self) -> Result<Expr, String> {
+    fn parse_unary(&mut self) -> Result<Parsed, String> {
         if self.peek() == Some(&Tok::Minus) {
             self.bump();
-            let inner = self.parse_unary()?;
-            return Ok(Expr::Bin {
-                op: BinOp::Sub,
-                lhs: Box::new(Expr::Number(0.0)),
-                rhs: Box::new(inner),
-            });
+            let inner = self.nested(Self::parse_unary)?;
+            return bin(BinOp::Sub, (Expr::Number(0.0), 1), inner);
         }
         self.parse_primary()
     }
 
-    fn parse_primary(&mut self) -> Result<Expr, String> {
+    fn parse_primary(&mut self) -> Result<Parsed, String> {
         match self.bump() {
-            Some(Tok::Num(n)) => Ok(Expr::Number(n)),
+            Some(Tok::Num(n)) => Ok((Expr::Number(n), 1)),
             Some(Tok::LParen) => {
-                let e = self.parse_expr()?;
+                let (e, depth) = self.nested(Self::parse_expr)?;
                 self.expect(Tok::RParen, "to close `(`")?;
-                Ok(e)
+                bounded(e, depth + 1)
             }
             Some(Tok::LBrace) => {
                 let matchers = self.parse_matchers()?;
-                Ok(Expr::Selector(Selector {
+                let sel = Selector {
                     name: None,
                     matchers,
-                }))
+                };
+                Ok((Expr::Selector(sel), 1))
             }
             Some(Tok::Ident(id)) => self.parse_ident(id),
             Some(t) => Err(format!("unexpected {}", tok_name(&t))),
@@ -613,7 +642,7 @@ impl Parser {
         }
     }
 
-    fn parse_ident(&mut self, id: String) -> Result<Expr, String> {
+    fn parse_ident(&mut self, id: String) -> Result<Parsed, String> {
         match id.as_str() {
             "rate" | "increase" | "delta" => {
                 let f = match id.as_str() {
@@ -625,7 +654,7 @@ impl Parser {
                 let sel = self.parse_selector()?;
                 let window = self.parse_window(&id)?;
                 self.expect(Tok::RParen, &format!("to close `{id}(`"))?;
-                Ok(Expr::RangeFn { f, sel, window })
+                Ok((Expr::RangeFn { f, sel, window }, 1))
             }
             "histogram_quantile" => {
                 self.expect(Tok::LParen, "after `histogram_quantile`")?;
@@ -647,7 +676,7 @@ impl Parser {
                     None
                 };
                 self.expect(Tok::RParen, "to close `histogram_quantile(`")?;
-                Ok(Expr::HistQuantile { q, sel, window })
+                Ok((Expr::HistQuantile { q, sel, window }, 1))
             }
             "sum" | "avg" | "min" | "max" | "count" => {
                 let op = match id.as_str() {
@@ -659,16 +688,13 @@ impl Parser {
                 };
                 let mut grouping = self.try_parse_grouping()?;
                 self.expect(Tok::LParen, &format!("after `{id}`"))?;
-                let arg = self.parse_expr()?;
+                let (arg, depth) = self.nested(Self::parse_expr)?;
                 self.expect(Tok::RParen, &format!("to close `{id}(`"))?;
                 if grouping.is_none() {
                     grouping = self.try_parse_grouping()?;
                 }
-                Ok(Expr::Agg {
-                    op,
-                    grouping,
-                    arg: Box::new(arg),
-                })
+                let arg = Box::new(arg);
+                bounded(Expr::Agg { op, grouping, arg }, depth + 1)
             }
             _ => {
                 let matchers = if self.peek() == Some(&Tok::LBrace) {
@@ -677,10 +703,11 @@ impl Parser {
                 } else {
                     Vec::new()
                 };
-                Ok(Expr::Selector(Selector {
+                let sel = Selector {
                     name: Some(id),
                     matchers,
-                }))
+                };
+                Ok((Expr::Selector(sel), 1))
             }
         }
     }
@@ -811,8 +838,12 @@ fn parse_query(src: &str) -> Result<Expr, String> {
     if toks.is_empty() {
         return Err("empty query".into());
     }
-    let mut p = Parser { toks, pos: 0 };
-    let e = p.parse_expr()?;
+    let mut p = Parser {
+        toks,
+        pos: 0,
+        nesting: 0,
+    };
+    let (e, _) = p.parse_expr()?;
     match p.peek() {
         None => Ok(e),
         Some(Tok::LBracket) => Err(
@@ -2587,6 +2618,78 @@ mod tests {
         assert!(check_query("sum(a) / sum(b)").is_ok());
         assert!(check_query("rate(").is_err());
         assert!(check_query("").is_err());
+    }
+
+    /// Every shape the grammar nests in, `n` levels deep past a bare
+    /// `1`: parentheses, unary minuses and a `+` chain.
+    fn nested_queries(n: usize) -> [String; 3] {
+        [
+            format!("{}1{}", "(".repeat(n), ")".repeat(n)),
+            format!("{}1", "-".repeat(n)),
+            vec!["1"; n + 1].join("+"),
+        ]
+    }
+
+    /// Each shape at the most levels `bytes` of query holds, `+` spelled
+    /// as `plus`.
+    fn filling(bytes: usize, plus: &str) -> [String; 3] {
+        let terms = (bytes + plus.len()) / (1 + plus.len());
+        [
+            format!(
+                "{}1{}",
+                "(".repeat((bytes - 1) / 2),
+                ")".repeat((bytes - 1) / 2)
+            ),
+            format!("{}1", "-".repeat(bytes - 1)),
+            vec!["1"; terms].join(plus),
+        ]
+    }
+
+    /// A tree as deep as the cap parses and evaluates; one level more,
+    /// or a whole request head of nesting, is an ordinary parse error.
+    /// Run on the 2 MiB stack each HTTP connection's thread has.
+    #[test]
+    fn nesting_past_the_cap_is_a_parse_error_not_a_stack_overflow() {
+        let run = || {
+            let engine = QueryEngine::new();
+            for q in nested_queries(MAX_QUERY_DEPTH - 1) {
+                assert!(check_query(&q).is_ok(), "{q}");
+                let out = engine.instant(&q, 0, Resolution::Raw1s).unwrap();
+                assert!(matches!(out.result, QueryResult::Scalar { .. }), "{q}");
+            }
+            // One level more, and a whole request head of nesting.
+            let past = nested_queries(MAX_QUERY_DEPTH);
+            for q in past.iter().chain(&filling(8 * 1024 - 1, "+")) {
+                let err = check_query(q).unwrap_err();
+                assert!(err.contains("nests deeper than 128"), "{err}");
+                assert!(engine.instant(q, 0, Resolution::Raw1s).is_err());
+            }
+        };
+        let thread = std::thread::Builder::new().stack_size(2 << 20);
+        thread.spawn(run).unwrap().join().unwrap();
+    }
+
+    /// Over HTTP: a query nested as deep as a request head allows is a
+    /// 400, and the server goes on answering.
+    #[test]
+    fn a_nested_query_in_one_request_head_is_a_400() {
+        use crate::http::{http_get, HttpServer, Router};
+        let engine = QueryEngine::new();
+        let router: Arc<Router> =
+            Arc::new(move |req| Some(api_query_response(&engine, req, false, 0).into()));
+        let server = HttpServer::serve("127.0.0.1:0", router).unwrap();
+        let port = server.local_addr().port();
+        // The request line's `GET`, path, `?query=` and ` HTTP/1.1`, and
+        // the headers `http_get` sends, leave room for 8 000 bytes.
+        for q in filling(8_000, "%2B") {
+            let (status, body) =
+                http_get("127.0.0.1", port, &format!("/api/v1/query?query={q}")).unwrap();
+            assert_eq!(status, 400, "{body}");
+            assert!(body.contains("nests deeper than 128"), "{body}");
+        }
+        let (status, body) = http_get("127.0.0.1", port, "/api/v1/query?query=1%2B1").unwrap();
+        assert_eq!((status, body.contains("\"2\"")), (200, true), "{body}");
+        server.stop();
     }
 
     fn store_backed_engine(tag: &str) -> (std::path::PathBuf, QueryEngine, Vec<Point>) {

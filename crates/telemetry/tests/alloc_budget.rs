@@ -72,14 +72,14 @@ fn tmpdir(tag: &str) -> PathBuf {
 }
 
 fn open(dir: &PathBuf) -> LtsStore {
-    open_with(dir, 1 << 20, SegmentCodec::Binary)
+    open_with(dir, 1 << 20)
 }
 
-fn open_with(dir: &PathBuf, seal_points: usize, codec: SegmentCodec) -> LtsStore {
+fn open_with(dir: &PathBuf, seal_points: usize) -> LtsStore {
     let config = LtsConfig {
         seal_points,
         retention: LtsRetention::default(),
-        codec,
+        codec: SegmentCodec::Binary,
     };
     LtsStore::open(dir, config, LtsCounters::detached()).unwrap()
 }
@@ -255,38 +255,29 @@ fn tail_period(store: &mut LtsStore, names: &[String], period: u64) -> (u64, u64
 #[test]
 fn an_open_tail_is_held_as_the_bytes_it_seals_into() {
     let names: Vec<String> = (0..TAIL_SERIES).map(series_name).collect();
-    for codec in [SegmentCodec::Binary, SegmentCodec::Jsonl] {
-        let dir = tmpdir(&format!("tail-{codec:?}"));
-        let mut store = open_with(&dir, 4_096, codec);
-        // After flush `k`, at index `k - 1`.
-        let mut live = Vec::with_capacity(64);
-        for period in 0..64 {
-            let (allocations, sealed, now) = tail_period(&mut store, &names, period);
-            assert_eq!(sealed, 0);
-            live.push(now);
-            // Every buffer is at its working size by the 40th flush and
-            // the hour closes in the 61st: in between, a flush that
-            // writes 60 points a series and closes a `1m` window for
-            // each allocates nothing.
-            if (40..60).contains(&period) {
-                assert_eq!(allocations, 0, "{codec:?}, flush {}", period + 1);
-            }
+    let dir = tmpdir("tail");
+    let mut store = open_with(&dir, 4_096);
+    // After flush `k`, at index `k - 1`.
+    let mut live = Vec::with_capacity(64);
+    for period in 0..64 {
+        let (allocations, sealed, now) = tail_period(&mut store, &names, period);
+        assert_eq!(sealed, 0);
+        live.push(now);
+        // Every buffer is at its working size by the 40th flush and the
+        // hour closes in the 61st: in between, a flush that writes 60
+        // points a series and closes a `1m` window for each allocates
+        // nothing.
+        if (40..60).contains(&period) {
+            assert_eq!(allocations, 0, "flush {}", period + 1);
         }
-        let points = |flushes: usize| (flushes * 60 * TAIL_SERIES) as f64;
-        match codec {
-            // Since the second flush, when the write buffers had their
-            // size: the two encoders and the `1m` points waiting for
-            // their hour. The points themselves are 64 bytes each.
-            SegmentCodec::Binary => {
-                let per_point = (live[63] - live[1]) as f64 / points(62);
-                assert!(per_point <= 8.0, "{per_point:.2} bytes a point retained");
-            }
-            // Nothing of a tail a rename will seal.
-            SegmentCodec::Jsonl => assert_eq!(live[63] - live[39], 0, "over {} points", points(24)),
-        }
-        drop(store);
-        let _ = std::fs::remove_dir_all(&dir);
     }
+    // Since the second flush, when the write buffers had their size: the
+    // two encoders and the `1m` points waiting for their hour. The points
+    // themselves are 64 bytes each.
+    let per_point = (live[63] - live[1]) as f64 / (62 * 60 * TAIL_SERIES) as f64;
+    assert!(per_point <= 8.0, "{per_point:.2} bytes a point retained");
+    drop(store);
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
@@ -294,7 +285,7 @@ fn a_tail_that_has_sealed_once_does_not_grow_its_encoder_again() {
     let names: Vec<String> = (0..TAIL_SERIES).map(series_name).collect();
     let dir = tmpdir("reseal");
     // Ten flushes a seal.
-    let mut store = open_with(&dir, 600, SegmentCodec::Binary);
+    let mut store = open_with(&dir, 600);
     for period in 0..60 {
         let (allocations, sealed, _) = tail_period(&mut store, &names, period);
         let sealing = period % 10 == 9;

@@ -557,9 +557,9 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
     /// The segment codec is invisible to every read surface: the same
-    /// appends stored under JSONL (v1) and binary (v2) segments answer
-    /// `LtsReader::query` and `/api/v1/query_range` byte-identically — and stay
-    /// identical across `lts migrate` (both directions) and compaction.
+    /// appends left in JSON-line tails and sealed into binary segments
+    /// answer `LtsReader::query` and `/api/v1/query_range` byte-identically
+    /// — and stay identical across compaction.
     #[test]
     fn codec_choice_never_changes_query_bytes(
         per_tick in prop::collection::vec(
@@ -569,8 +569,8 @@ proptest! {
         flush_every in 17u64..53,
     ) {
         use netqos_telemetry::{
-            compact_store_to, migrate_store, LtsConfig, LtsCounters, LtsReader, LtsRetention,
-            LtsSource, LtsStore, SegmentCodec,
+            compact_store, LtsConfig, LtsCounters, LtsReader, LtsRetention, LtsSource, LtsStore,
+            SegmentCodec,
         };
         use std::sync::Arc;
 
@@ -579,14 +579,14 @@ proptest! {
             std::process::id(),
             per_tick.len() * 1000 + flush_every as usize,
         ));
-        let dir_v1 = base.join("v1");
-        let dir_v2 = base.join("v2");
+        let dir_tails = base.join("tails");
+        let dir_bin = base.join("bin");
         let _ = std::fs::remove_dir_all(&base);
 
-        let build = |dir: &std::path::Path, codec: SegmentCodec| {
+        let build = |dir: &std::path::Path, seal_points: usize| {
             let config = LtsConfig {
-                codec,
-                seal_points: 32,
+                codec: SegmentCodec::Binary,
+                seal_points,
                 retention: LtsRetention { max_age_secs: 0, max_bytes: 0 },
             };
             let mut store = LtsStore::open(dir, config, LtsCounters::detached()).unwrap();
@@ -605,8 +605,9 @@ proptest! {
             }
             store.flush().unwrap();
         };
-        build(&dir_v1, SegmentCodec::Jsonl);
-        build(&dir_v2, SegmentCodec::Binary);
+        // A store that never seals keeps every point as a tail line.
+        build(&dir_tails, usize::MAX);
+        build(&dir_bin, 32);
 
         let read_all = |dir: &std::path::Path| -> String {
             let reader = LtsReader::open(dir);
@@ -627,17 +628,14 @@ proptest! {
             out
         };
 
-        let reference = read_all(&dir_v1);
-        prop_assert_eq!(&read_all(&dir_v2), &reference, "binary store diverged");
+        let reference = read_all(&dir_tails);
+        prop_assert_eq!(&read_all(&dir_bin), &reference, "binary store diverged");
 
-        // v1 -> v2 migration, then compaction, then v2 -> v1: every
-        // intermediate state answers identically.
-        migrate_store(&dir_v1, SegmentCodec::Binary).unwrap();
-        prop_assert_eq!(&read_all(&dir_v1), &reference, "migrated store diverged");
-        compact_store_to(&dir_v1, SegmentCodec::Binary).unwrap();
-        prop_assert_eq!(&read_all(&dir_v1), &reference, "compacted store diverged");
-        migrate_store(&dir_v1, SegmentCodec::Jsonl).unwrap();
-        prop_assert_eq!(&read_all(&dir_v1), &reference, "downgraded store diverged");
+        // Compaction seals everything, tails included.
+        for dir in [&dir_tails, &dir_bin] {
+            compact_store(dir).unwrap();
+            prop_assert_eq!(&read_all(dir), &reference, "compacted store diverged");
+        }
 
         let _ = std::fs::remove_dir_all(&base);
     }
@@ -1144,17 +1142,11 @@ use std::sync::Arc;
 /// flushed every `flush_every` points, so tails, seals and `1m`/`1h`
 /// windows fall wherever the inputs put them. Some series join late and
 /// some skip points, so their tails differ.
-fn written_store(
-    tag: &str,
-    seal_points: usize,
-    codec: SegmentCodec,
-    gaps: &[u64],
-    flush_every: usize,
-) -> PathBuf {
+fn written_store(tag: &str, seal_points: usize, gaps: &[u64], flush_every: usize) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("netqos-prop-{tag}-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let config = LtsConfig {
-        codec,
+        codec: SegmentCodec::Binary,
         seal_points,
         retention: LtsRetention {
             max_age_secs: 0,
@@ -1243,13 +1235,11 @@ proptest! {
     #[test]
     fn windowed_reads_match_a_forward_scan(
         seal_points in 2usize..40,
-        binary in any::<bool>(),
         gaps in arb_gaps(),
         flush_every in 3usize..40,
         seed in any::<u64>(),
     ) {
-        let codec = if binary { SegmentCodec::Binary } else { SegmentCodec::Jsonl };
-        let dir = written_store("windows", seal_points, codec, &gaps, flush_every);
+        let dir = written_store("windows", seal_points, &gaps, flush_every);
         let reader = LtsReader::open(&dir);
         let c = &mut Choices(seed);
         for info in reader.index() {
@@ -1304,7 +1294,7 @@ proptest! {
         seed in any::<u64>(),
         lines in 100usize..600,
     ) {
-        let dir = written_store("pieces", 1 << 20, SegmentCodec::Binary, &[1], 1);
+        let dir = written_store("pieces", 1 << 20, &[1], 1);
         let reader = LtsReader::open(&dir);
         let index = reader.index();
         let info = index.iter().find(|i| i.kind == SeriesKind::Gauge).unwrap();
@@ -1443,13 +1433,11 @@ proptest! {
     #[test]
     fn queries_through_the_store_match_queries_over_every_point(
         seal_points in 2usize..40,
-        binary in any::<bool>(),
         gaps in arb_gaps(),
         flush_every in 3usize..40,
         seed in any::<u64>(),
     ) {
-        let codec = if binary { SegmentCodec::Binary } else { SegmentCodec::Jsonl };
-        let dir = written_store("reach", seal_points, codec, &gaps, flush_every);
+        let dir = written_store("reach", seal_points, &gaps, flush_every);
         let stored = QueryEngine::new()
             .with_source(None, Arc::new(LtsSource::new(LtsReader::open(&dir))));
         let whole = QueryEngine::new().with_source(None, Arc::new(WholeStore::of(&dir)));
@@ -1872,17 +1860,14 @@ const ALERT_RULES: &str = include_str!("../../../specs/alerts.rules");
 const RECORD_RULES: &str = include_str!("../../../specs/record.rules");
 
 /// `parse` over `bytes` read as text: whatever the damage, `Ok` or `Err`.
-fn parses_or_refuses<T>(parse: fn(&str) -> Result<Vec<T>, String>, bytes: &[u8]) {
+fn parses_or_refuses<T, E>(parse: fn(&str) -> Result<T, E>, bytes: &[u8]) {
     let _ = parse(&String::from_utf8_lossy(bytes));
 }
 
 /// One damage of each kind to `file`, chosen by `c`: cut at a byte,
-/// a few bytes flipped (all their bits or one), content appended.
-fn rule_file_survives_damage<T>(
-    parse: fn(&str) -> Result<Vec<T>, String>,
-    file: &str,
-    c: &mut Choices,
-) {
+/// a few bytes flipped (all their bits or one), bytes inserted at a
+/// byte, content appended.
+fn survives_damage<T, E>(parse: fn(&str) -> Result<T, E>, file: &str, c: &mut Choices) {
     let file = file.as_bytes();
     parses_or_refuses(parse, &file[..c.next(file.len() + 1)]);
     let mut damaged = file.to_vec();
@@ -1890,16 +1875,37 @@ fn rule_file_survives_damage<T>(
         damaged[c.next(file.len())] ^= [0xff, 1 << c.next(8)][c.next(2)];
     }
     parses_or_refuses(parse, &damaged);
+    let mut inserted = file.to_vec();
+    let at = c.next(file.len() + 1);
+    let bytes: Vec<u8> = (0..1 + c.next(32)).map(|_| c.next(256) as u8).collect();
+    inserted.splice(at..at, bytes);
+    parses_or_refuses(parse, &inserted);
     let mut long = file.to_vec();
     long.extend((0..1 + c.next(32)).map(|_| c.next(256) as u8));
     parses_or_refuses(parse, &long);
     parses_or_refuses(parse, &[file, &file[..c.next(file.len())]].concat());
 }
 
+/// `file` cut at every byte and with every byte flipped, all its bits
+/// or one.
+fn survives_every_cut_and_flip<T, E>(parse: fn(&str) -> Result<T, E>, file: &str) {
+    let file = file.as_bytes();
+    for cut in 0..file.len() {
+        parses_or_refuses(parse, &file[..cut]);
+    }
+    for at in 0..file.len() {
+        for mask in [0xff, 1, 2, 4, 8, 16, 32, 64, 128] {
+            let mut damaged = file.to_vec();
+            damaged[at] ^= mask;
+            parses_or_refuses(parse, &damaged);
+        }
+    }
+}
+
 fn rule_files_survive_damage(seed: u64) {
     let c = &mut Choices(seed);
-    rule_file_survives_damage(parse_alert_rules, ALERT_RULES, c);
-    rule_file_survives_damage(parse_record_rules, RECORD_RULES, c);
+    survives_damage(parse_alert_rules, ALERT_RULES, c);
+    survives_damage(parse_record_rules, RECORD_RULES, c);
 }
 
 /// The shipped files parse to the rules they hold, and survive being cut
@@ -1908,21 +1914,8 @@ fn rule_files_survive_damage(seed: u64) {
 fn rule_files_survive_every_cut_and_flip() {
     assert_eq!(parse_alert_rules(ALERT_RULES).unwrap().len(), 5);
     assert_eq!(parse_record_rules(RECORD_RULES).unwrap().len(), 4);
-    fn every<T>(parse: fn(&str) -> Result<Vec<T>, String>, file: &str) {
-        let file = file.as_bytes();
-        for cut in 0..file.len() {
-            parses_or_refuses(parse, &file[..cut]);
-        }
-        for at in 0..file.len() {
-            for mask in [0xff, 1, 2, 4, 8, 16, 32, 64, 128] {
-                let mut damaged = file.to_vec();
-                damaged[at] ^= mask;
-                parses_or_refuses(parse, &damaged);
-            }
-        }
-    }
-    every(parse_alert_rules, ALERT_RULES);
-    every(parse_record_rules, RECORD_RULES);
+    survives_every_cut_and_flip(parse_alert_rules, ALERT_RULES);
+    survives_every_cut_and_flip(parse_record_rules, RECORD_RULES);
 }
 
 proptest! {
@@ -1942,6 +1935,110 @@ proptest! {
     #[ignore = "20 000 cases: run in release mode"]
     fn rule_files_survive_damage_anywhere_at_length(seed in any::<u64>()) {
         rule_files_survive_damage(seed);
+    }
+}
+
+// ---------------------------------------------------------------------
+// Query expressions and OTLP documents against damage
+// ---------------------------------------------------------------------
+
+use netqos_telemetry::{check_query, to_otlp, validate_otlp, CycleTrace, Tracer};
+
+/// The shipped recording rules' expressions, then a sample of the ones
+/// the store properties spell.
+fn query_corpus() -> Vec<String> {
+    let rules = parse_record_rules(RECORD_RULES).unwrap();
+    let c = &mut Choices(7);
+    let spelled = (0..48).map(|_| spell_query(c));
+    rules.into_iter().map(|r| r.expr).chain(spelled).collect()
+}
+
+/// A document `to_otlp` writes: two traced cycles, a root span and a
+/// child carrying an attribute of every type.
+fn otlp_document() -> String {
+    let t = Tracer::new();
+    let cycles: Vec<CycleTrace> = (0..2)
+        .map(|_| {
+            let trace_id = t.begin_cycle();
+            let start_ns = t.now_ns();
+            {
+                let _root = t.span("monitor", "cycle");
+                let mut poll = t.span("monitor.poll", "device");
+                poll.set_attr("device", "sw-\"fore\"");
+                poll.set_attr("bytes", 1234u64);
+                poll.set_attr("rank", 0.5f64);
+                poll.set_attr("ok", true);
+            }
+            CycleTrace {
+                trace_id,
+                start_ns,
+                end_ns: t.now_ns(),
+                epoch_unix_ns: 1_700_000_000_000_000_000,
+                spans: t.end_cycle(),
+                ..CycleTrace::default()
+            }
+        })
+        .collect();
+    to_otlp(&cycles)
+}
+
+fn queries_survive_damage(seed: u64) {
+    let c = &mut Choices(seed);
+    let corpus = query_corpus();
+    survives_damage(check_query, &corpus[c.next(corpus.len())], c);
+}
+
+fn otlp_survives_damage(seed: u64) {
+    survives_damage(validate_otlp, &otlp_document(), &mut Choices(seed));
+}
+
+/// Every query of the corpus parses, and survives being cut at every
+/// byte and having every byte flipped.
+#[test]
+fn queries_survive_every_cut_and_flip() {
+    for query in query_corpus() {
+        check_query(&query).unwrap_or_else(|e| panic!("{query}: {e}"));
+        survives_every_cut_and_flip(check_query, &query);
+    }
+}
+
+/// The document validates, and survives being cut at every byte and
+/// having every byte flipped.
+#[test]
+fn otlp_documents_survive_every_cut_and_flip() {
+    let doc = otlp_document();
+    assert_eq!(validate_otlp(&doc).unwrap().spans, 4);
+    survives_every_cut_and_flip(validate_otlp, &doc);
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn queries_survive_damage_anywhere(seed in any::<u64>()) {
+        queries_survive_damage(seed);
+    }
+
+    #[test]
+    fn otlp_documents_survive_damage_anywhere(seed in any::<u64>()) {
+        otlp_survives_damage(seed);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(20_000))]
+
+    /// The properties above at CI's release-mode length.
+    #[test]
+    #[ignore = "20 000 cases: run in release mode"]
+    fn queries_survive_damage_anywhere_at_length(seed in any::<u64>()) {
+        queries_survive_damage(seed);
+    }
+
+    #[test]
+    #[ignore = "20 000 cases: run in release mode"]
+    fn otlp_documents_survive_damage_anywhere_at_length(seed in any::<u64>()) {
+        otlp_survives_damage(seed);
     }
 }
 

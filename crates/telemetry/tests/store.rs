@@ -4,15 +4,16 @@
 //! scan, integers survive every representation exactly, the query
 //! source's cached index follows the file, and a tail read from its end
 //! gives what a forward scan of it gives, crash leftovers and hand-made
-//! damage included, and a binary store is its JSONL twin with every
-//! sealed tail encoded by the slice-walking encoder.
+//! damage included, a sealing store is a never-sealing twin with every
+//! sealed tail encoded by the slice-walking encoder, and a store holding
+//! a sealed v1 segment is refused without a byte changed.
 
 mod oracle;
 
 use netqos_telemetry::{
-    decode_point_line, migrate_store, parse_json, report_flush, verify_store, Counter, EventSink,
-    FlushReport, Histogram, LtsConfig, LtsCounters, LtsReader, LtsRetention, LtsSource, LtsStore,
-    Point, PointValue, QueryEngine, QueryResult, Resolution, SegmentCodec, SeriesSource,
+    compact_store, decode_point_line, parse_json, report_flush, store_stats, verify_store, Counter,
+    EventSink, FlushReport, Histogram, LtsConfig, LtsCounters, LtsReader, LtsRetention, LtsSource,
+    LtsStore, Point, PointValue, QueryEngine, QueryResult, Resolution, SegmentCodec, SeriesSource,
 };
 use proptest::prelude::*;
 use std::collections::{BTreeMap, BTreeSet};
@@ -38,11 +39,11 @@ const KEEP_ALL: LtsRetention = LtsRetention {
     max_bytes: 0,
 };
 
-fn config(seal_points: usize, codec: SegmentCodec, retention: LtsRetention) -> LtsConfig {
+fn config(seal_points: usize, retention: LtsRetention) -> LtsConfig {
     LtsConfig {
         seal_points,
         retention,
-        codec,
+        codec: SegmentCodec::Binary,
     }
 }
 
@@ -92,7 +93,6 @@ fn full_query(dir: &Path) -> String {
 /// directory, walked by the oracle after each flush, says what the
 /// subject's catalog should have decided.
 struct Twins {
-    codec: SegmentCodec,
     subject_dir: PathBuf,
     twin_dir: PathBuf,
     subject: Option<LtsStore>,
@@ -110,9 +110,8 @@ const SEAL_POINTS: usize = 4;
 const SPACING: u64 = 600;
 
 impl Twins {
-    fn new(codec: SegmentCodec, retention: LtsRetention) -> Twins {
+    fn new(retention: LtsRetention) -> Twins {
         let mut t = Twins {
-            codec,
             subject_dir: tmpdir("subject"),
             twin_dir: tmpdir("twin"),
             subject: None,
@@ -135,7 +134,7 @@ impl Twins {
         self.retention = retention;
         self.gauges = LtsCounters::detached();
         let open = |dir: &Path, retention, counters| {
-            LtsStore::open(dir, config(SEAL_POINTS, self.codec, retention), counters).unwrap()
+            LtsStore::open(dir, config(SEAL_POINTS, retention), counters).unwrap()
         };
         let subject = open(&self.subject_dir, retention, self.gauges.clone());
         let twin = open(&self.twin_dir, KEEP_ALL, LtsCounters::detached());
@@ -222,73 +221,71 @@ impl Drop for Twins {
 
 #[test]
 fn catalog_equals_the_directory_through_a_stores_life() {
-    for codec in [SegmentCodec::Binary, SegmentCodec::Jsonl] {
-        let by_age = LtsRetention {
-            max_age_secs: 12 * SPACING,
-            max_bytes: 0,
-        };
-        let mut t = Twins::new(codec, by_age);
-        // Appends across seals at all three resolutions, old segments
-        // ageing out as they go.
-        for round in 0..14 {
-            t.append(3);
-            t.flush(&format!("age round {round}"));
-        }
-        assert_eq!(
-            t.sealed_seen.iter().map(String::as_str).collect::<Vec<_>>(),
-            ["1h", "1m", "1s"],
-            "seals at every resolution"
-        );
-        assert!(t.deletions.iter().any(|d| d.2 == "age"));
-
-        // The same store under a byte budget it is already over.
-        let (_, bytes) = oracle::disk_gauges(&t.subject_dir);
-        t.reopen(LtsRetention {
-            max_age_secs: 0,
-            max_bytes: bytes as u64 * 2 / 3,
-        });
-        for round in 0..6 {
-            t.append(3);
-            t.flush(&format!("size round {round}"));
-        }
-        assert!(t.deletions.iter().any(|d| d.2 == "size"));
-
-        t.compact();
-        t.append(5);
-        t.flush("after compact");
-        t.reopen(by_age);
-        t.append(2);
-        t.flush("after reopen");
-
-        // A crash mid-append: a torn last line in a raw tail.
-        let slug = LtsReader::open(&t.subject_dir)
-            .index()
-            .into_iter()
-            .find(|i| i.name == "c_total")
-            .unwrap()
-            .slug;
-        assert!(t.subject_dir.join(format!("1s/{slug}/open.seg")).exists());
-        t.scribble(&format!("1s/{slug}/open.seg"), b"{\"t\":99,\"ki");
-        t.reopen(by_age);
-        t.append(1);
-        t.flush("after torn tail");
-
-        // A crash between writing a sealed segment and removing its
-        // tail: seal the raw tail, then put an already sealed point back.
-        while t.subject_dir.join(format!("1s/{slug}/open.seg")).exists() {
-            t.append(1);
-            t.flush("towards a seal");
-        }
-        let stale = format!("{{\"t\":{},\"kind\":\"counter\",\"v\":1}}\n", t.newest);
-        t.scribble(&format!("1s/{slug}/open.seg"), stale.as_bytes());
-        t.reopen(by_age);
-        assert!(!t.subject_dir.join(format!("1s/{slug}/open.seg")).exists());
-        t.append(4);
-        t.flush("after stale tail");
-
-        let report = verify_store(&t.subject_dir).unwrap();
-        assert!(report.issues.is_empty(), "{:?}", report.issues);
+    let by_age = LtsRetention {
+        max_age_secs: 12 * SPACING,
+        max_bytes: 0,
+    };
+    let mut t = Twins::new(by_age);
+    // Appends across seals at all three resolutions, old segments
+    // ageing out as they go.
+    for round in 0..14 {
+        t.append(3);
+        t.flush(&format!("age round {round}"));
     }
+    assert_eq!(
+        t.sealed_seen.iter().map(String::as_str).collect::<Vec<_>>(),
+        ["1h", "1m", "1s"],
+        "seals at every resolution"
+    );
+    assert!(t.deletions.iter().any(|d| d.2 == "age"));
+
+    // The same store under a byte budget it is already over.
+    let (_, bytes) = oracle::disk_gauges(&t.subject_dir);
+    t.reopen(LtsRetention {
+        max_age_secs: 0,
+        max_bytes: bytes as u64 * 2 / 3,
+    });
+    for round in 0..6 {
+        t.append(3);
+        t.flush(&format!("size round {round}"));
+    }
+    assert!(t.deletions.iter().any(|d| d.2 == "size"));
+
+    t.compact();
+    t.append(5);
+    t.flush("after compact");
+    t.reopen(by_age);
+    t.append(2);
+    t.flush("after reopen");
+
+    // A crash mid-append: a torn last line in a raw tail.
+    let slug = LtsReader::open(&t.subject_dir)
+        .index()
+        .into_iter()
+        .find(|i| i.name == "c_total")
+        .unwrap()
+        .slug;
+    assert!(t.subject_dir.join(format!("1s/{slug}/open.seg")).exists());
+    t.scribble(&format!("1s/{slug}/open.seg"), b"{\"t\":99,\"ki");
+    t.reopen(by_age);
+    t.append(1);
+    t.flush("after torn tail");
+
+    // A crash between writing a sealed segment and removing its
+    // tail: seal the raw tail, then put an already sealed point back.
+    while t.subject_dir.join(format!("1s/{slug}/open.seg")).exists() {
+        t.append(1);
+        t.flush("towards a seal");
+    }
+    let stale = format!("{{\"t\":{},\"kind\":\"counter\",\"v\":1}}\n", t.newest);
+    t.scribble(&format!("1s/{slug}/open.seg"), stale.as_bytes());
+    t.reopen(by_age);
+    assert!(!t.subject_dir.join(format!("1s/{slug}/open.seg")).exists());
+    t.append(4);
+    t.flush("after stale tail");
+
+    let report = verify_store(&t.subject_dir).unwrap();
+    assert!(report.issues.is_empty(), "{:?}", report.issues);
 }
 
 // ---------------------------------------------------------------------
@@ -320,12 +317,7 @@ fn run_equally_old_series(tag: &str) -> (Vec<(String, u64, &'static str)>, Vec<S
         max_age_secs: 0,
         max_bytes: 2_000,
     };
-    let mut store = LtsStore::open(
-        &dir,
-        config(4, SegmentCodec::Binary, retention),
-        LtsCounters::detached(),
-    )
-    .unwrap();
+    let mut store = LtsStore::open(&dir, config(4, retention), LtsCounters::detached()).unwrap();
     let (sink, events) = capturing_sink();
     let deleted_total = Counter::new();
     let mut deletions = Vec::new();
@@ -389,7 +381,7 @@ fn retention_order_depends_only_on_what_was_appended() {
 #[test]
 fn newest_t_agrees_with_a_full_scan() {
     let dir = tmpdir("newest");
-    let cfg = config(8, SegmentCodec::Binary, KEEP_ALL);
+    let cfg = config(8, KEEP_ALL);
     let agree = |store: &LtsStore, want: Option<u64>, what: &str| {
         assert_eq!(oracle::newest_t(&dir), want, "{what}: full scan");
         assert_eq!(LtsReader::open(&dir).newest_t(), want, "{what}: reader");
@@ -461,7 +453,7 @@ fn newest_t_agrees_with_a_full_scan() {
 fn integers_above_2_53_read_the_same_from_every_representation() {
     const ODD: u64 = (1 << 53) + 1;
     let dir = tmpdir("exact");
-    let cfg = config(8, SegmentCodec::Binary, KEEP_ALL);
+    let cfg = config(8, KEEP_ALL);
     let mut store = LtsStore::open(&dir, cfg.clone(), LtsCounters::detached()).unwrap();
     let append = |store: &mut LtsStore, t: u64, first: bool| {
         // One point a minute: every point is its own `1m` window, and
@@ -519,14 +511,6 @@ fn integers_above_2_53_read_the_same_from_every_representation() {
     assert_eq!(snapshot(), from_tail, "after a reopen");
     assert_eq!(full_query(&dir), whole);
 
-    // To JSONL and back: nothing rounds on the way.
-    let to_jsonl = migrate_store(&dir, SegmentCodec::Jsonl).unwrap();
-    assert!(to_jsonl.segments_converted > 0);
-    assert_eq!(snapshot(), from_tail, "from JSONL segments");
-    assert_eq!(full_query(&dir), whole);
-    migrate_store(&dir, SegmentCodec::Binary).unwrap();
-    assert_eq!(snapshot(), from_tail, "from binary segments again");
-    assert_eq!(full_query(&dir), whole);
     let report = verify_store(&dir).unwrap();
     assert!(report.issues.is_empty(), "{:?}", report.issues);
     let _ = fs::remove_dir_all(&dir);
@@ -539,7 +523,7 @@ fn integers_above_2_53_read_the_same_from_every_representation() {
 #[test]
 fn one_source_follows_the_index_across_queries() {
     let dir = tmpdir("index-cache");
-    let cfg = config(64, SegmentCodec::Binary, KEEP_ALL);
+    let cfg = config(64, KEEP_ALL);
     let mut store = LtsStore::open(&dir, cfg.clone(), LtsCounters::detached()).unwrap();
     let engine =
         QueryEngine::new().with_source(None, Arc::new(LtsSource::new(LtsReader::open(&dir))));
@@ -595,7 +579,7 @@ fn one_source_follows_the_index_across_queries() {
 #[test]
 fn the_query_sources_newest_t_follows_the_store() {
     let dir = tmpdir("source-newest");
-    let cfg = config(4, SegmentCodec::Binary, KEEP_ALL);
+    let cfg = config(4, KEEP_ALL);
     let mut store = LtsStore::open(&dir, cfg, LtsCounters::detached()).unwrap();
     // One source throughout: it answers from its cached index.
     let source = LtsSource::new(LtsReader::open(&dir));
@@ -655,7 +639,7 @@ fn reads_agree(dir: &Path, starts: &[u64], ends: &[u64], what: &str) -> bool {
 #[test]
 fn hand_made_tails_read_like_a_forward_scan() {
     let dir = tmpdir("tail-walk");
-    let cfg = config(8, SegmentCodec::Binary, KEEP_ALL);
+    let cfg = config(8, KEEP_ALL);
     let mut store = LtsStore::open(&dir, cfg, LtsCounters::detached()).unwrap();
     for t in 100..108 {
         store.append("c_total", t, PointValue::Counter(t));
@@ -769,7 +753,7 @@ fn hand_made_tails_read_like_a_forward_scan() {
 }
 
 // ---------------------------------------------------------------------
-// Binary seals ≡ the oracle's encoding of the tail a JSONL seal renames
+// Seals ≡ the oracle's encoding of the lines a never-sealing twin keeps
 // ---------------------------------------------------------------------
 
 /// One step in the life of a pair of stores.
@@ -783,30 +767,28 @@ enum TailOp {
     Reopen {
         torn: bool,
     },
+    /// The sealing store compacts (a flush first); its twin flushes.
     Compact,
 }
 
-/// Runs `ops` on a binary and a JSONL store side by side. Both seal on
-/// the same point counts, and a JSONL seal is a rename of the tail, so
-/// after every step the binary store must be the JSONL store file for
-/// file — index, tails, names — with each sealed `.seg` replaced by the
-/// oracle's v2 encoding of exactly the lines in it: whichever process
-/// began the tail, however many flushes it spanned. Returns the binary
-/// store's files at the end.
+/// Runs `ops` on a store sealing every `seal_points` points beside a
+/// twin that never seals, so the twin's tails hold every line the store
+/// ever wrote. After every step the sealing store must be its twin file
+/// for file: the same index, each sealed `.bin` the oracle's v2 encoding
+/// of exactly the twin's points in its `[first, last]` — whichever
+/// process began the tail, however many flushes it spanned — every
+/// point sealed or in the tail, and each tail, byte for byte, the twin's
+/// lines past the last seal. Returns the sealing store's files at the
+/// end.
 fn binary_store_is_its_jsonl_twin_sealed_by_the_oracle(
     seal_points: usize,
     ops: &[TailOp],
 ) -> BTreeMap<String, Vec<u8>> {
-    let dirs = [tmpdir("seal-bin"), tmpdir("seal-seg")];
+    let dirs = [tmpdir("seal-bin"), tmpdir("seal-tails")];
     let open = || {
-        [SegmentCodec::Binary, SegmentCodec::Jsonl].map(|codec| {
-            let dir = &dirs[usize::from(codec == SegmentCodec::Jsonl)];
-            LtsStore::open(
-                dir,
-                config(seal_points, codec, KEEP_ALL),
-                LtsCounters::detached(),
-            )
-            .unwrap()
+        [seal_points, usize::MAX].map(|seal_points| {
+            let dir = &dirs[usize::from(seal_points == usize::MAX)];
+            LtsStore::open(dir, config(seal_points, KEEP_ALL), LtsCounters::detached()).unwrap()
         })
     };
     let mut stores = Some(open());
@@ -836,9 +818,10 @@ fn binary_store_is_its_jsonl_twin_sealed_by_the_oracle(
             TailOp::Flush => pair.iter_mut().for_each(|s| {
                 s.flush().unwrap();
             }),
-            TailOp::Compact => pair.iter_mut().for_each(|s| {
-                s.compact().unwrap();
-            }),
+            TailOp::Compact => {
+                pair[0].compact().unwrap();
+                pair[1].flush().unwrap();
+            }
             TailOp::Reopen { torn } => {
                 drop(stores.take());
                 for dir in dirs.iter().filter(|_| *torn) {
@@ -855,23 +838,67 @@ fn binary_store_is_its_jsonl_twin_sealed_by_the_oracle(
             .into_iter()
             .map(|i| (i.slug, i.kind))
             .collect();
-        let expected: BTreeMap<String, Vec<u8>> = tree(&dirs[1])
-            .into_iter()
-            .map(|(path, bytes)| {
-                let parts: Vec<&str> = path.split('/').collect();
-                if parts.len() != 3 || !parts[2].starts_with("seg-") {
-                    return (path, bytes);
-                }
-                let pts: Vec<Point> = std::str::from_utf8(&bytes)
-                    .unwrap()
-                    .lines()
-                    .map(|l| decode_point_line(l).unwrap())
+        let twin = tree(&dirs[1]);
+        let mut sealing = tree(&dirs[0]);
+        assert_eq!(
+            sealing.remove("series.idx"),
+            twin.get("series.idx").cloned(),
+            "step {step}, {op:?}: index"
+        );
+        for (path, lines) in &twin {
+            let Some(series) = path.strip_suffix("/open.seg") else {
+                assert_eq!(path, "series.idx", "step {step}, {op:?}: twin sealed");
+                continue;
+            };
+            let kind = kinds[series.split('/').nth(1).unwrap()];
+            let lines: Vec<(Point, &str)> = std::str::from_utf8(lines)
+                .unwrap()
+                .split_inclusive('\n')
+                .map(|l| (decode_point_line(l.trim_end()).unwrap(), l))
+                .collect();
+            let mut sealed_last = None;
+            let mut covered = 0;
+            let segs: Vec<String> = sealing
+                .keys()
+                .filter(|p| p.starts_with(&format!("{series}/seg-")))
+                .cloned()
+                .collect();
+            for seg in segs {
+                let bytes = sealing.remove(&seg).unwrap();
+                let range = seg.rsplit('/').next().unwrap();
+                let range = range.strip_prefix("seg-").unwrap().strip_suffix(".bin");
+                let (first, last) = range.unwrap().split_once('-').unwrap();
+                let (first, last) = (first.parse().unwrap(), last.parse::<u64>().unwrap());
+                let pts: Vec<Point> = lines
+                    .iter()
+                    .map(|(p, _)| p.clone())
+                    .filter(|p| (first..=last).contains(&p.t))
                     .collect();
-                let sealed = oracle::encode_segment_v2(kinds[parts[1]], &pts);
-                (path.replace(".seg", ".bin"), sealed)
-            })
-            .collect();
-        assert!(tree(&dirs[0]) == expected, "step {step}, {op:?}");
+                covered += pts.len();
+                sealed_last = sealed_last.max(Some(last));
+                assert!(
+                    bytes == oracle::encode_segment_v2(kind, &pts),
+                    "step {step}, {op:?}: {seg}"
+                );
+            }
+            let rest: String = lines
+                .iter()
+                .filter(|(p, _)| sealed_last.is_none_or(|s| p.t > s))
+                .map(|(_, l)| *l)
+                .collect();
+            assert_eq!(
+                covered + rest.lines().count(),
+                lines.len(),
+                "step {step}, {op:?}: {series} lost a point"
+            );
+            let tail = sealing.remove(&format!("{series}/open.seg"));
+            assert_eq!(
+                tail.map(String::from_utf8),
+                (!rest.is_empty()).then_some(Ok(rest)),
+                "step {step}, {op:?}: {series} tail"
+            );
+        }
+        assert!(sealing.is_empty(), "step {step}, {op:?}: {sealing:?}");
     }
     drop(stores);
     assert_eq!(verify_store(&dirs[0]).unwrap().issues, Vec::<String>::new());
@@ -928,4 +955,56 @@ proptest! {
         ops.push(TailOp::Flush);
         binary_store_is_its_jsonl_twin_sealed_by_the_oracle(seal_points, &ops);
     }
+}
+
+// ---------------------------------------------------------------------
+// A sealed v1 segment is refused, not half-read
+// ---------------------------------------------------------------------
+
+#[test]
+fn a_store_holding_a_v1_segment_is_refused_by_every_entry() {
+    let dir = tmpdir("v1");
+    // Tails only: every series directory holds an `open.seg` and nothing
+    // else, and that store opens.
+    let mut store =
+        LtsStore::open(&dir, config(usize::MAX, KEEP_ALL), LtsCounters::detached()).unwrap();
+    for t in 100..110 {
+        store.append("c_total", t, PointValue::Counter(t));
+        store.append("depth", t, PointValue::Gauge(-(t as i64)));
+    }
+    store.flush().unwrap();
+    drop(store);
+    let written = tree(&dir);
+    assert!(written.keys().any(|p| p.ends_with("/open.seg")));
+    assert!(!written.keys().any(|p| p.contains("/seg-")));
+    let mut store =
+        LtsStore::open(&dir, config(usize::MAX, KEEP_ALL), LtsCounters::detached()).unwrap();
+    assert!(store.take_warnings().is_empty());
+    drop(store);
+    assert!(tree(&dir) == written, "opening a tails-only store wrote");
+    let answers = full_query(&dir);
+
+    let slug = &LtsReader::open(&dir).index()[1].slug;
+    let v1 = dir.join(format!("1s/{slug}/seg-000000000100-000000000104.seg"));
+    let lines: String = (100..105)
+        .map(|t| format!("{{\"t\":{t},\"kind\":\"gauge\",\"v\":{t}}}\n"))
+        .collect();
+    fs::write(&v1, lines).unwrap();
+    let on_disk = tree(&dir);
+    let refused = |what: &str, err: std::io::Error| {
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{what}: {err}");
+        let msg = err.to_string();
+        assert!(msg.contains(&v1.display().to_string()), "{what}: {msg}");
+        assert!(msg.contains("no longer read"), "{what}: {msg}");
+        assert!(tree(&dir) == on_disk, "{what} changed the store");
+    };
+    let opened = LtsStore::open(&dir, config(4, KEEP_ALL), LtsCounters::detached());
+    refused("open", opened.err().unwrap());
+    refused("verify", verify_store(&dir).unwrap_err());
+    refused("stats", store_stats(&dir).unwrap_err());
+    refused("compact", compact_store(&dir).unwrap_err());
+
+    fs::remove_file(&v1).unwrap();
+    assert_eq!(full_query(&dir), answers);
+    let _ = fs::remove_dir_all(&dir);
 }

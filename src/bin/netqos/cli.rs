@@ -278,11 +278,8 @@ pub static COMMANDS: &[Cmd] = &[
         name: "lts info",
         args: "DIR",
         about: "summarize a long-term store (series, segments, points, bytes, per-resolution \
-                byte/codec breakdown)",
-        opts: &[Opt(
-            "--segments",
-            "also list every segment with its codec version",
-        )],
+                breakdown)",
+        opts: &[Opt("--segments", "also list every segment")],
         run: super::cmd_lts_info,
     },
     Cmd {
@@ -298,17 +295,6 @@ pub static COMMANDS: &[Cmd] = &[
         about: "rewrite each series into one segment per resolution (offline only)",
         opts: &[],
         run: super::cmd_lts_compact,
-    },
-    Cmd {
-        name: "lts migrate",
-        args: "DIR",
-        about: "rewrite sealed segments into another codec, atomically per segment; queries \
-                are byte-identical across the migration",
-        opts: &[Opt(
-            "--codec binary|v2|jsonl|v1",
-            "the codec to convert to (default binary)",
-        )],
-        run: super::cmd_lts_migrate,
     },
     Cmd {
         name: "lts query",
@@ -695,7 +681,7 @@ mod tests {
             "{err}"
         );
         assert!(
-            err.contains("netqos lts migrate") && !err.contains("netqos query"),
+            err.contains("netqos lts compact") && !err.contains("netqos query"),
             "{err}"
         );
         let err = lookup(&argv(&["flight"])).err().unwrap();

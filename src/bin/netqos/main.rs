@@ -20,7 +20,7 @@ use netqos::sim::time::SimDuration;
 use netqos::spec;
 use netqos_telemetry::{EventSink, Level, OtlpPusher, PushConfig, PushTarget};
 use std::num::{NonZeroU64, NonZeroUsize};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 use std::sync::Arc;
 use std::time::Duration;
@@ -308,8 +308,8 @@ fn build_service(
 /// The start of every run (`monitor`, `stats`, `trace`, each `federate`
 /// shard): reads and validates the spec at `path`, requires a qospath,
 /// builds the service the options describe on top of `config`, reports
-/// what it could not restore, and turns tracing on when an option
-/// reads the traces.
+/// what it could not restore, refuses an `--lts` store it cannot open,
+/// and turns tracing on when an option reads the traces.
 fn open_service(
     path: &str,
     args: &Args,
@@ -326,7 +326,7 @@ fn open_service(
         eprintln!("netqos: baseline state ignored: {warning}");
     }
     if let Some(warning) = service.lts_open_warning() {
-        eprintln!("netqos: {warning}");
+        return Err(warning.to_string());
     }
     if wants_tracing(args) {
         service.set_tracing(true);
@@ -1353,6 +1353,7 @@ fn cmd_query(args: &Args) -> Result<(), String> {
         if !dir.is_dir() {
             return Err(format!("{}: no long-term store there", dir.display()));
         }
+        refuse_unreadable_store(&dir)?;
         let engine = netqos_telemetry::QueryEngine::new().with_source(
             None,
             Arc::new(netqos_telemetry::LtsSource::new(
@@ -1404,6 +1405,15 @@ fn cmd_query(args: &Args) -> Result<(), String> {
     Ok(())
 }
 
+/// Refuses, before an offline query reads it, a store whose segments
+/// the readers would skip: `store_stats` lists every series directory
+/// and errs on a sealed v1 segment.
+fn refuse_unreadable_store(dir: &Path) -> Result<(), String> {
+    netqos_telemetry::store_stats(dir)
+        .map(drop)
+        .map_err(|e| format!("{}: {e}", dir.display()))
+}
+
 /// `lts info`: summarizes a long-term stats store.
 fn cmd_lts_info(args: &Args) -> Result<(), String> {
     let dir = PathBuf::from(args.pos(0)?);
@@ -1430,15 +1440,13 @@ fn cmd_lts_info(args: &Args) -> Result<(), String> {
     .zip(stats.resolutions.iter())
     {
         println!(
-                    "  {:<3} {} bytes, {} point(s), {} sealed segment(s) ({} v1 jsonl, {} v2 binary), {} open tail(s)",
-                    res.dir_name(),
-                    r.bytes,
-                    r.points,
-                    r.segments,
-                    r.v1_segments,
-                    r.v2_segments,
-                    r.open_tails
-                );
+            "  {:<3} {} bytes, {} point(s), {} sealed segment(s), {} open tail(s)",
+            res.dir_name(),
+            r.bytes,
+            r.points,
+            r.sealed,
+            r.open_tails
+        );
     }
     for info in &index {
         println!("  {:<9} {}", info.kind.as_str(), info.name);
@@ -1446,8 +1454,7 @@ fn cmd_lts_info(args: &Args) -> Result<(), String> {
     if args.flag("--segments") {
         for seg in &stats.segments {
             println!(
-                "  v{} {:<6} {:>8} point(s) {:>10} bytes  {}",
-                seg.codec_version,
+                "  {:<6} {:>8} point(s) {:>10} bytes  {}",
                 if seg.sealed { "sealed" } else { "open" },
                 seg.points,
                 seg.bytes,
@@ -1488,29 +1495,6 @@ fn cmd_lts_verify(args: &Args) -> Result<(), String> {
     }
 }
 
-/// `lts migrate`: rewrites sealed segments into `--codec`.
-fn cmd_lts_migrate(args: &Args) -> Result<(), String> {
-    let dir = PathBuf::from(args.pos(0)?);
-    let codec = match args.value("--codec") {
-        Some(c) => {
-            netqos_telemetry::SegmentCodec::parse(c).ok_or_else(|| args.bad("--codec", c))?
-        }
-        None => netqos_telemetry::SegmentCodec::Binary,
-    };
-    let report = netqos_telemetry::migrate_store(&dir, codec)
-        .map_err(|e| format!("{}: {e}", dir.display()))?;
-    println!(
-        "{}: {} segment(s) converted to v{}, {} already there, {} -> {} bytes",
-        dir.display(),
-        report.segments_converted,
-        codec.version(),
-        report.segments_skipped,
-        report.bytes_before,
-        report.bytes_after
-    );
-    Ok(())
-}
-
 /// `lts compact`: rewrites every series into one canonical segment per
 /// resolution.
 fn cmd_lts_compact(args: &Args) -> Result<(), String> {
@@ -1529,12 +1513,14 @@ fn cmd_lts_compact(args: &Args) -> Result<(), String> {
 }
 
 /// `lts query`: prints the points a store holds as JSON, the document
-/// compaction, migration and restarts must leave byte-identical.
+/// compaction and restarts must leave byte-identical.
 fn cmd_lts_query(args: &Args) -> Result<(), String> {
     let format = format_of(args, &["json", "prom", "csv"])?;
     let step = args.value("--step").unwrap_or("1s");
     let res = netqos_telemetry::Resolution::parse(step).ok_or_else(|| args.bad("--step", step))?;
-    let reader = netqos_telemetry::LtsReader::open(args.pos(0)?);
+    let dir = PathBuf::from(args.pos(0)?);
+    refuse_unreadable_store(&dir)?;
+    let reader = netqos_telemetry::LtsReader::open(&dir);
     // Anchor the trailing window at the newest stored sample, so
     // `--last 15m` works on historical stores as naturally as on one
     // still being written; no window at all is the whole store.

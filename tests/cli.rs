@@ -668,57 +668,65 @@ fn monitor_record_rules_produce_queryable_derived_series() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// A store holding a sealed v1 segment is refused by every entry that
+/// reads it, the error names the file, and nothing on disk changes.
 #[test]
-fn lts_migrate_round_trips_on_disk() {
-    let dir = std::env::temp_dir().join(format!("netqos-cli-migrate-{}", std::process::id()));
+fn every_lts_entry_refuses_a_store_holding_a_v1_segment() {
+    let dir = std::env::temp_dir().join(format!("netqos-cli-v1-{}", std::process::id()));
     std::fs::remove_dir_all(&dir).ok();
     std::fs::create_dir_all(&dir).unwrap();
     let store = dir.join("store");
-
-    let out = run(&[
-        "monitor",
-        "specs/two-switch.spec",
-        "--duration",
-        "10",
-        "--lts",
-        store.to_str().unwrap(),
-    ]);
+    let store_arg = store.to_str().unwrap();
+    let monitor = ["monitor", "specs/two-switch.spec", "--duration", "10"];
+    let out = run(&[&monitor[..], &["--lts", store_arg]].concat());
     assert!(out.status.success(), "{out:?}");
-    // Seal the open tails so migration has segments to convert.
-    let out = run(&["lts", "compact", store.to_str().unwrap()]);
-    assert!(out.status.success(), "{out:?}");
+    let query = || run(&["lts", "query", store_arg, "--series", "*", "--step", "1s"]);
+    let before = query();
+    assert!(before.status.success(), "{before:?}");
 
-    let query = |store: &str| -> String {
-        let out = run(&["lts", "query", store, "--series", "*", "--step", "1s"]);
-        assert!(out.status.success(), "{out:?}");
-        String::from_utf8(out.stdout).unwrap()
+    let slug = std::fs::read_dir(store.join("1s"))
+        .unwrap()
+        .flatten()
+        .next()
+        .unwrap()
+        .file_name();
+    let v1 = store
+        .join("1s")
+        .join(slug)
+        .join("seg-000000000001-000000000002.seg");
+    std::fs::write(&v1, "{\"t\":1,\"kind\":\"counter\",\"v\":1}\n").unwrap();
+    let files = |d: &std::path::Path| {
+        let mut out = Vec::new();
+        let mut todo = vec![d.to_path_buf()];
+        while let Some(d) = todo.pop() {
+            for e in std::fs::read_dir(d).unwrap().flatten() {
+                match e.path() {
+                    p if p.is_dir() => todo.push(p),
+                    p => out.push((p.clone(), std::fs::read(p).unwrap())),
+                }
+            }
+        }
+        out.sort();
+        out
     };
-    let before = query(store.to_str().unwrap());
+    let on_disk = files(&store);
+    let refused = format!("{}: a sealed v1 (JSONL) segment", v1.display());
+    for args in [
+        vec!["lts", "verify", store_arg],
+        vec!["lts", "info", store_arg],
+        vec!["lts", "compact", store_arg],
+        vec!["lts", "query", store_arg],
+        vec!["query", "netqos_monitor_ticks_total", "--lts", store_arg],
+        [&monitor[..], &["--lts", store_arg]].concat(),
+    ] {
+        let out = run(&args);
+        assert!(!out.status.success(), "{args:?} accepted it: {out:?}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains(&refused), "{args:?}: {stderr}");
+        assert!(files(&store) == on_disk, "{args:?} changed the store");
+    }
 
-    // Binary -> JSONL -> binary: byte-identical answers, verify clean,
-    // and both conversions are reported.
-    let out = run(&[
-        "lts",
-        "migrate",
-        store.to_str().unwrap(),
-        "--codec",
-        "jsonl",
-    ]);
-    assert!(out.status.success(), "{out:?}");
-    let report = String::from_utf8_lossy(&out.stdout);
-    assert!(report.contains("converted to v1"), "{report}");
-    assert_eq!(query(store.to_str().unwrap()), before);
-
-    let out = run(&["lts", "migrate", store.to_str().unwrap()]);
-    assert!(out.status.success(), "{out:?}");
-    assert!(
-        String::from_utf8_lossy(&out.stdout).contains("converted to v2"),
-        "{out:?}"
-    );
-    assert_eq!(query(store.to_str().unwrap()), before);
-
-    let out = run(&["lts", "verify", store.to_str().unwrap()]);
-    assert!(out.status.success(), "{out:?}");
-
+    std::fs::remove_file(&v1).unwrap();
+    assert_eq!(query().stdout, before.stdout);
     std::fs::remove_dir_all(&dir).ok();
 }

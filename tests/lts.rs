@@ -1,15 +1,15 @@
 //! Integration coverage for the long-term stats plane: a monitor run
 //! with `lts_dir` set leaves a store behind whose `LtsReader::query`
 //! answers (what `netqos lts query` prints) are byte-identical across a
-//! process restart and across `netqos lts compact` — the durability
-//! contract the whole subsystem hangs on.
+//! process restart and across `netqos lts compact`, which seals the open
+//! tails — the durability contract the whole subsystem hangs on.
 
 use netqos::monitor::live::{build_router, shard_for, RouterOptions};
 use netqos::monitor::service::{MonitoringService, ServiceConfig};
 use netqos::monitor::simnet::SimNetworkOptions;
 use netqos_telemetry::{
-    compact_store, parse_json, parse_range, verify_store, HttpRequest, HttpRoute, JsonValue,
-    LtsReader, Resolution, ShardRegistry,
+    compact_store, parse_json, parse_range, store_stats, verify_store, HttpRequest, HttpRoute,
+    JsonValue, LtsReader, Resolution, ShardRegistry,
 };
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -189,65 +189,78 @@ fn router_serves_query_and_rejects_bad_params() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// A short run lives in its open tails; compaction seals them into
+/// binary segments. Every store query and every `/api/v1` answer must
+/// read the same from both, and the sealed store must be the smaller.
 #[test]
-fn query_is_identical_across_codec_migration() {
-    let dir = tmpdir("migrate");
+fn query_is_identical_from_open_tails_and_compacted_segments() {
+    let dir = tmpdir("seal");
     let mut svc = service_with_lts(&dir);
     svc.run_ticks(17).unwrap();
     svc.flush_lts().expect("final flush");
-    drop(svc);
+    let tails = store_stats(&dir).unwrap();
+    assert_eq!(tails.resolutions[0].sealed, 0, "{tails:?}");
+    assert!(tails.resolutions[0].open_tails > 0, "{tails:?}");
 
-    // Seal everything into segments first (short runs live entirely in
-    // open tails, which migration leaves alone by design).
-    compact_store(&dir).unwrap();
-
+    let router = build_router(RouterOptions {
+        lts: Some(LtsReader::open(&dir)),
+        ..RouterOptions::new(svc.registry().clone(), svc.live().clone())
+    });
+    let end = LtsReader::open(&dir).newest_t().unwrap();
+    let api = |query: &str| {
+        let req = HttpRequest {
+            method: "GET".into(),
+            path: "/api/v1/query_range".into(),
+            query: format!("query={query}&start={}&end={end}&step=2", end - 16),
+            accept: String::new(),
+        };
+        match router(&req) {
+            Some(HttpRoute::Response(r)) => {
+                assert_eq!(r.status, 200, "{query}: {}", r.body);
+                r.body
+            }
+            _ => panic!("{query}: no buffered response"),
+        }
+    };
     let queries = [
         "series=*&range=:&step=1s",
         "series=netqos_monitor_ticks_total&range=:&step=1s",
         "series=*&range=:&step=1m",
     ];
-    let reader = LtsReader::open(&dir);
-    let before: Vec<String> = queries
-        .iter()
-        .map(|q| {
+    let exprs = [
+        "rate(netqos_monitor_ticks_total%5B5s%5D)",
+        "sum(netqos_path_used_bps)",
+        "increase(netqos_lts_appends_total%5B10s%5D)",
+    ];
+    let answers = || -> Vec<String> {
+        let reader = LtsReader::open(&dir);
+        let stored = queries.iter().map(|q| {
             let (status, body) = get_query(&reader, q);
             assert_eq!(status, 200, "{q}: {body}");
             body
-        })
-        .collect();
-
-    // Downgrade to JSONL (v1), then back to binary (v2): every response
-    // byte must survive both conversions, and the binary form must be
-    // the smaller one.
-    let down =
-        netqos_telemetry::migrate_store(&dir, netqos_telemetry::SegmentCodec::Jsonl).unwrap();
-    assert!(down.segments_converted > 0, "{down:?}");
-    let reader = LtsReader::open(&dir);
-    for (q, b) in queries.iter().zip(&before) {
-        let (status, body) = get_query(&reader, q);
-        assert_eq!(status, 200);
-        assert_eq!(&body, b, "{q} diverged after downgrade to v1");
+        });
+        stored.chain(exprs.iter().map(|e| api(e))).collect()
+    };
+    let before = answers();
+    for body in &before[queries.len()..] {
+        assert!(
+            body.contains("\"values\":[["),
+            "an answer with samples: {body}"
+        );
     }
-    assert!(verify_store(&dir).unwrap().issues.is_empty());
 
-    let up = netqos_telemetry::migrate_store(&dir, netqos_telemetry::SegmentCodec::Binary).unwrap();
-    assert_eq!(up.segments_converted, down.segments_converted);
+    let report = compact_store(&dir).unwrap();
     assert!(
-        up.bytes_after < up.bytes_before,
-        "binary must shrink the sealed segments: {up:?}"
+        report.bytes_after < report.bytes_before,
+        "sealing must shrink the tails: {report:?}"
     );
-    let reader = LtsReader::open(&dir);
-    for (q, b) in queries.iter().zip(&before) {
-        let (status, body) = get_query(&reader, q);
-        assert_eq!(status, 200);
-        assert_eq!(&body, b, "{q} diverged after upgrade to v2");
+    for ((q, b), a) in queries.iter().chain(&exprs).zip(&before).zip(answers()) {
+        assert_eq!(&a, b, "{q} diverged from the tails to the sealed segments");
     }
     assert!(verify_store(&dir).unwrap().issues.is_empty());
-
-    // The per-codec breakdown sees only v2 segments after the upgrade.
-    let stats = netqos_telemetry::store_stats(&dir).unwrap();
-    assert!(stats.resolutions[0].v2_segments > 0);
-    assert_eq!(stats.resolutions[0].v1_segments, 0);
+    let sealed = store_stats(&dir).unwrap();
+    assert!(sealed.resolutions[0].sealed > 0, "{sealed:?}");
+    assert_eq!(sealed.resolutions[0].open_tails, 0, "{sealed:?}");
 
     std::fs::remove_dir_all(&dir).ok();
 }
