@@ -30,12 +30,15 @@
 //!   system uptime data").
 //! * [`monitor`] — [`monitor::NetworkMonitor`], the core state machine
 //!   mapping snapshots to per-interface rates and path bandwidth.
+//! * [`network`] — [`network::Network`], what the service polls
+//!   through, and the one poll round over any network.
 //! * [`simnet`] — runs the whole system inside the `netqos-sim` LAN:
 //!   agents as simulated apps, polls as simulated SNMP/UDP traffic (so
 //!   monitoring overhead perturbs the measurement, as in the paper), and
 //!   [`simnet::TrueRates`], the ground truth the monitor is judged by.
-//! * [`threaded`] — distributed monitoring over real UDP sockets (the
-//!   paper's future-work item), one poller thread per agent.
+//! * [`udpnet`] — the same service over real agents and UDP sockets (the
+//!   paper's deployment, and its future-work item "distributed network
+//!   monitoring").
 //! * [`qos`] — violation detection against `qospath` requirements.
 //! * [`latency`] — path RTT probes (future-work item: "measurement of
 //!   network latency").
@@ -49,18 +52,21 @@ pub mod error;
 pub mod latency;
 pub mod live;
 pub mod monitor;
+pub mod network;
 pub mod poll;
 pub mod qos;
 pub mod report;
 pub mod service;
 pub mod simnet;
 pub mod telemetry;
-pub mod threaded;
+pub mod udpnet;
 
 pub use error::MonitorError;
 pub use monitor::NetworkMonitor;
+pub use network::Network;
 pub use poll::DeviceSnapshot;
 pub use qos::{QosEvent, QosMonitor};
 pub use report::{PathRow, PathSample, SeriesRecorder};
 pub use service::{MonitoringService, ServiceConfig};
 pub use simnet::SimNetwork;
+pub use udpnet::UdpNetwork;

@@ -1,13 +1,14 @@
 //! The high-level monitoring service: everything the paper's monitoring
 //! *program* did, behind one API.
 //!
-//! [`MonitoringService`] owns the simulated network, the monitor state
-//! and the QoS evaluator, and each [`tick`] is the list of its stages
+//! [`MonitoringService`] owns a [`Network`] — the simulated one by
+//! default, or real agents over UDP — the monitor state and the QoS
+//! evaluator, and each [`tick`] is the list of its stages
 //! ([`TICK_STAGES`]), every one a method of its own and one span directly
 //! under `monitor.cycle`:
 //!
-//! 1. **advance** — the simulated network runs one poll period;
-//! 2. **poll** — [`SimNetwork::poll_nodes`] polls this tick's round and
+//! 1. **advance** — the network runs one poll period;
+//! 2. **poll** — [`Network::poll_nodes`] polls this tick's round and
 //!    ingests each snapshot as it arrives (counters become rates per
 //!    device). The round is the *demand set* — every device whose
 //!    counters some qospath's evaluation may read ([`QosMonitor::demand`])
@@ -17,8 +18,8 @@
 //!    once, ranked against its baseline, and written down as one
 //!    [`PathRow`]; everything after this reads the rows;
 //! 4. **detect** — QoS state changes become events and SNMPv1 traps (kept
-//!    in an outbox, optionally sent through the simulated network to a
-//!    management station), and the alert rules see one scope per row;
+//!    in an outbox, optionally sent through the network to a management
+//!    station), and the alert rules see one scope per row;
 //! 5. **record** — rows and registry are sampled into the long-term
 //!    store, and on a save tick baselines persist, the store flushes and
 //!    the recording rules run;
@@ -31,11 +32,11 @@
 use crate::error::MonitorError;
 use crate::live::{unix_now_ns, LiveStatus};
 use crate::monitor::NetworkMonitor;
+use crate::network::Network;
 use crate::qos::{self, QosEvent, QosMonitor};
 use crate::report::PathRow;
 use crate::simnet::{SimNetwork, SimNetworkOptions};
 use crate::telemetry::MonitorTelemetry;
-use bytes::Bytes;
 use netqos_sim::time::{SimDuration, SimTime};
 use netqos_sim::Ipv4Addr;
 use netqos_telemetry::{
@@ -51,9 +52,6 @@ use std::collections::HashMap;
 use std::fmt::{self, Write as _};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
-
-/// SNMP trap port.
-pub const TRAP_PORT: u16 = 162;
 
 /// Baseline samples required before anomaly warnings can fire — a young
 /// baseline ranks everything at the extremes.
@@ -139,8 +137,8 @@ pub struct ServiceConfig {
     pub poll_period: SimDuration,
     /// Community stamped on emitted traps.
     pub trap_community: String,
-    /// If set, traps are also transmitted through the simulated network
-    /// to this address's UDP port 162 (a management station).
+    /// If set, traps are also transmitted through the network to this
+    /// address's UDP port 162 (a management station).
     pub trap_destination: Option<Ipv4Addr>,
     /// Maximum traps kept in the outbox; when full, the oldest trap is
     /// evicted.
@@ -210,9 +208,9 @@ impl Default for ServiceConfig {
     }
 }
 
-/// The assembled monitoring program. Its fields are grouped by the
-/// stage of [`MonitoringService::tick`] that owns them.
-pub struct MonitoringService {
+/// The assembled monitoring program over the network `N`. Its fields are
+/// grouped by the stage of [`MonitoringService::tick`] that owns them.
+pub struct MonitoringService<N = SimNetwork> {
     config: ServiceConfig,
     start: SimTime,
     telemetry: MonitorTelemetry,
@@ -224,7 +222,7 @@ pub struct MonitoringService {
     epoch_unix_ns: u64,
 
     // advance, poll
-    net: SimNetwork,
+    net: N,
     monitor: NetworkMonitor,
     schedule: PollSchedule,
 
@@ -321,7 +319,7 @@ fn start_pusher(
     pusher
 }
 
-impl MonitoringService {
+impl MonitoringService<SimNetwork> {
     /// Builds the service from specification source text.
     pub fn from_spec(
         spec_src: &str,
@@ -358,26 +356,34 @@ impl MonitoringService {
             &netqos_spec::SpecModel,
         ),
     {
-        let topology = model.topology.clone();
-        let qos_specs = model.qos_paths.clone();
-        let mut net_options = net_options;
-        // Service and poll runtime share one registry, so `registry()`
-        // exposes the whole pipeline's metrics in a single snapshot.
-        if net_options.registry.is_none() {
-            net_options.registry = Some(Registry::new());
-        }
-        let mut net = SimNetwork::from_model_with(model, net_options, extra)?;
-        let mut monitor = NetworkMonitor::new(topology);
-        let qos = QosMonitor::new(&monitor, &qos_specs)?;
-        let schedule = PollSchedule::new(net.pollable_nodes(), &qos.demand(&monitor));
-        let start = net.lan.now();
-        let telemetry = net.telemetry().clone();
+        let net = SimNetwork::from_model_with(model, net_options, extra)?;
+        Self::new(net, config)
+    }
+
+    /// The simulated network (to install extra state or read counters).
+    pub fn net_mut(&mut self) -> &mut SimNetwork {
+        &mut self.net
+    }
+}
+
+impl<N: Network> MonitoringService<N> {
+    /// Builds the service over `net`, polling its agents for the qospaths
+    /// of the model it was built from. Service and poll runtime share the
+    /// network's registry, so [`MonitoringService::registry`] exposes the
+    /// whole pipeline's metrics in a single snapshot.
+    pub fn new(mut net: N, config: ServiceConfig) -> Result<Self, MonitorError> {
+        let mut monitor = NetworkMonitor::new(net.model().topology.clone());
+        let qos = QosMonitor::new(&monitor, &net.model().qos_paths)?;
+        let pollable = net.agents().pollable().to_vec();
+        let schedule = PollSchedule::new(pollable, &qos.demand(&monitor));
+        let start = net.now();
+        let telemetry = net.agents().telemetry().clone();
         // One tracer, shared by every pipeline stage so their spans land
         // in the same per-tick cycle buffer and nest causally. Disabled
         // until `set_tracing(true)`: each stage then pays one relaxed
         // atomic load per span site.
         let tracer = Tracer::disabled();
-        net.set_tracer(tracer.clone());
+        net.agents_mut().set_tracer(tracer.clone());
         monitor.set_tracer(tracer.clone());
         monitor.set_health_counters(
             telemetry.uptime_resets.clone(),
@@ -494,7 +500,7 @@ impl MonitoringService {
         self.tracer.set_enabled(enabled);
     }
 
-    /// The pipeline-wide tracer (fork it for worker threads).
+    /// The pipeline-wide tracer.
     pub fn tracer(&self) -> &Tracer {
         &self.tracer
     }
@@ -736,7 +742,7 @@ impl MonitoringService {
         let cycle_span = self.tracer.span("monitor", "cycle");
         self.advance();
         let polled = self.poll()?;
-        let t_s = self.net.lan.now().duration_since(self.start).as_secs_f64();
+        let t_s = self.net.now().duration_since(self.start).as_secs_f64();
         let events = self.evaluate(&mut cycle);
         self.detect(t_s, &events, &mut cycle)?;
         self.record(t_s);
@@ -763,12 +769,12 @@ impl MonitoringService {
         Ok(events)
     }
 
-    /// Stage 1: the simulated network runs one poll period (background
-    /// traffic and load generators keep flowing).
+    /// Stage 1: the network runs one poll period (on the simulator,
+    /// background traffic and load generators keep flowing).
     fn advance(&mut self) {
         let _span = self.tracer.span("monitor.sim", "advance");
-        let next = self.net.lan.now() + self.config.poll_period;
-        self.net.run_until(next);
+        let next = self.net.now() + self.config.poll_period;
+        self.net.advance_to(next);
     }
 
     /// Stage 2: this tick's round of the [`PollSchedule`], each snapshot
@@ -910,23 +916,15 @@ impl MonitoringService {
     }
 
     /// Reports each QoS state change and emits its SNMPv1 trap: into the
-    /// bounded outbox, and through the simulated network when a trap
-    /// destination is configured.
+    /// bounded outbox, and through the network when a trap destination is
+    /// configured.
     fn emit_traps(
         &mut self,
         t_s: f64,
         events: &[QosEvent],
         cycle: &mut Cycle,
     ) -> Result<(), MonitorError> {
-        let monitor_node = self.net.monitor_node();
-        let agent_addr = self
-            .net
-            .model()
-            .addresses
-            .get(&monitor_node)
-            .and_then(|a| a.parse::<Ipv4Addr>().ok())
-            .map(|ip| ip.octets())
-            .unwrap_or([0, 0, 0, 0]);
+        let agent_addr = self.net.trap_agent_addr();
         let uptime = (t_s * 100.0) as u32;
         for event in events {
             let (level, kind, path_name) = match event {
@@ -942,18 +940,7 @@ impl MonitoringService {
             );
             let bytes = qos::encode_trap(event, &self.config.trap_community, agent_addr, uptime)?;
             if let Some(dst) = self.config.trap_destination {
-                let monitor_dev = self
-                    .net
-                    .device_of(monitor_node)
-                    .ok_or_else(|| MonitorError::Sim("monitor device missing".into()))?;
-                // Trap transmission is fire-and-forget UDP.
-                let _ = self.net.lan.post_udp(
-                    monitor_dev,
-                    TRAP_PORT,
-                    dst,
-                    TRAP_PORT,
-                    Bytes::from(bytes.clone()),
-                );
+                self.net.send_trap(dst, &bytes);
             }
             // Bounded outbox: evict oldest rather than grow forever.
             if self.traps.len() >= self.config.trap_outbox_capacity.max(1) {
@@ -1069,11 +1056,6 @@ impl MonitoringService {
     /// [`IntervalStrategy`]: crate::monitor::IntervalStrategy
     pub fn monitor_mut(&mut self) -> &mut NetworkMonitor {
         &mut self.monitor
-    }
-
-    /// The simulated network (to install extra state or read counters).
-    pub fn net_mut(&mut self) -> &mut SimNetwork {
-        &mut self.net
     }
 
     /// The rows of the most recent tick: one per qospath it could

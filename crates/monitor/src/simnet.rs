@@ -12,6 +12,7 @@
 //! error to "traffic caused by SNMP queries and acknowledgements").
 
 use crate::error::MonitorError;
+use crate::network::{self, Agents, Network, POLL_RETRIES, TRAP_PORT};
 use crate::poll::{DeviceSnapshot, PollPlan};
 use crate::telemetry::MonitorTelemetry;
 use bytes::Bytes;
@@ -31,7 +32,6 @@ use netqos_snmp::transport::Transport;
 use netqos_snmp::value::ValueRef;
 use netqos_snmp::{Oid, SnmpError};
 use netqos_spec::SpecModel;
-use netqos_telemetry::{QuantileBaseline, Tracer};
 use netqos_topology::bandwidth::{IfRates, RateProvider};
 use netqos_topology::{IfIx, NetworkTopology, NodeId, NodeKind};
 use rand::rngs::StdRng;
@@ -228,7 +228,7 @@ impl Default for SimNetworkOptions {
             noise_mean: None,
             seed: 1,
             agent_jitter_mean: None,
-            poll_timeout: SimDuration::from_millis(500),
+            poll_timeout: network::POLL_TIMEOUT,
             registry: None,
         }
     }
@@ -242,39 +242,17 @@ pub struct SimNetwork {
     pub lan: Lan,
     model: SpecModel,
     node_to_dev: HashMap<NodeId, DeviceId>,
-    /// The agent of each node, indexed by node id; `None` for a node
-    /// without one.
-    agents: Vec<Option<AgentTarget>>,
-    /// The nodes with an agent, in node order: the poll order.
-    pollable: Vec<NodeId>,
-    /// One plan per interface count among the agents, and beside each a
-    /// snapshot of its shape that [`SimNetwork::poll_nodes`] parses into.
-    plans: Vec<(PollPlan, DeviceSnapshot)>,
+    /// The agents, whose manager is behind every poll and walk.
+    agents: Agents,
+    /// The address of each node's agent, indexed by node id; `None` for a
+    /// node without one.
+    agent_ips: Vec<Option<Ipv4Addr>>,
     monitor_dev: DeviceId,
     monitor_node: NodeId,
     inbox: Rc<RefCell<Vec<(SimTime, UdpDatagram)>>>,
-    /// The one manager behind every poll and walk: one request-id
-    /// sequence across all devices. Its polls are counted by `telemetry`,
-    /// so it records no metrics of its own.
-    manager: Manager,
     poll_timeout: SimDuration,
     /// Polls that timed out (for diagnostics).
     pub timeouts: u64,
-    telemetry: MonitorTelemetry,
-    tracer: Tracer,
-    /// Per-device poll-RTT baseline (simulated microseconds), so traces
-    /// can rank each RTT against the device's recent history. Indexed by
-    /// node id like `agents`; `None` until the node's first answered poll.
-    rtt_baselines: Vec<Option<QuantileBaseline>>,
-}
-
-/// Where and how to poll one node's agent.
-struct AgentTarget {
-    ip: Ipv4Addr,
-    community: String,
-    /// Index into `SimNetwork::plans`, shared with every other node of the
-    /// same interface count.
-    plan: usize,
 }
 
 /// What it takes to talk to one node's agent: the link to it, the
@@ -289,10 +267,6 @@ struct Agent<'a> {
 
 /// UDP port the manager mailbox listens on.
 pub const MANAGER_PORT: u16 = 16100;
-
-/// Retransmissions per poll on timeout (matching the UDP transport's
-/// default of 2 retries).
-const POLL_RETRIES: u32 = 2;
 
 /// The simulated LAN as the [`Transport`] from the manager's mailbox to
 /// one agent. It borrows the network for one call: an exchange posts the
@@ -391,11 +365,12 @@ impl SimNetwork {
     where
         F: FnOnce(&mut LanBuilder, &HashMap<NodeId, DeviceId>, &SpecModel),
     {
+        let telemetry =
+            (options.registry).map_or_else(MonitorTelemetry::private, MonitorTelemetry::new);
+        let agents = Agents::new(&model, telemetry);
         let mut b = LanBuilder::new();
         let mut node_to_dev = HashMap::new();
-        let mut agents: Vec<Option<AgentTarget>> = Vec::new();
-        let mut plans: Vec<(PollPlan, DeviceSnapshot)> = Vec::new();
-        let mut plan_of: HashMap<u32, usize> = HashMap::new();
+        let mut agent_ips = Vec::new();
         let mut auto_ip = 1u8;
 
         for (node_id, node) in model.topology.nodes() {
@@ -429,24 +404,12 @@ impl SimNetwork {
                 b.add_nic(dev, &iface.local_name, iface.speed_bps)
                     .map_err(MonitorError::from)?;
             }
-            let agent = if node.snmp_capable && !node.kind.is_shared_medium() {
-                let if_count = node.interfaces.len() as u32;
-                Some(AgentTarget {
-                    ip: addr
-                        .parse::<Ipv4Addr>()
-                        .map_err(|e| MonitorError::Sim(e.to_string()))?,
-                    community: node.snmp_community.clone(),
-                    plan: *plan_of.entry(if_count).or_insert_with(|| {
-                        plans.push((PollPlan::new(if_count), DeviceSnapshot::default()));
-                        plans.len() - 1
-                    }),
-                })
-            } else {
-                None
-            };
-            agents.push(agent); // `nodes()` yields node ids in order from 0
+            let ip = agents.has_agent(node_id).then(|| addr.parse::<Ipv4Addr>());
+            let ip = ip
+                .transpose()
+                .map_err(|e| MonitorError::Sim(e.to_string()))?;
+            agent_ips.push(ip); // `nodes()` yields node ids in order from 0
         }
-        let is_pollable = |node: NodeId| agents[node.0 as usize].is_some();
 
         for (_, conn) in model.topology.connections() {
             let a = (node_to_dev[&conn.a.node], PortIx(conn.a.ifix.0));
@@ -469,7 +432,7 @@ impl SimNetwork {
                         .map_err(MonitorError::from)?;
                 }
             }
-            if is_pollable(node_id) {
+            if agents.has_agent(node_id) {
                 let mut agent = SimSnmpAgent::new(&node.name, &node.snmp_community);
                 if let Some(mean) = options.agent_jitter_mean {
                     agent = agent.with_jitter(options.seed ^ node_id.0 as u64, mean);
@@ -491,51 +454,24 @@ impl SimNetwork {
 
         extra(&mut b, &node_to_dev, &model);
 
-        let telemetry = match options.registry {
-            Some(registry) => MonitorTelemetry::new(registry),
-            None => MonitorTelemetry::private(),
-        };
-        let pollable = model
-            .topology
-            .nodes()
-            .map(|(node_id, _)| node_id)
-            .filter(|&node_id| is_pollable(node_id))
-            .collect();
-        let rtt_baselines = vec![None; agents.len()];
         Ok(SimNetwork {
             lan: b.build(),
             model,
             node_to_dev,
             agents,
-            pollable,
-            plans,
+            agent_ips,
             monitor_dev,
             monitor_node,
             inbox,
-            manager: Manager::default(),
             poll_timeout: options.poll_timeout,
             timeouts: 0,
-            telemetry,
-            tracer: Tracer::disabled(),
-            rtt_baselines,
         })
-    }
-
-    /// Routes this network's poll-pipeline spans into `tracer`.
-    pub fn set_tracer(&mut self, tracer: Tracer) {
-        self.manager.set_tracer(tracer.clone());
-        self.tracer = tracer;
-    }
-
-    /// The tracer the poll pipeline records into.
-    pub fn tracer(&self) -> &Tracer {
-        &self.tracer
     }
 
     /// The poll runtime's telemetry handles (and through them, the
     /// registry everything on this network records into).
     pub fn telemetry(&self) -> &MonitorTelemetry {
-        &self.telemetry
+        self.agents.telemetry()
     }
 
     /// The spec model this network was built from.
@@ -555,34 +491,34 @@ impl SimNetwork {
 
     /// All SNMP-pollable nodes, in node order.
     pub fn pollable_nodes(&self) -> Vec<NodeId> {
-        self.pollable.clone()
+        self.agents.pollable().to_vec()
     }
 
     /// What it takes to talk to the agent of `node`.
     fn agent(&mut self, node: NodeId) -> Result<Agent<'_>, MonitorError> {
-        let name = match self.model.topology.node(node) {
-            Ok(n) => n.name.as_str(),
-            Err(_) => return Err(MonitorError::NotPollable(node.to_string())),
-        };
-        let Some(target) = &self.agents[node.0 as usize] else {
-            return Err(MonitorError::NotPollable(name.to_owned()));
+        let (Ok(n), Some(Some(ip)), Some((community, plan, manager, telemetry))) = (
+            self.model.topology.node(node),
+            self.agent_ips.get(node.index()),
+            self.agents.parts(node),
+        ) else {
+            return Err(network::not_pollable(&self.model, node));
         };
         let link = SimLink {
             lan: &mut self.lan,
             inbox: &self.inbox,
             manager_dev: self.monitor_dev,
-            agent_ip: target.ip,
+            agent_ip: *ip,
             timeout: self.poll_timeout,
-            telemetry: &self.telemetry,
+            telemetry,
             timeouts: &mut self.timeouts,
             unposted: None,
         };
         Ok(Agent {
             link,
-            manager: &mut self.manager,
-            community: &target.community,
-            plan: &self.plans[target.plan].0,
-            name,
+            manager,
+            community,
+            plan,
+            name: &n.name,
         })
     }
 
@@ -597,58 +533,7 @@ impl SimNetwork {
     /// Polls one device through the simulated network, advancing simulated
     /// time until its response arrives (or the poll timeout elapses).
     pub fn poll_device(&mut self, node: NodeId) -> Result<DeviceSnapshot, MonitorError> {
-        let mut snapshot = DeviceSnapshot::default();
-        self.poll_into(node, &mut snapshot)?;
-        Ok(snapshot)
-    }
-
-    /// [`SimNetwork::poll_device`] into `snapshot`, whose memory is reused
-    /// (see [`PollPlan::poll_into`]).
-    fn poll_into(
-        &mut self,
-        node: NodeId,
-        snapshot: &mut DeviceSnapshot,
-    ) -> Result<(), MonitorError> {
-        let mut poll_span = self.tracer.span("monitor.poll", "device");
-        let sent_at = self.lan.now();
-        let polled = {
-            let Agent {
-                mut link,
-                manager,
-                community,
-                plan,
-                name,
-            } = self.agent(node)?;
-            if poll_span.is_recording() {
-                poll_span.set_attr("device", name);
-            }
-            let polled = plan.poll_into(&mut manager.session(&mut link, community), name, snapshot);
-            link.checked(polled)
-        };
-        match &polled {
-            Ok(()) => self.telemetry.polls.inc(),
-            // Nothing came back to time or to count as a failed poll: the
-            // link counts its timeouts, and a refused post never left.
-            Err(MonitorError::Timeout { .. } | MonitorError::Sim(_)) => return polled,
-            Err(_) => self.telemetry.poll_failures.inc(),
-        }
-        let rtt_us = self.lan.now().duration_since(sent_at).as_micros();
-        self.telemetry.poll_rtt_us.record(rtt_us);
-        // Rank this RTT against the device's own history before folding
-        // it into the baseline.
-        let baseline = self.rtt_baselines[node.0 as usize].get_or_insert_with(Default::default);
-        if poll_span.is_recording() {
-            poll_span.set_attr("rtt_us", rtt_us);
-            poll_span.set_attr("rtt_rank", baseline.rank(rtt_us));
-        }
-        baseline.record(rtt_us);
-        // Drop stale datagrams (late duplicates from retransmitted polls)
-        // so the inbox cannot grow without bound across long experiments.
-        let now = self.lan.now();
-        self.inbox
-            .borrow_mut()
-            .retain(|(t, _)| now.duration_since(*t) < SimDuration::from_secs(10));
-        polled
+        Network::poll_device(self, node)
     }
 
     /// Polls every SNMP-capable device once, in node order, feeding the
@@ -657,53 +542,19 @@ impl SimNetwork {
         &mut self,
         monitor: &mut crate::monitor::NetworkMonitor,
     ) -> Result<usize, MonitorError> {
-        let pollable = std::mem::take(&mut self.pollable);
+        let pollable = std::mem::take(&mut self.agents.pollable);
         let polled = self.poll_nodes(&pollable, monitor);
-        self.pollable = pollable;
+        self.agents.pollable = pollable;
         polled
     }
 
-    /// Polls each of `nodes` once, in the order given, feeding the
-    /// snapshots into `monitor`. A device that times out is skipped until
-    /// the next round; any other failure ends the round. Returns the
-    /// number of successful polls.
-    ///
-    /// Each poll parses into its plan's snapshot, and the ingest swaps
-    /// that with the device's previous one, which becomes the plan's
-    /// snapshot for the next device of its shape: a steady-state poll
-    /// allocates only the datagrams it carries.
+    /// [`Network::poll_nodes`] through the simulated network.
     pub fn poll_nodes(
         &mut self,
         nodes: &[NodeId],
         monitor: &mut crate::monitor::NetworkMonitor,
     ) -> Result<usize, MonitorError> {
-        let mut round_span = self.tracer.span("monitor.poll", "round");
-        round_span.set_attr("devices", nodes.len());
-        let mut ok = 0;
-        for &node in nodes {
-            // A node with no agent fails in `poll_into`, snapshot unused.
-            let plan = self
-                .agents
-                .get(node.0 as usize)
-                .and_then(Option::as_ref)
-                .map(|target| target.plan);
-            let mut snapshot = plan.map_or_else(DeviceSnapshot::default, |plan| {
-                std::mem::take(&mut self.plans[plan].1)
-            });
-            let polled = self
-                .poll_into(node, &mut snapshot)
-                .and_then(|()| monitor.ingest_swap(node, &mut snapshot));
-            if let Some(plan) = plan {
-                self.plans[plan].1 = snapshot;
-            }
-            match polled {
-                Ok(_) => ok += 1,
-                Err(MonitorError::Timeout { .. }) => continue, // retry next round
-                Err(e) => return Err(e),
-            }
-        }
-        round_span.set_attr("ok", ok);
-        Ok(ok)
+        Network::poll_nodes(self, nodes, monitor)
     }
 
     /// Advances simulated time to `t` (background traffic keeps flowing).
@@ -819,11 +670,11 @@ impl SimNetwork {
             }
             match got {
                 Some(rtt) => {
-                    self.telemetry.path_rtt_us.record(rtt.as_micros());
+                    self.telemetry().path_rtt_us.record(rtt.as_micros());
                     rtts.push(rtt);
                 }
                 None => {
-                    self.telemetry.probes_lost.inc();
+                    self.telemetry().probes_lost.inc();
                     lost += 1;
                 }
             }
@@ -838,6 +689,71 @@ impl SimNetwork {
                     .unwrap_or_default(),
             }
         })
+    }
+}
+
+impl Network for SimNetwork {
+    fn now(&self) -> SimTime {
+        self.lan.now()
+    }
+
+    fn advance_to(&mut self, t: SimTime) {
+        self.lan.run_until(t);
+    }
+
+    fn model(&self) -> &SpecModel {
+        &self.model
+    }
+
+    fn agents(&self) -> &Agents {
+        &self.agents
+    }
+
+    fn agents_mut(&mut self) -> &mut Agents {
+        &mut self.agents
+    }
+
+    /// Sends the poll through the simulated network, advancing simulated
+    /// time until its response arrives (or the poll timeout elapses).
+    fn get_into(
+        &mut self,
+        node: NodeId,
+        snapshot: &mut DeviceSnapshot,
+    ) -> Result<(), MonitorError> {
+        let Agent {
+            mut link,
+            manager,
+            community,
+            plan,
+            name,
+        } = self.agent(node)?;
+        let polled = plan.poll_into(&mut manager.session(&mut link, community), name, snapshot);
+        let polled = link.checked(polled);
+        if !matches!(
+            polled,
+            Err(MonitorError::Timeout { .. } | MonitorError::Sim(_))
+        ) {
+            // Drop stale datagrams (late duplicates from retransmitted
+            // polls) so the inbox cannot grow without bound across long
+            // experiments.
+            let now = self.lan.now();
+            self.inbox
+                .borrow_mut()
+                .retain(|(t, _)| now.duration_since(*t) < SimDuration::from_secs(10));
+        }
+        polled
+    }
+
+    /// Trap transmission is fire-and-forget UDP from the monitor host.
+    fn send_trap(&mut self, dst: Ipv4Addr, trap: &[u8]) {
+        let trap = Bytes::copy_from_slice(trap);
+        let _ = (self.lan).post_udp(self.monitor_dev, TRAP_PORT, dst, TRAP_PORT, trap);
+    }
+
+    fn trap_agent_addr(&self) -> [u8; 4] {
+        let addr = self.model.addresses.get(&self.monitor_node);
+        let ip = addr.and_then(|a| a.parse::<Ipv4Addr>().ok());
+        ip.map_or([0; 4], |ip| ip.octets())
     }
 }
 
@@ -881,7 +797,7 @@ impl TrueRates {
     /// instant.
     pub fn record(&mut self, net: &SimNetwork) {
         let at = net.lan.now();
-        for &node in &net.pollable {
+        for &node in net.agents.pollable() {
             let dev = net.node_to_dev[&node];
             let ports = self.topology.node(node).map_or(0, |n| n.interfaces.len());
             for port in 0..ports as u32 {

@@ -230,11 +230,6 @@ pub struct Manager {
 }
 
 impl Manager {
-    /// Records this manager's request metrics into `telemetry`.
-    pub fn set_telemetry(&mut self, telemetry: ClientTelemetry) {
-        self.telemetry = Some(telemetry);
-    }
-
     /// Routes this manager's causal spans into `tracer` (disabled by
     /// default, which costs one atomic load per request).
     pub fn set_tracer(&mut self, tracer: Tracer) {
@@ -417,12 +412,13 @@ impl<T: Transport> SnmpClient<T> {
     /// Creates a client using the given transport and community string,
     /// with metrics in the process-wide registry.
     pub fn new(transport: T, community: &str) -> Self {
-        let mut manager = Manager::default();
-        manager.set_telemetry(ClientTelemetry::global());
         SnmpClient {
             transport,
             community: community.to_owned(),
-            manager,
+            manager: Manager {
+                telemetry: Some(ClientTelemetry::global()),
+                ..Manager::default()
+            },
         }
     }
 

@@ -3,8 +3,8 @@
 //! * [`LoopbackTransport`] — an in-process agent; zero configuration, used
 //!   by tests and by single-host deployments.
 //! * [`UdpTransport`] — real sockets on port 161 (or any port), with
-//!   timeout and retry; used by the threaded "distributed monitoring"
-//!   runtime.
+//!   timeout and retry; `netqos-monitor`'s `UdpNetwork` polls real agents
+//!   through one per agent.
 //! * the simulated LAN — `netqos-monitor`'s `simnet` implements
 //!   [`Transport`] over the simulator (it needs the simulator types), so
 //!   the same manager polls simulated, in-process and real agents.

@@ -12,9 +12,8 @@
 //! pays no locks and no allocations (< 5 % overhead budget, enforced by
 //! the `trace` bench).
 //!
-//! Clones share state; [`Tracer::fork`] creates an independent span
-//! buffer that shares only the enabled flag — one fork per worker thread
-//! keeps parent/child attribution exact under the threaded poller.
+//! Clones share state: one tracer, passed to every stage of a cycle,
+//! keeps parent/child attribution exact.
 
 use crate::FieldValue;
 use parking_lot::Mutex;
@@ -49,7 +48,7 @@ pub struct SpanRecord {
 }
 
 struct TracerCore {
-    enabled: Arc<AtomicBool>,
+    enabled: AtomicBool,
     origin: Instant,
     next_id: AtomicU64,
     state: Mutex<TraceState>,
@@ -63,7 +62,7 @@ struct TraceState {
 }
 
 /// Span collector for one logical execution context. Cheap to clone
-/// (clones share everything); see [`Tracer::fork`] for worker threads.
+/// (clones share everything).
 #[derive(Clone)]
 pub struct Tracer {
     core: Arc<TracerCore>,
@@ -76,10 +75,10 @@ impl Default for Tracer {
 }
 
 impl Tracer {
-    fn with_enabled(enabled: Arc<AtomicBool>) -> Self {
+    fn with_enabled(enabled: bool) -> Self {
         Tracer {
             core: Arc::new(TracerCore {
-                enabled,
+                enabled: AtomicBool::new(enabled),
                 origin: Instant::now(),
                 next_id: AtomicU64::new(1),
                 state: Mutex::new(TraceState::default()),
@@ -89,22 +88,15 @@ impl Tracer {
 
     /// A tracer that records spans.
     pub fn new() -> Self {
-        Self::with_enabled(Arc::new(AtomicBool::new(true)))
+        Self::with_enabled(true)
     }
 
     /// A tracer that discards everything (the no-overhead default).
     pub fn disabled() -> Self {
-        Self::with_enabled(Arc::new(AtomicBool::new(false)))
+        Self::with_enabled(false)
     }
 
-    /// A tracer with an independent span buffer sharing this tracer's
-    /// enabled flag — give one to each worker thread so concurrent spans
-    /// do not corrupt each other's parent stacks.
-    pub fn fork(&self) -> Self {
-        Self::with_enabled(self.core.enabled.clone())
-    }
-
-    /// Turns recording on or off (shared with forks).
+    /// Turns recording on or off.
     pub fn set_enabled(&self, enabled: bool) {
         self.core.enabled.store(enabled, Ordering::Relaxed);
     }
@@ -302,21 +294,6 @@ mod tests {
             s.attrs[1],
             ("agent".to_string(), FieldValue::Str("10.0.0.7".into()))
         );
-    }
-
-    #[test]
-    fn fork_shares_enabled_flag_but_not_spans() {
-        let t = Tracer::new();
-        let w = t.fork();
-        t.begin_cycle();
-        w.begin_cycle();
-        {
-            let _s = w.span("worker", "poll");
-        }
-        assert_eq!(t.end_cycle().len(), 0);
-        assert_eq!(w.end_cycle().len(), 1);
-        t.set_enabled(false);
-        assert!(!w.is_enabled());
     }
 
     #[test]

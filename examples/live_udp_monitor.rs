@@ -1,10 +1,12 @@
-//! Distributed monitoring over **real UDP sockets** — no simulator.
+//! Monitoring **real SNMP agents over UDP sockets** — no simulator.
 //!
 //! Spawns two SNMP agents on localhost whose interface counters advance
-//! with a real UDP load generator's traffic, then runs the distributed
-//! poller (one thread per agent) and prints live measured rates. This is
-//! the deployment shape of the paper's future-work item "distributed
-//! network monitoring".
+//! with a real UDP load generator's traffic, then runs the monitoring
+//! service over them: the same tick — poll, rows, alerts — that runs over
+//! the simulator, here through a [`UdpNetwork`]. Prints each tick's row
+//! for the qospath, and the service's poll counters at exit. This is the
+//! deployment shape of the paper's future-work item "distributed network
+//! monitoring".
 //!
 //! ```text
 //! cargo run --example live_udp_monitor
@@ -12,20 +14,27 @@
 
 use netqos::loadgen::udp::UdpLoadGenerator;
 use netqos::loadgen::LoadProfile;
-use netqos::monitor::threaded::{AgentTarget, DistributedPoller};
-use netqos::monitor::NetworkMonitor;
+use netqos::monitor::{MonitoringService, ServiceConfig, UdpNetwork};
+use netqos::sim::time::SimDuration;
 use netqos::snmp::mib::ScalarMib;
 use netqos::snmp::mib2::{self, IfEntry, SystemInfo};
 use netqos::snmp::transport::UdpAgentServer;
-use netqos::telemetry::Tracer;
-use netqos::topology::{IfIx, NetworkTopology, NodeKind};
+use std::collections::HashMap;
 use std::net::UdpSocket;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+/// Hosts A and B over one 100 Mb/s connection, and the qospath between.
+const SPEC: &str = r#"
+    host A { snmp community "public"; interface eth0 { speed 100Mbps; } }
+    host B { snmp community "public"; interface eth0 { speed 100Mbps; } }
+    connection A.eth0 <-> B.eth0;
+    qospath ab from A to B { min_available 50Mbps; }
+"#;
+
 fn main() {
-    // A real UDP sink; every byte it receives is mirrored into agent A's
+    // A real UDP sink; every byte it receives is mirrored into the agents'
     // ifInOctets, so the SNMP view tracks genuine socket traffic.
     let sink = UdpSocket::bind("127.0.0.1:0").expect("bind sink");
     sink.set_read_timeout(Some(Duration::from_millis(50)))
@@ -60,15 +69,18 @@ fn main() {
         agent_b.local_addr()
     );
 
-    // Topology: A <-> B over one 100 Mb/s connection.
-    let mut topo = NetworkTopology::new();
-    let a = topo.add_node("A", NodeKind::Host).unwrap();
-    topo.add_interface(a, "eth0", 100_000_000).unwrap();
-    topo.set_snmp(a, "public").unwrap();
-    let b = topo.add_node("B", NodeKind::Host).unwrap();
-    topo.add_interface(b, "eth0", 100_000_000).unwrap();
-    topo.set_snmp(b, "public").unwrap();
-    topo.connect((a, IfIx(0)), (b, IfIx(0))).unwrap();
+    let model = netqos::spec::parse_and_validate(SPEC).expect("spec");
+    let node = |name| model.topology.node_by_name(name).unwrap();
+    let addrs = HashMap::from([
+        (node("A"), agent_a.local_addr()),
+        (node("B"), agent_b.local_addr()),
+    ]);
+    let net = UdpNetwork::new(model, &addrs).expect("agents reachable");
+    let config = ServiceConfig {
+        poll_period: SimDuration::from_millis(500),
+        ..ServiceConfig::default()
+    };
+    let mut svc = MonitoringService::new(net, config).expect("service");
 
     // Drain the sink into the shared counter on a helper thread.
     let drain = {
@@ -90,58 +102,34 @@ fn main() {
         UdpLoadGenerator::new(sink_addr, LoadProfile::pulse(0, 4, 500_000)).expect("generator");
     let load = std::thread::spawn(move || generator.run_blocking(Duration::from_secs(5)));
 
-    // Poll both agents every 500 ms and print the measured rate.
-    let poller = DistributedPoller::spawn(
-        vec![
-            AgentTarget {
-                node: a,
-                addr: agent_a.local_addr(),
-                community: "public".into(),
-                if_count: 1,
-            },
-            AgentTarget {
-                node: b,
-                addr: agent_b.local_addr(),
-                community: "public".into(),
-                if_count: 1,
-            },
-        ],
-        Duration::from_millis(500),
-        netqos::telemetry::global(),
-        &Tracer::disabled(),
-        None,
-    );
-    let mut monitor = NetworkMonitor::new(topo);
-
-    println!("\nt(s)   A.eth0 in (KB/s)   path A<->B used (KB/s)");
+    // One tick every 500 ms: both agents polled, the path's row printed.
     let t0 = Instant::now();
     while t0.elapsed() < Duration::from_secs(5) {
-        std::thread::sleep(Duration::from_millis(500));
-        poller.drain_into(&mut monitor);
-        let in_kbps = monitor
-            .if_rates(a, IfIx(0))
-            .map(|r| r.in_bps as f64 / 8000.0)
-            .unwrap_or(0.0);
-        let path_kbps = monitor
-            .path_bandwidth(a, b)
-            .map(|bw| bw.used_bps as f64 / 8000.0)
-            .unwrap_or(0.0);
-        println!(
-            "{:>4.1}   {:>16.1}   {:>22.1}",
-            t0.elapsed().as_secs_f64(),
-            in_kbps,
-            path_kbps
-        );
+        svc.tick().expect("tick");
+        for row in svc.rows() {
+            println!(
+                "row {} t={:.1}s used_bps={} available_bps={} violated={}",
+                row.name,
+                t0.elapsed().as_secs_f64(),
+                row.used_bps,
+                row.available_bps,
+                row.violated
+            );
+        }
     }
 
     let report = load.join().unwrap().expect("generator finished");
     println!(
-        "\ngenerator sent {} KB in {} datagrams; poller: {:?}",
+        "\ngenerator sent {} KB in {} datagrams; the service's polls:",
         report.bytes_sent / 1000,
         report.datagrams,
-        poller.stats()
     );
-    poller.stop();
+    let metrics = svc.registry().render_prometheus();
+    for line in metrics.lines() {
+        if line.starts_with("netqos_monitor_poll") && !line.contains("_us") {
+            println!("{line}");
+        }
+    }
     drain.join().unwrap();
     agent_a.stop();
     agent_b.stop();

@@ -66,11 +66,9 @@ const SIGNALS: &[(&str, &str)] = &[
     ("netqos_recording_rules_evals_total", "crates/telemetry/src/record.rs .evals"),
     ("netqos_recording_rules_failures_total", "crates/telemetry/src/record.rs .failures"),
     ("netqos_retention_deleted_total", "tests/otlp_export.rs .retention_deleted"),
-    ("netqos_snmp_client_requests_total", "crates/monitor/src/threaded.rs"),
+    ("netqos_snmp_client_requests_total", "crates/snmp/src/telemetry.rs"),
     ("netqos_snmp_codec_decode_errors_total", "crates/monitor/tests/exchange_decodes.rs .decode_errors"),
     ("netqos_snmp_codec_decodes_total", "crates/bench/src/bin/qosbench/lan_wide.rs .decodes"),
-    ("netqos_threaded_poll_failures_total", "crates/monitor/src/threaded.rs"),
-    ("netqos_threaded_polls_total", "crates/monitor/src/threaded.rs"),
     ("netqos_tick_phase_ns", ".github/workflows/ci.yml"),
     // Events, by target and kind.
     ("lts recovered", "tests/failure_reports.rs"),
