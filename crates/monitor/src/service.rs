@@ -44,8 +44,8 @@ use netqos_telemetry::{
     AlertContext, AlertEngine, AlertRule, AlertScope, CycleTrace, EventSink, FlightRecorder,
     FlushReport, Level, LtsConfig, LtsCounters, LtsReader, LtsSource, LtsStore, OtlpPusher,
     PointValue, ProfileHub, PushConfig, PushCounters, QuantileBaseline, QueryEngine, RecordRule,
-    RecordingCounters, Registry, RegistrySampler, RetentionPolicy, SnapshotPaths, Tracer,
-    DEFAULT_FLIGHT_CAPACITY, DEFAULT_PROFILE_WINDOW, DEFAULT_WINDOW,
+    RecordingCounters, Registry, RegistrySampler, RetentionPolicy, Tracer, DEFAULT_FLIGHT_CAPACITY,
+    DEFAULT_PROFILE_WINDOW, DEFAULT_WINDOW,
 };
 use netqos_topology::NodeId;
 use std::collections::HashMap;
@@ -271,7 +271,7 @@ pub struct MonitoringService<N = SimNetwork> {
     /// (populated only while tracing is on; serves `GET /profile`).
     profile: Arc<ProfileHub>,
     /// Snapshots written this session (newest last).
-    snapshots: Vec<SnapshotPaths>,
+    snapshots: Vec<PathBuf>,
     /// Push-based OTLP delivery of flight snapshots at violation time.
     pusher: Option<Arc<OtlpPusher>>,
     /// Status shared with HTTP endpoint threads.
@@ -516,8 +516,9 @@ impl<N: Network> MonitoringService<N> {
         &self.profile
     }
 
-    /// Flight-recorder snapshots written to disk so far (newest last).
-    pub fn snapshots(&self) -> &[SnapshotPaths] {
+    /// The `flight-<seq>.jsonl` snapshots written to disk so far (newest
+    /// last).
+    pub fn snapshots(&self) -> &[PathBuf] {
         &self.snapshots
     }
 
@@ -1024,9 +1025,9 @@ impl<N: Network> MonitoringService<N> {
     /// directory within its retention budget now that one more landed.
     fn snapshot_flight(&mut self, dir: &Path, seq: u64) {
         match netqos_telemetry::write_snapshot(dir, seq, &self.flight.snapshot()) {
-            Ok(paths) => {
+            Ok(path) => {
                 self.telemetry.flight_snapshots.inc();
-                self.snapshots.push(paths);
+                self.snapshots.push(path);
             }
             Err(e) => self.warn_failed("monitor.flight", "snapshot_failed", &e),
         }

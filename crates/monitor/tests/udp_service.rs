@@ -120,7 +120,7 @@ fn a_traced_tick_holds_each_poll_and_its_snmp_exchange() {
     for c in &cycles {
         assert_ne!(c.trace_id, 0);
         let device = (c.spans.iter())
-            .find(|s| (s.target, s.name) == ("monitor.poll", "device"))
+            .find(|s| s.target == "monitor.poll" && s.name == "device")
             .expect("poll span in the flight cycle");
         assert!(device.attrs.iter().any(|(k, _)| k == "device"));
         // The SNMP client's spans nest under the poll span.

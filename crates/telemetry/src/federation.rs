@@ -690,14 +690,17 @@ mod tests {
 
     #[test]
     fn profile_dispatches_to_the_named_shard() {
-        use crate::profile::{profile_response, ProfileHub, SpanView};
+        use crate::profile::{profile_response, ProfileHub};
         let hub = ProfileHub::new(16);
-        hub.record_views(&[SpanView {
+        hub.record_spans(&[crate::SpanRecord {
+            trace_id: 1,
             span_id: 1,
             parent: None,
-            target: "monitor",
-            name: "cycle",
+            target: "monitor".into(),
+            name: "cycle".into(),
+            start_ns: 0,
             dur_ns: 500,
+            attrs: Vec::new(),
         }]);
         let router: Arc<Router> = Arc::new(move |req: &HttpRequest| {
             (req.path == "/profile").then(|| profile_response(&hub, req).into())

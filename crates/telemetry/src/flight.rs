@@ -6,12 +6,17 @@
 //! [`QuantileBaseline`](crate::QuantileBaseline) — and pushes it into a
 //! [`FlightRecorder`]. The ring keeps the last N cycles in memory; when
 //! QoS evaluation raises a violation the service calls
-//! [`write_snapshot`], which persists the whole ring as JSONL (one cycle
-//! per line, machine-readable) and as Chrome `trace_event` JSON that
-//! loads directly in `chrome://tracing` or Perfetto. Violations
-//! therefore always ship with their causal history: what was polled,
-//! how long each stage took, and how the traffic compared to baseline
-//! in the cycles *before* the threshold tripped.
+//! [`write_snapshot`], which persists the whole ring as one JSONL file
+//! (one cycle per line, lossless). Violations therefore always ship with
+//! their causal history: what was polled, how long each stage took, and
+//! how the traffic compared to baseline in the cycles *before* the
+//! threshold tripped.
+//!
+//! Each format has one renderer over `&[CycleTrace]`, whether the cycles
+//! come from the live ring or from [`cycles_from_jsonl`]: [`to_jsonl`],
+//! [`to_chrome_trace`] (Chrome `trace_event` JSON, loads in
+//! `chrome://tracing` or Perfetto) and [`to_otlp`](crate::to_otlp).
+//! `netqos flight dump` renders the latter two from a snapshot file.
 //!
 //! [`validate_chrome_trace`] re-parses an exported trace and checks the
 //! structural invariants (every span within its parent's interval) — it
@@ -23,6 +28,7 @@ use crate::json::{parse_json, JsonValue};
 use crate::trace::{SpanRecord, TraceId};
 use crate::FieldValue;
 use parking_lot::Mutex;
+use std::borrow::Cow;
 use std::collections::VecDeque;
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
@@ -49,7 +55,9 @@ pub struct SampleAnnotation {
 }
 
 /// One complete poll cycle: span tree + annotated samples + events.
-#[derive(Debug, Clone, Default)]
+/// Live from the tracer or read back by [`cycles_from_jsonl`], it is
+/// what every rendering takes.
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct CycleTrace {
     /// Monotonic cycle number (assigned by the recorder on push).
     pub seq: u64,
@@ -152,15 +160,29 @@ fn write_attrs_json(out: &mut String, attrs: &[(String, FieldValue)]) {
     out.push('}');
 }
 
+/// `Some(p)` as the number `p`, `None` as `null`.
+fn write_parent(out: &mut String, parent: Option<u64>) {
+    match parent {
+        Some(p) => {
+            let _ = write!(out, "{p}");
+        }
+        None => out.push_str("null"),
+    }
+}
+
 /// Renders cycles as JSONL: one self-contained JSON object per line.
+/// The flight snapshot format: [`cycles_from_jsonl`] reads it back as
+/// the cycles it was written from (sample ranks to four decimals), so a
+/// snapshot's Chrome and OTLP renderings are those of the live cycles.
 pub fn to_jsonl(cycles: &[CycleTrace]) -> String {
     let mut out = String::new();
     for c in cycles {
-        // The epoch is serialized as a string: epoch nanoseconds exceed
-        // 2^53, and the JSONL reader parses numbers through f64.
+        // Nanosecond counts are serialized as strings: epoch nanoseconds
+        // exceed 2^53, tracer offsets do after ~104 days of uptime, and
+        // the JSONL reader parses numbers through f64.
         let _ = write!(
             out,
-            "{{\"seq\":{},\"trace_id\":{},\"epoch_unix_ns\":\"{}\",\"start_ns\":{},\"end_ns\":{},\"spans\":[",
+            "{{\"seq\":{},\"trace_id\":{},\"epoch_unix_ns\":\"{}\",\"start_ns\":\"{}\",\"end_ns\":\"{}\",\"spans\":[",
             c.seq, c.trace_id, c.epoch_unix_ns, c.start_ns, c.end_ns
         );
         for (i, s) in c.spans.iter().enumerate() {
@@ -168,19 +190,14 @@ pub fn to_jsonl(cycles: &[CycleTrace]) -> String {
                 out.push(',');
             }
             let _ = write!(out, "{{\"span_id\":{},\"parent\":", s.span_id);
-            match s.parent {
-                Some(p) => {
-                    let _ = write!(out, "{p}");
-                }
-                None => out.push_str("null"),
-            }
+            write_parent(&mut out, s.parent);
             out.push_str(",\"target\":\"");
-            escape_json_into(&mut out, s.target);
+            escape_json_into(&mut out, &s.target);
             out.push_str("\",\"name\":\"");
-            escape_json_into(&mut out, s.name);
+            escape_json_into(&mut out, &s.name);
             let _ = write!(
                 out,
-                "\",\"start_ns\":{},\"dur_ns\":{},\"attrs\":",
+                "\",\"start_ns\":\"{}\",\"dur_ns\":\"{}\",\"attrs\":",
                 s.start_ns, s.dur_ns
             );
             write_attrs_json(&mut out, &s.attrs);
@@ -215,166 +232,66 @@ pub fn to_jsonl(cycles: &[CycleTrace]) -> String {
     out
 }
 
-#[allow(clippy::too_many_arguments)]
-fn write_chrome_span(
-    out: &mut String,
-    first: &mut bool,
-    trace_id: TraceId,
-    span_id: u64,
-    parent: Option<u64>,
-    target: &str,
-    name: &str,
-    start_ns: u64,
-    dur_ns: u64,
-    attrs_json: &str,
-) {
-    if !*first {
-        out.push(',');
-    }
-    *first = false;
-    out.push_str("{\"name\":\"");
-    escape_json_into(out, target);
-    out.push('.');
-    escape_json_into(out, name);
-    out.push_str("\",\"cat\":\"");
-    escape_json_into(out, target);
-    // ts/dur are microseconds; three decimals preserve the nanosecond.
-    let _ = write!(
-        out,
-        "\",\"ph\":\"X\",\"ts\":{}.{:03},\"dur\":{}.{:03},\"pid\":1,\"tid\":{},\"args\":{{\"trace_id\":{},\"span_id\":{},\"parent\":",
-        start_ns / 1000,
-        start_ns % 1000,
-        dur_ns / 1000,
-        dur_ns % 1000,
-        trace_id,
-        trace_id,
-        span_id
-    );
-    match parent {
-        Some(p) => {
-            let _ = write!(out, "{p}");
-        }
-        None => out.push_str("null"),
-    }
-    out.push_str(",\"attrs\":");
-    out.push_str(attrs_json);
-    out.push_str("}}");
-}
-
-fn write_chrome_instant(
-    out: &mut String,
-    first: &mut bool,
-    trace_id: TraceId,
-    ts_ns: u64,
-    text: &str,
-) {
-    if !*first {
-        out.push(',');
-    }
-    *first = false;
-    out.push_str("{\"name\":\"");
-    escape_json_into(out, text);
-    let _ = write!(
-        out,
-        "\",\"cat\":\"flight\",\"ph\":\"i\",\"s\":\"t\",\"ts\":{}.{:03},\"pid\":1,\"tid\":{}}}",
-        ts_ns / 1000,
-        ts_ns % 1000,
-        trace_id
-    );
-}
-
-fn write_chrome_counter(out: &mut String, first: &mut bool, ts_ns: u64, sample: &SampleAnnotation) {
-    if !*first {
-        out.push(',');
-    }
-    *first = false;
-    out.push_str("{\"name\":\"bps ");
-    escape_json_into(out, &sample.connection);
-    let _ = write!(
-        out,
-        "\",\"cat\":\"flight\",\"ph\":\"C\",\"ts\":{}.{:03},\"pid\":1,\"args\":{{\"used_bps\":{},\"available_bps\":{}}}}}",
-        ts_ns / 1000,
-        ts_ns % 1000,
-        sample.used_bps,
-        sample.available_bps
-    );
-}
-
 /// Renders cycles in the Chrome `trace_event` JSON format. Each cycle
 /// occupies its own track (tid = trace id); spans are complete (`ph:X`)
 /// events, cycle events become instants, and bandwidth samples become
-/// counter tracks. Loads in `chrome://tracing` and Perfetto.
+/// counter tracks. Loads in `chrome://tracing` and Perfetto. `ts` and
+/// `dur` are microseconds; three decimals preserve the nanosecond.
 pub fn to_chrome_trace(cycles: &[CycleTrace]) -> String {
     let mut out = String::from("{\"traceEvents\":[");
-    let mut first = true;
+    let mut sep = "";
     for c in cycles {
+        let (ts_us, ts_frac) = (c.end_ns / 1000, c.end_ns % 1000);
         for s in &c.spans {
-            let mut attrs_json = String::new();
-            write_attrs_json(&mut attrs_json, &s.attrs);
-            write_chrome_span(
-                &mut out,
-                &mut first,
+            out.push_str(sep);
+            sep = ",";
+            out.push_str("{\"name\":\"");
+            escape_json_into(&mut out, &s.target);
+            out.push('.');
+            escape_json_into(&mut out, &s.name);
+            out.push_str("\",\"cat\":\"");
+            escape_json_into(&mut out, &s.target);
+            let _ = write!(
+                out,
+                "\",\"ph\":\"X\",\"ts\":{}.{:03},\"dur\":{}.{:03},\"pid\":1,\"tid\":{},\"args\":{{\"trace_id\":{},\"span_id\":{},\"parent\":",
+                s.start_ns / 1000,
+                s.start_ns % 1000,
+                s.dur_ns / 1000,
+                s.dur_ns % 1000,
                 c.trace_id,
-                s.span_id,
-                s.parent,
-                s.target,
-                s.name,
-                s.start_ns,
-                s.dur_ns,
-                &attrs_json,
+                c.trace_id,
+                s.span_id
             );
+            write_parent(&mut out, s.parent);
+            out.push_str(",\"attrs\":");
+            write_attrs_json(&mut out, &s.attrs);
+            out.push_str("}}");
         }
         for e in &c.events {
-            write_chrome_instant(&mut out, &mut first, c.trace_id, c.end_ns, e);
+            out.push_str(sep);
+            sep = ",";
+            out.push_str("{\"name\":\"");
+            escape_json_into(&mut out, e);
+            let _ = write!(
+                out,
+                "\",\"cat\":\"flight\",\"ph\":\"i\",\"s\":\"t\",\"ts\":{ts_us}.{ts_frac:03},\"pid\":1,\"tid\":{}}}",
+                c.trace_id
+            );
         }
         for s in &c.samples {
-            write_chrome_counter(&mut out, &mut first, c.end_ns, s);
+            out.push_str(sep);
+            sep = ",";
+            out.push_str("{\"name\":\"bps ");
+            escape_json_into(&mut out, &s.connection);
+            let _ = write!(
+                out,
+                "\",\"cat\":\"flight\",\"ph\":\"C\",\"ts\":{ts_us}.{ts_frac:03},\"pid\":1,\"args\":{{\"used_bps\":{},\"available_bps\":{}}}}}",
+                s.used_bps, s.available_bps
+            );
         }
     }
     out.push_str("],\"displayTimeUnit\":\"ms\"}");
     out
-}
-
-/// A span re-read from a snapshot file (owned strings, unlike the
-/// `&'static str` in the live [`SpanRecord`]).
-#[derive(Debug, Clone, PartialEq)]
-pub struct ParsedSpan {
-    /// Span id.
-    pub span_id: u64,
-    /// Enclosing span, if any.
-    pub parent: Option<u64>,
-    /// Subsystem path.
-    pub target: String,
-    /// Stage name.
-    pub name: String,
-    /// Start, ns.
-    pub start_ns: u64,
-    /// Duration, ns.
-    pub dur_ns: u64,
-    /// Attributes.
-    pub attrs: Vec<(String, FieldValue)>,
-}
-
-/// A cycle re-read from a JSONL snapshot file.
-#[derive(Debug, Clone, Default)]
-pub struct ParsedCycle {
-    /// Cycle number.
-    pub seq: u64,
-    /// Trace id.
-    pub trace_id: u64,
-    /// Unix-epoch nanoseconds of the tracer's origin (0 when the
-    /// snapshot predates epoch stamping).
-    pub epoch_unix_ns: u64,
-    /// Cycle start, ns.
-    pub start_ns: u64,
-    /// Cycle end, ns.
-    pub end_ns: u64,
-    /// Spans (children precede parents, as recorded).
-    pub spans: Vec<ParsedSpan>,
-    /// Annotated samples.
-    pub samples: Vec<SampleAnnotation>,
-    /// Cycle events.
-    pub events: Vec<String>,
 }
 
 fn field_value_of(v: &JsonValue) -> FieldValue {
@@ -398,128 +315,76 @@ fn attrs_of(v: Option<&JsonValue>) -> Vec<(String, FieldValue)> {
     }
 }
 
+/// `v[key]` as a u64 written as a decimal string (exact) or as a bare
+/// number (snapshots from older builds; exact below 2^53); 0 when absent
+/// or malformed.
+fn u64_of(v: &JsonValue, key: &str) -> u64 {
+    match v.get(key) {
+        Some(JsonValue::String(s)) => s.parse().unwrap_or(0),
+        Some(n) => n.as_u64().unwrap_or(0),
+        None => 0,
+    }
+}
+
+/// `v[key]` as an owned string; empty when absent or not a string.
+fn string_of(v: &JsonValue, key: &str) -> String {
+    v.get(key)
+        .and_then(JsonValue::as_str)
+        .unwrap_or_default()
+        .to_string()
+}
+
+/// `v[key]`'s elements; none when absent or not an array.
+fn items<'a>(v: &'a JsonValue, key: &str) -> &'a [JsonValue] {
+    v.get(key).and_then(JsonValue::as_array).unwrap_or_default()
+}
+
 /// Parses a JSONL snapshot (as produced by [`to_jsonl`]) back into
-/// cycles. Empty lines are skipped; a malformed line is an error.
-pub fn cycles_from_jsonl(src: &str) -> Result<Vec<ParsedCycle>, String> {
+/// cycles, each span taking its `trace_id` from its cycle. Empty lines
+/// are skipped; a malformed line is an error.
+pub fn cycles_from_jsonl(src: &str) -> Result<Vec<CycleTrace>, String> {
     let mut cycles = Vec::new();
     for (lineno, line) in src.lines().enumerate() {
         if line.trim().is_empty() {
             continue;
         }
         let v = parse_json(line).map_err(|e| format!("line {}: {e}", lineno + 1))?;
-        let num = |key: &str| v.get(key).and_then(JsonValue::as_u64).unwrap_or(0);
-        // String-encoded (new snapshots) or absent (old ones); a bare
-        // number is accepted too, at f64 precision.
-        let epoch_unix_ns = match v.get("epoch_unix_ns") {
-            Some(JsonValue::String(s)) => s.parse::<u64>().unwrap_or(0),
-            Some(other) => other.as_u64().unwrap_or(0),
-            None => 0,
-        };
-        let mut cycle = ParsedCycle {
-            seq: num("seq"),
-            trace_id: num("trace_id"),
-            epoch_unix_ns,
-            start_ns: num("start_ns"),
-            end_ns: num("end_ns"),
-            ..ParsedCycle::default()
-        };
-        if let Some(spans) = v.get("spans").and_then(JsonValue::as_array) {
-            for s in spans {
-                cycle.spans.push(ParsedSpan {
-                    span_id: s.get("span_id").and_then(JsonValue::as_u64).unwrap_or(0),
-                    parent: s.get("parent").and_then(JsonValue::as_u64),
-                    target: s
-                        .get("target")
-                        .and_then(JsonValue::as_str)
-                        .unwrap_or_default()
-                        .to_string(),
-                    name: s
-                        .get("name")
-                        .and_then(JsonValue::as_str)
-                        .unwrap_or_default()
-                        .to_string(),
-                    start_ns: s.get("start_ns").and_then(JsonValue::as_u64).unwrap_or(0),
-                    dur_ns: s.get("dur_ns").and_then(JsonValue::as_u64).unwrap_or(0),
-                    attrs: attrs_of(s.get("attrs")),
-                });
-            }
-        }
-        if let Some(samples) = v.get("samples").and_then(JsonValue::as_array) {
-            for s in samples {
-                cycle.samples.push(SampleAnnotation {
-                    path: s
-                        .get("path")
-                        .and_then(JsonValue::as_str)
-                        .unwrap_or_default()
-                        .to_string(),
-                    connection: s
-                        .get("connection")
-                        .and_then(JsonValue::as_str)
-                        .unwrap_or_default()
-                        .to_string(),
-                    used_bps: s.get("used_bps").and_then(JsonValue::as_u64).unwrap_or(0),
-                    available_bps: s
-                        .get("available_bps")
-                        .and_then(JsonValue::as_u64)
-                        .unwrap_or(0),
-                    used_rank: s
-                        .get("used_rank")
-                        .and_then(JsonValue::as_f64)
-                        .unwrap_or(0.0),
-                    baseline_p50: s
-                        .get("baseline_p50")
-                        .and_then(JsonValue::as_u64)
-                        .unwrap_or(0),
-                    baseline_p99: s
-                        .get("baseline_p99")
-                        .and_then(JsonValue::as_u64)
-                        .unwrap_or(0),
-                });
-            }
-        }
-        if let Some(events) = v.get("events").and_then(JsonValue::as_array) {
-            for e in events {
-                if let Some(t) = e.as_str() {
-                    cycle.events.push(t.to_string());
-                }
-            }
-        }
-        cycles.push(cycle);
+        let trace_id = u64_of(&v, "trace_id");
+        let spans = items(&v, "spans").iter().map(|s| SpanRecord {
+            trace_id,
+            span_id: u64_of(s, "span_id"),
+            parent: s.get("parent").and_then(JsonValue::as_u64),
+            target: Cow::Owned(string_of(s, "target")),
+            name: Cow::Owned(string_of(s, "name")),
+            start_ns: u64_of(s, "start_ns"),
+            dur_ns: u64_of(s, "dur_ns"),
+            attrs: attrs_of(s.get("attrs")),
+        });
+        let samples = items(&v, "samples").iter().map(|s| SampleAnnotation {
+            path: string_of(s, "path"),
+            connection: string_of(s, "connection"),
+            used_bps: u64_of(s, "used_bps"),
+            available_bps: u64_of(s, "available_bps"),
+            used_rank: s
+                .get("used_rank")
+                .and_then(JsonValue::as_f64)
+                .unwrap_or(0.0),
+            baseline_p50: u64_of(s, "baseline_p50"),
+            baseline_p99: u64_of(s, "baseline_p99"),
+        });
+        let events = items(&v, "events").iter().filter_map(JsonValue::as_str);
+        cycles.push(CycleTrace {
+            seq: u64_of(&v, "seq"),
+            trace_id,
+            epoch_unix_ns: u64_of(&v, "epoch_unix_ns"),
+            start_ns: u64_of(&v, "start_ns"),
+            end_ns: u64_of(&v, "end_ns"),
+            spans: spans.collect(),
+            samples: samples.collect(),
+            events: events.map(str::to_string).collect(),
+        });
     }
     Ok(cycles)
-}
-
-/// Converts a parsed JSONL snapshot back to Chrome `trace_event` JSON
-/// (the `netqos flight dump` path).
-pub fn parsed_to_chrome_trace(cycles: &[ParsedCycle]) -> String {
-    let mut out = String::from("{\"traceEvents\":[");
-    let mut first = true;
-    for c in cycles {
-        for s in &c.spans {
-            let mut attrs_json = String::new();
-            write_attrs_json(&mut attrs_json, &s.attrs);
-            write_chrome_span(
-                &mut out,
-                &mut first,
-                c.trace_id,
-                s.span_id,
-                s.parent,
-                &s.target,
-                &s.name,
-                s.start_ns,
-                s.dur_ns,
-                &attrs_json,
-            );
-        }
-        for e in &c.events {
-            write_chrome_instant(&mut out, &mut first, c.trace_id, c.end_ns, e);
-        }
-        for s in &c.samples {
-            write_chrome_counter(&mut out, &mut first, c.end_ns, s);
-        }
-    }
-    out.push_str("],\"displayTimeUnit\":\"ms\"}");
-    out
 }
 
 /// Summary returned by [`validate_chrome_trace`].
@@ -634,58 +499,31 @@ pub fn validate_chrome_trace(src: &str) -> Result<ChromeTraceStats, String> {
     Ok(stats)
 }
 
-/// File paths produced by [`write_snapshot`].
-#[derive(Debug, Clone)]
-pub struct SnapshotPaths {
-    /// The per-violation JSONL file.
-    pub jsonl: PathBuf,
-    /// The per-violation Chrome trace file.
-    pub chrome: PathBuf,
-    /// The per-violation OTLP/JSON file.
-    pub otlp: PathBuf,
-}
-
-/// Persists a ring snapshot to `dir` as `flight-<tag>.jsonl`,
-/// `flight-<tag>.trace.json`, and `flight-<tag>.otlp.json`, also
-/// refreshing the stable aliases `last.jsonl` / `last.trace.json` /
-/// `last.otlp.json` (what CI and quick tooling read). Creates `dir` if
-/// needed.
-pub fn write_snapshot(
-    dir: &Path,
-    tag: u64,
-    cycles: &[CycleTrace],
-) -> std::io::Result<SnapshotPaths> {
+/// Persists a ring snapshot to `dir` as `flight-<tag>.jsonl`, also
+/// refreshing the stable alias `last.jsonl` (what CI and quick tooling
+/// read), and returns the tagged file's path. Creates `dir` if needed.
+/// `netqos flight dump` renders the Chrome and OTLP forms from it.
+pub fn write_snapshot(dir: &Path, tag: u64, cycles: &[CycleTrace]) -> std::io::Result<PathBuf> {
     std::fs::create_dir_all(dir)?;
     let jsonl = to_jsonl(cycles);
-    let chrome = to_chrome_trace(cycles);
-    let otlp = crate::otlp::to_otlp(cycles);
-    let jsonl_path = dir.join(format!("flight-{tag}.jsonl"));
-    let chrome_path = dir.join(format!("flight-{tag}.trace.json"));
-    let otlp_path = dir.join(format!("flight-{tag}.otlp.json"));
-    std::fs::write(&jsonl_path, &jsonl)?;
-    std::fs::write(&chrome_path, &chrome)?;
-    std::fs::write(&otlp_path, &otlp)?;
+    let path = dir.join(format!("flight-{tag}.jsonl"));
+    std::fs::write(&path, &jsonl)?;
     std::fs::write(dir.join("last.jsonl"), &jsonl)?;
-    std::fs::write(dir.join("last.trace.json"), &chrome)?;
-    std::fs::write(dir.join("last.otlp.json"), &otlp)?;
-    Ok(SnapshotPaths {
-        jsonl: jsonl_path,
-        chrome: chrome_path,
-        otlp: otlp_path,
-    })
+    Ok(path)
 }
 
 /// Disk budget for tagged `flight-<seq>.*` snapshot files.
 ///
-/// A violation storm writes one snapshot trio per violation onset;
+/// A violation storm writes one snapshot per violation onset;
 /// without a cap that fills the disk exactly when the system is least
 /// healthy. [`enforce_retention`] deletes the oldest tagged snapshots
 /// (lowest sequence number first) until both limits hold. The `last.*`
 /// aliases are never counted or deleted.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RetentionPolicy {
-    /// Maximum tagged snapshots kept (each is a jsonl/chrome/otlp
-    /// trio). 0 means unlimited.
+    /// Maximum tagged snapshots kept (each one `flight-<seq>.jsonl`, or
+    /// the group of `flight-<seq>.*` files an older build wrote). 0 means
+    /// unlimited.
     pub max_snapshots: usize,
     /// Maximum total bytes across all tagged snapshot files. 0 means
     /// unlimited.
@@ -826,22 +664,11 @@ mod tests {
         let t = Tracer::new();
         let mut cycle = traced_cycle(&t);
         cycle.seq = 7;
-        let jsonl = to_jsonl(&[cycle.clone()]);
-        let parsed = cycles_from_jsonl(&jsonl).unwrap();
-        assert_eq!(parsed.len(), 1);
-        let p = &parsed[0];
-        assert_eq!(p.seq, 7);
-        assert_eq!(p.trace_id, cycle.trace_id);
-        assert_eq!(p.spans.len(), cycle.spans.len());
-        let decode = p.spans.iter().find(|s| s.name == "decode").unwrap();
-        let poll = p.spans.iter().find(|s| s.name == "device").unwrap();
+        let parsed = cycles_from_jsonl(&to_jsonl(&[cycle.clone()])).unwrap();
+        assert_eq!(parsed, vec![cycle]);
+        let decode = parsed[0].spans.iter().find(|s| s.name == "decode").unwrap();
+        let poll = parsed[0].spans.iter().find(|s| s.name == "device").unwrap();
         assert_eq!(decode.parent, Some(poll.span_id));
-        assert_eq!(
-            poll.attrs,
-            vec![("device".to_string(), FieldValue::Str("sw-fore".into()))]
-        );
-        assert_eq!(p.samples, cycle.samples);
-        assert_eq!(p.events, cycle.events);
     }
 
     #[test]
@@ -854,10 +681,9 @@ mod tests {
         assert_eq!(stats.cycles, 2);
         // spans + 2 instants + 2 counters
         assert_eq!(stats.events, 12);
-        // The parsed-JSONL export path produces the same valid shape.
+        // Cycles read back from the JSONL render to the same document.
         let parsed = cycles_from_jsonl(&to_jsonl(&cycles)).unwrap();
-        let stats2 = validate_chrome_trace(&parsed_to_chrome_trace(&parsed)).unwrap();
-        assert_eq!(stats2.spans, stats.spans);
+        assert_eq!(to_chrome_trace(&parsed), chrome);
     }
 
     #[test]
@@ -878,32 +704,86 @@ mod tests {
         assert!(validate_chrome_trace(no_dur).is_err());
     }
 
-    #[test]
-    fn snapshot_files_written_and_valid() {
-        let t = Tracer::new();
-        let dir = std::env::temp_dir().join(format!("netqos-flight-test-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let paths = write_snapshot(&dir, 42, &[traced_cycle(&t)]).unwrap();
-        let chrome = std::fs::read_to_string(&paths.chrome).unwrap();
-        assert!(validate_chrome_trace(&chrome).is_ok());
-        let jsonl = std::fs::read_to_string(&paths.jsonl).unwrap();
-        assert_eq!(cycles_from_jsonl(&jsonl).unwrap().len(), 1);
-        let otlp = std::fs::read_to_string(&paths.otlp).unwrap();
-        assert!(crate::otlp::validate_otlp(&otlp).is_ok());
-        assert!(dir.join("last.trace.json").exists());
-        assert!(dir.join("last.jsonl").exists());
-        assert!(dir.join("last.otlp.json").exists());
-        let _ = std::fs::remove_dir_all(&dir);
+    fn file_names(dir: &Path) -> Vec<String> {
+        let mut names: Vec<String> = std::fs::read_dir(dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+            .collect();
+        names.sort();
+        names
     }
 
     #[test]
-    fn epoch_survives_the_jsonl_round_trip_exactly() {
+    fn a_snapshot_is_one_jsonl_file_and_its_alias() {
         let t = Tracer::new();
-        let mut cycle = traced_cycle(&t);
-        // A realistic epoch: > 2^53, would corrupt through an f64.
-        cycle.epoch_unix_ns = 1_722_000_000_123_456_789;
-        let parsed = cycles_from_jsonl(&to_jsonl(&[cycle.clone()])).unwrap();
-        assert_eq!(parsed[0].epoch_unix_ns, cycle.epoch_unix_ns);
+        let dir = std::env::temp_dir().join(format!("netqos-flight-test-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let cycles = [traced_cycle(&t)];
+        let path = write_snapshot(&dir, 42, &cycles).unwrap();
+        assert_eq!(path, dir.join("flight-42.jsonl"));
+        assert_eq!(file_names(&dir), ["flight-42.jsonl", "last.jsonl"]);
+        let jsonl = std::fs::read_to_string(&path).unwrap();
+        assert_eq!(
+            std::fs::read_to_string(dir.join("last.jsonl")).unwrap(),
+            jsonl
+        );
+        assert_eq!(cycles_from_jsonl(&jsonl).unwrap(), cycles);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Past 2^53 ns (~104 days) of tracer uptime an f64 no longer holds
+    /// every offset, and a realistic epoch is past it already: a root at
+    /// 2^53 + 1 with a 1-ns child reads back exactly, and renders as it
+    /// did live.
+    #[test]
+    fn offsets_past_2_pow_53_survive_the_jsonl_round_trip_exactly() {
+        let root = (1u64 << 53) + 1;
+        let span = |span_id, parent, name, start_ns, dur_ns| SpanRecord {
+            trace_id: 9,
+            span_id,
+            parent,
+            target: "monitor".into(),
+            name: Cow::Borrowed(name),
+            start_ns,
+            dur_ns,
+            attrs: Vec::new(),
+        };
+        let cycle = CycleTrace {
+            seq: 3,
+            trace_id: 9,
+            epoch_unix_ns: 1_722_000_000_123_456_789,
+            start_ns: root,
+            end_ns: root + 2,
+            spans: vec![
+                span(2, Some(1), "poll", root + 1, 1),
+                span(1, None, "cycle", root, 2),
+            ],
+            ..CycleTrace::default()
+        };
+        let cycles = [cycle];
+        let parsed = cycles_from_jsonl(&to_jsonl(&cycles)).unwrap();
+        assert_eq!(parsed, cycles);
+        assert_eq!(crate::to_otlp(&parsed), crate::to_otlp(&cycles));
+        crate::validate_otlp(&crate::to_otlp(&parsed)).unwrap();
+        validate_chrome_trace(&to_chrome_trace(&parsed)).unwrap();
+    }
+
+    /// A snapshot written before nanosecond counts became strings still
+    /// reads, its numbers taken as they are.
+    #[test]
+    fn snapshots_with_bare_number_offsets_still_read() {
+        let old = r#"{"seq":4,"trace_id":5,"epoch_unix_ns":"1722000000123456789","start_ns":100,"end_ns":900,"spans":[{"span_id":6,"parent":null,"target":"monitor","name":"cycle","start_ns":100,"dur_ns":800,"attrs":{}}],"samples":[],"events":[]}"#;
+        let parsed = cycles_from_jsonl(old).unwrap();
+        assert_eq!(
+            (
+                parsed[0].start_ns,
+                parsed[0].end_ns,
+                parsed[0].epoch_unix_ns
+            ),
+            (100, 900, 1_722_000_000_123_456_789)
+        );
+        let s = &parsed[0].spans[0];
+        assert_eq!((s.trace_id, s.start_ns, s.dur_ns), (5, 100, 800));
     }
 
     #[test]
@@ -911,10 +791,21 @@ mod tests {
         let t = Tracer::new();
         let dir = std::env::temp_dir().join(format!("netqos-retention-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        for tag in 0..6u64 {
+        // Tags are numbers, not padded text: 10 is newer than 9.
+        for tag in [0u64, 2, 9, 10, 11, 100] {
             write_snapshot(&dir, tag, &[traced_cycle(&t)]).unwrap();
         }
-        // Count cap: keep the 3 newest snapshot trios.
+        // Snapshot 0 as an older build left it: three files, and `last.*`
+        // aliases of all three formats.
+        for name in [
+            "flight-0.trace.json",
+            "flight-0.otlp.json",
+            "last.trace.json",
+            "last.otlp.json",
+        ] {
+            std::fs::write(dir.join(name), "{}").unwrap();
+        }
+        // Count cap: keep the 3 newest snapshots.
         let deleted = enforce_retention(
             &dir,
             RetentionPolicy {
@@ -924,28 +815,33 @@ mod tests {
         )
         .unwrap();
         assert_eq!(deleted, 3);
-        for tag in 0..3u64 {
-            assert!(!dir.join(format!("flight-{tag}.jsonl")).exists(), "{tag}");
-        }
-        for tag in 3..6u64 {
-            assert!(dir.join(format!("flight-{tag}.jsonl")).exists(), "{tag}");
-            assert!(dir.join(format!("flight-{tag}.otlp.json")).exists());
-        }
-        // The stable aliases are never touched.
-        assert!(dir.join("last.jsonl").exists());
+        // The old snapshot went as one group; no alias was touched.
+        assert_eq!(
+            file_names(&dir),
+            [
+                "flight-10.jsonl",
+                "flight-100.jsonl",
+                "flight-11.jsonl",
+                "last.jsonl",
+                "last.otlp.json",
+                "last.trace.json",
+            ]
+        );
 
         // Byte cap: tiny budget forces everything but the newest out.
-        let one = std::fs::metadata(dir.join("flight-5.jsonl")).unwrap().len();
+        let one = std::fs::metadata(dir.join("flight-100.jsonl"))
+            .unwrap()
+            .len();
         let deleted = enforce_retention(
             &dir,
             RetentionPolicy {
                 max_snapshots: 0,
-                max_bytes: one * 4,
+                max_bytes: one * 5 / 2,
             },
         )
         .unwrap();
-        assert!(deleted > 0, "byte budget should evict something");
-        assert!(dir.join("flight-5.jsonl").exists(), "newest must survive");
+        assert_eq!(deleted, 1, "byte budget should evict the oldest");
+        assert!(dir.join("flight-100.jsonl").exists(), "newest must survive");
         let _ = std::fs::remove_dir_all(&dir);
     }
 

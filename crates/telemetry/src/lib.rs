@@ -46,10 +46,9 @@ pub use baseline::{
 pub use events::{push_json_str, Event, EventSink, FieldValue, Level};
 pub use federation::{Shard, ShardRegistry};
 pub use flight::{
-    cycles_from_jsonl, enforce_retention, parsed_to_chrome_trace, to_chrome_trace, to_jsonl,
-    validate_chrome_trace, write_snapshot, ChromeTraceStats, CycleTrace, FlightRecorder,
-    ParsedCycle, ParsedSpan, RetentionPolicy, SampleAnnotation, SnapshotPaths,
-    DEFAULT_FLIGHT_CAPACITY,
+    cycles_from_jsonl, enforce_retention, to_chrome_trace, to_jsonl, validate_chrome_trace,
+    write_snapshot, ChromeTraceStats, CycleTrace, FlightRecorder, RetentionPolicy,
+    SampleAnnotation, DEFAULT_FLIGHT_CAPACITY,
 };
 pub use http::{http_get, EventSource, HttpRequest, HttpResponse, HttpRoute, HttpServer, Router};
 pub use json::{parse_json, JsonError, JsonValue, MAX_JSON_DEPTH};
@@ -62,8 +61,8 @@ pub use lts::{
     SegmentStat, SegmentStats, SeriesInfo, SeriesKind, StoreStats, VerifyReport,
 };
 pub use metrics::{Counter, Gauge, Histogram, HistogramState, HistogramTimer, BUCKETS};
-pub use otlp::{parsed_to_otlp, to_otlp, validate_otlp, OtlpStats, OTLP_SCOPE, OTLP_SERVICE};
-pub use profile::{profile_response, ProfileHub, SpanView, DEFAULT_PROFILE_WINDOW};
+pub use otlp::{to_otlp, validate_otlp, OtlpStats, OTLP_SCOPE, OTLP_SERVICE};
+pub use profile::{profile_response, ProfileHub, DEFAULT_PROFILE_WINDOW};
 pub use promql::{
     api_query_outcome, api_query_response, check_query, fmt_value, parse_duration,
     parse_series_name, query_error_json, resolution_for_step, wants_stats, LtsSource, MatrixSeries,

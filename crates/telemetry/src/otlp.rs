@@ -1,11 +1,13 @@
 //! OTLP/JSON export for flight-recorder cycle traces.
 //!
-//! Maps [`SpanRecord`](crate::SpanRecord) trees onto the OpenTelemetry
+//! [`to_otlp`] maps [`SpanRecord`] trees onto the OpenTelemetry
 //! OTLP/JSON wire shape (`resourceSpans` → `scopeSpans` → `spans`) so a
-//! snapshot loads into any OTLP-speaking backend (Jaeger, Tempo, an
-//! OpenTelemetry collector). Hand-rolled, no new dependencies — the
-//! format is plain JSON with a few conventions from the protobuf
-//! mapping:
+//! flight ring loads into any OTLP-speaking backend (Jaeger, Tempo, an
+//! OpenTelemetry collector). It is the one renderer: the push worker
+//! sends it over the live ring, and `netqos flight dump --otlp` prints
+//! it over the cycles a JSONL snapshot reads back as, byte for byte the
+//! same. Hand-rolled, no new dependencies — the format is plain JSON
+//! with a few conventions from the protobuf mapping:
 //!
 //! * `traceId` is 32 lowercase hex chars (we left-pad the monitor's
 //!   64-bit cycle trace id), `spanId`/`parentSpanId` are 16;
@@ -22,8 +24,9 @@
 //! check`, and the CI smoke job.
 
 use crate::events::escape_json_into;
-use crate::flight::{CycleTrace, ParsedCycle};
+use crate::flight::CycleTrace;
 use crate::json::{parse_json, JsonValue};
+use crate::trace::SpanRecord;
 use crate::FieldValue;
 use std::fmt::Write as _;
 
@@ -31,19 +34,6 @@ use std::fmt::Write as _;
 pub const OTLP_SCOPE: &str = "netqos-telemetry";
 /// The `service.name` resource attribute.
 pub const OTLP_SERVICE: &str = "netqos-monitor";
-
-/// One span's fields, borrowed from either the live or the parsed
-/// representation.
-struct OtlpSpan<'a> {
-    trace_id: u64,
-    span_id: u64,
-    parent: Option<u64>,
-    target: &'a str,
-    name: &'a str,
-    start_unix_ns: u64,
-    end_unix_ns: u64,
-    attrs: &'a [(String, FieldValue)],
-}
 
 fn write_attr_value(out: &mut String, v: &FieldValue) {
     match v {
@@ -79,11 +69,8 @@ fn write_attr_value(out: &mut String, v: &FieldValue) {
     }
 }
 
-fn write_span(out: &mut String, first: &mut bool, s: &OtlpSpan<'_>) {
-    if !*first {
-        out.push(',');
-    }
-    *first = false;
+fn write_span(out: &mut String, epoch_unix_ns: u64, s: &SpanRecord) {
+    let start_unix_ns = epoch_unix_ns.saturating_add(s.start_ns);
     let _ = write!(
         out,
         "{{\"traceId\":\"{:032x}\",\"spanId\":\"{:016x}\",\"parentSpanId\":\"",
@@ -93,14 +80,15 @@ fn write_span(out: &mut String, first: &mut bool, s: &OtlpSpan<'_>) {
         let _ = write!(out, "{p:016x}");
     }
     out.push_str("\",\"name\":\"");
-    escape_json_into(out, s.target);
+    escape_json_into(out, &s.target);
     out.push('.');
-    escape_json_into(out, s.name);
+    escape_json_into(out, &s.name);
     // SPAN_KIND_INTERNAL = 1 in the OTLP enum.
     let _ = write!(
         out,
         "\",\"kind\":1,\"startTimeUnixNano\":\"{}\",\"endTimeUnixNano\":\"{}\",\"attributes\":[",
-        s.start_unix_ns, s.end_unix_ns
+        start_unix_ns,
+        start_unix_ns.saturating_add(s.dur_ns)
     );
     // Attributes are sorted by key so the export is deterministic and a
     // JSONL round trip (which stores attrs in a BTreeMap) is byte-equal.
@@ -119,59 +107,27 @@ fn write_span(out: &mut String, first: &mut bool, s: &OtlpSpan<'_>) {
     out.push_str("]}");
 }
 
-fn render<'a, I: Iterator<Item = OtlpSpan<'a>>>(spans: I) -> String {
+/// Renders cycles as OTLP/JSON: the body the push worker sends, and
+/// what `netqos flight dump --otlp` prints for a snapshot. Each cycle's
+/// `epoch_unix_ns` shifts its spans' monotonic offsets onto the Unix
+/// timeline (an epoch of 0 leaves them relative to the monitor's start,
+/// still valid OTLP).
+pub fn to_otlp(cycles: &[CycleTrace]) -> String {
     let mut out = format!(
         "{{\"resourceSpans\":[{{\"resource\":{{\"attributes\":[\
          {{\"key\":\"service.name\",\"value\":{{\"stringValue\":\"{OTLP_SERVICE}\"}}}}\
          ]}},\"scopeSpans\":[{{\"scope\":{{\"name\":\"{OTLP_SCOPE}\"}},\"spans\":["
     );
-    let mut first = true;
-    for s in spans {
-        write_span(&mut out, &mut first, &s);
+    let mut sep = "";
+    for c in cycles {
+        for s in &c.spans {
+            out.push_str(sep);
+            sep = ",";
+            write_span(&mut out, c.epoch_unix_ns, s);
+        }
     }
     out.push_str("]}]}]}");
     out
-}
-
-/// Renders live cycles as OTLP/JSON. Each cycle's `epoch_unix_ns` shifts
-/// its spans' monotonic offsets onto the Unix timeline (an epoch of 0
-/// leaves them relative to the monitor's start, still valid OTLP).
-pub fn to_otlp(cycles: &[CycleTrace]) -> String {
-    render(cycles.iter().flat_map(|c| {
-        c.spans.iter().map(move |s| OtlpSpan {
-            trace_id: s.trace_id,
-            span_id: s.span_id,
-            parent: s.parent,
-            target: s.target,
-            name: s.name,
-            start_unix_ns: c.epoch_unix_ns.saturating_add(s.start_ns),
-            end_unix_ns: c
-                .epoch_unix_ns
-                .saturating_add(s.start_ns)
-                .saturating_add(s.dur_ns),
-            attrs: &s.attrs,
-        })
-    }))
-}
-
-/// Renders a parsed JSONL snapshot as OTLP/JSON (the `netqos flight
-/// dump --otlp` path).
-pub fn parsed_to_otlp(cycles: &[ParsedCycle]) -> String {
-    render(cycles.iter().flat_map(|c| {
-        c.spans.iter().map(move |s| OtlpSpan {
-            trace_id: c.trace_id,
-            span_id: s.span_id,
-            parent: s.parent,
-            target: &s.target,
-            name: &s.name,
-            start_unix_ns: c.epoch_unix_ns.saturating_add(s.start_ns),
-            end_unix_ns: c
-                .epoch_unix_ns
-                .saturating_add(s.start_ns)
-                .saturating_add(s.dur_ns),
-            attrs: &s.attrs,
-        })
-    }))
 }
 
 /// Summary returned by [`validate_otlp`].
@@ -412,7 +368,6 @@ mod tests {
         let cycles = vec![traced_cycle(&t, 42_000)];
         let live = to_otlp(&cycles);
         let parsed = crate::flight::cycles_from_jsonl(&crate::flight::to_jsonl(&cycles)).unwrap();
-        let reparsed = parsed_to_otlp(&parsed);
-        assert_eq!(live, reparsed);
+        assert_eq!(to_otlp(&parsed), live);
     }
 }

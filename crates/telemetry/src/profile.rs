@@ -8,6 +8,10 @@
 //! child phases), and a log-bucket latency histogram of per-occurrence
 //! durations (the same bucket layout as [`Histogram`](crate::Histogram),
 //! so quantiles carry the same ≤ 6.25 % relative error bound).
+//! [`ProfileHub::record_spans`] is the one entry point: the tick loop
+//! feeds it each cycle's spans live, and `netqos profile PATH` the cycles
+//! a flight snapshot reads back as, so online and offline profiles share
+//! one code path.
 //!
 //! Aggregation is windowed: only the most recent `window` cycles
 //! contribute, so the profile tracks the *current* shape of the tick
@@ -38,7 +42,6 @@
 //! per-span-site cost is the tracer's one relaxed atomic load (pinned by
 //! the `profile`/`trace` benches).
 
-use crate::flight::ParsedSpan;
 use crate::json_escape;
 use crate::metrics::{bucket_index, bucket_mid, BUCKETS};
 use crate::trace::SpanRecord;
@@ -51,47 +54,6 @@ use std::sync::Arc;
 /// Cycles kept in the rolling window by default — at the monitor's 1 s
 /// poll cadence, a bit over four minutes of recent history.
 pub const DEFAULT_PROFILE_WINDOW: usize = 256;
-
-/// A borrowed view of one span, however it was stored. Both the live
-/// [`SpanRecord`] stream and flight-recorder [`ParsedSpan`]s convert
-/// into this, so online and offline profiling share one code path.
-#[derive(Debug, Clone, Copy)]
-pub struct SpanView<'a> {
-    /// Span id, unique within its cycle.
-    pub span_id: u64,
-    /// Parent span id (`None` = phase-tree root).
-    pub parent: Option<u64>,
-    /// Dotted subsystem path (`monitor.poll`).
-    pub target: &'a str,
-    /// Stage name within the target (`device`).
-    pub name: &'a str,
-    /// Wall-clock duration, nanoseconds.
-    pub dur_ns: u64,
-}
-
-impl<'a> From<&'a SpanRecord> for SpanView<'a> {
-    fn from(s: &'a SpanRecord) -> Self {
-        SpanView {
-            span_id: s.span_id,
-            parent: s.parent,
-            target: s.target,
-            name: s.name,
-            dur_ns: s.dur_ns,
-        }
-    }
-}
-
-impl<'a> From<&'a ParsedSpan> for SpanView<'a> {
-    fn from(s: &'a ParsedSpan) -> Self {
-        SpanView {
-            span_id: s.span_id,
-            parent: s.parent,
-            target: &s.target,
-            name: &s.name,
-            dur_ns: s.dur_ns,
-        }
-    }
-}
 
 /// One phase: a distinct span label at a distinct position in the tree.
 struct PhaseNode {
@@ -194,7 +156,7 @@ impl PhaseProfiler {
     /// span's position comes from walking its parent chain, so the live
     /// children-before-parents guard order and a flight snapshot's
     /// serialized order profile identically.
-    fn record(&mut self, spans: &[SpanView<'_>]) {
+    fn record(&mut self, spans: &[SpanRecord]) {
         self.cycles_seen += 1;
         if spans.is_empty() {
             // An empty cycle still ages the window, so a profile left
@@ -220,11 +182,11 @@ impl PhaseProfiler {
             // Spans whose parent never closed (or fell off a truncated
             // snapshot) root their own subtree.
             let mut chain = Vec::new();
-            let mut cursor = *s;
+            let mut cursor = s;
             loop {
                 chain.push(format!("{}.{}", cursor.target, cursor.name));
                 match cursor.parent.and_then(|p| by_id.get(&p)) {
-                    Some(&i) => cursor = spans[i],
+                    Some(&i) => cursor = &spans[i],
                     None => break,
                 }
             }
@@ -372,21 +334,9 @@ impl ProfileHub {
         })
     }
 
-    /// Folds one cycle's live span stream into the profile.
+    /// Folds one cycle's spans into the profile: live from the tracer,
+    /// or read back from a flight snapshot (offline `netqos profile`).
     pub fn record_spans(&self, spans: &[SpanRecord]) {
-        let views: Vec<SpanView<'_>> = spans.iter().map(SpanView::from).collect();
-        self.inner.lock().record(&views);
-    }
-
-    /// Folds one flight-recorder cycle into the profile (offline
-    /// `netqos profile` over a snapshot).
-    pub fn record_parsed(&self, spans: &[ParsedSpan]) {
-        let views: Vec<SpanView<'_>> = spans.iter().map(SpanView::from).collect();
-        self.inner.lock().record(&views);
-    }
-
-    /// Folds one cycle of pre-built views into the profile.
-    pub fn record_views(&self, spans: &[SpanView<'_>]) {
         self.inner.lock().record(spans);
     }
 
@@ -455,12 +405,12 @@ mod tests {
     /// A deterministic synthetic cycle: root with two children, one of
     /// which repeats.
     fn cycle(scale: u64) -> Vec<SpanRecord> {
-        let span = |id, parent, target, name, dur| SpanRecord {
+        let span = |id, parent, target: &'static str, name: &'static str, dur| SpanRecord {
             trace_id: 1,
             span_id: id,
             parent,
-            target,
-            name,
+            target: target.into(),
+            name: name.into(),
             start_ns: 0,
             dur_ns: dur,
             attrs: Vec::new(),
@@ -635,8 +585,8 @@ mod tests {
             trace_id: 1,
             span_id: 9,
             parent: Some(777), // never recorded
-            target: "monitor.poll",
-            name: "late",
+            target: "monitor.poll".into(),
+            name: "late".into(),
             start_ns: 0,
             dur_ns: 50,
             attrs: Vec::new(),

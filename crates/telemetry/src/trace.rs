@@ -17,6 +17,7 @@
 
 use crate::FieldValue;
 use parking_lot::Mutex;
+use std::borrow::Cow;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
@@ -26,7 +27,9 @@ pub type TraceId = u64;
 /// Identifies one span within a trace.
 pub type SpanId = u64;
 
-/// One finished span: a named interval with causal parentage.
+/// One finished span: a named interval with causal parentage. The
+/// tracer records `target` and `name` borrowed, with no allocation; a
+/// span read back from a flight snapshot owns them.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SpanRecord {
     /// The cycle this span belongs to.
@@ -36,9 +39,9 @@ pub struct SpanRecord {
     /// The enclosing span, if any (`None` = cycle root).
     pub parent: Option<SpanId>,
     /// Dotted subsystem path, e.g. `snmp.codec` or `monitor.poll`.
-    pub target: &'static str,
+    pub target: Cow<'static, str>,
     /// Stage name within the target, e.g. `encode`.
-    pub name: &'static str,
+    pub name: Cow<'static, str>,
     /// Start offset from the tracer's origin, nanoseconds.
     pub start_ns: u64,
     /// Duration, nanoseconds (at least 1 so Chrome renders it).
@@ -185,8 +188,8 @@ impl Tracer {
             trace_id: span.trace_id,
             span_id: span.span_id,
             parent: span.parent,
-            target: span.target,
-            name: span.name,
+            target: Cow::Borrowed(span.target),
+            name: Cow::Borrowed(span.name),
             start_ns: span.start_ns,
             dur_ns: dur_ns.max(1),
             attrs: std::mem::take(&mut span.attrs),

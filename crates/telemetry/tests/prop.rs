@@ -1939,10 +1939,13 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------
-// Query expressions and OTLP documents against damage
+// Query expressions and flight documents against damage
 // ---------------------------------------------------------------------
 
-use netqos_telemetry::{check_query, to_otlp, validate_otlp, CycleTrace, Tracer};
+use netqos_telemetry::{
+    check_query, cycles_from_jsonl, to_chrome_trace, to_jsonl, to_otlp, validate_chrome_trace,
+    validate_otlp, CycleTrace, Tracer,
+};
 
 /// The shipped recording rules' expressions, then a sample of the ones
 /// the store properties spell.
@@ -1953,11 +1956,11 @@ fn query_corpus() -> Vec<String> {
     rules.into_iter().map(|r| r.expr).chain(spelled).collect()
 }
 
-/// A document `to_otlp` writes: two traced cycles, a root span and a
-/// child carrying an attribute of every type.
-fn otlp_document() -> String {
+/// Two traced cycles, a root span and a child carrying an attribute of
+/// every type.
+fn flight_cycles() -> Vec<CycleTrace> {
     let t = Tracer::new();
-    let cycles: Vec<CycleTrace> = (0..2)
+    (0..2)
         .map(|_| {
             let trace_id = t.begin_cycle();
             let start_ns = t.now_ns();
@@ -1978,8 +1981,7 @@ fn otlp_document() -> String {
                 ..CycleTrace::default()
             }
         })
-        .collect();
-    to_otlp(&cycles)
+        .collect()
 }
 
 fn queries_survive_damage(seed: u64) {
@@ -1988,8 +1990,12 @@ fn queries_survive_damage(seed: u64) {
     survives_damage(check_query, &corpus[c.next(corpus.len())], c);
 }
 
-fn otlp_survives_damage(seed: u64) {
-    survives_damage(validate_otlp, &otlp_document(), &mut Choices(seed));
+fn flight_documents_survive_damage(seed: u64) {
+    let c = &mut Choices(seed);
+    let cycles = flight_cycles();
+    survives_damage(validate_otlp, &to_otlp(&cycles), c);
+    survives_damage(cycles_from_jsonl, &to_jsonl(&cycles), c);
+    survives_damage(validate_chrome_trace, &to_chrome_trace(&cycles), c);
 }
 
 /// Every query of the corpus parses, and survives being cut at every
@@ -2002,13 +2008,22 @@ fn queries_survive_every_cut_and_flip() {
     }
 }
 
-/// The document validates, and survives being cut at every byte and
-/// having every byte flipped.
+/// The documents `to_otlp`, `to_jsonl` and `to_chrome_trace` write
+/// read back, and their readers — the last two take any file `netqos
+/// flight` is handed — survive them being cut at every byte and having
+/// every byte flipped.
 #[test]
-fn otlp_documents_survive_every_cut_and_flip() {
-    let doc = otlp_document();
-    assert_eq!(validate_otlp(&doc).unwrap().spans, 4);
-    survives_every_cut_and_flip(validate_otlp, &doc);
+fn flight_documents_survive_every_cut_and_flip() {
+    let cycles = flight_cycles();
+    let otlp = to_otlp(&cycles);
+    assert_eq!(validate_otlp(&otlp).unwrap().spans, 4);
+    survives_every_cut_and_flip(validate_otlp, &otlp);
+    let jsonl = to_jsonl(&cycles);
+    assert_eq!(to_otlp(&cycles_from_jsonl(&jsonl).unwrap()), otlp);
+    survives_every_cut_and_flip(cycles_from_jsonl, &jsonl);
+    let chrome = to_chrome_trace(&cycles);
+    assert_eq!(validate_chrome_trace(&chrome).unwrap().spans, 4);
+    survives_every_cut_and_flip(validate_chrome_trace, &chrome);
 }
 
 proptest! {
@@ -2020,8 +2035,8 @@ proptest! {
     }
 
     #[test]
-    fn otlp_documents_survive_damage_anywhere(seed in any::<u64>()) {
-        otlp_survives_damage(seed);
+    fn flight_documents_survive_damage_anywhere(seed in any::<u64>()) {
+        flight_documents_survive_damage(seed);
     }
 }
 
@@ -2037,8 +2052,8 @@ proptest! {
 
     #[test]
     #[ignore = "20 000 cases: run in release mode"]
-    fn otlp_documents_survive_damage_anywhere_at_length(seed in any::<u64>()) {
-        otlp_survives_damage(seed);
+    fn flight_documents_survive_damage_anywhere_at_length(seed in any::<u64>()) {
+        flight_documents_survive_damage(seed);
     }
 }
 

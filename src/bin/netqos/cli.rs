@@ -188,9 +188,9 @@ pub static COMMANDS: &[Cmd] = &[
     Cmd {
         name: "trace",
         args: "<spec>",
-        about: "run with causal tracing; last.jsonl, last.trace.json and last.otlp.json hold \
-                the newest flight-recorder snapshot, each QoS violation leaves a tagged \
-                flight-<seq>.* set",
+        about: "run with causal tracing; last.jsonl holds the newest flight-recorder \
+                snapshot, each QoS violation leaves a tagged flight-<seq>.jsonl (render either \
+                with flight dump)",
         opts: &[
             DURATION,
             LOAD,

@@ -701,9 +701,10 @@ fn cmd_audit(args: &Args) -> Result<(), String> {
 }
 
 /// Runs the monitor with causal tracing on and writes the flight
-/// recorder to `--out DIR` (default `flight/`): `last.jsonl` +
-/// `last.trace.json` always hold the newest snapshot, and each QoS
-/// violation additionally leaves a tagged `flight-<seq>.*` pair behind.
+/// recorder to `--out DIR` (default `flight/`): `last.jsonl` always
+/// holds the newest snapshot, and each QoS violation additionally leaves
+/// a tagged `flight-<seq>.jsonl` behind. `flight dump` renders either as
+/// Chrome `trace_event` or OTLP/JSON.
 fn cmd_trace(args: &Args) -> Result<(), String> {
     let (duration, pace_ms) = run_length(args)?;
     let out = args
@@ -723,7 +724,7 @@ fn cmd_trace(args: &Args) -> Result<(), String> {
     // Final snapshot regardless of violations, so every run leaves a
     // loadable trace behind.
     let tag = cycles.last().map(|c| c.seq).unwrap_or(0);
-    let paths = netqos_telemetry::write_snapshot(&out, tag, &cycles)
+    let path = netqos_telemetry::write_snapshot(&out, tag, &cycles)
         .map_err(|e| format!("cannot write {}: {e}", out.display()))?;
     let spans: usize = cycles.iter().map(|c| c.spans.len()).sum();
     println!(
@@ -742,27 +743,26 @@ fn cmd_trace(args: &Args) -> Result<(), String> {
             );
         }
     }
-    println!("jsonl:  {}", paths.jsonl.display());
-    println!("chrome: {}", paths.chrome.display());
-    println!("otlp:   {}", paths.otlp.display());
+    println!("jsonl:  {}", path.display());
     finish_run(&mut service, args)
 }
 
 /// Reads the flight-recorder JSONL snapshot at `path`.
-fn read_cycles(path: &str) -> Result<Vec<netqos_telemetry::ParsedCycle>, String> {
+fn read_cycles(path: &str) -> Result<Vec<netqos_telemetry::CycleTrace>, String> {
     netqos_telemetry::cycles_from_jsonl(&read_file(path)?).map_err(|e| format!("{path}: {e}"))
 }
 
-/// `flight dump`: re-emits a JSONL snapshot as Chrome `trace_event` JSON
-/// (or OTLP/JSON with `--otlp`).
+/// `flight dump`: renders a JSONL snapshot as Chrome `trace_event` JSON
+/// (or OTLP/JSON with `--otlp`), through the renderers the live ring
+/// uses.
 fn cmd_flight_dump(args: &Args) -> Result<(), String> {
     let cycles = read_cycles(args.pos(0)?)?;
     if args.flag("--otlp") {
-        // No trailing newline: the output is byte-identical to
-        // the `*.otlp.json` the live run wrote.
-        print!("{}", netqos_telemetry::parsed_to_otlp(&cycles));
+        // No trailing newline: the output is byte-identical to the body
+        // the push worker sent for the same ring.
+        print!("{}", netqos_telemetry::to_otlp(&cycles));
     } else {
-        print!("{}", netqos_telemetry::parsed_to_chrome_trace(&cycles));
+        print!("{}", netqos_telemetry::to_chrome_trace(&cycles));
     }
     Ok(())
 }
@@ -879,7 +879,7 @@ fn cmd_profile(args: &Args) -> Result<(), String> {
     let window = window.map_or(cycles.len().max(1), NonZeroUsize::get);
     let hub = netqos_telemetry::ProfileHub::new(window);
     for cycle in &cycles {
-        hub.record_parsed(&cycle.spans);
+        hub.record_spans(&cycle.spans);
     }
     match format {
         "folded" => print!("{}", hub.to_folded()),

@@ -347,12 +347,13 @@ fn trace_writes_validatable_flight_snapshots() {
     assert!(stdout.contains("violation(s)"), "{stdout}");
     assert!(stdout.contains("baseline feed1"), "{stdout}");
 
-    // `flight check` validates the Chrome trace the run produced.
-    let chrome = dir.join("last.trace.json");
-    let out = run(&["flight", "check", chrome.to_str().unwrap()]);
-    assert!(out.status.success(), "{out:?}");
-    let stdout = String::from_utf8_lossy(&out.stdout);
-    assert!(stdout.contains("OK"), "{stdout}");
+    // The run wrote JSONL only: `last.jsonl` and one tagged file.
+    let names: Vec<String> = std::fs::read_dir(&dir)
+        .unwrap()
+        .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+        .collect();
+    assert!(names.contains(&"last.jsonl".to_string()), "{names:?}");
+    assert!(names.iter().all(|n| n.ends_with(".jsonl")), "{names:?}");
 
     // `flight show` summarizes the JSONL snapshot with baseline ranks.
     let jsonl = dir.join("last.jsonl");
@@ -362,11 +363,18 @@ fn trace_writes_validatable_flight_snapshots() {
     assert!(stdout.contains("cycle"), "{stdout}");
     assert!(stdout.contains("rank"), "{stdout}");
 
-    // `flight dump` converts JSONL back into valid Chrome trace JSON.
+    // `flight dump` renders the JSONL as valid Chrome trace JSON, and
+    // `flight check` validates what it printed.
     let out = run(&["flight", "dump", jsonl.to_str().unwrap()]);
     assert!(out.status.success(), "{out:?}");
     let roundtrip = String::from_utf8(out.stdout).unwrap();
     netqos_telemetry::validate_chrome_trace(&roundtrip).expect("dump output is a valid trace");
+    let chrome = dir.join("dump.trace.json");
+    std::fs::write(&chrome, &roundtrip).unwrap();
+    let out = run(&["flight", "check", chrome.to_str().unwrap()]);
+    assert!(out.status.success(), "{out:?}");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(stdout.contains("OK"), "{stdout}");
 
     // `flight check` rejects garbage.
     let bad = dir.join("bad.json");
@@ -392,25 +400,24 @@ fn flight_dump_otlp_round_trips_and_checks() {
         dir.to_str().unwrap(),
     ]);
     assert!(out.status.success(), "{out:?}");
-    assert!(
-        String::from_utf8_lossy(&out.stdout).contains("otlp:"),
-        "trace should report the OTLP snapshot path"
-    );
-    // The run itself wrote an OTLP snapshot alongside the JSONL.
-    let otlp_file = dir.join("last.otlp.json");
-    let on_disk = std::fs::read_to_string(&otlp_file).expect("last.otlp.json written");
-    netqos_telemetry::validate_otlp(&on_disk).expect("snapshot OTLP validates");
-
-    // `flight dump --otlp` re-derives the same document from the JSONL.
+    let stdout = String::from_utf8_lossy(&out.stdout);
     let jsonl = dir.join("last.jsonl");
+    assert!(
+        stdout.contains("jsonl:") && !stdout.contains("otlp:"),
+        "trace reports the one snapshot file: {stdout}"
+    );
+
+    // `flight dump --otlp` renders the JSONL as the push worker would
+    // have, through the one renderer.
     let out = run(&["flight", "dump", jsonl.to_str().unwrap(), "--otlp"]);
     assert!(out.status.success(), "{out:?}");
     let dumped = String::from_utf8(out.stdout).unwrap();
-    assert_eq!(
-        dumped.trim_end(),
-        on_disk.trim_end(),
-        "dump --otlp must match the live export"
-    );
+    let cycles =
+        netqos_telemetry::cycles_from_jsonl(&std::fs::read_to_string(&jsonl).unwrap()).unwrap();
+    assert_eq!(dumped, netqos_telemetry::to_otlp(&cycles));
+    netqos_telemetry::validate_otlp(&dumped).expect("dump --otlp output validates");
+    let otlp_file = dir.join("dump.otlp.json");
+    std::fs::write(&otlp_file, &dumped).unwrap();
 
     // `flight check` auto-detects the OTLP shape and validates it.
     let out = run(&["flight", "check", otlp_file.to_str().unwrap()]);

@@ -2,15 +2,15 @@
 //! on the two-switch testbed: a forced QoS violation must leave a disk
 //! snapshot holding full cycle traces — nested spans from the poll
 //! round down through SNMP codec, delta ingestion, path traversal, and
-//! the QoS decision — with per-connection quantile annotations, in both
-//! JSONL and Chrome `trace_event` form.
+//! the QoS decision — with per-connection quantile annotations, as one
+//! JSONL file that renders to valid Chrome `trace_event` JSON.
 
 use netqos::loadgen::{LoadProfile, ProfiledSource};
 use netqos::monitor::qos::QosEvent;
 use netqos::monitor::service::{MonitoringService, ServiceConfig};
 use netqos::monitor::simnet::SimNetworkOptions;
 use netqos_telemetry::{
-    cycles_from_jsonl, parse_json, validate_chrome_trace, EventSink, ParsedCycle,
+    cycles_from_jsonl, parse_json, to_chrome_trace, validate_chrome_trace, CycleTrace, EventSink,
 };
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -60,7 +60,7 @@ fn tmpdir(name: &str) -> PathBuf {
 /// Every stage of the paper's pipeline must appear in the cycle:
 /// poll round -> per-device poll -> codec decode -> delta ingest ->
 /// path bandwidth -> QoS decision.
-fn assert_full_pipeline(cycle: &ParsedCycle) {
+fn assert_full_pipeline(cycle: &CycleTrace) {
     for (target, name) in [
         ("monitor", "cycle"),
         ("monitor.poll", "round"),
@@ -83,7 +83,7 @@ fn assert_full_pipeline(cycle: &ParsedCycle) {
 }
 
 /// Child spans must nest inside their parents, timewise and by id.
-fn assert_nesting(cycle: &ParsedCycle) {
+fn assert_nesting(cycle: &CycleTrace) {
     let root = cycle
         .spans
         .iter()
@@ -135,8 +135,21 @@ fn violation_snapshots_full_cycle_traces() {
         svc.telemetry().flight_snapshots.get() >= 1,
         "violation should have snapshotted the flight recorder"
     );
-    let paths = svc.snapshots().last().expect("snapshot path").clone();
-    assert!(paths.jsonl.exists() && paths.chrome.exists());
+    // Each violation onset left one file, beside the `last.jsonl` alias.
+    let mut names: Vec<String> = std::fs::read_dir(&dir)
+        .unwrap()
+        .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+        .collect();
+    names.sort();
+    let mut expected: Vec<String> = (svc.snapshots().iter())
+        .map(|p| p.file_name().unwrap().to_string_lossy().into_owned())
+        .chain(["last.jsonl".to_string()])
+        .collect();
+    expected.sort();
+    assert_eq!(names, expected);
+    assert!(names
+        .iter()
+        .all(|n| n == "last.jsonl" || n.starts_with("flight-") && n.ends_with(".jsonl")));
 
     // The ring keeps growing after the violation snapshot; `last.*`
     // written on the snapshot trigger is what forensics would read.
@@ -169,9 +182,9 @@ fn violation_snapshots_full_cycle_traces() {
         "no cycle carries the qos_violation event"
     );
 
-    // The Chrome export is valid trace_event JSON with intact nesting.
-    let chrome = std::fs::read_to_string(dir.join("last.trace.json")).expect("last.trace.json");
-    let stats = validate_chrome_trace(&chrome).expect("valid Chrome trace");
+    // Its Chrome rendering (what `flight dump` prints) is valid
+    // trace_event JSON with intact nesting.
+    let stats = validate_chrome_trace(&to_chrome_trace(&cycles)).expect("valid Chrome trace");
     assert!(stats.cycles >= 8 && stats.spans > stats.cycles);
 
     std::fs::remove_dir_all(&dir).ok();

@@ -1,17 +1,15 @@
 //! End-to-end OTLP/JSON export coverage: a forced QoS violation on the
-//! two-switch testbed must leave `*.otlp.json` snapshots whose spans
-//! carry well-formed ids, absolute nanosecond timestamps, resolvable
-//! parent links, and the flight recorder's attributes — and the JSONL →
-//! `flight dump --otlp` path must reproduce the live export byte for
-//! byte.
+//! two-switch testbed must leave a JSONL snapshot whose OTLP rendering
+//! (what `flight dump --otlp` prints) carries well-formed ids, absolute
+//! nanosecond timestamps, resolvable parent links, and the flight
+//! recorder's attributes — byte for byte the rendering of the live
+//! cycles it holds.
 
 use netqos::loadgen::{LoadProfile, ProfiledSource};
 use netqos::monitor::qos::QosEvent;
 use netqos::monitor::service::{MonitoringService, ServiceConfig};
 use netqos::monitor::simnet::SimNetworkOptions;
-use netqos_telemetry::{
-    cycles_from_jsonl, parse_json, parsed_to_otlp, to_otlp, validate_otlp, JsonValue,
-};
+use netqos_telemetry::{cycles_from_jsonl, parse_json, to_otlp, validate_otlp, JsonValue};
 use std::path::PathBuf;
 
 const SPEC: &str = include_str!("../specs/two-switch.spec");
@@ -65,11 +63,9 @@ fn violation_writes_valid_otlp_snapshots() {
         }
     }
     assert!(violated, "the forced load never tripped a QoS violation");
-    let paths = svc.snapshots().last().expect("snapshot written").clone();
-    assert!(paths.otlp.exists(), "missing {}", paths.otlp.display());
-    assert!(dir.join("last.otlp.json").exists());
-
-    let otlp = std::fs::read_to_string(&paths.otlp).unwrap();
+    let path = svc.snapshots().last().expect("snapshot written").clone();
+    let parsed = cycles_from_jsonl(&std::fs::read_to_string(&path).unwrap()).unwrap();
+    let otlp = to_otlp(&parsed);
     let stats = validate_otlp(&otlp).expect("snapshot OTLP validates");
     assert!(
         stats.traces >= 8,
@@ -116,15 +112,13 @@ fn violation_writes_valid_otlp_snapshots() {
     assert!(otlp.contains("\"service.name\""));
     assert!(otlp.contains(netqos_telemetry::OTLP_SERVICE));
 
-    // Round trip: the JSONL snapshot re-exported through the parsed path
-    // (what `netqos flight dump --otlp` runs) is byte-identical.
-    let jsonl = std::fs::read_to_string(&paths.jsonl).unwrap();
-    let parsed = cycles_from_jsonl(&jsonl).unwrap();
-    assert_eq!(parsed_to_otlp(&parsed), otlp);
-
-    // And it matches the live ring's export of the same cycles.
-    let live = to_otlp(&svc.flight().snapshot());
-    validate_otlp(&live).expect("live export validates");
+    // Lossless: the live ring's export of the same cycles is the same
+    // document.
+    let live: Vec<_> = (svc.flight().snapshot().into_iter())
+        .filter(|c| parsed.iter().any(|p| p.seq == c.seq))
+        .collect();
+    assert_eq!(live.len(), parsed.len());
+    assert_eq!(to_otlp(&live), otlp);
 
     std::fs::remove_dir_all(&dir).ok();
 }
@@ -191,7 +185,7 @@ fn retention_policy_caps_snapshot_files() {
     assert_eq!(svc.telemetry().retention_deleted.get(), written - 2);
     // The newest snapshot always survives.
     let newest = svc.snapshots().last().unwrap();
-    assert!(newest.jsonl.exists() && newest.otlp.exists());
+    assert!(newest.exists());
     // `last.*` files are never retention targets.
     assert!(dir.join("last.jsonl").exists());
     std::fs::remove_dir_all(&dir).ok();

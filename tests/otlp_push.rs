@@ -8,7 +8,7 @@
 use netqos::loadgen::{LoadProfile, ProfiledSource};
 use netqos::monitor::service::{MonitoringService, ServiceConfig};
 use netqos::monitor::simnet::SimNetworkOptions;
-use netqos_telemetry::{parse_push_url, validate_otlp, PushConfig};
+use netqos_telemetry::{cycles_from_jsonl, parse_push_url, to_otlp, validate_otlp, PushConfig};
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::sync::mpsc;
@@ -60,32 +60,27 @@ fn stop_sink(port: u16) {
 /// A traced service with a 9 MB/s sensor1→console pulse from t=2 s —
 /// ~72 Mb/s on the wire, over `feed1`'s 70% utilization limit on the
 /// 100 Mb/s trunk, so a violation fires within a few ticks.
-fn violating_service() -> MonitoringService {
+fn violating_service(config: ServiceConfig) -> MonitoringService {
     let model = netqos::spec::parse_and_validate(SPEC).unwrap();
     let options = SimNetworkOptions {
         monitor_host: "console".into(),
         ..SimNetworkOptions::default()
     };
-    let mut svc = MonitoringService::from_model_with(
-        model,
-        options,
-        ServiceConfig::default(),
-        |builder, map, m| {
-            let from = m.topology.node_by_name("sensor1").unwrap();
-            let to = m.topology.node_by_name("console").unwrap();
-            let ip = m.addresses[&to].parse().unwrap();
-            builder
-                .install_app(
-                    map[&from],
-                    Box::new(ProfiledSource::new(
-                        ip,
-                        LoadProfile::pulse(2, 60, 9_000_000),
-                    )),
-                    None,
-                )
-                .unwrap();
-        },
-    )
+    let mut svc = MonitoringService::from_model_with(model, options, config, |builder, map, m| {
+        let from = m.topology.node_by_name("sensor1").unwrap();
+        let to = m.topology.node_by_name("console").unwrap();
+        let ip = m.addresses[&to].parse().unwrap();
+        builder
+            .install_app(
+                map[&from],
+                Box::new(ProfiledSource::new(
+                    ip,
+                    LoadProfile::pulse(2, 60, 9_000_000),
+                )),
+                None,
+            )
+            .unwrap();
+    })
     .unwrap();
     svc.set_tracing(true);
     svc
@@ -98,7 +93,12 @@ fn violation_pushes_valid_otlp_snapshot_to_sink() {
     let (tx, rx) = mpsc::channel();
     let sink = spawn_sink(listener, tx);
 
-    let mut svc = violating_service();
+    let dir = std::env::temp_dir().join(format!("netqos-push-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let mut svc = violating_service(ServiceConfig {
+        flight_dir: Some(dir.clone()),
+        ..ServiceConfig::default()
+    });
     let target = parse_push_url(&format!("http://127.0.0.1:{port}/v1/traces")).unwrap();
     let pusher = svc.enable_otlp_push(PushConfig::new(target));
     let events = svc.run_ticks(8).unwrap();
@@ -119,6 +119,10 @@ fn violation_pushes_valid_otlp_snapshot_to_sink() {
     let stats = validate_otlp(&body).expect("pushed body is valid OTLP/JSON");
     assert!(stats.spans > 0);
     assert!(stats.traces >= 1);
+    // It is what `flight dump --otlp` prints for that onset's snapshot.
+    let first = std::fs::read_to_string(&svc.snapshots()[0]).unwrap();
+    assert_eq!(body, to_otlp(&cycles_from_jsonl(&first).unwrap()));
+    std::fs::remove_dir_all(&dir).ok();
     // Several paths can trip across ticks, each onset pushing once.
     let pushed = svc.telemetry().otlp_push.pushed.get();
     assert!(pushed >= 1);
@@ -141,7 +145,7 @@ fn dead_collector_counts_drops_not_hangs() {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         listener.local_addr().unwrap().port()
     };
-    let mut svc = violating_service();
+    let mut svc = violating_service(ServiceConfig::default());
     let target = parse_push_url(&format!("http://127.0.0.1:{port}/v1/traces")).unwrap();
     let mut config = PushConfig::new(target);
     config.max_attempts = 2;
