@@ -115,7 +115,7 @@ fn bench_fleet_size(c: &mut Criterion) {
     let mut group = c.benchmark_group("fleet_size");
     for devices in [2usize, 6, 18] {
         let mibs: Vec<ScalarMib> = (0..devices).map(|_| device_mib(4)).collect();
-        group.bench_with_input(BenchmarkId::new("poll_round", devices), &devices, |b, _| {
+        group.bench_with_input(BenchmarkId::new("poll_fleet", devices), &devices, |b, _| {
             b.iter_batched(
                 || SnmpAgent::new("public"),
                 |mut agent| {

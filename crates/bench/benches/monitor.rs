@@ -1,34 +1,14 @@
 //! Criterion benches for the monitoring pipeline on the full LIRTSS
-//! testbed: one complete SNMP poll round through the simulated network,
-//! and the pure ingest + path-evaluation cost (the per-period CPU budget
-//! of the monitoring host).
+//! testbed: the pure ingest + path-evaluation cost (the per-period CPU
+//! budget of the monitoring host) and one RTT probe through the simulated
+//! network. A poll through the simulator is measured by `qosbench`'s
+//! `lan-wide` workload (`monitor.simnet.poll_us_per_device`).
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
-use netqos_bench::testbed::{build_testbed, TestbedOptions};
+use netqos_bench::testbed::{build_service, TestbedOptions};
 use netqos_monitor::poll::{DeviceSnapshot, IfSample};
-use netqos_monitor::NetworkMonitor;
+use netqos_monitor::{NetworkMonitor, ServiceConfig};
 use netqos_sim::time::SimDuration;
-
-fn bench_poll_round(c: &mut Criterion) {
-    let mut group = c.benchmark_group("monitor");
-    group.sample_size(20);
-    group.bench_function("lirtss_full_poll_round", |b| {
-        b.iter_batched(
-            || {
-                let options = TestbedOptions {
-                    noise_mean: None, // isolate the poll cost
-                    agent_jitter_mean: None,
-                };
-                build_testbed(&[], &options)
-            },
-            |mut tb| {
-                tb.net.poll_round(&mut tb.monitor).unwrap();
-            },
-            BatchSize::SmallInput,
-        )
-    });
-    group.finish();
-}
 
 fn bench_ingest_and_paths(c: &mut Criterion) {
     let model = netqos_spec::parse_and_validate(netqos_bench::LIRTSS_SPEC).unwrap();
@@ -88,11 +68,11 @@ fn bench_rtt_probe(c: &mut Criterion) {
                     noise_mean: None,
                     ..TestbedOptions::default()
                 };
-                build_testbed(&[], &options)
+                build_service(&[], &options, ServiceConfig::default()).unwrap()
             },
-            |mut tb| {
-                let s1 = tb.monitor.topology().node_by_name("S1").unwrap();
-                tb.net
+            |mut svc| {
+                let s1 = svc.monitor().topology().node_by_name("S1").unwrap();
+                svc.net_mut()
                     .measure_rtt(s1, 4, 64, SimDuration::from_millis(100))
                     .unwrap()
             },
@@ -102,10 +82,5 @@ fn bench_rtt_probe(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(
-    benches,
-    bench_poll_round,
-    bench_ingest_and_paths,
-    bench_rtt_probe
-);
+criterion_group!(benches, bench_ingest_and_paths, bench_rtt_probe);
 criterion_main!(benches);

@@ -6,16 +6,16 @@
 //! | Paper item | Where |
 //! |---|---|
 //! | Table 1 (MIB-II objects) | static in EXPERIMENTS.md; `netqos_snmp::mib2`'s tests assert it |
-//! | Figure 3 (testbed) | [`testbed::build_testbed`] and [`testbed::build_service`] from `specs/lirtss.spec` |
+//! | Figure 3 (testbed) | [`testbed::build_service`] from `specs/lirtss.spec` |
 //! | Figures 4–6, Table 2, the interval-source and poll-period sweeps, latency vs. load | [`experiment::scenarios`], run by [`experiment::run`]; `tests/experiments.rs` writes them into EXPERIMENTS.md and checks it |
 //!
 //! Criterion performance benches (`cargo bench -p netqos-bench`) cover the
-//! building blocks: BER codec, simulator throughput, full poll rounds,
-//! telemetry, tracing, the long-term store and queries.
+//! building blocks: BER codec, simulator throughput, ingest and path
+//! evaluation, telemetry, tracing, the long-term store and queries.
 
 pub mod experiment;
 pub mod report;
 pub mod testbed;
 
 pub use report::{percentiles, time_iters, BenchReport, BenchRow, BENCH_SCHEMA};
-pub use testbed::{build_service, build_testbed, Load, Testbed, TestbedOptions, LIRTSS_SPEC};
+pub use testbed::{build_service, Load, TestbedOptions, LIRTSS_SPEC};

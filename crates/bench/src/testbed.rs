@@ -2,8 +2,8 @@
 //! specification file with load generators and realistic noise.
 
 use netqos_loadgen::{LoadProfile, ProfiledSource};
-use netqos_monitor::simnet::{SimNetwork, SimNetworkOptions};
-use netqos_monitor::{MonitorError, MonitoringService, NetworkMonitor, ServiceConfig};
+use netqos_monitor::simnet::SimNetworkOptions;
+use netqos_monitor::{MonitorError, MonitoringService, ServiceConfig};
 use netqos_sim::builder::LanBuilder;
 use netqos_sim::time::SimDuration;
 use netqos_sim::{DeviceId, Ipv4Addr};
@@ -66,26 +66,6 @@ impl Default for TestbedOptions {
     }
 }
 
-/// A built testbed: the simulated network plus a fresh monitor.
-pub struct Testbed {
-    /// The simulated LAN with agents and generators installed.
-    pub net: SimNetwork,
-    /// The monitoring program state.
-    pub monitor: NetworkMonitor,
-}
-
-/// Builds the LIRTSS testbed with the given loads installed.
-pub fn build_testbed(loads: &[Load], options: &TestbedOptions) -> Testbed {
-    let model = netqos_spec::parse_and_validate(LIRTSS_SPEC).expect("specification must be valid");
-    let topology = model.topology.clone();
-    let net = SimNetwork::from_model_with(model, net_options(options), install_loads(loads))
-        .expect("testbed must build");
-    Testbed {
-        net,
-        monitor: NetworkMonitor::new(topology),
-    }
-}
-
 /// The monitoring service over the LIRTSS testbed with the given loads
 /// installed: the system that ships, on the testbed's network.
 pub fn build_service(
@@ -133,6 +113,7 @@ fn install_loads(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use netqos_monitor::{Network, NetworkMonitor};
 
     #[test]
     fn lirtss_spec_is_valid_and_matches_figure3() {
@@ -147,20 +128,26 @@ mod tests {
         assert_eq!(model.qos_paths.len(), 4);
     }
 
+    fn idle() -> MonitoringService {
+        build_service(&[], &TestbedOptions::default(), ServiceConfig::default()).unwrap()
+    }
+
     #[test]
     fn testbed_builds_and_polls() {
-        let mut tb = build_testbed(&[], &TestbedOptions::default());
-        let polled = tb.net.poll_round(&mut tb.monitor).unwrap();
-        assert_eq!(polled, 6);
+        let mut svc = idle();
+        let net = svc.net_mut();
+        let mut monitor = NetworkMonitor::new(net.model().topology.clone());
+        let every = net.pollable_nodes();
+        assert_eq!(net.poll_nodes(&every, &mut monitor).unwrap(), 6);
     }
 
     #[test]
     fn path_s1_n1_crosses_hub() {
-        let tb = build_testbed(&[], &TestbedOptions::default());
-        let topo = tb.monitor.topology();
+        let svc = idle();
+        let topo = svc.monitor().topology();
         let s1 = topo.node_by_name("S1").unwrap();
         let n1 = topo.node_by_name("N1").unwrap();
-        let p = tb.monitor.path(s1, n1).unwrap();
+        let p = svc.monitor().path(s1, n1).unwrap();
         let names: Vec<String> = p
             .nodes
             .iter()

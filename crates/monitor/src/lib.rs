@@ -18,8 +18,8 @@
 //!  SNMP agents ──► [poll::DeviceSnapshot] ──► [delta] ──► rates (bits/s)
 //!                                                            │
 //!                       topology::bandwidth (hub/switch) ◄───┘
-//!                                      │
-//!                          [report::PathSample] ──► RM middleware / CSV
+//!                                      ▼
+//!  service tick ──► [report::PathRow] / [qos::QosEvent] ──► rm::ResourceManager::react
 //! ```
 //!
 //! * [`poll`] — building the Table-1 OID set, parsing responses into
@@ -43,8 +43,7 @@
 //! * [`latency`] — path RTT probes (future-work item: "measurement of
 //!   network latency").
 //! * [`report`] — [`report::PathRow`], the per-path row a service tick
-//!   builds and every consumer reads; time-series collection and CSV
-//!   rendering.
+//!   builds and every consumer reads.
 
 pub mod delta;
 pub mod discovery;
@@ -66,7 +65,7 @@ pub use monitor::NetworkMonitor;
 pub use network::Network;
 pub use poll::DeviceSnapshot;
 pub use qos::{QosEvent, QosMonitor};
-pub use report::{PathRow, PathSample, SeriesRecorder};
+pub use report::PathRow;
 pub use service::{MonitoringService, ServiceConfig};
 pub use simnet::SimNetwork;
 pub use udpnet::UdpNetwork;

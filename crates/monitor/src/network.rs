@@ -33,7 +33,7 @@ pub struct Agents {
     /// The agent of each node, indexed by node id.
     targets: Vec<Option<Target>>,
     /// The nodes with an agent, in node order: the poll order.
-    pub(crate) pollable: Vec<NodeId>,
+    pollable: Vec<NodeId>,
     /// One plan per interface count among the agents, and beside each a
     /// snapshot of its shape that [`Network::poll_nodes`] parses into.
     plans: Vec<(PollPlan, DeviceSnapshot)>,

@@ -1,9 +1,7 @@
-//! The per-path row a service tick builds, and time-series recording and
-//! rendering for the RM feed.
+//! The per-path row a service tick builds.
 
 use netqos_telemetry::{push_json_str, AlertScope, SampleAnnotation};
 use netqos_topology::bandwidth::{BandwidthRule, ConnectionBandwidth};
-use serde::{Deserialize, Serialize};
 use std::fmt::Write as _;
 
 /// Everything one service tick knows about one qospath it could
@@ -49,15 +47,6 @@ pub struct PathRow {
 }
 
 impl PathRow {
-    /// This row as a recorder sample taken at `t_s`.
-    pub fn sample(&self, t_s: f64) -> PathSample {
-        PathSample {
-            t_s,
-            used_bps: self.used_bps,
-            available_bps: self.available_bps,
-        }
-    }
-
     /// This row as the annotated sample a flight cycle carries.
     pub fn annotation(&self) -> SampleAnnotation {
         SampleAnnotation {
@@ -172,137 +161,9 @@ impl PathRow {
     }
 }
 
-/// One sample of one monitored path.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct PathSample {
-    /// Sample time, seconds from experiment start.
-    pub t_s: f64,
-    /// Used bandwidth at the bottleneck, bits/s.
-    pub used_bps: u64,
-    /// Available bandwidth of the path, bits/s.
-    pub available_bps: u64,
-}
-
-impl PathSample {
-    /// Used bandwidth in Kbytes/second — the unit of the paper's figures.
-    pub fn used_kbytes_per_sec(&self) -> f64 {
-        self.used_bps as f64 / 8.0 / 1000.0
-    }
-}
-
-/// A named series of samples (one monitored path).
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
-pub struct Series {
-    /// Series label, e.g. `S1<->N1`.
-    pub name: String,
-    /// The samples in time order.
-    pub samples: Vec<PathSample>,
-}
-
-/// Collects several named series and renders them as CSV.
-#[derive(Debug, Clone, Default)]
-pub struct SeriesRecorder {
-    series: Vec<Series>,
-}
-
-impl SeriesRecorder {
-    /// Creates a recorder with the given series names.
-    pub fn new(names: &[&str]) -> Self {
-        SeriesRecorder {
-            series: names
-                .iter()
-                .map(|n| Series {
-                    name: (*n).to_owned(),
-                    samples: Vec::new(),
-                })
-                .collect(),
-        }
-    }
-
-    /// Appends a sample to the named series (creating it if new).
-    pub fn push(&mut self, name: &str, sample: PathSample) {
-        match self.series.iter_mut().find(|s| s.name == name) {
-            Some(s) => s.samples.push(sample),
-            None => self.series.push(Series {
-                name: name.to_owned(),
-                samples: vec![sample],
-            }),
-        }
-    }
-
-    /// The recorded series.
-    pub fn series(&self) -> &[Series] {
-        &self.series
-    }
-
-    /// A series by name.
-    pub fn get(&self, name: &str) -> Option<&Series> {
-        self.series.iter().find(|s| s.name == name)
-    }
-
-    /// Renders all series as CSV: `t_s,<name1>_used_kBps,<name2>_used_kBps,…`,
-    /// sampling on the union of time points (blank when a series lacks a
-    /// point).
-    pub fn to_csv(&self) -> String {
-        let mut header = String::from("t_s");
-        for s in &self.series {
-            header.push_str(&format!(",{}_used_kBps", s.name));
-        }
-        header.push('\n');
-
-        let mut times: Vec<f64> = self
-            .series
-            .iter()
-            .flat_map(|s| s.samples.iter().map(|p| p.t_s))
-            .collect();
-        times.sort_by(|a, b| a.total_cmp(b));
-        times.dedup_by(|a, b| (*a - *b).abs() < 1e-9);
-
-        let mut out = header;
-        for t in times {
-            out.push_str(&format!("{t:.2}"));
-            for s in &self.series {
-                match s.samples.iter().find(|p| (p.t_s - t).abs() < 1e-9) {
-                    Some(p) => out.push_str(&format!(",{:.3}", p.used_kbytes_per_sec())),
-                    None => out.push(','),
-                }
-            }
-            out.push('\n');
-        }
-        out
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn sample(t: f64, used_kbps: f64) -> PathSample {
-        PathSample {
-            t_s: t,
-            used_bps: (used_kbps * 8000.0) as u64,
-            available_bps: 0,
-        }
-    }
-
-    #[test]
-    fn unit_conversion() {
-        let s = sample(0.0, 100.0);
-        assert!((s.used_kbytes_per_sec() - 100.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn csv_renders_all_series() {
-        let mut rec = SeriesRecorder::new(&["a", "b"]);
-        rec.push("a", sample(0.0, 1.0));
-        rec.push("b", sample(0.0, 2.0));
-        rec.push("a", sample(1.0, 3.0));
-        let csv = rec.to_csv();
-        let lines: Vec<&str> = csv.lines().collect();
-        assert_eq!(lines[0], "t_s,a_used_kBps,b_used_kBps");
-        assert_eq!(lines[1], "0.00,1.000,2.000");
-        assert_eq!(lines[2], "1.00,3.000,"); // b missing at t=1
-    }
 
     fn row(name: &str, limits: (Option<u64>, Option<f64>), rule: Option<BandwidthRule>) -> PathRow {
         PathRow {
@@ -365,13 +226,5 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn push_creates_unknown_series() {
-        let mut rec = SeriesRecorder::default();
-        rec.push("new", sample(0.0, 1.0));
-        assert!(rec.get("new").is_some());
-        assert_eq!(rec.series().len(), 1);
     }
 }

@@ -78,6 +78,9 @@ pub const TICK_STAGES: [&str; 5] = [
 /// port's `Counter32` wraps.
 pub const SURVEY_TICKS: usize = 30;
 
+/// Traps kept in the outbox; when it is full, the oldest trap is evicted.
+pub const TRAP_OUTBOX_CAPACITY: usize = 256;
+
 /// Which devices each tick polls: all of `demand` in node order, then
 /// the next `ceil(survey.len() / SURVEY_TICKS)` devices of `survey` from
 /// a wrapping cursor.
@@ -140,17 +143,10 @@ pub struct ServiceConfig {
     /// If set, traps are also transmitted through the network to this
     /// address's UDP port 162 (a management station).
     pub trap_destination: Option<Ipv4Addr>,
-    /// Maximum traps kept in the outbox; when full, the oldest trap is
-    /// evicted.
-    pub trap_outbox_capacity: usize,
-    /// Cycle traces kept in the flight-recorder ring.
-    pub flight_capacity: usize,
     /// If set, the flight recorder is snapshotted to this directory
     /// (JSONL + Chrome `trace_event` JSON) whenever a QoS violation
     /// begins.
     pub flight_dir: Option<PathBuf>,
-    /// Samples per window of the per-connection bandwidth baselines.
-    pub baseline_window: u64,
     /// Cap on on-disk flight snapshots (count and bytes), enforced after
     /// every snapshot write. The newest snapshot is never deleted.
     pub retention: RetentionPolicy,
@@ -192,10 +188,7 @@ impl Default for ServiceConfig {
             poll_period: SimDuration::from_secs(1),
             trap_community: "public".to_owned(),
             trap_destination: None,
-            trap_outbox_capacity: 256,
-            flight_capacity: DEFAULT_FLIGHT_CAPACITY,
             flight_dir: None,
-            baseline_window: DEFAULT_WINDOW,
             retention: RetentionPolicy::default(),
             baseline_state: None,
             alert_rules: builtin_alert_rules(),
@@ -392,7 +385,7 @@ impl<N: Network> MonitoringService<N> {
         // Anchor the tracer's monotonic origin on the Unix timeline once;
         // every cycle carries this epoch so OTLP timestamps are absolute.
         let epoch_unix_ns = unix_now_ns().saturating_sub(tracer.now_ns());
-        let flight = FlightRecorder::new(config.flight_capacity);
+        let flight = FlightRecorder::new(DEFAULT_FLIGHT_CAPACITY);
         let alerts = AlertEngine::new(config.alert_rules.clone());
         // Restore persisted baselines (if configured and present); a
         // missing or corrupt state file degrades to a cold start.
@@ -714,7 +707,7 @@ impl<N: Network> MonitoringService<N> {
             out,
             "],\"flight\":{{\"cycles\":{},\"capacity\":{},\"snapshots\":{}}}",
             self.flight.len(),
-            self.config.flight_capacity,
+            DEFAULT_FLIGHT_CAPACITY,
             self.snapshots.len(),
         );
         let _ = write!(
@@ -797,7 +790,7 @@ impl<N: Network> MonitoringService<N> {
         for (spec, bw, violated) in self.qos.evaluated() {
             let name = &spec.name;
             if !self.path_baselines.contains_key(name) {
-                let fresh = QuantileBaseline::new(self.config.baseline_window);
+                let fresh = QuantileBaseline::new(DEFAULT_WINDOW);
                 self.path_baselines.insert(name.clone(), fresh);
             }
             let baseline = self.path_baselines.get_mut(name).expect("just inserted");
@@ -944,7 +937,7 @@ impl<N: Network> MonitoringService<N> {
                 self.net.send_trap(dst, &bytes);
             }
             // Bounded outbox: evict oldest rather than grow forever.
-            if self.traps.len() >= self.config.trap_outbox_capacity.max(1) {
+            if self.traps.len() >= TRAP_OUTBOX_CAPACITY {
                 self.traps.remove(0);
             }
             self.traps.push(bytes);
@@ -1097,19 +1090,15 @@ mod tests {
     }
 
     #[test]
-    fn ticks_record_series() {
+    fn ticks_write_rows() {
         let mut svc = idle_service();
-        let mut recorder = crate::report::SeriesRecorder::default();
-        for tick in 1..=3 {
-            svc.tick().unwrap();
-            for row in svc.rows() {
-                recorder.push(&row.name, row.sample(tick as f64));
-            }
-        }
-        let series = recorder.get("mw").unwrap();
-        assert!(!series.samples.is_empty());
+        svc.run_ticks(3).unwrap();
+        let [row] = svc.rows() else {
+            panic!("one row per qospath: {:?}", svc.rows());
+        };
+        assert_eq!(row.name, "mw");
         // Idle network: usage is tiny (just SNMP chatter).
-        assert!(series.samples.last().unwrap().used_kbytes_per_sec() < 10.0);
+        assert!(row.used_bps < 80_000, "{row:?}");
         assert!(svc.violated_paths().is_empty());
         assert!(svc.traps().is_empty());
     }

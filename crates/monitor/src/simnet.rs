@@ -251,8 +251,6 @@ pub struct SimNetwork {
     monitor_node: NodeId,
     inbox: Rc<RefCell<Vec<(SimTime, UdpDatagram)>>>,
     poll_timeout: SimDuration,
-    /// Polls that timed out (for diagnostics).
-    pub timeouts: u64,
 }
 
 /// What it takes to talk to one node's agent: the link to it, the
@@ -286,7 +284,6 @@ pub struct SimLink<'a> {
     agent_ip: Ipv4Addr,
     timeout: SimDuration,
     telemetry: &'a MonitorTelemetry,
-    timeouts: &'a mut u64,
     /// Why the simulator refused to post a request, when that is what
     /// failed an exchange.
     unposted: Option<SimError>,
@@ -342,7 +339,6 @@ impl Transport for SimLink<'_> {
                 self.lan.step_before(deadline);
             }
         }
-        *self.timeouts += 1;
         self.telemetry.poll_timeouts.inc();
         Err(SnmpError::Timeout)
     }
@@ -464,7 +460,6 @@ impl SimNetwork {
             monitor_node,
             inbox,
             poll_timeout: options.poll_timeout,
-            timeouts: 0,
         })
     }
 
@@ -510,7 +505,6 @@ impl SimNetwork {
             agent_ip: *ip,
             timeout: self.poll_timeout,
             telemetry,
-            timeouts: &mut self.timeouts,
             unposted: None,
         };
         Ok(Agent {
@@ -532,29 +526,10 @@ impl SimNetwork {
 
     /// Polls one device through the simulated network, advancing simulated
     /// time until its response arrives (or the poll timeout elapses).
+    /// [`Network::poll_device`] without the trait in scope: the `qosbench`
+    /// `lan-wide` workload polls the simulator through it.
     pub fn poll_device(&mut self, node: NodeId) -> Result<DeviceSnapshot, MonitorError> {
         Network::poll_device(self, node)
-    }
-
-    /// Polls every SNMP-capable device once, in node order, feeding the
-    /// snapshots into `monitor`. Returns the number of successful polls.
-    pub fn poll_round(
-        &mut self,
-        monitor: &mut crate::monitor::NetworkMonitor,
-    ) -> Result<usize, MonitorError> {
-        let pollable = std::mem::take(&mut self.agents.pollable);
-        let polled = self.poll_nodes(&pollable, monitor);
-        self.agents.pollable = pollable;
-        polled
-    }
-
-    /// [`Network::poll_nodes`] through the simulated network.
-    pub fn poll_nodes(
-        &mut self,
-        nodes: &[NodeId],
-        monitor: &mut crate::monitor::NetworkMonitor,
-    ) -> Result<usize, MonitorError> {
-        Network::poll_nodes(self, nodes, monitor)
     }
 
     /// Advances simulated time to `t` (background traffic keeps flowing).
@@ -985,8 +960,9 @@ mod tests {
             SimNetwork::from_model_with(model, SimNetworkOptions::default(), install).unwrap();
         // Traffic first: counters move and the switch learns addresses.
         let mut monitor = NetworkMonitor::new(net.model().topology.clone());
+        let every = net.pollable_nodes();
         for _ in 0..3 {
-            net.poll_round(&mut monitor).unwrap();
+            net.poll_nodes(&every, &mut monitor).unwrap();
         }
         for ip in [Ipv4Addr::new(10, 0, 0, 11), Ipv4Addr::new(10, 0, 0, 100)] {
             let ping = Bytes::from_static(b"compare");
@@ -1061,14 +1037,15 @@ mod tests {
     }
 
     #[test]
-    fn poll_round_feeds_monitor() {
+    fn polling_every_device_feeds_monitor() {
         let mut net = build();
         let mut monitor = NetworkMonitor::new(net.model().topology.clone());
-        assert_eq!(net.poll_round(&mut monitor).unwrap(), 3);
+        let every = net.pollable_nodes();
+        assert_eq!(net.poll_nodes(&every, &mut monitor).unwrap(), 3);
         // Second round 1 s later produces rates.
         let next = net.lan.now() + SimDuration::from_secs(1);
         net.run_until(next);
-        assert_eq!(net.poll_round(&mut monitor).unwrap(), 3);
+        assert_eq!(net.poll_nodes(&every, &mut monitor).unwrap(), 3);
         let l = net.model().topology.node_by_name("L").unwrap();
         let s1 = net.model().topology.node_by_name("S1").unwrap();
         let bw = monitor.path_bandwidth(l, s1).unwrap();

@@ -11,7 +11,7 @@
 use netqos_monitor::poll::{parse_snapshot, poll_oids};
 use netqos_monitor::service::{MonitoringService, ServiceConfig, SURVEY_TICKS};
 use netqos_monitor::simnet::{SimNetwork, SimNetworkOptions};
-use netqos_monitor::NetworkMonitor;
+use netqos_monitor::{Network, NetworkMonitor};
 use netqos_sim::time::SimDuration;
 use netqos_snmp::mib2::{interfaces, system, IfEntry, SystemInfo};
 use netqos_snmp::{client, ScalarMib, SnmpAgent};

@@ -56,7 +56,7 @@ fn late_duplicate_and_foreign_datagram_are_never_decoded() {
         assert_eq!(codec.decodes.get() - decodes, 2);
         assert_eq!(codec.decode_errors.get(), errors);
     }
-    assert_eq!(net.timeouts, 0);
+    assert_eq!(net.telemetry().poll_timeouts.get(), 0);
 
     // The manager decodes each answer once, however the poll ends: an
     // answer the parse refuses is one decode, a cut one one decode error.

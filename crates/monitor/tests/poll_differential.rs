@@ -13,7 +13,7 @@ mod oracle;
 
 use netqos_monitor::poll::{poll_oids, poll_once, DeviceSnapshot, PollPlan};
 use netqos_monitor::simnet::{SimNetwork, SimNetworkOptions};
-use netqos_monitor::{MonitorError, NetworkMonitor};
+use netqos_monitor::{MonitorError, Network, NetworkMonitor};
 use netqos_sim::time::SimDuration;
 use netqos_snmp::client::{self, Manager};
 use netqos_snmp::message::{SnmpMessage, SnmpVersion};

@@ -11,10 +11,17 @@
 //! network delays"; this crate closes the loop on the network side:
 //!
 //! * [`app`] — real-time applications allocated to hosts;
-//! * [`manager`] — the RM event loop: ingest monitor state, detect path
-//!   QoS violations, **diagnose** the bottleneck connection, and propose a
-//!   **reallocation** (moving an application endpoint to a host whose
-//!   communication path avoids the bottleneck).
+//! * [`manager`] — the RM event loop, fed by the monitoring service (the
+//!   paper's step 6: the monitor "feeds the results to the resource
+//!   manager"): each tick's path QoS violations are taken from
+//!   `MonitoringService::tick`, the RM **diagnoses** the bottleneck
+//!   connection and proposes a **reallocation** (moving an application
+//!   endpoint to a host whose communication path avoids the bottleneck).
+//!
+//! ```text
+//! let events = svc.tick()?;
+//! for event in rm.react(&events, svc.monitor()) { /* advice, no remedy, recovery */ }
+//! ```
 //!
 //! The reallocation heuristic is intentionally simple and fully
 //! deterministic: among candidate hosts it picks the one whose path to the

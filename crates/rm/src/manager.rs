@@ -1,8 +1,8 @@
 //! The resource-manager event loop: violation → diagnosis → advice.
 
-use crate::app::Allocation;
-use netqos_monitor::qos::{QosEvent, QosMonitor, ViolationKind};
-use netqos_monitor::{MonitorError, NetworkMonitor};
+use crate::app::{Allocation, AllocationError};
+use netqos_monitor::qos::{QosEvent, ViolationKind};
+use netqos_monitor::NetworkMonitor;
 use netqos_spec::QosPathSpec;
 use netqos_telemetry::Tracer;
 use netqos_topology::path;
@@ -54,9 +54,10 @@ pub enum RmEvent {
     },
 }
 
-/// The network-aware slice of the DeSiDeRaTa resource manager.
+/// The network-aware slice of the DeSiDeRaTa resource manager. It
+/// evaluates nothing itself: the monitoring service's tick does, and the
+/// manager reacts to the QoS events that tick returns.
 pub struct ResourceManager {
-    qos: QosMonitor,
     specs: HashMap<String, QosPathSpec>,
     /// Which application implements the `from` endpoint of each qospath.
     path_apps: HashMap<String, String>,
@@ -67,19 +68,14 @@ pub struct ResourceManager {
 
 impl ResourceManager {
     /// Creates a manager over qospath requirements.
-    pub fn new(
-        monitor: &NetworkMonitor,
-        specs: &[QosPathSpec],
-        allocation: Allocation,
-    ) -> Result<Self, MonitorError> {
-        Ok(ResourceManager {
-            qos: QosMonitor::new(monitor, specs)?,
+    pub fn new(specs: &[QosPathSpec], allocation: Allocation) -> Self {
+        ResourceManager {
             specs: specs.iter().map(|s| (s.name.clone(), s.clone())).collect(),
             path_apps: HashMap::new(),
             allocation,
             history: Vec::new(),
             tracer: Tracer::disabled(),
-        })
+        }
     }
 
     /// Routes this manager's causal spans into `tracer` (disabled by
@@ -91,17 +87,12 @@ impl ResourceManager {
     /// Builds a manager straight from a validated specification: the
     /// spec's `application` declarations become the initial allocation,
     /// and every `qospath` with an `application` property is bound to it.
-    pub fn from_spec_model(
-        monitor: &NetworkMonitor,
-        model: &netqos_spec::SpecModel,
-    ) -> Result<Self, MonitorError> {
+    pub fn from_spec_model(model: &netqos_spec::SpecModel) -> Result<Self, AllocationError> {
         let mut allocation = Allocation::new();
         for app in &model.applications {
-            allocation
-                .place(&app.name, app.host, app.movable)
-                .map_err(|e| MonitorError::Topology(e.to_string()))?;
+            allocation.place(&app.name, app.host, app.movable)?;
         }
-        let mut rm = Self::new(monitor, &model.qos_paths, allocation)?;
+        let mut rm = Self::new(&model.qos_paths, allocation);
         for q in &model.qos_paths {
             if let Some(app) = &q.application {
                 rm.bind_app(&q.name, app);
@@ -126,31 +117,45 @@ impl ResourceManager {
         &self.history
     }
 
-    /// Runs one RM evaluation cycle against current monitor state.
-    pub fn evaluate(&mut self, monitor: &NetworkMonitor) -> Vec<RmEvent> {
+    /// Reacts to one monitoring tick: `events` are the QoS events it
+    /// returned and `monitor` the state it left, as in
+    /// `let ev = svc.tick()?; rm.react(&ev, svc.monitor())`. A violation
+    /// is diagnosed into advice or no remedy, a clearance is a recovery;
+    /// events of qospaths this manager was not given are passed over.
+    ///
+    /// The candidate search reads the rates of paths no qospath names.
+    /// The service polls a device outside its demand set only once every
+    /// `SURVEY_TICKS` ticks, so such a candidate may have no rate yet; it
+    /// is skipped, like any candidate whose bandwidth cannot be computed.
+    pub fn react(&mut self, events: &[QosEvent], monitor: &NetworkMonitor) -> Vec<RmEvent> {
         let mut span = self.tracer.span("rm.manager", "decision");
         let mut out = Vec::new();
-        for event in self.qos.evaluate(monitor) {
+        for event in events {
             match event {
                 QosEvent::Violated {
                     path_name,
                     kind,
                     bottleneck,
-                } => {
+                } if self.specs.contains_key(path_name) => {
                     out.push(RmEvent::ViolationDetected {
                         path_name: path_name.clone(),
-                        kind,
-                        bottleneck,
-                        bottleneck_desc: monitor.topology().describe_connection(bottleneck),
+                        kind: kind.clone(),
+                        bottleneck: *bottleneck,
+                        bottleneck_desc: monitor.topology().describe_connection(*bottleneck),
                     });
-                    match self.diagnose(monitor, &path_name, bottleneck) {
-                        Some(advice) => out.push(RmEvent::Advice(advice)),
-                        None => out.push(RmEvent::NoRemedy { path_name }),
-                    }
+                    out.push(match self.diagnose(monitor, path_name, *bottleneck) {
+                        Some(advice) => RmEvent::Advice(advice),
+                        None => RmEvent::NoRemedy {
+                            path_name: path_name.clone(),
+                        },
+                    });
                 }
-                QosEvent::Cleared { path_name } => {
-                    out.push(RmEvent::Recovered { path_name });
+                QosEvent::Cleared { path_name } if self.specs.contains_key(path_name) => {
+                    out.push(RmEvent::Recovered {
+                        path_name: path_name.clone(),
+                    });
                 }
+                _ => {}
             }
         }
         self.history.extend(out.iter().cloned());
@@ -217,10 +222,7 @@ impl ResourceManager {
     }
 
     /// Applies a previously issued advice to the allocation.
-    pub fn apply(
-        &mut self,
-        advice: &ReallocationAdvice,
-    ) -> Result<(), crate::app::AllocationError> {
+    pub fn apply(&mut self, advice: &ReallocationAdvice) -> Result<(), AllocationError> {
         self.allocation.migrate(&advice.app, advice.to)
     }
 }
@@ -229,18 +231,12 @@ impl ResourceManager {
 mod tests {
     use super::*;
     use netqos_monitor::poll::{DeviceSnapshot, IfSample};
+    use netqos_monitor::QosMonitor;
     use netqos_topology::{IfIx, NetworkTopology, NodeKind};
 
-    /// Topology: A and C on a fast switch; B behind a hub shared with A's
-    /// path; requirement on A<->B. Overloading the hub violates; moving
-    /// the app from A to... wait — the app endpoint is A and the peer B is
-    /// behind the hub, so every path to B crosses the hub. Instead the
-    /// test uses B's side: peer A, app on B, candidate host C avoids
-    /// nothing... so build a topology where the bottleneck is avoidable:
-    /// A -- sw1 -- B and C -- sw2 -- B (B dual-homed switches? hosts have
-    /// one NIC). Simplest: two switches bridged; A on sw1, C on sw2, peer
-    /// P on sw2. Path A->P crosses the sw1-sw2 trunk (bottleneck);
-    /// candidate C reaches P within sw2 and avoids the trunk.
+    /// Two switches joined by a trunk: A on sw1, C and the peer P on
+    /// sw2. The path A -> P crosses the trunk, the bottleneck once it is
+    /// loaded; a candidate host C reaches P within sw2 and avoids it.
     fn build() -> (NetworkTopology, NodeId, NodeId, NodeId, ConnId) {
         let mut t = NetworkTopology::new();
         let sw1 = t.add_node("sw1", NodeKind::Switch).unwrap();
@@ -318,7 +314,8 @@ mod tests {
         }];
         let mut alloc = Allocation::new();
         alloc.place("tracker", a, true).unwrap();
-        let mut rm = ResourceManager::new(&monitor, &specs, alloc).unwrap();
+        let mut qos = QosMonitor::new(&monitor, &specs).unwrap();
+        let mut rm = ResourceManager::new(&specs, alloc);
         rm.bind_app("ap", "tracker");
 
         // Baselines.
@@ -334,7 +331,7 @@ mod tests {
         feed_switch(&mut monitor, sw1, 100, 7_500_000);
         feed_switch(&mut monitor, sw2, 100, 7_500_000);
 
-        let events = rm.evaluate(&monitor);
+        let events = rm.react(&qos.evaluate(&monitor), &monitor);
         assert!(
             matches!(&events[0], RmEvent::ViolationDetected { bottleneck, .. } if *bottleneck == trunk),
             "{events:?}"
@@ -364,7 +361,8 @@ mod tests {
         "#;
         let model = netqos_spec::parse_and_validate(src).unwrap();
         let mut monitor = NetworkMonitor::new(model.topology.clone());
-        let mut rm = ResourceManager::from_spec_model(&monitor, &model).unwrap();
+        let mut qos = QosMonitor::new(&monitor, &model.qos_paths).unwrap();
+        let mut rm = ResourceManager::from_spec_model(&model).unwrap();
         assert_eq!(rm.allocation().len(), 2);
         let a = model.topology.node_by_name("A").unwrap();
         assert_eq!(rm.allocation().host_of("radar").unwrap(), a);
@@ -377,7 +375,7 @@ mod tests {
         feed(&mut monitor, b, "e", 0, 0);
         feed(&mut monitor, a, "e", 100, 0);
         feed(&mut monitor, b, "e", 100, 500_000); // 4 Mb/s used
-        let events = rm.evaluate(&monitor);
+        let events = rm.react(&qos.evaluate(&monitor), &monitor);
         assert!(matches!(events[0], RmEvent::ViolationDetected { .. }));
         assert!(matches!(events[1], RmEvent::NoRemedy { .. }));
     }
@@ -402,14 +400,15 @@ mod tests {
         }];
         let mut alloc = Allocation::new();
         alloc.place("x", a, true).unwrap();
-        let mut rm = ResourceManager::new(&monitor, &specs, alloc).unwrap();
+        let mut qos = QosMonitor::new(&monitor, &specs).unwrap();
+        let mut rm = ResourceManager::new(&specs, alloc);
         rm.bind_app("ab", "x");
 
         feed(&mut monitor, a, "eth0", 0, 0);
         feed(&mut monitor, b, "eth0", 0, 0);
         feed(&mut monitor, a, "eth0", 100, 0);
         feed(&mut monitor, b, "eth0", 100, 500_000); // 4 Mb/s used
-        let events = rm.evaluate(&monitor);
+        let events = rm.react(&qos.evaluate(&monitor), &monitor);
         assert!(matches!(events[0], RmEvent::ViolationDetected { .. }));
         assert!(matches!(events[1], RmEvent::NoRemedy { .. }));
     }
@@ -429,7 +428,8 @@ mod tests {
             max_utilization: None,
             application: None,
         }];
-        let mut rm = ResourceManager::new(&monitor, &specs, Allocation::new()).unwrap();
+        let mut qos = QosMonitor::new(&monitor, &specs).unwrap();
+        let mut rm = ResourceManager::new(&specs, Allocation::new());
 
         for (n, d) in [(a, "eth0"), (c, "eth0"), (p, "eth0")] {
             feed(&mut monitor, n, d, 0, 0);
@@ -441,7 +441,7 @@ mod tests {
         }
         feed_switch(&mut monitor, sw1, 100, 7_500_000);
         feed_switch(&mut monitor, sw2, 100, 7_500_000);
-        let events = rm.evaluate(&monitor);
+        let events = rm.react(&qos.evaluate(&monitor), &monitor);
         // No app bound: violation + no remedy.
         assert_eq!(events.len(), 2);
 
@@ -451,7 +451,7 @@ mod tests {
         }
         feed_switch(&mut monitor, sw1, 200, 7_500_000);
         feed_switch(&mut monitor, sw2, 200, 7_500_000);
-        let events = rm.evaluate(&monitor);
+        let events = rm.react(&qos.evaluate(&monitor), &monitor);
         assert_eq!(
             events,
             vec![RmEvent::Recovered {
@@ -459,5 +459,17 @@ mod tests {
             }]
         );
         assert_eq!(rm.history().len(), 3);
+    }
+
+    #[test]
+    fn events_of_paths_it_was_not_given_are_passed_over() {
+        let (t, ..) = build();
+        let monitor = NetworkMonitor::new(t);
+        let mut rm = ResourceManager::new(&[], Allocation::new());
+        let cleared = QosEvent::Cleared {
+            path_name: "elsewhere".into(),
+        };
+        assert!(rm.react(&[cleared], &monitor).is_empty());
+        assert!(rm.history().is_empty());
     }
 }

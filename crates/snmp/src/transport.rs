@@ -12,7 +12,7 @@
 use crate::agent::SnmpAgent;
 use crate::client::peek_request_id;
 use crate::error::SnmpError;
-use crate::mib::{MibView, ScalarMib};
+use crate::mib::ScalarMib;
 use std::net::{SocketAddr, ToSocketAddrs, UdpSocket};
 use std::time::{Duration, Instant};
 
@@ -239,35 +239,6 @@ impl UdpAgentServer {
     }
 }
 
-/// Convenience: a transport whose view of the MIB is refreshed by the
-/// caller; used by deployments embedding both manager and agent.
-pub struct SharedMibTransport {
-    agent: SnmpAgent,
-    mib: std::sync::Arc<std::sync::Mutex<ScalarMib>>,
-}
-
-impl SharedMibTransport {
-    /// Creates a transport over a shared MIB.
-    pub fn new(community: &str, mib: std::sync::Arc<std::sync::Mutex<ScalarMib>>) -> Self {
-        SharedMibTransport {
-            agent: SnmpAgent::new(community),
-            mib,
-        }
-    }
-}
-
-impl Transport for SharedMibTransport {
-    fn exchange(&mut self, request: &[u8]) -> Result<Vec<u8>, SnmpError> {
-        let mib = self
-            .mib
-            .lock()
-            .map_err(|_| SnmpError::Transport("poisoned MIB lock".into()))?;
-        self.agent
-            .handle(request, &*mib as &dyn MibView)
-            .ok_or(SnmpError::Timeout)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -358,28 +329,6 @@ mod tests {
             .get_one(&mib2::system::sys_uptime_instance())
             .is_err());
         server.stop();
-    }
-
-    #[test]
-    fn shared_mib_transport_sees_updates() {
-        let shared = std::sync::Arc::new(std::sync::Mutex::new(mib_with_uptime(1)));
-        let t = SharedMibTransport::new("public", shared.clone());
-        let mut client = SnmpClient::new(t, "public");
-        assert_eq!(
-            client
-                .session()
-                .get_one(&mib2::system::sys_uptime_instance())
-                .unwrap(),
-            crate::value::SnmpValue::TimeTicks(1)
-        );
-        *shared.lock().unwrap() = mib_with_uptime(2);
-        assert_eq!(
-            client
-                .session()
-                .get_one(&mib2::system::sys_uptime_instance())
-                .unwrap(),
-            crate::value::SnmpValue::TimeTicks(2)
-        );
     }
 
     #[test]

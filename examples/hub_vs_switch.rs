@@ -20,9 +20,8 @@
 //! ```
 
 use netqos::loadgen::{LoadProfile, ProfiledSource};
-use netqos::monitor::simnet::{SimNetwork, SimNetworkOptions};
-use netqos::monitor::NetworkMonitor;
-use netqos::sim::time::SimDuration;
+use netqos::monitor::simnet::SimNetworkOptions;
+use netqos::monitor::{MonitoringService, ServiceConfig};
 
 const RATE: u64 = 200_000; // 200 KB/s per flow
 
@@ -42,6 +41,7 @@ fn spec(core: &str) -> String {
         connection sw1.p3 <-> core.p1;
         connection Y.eth0 <-> core.p2;
         connection Z.eth0 <-> core.p3;
+        qospath ay from A to Y {{ min_available 100KBps; }}
         "#
     )
 }
@@ -50,12 +50,12 @@ fn spec(core: &str) -> String {
 /// of the path A<->Y.
 fn measure(core: &str) -> f64 {
     let model = netqos::spec::parse_and_validate(&spec(core)).expect("valid spec");
-    let topology = model.topology.clone();
     let options = SimNetworkOptions {
         monitor_host: "A".into(),
         ..SimNetworkOptions::default()
     };
-    let mut net = SimNetwork::from_model_with(model, options, |builder, map, m| {
+    let config = ServiceConfig::default();
+    let mut svc = MonitoringService::from_model_with(model, options, config, |builder, map, m| {
         for (src, dst) in [("A", "Y"), ("B", "Z")] {
             let s = m.topology.node_by_name(src).unwrap();
             let d = m.topology.node_by_name(dst).unwrap();
@@ -69,18 +69,13 @@ fn measure(core: &str) -> f64 {
                 .unwrap();
         }
     })
-    .expect("network builds");
+    .expect("service builds");
 
-    let mut monitor = NetworkMonitor::new(topology);
-    let a = monitor.topology().node_by_name("A").unwrap();
-    let y = monitor.topology().node_by_name("Y").unwrap();
     let mut last = 0.0;
     for _ in 0..8 {
-        let next = net.lan.now() + SimDuration::from_secs(1);
-        net.run_until(next);
-        net.poll_round(&mut monitor).unwrap();
-        if let Ok(bw) = monitor.path_bandwidth(a, y) {
-            last = bw.used_bps as f64 / 8000.0;
+        svc.tick().expect("tick");
+        if let Some(row) = svc.rows().iter().find(|row| row.name == "ay") {
+            last = row.used_bps as f64 / 8000.0;
         }
     }
     last

@@ -7,8 +7,9 @@
 //! ```
 
 use netqos::loadgen::LoadProfile;
+use netqos::monitor::{NetworkMonitor, ServiceConfig};
 use netqos::sim::time::SimDuration;
-use netqos_bench::testbed::{build_testbed, Load, TestbedOptions, LIRTSS_SPEC};
+use netqos_bench::testbed::{build_service, Load, TestbedOptions, LIRTSS_SPEC};
 
 fn main() {
     let model = netqos::spec::parse_and_validate(LIRTSS_SPEC).expect("spec parses");
@@ -30,29 +31,26 @@ fn main() {
     }
 
     println!("\n== Monitored communication paths (recursive traversal) ==");
-    let tb0 = build_testbed(&[], &TestbedOptions::default());
-    for q in &tb0.net.model().qos_paths {
-        let p = tb0.monitor.path(q.from, q.to).expect("path exists");
-        println!("  {:<6} {}", q.name, p.describe(tb0.monitor.topology()));
+    let monitor = NetworkMonitor::new(model.topology.clone());
+    for q in &model.qos_paths {
+        let p = monitor.path(q.from, q.to).expect("path exists");
+        println!("  {:<6} {}", q.name, p.describe(monitor.topology()));
     }
 
     // A short monitored run: 300 KB/s from L to N1 for 6 seconds.
     println!("\n== 10-second monitored run (300 KB/s L->N1 during t=2..8) ==");
     let loads = vec![Load::new("L", "N1", LoadProfile::pulse(2, 8, 300_000))];
-    let mut tb = build_testbed(&loads, &TestbedOptions::default());
-    let s1 = tb.monitor.topology().node_by_name("S1").unwrap();
-    let n1 = tb.monitor.topology().node_by_name("N1").unwrap();
+    let options = TestbedOptions::default();
+    let mut svc = build_service(&loads, &options, ServiceConfig::default()).expect("testbed");
     println!("  t(s)  S1<->N1 used (KB/s)   available (KB/s)");
     for _ in 0..10 {
-        let next = tb.net.lan.now() + SimDuration::from_secs(1);
-        tb.net.run_until(next);
-        tb.net.poll_round(&mut tb.monitor).unwrap();
-        if let Ok(bw) = tb.monitor.path_bandwidth(s1, n1) {
+        svc.tick().expect("tick");
+        let t = svc.net_mut().lan.now().as_secs_f64();
+        if let Some(row) = svc.rows().iter().find(|row| row.name == "s1n1") {
             println!(
-                "  {:>4.0}  {:>19.1}  {:>16.1}",
-                tb.net.lan.now().as_secs_f64(),
-                bw.used_bps as f64 / 8000.0,
-                bw.available_bps as f64 / 8000.0
+                "  {t:>4.0}  {:>19.1}  {:>16.1}",
+                row.used_bps as f64 / 8000.0,
+                row.available_bps as f64 / 8000.0
             );
         }
     }
@@ -60,9 +58,9 @@ fn main() {
     // Latency extension: probe RTTs from the monitor host.
     println!("\n== Path RTTs from L (echo probes) ==");
     for name in ["S1", "N1"] {
-        let node = tb.monitor.topology().node_by_name(name).unwrap();
-        let stats = tb
-            .net
+        let node = svc.monitor().topology().node_by_name(name).unwrap();
+        let stats = svc
+            .net_mut()
             .measure_rtt(node, 5, 64, SimDuration::from_millis(100))
             .expect("probe succeeds");
         println!(

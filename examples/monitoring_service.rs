@@ -1,12 +1,12 @@
 //! The one-struct deployment: [`MonitoringService`] assembles the whole
 //! monitoring program — simulated network, SNMP polling, path bandwidth,
-//! QoS evaluation, trap emission, and time-series recording — from a
-//! specification file, and runs it tick by tick.
+//! QoS evaluation and trap emission — from a specification file, and runs
+//! it tick by tick.
 //!
 //! This example drives the two-switch scenario through a trunk-congestion
 //! episode and prints the service's view: per-tick QoS events, the traps
-//! it would send to a management station, and the CSV series recorded
-//! from each tick's rows.
+//! it would send to a management station, and a CSV line per tick written
+//! from its rows, as `netqos monitor` writes its CSV.
 //!
 //! ```text
 //! cargo run --example monitoring_service
@@ -14,7 +14,6 @@
 
 use netqos::loadgen::{LoadProfile, ProfiledSource};
 use netqos::monitor::qos::{self, QosEvent};
-use netqos::monitor::report::SeriesRecorder;
 use netqos::monitor::service::{MonitoringService, ServiceConfig};
 use netqos::monitor::simnet::SimNetworkOptions;
 use netqos::sim::time::SimDuration;
@@ -32,8 +31,12 @@ fn main() {
         ..ServiceConfig::default()
     };
     let model = netqos::spec::parse_and_validate(SPEC).expect("spec parses");
-    let names: Vec<&str> = model.qos_paths.iter().map(|q| q.name.as_str()).collect();
-    let mut recorder = SeriesRecorder::new(&names);
+    let names: Vec<String> = model.qos_paths.iter().map(|q| q.name.clone()).collect();
+    let mut csv = String::from("t_s");
+    for name in &names {
+        csv.push_str(&format!(",{name}_used_kBps"));
+    }
+    csv.push('\n');
     // Sustained trunk congestion: sensor2 streams 11 MB/s to display
     // during t = 3..8 s, pushing the 100 Mb/s trunk near saturation.
     let mut service =
@@ -64,9 +67,16 @@ fn main() {
             .now()
             .duration_since(start)
             .as_secs_f64();
-        for row in service.rows() {
-            recorder.push(&row.name, row.sample(t_s));
+        // One field per qospath, blank where the tick has no row for it.
+        csv.push_str(&format!("{t_s:.2}"));
+        let mut rows = service.rows().iter().peekable();
+        for name in &names {
+            match rows.next_if(|row| row.name == *name) {
+                Some(row) => csv.push_str(&format!(",{:.3}", row.used_bps as f64 / 8000.0)),
+                None => csv.push(','),
+            }
         }
+        csv.push('\n');
         for e in &events {
             match e {
                 QosEvent::Violated { path_name, .. } => {
@@ -94,5 +104,5 @@ fn main() {
     }
 
     println!("\nrecorded series (CSV):");
-    print!("{}", recorder.to_csv());
+    print!("{csv}");
 }

@@ -1,39 +1,40 @@
 //! QoS violation detection and reallocation advice: the full RM loop.
 //!
-//! Overloads the 10 Mb/s hub segment of the LIRTSS testbed, watches the
-//! resource manager detect the `s1n1` qospath violation, diagnose the
-//! bottleneck connection, and — because every path to N1 crosses the hub —
-//! report that no reallocation can remedy it. Then it moves the *sink*
-//! scenario to a switch-side pair where a remedy exists.
+//! Overloads the 10 Mb/s hub segment of the LIRTSS testbed. Each tick of
+//! the monitoring service feeds its QoS events to the resource manager,
+//! which reports the `s1n1` qospath violation, diagnoses the bottleneck
+//! connection, and — because every path to N1 crosses the hub — reports
+//! that no reallocation can remedy it, until the load ends and the path
+//! recovers.
 //!
 //! ```text
 //! cargo run --example qos_violation
 //! ```
 
 use netqos::loadgen::LoadProfile;
+use netqos::monitor::ServiceConfig;
 use netqos::rm::{ResourceManager, RmEvent};
-use netqos::sim::time::SimDuration;
-use netqos_bench::testbed::{build_testbed, Load, TestbedOptions};
+use netqos_bench::testbed::{build_service, Load, TestbedOptions};
 
 fn main() {
     // Saturating load into the hub: ~9.9 Mb/s on a 10 Mb/s medium.
     let loads = vec![Load::new("L", "N1", LoadProfile::pulse(2, 25, 1_200_000))];
-    let mut tb = build_testbed(&loads, &TestbedOptions::default());
+    let options = TestbedOptions::default();
+    let mut svc = build_service(&loads, &options, ServiceConfig::default()).expect("testbed");
 
     // The LIRTSS spec declares the applications and binds `tracker` to
     // the s1n1 qospath — the RM assembles itself from the specification.
-    let mut rm = ResourceManager::from_spec_model(&tb.monitor, tb.net.model()).unwrap();
+    let mut rm =
+        ResourceManager::from_spec_model(svc.net_mut().model()).expect("spec places each app once");
     assert_eq!(rm.allocation().len(), 3); // tracker, display, archiver
 
     println!("requirement: path s1n1 (S1 <-> N1) needs 100 KB/s available");
     println!("injected:    1.2 MB/s of L->N1 traffic through the 10 Mb/s hub\n");
 
     for _ in 0..30 {
-        let next = tb.net.lan.now() + SimDuration::from_secs(1);
-        tb.net.run_until(next);
-        tb.net.poll_round(&mut tb.monitor).unwrap();
-        for event in rm.evaluate(&tb.monitor) {
-            let t = tb.net.lan.now().as_secs_f64();
+        let events = svc.tick().expect("tick");
+        let t = svc.net_mut().lan.now().as_secs_f64();
+        for event in rm.react(&events, svc.monitor()) {
             match event {
                 RmEvent::ViolationDetected {
                     path_name,

@@ -1,18 +1,18 @@
 //! Quickstart: specify a tiny network, run traffic through the simulator,
-//! poll it over SNMP, and read the path bandwidth — the whole pipeline in
-//! ~60 lines.
+//! and let the monitoring service poll it over SNMP and report the path
+//! bandwidth — the whole pipeline in ~60 lines.
 //!
 //! ```text
 //! cargo run --example quickstart
 //! ```
 
 use netqos::loadgen::{LoadProfile, ProfiledSource};
-use netqos::monitor::simnet::{SimNetwork, SimNetworkOptions};
-use netqos::monitor::NetworkMonitor;
-use netqos::sim::time::SimDuration;
+use netqos::monitor::simnet::SimNetworkOptions;
+use netqos::monitor::{MonitoringService, ServiceConfig};
 
 fn main() {
-    // 1. Describe the system in the DeSiDeRaTa specification language.
+    // 1. Describe the system in the DeSiDeRaTa specification language,
+    //    with the communication path to watch.
     let spec = r#"
         host alpha { address 10.0.0.1; snmp community "public";
                      interface eth0 { speed 100Mbps; } }
@@ -21,9 +21,9 @@ fn main() {
         device sw switch { speed 100Mbps; interface p1; interface p2; }
         connection alpha.eth0 <-> sw.p1;
         connection sw.p2 <-> beta.eth0;
+        qospath ab from alpha to beta { min_available 1MBps; }
     "#;
     let model = netqos::spec::parse_and_validate(spec).expect("valid spec");
-    let topology = model.topology.clone();
 
     // 2. Materialize it in the simulator, with a 2 MB/s load from alpha
     //    to beta's DISCARD port (the paper's load-generator setup).
@@ -31,7 +31,8 @@ fn main() {
         monitor_host: "alpha".into(),
         ..SimNetworkOptions::default()
     };
-    let mut net = SimNetwork::from_model_with(model, options, |builder, map, m| {
+    let config = ServiceConfig::default();
+    let mut svc = MonitoringService::from_model_with(model, options, config, |builder, map, m| {
         let alpha = m.topology.node_by_name("alpha").unwrap();
         let beta = m.topology.node_by_name("beta").unwrap();
         let beta_ip = m.addresses[&beta].parse().unwrap();
@@ -46,25 +47,19 @@ fn main() {
             )
             .unwrap();
     })
-    .expect("network builds");
+    .expect("service builds");
 
-    // 3. Poll every second and print what the monitor sees.
-    let mut monitor = NetworkMonitor::new(topology);
-    let alpha = monitor.topology().node_by_name("alpha").unwrap();
-    let beta = monitor.topology().node_by_name("beta").unwrap();
-
+    // 3. Tick once a (simulated) second and print what the monitor sees.
     println!("t(s)  used(KB/s)  available(KB/s)  bottleneck");
     for _ in 0..10 {
-        let next = net.lan.now() + SimDuration::from_secs(1);
-        net.run_until(next);
-        net.poll_round(&mut monitor).expect("poll succeeds");
-        if let Ok(bw) = monitor.path_bandwidth(alpha, beta) {
+        svc.tick().expect("tick");
+        let t = svc.net_mut().lan.now().as_secs_f64();
+        for row in svc.rows() {
             println!(
-                "{:>4.0}  {:>10.1}  {:>15.1}  {}",
-                net.lan.now().as_secs_f64(),
-                bw.used_bps as f64 / 8000.0,
-                bw.available_bps as f64 / 8000.0,
-                monitor.topology().describe_connection(bw.bottleneck),
+                "{t:>4.0}  {:>10.1}  {:>15.1}  {}",
+                row.used_bps as f64 / 8000.0,
+                row.available_bps as f64 / 8000.0,
+                row.bottleneck,
             );
         }
     }

@@ -15,7 +15,7 @@ use netqos::monitor::live::{self, RouterOptions};
 use netqos::monitor::qos::QosEvent;
 use netqos::monitor::service::{MonitoringService, ServiceConfig};
 use netqos::monitor::simnet::{SimNetwork, SimNetworkOptions};
-use netqos::monitor::NetworkMonitor;
+use netqos::monitor::{Network, NetworkMonitor};
 use netqos::sim::time::SimDuration;
 use netqos::spec;
 use netqos_telemetry::{EventSink, Level, OtlpPusher, PushConfig, PushTarget};
@@ -669,7 +669,8 @@ fn cmd_audit(args: &Args) -> Result<(), String> {
 
     // Make every agent transmit once so switches learn their MACs.
     let mut monitor = NetworkMonitor::new(topology);
-    let _ = net.poll_round(&mut monitor);
+    let every = net.pollable_nodes();
+    let _ = net.poll_nodes(&every, &mut monitor);
 
     let findings = discovery::audit(&mut net).map_err(|e| e.to_string())?;
     if findings.is_empty() {

@@ -1,41 +1,44 @@
 //! Cross-crate integration: specification file → simulated LAN → SNMP
-//! polling → monitor → resource manager, end to end.
+//! polling → monitoring service → resource manager, end to end.
 
 use netqos::loadgen::LoadProfile;
-use netqos::monitor::simnet::{SimNetwork, SimNetworkOptions};
-use netqos::monitor::NetworkMonitor;
+use netqos::monitor::simnet::SimNetworkOptions;
+use netqos::monitor::{MonitoringService, Network, NetworkMonitor, ServiceConfig};
 use netqos::rm::{Allocation, ResourceManager, RmEvent};
 use netqos::sim::time::SimDuration;
-use netqos_bench::testbed::{build_testbed, Load, TestbedOptions};
+use netqos_bench::testbed::{build_service, Load, TestbedOptions};
+
+/// The LIRTSS testbed's service with `loads` installed.
+fn testbed(loads: &[Load]) -> MonitoringService {
+    build_service(loads, &TestbedOptions::default(), ServiceConfig::default()).unwrap()
+}
+
+/// The used bandwidth of the row of qospath `name` this tick, in KB/s.
+fn used_kbps(svc: &MonitoringService, name: &str) -> Option<f64> {
+    let row = svc.rows().iter().find(|row| row.name == name)?;
+    Some(row.used_bps as f64 / 8000.0)
+}
 
 #[test]
 fn spec_to_monitor_round_trip() {
-    // Parse the real LIRTSS spec, build the network, poll everything,
-    // and verify the monitor can evaluate every qospath.
+    // Parse the real LIRTSS spec, build the network, run the service,
+    // and verify its tick evaluates every qospath.
     let loads = vec![Load::new("L", "N1", LoadProfile::pulse(1, 6, 150_000))];
-    let mut tb = build_testbed(&loads, &TestbedOptions::default());
-    let qos_paths = tb.net.model().qos_paths.clone();
+    let mut svc = testbed(&loads);
+    let qos_paths = svc.net_mut().model().qos_paths.clone();
 
-    // Two poll rounds one second apart -> rates exist.
-    tb.net.poll_round(&mut tb.monitor).unwrap();
-    for _ in 0..5 {
-        let next = tb.net.lan.now() + SimDuration::from_secs(1);
-        tb.net.run_until(next);
-        tb.net.poll_round(&mut tb.monitor).unwrap();
-    }
+    // Rates exist from the second tick on; five end inside the pulse.
+    svc.run_ticks(5).unwrap();
 
-    for q in &qos_paths {
-        let bw = tb.monitor.path_bandwidth(q.from, q.to).unwrap();
-        assert!(bw.available_bps > 0, "path {} has no bandwidth", q.name);
-        assert!(!bw.connections.is_empty());
+    assert_eq!(svc.rows().len(), qos_paths.len());
+    for (q, row) in qos_paths.iter().zip(svc.rows()) {
+        assert_eq!(row.name, q.name);
+        assert!(row.available_bps > 0, "path {} has no bandwidth", q.name);
+        assert!(row.bottleneck_bandwidth.is_some());
     }
 
     // The loaded path S1<->N1 must show ~150 KB/s at the hub bottleneck.
-    let topo = tb.monitor.topology();
-    let s1 = topo.node_by_name("S1").unwrap();
-    let n1 = topo.node_by_name("N1").unwrap();
-    let bw = tb.monitor.path_bandwidth(s1, n1).unwrap();
-    let used_kbps = bw.used_bps as f64 / 8000.0;
+    let used_kbps = used_kbps(&svc, "s1n1").unwrap();
     assert!(
         used_kbps > 120.0 && used_kbps < 180.0,
         "expected ~150 KB/s, measured {used_kbps}"
@@ -44,11 +47,13 @@ fn spec_to_monitor_round_trip() {
 
 #[test]
 fn monitor_reports_feed_resource_manager() {
-    // Saturate the 10 Mb/s hub segment; the RM must detect the qospath
-    // violation and diagnose a hub connection as the bottleneck.
+    // Saturate the 10 Mb/s hub segment; fed each tick's QoS events, the
+    // RM must detect the qospath violation, diagnose a hub connection as
+    // the bottleneck, find no remedy, and see the path recover once the
+    // load ends.
     let loads = vec![Load::new("L", "N1", LoadProfile::pulse(1, 20, 1_200_000))];
-    let mut tb = build_testbed(&loads, &TestbedOptions::default());
-    let model_paths = tb.net.model().qos_paths.clone();
+    let mut svc = testbed(&loads);
+    let model_paths = svc.net_mut().model().qos_paths.clone();
     // s1n1 requires min_available 100KBps = 800_000 bps; 1.2 MB/s of load
     // (~9.9 Mb/s on the wire) essentially saturates the 10 Mb/s hub:
     // violation.
@@ -60,17 +65,15 @@ fn monitor_reports_feed_resource_manager() {
     assert_eq!(spec.len(), 1);
 
     let mut alloc = Allocation::new();
-    let s1 = tb.monitor.topology().node_by_name("S1").unwrap();
+    let s1 = svc.monitor().topology().node_by_name("S1").unwrap();
     alloc.place("tracker", s1, true).unwrap();
-    let mut rm = ResourceManager::new(&tb.monitor, &spec, alloc).unwrap();
+    let mut rm = ResourceManager::new(&spec, alloc);
     rm.bind_app("s1n1", "tracker");
 
     let mut violated = false;
     for _ in 0..8 {
-        let next = tb.net.lan.now() + SimDuration::from_secs(1);
-        tb.net.run_until(next);
-        tb.net.poll_round(&mut tb.monitor).unwrap();
-        for event in rm.evaluate(&tb.monitor) {
+        let events = svc.tick().unwrap();
+        for event in rm.react(&events, svc.monitor()) {
             if let RmEvent::ViolationDetected {
                 path_name,
                 bottleneck_desc,
@@ -91,20 +94,37 @@ fn monitor_reports_feed_resource_manager() {
         "RM never saw the violation; history: {:?}",
         rm.history()
     );
+    // Every path to N1 crosses the hub: nowhere to move `tracker`.
+    let no_remedy = RmEvent::NoRemedy {
+        path_name: "s1n1".into(),
+    };
+    assert_eq!(rm.history()[1], no_remedy, "{:?}", rm.history());
+
+    // The pulse ends at t = 20 s; the path recovers within a few ticks.
+    let recovered = RmEvent::Recovered {
+        path_name: "s1n1".into(),
+    };
+    for _ in 0..20 {
+        let events = svc.tick().unwrap();
+        if rm.react(&events, svc.monitor()).contains(&recovered) {
+            break;
+        }
+    }
+    assert_eq!(rm.history().last(), Some(&recovered), "{:?}", rm.history());
+    assert!(svc.net_mut().lan.now().as_secs_f64() > 20.0);
 }
 
 #[test]
 fn latency_probe_scales_with_path_length() {
-    let mut tb = build_testbed(&[], &TestbedOptions::default());
-    let topo = tb.monitor.topology();
+    let mut svc = testbed(&[]);
+    let topo = svc.monitor().topology();
     let s1 = topo.node_by_name("S1").unwrap();
     let n1 = topo.node_by_name("N1").unwrap();
-    let fast = tb
-        .net
+    let net = svc.net_mut();
+    let fast = net
         .measure_rtt(s1, 5, 64, SimDuration::from_millis(100))
         .unwrap();
-    let slow = tb
-        .net
+    let slow = net
         .measure_rtt(n1, 5, 64, SimDuration::from_millis(100))
         .unwrap();
     assert_eq!(fast.lost, 0);
@@ -122,12 +142,15 @@ fn latency_probe_scales_with_path_length() {
 fn topology_verification_audit_on_lirtss() {
     use netqos::monitor::discovery::{self, Verdict};
 
-    let mut tb = build_testbed(&[], &TestbedOptions::default());
-    // One poll round makes every agent transmit, teaching the switch the
-    // MACs of L, S1, S2, N1, N2.
-    tb.net.poll_round(&mut tb.monitor).unwrap();
+    let mut svc = testbed(&[]);
+    let net = svc.net_mut();
+    // Polling every agent once makes each transmit, teaching the switch
+    // the MACs of L, S1, S2, N1, N2.
+    let mut monitor = NetworkMonitor::new(net.model().topology.clone());
+    let every = net.pollable_nodes();
+    net.poll_nodes(&every, &mut monitor).unwrap();
 
-    let findings = discovery::audit(&mut tb.net).expect("audit runs");
+    let findings = discovery::audit(net).expect("audit runs");
     // The switch has 7 host connections (L, S1..S6); N1/N2 hang off the
     // hub and are not directly audited against switch ports.
     assert_eq!(findings.len(), 7);
@@ -158,24 +181,25 @@ fn topology_verification_audit_on_lirtss() {
 
 #[test]
 fn small_spec_without_bench_harness() {
-    // The SimNetwork API works with arbitrary specs, not just LIRTSS.
+    // The service works with arbitrary specs, not just LIRTSS.
     let spec = r#"
         host M { address 192.168.1.1; snmp community "c1"; interface eth0 { speed 10Mbps; } }
         host W { address 192.168.1.2; snmp community "c1"; interface eth0 { speed 10Mbps; } }
         connection M.eth0 <-> W.eth0;
+        qospath mw from M to W { min_available 1Mbps; }
     "#;
     let model = netqos::spec::parse_and_validate(spec).unwrap();
-    let topo = model.topology.clone();
     let options = SimNetworkOptions {
         monitor_host: "M".into(),
         ..SimNetworkOptions::default()
     };
-    let mut net = SimNetwork::from_model(model, options).unwrap();
-    let mut monitor = NetworkMonitor::new(topo);
-    assert_eq!(net.poll_round(&mut monitor).unwrap(), 2);
-    let next = net.lan.now() + SimDuration::from_secs(1);
-    net.run_until(next);
-    assert_eq!(net.poll_round(&mut monitor).unwrap(), 2);
+    let mut svc = MonitoringService::from_model(model, options, ServiceConfig::default()).unwrap();
+    // The path reads both hosts, so each tick polls both.
+    svc.tick().unwrap();
+    assert_eq!(svc.telemetry().polls.get(), 2);
+    svc.tick().unwrap();
+    assert_eq!(svc.telemetry().polls.get(), 4);
+    let monitor = svc.monitor();
     let m = monitor.topology().node_by_name("M").unwrap();
     let w = monitor.topology().node_by_name("W").unwrap();
     let bw = monitor.path_bandwidth(m, w).unwrap();
@@ -185,24 +209,26 @@ fn small_spec_without_bench_harness() {
 
 #[test]
 fn counter_wrap_survives_full_snmp_pipeline() {
-    // Preload N1's NIC counters just below 2^32, run load across the
-    // wrap, and verify the measured rate stays correct: the wrap-safe
-    // delta must survive BER encoding, agent, transport, and parsing.
+    // Preload N1's NIC counters below 2^32, run load across the wrap,
+    // and verify the measured rate stays correct: the wrap-safe delta
+    // must survive BER encoding, agent, transport, and parsing. The
+    // service first polls a second in, so the counter starts 2.5 s of
+    // load short of the wrap, not the quarter second the first poll
+    // would miss.
     let loads = vec![Load::new("L", "N1", LoadProfile::pulse(0, 20, 400_000))];
-    let mut tb = build_testbed(&loads, &TestbedOptions::default());
-    let n1 = tb.monitor.topology().node_by_name("N1").unwrap();
-    let n1_dev = tb.net.device_of(n1).unwrap();
-    tb.net
+    let mut svc = testbed(&loads);
+    let n1 = svc.monitor().topology().node_by_name("N1").unwrap();
+    let n1_dev = svc.net_mut().device_of(n1).unwrap();
+    svc.net_mut()
         .lan
-        .preload_octet_counters(n1_dev, netqos::sim::PortIx(0), u32::MAX - 100_000, 0)
+        .preload_octet_counters(n1_dev, netqos::sim::PortIx(0), u32::MAX - 1_000_000, 0)
         .unwrap();
 
-    let s1 = tb.monitor.topology().node_by_name("S1").unwrap();
-    // Baseline poll so the very first loop round can already form rates.
-    tb.net.poll_round(&mut tb.monitor).unwrap();
+    // Baseline tick so the very first loop tick can already form rates.
+    svc.tick().unwrap();
     let mut wrapped_rate_seen = false;
     let mut prev_raw: Option<u32> = Some(
-        tb.net
+        svc.net_mut()
             .lan
             .nic_counters(n1_dev, netqos::sim::PortIx(0))
             .unwrap()
@@ -210,12 +236,10 @@ fn counter_wrap_survives_full_snmp_pipeline() {
             .value(),
     );
     for _ in 0..8 {
-        let next = tb.net.lan.now() + SimDuration::from_secs(1);
-        tb.net.run_until(next);
-        tb.net.poll_round(&mut tb.monitor).unwrap();
+        svc.tick().unwrap();
         // Track the raw 32-bit counter to confirm a wrap actually occurs.
-        let raw = tb
-            .net
+        let raw = svc
+            .net_mut()
             .lan
             .nic_counters(n1_dev, netqos::sim::PortIx(0))
             .unwrap()
@@ -225,8 +249,7 @@ fn counter_wrap_survives_full_snmp_pipeline() {
             if raw < p {
                 // The counter wrapped within this interval; the measured
                 // rate must still be ~400 KB/s, not garbage.
-                let bw = tb.monitor.path_bandwidth(s1, n1).unwrap();
-                let kbps = bw.used_bps as f64 / 8000.0;
+                let kbps = used_kbps(&svc, "s1n1").unwrap();
                 assert!(
                     kbps > 350.0 && kbps < 480.0,
                     "rate corrupted across wrap: {kbps} KB/s"
@@ -247,37 +270,30 @@ fn monitoring_survives_lossy_network() {
     // Long-lived load: retransmitted polls stretch rounds beyond 1 s of
     // simulated time, so the load must outlast the whole test.
     let loads = vec![Load::new("L", "N1", LoadProfile::pulse(0, 600, 200_000))];
-    let mut tb = build_testbed(&loads, &TestbedOptions::default());
-    let l = tb.monitor.topology().node_by_name("L").unwrap();
-    let l_dev = tb.net.device_of(l).unwrap();
-    tb.net
+    let mut svc = testbed(&loads);
+    let l = svc.monitor().topology().node_by_name("L").unwrap();
+    let l_dev = svc.net_mut().device_of(l).unwrap();
+    svc.net_mut()
         .lan
         .set_link_loss(l_dev, netqos::sim::PortIx(0), 0.2)
         .unwrap();
 
-    let s1 = tb.monitor.topology().node_by_name("S1").unwrap();
-    let n1 = tb.monitor.topology().node_by_name("N1").unwrap();
     let mut good_samples = 0;
     for _ in 0..25 {
-        let next = tb.net.lan.now() + SimDuration::from_secs(1);
-        tb.net.run_until(next);
-        let _ = tb.net.poll_round(&mut tb.monitor);
-        if let Ok(bw) = tb.monitor.path_bandwidth(s1, n1) {
-            let kbps = bw.used_bps as f64 / 8000.0;
+        svc.tick()
+            .expect("a timed-out poll must not abort the tick");
+        if let Some(kbps) = used_kbps(&svc, "s1n1") {
             if kbps > 150.0 && kbps < 300.0 {
                 good_samples += 1;
             }
         }
     }
-    assert!(
-        tb.net.timeouts > 0,
-        "with 20% loss some polls must time out"
-    );
+    let timeouts = svc.telemetry().poll_timeouts.get();
+    assert!(timeouts > 0, "with 20% loss some polls must time out");
     assert!(
         good_samples > 10,
         "monitoring must keep working despite loss; got {good_samples} good samples, \
-         {} timeouts",
-        tb.net.timeouts
+         {timeouts} timeouts"
     );
 }
 
@@ -304,14 +320,13 @@ fn community_mismatch_means_unmonitored() {
         connection M.eth0 <-> W.eth0;
     "#;
     let model2 = netqos::spec::parse_and_validate(spec2).unwrap();
-    let topo2 = model2.topology.clone();
     let options = SimNetworkOptions {
         monitor_host: "M".into(),
         ..SimNetworkOptions::default()
     };
-    let mut net = SimNetwork::from_model(model2, options).unwrap();
-    let mut monitor = NetworkMonitor::new(topo2);
-    // Only M is pollable.
-    assert_eq!(net.pollable_nodes().len(), 1);
-    assert_eq!(net.poll_round(&mut monitor).unwrap(), 1);
+    let mut svc = MonitoringService::from_model(model2, options, ServiceConfig::default()).unwrap();
+    // Only M is pollable; with no qospath it is the whole survey.
+    assert_eq!(svc.net_mut().pollable_nodes().len(), 1);
+    svc.tick().unwrap();
+    assert_eq!(svc.telemetry().polls.get(), 1);
 }

@@ -6,7 +6,8 @@
 //!   the specs in `specs/` and on a generated 1 000-host network, with
 //!   rate tables that answer or not at random per endpoint;
 //! - where every pollable device is demanded, 40 service ticks answer
-//!   exactly as a hand loop over `SimNetwork::poll_round`;
+//!   exactly as a hand loop of `Network::poll_nodes` over every pollable
+//!   device;
 //! - on the generated network each tick polls the whole demand set and a
 //!   survey slice spread over the access points, and every pollable
 //!   device is polled within any `SURVEY_TICKS` consecutive ticks;
@@ -15,7 +16,7 @@
 use netqos::loadgen::{LoadProfile, ProfiledSource};
 use netqos::monitor::service::{MonitoringService, ServiceConfig, SURVEY_TICKS};
 use netqos::monitor::simnet::{SimNetwork, SimNetworkOptions};
-use netqos::monitor::{NetworkMonitor, QosEvent, QosMonitor};
+use netqos::monitor::{Network, NetworkMonitor, QosEvent, QosMonitor};
 use netqos::spec::{parse_and_validate, SpecModel};
 use netqos::topology::bandwidth::{IfRates, PathBandwidth, RateProvider};
 use netqos::topology::path::find_path;
@@ -165,7 +166,7 @@ fn traced_service(svc: &mut MonitoringService) -> Trail {
 }
 
 #[test]
-fn with_every_device_demanded_the_service_answers_as_poll_round_does() {
+fn with_every_device_demanded_the_service_answers_as_polling_every_device_does() {
     // `display` is the one device the spec's paths do not read; a path to
     // it leaves the survey empty.
     let spec =
@@ -201,14 +202,15 @@ fn with_every_device_demanded_the_service_answers_as_poll_round_does() {
     let mut net = SimNetwork::from_model_with(model, options(), load).unwrap();
     let mut monitor = NetworkMonitor::new(topology);
     let mut qos = QosMonitor::new(&monitor, &specs).unwrap();
-    assert_eq!(qos.demand(&monitor), net.pollable_nodes());
+    let every = net.pollable_nodes();
+    assert_eq!(qos.demand(&monitor), every);
 
     let mut violations = 0;
     for tick in 1..=40 {
         let events = svc.tick().unwrap();
         let next = net.lan.now() + ServiceConfig::default().poll_period;
         net.run_until(next);
-        let polled = net.poll_round(&mut monitor).unwrap();
+        let polled = net.poll_nodes(&every, &mut monitor).unwrap();
         let expected_events = qos.evaluate(&monitor);
 
         assert_eq!(events, expected_events, "tick {tick}");

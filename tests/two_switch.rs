@@ -3,16 +3,14 @@
 //! diagnosis, and spec-driven RM assembly with a movable application.
 
 use netqos::loadgen::{LoadProfile, ProfiledSource};
-use netqos::monitor::simnet::{SimNetwork, SimNetworkOptions};
-use netqos::monitor::NetworkMonitor;
+use netqos::monitor::simnet::SimNetworkOptions;
+use netqos::monitor::{MonitoringService, NetworkMonitor, ServiceConfig};
 use netqos::rm::{ResourceManager, RmEvent};
-use netqos::sim::time::SimDuration;
 
 const SPEC: &str = include_str!("../specs/two-switch.spec");
 
-fn build(loads: &[(&str, &str, LoadProfile)]) -> (SimNetwork, NetworkMonitor) {
+fn build(loads: &[(&str, &str, LoadProfile)]) -> MonitoringService {
     let model = netqos::spec::parse_and_validate(SPEC).expect("two-switch spec is valid");
-    let topology = model.topology.clone();
     let options = SimNetworkOptions {
         monitor_host: "console".into(),
         ..SimNetworkOptions::default()
@@ -21,7 +19,8 @@ fn build(loads: &[(&str, &str, LoadProfile)]) -> (SimNetwork, NetworkMonitor) {
         .iter()
         .map(|(f, t, p)| ((*f).to_string(), (*t).to_string(), p.clone()))
         .collect();
-    let net = SimNetwork::from_model_with(model, options, move |builder, map, m| {
+    let config = ServiceConfig::default();
+    MonitoringService::from_model_with(model, options, config, move |builder, map, m| {
         for (from, to, profile) in &loads {
             let f = m.topology.node_by_name(from).unwrap();
             let t = m.topology.node_by_name(to).unwrap();
@@ -35,8 +34,7 @@ fn build(loads: &[(&str, &str, LoadProfile)]) -> (SimNetwork, NetworkMonitor) {
                 .unwrap();
         }
     })
-    .expect("network builds");
-    (net, NetworkMonitor::new(topology))
+    .expect("service builds")
 }
 
 #[test]
@@ -68,12 +66,9 @@ fn trunk_congestion_diagnosed_at_the_trunk() {
         ("sensor1", "console", LoadProfile::constant(4_000_000)),
         ("sensor2", "console", LoadProfile::constant(4_500_000)),
     ];
-    let (mut net, mut monitor) = build(&loads);
-    for _ in 0..4 {
-        let next = net.lan.now() + SimDuration::from_secs(1);
-        net.run_until(next);
-        net.poll_round(&mut monitor).unwrap();
-    }
+    let mut svc = build(&loads);
+    svc.run_ticks(4).unwrap();
+    let monitor = svc.monitor();
     let topo = monitor.topology();
     let s1 = topo.node_by_name("sensor1").unwrap();
     let console = topo.node_by_name("console").unwrap();
@@ -105,19 +100,16 @@ fn rm_moves_fusion_off_the_congested_trunk() {
         "display",
         LoadProfile::constant(11_000_000), // ~88 Mb/s: trunk nearly full
     )];
-    let (mut net, mut monitor) = build(&loads);
-    let model = net.model().clone();
-    let mut rm = ResourceManager::from_spec_model(&monitor, &model).unwrap();
+    let mut svc = build(&loads);
+    let mut rm = ResourceManager::from_spec_model(svc.net_mut().model()).unwrap();
 
     let mut advice_seen = false;
     for _ in 0..8 {
-        let next = net.lan.now() + SimDuration::from_secs(1);
-        net.run_until(next);
-        net.poll_round(&mut monitor).unwrap();
-        for event in rm.evaluate(&monitor) {
+        let events = svc.tick().unwrap();
+        for event in rm.react(&events, svc.monitor()) {
             if let RmEvent::Advice(a) = event {
                 assert_eq!(a.app, "fusion");
-                let to_name = monitor.topology().node(a.to).unwrap().name.clone();
+                let to_name = svc.monitor().topology().node(a.to).unwrap().name.clone();
                 assert_eq!(
                     to_name, "archive",
                     "archive is the only aft-side host that dodges the trunk"
@@ -135,6 +127,6 @@ fn rm_moves_fusion_off_the_congested_trunk() {
         "RM never advised a move; history: {:?}",
         rm.history()
     );
-    let archive = monitor.topology().node_by_name("archive").unwrap();
+    let archive = svc.monitor().topology().node_by_name("archive").unwrap();
     assert_eq!(rm.allocation().host_of("fusion").unwrap(), archive);
 }
