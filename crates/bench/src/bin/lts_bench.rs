@@ -2,9 +2,8 @@
 //! latency and resident bytes per unsealed point (a live-bytes count in
 //! the allocator) with plain wall-clock timing and writes the results as
 //! `BENCH_lts.json` (repo root when run from there, else the current
-//! directory) in the unified `netqos-bench/v1` schema. The workloads
-//! mirror `benches/lts.rs`; this binary exists so a canonical result
-//! document can be checked in and regenerated with
+//! directory) in the unified `netqos-bench/v1` schema, so a canonical
+//! result document can be checked in. Regenerate it with
 //! `cargo run --release -p netqos-bench --bin lts_bench`.
 
 use netqos_bench::{time_iters, BenchReport, BenchRow};
@@ -136,8 +135,8 @@ fn main() {
     });
     std::fs::remove_dir_all(&dir).ok();
 
-    // Segment-codec footprint: one corpus left in open tails (the JSON
-    // lines a seal replaces), then sealed whole by compaction, so the
+    // Segment-codec footprint: one corpus left in open tails (the
+    // records a seal replaces), then sealed whole by compaction, so the
     // comparison measures the codec against the tail.
     fn dir_bytes(d: &std::path::Path) -> u64 {
         let mut total = 0;
@@ -171,9 +170,10 @@ fn main() {
     let binary_bytes = dir_bytes(&dir);
     std::fs::remove_dir_all(&dir).ok();
     let shrink = tail_bytes as f64 / binary_bytes.max(1) as f64;
+    let sealed_per_point = binary_bytes as f64 / (QUERY_TICKS * SERIES as u64) as f64;
     assert!(
-        shrink >= 3.0,
-        "binary codec must cut bytes_on_disk >= 3x vs the open tails (got {shrink:.2}x: {tail_bytes} -> {binary_bytes})"
+        sealed_per_point <= 2.5,
+        "sealed segments must take <= 2.5 bytes a point (got {sealed_per_point:.2}: {binary_bytes} B)"
     );
 
     let mut report = BenchReport::new("lts");

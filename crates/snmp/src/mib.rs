@@ -137,31 +137,6 @@ impl MibView for ScalarMib {
     }
 }
 
-/// A [`MibView`] that overlays one view on another: lookups try `upper`
-/// first, then `base`. Useful for composing the system group with a
-/// dynamically regenerated interfaces table.
-pub struct LayeredMib<'a> {
-    /// Preferred layer.
-    pub upper: &'a dyn MibView,
-    /// Fallback layer.
-    pub base: &'a dyn MibView,
-}
-
-impl MibView for LayeredMib<'_> {
-    fn get(&self, oid: &Oid) -> Option<ValueRef<'_>> {
-        self.upper.get(oid).or_else(|| self.base.get(oid))
-    }
-
-    fn next_after(&self, oid: &Oid) -> Option<(&Oid, ValueRef<'_>)> {
-        match (self.upper.next_after(oid), self.base.next_after(oid)) {
-            (Some(a), Some(b)) => Some(if a.0 <= b.0 { a } else { b }),
-            (Some(a), None) => Some(a),
-            (None, Some(b)) => Some(b),
-            (None, None) => None,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -272,25 +247,5 @@ mod tests {
         let mut built = ScalarMib::new();
         built.extend(sample().iter().map(|(k, v)| (k.clone(), v.clone())));
         assert_eq!(built.entries.capacity(), 5);
-    }
-
-    #[test]
-    fn layered_prefers_upper_and_merges_walks() {
-        let mut base = ScalarMib::new();
-        base.insert(oid("1.1"), SnmpValue::Integer(1));
-        base.insert(oid("1.3"), SnmpValue::Integer(3));
-        let mut upper = ScalarMib::new();
-        upper.insert(oid("1.2"), SnmpValue::Integer(2));
-        upper.insert(oid("1.3"), SnmpValue::Integer(30)); // shadows base
-        let layered = LayeredMib {
-            upper: &upper,
-            base: &base,
-        };
-        assert_eq!(layered.get(&oid("1.3")), Some(ValueRef::Integer(30)));
-        assert_eq!(layered.get(&oid("1.1")), Some(ValueRef::Integer(1)));
-        let (n1, _) = layered.next_after(&oid("1.1")).unwrap();
-        assert_eq!(n1, &oid("1.2"));
-        let (n2, v2) = layered.next_after(&oid("1.2")).unwrap();
-        assert_eq!((n2, v2), (&oid("1.3"), ValueRef::Integer(30)));
     }
 }

@@ -1,4 +1,4 @@
-//! Structured JSONL event sink with per-target level filtering.
+//! Structured JSONL event sink with one minimum level.
 //!
 //! Each emitted event becomes one JSON object on its own line:
 //!
@@ -6,13 +6,10 @@
 //! {"t_s":1.042,"level":"info","target":"snmp.client","kind":"timeout","fields":{"agent":"10.0.0.7","attempt":2}}
 //! ```
 //!
-//! Targets are dotted paths (`monitor.tick`, `snmp.client`); level
-//! filters apply to the longest matching prefix, so
-//! `set_target_level("snmp", Warn)` silences `snmp.client` info events
-//! while leaving `monitor.*` untouched.
+//! Targets are dotted paths (`monitor.tick`, `snmp.client`); an event
+//! below the sink's level is dropped whatever its target.
 
 use parking_lot::{Mutex, RwLock};
-use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::fs::File;
 use std::io::{self, BufWriter, Write};
@@ -219,14 +216,12 @@ enum SinkOut {
     Writer(BufWriter<Box<dyn Write + Send>>),
 }
 
-/// A JSONL event sink with per-target level filtering.
+/// A JSONL event sink with one minimum level.
 pub struct EventSink {
     start: Instant,
     out: Mutex<SinkOut>,
     default_level: RwLock<Level>,
-    target_levels: RwLock<BTreeMap<String, Level>>,
     emitted: std::sync::atomic::AtomicU64,
-    suppressed: std::sync::atomic::AtomicU64,
 }
 
 impl Default for EventSink {
@@ -241,9 +236,7 @@ impl EventSink {
             start: Instant::now(),
             out: Mutex::new(out),
             default_level: RwLock::new(Level::Info),
-            target_levels: RwLock::new(BTreeMap::new()),
             emitted: std::sync::atomic::AtomicU64::new(0),
-            suppressed: std::sync::atomic::AtomicU64::new(0),
         }
     }
 
@@ -263,42 +256,12 @@ impl EventSink {
         Ok(Self::to_writer(Box::new(f)))
     }
 
-    /// Sets the level applied when no target-specific level matches.
+    /// Sets the minimum level an event needs to be written.
     pub fn set_default_level(&self, level: Level) {
         *self.default_level.write() = level;
     }
 
-    /// Sets the minimum level for `target` and everything below it
-    /// (dotted-prefix match, longest prefix wins).
-    pub fn set_target_level(&self, target: impl Into<String>, level: Level) {
-        self.target_levels.write().insert(target.into(), level);
-    }
-
-    /// Effective minimum level for a target.
-    pub fn level_for(&self, target: &str) -> Level {
-        let map = self.target_levels.read();
-        if map.is_empty() {
-            return *self.default_level.read();
-        }
-        // Longest dotted prefix: try `a.b.c`, then `a.b`, then `a`.
-        let mut probe = target;
-        loop {
-            if let Some(l) = map.get(probe) {
-                return *l;
-            }
-            match probe.rfind('.') {
-                Some(i) => probe = &probe[..i],
-                None => return *self.default_level.read(),
-            }
-        }
-    }
-
-    /// Whether an event at `level` from `target` would be written.
-    pub fn enabled(&self, target: &str, level: Level) -> bool {
-        level >= self.level_for(target)
-    }
-
-    /// Emits one event; filtered events count as suppressed. `fields`
+    /// Emits one event unless it is below the sink's level. `fields`
     /// builds the payload and is called only when the event is written,
     /// so an event the sink filters or discards allocates nothing.
     pub fn emit(
@@ -309,8 +272,7 @@ impl EventSink {
         fields: impl FnOnce() -> Vec<(String, FieldValue)>,
     ) {
         use std::sync::atomic::Ordering;
-        if !self.enabled(target, level) {
-            self.suppressed.fetch_add(1, Ordering::Relaxed);
+        if level < *self.default_level.read() {
             return;
         }
         self.emitted.fetch_add(1, Ordering::Relaxed);
@@ -330,11 +292,6 @@ impl EventSink {
     /// Number of events written (post-filter).
     pub fn emitted(&self) -> u64 {
         self.emitted.load(std::sync::atomic::Ordering::Relaxed)
-    }
-
-    /// Number of events dropped by level filtering.
-    pub fn suppressed(&self) -> u64 {
-        self.suppressed.load(std::sync::atomic::Ordering::Relaxed)
     }
 
     /// Flushes the underlying writer.
@@ -407,27 +364,13 @@ mod tests {
     }
 
     #[test]
-    fn per_target_levels_use_longest_prefix() {
-        let sink = EventSink::null();
-        sink.set_default_level(Level::Info);
-        sink.set_target_level("snmp", Level::Warn);
-        sink.set_target_level("snmp.client", Level::Debug);
-        assert!(sink.enabled("snmp.client", Level::Debug));
-        assert!(!sink.enabled("snmp.transport", Level::Info));
-        assert!(sink.enabled("snmp.transport", Level::Warn));
-        assert!(sink.enabled("monitor.tick", Level::Info));
-        assert!(!sink.enabled("monitor.tick", Level::Debug));
-    }
-
-    #[test]
-    fn suppressed_events_are_counted_not_written() {
+    fn events_below_the_level_are_not_written() {
         let (sink, buf) = capture_sink();
         sink.set_default_level(Level::Error);
         sink.emit(Level::Info, "monitor", "tick", Vec::new);
         sink.emit(Level::Error, "monitor", "boom", Vec::new);
         sink.flush();
         assert_eq!(sink.emitted(), 1);
-        assert_eq!(sink.suppressed(), 1);
         let s = String::from_utf8(buf.lock().unwrap().clone()).unwrap();
         assert_eq!(s.lines().count(), 1);
         assert!(s.contains("boom"));

@@ -10,7 +10,7 @@
 //! sorted name/handle entries.
 //!
 //! Structured events ride alongside metrics through [`EventSink`]
-//! (JSONL with per-target level filtering).
+//! (JSONL, one minimum level).
 //!
 //! Causal observability builds on the same crate: [`Tracer`] records a
 //! span tree per poll cycle, [`FlightRecorder`] rings the last N cycles
@@ -53,12 +53,12 @@ pub use flight::{
 pub use http::{http_get, EventSource, HttpRequest, HttpResponse, HttpRoute, HttpServer, Router};
 pub use json::{parse_json, JsonError, JsonValue, MAX_JSON_DEPTH};
 pub use lts::{
-    compact_store, decode_point_line, decode_segment_v2, decode_segment_v2_header, downsample,
-    encode_point_line, encode_segment_v2, fold_series_range, hist_delta, json_escape, parse_range,
-    report_flush, selector_matches, store_stats, verify_store, CompactReport, FlushReport,
-    LtsConfig, LtsCounters, LtsReader, LtsRetention, LtsStore, Point, PointValue, RangeFold,
-    RegistrySampler, Resolution, ResolutionStat, RetentionDeletion, SegmentCodec, SegmentHeader,
-    SegmentStat, SegmentStats, SeriesInfo, SeriesKind, StoreStats, VerifyReport,
+    compact_store, decode_segment_v2, decode_segment_v2_header, downsample, encode_segment_v2,
+    fold_series_range, hist_delta, json_escape, parse_range, report_flush, selector_matches,
+    store_stats, verify_store, CompactReport, FlushReport, LtsConfig, LtsCounters, LtsReader,
+    LtsRetention, LtsStore, Point, PointValue, RangeFold, RegistrySampler, Resolution,
+    ResolutionStat, RetentionDeletion, SegmentCodec, SegmentHeader, SegmentStat, SegmentStats,
+    SeriesInfo, SeriesKind, StoreStats, VerifyReport,
 };
 pub use metrics::{Counter, Gauge, Histogram, HistogramState, HistogramTimer, BUCKETS};
 pub use otlp::{to_otlp, validate_otlp, OtlpStats, OTLP_SCOPE, OTLP_SERVICE};

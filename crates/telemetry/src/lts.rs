@@ -12,21 +12,26 @@
 //! ```text
 //! DIR/
 //!   series.idx                  # JSONL: {"slug","name","kind"} per series
-//!   1s/<slug>/open.seg          # JSONL append tail (mutable)
-//!   1s/<slug>/seg-A-B.bin       # sealed, immutable, covers [A, B] (binary, codec v2)
+//!   1s/<slug>/open.bin          # append tail (mutable): v2 point records
+//!   1s/<slug>/seg-A-B.bin       # sealed, immutable, covers [A, B] (codec v2)
 //!   1m/<slug>/...               # same shape per resolution
 //!   1h/<slug>/...
 //! ```
 //!
-//! Sealed segments have one codec, the delta-varint binary format
-//! (codec v2, see [`encode_segment_v2`]). The open tail stays JSON lines
-//! — line-oriented appends keep the truncate-on-torn-line crash recovery
-//! — and a seal writes the binary encoding of it the writer built as it
-//! appended, without reading it back. One codec reads and writes every
-//! tail line ([`encode_point_line`], [`decode_point_line`]). A sealed
-//! JSONL (codec v1) segment, `seg-A-B.seg`, is no longer read: a series
-//! directory holding one is refused with [`io::ErrorKind::InvalidData`]
-//! by every entry that lists it, never half-read.
+//! Every point on disk has one encoding, the delta-varint binary format
+//! (codec v2, see [`encode_segment_v2`]). A sealed segment is a header
+//! and its points' payloads, each against the point before it. The open
+//! tail is the v2 prelude (magic, version, kind), then one *record* per
+//! point: the point's payload against a zero predecessor (absolute time
+//! and value), then a trailer holding the payload's length and a 32-bit
+//! FNV-1a checksum of it, so a tail reads from either end and a record
+//! cut short is told from a whole one. A seal writes the segment the
+//! writer built as it appended, without reading the tail back.
+//!
+//! Stores from earlier releases are refused with
+//! [`io::ErrorKind::InvalidData`] by every entry that lists their series
+//! directories, never half-read: a sealed JSONL (codec v1) segment,
+//! `seg-A-B.seg`, and a JSON-lines tail, `open.seg`.
 //!
 //! Points are stored as *interval* values, which is what makes
 //! downsampling a pure merge: counters hold per-interval deltas (merge =
@@ -39,22 +44,20 @@
 //!
 //! # Crash safety
 //!
-//! Appends go to `open.seg`, one JSON document per line. Sealing writes
-//! the segment to `seal.tmp`, renames it to its immutable `seg-A-B.bin`
-//! name — atomic on POSIX — and only then removes `open.seg`, so a crash
+//! Appends go to `open.bin`, one record per point. Sealing writes the
+//! segment to `seal.tmp`, renames it to its immutable `seg-A-B.bin` name
+//! — atomic on POSIX — and only then removes `open.bin`, so a crash
 //! leaves the old tail, or the sealed file beside a stale tail that
 //! [`LtsStore::open`] removes, never a half-sealed hybrid. On open, a
-//! torn final line (crash mid-append) is truncated away and reported,
-//! never silently read. Sealed segments and the index are rewritten only
-//! by [`compact_store`], always via tmp-file-plus-rename.
+//! tail is cut at its first record that is cut short, fails its checksum
+//! or does not decode to exactly its length (a crash mid-append), and
+//! the cut is reported, never silently read. Sealed segments and the
+//! index are rewritten only by [`compact_store`], always via
+//! tmp-file-plus-rename.
 //!
 //! Queries ([`LtsReader`]) read exclusively from disk and canonicalize
 //! (sort by time, first write wins), so the same store yields
 //! byte-identical JSON before and after a restart or a compaction.
-
-mod line;
-
-pub use line::{decode_point_line, encode_point_line};
 
 use crate::events::{EventSink, FieldValue, Level};
 use crate::json::parse_json;
@@ -63,7 +66,8 @@ use crate::{Counter, Gauge, Histogram, HistogramState, Registry};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::fs::{self, File, OpenOptions};
-use std::io::{self, BufRead, Read, Seek, SeekFrom, Write};
+use std::io::{self, Read, Seek, SeekFrom, Write};
+use std::ops::ControlFlow;
 use std::path::{Path, PathBuf};
 
 /// Storage resolutions, coarsest-last. Raw points land in `1s`; the
@@ -219,7 +223,7 @@ pub enum SegmentCodec {
 /// Store tuning knobs.
 #[derive(Debug, Clone)]
 pub struct LtsConfig {
-    /// Seal `open.seg` once it holds this many points.
+    /// Seal `open.bin` once it holds this many points.
     pub seal_points: usize,
     /// Age/size bounds enforced on every flush.
     pub retention: LtsRetention,
@@ -344,7 +348,7 @@ struct SeriesState {
     pending: [Vec<Point>; 2],
     /// Needs a `series.idx` line on next flush.
     new_to_index: bool,
-    /// `DIR/<res>/<slug>/open.seg` per resolution; its parent is the
+    /// `DIR/<res>/<slug>/open.bin` per resolution; its parent is the
     /// series directory.
     open_path: [PathBuf; 3],
     /// Size of the open tail per resolution, `None` while there is no
@@ -360,7 +364,7 @@ impl SeriesState {
         let open_path = Resolution::ALL.map(|res| {
             let mut p = root.join(res.dir_name());
             p.push(&slug);
-            p.push("open.seg");
+            p.push(OPEN_TAIL);
             p
         });
         SeriesState {
@@ -429,15 +433,15 @@ pub struct LtsStore {
     counters: LtsCounters,
     series: BTreeMap<String, SeriesState>,
     warnings: Vec<String>,
-    /// The lines of one write, reused by every write.
-    line_buf: String,
+    /// The bytes of one write, reused by every write.
+    write_buf: Vec<u8>,
     /// The points one fold produces, reused by every fold.
     fold_buf: Vec<Point>,
 }
 
 impl LtsStore {
     /// Opens (creating if absent) the store at `dir`, recovering from a
-    /// torn final line in any open tail by truncating it away. Recovery
+    /// torn final record in any open tail by truncating it away. Recovery
     /// notes are queued for [`LtsStore::take_warnings`].
     pub fn open(
         dir: impl Into<PathBuf>,
@@ -457,7 +461,7 @@ impl LtsStore {
             counters,
             series: BTreeMap::new(),
             warnings: Vec::new(),
-            line_buf: String::new(),
+            write_buf: Vec::new(),
             fold_buf: Vec::new(),
         };
         store.load_index()?;
@@ -545,19 +549,19 @@ impl LtsStore {
         let mut report = FlushReport::default();
         let mut out = TailWriter {
             config: &self.config,
-            line_buf: &mut self.line_buf,
+            write_buf: &mut self.write_buf,
             fold_buf: &mut self.fold_buf,
         };
         for s in self.series.values_mut() {
             if s.new_to_index {
-                let line = &mut *out.line_buf;
+                let line = &mut *out.write_buf;
                 line.clear();
                 push_index_line(line, &s.slug, &s.name, s.kind);
                 let mut f = OpenOptions::new()
                     .create(true)
                     .append(true)
                     .open(&self.index_path)?;
-                f.write_all(line.as_bytes())?;
+                f.write_all(line)?;
                 self.index_bytes += line.len() as u64;
                 s.new_to_index = false;
             }
@@ -681,7 +685,7 @@ impl LtsStore {
 }
 
 /// Brings one indexed series' state up from its directories on open:
-/// the catalog, the tails (a torn final line truncated away, a stale
+/// the catalog, the tails (a torn final record truncated away, a stale
 /// tail removed), the newest times and the pending downsample windows.
 fn recover_series(s: &mut SeriesState, warnings: &mut Vec<String>) -> io::Result<()> {
     let found = s.scan_disk()?;
@@ -691,7 +695,7 @@ fn recover_series(s: &mut SeriesState, warnings: &mut Vec<String>) -> io::Result
         let mut last = sealed_last;
         let open = &s.open_path[ri];
         if s.open_bytes[ri].is_some() {
-            let (pts, good_bytes, warn) = read_segment_recovering(open, s.kind)?;
+            let (pts, good_bytes, warn) = read_tail_recovering(open, s.kind)?;
             if let Some(w) = warn {
                 warnings.push(w);
             }
@@ -744,15 +748,15 @@ fn recover_series(s: &mut SeriesState, warnings: &mut Vec<String>) -> io::Result
     Ok(())
 }
 
-/// The series directory of a tail path (`DIR/<res>/<slug>/open.seg`).
+/// The series directory of a tail path (`DIR/<res>/<slug>/open.bin`).
 fn dir_of(open: &Path) -> &Path {
-    open.parent().expect("a tail path ends in <slug>/open.seg")
+    open.parent().expect("a tail path ends in <slug>/open.bin")
 }
 
 /// What writing a series' points needs from the store.
 struct TailWriter<'a> {
     config: &'a LtsConfig,
-    line_buf: &'a mut String,
+    write_buf: &'a mut Vec<u8>,
     fold_buf: &'a mut Vec<Point>,
 }
 
@@ -820,11 +824,13 @@ impl TailWriter<'_> {
         pts: &[Point],
     ) -> io::Result<u64> {
         let ri = res.index();
-        self.line_buf.clear();
-        for p in pts {
-            encode_point_line(self.line_buf, p);
-            self.line_buf.push('\n');
+        let buf = &mut *self.write_buf;
+        buf.clear();
+        // A tail begins with the prelude its records are read against.
+        if s.open_bytes[ri].unwrap_or(0) == 0 {
+            buf.extend_from_slice(&prelude(s.kind));
         }
+        pts.iter().for_each(|p| push_record(buf, p));
         let open = &s.open_path[ri];
         let mut options = OpenOptions::new();
         options.create(true).append(true);
@@ -836,9 +842,9 @@ impl TailWriter<'_> {
             }
             other => other?,
         };
-        f.write_all(self.line_buf.as_bytes())?;
+        f.write_all(buf)?;
         drop(f);
-        s.open_bytes[ri] = Some(s.open_bytes[ri].unwrap_or(0) + self.line_buf.len() as u64);
+        s.open_bytes[ri] = Some(s.open_bytes[ri].unwrap_or(0) + buf.len() as u64);
         let enc = &mut s.open_enc[ri];
         enc.extend(pts);
         if enc.count < self.config.seal_points as u64 {
@@ -847,7 +853,7 @@ impl TailWriter<'_> {
         // Rename is atomic and the tail is removed only after the sealed
         // file exists; a crash in between leaves both, which readers
         // canonicalize and `open` cleans up as a stale tail.
-        let (first, last) = (enc.first_t, enc.prev_t);
+        let (first, last) = (enc.first_t, enc.prev.t);
         let encoded = enc.finish(s.kind);
         let sdir = dir_of(open);
         let tmp = sdir.join("seal.tmp");
@@ -1074,7 +1080,7 @@ impl LtsReader {
 
     /// Newest raw-resolution point timestamp across every indexed
     /// series, reading only segment filenames (which encode their time
-    /// range) and the last line of each open tail. `None` for an empty
+    /// range) and the last record of each open tail. `None` for an empty
     /// or missing store.
     pub fn newest_t(&self) -> Option<u64> {
         let index = self.index();
@@ -1087,9 +1093,9 @@ impl LtsReader {
         let sealed = segment_files(&sdir)
             .ok()
             .and_then(|segs| segs.iter().map(|s| s.last).max());
-        // The walk ends at the tail's last line that decodes.
+        // The walk ends at the tail's last whole record.
         let mut tail = None;
-        walk_tail_back(&sdir.join("open.seg"), u64::MAX, |p| {
+        walk_tail_back(&sdir.join(OPEN_TAIL), u64::MAX, |p| {
             tail = tail.max(Some(p.t))
         });
         sealed.max(tail)
@@ -1215,10 +1221,12 @@ pub struct VerifyReport {
 }
 
 /// Structural check of a store: the index parses, every sealed segment
-/// decodes exactly and every tail line parses as the indexed kind,
+/// decodes exactly, every tail's prelude names the indexed kind and each
+/// of its records passes its checksum and decodes to exactly its length,
 /// timestamps are strictly increasing within a file, and sealed
-/// filenames match their contents' range. A store holding a sealed v1
-/// segment is refused ([`io::ErrorKind::InvalidData`]), not checked.
+/// filenames match their contents' range. A store holding a JSON-lines
+/// file ([`refuse_v1`]) is refused ([`io::ErrorKind::InvalidData`]), not
+/// checked.
 pub fn verify_store(dir: &Path) -> io::Result<VerifyReport> {
     let mut rep = VerifyReport::default();
     let reader = LtsReader::open(dir);
@@ -1268,7 +1276,7 @@ pub fn verify_store(dir: &Path) -> io::Result<VerifyReport> {
                     .to_string_lossy()
                     .to_string();
                 let sealed = parse_segment_name(&fname);
-                if fname != "open.seg" && sealed.is_none() {
+                if fname != OPEN_TAIL && sealed.is_none() {
                     rep.issues.push(format!(
                         "{}/{slug}/{fname}: unexpected file",
                         res.dir_name()
@@ -1341,37 +1349,34 @@ pub fn verify_store(dir: &Path) -> io::Result<VerifyReport> {
                     }
                     continue;
                 }
-                let text = fs::read_to_string(&path)?;
-                let mut last_t: Option<u64> = None;
-                for (ln, line) in text.lines().enumerate() {
-                    match decode_point_line(line) {
-                        Some(p) if p.value.kind() == info.kind => {
-                            if last_t.is_some_and(|l| p.t <= l) {
-                                rep.issues.push(format!(
-                                    "{}/{slug}/{fname} line {}: time not increasing",
-                                    res.dir_name(),
-                                    ln + 1
-                                ));
-                            }
-                            last_t = Some(p.t);
-                            rep.points += 1;
-                        }
-                        Some(_) => {
-                            rep.issues.push(format!(
-                                "{}/{slug}/{fname} line {}: kind mismatch (index says {})",
-                                res.dir_name(),
-                                ln + 1,
-                                info.kind.as_str()
-                            ));
-                        }
-                        None => {
-                            rep.issues.push(format!(
-                                "{}/{slug}/{fname} line {}: unparseable",
-                                res.dir_name(),
-                                ln + 1
-                            ));
-                        }
+                let buf = fs::read(&path)?;
+                let at = |off: usize| format!("{}/{slug}/{fname} at byte {off}", res.dir_name());
+                let Some(mut records) = tail_records(&buf) else {
+                    if !buf.is_empty() {
+                        rep.issues.push(format!("{}: bad prelude", at(0)));
                     }
+                    continue;
+                };
+                if records.kind != info.kind {
+                    rep.issues.push(format!(
+                        "{}: kind mismatch (index says {})",
+                        at(0),
+                        info.kind.as_str()
+                    ));
+                    continue;
+                }
+                let mut last_t: Option<u64> = None;
+                let mut off = records.pos;
+                while let Some(p) = records.next() {
+                    if last_t.is_some_and(|l| p.t <= l) {
+                        rep.issues.push(format!("{}: time not increasing", at(off)));
+                    }
+                    last_t = Some(p.t);
+                    rep.points += 1;
+                    off = records.pos;
+                }
+                if off != buf.len() {
+                    rep.issues.push(format!("{}: bad record", at(off)));
                 }
             }
         }
@@ -1420,10 +1425,7 @@ pub fn compact_store(dir: &Path) -> io::Result<CompactReport> {
                 };
                 for f in files.flatten() {
                     refuse_v1(&f.path())?;
-                    if f.path()
-                        .extension()
-                        .is_some_and(|e| e == "seg" || e == "bin")
-                    {
+                    if f.path().extension().is_some_and(|e| e == "bin") {
                         *rep_seg += 1;
                         *rep_bytes += f.metadata().map(|m| m.len()).unwrap_or(0);
                     }
@@ -1437,7 +1439,7 @@ pub fn compact_store(dir: &Path) -> io::Result<CompactReport> {
     // Rewrite the index: sorted, deduplicated.
     if !index.is_empty() {
         let tmp = dir.join("series.idx.tmp");
-        let mut body = String::new();
+        let mut body = Vec::new();
         for info in &index {
             push_index_line(&mut body, &info.slug, &info.name, info.kind);
         }
@@ -1454,10 +1456,7 @@ pub fn compact_store(dir: &Path) -> io::Result<CompactReport> {
             let pts = read_series_points(dir, &info.slug, info.kind, res, 0, u64::MAX);
             let mut old: Vec<PathBuf> = Vec::new();
             for f in fs::read_dir(&sdir)?.flatten() {
-                if f.path()
-                    .extension()
-                    .is_some_and(|e| e == "seg" || e == "bin")
-                {
+                if f.path().extension().is_some_and(|e| e == "bin") {
                     old.push(f.path());
                 }
             }
@@ -1597,7 +1596,7 @@ pub fn fold_series_range(
             }
         }
     }
-    let open = sdir.join("open.seg");
+    let open = sdir.join(OPEN_TAIL);
     // A tail at or before the sealed range (crashed seal leftover)
     // would double-count: only the canonical path dedups. Its first
     // point is at the head of the file, wherever the window lies.
@@ -1654,9 +1653,9 @@ pub struct StoreStats {
 }
 
 /// Measures on-disk layout per resolution and per segment: bytes and
-/// point counts. Sealed point counts come from segment headers; open
-/// tails are line-counted. A store holding a sealed v1 segment is
-/// refused ([`io::ErrorKind::InvalidData`]).
+/// point counts. Sealed point counts come from segment headers; an open
+/// tail's are its whole records. A store holding a JSON-lines file
+/// ([`refuse_v1`]) is refused ([`io::ErrorKind::InvalidData`]).
 pub fn store_stats(dir: &Path) -> io::Result<StoreStats> {
     let mut stats = StoreStats::default();
     for res in Resolution::ALL {
@@ -1686,11 +1685,10 @@ pub fn store_stats(dir: &Path) -> io::Result<StoreStats> {
                     bytes,
                 });
             }
-            let open = sdir.join("open.seg");
+            let open = sdir.join(OPEN_TAIL);
             if let Ok(m) = fs::metadata(&open) {
-                let points = fs::read_to_string(&open).map_or(0, |t| {
-                    t.lines().filter(|l| !l.trim().is_empty()).count() as u64
-                });
+                let points = fs::read(&open)
+                    .map_or(0, |buf| tail_records(&buf).map_or(0, |r| r.count() as u64));
                 rs.segments += 1;
                 rs.open_tails += 1;
                 rs.bytes += m.len();
@@ -1738,11 +1736,11 @@ pub fn report_flush(
 // Binary segment codec (v2)
 // ---------------------------------------------------------------------
 //
-// Layout (all integers LEB128 varints unless noted):
+// Segment layout (all integers LEB128 varints unless noted):
 //
 // ```text
-// magic   4 bytes  "NQS2"
-// version u8       2
+// magic   4 bytes  "NQS2"    ┐ the prelude, also the head
+// version u8       2         │ of every open tail
 // kind    u8       0 = counter, 1 = gauge, 2 = histogram
 // count            points in the segment
 // first_t          timestamp of the first point
@@ -1758,16 +1756,64 @@ pub fn report_flush(
 //                                              wrapping, lossless)
 //   gauge:         zigzag(v - prev_v)          (same)
 //   histogram:     count, sum,
-//                  flag u8 (1 = min/max follow, mirrors JSONL's
-//                  omit-when-empty), [min, max],
+//                  flag u8 (1 = min/max follow; an empty interval
+//                  omits them), [min, max],
 //                  n_buckets, then n × (index - prev_index, bucket
 //                  count) with the first index absolute
+// ```
+//
+// An open tail is the prelude, then one record per point:
+//
+// ```text
+// payload          the point as above against a zero predecessor:
+//                  dt = t, and zigzag(v) for counters and gauges
+// length  u32 LE   the payload's bytes
+// fnv     u32 LE   FNV-1a (32-bit) of the payload
 // ```
 //
 // Deltas use wrapping arithmetic in both directions, so every `u64`
 // round-trips exactly; zigzag keeps small negative deltas short.
 
 const SEG_MAGIC: [u8; 4] = *b"NQS2";
+
+/// Magic, version and kind: the first bytes of every v2 file.
+const PRELUDE: usize = 6;
+
+/// What follows a tail record's payload: its length and checksum.
+const TRAILER: usize = 8;
+
+/// The open tail's file name in a series directory.
+const OPEN_TAIL: &str = "open.bin";
+
+fn prelude(kind: SeriesKind) -> [u8; PRELUDE] {
+    let [m0, m1, m2, m3] = SEG_MAGIC;
+    [m0, m1, m2, m3, 2, kind_byte(kind)]
+}
+
+/// The kind a v2 prelude at the head of `buf` names.
+fn prelude_kind(buf: &[u8]) -> Result<SeriesKind, String> {
+    if buf.len() < PRELUDE {
+        return Err("truncated header".to_string());
+    }
+    if buf[0..4] != SEG_MAGIC {
+        return Err("bad magic".to_string());
+    }
+    if buf[4] != 2 {
+        return Err(format!("unsupported codec version {}", buf[4]));
+    }
+    kind_from_byte(buf[5]).ok_or_else(|| format!("bad kind byte {}", buf[5]))
+}
+
+/// The little-endian `u32` at the head of `b`.
+fn le_u32(b: &[u8]) -> u32 {
+    u32::from_le_bytes([b[0], b[1], b[2], b[3]])
+}
+
+fn fnv1a32(bytes: &[u8]) -> u32 {
+    bytes.iter().fold(0x811c_9dc5, |h, &b| {
+        (h ^ u32::from(b)).wrapping_mul(0x0100_0193)
+    })
+}
 
 fn push_varint(out: &mut Vec<u8>, mut v: u64) {
     loop {
@@ -1804,6 +1850,151 @@ fn zigzag(v: i64) -> u64 {
 
 fn unzigzag(u: u64) -> i64 {
     ((u >> 1) as i64) ^ -((u & 1) as i64)
+}
+
+/// The time and value a point's payload is a delta from: the point
+/// before it in a segment, zero for a tail record.
+#[derive(Debug, Default, Clone, Copy)]
+struct Prev {
+    t: u64,
+    v: u64,
+}
+
+/// Appends `p`'s v2 payload against `prev`, then makes `p` the
+/// predecessor.
+fn push_point(out: &mut Vec<u8>, prev: &mut Prev, p: &Point) {
+    push_varint(out, p.t.wrapping_sub(prev.t));
+    prev.t = p.t;
+    match &p.value {
+        PointValue::Counter(v) => {
+            push_varint(out, zigzag(v.wrapping_sub(prev.v) as i64));
+            prev.v = *v;
+        }
+        PointValue::Gauge(v) => {
+            push_varint(out, zigzag(v.wrapping_sub(prev.v as i64)));
+            prev.v = *v as u64;
+        }
+        PointValue::Histogram(h) => {
+            push_varint(out, h.count);
+            push_varint(out, h.sum);
+            if h.count > 0 {
+                out.push(1);
+                push_varint(out, h.min);
+                push_varint(out, h.max);
+            } else {
+                out.push(0);
+            }
+            push_varint(out, h.buckets.len() as u64);
+            let mut prev_i: u32 = 0;
+            for &(i, n) in &h.buckets {
+                push_varint(out, i.wrapping_sub(prev_i) as u64);
+                prev_i = i;
+                push_varint(out, n);
+            }
+        }
+    }
+}
+
+/// Decodes the v2 payload of a `kind` point at `*pos` against `prev`,
+/// then makes it the predecessor. `None` if the payload is cut short.
+fn read_point(buf: &[u8], pos: &mut usize, kind: SeriesKind, prev: &mut Prev) -> Option<Point> {
+    let t = prev.t.wrapping_add(read_varint(buf, pos)?);
+    prev.t = t;
+    let value = match kind {
+        SeriesKind::Counter => {
+            let v = prev.v.wrapping_add(unzigzag(read_varint(buf, pos)?) as u64);
+            prev.v = v;
+            PointValue::Counter(v)
+        }
+        SeriesKind::Gauge => {
+            let v = (prev.v as i64).wrapping_add(unzigzag(read_varint(buf, pos)?));
+            prev.v = v as u64;
+            PointValue::Gauge(v)
+        }
+        SeriesKind::Histogram => {
+            let count = read_varint(buf, pos)?;
+            let sum = read_varint(buf, pos)?;
+            let flag = *buf.get(*pos)?;
+            *pos += 1;
+            let (min, max) = if flag == 1 {
+                (read_varint(buf, pos)?, read_varint(buf, pos)?)
+            } else {
+                (u64::MAX, 0)
+            };
+            let nb = read_varint(buf, pos)?;
+            let mut buckets = Vec::with_capacity(nb.min(4096) as usize);
+            let mut prev_i: u32 = 0;
+            for _ in 0..nb {
+                let bi = prev_i.wrapping_add(read_varint(buf, pos)? as u32);
+                prev_i = bi;
+                buckets.push((bi, read_varint(buf, pos)?));
+            }
+            PointValue::Histogram(HistogramState {
+                buckets,
+                count,
+                sum,
+                min,
+                max,
+            })
+        }
+    };
+    Some(Point { t, value })
+}
+
+/// Appends `p` as one tail record: its payload against a zero
+/// predecessor, then the trailer.
+fn push_record(out: &mut Vec<u8>, p: &Point) {
+    let start = out.len();
+    push_point(out, &mut Prev::default(), p);
+    let len = (out.len() - start) as u32;
+    let sum = fnv1a32(&out[start..]);
+    out.extend_from_slice(&len.to_le_bytes());
+    out.extend_from_slice(&sum.to_le_bytes());
+}
+
+/// The `kind` tail record starting at `start` in `buf`: its point and
+/// the offset it ends at. `None` if it is cut short, fails its checksum
+/// or does not decode to exactly its length.
+fn read_record(buf: &[u8], start: usize, kind: SeriesKind) -> Option<(Point, usize)> {
+    let mut pos = start;
+    let p = read_point(buf, &mut pos, kind, &mut Prev::default())?;
+    let trailer = buf.get(pos..pos + TRAILER)?;
+    let payload = &buf[start..pos];
+    let whole =
+        le_u32(trailer) as usize == payload.len() && le_u32(&trailer[4..]) == fnv1a32(payload);
+    whole.then_some((p, pos + TRAILER))
+}
+
+/// The points of an open tail's bytes, front to back, up to its first
+/// record that is cut short, fails its checksum or does not decode to
+/// exactly its length.
+struct TailRecords<'a> {
+    buf: &'a [u8],
+    /// What the prelude names.
+    kind: SeriesKind,
+    /// Where the next record starts; once the points run out, the end of
+    /// the last whole record.
+    pos: usize,
+}
+
+/// The records of a tail's bytes; `None` without a whole prelude.
+fn tail_records(buf: &[u8]) -> Option<TailRecords<'_>> {
+    let kind = prelude_kind(buf).ok()?;
+    Some(TailRecords {
+        buf,
+        kind,
+        pos: PRELUDE,
+    })
+}
+
+impl Iterator for TailRecords<'_> {
+    type Item = Point;
+
+    fn next(&mut self) -> Option<Point> {
+        let (p, end) = read_record(self.buf, self.pos, self.kind)?;
+        self.pos = end;
+        Some(p)
+    }
 }
 
 /// Whole-segment fold carried in a v2 counter segment's header.
@@ -1859,8 +2050,8 @@ struct SegmentEncoder {
     body: Vec<u8>,
     count: u64,
     first_t: u64,
-    prev_t: u64,
-    prev_v: u64,
+    /// The last point pushed.
+    prev: Prev,
     /// Fold of the counter values pushed, once there is one.
     stats: Option<SegmentStats>,
 }
@@ -1869,46 +2060,18 @@ impl SegmentEncoder {
     /// Appends one point's payload bytes and folds it into the header.
     fn push(&mut self, p: &Point) {
         if self.count == 0 {
-            (self.first_t, self.prev_t) = (p.t, p.t);
+            (self.first_t, self.prev.t) = (p.t, p.t);
         }
         self.count += 1;
-        let out = &mut self.body;
-        push_varint(out, p.t.wrapping_sub(self.prev_t));
-        self.prev_t = p.t;
-        match &p.value {
-            PointValue::Counter(v) => {
-                push_varint(out, zigzag(v.wrapping_sub(self.prev_v) as i64));
-                self.prev_v = *v;
-                let stats = self.stats.get_or_insert(SegmentStats {
-                    min: u64::MAX,
-                    ..SegmentStats::default()
-                });
-                stats.sum = stats.sum.saturating_add(*v);
-                stats.min = stats.min.min(*v);
-                stats.max = stats.max.max(*v);
-            }
-            PointValue::Gauge(v) => {
-                push_varint(out, zigzag(v.wrapping_sub(self.prev_v as i64)));
-                self.prev_v = *v as u64;
-            }
-            PointValue::Histogram(h) => {
-                push_varint(out, h.count);
-                push_varint(out, h.sum);
-                if h.count > 0 {
-                    out.push(1);
-                    push_varint(out, h.min);
-                    push_varint(out, h.max);
-                } else {
-                    out.push(0);
-                }
-                push_varint(out, h.buckets.len() as u64);
-                let mut prev_i: u32 = 0;
-                for &(i, n) in &h.buckets {
-                    push_varint(out, i.wrapping_sub(prev_i) as u64);
-                    prev_i = i;
-                    push_varint(out, n);
-                }
-            }
+        push_point(&mut self.body, &mut self.prev, p);
+        if let PointValue::Counter(v) = p.value {
+            let stats = self.stats.get_or_insert(SegmentStats {
+                min: u64::MAX,
+                ..SegmentStats::default()
+            });
+            stats.sum = stats.sum.saturating_add(v);
+            stats.min = stats.min.min(v);
+            stats.max = stats.max.max(v);
         }
     }
 
@@ -1919,12 +2082,10 @@ impl SegmentEncoder {
     /// The segment holding every point pushed: header, then payload.
     fn finish(&self, kind: SeriesKind) -> Vec<u8> {
         let mut out = Vec::with_capacity(SEG_HEADER_MAX + self.body.len());
-        out.extend_from_slice(&SEG_MAGIC);
-        out.push(2);
-        out.push(kind_byte(kind));
+        out.extend_from_slice(&prelude(kind));
         push_varint(&mut out, self.count);
         push_varint(&mut out, self.first_t);
-        push_varint(&mut out, self.prev_t);
+        push_varint(&mut out, self.prev.t);
         if kind == SeriesKind::Counter {
             let SegmentStats { sum, min, max } = self.stats.unwrap_or_default();
             push_varint(&mut out, sum);
@@ -1958,17 +2119,8 @@ pub fn encode_segment_v2(kind: SeriesKind, pts: &[Point]) -> Vec<u8> {
 /// Decodes a v2 header. Errors on a bad magic/version/kind or a
 /// truncated header.
 pub fn decode_segment_v2_header(buf: &[u8]) -> Result<SegmentHeader, String> {
-    if buf.len() < 6 {
-        return Err("truncated header".to_string());
-    }
-    if buf[0..4] != SEG_MAGIC {
-        return Err("bad magic".to_string());
-    }
-    if buf[4] != 2 {
-        return Err(format!("unsupported codec version {}", buf[4]));
-    }
-    let kind = kind_from_byte(buf[5]).ok_or_else(|| format!("bad kind byte {}", buf[5]))?;
-    let mut pos = 6usize;
+    let kind = prelude_kind(buf)?;
+    let mut pos = PRELUDE;
     let count = read_varint(buf, &mut pos).ok_or("truncated count")?;
     let first_t = read_varint(buf, &mut pos).ok_or("truncated first_t")?;
     let last_t = read_varint(buf, &mut pos).ok_or("truncated last_t")?;
@@ -2008,69 +2160,14 @@ pub fn decode_segment_v2(buf: &[u8]) -> Result<(SegmentHeader, Vec<Point>), Stri
         return Err(format!("truncated: room for {room} points"));
     }
     let mut pts = Vec::with_capacity(header.count as usize);
-    let mut prev_t = header.first_t;
-    let mut prev_v: u64 = 0;
+    let mut prev = Prev {
+        t: header.first_t,
+        v: 0,
+    };
     for i in 0..header.count {
-        let dt = read_varint(buf, &mut pos).ok_or_else(|| format!("truncated at point {i}"))?;
-        let t = prev_t.wrapping_add(dt);
-        prev_t = t;
-        let value = match header.kind {
-            SeriesKind::Counter => {
-                let dv =
-                    read_varint(buf, &mut pos).ok_or_else(|| format!("truncated at point {i}"))?;
-                let v = prev_v.wrapping_add(unzigzag(dv) as u64);
-                prev_v = v;
-                PointValue::Counter(v)
-            }
-            SeriesKind::Gauge => {
-                let dv =
-                    read_varint(buf, &mut pos).ok_or_else(|| format!("truncated at point {i}"))?;
-                let v = (prev_v as i64).wrapping_add(unzigzag(dv));
-                prev_v = v as u64;
-                PointValue::Gauge(v)
-            }
-            SeriesKind::Histogram => {
-                let count =
-                    read_varint(buf, &mut pos).ok_or_else(|| format!("truncated at point {i}"))?;
-                let sum =
-                    read_varint(buf, &mut pos).ok_or_else(|| format!("truncated at point {i}"))?;
-                let flag = *buf
-                    .get(pos)
-                    .ok_or_else(|| format!("truncated at point {i}"))?;
-                pos += 1;
-                let (min, max) = if flag == 1 {
-                    (
-                        read_varint(buf, &mut pos)
-                            .ok_or_else(|| format!("truncated at point {i}"))?,
-                        read_varint(buf, &mut pos)
-                            .ok_or_else(|| format!("truncated at point {i}"))?,
-                    )
-                } else {
-                    (u64::MAX, 0)
-                };
-                let nb =
-                    read_varint(buf, &mut pos).ok_or_else(|| format!("truncated at point {i}"))?;
-                let mut buckets = Vec::with_capacity(nb.min(4096) as usize);
-                let mut prev_i: u32 = 0;
-                for _ in 0..nb {
-                    let di = read_varint(buf, &mut pos)
-                        .ok_or_else(|| format!("truncated at point {i}"))?;
-                    let bi = prev_i.wrapping_add(di as u32);
-                    prev_i = bi;
-                    let n = read_varint(buf, &mut pos)
-                        .ok_or_else(|| format!("truncated at point {i}"))?;
-                    buckets.push((bi, n));
-                }
-                PointValue::Histogram(HistogramState {
-                    buckets,
-                    count,
-                    sum,
-                    min,
-                    max,
-                })
-            }
-        };
-        pts.push(Point { t, value });
+        let p = read_point(buf, &mut pos, header.kind, &mut prev)
+            .ok_or_else(|| format!("truncated at point {i}"))?;
+        pts.push(p);
     }
     if pos != buf.len() {
         return Err(format!("{} trailing bytes", buf.len() - pos));
@@ -2079,7 +2176,8 @@ pub fn decode_segment_v2(buf: &[u8]) -> Result<(SegmentHeader, Vec<Point>), Stri
 }
 
 /// Appends one `series.idx` line, newline included.
-fn push_index_line(out: &mut String, slug: &str, name: &str, kind: SeriesKind) {
+fn push_index_line(out: &mut Vec<u8>, slug: &str, name: &str, kind: SeriesKind) {
+    // Writing to a `Vec` cannot fail.
     let _ = writeln!(
         out,
         "{{\"slug\":\"{slug}\",\"name\":{},\"kind\":\"{}\"}}",
@@ -2125,22 +2223,27 @@ fn parse_segment_name(name: &str) -> Option<(u64, u64)> {
     Some((a.parse().ok()?, b.parse().ok()?))
 }
 
-/// Refuses a sealed v1 (JSONL) segment, `seg-A-B.seg`, found where a
-/// series directory is listed: v1 is no longer read, and a directory
-/// holding one must not be half-read. `open.seg` is the tail, not one.
+/// Refuses a JSON-lines file found where a series directory is listed:
+/// a sealed v1 segment, `seg-A-B.seg`, or a tail from an earlier
+/// release, `open.seg`. Neither is read any more, and a directory holding
+/// one must not be half-read.
 fn refuse_v1(path: &Path) -> io::Result<()> {
-    let name = path.file_name().and_then(|n| n.to_str()).unwrap_or("");
-    if name.starts_with("seg-") && name.ends_with(".seg") {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            format!(
-                "{}: a sealed v1 (JSONL) segment; v1 segments are no longer read, convert \
-                 the store with `netqos lts migrate` from an earlier release",
-                path.display()
-            ),
-        ));
+    if path.extension().is_none_or(|e| e != "seg") {
+        return Ok(());
     }
-    Ok(())
+    let what = if path.ends_with("open.seg") {
+        "a JSON-lines open tail"
+    } else {
+        "a sealed v1 (JSONL) segment"
+    };
+    Err(io::Error::new(
+        io::ErrorKind::InvalidData,
+        format!(
+            "{}: {what}; JSON-lines files are no longer read, seal the store with \
+             `netqos lts compact` from an earlier release",
+            path.display()
+        ),
+    ))
 }
 
 struct SegmentFile {
@@ -2195,48 +2298,36 @@ fn read_sealed_points(seg: &SegmentFile, kind: SeriesKind) -> Result<Vec<Point>,
     Ok(pts)
 }
 
-/// Reads one segment file leniently: a torn *final* line is truncated
-/// off the file and reported; a bad line mid-file stops the read there
-/// (everything after a corrupt line is untrusted). Returns the points,
+/// Reads an open tail, truncating it at its first record that is cut
+/// short, fails its checksum or does not decode to exactly its length —
+/// what a crash mid-append leaves — and reporting the cut; a tail whose
+/// prelude is torn or not `kind`'s is cut to nothing. Returns the points,
 /// the file's length afterwards, and the report.
-fn read_segment_recovering(
+fn read_tail_recovering(
     path: &Path,
     kind: SeriesKind,
 ) -> io::Result<(Vec<Point>, u64, Option<String>)> {
-    let mut text = String::new();
-    File::open(path)?.read_to_string(&mut text)?;
-    let mut pts = Vec::new();
-    let mut good_bytes = 0usize;
+    let buf = fs::read(path)?;
+    let (pts, good) = match tail_records(&buf) {
+        Some(mut records) if records.kind == kind => (records.by_ref().collect(), records.pos),
+        _ => (Vec::new(), 0),
+    };
     let mut warn = None;
-    for line in text.split_inclusive('\n') {
-        let trimmed = line.trim_end_matches('\n');
-        if trimmed.is_empty() {
-            good_bytes += line.len();
-            continue;
-        }
-        match decode_point_line(trimmed) {
-            Some(p) if p.value.kind() == kind && line.ends_with('\n') => {
-                pts.push(p);
-                good_bytes += line.len();
-            }
-            _ => {
-                warn = Some(format!(
-                    "{}: corrupt tail at byte {good_bytes}; truncated",
-                    path.display()
-                ));
-                truncate_file(path, good_bytes as u64)?;
-                break;
-            }
-        }
+    if good < buf.len() {
+        warn = Some(format!(
+            "{}: corrupt tail at byte {good}; truncated",
+            path.display()
+        ));
+        truncate_file(path, good as u64)?;
     }
-    Ok((pts, good_bytes as u64, warn))
+    Ok((pts, good as u64, warn))
 }
 
 /// Canonical read used by both the reader and the writer's recovery:
 /// sealed oldest-first then the open tail, clipped to `[start, end]`,
 /// stable-sorted by time with the first-written point winning ties.
-/// Unparseable lines and undecodable binary segments are skipped
-/// (readers never mutate the store).
+/// Undecodable segments and a tail's records from its first bad one on
+/// are skipped (readers never mutate the store).
 fn read_series_points(
     dir: &Path,
     slug: &str,
@@ -2247,7 +2338,7 @@ fn read_series_points(
 ) -> Vec<Point> {
     let sdir = dir.join(res.dir_name()).join(slug);
     let segs = segment_files(&sdir).unwrap_or_default();
-    read_points(&segs, &sdir.join("open.seg"), kind, start, end)
+    read_points(&segs, &sdir.join(OPEN_TAIL), kind, start, end)
 }
 
 /// [`read_series_points`] over an already listed series directory:
@@ -2281,8 +2372,8 @@ fn read_points(
         pts[sealed..].reverse();
     } else {
         pts.truncate(sealed);
-        if let Ok(text) = fs::read_to_string(open) {
-            pts.extend(text.lines().filter_map(decode_point_line).filter(wanted));
+        if let Ok(buf) = fs::read(open) {
+            pts.extend(tail_records(&buf).into_iter().flatten().filter(wanted));
         }
     }
     pts.sort_by_key(|p| p.t);
@@ -2295,82 +2386,154 @@ fn read_points(
 /// reads and none reads more than twice what it needed.
 const TAIL_PIECE: u64 = 8 * 1024;
 
-/// Hands `visit` the points of the JSONL tail at `path` from its end —
-/// every line that decodes, newest first — down to and including the
-/// first one not newer than `low`, reading the file a piece at a time,
-/// so the cost follows how much of the tail lies after `low` and not its
-/// length. A missing file has no points.
+/// Hands `visit` the points of the tail at `path` from its end — every
+/// whole record, newest first — down to and including the first one not
+/// newer than `low`, reading the file a piece at a time, so the cost
+/// follows how much of the tail lies after `low` and not its length. A
+/// missing file, or one without a whole prelude, has no points.
 ///
-/// Stopping there is sound because times strictly increase down a tail:
-/// [`LtsStore::append`] drops any point that is not newer than the
+/// Each trailer says where its record starts. The newest bytes may be a
+/// record still being appended (readers run while the writer flushes) or
+/// what a crash mid-append left; the checksum tells it from a whole one,
+/// and the tail is then read forward to its last whole record.
+///
+/// Stopping at `low` is sound because times strictly increase down a
+/// tail: [`LtsStore::append`] drops any point that is not newer than the
 /// series' last, and [`verify_store`] reports a tail where they do not.
 /// The walk checks what it reads against that. `false` means it saw
-/// something no writer leaves — a time that does not decrease, bytes
-/// that are not UTF-8, a read that failed — and the caller must discard
-/// what it was handed and read the file forward, whole.
+/// something no writer leaves — a time that does not decrease, a bad
+/// record behind a whole one, a read that failed — and the caller must
+/// discard what it was handed and read the file forward, whole.
 fn walk_tail_back(path: &Path, low: u64, mut visit: impl FnMut(Point)) -> bool {
     let Ok(mut f) = File::open(path) else {
         return true;
     };
-    let Ok(mut unread) = f.metadata().map(|m| m.len()) else {
+    let Ok(size) = f.metadata().map(|m| m.len()) else {
         return false;
     };
-    // Between pieces: the end of a line whose start lies in a piece not
-    // read yet.
-    let mut buf: Vec<u8> = Vec::new();
+    let mut head = [0u8; PRELUDE];
+    if size < PRELUDE as u64 {
+        return true;
+    }
+    if f.read_exact(&mut head).is_err() {
+        return false;
+    }
+    let Ok(kind) = prelude_kind(&head) else {
+        return true;
+    };
     let mut newer: Option<u64> = None;
-    let mut piece = TAIL_PIECE;
-    while unread > 0 {
-        let (take, carried) = (unread.min(piece) as usize, buf.len());
-        unread -= take as u64;
-        piece = piece.saturating_mul(2);
-        // The piece goes in front of what is carried.
-        buf.resize(take + carried, 0);
-        buf.copy_within(..carried, take);
-        let read = f
-            .seek(SeekFrom::Start(unread))
-            .and_then(|_| f.read_exact(&mut buf[..take]));
-        if read.is_err() {
-            return false;
+    // Hands `p` on; breaks with the walk's answer once it is done.
+    let mut hand = |p: Point| {
+        if newer.is_some_and(|n| p.t >= n) {
+            return ControlFlow::Break(false);
         }
-        // Whole lines start after the first newline, or at the first
-        // byte once that is the file's; with neither, all is carried.
-        let whole = match buf.iter().position(|&b| b == b'\n') {
-            _ if unread == 0 => 0,
-            Some(i) => i + 1,
-            None => continue,
-        };
-        // From a line's start to a line's end: text if the file is.
-        let Ok(lines) = std::str::from_utf8(&buf[whole..]) else {
+        let t = *newer.insert(p.t);
+        visit(p);
+        if t <= low {
+            ControlFlow::Break(true)
+        } else {
+            ControlFlow::Continue(())
+        }
+    };
+    // The file's bytes from `at` to the end of the next record back.
+    let (mut buf, mut at, mut piece) = (Vec::new(), size, TAIL_PIECE);
+    while at + buf.len() as u64 > PRELUDE as u64 {
+        let Ok(record) = record_back(&mut f, &mut buf, &mut at, &mut piece, kind) else {
             return false;
         };
-        for p in lines.rsplit('\n').filter_map(decode_point_line) {
-            if newer.is_some_and(|n| p.t >= n) {
+        let Some((p, start)) = record else {
+            // Only the newest bytes may be torn.
+            if at + buf.len() as u64 != size {
                 return false;
             }
-            let t = *newer.insert(p.t);
-            visit(p);
-            if t <= low {
-                return true;
+            let mut all = Vec::new();
+            if f.seek(SeekFrom::Start(0))
+                .and_then(|_| f.read_to_end(&mut all))
+                .is_err()
+            {
+                return false;
             }
+            let pts: Vec<Point> = tail_records(&all).into_iter().flatten().collect();
+            for p in pts.into_iter().rev() {
+                if let ControlFlow::Break(answer) = hand(p) {
+                    return answer;
+                }
+            }
+            return true;
+        };
+        buf.truncate(start);
+        if let ControlFlow::Break(answer) = hand(p) {
+            return answer;
         }
-        buf.truncate(whole.saturating_sub(1));
     }
     true
 }
 
-/// The first point of `kind` in a JSONL tail, read from the head of the
-/// file.
+/// The record that ends where `buf` — the bytes of `f` from `*at` on —
+/// ends, and where it starts in `buf`; `None` if there is no whole record
+/// there. Reads further back as the record's trailer asks.
+fn record_back(
+    f: &mut File,
+    buf: &mut Vec<u8>,
+    at: &mut u64,
+    piece: &mut u64,
+    kind: SeriesKind,
+) -> io::Result<Option<(Point, usize)>> {
+    read_back(f, buf, at, piece, TRAILER)?;
+    let Some(trailer) = buf.len().checked_sub(TRAILER) else {
+        return Ok(None);
+    };
+    let len = le_u32(&buf[trailer..]) as usize;
+    // More than the file holds before the trailer: no record.
+    if len as u64 > *at + trailer as u64 - PRELUDE as u64 {
+        return Ok(None);
+    }
+    read_back(f, buf, at, piece, TRAILER + len)?;
+    let (end, start) = (buf.len(), buf.len() - TRAILER - len);
+    let record = read_record(buf, start, kind).filter(|&(_, e)| e == end);
+    Ok(record.map(|(p, _)| (p, start)))
+}
+
+/// Grows `buf`, the bytes of `f` from `*at` on, to the front until it
+/// holds `need` bytes or begins where the prelude ends: a piece at a
+/// time, each twice the last.
+fn read_back(
+    f: &mut File,
+    buf: &mut Vec<u8>,
+    at: &mut u64,
+    piece: &mut u64,
+    need: usize,
+) -> io::Result<()> {
+    while buf.len() < need && *at > PRELUDE as u64 {
+        let (take, carried) = ((*at - PRELUDE as u64).min(*piece) as usize, buf.len());
+        *at -= take as u64;
+        *piece = piece.saturating_mul(2);
+        // The piece goes in front of what is carried.
+        buf.resize(take + carried, 0);
+        buf.copy_within(..carried, take);
+        f.seek(SeekFrom::Start(*at))?;
+        f.read_exact(&mut buf[..take])?;
+    }
+    Ok(())
+}
+
+/// The first point of the tail at `path`, if it is of `kind`, from a read
+/// of the head of the file.
 fn first_tail_point(path: &Path, kind: SeriesKind) -> Option<Point> {
-    let lines = io::BufReader::new(File::open(path).ok()?).lines();
-    lines
-        .map_while(Result::ok)
-        .filter_map(|l| decode_point_line(&l))
-        .find(|p| p.value.kind() == kind)
+    let mut f = File::open(path).ok()?;
+    let size = f.metadata().ok()?.len();
+    let first = |head: &[u8]| tail_records(head).filter(|r| r.kind == kind)?.next();
+    let mut head = vec![0; size.min(TAIL_PIECE) as usize];
+    f.read_exact(&mut head).ok()?;
+    // A first record longer than a piece: the rest of the file too.
+    first(&head).or_else(|| {
+        f.read_to_end(&mut head).ok()?;
+        first(&head)
+    })
 }
 
 /// Longest v2 header: magic, version, kind, then six varints.
-const SEG_HEADER_MAX: usize = 6 + 6 * 10;
+const SEG_HEADER_MAX: usize = PRELUDE + 6 * 10;
 
 /// A v2 segment's header from a read of the file's first bytes only.
 fn read_segment_header(path: &Path) -> Option<SegmentHeader> {
@@ -2431,7 +2594,7 @@ mod tests {
     }
 
     #[test]
-    fn point_json_round_trips() {
+    fn tail_records_round_trip() {
         for p in [
             Point {
                 t: 7,
@@ -2452,11 +2615,21 @@ mod tests {
                     ..Default::default()
                 }),
             },
+            Point {
+                t: u64::MAX,
+                value: PointValue::Counter(u64::MAX),
+            },
+            Point {
+                t: 0,
+                value: PointValue::Gauge(i64::MIN),
+            },
         ] {
-            let mut line = String::new();
-            encode_point_line(&mut line, &p);
-            let back = decode_point_line(&line).expect(&line);
-            assert_eq!(back, p, "{line}");
+            let mut tail = prelude(p.value.kind()).to_vec();
+            push_record(&mut tail, &p);
+            push_record(&mut tail, &p);
+            let mut records = tail_records(&tail).unwrap();
+            assert_eq!(records.by_ref().collect::<Vec<_>>(), [p.clone(), p]);
+            assert_eq!(records.pos, tail.len());
         }
     }
 
@@ -2538,15 +2711,13 @@ mod tests {
         let d = hist_delta(Some(&b), &b);
         assert_eq!(d.count, 0);
         assert_eq!(d.min, u64::MAX);
-        let mut line = String::new();
-        encode_point_line(
-            &mut line,
-            &Point {
-                t: 0,
-                value: PointValue::Histogram(d),
-            },
-        );
-        assert!(decode_point_line(&line).is_some());
+        let mut tail = prelude(SeriesKind::Histogram).to_vec();
+        let p = Point {
+            t: 0,
+            value: PointValue::Histogram(d),
+        };
+        push_record(&mut tail, &p);
+        assert_eq!(tail_records(&tail).unwrap().next(), Some(p));
     }
 
     #[test]
@@ -2704,17 +2875,25 @@ mod tests {
         }
         store.flush().unwrap();
         let slug = slug_for("c");
-        let open = dir.join("1s").join(&slug).join("open.seg");
-        // Simulate a crash mid-append: torn, newline-less JSON tail.
+        let open = dir.join("1s").join(&slug).join(OPEN_TAIL);
+        // Simulate a crash mid-append: a record cut short.
+        let mut torn = Vec::new();
+        push_record(
+            &mut torn,
+            &Point {
+                t: 5,
+                value: PointValue::Counter(7),
+            },
+        );
         let mut f = OpenOptions::new().append(true).open(&open).unwrap();
-        f.write_all(b"{\"t\":5,\"ki").unwrap();
+        f.write_all(&torn[..torn.len() - 1]).unwrap();
         drop(f);
         let mut store =
             LtsStore::open(&dir, LtsConfig::default(), LtsCounters::detached()).unwrap();
         let warnings = store.take_warnings();
         assert_eq!(warnings.len(), 1, "{warnings:?}");
         assert!(warnings[0].contains("corrupt tail"));
-        // The torn line is gone from disk; appends continue cleanly.
+        // The torn record is gone from disk; appends continue cleanly.
         store.append("c", 5, PointValue::Counter(9));
         store.flush().unwrap();
         let reader = LtsReader::open(&dir);
@@ -3210,14 +3389,18 @@ mod tests {
             .unwrap();
         let before = full_query(&dir);
         // Simulate a crash between writing the sealed segment and
-        // removing the tail: re-create an open.seg whose points are
+        // removing the tail: re-create an open.bin whose points are
         // already covered by sealed segments.
         let sdir = dir.join(Resolution::Raw1s.dir_name()).join(&info.slug);
-        fs::write(
-            sdir.join("open.seg"),
-            "{\"t\":10,\"kind\":\"counter\",\"v\":999}\n",
-        )
-        .unwrap();
+        let mut stale = prelude(SeriesKind::Counter).to_vec();
+        push_record(
+            &mut stale,
+            &Point {
+                t: 10,
+                value: PointValue::Counter(999),
+            },
+        );
+        fs::write(sdir.join(OPEN_TAIL), stale).unwrap();
         let config = LtsConfig {
             codec: SegmentCodec::Binary,
             seal_points: 64,
@@ -3232,7 +3415,7 @@ mod tests {
             warnings.iter().any(|w| w.contains("stale open tail")),
             "{warnings:?}"
         );
-        assert!(!sdir.join("open.seg").exists());
+        assert!(!sdir.join(OPEN_TAIL).exists());
         // The duplicate point is gone; queries match the pre-crash view.
         assert_eq!(full_query(&dir), before);
         let _ = fs::remove_dir_all(&dir);

@@ -1,10 +1,11 @@
-//! Reference implementations the store's tests compare against: the
-//! tail-line decoder that builds a JSON document and looks fields up in
-//! it, the `format!` encoder, the directory walks the writer used to
-//! make on every flush (disk gauges, retention) and the reader on every
-//! `newest_t`, and the reads that parse every line of a tail whatever
-//! window was asked for, and the v2 segment encoder that takes the whole
-//! slice and walks it twice; the dense-histogram `QuantileBaseline`
+//! Reference implementations the store's tests compare against: a tail
+//! record encoder and decoder of their own, written from the format
+//! comment in `lts.rs` and sharing nothing with the library's, the
+//! directory walks the writer used to make on every flush (disk gauges,
+//! retention) and the reader on every `newest_t`, and the reads that
+//! decode every record of a tail whatever window was asked for, and the
+//! v2 segment encoder that takes the whole slice and walks it twice; the
+//! dense-histogram `QuantileBaseline`
 //! (`baseline.rs`); and the alert engine that rebuilt every key each tick
 //! (`alerts.rs`). Slow and obviously right; kept out of the library.
 #![allow(dead_code)]
@@ -13,71 +14,174 @@ pub mod alerts;
 pub mod baseline;
 
 use netqos_telemetry::{
-    decode_point_line, decode_segment_v2, fold_series_range, parse_json, HistogramState, LtsReader,
-    LtsRetention, Point, PointValue, RangeFold, Resolution, SeriesInfo, SeriesKind,
+    decode_segment_v2, fold_series_range, HistogramState, LtsReader, LtsRetention, Point,
+    PointValue, RangeFold, Resolution, SeriesInfo, SeriesKind,
 };
-use std::fmt::Write as _;
 use std::fs;
 use std::path::{Path, PathBuf};
 
-/// One point as a single JSON line.
-pub fn point_to_json(p: &Point) -> String {
-    match &p.value {
-        PointValue::Counter(v) => format!("{{\"t\":{},\"kind\":\"counter\",\"v\":{}}}", p.t, v),
-        PointValue::Gauge(v) => format!("{{\"t\":{},\"kind\":\"gauge\",\"v\":{}}}", p.t, v),
-        PointValue::Histogram(h) => {
-            let mut out = format!(
-                "{{\"t\":{},\"kind\":\"histogram\",\"count\":{},\"sum\":{}",
-                p.t, h.count, h.sum
-            );
-            if h.count > 0 {
-                let _ = write!(out, ",\"min\":{},\"max\":{}", h.min, h.max);
-            }
-            out.push_str(",\"buckets\":[");
-            for (i, &(b, n)) in h.buckets.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                let _ = write!(out, "[{b},{n}]");
-            }
-            out.push_str("]}");
-            out
-        }
+/// The file name of a series directory's open tail.
+pub const OPEN_TAIL: &str = "open.bin";
+
+fn kind_byte(kind: SeriesKind) -> u8 {
+    match kind {
+        SeriesKind::Counter => 0,
+        SeriesKind::Gauge => 1,
+        SeriesKind::Histogram => 2,
     }
 }
 
-/// The document-building decoder. Every number goes through `f64`, so a
-/// value above 2^53 comes back rounded.
-pub fn point_from_json(line: &str) -> Option<Point> {
-    let v = parse_json(line).ok()?;
-    let t = v.get("t")?.as_u64()?;
-    let kind = SeriesKind::parse(v.get("kind")?.as_str()?)?;
-    let value = match kind {
-        SeriesKind::Counter => PointValue::Counter(v.get("v")?.as_u64()?),
-        SeriesKind::Gauge => {
-            let n = v.get("v")?.as_f64()?;
-            PointValue::Gauge(n.round() as i64)
+/// Magic, version and kind: how a tail (and a segment) begins.
+pub fn prelude(kind: SeriesKind) -> Vec<u8> {
+    let mut out = b"NQS2\x02".to_vec();
+    out.push(kind_byte(kind));
+    out
+}
+
+fn fnv1a32(bytes: &[u8]) -> u32 {
+    let mut h: u32 = 0x811c_9dc5;
+    for &b in bytes {
+        h ^= b as u32;
+        h = h.wrapping_mul(0x0100_0193);
+    }
+    h
+}
+
+/// `p` as one tail record: its payload with absolute time and value,
+/// then the payload's length and checksum, little-endian.
+pub fn tail_record(p: &Point) -> Vec<u8> {
+    let mut payload = Vec::new();
+    push_varint(&mut payload, p.t);
+    match &p.value {
+        PointValue::Counter(v) => push_varint(&mut payload, zigzag(*v as i64)),
+        PointValue::Gauge(v) => push_varint(&mut payload, zigzag(*v)),
+        PointValue::Histogram(h) => {
+            push_varint(&mut payload, h.count);
+            push_varint(&mut payload, h.sum);
+            if h.count > 0 {
+                payload.push(1);
+                push_varint(&mut payload, h.min);
+                push_varint(&mut payload, h.max);
+            } else {
+                payload.push(0);
+            }
+            push_varint(&mut payload, h.buckets.len() as u64);
+            let mut prev = 0u32;
+            for &(i, n) in &h.buckets {
+                push_varint(&mut payload, i.wrapping_sub(prev) as u64);
+                prev = i;
+                push_varint(&mut payload, n);
+            }
         }
+    }
+    let mut out = payload.clone();
+    out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+    out.extend_from_slice(&fnv1a32(&payload).to_le_bytes());
+    out
+}
+
+/// A whole tail of `kind` holding `pts`.
+pub fn tail_bytes(kind: SeriesKind, pts: &[Point]) -> Vec<u8> {
+    let mut out = prelude(kind);
+    for p in pts {
+        out.extend(tail_record(p));
+    }
+    out
+}
+
+fn read_varint(buf: &[u8], pos: &mut usize) -> Option<u64> {
+    let mut v = 0u64;
+    for shift in (0..64).step_by(7) {
+        let b = *buf.get(*pos)?;
+        *pos += 1;
+        v |= ((b & 0x7f) as u64) << shift;
+        if b & 0x80 == 0 {
+            return Some(v);
+        }
+    }
+    None
+}
+
+fn unzigzag(u: u64) -> i64 {
+    ((u >> 1) as i64) ^ -((u & 1) as i64)
+}
+
+/// The payload of a `kind` record from `pos`, absolute.
+fn read_payload(buf: &[u8], pos: &mut usize, kind: SeriesKind) -> Option<Point> {
+    let t = read_varint(buf, pos)?;
+    let value = match kind {
+        SeriesKind::Counter => PointValue::Counter(unzigzag(read_varint(buf, pos)?) as u64),
+        SeriesKind::Gauge => PointValue::Gauge(unzigzag(read_varint(buf, pos)?)),
         SeriesKind::Histogram => {
-            let count = v.get("count")?.as_u64()?;
+            let count = read_varint(buf, pos)?;
+            let sum = read_varint(buf, pos)?;
+            let flag = *buf.get(*pos)?;
+            *pos += 1;
+            let (min, max) = if flag == 1 {
+                (read_varint(buf, pos)?, read_varint(buf, pos)?)
+            } else {
+                (u64::MAX, 0)
+            };
             let mut buckets = Vec::new();
-            for b in v.get("buckets")?.as_array()? {
-                let pair = b.as_array()?;
-                if pair.len() != 2 {
-                    return None;
-                }
-                buckets.push((pair[0].as_u64()? as u32, pair[1].as_u64()?));
+            let mut prev = 0u32;
+            for _ in 0..read_varint(buf, pos)? {
+                prev = prev.wrapping_add(read_varint(buf, pos)? as u32);
+                buckets.push((prev, read_varint(buf, pos)?));
             }
             PointValue::Histogram(HistogramState {
                 buckets,
                 count,
-                sum: v.get("sum")?.as_u64()?,
-                min: v.get("min").and_then(|m| m.as_u64()).unwrap_or(u64::MAX),
-                max: v.get("max").and_then(|m| m.as_u64()).unwrap_or(0),
+                sum,
+                min,
+                max,
             })
         }
     };
     Some(Point { t, value })
+}
+
+/// A tail's kind and its whole records, front to back, each with the
+/// offset it ends at, up to the first record cut short, failing its
+/// checksum or not decoding to exactly its length. `None` without a whole
+/// prelude.
+pub fn read_tail(buf: &[u8]) -> Option<(SeriesKind, Vec<(Point, usize)>)> {
+    if buf.len() < 6 || &buf[..5] != b"NQS2\x02" {
+        return None;
+    }
+    let kind = [
+        SeriesKind::Counter,
+        SeriesKind::Gauge,
+        SeriesKind::Histogram,
+    ]
+    .into_iter()
+    .find(|k| kind_byte(*k) == buf[5])?;
+    let mut records = Vec::new();
+    let mut pos = 6;
+    loop {
+        let start = pos;
+        let Some(p) = read_payload(buf, &mut pos, kind) else {
+            break;
+        };
+        let Some(trailer) = buf.get(pos..pos + 8) else {
+            break;
+        };
+        let len = u32::from_le_bytes(trailer[..4].try_into().unwrap()) as usize;
+        let sum = u32::from_le_bytes(trailer[4..].try_into().unwrap());
+        if len != pos - start || sum != fnv1a32(&buf[start..pos]) {
+            break;
+        }
+        pos += 8;
+        records.push((p, pos));
+    }
+    Some((kind, records))
+}
+
+/// The points of the tail at `path`, read forward and whole.
+pub fn tail_points(path: &Path) -> Vec<Point> {
+    let buf = fs::read(path).unwrap_or_default();
+    read_tail(&buf).map_or_else(Vec::new, |(_, records)| {
+        records.into_iter().map(|(p, _)| p).collect()
+    })
 }
 
 /// A sealed segment file as a directory walk finds it.
@@ -90,10 +194,7 @@ pub struct WalkedSegment {
 }
 
 fn parse_segment_name(name: &str) -> Option<(u64, u64)> {
-    let rest = name.strip_prefix("seg-")?;
-    let body = rest
-        .strip_suffix(".seg")
-        .or_else(|| rest.strip_suffix(".bin"))?;
+    let body = name.strip_prefix("seg-")?.strip_suffix(".bin")?;
     let (a, b) = body.split_once('-')?;
     Some((a.parse().ok()?, b.parse().ok()?))
 }
@@ -121,8 +222,7 @@ pub fn sealed_in(sdir: &Path) -> Vec<WalkedSegment> {
 }
 
 /// `(netqos_lts_segments, netqos_lts_bytes_on_disk)` by walking the
-/// store: every `.seg`/`.bin` file under a series directory, plus the
-/// index.
+/// store: every `.bin` file under a series directory, plus the index.
 pub fn disk_gauges(dir: &Path) -> (i64, i64) {
     let (mut segments, mut bytes) = (0i64, 0u64);
     bytes += fs::metadata(dir.join("series.idx"))
@@ -137,10 +237,7 @@ pub fn disk_gauges(dir: &Path) -> (i64, i64) {
                 continue;
             };
             for f in files.flatten() {
-                if f.path()
-                    .extension()
-                    .is_some_and(|e| e == "seg" || e == "bin")
-                {
+                if f.path().extension().is_some_and(|e| e == "bin") {
                     segments += 1;
                     bytes += f.metadata().map(|m| m.len()).unwrap_or(0);
                 }
@@ -159,8 +256,8 @@ pub type Deletion = (String, u64, &'static str);
 /// than the age bound, then the oldest survivors while the store (sealed
 /// segments, open tails and index) is over its byte budget. The walk's
 /// ties are broken by the documented total order — `(last, resolution,
-/// series name, first)`, `.bin` after `.seg` — where the old writer left
-/// them in `read_dir` order.
+/// series name, first)` — where the old writer left them in `read_dir`
+/// order.
 pub fn retention_plan(dir: &Path, ret: LtsRetention, newest: u64) -> Vec<Deletion> {
     let mut deleted = Vec::new();
     if ret.max_age_secs == 0 && ret.max_bytes == 0 {
@@ -185,10 +282,9 @@ pub fn retention_plan(dir: &Path, ret: LtsRetention, newest: u64) -> Vec<Deletio
             let slug = sdir.file_name().unwrap().to_string_lossy().to_string();
             for seg in sealed_in(&sdir) {
                 total_bytes += seg.bytes;
-                let is_bin = seg.path.extension().is_some_and(|e| e == "bin");
-                segs.push(((seg.last, ri, names[&slug].clone(), seg.first, is_bin), seg));
+                segs.push(((seg.last, ri, names[&slug].clone(), seg.first), seg));
             }
-            if let Ok(m) = fs::metadata(sdir.join("open.seg")) {
+            if let Ok(m) = fs::metadata(sdir.join(OPEN_TAIL)) {
                 total_bytes += m.len();
             }
         }
@@ -225,7 +321,7 @@ pub fn retention_plan(dir: &Path, ret: LtsRetention, newest: u64) -> Vec<Deletio
     deleted
 }
 
-/// Newest raw-resolution point time by reading every line of every
+/// Newest raw-resolution point time by reading every record of every
 /// indexed series' `1s` tail and every sealed file name.
 pub fn newest_t(dir: &Path) -> Option<u64> {
     let mut newest = None;
@@ -234,12 +330,8 @@ pub fn newest_t(dir: &Path) -> Option<u64> {
         if let Some(last) = sealed_in(&sdir).iter().map(|s| s.last).max() {
             newest = Some(newest.map_or(last, |n: u64| n.max(last)));
         }
-        if let Ok(text) = fs::read_to_string(sdir.join("open.seg")) {
-            for line in text.lines() {
-                if let Some(p) = point_from_json(line) {
-                    newest = Some(newest.map_or(p.t, |n: u64| n.max(p.t)));
-                }
-            }
+        for p in tail_points(&sdir.join(OPEN_TAIL)) {
+            newest = Some(newest.map_or(p.t, |n: u64| n.max(p.t)));
         }
     }
     newest
@@ -247,9 +339,10 @@ pub fn newest_t(dir: &Path) -> Option<u64> {
 
 /// Canonical points of one series at one resolution in `[start, end]`,
 /// reading forward and whole: every sealed segment the window touches,
-/// oldest first, then every line of the open tail, front to back;
-/// clipped, stable-sorted by time, the first-written point winning a
-/// tie. Lines and segments that do not decode are passed over.
+/// oldest first, then every record of the open tail, front to back, up
+/// to its first bad one; clipped, stable-sorted by time, the
+/// first-written point winning a tie. Segments that do not decode are
+/// passed over.
 pub fn series_points(
     dir: &Path,
     info: &SeriesInfo,
@@ -259,25 +352,16 @@ pub fn series_points(
 ) -> Vec<Point> {
     let sdir = dir.join(res.dir_name()).join(&info.slug);
     let mut pts: Vec<Point> = Vec::new();
-    let read_jsonl = |path: &Path, pts: &mut Vec<Point>| {
-        if let Ok(text) = fs::read_to_string(path) {
-            pts.extend(text.lines().filter_map(decode_point_line));
-        }
-    };
     for seg in sealed_in(&sdir) {
         if seg.last < start || seg.first > end {
             continue;
         }
-        if seg.path.extension().is_some_and(|e| e == "bin") {
-            match fs::read(&seg.path).map(|buf| decode_segment_v2(&buf)) {
-                Ok(Ok((header, decoded))) if header.kind == info.kind => pts.extend(decoded),
-                _ => {}
-            }
-        } else {
-            read_jsonl(&seg.path, &mut pts);
+        match fs::read(&seg.path).map(|buf| decode_segment_v2(&buf)) {
+            Ok(Ok((header, decoded))) if header.kind == info.kind => pts.extend(decoded),
+            _ => {}
         }
     }
-    read_jsonl(&sdir.join("open.seg"), &mut pts);
+    pts.extend(tail_points(&sdir.join(OPEN_TAIL)));
     pts.retain(|p| p.value.kind() == info.kind && p.t >= start && p.t <= end);
     pts.sort_by_key(|p| p.t);
     pts.dedup_by_key(|p| p.t);

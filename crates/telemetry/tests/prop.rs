@@ -557,7 +557,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
     /// The segment codec is invisible to every read surface: the same
-    /// appends left in JSON-line tails and sealed into binary segments
+    /// appends left in open tails and sealed into binary segments
     /// answer `LtsReader::query` and `/api/v1/query_range` byte-identically
     /// — and stay identical across compaction.
     #[test]
@@ -605,7 +605,7 @@ proptest! {
             }
             store.flush().unwrap();
         };
-        // A store that never seals keeps every point as a tail line.
+        // A store that never seals keeps every point as a tail record.
         build(&dir_tails, usize::MAX);
         build(&dir_bin, 32);
 
@@ -641,47 +641,9 @@ proptest! {
     }
 }
 
-// ---------------------------------------------------------------------
-// Tail-line codec against the document-building oracle
-// ---------------------------------------------------------------------
-
 mod oracle;
 
-use netqos_telemetry::{decode_point_line, encode_point_line, HistogramState};
-
-/// Values the float-backed oracle still reads exactly.
-const EXACT: u64 = 1 << 53;
-
-fn arb_point(limit: u64) -> impl Strategy<Value = Point> {
-    let bound = limit as i64;
-    let value = prop_oneof![
-        (0..limit).prop_map(PointValue::Counter),
-        (-bound + 1..bound).prop_map(PointValue::Gauge),
-        (
-            prop::collection::vec((any::<u32>(), 0..limit), 0..6),
-            prop_oneof![Just(0u64), 1..limit],
-            0..limit,
-            0..limit,
-            0..limit,
-        )
-            .prop_map(|(buckets, count, sum, min, max)| {
-                PointValue::Histogram(HistogramState {
-                    buckets,
-                    count,
-                    sum,
-                    min,
-                    max,
-                })
-            }),
-    ];
-    (0..limit, value).prop_map(|(t, value)| Point { t, value })
-}
-
-fn encoded(p: &Point) -> String {
-    let mut line = String::new();
-    encode_point_line(&mut line, p);
-    line
-}
+use netqos_telemetry::HistogramState;
 
 /// A stream of small choices drawn from one seed (splitmix64).
 struct Choices(u64);
@@ -693,230 +655,6 @@ impl Choices {
         z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
         z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
         ((z ^ (z >> 31)) % n as u64) as usize
-    }
-
-    fn ws(&mut self) -> &'static str {
-        ["", "", "", " ", "\t", "  ", "\r", " \t "][self.next(8)]
-    }
-}
-
-/// `s` as a JSON string literal, some characters written as `\uXXXX`.
-fn spell_string(s: &str, c: &mut Choices) -> String {
-    let mut out = String::from("\"");
-    for ch in s.chars() {
-        match ch {
-            _ if c.next(4) == 0 || ch.is_control() => {
-                out.push_str(&format!("\\u{:04x}", ch as u32))
-            }
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str(["\\\\", "\\u005c"][c.next(2)]),
-            '/' => out.push_str(["/", "\\/"][c.next(2)]),
-            _ => out.push(ch),
-        }
-    }
-    out.push('"');
-    out
-}
-
-/// An integer written as an integer, or with a fraction or exponent that
-/// does not change its value.
-fn spell_number(n: i128, c: &mut Choices) -> String {
-    match c.next(6) {
-        0 => format!("{n}.0"),
-        1 => format!("{n}e0"),
-        2 => format!("{n}E+0"),
-        _ => n.to_string(),
-    }
-}
-
-/// A well-formed JSON value no point field uses.
-fn spell_junk(c: &mut Choices, depth: u32) -> String {
-    match c.next(if depth >= 3 { 5 } else { 7 }) {
-        0 => "null".into(),
-        1 => "true".into(),
-        2 => "false".into(),
-        3 => format!("-{}.5e-3", c.next(1000)),
-        4 => spell_string("a\"b\\c\n/ é", c),
-        5 => {
-            let items: Vec<String> = (0..c.next(3)).map(|_| spell_junk(c, depth + 1)).collect();
-            format!("[{}{}]", c.ws(), items.join(&format!("{},", c.ws())))
-        }
-        _ => {
-            let items: Vec<String> = (0..c.next(3))
-                .map(|i| format!("\"k{i}\"{}:{}{}", c.ws(), c.ws(), spell_junk(c, depth + 1)))
-                .collect();
-            format!("{{{}{}}}", c.ws(), items.join(","))
-        }
-    }
-}
-
-/// The members of `p`'s line as `(key, value text)`, numbers and strings
-/// re-spelled.
-fn spell_members(p: &Point, c: &mut Choices) -> Vec<(String, String)> {
-    let mut m = vec![("t".to_string(), spell_number(p.t as i128, c))];
-    let kind = |k: &str, c: &mut Choices| ("kind".to_string(), spell_string(k, c));
-    match &p.value {
-        PointValue::Counter(v) => {
-            m.push(kind("counter", c));
-            m.push(("v".into(), spell_number(*v as i128, c)));
-        }
-        PointValue::Gauge(v) => {
-            m.push(kind("gauge", c));
-            m.push(("v".into(), spell_number(*v as i128, c)));
-        }
-        PointValue::Histogram(h) => {
-            m.push(kind("histogram", c));
-            m.push(("count".into(), spell_number(h.count as i128, c)));
-            m.push(("sum".into(), spell_number(h.sum as i128, c)));
-            if h.count > 0 {
-                m.push(("min".into(), spell_number(h.min as i128, c)));
-                m.push(("max".into(), spell_number(h.max as i128, c)));
-            }
-            let pairs: Vec<String> = h
-                .buckets
-                .iter()
-                .map(|&(b, n)| {
-                    format!(
-                        "[{}{}{},{}{}]",
-                        c.ws(),
-                        spell_number(b as i128, c),
-                        c.ws(),
-                        c.ws(),
-                        spell_number(n as i128, c)
-                    )
-                })
-                .collect();
-            m.push((
-                "buckets".into(),
-                format!(
-                    "[{}{}{}]",
-                    c.ws(),
-                    pairs.join(&format!("{},", c.ws())),
-                    c.ws()
-                ),
-            ));
-        }
-    }
-    m
-}
-
-/// `p`'s line re-spelled: members shuffled, unknown members mixed in,
-/// whitespace between tokens, keys and strings partly escaped.
-fn respell(p: &Point, seed: u64) -> String {
-    let c = &mut Choices(seed);
-    let mut members = spell_members(p, c);
-    for i in 0..c.next(3) {
-        members.push((format!("x{i}"), spell_junk(c, 0)));
-    }
-    for i in (1..members.len()).rev() {
-        members.swap(i, c.next(i + 1));
-    }
-    let body: Vec<String> = members
-        .iter()
-        .map(|(k, v)| {
-            format!(
-                "{}{}{}:{}{v}{}",
-                c.ws(),
-                spell_string(k, c),
-                c.ws(),
-                c.ws(),
-                c.ws()
-            )
-        })
-        .collect();
-    format!("{}{{{}}}{}", c.ws(), body.join(","), c.ws())
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(512))]
-
-    /// Same bytes out, same point back, for every kind.
-    #[test]
-    fn tail_line_codec_matches_oracle(p in arb_point(EXACT)) {
-        let line = encoded(&p);
-        prop_assert_eq!(&line, &oracle::point_to_json(&p));
-        let back = decode_point_line(&line);
-        prop_assert_eq!(&back, &oracle::point_from_json(&line));
-        // Empty histograms come back with the sentinels, not what went in.
-        if !matches!(&p.value, PointValue::Histogram(h) if h.count == 0) {
-            prop_assert_eq!(back, Some(p));
-        }
-    }
-
-    /// Key order, whitespace, escapes, number spelling and unknown
-    /// members change nothing, and both decoders agree on what a line
-    /// means.
-    #[test]
-    fn tail_line_respellings_decode_alike(p in arb_point(EXACT), seed in any::<u64>()) {
-        let line = respell(&p, seed);
-        let got = decode_point_line(&line);
-        prop_assert_eq!(&got, &oracle::point_from_json(&line), "{}", line);
-        prop_assert_eq!(got, decode_point_line(&encoded(&p)), "{}", line);
-    }
-
-    /// No corruption of a valid line panics the decoder or makes it
-    /// disagree with the oracle. Values stay under 10^14, so that no
-    /// single changed byte (a digit, or a sign turned into one) can pass
-    /// 2^53, where only the oracle rounds.
-    #[test]
-    fn tail_line_corruptions_decode_alike(
-        p in arb_point(100_000_000_000_000),
-        seed in any::<u64>(),
-        junk in "\\PC{0,12}",
-    ) {
-        let c = &mut Choices(seed);
-        let plain = encoded(&p);
-        let line = if c.next(2) == 0 { plain.clone() } else { respell(&p, seed) };
-        let agree = |text: &str| {
-            assert_eq!(
-                decode_point_line(text),
-                oracle::point_from_json(text),
-                "{text:?}"
-            );
-        };
-        // Truncated at every byte.
-        for cut in (0..line.len()).filter(|&i| line.is_char_boundary(i)) {
-            agree(&line[..cut]);
-        }
-        // One byte replaced.
-        for _ in 0..16 {
-            let at = c.next(plain.len());
-            let mut bytes = plain.clone().into_bytes();
-            const BYTES: &[u8] = b" \t\"\\{}[],:-+.eE0123456789abtrufnl/x\x7f";
-            bytes[at] = BYTES[c.next(BYTES.len())];
-            agree(std::str::from_utf8(&bytes).unwrap());
-        }
-        // Content after the document.
-        agree(&format!("{line}{junk}"));
-        agree(&format!("{line} {line}"));
-        // Another kind, or none.
-        for kind in ["counter", "gauge", "histogram", "Counter", "", "summary"] {
-            agree(&plain.replacen(&format!("\"{}\"", p.value.kind().as_str()), &format!("\"{kind}\""), 1));
-        }
-        agree(&plain.replacen("\"kind\":", "\"kind\":7,\"was\":", 1));
-        // A key given twice: the later one counts, whatever it holds.
-        let members = spell_members(&p, c);
-        for (key, _) in &members {
-            for value in ["3", "-3", "\"x\"", "null", "[[1,2]]", "[[1]]", "[1,2]", "{}", "2.5", "1e400"] {
-                let extra = format!("\"{key}\":{value}");
-                agree(&format!("{{{extra},{}", &plain[1..]));
-                agree(&format!("{},{extra}}}", &plain[..plain.len() - 1]));
-            }
-        }
-    }
-
-    /// Arbitrary text is never a panic and never a disagreement.
-    #[test]
-    fn tail_line_garbage_decodes_alike(text in "\\PC{0,64}", seed in any::<u64>()) {
-        prop_assert_eq!(decode_point_line(&text), oracle::point_from_json(&text));
-        // The same characters, JSON punctuation mixed in.
-        const PUNCTUATION: &[u8] = b"{}[]\",:\\ 0-";
-        let c = &mut Choices(seed);
-        let mixed: String = text
-            .chars()
-            .flat_map(|ch| [ch, PUNCTUATION[c.next(PUNCTUATION.len())] as char])
-            .collect();
-        prop_assert_eq!(decode_point_line(&mixed), oracle::point_from_json(&mixed));
     }
 }
 
@@ -1131,9 +869,11 @@ proptest! {
 // ---------------------------------------------------------------------
 
 use netqos_telemetry::{
-    fold_series_range, parse_series_name, LtsConfig, LtsCounters, LtsReader, LtsRetention,
-    LtsSource, LtsStore, SegmentCodec, SeriesInfo, LOOKBACK_FLOOR_SECS,
+    fold_series_range, parse_series_name, store_stats, verify_store, LtsConfig, LtsCounters,
+    LtsReader, LtsRetention, LtsSource, LtsStore, RangeFold, SegmentCodec, SeriesInfo,
+    LOOKBACK_FLOOR_SECS,
 };
+use oracle::OPEN_TAIL;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
@@ -1231,7 +971,7 @@ proptest! {
     /// on a point, between two, before the first, after the last,
     /// across a seal, inside sealed data, over a missing or an empty
     /// tail — the reader and the pushdown fold say what a forward scan
-    /// of every line says, at every resolution and for every kind.
+    /// of every record says, at every resolution and for every kind.
     #[test]
     fn windowed_reads_match_a_forward_scan(
         seal_points in 2usize..40,
@@ -1246,8 +986,8 @@ proptest! {
             for res in Resolution::ALL {
                 let sdir = dir.join(res.dir_name()).join(&info.slug);
                 // An empty tail where a seal left none.
-                if c.next(2) == 0 && sdir.is_dir() && !sdir.join("open.seg").exists() {
-                    std::fs::write(sdir.join("open.seg"), b"").unwrap();
+                if c.next(2) == 0 && sdir.is_dir() && !sdir.join(OPEN_TAIL).exists() {
+                    std::fs::write(sdir.join(OPEN_TAIL), b"").unwrap();
                 }
                 let all = oracle::series_points(&dir, &info, res, 0, u64::MAX);
                 let bounds = bounds_of(&all, &sdir, c);
@@ -1282,56 +1022,107 @@ proptest! {
     }
 }
 
+/// A histogram point `buckets` buckets wide, each bucket two bytes or,
+/// if `big`, eleven, so that one record can be longer than many pieces.
+fn wide_point(t: u64, buckets: usize, big: bool) -> Point {
+    Point {
+        t,
+        value: PointValue::Histogram(HistogramState {
+            buckets: (0..buckets as u32)
+                .map(|i| (i, if big { u64::MAX - i as u64 } else { 1 }))
+                .collect(),
+            count: buckets as u64 + 1,
+            sum: t,
+            min: 1,
+            max: t,
+        }),
+    }
+}
+
+/// A series' `1s` tail in the store at `dir`.
+fn raw_tail(dir: &Path, info: &SeriesInfo) -> PathBuf {
+    dir.join(Resolution::Raw1s.dir_name())
+        .join(&info.slug)
+        .join(OPEN_TAIL)
+}
+
+/// What the store at `dir` answers about one series: its raw points by
+/// `LtsReader::query`, the store's `newest_t`, and the pushdown fold
+/// over every window `bounds` make.
+fn answers(
+    dir: &Path,
+    info: &SeriesInfo,
+    bounds: &[u64],
+) -> (String, Option<u64>, Vec<Option<RangeFold>>) {
+    let reader = LtsReader::open(dir);
+    let query = reader.query(&info.name, 0, u64::MAX, Resolution::Raw1s);
+    let mut folds = Vec::new();
+    for after in std::iter::once(None).chain(bounds.iter().copied().map(Some)) {
+        for &upto in bounds {
+            folds.push(fold_series_range(
+                dir,
+                &info.slug,
+                info.kind,
+                Resolution::Raw1s,
+                after,
+                upto,
+            ));
+        }
+    }
+    (query, reader.newest_t(), folds)
+}
+
+/// Copies every file under `from` to `to`.
+fn copy_tree(from: &Path, to: &Path) {
+    std::fs::create_dir_all(to).unwrap();
+    for entry in std::fs::read_dir(from).unwrap().flatten() {
+        let dest = to.join(entry.file_name());
+        if entry.path().is_dir() {
+            copy_tree(&entry.path(), &dest);
+        } else {
+            std::fs::copy(entry.path(), dest).unwrap();
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
-    /// A tail is read from its end a fixed piece at a time; wherever in
-    /// a piece its lines end — padded to any length, some longer than a
-    /// piece, some blank, some not decodable, the last one torn — every
-    /// window reads as the forward scan of the file reads it.
+    /// A tail is read from its end a piece at a time; wherever in a
+    /// piece its records end — some a few bytes long, some longer than a
+    /// piece, one longer than the first two pieces together, the last
+    /// one torn or not — every window reads as the forward scan of the
+    /// file reads it.
     #[test]
-    fn tails_of_any_line_lengths_read_like_a_forward_scan(
+    fn tails_of_any_record_lengths_read_like_a_forward_scan(
         seed in any::<u64>(),
-        lines in 100usize..600,
+        records in 20usize..200,
     ) {
         let dir = written_store("pieces", 1 << 20, &[1], 1);
         let reader = LtsReader::open(&dir);
         let index = reader.index();
-        let info = index.iter().find(|i| i.kind == SeriesKind::Gauge).unwrap();
+        let info = index.iter().find(|i| i.kind == SeriesKind::Histogram).unwrap();
         let c = &mut Choices(seed);
-        let (mut text, mut times) = (String::new(), Vec::new());
-        let mut t = 10u64;
-        for _ in 0..lines {
+        let (mut pts, mut t) = (Vec::new(), 10u64);
+        for _ in 0..records {
             t += 1 + c.next(3) as u64;
-            let pad = match c.next(40) {
-                0 => {
-                    text.push_str(" \n\n");
-                    0
-                }
-                1 => {
-                    text.push_str("{\"t\":7,\"kind\":\n");
-                    0
-                }
-                2 => 8_000 + c.next(40_000),
-                _ => {
-                    let most = [1, 1, 40, 300][c.next(4)];
-                    c.next(most)
-                }
+            let buckets = match c.next(30) {
+                0 => 800 + c.next(3_000),
+                _ => [0, 1, 4, 40][c.next(4)],
             };
-            let pad = "x".repeat(pad);
-            text.push_str(&format!(
-                "{{\"pad\":\"{pad}\",\"t\":{t},\"kind\":\"gauge\",\"v\":-3}}\n"
-            ));
-            times.push(t);
+            pts.push(wide_point(t, buckets, c.next(2) == 0));
         }
+        let at = c.next(pts.len());
+        pts[at] = wide_point(pts[at].t, 2_500, true);
+        let mut tail = oracle::tail_bytes(SeriesKind::Histogram, &pts);
         if c.next(2) == 0 {
-            text.push_str("{\"t\":99999,\"kind\":\"gau");
+            let record = oracle::tail_record(&wide_point(t + 1, c.next(2_000), true));
+            tail.extend(&record[..c.next(record.len())]);
         }
-        let tail = dir.join("1s").join(&info.slug).join("open.seg");
-        std::fs::write(tail, text).unwrap();
+        std::fs::write(raw_tail(&dir, info), tail).unwrap();
         let mut bounds = vec![0, 10, t, t + 1, u64::MAX];
         for _ in 0..5 {
-            let at = times[c.next(times.len())];
+            let at = pts[c.next(pts.len())].t;
             bounds.extend([at, at + c.next(2) as u64]);
         }
         bounds.sort_unstable();
@@ -1343,6 +1134,106 @@ proptest! {
                     "[{}, {}]", start, end
                 );
             }
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A tail cut at any byte — a crash mid-append, or a reader that
+    /// looks while the writer appends — answers queries, `newest_t` and
+    /// the pushdown fold as the whole records before the cut alone do,
+    /// and opening the store keeps exactly those records.
+    #[test]
+    fn a_tail_cut_anywhere_reads_as_its_whole_records(
+        seal_points in 8usize..40,
+        gaps in arb_gaps(),
+        seed in any::<u64>(),
+    ) {
+        let dir = written_store("cut", seal_points, &gaps, 7);
+        let whole = dir.with_extension("whole");
+        let _ = std::fs::remove_dir_all(&whole);
+        copy_tree(&dir, &whole);
+        let c = &mut Choices(seed);
+        let index = LtsReader::open(&dir).index();
+        let info = &index[c.next(index.len())];
+        let (cut_tail, whole_tail) = (raw_tail(&dir, info), raw_tail(&whole, info));
+        let full = std::fs::read(&cut_tail).unwrap_or_default();
+        let ends = oracle::read_tail(&full).map_or_else(Vec::new, |(_, r)| r);
+        prop_assert_eq!(ends.last().map(|e| e.1).unwrap_or(6), full.len().max(6));
+        let pts = oracle::series_points(&dir, info, Resolution::Raw1s, 0, u64::MAX);
+        let mut bounds = vec![0, u64::MAX];
+        for _ in 0..3.min(pts.len()) {
+            let t = pts[c.next(pts.len())].t;
+            bounds.extend([t - 1, t]);
+        }
+        for cut in 0..=full.len() {
+            // The whole records before the cut, behind their prelude.
+            let kept = match ends.iter().rev().find(|e| e.1 <= cut) {
+                Some(e) => e.1,
+                None if cut < 6 => 0,
+                None => 6,
+            };
+            std::fs::write(&cut_tail, &full[..cut]).unwrap();
+            std::fs::write(&whole_tail, &full[..kept]).unwrap();
+            prop_assert_eq!(
+                answers(&dir, info, &bounds),
+                answers(&whole, info, &bounds),
+                "{} cut at {} of {}", info.name, cut, full.len()
+            );
+            let config = LtsConfig {
+                codec: SegmentCodec::Binary,
+                seal_points,
+                retention: LtsRetention { max_age_secs: 0, max_bytes: 0 },
+            };
+            let mut store = LtsStore::open(&dir, config, LtsCounters::detached()).unwrap();
+            prop_assert_eq!(store.take_warnings().len(), usize::from(kept != cut));
+            drop(store);
+            prop_assert_eq!(std::fs::read(&cut_tail).unwrap(), &full[..kept]);
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+        let _ = std::fs::remove_dir_all(&whole);
+    }
+
+    /// No bytes in a tail — its own bits flipped, bytes replaced, bytes
+    /// appended, or nothing but arbitrary bytes — panic opening,
+    /// verifying, querying or measuring the store.
+    #[test]
+    fn damaged_tails_never_panic(
+        gaps in arb_gaps(),
+        seed in any::<u64>(),
+        junk in prop::collection::vec(any::<u8>(), 0..300),
+    ) {
+        let dir = written_store("damage", 24, &gaps, 5);
+        let c = &mut Choices(seed);
+        let index = LtsReader::open(&dir).index();
+        let info = &index[c.next(index.len())];
+        let tail = raw_tail(&dir, info);
+        let full = std::fs::read(&tail).unwrap_or_default();
+        for round in 0..24 {
+            let mut bytes = full.clone();
+            match round % 4 {
+                0 if !bytes.is_empty() => {
+                    let at = c.next(bytes.len());
+                    bytes[at] ^= 1 << c.next(8);
+                }
+                1 if !bytes.is_empty() => {
+                    let at = c.next(bytes.len());
+                    bytes[at] = junk.get(round).copied().unwrap_or(0xff);
+                }
+                2 => bytes.extend(&junk[..c.next(junk.len() + 1)]),
+                _ => bytes = junk[..c.next(junk.len() + 1)].to_vec(),
+            }
+            std::fs::write(&tail, &bytes).unwrap();
+            let bounds = [0, 1_700_000_100, u64::MAX];
+            answers(&dir, info, &bounds);
+            LtsReader::open(&dir).query("*", 0, u64::MAX, Resolution::Min1);
+            prop_assert!(verify_store(&dir).is_ok());
+            prop_assert!(store_stats(&dir).is_ok());
+            let config = LtsConfig {
+                codec: SegmentCodec::Binary,
+                seal_points: 24,
+                retention: LtsRetention { max_age_secs: 0, max_bytes: 0 },
+            };
+            prop_assert!(LtsStore::open(&dir, config, LtsCounters::detached()).is_ok());
         }
         let _ = std::fs::remove_dir_all(&dir);
     }

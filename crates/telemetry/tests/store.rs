@@ -6,15 +6,18 @@
 //! gives what a forward scan of it gives, crash leftovers and hand-made
 //! damage included, a sealing store is a never-sealing twin with every
 //! sealed tail encoded by the slice-walking encoder, and a store holding
-//! a sealed v1 segment is refused without a byte changed.
+//! a sealed v1 segment or a JSON-lines tail is refused without a byte
+//! changed.
 
 mod oracle;
 
 use netqos_telemetry::{
-    compact_store, decode_point_line, parse_json, report_flush, store_stats, verify_store, Counter,
-    EventSink, FlushReport, Histogram, LtsConfig, LtsCounters, LtsReader, LtsRetention, LtsSource,
-    LtsStore, Point, PointValue, QueryEngine, QueryResult, Resolution, SegmentCodec, SeriesSource,
+    compact_store, parse_json, report_flush, store_stats, verify_store, Counter, EventSink,
+    FlushReport, Histogram, LtsConfig, LtsCounters, LtsReader, LtsRetention, LtsSource, LtsStore,
+    Point, PointValue, QueryEngine, QueryResult, Resolution, SegmentCodec, SeriesKind,
+    SeriesSource,
 };
+use oracle::OPEN_TAIL;
 use proptest::prelude::*;
 use std::collections::{BTreeMap, BTreeSet};
 use std::fs;
@@ -67,6 +70,21 @@ fn tree(dir: &Path) -> BTreeMap<String, Vec<u8>> {
     let mut out = BTreeMap::new();
     walk(dir, dir, &mut out);
     out
+}
+
+/// A counter point whose value is its time.
+fn counter(t: u64) -> Point {
+    Point {
+        t,
+        value: PointValue::Counter(t),
+    }
+}
+
+/// The first `len - cut` bytes of `p`'s record: a crash mid-append.
+fn cut_short(p: &Point, cut: usize) -> Vec<u8> {
+    let mut record = oracle::tail_record(p);
+    record.truncate(record.len() - cut);
+    record
 }
 
 fn hist(values: &[u64]) -> PointValue {
@@ -258,29 +276,30 @@ fn catalog_equals_the_directory_through_a_stores_life() {
     t.append(2);
     t.flush("after reopen");
 
-    // A crash mid-append: a torn last line in a raw tail.
+    // A crash mid-append: a torn last record in a raw tail.
     let slug = LtsReader::open(&t.subject_dir)
         .index()
         .into_iter()
         .find(|i| i.name == "c_total")
         .unwrap()
         .slug;
-    assert!(t.subject_dir.join(format!("1s/{slug}/open.seg")).exists());
-    t.scribble(&format!("1s/{slug}/open.seg"), b"{\"t\":99,\"ki");
+    let tail = format!("1s/{slug}/{OPEN_TAIL}");
+    assert!(t.subject_dir.join(&tail).exists());
+    t.scribble(&tail, &cut_short(&counter(t.newest + 1), 3));
     t.reopen(by_age);
     t.append(1);
     t.flush("after torn tail");
 
     // A crash between writing a sealed segment and removing its
     // tail: seal the raw tail, then put an already sealed point back.
-    while t.subject_dir.join(format!("1s/{slug}/open.seg")).exists() {
+    while t.subject_dir.join(&tail).exists() {
         t.append(1);
         t.flush("towards a seal");
     }
-    let stale = format!("{{\"t\":{},\"kind\":\"counter\",\"v\":1}}\n", t.newest);
-    t.scribble(&format!("1s/{slug}/open.seg"), stale.as_bytes());
+    let stale = oracle::tail_bytes(SeriesKind::Counter, &[counter(t.newest)]);
+    t.scribble(&tail, &stale);
     t.reopen(by_age);
-    assert!(!t.subject_dir.join(format!("1s/{slug}/open.seg")).exists());
+    assert!(!t.subject_dir.join(&tail).exists());
     t.append(4);
     t.flush("after stale tail");
 
@@ -416,30 +435,33 @@ fn newest_t_agrees_with_a_full_scan() {
             .unwrap()
             .slug
     };
-    // A torn final line after the newest point, and an empty tail beside
-    // sealed segments.
-    let tail = dir.join(format!("1s/{}/open.seg", slug("tail_total")));
+    // A torn final record after the newest point, and an empty tail
+    // beside sealed segments.
+    let tail = dir.join(format!("1s/{}/{OPEN_TAIL}", slug("tail_total")));
     let mut f = fs::OpenOptions::new().append(true).open(&tail).unwrap();
-    f.write_all(b"{\"t\":900,\"kind\":\"coun").unwrap();
+    f.write_all(&cut_short(&counter(900), 2)).unwrap();
     drop(f);
-    let empty = dir.join(format!("1s/{}/open.seg", slug("sealed_total")));
+    let empty = dir.join(format!("1s/{}/{OPEN_TAIL}", slug("sealed_total")));
     assert!(!empty.exists());
     fs::write(&empty, b"").unwrap();
     assert_eq!(oracle::newest_t(&dir), Some(120));
     assert_eq!(LtsReader::open(&dir).newest_t(), Some(120));
 
     // A tail far longer than the piece the reader looks at first, ending
-    // in lines that do not decode.
+    // in bytes that do not decode.
     let store = LtsStore::open(&dir, cfg, LtsCounters::detached()).unwrap();
     agree(&store, Some(120), "reopened over a torn and an empty tail");
     drop(store);
-    let mut long = String::new();
-    for t in 200..1_200 {
-        long.push_str(&format!("{{\"t\":{t},\"kind\":\"gauge\",\"v\":{t}}}\n"));
-    }
-    long.push_str(&"x".repeat(20_000));
-    long.push('\n');
-    fs::write(dir.join(format!("1s/{}/open.seg", slug("young"))), long).unwrap();
+    let gauges: Vec<Point> = (200..1_200)
+        .map(|t| Point {
+            t,
+            value: PointValue::Gauge(t as i64),
+        })
+        .collect();
+    let mut long = oracle::tail_bytes(SeriesKind::Gauge, &gauges);
+    long.extend([b'x'; 20_000]);
+    long.push(b'\n');
+    fs::write(dir.join(format!("1s/{}/{OPEN_TAIL}", slug("young"))), long).unwrap();
     assert_eq!(oracle::newest_t(&dir), Some(1_199));
     assert_eq!(LtsReader::open(&dir).newest_t(), Some(1_199));
     let _ = fs::remove_dir_all(&dir);
@@ -600,10 +622,14 @@ fn the_query_sources_newest_t_follows_the_store() {
     let slug = &LtsReader::open(&dir).index()[1].slug;
     let mut f = fs::OpenOptions::new()
         .append(true)
-        .open(dir.join(format!("1s/{slug}/open.seg")))
+        .open(dir.join(format!("1s/{slug}/{OPEN_TAIL}")))
         .unwrap();
-    f.write_all(b"{\"t\":900,\"kind\":\"gau").unwrap();
-    agree(Some(20), "a torn final line");
+    let gauge = Point {
+        t: 900,
+        value: PointValue::Gauge(-2),
+    };
+    f.write_all(&cut_short(&gauge, 1)).unwrap();
+    agree(Some(20), "a torn final record");
     let _ = fs::remove_dir_all(&dir);
 }
 
@@ -640,7 +666,7 @@ fn reads_agree(dir: &Path, starts: &[u64], ends: &[u64], what: &str) -> bool {
 fn hand_made_tails_read_like_a_forward_scan() {
     let dir = tmpdir("tail-walk");
     let cfg = config(8, KEEP_ALL);
-    let mut store = LtsStore::open(&dir, cfg, LtsCounters::detached()).unwrap();
+    let mut store = LtsStore::open(&dir, cfg.clone(), LtsCounters::detached()).unwrap();
     for t in 100..108 {
         store.append("c_total", t, PointValue::Counter(t));
     }
@@ -652,51 +678,58 @@ fn hand_made_tails_read_like_a_forward_scan() {
     drop(store);
     let slug = LtsReader::open(&dir).index()[0].slug.clone();
     let sdir = dir.join("1s").join(slug);
-    let tail = sdir.join("open.seg");
-    let line = |t: u64| format!("{{\"t\":{t},\"kind\":\"counter\",\"v\":{t}}}\n");
-    let lines = |ts: &[u64]| ts.iter().map(|t| line(*t)).collect::<String>();
+    let tail = sdir.join(OPEN_TAIL);
+    let records = |ts: &[u64]| {
+        let pts: Vec<Point> = ts.iter().map(|t| counter(*t)).collect();
+        oracle::tail_bytes(SeriesKind::Counter, &pts)
+    };
     let all = [0, 99, 100, 104, 107, 108, 109, 110, 111, u64::MAX];
 
     // A sealed segment and a tail far shorter than one piece.
     assert!(reads_agree(&dir, &all, &all, "as written"));
 
-    // A torn final line.
-    let written = fs::read_to_string(&tail).unwrap();
-    fs::write(&tail, format!("{written}{{\"t\":111,\"kind\":\"coun")).unwrap();
-    assert!(reads_agree(&dir, &all, &all, "torn final line"));
+    // A torn final record.
+    let written = fs::read(&tail).unwrap();
+    fs::write(
+        &tail,
+        [written.clone(), cut_short(&counter(111), 2)].concat(),
+    )
+    .unwrap();
+    assert!(reads_agree(&dir, &all, &all, "torn final record"));
 
-    // Blank lines and lines that do not decode, mid-tail.
-    let damaged = format!(
-        "{}\n\nnot json\n{}{{\"t\":1}}\n \t\r\n{}",
-        line(108),
-        line(109),
-        line(110)
-    );
-    fs::write(&tail, damaged).unwrap();
-    assert!(reads_agree(&dir, &all, &all, "blank and undecodable lines"));
+    // A record mid-tail that fails its checksum: the forward scan stops
+    // there, and a walk that reaches it stands down to that scan (one
+    // that stops short of it still reads the records after it). Opening
+    // the store cuts the tail there.
+    let mut damaged = records(&[108, 109, 110]);
+    let bad = damaged.len() - oracle::tail_record(&counter(110)).len() - 1;
+    damaged[bad] ^= 0x40;
+    fs::write(&tail, &damaged).unwrap();
+    let reach = [0, 99, 100, 104, 107, 108];
+    assert!(!reads_agree(&dir, &reach, &all, "a bad record mid-tail"));
+    let store = LtsStore::open(&dir, cfg.clone(), LtsCounters::detached()).unwrap();
+    drop(store);
+    assert_eq!(fs::read(&tail).unwrap(), records(&[108]));
+    assert!(reads_agree(&dir, &all, &all, "cut at the bad record"));
 
-    // No tail, and an empty one.
+    // No tail, an empty one, and one of its prelude alone.
     fs::remove_file(&tail).unwrap();
     assert!(reads_agree(&dir, &all, &all, "missing tail"));
     fs::write(&tail, "").unwrap();
     assert!(reads_agree(&dir, &all, &all, "empty tail"));
+    fs::write(&tail, oracle::prelude(SeriesKind::Counter)).unwrap();
+    assert!(reads_agree(&dir, &all, &all, "a prelude alone"));
 
-    // Many pieces, with lines that decode and one that does not each
-    // longer than a piece — the last longer than the first two pieces
-    // together — so that line ends fall anywhere in a piece or in none.
-    let padded = |t: u64, pad: usize| {
-        let pad = "x".repeat(pad);
-        format!("{{\"t\":{t},\"pad\":\"{pad}\",\"kind\":\"counter\",\"v\":5}}\n")
-    };
-    let mut long = String::new();
-    for t in 108..3_000u64 {
-        match t {
-            1_000 => long.push_str(&padded(t, 20_000)),
-            2_000 => long.push_str(&format!("{}\n", "y".repeat(20_000))),
-            _ => long.push_str(&line(t)),
-        }
-    }
-    long.push_str(&padded(3_000, 40_000));
+    // Many pieces, records one to ten bytes of value long so that their
+    // ends fall anywhere in a piece, ending in a torn record.
+    let spread: Vec<Point> = (108..3_000u64)
+        .map(|t| Point {
+            t,
+            value: PointValue::Counter(t.wrapping_mul(0x9e37_79b9_7f4a_7c15) >> (t % 64)),
+        })
+        .collect();
+    let mut long = oracle::tail_bytes(SeriesKind::Counter, &spread);
+    long.extend(cut_short(&counter(3_000), 5));
     fs::write(&tail, &long).unwrap();
     let far = [
         0,
@@ -718,7 +751,7 @@ fn hand_made_tails_read_like_a_forward_scan() {
     // Times that go backwards where the walk reads them: no writer
     // leaves that (`verify` says so), the fold stands down and the read
     // goes forward over the whole file.
-    fs::write(&tail, lines(&[108, 109, 115, 112, 116, 116, 120])).unwrap();
+    fs::write(&tail, records(&[108, 109, 115, 112, 116, 116, 120])).unwrap();
     let issues = verify_store(&dir).unwrap().issues;
     assert!(
         issues.iter().any(|i| i.contains("time not increasing")),
@@ -738,11 +771,11 @@ fn hand_made_tails_read_like_a_forward_scan() {
     // copy of each; the fold stands down.
     fs::write(
         &tail,
-        lines(&[100, 101, 102, 103, 104, 105, 106, 107, 108, 109]),
+        records(&[100, 101, 102, 103, 104, 105, 106, 107, 108, 109]),
     )
     .unwrap();
     assert!(!reads_agree(&dir, &all, &all, "stale tail"));
-    fs::write(&tail, lines(&[106, 107, 108])).unwrap();
+    fs::write(&tail, records(&[106, 107, 108])).unwrap();
     assert!(!reads_agree(
         &dir,
         &all,
@@ -753,7 +786,7 @@ fn hand_made_tails_read_like_a_forward_scan() {
 }
 
 // ---------------------------------------------------------------------
-// Seals ≡ the oracle's encoding of the lines a never-sealing twin keeps
+// Seals ≡ the oracle's encoding of the records a never-sealing twin keeps
 // ---------------------------------------------------------------------
 
 /// One step in the life of a pair of stores.
@@ -772,15 +805,15 @@ enum TailOp {
 }
 
 /// Runs `ops` on a store sealing every `seal_points` points beside a
-/// twin that never seals, so the twin's tails hold every line the store
-/// ever wrote. After every step the sealing store must be its twin file
-/// for file: the same index, each sealed `.bin` the oracle's v2 encoding
-/// of exactly the twin's points in its `[first, last]` — whichever
-/// process began the tail, however many flushes it spanned — every
-/// point sealed or in the tail, and each tail, byte for byte, the twin's
-/// lines past the last seal. Returns the sealing store's files at the
-/// end.
-fn binary_store_is_its_jsonl_twin_sealed_by_the_oracle(
+/// twin that never seals, so the twin's tails hold every record the
+/// store ever wrote. After every step the sealing store must be its twin
+/// file for file: the same index, each sealed `.bin` the oracle's v2
+/// encoding of exactly the twin's points in its `[first, last]` —
+/// whichever process began the tail, however many flushes it spanned —
+/// every point sealed or in the tail, and each tail, byte for byte, the
+/// prelude and the twin's records past the last seal. Returns the
+/// sealing store's files at the end.
+fn a_sealing_store_is_its_twin_sealed_by_the_oracle(
     seal_points: usize,
     ops: &[TailOp],
 ) -> BTreeMap<String, Vec<u8>> {
@@ -825,9 +858,11 @@ fn binary_store_is_its_jsonl_twin_sealed_by_the_oracle(
             TailOp::Reopen { torn } => {
                 drop(stores.take());
                 for dir in dirs.iter().filter(|_| *torn) {
-                    for tail in tree(dir).keys().filter(|p| p.ends_with("/open.seg")) {
+                    for tail in tree(dir).keys().filter(|p| p.ends_with(OPEN_TAIL)) {
                         let f = fs::OpenOptions::new().append(true).open(dir.join(tail));
-                        f.unwrap().write_all(b"{\"t\":17000").unwrap();
+                        f.unwrap()
+                            .write_all(&cut_short(&counter(17_000), 4))
+                            .unwrap();
                     }
                 }
                 stores = Some(open());
@@ -845,16 +880,20 @@ fn binary_store_is_its_jsonl_twin_sealed_by_the_oracle(
             twin.get("series.idx").cloned(),
             "step {step}, {op:?}: index"
         );
-        for (path, lines) in &twin {
-            let Some(series) = path.strip_suffix("/open.seg") else {
+        for (path, bytes) in &twin {
+            let Some(series) = path.strip_suffix(&format!("/{OPEN_TAIL}")) else {
                 assert_eq!(path, "series.idx", "step {step}, {op:?}: twin sealed");
                 continue;
             };
             let kind = kinds[series.split('/').nth(1).unwrap()];
-            let lines: Vec<(Point, &str)> = std::str::from_utf8(lines)
-                .unwrap()
-                .split_inclusive('\n')
-                .map(|l| (decode_point_line(l.trim_end()).unwrap(), l))
+            let (prelude_kind, read) = oracle::read_tail(bytes).unwrap();
+            assert_eq!(prelude_kind, kind, "step {step}, {op:?}: {series}");
+            assert_eq!(read.last().map(|r| r.1), Some(bytes.len()), "{series}");
+            // Each point with the bytes of its record.
+            let mut start = oracle::prelude(kind).len();
+            let records: Vec<(Point, &[u8])> = read
+                .into_iter()
+                .map(|(p, end)| (p, &bytes[std::mem::replace(&mut start, end)..end]))
                 .collect();
             let mut sealed_last = None;
             let mut covered = 0;
@@ -869,7 +908,7 @@ fn binary_store_is_its_jsonl_twin_sealed_by_the_oracle(
                 let range = range.strip_prefix("seg-").unwrap().strip_suffix(".bin");
                 let (first, last) = range.unwrap().split_once('-').unwrap();
                 let (first, last) = (first.parse().unwrap(), last.parse::<u64>().unwrap());
-                let pts: Vec<Point> = lines
+                let pts: Vec<Point> = records
                     .iter()
                     .map(|(p, _)| p.clone())
                     .filter(|p| (first..=last).contains(&p.t))
@@ -881,20 +920,21 @@ fn binary_store_is_its_jsonl_twin_sealed_by_the_oracle(
                     "step {step}, {op:?}: {seg}"
                 );
             }
-            let rest: String = lines
+            let rest: Vec<&[u8]> = records
                 .iter()
                 .filter(|(p, _)| sealed_last.is_none_or(|s| p.t > s))
-                .map(|(_, l)| *l)
+                .map(|(_, r)| *r)
                 .collect();
             assert_eq!(
-                covered + rest.lines().count(),
-                lines.len(),
+                covered + rest.len(),
+                records.len(),
                 "step {step}, {op:?}: {series} lost a point"
             );
-            let tail = sealing.remove(&format!("{series}/open.seg"));
+            let tail = sealing.remove(&format!("{series}/{OPEN_TAIL}"));
+            let want = [oracle::prelude(kind), rest.concat()].concat();
             assert_eq!(
-                tail.map(String::from_utf8),
-                (!rest.is_empty()).then_some(Ok(rest)),
+                tail,
+                (!rest.is_empty()).then_some(want),
                 "step {step}, {op:?}: {series} tail"
             );
         }
@@ -913,7 +953,7 @@ fn binary_store_is_its_jsonl_twin_sealed_by_the_oracle(
 /// process, torn by its crash, sealed by the next.
 #[test]
 fn a_tail_begun_by_one_process_is_sealed_by_the_next_from_memory() {
-    let files = binary_store_is_its_jsonl_twin_sealed_by_the_oracle(
+    let files = a_sealing_store_is_its_twin_sealed_by_the_oracle(
         10,
         &[
             TailOp::Append(vec![1; 7]),
@@ -928,7 +968,7 @@ fn a_tail_begun_by_one_process_is_sealed_by_the_next_from_memory() {
     assert!(sealed.iter().all(|p| p.starts_with("1s/")), "{sealed:?}");
     assert!(!files
         .keys()
-        .any(|p| p.starts_with("1s/") && p.ends_with("open.seg")));
+        .any(|p| p.starts_with("1s/") && p.ends_with(OPEN_TAIL)));
 }
 
 fn tail_op() -> impl Strategy<Value = TailOp> {
@@ -953,18 +993,18 @@ proptest! {
     ) {
         let mut ops = ops;
         ops.push(TailOp::Flush);
-        binary_store_is_its_jsonl_twin_sealed_by_the_oracle(seal_points, &ops);
+        a_sealing_store_is_its_twin_sealed_by_the_oracle(seal_points, &ops);
     }
 }
 
 // ---------------------------------------------------------------------
-// A sealed v1 segment is refused, not half-read
+// A JSON-lines file is refused, not half-read
 // ---------------------------------------------------------------------
 
 #[test]
-fn a_store_holding_a_v1_segment_is_refused_by_every_entry() {
+fn a_store_holding_a_json_lines_file_is_refused_by_every_entry() {
     let dir = tmpdir("v1");
-    // Tails only: every series directory holds an `open.seg` and nothing
+    // Tails only: every series directory holds an `open.bin` and nothing
     // else, and that store opens.
     let mut store =
         LtsStore::open(&dir, config(usize::MAX, KEEP_ALL), LtsCounters::detached()).unwrap();
@@ -975,7 +1015,7 @@ fn a_store_holding_a_v1_segment_is_refused_by_every_entry() {
     store.flush().unwrap();
     drop(store);
     let written = tree(&dir);
-    assert!(written.keys().any(|p| p.ends_with("/open.seg")));
+    assert!(written.keys().any(|p| p.ends_with(OPEN_TAIL)));
     assert!(!written.keys().any(|p| p.contains("/seg-")));
     let mut store =
         LtsStore::open(&dir, config(usize::MAX, KEEP_ALL), LtsCounters::detached()).unwrap();
@@ -985,26 +1025,48 @@ fn a_store_holding_a_v1_segment_is_refused_by_every_entry() {
     let answers = full_query(&dir);
 
     let slug = &LtsReader::open(&dir).index()[1].slug;
-    let v1 = dir.join(format!("1s/{slug}/seg-000000000100-000000000104.seg"));
+    let sdir = dir.join(format!("1s/{slug}"));
     let lines: String = (100..105)
         .map(|t| format!("{{\"t\":{t},\"kind\":\"gauge\",\"v\":{t}}}\n"))
         .collect();
-    fs::write(&v1, lines).unwrap();
-    let on_disk = tree(&dir);
-    let refused = |what: &str, err: std::io::Error| {
-        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{what}: {err}");
-        let msg = err.to_string();
-        assert!(msg.contains(&v1.display().to_string()), "{what}: {msg}");
-        assert!(msg.contains("no longer read"), "{what}: {msg}");
-        assert!(tree(&dir) == on_disk, "{what} changed the store");
-    };
-    let opened = LtsStore::open(&dir, config(4, KEEP_ALL), LtsCounters::detached());
-    refused("open", opened.err().unwrap());
-    refused("verify", verify_store(&dir).unwrap_err());
-    refused("stats", store_stats(&dir).unwrap_err());
-    refused("compact", compact_store(&dir).unwrap_err());
-
-    fs::remove_file(&v1).unwrap();
-    assert_eq!(full_query(&dir), answers);
+    // A sealed v1 segment beside the tail, and the JSON-lines tail an
+    // earlier release kept in its place.
+    let tail = fs::read(sdir.join(OPEN_TAIL)).unwrap();
+    for (name, what) in [
+        (
+            "seg-000000000100-000000000104.seg",
+            "a sealed v1 (JSONL) segment",
+        ),
+        ("open.seg", "a JSON-lines open tail"),
+    ] {
+        let file = sdir.join(name);
+        if name == "open.seg" {
+            fs::remove_file(sdir.join(OPEN_TAIL)).unwrap();
+        }
+        fs::write(&file, &lines).unwrap();
+        let on_disk = tree(&dir);
+        let refused = |entry: &str, err: std::io::Error| {
+            assert_eq!(
+                err.kind(),
+                std::io::ErrorKind::InvalidData,
+                "{entry}: {err}"
+            );
+            let msg = err.to_string();
+            assert!(
+                msg.contains(&format!("{}: {what}", file.display())),
+                "{entry}: {msg}"
+            );
+            assert!(msg.contains("no longer read"), "{entry}: {msg}");
+            assert!(tree(&dir) == on_disk, "{entry} changed the store");
+        };
+        let opened = LtsStore::open(&dir, config(4, KEEP_ALL), LtsCounters::detached());
+        refused("open", opened.err().unwrap());
+        refused("verify", verify_store(&dir).unwrap_err());
+        refused("stats", store_stats(&dir).unwrap_err());
+        refused("compact", compact_store(&dir).unwrap_err());
+        fs::remove_file(&file).unwrap();
+        fs::write(sdir.join(OPEN_TAIL), &tail).unwrap();
+        assert_eq!(full_query(&dir), answers);
+    }
     let _ = fs::remove_dir_all(&dir);
 }
