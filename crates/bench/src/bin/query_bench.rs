@@ -1,11 +1,10 @@
 //! Measures the PromQL-subset query plane with plain wall-clock timing
 //! and writes the results as `BENCH_query.json` (repo root when run from
 //! there, else the current directory) in the unified `netqos-bench/v1`
-//! schema. Two workloads, mirroring `benches/query.rs`: `rate()`
-//! instant evaluations over an hour of 1s counter points (reported as
-//! evals/s), and cross-shard `query_range` requests through the
-//! federation engine (reported as latency percentiles, fan-out and JSON
-//! rendering included). Regenerate with
+//! schema. Two workloads: `rate()` instant evaluations over an hour of
+//! 1s counter points (reported as evals/s), and cross-shard
+//! `query_range` requests through the federation engine (reported as
+//! latency percentiles, fan-out and JSON rendering included). Regenerate with
 //! `cargo run --release -p netqos-bench --bin query_bench`.
 
 use netqos_bench::{time_iters, BenchReport, BenchRow};

@@ -292,6 +292,30 @@ mod tests {
     use netqos_snmp::mib2::{self, IfEntry, SystemInfo};
     use netqos_snmp::value::SnmpValue;
 
+    /// A poll requests what Table 1 lists: `sysUpTime.0` and, for every
+    /// interface, the table's five `ifEntry` columns, plus `ifDescr` to
+    /// match rows to the spec's interface names.
+    #[test]
+    fn a_poll_requests_the_objects_of_table_1() {
+        use std::collections::BTreeSet;
+        let table1 = mib2::paper_table1();
+        let (columns, scalars): (Vec<_>, Vec<_>) = (table1.iter())
+            .map(|row| row.oid.clone())
+            .partition(|oid| oid.starts_with(&ifc::if_entry_base()));
+        assert_eq!(scalars, [Oid::from(system::SYS_UPTIME_ARCS)]);
+        assert_eq!(columns.len(), 5);
+        for n in [1, 2, 26] {
+            let polled = poll_oids(n);
+            let mut want = BTreeSet::from([scalars[0].child(0)]);
+            for i in 1..=n {
+                want.insert(ifc::instance_oid(ifc::column::IF_DESCR, i));
+                want.extend(columns.iter().map(|column| column.child(i)));
+            }
+            assert_eq!(polled.iter().cloned().collect::<BTreeSet<_>>(), want);
+            assert_eq!(polled.len(), want.len(), "{n} interfaces: a name twice");
+        }
+    }
+
     fn agent_mib() -> ScalarMib {
         let mut mib = ScalarMib::new();
         mib2::system::install(&mut mib, &SystemInfo::new("L"), 12_345);

@@ -564,11 +564,6 @@ impl<N: Network> MonitoringService<N> {
         self.baseline_load_warning.as_deref()
     }
 
-    /// Number of baselines restored from `baseline_state` at startup.
-    pub fn restored_baselines(&self) -> usize {
-        self.path_baselines.len()
-    }
-
     /// Why opening `lts_dir` failed at startup, if it did.
     pub fn lts_open_warning(&self) -> Option<&str> {
         self.lts_open_warning.as_deref()
@@ -1254,7 +1249,7 @@ mod tests {
         };
         let mut svc =
             MonitoringService::from_model(model.clone(), options(), config.clone()).unwrap();
-        assert_eq!(svc.restored_baselines(), 0);
+        assert!(svc.path_baseline("mw").is_none(), "nothing to restore");
         svc.run_ticks(5).unwrap();
         let count = svc.path_baseline("mw").unwrap().count();
         assert!(count > 0);
@@ -1264,7 +1259,6 @@ mod tests {
         // the recorded history instead of a cold baseline.
         let svc2 = MonitoringService::from_model(model, options(), config).unwrap();
         assert_eq!(svc2.baseline_load_warning(), None);
-        assert_eq!(svc2.restored_baselines(), 1);
         assert_eq!(svc2.path_baseline("mw").unwrap().count(), count);
         std::fs::remove_dir_all(&dir).ok();
     }

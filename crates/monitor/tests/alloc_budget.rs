@@ -317,9 +317,9 @@ fn a_steady_service_tick_allocates_only_what_its_polls_carry() {
 
 /// Histograms in `registry` and their counts.
 fn histogram_counts(registry: &netqos_telemetry::Registry) -> Vec<(String, u64)> {
-    (registry.histogram_entries().into_iter())
-        .map(|(name, h)| (name, h.count()))
-        .collect()
+    let mut counts = Vec::new();
+    registry.visit_histograms(|name, h| counts.push((name.to_string(), h.count())));
+    counts
 }
 
 /// With a long-term store, a steady tick that does not flush adds to its

@@ -99,13 +99,6 @@ impl Allocation {
         Ok(())
     }
 
-    /// All applications on a host.
-    pub fn apps_on(&self, host: NodeId) -> Vec<&RtApp> {
-        let mut v: Vec<&RtApp> = self.apps.values().filter(|a| a.host == host).collect();
-        v.sort_by(|a, b| a.name.cmp(&b.name));
-        v
-    }
-
     /// Number of applications.
     pub fn len(&self) -> usize {
         self.apps.len()
@@ -142,19 +135,5 @@ mod tests {
             a.migrate("sensor", NodeId(2)),
             Err(AllocationError::AppPinned("sensor".into()))
         );
-    }
-
-    #[test]
-    fn apps_on_host_sorted() {
-        let mut a = Allocation::new();
-        a.place("b", NodeId(1), true).unwrap();
-        a.place("a", NodeId(1), true).unwrap();
-        a.place("c", NodeId(2), true).unwrap();
-        let names: Vec<&str> = a
-            .apps_on(NodeId(1))
-            .iter()
-            .map(|x| x.name.as_str())
-            .collect();
-        assert_eq!(names, vec!["a", "b"]);
     }
 }

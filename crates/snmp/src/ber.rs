@@ -357,11 +357,6 @@ impl<'a> Reader<'a> {
         Ok(self.expect_element(tag::OCTET_STRING)?.rest())
     }
 
-    /// Reads a full OCTET STRING element.
-    pub fn read_octet_string(&mut self) -> Result<Vec<u8>, BerError> {
-        Ok(self.read_octets()?.to_vec())
-    }
-
     /// Reads a full OBJECT IDENTIFIER element.
     pub fn read_oid(&mut self) -> Result<Oid, BerError> {
         let content = self.expect_element(tag::OID)?;
@@ -707,7 +702,7 @@ mod tests {
         // 300 > 255 requires two length octets: 0x82 0x01 0x2C.
         assert_eq!(&enc[..4], &[0x04, 0x82, 0x01, 0x2C]);
         let mut r = Reader::new(&enc);
-        assert_eq!(r.read_octet_string().unwrap(), content);
+        assert_eq!(r.read_octets().unwrap(), &content[..]);
     }
 
     #[test]
@@ -721,7 +716,7 @@ mod tests {
     fn truncated_content_rejected() {
         let bad = [0x04, 0x05, 0x61, 0x62]; // claims 5 bytes, has 2
         let mut r = Reader::new(&bad);
-        assert_eq!(r.read_octet_string(), Err(BerError::Truncated));
+        assert_eq!(r.read_octets(), Err(BerError::Truncated));
     }
 
     #[test]

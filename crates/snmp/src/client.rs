@@ -116,14 +116,6 @@ impl Response {
             })
         }
     }
-
-    /// The value bound to `oid`, if present.
-    pub fn value_of(&self, oid: &Oid) -> Option<&SnmpValue> {
-        self.bindings
-            .iter()
-            .find(|vb| &vb.oid == oid)
-            .map(|vb| &vb.value)
-    }
 }
 
 /// Parses an encoded `GetResponse`.
@@ -343,11 +335,6 @@ impl Session<'_> {
             return Err(SnmpError::MissingBinding(oid.to_string()));
         }
         Ok(vbs.swap_remove(0).value)
-    }
-
-    /// One `GetNextRequest` step.
-    pub fn get_next(&mut self, oids: &[Oid]) -> Result<Vec<VarBind>, SnmpError> {
-        self.send(Request::GetNext, oids)?.into_result()
     }
 
     /// Walks an entire subtree with repeated `GetNextRequest`s, returning
@@ -643,24 +630,6 @@ mod tests {
             .get_one(&mib2::system::sys_uptime_instance())
             .unwrap_err();
         assert_eq!(err, SnmpError::Timeout);
-    }
-
-    #[test]
-    fn response_value_lookup() {
-        let r = Response {
-            request_id: 1,
-            error_status: ErrorStatus::NoError,
-            error_index: 0,
-            bindings: vec![VarBind::new(
-                mib2::system::sys_uptime_instance(),
-                SnmpValue::TimeTicks(5),
-            )],
-        };
-        assert_eq!(
-            r.value_of(&mib2::system::sys_uptime_instance()),
-            Some(&SnmpValue::TimeTicks(5))
-        );
-        assert_eq!(r.value_of(&Oid::from([1, 2])), None);
     }
 
     #[test]

@@ -155,11 +155,6 @@ impl SnmpMessage {
         }
     }
 
-    /// The community string as text, if valid UTF-8.
-    pub fn community_str(&self) -> Option<&str> {
-        std::str::from_utf8(&self.community).ok()
-    }
-
     /// Serializes the message to wire bytes.
     pub fn encode(&self) -> Result<Vec<u8>, BerError> {
         let mut wire = Vec::with_capacity(64);
@@ -216,7 +211,6 @@ mod tests {
         let enc = msg.encode().unwrap();
         let back = SnmpMessage::decode(&enc).unwrap();
         assert_eq!(back, msg);
-        assert_eq!(back.community_str(), Some("public"));
     }
 
     #[test]
@@ -318,6 +312,5 @@ mod tests {
         let enc = msg.encode().unwrap();
         let back = SnmpMessage::decode(&enc).unwrap();
         assert_eq!(back.community, vec![0xff, 0x00, 0x7f]);
-        assert_eq!(back.community_str(), None);
     }
 }

@@ -28,8 +28,8 @@ pub struct Table1Row {
 
 /// The six MIB-II objects of the paper's Table 1, in paper order.
 ///
-/// The experiment harness prints this list to regenerate Table 1, and the
-/// integration tests assert that the monitor polls exactly these objects.
+/// Read only by tests: `netqos-monitor`'s poll tests assert that a poll
+/// requests exactly these objects, plus `ifDescr`, for every interface.
 pub fn paper_table1() -> Vec<Table1Row> {
     vec![
         Table1Row {

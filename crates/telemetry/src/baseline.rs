@@ -22,7 +22,7 @@
 //! baseline.
 
 use crate::json::{parse_json, JsonValue};
-use crate::metrics::{bucket_index, bucket_mid, HistogramState, BUCKETS};
+use crate::metrics::{bucket_index, quantile_of, HistogramState, BUCKETS};
 use parking_lot::Mutex;
 use std::cmp::Ordering;
 use std::fmt::Write as _;
@@ -104,7 +104,7 @@ fn count_le(w: &HistogramState, idx: u32) -> u64 {
 
 /// Two ascending bucket lists as one, the counts of a bucket both hold
 /// added.
-fn merged<'a>(a: &'a [(u32, u64)], b: &'a [(u32, u64)]) -> impl Iterator<Item = (u32, u64)> + 'a {
+fn combined<'a>(a: &'a [(u32, u64)], b: &'a [(u32, u64)]) -> impl Iterator<Item = (u32, u64)> + 'a {
     let (mut a, mut b) = (a.iter().copied().peekable(), b.iter().copied().peekable());
     std::iter::from_fn(move || match (a.peek().copied(), b.peek().copied()) {
         (Some((i, n)), Some((j, m))) => Some(match i.cmp(&j) {
@@ -119,24 +119,6 @@ fn merged<'a>(a: &'a [(u32, u64)], b: &'a [(u32, u64)]) -> impl Iterator<Item = 
         (Some(_), None) => a.next(),
         (None, _) => b.next(),
     })
-}
-
-/// `Histogram::quantile` over ascending `buckets` holding `total`
-/// samples: the midpoint of the bucket where the `ceil(q · total)`-th
-/// sample falls, or `max` when the buckets hold fewer.
-fn quantile_of(buckets: impl Iterator<Item = (u32, u64)>, total: u64, max: u64, q: f64) -> u64 {
-    if total == 0 {
-        return 0;
-    }
-    let rank = ((q.clamp(0.0, 1.0) * total as f64).ceil() as u64).max(1);
-    let mut cum = 0u64;
-    for (i, n) in buckets {
-        cum = cum.wrapping_add(n);
-        if cum >= rank {
-            return bucket_mid(i as usize);
-        }
-    }
-    max
 }
 
 /// A window as `Histogram::from_state` rebuilds one: indexes past the
@@ -210,7 +192,7 @@ impl QuantileBaseline {
             return quantile_of(a.buckets.iter().copied(), a.count, a.max, q);
         }
         let total = a.count.wrapping_add(p.count);
-        quantile_of(merged(&a.buckets, &p.buckets), total, a.max.max(p.max), q)
+        quantile_of(combined(&a.buckets, &p.buckets), total, a.max.max(p.max), q)
     }
 
     /// Total samples across both windows.

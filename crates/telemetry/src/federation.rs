@@ -26,9 +26,8 @@
 use crate::http::{HttpRequest, HttpResponse, HttpRoute, Router};
 use crate::lts::json_escape;
 use crate::promql::{api_query_response, QueryEngine, SeriesSource};
-use crate::{escape_label_value, render_histogram_into, split_labeled_name, Registry};
+use crate::{write_exposition, Registry};
 use parking_lot::RwLock;
-use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -141,21 +140,10 @@ impl ShardRegistry {
         self.scrapes.load(Ordering::Relaxed)
     }
 
-    /// A registry holding the sum/merge of every shard's metrics —
-    /// counters and gauges added, histograms merged. A fresh merge per
-    /// call; shard registries are untouched.
-    pub fn merged(&self) -> Registry {
-        let merged = Registry::default();
-        for shard in self.shards.read().iter() {
-            merged.merge_from(&shard.registry);
-        }
-        merged
-    }
-
-    /// Renders the combined Prometheus exposition: per-shard series
-    /// labelled `shard="..."` followed by the unlabelled aggregate, one
-    /// `# TYPE` header per family, plus the federation's own
-    /// `netqos_federation_*` meta-series.
+    /// Renders the combined Prometheus exposition: the federation's own
+    /// `netqos_federation_*` meta-series, then `write_exposition`
+    /// over every shard with the total — per-shard series labelled
+    /// `shard="..."`, each followed by its unlabelled aggregate.
     pub fn render_merged_prometheus(&self) -> String {
         self.scrapes.fetch_add(1, Ordering::Relaxed);
         let shards = self.shards.read();
@@ -168,65 +156,10 @@ impl ShardRegistry {
             "netqos_federation_scrapes_total {}",
             self.scrapes.load(Ordering::Relaxed)
         );
-
-        // Union each metric family across shards, keeping per-shard
-        // handles so the aggregate and the labelled series come from
-        // one pass.
-        let mut counters: BTreeMap<String, Vec<(String, u64)>> = BTreeMap::new();
-        let mut gauges: BTreeMap<String, Vec<(String, i64)>> = BTreeMap::new();
-        let mut histograms: BTreeMap<String, Vec<(String, crate::Histogram)>> = BTreeMap::new();
-        for shard in shards.iter() {
-            for (name, c) in shard.registry.counter_entries() {
-                counters
-                    .entry(name)
-                    .or_default()
-                    .push((shard.name.clone(), c.get()));
-            }
-            for (name, g) in shard.registry.gauge_entries() {
-                gauges
-                    .entry(name)
-                    .or_default()
-                    .push((shard.name.clone(), g.get()));
-            }
-            for (name, h) in shard.registry.histogram_entries() {
-                histograms
-                    .entry(name)
-                    .or_default()
-                    .push((shard.name.clone(), h));
-            }
-        }
-
-        for (name, series) in &counters {
-            let (base, plain) = split_labeled_name(name);
-            let _ = writeln!(out, "# TYPE {base} counter");
-            let mut total = 0u64;
-            for (shard, v) in series {
-                let _ = writeln!(out, "{} {v}", shard_series(&base, &plain, shard));
-                total += v;
-            }
-            let _ = writeln!(out, "{plain} {total}");
-        }
-        for (name, series) in &gauges {
-            let (base, plain) = split_labeled_name(name);
-            let _ = writeln!(out, "# TYPE {base} gauge");
-            let mut total = 0i64;
-            for (shard, v) in series {
-                let _ = writeln!(out, "{} {v}", shard_series(&base, &plain, shard));
-                total += v;
-            }
-            let _ = writeln!(out, "{plain} {total}");
-        }
-        for (name, series) in &histograms {
-            let (base, full) = split_labeled_name(name);
-            let labels = crate::embedded_labels(&base, &full);
-            let _ = writeln!(out, "# TYPE {base} histogram");
-            let merged = crate::Histogram::new();
-            for (shard, h) in series {
-                render_histogram_into(&mut out, &base, Some(shard), labels, h);
-                merged.merge_from(h);
-            }
-            render_histogram_into(&mut out, &base, None, labels, &merged);
-        }
+        let members: Vec<_> = (shards.iter())
+            .map(|s| (Some(s.name.as_str()), &*s.registry))
+            .collect();
+        write_exposition(&mut out, &members, true);
         out
     }
 
@@ -387,18 +320,6 @@ impl ShardRegistry {
     }
 }
 
-/// One shard-labelled sample series: splices `shard="..."` into an
-/// existing embedded label set, or opens a fresh one.
-fn shard_series(base: &str, series: &str, shard: &str) -> String {
-    let shard = escape_label_value(shard);
-    if series.len() > base.len() {
-        let labels = &series[base.len() + 1..series.len() - 1];
-        format!("{base}{{shard=\"{shard}\",{labels}}}")
-    } else {
-        format!("{base}{{shard=\"{shard}\"}}")
-    }
-}
-
 /// Embeds a shard-supplied JSON document in a larger document: trimmed
 /// verbatim when it looks like JSON, re-quoted as a string otherwise so
 /// a misbehaving shard cannot corrupt the federated body.
@@ -485,13 +406,16 @@ mod tests {
     }
 
     #[test]
-    fn merged_registry_preserves_totals() {
-        let fed = two_shard_registry();
-        let merged = fed.merged();
-        assert_eq!(merged.counter("netqos_monitor_ticks_total").get(), 7);
-        let h = merged.histogram("netqos_monitor_tick_duration_ns");
-        assert_eq!(h.count(), 2);
-        assert_eq!(h.sum(), 400);
+    fn merged_aggregate_preserves_totals() {
+        let text = two_shard_registry().render_merged_prometheus();
+        for line in [
+            "netqos_monitor_ticks_total 7",
+            "netqos_monitor_tick_duration_ns_bucket{le=\"+Inf\"} 2",
+            "netqos_monitor_tick_duration_ns_sum 400",
+            "netqos_monitor_tick_duration_ns_count 2",
+        ] {
+            assert!(text.contains(&format!("\n{line}\n")), "{line} in {text}");
+        }
     }
 
     #[test]

@@ -139,11 +139,6 @@ impl FlightRecorder {
     pub fn capacity(&self) -> usize {
         self.capacity
     }
-
-    /// Total cycles ever pushed (not just retained).
-    pub fn cycles_recorded(&self) -> u64 {
-        self.seq.load(Ordering::Relaxed)
-    }
 }
 
 fn write_attrs_json(out: &mut String, attrs: &[(String, FieldValue)]) {
@@ -654,7 +649,6 @@ mod tests {
             fr.push(CycleTrace::default());
         }
         assert_eq!(fr.len(), 3);
-        assert_eq!(fr.cycles_recorded(), 5);
         let seqs: Vec<u64> = fr.snapshot().iter().map(|c| c.seq).collect();
         assert_eq!(seqs, vec![2, 3, 4]);
     }

@@ -4,10 +4,12 @@
 //! A [`Registry`] holds named [`Counter`]s, [`Gauge`]s, and streaming
 //! [`Histogram`]s. Handles are `Arc`-backed and cheap to clone, so hot
 //! paths fetch their handle once and record lock-free afterwards.
-//! [`Registry::render_prometheus`] is the read path: text exposition for
-//! `/metrics`, `netqos stats` and `--telemetry` files; the alert engine,
-//! the long-term store's sampler and federation read the registry's
-//! sorted name/handle entries.
+//! A registry is read only by walking it ([`Registry::visit_counters`] and
+//! its kin), in name order: the alert engine, the long-term store's
+//! sampler, the live query source and the one text exposition writer do.
+//! That writer renders `/metrics`, `netqos stats` and `--telemetry` files
+//! through [`Registry::render_prometheus`], and the federation's
+//! `/metrics` over every shard with the cross-shard total.
 //!
 //! Structured events ride alongside metrics through [`EventSink`]
 //! (JSONL, one minimum level).
@@ -79,7 +81,7 @@ pub use trace::{SpanGuard, SpanId, SpanRecord, TraceId, Tracer};
 
 use parking_lot::RwLock;
 use std::collections::BTreeMap;
-use std::fmt::Write as _;
+use std::fmt::{Display, Write as _};
 use std::sync::{Arc, OnceLock};
 
 /// A named collection of metrics. Lookup takes a lock; recording through
@@ -159,51 +161,8 @@ impl Registry {
         }
     }
 
-    /// Name/handle pairs of every counter, sorted by name. Handles are
-    /// cheap clones sharing the live cells.
-    pub fn counter_entries(&self) -> Vec<(String, Counter)> {
-        self.counters
-            .read()
-            .iter()
-            .map(|(k, v)| (k.clone(), v.clone()))
-            .collect()
-    }
-
-    /// Name/handle pairs of every gauge, sorted by name.
-    pub fn gauge_entries(&self) -> Vec<(String, Gauge)> {
-        self.gauges
-            .read()
-            .iter()
-            .map(|(k, v)| (k.clone(), v.clone()))
-            .collect()
-    }
-
-    /// Name/handle pairs of every histogram, sorted by name.
-    pub fn histogram_entries(&self) -> Vec<(String, Histogram)> {
-        self.histograms
-            .read()
-            .iter()
-            .map(|(k, v)| (k.clone(), v.clone()))
-            .collect()
-    }
-
-    /// Folds another registry's metrics into this one by name: counter
-    /// and gauge values are added, histogram buckets merged. The basis
-    /// of shard federation — merging K shard registries preserves
-    /// counter sums and histogram totals exactly.
-    pub fn merge_from(&self, other: &Registry) {
-        for (name, c) in other.counter_entries() {
-            self.counter(&name).add(c.get());
-        }
-        for (name, g) in other.gauge_entries() {
-            self.gauge(&name).add(g.get());
-        }
-        for (name, h) in other.histogram_entries() {
-            self.histogram(&name).merge_from(&h);
-        }
-    }
-
-    /// Renders every metric in the Prometheus text exposition format.
+    /// Renders every metric in the Prometheus text exposition format:
+    /// `write_exposition` over this registry alone, without a total.
     /// Histograms are exposed as native Prometheus histograms —
     /// cumulative `*_bucket{le="..."}` series over the log-bucketed
     /// boundaries plus `*_sum` and `*_count` — so Prometheus computes
@@ -211,68 +170,161 @@ impl Registry {
     /// convenience series.
     pub fn render_prometheus(&self) -> String {
         let mut out = String::new();
-        for (name, c) in self.counter_entries() {
-            let (base, series) = split_labeled_name(&name);
-            let _ = writeln!(out, "# TYPE {base} counter");
-            let _ = writeln!(out, "{series} {}", c.get());
-        }
-        for (name, g) in self.gauge_entries() {
-            let (base, series) = split_labeled_name(&name);
-            let _ = writeln!(out, "# TYPE {base} gauge");
-            let _ = writeln!(out, "{series} {}", g.get());
-        }
-        for (name, h) in self.histogram_entries() {
-            let (base, series) = split_labeled_name(&name);
-            let _ = writeln!(out, "# TYPE {base} histogram");
-            render_histogram_into(&mut out, &base, None, embedded_labels(&base, &series), &h);
-        }
+        write_exposition(&mut out, &[(None, self)], false);
         out
     }
+}
+
+/// What each member of an exposition holds under one registry key, in
+/// member order, with the member's shard name.
+type Readings<'a, V> = BTreeMap<String, Vec<(Option<&'a str>, V)>>;
+
+/// Writes the Prometheus text exposition of `members`, each a registry
+/// with the shard name its samples carry as `shard="..."`, if any: the
+/// one writer behind a monitor's `/metrics` and the federation's.
+///
+/// Each kind's keys are unioned across the members and written in name
+/// order: counters, then gauges, then histograms. A family's `# TYPE`
+/// line comes once, before its first key. Each key then has one sample
+/// per member holding it and, with `total`, the unlabelled aggregate:
+/// counters and gauges summed, histograms merged.
+///
+/// A registry's read lock is held only while its names and values (a
+/// histogram's handle) are copied. The tick thread registers metrics
+/// lazily, so formatting under the lock would stall it.
+pub(crate) fn write_exposition(
+    out: &mut String,
+    members: &[(Option<&str>, &Registry)],
+    total: bool,
+) {
+    fn read<'a, V>(readings: &mut Readings<'a, V>, name: &str, shard: Option<&'a str>, v: V) {
+        readings
+            .entry(name.to_string())
+            .or_default()
+            .push((shard, v));
+    }
+    let (mut counters, mut gauges, mut histograms) =
+        (Readings::new(), Readings::new(), Readings::new());
+    for &(shard, registry) in members {
+        registry.visit_counters(|name, c| read(&mut counters, name, shard, c.get()));
+        registry.visit_gauges(|name, g| read(&mut gauges, name, shard, g.get()));
+        registry.visit_histograms(|name, h| read(&mut histograms, name, shard, h.clone()));
+    }
+    write_kind(
+        out,
+        "counter",
+        &counters,
+        total.then_some(sum),
+        write_scalar,
+    );
+    write_kind(out, "gauge", &gauges, total.then_some(sum), write_scalar);
+    write_kind(
+        out,
+        "histogram",
+        &histograms,
+        total.then_some(merge),
+        render_histogram_into,
+    );
+}
+
+/// The members' counter or gauge values summed.
+fn sum<V: Copy + std::iter::Sum>(values: &[(Option<&str>, V)]) -> V {
+    values.iter().map(|&(_, v)| v).sum()
+}
+
+/// The members' histograms merged into one.
+fn merge(values: &[(Option<&str>, Histogram)]) -> Histogram {
+    let merged = Histogram::new();
+    values.iter().for_each(|(_, h)| merged.merge_from(h));
+    merged
+}
+
+/// One kind's families for [`write_exposition`]: `sample` writes one
+/// member's value of a key (name, shard, embedded labels), `total`
+/// folds every member's into the unlabelled aggregate.
+fn write_kind<'a, V>(
+    out: &mut String,
+    kind: &str,
+    readings: &Readings<'a, V>,
+    total: Option<impl Fn(&[(Option<&'a str>, V)]) -> V>,
+    sample: impl Fn(&mut String, &str, Option<&str>, &str, &V),
+) {
+    let mut family: Option<String> = None;
+    for (key, values) in readings {
+        let (base, labels) = split_labeled_name(key);
+        if family.as_deref() != Some(&base) {
+            let _ = writeln!(out, "# TYPE {base} {kind}");
+        }
+        for (shard, v) in values {
+            sample(out, &base, *shard, labels, v);
+        }
+        if let Some(total) = &total {
+            sample(out, &base, None, labels, &total(values));
+        }
+        family = Some(base);
+    }
+}
+
+/// A counter's or gauge's sample line.
+fn write_scalar(out: &mut String, name: &str, shard: Option<&str>, labels: &str, v: &impl Display) {
+    out.push_str(name);
+    push_labels(out, shard, labels, "");
+    let _ = writeln!(out, " {v}");
 }
 
 /// Writes one histogram's Prometheus exposition lines (`_bucket`,
 /// `_sum`, `_count`, `_min`, `_max`), optionally stamped with a
 /// `shard="..."` label and/or the label body embedded in the registry
 /// key (e.g. `phase="monitor.cycle"`). The `# TYPE` header is the
-/// caller's, so federated output can group several label sets under
-/// one family.
-pub(crate) fn render_histogram_into(
+/// caller's.
+fn render_histogram_into(
     out: &mut String,
     name: &str,
     shard: Option<&str>,
     labels: &str,
     h: &Histogram,
 ) {
-    let label = |extra: &str| -> String {
-        let mut parts: Vec<String> = Vec::new();
-        if let Some(s) = shard {
-            parts.push(format!("shard=\"{}\"", escape_label_value(s)));
-        }
-        if !labels.is_empty() {
-            parts.push(labels.to_string());
-        }
-        if !extra.is_empty() {
-            parts.push(extra.to_string());
-        }
-        if parts.is_empty() {
-            String::new()
-        } else {
-            format!("{{{}}}", parts.join(","))
-        }
+    let mut line = |suffix: &str, le: &str, v: u64| {
+        let _ = write!(out, "{name}{suffix}");
+        push_labels(out, shard, labels, le);
+        let _ = writeln!(out, " {v}");
     };
     let buckets = h.cumulative_buckets();
-    let count = h.count();
     for &(le, cum) in &buckets {
-        let _ = writeln!(out, "{name}_bucket{} {cum}", label(&format!("le=\"{le}\"")));
+        line("_bucket", &format!("le=\"{le}\""), cum);
     }
     // `+Inf` must equal `_count`; concurrent recording can leave the
     // bucket walk a sample behind, so take the larger of the two.
-    let total = count.max(buckets.last().map(|&(_, c)| c).unwrap_or(0));
-    let _ = writeln!(out, "{name}_bucket{} {total}", label("le=\"+Inf\""));
-    let _ = writeln!(out, "{name}_sum{} {}", label(""), h.sum());
-    let _ = writeln!(out, "{name}_count{} {total}", label(""));
-    let _ = writeln!(out, "{name}_min{} {}", label(""), h.min());
-    let _ = writeln!(out, "{name}_max{} {}", label(""), h.max());
+    let total = h.count().max(buckets.last().map(|&(_, c)| c).unwrap_or(0));
+    line("_bucket", "le=\"+Inf\"", total);
+    line("_sum", "", h.sum());
+    line("_count", "", total);
+    line("_min", "", h.min());
+    line("_max", "", h.max());
+}
+
+/// Appends a sample's label set: `shard="..."`, the key's embedded
+/// `labels`, then `le`, comma-joined in braces, or nothing when all
+/// three are absent.
+fn push_labels(out: &mut String, shard: Option<&str>, labels: &str, le: &str) {
+    let mut sep = '{';
+    if let Some(shard) = shard {
+        out.push(sep);
+        out.push_str("shard=\"");
+        push_label_value(out, shard);
+        out.push('"');
+        sep = ',';
+    }
+    for part in [labels, le] {
+        if !part.is_empty() {
+            out.push(sep);
+            out.push_str(part);
+            sep = ',';
+        }
+    }
+    if sep == ',' {
+        out.push('}');
+    }
 }
 
 /// Escapes a Prometheus label value (backslash, quote, newline).
@@ -296,32 +348,18 @@ pub(crate) fn push_label_value(out: &mut String, v: &str) {
 }
 
 /// Splits a registry key that embeds a label set — e.g.
-/// `netqos_build_info{version="0.1.0"}` — into `(base, series)`:
-/// the sanitized base name for `# TYPE` headers and the full series
-/// string for sample lines. Keys without a well-formed `{...}` suffix
-/// are sanitized whole (both halves equal).
-pub(crate) fn split_labeled_name(name: &str) -> (String, String) {
+/// `netqos_build_info{version="0.1.0"}` — into the sanitized base name
+/// for `# TYPE` headers and sample names, and the label body
+/// (`version="0.1.0"`). Keys without a well-formed `{...}` suffix are
+/// sanitized whole, with no labels.
+fn split_labeled_name(name: &str) -> (String, &str) {
     if let (Some(open), true) = (name.find('{'), name.ends_with('}')) {
-        let base = &name[..open];
-        let labels = &name[open..];
-        if !base.is_empty() && labels.len() > 2 {
-            let base = sanitize_metric_name(base);
-            return (base.clone(), format!("{base}{labels}"));
+        let (base, labels) = (&name[..open], &name[open + 1..name.len() - 1]);
+        if !base.is_empty() && !labels.is_empty() {
+            return (sanitize_metric_name(base), labels);
         }
     }
-    let sanitized = sanitize_metric_name(name);
-    (sanitized.clone(), sanitized)
-}
-
-/// The label body embedded in a `split_labeled_name` result —
-/// `phase="monitor.cycle"` from `base{phase="monitor.cycle"}` — or `""`
-/// for plain names.
-pub(crate) fn embedded_labels<'a>(base: &str, series: &'a str) -> &'a str {
-    if series.len() > base.len() {
-        &series[base.len() + 1..series.len() - 1]
-    } else {
-        ""
-    }
+    (sanitize_metric_name(name), "")
 }
 
 /// Replaces characters Prometheus forbids in metric names.
@@ -413,7 +451,7 @@ mod tests {
     }
 
     #[test]
-    fn merge_from_adds_and_folds() {
+    fn a_total_adds_and_merges_across_members() {
         let a = Registry::new();
         let b = Registry::new();
         a.counter("polls").add(3);
@@ -423,12 +461,41 @@ mod tests {
         b.gauge("depth").set(5);
         a.histogram("lat").record(10);
         b.histogram("lat").record(30);
-        a.merge_from(&b);
-        assert_eq!(a.counter("polls").get(), 7);
-        assert_eq!(a.counter("only_b").get(), 1);
-        assert_eq!(a.gauge("depth").get(), 7);
-        assert_eq!(a.histogram("lat").count(), 2);
-        assert_eq!(a.histogram("lat").sum(), 40);
+        let mut text = String::new();
+        write_exposition(&mut text, &[(Some("a"), &a), (Some("b"), &b)], true);
+        for line in [
+            "polls 7",
+            "only_b 1",
+            "depth 7",
+            "lat_count 2",
+            "lat_sum 40",
+        ] {
+            assert!(text.contains(&format!("\n{line}\n")), "{line} in {text}");
+        }
+    }
+
+    #[test]
+    fn a_family_of_several_label_sets_has_one_type_line() {
+        let reg = Registry::new();
+        reg.histogram("netqos_tick_phase_ns{phase=\"a\"}").record(1);
+        reg.histogram("netqos_tick_phase_ns{phase=\"b\"}").record(2);
+        reg.gauge("netqos_build_info{version=\"1\"}").set(1);
+        reg.gauge("netqos_build_info{version=\"2\"}").set(1);
+        let text = reg.render_prometheus();
+        assert_eq!(
+            text.matches("# TYPE netqos_tick_phase_ns ").count(),
+            1,
+            "{text}"
+        );
+        assert_eq!(
+            text.matches("# TYPE netqos_build_info ").count(),
+            1,
+            "{text}"
+        );
+        assert!(
+            text.contains("netqos_tick_phase_ns_count{phase=\"b\"} 1"),
+            "{text}"
+        );
     }
 
     #[test]
@@ -450,17 +517,16 @@ mod tests {
             "{text}"
         );
         // A stray brace without the closing form is sanitized away.
-        let (base, series) = split_labeled_name("weird{name");
-        assert_eq!(base, "weird_name");
-        assert_eq!(series, "weird_name");
+        assert_eq!(split_labeled_name("weird{name"), ("weird_name".into(), ""));
     }
 
     #[test]
-    fn entries_are_sorted_by_name() {
+    fn walks_are_in_name_order() {
         let reg = Registry::new();
         reg.counter("zzz").inc();
         reg.counter("aaa").inc();
-        let names: Vec<_> = reg.counter_entries().into_iter().map(|(n, _)| n).collect();
-        assert_eq!(names, vec!["aaa".to_string(), "zzz".to_string()]);
+        let mut names = Vec::new();
+        reg.visit_counters(|name, _| names.push(name.to_string()));
+        assert_eq!(names, ["aaa", "zzz"]);
     }
 }

@@ -61,8 +61,8 @@
 
 use crate::events::{EventSink, FieldValue, Level};
 use crate::json::parse_json;
-use crate::metrics::{bucket_high, bucket_low, BUCKETS};
-use crate::{Counter, Gauge, Histogram, HistogramState, Registry};
+use crate::metrics::{bucket_high, bucket_low, quantile_of, BUCKETS};
+use crate::{Counter, Gauge, HistogramState, Registry};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::fs::{self, File, OpenOptions};
@@ -1170,17 +1170,18 @@ impl LtsReader {
                         let _ = write!(out, "[{},{}]", p.t, v);
                     }
                     PointValue::Histogram(h) => {
-                        let hist = Histogram::from_state(h);
+                        let quantile =
+                            |q| quantile_of(h.buckets.iter().copied(), h.count, h.max, q);
                         let _ = write!(
                             out,
                             "{{\"t\":{},\"count\":{},\"sum\":{},\"min\":{},\"max\":{},\"p50\":{},\"p99\":{}}}",
                             p.t,
                             h.count,
                             h.sum,
-                            hist.min(),
+                            if h.min == u64::MAX { 0 } else { h.min },
                             h.max,
-                            hist.quantile(0.50),
-                            hist.quantile(0.99),
+                            quantile(0.50),
+                            quantile(0.99),
                         );
                     }
                 }
@@ -2572,6 +2573,7 @@ pub fn json_escape(s: &str) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Histogram;
     use std::sync::atomic::{AtomicU64, Ordering};
 
     fn tmpdir(tag: &str) -> PathBuf {

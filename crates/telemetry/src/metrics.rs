@@ -153,6 +153,31 @@ pub(crate) fn bucket_mid(i: usize) -> u64 {
     }
 }
 
+/// [`Histogram::quantile`] over a sparse bucket list: the midpoint of
+/// the bucket where the `ceil(q · total)`-th sample falls in the
+/// ascending `buckets`, or `max` when they hold fewer. Indexes past the
+/// layout are skipped, as [`Histogram::from_state`] skips them, so a
+/// damaged state read from disk answers instead of panicking.
+pub(crate) fn quantile_of(
+    buckets: impl Iterator<Item = (u32, u64)>,
+    total: u64,
+    max: u64,
+    q: f64,
+) -> u64 {
+    if total == 0 {
+        return 0;
+    }
+    let rank = ((q.clamp(0.0, 1.0) * total as f64).ceil() as u64).max(1);
+    let mut cum = 0u64;
+    for (i, n) in buckets.filter(|&(i, _)| (i as usize) < BUCKETS) {
+        cum = cum.wrapping_add(n);
+        if cum >= rank {
+            return bucket_mid(i as usize);
+        }
+    }
+    max
+}
+
 impl Histogram {
     /// A fresh, empty histogram.
     pub fn new() -> Self {
@@ -255,16 +280,6 @@ impl Histogram {
             cum += self.core.buckets[i].load(Ordering::Relaxed);
         }
         cum
-    }
-
-    /// The fraction of recorded samples ≤ `v` (bucket-resolution), in
-    /// [0, 1]. Returns 0.0 when empty.
-    pub fn rank_of(&self, v: u64) -> f64 {
-        let total = self.count();
-        if total == 0 {
-            return 0.0;
-        }
-        (self.count_le(v).min(total) as f64) / total as f64
     }
 
     /// Folds another histogram's samples into this one. Merging is
@@ -460,20 +475,27 @@ mod tests {
     }
 
     #[test]
-    fn rank_tracks_quantiles() {
+    fn a_sparse_quantile_reads_what_the_rebuilt_histogram_does() {
         let h = Histogram::new();
-        for v in 1..=10_000u64 {
+        for v in [0u64, 3, 3, 7, 100, 5_000, 1 << 40] {
             h.record(v);
         }
-        assert_eq!(Histogram::new().rank_of(5), 0.0);
-        for (v, exact) in [(5_000u64, 0.5), (9_000, 0.9), (9_900, 0.99)] {
-            let got = h.rank_of(v);
-            assert!(
-                (got - exact).abs() <= 0.0625 + 1e-9,
-                "rank_of({v}) = {got}, exact {exact}"
-            );
+        let mut state = h.to_state();
+        let sparse =
+            |s: &HistogramState, q| quantile_of(s.buckets.iter().copied(), s.count, s.max, q);
+        for q in [0.0, 0.1, 0.5, 0.9, 0.99, 1.0] {
+            assert_eq!(sparse(&state, q), h.quantile(q), "q={q}");
         }
-        assert_eq!(h.rank_of(u64::MAX / 2), 1.0);
+        // A damaged state: an index past the layout is skipped, as the
+        // rebuild skips it, and the count it leaves short reads as `max`.
+        state.buckets.push((BUCKETS as u32 + 7, 5));
+        state.buckets.push((u32::MAX, 1));
+        state.count += 6;
+        let rebuilt = Histogram::from_state(&state);
+        for q in [0.0, 0.5, 0.99, 1.0] {
+            assert_eq!(sparse(&state, q), rebuilt.quantile(q), "q={q}");
+        }
+        assert_eq!(sparse(&state, 1.0), state.max);
     }
 
     #[test]

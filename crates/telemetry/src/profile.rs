@@ -43,7 +43,7 @@
 //! the `profile`/`trace` benches).
 
 use crate::json_escape;
-use crate::metrics::{bucket_index, bucket_mid, BUCKETS};
+use crate::metrics::{bucket_index, bucket_mid, quantile_of, BUCKETS};
 use crate::trace::SpanRecord;
 use crate::{escape_label_value, Histogram, HttpRequest, HttpResponse, Registry};
 use parking_lot::Mutex;
@@ -91,18 +91,8 @@ impl PhaseNode {
     /// Quantile over the windowed duration buckets (bucket midpoint,
     /// ≤ 6.25 % relative error). 0 when the phase has no calls.
     fn quantile(&self, q: f64) -> u64 {
-        if self.calls == 0 {
-            return 0;
-        }
-        let rank = ((q.clamp(0.0, 1.0) * self.calls as f64).ceil() as u64).max(1);
-        let mut cum = 0u64;
-        for (i, &n) in self.buckets.iter().enumerate() {
-            cum += n;
-            if cum >= rank {
-                return bucket_mid(i);
-            }
-        }
-        self.max_ns()
+        let buckets = (0..).zip(self.buckets.iter().copied());
+        quantile_of(buckets, self.calls, self.max_ns(), q)
     }
 
     /// Midpoint of the highest occupied bucket — the windowed maximum at

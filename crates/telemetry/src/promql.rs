@@ -35,7 +35,7 @@ use crate::lts::{
     RangeFold, SeriesInfo,
 };
 use crate::lts::{Resolution, SeriesKind};
-use crate::metrics::Histogram;
+use crate::metrics::quantile_of;
 use crate::Registry;
 use parking_lot::Mutex;
 use std::cell::RefCell;
@@ -1099,52 +1099,47 @@ impl RegistrySource {
 impl SeriesSource for RegistrySource {
     fn series(&self) -> Result<Vec<PromSeries>, String> {
         let mut out = Vec::new();
-        for (name, c) in self.registry.counter_entries() {
-            let (base, labels) = parse_series_name(&name);
-            out.push(PromSeries {
-                base,
-                labels,
-                kind: SeriesKind::Counter,
-                key: name.clone(),
-                fetch: Arc::new(move |_res, _start, end| {
-                    vec![Point {
-                        t: end,
-                        value: PointValue::Counter(c.get()),
-                    }]
-                }),
-            });
-        }
-        for (name, g) in self.registry.gauge_entries() {
-            let (base, labels) = parse_series_name(&name);
-            out.push(PromSeries {
-                base,
-                labels,
-                kind: SeriesKind::Gauge,
-                key: name.clone(),
-                fetch: Arc::new(move |_res, _start, end| {
-                    vec![Point {
-                        t: end,
-                        value: PointValue::Gauge(g.get()),
-                    }]
-                }),
-            });
-        }
-        for (name, h) in self.registry.histogram_entries() {
-            let (base, labels) = parse_series_name(&name);
-            out.push(PromSeries {
-                base,
-                labels,
-                kind: SeriesKind::Histogram,
-                key: name.clone(),
-                fetch: Arc::new(move |_res, _start, end| {
-                    vec![Point {
-                        t: end,
-                        value: PointValue::Histogram(h.to_state()),
-                    }]
-                }),
-            });
-        }
+        (self.registry).visit_counters(|name, c| {
+            let c = c.clone();
+            out.push(live_series(name, SeriesKind::Counter, move || {
+                PointValue::Counter(c.get())
+            }));
+        });
+        (self.registry).visit_gauges(|name, g| {
+            let g = g.clone();
+            out.push(live_series(name, SeriesKind::Gauge, move || {
+                PointValue::Gauge(g.get())
+            }));
+        });
+        (self.registry).visit_histograms(|name, h| {
+            let h = h.clone();
+            out.push(live_series(name, SeriesKind::Histogram, move || {
+                PointValue::Histogram(h.to_state())
+            }));
+        });
         Ok(out)
+    }
+}
+
+/// The registry metric `name` as a series whose every fetch is one
+/// point: `read()` stamped at the fetch's end time.
+fn live_series(
+    name: &str,
+    kind: SeriesKind,
+    read: impl Fn() -> PointValue + Send + Sync + 'static,
+) -> PromSeries {
+    let (base, labels) = parse_series_name(name);
+    PromSeries {
+        base,
+        labels,
+        kind,
+        key: name.to_string(),
+        fetch: Arc::new(move |_res, _start, end| {
+            vec![Point {
+                t: end,
+                value: read(),
+            }]
+        }),
     }
 }
 
@@ -1704,7 +1699,8 @@ fn eval<'a>(e: &'a Expr, ctx: &'a Ctx, t: u64) -> Result<Val<'a>, String> {
                 if state.count == 0 {
                     continue;
                 }
-                let v = Histogram::from_state(&state).quantile(*q) as f64;
+                let v =
+                    quantile_of(state.buckets.iter().copied(), state.count, state.max, *q) as f64;
                 out.push(VSample {
                     name: "",
                     labels: sd.labels.clone(),

@@ -158,15 +158,15 @@ fn transcript() -> String {
     }
     writeln!(out, "== end").unwrap();
     writeln!(out, "alerts {}", svc.live().alerts_json()).unwrap();
-    for (name, counter) in svc.registry().counter_entries() {
+    svc.registry().visit_counters(|name, counter| {
         writeln!(out, "counter {name} {}", counter.get()).unwrap();
-    }
-    for (name, gauge) in svc.registry().gauge_entries() {
+    });
+    svc.registry().visit_gauges(|name, gauge| {
         // The build's own labels are not the tick's.
         if !name.starts_with("netqos_build_info") {
             writeln!(out, "gauge {name} {}", gauge.get()).unwrap();
         }
-    }
+    });
     out
 }
 
