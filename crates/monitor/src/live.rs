@@ -28,8 +28,8 @@
 //! federate`).
 
 use netqos_telemetry::{
-    api_query_outcome, profile_response, wants_stats, EventSource, HttpRequest, HttpResponse,
-    HttpRoute, LtsReader, LtsSource, ProfileHub, QueryEngine, Registry, RegistrySource, Router,
+    api_query_outcome, profile_response, wants_stats, EventSource, FlightRecorder, HttpRequest,
+    HttpResponse, HttpRoute, LtsReader, LtsSource, QueryEngine, Registry, RegistrySource, Router,
     SeriesSource, Shard,
 };
 use parking_lot::Mutex;
@@ -307,8 +307,8 @@ pub struct RouterOptions {
     pub live: Arc<LiveStatus>,
     /// Long-term store the `/api/v1` queries read.
     pub lts: Option<LtsReader>,
-    /// Tick-phase profiler behind `/profile`.
-    pub profile: Option<Arc<ProfileHub>>,
+    /// The flight ring `/profile` folds, a copy per request.
+    pub profile: Option<Arc<FlightRecorder>>,
     /// Slow-query threshold for the `/api/v1` plane, nanoseconds.
     pub slow_query_ns: u64,
 }
@@ -330,12 +330,12 @@ impl RouterOptions {
 
 /// Builds the endpoint router for [`HttpServer::serve`]
 /// (`netqos_telemetry::HttpServer`): `/metrics`, `/healthz`,
-/// `/snapshot` and `/alerts` (buffered or SSE), `/profile` (when a tick-phase profiler
-/// is attached: JSON phase tree, or folded stacks with
-/// `?format=folded`), `/api/v1/query` and `/api/v1/query_range`
-/// (PromQL-subset evaluation over the store when attached, else over
-/// the live registry), and `/` (a tiny index). Unknown paths return
-/// `None` (404).
+/// `/snapshot` and `/alerts` (buffered or SSE), `/profile` (when a flight
+/// ring is attached: the tick-phase tree of the cycles it holds as JSON,
+/// or folded stacks with `?format=folded`), `/api/v1/query` and
+/// `/api/v1/query_range` (PromQL-subset evaluation over the store when
+/// attached, else over the live registry), and `/` (a tiny index).
+/// Unknown paths return `None` (404).
 pub fn build_router(opts: RouterOptions) -> Arc<Router> {
     let source = query_source(&opts);
     router_over(opts, source)
@@ -383,7 +383,7 @@ fn router_over(opts: RouterOptions, source: Arc<dyn SeriesSource>) -> Arc<Router
         )),
         "/alerts" => Some(live.alerts_response().into()),
         "/profile" => Some(match &profile {
-            Some(hub) => profile_response(hub, req).into(),
+            Some(ring) => profile_response(&ring.snapshot(), req).into(),
             None => HttpResponse::json(
                 404,
                 "{\"error\":\"no profiler attached (run with --serve)\"}\n".into(),

@@ -40,12 +40,12 @@ use crate::telemetry::MonitorTelemetry;
 use netqos_sim::time::{SimDuration, SimTime};
 use netqos_sim::Ipv4Addr;
 use netqos_telemetry::{
-    builtin_alert_rules, fields, push_json_str, report_flush, to_otlp, transitions_to_json,
-    AlertContext, AlertEngine, AlertRule, AlertScope, CycleTrace, EventSink, FlightRecorder,
-    FlushReport, Level, LtsConfig, LtsCounters, LtsReader, LtsSource, LtsStore, OtlpPusher,
-    PointValue, ProfileHub, PushConfig, PushCounters, QuantileBaseline, QueryEngine, RecordRule,
-    RecordingCounters, Registry, RegistrySampler, RetentionPolicy, Tracer, DEFAULT_FLIGHT_CAPACITY,
-    DEFAULT_PROFILE_WINDOW, DEFAULT_WINDOW,
+    builtin_alert_rules, escape_label_value, fields, push_json_str, report_flush, to_otlp,
+    transitions_to_json, AlertContext, AlertEngine, AlertRule, AlertScope, CycleTrace, EventSink,
+    FlightRecorder, FlushReport, Histogram, Level, LtsConfig, LtsCounters, LtsReader, LtsSource,
+    LtsStore, OtlpPusher, PointValue, PushConfig, PushCounters, QuantileBaseline, QueryEngine,
+    RecordRule, RecordingCounters, Registry, RegistrySampler, RetentionPolicy, SpanRecord, Tracer,
+    DEFAULT_FLIGHT_CAPACITY, DEFAULT_WINDOW,
 };
 use netqos_topology::NodeId;
 use std::collections::HashMap;
@@ -259,10 +259,12 @@ pub struct MonitoringService<N = SimNetwork> {
     record_counters: RecordingCounters,
 
     // publish
-    flight: FlightRecorder,
-    /// Rolling tick-phase profile aggregated from the tracer's spans
-    /// (populated only while tracing is on; serves `GET /profile`).
-    profile: Arc<ProfileHub>,
+    /// The ring of recent traced cycles: violation snapshots, OTLP
+    /// pushes and `GET /profile` all read it.
+    flight: Arc<FlightRecorder>,
+    /// `netqos_tick_phase_ns{phase="target.name"}` handles by span target,
+    /// then name, so a steady traced tick formats no label.
+    phase_ns: HashMap<String, HashMap<String, Histogram>>,
     /// Snapshots written this session (newest last).
     snapshots: Vec<PathBuf>,
     /// Push-based OTLP delivery of flight snapshots at violation time.
@@ -385,7 +387,7 @@ impl<N: Network> MonitoringService<N> {
         // Anchor the tracer's monotonic origin on the Unix timeline once;
         // every cycle carries this epoch so OTLP timestamps are absolute.
         let epoch_unix_ns = unix_now_ns().saturating_sub(tracer.now_ns());
-        let flight = FlightRecorder::new(DEFAULT_FLIGHT_CAPACITY);
+        let flight = Arc::new(FlightRecorder::new(DEFAULT_FLIGHT_CAPACITY));
         let alerts = AlertEngine::new(config.alert_rules.clone());
         // Restore persisted baselines (if configured and present); a
         // missing or corrupt state file degrades to a cold start.
@@ -426,8 +428,6 @@ impl<N: Network> MonitoringService<N> {
         } else {
             RecordingCounters::register_in(telemetry.registry())
         };
-        let profile =
-            ProfileHub::with_registry(DEFAULT_PROFILE_WINDOW, telemetry.registry().clone());
         Ok(MonitoringService {
             config,
             start,
@@ -452,7 +452,7 @@ impl<N: Network> MonitoringService<N> {
             lts_open_warning,
             record_counters,
             flight,
-            profile,
+            phase_ns: HashMap::new(),
             snapshots: Vec::new(),
             pusher: None,
             live: LiveStatus::new(),
@@ -498,15 +498,10 @@ impl<N: Network> MonitoringService<N> {
         &self.tracer
     }
 
-    /// The flight-recorder ring of recent cycle traces.
-    pub fn flight(&self) -> &FlightRecorder {
-        &self.flight
-    }
-
-    /// The rolling tick-phase profile (fed from the tracer's spans while
+    /// The flight-recorder ring of recent cycle traces (filled while
     /// tracing is on; share it with the export plane for `/profile`).
-    pub fn profile(&self) -> &Arc<ProfileHub> {
-        &self.profile
+    pub fn flight(&self) -> &Arc<FlightRecorder> {
+        &self.flight
     }
 
     /// The `flight-<seq>.jsonl` snapshots written to disk so far (newest
@@ -982,14 +977,16 @@ impl<N: Network> MonitoringService<N> {
         self.run_record_rules();
     }
 
-    /// After the cycle span closes: the cycle feeds the rolling phase
-    /// profile and enters the flight ring. A cycle in which a violation
+    /// After the cycle span closes: each span feeds its phase histogram
+    /// and the cycle enters the flight ring. A cycle in which a violation
     /// began is pushed to the collector and snapshotted, itself included
     /// in the forensic record.
     fn publish_trace(&mut self, cycle: Cycle, events: &[QosEvent]) {
         let end_ns = self.tracer.now_ns();
         let spans = self.tracer.end_cycle();
-        self.profile.record_spans(&spans);
+        for span in &spans {
+            self.phase_histogram(span).record(span.dur_ns);
+        }
         let seq = self.flight.push(CycleTrace {
             seq: 0, // assigned by the recorder
             trace_id: cycle.trace_id,
@@ -1007,6 +1004,26 @@ impl<N: Network> MonitoringService<N> {
         if let Some(dir) = self.config.flight_dir.clone() {
             self.snapshot_flight(&dir, seq);
         }
+    }
+
+    /// The `netqos_tick_phase_ns` histogram of `span`'s phase, registered
+    /// the first time the phase closes.
+    fn phase_histogram(&mut self, span: &SpanRecord) -> &Histogram {
+        if !self.phase_ns.contains_key(&*span.target) {
+            self.phase_ns
+                .insert(span.target.to_string(), HashMap::new());
+        }
+        let names = self
+            .phase_ns
+            .get_mut(&*span.target)
+            .expect("inserted above");
+        if !names.contains_key(&*span.name) {
+            let phase = escape_label_value(&format!("{}.{}", span.target, span.name));
+            let name = format!("netqos_tick_phase_ns{{phase=\"{phase}\"}}");
+            let histogram = self.telemetry.registry().histogram(&name);
+            names.insert(span.name.to_string(), histogram);
+        }
+        &names[&*span.name]
     }
 
     /// Writes the flight ring to `dir` as snapshot `seq`, then keeps the
@@ -1185,6 +1202,32 @@ mod tests {
         svc.set_tracing(false);
         svc.run_ticks(2).unwrap();
         assert_eq!(svc.flight().len(), 3);
+    }
+
+    /// Each span a traced tick closes is one sample of its phase's
+    /// `netqos_tick_phase_ns` histogram; an untraced tick records none.
+    #[test]
+    fn traced_ticks_record_one_phase_sample_per_span() {
+        const N: usize = 5;
+        let mut svc = idle_service();
+        svc.set_tracing(true);
+        svc.run_ticks(N).unwrap();
+        svc.set_tracing(false);
+        svc.run_ticks(2).unwrap();
+        let text = svc.registry().render_prometheus();
+        assert!(
+            text.contains("# TYPE netqos_tick_phase_ns histogram"),
+            "{text}"
+        );
+        let devices = (svc.flight().snapshot().iter())
+            .flat_map(|c| &c.spans)
+            .filter(|s| s.target == "monitor.poll" && s.name == "device")
+            .count();
+        assert!(devices > N, "{devices}");
+        for (phase, count) in [("monitor.cycle", N), ("monitor.poll.device", devices)] {
+            let line = format!("netqos_tick_phase_ns_count{{phase=\"{phase}\"}} {count}\n");
+            assert!(text.contains(&line), "{line}{text}");
+        }
     }
 
     #[test]

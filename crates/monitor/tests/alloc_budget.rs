@@ -6,7 +6,8 @@
 //! what its signatures force (the request buffer, the response buffer,
 //! the vector of bindings, the `ifDescr` strings, the snapshot's vectors)
 //! and nothing per name, per value or per TLV. A steady service tick
-//! allocates what its polls carry and nothing after them.
+//! allocates what its polls carry and nothing after them; traced, it adds
+//! its trace and nothing to profile it.
 
 use netqos_monitor::poll::{parse_snapshot, poll_oids};
 use netqos_monitor::service::{MonitoringService, ServiceConfig, SURVEY_TICKS};
@@ -265,15 +266,17 @@ fn ingesting_a_devices_first_snapshot_allocates_nothing() {
 
 const TWO_SWITCH: &str = include_str!("../../../specs/two-switch.spec");
 
-/// The two-switch testbed's service, monitored from `console`, tracing
-/// off, after a warm-up long enough for every device to have been polled
-/// twice: every poll of a counted tick is a repeat poll.
-fn steady_two_switch_service(config: ServiceConfig) -> MonitoringService {
+/// The two-switch testbed's service, monitored from `console`, after a
+/// warm-up long enough for every device to have been polled twice: every
+/// poll of a counted tick is a repeat poll (and, traced, every phase has
+/// been seen and the flight ring has wrapped).
+fn steady_two_switch_service(config: ServiceConfig, tracing: bool) -> MonitoringService {
     let options = SimNetworkOptions {
         monitor_host: "console".into(),
         ..SimNetworkOptions::default()
     };
     let mut svc = MonitoringService::from_spec(TWO_SWITCH, options, config).unwrap();
+    svc.set_tracing(tracing);
     svc.run_ticks(2 * SURVEY_TICKS + 2).unwrap();
     svc
 }
@@ -299,7 +302,7 @@ fn counted_tick(svc: &mut MonitoringService) -> (u64, u64) {
 /// and ≈ 75 a scope in detect.)
 #[test]
 fn a_steady_service_tick_allocates_only_what_its_polls_carry() {
-    let mut svc = steady_two_switch_service(ServiceConfig::default());
+    let mut svc = steady_two_switch_service(ServiceConfig::default(), false);
     for _ in 0..12 {
         let (allocated, polls) = counted_tick(&mut svc);
         assert_eq!(polls, 7, "every device, every tick");
@@ -313,6 +316,25 @@ fn a_steady_service_tick_allocates_only_what_its_polls_carry() {
     let snapshot = svc.live().snapshot_json();
     assert!(snapshot.contains("\"name\":\"archiving\""), "{snapshot}");
     assert!(svc.live().alerts_json().starts_with("{\"tick\":"));
+}
+
+/// Allocations a steady traced two-switch tick adds to its polls: the
+/// spans' attributes, the cycle's event lines and samples, and the flight
+/// cycle that files them.
+const TRACE_BUDGET: u64 = 138;
+
+/// A steady traced tick allocates its trace and nothing to profile it:
+/// the phase histograms' handles are cached and `/profile` folds the ring
+/// when asked.
+#[test]
+fn a_steady_traced_tick_allocates_its_trace_and_nothing_for_the_profile() {
+    let mut svc = steady_two_switch_service(ServiceConfig::default(), true);
+    for _ in 0..12 {
+        let (allocated, polls) = counted_tick(&mut svc);
+        assert_eq!(polls, 7, "every device, every tick");
+        assert_eq!(allocated, SIM_POLL_BUDGET * polls + TRACE_BUDGET);
+    }
+    assert_eq!(svc.flight().len(), svc.flight().capacity());
 }
 
 /// Histograms in `registry` and their counts.
@@ -336,7 +358,7 @@ fn with_a_store_a_steady_tick_adds_only_its_histogram_points() {
         baseline_save_ticks: SAVE_EVERY,
         ..ServiceConfig::default()
     };
-    let mut svc = steady_two_switch_service(config);
+    let mut svc = steady_two_switch_service(config, false);
     assert!(svc.lts_enabled(), "{:?}", svc.lts_open_warning());
     let mut counted = 0;
     while counted < 12 {

@@ -614,20 +614,22 @@ mod tests {
 
     #[test]
     fn profile_dispatches_to_the_named_shard() {
-        use crate::profile::{profile_response, ProfileHub};
-        let hub = ProfileHub::new(16);
-        hub.record_spans(&[crate::SpanRecord {
-            trace_id: 1,
-            span_id: 1,
-            parent: None,
-            target: "monitor".into(),
-            name: "cycle".into(),
-            start_ns: 0,
-            dur_ns: 500,
-            attrs: Vec::new(),
-        }]);
+        use crate::profile::profile_response;
+        let cycles = [crate::CycleTrace {
+            spans: vec![crate::SpanRecord {
+                trace_id: 1,
+                span_id: 1,
+                parent: None,
+                target: "monitor".into(),
+                name: "cycle".into(),
+                start_ns: 0,
+                dur_ns: 500,
+                attrs: Vec::new(),
+            }],
+            ..crate::CycleTrace::default()
+        }];
         let router: Arc<Router> = Arc::new(move |req: &HttpRequest| {
-            (req.path == "/profile").then(|| profile_response(&hub, req).into())
+            (req.path == "/profile").then(|| profile_response(&cycles, req).into())
         });
         let fed = ShardRegistry::new();
         fed.register(Shard::new("a", Registry::new(), router))

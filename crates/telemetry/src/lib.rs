@@ -16,7 +16,8 @@
 //!
 //! Causal observability builds on the same crate: [`Tracer`] records a
 //! span tree per poll cycle, [`FlightRecorder`] rings the last N cycles
-//! for violation forensics (JSONL + Chrome `trace_event` export), and
+//! for violation forensics (JSONL + Chrome `trace_event` export) and for
+//! [`PhaseProfile`], which folds them into `/profile`'s phase tree, and
 //! [`QuantileBaseline`] ages streaming quantiles so samples can be
 //! ranked against recent history.
 
@@ -64,7 +65,7 @@ pub use lts::{
 };
 pub use metrics::{Counter, Gauge, Histogram, HistogramState, HistogramTimer, BUCKETS};
 pub use otlp::{to_otlp, validate_otlp, OtlpStats, OTLP_SCOPE, OTLP_SERVICE};
-pub use profile::{profile_response, ProfileHub, DEFAULT_PROFILE_WINDOW};
+pub use profile::{profile_response, PhaseProfile, MAX_PHASE_DEPTH};
 pub use promql::{
     api_query_outcome, api_query_response, check_query, fmt_value, parse_duration,
     parse_series_name, query_error_json, resolution_for_step, wants_stats, LtsSource, MatrixSeries,
@@ -328,7 +329,7 @@ fn push_labels(out: &mut String, shard: Option<&str>, labels: &str, le: &str) {
 }
 
 /// Escapes a Prometheus label value (backslash, quote, newline).
-pub(crate) fn escape_label_value(v: &str) -> String {
+pub fn escape_label_value(v: &str) -> String {
     let mut out = String::with_capacity(v.len());
     push_label_value(&mut out, v);
     out

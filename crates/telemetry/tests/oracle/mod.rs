@@ -6,12 +6,15 @@
 //! decode every record of a tail whatever window was asked for, and the
 //! v2 segment encoder that takes the whole slice and walks it twice; the
 //! dense-histogram `QuantileBaseline`
-//! (`baseline.rs`); and the alert engine that rebuilt every key each tick
-//! (`alerts.rs`). Slow and obviously right; kept out of the library.
+//! (`baseline.rs`); the alert engine that rebuilt every key each tick
+//! (`alerts.rs`); and the tick-phase fold that walked every span's parent
+//! chain to the root (`profile.rs`). Slow and obviously right; kept out
+//! of the library.
 #![allow(dead_code)]
 
 pub mod alerts;
 pub mod baseline;
+pub mod profile;
 
 use netqos_telemetry::{
     decode_segment_v2, fold_series_range, HistogramState, LtsReader, LtsRetention, Point,

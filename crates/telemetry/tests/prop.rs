@@ -2204,3 +2204,147 @@ proptest! {
         refreshed_contexts_match_fresh_ones(seed);
     }
 }
+
+// ---------------------------------------------------------------------
+// The tick-phase fold: spans with any parent ids fold, and forests fold
+// as the parent-chain walk did
+// ---------------------------------------------------------------------
+
+use netqos_telemetry::{parse_json, JsonValue, PhaseProfile, SpanRecord, MAX_PHASE_DEPTH};
+
+const PHASE_LABELS: [(&str, &str); 4] = [
+    ("monitor", "cycle"),
+    ("monitor.poll", "device"),
+    ("snmp.codec", "decode"),
+    ("monitor.qos", "evaluate"),
+];
+
+fn phase_span(c: &mut Choices, span_id: u64, parent: Option<u64>) -> SpanRecord {
+    let (target, name) = PHASE_LABELS[c.next(PHASE_LABELS.len())];
+    SpanRecord {
+        trace_id: 1,
+        span_id,
+        parent,
+        target: target.into(),
+        name: name.into(),
+        start_ns: 0,
+        dur_ns: c.next(1_000_000) as u64,
+        attrs: Vec::new(),
+    }
+}
+
+fn cycle_of(spans: Vec<SpanRecord>) -> CycleTrace {
+    CycleTrace {
+        spans,
+        ..CycleTrace::default()
+    }
+}
+
+/// Up to three cycles of spans whose parent ids are anything: their
+/// own, each other's in loops, ids no span has, ids several spans share.
+fn tangled_cycles(c: &mut Choices) -> Vec<CycleTrace> {
+    (0..1 + c.next(3))
+        .map(|_| {
+            let spans = (0..c.next(40))
+                .map(|_| {
+                    let id = c.next(24) as u64;
+                    let parent = (c.next(4) != 0).then(|| c.next(28) as u64);
+                    phase_span(c, id, parent)
+                })
+                .collect();
+            cycle_of(spans)
+        })
+        .collect()
+}
+
+/// Up to three cycles, each a forest no deeper than [`MAX_PHASE_DEPTH`]
+/// with unique span ids, in shuffled order. One cycle in four is a long
+/// chain with a few branches, which reaches the depth bound; the others
+/// are bushy and hold orphans.
+fn forest_cycles(c: &mut Choices) -> Vec<CycleTrace> {
+    (0..1 + c.next(3))
+        .map(|_| {
+            let deep = c.next(4) == 0;
+            let n = c.next(if deep { 300 } else { 40 });
+            let mut depth = Vec::with_capacity(n);
+            let mut spans = Vec::with_capacity(n);
+            // The deep chain's last span.
+            let mut tip = 0;
+            for i in 0..n {
+                let parent = match (i, deep, c.next(8)) {
+                    (0, ..) => None,
+                    (_, true, 0) => Some(c.next(i)),
+                    (_, true, _) => Some(std::mem::replace(&mut tip, i)),
+                    (_, false, 0) => None,
+                    (_, false, 1) => Some(usize::MAX), // an orphan
+                    _ => Some(c.next(i)),
+                };
+                let parent = parent.filter(|&p| p == usize::MAX || depth[p] < MAX_PHASE_DEPTH);
+                depth.push(match parent {
+                    Some(p) if p != usize::MAX => depth[p] + 1,
+                    _ => 1,
+                });
+                let parent_id = parent.map(|p| if p == usize::MAX { 7 } else { 100 + p as u64 });
+                spans.push(phase_span(c, 100 + i as u64, parent_id));
+            }
+            for i in (1..spans.len()).rev() {
+                spans.swap(i, c.next(i + 1));
+            }
+            cycle_of(spans)
+        })
+        .collect()
+}
+
+/// Calls of every phase in a `/profile` phase list, and the phases.
+fn calls_and_phases(phases: &JsonValue) -> (u64, usize) {
+    let mut sum = (0, 0);
+    for phase in phases.as_array().expect("phase list") {
+        let (calls, count) = calls_and_phases(phase.get("children").expect("children"));
+        sum.0 += phase
+            .get("calls")
+            .and_then(JsonValue::as_u64)
+            .expect("calls")
+            + calls;
+        sum.1 += 1 + count;
+    }
+    sum
+}
+
+fn tangled_parent_ids_fold(seed: u64) {
+    let cycles = tangled_cycles(&mut Choices(seed));
+    let profile = PhaseProfile::fold(&cycles);
+    let json = profile.to_json();
+    let doc = parse_json(&json).unwrap_or_else(|e| panic!("{e:?}: {json}"));
+    let spans: usize = cycles.iter().map(|c| c.spans.len()).sum();
+    let (calls, phases) = calls_and_phases(doc.get("phases").unwrap());
+    assert_eq!(calls, spans as u64, "{json}");
+    assert_eq!(profile.to_folded().lines().count(), phases);
+    let folded = doc.get("window_cycles").and_then(JsonValue::as_u64);
+    assert_eq!(folded, Some(cycles.len() as u64));
+}
+
+fn forests_fold_as_the_oracle(seed: u64) {
+    let cycles = forest_cycles(&mut Choices(seed));
+    let profile = PhaseProfile::fold(&cycles);
+    let walked = oracle::profile::Profile::fold(&cycles);
+    assert_eq!(profile.to_json(), walked.to_json());
+    assert_eq!(profile.to_folded(), walked.to_folded());
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Self-parented spans, loops, missing parents and repeated ids fold
+    /// without panicking, and every span is one call of one phase.
+    #[test]
+    fn spans_with_any_parent_ids_fold_every_span_once(seed in any::<u64>()) {
+        tangled_parent_ids_fold(seed);
+    }
+
+    /// On forests within the depth bound, the one-pass fold writes the
+    /// documents the parent-chain walk wrote, byte for byte.
+    #[test]
+    fn forests_fold_as_the_parent_chain_walk_did(seed in any::<u64>()) {
+        forests_fold_as_the_oracle(seed);
+    }
+}

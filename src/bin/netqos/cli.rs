@@ -315,8 +315,9 @@ pub static COMMANDS: &[Cmd] = &[
     Cmd {
         name: "profile",
         args: "[PATH.jsonl]",
-        about: "tick-phase profile of a flight-recorder snapshot (offline), or with --url of \
-                a live monitor's export plane",
+        about: "tick-phase profile of every cycle in a flight-recorder snapshot (offline), or \
+                with --url of the cycles in a live monitor's flight ring; the same cycles give \
+                the same document",
         opts: &[
             Opt(
                 "--url http://host:port",
@@ -325,10 +326,6 @@ pub static COMMANDS: &[Cmd] = &[
             Opt(
                 "--shard NAME",
                 "the shard to profile (federations only, with --url)",
-            ),
-            Opt(
-                "--window N",
-                "offline rolling window in cycles (default: every cycle in the snapshot)",
             ),
             Opt(
                 "--format json|folded",

@@ -192,7 +192,7 @@ fn stale_after_ns(pace_ms: u64) -> u64 {
 
 /// The export plane `args` ask for over `service`: `/healthz` goes stale
 /// after [`stale_after_ns`], `/api/v1` reads the `--lts` store when one
-/// is open, `/profile` the service's profiler, and `--slow-query-ms`
+/// is open, `/profile` folds the service's flight ring, and `--slow-query-ms`
 /// sets the slow-query threshold. `monitor --serve` and every `federate`
 /// shard build their routers from it.
 fn router_options(
@@ -208,8 +208,8 @@ fn router_options(
     if let (Some(dir), true) = (args.value("--lts"), service.lts_enabled()) {
         options.lts = Some(netqos_telemetry::LtsReader::open(dir));
     }
-    // Serving is what turns tracing on, so spans flow into the profiler.
-    options.profile = Some(service.profile().clone());
+    // Serving is what turns tracing on, so traced cycles fill the ring.
+    options.profile = Some(service.flight().clone());
     if let Some(ms) = args.num::<u64>("--slow-query-ms")? {
         options.slow_query_ns = ms.saturating_mul(1_000_000);
     }
@@ -849,11 +849,10 @@ fn fetch(url: &str, path: &str, what: &str) -> Result<String, String> {
 
 /// Renders a monitor's tick-phase profile: online from a live (or
 /// federated) export plane's `GET /profile`, or offline by folding a
-/// flight-recorder JSONL snapshot through the same profiler the live
-/// endpoint uses — identical span stream, identical document.
+/// flight-recorder JSONL snapshot through the fold the live endpoint runs
+/// over its ring — the same cycles give the same document.
 fn cmd_profile(args: &Args) -> Result<(), String> {
     let format = format_of(args, &["json", "folded"])?;
-    let window = args.num::<NonZeroUsize>("--window")?;
     let (url, shard) = (args.value("--url"), args.value("--shard"));
     let file = args.positionals.first();
     if url.is_some() == file.is_some() {
@@ -874,17 +873,10 @@ fn cmd_profile(args: &Args) -> Result<(), String> {
     if shard.is_some() {
         return Err("--shard only applies with --url (offline snapshots are one shard)".into());
     }
-    let cycles = read_cycles(args.pos(0)?)?;
-    // Default window: the whole snapshot, so offline analysis sees every
-    // recorded cycle (a live hub rolls at DEFAULT_PROFILE_WINDOW).
-    let window = window.map_or(cycles.len().max(1), NonZeroUsize::get);
-    let hub = netqos_telemetry::ProfileHub::new(window);
-    for cycle in &cycles {
-        hub.record_spans(&cycle.spans);
-    }
+    let profile = netqos_telemetry::PhaseProfile::fold(&read_cycles(args.pos(0)?)?);
     match format {
-        "folded" => print!("{}", hub.to_folded()),
-        _ => print!("{}", hub.to_json()),
+        "folded" => print!("{}", profile.to_folded()),
+        _ => print!("{}", profile.to_json()),
     }
     Ok(())
 }

@@ -78,14 +78,14 @@ fn without_tick_age(body: &str) -> String {
 fn a_federation_of_one_embeds_its_shard_routers_own_bodies() {
     let mut svc = service_from(TWO_SWITCH, "console");
     svc.set_tracing(true);
-    let (registry, live, profile) = (
+    let (registry, live, ring) = (
         svc.registry().clone(),
         svc.live().clone(),
-        svc.profile().clone(),
+        svc.flight().clone(),
     );
     live.set_stale_after_ns(0);
     let options = || RouterOptions {
-        profile: Some(profile.clone()),
+        profile: Some(ring.clone()),
         ..RouterOptions::new(registry.clone(), live.clone())
     };
     let own = &*build_router(options());

@@ -3,16 +3,20 @@
 //! snapshot holding full cycle traces — nested spans from the poll
 //! round down through SNMP codec, delta ingestion, path traversal, and
 //! the QoS decision — with per-connection quantile annotations, as one
-//! JSONL file that renders to valid Chrome `trace_event` JSON.
+//! JSONL file that renders to valid Chrome `trace_event` JSON; and the
+//! live `/profile` at that tick is the file's profile.
 
 use netqos::loadgen::{LoadProfile, ProfiledSource};
+use netqos::monitor::live::{build_router, RouterOptions};
 use netqos::monitor::qos::QosEvent;
 use netqos::monitor::service::{MonitoringService, ServiceConfig};
 use netqos::monitor::simnet::SimNetworkOptions;
 use netqos_telemetry::{
     cycles_from_jsonl, parse_json, to_chrome_trace, validate_chrome_trace, CycleTrace, EventSink,
+    HttpRequest, HttpRoute, DEFAULT_FLIGHT_CAPACITY,
 };
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
+use std::process::Command;
 use std::sync::Arc;
 
 const SPEC: &str = include_str!("../specs/two-switch.spec");
@@ -187,6 +191,67 @@ fn violation_snapshots_full_cycle_traces() {
     let stats = validate_chrome_trace(&to_chrome_trace(&cycles)).expect("valid Chrome trace");
     assert!(stats.cycles >= 8 && stats.spans > stats.cycles);
 
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// `netqos profile` over a snapshot file.
+fn cli_profile(file: &Path, format: &str) -> String {
+    let out = Command::new(env!("CARGO_BIN_EXE_netqos"))
+        .args(["profile", "--format", format])
+        .arg(file)
+        .output()
+        .expect("netqos runs");
+    assert!(out.status.success(), "{out:?}");
+    String::from_utf8(out.stdout).expect("UTF-8 profile")
+}
+
+/// Three ways into the tick-phase profile give one document: at a
+/// violation tick, the live `GET /profile` equals, byte for byte, what
+/// `netqos profile` prints for the snapshot that tick wrote — the live
+/// plane folds the ring the snapshot freezes, and nothing older.
+#[test]
+fn live_profile_at_a_violation_is_the_snapshots_profile() {
+    let dir = tmpdir("profile");
+    // The load starts once the ring has wrapped, so the monitor has
+    // traced more cycles than a snapshot holds when the violation fires.
+    let mut svc = traced_service(
+        dir.clone(),
+        &[("sensor1", "console", LoadProfile::pulse(40, 60, 9_000_000))],
+    );
+    let router = build_router(RouterOptions {
+        profile: Some(svc.flight().clone()),
+        ..RouterOptions::new(svc.registry().clone(), svc.live().clone())
+    });
+    let router = &*router;
+    let live = |query: &str| {
+        let req = HttpRequest {
+            method: "GET".into(),
+            path: "/profile".into(),
+            query: query.into(),
+            accept: String::new(),
+        };
+        match router(&req) {
+            Some(HttpRoute::Response(resp)) if resp.status == 200 => resp.body,
+            _ => panic!("no 200 answer to /profile?{query}"),
+        }
+    };
+    let mut compared = 0;
+    for tick in 1..=56 {
+        let written = svc.snapshots().len();
+        svc.tick().expect("tick");
+        if svc.snapshots().len() == written {
+            continue;
+        }
+        assert!(tick > DEFAULT_FLIGHT_CAPACITY, "violation at tick {tick}");
+        let file = svc.snapshots().last().unwrap().clone();
+        let json = live("");
+        let header = format!("{{\"window_cycles\":{DEFAULT_FLIGHT_CAPACITY},");
+        assert!(json.starts_with(&header), "{json}");
+        assert_eq!(json, cli_profile(&file, "json"), "{}", file.display());
+        assert_eq!(live("format=folded"), cli_profile(&file, "folded"));
+        compared += 1;
+    }
+    assert!(compared >= 1, "the load never tripped a QoS violation");
     std::fs::remove_dir_all(&dir).ok();
 }
 
