@@ -343,9 +343,14 @@ struct SeriesState {
     /// on open, each write feeds it what it wrote), so a seal reads
     /// nothing back and its count is the tail's length.
     open_enc: [SegmentEncoder; 3],
-    /// Flushed-but-not-yet-downsampled points feeding `1m` (raw points)
-    /// and `1h` (`1m` points).
-    pending: [Vec<Point>; 2],
+    /// The open `1m` and `1h` window: its start and what [`downsample`]
+    /// gives the flushed finer points in it so far (raw points for `1m`,
+    /// `1m` points for `1h`), `None` before the first.
+    open_window: [(u64, Option<PointValue>); 2],
+    /// `1m` and `1h` windows found complete but unwritten on open (a
+    /// crash between a finer write and the coarser one); the next flush
+    /// writes them first. Empty in steady state.
+    closed: [Vec<Point>; 2],
     /// Needs a `series.idx` line on next flush.
     new_to_index: bool,
     /// `DIR/<res>/<slug>/open.bin` per resolution; its parent is the
@@ -374,7 +379,8 @@ impl SeriesState {
             buf: Vec::new(),
             last_t: [None; 3],
             open_enc: Default::default(),
-            pending: [Vec::new(), Vec::new()],
+            open_window: [(0, None), (0, None)],
+            closed: [Vec::new(), Vec::new()],
             new_to_index,
             open_path,
             open_bytes: [None; 3],
@@ -398,6 +404,21 @@ impl SeriesState {
             self.open_bytes[ri] = fs::metadata(&self.open_path[ri]).ok().map(|m| m.len());
         }
         Ok(found)
+    }
+
+    /// Folds `pts`, in time order, into open window `wi` (`1m`, `1h`); a
+    /// point past that window closes it into `closed` first.
+    fn fold_points(&mut self, wi: usize, pts: &[Point], closed: &mut Vec<Point>) {
+        let secs = Resolution::ALL[wi + 1].window_secs();
+        let (start, fold) = &mut self.open_window[wi];
+        for p in pts {
+            let w = p.t / secs * secs;
+            if w != *start {
+                closed.extend(fold.take().map(|value| Point { t: *start, value }));
+                *start = w;
+            }
+            fold_value(self.kind, fold, &p.value);
+        }
     }
 
     fn accept(&mut self, counters: &LtsCounters, t: u64, value: PointValue) {
@@ -435,8 +456,9 @@ pub struct LtsStore {
     warnings: Vec<String>,
     /// The bytes of one write, reused by every write.
     write_buf: Vec<u8>,
-    /// The points one fold produces, reused by every fold.
-    fold_buf: Vec<Point>,
+    /// The `1m` and `1h` windows one series' flush closes, reused by
+    /// every flush.
+    closed_buf: [Vec<Point>; 2],
 }
 
 impl LtsStore {
@@ -462,7 +484,7 @@ impl LtsStore {
             series: BTreeMap::new(),
             warnings: Vec::new(),
             write_buf: Vec::new(),
-            fold_buf: Vec::new(),
+            closed_buf: [Vec::new(), Vec::new()],
         };
         store.load_index()?;
         for s in store.series.values_mut() {
@@ -550,7 +572,7 @@ impl LtsStore {
         let mut out = TailWriter {
             config: &self.config,
             write_buf: &mut self.write_buf,
-            fold_buf: &mut self.fold_buf,
+            closed_buf: &mut self.closed_buf,
         };
         for s in self.series.values_mut() {
             if s.new_to_index {
@@ -565,7 +587,7 @@ impl LtsStore {
                 self.index_bytes += line.len() as u64;
                 s.new_to_index = false;
             }
-            if !s.buf.is_empty() || !s.pending[0].is_empty() || !s.pending[1].is_empty() {
+            if !s.buf.is_empty() || s.closed.iter().any(|c| !c.is_empty()) {
                 flush_series(&mut out, s, &mut report)?;
             }
         }
@@ -686,7 +708,7 @@ impl LtsStore {
 
 /// Brings one indexed series' state up from its directories on open:
 /// the catalog, the tails (a torn final record truncated away, a stale
-/// tail removed), the newest times and the pending downsample windows.
+/// tail removed), the newest times and the open downsample windows.
 fn recover_series(s: &mut SeriesState, warnings: &mut Vec<String>) -> io::Result<()> {
     let found = s.scan_disk()?;
     for res in Resolution::ALL {
@@ -723,28 +745,20 @@ fn recover_series(s: &mut SeriesState, warnings: &mut Vec<String>) -> io::Result
         }
         s.last_t[ri] = last;
     }
-    // Rebuild the pending downsample buffers: every finer-resolution
-    // point past the last written window belongs to a window that
-    // has not been folded yet.
-    for (pi, (fine, coarse)) in [
-        (Resolution::Raw1s, Resolution::Min1),
-        (Resolution::Min1, Resolution::Hour1),
-    ]
-    .into_iter()
-    .enumerate()
+    // Fold every finer point past the last written coarser window into
+    // the open window; a window a later point closed is one a crash
+    // left unwritten.
+    let mut closed = [Vec::new(), Vec::new()];
+    for (wi, coarse) in [Resolution::Min1, Resolution::Hour1]
+        .into_iter()
+        .enumerate()
     {
-        let cutoff = match s.last_t[coarse.index()] {
-            Some(w) => w + coarse.window_secs(),
-            None => 0,
-        };
-        s.pending[pi] = read_points(
-            &found[fine.index()],
-            &s.open_path[fine.index()],
-            s.kind,
-            cutoff,
-            u64::MAX,
-        );
+        // The finer resolution is the one at `wi`.
+        let cutoff = s.last_t[coarse.index()].map_or(0, |w| w + coarse.window_secs());
+        let pts = read_points(&found[wi], &s.open_path[wi], s.kind, cutoff, u64::MAX);
+        s.fold_points(wi, &pts, &mut closed[wi]);
     }
+    s.closed = closed;
     Ok(())
 }
 
@@ -757,7 +771,7 @@ fn dir_of(open: &Path) -> &Path {
 struct TailWriter<'a> {
     config: &'a LtsConfig,
     write_buf: &'a mut Vec<u8>,
-    fold_buf: &'a mut Vec<Point>,
+    closed_buf: &'a mut [Vec<Point>; 2],
 }
 
 /// Writes one series' buffered points and every window they complete.
@@ -766,50 +780,35 @@ fn flush_series(
     s: &mut SeriesState,
     report: &mut FlushReport,
 ) -> io::Result<()> {
+    // Out and back in, so the buffers keep their capacity.
+    let [mut mins, mut hours] = std::mem::take(out.closed_buf);
+    mins.append(&mut s.closed[0]);
+    hours.append(&mut s.closed[1]);
     if !s.buf.is_empty() {
-        // Out and back in, so the buffer keeps its capacity.
         let mut buf = std::mem::take(&mut s.buf);
         report.points_written += buf.len() as u64;
         report.segments_sealed += out.write_points(s, Resolution::Raw1s, &buf)?;
         s.last_t[0] = buf.last().map(|p| p.t).or(s.last_t[0]);
-        s.pending[0].append(&mut buf);
+        s.fold_points(0, &buf, &mut mins);
+        buf.clear();
         s.buf = buf;
     }
-
-    // Fold completed windows, finest resolution first so a fresh
-    // `1m` point can immediately complete an `1h` window.
-    for (pi, coarse) in [Resolution::Min1, Resolution::Hour1]
-        .into_iter()
-        .enumerate()
-    {
-        let window = coarse.window_secs();
-        // The clock that closes windows is the newest point of the
-        // finer resolution.
-        let Some(newest) = s.last_t[pi] else { continue };
-        // Out and back in, as `buf` above.
-        let mut produced = std::mem::take(out.fold_buf);
-        while let Some(first) = s.pending[pi].first() {
-            let w = (first.t / window) * window;
-            if newest < w + window {
-                break;
-            }
-            let split = s.pending[pi].partition_point(|p| p.t < w + window);
-            if let Some(v) = downsample(s.kind, &s.pending[pi][..split]) {
-                produced.push(Point { t: w, value: v });
-            }
-            s.pending[pi].drain(..split);
-        }
-        if !produced.is_empty() {
-            report.downsampled += produced.len() as u64;
-            report.segments_sealed += out.write_points(s, coarse, &produced)?;
-            s.last_t[coarse.index()] = produced.last().map(|p| p.t);
-            if coarse == Resolution::Min1 {
-                s.pending[1].append(&mut produced);
-            }
-            produced.clear();
-        }
-        *out.fold_buf = produced;
+    // Finest resolution first, so a fresh `1m` point can close an `1h`
+    // window.
+    if !mins.is_empty() {
+        report.downsampled += mins.len() as u64;
+        report.segments_sealed += out.write_points(s, Resolution::Min1, &mins)?;
+        s.last_t[1] = mins.last().map(|p| p.t);
+        s.fold_points(1, &mins, &mut hours);
+        mins.clear();
     }
+    if !hours.is_empty() {
+        report.downsampled += hours.len() as u64;
+        report.segments_sealed += out.write_points(s, Resolution::Hour1, &hours)?;
+        s.last_t[2] = hours.last().map(|p| p.t);
+        hours.clear();
+    }
+    *out.closed_buf = [mins, hours];
     Ok(())
 }
 
@@ -874,49 +873,51 @@ impl TailWriter<'_> {
 }
 
 /// Folds one completed window of finer-resolution points into a single
-/// coarser point: counters sum their deltas, gauges keep the last value,
-/// histograms merge bucket-wise (count/sum add, min/max fold). `None`
-/// for an empty window.
+/// coarser point, one point at a time as the writer folds each open
+/// window: counters sum their deltas, gauges keep the last value,
+/// histograms merge bucket-wise (count/sum add, min/max fold). Points
+/// of another kind than `kind` are passed over; sums wrap. `None` for an
+/// empty window and for a gauge window without a gauge.
 pub fn downsample(kind: SeriesKind, window: &[Point]) -> Option<PointValue> {
-    if window.is_empty() {
-        return None;
-    }
-    Some(match kind {
-        SeriesKind::Counter => PointValue::Counter(
-            window
-                .iter()
-                .map(|p| match &p.value {
-                    PointValue::Counter(v) => *v,
-                    _ => 0,
-                })
-                .sum(),
-        ),
-        SeriesKind::Gauge => window.iter().rev().find_map(|p| match &p.value {
-            PointValue::Gauge(v) => Some(PointValue::Gauge(*v)),
-            _ => None,
-        })?,
-        SeriesKind::Histogram => {
-            let mut merged = HistogramState {
-                min: u64::MAX,
-                ..HistogramState::default()
-            };
-            let mut buckets: BTreeMap<u32, u64> = BTreeMap::new();
-            for p in window {
-                let PointValue::Histogram(h) = &p.value else {
-                    continue;
-                };
-                for &(i, n) in &h.buckets {
-                    *buckets.entry(i).or_insert(0) += n;
+    let mut acc = None;
+    window
+        .iter()
+        .for_each(|p| fold_value(kind, &mut acc, &p.value));
+    acc
+}
+
+/// Folds `value` into `acc`, a `kind` window's fold so far (`None`
+/// before its first point, and while a gauge window has seen no gauge);
+/// a value of another kind changes nothing. Counts and sums wrap, as
+/// the codec's do.
+fn fold_value(kind: SeriesKind, acc: &mut Option<PointValue>, value: &PointValue) {
+    let acc = match (acc, kind, value) {
+        (Some(acc), _, _) => acc,
+        (acc, SeriesKind::Counter, _) => acc.insert(PointValue::Counter(0)),
+        (acc, SeriesKind::Gauge, PointValue::Gauge(_)) => acc.insert(PointValue::Gauge(0)),
+        (_, SeriesKind::Gauge, _) => return,
+        (acc, SeriesKind::Histogram, _) => acc.insert(PointValue::Histogram(HistogramState {
+            min: u64::MAX,
+            ..HistogramState::default()
+        })),
+    };
+    match (acc, value) {
+        (PointValue::Counter(sum), PointValue::Counter(v)) => *sum = sum.wrapping_add(*v),
+        (PointValue::Gauge(last), PointValue::Gauge(v)) => *last = *v,
+        (PointValue::Histogram(merged), PointValue::Histogram(h)) => {
+            for &(i, n) in &h.buckets {
+                match merged.buckets.binary_search_by_key(&i, |&(j, _)| j) {
+                    Ok(k) => merged.buckets[k].1 = merged.buckets[k].1.wrapping_add(n),
+                    Err(k) => merged.buckets.insert(k, (i, n)),
                 }
-                merged.count += h.count;
-                merged.sum += h.sum;
-                merged.min = merged.min.min(h.min);
-                merged.max = merged.max.max(h.max);
             }
-            merged.buckets = buckets.into_iter().collect();
-            PointValue::Histogram(merged)
+            merged.count = merged.count.wrapping_add(h.count);
+            merged.sum = merged.sum.wrapping_add(h.sum);
+            merged.min = merged.min.min(h.min);
+            merged.max = merged.max.max(h.max);
         }
-    })
+        _ => {}
+    }
 }
 
 /// Bridges the live [`Registry`] into an [`LtsStore`]: each call emits
@@ -1034,16 +1035,25 @@ pub fn hist_delta(prev: Option<&HistogramState>, cur: &HistogramState) -> Histog
 
 /// `*`-wildcard series selector: `*` matches any run of characters,
 /// everything else is literal. `netqos_lts_*` matches the store's own
-/// metrics; `*` matches everything.
+/// metrics; `*` matches everything. A mismatch backtracks only to the
+/// latest `*`, so a match takes at most `|pattern| · |name|` steps.
 pub fn selector_matches(pattern: &str, name: &str) -> bool {
-    fn match_at(pat: &[u8], s: &[u8]) -> bool {
-        match pat.first() {
-            None => s.is_empty(),
-            Some(b'*') => (0..=s.len()).any(|i| match_at(&pat[1..], &s[i..])),
-            Some(&c) => s.first() == Some(&c) && match_at(&pat[1..], &s[1..]),
+    let (pat, s) = (pattern.as_bytes(), name.as_bytes());
+    // Where the pattern and the name are read, and the latest `*` with
+    // the first name byte it has not taken.
+    let (mut pi, mut si, mut star) = (0, 0, None);
+    while si < s.len() {
+        match pat.get(pi) {
+            Some(b'*') => (star, pi) = (Some((pi, si)), pi + 1),
+            Some(&c) if c == s[si] => (pi, si) = (pi + 1, si + 1),
+            _ => {
+                // Let the latest `*` take one more byte.
+                let Some((sp, ss)) = star else { return false };
+                (star, pi, si) = (Some((sp, ss + 1)), sp + 1, ss + 1);
+            }
         }
     }
-    match_at(pattern.as_bytes(), name.as_bytes())
+    pat[pi..].iter().all(|&c| c == b'*')
 }
 
 /// A series the index knows about.
@@ -2652,6 +2662,128 @@ mod tests {
         assert!(selector_matches("exact", "exact"));
         assert!(!selector_matches("exact", "exactly"));
         assert!(selector_matches("*suffix", "has_suffix"));
+    }
+
+    #[test]
+    fn a_wildcard_match_backtracks_only_to_the_latest_star() {
+        assert!(selector_matches("a*b*c", "aXbYbZc"));
+        assert!(!selector_matches("a*b*c", "aXbYbZ"));
+        assert!(selector_matches("**", ""));
+        assert!(!selector_matches("*a", ""));
+        // 64 stars against 1 000 names of 100 bytes that each fail only
+        // at the last byte: recursive backtracking would not finish.
+        let pattern = "*a".repeat(64) + "*z";
+        let names: Vec<String> = (0..1_000).map(|i| format!("{:a<100}", i % 10)).collect();
+        let start = std::time::Instant::now();
+        assert!(names.iter().all(|n| !selector_matches(&pattern, n)));
+        let took = start.elapsed();
+        assert!(
+            took < std::time::Duration::from_millis(50),
+            "{took:?} for 1 000 names"
+        );
+    }
+
+    /// Two histogram deltas whose counts, sums and bucket 3 together
+    /// pass `u64::MAX`.
+    fn overflowing_hists() -> [HistogramState; 2] {
+        [
+            HistogramState {
+                buckets: vec![(3, u64::MAX)],
+                count: u64::MAX,
+                sum: u64::MAX,
+                min: 5,
+                max: 9,
+            },
+            HistogramState {
+                buckets: vec![(3, 2), (4, 1)],
+                count: 3,
+                sum: 10,
+                min: 2,
+                max: 20,
+            },
+        ]
+    }
+
+    /// What a window of [`overflowing_hists`] folds to: every sum wraps,
+    /// in a debug build as in a release one.
+    fn wrapped_hist() -> PointValue {
+        PointValue::Histogram(HistogramState {
+            buckets: vec![(3, 1), (4, 1)],
+            count: 2,
+            sum: 9,
+            min: 2,
+            max: 20,
+        })
+    }
+
+    #[test]
+    fn downsample_wraps_an_overflowing_window() {
+        let at = |t, value| Point { t, value };
+        let counters = [
+            at(0, PointValue::Counter(u64::MAX)),
+            at(1, PointValue::Counter(2)),
+        ];
+        assert_eq!(
+            downsample(SeriesKind::Counter, &counters),
+            Some(PointValue::Counter(1))
+        );
+        let [a, b] = overflowing_hists();
+        let hists = [
+            at(0, PointValue::Histogram(a)),
+            at(1, PointValue::Histogram(b)),
+        ];
+        assert_eq!(
+            downsample(SeriesKind::Histogram, &hists),
+            Some(wrapped_hist())
+        );
+    }
+
+    #[test]
+    fn a_flush_and_a_query_fold_an_overflowing_window() {
+        let dir = tmpdir("overflow");
+        let mut store =
+            LtsStore::open(&dir, LtsConfig::default(), LtsCounters::detached()).unwrap();
+        let [a, b] = overflowing_hists();
+        store.append("c", 0, PointValue::Counter(u64::MAX));
+        store.append("c", 1, PointValue::Counter(2));
+        store.append("c", 60, PointValue::Counter(0));
+        store.append("h", 0, PointValue::Histogram(a));
+        store.append("h", 1, PointValue::Histogram(b));
+        store.append("h", 60, PointValue::Histogram(HistogramState::default()));
+        store.flush().unwrap();
+        let reader = LtsReader::open(&dir);
+        let first_minute = |name: &str| {
+            let info = reader.index().into_iter().find(|i| i.name == name).unwrap();
+            reader.series_points(&info, Resolution::Min1, 0, u64::MAX)
+        };
+        assert_eq!(
+            first_minute("c"),
+            vec![Point {
+                t: 0,
+                value: PointValue::Counter(1)
+            }]
+        );
+        assert_eq!(
+            first_minute("h"),
+            vec![Point {
+                t: 0,
+                value: wrapped_hist()
+            }]
+        );
+        // `histogram_quantile` over a range folds the raw points the
+        // same way.
+        let engine = crate::QueryEngine::new().with_source(
+            None,
+            std::sync::Arc::new(crate::LtsSource::new(reader.clone())),
+        );
+        let out = engine
+            .instant("histogram_quantile(0.5, h[2])", 1, Resolution::Raw1s)
+            .unwrap();
+        match out.result {
+            crate::QueryResult::Vector(samples) => assert_eq!(samples.len(), 1),
+            other => panic!("{other:?}"),
+        }
+        let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -303,6 +303,72 @@ fn a_tail_that_has_sealed_once_does_not_grow_its_encoder_again() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// Everything the writer keeps, per point in its unsealed tails, in the
+/// setup of `BENCH_lts.json`'s `open-tail-memory` row: 16 series at the
+/// default `seal_points`, a flush every 60 points, tails one flush short
+/// of sealing. Each open `1m` and `1h` window is one running point, so
+/// the encoders' bytes are nearly all of it (≈ 3.6 bytes a point; 6.3
+/// while each window kept the points it was waiting to fold).
+#[test]
+fn the_writer_retains_under_4_5_bytes_an_unsealed_point() {
+    let names: Vec<String> = (0..TAIL_SERIES)
+        .map(|i| format!("bench_series_{i}_total"))
+        .collect();
+    let dir = tmpdir("retained");
+    let config = LtsConfig::default();
+    let tail_ticks = (config.seal_points as u64 - 1) / 60 * 60;
+    let before = live_bytes();
+    let mut store = LtsStore::open(&dir, config, LtsCounters::detached()).unwrap();
+    let mut unsealed = 0;
+    for t in 0..tail_ticks {
+        for name in &names {
+            store.append(name, t, PointValue::Counter(t % 17));
+        }
+        if t % 60 == 59 {
+            let report = store.flush().unwrap();
+            assert_eq!(report.segments_sealed, 0, "tails stay open");
+            unsealed += report.points_written + report.downsampled;
+        }
+    }
+    let per_point = (live_bytes() - before) as f64 / unsealed as f64;
+    assert!(
+        per_point <= 4.5,
+        "{per_point:.2} bytes retained a point over {unsealed} points"
+    );
+    drop(store);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A histogram series flushed every second: from a minute's second
+/// flush to its last, the open `1m` window folds 58 more 32-bucket
+/// states into the one it holds, and the store holds not a byte more.
+#[test]
+fn an_open_window_holds_one_histogram_however_many_points_it_folds() {
+    let dir = tmpdir("window");
+    // A raw seal a minute, so the tail's encoder has its size.
+    let mut store = open_with(&dir, 60);
+    let h = netqos_telemetry::Histogram::new();
+    (0..32).for_each(|i| h.record(sample_over_32_buckets(i)));
+    let state = h.to_state();
+    assert_eq!(state.buckets.len(), 32);
+    let hour = T0 / 3_600 * 3_600;
+    let mut at_second = Vec::with_capacity(60);
+    // Two hours to bring every buffer to its size, then one minute.
+    for t in hour..hour + 7_260 {
+        store.append("lat_ns", t, PointValue::Histogram(state.clone()));
+        store.flush().unwrap();
+        if t >= hour + 7_200 {
+            at_second.push(live_bytes());
+        }
+    }
+    assert_eq!(
+        at_second[1], at_second[59],
+        "bytes held after second 1 and 59"
+    );
+    drop(store);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// One sample from each of the histogram layout's first 32 buckets, in
 /// turn: exact below 16, then two and four values a bucket.
 fn sample_over_32_buckets(i: usize) -> u64 {

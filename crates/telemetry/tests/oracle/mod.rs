@@ -5,6 +5,8 @@
 //! retention) and the reader on every `newest_t`, and the reads that
 //! decode every record of a tail whatever window was asked for, and the
 //! v2 segment encoder that takes the whole slice and walks it twice; the
+//! window fold that collected a histogram's buckets in a map, and the
+//! wildcard matcher that tried every split at every `*`; the
 //! dense-histogram `QuantileBaseline`
 //! (`baseline.rs`); the alert engine that rebuilt every key each tick
 //! (`alerts.rs`); and the tick-phase fold that walked every span's parent
@@ -20,6 +22,7 @@ use netqos_telemetry::{
     decode_segment_v2, fold_series_range, HistogramState, LtsReader, LtsRetention, Point,
     PointValue, RangeFold, Resolution, SeriesInfo, SeriesKind,
 };
+use std::collections::BTreeMap;
 use std::fs;
 use std::path::{Path, PathBuf};
 
@@ -516,4 +519,106 @@ pub fn encode_segment_v2(kind: SeriesKind, pts: &[Point]) -> Vec<u8> {
         }
     }
     out
+}
+
+/// One window of finer points as one coarser point, from the whole
+/// slice: counters sum their deltas, gauges keep the last gauge,
+/// histograms collect every bucket in a map (count/sum add, min/max
+/// fold); points of another kind pass. The library's `downsample` until
+/// it became the fold the writer runs a point at a time, with the sums
+/// written wrapping, as its release builds computed them.
+pub fn downsample(kind: SeriesKind, window: &[Point]) -> Option<PointValue> {
+    if window.is_empty() {
+        return None;
+    }
+    Some(match kind {
+        SeriesKind::Counter => {
+            PointValue::Counter(window.iter().fold(0u64, |sum, p| match &p.value {
+                PointValue::Counter(v) => sum.wrapping_add(*v),
+                _ => sum,
+            }))
+        }
+        SeriesKind::Gauge => window.iter().rev().find_map(|p| match &p.value {
+            PointValue::Gauge(v) => Some(PointValue::Gauge(*v)),
+            _ => None,
+        })?,
+        SeriesKind::Histogram => {
+            let mut merged = HistogramState {
+                min: u64::MAX,
+                ..HistogramState::default()
+            };
+            let mut buckets: BTreeMap<u32, u64> = BTreeMap::new();
+            for p in window {
+                let PointValue::Histogram(h) = &p.value else {
+                    continue;
+                };
+                for &(i, n) in &h.buckets {
+                    let b = buckets.entry(i).or_insert(0);
+                    *b = b.wrapping_add(n);
+                }
+                merged.count = merged.count.wrapping_add(h.count);
+                merged.sum = merged.sum.wrapping_add(h.sum);
+                merged.min = merged.min.min(h.min);
+                merged.max = merged.max.max(h.max);
+            }
+            merged.buckets = buckets.into_iter().collect();
+            PointValue::Histogram(merged)
+        }
+    })
+}
+
+/// Every `1m` or `1h` point a store holds for the raw points `raw`
+/// (ascending): [`downsample`] over each window of `res`, except the
+/// window still open. An `1h` window is open until an `1m` window after
+/// it has closed.
+pub fn closed_windows(kind: SeriesKind, raw: &[Point], res: Resolution) -> Vec<Point> {
+    let minute = |t: u64| t / 60 * 60;
+    let closed: Vec<&Point> = match (res, raw.last()) {
+        (_, None) => Vec::new(),
+        (Resolution::Hour1, Some(last)) => {
+            // The newest closed minute bounds the hours that can close.
+            let Some(newest_min) = raw
+                .iter()
+                .map(|p| minute(p.t))
+                .rfind(|&m| m < minute(last.t))
+            else {
+                return Vec::new();
+            };
+            raw.iter()
+                .filter(|p| p.t / 3600 < newest_min / 3600)
+                .collect()
+        }
+        (_, Some(last)) => {
+            let w = res.window_secs();
+            raw.iter().filter(|p| p.t / w < last.t / w).collect()
+        }
+    };
+    let w = res.window_secs();
+    let mut out: Vec<Point> = Vec::new();
+    let mut i = 0;
+    while i < closed.len() {
+        let start = closed[i].t / w * w;
+        let j = i + closed[i..]
+            .iter()
+            .take_while(|p| p.t / w * w == start)
+            .count();
+        let window: Vec<Point> = closed[i..j].iter().map(|p| (*p).clone()).collect();
+        out.extend(downsample(kind, &window).map(|value| Point { t: start, value }));
+        i = j;
+    }
+    out
+}
+
+/// `*`-wildcard match by trying every split at every `*`: what the
+/// library's matcher answered before it backtracked only to the latest
+/// star. Exponential in the number of stars.
+pub fn selector_matches(pattern: &str, name: &str) -> bool {
+    fn match_at(pat: &[u8], s: &[u8]) -> bool {
+        match pat.first() {
+            None => s.is_empty(),
+            Some(b'*') => (0..=s.len()).any(|i| match_at(&pat[1..], &s[i..])),
+            Some(&c) => s.first() == Some(&c) && match_at(&pat[1..], &s[1..]),
+        }
+    }
+    match_at(pattern.as_bytes(), name.as_bytes())
 }

@@ -2348,3 +2348,223 @@ proptest! {
         forests_fold_as_the_oracle(seed);
     }
 }
+
+// ---------------------------------------------------------------------
+// Downsampling: `downsample` against the fold that collected buckets in
+// a map, the writer's `1m`/`1h` points against that fold over the raw
+// points it kept; the wildcard matcher against the recursive one
+// ---------------------------------------------------------------------
+
+use netqos_telemetry::selector_matches;
+
+/// A window of up to 40 points, one in five of another kind than the
+/// one it is folded as, values near both ends of `u64`, histogram
+/// buckets in any order and repeated.
+fn downsample_agrees(seed: u64) {
+    let c = &mut Choices(seed);
+    let kind = KINDS[c.next(3)];
+    let len = [0, 1, 2, c.next(40)][c.next(4)];
+    let window: Vec<Point> = (0..len)
+        .map(|t| {
+            let k = if c.next(5) == 0 {
+                KINDS[c.next(3)]
+            } else {
+                kind
+            };
+            Point {
+                t: t as u64,
+                value: spell_value(k, c),
+            }
+        })
+        .collect();
+    assert_eq!(
+        downsample(kind, &window),
+        oracle::downsample(kind, &window),
+        "{kind:?} over {window:?}"
+    );
+}
+
+/// A pattern over `a`, `b` and `*` against names over `a` and `b`.
+fn wildcard_agrees(seed: u64) {
+    let c = &mut Choices(seed);
+    let mut spell = |alphabet: &[u8], max: usize| -> String {
+        (0..c.next(max + 1))
+            .map(|_| alphabet[c.next(alphabet.len())] as char)
+            .collect()
+    };
+    let pattern = spell(b"ab**", 10);
+    for _ in 0..8 {
+        let name = spell(b"ab", 12);
+        assert_eq!(
+            selector_matches(&pattern, &name),
+            oracle::selector_matches(&pattern, &name),
+            "{pattern:?} against {name:?}"
+        );
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// The fold gives what the map-collecting window fold gave, for any
+    /// slice, mixed kinds included.
+    #[test]
+    fn downsample_matches_the_oracle(seed in any::<u64>()) {
+        downsample_agrees(seed);
+    }
+
+    /// Backtracking to the latest `*` only answers as trying every split
+    /// did.
+    #[test]
+    fn wildcards_match_the_oracle(seed in any::<u64>()) {
+        wildcard_agrees(seed);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(20_000))]
+
+    /// The two properties above at length, in CI's release-mode
+    /// `--ignored` run.
+    #[test]
+    #[ignore = "20 000 cases: run in release mode"]
+    fn downsample_matches_the_oracle_at_length(seed in any::<u64>()) {
+        downsample_agrees(seed);
+    }
+
+    #[test]
+    #[ignore = "20 000 cases: run in release mode"]
+    fn wildcards_match_the_oracle_at_length(seed in any::<u64>()) {
+        wildcard_agrees(seed);
+    }
+}
+
+/// The `1m` and `1h` tails of a store, as they are: a tail and its
+/// bytes, or a tail that is not there.
+fn coarse_tails(dir: &Path) -> Vec<(PathBuf, Option<Vec<u8>>)> {
+    let mut tails = Vec::new();
+    for res in [Resolution::Min1, Resolution::Hour1] {
+        let Ok(entries) = std::fs::read_dir(dir.join(res.dir_name())) else {
+            continue;
+        };
+        for e in entries.flatten() {
+            let tail = e.path().join(OPEN_TAIL);
+            let bytes = std::fs::read(&tail).ok();
+            tails.push((tail, bytes));
+        }
+    }
+    tails
+}
+
+/// One series of each kind appended with gaps of seconds, minutes and
+/// hours, flushed off minute boundaries, the store dropped and reopened
+/// mid-window, and now and then reopened over `1m` and `1h` tails put
+/// back as they were a few flushes before, as a crash between a raw
+/// write and the coarse ones leaves them. After a last flush, every
+/// `1m` and `1h` point read back is the oracle's fold of the raw points
+/// read back.
+fn written_windows_agree(seed: u64) {
+    let c = &mut Choices(seed);
+    let dir = std::env::temp_dir().join(format!(
+        "netqos-prop-windows-{seed:x}-{}",
+        std::process::id()
+    ));
+    let _ = std::fs::remove_dir_all(&dir);
+    let config = LtsConfig {
+        codec: SegmentCodec::Binary,
+        seal_points: [3, 40, usize::MAX][c.next(3)],
+        retention: LtsRetention {
+            max_age_secs: 0,
+            max_bytes: 0,
+        },
+    };
+    let open = || LtsStore::open(&dir, config.clone(), LtsCounters::detached()).unwrap();
+    let mut store = open();
+    let mut snapshot = None;
+    let mut t = 1_700_000_000u64 - 1_700_000_000 % 3_600 + c.next(7_200) as u64;
+    for _ in 0..c.next(600) {
+        t += match c.next(40) {
+            0 => 600 + c.next(4_000) as u64,
+            1..=4 => 20 + c.next(200) as u64,
+            _ => 1 + c.next(3) as u64,
+        };
+        for (name, kind) in [
+            ("c_total", SeriesKind::Counter),
+            ("depth", SeriesKind::Gauge),
+            ("lat_ns", SeriesKind::Histogram),
+        ] {
+            if c.next(6) != 0 {
+                let mut value = spell_value(kind, c);
+                // Counts too small to wrap a window's to 0, which the
+                // codec would store without its min and max.
+                if let PointValue::Histogram(h) = &mut value {
+                    h.count = h.count.min(1 << 32);
+                }
+                store.append(name, t, value);
+            }
+        }
+        match c.next(60) {
+            0..=5 => {
+                store.flush().unwrap();
+            }
+            6 => {
+                drop(store);
+                store = open();
+            }
+            7 if snapshot.is_none() => snapshot = Some(coarse_tails(&dir)),
+            8 => {
+                store.flush().unwrap();
+                drop(store);
+                for (tail, bytes) in snapshot.take().unwrap_or_default() {
+                    match bytes {
+                        Some(bytes) => std::fs::write(&tail, bytes).unwrap(),
+                        None => {
+                            let _ = std::fs::remove_file(&tail);
+                        }
+                    }
+                }
+                store = open();
+            }
+            _ => {}
+        }
+    }
+    store.flush().unwrap();
+    drop(store);
+    for info in LtsReader::open(&dir).index() {
+        let raw = oracle::series_points(&dir, &info, Resolution::Raw1s, 0, u64::MAX);
+        for res in [Resolution::Min1, Resolution::Hour1] {
+            assert_eq!(
+                oracle::series_points(&dir, &info, res, 0, u64::MAX),
+                oracle::closed_windows(info.kind, &raw, res),
+                "{} at {} (seed {seed:#x})",
+                info.name,
+                res.dir_name()
+            );
+        }
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    /// Whatever the schedule of appends, flushes, reopens and coarse
+    /// tails left behind, the writer's `1m` and `1h` points are the
+    /// windows of its raw points, folded.
+    #[test]
+    fn written_windows_match_the_oracle(seed in any::<u64>()) {
+        written_windows_agree(seed);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(400))]
+
+    /// The property above over more schedules, in CI's release-mode
+    /// `--ignored` run.
+    #[test]
+    #[ignore = "400 stores: run in release mode"]
+    fn written_windows_match_the_oracle_at_length(seed in any::<u64>()) {
+        written_windows_agree(seed);
+    }
+}

@@ -347,3 +347,36 @@ fn stats_param_exposes_pushdown_through_router() {
 
     std::fs::remove_dir_all(&dir).ok();
 }
+
+/// A `=~` pattern of many stars is answered at once, match or not: the
+/// matcher backtracks only to its latest `*`. Trying every split at
+/// every star took 45 s in a release build for the query that fails
+/// here, and held a handler thread all that time.
+#[test]
+fn a_many_star_pattern_is_answered_at_once() {
+    let registry = netqos_telemetry::Registry::new();
+    for i in 0..4 {
+        // Label values of 41 bytes, none with a `z`.
+        let path = format!("/{i}/{}", "a".repeat(37));
+        registry
+            .counter(&format!("qb_total{{path=\"{path}\"}}"))
+            .inc();
+    }
+    let router = build_router(RouterOptions::new(
+        registry,
+        netqos::monitor::live::LiveStatus::new(),
+    ));
+    let stars = "*a".repeat(10);
+    for (tail, found) in [("*z", 0), ("", 4)] {
+        let start = std::time::Instant::now();
+        let (status, body) = get(
+            &*router,
+            "/api/v1/query",
+            &format!("query=qb_total%7Bpath%3D~%22{stars}{tail}%22%7D"),
+        );
+        assert_eq!(status, 200, "{body}");
+        assert_eq!(body.matches("\"metric\"").count(), found, "{body}");
+        let took = start.elapsed();
+        assert!(took < std::time::Duration::from_secs(2), "{took:?}");
+    }
+}
