@@ -160,11 +160,9 @@ pub struct ServiceConfig {
     pub alert_rules: Vec<AlertRule>,
     /// If set, a long-term stats store under this directory samples the
     /// registry and per-path QoS signals every tick at 1s resolution
-    /// (downsampled on flush to 1m and 1h).
+    /// (downsampled on flush to 1m and 1h), kept for the default
+    /// [`netqos_telemetry::LtsRetention`]: 7 days and 256 MiB.
     pub lts_dir: Option<PathBuf>,
-    /// Retention for the long-term store (age and size caps, mirroring
-    /// the flight recorder's [`RetentionPolicy`] shape).
-    pub lts_retention: netqos_telemetry::LtsRetention,
     /// Ticks between automatic baseline saves (when `baseline_state` is
     /// set) — also the long-term store's flush cadence (when `lts_dir`
     /// is set). Zero behaves as one.
@@ -193,7 +191,6 @@ impl Default for ServiceConfig {
             baseline_state: None,
             alert_rules: builtin_alert_rules(),
             lts_dir: None,
-            lts_retention: netqos_telemetry::LtsRetention::default(),
             baseline_save_ticks: 60,
             lts_compact: false,
             record_rules: Vec::new(),
@@ -407,12 +404,8 @@ impl<N: Network> MonitoringService<N> {
         let mut lts = None;
         let mut lts_open_warning = None;
         if let Some(dir) = &config.lts_dir {
-            let lts_config = LtsConfig {
-                retention: config.lts_retention,
-                ..LtsConfig::default()
-            };
             let counters = LtsCounters::register_in(telemetry.registry());
-            match LtsStore::open(dir, lts_config, counters) {
+            match LtsStore::open(dir, LtsConfig::default(), counters) {
                 Ok(store) => {
                     let source = LtsSource::new(LtsReader::open(store.dir()));
                     lts = Some((store, Arc::new(source)));

@@ -5,7 +5,8 @@
 //! [`MonitoringService`](crate::service::MonitoringService) runs over when
 //! the agents are real: one connected [`UdpTransport`] per agent, polled
 //! one after another by the one manager with the simulator's timeout and
-//! retransmissions, and wall time since construction as its clock.
+//! retransmissions, counted as the simulator counts them, and wall time
+//! since construction as its clock.
 
 use crate::error::MonitorError;
 use crate::network::{self, Agents, Network, POLL_RETRIES, POLL_TIMEOUT, TRAP_PORT};
@@ -111,6 +112,7 @@ impl Network for UdpNetwork {
             return Err(network::not_pollable(&self.model, node));
         };
         let polled = plan.poll_into(&mut manager.session(link, community), &n.name, snapshot);
+        telemetry.poll_retransmits.add(link.take_retransmits());
         if let Err(MonitorError::Timeout { .. }) = polled {
             telemetry.poll_timeouts.inc();
         }

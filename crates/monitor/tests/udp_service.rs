@@ -143,6 +143,9 @@ fn an_unreachable_agent_is_a_counted_timeout_and_the_tick_goes_on() {
     );
     svc.run_ticks(2).unwrap();
     assert_eq!(counter(&svc, "netqos_monitor_poll_timeouts_total"), 2);
+    // The simulator's ledger: the request and two retransmissions, then
+    // one timeout.
+    assert_eq!(counter(&svc, "netqos_monitor_poll_retransmits_total"), 4);
     assert_eq!(counter(&svc, "netqos_monitor_polls_total"), 0);
     assert!(svc.rows().is_empty());
 }

@@ -77,6 +77,9 @@ pub struct UdpTransport {
     peer: SocketAddr,
     timeout: Duration,
     retries: u32,
+    /// Requests sent again after a silent attempt, since the last
+    /// [`UdpTransport::take_retransmits`].
+    retransmits: u64,
     /// Receive buffer, one maximum-size datagram, reused by every
     /// exchange.
     recv_buf: Vec<u8>,
@@ -105,6 +108,7 @@ impl UdpTransport {
             peer,
             timeout: Duration::from_secs(1),
             retries: 2,
+            retransmits: 0,
             recv_buf: vec![0u8; 65_535],
         })
     }
@@ -123,13 +127,22 @@ impl UdpTransport {
     pub fn peer(&self) -> SocketAddr {
         self.peer
     }
+
+    /// How many requests were sent again after a silent attempt since
+    /// the last call; the count starts over from zero.
+    pub fn take_retransmits(&mut self) -> u64 {
+        std::mem::take(&mut self.retransmits)
+    }
 }
 
 impl Transport for UdpTransport {
     fn exchange(&mut self, request: &[u8]) -> Result<Vec<u8>, SnmpError> {
         let wanted = peek_request_id(request)
             .ok_or_else(|| SnmpError::Transport("request carries no request-id".into()))?;
-        for _ in 0..=self.retries {
+        for attempt in 0..=self.retries {
+            if attempt > 0 {
+                self.retransmits += 1;
+            }
             self.socket
                 .send(request)
                 .map_err(|e| SnmpError::Transport(e.to_string()))?;

@@ -321,7 +321,7 @@ impl SealedSegment {
         SealedSegment {
             last: f.last,
             first: f.first,
-            bytes: f.bytes(),
+            bytes: file_len(&f.path),
         }
     }
 
@@ -667,18 +667,24 @@ impl LtsStore {
     /// sealed segment and their files removed. Readers canonicalize, so
     /// answers are byte-identical before and after; only the layout
     /// changes. This is the safe form of [`compact_store`] for a store a
-    /// writer has open.
+    /// writer has open. Its error, a segment that does not decode
+    /// included, comes after the catalog is brought up to what is on
+    /// disk; a tail compaction left in place keeps its points.
     pub fn compact(&mut self) -> io::Result<CompactReport> {
         self.flush()?;
-        let report = compact_store(&self.dir)?;
-        self.index_bytes = fs::metadata(&self.index_path).map_or(0, |m| m.len());
+        let report = compact_store(&self.dir);
+        self.index_bytes = file_len(&self.index_path);
         for s in self.series.values_mut() {
-            s.open_enc = Default::default();
             s.scan_disk()?;
+            for (enc, bytes) in s.open_enc.iter_mut().zip(s.open_bytes) {
+                if bytes.is_none() {
+                    *enc = SegmentEncoder::default();
+                }
+            }
         }
         self.counters.compactions.inc();
         self.update_disk_gauges();
-        Ok(report)
+        report
     }
 
     /// Segment files (sealed and open) and total bytes, index included,
@@ -755,7 +761,7 @@ fn recover_series(s: &mut SeriesState, warnings: &mut Vec<String>) -> io::Result
     {
         // The finer resolution is the one at `wi`.
         let cutoff = s.last_t[coarse.index()].map_or(0, |w| w + coarse.window_secs());
-        let pts = read_points(&found[wi], &s.open_path[wi], s.kind, cutoff, u64::MAX);
+        let (pts, _) = read_points(&found[wi], &s.open_path[wi], s.kind, cutoff, u64::MAX);
         s.fold_points(wi, &pts, &mut closed[wi]);
     }
     s.closed = closed;
@@ -1235,14 +1241,13 @@ pub struct VerifyReport {
 /// decodes exactly, every tail's prelude names the indexed kind and each
 /// of its records passes its checksum and decodes to exactly its length,
 /// timestamps are strictly increasing within a file, and sealed
-/// filenames match their contents' range. A store holding a JSON-lines
-/// file ([`refuse_v1`]) is refused ([`io::ErrorKind::InvalidData`]), not
-/// checked.
+/// filenames match their contents' range. Issues come in the order of
+/// [`list_store`]. A store holding a JSON-lines file ([`refuse_v1`]) is
+/// refused ([`io::ErrorKind::InvalidData`]), not checked, and a directory
+/// of it that cannot be read is an error, not an empty one.
 pub fn verify_store(dir: &Path) -> io::Result<VerifyReport> {
     let mut rep = VerifyReport::default();
-    let reader = LtsReader::open(dir);
-    let idx_path = dir.join("series.idx");
-    if let Ok(text) = fs::read_to_string(&idx_path) {
+    if let Ok(text) = fs::read_to_string(dir.join("series.idx")) {
         rep.bytes += text.len() as u64;
         for (ln, line) in text.lines().enumerate() {
             if !line.trim().is_empty() && parse_index_line(line).is_none() {
@@ -1251,144 +1256,86 @@ pub fn verify_store(dir: &Path) -> io::Result<VerifyReport> {
             }
         }
     }
-    let index = reader.index();
+    let index = LtsReader::open(dir).index();
     rep.series = index.len();
     let known: BTreeMap<&str, &SeriesInfo> = index.iter().map(|i| (i.slug.as_str(), i)).collect();
-    for res in Resolution::ALL {
-        let rdir = dir.join(res.dir_name());
-        let Ok(entries) = fs::read_dir(&rdir) else {
+    for sd in list_store(dir)? {
+        let Some(info) = known.get(sd.slug.as_str()) else {
+            (rep.issues).push(format!("{}: not in series.idx", rel_path(dir, &sd.path)));
             continue;
         };
-        for entry in entries.flatten() {
-            let sdir = entry.path();
-            if !sdir.is_dir() {
+        for f in &sd.files {
+            let at = rel_path(dir, &f.path);
+            if f.role == FileRole::Other {
+                rep.issues.push(format!("{at}: unexpected file"));
                 continue;
             }
-            let slug = sdir
-                .file_name()
-                .unwrap_or_default()
-                .to_string_lossy()
-                .to_string();
-            let Some(info) = known.get(slug.as_str()) else {
-                rep.issues
-                    .push(format!("{}/{slug}: not in series.idx", res.dir_name()));
+            rep.segments += 1;
+            rep.bytes += file_len(&f.path);
+            let buf = fs::read(&f.path)?;
+            if let FileRole::Sealed { first: a, last: b } = f.role {
+                // Sealed segments are immutable: decode strictly and
+                // cross-check the header's fold against the points.
+                match decode_segment_v2(&buf) {
+                    Err(e) => rep.issues.push(format!("{at}: {e}")),
+                    Ok((header, pts)) => {
+                        rep.points += pts.len() as u64;
+                        if header.kind != info.kind {
+                            rep.issues.push(format!(
+                                "{at}: kind mismatch (index says {})",
+                                info.kind.as_str()
+                            ));
+                        }
+                        if pts.windows(2).any(|w| w[1].t <= w[0].t) {
+                            rep.issues.push(format!("{at}: time not increasing"));
+                        }
+                        let (first_t, last_t) = (pts.first().map(|p| p.t), pts.last().map(|p| p.t));
+                        // The header's fold, as the writer folds the points.
+                        let mut enc = SegmentEncoder::default();
+                        enc.extend(&pts);
+                        if header
+                            .stats
+                            .is_some_and(|hs| hs != enc.stats.unwrap_or_default())
+                        {
+                            rep.issues
+                                .push(format!("{at}: header stats disagree with points"));
+                        }
+                        if first_t != Some(a) || last_t != Some(b) {
+                            rep.issues.push(format!(
+                                "{at}: name range [{a},{b}] != content range [{first_t:?},{last_t:?}]"
+                            ));
+                        }
+                    }
+                }
+                continue;
+            }
+            let at = |off: usize| format!("{at} at byte {off}");
+            let Some(mut records) = tail_records(&buf) else {
+                if !buf.is_empty() {
+                    rep.issues.push(format!("{}: bad prelude", at(0)));
+                }
                 continue;
             };
-            let mut files: Vec<PathBuf> = Vec::new();
-            for f in fs::read_dir(&sdir)?.flatten() {
-                refuse_v1(&f.path())?;
-                files.push(f.path());
+            if records.kind != info.kind {
+                rep.issues.push(format!(
+                    "{}: kind mismatch (index says {})",
+                    at(0),
+                    info.kind.as_str()
+                ));
+                continue;
             }
-            files.sort();
-            for path in files {
-                let fname = path
-                    .file_name()
-                    .unwrap_or_default()
-                    .to_string_lossy()
-                    .to_string();
-                let sealed = parse_segment_name(&fname);
-                if fname != OPEN_TAIL && sealed.is_none() {
-                    rep.issues.push(format!(
-                        "{}/{slug}/{fname}: unexpected file",
-                        res.dir_name()
-                    ));
-                    continue;
+            let mut last_t: Option<u64> = None;
+            let mut off = records.pos;
+            while let Some(p) = records.next() {
+                if last_t.is_some_and(|l| p.t <= l) {
+                    rep.issues.push(format!("{}: time not increasing", at(off)));
                 }
-                rep.segments += 1;
-                rep.bytes += fs::metadata(&path).map(|m| m.len()).unwrap_or(0);
-                if let Some((a, b)) = sealed {
-                    // Sealed segments are immutable: decode strictly and
-                    // cross-check the header's fold against the points.
-                    let buf = fs::read(&path)?;
-                    match decode_segment_v2(&buf) {
-                        Err(e) => {
-                            rep.issues
-                                .push(format!("{}/{slug}/{fname}: {e}", res.dir_name()));
-                        }
-                        Ok((header, pts)) => {
-                            rep.points += pts.len() as u64;
-                            if header.kind != info.kind {
-                                rep.issues.push(format!(
-                                    "{}/{slug}/{fname}: kind mismatch (index says {})",
-                                    res.dir_name(),
-                                    info.kind.as_str()
-                                ));
-                            }
-                            if pts.windows(2).any(|w| w[1].t <= w[0].t) {
-                                rep.issues.push(format!(
-                                    "{}/{slug}/{fname}: time not increasing",
-                                    res.dir_name()
-                                ));
-                            }
-                            let (first_t, last_t) =
-                                (pts.first().map(|p| p.t), pts.last().map(|p| p.t));
-                            if let Some(hs) = header.stats {
-                                let mut sum = 0u64;
-                                let (mut mn, mut mx) = (u64::MAX, 0u64);
-                                for p in &pts {
-                                    if let PointValue::Counter(v) = &p.value {
-                                        sum = sum.saturating_add(*v);
-                                        mn = mn.min(*v);
-                                        mx = mx.max(*v);
-                                    }
-                                }
-                                if pts.is_empty() {
-                                    mn = 0;
-                                }
-                                if hs
-                                    != (SegmentStats {
-                                        sum,
-                                        min: mn,
-                                        max: mx,
-                                    })
-                                {
-                                    rep.issues.push(format!(
-                                        "{}/{slug}/{fname}: header stats disagree with points",
-                                        res.dir_name()
-                                    ));
-                                }
-                            }
-                            if first_t != Some(a) || last_t != Some(b) {
-                                rep.issues.push(format!(
-                                    "{}/{slug}/{fname}: name range [{a},{b}] != content range [{:?},{:?}]",
-                                    res.dir_name(),
-                                    first_t,
-                                    last_t
-                                ));
-                            }
-                        }
-                    }
-                    continue;
-                }
-                let buf = fs::read(&path)?;
-                let at = |off: usize| format!("{}/{slug}/{fname} at byte {off}", res.dir_name());
-                let Some(mut records) = tail_records(&buf) else {
-                    if !buf.is_empty() {
-                        rep.issues.push(format!("{}: bad prelude", at(0)));
-                    }
-                    continue;
-                };
-                if records.kind != info.kind {
-                    rep.issues.push(format!(
-                        "{}: kind mismatch (index says {})",
-                        at(0),
-                        info.kind.as_str()
-                    ));
-                    continue;
-                }
-                let mut last_t: Option<u64> = None;
-                let mut off = records.pos;
-                while let Some(p) = records.next() {
-                    if last_t.is_some_and(|l| p.t <= l) {
-                        rep.issues.push(format!("{}: time not increasing", at(off)));
-                    }
-                    last_t = Some(p.t);
-                    rep.points += 1;
-                    off = records.pos;
-                }
-                if off != buf.len() {
-                    rep.issues.push(format!("{}: bad record", at(off)));
-                }
+                last_t = Some(p.t);
+                rep.points += 1;
+                off = records.pos;
+            }
+            if off != buf.len() {
+                rep.issues.push(format!("{}: bad record", at(off)));
             }
         }
     }
@@ -1413,39 +1360,18 @@ pub struct CompactReport {
 /// sorted file — both via tmp-file-plus-rename. Because queries already
 /// canonicalize, a query over the compacted store is byte-identical to
 /// one over the original. A store holding a sealed v1 segment is refused
-/// before anything is rewritten. Must not run while a writer has the
-/// store open (offline maintenance only).
+/// before anything is rewritten. A series/resolution holding a sealed
+/// segment that does not decode is left as found while the rest is
+/// compacted, and the call then fails with
+/// [`io::ErrorKind::InvalidData`] naming the first such segment. Files
+/// that are neither a segment nor a tail are neither counted nor
+/// removed. Must not run while a writer has the store open (offline
+/// maintenance only).
 pub fn compact_store(dir: &Path) -> io::Result<CompactReport> {
     let mut rep = CompactReport::default();
-    let reader = LtsReader::open(dir);
-    let index = reader.index();
-
-    let measure = |rep_seg: &mut u64, rep_bytes: &mut u64| -> io::Result<()> {
-        *rep_seg = 0;
-        *rep_bytes = fs::metadata(dir.join("series.idx"))
-            .map(|m| m.len())
-            .unwrap_or(0);
-        for res in Resolution::ALL {
-            let rdir = dir.join(res.dir_name());
-            let Ok(entries) = fs::read_dir(&rdir) else {
-                continue;
-            };
-            for sdir in entries.flatten() {
-                let Ok(files) = fs::read_dir(sdir.path()) else {
-                    continue;
-                };
-                for f in files.flatten() {
-                    refuse_v1(&f.path())?;
-                    if f.path().extension().is_some_and(|e| e == "bin") {
-                        *rep_seg += 1;
-                        *rep_bytes += f.metadata().map(|m| m.len()).unwrap_or(0);
-                    }
-                }
-            }
-        }
-        Ok(())
-    };
-    measure(&mut rep.segments_before, &mut rep.bytes_before)?;
+    let index = LtsReader::open(dir).index();
+    let listing = list_store(dir)?;
+    (rep.segments_before, rep.bytes_before) = disk_files(dir, &listing);
 
     // Rewrite the index: sorted, deduplicated.
     if !index.is_empty() {
@@ -1458,38 +1384,52 @@ pub fn compact_store(dir: &Path) -> io::Result<CompactReport> {
         fs::rename(&tmp, dir.join("series.idx"))?;
     }
 
-    for info in &index {
-        for res in Resolution::ALL {
-            let sdir = dir.join(res.dir_name()).join(&info.slug);
-            if !sdir.is_dir() {
-                continue;
-            }
-            let pts = read_series_points(dir, &info.slug, info.kind, res, 0, u64::MAX);
-            let mut old: Vec<PathBuf> = Vec::new();
-            for f in fs::read_dir(&sdir)?.flatten() {
-                if f.path().extension().is_some_and(|e| e == "bin") {
-                    old.push(f.path());
-                }
-            }
-            if pts.is_empty() {
-                for p in old {
-                    fs::remove_file(p)?;
-                }
-                continue;
-            }
-            let dest = sdir.join(segment_file_name(pts[0].t, pts[pts.len() - 1].t));
-            let tmp = sdir.join("compact.tmp");
-            fs::write(&tmp, encode_segment_v2(info.kind, &pts))?;
-            fs::rename(&tmp, &dest)?;
-            for p in old {
-                if p != dest {
-                    fs::remove_file(p)?;
-                }
-            }
+    let kinds: BTreeMap<&str, SeriesKind> =
+        index.iter().map(|i| (i.slug.as_str(), i.kind)).collect();
+    let mut undecodable = None;
+    for sd in &listing {
+        let Some(&kind) = kinds.get(sd.slug.as_str()) else {
+            continue;
+        };
+        let mut segs: Vec<SegmentFile> = (sd.files.iter())
+            .filter_map(|f| as_sealed(f.path.clone(), f.role))
+            .collect();
+        segs.sort_by_key(|s| (s.first, s.last));
+        let (pts, bad) = read_points(&segs, &sd.path.join(OPEN_TAIL), kind, 0, u64::MAX);
+        if let Some(e) = bad {
+            undecodable.get_or_insert(e);
+            continue;
+        }
+        let mut old = (sd.files.iter())
+            .filter(|f| f.role != FileRole::Other)
+            .map(|f| &f.path);
+        if pts.is_empty() {
+            old.try_for_each(fs::remove_file)?;
+            continue;
+        }
+        let dest = sd
+            .path
+            .join(segment_file_name(pts[0].t, pts[pts.len() - 1].t));
+        let tmp = sd.path.join("compact.tmp");
+        fs::write(&tmp, encode_segment_v2(kind, &pts))?;
+        fs::rename(&tmp, &dest)?;
+        old.filter(|p| **p != dest).try_for_each(fs::remove_file)?;
+    }
+    (rep.segments_after, rep.bytes_after) = disk_files(dir, &list_store(dir)?);
+    undecodable.map_or(Ok(rep), Err)
+}
+
+/// Segment files (sealed and open) in `listing`, and their bytes with
+/// the index's.
+fn disk_files(dir: &Path, listing: &[SeriesDir]) -> (u64, u64) {
+    let mut totals = (0, file_len(&dir.join("series.idx")));
+    for f in listing.iter().flat_map(|sd| &sd.files) {
+        if f.role != FileRole::Other {
+            totals.0 += 1;
+            totals.1 += file_len(&f.path);
         }
     }
-    measure(&mut rep.segments_after, &mut rep.bytes_after)?;
-    Ok(rep)
+    totals
 }
 
 /// Result of a segment-by-segment counter fold over a time window.
@@ -1669,48 +1609,31 @@ pub struct StoreStats {
 /// ([`refuse_v1`]) is refused ([`io::ErrorKind::InvalidData`]).
 pub fn store_stats(dir: &Path) -> io::Result<StoreStats> {
     let mut stats = StoreStats::default();
-    for res in Resolution::ALL {
-        let rdir = dir.join(res.dir_name());
-        let entries = match fs::read_dir(&rdir) {
-            Ok(e) => e,
-            Err(e) if e.kind() == io::ErrorKind::NotFound => continue,
-            Err(e) => return Err(e),
-        };
-        let rs = &mut stats.resolutions[res.index()];
-        for entry in entries.flatten() {
-            let sdir = entry.path();
-            if !sdir.is_dir() {
-                continue;
-            }
-            for seg in segment_files(&sdir)? {
-                let points = read_segment_header(&seg.path).map_or(0, |h| h.count);
-                let bytes = seg.bytes();
-                rs.segments += 1;
-                rs.sealed += 1;
-                rs.bytes += bytes;
-                rs.points += points;
-                stats.segments.push(SegmentStat {
-                    path: rel_path(dir, &seg.path),
-                    sealed: true,
-                    points,
-                    bytes,
-                });
-            }
-            let open = sdir.join(OPEN_TAIL);
-            if let Ok(m) = fs::metadata(&open) {
-                let points = fs::read(&open)
-                    .map_or(0, |buf| tail_records(&buf).map_or(0, |r| r.count() as u64));
-                rs.segments += 1;
-                rs.open_tails += 1;
-                rs.bytes += m.len();
-                rs.points += points;
-                stats.segments.push(SegmentStat {
-                    path: rel_path(dir, &open),
-                    sealed: false,
-                    points,
-                    bytes: m.len(),
-                });
-            }
+    for sd in list_store(dir)? {
+        let rs = &mut stats.resolutions[sd.res.index()];
+        for f in &sd.files {
+            let (sealed, points) = match f.role {
+                FileRole::Sealed { .. } => {
+                    (true, read_segment_header(&f.path).map_or(0, |h| h.count))
+                }
+                FileRole::Tail => {
+                    let buf = fs::read(&f.path).unwrap_or_default();
+                    (false, tail_records(&buf).map_or(0, |r| r.count() as u64))
+                }
+                _ => continue,
+            };
+            let bytes = file_len(&f.path);
+            rs.segments += 1;
+            rs.sealed += u64::from(sealed);
+            rs.open_tails += u64::from(!sealed);
+            rs.bytes += bytes;
+            rs.points += points;
+            stats.segments.push(SegmentStat {
+                path: rel_path(dir, &f.path),
+                sealed,
+                points,
+                bytes,
+            });
         }
     }
     stats.segments.sort_by(|a, b| a.path.cmp(&b.path));
@@ -2234,27 +2157,118 @@ fn parse_segment_name(name: &str) -> Option<(u64, u64)> {
     Some((a.parse().ok()?, b.parse().ok()?))
 }
 
-/// Refuses a JSON-lines file found where a series directory is listed:
-/// a sealed v1 segment, `seg-A-B.seg`, or a tail from an earlier
-/// release, `open.seg`. Neither is read any more, and a directory holding
-/// one must not be half-read.
-fn refuse_v1(path: &Path) -> io::Result<()> {
-    if path.extension().is_none_or(|e| e != "seg") {
-        return Ok(());
+/// What a file in a series directory is, by its name alone: the one rule
+/// every reader of a store directory applies.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum FileRole {
+    /// A sealed segment, `seg-FIRST-LAST.bin`.
+    Sealed { first: u64, last: u64 },
+    /// The open tail, `open.bin`.
+    Tail,
+    /// A JSON-lines file, `*.seg`: the store is refused ([`refuse_v1`]).
+    V1,
+    /// Anything else: not the store's, so never counted, read or removed.
+    Other,
+}
+
+fn file_role(name: &str) -> FileRole {
+    if let Some((first, last)) = parse_segment_name(name) {
+        FileRole::Sealed { first, last }
+    } else if name == OPEN_TAIL {
+        FileRole::Tail
+    } else if Path::new(name).extension().is_some_and(|e| e == "seg") {
+        FileRole::V1
+    } else {
+        FileRole::Other
     }
+}
+
+/// The refusal of a JSON-lines file found in a series directory: a sealed
+/// v1 segment, `seg-A-B.seg`, or a tail from an earlier release,
+/// `open.seg`. Neither is read any more, and a directory holding one must
+/// not be half-read.
+fn refuse_v1(path: &Path) -> io::Error {
     let what = if path.ends_with("open.seg") {
         "a JSON-lines open tail"
     } else {
         "a sealed v1 (JSONL) segment"
     };
-    Err(io::Error::new(
+    io::Error::new(
         io::ErrorKind::InvalidData,
         format!(
             "{}: {what}; JSON-lines files are no longer read, seal the store with \
              `netqos lts compact` from an earlier release",
             path.display()
         ),
-    ))
+    )
+}
+
+/// One series directory, `DIR/<res>/<slug>/`, and its files.
+struct SeriesDir {
+    res: Resolution,
+    slug: String,
+    path: PathBuf,
+    files: Vec<StoreFile>,
+}
+
+/// One file of a series directory and its [`FileRole`].
+struct StoreFile {
+    path: PathBuf,
+    role: FileRole,
+}
+
+/// Every series directory of the store at `dir`, each with its files,
+/// all sorted by path: the one reading of a store directory, which
+/// [`verify_store`], [`store_stats`] and [`compact_store`] fold over. A
+/// missing directory is empty; any other I/O error, and a JSON-lines
+/// file anywhere ([`refuse_v1`]), is returned.
+fn list_store(dir: &Path) -> io::Result<Vec<SeriesDir>> {
+    let mut out = Vec::new();
+    for res in Resolution::ALL {
+        for entry in dir_entries(&dir.join(res.dir_name()))? {
+            let entry = entry?;
+            let path = entry.path();
+            if path.is_dir() {
+                let slug = entry.file_name().to_string_lossy().into_owned();
+                let mut files = series_files(&path, |path, role| Some(StoreFile { path, role }))?;
+                files.sort_unstable_by(|a, b| a.path.cmp(&b.path));
+                out.push(SeriesDir {
+                    res,
+                    slug,
+                    path,
+                    files,
+                });
+            }
+        }
+    }
+    out.sort_unstable_by(|a, b| a.path.cmp(&b.path));
+    Ok(out)
+}
+
+/// What `keep` makes of each file of one series directory and its
+/// [`file_role`]; a JSON-lines file there is an error ([`refuse_v1`]).
+fn series_files<T>(
+    sdir: &Path,
+    mut keep: impl FnMut(PathBuf, FileRole) -> Option<T>,
+) -> io::Result<Vec<T>> {
+    let mut out = Vec::new();
+    for entry in dir_entries(sdir)? {
+        let path = entry?.path();
+        match file_role(&path.file_name().unwrap_or_default().to_string_lossy()) {
+            FileRole::V1 => return Err(refuse_v1(&path)),
+            role => out.extend(keep(path, role)),
+        }
+    }
+    Ok(out)
+}
+
+/// The entries of `dir`; a missing directory has none.
+fn dir_entries(dir: &Path) -> io::Result<impl Iterator<Item = io::Result<fs::DirEntry>>> {
+    match fs::read_dir(dir) {
+        Ok(entries) => Ok(Some(entries).into_iter().flatten()),
+        Err(e) if e.kind() == io::ErrorKind::NotFound => Ok(None.into_iter().flatten()),
+        Err(e) => Err(e),
+    }
 }
 
 struct SegmentFile {
@@ -2263,36 +2277,25 @@ struct SegmentFile {
     last: u64,
 }
 
-impl SegmentFile {
-    /// The file's size; 0 when it cannot be read.
-    fn bytes(&self) -> u64 {
-        fs::metadata(&self.path).map(|m| m.len()).unwrap_or(0)
+/// The size of the file at `path`; 0 when it cannot be read.
+fn file_len(path: &Path) -> u64 {
+    fs::metadata(path).map_or(0, |m| m.len())
+}
+
+/// `path` as a sealed segment, if its role is one.
+fn as_sealed(path: PathBuf, role: FileRole) -> Option<SegmentFile> {
+    match role {
+        FileRole::Sealed { first, last } => Some(SegmentFile { path, first, last }),
+        _ => None,
     }
 }
 
 /// Sealed segments in a series directory, oldest first; a v1 segment
 /// there is an error ([`refuse_v1`]).
 fn segment_files(sdir: &Path) -> io::Result<Vec<SegmentFile>> {
-    let mut out = Vec::new();
-    let entries = match fs::read_dir(sdir) {
-        Ok(e) => e,
-        Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(out),
-        Err(e) => return Err(e),
-    };
-    for entry in entries.flatten() {
-        let path = entry.path();
-        refuse_v1(&path)?;
-        let name = path
-            .file_name()
-            .unwrap_or_default()
-            .to_string_lossy()
-            .to_string();
-        if let Some((first, last)) = parse_segment_name(&name) {
-            out.push(SegmentFile { path, first, last });
-        }
-    }
-    out.sort_by_key(|s| (s.first, s.last));
-    Ok(out)
+    let mut segs = series_files(sdir, as_sealed)?;
+    segs.sort_by_key(|s| (s.first, s.last));
+    Ok(segs)
 }
 
 /// Reads one sealed segment's points, strict: any undecodable content is
@@ -2349,28 +2352,37 @@ fn read_series_points(
 ) -> Vec<Point> {
     let sdir = dir.join(res.dir_name()).join(slug);
     let segs = segment_files(&sdir).unwrap_or_default();
-    read_points(&segs, &sdir.join(OPEN_TAIL), kind, start, end)
+    read_points(&segs, &sdir.join(OPEN_TAIL), kind, start, end).0
 }
 
 /// [`read_series_points`] over an already listed series directory:
 /// `segs` oldest-first, then the tail at `open`, read from its end down
-/// to `start` ([`walk_tail_back`]).
+/// to `start` ([`walk_tail_back`]). Beside the points, the first sealed
+/// segment it skipped because it did not decode, as an
+/// [`io::ErrorKind::InvalidData`] naming it.
 fn read_points(
     segs: &[SegmentFile],
     open: &Path,
     kind: SeriesKind,
     start: u64,
     end: u64,
-) -> Vec<Point> {
+) -> (Vec<Point>, Option<io::Error>) {
     let mut pts: Vec<Point> = Vec::new();
+    let mut undecodable = None;
     let wanted = |p: &Point| p.value.kind() == kind && p.t >= start && p.t <= end;
     for seg in segs {
         // Whole segment out of range: skip without reading.
         if seg.last < start || seg.first > end {
             continue;
         }
-        if let Ok(decoded) = read_sealed_points(seg, kind) {
-            pts.extend(decoded.into_iter().filter(wanted));
+        match read_sealed_points(seg, kind) {
+            Ok(decoded) => pts.extend(decoded.into_iter().filter(wanted)),
+            Err(e) => {
+                undecodable.get_or_insert_with(|| {
+                    let what = format!("{}: {e}", seg.path.display());
+                    io::Error::new(io::ErrorKind::InvalidData, what)
+                });
+            }
         }
     }
     let sealed = pts.len();
@@ -2389,7 +2401,7 @@ fn read_points(
     }
     pts.sort_by_key(|p| p.t);
     pts.dedup_by_key(|p| p.t);
-    pts
+    (pts, undecodable)
 }
 
 /// Bytes a backward walk reads from the end of a tail first; each
@@ -3170,6 +3182,34 @@ mod tests {
     }
 
     #[test]
+    fn verify_flags_a_header_fold_the_points_disagree_with() {
+        let dir = tmpdir("verify-stats");
+        let config = LtsConfig {
+            seal_points: 2,
+            ..LtsConfig::default()
+        };
+        let mut store = LtsStore::open(&dir, config, LtsCounters::detached()).unwrap();
+        store.append("c", 1, PointValue::Counter(1));
+        store.append("c", 2, PointValue::Counter(2));
+        store.flush().unwrap();
+        drop(store);
+        assert!(verify_store(&dir).unwrap().issues.is_empty());
+        let seg = segment_files(&dir.join("1s").join(slug_for("c"))).unwrap();
+        let mut bytes = fs::read(&seg[0].path).unwrap();
+        // Prelude, then count, first_t and last_t of a byte each: the sum.
+        assert_eq!(bytes[PRELUDE + 3], 3);
+        bytes[PRELUDE + 3] = 4;
+        fs::write(&seg[0].path, &bytes).unwrap();
+        let issues = verify_store(&dir).unwrap().issues;
+        assert_eq!(issues.len(), 1, "{issues:?}");
+        assert!(
+            issues[0].ends_with("header stats disagree with points"),
+            "{issues:?}"
+        );
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
     fn registry_sampler_emits_deltas() {
         let dir = tmpdir("sampler");
         let reg = Registry::new();
@@ -3433,6 +3473,154 @@ mod tests {
         let stats = store_stats(&dir).unwrap();
         assert!(stats.resolutions[0].sealed > 0);
         assert_eq!(stats.resolutions[0].open_tails, 0);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// Every file under `dir` and its bytes, by path.
+    fn tree(dir: &Path) -> BTreeMap<PathBuf, Vec<u8>> {
+        let mut out = BTreeMap::new();
+        let mut todo = vec![dir.to_path_buf()];
+        while let Some(d) = todo.pop() {
+            for entry in dir_entries(&d).unwrap() {
+                let path = entry.unwrap().path();
+                if path.is_dir() {
+                    todo.push(path);
+                } else {
+                    out.insert(path.clone(), fs::read(&path).unwrap());
+                }
+            }
+        }
+        out
+    }
+
+    /// Flips one byte in the middle of the second sealed `1s` segment of
+    /// `name`, checks that it no longer decodes, and returns it.
+    fn damage_a_segment(dir: &Path, name: &str) -> SegmentFile {
+        let sdir = dir.join("1s").join(slug_for(name));
+        let seg = segment_files(&sdir).unwrap().swap_remove(1);
+        let mut bytes = fs::read(&seg.path).unwrap();
+        let mid = bytes.len() / 2;
+        bytes[mid] ^= 0x80;
+        fs::write(&seg.path, &bytes).unwrap();
+        assert!(decode_segment_v2(&bytes).is_err());
+        seg
+    }
+
+    #[test]
+    fn a_stray_file_is_neither_counted_nor_removed_by_compaction() {
+        let dir = tmpdir("stray");
+        seeded_store(&dir, 64);
+        let stray = dir.join("1s").join(slug_for("req_total")).join("x.bin");
+        fs::write(&stray, "not a segment").unwrap();
+        let before = full_query(&dir);
+        let stats = store_stats(&dir).unwrap();
+        let segments = |s: &StoreStats| s.resolutions.iter().map(|r| r.segments).sum::<u64>();
+        let bytes = |s: &StoreStats| {
+            s.resolutions.iter().map(|r| r.bytes).sum::<u64>() + file_len(&dir.join("series.idx"))
+        };
+        let rep = compact_store(&dir).unwrap();
+        assert_eq!(fs::read(&stray).unwrap(), b"not a segment");
+        assert_eq!(
+            (rep.segments_before, rep.bytes_before),
+            (segments(&stats), bytes(&stats))
+        );
+        let stats = store_stats(&dir).unwrap();
+        assert_eq!(
+            (rep.segments_after, rep.bytes_after),
+            (segments(&stats), bytes(&stats))
+        );
+        assert_eq!(full_query(&dir), before);
+        let issues = verify_store(&dir).unwrap().issues;
+        assert_eq!(issues.len(), 1, "{issues:?}");
+        assert!(issues[0].ends_with("/x.bin: unexpected file"), "{issues:?}");
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn compaction_leaves_a_segment_it_cannot_decode_as_found() {
+        let dir = tmpdir("undecodable");
+        seeded_store(&dir, 64);
+        let seg = damage_a_segment(&dir, "req_total").path;
+        let sdir = dir.join("1s").join(slug_for("req_total"));
+        let damaged = tree(&sdir);
+        let err = compact_store(&dir).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert!(
+            err.to_string().starts_with(&format!("{}: ", seg.display())),
+            "{err}"
+        );
+        // Its series directory is as it was; every other one is compacted.
+        assert_eq!(tree(&sdir), damaged);
+        for sd in list_store(&dir).unwrap() {
+            let kept = if sd.path == sdir { damaged.len() } else { 1 };
+            assert_eq!(sd.files.len(), kept, "{}", sd.path.display());
+        }
+        let issues = verify_store(&dir).unwrap().issues;
+        let name = seg.file_name().unwrap().to_string_lossy().into_owned();
+        assert!(issues.iter().any(|i| i.contains(&name)), "{issues:?}");
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// A writer whose compaction fails on a damaged segment goes on
+    /// writing every series as a writer that never compacted.
+    #[test]
+    fn a_writer_writes_on_past_a_compaction_that_failed() {
+        let (dir, twin) = (tmpdir("undecodable-live"), tmpdir("undecodable-twin"));
+        let config = || LtsConfig {
+            seal_points: 64,
+            retention: LtsRetention {
+                max_age_secs: 0,
+                max_bytes: 0,
+            },
+            ..LtsConfig::default()
+        };
+        seeded_store(&dir, 64);
+        seeded_store(&twin, 64);
+        let seg = damage_a_segment(&dir, "req_total");
+        let mut store = LtsStore::open(&dir, config(), LtsCounters::detached()).unwrap();
+        let mut reference = LtsStore::open(&twin, config(), LtsCounters::detached()).unwrap();
+        let append = |s: &mut LtsStore, ts: std::ops::Range<u64>| {
+            for t in ts {
+                s.append("req_total", t, PointValue::Counter(t % 7));
+                s.append("queue_depth", t, PointValue::Gauge(50 - t as i64));
+            }
+        };
+        // Every series has an open tail when the compaction fails, and
+        // the next flush seals it.
+        append(&mut store, 300..330);
+        assert!(store.compact().is_err());
+        append(&mut reference, 300..330);
+        reference.flush().unwrap();
+        for s in [&mut store, &mut reference] {
+            append(s, 330..500);
+            s.flush().unwrap();
+        }
+        drop((store, reference));
+        let issues = verify_store(&dir).unwrap().issues;
+        let name = seg.path.file_name().unwrap().to_string_lossy().into_owned();
+        assert!(issues.iter().all(|i| i.contains(&name)), "{issues:?}");
+        let (a, b) = (LtsReader::open(&dir), LtsReader::open(&twin));
+        for res in Resolution::ALL {
+            let q = |r: &LtsReader, sel| r.query(sel, 0, u64::MAX, res);
+            assert_eq!(q(&a, "queue_depth"), q(&b, "queue_depth"), "{res:?}");
+            assert_eq!(q(&a, "lat_ns"), q(&b, "lat_ns"), "{res:?}");
+        }
+        // Past the damaged segment, its series holds every point too.
+        let after = |r: &LtsReader| r.query("req_total", seg.last + 1, u64::MAX, Resolution::Raw1s);
+        assert_eq!(after(&a), after(&b));
+        let _ = fs::remove_dir_all(&dir);
+        let _ = fs::remove_dir_all(&twin);
+    }
+
+    #[test]
+    fn an_unreadable_resolution_directory_is_an_error() {
+        let dir = tmpdir("res-file");
+        seeded_store(&dir, 64);
+        fs::remove_dir_all(dir.join("1s")).unwrap();
+        fs::write(dir.join("1s"), "not a directory").unwrap();
+        assert!(verify_store(&dir).is_err());
+        assert!(store_stats(&dir).is_err());
+        assert!(compact_store(&dir).is_err());
         let _ = fs::remove_dir_all(&dir);
     }
 

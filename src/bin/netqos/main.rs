@@ -1414,16 +1414,21 @@ fn cmd_lts_info(args: &Args) -> Result<(), String> {
     let index = reader.index();
     let report =
         netqos_telemetry::verify_store(&dir).map_err(|e| format!("{}: {e}", dir.display()))?;
+    let stats =
+        netqos_telemetry::store_stats(&dir).map_err(|e| format!("{}: {e}", dir.display()))?;
+    // The totals are the resolution lines' sums, plus the index's bytes.
+    let index_bytes = std::fs::metadata(dir.join("series.idx")).map_or(0, |m| m.len());
+    let total = |of: fn(&netqos_telemetry::ResolutionStat) -> u64| {
+        stats.resolutions.iter().map(of).sum::<u64>()
+    };
     println!(
         "{}: {} series, {} segment(s), {} point(s), {} bytes",
         dir.display(),
         index.len(),
-        report.segments,
-        report.points,
-        report.bytes
+        total(|r| r.segments),
+        total(|r| r.points),
+        total(|r| r.bytes) + index_bytes
     );
-    let stats =
-        netqos_telemetry::store_stats(&dir).map_err(|e| format!("{}: {e}", dir.display()))?;
     for (res, r) in [
         netqos_telemetry::Resolution::Raw1s,
         netqos_telemetry::Resolution::Min1,

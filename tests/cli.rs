@@ -737,3 +737,146 @@ fn every_lts_entry_refuses_a_store_holding_a_v1_segment() {
     assert_eq!(query().stdout, before.stdout);
     std::fs::remove_dir_all(&dir).ok();
 }
+
+/// A store built with the library: a counter, a gauge and a histogram,
+/// 22 points each 15 minutes apart, sealed every 3 points, so every
+/// resolution holds sealed segments and an open tail.
+fn fixed_store(store: &std::path::Path) {
+    use netqos::telemetry::{
+        Histogram, LtsConfig, LtsCounters, LtsRetention, LtsStore, PointValue,
+    };
+    let config = LtsConfig {
+        seal_points: 3,
+        retention: LtsRetention {
+            max_age_secs: 0,
+            max_bytes: 0,
+        },
+        ..LtsConfig::default()
+    };
+    let mut lts = LtsStore::open(store, config, LtsCounters::detached()).unwrap();
+    for i in 0..22u64 {
+        let t = 1_790_000_000 + 900 * i;
+        let h = Histogram::new();
+        for v in [i, 10 * i + 3, 1_000 + i] {
+            h.record(v);
+        }
+        lts.append("fixed_requests_total", t, PointValue::Counter(i + 1));
+        lts.append("fixed_depth", t, PointValue::Gauge(7 * i as i64 - 20));
+        lts.append("fixed_latency_us", t, PointValue::Histogram(h.to_state()));
+        if i % 4 == 3 {
+            lts.flush().unwrap();
+        }
+    }
+    lts.flush().unwrap();
+}
+
+/// `lts info`, `lts info --segments`, `lts verify` and `lts compact` on
+/// a sound store print `tests/golden/lts_tools.txt`, the store's path
+/// written `DIR`. On a deliberate change of output, copy the
+/// `lts_tools.actual.txt` the failure names over it.
+#[test]
+fn the_store_tools_print_the_golden_on_a_sound_store() {
+    const GOLDEN: &str = "tests/golden/lts_tools.txt";
+    let dir = std::env::temp_dir().join(format!("netqos-cli-golden-{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    let store = dir.join("store");
+    fixed_store(&store);
+    let store_arg = store.to_str().unwrap();
+    let mut actual = String::new();
+    for args in [
+        vec!["lts", "info", store_arg],
+        vec!["lts", "info", store_arg, "--segments"],
+        vec!["lts", "verify", store_arg],
+        vec!["lts", "compact", store_arg],
+        vec!["lts", "info", store_arg, "--segments"],
+        vec!["lts", "verify", store_arg],
+    ] {
+        let out = run(&args);
+        assert!(out.status.success(), "{args:?}: {out:?}");
+        let shown: Vec<&str> = args
+            .iter()
+            .map(|a| if *a == store_arg { "DIR" } else { a })
+            .collect();
+        actual += &format!("$ netqos {}\n", shown.join(" "));
+        actual += &String::from_utf8(out.stdout)
+            .unwrap()
+            .replace(store_arg, "DIR");
+    }
+    std::fs::remove_dir_all(&dir).ok();
+    let golden = std::fs::read_to_string(GOLDEN).unwrap_or_default();
+    if actual != golden {
+        let dump = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("lts_tools.actual.txt");
+        std::fs::write(&dump, &actual).unwrap();
+        let line = (actual.lines().zip(golden.lines()))
+            .position(|(a, g)| a != g)
+            .unwrap_or_else(|| actual.lines().count().min(golden.lines().count()));
+        panic!(
+            "output differs from {GOLDEN} at line {}:\n  now:    {}\n  golden: {}\nfull output: {}",
+            line + 1,
+            actual.lines().nth(line).unwrap_or("<end>"),
+            golden.lines().nth(line).unwrap_or("<end>"),
+            dump.display()
+        );
+    }
+}
+
+/// A store with one byte flipped in the middle of a sealed segment and a
+/// stray `x.bin` beside it: `lts verify` names both, `lts compact`
+/// fails naming the segment and leaves both files as they were, and
+/// `lts info` prints one point total.
+#[test]
+fn the_store_tools_agree_on_a_damaged_store() {
+    let dir = std::env::temp_dir().join(format!("netqos-cli-damaged-{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    let store = dir.join("store");
+    fixed_store(&store);
+    let store_arg = store.to_str().unwrap();
+    let sdir = (std::fs::read_dir(store.join("1s")).unwrap().flatten())
+        .map(|e| e.path())
+        .find(|p| p.to_string_lossy().contains("fixed_requests_total"))
+        .unwrap();
+    let mut segments: Vec<PathBuf> = (std::fs::read_dir(&sdir).unwrap().flatten())
+        .map(|e| e.path())
+        .filter(|p| p.file_name().unwrap().to_string_lossy().starts_with("seg-"))
+        .collect();
+    segments.sort();
+    let (seg, stray) = (segments[1].clone(), sdir.join("x.bin"));
+    let mut bytes = std::fs::read(&seg).unwrap();
+    let mid = bytes.len() / 2;
+    bytes[mid] ^= 0x80;
+    std::fs::write(&seg, &bytes).unwrap();
+    std::fs::write(&stray, "not a segment").unwrap();
+    let both = [(&seg, bytes), (&stray, b"not a segment".to_vec())];
+
+    let out = run(&["lts", "verify", store_arg]);
+    assert!(!out.status.success(), "{out:?}");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    for (path, _) in &both {
+        let name = path.file_name().unwrap().to_string_lossy();
+        assert!(
+            stderr.contains(&*name),
+            "verify does not name {name}: {stderr}"
+        );
+    }
+
+    let out = run(&["lts", "compact", store_arg]);
+    assert!(!out.status.success(), "{out:?}");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains(&seg.display().to_string()), "{stderr}");
+    for (path, bytes) in &both {
+        assert_eq!(&std::fs::read(path).unwrap(), bytes, "{}", path.display());
+    }
+
+    let out = run(&["lts", "info", store_arg]);
+    assert!(out.status.success(), "{out:?}");
+    let stdout = String::from_utf8(out.stdout).unwrap();
+    let points = |line: &str| -> u64 {
+        let (head, _) = line.split_once(" point(s)").unwrap();
+        head.rsplit(' ').next().unwrap().parse().unwrap()
+    };
+    let mut lines = stdout.lines();
+    let total = points(lines.next().unwrap());
+    let by_resolution: u64 = lines.take(3).map(points).sum();
+    assert_eq!(total, by_resolution, "{stdout}");
+    std::fs::remove_dir_all(&dir).ok();
+}
