@@ -128,10 +128,13 @@ fn main() {
     let (one_p50, one_p99, one_max, one_points) = time_iters(QUERY_ITERS, || {
         reader
             .query("bench_series_0_total", 0, QUERY_TICKS, Resolution::Raw1s)
+            .expect("store reads")
             .len()
     });
     let (all_p50, all_p99, all_max, all_points) = time_iters(QUERY_ITERS, || {
-        reader.query("*", 0, u64::MAX, Resolution::Min1).len()
+        (reader.query("*", 0, u64::MAX, Resolution::Min1))
+            .expect("store reads")
+            .len()
     });
     std::fs::remove_dir_all(&dir).ok();
 

@@ -10,8 +10,9 @@
 //! | Figures 4–6, Table 2, the interval-source and poll-period sweeps, latency vs. load | [`experiment::scenarios`], run by [`experiment::run`]; `tests/experiments.rs` writes them into EXPERIMENTS.md and checks it |
 //!
 //! Criterion performance benches (`cargo bench -p netqos-bench`) cover the
-//! building blocks: BER codec, simulator throughput, ingest and path
-//! evaluation, telemetry, tracing, the long-term store and queries.
+//! building blocks: poll styles and fleet size, simulator throughput,
+//! ingest and path evaluation, telemetry and tracing; `lts_bench` and
+//! `query_bench` the long-term store and queries.
 
 pub mod experiment;
 pub mod report;

@@ -17,7 +17,7 @@
 //! transmitted, or runs no agent).
 
 use crate::error::MonitorError;
-use crate::simnet::SimNetwork;
+use crate::network::Network;
 use netqos_snmp::mib2::bridge::FdbEntry;
 use netqos_topology::{ConnId, NetworkTopology, NodeId};
 use std::collections::HashMap;
@@ -93,31 +93,30 @@ pub fn verify_connections(
     Ok(findings)
 }
 
-/// Full audit against a live simulated network: walks every managed
-/// switch's FDB, collects host MACs from their agents, and verifies every
-/// host↔switch connection.
-pub fn audit(net: &mut SimNetwork) -> Result<Vec<Finding>, MonitorError> {
-    let topo = net.model().topology.clone();
-
-    // Evidence 1: host interface MACs from ifPhysAddress.
+/// Full audit against a live network, simulated or real agents over UDP:
+/// walks every managed switch's FDB, collects host MACs from their
+/// agents, and verifies every host↔switch connection.
+pub fn audit<N: Network>(net: &mut N) -> Result<Vec<Finding>, MonitorError> {
+    // Evidence 1: host interface MACs from ifPhysAddress (switches after).
     let mut macs: HashMap<(NodeId, u32), [u8; 6]> = HashMap::new();
-    for node in net.pollable_nodes() {
-        if !topo.node(node)?.kind.is_host() {
-            continue;
-        }
-        for (ifindex, mac) in net.poll_phys_addresses(node)? {
-            macs.insert((node, ifindex), mac);
+    let mut switches = Vec::new();
+    for node in net.agents().pollable().to_vec() {
+        let kind = net.model().topology.node(node)?.kind;
+        if kind.forwards_selectively() {
+            switches.push(node);
+        } else if kind.is_host() {
+            for (ifindex, mac) in net.poll_phys_addresses(node)? {
+                macs.insert((node, ifindex), mac);
+            }
         }
     }
 
     // Evidence 2: each managed switch's forwarding database.
     let mut findings = Vec::new();
-    for node in net.pollable_nodes() {
-        if !topo.node(node)?.kind.forwards_selectively() {
-            continue;
-        }
-        let fdb = net.poll_fdb(node)?;
-        findings.extend(verify_connections(&topo, node, &fdb, &macs)?);
+    for switch in switches {
+        let fdb = net.poll_fdb(switch)?;
+        let topology = &net.model().topology;
+        findings.extend(verify_connections(topology, switch, &fdb, &macs)?);
     }
     Ok(findings)
 }

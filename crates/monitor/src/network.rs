@@ -1,10 +1,10 @@
 //! The seam between the service and what it polls: a [`Network`] keeps a
-//! clock, carries one poll's exchange with one agent, and sends traps —
-//! [`SimNetwork`](crate::simnet::SimNetwork) through the simulator,
-//! [`UdpNetwork`](crate::udpnet::UdpNetwork) to real agents. The rest of
-//! a poll — its span, its RTT against the device's history, the poll
-//! counters, and the round that ingests each snapshot by trading it for
-//! the device's previous one — is written once, here, over [`Agents`].
+//! clock, lends the transport to one agent for a [`Conversation`], and
+//! sends traps — [`SimNetwork`](crate::simnet::SimNetwork) through the
+//! simulator, [`UdpNetwork`](crate::udpnet::UdpNetwork) to real agents.
+//! What is said and counted over that transport — the poll, the audit's
+//! two walks, the retransmit/timeout ledger — and the rest of a poll are
+//! written once, here, over [`Agents`].
 
 use crate::error::MonitorError;
 use crate::monitor::NetworkMonitor;
@@ -12,7 +12,11 @@ use crate::poll::{DeviceSnapshot, PollPlan};
 use crate::telemetry::MonitorTelemetry;
 use netqos_sim::time::{SimDuration, SimTime};
 use netqos_sim::Ipv4Addr;
-use netqos_snmp::client::Manager;
+use netqos_snmp::client::{Manager, Session};
+use netqos_snmp::mib2::bridge::{self, FdbEntry};
+use netqos_snmp::mib2::interfaces::{self as ifc, column};
+use netqos_snmp::transport::Transport;
+use netqos_snmp::SnmpValue;
 use netqos_spec::SpecModel;
 use netqos_telemetry::{QuantileBaseline, Tracer};
 use netqos_topology::NodeId;
@@ -120,20 +124,32 @@ impl Agents {
         self.target(node).is_some()
     }
 
-    /// What a poll of `node`'s agent takes beside its transport: the
-    /// community, the plan, the manager, and the telemetry the transport
-    /// counts into. `None` for a node without an agent.
-    pub(crate) fn parts(
-        &mut self,
+    /// A conversation with `node`'s agent over `link`, the transport its
+    /// network lends (`None` where it has none).
+    pub(crate) fn conversation<'a, L>(
+        &'a mut self,
+        model: &'a SpecModel,
         node: NodeId,
-    ) -> Option<(&str, &PollPlan, &mut Manager, &MonitorTelemetry)> {
-        let target = self.targets.get(node.index())?.as_ref()?;
-        let plan = &self.plans[target.plan].0;
-        Some((&target.community, plan, &mut self.manager, &self.telemetry))
+        link: Option<L>,
+    ) -> Result<Conversation<'a, L>, MonitorError> {
+        let n = model.topology.node(node);
+        let target = self.targets.get(node.index()).and_then(Option::as_ref);
+        let (Ok(n), Some(link), Some(target)) = (n.as_ref(), link, target) else {
+            let name = n.map_or_else(|_| node.to_string(), |n| n.name.clone());
+            return Err(MonitorError::NotPollable(name));
+        };
+        Ok(Conversation {
+            link,
+            manager: &mut self.manager,
+            community: &target.community,
+            plan: &self.plans[target.plan].0,
+            name: &n.name,
+            telemetry: &self.telemetry,
+        })
     }
 
     /// Counts a finished poll: a success, or a failure of a device that
-    /// answered (its transport counts silence).
+    /// answered (the ledger counts silence).
     fn count(&self, polled: &Result<(), MonitorError>) {
         match polled {
             Ok(()) => self.telemetry.polls.inc(),
@@ -150,10 +166,48 @@ fn answered(polled: &Result<(), MonitorError>) -> bool {
     !matches!(polled, Err(Timeout { .. } | Sim(_) | NotPollable(_)))
 }
 
-/// `node` has no agent to poll.
-pub(crate) fn not_pollable(model: &SpecModel, node: NodeId) -> MonitorError {
-    let name = model.topology.node(node).map(|n| n.name.clone());
-    MonitorError::NotPollable(name.unwrap_or_else(|_| node.to_string()))
+/// The transport a [`Network`] lends for one conversation with an agent.
+pub trait AgentLink: Transport {
+    /// Requests sent again after a silent attempt since the last call.
+    fn take_retransmits(&mut self) -> u64;
+
+    /// The `result` of a conversation over this link, as the network sees it.
+    fn checked<R>(self, result: Result<R, MonitorError>) -> Result<R, MonitorError>
+    where
+        Self: Sized,
+    {
+        result
+    }
+}
+
+/// One conversation with one node's agent ([`Network::conversation`]):
+/// the transport its network lends, and what [`Agents`] keeps for it.
+pub struct Conversation<'a, L> {
+    pub(crate) link: L,
+    manager: &'a mut Manager,
+    community: &'a str,
+    plan: &'a PollPlan,
+    name: &'a str,
+    telemetry: &'a MonitorTelemetry,
+}
+
+impl<L: AgentLink> Conversation<'_, L> {
+    /// `talk` to the agent (with its poll plan and name), then the one
+    /// ledger: the link's retransmissions are added up, and silence is one
+    /// timeout.
+    fn talk<R>(
+        mut self,
+        talk: impl FnOnce(&mut Session<'_>, &PollPlan, &str) -> Result<R, MonitorError>,
+    ) -> Result<R, MonitorError> {
+        let mut session = self.manager.session(&mut self.link, self.community);
+        let talked = talk(&mut session, self.plan, self.name);
+        (self.telemetry.poll_retransmits).add(self.link.take_retransmits());
+        let talked = self.link.checked(talked);
+        if let Err(MonitorError::Timeout { .. }) = talked {
+            self.telemetry.poll_timeouts.inc();
+        }
+        talked
+    }
 }
 
 /// What the monitoring service runs over.
@@ -172,12 +226,18 @@ pub trait Network {
     fn agents(&self) -> &Agents;
     fn agents_mut(&mut self) -> &mut Agents;
 
-    /// The exchange of one poll of `node`: its plan's Get, decoded into
-    /// `snapshot` ([`PollPlan::poll_into`]). Counts only what the
-    /// transport counts (timeouts, retransmissions); the polls are
-    /// [`Network::poll_device`] and [`Network::poll_nodes`].
-    fn get_into(&mut self, node: NodeId, snapshot: &mut DeviceSnapshot)
-        -> Result<(), MonitorError>;
+    /// The transport to one agent, lent for one conversation.
+    type Link<'a>: AgentLink
+    where
+        Self: 'a;
+
+    /// A conversation with the agent of `node`, or
+    /// [`MonitorError::NotPollable`]: each network's one duty toward its
+    /// agents. What is said over it is the polls and the two reads below.
+    fn conversation(
+        &mut self,
+        node: NodeId,
+    ) -> Result<Conversation<'_, Self::Link<'_>>, MonitorError>;
 
     /// Sends one encoded trap from the monitor host to `dst`'s trap port,
     /// fire-and-forget.
@@ -216,7 +276,7 @@ pub trait Network {
         round_span.set_attr("devices", nodes.len());
         let mut ok = 0;
         for &node in nodes {
-            // A node with no agent fails in `get_into`, snapshot unused.
+            // A node with no agent has no conversation, snapshot unused.
             let plan = self.agents().target(node).map(|target| target.plan);
             let mut snapshot = plan.map_or_else(DeviceSnapshot::default, |plan| {
                 std::mem::take(&mut self.agents_mut().plans[plan].1)
@@ -236,6 +296,38 @@ pub trait Network {
         round_span.set_attr("ok", ok);
         Ok(ok)
     }
+
+    /// Reads the `ifPhysAddress` column of `node`'s agent with a GetNext
+    /// walk: `(ifIndex, MAC)` pairs — the identity evidence the topology
+    /// audit matches against switch FDBs.
+    fn poll_phys_addresses(&mut self, node: NodeId) -> Result<Vec<(u32, [u8; 6])>, MonitorError> {
+        let col = ifc::column_oid(column::IF_PHYS_ADDRESS);
+        let walked = (self.conversation(node)?).talk(|session, _, name| {
+            session
+                .walk(&col)
+                .map_err(|e| MonitorError::from_snmp(e, name))
+        })?;
+        Ok((walked.iter())
+            .filter_map(|vb| match (ifc::parse_instance(&vb.oid)?, &vb.value) {
+                ((column::IF_PHYS_ADDRESS, if_index), SnmpValue::OctetString(mac)) => {
+                    Some((if_index, mac.as_slice().try_into().ok()?))
+                }
+                _ => None,
+            })
+            .collect())
+    }
+
+    /// Reads the forwarding database of a managed switch: a GetBulk walk
+    /// of BRIDGE-MIB `dot1dTpFdbPort`, 16 repetitions a request.
+    fn poll_fdb(&mut self, node: NodeId) -> Result<Vec<FdbEntry>, MonitorError> {
+        let col = bridge::fdb_entry_base().child(bridge::column::PORT);
+        let walked = (self.conversation(node)?).talk(|session, _, name| {
+            session
+                .bulk_walk(&col, 16)
+                .map_err(|e| MonitorError::from_snmp(e, name))
+        })?;
+        Ok(bridge::entries_from_port_walk(&walked))
+    }
 }
 
 /// One poll of `node` into `snapshot` under its span and, if it was
@@ -252,7 +344,8 @@ fn timed_poll<N: Network + ?Sized>(
             poll_span.set_attr("device", n.name.as_str());
         }
     }
-    let polled = net.get_into(node, snapshot);
+    let polled = (net.conversation(node))
+        .and_then(|c| c.talk(|session, plan, name| plan.poll_into(session, name, snapshot)));
     if !answered(&polled) {
         return polled;
     }

@@ -12,8 +12,8 @@
 //! error to "traffic caused by SNMP queries and acknowledgements").
 
 use crate::error::MonitorError;
-use crate::network::{self, Agents, Network, POLL_RETRIES, TRAP_PORT};
-use crate::poll::{DeviceSnapshot, PollPlan};
+use crate::network::{self, AgentLink, Agents, Conversation, Network, POLL_RETRIES, TRAP_PORT};
+use crate::poll::DeviceSnapshot;
 use crate::telemetry::MonitorTelemetry;
 use bytes::Bytes;
 use netqos_sim::app::{AppCtx, DiscardSink, EchoResponder, Mailbox, UdpApp};
@@ -24,7 +24,7 @@ use netqos_sim::time::{SimDuration, SimTime};
 use netqos_sim::traffic::NoiseSource;
 use netqos_sim::{DeviceId, Ipv4Addr, Lan, PortIx, SimError, UdpDatagram};
 use netqos_snmp::agent::{self, SnmpAgent};
-use netqos_snmp::client::{self, Manager};
+use netqos_snmp::client;
 use netqos_snmp::mib::{MibView, ScalarMib};
 use netqos_snmp::mib2::interfaces::{self as ifc, column};
 use netqos_snmp::mib2::{self, SystemInfo};
@@ -244,52 +244,78 @@ pub struct SimNetwork {
     node_to_dev: HashMap<NodeId, DeviceId>,
     /// The agents, whose manager is behind every poll and walk.
     agents: Agents,
-    /// The address of each node's agent, indexed by node id; `None` for a
-    /// node without one.
-    agent_ips: Vec<Option<Ipv4Addr>>,
     monitor_dev: DeviceId,
     monitor_node: NodeId,
-    inbox: Rc<RefCell<Vec<(SimTime, UdpDatagram)>>>,
+    inbox: Rc<Inbox>,
     poll_timeout: SimDuration,
-}
-
-/// What it takes to talk to one node's agent: the link to it, the
-/// manager, how the agent is polled, and the node's name.
-struct Agent<'a> {
-    link: SimLink<'a>,
-    manager: &'a mut Manager,
-    community: &'a str,
-    plan: &'a PollPlan,
-    name: &'a str,
 }
 
 /// UDP port the manager mailbox listens on.
 pub const MANAGER_PORT: u16 = 16100;
 
+/// The manager's mailbox: each datagram it received, with when.
+type Inbox = RefCell<Vec<(SimTime, UdpDatagram)>>;
+
+/// Steps `lan` until a datagram in `inbox` past the first `examined`
+/// (ruled out already) is `wanted`, or until `deadline`, and takes it
+/// out: the one wait on the manager's mailbox, for SNMP answers and ECHO
+/// replies alike. Finding one also drops every datagram 10 s old or
+/// older (late duplicates, lost probes' echoes), so the mailbox cannot
+/// grow without bound across long experiments.
+fn await_datagram(
+    lan: &mut Lan,
+    inbox: &Inbox,
+    deadline: SimTime,
+    examined: &mut usize,
+    wanted: impl Fn(&UdpDatagram) -> bool,
+) -> Option<(SimTime, UdpDatagram)> {
+    loop {
+        {
+            let mut inbox = inbox.borrow_mut();
+            while *examined < inbox.len() {
+                if wanted(&inbox[*examined].1) {
+                    let found = inbox.remove(*examined);
+                    let now = lan.now();
+                    inbox.retain(|(t, _)| now.duration_since(*t) < SimDuration::from_secs(10));
+                    return Some(found);
+                }
+                *examined += 1;
+            }
+        }
+        if lan.now() >= deadline {
+            return None;
+        }
+        lan.step_before(deadline);
+    }
+}
+
 /// The simulated LAN as the [`Transport`] from the manager's mailbox to
-/// one agent. It borrows the network for one call: an exchange posts the
-/// request and steps simulated time until the answer is in the mailbox,
+/// one agent, lent for one conversation: an exchange posts the request
+/// and steps simulated time until the answer is in the mailbox,
 /// retransmitting up to [`POLL_RETRIES`] times — the same recovery a real
-/// manager performs over lossy UDP.
-///
-/// Each datagram in the mailbox is looked at once, by its request-id
-/// alone, and only the one that matches is handed back to be decoded.
-/// Late duplicates of earlier polls and datagrams that are not SNMP (an
-/// ECHO reply left by [`SimNetwork::measure_rtt`]) cost a header peek and
-/// never reach the codec counters.
+/// manager performs over lossy UDP. Each datagram in the mailbox is
+/// looked at once, by its request-id alone: late duplicates and
+/// datagrams that are not SNMP (an ECHO reply left by
+/// [`SimNetwork::measure_rtt`]) never reach the codec counters.
 pub struct SimLink<'a> {
     lan: &'a mut Lan,
     inbox: &'a RefCell<Vec<(SimTime, UdpDatagram)>>,
     manager_dev: DeviceId,
     agent_ip: Ipv4Addr,
     timeout: SimDuration,
-    telemetry: &'a MonitorTelemetry,
+    /// Requests sent again after a silent attempt, since the last
+    /// [`AgentLink::take_retransmits`].
+    retransmits: u64,
     /// Why the simulator refused to post a request, when that is what
     /// failed an exchange.
     unposted: Option<SimError>,
 }
 
-impl SimLink<'_> {
+impl AgentLink for SimLink<'_> {
+    fn take_retransmits(&mut self) -> u64 {
+        std::mem::take(&mut self.retransmits)
+    }
+
     /// The `result` of a conversation over this link — or, if it ended
     /// because the simulator refused a request, the simulator's error in
     /// its own type instead of as an SNMP failure.
@@ -308,7 +334,7 @@ impl Transport for SimLink<'_> {
         let mut examined = 0;
         for attempt in 0..=POLL_RETRIES {
             if attempt > 0 {
-                self.telemetry.poll_retransmits.inc();
+                self.retransmits += 1;
             }
             if let Err(e) = self.lan.post_udp(
                 self.manager_dev,
@@ -322,24 +348,13 @@ impl Transport for SimLink<'_> {
                 return Err(failure);
             }
             let deadline = self.lan.now() + self.timeout;
-            loop {
-                {
-                    let mut inbox = self.inbox.borrow_mut();
-                    while examined < inbox.len() {
-                        let payload = &inbox[examined].1.payload;
-                        if client::peek_request_id(payload) == Some(request_id) {
-                            return Ok(inbox.remove(examined).1.payload.to_vec());
-                        }
-                        examined += 1;
-                    }
-                }
-                if self.lan.now() >= deadline {
-                    break; // this attempt timed out; maybe retransmit
-                }
-                self.lan.step_before(deadline);
-            }
+            let answer = await_datagram(self.lan, self.inbox, deadline, &mut examined, |d| {
+                client::peek_request_id(&d.payload) == Some(request_id)
+            });
+            if let Some((_, answer)) = answer {
+                return Ok(answer.payload.to_vec());
+            } // else this attempt timed out; maybe retransmit
         }
-        self.telemetry.poll_timeouts.inc();
         Err(SnmpError::Timeout)
     }
 }
@@ -366,7 +381,6 @@ impl SimNetwork {
         let agents = Agents::new(&model, telemetry);
         let mut b = LanBuilder::new();
         let mut node_to_dev = HashMap::new();
-        let mut agent_ips = Vec::new();
         let mut auto_ip = 1u8;
 
         for (node_id, node) in model.topology.nodes() {
@@ -400,11 +414,6 @@ impl SimNetwork {
                 b.add_nic(dev, &iface.local_name, iface.speed_bps)
                     .map_err(MonitorError::from)?;
             }
-            let ip = agents.has_agent(node_id).then(|| addr.parse::<Ipv4Addr>());
-            let ip = ip
-                .transpose()
-                .map_err(|e| MonitorError::Sim(e.to_string()))?;
-            agent_ips.push(ip); // `nodes()` yields node ids in order from 0
         }
 
         for (_, conn) in model.topology.connections() {
@@ -455,7 +464,6 @@ impl SimNetwork {
             model,
             node_to_dev,
             agents,
-            agent_ips,
             monitor_dev,
             monitor_node,
             inbox,
@@ -489,39 +497,13 @@ impl SimNetwork {
         self.agents.pollable().to_vec()
     }
 
-    /// What it takes to talk to the agent of `node`.
-    fn agent(&mut self, node: NodeId) -> Result<Agent<'_>, MonitorError> {
-        let (Ok(n), Some(Some(ip)), Some((community, plan, manager, telemetry))) = (
-            self.model.topology.node(node),
-            self.agent_ips.get(node.index()),
-            self.agents.parts(node),
-        ) else {
-            return Err(network::not_pollable(&self.model, node));
-        };
-        let link = SimLink {
-            lan: &mut self.lan,
-            inbox: &self.inbox,
-            manager_dev: self.monitor_dev,
-            agent_ip: *ip,
-            timeout: self.poll_timeout,
-            telemetry,
-            unposted: None,
-        };
-        Ok(Agent {
-            link,
-            manager,
-            community,
-            plan,
-            name: &n.name,
-        })
-    }
-
     /// The simulated network as a [`Transport`] from the monitor host to
     /// the agent of `node`, for a manager of the caller's own — how tests
     /// put the simulator beside the other transports. Polling goes through
     /// [`SimNetwork::poll_device`].
     pub fn link(&mut self, node: NodeId) -> Result<SimLink<'_>, MonitorError> {
-        self.agent(node).map(|agent| agent.link)
+        self.conversation(node)
+            .map(|conversation| conversation.link)
     }
 
     /// Polls one device through the simulated network, advancing simulated
@@ -535,62 +517,6 @@ impl SimNetwork {
     /// Advances simulated time to `t` (background traffic keeps flowing).
     pub fn run_until(&mut self, t: SimTime) {
         self.lan.run_until(t);
-    }
-
-    /// Reads the forwarding database of a managed switch (BRIDGE-MIB
-    /// `dot1dTpFdbPort` walk, fetched with SNMPv2c GetBulk).
-    pub fn poll_fdb(
-        &mut self,
-        node: NodeId,
-    ) -> Result<Vec<netqos_snmp::mib2::bridge::FdbEntry>, MonitorError> {
-        let col = netqos_snmp::mib2::bridge::fdb_entry_base()
-            .child(netqos_snmp::mib2::bridge::column::PORT);
-        let Agent {
-            mut link,
-            manager,
-            community,
-            name,
-            ..
-        } = self.agent(node)?;
-        let walked = manager.session(&mut link, community).bulk_walk(&col, 16);
-        let bindings = link.checked(walked.map_err(|e| MonitorError::from_snmp(e, name)))?;
-        Ok(netqos_snmp::mib2::bridge::entries_from_port_walk(&bindings))
-    }
-
-    /// Reads the `ifPhysAddress` column of a node's agent: `(ifIndex,
-    /// MAC)` pairs — the identity evidence the topology verifier matches
-    /// against switch FDBs.
-    pub fn poll_phys_addresses(
-        &mut self,
-        node: NodeId,
-    ) -> Result<Vec<(u32, [u8; 6])>, MonitorError> {
-        let col = mib2::interfaces::column_oid(mib2::interfaces::column::IF_PHYS_ADDRESS);
-        let Agent {
-            mut link,
-            manager,
-            community,
-            name,
-            ..
-        } = self.agent(node)?;
-        let walked = manager.session(&mut link, community).walk(&col);
-        let bindings = link.checked(walked.map_err(|e| MonitorError::from_snmp(e, name)))?;
-        Ok(bindings
-            .iter()
-            .filter_map(|vb| {
-                let (c, ifindex) = mib2::interfaces::parse_instance(&vb.oid)?;
-                if c != mib2::interfaces::column::IF_PHYS_ADDRESS {
-                    return None;
-                }
-                match &vb.value {
-                    netqos_snmp::SnmpValue::OctetString(b) if b.len() == 6 => {
-                        let mut mac = [0u8; 6];
-                        mac.copy_from_slice(b);
-                        Some((ifindex, mac))
-                    }
-                    _ => None,
-                }
-            })
-            .collect())
     }
 
     /// Measures the round-trip time from the monitor host to `to`'s ECHO
@@ -615,9 +541,9 @@ impl SimNetwork {
         let mut lost = 0usize;
         for k in 0..probes {
             // Tag the probe so echoes match up even with stale traffic.
+            let tag = (k as u64).to_be_bytes();
             let mut payload = vec![0u8; payload_len.max(8)];
-            payload[..8].copy_from_slice(&(k as u64).to_be_bytes());
-            let tag = payload[..8].to_vec();
+            payload[..8].copy_from_slice(&tag);
             let sent_at = self.lan.now();
             self.lan.post_udp(
                 self.monitor_dev,
@@ -626,24 +552,10 @@ impl SimNetwork {
                 ECHO_PORT,
                 Bytes::from(payload),
             )?;
-            let deadline = sent_at + timeout;
-            let mut got = None;
-            loop {
-                {
-                    let mut inbox = self.inbox.borrow_mut();
-                    if let Some(i) = inbox.iter().position(|(_, d)| {
-                        d.src_ip == target_ip && d.payload.len() >= 8 && d.payload[..8] == tag[..]
-                    }) {
-                        let (at, _) = inbox.remove(i);
-                        got = Some(at.duration_since(sent_at));
-                    }
-                }
-                if got.is_some() || self.lan.now() >= deadline {
-                    break;
-                }
-                self.lan.step_before(deadline);
-            }
-            match got {
+            let echo = await_datagram(&mut self.lan, &self.inbox, sent_at + timeout, &mut 0, |d| {
+                d.src_ip == target_ip && d.payload.starts_with(&tag)
+            });
+            match echo.map(|(at, _)| at.duration_since(sent_at)) {
                 Some(rtt) => {
                     self.telemetry().path_rtt_us.record(rtt.as_micros());
                     rtts.push(rtt);
@@ -655,13 +567,9 @@ impl SimNetwork {
             }
         }
         crate::latency::LatencyStats::from_samples(&rtts, lost).ok_or_else(|| {
+            let name = self.model.topology.node(to).map(|n| n.name.clone());
             MonitorError::Timeout {
-                node: self
-                    .model
-                    .topology
-                    .node(to)
-                    .map(|n| n.name.clone())
-                    .unwrap_or_default(),
+                node: name.unwrap_or_default(),
             }
         })
     }
@@ -688,35 +596,28 @@ impl Network for SimNetwork {
         &mut self.agents
     }
 
-    /// Sends the poll through the simulated network, advancing simulated
-    /// time until its response arrives (or the poll timeout elapses).
-    fn get_into(
+    type Link<'a> = SimLink<'a>;
+
+    /// The simulated LAN from the manager's mailbox to `node`'s agent: a
+    /// request steps simulated time until its answer arrives (or the poll
+    /// timeout elapses).
+    fn conversation(
         &mut self,
         node: NodeId,
-        snapshot: &mut DeviceSnapshot,
-    ) -> Result<(), MonitorError> {
-        let Agent {
-            mut link,
-            manager,
-            community,
-            plan,
-            name,
-        } = self.agent(node)?;
-        let polled = plan.poll_into(&mut manager.session(&mut link, community), name, snapshot);
-        let polled = link.checked(polled);
-        if !matches!(
-            polled,
-            Err(MonitorError::Timeout { .. } | MonitorError::Sim(_))
-        ) {
-            // Drop stale datagrams (late duplicates from retransmitted
-            // polls) so the inbox cannot grow without bound across long
-            // experiments.
-            let now = self.lan.now();
-            self.inbox
-                .borrow_mut()
-                .retain(|(t, _)| now.duration_since(*t) < SimDuration::from_secs(10));
-        }
-        polled
+    ) -> Result<Conversation<'_, SimLink<'_>>, MonitorError> {
+        // An agent answers at its device's address.
+        let dev = self.node_to_dev.get(&node).copied();
+        let ip = dev.and_then(|dev| self.lan.device_ip(dev).ok().flatten());
+        let link = ip.map(|agent_ip| SimLink {
+            lan: &mut self.lan,
+            inbox: &self.inbox,
+            manager_dev: self.monitor_dev,
+            agent_ip,
+            timeout: self.poll_timeout,
+            retransmits: 0,
+            unposted: None,
+        });
+        self.agents.conversation(&self.model, node, link)
     }
 
     /// Trap transmission is fire-and-forget UDP from the monitor host.

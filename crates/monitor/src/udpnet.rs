@@ -3,14 +3,13 @@
 //!
 //! [`UdpNetwork`] is the [`Network`] a
 //! [`MonitoringService`](crate::service::MonitoringService) runs over when
-//! the agents are real: one connected [`UdpTransport`] per agent, polled
-//! one after another by the one manager with the simulator's timeout and
-//! retransmissions, counted as the simulator counts them, and wall time
-//! since construction as its clock.
+//! the agents are real: one connected [`UdpTransport`] per agent, lent to
+//! the one manager for each conversation with the simulator's timeout and
+//! retransmissions, and wall time since construction as its clock.
 
 use crate::error::MonitorError;
-use crate::network::{self, Agents, Network, POLL_RETRIES, POLL_TIMEOUT, TRAP_PORT};
-use crate::poll::DeviceSnapshot;
+use crate::network::{AgentLink, Agents, Conversation, Network};
+use crate::network::{POLL_RETRIES, POLL_TIMEOUT, TRAP_PORT};
 use crate::telemetry::MonitorTelemetry;
 use netqos_sim::packet::SNMP_PORT;
 use netqos_sim::time::SimTime;
@@ -99,24 +98,14 @@ impl Network for UdpNetwork {
         &mut self.agents
     }
 
-    fn get_into(
+    type Link<'a> = &'a mut UdpTransport;
+
+    fn conversation(
         &mut self,
         node: NodeId,
-        snapshot: &mut DeviceSnapshot,
-    ) -> Result<(), MonitorError> {
-        let (Ok(n), Some(Some(link)), Some((community, plan, manager, telemetry))) = (
-            self.model.topology.node(node),
-            self.links.get_mut(node.index()),
-            self.agents.parts(node),
-        ) else {
-            return Err(network::not_pollable(&self.model, node));
-        };
-        let polled = plan.poll_into(&mut manager.session(link, community), &n.name, snapshot);
-        telemetry.poll_retransmits.add(link.take_retransmits());
-        if let Err(MonitorError::Timeout { .. }) = polled {
-            telemetry.poll_timeouts.inc();
-        }
-        polled
+    ) -> Result<Conversation<'_, &mut UdpTransport>, MonitorError> {
+        let link = self.links.get_mut(node.index()).and_then(Option::as_mut);
+        self.agents.conversation(&self.model, node, link)
     }
 
     fn send_trap(&mut self, dst: Ipv4Addr, trap: &[u8]) {
@@ -129,6 +118,12 @@ impl Network for UdpNetwork {
     /// Traps name no agent address: the monitor's own is not known.
     fn trap_agent_addr(&self) -> [u8; 4] {
         [0; 4]
+    }
+}
+
+impl AgentLink for &mut UdpTransport {
+    fn take_retransmits(&mut self) -> u64 {
+        UdpTransport::take_retransmits(self)
     }
 }
 

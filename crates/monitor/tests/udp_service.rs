@@ -2,12 +2,14 @@
 //! that runs over the simulator — poll, rows, alerts, the long-term store,
 //! `/snapshot`, traces — through a `UdpNetwork`, and what a real agent can
 //! do to it (stay silent, answer short, answer garbage) costs one device's
-//! poll and never the tick.
+//! poll and never the tick. The topology audit reads real agents too.
 
+use netqos_monitor::discovery::{self, Verdict};
 use netqos_monitor::service::{MonitoringService, ServiceConfig};
 use netqos_monitor::udpnet::UdpNetwork;
 use netqos_sim::time::SimDuration;
 use netqos_snmp::mib::ScalarMib;
+use netqos_snmp::mib2::bridge::FdbEntry;
 use netqos_snmp::mib2::{self, IfEntry, SystemInfo};
 use netqos_snmp::transport::{UdpAgentHandle, UdpAgentServer};
 use netqos_snmp::{Pdu, SnmpAgent, SnmpMessage, SnmpValue, VarBind};
@@ -329,4 +331,96 @@ fn the_whole_pipeline_runs_over_real_udp() {
         assert!(series.contains(&name), "{name} not in {series:?}");
     }
     std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn the_topology_audit_reads_real_agents() {
+    // Hosts A, B and C on ports 1–3 of a managed switch. A was learned on
+    // its port, B on C's port, and C, silent so far, on none.
+    let model = netqos_spec::parse_and_validate(
+        r#"
+        host A { snmp community "public"; interface eth0 { speed 100Mbps; } }
+        host B { snmp community "public"; interface eth0 { speed 100Mbps; } }
+        host C { snmp community "public"; interface eth0 { speed 100Mbps; } }
+        device sw switch { snmp community "public"; speed 100Mbps;
+                           interface p1; interface p2; interface p3; }
+        connection A.eth0 <-> sw.p1;
+        connection B.eth0 <-> sw.p2;
+        connection C.eth0 <-> sw.p3;
+        "#,
+    )
+    .unwrap();
+    let mac = |host: u8| [2, 0, 0, 0, 0, host];
+    let agent = |name: &'static str, entries: Vec<IfEntry>, fdb: Vec<FdbEntry>| {
+        UdpAgentServer::spawn("127.0.0.1:0", "public", move || {
+            let mut mib = ScalarMib::new();
+            mib2::system::install(&mut mib, &SystemInfo::new(name), 0);
+            mib2::interfaces::install(&mut mib, &entries);
+            if !fdb.is_empty() {
+                mib2::bridge::install(&mut mib, entries.len() as u32, &fdb);
+            }
+            mib
+        })
+        .unwrap()
+    };
+    let host = |name, k| {
+        agent(
+            name,
+            vec![IfEntry::ethernet(1, "eth0", 100_000_000, mac(k))],
+            vec![],
+        )
+    };
+    let ports = (1..=3)
+        .map(|p| IfEntry::ethernet(p, &format!("p{p}"), 100_000_000, [2, 0, 0, 0, 1, p as u8]))
+        .collect();
+    let fdb = vec![
+        FdbEntry {
+            mac: mac(1),
+            port: 1,
+        },
+        FdbEntry {
+            mac: mac(2),
+            port: 3,
+        },
+    ];
+    let agents = [
+        ("A", host("A", 1)),
+        ("B", host("B", 2)),
+        ("C", host("C", 3)),
+        ("sw", agent("sw", ports, fdb.clone())),
+    ];
+    let addrs: HashMap<NodeId, SocketAddr> = (agents.iter())
+        .map(|(name, agent)| (node(&model, name), agent.local_addr()))
+        .collect();
+    let mut net = UdpNetwork::new(model.clone(), &addrs).unwrap();
+    let findings = discovery::audit(&mut net).unwrap();
+    for (_, agent) in agents {
+        agent.stop();
+    }
+
+    let verdicts: Vec<(&str, &Verdict)> = (findings.iter())
+        .map(|f| (f.description.as_str(), &f.verdict))
+        .collect();
+    assert_eq!(
+        verdicts,
+        [
+            ("A.eth0 <-> sw.p1", &Verdict::Confirmed),
+            (
+                "B.eth0 <-> sw.p2",
+                &Verdict::Mismatch {
+                    specified_port: 2,
+                    learned_port: 3
+                }
+            ),
+            ("C.eth0 <-> sw.p3", &Verdict::Unverified),
+        ]
+    );
+    let macs = HashMap::from([
+        ((node(&model, "A"), 1), mac(1)),
+        ((node(&model, "B"), 1), mac(2)),
+        ((node(&model, "C"), 1), mac(3)),
+    ]);
+    let sw = node(&model, "sw");
+    let expected = discovery::verify_connections(&model.topology, sw, &fdb, &macs).unwrap();
+    assert_eq!(findings, expected);
 }

@@ -26,6 +26,13 @@ pub trait Transport {
     fn exchange(&mut self, request: &[u8]) -> Result<Vec<u8>, SnmpError>;
 }
 
+/// A borrowed transport is a transport.
+impl<T: Transport + ?Sized> Transport for &mut T {
+    fn exchange(&mut self, request: &[u8]) -> Result<Vec<u8>, SnmpError> {
+        (**self).exchange(request)
+    }
+}
+
 /// In-process transport: requests are handled immediately by an owned
 /// agent over an owned MIB.
 pub struct LoopbackTransport {

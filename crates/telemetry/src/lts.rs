@@ -1135,23 +1135,35 @@ impl LtsReader {
 
     /// Canonical points for one series/resolution in `[start, end]`:
     /// sealed segments oldest-first, then the open tail, sorted by time,
-    /// first write winning any duplicate timestamp.
+    /// first write winning any duplicate timestamp. A sealed segment in
+    /// the window that does not decode, or a JSON-lines file, fails it.
     pub fn series_points(
         &self,
         info: &SeriesInfo,
         res: Resolution,
         start: u64,
         end: u64,
-    ) -> Vec<Point> {
-        read_series_points(&self.dir, &info.slug, info.kind, res, start, end)
+    ) -> io::Result<Vec<Point>> {
+        let sdir = self.dir.join(res.dir_name()).join(&info.slug);
+        let segs = segment_files(&sdir)?;
+        match read_points(&segs, &sdir.join(OPEN_TAIL), info.kind, start, end) {
+            (_, Some(undecodable)) => Err(undecodable),
+            (pts, None) => Ok(pts),
+        }
     }
 
     /// The offline read behind `netqos lts query`: every indexed series
     /// matching `selector`, at resolution `step`, restricted to `[start,
     /// end]`. The output is deterministic — sorted by series name,
     /// canonical point order — so identical stores yield byte-identical
-    /// JSON.
-    pub fn query(&self, selector: &str, start: u64, end: u64, step: Resolution) -> String {
+    /// JSON. Fails as [`LtsReader::series_points`] does.
+    pub fn query(
+        &self,
+        selector: &str,
+        start: u64,
+        end: u64,
+        step: Resolution,
+    ) -> io::Result<String> {
         let mut out = String::new();
         let _ = write!(
             out,
@@ -1173,7 +1185,7 @@ impl LtsReader {
                 json_escape(&info.name),
                 info.kind.as_str()
             );
-            let pts = self.series_points(&info, step, start, end);
+            let pts = self.series_points(&info, step, start, end)?;
             for (i, p) in pts.iter().enumerate() {
                 if i > 0 {
                     out.push(',');
@@ -1205,7 +1217,7 @@ impl LtsReader {
             out.push_str("]}");
         }
         out.push_str("]}");
-        out
+        Ok(out)
     }
 }
 
@@ -2299,7 +2311,7 @@ fn segment_files(sdir: &Path) -> io::Result<Vec<SegmentFile>> {
 }
 
 /// Reads one sealed segment's points, strict: any undecodable content is
-/// an error. The query path ([`read_series_points`]) stays lenient.
+/// an error.
 fn read_sealed_points(seg: &SegmentFile, kind: SeriesKind) -> Result<Vec<Point>, String> {
     let buf = fs::read(&seg.path).map_err(|e| e.to_string())?;
     let (header, pts) = decode_segment_v2(&buf)?;
@@ -2337,29 +2349,14 @@ fn read_tail_recovering(
     Ok((pts, good as u64, warn))
 }
 
-/// Canonical read used by both the reader and the writer's recovery:
-/// sealed oldest-first then the open tail, clipped to `[start, end]`,
-/// stable-sorted by time with the first-written point winning ties.
-/// Undecodable segments and a tail's records from its first bad one on
-/// are skipped (readers never mutate the store).
-fn read_series_points(
-    dir: &Path,
-    slug: &str,
-    kind: SeriesKind,
-    res: Resolution,
-    start: u64,
-    end: u64,
-) -> Vec<Point> {
-    let sdir = dir.join(res.dir_name()).join(slug);
-    let segs = segment_files(&sdir).unwrap_or_default();
-    read_points(&segs, &sdir.join(OPEN_TAIL), kind, start, end).0
-}
-
-/// [`read_series_points`] over an already listed series directory:
-/// `segs` oldest-first, then the tail at `open`, read from its end down
-/// to `start` ([`walk_tail_back`]). Beside the points, the first sealed
-/// segment it skipped because it did not decode, as an
-/// [`io::ErrorKind::InvalidData`] naming it.
+/// The canonical read of one listed series directory, behind the reader
+/// and the writer's recovery: `segs` oldest-first, then the tail at
+/// `open`, read from its end down to `start` ([`walk_tail_back`]),
+/// clipped to `[start, end]` and stable-sorted by time with the
+/// first-written point winning ties. A tail's records from its first bad
+/// one on are skipped (readers never mutate the store). Beside the
+/// points, the first sealed segment in the window it skipped because it
+/// did not decode, as an [`io::ErrorKind::InvalidData`] naming it.
 fn read_points(
     segs: &[SegmentFile],
     open: &Path,
@@ -2766,7 +2763,9 @@ mod tests {
         let reader = LtsReader::open(&dir);
         let first_minute = |name: &str| {
             let info = reader.index().into_iter().find(|i| i.name == name).unwrap();
-            reader.series_points(&info, Resolution::Min1, 0, u64::MAX)
+            reader
+                .series_points(&info, Resolution::Min1, 0, u64::MAX)
+                .unwrap()
         };
         assert_eq!(
             first_minute("c"),
@@ -2884,9 +2883,13 @@ mod tests {
         let idx = reader.index();
         assert_eq!(idx.len(), 2);
         let ticks = idx.iter().find(|i| i.name == "ticks_total").unwrap();
-        let raw = reader.series_points(ticks, Resolution::Raw1s, 0, u64::MAX);
+        let raw = reader
+            .series_points(ticks, Resolution::Raw1s, 0, u64::MAX)
+            .unwrap();
         assert_eq!(raw.len(), 130);
-        let mins = reader.series_points(ticks, Resolution::Min1, 0, u64::MAX);
+        let mins = reader
+            .series_points(ticks, Resolution::Min1, 0, u64::MAX)
+            .unwrap();
         assert_eq!(mins.len(), 2);
         assert_eq!(
             mins[0],
@@ -2904,7 +2907,9 @@ mod tests {
         );
         // Gauge minutes keep the last value of each window.
         let depth = idx.iter().find(|i| i.name == "depth").unwrap();
-        let mins = reader.series_points(depth, Resolution::Min1, 0, u64::MAX);
+        let mins = reader
+            .series_points(depth, Resolution::Min1, 0, u64::MAX)
+            .unwrap();
         assert_eq!(
             mins[0],
             Point {
@@ -2951,7 +2956,9 @@ mod tests {
         store.flush().unwrap();
         let reader = LtsReader::open(&dir);
         let info = &reader.index()[0];
-        let hours = reader.series_points(info, Resolution::Hour1, 0, u64::MAX);
+        let hours = reader
+            .series_points(info, Resolution::Hour1, 0, u64::MAX)
+            .unwrap();
         assert_eq!(hours.len(), 2);
         assert_eq!(
             hours[0],
@@ -2968,7 +2975,9 @@ mod tests {
             }
         );
         // Raw is spread over sealed segments + open tail; reads stitch them.
-        let raw = reader.series_points(info, Resolution::Raw1s, 0, u64::MAX);
+        let raw = reader
+            .series_points(info, Resolution::Raw1s, 0, u64::MAX)
+            .unwrap();
         assert_eq!(raw.len(), 7500);
         // One seal per flush (each flush's 500-point batch crosses the
         // 100-point threshold once).
@@ -2999,7 +3008,9 @@ mod tests {
         store.flush().unwrap();
         let reader = LtsReader::open(&dir);
         let info = &reader.index()[0];
-        let mins = reader.series_points(info, Resolution::Min1, 0, u64::MAX);
+        let mins = reader
+            .series_points(info, Resolution::Min1, 0, u64::MAX)
+            .unwrap();
         assert_eq!(mins.len(), 2);
         assert_eq!(
             mins[1],
@@ -3043,7 +3054,9 @@ mod tests {
         store.append("c", 5, PointValue::Counter(9));
         store.flush().unwrap();
         let reader = LtsReader::open(&dir);
-        let pts = reader.series_points(&reader.index()[0], Resolution::Raw1s, 0, u64::MAX);
+        let pts = reader
+            .series_points(&reader.index()[0], Resolution::Raw1s, 0, u64::MAX)
+            .unwrap();
         assert_eq!(pts.len(), 6);
         assert_eq!(
             pts[5],
@@ -3079,7 +3092,9 @@ mod tests {
         assert!(!deleted.is_empty(), "old sealed segments should be deleted");
         assert!(deleted.iter().all(|d| d.reason == "age"));
         let reader = LtsReader::open(&dir);
-        let pts = reader.series_points(&reader.index()[0], Resolution::Raw1s, 0, u64::MAX);
+        let pts = reader
+            .series_points(&reader.index()[0], Resolution::Raw1s, 0, u64::MAX)
+            .unwrap();
         // Only segments whose newest point lags the store's newest point
         // by more than 100s are dropped; segment granularity means the
         // survivors start at the oldest still-young-enough segment.
@@ -3138,20 +3153,29 @@ mod tests {
         drop(store);
 
         let reader = LtsReader::open(&dir);
-        let before = reader.query("*", 0, u64::MAX, Resolution::Raw1s);
-        let before_1m = reader.query("*", 0, u64::MAX, Resolution::Min1);
+        let before = reader.query("*", 0, u64::MAX, Resolution::Raw1s).unwrap();
+        let before_1m = reader.query("*", 0, u64::MAX, Resolution::Min1).unwrap();
         assert!(before.contains("\"p50\""));
 
         // Reopen (restart) changes nothing.
         let store = LtsStore::open(&dir, config, LtsCounters::detached()).unwrap();
         drop(store);
-        assert_eq!(reader.query("*", 0, u64::MAX, Resolution::Raw1s), before);
+        assert_eq!(
+            reader.query("*", 0, u64::MAX, Resolution::Raw1s).unwrap(),
+            before
+        );
 
         // Compaction rewrites the files but not the answer.
         let rep = compact_store(&dir).unwrap();
         assert!(rep.segments_after <= rep.segments_before);
-        assert_eq!(reader.query("*", 0, u64::MAX, Resolution::Raw1s), before);
-        assert_eq!(reader.query("*", 0, u64::MAX, Resolution::Min1), before_1m);
+        assert_eq!(
+            reader.query("*", 0, u64::MAX, Resolution::Raw1s).unwrap(),
+            before
+        );
+        assert_eq!(
+            reader.query("*", 0, u64::MAX, Resolution::Min1).unwrap(),
+            before_1m
+        );
 
         // And the compacted store verifies clean.
         let v = verify_store(&dir).unwrap();
@@ -3229,11 +3253,15 @@ mod tests {
         let reader = LtsReader::open(&dir);
         let idx = reader.index();
         let polls = idx.iter().find(|i| i.name == "polls_total").unwrap();
-        let pts = reader.series_points(polls, Resolution::Raw1s, 0, u64::MAX);
+        let pts = reader
+            .series_points(polls, Resolution::Raw1s, 0, u64::MAX)
+            .unwrap();
         assert_eq!(pts[0].value, PointValue::Counter(5));
         assert_eq!(pts[1].value, PointValue::Counter(3));
         let lat = idx.iter().find(|i| i.name == "lat_ns").unwrap();
-        let pts = reader.series_points(lat, Resolution::Raw1s, 0, u64::MAX);
+        let pts = reader
+            .series_points(lat, Resolution::Raw1s, 0, u64::MAX)
+            .unwrap();
         let PointValue::Histogram(ref d) = pts[1].value else {
             panic!()
         };
@@ -3370,10 +3398,14 @@ mod tests {
             "{:?}",
             rep.issues
         );
-        // The reader passes over it.
+        // The reader refuses it, naming it.
         let reader = LtsReader::open(&dir);
-        let pts = reader.series_points(&reader.index()[0], Resolution::Raw1s, 0, u64::MAX);
-        assert_eq!(pts.len(), 1);
+        let err = reader
+            .series_points(&reader.index()[0], Resolution::Raw1s, 0, u64::MAX)
+            .unwrap_err();
+        assert!(err
+            .to_string()
+            .contains("seg-000000000002-000000000003.bin: truncated"));
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -3437,7 +3469,7 @@ mod tests {
         let reader = LtsReader::open(dir);
         let mut out = String::new();
         for res in [Resolution::Raw1s, Resolution::Min1, Resolution::Hour1] {
-            out.push_str(&reader.query("*", 0, u64::MAX, res));
+            out.push_str(&reader.query("*", 0, u64::MAX, res).unwrap());
             out.push('\n');
         }
         out
@@ -3561,6 +3593,56 @@ mod tests {
         let _ = fs::remove_dir_all(&dir);
     }
 
+    /// A read whose window takes in a sealed segment that does not
+    /// decode fails naming it, through the reader and the PromQL engine
+    /// alike; a read that does not is answered.
+    #[test]
+    fn a_read_over_a_segment_it_cannot_decode_fails_naming_it() {
+        use crate::promql::{LtsSource, QueryEngine};
+        let dir = tmpdir("undecodable-read");
+        seeded_store(&dir, 64);
+        let seg = damage_a_segment(&dir, "req_total");
+        let reader = LtsReader::open(&dir);
+        let info = (reader.index().into_iter())
+            .find(|i| i.name == "req_total")
+            .unwrap();
+        let named = |err: io::Error| {
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+            let prefix = format!("{}: ", seg.path.display());
+            assert!(err.to_string().starts_with(&prefix), "{err}");
+        };
+        let raw = Resolution::Raw1s;
+        named(
+            reader
+                .series_points(&info, raw, seg.last, seg.last)
+                .unwrap_err(),
+        );
+        named(reader.series_points(&info, raw, 0, u64::MAX).unwrap_err());
+        named(reader.query("req_total", 0, u64::MAX, raw).unwrap_err());
+        named(reader.query("*", 0, u64::MAX, raw).unwrap_err());
+        let source = std::sync::Arc::new(LtsSource::new(reader.clone()));
+        let engine = QueryEngine::new().with_source(None, source);
+        let err = engine.range("req_total", 0, 299, 1).unwrap_err();
+        assert!(err.contains(&seg.path.display().to_string()), "{err}");
+        let request = crate::http::HttpRequest {
+            method: "GET".into(),
+            path: "/api/v1/query_range".into(),
+            query: "query=req_total&start=0&end=299&step=1".into(),
+            accept: String::new(),
+        };
+        let answer = crate::promql::api_query_response(&engine, &request, true, 0);
+        assert_eq!(answer.status, 400);
+        assert!(answer.body.contains(&seg.path.display().to_string()));
+
+        let after = reader.series_points(&info, raw, seg.last + 1, u64::MAX);
+        assert_eq!(after.unwrap().len() as u64, 299 - seg.last);
+        assert!(reader.query("queue_depth", 0, u64::MAX, raw).is_ok());
+        assert!(reader
+            .query("req_total", 0, u64::MAX, Resolution::Min1)
+            .is_ok());
+        let _ = fs::remove_dir_all(&dir);
+    }
+
     /// A writer whose compaction fails on a damaged segment goes on
     /// writing every series as a writer that never compacted.
     #[test]
@@ -3601,12 +3683,15 @@ mod tests {
         assert!(issues.iter().all(|i| i.contains(&name)), "{issues:?}");
         let (a, b) = (LtsReader::open(&dir), LtsReader::open(&twin));
         for res in Resolution::ALL {
-            let q = |r: &LtsReader, sel| r.query(sel, 0, u64::MAX, res);
+            let q = |r: &LtsReader, sel| r.query(sel, 0, u64::MAX, res).unwrap();
             assert_eq!(q(&a, "queue_depth"), q(&b, "queue_depth"), "{res:?}");
             assert_eq!(q(&a, "lat_ns"), q(&b, "lat_ns"), "{res:?}");
         }
         // Past the damaged segment, its series holds every point too.
-        let after = |r: &LtsReader| r.query("req_total", seg.last + 1, u64::MAX, Resolution::Raw1s);
+        let after = |r: &LtsReader| {
+            r.query("req_total", seg.last + 1, u64::MAX, Resolution::Raw1s)
+                .unwrap()
+        };
         assert_eq!(after(&a), after(&b));
         let _ = fs::remove_dir_all(&dir);
         let _ = fs::remove_dir_all(&twin);
@@ -3634,7 +3719,9 @@ mod tests {
             .into_iter()
             .find(|i| i.name == "req_total")
             .unwrap();
-        let pts = reader.series_points(&info, Resolution::Raw1s, 0, u64::MAX);
+        let pts = reader
+            .series_points(&info, Resolution::Raw1s, 0, u64::MAX)
+            .unwrap();
         assert_eq!(pts.len(), 300);
         for (after, upto) in [
             (None, u64::MAX),

@@ -920,9 +920,9 @@ pub struct PromSeries {
     /// (the store slug for [`LtsSource`]; sources without a fold path
     /// can use any identifier).
     pub key: String,
-    /// Fetches points in `[start, end]` at the given resolution.
+    /// Fetches points in `[start, end]` at the given resolution, or why not.
     #[allow(clippy::type_complexity)]
-    pub fetch: Arc<dyn Fn(Resolution, u64, u64) -> Vec<Point> + Send + Sync>,
+    pub fetch: Arc<dyn Fn(Resolution, u64, u64) -> Result<Vec<Point>, String> + Send + Sync>,
 }
 
 /// Decides from a series' base name and sorted labels whether a query
@@ -1054,7 +1054,8 @@ impl SeriesSource for LtsSource {
                     kind: e.info.kind,
                     key: e.info.slug.clone(),
                     fetch: Arc::new(move |res, start, end| {
-                        reader.series_points(&entry.info, res, start, end)
+                        (reader.series_points(&entry.info, res, start, end))
+                            .map_err(|e| e.to_string())
                     }),
                 }
             })
@@ -1135,10 +1136,10 @@ fn live_series(
         kind,
         key: name.to_string(),
         fetch: Arc::new(move |_res, _start, end| {
-            vec![Point {
+            Ok(vec![Point {
                 t: end,
                 value: read(),
-            }]
+            }])
         }),
     }
 }
@@ -1162,7 +1163,7 @@ struct SeriesData {
     key: String,
     source: Arc<dyn SeriesSource>,
     #[allow(clippy::type_complexity)]
-    fetch: Arc<dyn Fn(Resolution, u64, u64) -> Vec<Point> + Send + Sync>,
+    fetch: Arc<dyn Fn(Resolution, u64, u64) -> Result<Vec<Point>, String> + Send + Sync>,
     /// The earliest time any step of the query reads from this series:
     /// [`reads_from`] at the first evaluation time, over the leaves
     /// that select it.
@@ -1177,9 +1178,10 @@ struct SeriesData {
 
 impl SeriesData {
     /// Materializes (once) the point vector and counter prefix sums.
-    fn ensure(&self, ctx: &Ctx) -> std::cell::Ref<'_, (Vec<Point>, Vec<u128>)> {
+    #[allow(clippy::type_complexity)]
+    fn ensure(&self, ctx: &Ctx) -> Result<std::cell::Ref<'_, (Vec<Point>, Vec<u128>)>, String> {
         if self.data.borrow().is_none() {
-            let pts = (self.fetch)(ctx.res, self.fetch_start, ctx.fetch_end);
+            let pts = (self.fetch)(ctx.res, self.fetch_start, ctx.fetch_end)?;
             ctx.stats.borrow_mut().points_scanned += pts.len() as u64;
             let cum = if self.kind == SeriesKind::Counter {
                 let mut acc = 0u128;
@@ -1196,7 +1198,9 @@ impl SeriesData {
             };
             *self.data.borrow_mut() = Some((pts, cum));
         }
-        std::cell::Ref::map(self.data.borrow(), |d| d.as_ref().unwrap())
+        Ok(std::cell::Ref::map(self.data.borrow(), |d| {
+            d.as_ref().unwrap()
+        }))
     }
 
     /// The pushdown fast path: a whole-window counter fold from the
@@ -1592,7 +1596,7 @@ fn eval<'a>(e: &'a Expr, ctx: &'a Ctx, t: u64) -> Result<Val<'a>, String> {
                         continue;
                     }
                 }
-                let d = sd.ensure(ctx);
+                let d = sd.ensure(ctx)?;
                 let (pts, cum) = (&d.0, &d.1);
                 let (_, hi) = window_indices(pts, None, t);
                 if hi == 0 {
@@ -1635,7 +1639,7 @@ fn eval<'a>(e: &'a Expr, ctx: &'a Ctx, t: u64) -> Result<Val<'a>, String> {
                             }
                             fold.sum as f64
                         } else {
-                            let d = sd.ensure(ctx);
+                            let d = sd.ensure(ctx)?;
                             let (lo, hi) = window_indices(&d.0, after, t);
                             if lo >= hi {
                                 continue;
@@ -1649,7 +1653,7 @@ fn eval<'a>(e: &'a Expr, ctx: &'a Ctx, t: u64) -> Result<Val<'a>, String> {
                         }
                     }
                     (RangeFn::Delta, SeriesKind::Gauge) => {
-                        let d = sd.ensure(ctx);
+                        let d = sd.ensure(ctx)?;
                         let pts = &d.0;
                         let (lo, hi) = window_indices(pts, after, t);
                         if hi.saturating_sub(lo) < 2 {
@@ -1675,7 +1679,7 @@ fn eval<'a>(e: &'a Expr, ctx: &'a Ctx, t: u64) -> Result<Val<'a>, String> {
                 if !sel_matches(sel, &sd.base, &sd.labels) || sd.kind != SeriesKind::Histogram {
                     continue;
                 }
-                let d = sd.ensure(ctx);
+                let d = sd.ensure(ctx)?;
                 let pts = &d.0;
                 let merged = match window {
                     Some(w) => {
@@ -2135,10 +2139,11 @@ mod tests {
                         labels,
                         kind: *kind,
                         fetch: Arc::new(move |_res, start, end| {
-                            pts.iter()
+                            Ok(pts
+                                .iter()
                                 .filter(|p| p.t >= start && p.t <= end)
                                 .cloned()
-                                .collect()
+                                .collect())
                         }),
                     }
                 })

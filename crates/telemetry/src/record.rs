@@ -289,7 +289,9 @@ mod tests {
         store.flush().unwrap();
 
         let reader = LtsReader::open(&dir);
-        let json = reader.query("requests_sum", 0, 120, Resolution::Raw1s);
+        let json = reader
+            .query("requests_sum", 0, 120, Resolution::Raw1s)
+            .unwrap();
         assert!(json.contains("\"requests_sum\""), "{json}");
         assert!(json.contains("\"kind\":\"gauge\""), "{json}");
         assert!(json.contains("[59,360]"), "{json}");
@@ -345,7 +347,9 @@ mod tests {
             evaluate_record_rules(&rules, &engine, &mut store, 29, &counters);
             store.flush().unwrap();
         }
-        let before = LtsReader::open(&dir).query("d", 0, 120, Resolution::Raw1s);
+        let before = LtsReader::open(&dir)
+            .query("d", 0, 120, Resolution::Raw1s)
+            .unwrap();
         assert!(before.contains("[29,30]"), "{before}");
         {
             // Restart and replay the same recording tick: the store's
@@ -358,7 +362,9 @@ mod tests {
             assert_eq!(report.points, 1); // appended, then dropped by the store
             store.flush().unwrap();
         }
-        let after = LtsReader::open(&dir).query("d", 0, 120, Resolution::Raw1s);
+        let after = LtsReader::open(&dir)
+            .query("d", 0, 120, Resolution::Raw1s)
+            .unwrap();
         assert_eq!(before, after);
         let _ = std::fs::remove_dir_all(&dir);
     }

@@ -409,10 +409,11 @@ impl SeriesSource for MultiResSource {
                     Resolution::Min1 => &min,
                     Resolution::Hour1 => &hour,
                 };
-                pts.iter()
+                Ok(pts
+                    .iter()
                     .filter(|p| p.t >= start && p.t <= end)
                     .cloned()
-                    .collect()
+                    .collect())
             }),
         }])
     }
@@ -598,7 +599,7 @@ proptest! {
             let reader = LtsReader::open(dir);
             let mut out = String::new();
             for res in [Resolution::Raw1s, Resolution::Min1, Resolution::Hour1] {
-                out.push_str(&reader.query("*", 0, u64::MAX, res));
+                out.push_str(&reader.query("*", 0, u64::MAX, res).unwrap());
                 out.push('\n');
             }
             let engine = QueryEngine::new()
@@ -979,7 +980,7 @@ proptest! {
                 for (i, &start) in bounds.iter().enumerate() {
                     for &end in &bounds[i..] {
                         prop_assert_eq!(
-                            reader.series_points(&info, res, start, end),
+                            reader.series_points(&info, res, start, end).unwrap(),
                             oracle::series_points(&dir, &info, res, start, end),
                             "{} at {} in [{}, {}]", info.name, res.dir_name(), start, end
                         );
@@ -1040,7 +1041,7 @@ fn answers(
     bounds: &[u64],
 ) -> (String, Option<u64>, Vec<Option<RangeFold>>) {
     let reader = LtsReader::open(dir);
-    let query = reader.query(&info.name, 0, u64::MAX, Resolution::Raw1s);
+    let query = (reader.query(&info.name, 0, u64::MAX, Resolution::Raw1s)).unwrap();
     let mut folds = Vec::new();
     for after in std::iter::once(None).chain(bounds.iter().copied().map(Some)) {
         for &upto in bounds {
@@ -1114,7 +1115,7 @@ proptest! {
         for (i, &start) in bounds.iter().enumerate() {
             for &end in &bounds[i..] {
                 prop_assert_eq!(
-                    reader.series_points(info, Resolution::Raw1s, start, end),
+                    reader.series_points(info, Resolution::Raw1s, start, end).unwrap(),
                     oracle::series_points(&dir, info, Resolution::Raw1s, start, end),
                     "[{}, {}]", start, end
                 );
@@ -1210,7 +1211,8 @@ proptest! {
             std::fs::write(&tail, &bytes).unwrap();
             let bounds = [0, 1_700_000_100, u64::MAX];
             answers(&dir, info, &bounds);
-            LtsReader::open(&dir).query("*", 0, u64::MAX, Resolution::Min1);
+            // A damaged tail is read up to its first bad record.
+            prop_assert!(LtsReader::open(&dir).query("*", 0, u64::MAX, Resolution::Min1).is_ok());
             prop_assert!(verify_store(&dir).is_ok());
             prop_assert!(store_stats(&dir).is_ok());
             let config = LtsConfig {
@@ -1259,7 +1261,7 @@ impl SeriesSource for WholeStore {
                 key: info.slug.clone(),
                 fetch: Arc::new(move |res, _start, _end| {
                     let at = Resolution::ALL.iter().position(|r| *r == res).unwrap();
-                    all[at].clone()
+                    Ok(all[at].clone())
                 }),
             }
         });

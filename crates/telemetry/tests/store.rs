@@ -99,7 +99,7 @@ fn hist(values: &[u64]) -> PointValue {
 fn full_query(dir: &Path) -> String {
     let reader = LtsReader::open(dir);
     Resolution::ALL
-        .map(|res| reader.query("*", 0, u64::MAX, res))
+        .map(|res| reader.query("*", 0, u64::MAX, res).unwrap())
         .join("\n")
 }
 
@@ -498,7 +498,7 @@ fn integers_above_2_53_read_the_same_from_every_representation() {
     let reader = LtsReader::open(&dir);
     let points = |name: &str| {
         let info = reader.index().into_iter().find(|i| i.name == name).unwrap();
-        reader.series_points(&info, Resolution::Raw1s, 0, 6_000 + 3 * 60)
+        (reader.series_points(&info, Resolution::Raw1s, 0, 6_000 + 3 * 60)).unwrap()
     };
     let snapshot = || ["big_total", "odd_total", "low", "h_ns"].map(&points);
     let from_tail = snapshot();
@@ -509,7 +509,7 @@ fn integers_above_2_53_read_the_same_from_every_representation() {
         panic!("histogram expected");
     };
     assert_eq!((h.sum, h.min, h.max), (ODD, ODD, ODD));
-    let text = reader.query("*", 0, 6_000 + 3 * 60, Resolution::Raw1s);
+    let text = (reader.query("*", 0, 6_000 + 3 * 60, Resolution::Raw1s)).unwrap();
     for exact in [
         "18446744073709551614",
         "9007199254740993",
@@ -652,7 +652,7 @@ fn reads_agree(dir: &Path, starts: &[u64], ends: &[u64], what: &str) -> bool {
     for &start in starts {
         for &end in ends.iter().filter(|e| **e >= start) {
             assert_eq!(
-                reader.series_points(&info, raw, start, end),
+                reader.series_points(&info, raw, start, end).unwrap(),
                 oracle::series_points(dir, &info, raw, start, end),
                 "{what}: [{start}, {end}]"
             );

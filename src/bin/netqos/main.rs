@@ -1524,7 +1524,8 @@ fn cmd_lts_query(args: &Args) -> Result<(), String> {
     // still being written; no window at all is the whole store.
     let (start, end) = window_of(args, || reader.newest_t().unwrap_or(0))?.unwrap_or((0, u64::MAX));
     let selector = args.value("--series").unwrap_or("*");
-    let body = reader.query(selector, start, end, res);
+    let body =
+        (reader.query(selector, start, end, res)).map_err(|e| format!("{}: {e}", dir.display()))?;
     print!("{}", format_store_query(&body, format)?);
     Ok(())
 }

@@ -128,13 +128,43 @@ fn monitor_emits_csv_with_load() {
     assert!(loaded, "expected a ~200 KB/s sample: {stdout}");
 }
 
+/// `netqos audit` on both shipped specs prints `tests/golden/audit.txt`
+/// byte for byte. On a deliberate change of answers, copy the
+/// `audit.actual.txt` the failure names over it.
 #[test]
 fn audit_reports_verdicts() {
-    let out = run(&["audit", "specs/lirtss.spec"]);
-    assert!(out.status.success(), "{out:?}");
-    let stdout = String::from_utf8_lossy(&out.stdout);
-    assert!(stdout.contains("CONFIRMED"), "{stdout}");
-    assert!(stdout.contains("unverified"), "{stdout}");
+    let mut actual = String::new();
+    for spec in ["specs/lirtss.spec", "specs/two-switch.spec"] {
+        let out = run(&["audit", spec]);
+        assert!(out.status.success(), "{spec}: {out:?}");
+        actual += &format!("$ netqos audit {spec}\n");
+        actual += &String::from_utf8(out.stdout).unwrap();
+    }
+    assert_golden("tests/golden/audit.txt", &actual);
+}
+
+/// Fails naming the first line where `actual` differs from the file
+/// `golden`, and writes `actual` beside the test binaries as
+/// `<stem>.actual.txt`.
+fn assert_golden(golden: &str, actual: &str) {
+    let expected = std::fs::read_to_string(golden).unwrap_or_default();
+    if actual == expected {
+        return;
+    }
+    let stem = std::path::Path::new(golden).file_stem().unwrap();
+    let dump = std::path::Path::new(env!("CARGO_TARGET_TMPDIR"))
+        .join(format!("{}.actual.txt", stem.to_string_lossy()));
+    std::fs::write(&dump, actual).unwrap();
+    let line = (actual.lines().zip(expected.lines()))
+        .position(|(a, g)| a != g)
+        .unwrap_or_else(|| actual.lines().count().min(expected.lines().count()));
+    panic!(
+        "output differs from {golden} at line {}:\n  now:    {}\n  golden: {}\nfull output: {}",
+        line + 1,
+        actual.lines().nth(line).unwrap_or("<end>"),
+        expected.lines().nth(line).unwrap_or("<end>"),
+        dump.display()
+    );
 }
 
 #[test]
@@ -776,7 +806,6 @@ fn fixed_store(store: &std::path::Path) {
 /// `lts_tools.actual.txt` the failure names over it.
 #[test]
 fn the_store_tools_print_the_golden_on_a_sound_store() {
-    const GOLDEN: &str = "tests/golden/lts_tools.txt";
     let dir = std::env::temp_dir().join(format!("netqos-cli-golden-{}", std::process::id()));
     std::fs::remove_dir_all(&dir).ok();
     let store = dir.join("store");
@@ -803,27 +832,14 @@ fn the_store_tools_print_the_golden_on_a_sound_store() {
             .replace(store_arg, "DIR");
     }
     std::fs::remove_dir_all(&dir).ok();
-    let golden = std::fs::read_to_string(GOLDEN).unwrap_or_default();
-    if actual != golden {
-        let dump = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("lts_tools.actual.txt");
-        std::fs::write(&dump, &actual).unwrap();
-        let line = (actual.lines().zip(golden.lines()))
-            .position(|(a, g)| a != g)
-            .unwrap_or_else(|| actual.lines().count().min(golden.lines().count()));
-        panic!(
-            "output differs from {GOLDEN} at line {}:\n  now:    {}\n  golden: {}\nfull output: {}",
-            line + 1,
-            actual.lines().nth(line).unwrap_or("<end>"),
-            golden.lines().nth(line).unwrap_or("<end>"),
-            dump.display()
-        );
-    }
+    assert_golden("tests/golden/lts_tools.txt", &actual);
 }
 
 /// A store with one byte flipped in the middle of a sealed segment and a
 /// stray `x.bin` beside it: `lts verify` names both, `lts compact`
-/// fails naming the segment and leaves both files as they were, and
-/// `lts info` prints one point total.
+/// fails naming the segment and leaves both files as they were, `lts
+/// query` and `query --lts` over the segment fail naming it, and `lts
+/// info` prints one point total.
 #[test]
 fn the_store_tools_agree_on_a_damaged_store() {
     let dir = std::env::temp_dir().join(format!("netqos-cli-damaged-{}", std::process::id()));
@@ -865,6 +881,22 @@ fn the_store_tools_agree_on_a_damaged_store() {
     assert!(stderr.contains(&seg.display().to_string()), "{stderr}");
     for (path, bytes) in &both {
         assert_eq!(&std::fs::read(path).unwrap(), bytes, "{}", path.display());
+    }
+
+    let series = "fixed_requests_total";
+    for args in [
+        vec!["lts", "query", store_arg, "--series", series],
+        vec![
+            "query", "--lts", store_arg, series, "--last", "6h", "--step", "30s",
+        ],
+    ] {
+        let out = run(&args);
+        assert!(!out.status.success(), "{args:?}: {out:?}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.contains(&seg.display().to_string()),
+            "{args:?}: {stderr}"
+        );
     }
 
     let out = run(&["lts", "info", store_arg]);

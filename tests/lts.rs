@@ -52,7 +52,7 @@ fn get_query(reader: &LtsReader, query: &str) -> (u16, String) {
     };
     let (start, end) = parse_range(param("range")).unwrap();
     let res = Resolution::parse(param("step")).unwrap();
-    (200, reader.query(param("series"), start, end, res))
+    (200, reader.query(param("series"), start, end, res).unwrap())
 }
 
 #[test]
