@@ -2,26 +2,24 @@
 //! of the interval source and the poll period, run on the monitoring
 //! service that ships and judged twice — against the offered load less
 //! background (the paper's arithmetic) and against the simulator's own
-//! octet counters ([`TrueRates`]), which leaves the measurement error
-//! alone.
+//! octet counters, which leaves the measurement error alone.
 //!
-//! [`run`] drives [`MonitoringService::tick`] and records the truth after
-//! every tick; each watched qospath's [`PathPlan`] evaluated over the
-//! truth is the row the monitor should have written. `tests/experiments.rs`
-//! renders every scenario into EXPERIMENTS.md's generated block and
-//! holds the file to it byte for byte.
+//! [`run`] drives [`MonitoringService::tick`] and reads each watched
+//! qospath's row: `used_bps` is the measurement, and `truth_used_bps` the
+//! value it should have read, the service's same evaluation over the
+//! counters the simulator records after every poll ([`Network::truth`]).
+//! `tests/experiments.rs` renders every scenario into EXPERIMENTS.md's
+//! generated block and holds the file to it byte for byte.
 //!
 //! [`MonitoringService::tick`]: netqos_monitor::MonitoringService::tick
+//! [`Network::truth`]: netqos_monitor::Network::truth
 
 use crate::testbed::{build_service, Load, TestbedOptions};
 use netqos_loadgen::LoadProfile;
 use netqos_monitor::latency::LatencyStats;
 use netqos_monitor::monitor::IntervalStrategy;
-use netqos_monitor::simnet::TrueRates;
 use netqos_monitor::{MonitorError, ServiceConfig};
 use netqos_sim::time::SimDuration;
-use netqos_topology::bandwidth::PathBandwidth;
-use netqos_topology::plan::{DomainSums, PathPlan};
 use std::fmt::Write as _;
 
 /// A measurement window on one qospath, in seconds of simulated time.
@@ -218,7 +216,8 @@ pub struct Sample {
     pub t_s: f64,
     /// The service's row: used bandwidth at the bottleneck, bits/s.
     pub measured_bps: u64,
-    /// The same plan over the counter truth, bits/s.
+    /// The row's `truth_used_bps`: the same evaluation over the counter
+    /// truth, bits/s.
     pub truth_bps: Option<u64>,
 }
 
@@ -246,42 +245,28 @@ pub fn run(scenario: Scenario) -> Result<Outcome, MonitorError> {
     service
         .monitor_mut()
         .set_interval_strategy(scenario.interval);
-    let mut plans = Vec::with_capacity(scenario.watches.len());
-    for watch in &scenario.watches {
-        let model = service.net_mut().model();
-        let spec = (model.qos_paths.iter().find(|q| q.name == watch.path))
-            .ok_or_else(|| MonitorError::Topology(format!("no qospath {}", watch.path)))?;
-        let (from, to) = (spec.from, spec.to);
-        let path = service.monitor().path(from, to)?;
-        plans.push(PathPlan::compile(service.monitor().topology(), &path)?);
+    let qos_paths = &service.net_mut().model().qos_paths;
+    let unknown = (scenario.watches.iter()).find(|w| !qos_paths.iter().any(|q| q.name == w.path));
+    if let Some(watch) = unknown {
+        return Err(MonitorError::Topology(format!("no qospath {}", watch.path)));
     }
-
-    let mut truth = TrueRates::new(service.net_mut());
-    truth.record(service.net_mut());
     let start = service.net_mut().lan.now();
-    let mut sums = DomainSums::new(service.monitor().topology());
-    let mut bw = PathBandwidth::default();
-    let mut samples = vec![Vec::new(); plans.len()];
+    let mut samples = vec![Vec::new(); scenario.watches.len()];
     loop {
         service.tick()?;
-        let net = service.net_mut();
-        let t_s = net.lan.now().duration_since(start).as_secs_f64();
+        let now = service.net_mut().lan.now();
+        let t_s = now.duration_since(start).as_secs_f64();
         if t_s > scenario.duration_s as f64 {
             break;
         }
-        truth.record(net);
-        sums.clear();
-        for ((watch, plan), out) in scenario.watches.iter().zip(&plans).zip(&mut samples) {
-            let Some(row) = service.rows().iter().find(|r| r.name == watch.path) else {
-                continue;
-            };
-            let topology = service.monitor().topology();
-            let evaluated = plan.evaluate(topology, &truth, &mut sums, &mut bw);
-            out.push(Sample {
-                t_s,
-                measured_bps: row.used_bps,
-                truth_bps: evaluated.ok().map(|()| bw.used_bps),
-            });
+        for (watch, out) in scenario.watches.iter().zip(&mut samples) {
+            if let Some(row) = service.rows().iter().find(|r| r.name == watch.path) {
+                out.push(Sample {
+                    t_s,
+                    measured_bps: row.used_bps,
+                    truth_bps: row.truth_used_bps,
+                });
+            }
         }
     }
     Ok(Outcome { scenario, samples })

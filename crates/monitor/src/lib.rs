@@ -35,7 +35,10 @@
 //! * [`simnet`] — runs the whole system inside the `netqos-sim` LAN:
 //!   agents as simulated apps, polls as simulated SNMP/UDP traffic (so
 //!   monitoring overhead perturbs the measurement, as in the paper), and
-//!   [`simnet::TrueRates`], the ground truth the monitor is judged by.
+//!   the ground truth the monitor is judged by: the simulator's own octet
+//!   counters, which the service records once a tick
+//!   ([`network::Network::truth`]) and each [`report::PathRow`] carries
+//!   as `truth_used_bps`.
 //! * [`udpnet`] — the same service over real agents and UDP sockets (the
 //!   paper's deployment, and its future-work item "distributed network
 //!   monitoring").

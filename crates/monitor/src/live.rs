@@ -23,7 +23,7 @@
 //!   epoch.
 //!
 //! [`shard_for`] makes one such plane a federation
-//! [`Shard`](netqos_telemetry::Shard) answered by its own router, so N of
+//! [`Shard`] answered by its own router, so N of
 //! these planes can sit behind one merged export surface (`netqos
 //! federate`).
 
@@ -253,7 +253,8 @@ impl EventSource for AlertsFollow {
 pub const SLOW_QUERY_NS: u64 = 50_000_000;
 
 /// Serves one `/api/v1/query[_range]` request and instruments it:
-/// `netqos_query_requests_total{endpoint,status}` counts outcomes, the
+/// `netqos_query_requests_total{endpoint,status}` counts outcomes (`ok`,
+/// `bad_request`, or `internal` for a store it could not read), the
 /// `netqos_query_eval_ns` histogram tracks wall-clock evaluation time,
 /// and evaluations past `slow_query_ns` (default [`SLOW_QUERY_NS`]) carry
 /// a `warnings` entry in the response body. A zero threshold flags every
@@ -269,7 +270,11 @@ pub fn instrumented_query_response(
     let started = Instant::now();
     let outcome = api_query_outcome(engine, req, range, unix_now_ns() / 1_000_000_000);
     let elapsed_ns = started.elapsed().as_nanos().min(u64::MAX as u128) as u64;
-    let status = if outcome.is_ok() { "ok" } else { "bad_request" };
+    let status = match &outcome {
+        Ok(_) => "ok",
+        Err(answer) if answer.status == 500 => "internal",
+        Err(_) => "bad_request",
+    };
     registry
         .counter(&format!(
             "netqos_query_requests_total{{endpoint=\"{endpoint}\",status=\"{status}\"}}"
@@ -328,13 +333,14 @@ impl RouterOptions {
     }
 }
 
-/// Builds the endpoint router for [`HttpServer::serve`]
-/// (`netqos_telemetry::HttpServer`): `/metrics`, `/healthz`,
-/// `/snapshot` and `/alerts` (buffered or SSE), `/profile` (when a flight
-/// ring is attached: the tick-phase tree of the cycles it holds as JSON,
-/// or folded stacks with `?format=folded`), `/api/v1/query` and
-/// `/api/v1/query_range` (PromQL-subset evaluation over the store when
-/// attached, else over the live registry), and `/` (a tiny index).
+/// Builds the endpoint router for
+/// [`HttpServer::serve`](netqos_telemetry::HttpServer::serve):
+/// `/metrics`, `/healthz`, `/snapshot` and `/alerts` (buffered or SSE),
+/// `/profile` (when a flight ring is attached: the tick-phase tree of the
+/// cycles it holds as JSON, or folded stacks with `?format=folded`),
+/// `/api/v1/query` and `/api/v1/query_range` (PromQL-subset evaluation
+/// over the store when attached, else over the live registry), and `/`
+/// (a tiny index).
 /// Unknown paths return `None` (404).
 pub fn build_router(opts: RouterOptions) -> Arc<Router> {
     let source = query_source(&opts);
@@ -603,5 +609,49 @@ mod tests {
         let alerts = fed.alerts_response();
         let doc = parse_json(&alerts.body).unwrap();
         assert_eq!(doc.get("firing").and_then(|v| v.as_u64()), Some(1));
+    }
+
+    /// A query whose source cannot read its points is the server's fault:
+    /// 500 `internal`, and counted so; a malformed query stays 400.
+    #[test]
+    fn an_unreadable_source_answers_500_and_a_malformed_query_400() {
+        use netqos_telemetry::{PromSeries, SeriesKind};
+        struct Unreadable;
+        impl SeriesSource for Unreadable {
+            fn series(&self) -> Result<Vec<PromSeries>, String> {
+                Ok(vec![PromSeries {
+                    base: "x".into(),
+                    labels: Vec::new(),
+                    kind: SeriesKind::Gauge,
+                    key: "x".into(),
+                    fetch: Arc::new(|_, _, _| Err("x/seg-0-9.bin: does not decode".into())),
+                }])
+            }
+        }
+        let engine = QueryEngine::new().with_source(None, Arc::new(Unreadable));
+        let registry = Registry::new();
+        for (query, status, error_type, says) in [
+            ("x", 500, "internal", "seg-0-9.bin"),
+            ("sum(", 400, "bad_data", "unexpected end"),
+        ] {
+            let req = HttpRequest {
+                query: format!("query={query}&time=10"),
+                ..get("/api/v1/query")
+            };
+            let answer = instrumented_query_response(&engine, &registry, &req, false, u64::MAX);
+            assert_eq!(answer.status, status, "{query}: {}", answer.body);
+            let doc = parse_json(&answer.body).unwrap();
+            assert_eq!(
+                doc.get("errorType").and_then(|v| v.as_str()),
+                Some(error_type)
+            );
+            let error = doc.get("error").and_then(|v| v.as_str()).unwrap();
+            assert!(error.contains(says), "{query}: {error}");
+        }
+        for status in ["internal", "bad_request"] {
+            let name =
+                format!("netqos_query_requests_total{{endpoint=\"query\",status=\"{status}\"}}");
+            assert_eq!(registry.counter(&name).get(), 1, "{status}");
+        }
     }
 }

@@ -1,6 +1,7 @@
 //! The seam between the service and what it polls: a [`Network`] keeps a
-//! clock, lends the transport to one agent for a [`Conversation`], and
-//! sends traps — [`SimNetwork`](crate::simnet::SimNetwork) through the
+//! clock, lends the transport to one agent for a [`Conversation`], sends
+//! traps and, if it can see its own wires, records the truth the monitor
+//! is judged by — [`SimNetwork`](crate::simnet::SimNetwork) through the
 //! simulator, [`UdpNetwork`](crate::udpnet::UdpNetwork) to real agents.
 //! What is said and counted over that transport — the poll, the audit's
 //! two walks, the retransmit/timeout ledger — and the rest of a poll are
@@ -19,6 +20,7 @@ use netqos_snmp::transport::Transport;
 use netqos_snmp::SnmpValue;
 use netqos_spec::SpecModel;
 use netqos_telemetry::{QuantileBaseline, Tracer};
+use netqos_topology::bandwidth::RateProvider;
 use netqos_topology::NodeId;
 use std::collections::HashMap;
 
@@ -246,6 +248,17 @@ pub trait Network {
     /// The agent address a trap names: the monitor host's, or `0.0.0.0`
     /// when it has none.
     fn trap_agent_addr(&self) -> [u8; 4];
+
+    /// The rates the network itself knows to be true, to judge the
+    /// monitor's by: the totals behind the counters of `reads`' interfaces
+    /// are recorded at this instant, and each interface answers its rate
+    /// over the interval since its last record. The service calls this
+    /// once a tick, after the poll, with its demand set. `None` on a
+    /// network that cannot see its own wires: every one but the simulator.
+    fn truth(&mut self, reads: &[NodeId]) -> Option<&dyn RateProvider> {
+        let _ = reads;
+        None
+    }
 
     /// Polls one device, advancing the network's clock until its answer
     /// arrives (or the poll times out).

@@ -14,7 +14,7 @@ use netqos_snmp::oid::Oid;
 use netqos_snmp::pdu::{generic_trap, TrapPdu, VarBind};
 use netqos_snmp::value::SnmpValue;
 use netqos_spec::QosPathSpec;
-use netqos_topology::bandwidth::PathBandwidth;
+use netqos_topology::bandwidth::{PathBandwidth, RateProvider};
 use netqos_topology::plan::{DomainSums, PathPlan};
 use netqos_topology::{ConnId, NodeId};
 use std::collections::HashMap;
@@ -170,6 +170,24 @@ impl QosMonitor {
             }
         }
         events
+    }
+
+    /// The used bandwidth of each path of the last [`QosMonitor::evaluate`]
+    /// pass, in [`QosMonitor::evaluated`]'s order, by the same plan over
+    /// `rates` (`None` where they cannot answer). It reuses the pass's sums
+    /// and scratch, so allocates nothing once they have grown. `monitor`
+    /// must be the one this was built from.
+    pub fn used_over<'a, R: RateProvider + ?Sized>(
+        &'a mut self,
+        monitor: &'a NetworkMonitor,
+        rates: &'a R,
+    ) -> impl Iterator<Item = Option<u64>> + 'a {
+        self.sums.clear();
+        let (sums, scratch) = (&mut self.sums, &mut self.scratch);
+        (self.tracked.iter().filter(|t| t.fresh)).map(move |t| {
+            let evaluated = t.plan.evaluate(monitor.topology(), rates, sums, scratch);
+            evaluated.ok().map(|()| scratch.used_bps)
+        })
     }
 
     /// The nodes whose rates any tracked path's evaluation may read —

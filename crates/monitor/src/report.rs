@@ -21,6 +21,12 @@ pub struct PathRow {
     pub used_bps: u64,
     /// Available bandwidth of the path, bits/s.
     pub available_bps: u64,
+    /// What `used_bps` should have read: the same evaluation over the
+    /// network's own octet counters ([`Network::truth`]), bits/s. `None`
+    /// off the simulator, and where those counters cannot answer yet.
+    ///
+    /// [`Network::truth`]: crate::network::Network::truth
+    pub truth_used_bps: Option<u64>,
     /// Percentile rank of `used_bps` against the path's own baseline,
     /// taken before the sample was folded in.
     pub rank: f64,
@@ -170,6 +176,7 @@ mod tests {
             name: name.into(),
             used_bps: 1_200,
             available_bps: 98_800,
+            truth_used_bps: Some(1_180),
             rank: 0.25,
             baseline_count: 9,
             baseline_p50: 1_000,

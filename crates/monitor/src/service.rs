@@ -16,7 +16,9 @@
 //!    taken round-robin so each is polled once every [`SURVEY_TICKS`];
 //! 3. **evaluate** — every qospath is walked and `min(m_i − u_i)` taken
 //!    once, ranked against its baseline, and written down as one
-//!    [`PathRow`]; everything after this reads the rows;
+//!    [`PathRow`], with what the same plan reads over the counters the
+//!    network knows to be true ([`Network::truth`]; on the simulator
+//!    only); everything after this reads the rows;
 //! 4. **detect** — QoS state changes become events and SNMPv1 traps (kept
 //!    in an outbox, optionally sent through the network to a management
 //!    station), and the alert rules see one scope per row;
@@ -763,8 +765,9 @@ impl<N: Network> MonitoringService<N> {
 
     /// Stage 3: the one evaluation of every qospath this tick, written
     /// down as one [`PathRow`] each — a path that could not be evaluated
-    /// now has no row rather than a stale figure. Every later stage
-    /// reads the rows, which are rewritten in place.
+    /// now has no row rather than a stale figure — with its truth, the
+    /// same plans over [`Network::truth`] recorded for the demand set.
+    /// Every later stage reads the rows, which are rewritten in place.
     fn evaluate(&mut self, cycle: &mut Cycle) -> Vec<QosEvent> {
         let mut span = self.tracer.span("monitor.qos", "evaluate");
         let events = self.qos.evaluate(&self.monitor);
@@ -823,6 +826,11 @@ impl<N: Network> MonitoringService<N> {
             row.max_utilization = spec.max_utilization;
         }
         self.rows.truncate(count);
+        let truth = self.net.truth(&self.schedule.demand);
+        let mut truths = truth.map(|truth| self.qos.used_over(&self.monitor, truth));
+        for row in &mut self.rows {
+            row.truth_used_bps = truths.as_mut().and_then(Iterator::next).flatten();
+        }
         events
     }
 

@@ -33,7 +33,7 @@ use netqos_snmp::value::ValueRef;
 use netqos_snmp::{Oid, SnmpError};
 use netqos_spec::SpecModel;
 use netqos_topology::bandwidth::{IfRates, RateProvider};
-use netqos_topology::{IfIx, NetworkTopology, NodeId, NodeKind};
+use netqos_topology::{IfIx, NodeId, NodeKind};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::cell::{OnceCell, RefCell};
@@ -248,6 +248,8 @@ pub struct SimNetwork {
     monitor_node: NodeId,
     inbox: Rc<Inbox>,
     poll_timeout: SimDuration,
+    /// The octet totals [`Network::truth`] last recorded.
+    truth: TrueRates,
 }
 
 /// UDP port the manager mailbox listens on.
@@ -292,7 +294,7 @@ fn await_datagram(
 /// The simulated LAN as the [`Transport`] from the manager's mailbox to
 /// one agent, lent for one conversation: an exchange posts the request
 /// and steps simulated time until the answer is in the mailbox,
-/// retransmitting up to [`POLL_RETRIES`] times — the same recovery a real
+/// retransmitting up to `POLL_RETRIES` times — the same recovery a real
 /// manager performs over lossy UDP. Each datagram in the mailbox is
 /// looked at once, by its request-id alone: late duplicates and
 /// datagrams that are not SNMP (an ECHO reply left by
@@ -468,6 +470,7 @@ impl SimNetwork {
             monitor_node,
             inbox,
             poll_timeout: options.poll_timeout,
+            truth: TrueRates::default(),
         })
     }
 
@@ -631,24 +634,39 @@ impl Network for SimNetwork {
         let ip = addr.and_then(|a| a.parse::<Ipv4Addr>().ok());
         ip.map_or([0; 4], |ip| ip.octets())
     }
+
+    /// The simulator's own octet counters: the 64-bit totals behind every
+    /// interface of each of `reads` that has an agent.
+    fn truth(&mut self, reads: &[NodeId]) -> Option<&dyn RateProvider> {
+        for &node in reads.iter().filter(|&&node| self.agents.has_agent(node)) {
+            let ports = self
+                .model
+                .topology
+                .node(node)
+                .map_or(0, |n| n.interfaces.len());
+            (self.truth).record(&self.lan, node, self.node_to_dev[&node], ports);
+        }
+        Some(&self.truth)
+    }
 }
 
 /// Ground truth for judging the monitor: the rates the simulator's own
 /// octet counters give, in the shape the monitor answers in.
 ///
 /// [`TrueRates::record`] reads the 64-bit total behind every interface
-/// counter of every node with an agent — the totals never wrap — and the
+/// counter of one node — the totals never wrap — and the
 /// [`RateProvider`] answer is the in/out rate over the interval between
-/// the last two records. Interfaces of nodes without an agent answer
-/// `None`, as the monitor's do, so a [`PathPlan`] evaluated over this
-/// reads the same endpoints it reads over the monitor.
+/// its last two records. Interfaces never recorded answer `None`, as
+/// those of a node without an agent do on the monitor, so a [`PathPlan`]
+/// evaluated over this reads the same endpoints it reads over the
+/// monitor.
 ///
 /// [`PathPlan`]: netqos_topology::plan::PathPlan
-pub struct TrueRates {
-    topology: NetworkTopology,
-    /// Per [`NetworkTopology::interface_slot`]: the reading before the
-    /// last, and the last.
-    slots: Vec<[Option<Octets>; 2]>,
+#[derive(Default)]
+struct TrueRates {
+    /// Per node id, per interface: the reading before the last, and the
+    /// last. Empty for a node never recorded.
+    nodes: Vec<Vec<[Option<Octets>; 2]>>,
 }
 
 /// One interface's octet totals at one instant.
@@ -660,45 +678,32 @@ struct Octets {
 }
 
 impl TrueRates {
-    /// A provider over `net`'s topology with nothing recorded yet.
-    pub fn new(net: &SimNetwork) -> Self {
-        let topology = net.model.topology.clone();
-        TrueRates {
-            slots: vec![[None; 2]; topology.interface_slot_count()],
-            topology,
+    /// Reads the totals of `node`'s `ports` interfaces, the NICs of `dev`,
+    /// at `lan`'s current instant.
+    fn record(&mut self, lan: &Lan, node: NodeId, dev: DeviceId, ports: usize) {
+        if self.nodes.len() <= node.index() {
+            self.nodes.resize_with(node.index() + 1, Vec::new);
         }
-    }
-
-    /// Reads every agent node's interface totals at `net`'s current
-    /// instant.
-    pub fn record(&mut self, net: &SimNetwork) {
-        let at = net.lan.now();
-        for &node in net.agents.pollable() {
-            let dev = net.node_to_dev[&node];
-            let ports = self.topology.node(node).map_or(0, |n| n.interfaces.len());
-            for port in 0..ports as u32 {
-                let (Some(slot), Ok(c)) = (
-                    self.topology.interface_slot(node, IfIx(port)),
-                    net.lan.nic_counters(dev, PortIx(port)),
-                ) else {
-                    continue;
-                };
-                let [before, last] = &mut self.slots[slot];
-                *before = last.take();
-                *last = Some(Octets {
-                    at,
-                    in_octets: c.in_octets.total(),
-                    out_octets: c.out_octets.total(),
-                });
-            }
+        let slots = &mut self.nodes[node.index()];
+        slots.resize(ports, [None; 2]);
+        for (port, [before, last]) in slots.iter_mut().enumerate() {
+            let Ok(c) = lan.nic_counters(dev, PortIx(port as u32)) else {
+                continue;
+            };
+            *before = last.take();
+            *last = Some(Octets {
+                at: lan.now(),
+                in_octets: c.in_octets.total(),
+                out_octets: c.out_octets.total(),
+            });
         }
     }
 }
 
 impl RateProvider for TrueRates {
     fn rates(&self, node: NodeId, ifix: IfIx) -> Option<IfRates> {
-        let [Some(before), Some(last)] = self.slots[self.topology.interface_slot(node, ifix)?]
-        else {
+        let slots = self.nodes.get(node.index())?;
+        let [Some(before), Some(last)] = *slots.get(ifix.0 as usize)? else {
             return None;
         };
         let secs = last.at.duration_since(before.at).as_secs_f64();
@@ -1041,43 +1046,45 @@ mod tests {
 
     const WIRE_BPS: u64 = 100 * 1_046 * 8;
 
-    /// Truth recorded at `records` instants (ms), each between two frames.
-    fn truth_at(net: &mut SimNetwork, records: &[u64]) -> TrueRates {
-        let mut truth = TrueRates::new(net);
+    /// The truth of every agent recorded at `records` instants (ms), each
+    /// between two frames.
+    fn truth_at<'a>(net: &'a mut SimNetwork, records: &[u64]) -> &'a dyn RateProvider {
+        let every: Vec<NodeId> = net.model().topology.nodes().map(|(n, _)| n).collect();
         for &ms in records {
             net.run_until(SimTime::ZERO + SimDuration::from_millis(ms));
-            truth.record(net);
+            net.truth(&every);
         }
-        truth
+        net.truth(&[]).expect("the simulator knows its counters")
     }
 
     #[test]
     fn true_rates_read_a_constant_load_at_its_wire_rate() {
         let mut net = loaded(SMALL);
-        let truth = truth_at(&mut net, &[1_005, 2_005]);
         let topo = &net.model().topology;
-        let node = |name| topo.node_by_name(name).unwrap();
-        let rates = |name, port| truth.rates(node(name), IfIx(port)).unwrap();
+        let [l, s1, sw] = ["L", "S1", "sw"].map(|name| topo.node_by_name(name).unwrap());
+        let truth = truth_at(&mut net, &[1_005, 2_005]);
+        let rates = |node, port| truth.rates(node, IfIx(port)).unwrap();
         assert_eq!(
-            rates("L", 0),
+            rates(l, 0),
             IfRates {
                 in_bps: 0,
                 out_bps: WIRE_BPS
             }
         );
         assert_eq!(
-            rates("S1", 0),
+            rates(s1, 0),
             IfRates {
                 in_bps: WIRE_BPS,
                 out_bps: 0
             }
         );
-        assert_eq!(rates("sw", 1).out_bps, WIRE_BPS);
+        assert_eq!(rates(sw, 1).out_bps, WIRE_BPS);
     }
 
     #[test]
     fn true_rates_read_across_a_counter32_wrap() {
-        let unwrapped = truth_at(&mut loaded(SMALL), &[1_005, 2_005]);
+        let mut plain = loaded(SMALL);
+        let unwrapped = truth_at(&mut plain, &[1_005, 2_005]);
         let mut net = loaded(SMALL);
         let s1 = net.model().topology.node_by_name("S1").unwrap();
         let dev = net.device_of(s1).unwrap();
@@ -1085,10 +1092,10 @@ mod tests {
             .preload_octet_counters(dev, PortIx(0), u32::MAX - 999, 0)
             .unwrap();
         let truth = truth_at(&mut net, &[1_005, 2_005]);
-        let c = net.lan.nic_counters(dev, PortIx(0)).unwrap().in_octets;
-        assert!(c.total() > u32::MAX as u64, "the counter must have wrapped");
         assert_eq!(truth.rates(s1, IfIx(0)), unwrapped.rates(s1, IfIx(0)));
         assert_eq!(truth.rates(s1, IfIx(0)).unwrap().in_bps, WIRE_BPS);
+        let c = net.lan.nic_counters(dev, PortIx(0)).unwrap().in_octets;
+        assert!(c.total() > u32::MAX as u64, "the counter must have wrapped");
     }
 
     #[test]
@@ -1098,21 +1105,35 @@ mod tests {
             "host S1 { address 10.0.0.11;",
         );
         let mut net = loaded(&agentless);
-        let truth = truth_at(&mut net, &[1_005, 2_005]);
         let topo = &net.model().topology;
-        let (l, s1) = (
-            topo.node_by_name("L").unwrap(),
-            topo.node_by_name("S1").unwrap(),
-        );
+        let [l, s1] = ["L", "S1"].map(|name| topo.node_by_name(name).unwrap());
+        let truth = truth_at(&mut net, &[1_005, 2_005]);
         assert_eq!(truth.rates(s1, IfIx(0)), None);
         assert_eq!(truth.rates(l, IfIx(0)).unwrap().out_bps, WIRE_BPS);
     }
 
     #[test]
     fn true_rates_answer_nothing_before_two_records() {
+        for records in [&[][..], &[1_005]] {
+            let mut net = loaded(SMALL);
+            let l = net.model().topology.node_by_name("L").unwrap();
+            assert_eq!(truth_at(&mut net, records).rates(l, IfIx(0)), None);
+        }
+    }
+
+    /// Only the nodes asked for are recorded: a node left out of `reads`
+    /// answers nothing, the others their rates.
+    #[test]
+    fn true_rates_record_only_the_nodes_read() {
         let mut net = loaded(SMALL);
-        let l = net.model().topology.node_by_name("L").unwrap();
-        assert_eq!(truth_at(&mut net, &[]).rates(l, IfIx(0)), None);
-        assert_eq!(truth_at(&mut net, &[1_005]).rates(l, IfIx(0)), None);
+        let topo = &net.model().topology;
+        let [l, s1] = ["L", "S1"].map(|name| topo.node_by_name(name).unwrap());
+        for ms in [1_005, 2_005] {
+            net.run_until(SimTime::ZERO + SimDuration::from_millis(ms));
+            net.truth(&[s1]);
+        }
+        let truth = net.truth(&[]).unwrap();
+        assert_eq!(truth.rates(l, IfIx(0)), None);
+        assert_eq!(truth.rates(s1, IfIx(0)).unwrap().in_bps, WIRE_BPS);
     }
 }

@@ -308,11 +308,12 @@ fn a_steady_service_tick_allocates_only_what_its_polls_carry() {
         assert_eq!(polls, 7, "every device, every tick");
         assert_eq!(allocated, SIM_POLL_BUDGET * polls);
     }
-    // The tick did its observing: a row per qospath with its bottleneck,
-    // published, and an alert document.
+    // The tick did its observing: a row per qospath with its bottleneck
+    // and its truth, published, and an alert document.
     let rows = svc.rows();
     assert_eq!(rows.len(), 3);
     assert!(rows.iter().all(|r| r.bottleneck.contains(" <-> ")));
+    assert!(rows.iter().all(|r| r.truth_used_bps.is_some()), "{rows:?}");
     let snapshot = svc.live().snapshot_json();
     assert!(snapshot.contains("\"name\":\"archiving\""), "{snapshot}");
     assert!(svc.live().alerts_json().starts_with("{\"tick\":"));

@@ -102,6 +102,8 @@ fn rates_over_real_udp_are_exact() {
     assert_eq!(rates.in_bps, 1_000_000);
     let row = &svc.rows()[0];
     assert_eq!((row.name.as_str(), row.used_bps), ("tb", 1_000_000));
+    // Real wires keep no truth the service could read.
+    assert_eq!(row.truth_used_bps, None);
     assert_eq!(counter(&svc, "netqos_monitor_polls_total"), 3);
     agent.stop();
 }

@@ -289,10 +289,10 @@ impl ShardRegistry {
         HttpResponse::json(200, format!("{{\"shards\":[{entries}]}}\n"))
     }
 
-    /// The endpoint router for [`HttpServer::serve`]
-    /// (`crate::HttpServer`): combined `/metrics`, `/healthz`,
-    /// `/alerts` and `/snapshot`, `/profile?shard=NAME`,
-    /// `/api/v1/query[_range]`, and the `/` index.
+    /// The endpoint router for
+    /// [`HttpServer::serve`](crate::HttpServer::serve): combined
+    /// `/metrics`, `/healthz`, `/alerts` and `/snapshot`,
+    /// `/profile?shard=NAME`, `/api/v1/query[_range]`, and the `/` index.
     pub fn router(self: &Arc<Self>) -> Arc<Router> {
         let fed = self.clone();
         Arc::new(move |req: &HttpRequest| match req.path.as_str() {

@@ -69,8 +69,8 @@ pub use profile::{profile_response, PhaseProfile, MAX_PHASE_DEPTH};
 pub use promql::{
     api_query_outcome, api_query_response, check_query, fmt_value, parse_duration,
     parse_series_name, query_error_json, resolution_for_step, wants_stats, LtsSource, MatrixSeries,
-    PromSeries, QueryEngine, QueryOutcome, QueryResult, QueryStats, RegistrySource, Sample,
-    SeriesFilter, SeriesSource, LOOKBACK_FLOOR_SECS, MAX_RANGE_STEPS,
+    PromSeries, QueryEngine, QueryError, QueryOutcome, QueryResult, QueryStats, RegistrySource,
+    Sample, SeriesFilter, SeriesSource, LOOKBACK_FLOOR_SECS, MAX_RANGE_STEPS,
 };
 pub use push::{
     parse_push_url, parse_webhook_url, OtlpPusher, PushConfig, PushCounters, PushTarget,

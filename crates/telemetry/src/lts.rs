@@ -1254,7 +1254,7 @@ pub struct VerifyReport {
 /// of its records passes its checksum and decodes to exactly its length,
 /// timestamps are strictly increasing within a file, and sealed
 /// filenames match their contents' range. Issues come in the order of
-/// [`list_store`]. A store holding a JSON-lines file ([`refuse_v1`]) is
+/// `list_store`. A store holding a JSON-lines file (`refuse_v1`) is
 /// refused ([`io::ErrorKind::InvalidData`]), not checked, and a directory
 /// of it that cannot be read is an error, not an empty one.
 pub fn verify_store(dir: &Path) -> io::Result<VerifyReport> {
@@ -1488,7 +1488,7 @@ impl Default for RangeFold {
 /// caller must take the general (materialize + canonicalize) path:
 /// non-counter series, overlapping sealed segments, an open tail
 /// overlapping the sealed range or out of order where the fold walked
-/// it ([`walk_tail_back`]), or an undecodable segment.
+/// it (`walk_tail_back`), or an undecodable segment.
 pub fn fold_series_range(
     dir: &Path,
     slug: &str,
@@ -1618,7 +1618,7 @@ pub struct StoreStats {
 /// Measures on-disk layout per resolution and per segment: bytes and
 /// point counts. Sealed point counts come from segment headers; an open
 /// tail's are its whole records. A store holding a JSON-lines file
-/// ([`refuse_v1`]) is refused ([`io::ErrorKind::InvalidData`]).
+/// (`refuse_v1`) is refused ([`io::ErrorKind::InvalidData`]).
 pub fn store_stats(dir: &Path) -> io::Result<StoreStats> {
     let mut stats = StoreStats::default();
     for sd in list_store(dir)? {
@@ -3598,7 +3598,7 @@ mod tests {
     /// alike; a read that does not is answered.
     #[test]
     fn a_read_over_a_segment_it_cannot_decode_fails_naming_it() {
-        use crate::promql::{LtsSource, QueryEngine};
+        use crate::promql::{LtsSource, QueryEngine, QueryError};
         let dir = tmpdir("undecodable-read");
         seeded_store(&dir, 64);
         let seg = damage_a_segment(&dir, "req_total");
@@ -3623,7 +3623,10 @@ mod tests {
         let source = std::sync::Arc::new(LtsSource::new(reader.clone()));
         let engine = QueryEngine::new().with_source(None, source);
         let err = engine.range("req_total", 0, 299, 1).unwrap_err();
-        assert!(err.contains(&seg.path.display().to_string()), "{err}");
+        assert!(
+            matches!(&err, QueryError::Source(msg) if msg.contains(&seg.path.display().to_string())),
+            "{err}"
+        );
         let request = crate::http::HttpRequest {
             method: "GET".into(),
             path: "/api/v1/query_range".into(),
@@ -3631,7 +3634,8 @@ mod tests {
             accept: String::new(),
         };
         let answer = crate::promql::api_query_response(&engine, &request, true, 0);
-        assert_eq!(answer.status, 400);
+        assert_eq!(answer.status, 500);
+        assert!(answer.body.contains("\"errorType\":\"internal\""));
         assert!(answer.body.contains(&seg.path.display().to_string()));
 
         let after = reader.series_points(&info, raw, seg.last + 1, u64::MAX);

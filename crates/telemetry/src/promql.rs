@@ -38,7 +38,7 @@ use crate::lts::{Resolution, SeriesKind};
 use crate::metrics::quantile_of;
 use crate::Registry;
 use parking_lot::Mutex;
-use std::cell::RefCell;
+use std::cell::{Cell, RefCell};
 use std::collections::{BTreeMap, HashMap};
 use std::fmt::Write as _;
 use std::fs;
@@ -930,8 +930,9 @@ pub struct PromSeries {
 pub type SeriesFilter<'a> = dyn FnMut(&str, &[(String, String)]) -> bool + 'a;
 
 /// Anything the engine can evaluate over: enumerates its series or
-/// fails with a reason (which becomes a response warning, not a query
-/// failure, on multi-source engines).
+/// fails with a reason. A shard's reason becomes a response warning; the
+/// one source of an engine without shards failing fails the query
+/// ([`QueryError::Source`]).
 pub trait SeriesSource: Send + Sync {
     /// Every series this source can serve.
     fn series(&self) -> Result<Vec<PromSeries>, String>;
@@ -1181,7 +1182,8 @@ impl SeriesData {
     #[allow(clippy::type_complexity)]
     fn ensure(&self, ctx: &Ctx) -> Result<std::cell::Ref<'_, (Vec<Point>, Vec<u128>)>, String> {
         if self.data.borrow().is_none() {
-            let pts = (self.fetch)(ctx.res, self.fetch_start, ctx.fetch_end)?;
+            let pts = (self.fetch)(ctx.res, self.fetch_start, ctx.fetch_end)
+                .inspect_err(|_| ctx.fetch_failed.set(true))?;
             ctx.stats.borrow_mut().points_scanned += pts.len() as u64;
             let cum = if self.kind == SeriesKind::Counter {
                 let mut acc = 0u128;
@@ -1239,6 +1241,9 @@ struct Ctx {
     /// [`SeriesSource::fold_range`]; range queries always materialize.
     allow_fold: bool,
     stats: RefCell<QueryStats>,
+    /// Whether a series' points could not be fetched: an evaluation that
+    /// fails after that failed for its source, not for itself.
+    fetch_failed: Cell<bool>,
     /// What an aggregation without grouping groups by.
     no_labels: Labels,
     /// Group keys derived so far, by aggregation and input label set,
@@ -1249,6 +1254,16 @@ struct Ctx {
 }
 
 impl Ctx {
+    /// `msg`, the error evaluation stopped on, blamed on the query or on
+    /// its source.
+    fn failure(&self, msg: String) -> QueryError {
+        if self.fetch_failed.get() {
+            QueryError::Source(msg)
+        } else {
+            QueryError::Bad(msg)
+        }
+    }
+
     /// The labels of `labels` that `g` groups by.
     fn group_key(&self, g: &Grouping, labels: &Labels) -> Labels {
         let mut keys = self.group_keys.borrow_mut();
@@ -1330,7 +1345,7 @@ impl QueryEngine {
         first_eval: u64,
         fetch_end: u64,
         allow_fold: bool,
-    ) -> (Ctx, Vec<String>) {
+    ) -> Result<(Ctx, Vec<String>), QueryError> {
         let mut leaves = Vec::new();
         collect_leaves(ast, &mut leaves);
         let lookback = LOOKBACK_FLOOR_SECS.max(2 * res.window_secs());
@@ -1346,15 +1361,15 @@ impl QueryEngine {
                         .any(|(sel, _)| sel_matches(sel, base, &labels))
                 }
             });
-            let metas = match selected {
-                Ok(m) => m,
-                Err(e) => {
-                    warnings.push(match shard {
-                        Some(name) => format!("shard {name}: {e}"),
-                        None => e,
-                    });
+            // A shard that cannot list its series leaves a partial answer;
+            // the one store of an engine without shards leaves none.
+            let metas = match (selected, shard) {
+                (Ok(m), _) => m,
+                (Err(e), Some(name)) => {
+                    warnings.push(format!("shard {name}: {e}"));
                     continue;
                 }
+                (Err(e), None) => return Err(QueryError::Source(e)),
             };
             for meta in metas {
                 let labels = match shard {
@@ -1383,7 +1398,7 @@ impl QueryEngine {
             series: series.len() as u64,
             ..QueryStats::default()
         });
-        (
+        Ok((
             Ctx {
                 series,
                 lookback,
@@ -1391,18 +1406,24 @@ impl QueryEngine {
                 fetch_end,
                 allow_fold,
                 stats,
+                fetch_failed: Cell::new(false),
                 no_labels: Rc::new([]),
                 group_keys: RefCell::default(),
             },
             warnings,
-        )
+        ))
     }
 
     /// Evaluates `query` at time `t` against data at resolution `res`.
-    pub fn instant(&self, query: &str, t: u64, res: Resolution) -> Result<QueryOutcome, String> {
+    pub fn instant(
+        &self,
+        query: &str,
+        t: u64,
+        res: Resolution,
+    ) -> Result<QueryOutcome, QueryError> {
         let ast = parse_query(query)?;
-        let (ctx, warnings) = self.build_ctx(&ast, res, t, t, true);
-        let result = match eval(&ast, &ctx, t)? {
+        let (ctx, warnings) = self.build_ctx(&ast, res, t, t, true)?;
+        let result = match eval(&ast, &ctx, t).map_err(|e| ctx.failure(e))? {
             Val::Scalar(v) => QueryResult::Scalar { t, v },
             Val::Vector(samples) => QueryResult::Vector(sorted_samples(samples, t)),
         };
@@ -1422,26 +1443,26 @@ impl QueryEngine {
         start: u64,
         end: u64,
         step: u64,
-    ) -> Result<QueryOutcome, String> {
+    ) -> Result<QueryOutcome, QueryError> {
         if step == 0 {
-            return Err("step must be positive".into());
+            return Err(QueryError::Bad("step must be positive".into()));
         }
         if end < start {
-            return Err("end must not precede start".into());
+            return Err(QueryError::Bad("end must not precede start".into()));
         }
         if (end - start) / step >= MAX_RANGE_STEPS {
-            return Err(format!(
+            return Err(QueryError::Bad(format!(
                 "range spans more than {MAX_RANGE_STEPS} steps; widen the step or narrow the range"
-            ));
+            )));
         }
         let res = resolution_for_step(step);
         let ast = parse_query(query)?;
-        let (ctx, warnings) = self.build_ctx(&ast, res, start, end, false);
+        let (ctx, warnings) = self.build_ctx(&ast, res, start, end, false)?;
         let result = if expr_is_scalar(&ast) {
             let mut values = Vec::new();
             let mut t = start;
             while t <= end {
-                if let Val::Scalar(v) = eval(&ast, &ctx, t)? {
+                if let Val::Scalar(v) = eval(&ast, &ctx, t).map_err(|e| ctx.failure(e))? {
                     values.push((t, v));
                 }
                 t = match t.checked_add(step) {
@@ -1458,7 +1479,7 @@ impl QueryEngine {
             let mut grouped: BTreeMap<(&str, Labels), Vec<(u64, f64)>> = BTreeMap::new();
             let mut t = start;
             while t <= end {
-                if let Val::Vector(samples) = eval(&ast, &ctx, t)? {
+                if let Val::Vector(samples) = eval(&ast, &ctx, t).map_err(|e| ctx.failure(e))? {
                     for s in samples {
                         grouped
                             .entry((s.name, s.labels))
@@ -1893,6 +1914,36 @@ pub struct QueryOutcome {
     pub stats: QueryStats,
 }
 
+/// Why a query has no answer.
+#[derive(Debug, Clone, PartialEq)]
+pub enum QueryError {
+    /// The query is at fault: it does not parse, or cannot be evaluated
+    /// as asked.
+    Bad(String),
+    /// A series source could not list or read the series the query needs
+    /// (a store segment that does not decode): the server is at fault.
+    Source(String),
+}
+
+impl std::fmt::Display for QueryError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let (QueryError::Bad(msg) | QueryError::Source(msg)) = self;
+        f.write_str(msg)
+    }
+}
+
+impl From<String> for QueryError {
+    fn from(msg: String) -> Self {
+        QueryError::Bad(msg)
+    }
+}
+
+impl From<QueryError> for String {
+    fn from(e: QueryError) -> Self {
+        e.to_string()
+    }
+}
+
 /// Prometheus-style sample value formatting: integers bare, floats in
 /// Rust's shortest round-trip form, infinities as `+Inf`/`-Inf`.
 pub fn fmt_value(v: f64) -> String {
@@ -2008,16 +2059,17 @@ impl QueryOutcome {
     }
 }
 
-/// The Prometheus HTTP API error body (`status: error`).
-pub fn query_error_json(msg: &str) -> String {
+/// The Prometheus HTTP API error body (`status: error`): `bad_data` for
+/// a bad request, `internal` for a fault of the server's.
+pub fn query_error_json(error_type: &str, msg: &str) -> String {
     format!(
-        "{{\"status\":\"error\",\"errorType\":\"bad_data\",\"error\":{}}}",
+        "{{\"status\":\"error\",\"errorType\":\"{error_type}\",\"error\":{}}}",
         json_escape(msg)
     )
 }
 
 fn bad_request(msg: &str) -> HttpResponse {
-    HttpResponse::json(400, format!("{}\n", query_error_json(msg)))
+    HttpResponse::json(400, format!("{}\n", query_error_json("bad_data", msg)))
 }
 
 /// Serves `GET /api/v1/query` (`range = false`) or
@@ -2029,7 +2081,9 @@ fn bad_request(msg: &str) -> HttpResponse {
 /// `query`, `start`, `end` (Unix seconds), `step` (seconds or a
 /// duration like `1m`); the step picks the data resolution. Malformed
 /// parameters and evaluation errors answer 400 with a Prometheus-style
-/// error body; degraded shards surface as `warnings` on a 200.
+/// error body, and a store that cannot list or read the series (a
+/// segment that does not decode, named) answers 500; degraded shards
+/// surface as `warnings` on a 200.
 pub fn api_query_response(
     engine: &QueryEngine,
     req: &HttpRequest,
@@ -2112,7 +2166,14 @@ pub fn api_query_outcome(
         };
         engine.instant(&query, t, res)
     };
-    outcome.map_err(|e| bad_request(&e))
+    // A source that cannot read its points is the server's fault, which
+    // Prometheus answers as it answers a storage error.
+    outcome.map_err(|e| match e {
+        QueryError::Bad(msg) => bad_request(&msg),
+        QueryError::Source(msg) => {
+            HttpResponse::json(500, format!("{}\n", query_error_json("internal", &msg)))
+        }
+    })
 }
 
 #[cfg(test)]
@@ -2230,7 +2291,8 @@ mod tests {
             ("histogram_quantile(x, y)", "numeric quantile"),
         ] {
             let err = eng.instant(q, 100, Resolution::Raw1s).unwrap_err();
-            assert!(err.contains(needle), "{q}: {err}");
+            let bad = matches!(&err, QueryError::Bad(msg) if msg.contains(needle));
+            assert!(bad, "{q}: {err:?}");
         }
     }
 
@@ -2485,7 +2547,8 @@ mod tests {
             .unwrap();
         assert_eq!(vector_of(&out)[0].name, "a");
         let err = eng.instant("a + b", 10, Resolution::Raw1s).unwrap_err();
-        assert!(err.contains("vector-to-vector"), "{err}");
+        let bad = matches!(&err, QueryError::Bad(msg) if msg.contains("vector-to-vector"));
+        assert!(bad, "{err:?}");
     }
 
     #[test]
@@ -2519,6 +2582,9 @@ mod tests {
             .labels
             .contains(&("shard".to_owned(), "west".to_owned())));
         assert_eq!(out.warnings, vec!["shard south: store unreadable"]);
+        let alone = QueryEngine::new().with_source(None, Arc::new(FailingSource));
+        let err = alone.instant("used", 10, Resolution::Raw1s).unwrap_err();
+        assert_eq!(err, QueryError::Source("store unreadable".into()));
 
         // Cross-shard aggregation folds the shard label away.
         let out = eng
@@ -2579,7 +2645,7 @@ mod tests {
             "{\"status\":\"success\",\"data\":{\"resultType\":\"scalar\",\"result\":[7,\"1.5\"]}}"
         );
         assert_eq!(
-            query_error_json("nope"),
+            query_error_json("bad_data", "nope"),
             "{\"status\":\"error\",\"errorType\":\"bad_data\",\"error\":\"nope\"}"
         );
     }

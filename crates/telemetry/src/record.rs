@@ -210,7 +210,7 @@ pub fn evaluate_record_rules(
             Err(e) => {
                 counters.failures.inc();
                 report.failures += 1;
-                report.errors.push((rule.name.clone(), e));
+                report.errors.push((rule.name.clone(), e.into()));
             }
         }
     }

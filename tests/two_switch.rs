@@ -130,3 +130,41 @@ fn rm_moves_fusion_off_the_congested_trunk() {
     let archive = svc.monitor().topology().node_by_name("archive").unwrap();
     assert_eq!(rm.allocation().host_of("fusion").unwrap(), archive);
 }
+
+/// The service judges its own rows: with no agent jitter, under a pulse,
+/// a ramp and a staircase from sensor1 to the console, every row from the
+/// second tick on carries the simulator's truth, and every sample with at
+/// least 1 Mb/s of true traffic is within 1.5 % of it.
+///
+/// Measured: the worst sample is 1.04 % off under the pulse, 1.10 % under
+/// the ramp and 0.91 % under the staircase, and 2, 3 and 0 samples of 60,
+/// 90 and 90 exceed 1 %. They fall on the same ticks (17, 19, 32–34)
+/// whatever the load, in pairs of opposite sign: bytes counted in one
+/// window and not the next, the sampling skew a tick off its grid and an
+/// uncoordinated cut leave (ROADMAP 13(b)–(c)).
+#[test]
+fn rows_carry_their_truth_and_loaded_rows_are_within_1_5_percent_of_it() {
+    for profile in [
+        LoadProfile::pulse(5, 25, 1_000_000),
+        LoadProfile::ramp(5, 35, 200_000, 2_000_000),
+        LoadProfile::staircase(4, 250_000, 250_000, 6, 5),
+    ] {
+        let mut svc = build(&[("sensor1", "console", profile)]);
+        let mut loaded = 0;
+        for tick in 1..=40 {
+            svc.tick().unwrap();
+            assert!(tick == 1 || svc.rows().len() == 3, "tick {tick}");
+            for row in svc.rows() {
+                let truth = (row.truth_used_bps)
+                    .unwrap_or_else(|| panic!("tick {tick}: {} has no truth", row.name));
+                if truth < 1_000_000 {
+                    continue;
+                }
+                let error = (row.used_bps as f64 - truth as f64).abs() / truth as f64;
+                assert!(error <= 0.015, "tick {tick}: {row:?}");
+                loaded += 1;
+            }
+        }
+        assert!(loaded >= 60, "{loaded} loaded samples");
+    }
+}
