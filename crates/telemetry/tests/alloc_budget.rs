@@ -6,7 +6,8 @@
 //! types force, and none for work per point, per line or per unselected
 //! series, nor for the history behind a query's window. What the writer
 //! keeps resident for its open tails is held to bytes per unsealed
-//! point by the same allocator's count of live bytes. A quantile
+//! point, and to no growth with the tails' length, by the same
+//! allocator's count of live bytes. A quantile
 //! baseline is held to the buckets it has seen, and to no allocation once
 //! its windows are sized. An alert evaluation over a context refreshed in
 //! place allocates nothing on a tick in which no alert changes state.
@@ -252,8 +253,12 @@ fn tail_period(store: &mut LtsStore, names: &[String], period: u64) -> (u64, u64
     (allocations, report.segments_sealed, live_bytes())
 }
 
+/// An open tail is held as its fold and the records of one period: a
+/// flush that writes 60 points a series and closes a `1m` window for
+/// each allocates nothing once the buffers have their size, and what the
+/// writer keeps per point of its tails is next to nothing.
 #[test]
-fn an_open_tail_is_held_as_the_bytes_it_seals_into() {
+fn an_open_tail_is_held_as_its_fold() {
     let names: Vec<String> = (0..TAIL_SERIES).map(series_name).collect();
     let dir = tmpdir("tail");
     let mut store = open_with(&dir, 4_096);
@@ -272,7 +277,7 @@ fn an_open_tail_is_held_as_the_bytes_it_seals_into() {
         }
     }
     // Since the second flush, when the write buffers had their size: the
-    // two encoders and the `1m` points waiting for their hour. The points
+    // hour's first record and its buffer, and nothing a point. The points
     // themselves are 64 bytes each.
     let per_point = (live[63] - live[1]) as f64 / (62 * 60 * TAIL_SERIES) as f64;
     assert!(per_point <= 8.0, "{per_point:.2} bytes a point retained");
@@ -280,8 +285,28 @@ fn an_open_tail_is_held_as_the_bytes_it_seals_into() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// What the writer holds does not grow with its tails: 16 series at the
+/// default `seal_points`, begun a minute before the hour so that every
+/// resolution has written by the third flush, hold as many bytes after
+/// flush 3 as after flush 63, when each `1s` tail is 3 780 points long.
 #[test]
-fn a_tail_that_has_sealed_once_does_not_grow_its_encoder_again() {
+fn the_writer_holds_as_many_bytes_after_flush_63_as_after_flush_3() {
+    let names: Vec<String> = (0..TAIL_SERIES).map(series_name).collect();
+    let dir = tmpdir("steady");
+    let mut store = open_with(&dir, LtsConfig::default().seal_points);
+    let mut live = Vec::with_capacity(63);
+    for period in 59..59 + 63 {
+        let (_, sealed, now) = tail_period(&mut store, &names, period);
+        assert_eq!(sealed, 0);
+        live.push(now);
+    }
+    assert_eq!(live[2], live[62], "bytes held after flush 3 and flush 63");
+    drop(store);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_tail_that_has_sealed_once_does_not_grow_its_buffers_again() {
     let names: Vec<String> = (0..TAIL_SERIES).map(series_name).collect();
     let dir = tmpdir("reseal");
     // Ten flushes a seal.
@@ -345,7 +370,7 @@ fn the_writer_retains_under_4_5_bytes_an_unsealed_point() {
 #[test]
 fn an_open_window_holds_one_histogram_however_many_points_it_folds() {
     let dir = tmpdir("window");
-    // A raw seal a minute, so the tail's encoder has its size.
+    // A raw seal a minute, so the seal's buffers have their size.
     let mut store = open_with(&dir, 60);
     let h = netqos_telemetry::Histogram::new();
     (0..32).for_each(|i| h.record(sample_over_32_buckets(i)));

@@ -716,8 +716,9 @@ fn spell_points(kind: SeriesKind, c: &mut Choices, foreign: bool) -> Vec<Point> 
         .collect()
 }
 
-/// The library's encoder, which takes a point at a time, writes the
-/// bytes the one that walked the whole slice wrote.
+/// The library's encoder, the writer's header fold and point encoder run
+/// over a slice, writes the bytes the one that walked the whole slice
+/// wrote.
 fn encoder_matches_the_oracle(seed: u64) {
     let c = &mut Choices(seed);
     let kind = KINDS[c.next(3)];
