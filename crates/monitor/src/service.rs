@@ -566,22 +566,26 @@ impl<N: Network> MonitoringService<N> {
 
     /// Flushes the long-term store: buffered points are written, completed
     /// `1m`/`1h` windows fold, oversized tails seal, and retention runs —
-    /// with one JSONL event per deletion and per recovery warning.
-    /// Returns `None` when no store is attached or the flush failed (the
-    /// failure is reported on the event sink).
+    /// with one JSONL event per deletion and per recovery warning, for a
+    /// flush that failed in part too. Returns `None` when no store is
+    /// attached or the flush failed (the failure is reported on the event
+    /// sink).
     pub fn flush_lts(&mut self) -> Option<FlushReport> {
         let (store, _) = self.lts.as_mut()?;
-        match store.flush() {
-            Ok(report) => {
-                let warnings = store.take_warnings();
-                report_flush(
-                    &self.events,
-                    &self.telemetry.retention_deleted,
-                    &report,
-                    &warnings,
-                );
-                Some(report)
-            }
+        let flushed = store.flush();
+        let warnings = store.take_warnings();
+        let report = match &flushed {
+            Ok(report) => report,
+            Err(e) => &e.report,
+        };
+        report_flush(
+            &self.events,
+            &self.telemetry.retention_deleted,
+            report,
+            &warnings,
+        );
+        match flushed {
+            Ok(report) => Some(report),
             Err(e) => {
                 self.warn_failed("monitor.lts", "flush_failed", &e);
                 None

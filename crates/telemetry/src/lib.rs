@@ -58,8 +58,8 @@ pub use json::{parse_json, JsonError, JsonValue, MAX_JSON_DEPTH};
 pub use lts::{
     compact_store, decode_segment_v2, decode_segment_v2_header, downsample, encode_segment_v2,
     fold_series_range, hist_delta, json_escape, parse_range, report_flush, selector_matches,
-    store_stats, verify_store, CompactReport, FlushReport, LtsConfig, LtsCounters, LtsReader,
-    LtsRetention, LtsStore, Point, PointValue, RangeFold, RegistrySampler, Resolution,
+    store_stats, verify_store, CompactReport, FlushError, FlushReport, LtsConfig, LtsCounters,
+    LtsReader, LtsRetention, LtsStore, Point, PointValue, RangeFold, RegistrySampler, Resolution,
     ResolutionStat, RetentionDeletion, SegmentCodec, SegmentHeader, SegmentStat, SegmentStats,
     SeriesInfo, SeriesKind, StoreStats, VerifyReport,
 };
