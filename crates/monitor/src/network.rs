@@ -19,7 +19,7 @@ use netqos_snmp::mib2::interfaces::{self as ifc, column};
 use netqos_snmp::transport::Transport;
 use netqos_snmp::SnmpValue;
 use netqos_spec::SpecModel;
-use netqos_telemetry::{QuantileBaseline, Tracer};
+use netqos_telemetry::Tracer;
 use netqos_topology::bandwidth::RateProvider;
 use netqos_topology::NodeId;
 use std::collections::HashMap;
@@ -48,9 +48,6 @@ pub struct Agents {
     manager: Manager,
     telemetry: MonitorTelemetry,
     tracer: Tracer,
-    /// Per-device poll-RTT baseline (microseconds of the network's
-    /// clock), indexed by node id; `None` until its first answered poll.
-    rtt_baselines: Vec<Option<QuantileBaseline>>,
 }
 
 /// How to poll one node's agent.
@@ -89,7 +86,6 @@ impl Agents {
             .filter(|node| targets[node.index()].is_some())
             .collect();
         Agents {
-            rtt_baselines: vec![None; targets.len()],
             targets,
             pollable,
             plans,
@@ -344,7 +340,7 @@ pub trait Network {
 }
 
 /// One poll of `node` into `snapshot` under its span and, if it was
-/// answered, its RTT recorded and ranked against the device's history.
+/// answered, its RTT recorded.
 fn timed_poll<N: Network + ?Sized>(
     net: &mut N,
     node: NodeId,
@@ -363,15 +359,7 @@ fn timed_poll<N: Network + ?Sized>(
         return polled;
     }
     let rtt_us = net.now().duration_since(sent_at).as_micros();
-    let agents = net.agents_mut();
-    agents.telemetry.poll_rtt_us.record(rtt_us);
-    // Rank this RTT against the device's own history before folding it
-    // into the baseline.
-    let baseline = agents.rtt_baselines[node.index()].get_or_insert_with(Default::default);
-    if poll_span.is_recording() {
-        poll_span.set_attr("rtt_us", rtt_us);
-        poll_span.set_attr("rtt_rank", baseline.rank(rtt_us));
-    }
-    baseline.record(rtt_us);
+    net.agents().telemetry.poll_rtt_us.record(rtt_us);
+    poll_span.set_attr("rtt_us", rtt_us);
     polled
 }

@@ -7,7 +7,8 @@
 //! the vector of bindings, the `ifDescr` strings, the snapshot's vectors)
 //! and nothing per name, per value or per TLV. A steady service tick
 //! allocates what its polls carry and nothing after them; traced, it adds
-//! its trace and nothing to profile it.
+//! its trace and nothing to profile it. Once its path baselines are
+//! full, a service's live heap does not grow.
 
 use netqos_monitor::poll::{parse_snapshot, poll_oids};
 use netqos_monitor::service::{MonitoringService, ServiceConfig, SURVEY_TICKS};
@@ -22,32 +23,51 @@ use std::cell::Cell;
 thread_local! {
     /// Allocations made by this thread while `Some`.
     static COUNT: Cell<Option<u64>> = const { Cell::new(None) };
+    /// Bytes this thread has allocated and not yet freed (a block freed
+    /// by another thread than the one that allocated it skews both).
+    static LIVE: Cell<i64> = const { Cell::new(0) };
 }
 
 struct Counting;
 
+fn count_one() {
+    COUNT.with(|c| c.set(c.get().map(|n| n + 1)));
+}
+
+fn add_live(bytes: i64) {
+    LIVE.with(|l| l.set(l.get() + bytes));
+}
+
 // SAFETY: every call is forwarded unchanged to `System`, which upholds
-// the `GlobalAlloc` contract; the counter is a `const`-initialised
-// thread-local `Cell` of a `Copy` type, so touching it neither allocates
-// nor runs a destructor.
+// the `GlobalAlloc` contract; the counters are `const`-initialised
+// thread-local `Cell`s of `Copy` types, so touching them neither
+// allocates nor runs a destructor.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        COUNT.with(|c| c.set(c.get().map(|n| n + 1)));
+        count_one();
+        add_live(layout.size() as i64);
         System.alloc(layout)
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        add_live(-(layout.size() as i64));
         System.dealloc(ptr, layout)
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        COUNT.with(|c| c.set(c.get().map(|n| n + 1)));
+        count_one();
+        add_live(new_size as i64 - layout.size() as i64);
         System.realloc(ptr, layout, new_size)
     }
 }
 
 #[global_allocator]
 static ALLOCATOR: Counting = Counting;
+
+/// Bytes this thread holds on the heap.
+fn live_bytes() -> i64 {
+    LIVE.with(Cell::get)
+}
 
 fn allocations_in(f: impl FnOnce()) -> u64 {
     COUNT.with(|c| c.set(Some(0)));
@@ -134,8 +154,8 @@ fn network(ports: u32, agent_jitter_mean: Option<SimDuration>) -> (SimNetwork, N
 
 /// Allocations of one steady-state `SimNetwork::poll_nodes` of the node
 /// `name`, its snapshot ingested: eight warm-up rounds a simulated second
-/// apart (the switch learns both addresses, queues and the RTT baseline
-/// reach their steady size, and the poll's snapshot has its shape), then
+/// apart (the switch learns both addresses, queues reach their steady
+/// size, and the poll's snapshot has its shape), then
 /// the counted one.
 fn steady_poll_allocations(name: &str, ports: u32, jitter: Option<SimDuration>) -> u64 {
     let (mut net, mut monitor) = network(ports, jitter);
@@ -200,30 +220,41 @@ fn an_owned_poll_allocates_its_datagrams_and_its_snapshot() {
 
 /// A device's first poll keeps its snapshot as the device's baseline:
 /// the poll itself costs its datagrams, and the next poll of that shape
-/// parses into a fresh snapshot — the host's vector and string — so a
-/// first poll costs 5 all told, as `poll_device` does. (The device is
-/// known to the simulator beforehand: the switch has learned it and its
-/// RTT baseline exists, which a first contact pays for on its own.)
+/// parses into a fresh snapshot — the host's vector and string — as
+/// `poll_device` does. The poller keeps nothing else per device: a
+/// device the simulator already knows costs exactly that, and a first
+/// contact adds only the simulator's first sight of it — the switch's
+/// address table grows to learn it and, jittered, its agent's queue of
+/// parked answers takes its first one. (A first contact cost 2 more
+/// while the poller started a round-trip-time baseline for each device.)
 #[test]
 fn a_devices_first_poll_costs_the_snapshot_it_keeps() {
-    let (mut net, mut monitor) = network(3, None);
-    let s1 = net.model().topology.node_by_name("S1").unwrap();
-    let s2 = net.model().topology.node_by_name("S2").unwrap();
-    net.poll_device(s2).unwrap();
-    let mut poll = |node| {
-        let next = net.lan.now() + SimDuration::from_secs(1);
-        net.run_until(next);
-        allocations_in(|| {
-            assert_eq!(net.poll_nodes(&[node], &mut monitor).unwrap(), 1);
-        })
-    };
-    for _ in 0..8 {
-        poll(s1);
+    for (jitter, first_sight) in [(None, 1), (Some(SimDuration::from_millis(1)), 2)] {
+        for known in [true, false] {
+            let (mut net, mut monitor) = network(3, jitter);
+            let s1 = net.model().topology.node_by_name("S1").unwrap();
+            let s2 = net.model().topology.node_by_name("S2").unwrap();
+            if known {
+                net.poll_device(s2).unwrap();
+            }
+            let mut poll = |node| {
+                let next = net.lan.now() + SimDuration::from_secs(1);
+                net.run_until(next);
+                allocations_in(|| {
+                    assert_eq!(net.poll_nodes(&[node], &mut monitor).unwrap(), 1);
+                })
+            };
+            for _ in 0..8 {
+                poll(s1);
+            }
+            let sight = if known { 0 } else { first_sight };
+            let (first, next) = (poll(s2), poll(s1));
+            let case = format!("jitter {jitter:?}, known {known}");
+            assert_eq!(first, SIM_POLL_BUDGET + sight, "{case}");
+            assert_eq!(next, SIM_POLL_BUDGET + 2, "{case}");
+            assert_eq!(poll(s2), SIM_POLL_BUDGET, "{case}");
+        }
     }
-    let first = poll(s2);
-    let next = poll(s1);
-    assert_eq!((first, next), (SIM_POLL_BUDGET, SIM_POLL_BUDGET + 2));
-    assert_eq!(poll(s2), SIM_POLL_BUDGET);
 }
 
 /// Storing a device's first snapshot, the counter baseline, takes no
@@ -321,8 +352,9 @@ fn a_steady_service_tick_allocates_only_what_its_polls_carry() {
 
 /// Allocations a steady traced two-switch tick adds to its polls: the
 /// spans' attributes, the cycle's event lines and samples, and the flight
-/// cycle that files them.
-const TRACE_BUDGET: u64 = 138;
+/// cycle that files them. (138 while each poll span also carried an
+/// `rtt_rank`.)
+const TRACE_BUDGET: u64 = 131;
 
 /// A steady traced tick allocates its trace and nothing to profile it:
 /// the phase histograms' handles are cached and `/profile` folds the ring
@@ -375,4 +407,53 @@ fn with_a_store_a_steady_tick_adds_only_its_histogram_points() {
         counted += 1;
     }
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A generated access network of `hosts` hosts, monitored from `h0-0`,
+/// with its site switches given agents so every cross-access-point
+/// qospath is evaluable (as generated, only hosts run agents).
+fn managed_access_network(hosts: usize) -> netqos_spec::SpecModel {
+    let src = netqos_spec::generate_spec(&netqos_spec::GenParams {
+        hosts,
+        ..netqos_spec::GenParams::default()
+    });
+    let mut out = String::new();
+    for line in src.lines() {
+        out.push_str(line);
+        out.push('\n');
+        let site = (line.strip_prefix("device site"))
+            .and_then(|rest| rest.strip_suffix(" switch {"))
+            .and_then(|n| n.parse::<u32>().ok());
+        if let Some(n) = site {
+            out.push_str(&format!("    address 10.240.0.{};\n", n + 1));
+            out.push_str("    snmp community \"public\";\n");
+        }
+    }
+    netqos_spec::parse_and_validate(&out).expect("generated spec validates")
+}
+
+/// Once every path baseline has its second window, a service keeps no
+/// more heap however long it runs: the poller holds per device only the
+/// snapshot an answer reads, and nothing that grows with the answers
+/// seen. The 1 ms of agent jitter makes every round trip differ, so
+/// anything kept per round trip would show.
+#[test]
+fn a_jittered_services_live_heap_is_flat_after_warm_up() {
+    const HOSTS: usize = 200;
+    let options = SimNetworkOptions {
+        monitor_host: "h0-0".into(),
+        agent_jitter_mean: Some(SimDuration::from_millis(1)),
+        ..SimNetworkOptions::default()
+    };
+    let model = managed_access_network(HOSTS);
+    let mut svc = MonitoringService::from_model(model, options, ServiceConfig::default()).unwrap();
+    let warm_up = 2 * netqos_telemetry::DEFAULT_WINDOW as usize + 2;
+    svc.run_ticks(warm_up).unwrap();
+    assert!(svc.rows().iter().all(|r| r.truth_used_bps.is_some()));
+    let warm = live_bytes();
+    for ticks in [warm_up + 150, warm_up + 300, warm_up + 450] {
+        svc.run_ticks(150).unwrap();
+        let grown = live_bytes() - warm;
+        assert_eq!(grown, 0, "{grown} B more at tick {ticks}");
+    }
 }

@@ -14,7 +14,7 @@ use netqos_snmp::mib2::{self, IfEntry, SystemInfo};
 use netqos_snmp::transport::{UdpAgentHandle, UdpAgentServer};
 use netqos_snmp::{Pdu, SnmpAgent, SnmpMessage, SnmpValue, VarBind};
 use netqos_spec::SpecModel;
-use netqos_telemetry::{parse_json, to_otlp, validate_otlp, LtsReader};
+use netqos_telemetry::{parse_json, to_otlp, validate_otlp, FieldValue, LtsReader};
 use netqos_topology::{IfIx, NodeId};
 use std::collections::HashMap;
 use std::net::{SocketAddr, UdpSocket};
@@ -136,6 +136,43 @@ fn a_traced_tick_holds_each_poll_and_its_snmp_exchange() {
     }
     let stats = validate_otlp(&to_otlp(&cycles)).unwrap();
     assert_eq!(stats.traces, cycles.len());
+}
+
+/// The poll's round-trip time over real UDP: one `netqos_monitor_poll_rtt_us`
+/// sample per answered poll and none for a timeout, and on a traced poll
+/// span an `rtt_us` and no rank.
+#[test]
+fn an_answered_poll_records_its_round_trip_once() {
+    let agent = growing_agent();
+    let mut svc = service(
+        model(true, "1Mbps"),
+        &[
+            ("T", agent.local_addr()),
+            ("B", "127.0.0.1:1".parse().unwrap()),
+        ],
+        ServiceConfig::default(),
+    );
+    svc.set_tracing(true);
+    svc.run_ticks(3).unwrap();
+    agent.stop();
+    assert_eq!(counter(&svc, "netqos_monitor_polls_total"), 3);
+    assert_eq!(counter(&svc, "netqos_monitor_poll_timeouts_total"), 3);
+    let rtt = svc.registry().histogram("netqos_monitor_poll_rtt_us");
+    assert_eq!(rtt.count(), 3, "one sample per answered poll of T");
+    let polls: Vec<_> = (svc.flight().snapshot().into_iter())
+        .flat_map(|c| c.spans)
+        .filter(|s| s.target == "monitor.poll" && s.name == "device")
+        .collect();
+    assert_eq!(polls.len(), 6, "T and B, three ticks");
+    for span in &polls {
+        let keys: Vec<&str> = span.attrs.iter().map(|(k, _)| k.as_str()).collect();
+        let device = (span.attrs.iter()).find(|(k, _)| k == "device");
+        match device.map(|(_, v)| v) {
+            Some(FieldValue::Str(name)) if name == "T" => assert_eq!(keys, ["device", "rtt_us"]),
+            Some(FieldValue::Str(name)) if name == "B" => assert_eq!(keys, ["device"]),
+            other => panic!("poll span of {other:?}"),
+        }
+    }
 }
 
 #[test]

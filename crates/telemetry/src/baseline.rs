@@ -14,8 +14,8 @@
 //!
 //! A window is kept as the [`HistogramState`] it is persisted as: the
 //! occupied buckets in ascending order plus count, sum, min and max. A
-//! device's RTTs or a path's rates occupy a few dozen of the layout's 496
-//! buckets, so a baseline costs what it has seen (1 160 bytes with two
+//! path's rates occupy a few dozen of the layout's 496 buckets, so a
+//! baseline costs what it has seen (1 160 bytes with two
 //! full windows over 32 buckets) instead of two dense histograms (8 104
 //! bytes from its first sample). Every answer and every saved state is
 //! the one two dense histograms gave; `tests/oracle/baseline.rs` is that

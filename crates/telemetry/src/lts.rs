@@ -374,9 +374,10 @@ struct SeriesState {
     /// and the fold of every tail point (recovery folds a tail found on
     /// open), never the points themselves.
     tails: [Unsealed; 3],
-    /// The open `1m` and `1h` window: its start and what [`downsample`]
-    /// gives the flushed finer points in it so far (raw points for `1m`,
-    /// `1m` points for `1h`), `None` before the first.
+    /// The open `1m` and `1h` window: its start, before which every
+    /// window is written, and what [`downsample`] gives the flushed finer
+    /// points in it so far (raw points for `1m`, `1m` points for `1h`),
+    /// `None` before the first.
     open_window: [(u64, Option<PointValue>); 2],
     /// Needs a `series.idx` line on next flush.
     new_to_index: bool,
@@ -479,7 +480,10 @@ impl SeriesState {
 
 /// Folds `p`, newer than every point folded before, into `window`, the
 /// open window of `coarse`; a point past it first closes it into
-/// `closed`, that resolution's unsealed tail.
+/// `closed`, that resolution's unsealed tail. A point before the open
+/// window is in a `coarse` window already written, and is not folded:
+/// recovery regenerates such points when a crash cut a finer tail short
+/// behind a coarser one.
 fn fold_into_window(
     kind: SeriesKind,
     window: &mut (u64, Option<PointValue>),
@@ -489,9 +493,12 @@ fn fold_into_window(
 ) {
     let secs = coarse.window_secs();
     let (start, fold) = window;
+    if p.t < *start {
+        return;
+    }
     // A point past the open window closes it: the division is paid once
     // a window, not once a point.
-    if p.t.wrapping_sub(*start) >= secs {
+    if p.t - *start >= secs {
         if let Some(value) = fold.take() {
             closed.push(&Point { t: *start, value });
         }
@@ -823,8 +830,10 @@ fn recover_series(s: &mut SeriesState, warnings: &mut Vec<String>) -> io::Result
         .into_iter()
         .enumerate()
     {
-        // The finer resolution is the one at `wi`.
+        // The finer resolution is the one at `wi`. The open window
+        // starts where the written ones end.
         let cutoff = s.last_t[coarse.index()].map_or(0, |w| w + coarse.window_secs());
+        s.open_window[wi].0 = cutoff;
         let (pts, _) = read_points(&found[wi], &s.open_path[wi], s.kind, cutoff, u64::MAX);
         for p in &pts {
             let window = &mut s.open_window[wi];

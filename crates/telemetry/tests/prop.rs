@@ -2463,9 +2463,9 @@ fn coarse_tails(dir: &Path) -> Vec<(PathBuf, Option<Vec<u8>>)> {
 /// hours, flushed off minute boundaries, the store dropped and reopened
 /// mid-window, and now and then reopened over `1m` and `1h` tails put
 /// back as they were a few flushes before, as a crash between a raw
-/// write and the coarse ones leaves them. After a last flush, every
-/// `1m` and `1h` point read back is the oracle's fold of the raw points
-/// read back.
+/// write and the coarse ones leaves them. After a last flush, the store
+/// verifies clean and every `1m` and `1h` point read back is the
+/// oracle's fold of the raw points read back.
 fn written_windows_agree(seed: u64) {
     let c = &mut Choices(seed);
     let dir = std::env::temp_dir().join(format!(
@@ -2533,6 +2533,8 @@ fn written_windows_agree(seed: u64) {
     }
     store.flush().unwrap();
     drop(store);
+    let issues = verify_store(&dir).unwrap().issues;
+    assert_eq!(issues, Vec::<String>::new(), "seed {seed:#x}");
     for info in LtsReader::open(&dir).index() {
         let raw = oracle::series_points(&dir, &info, Resolution::Raw1s, 0, u64::MAX);
         for res in [Resolution::Min1, Resolution::Hour1] {

@@ -1137,6 +1137,56 @@ fn a_torn_write_past_a_tail_end_is_written_over_and_never_sealed() {
     let _ = fs::remove_dir_all(&dir);
 }
 
+/// Appends a counter point at each of `times` to `store`, then flushes.
+fn append_and_flush(store: &mut LtsStore, times: &[u64]) {
+    for &t in times {
+        store.append("c_total", t, PointValue::Counter(t));
+    }
+    store.flush().unwrap();
+}
+
+/// A crash loses the `1m` tail of an hour the `1h` tail already holds.
+/// Recovery regenerates those minutes from the raw tail and the next
+/// flush writes them at `1m`, but folds none into `1h` again: the hour is
+/// written once, the store verifies clean, and it answers as a twin that
+/// never crashed. (Folded again, they made a second, partial `1h` record
+/// of that hour.)
+#[test]
+fn a_lost_minute_tail_does_not_write_its_hour_twice() {
+    const H: u64 = 1_700_002_800;
+    assert_eq!(H % 3_600, 0);
+    let (dir, twin_dir) = (tmpdir("lost-1m"), tmpdir("lost-1m-twin"));
+    let open = |dir: &Path| {
+        LtsStore::open(dir, config(usize::MAX, KEEP_ALL), LtsCounters::detached()).unwrap()
+    };
+    let (mut store, mut twin) = (open(&dir), open(&twin_dir));
+    // Minute H+60 closes minute H; minute H+3600, written, closes hour H.
+    for times in [&[H + 10, H + 70][..], &[H + 3_610], &[H + 3_670]] {
+        append_and_flush(&mut store, times);
+        append_and_flush(&mut twin, times);
+    }
+    let info = LtsReader::open(&dir).index().remove(0);
+    let hours = |dir: &Path| {
+        let reader = LtsReader::open(dir);
+        let points = reader.series_points(&info, Resolution::Hour1, 0, u64::MAX);
+        points.unwrap().iter().map(|p| p.t).collect::<Vec<_>>()
+    };
+    assert_eq!(hours(&dir), [H]);
+    drop(store);
+    fs::remove_file(dir.join("1m").join(&info.slug).join(OPEN_TAIL)).unwrap();
+    let mut store = open(&dir);
+    // Minute H+7200, written, closes hour H+3600.
+    for times in [&[H + 7_210][..], &[H + 7_270]] {
+        append_and_flush(&mut store, times);
+        append_and_flush(&mut twin, times);
+    }
+    assert_eq!(hours(&dir), [H, H + 3_600]);
+    assert_eq!(verify_store(&dir).unwrap().issues, Vec::<String>::new());
+    assert_eq!(full_query(&dir), full_query(&twin_dir));
+    let _ = fs::remove_dir_all(&dir);
+    let _ = fs::remove_dir_all(&twin_dir);
+}
+
 fn tail_op() -> impl Strategy<Value = TailOp> {
     let gap = prop_oneof![1u64..4, 1u64..4, 1u64..4, 20u64..200, 1_000u64..5_000];
     prop_oneof![
