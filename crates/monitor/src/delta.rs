@@ -76,16 +76,6 @@ pub fn rate_bps(octets_delta: u32, interval_ticks: u32) -> Option<u64> {
     Some((octets_delta as u64 * 8 * 100) / interval_ticks as u64)
 }
 
-/// Converts a packet-count delta over a tick interval into packets/second
-/// (rounded down).
-#[inline]
-pub fn pps(pkts_delta: u32, interval_ticks: u32) -> Option<u64> {
-    if interval_ticks == 0 {
-        return None;
-    }
-    Some((pkts_delta as u64 * 100) / interval_ticks as u64)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -114,13 +104,6 @@ mod tests {
     #[test]
     fn zero_interval_yields_none() {
         assert_eq!(rate_bps(1000, 0), None);
-        assert_eq!(pps(10, 0), None);
-    }
-
-    #[test]
-    fn pps_conversion() {
-        assert_eq!(pps(500, 100), Some(500));
-        assert_eq!(pps(500, 50), Some(1000));
     }
 
     #[test]

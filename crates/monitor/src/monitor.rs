@@ -1,9 +1,9 @@
 //! The core monitor state machine.
 //!
-//! [`NetworkMonitor`] owns the specified topology and, per node it has
-//! polled, the previous [`DeviceSnapshot`]. Each new snapshot yields
-//! per-interface rates (bits/s) via the wrap-safe delta arithmetic of
-//! [`crate::delta`]; the rate table (one slot per topology interface)
+//! [`NetworkMonitor`] owns the specified topology and keeps, per topology
+//! interface, the last reading of its counters and the rate formed from
+//! its last two by the wrap-safe delta arithmetic of [`crate::delta`]
+//! (per node, only the last `sysUpTime`, to tell a reboot). The rate table
 //! makes the monitor a [`netqos_topology::bandwidth::RateProvider`], so
 //! path bandwidth is one call away.
 
@@ -15,19 +15,7 @@ use netqos_topology::bandwidth::{IfRates, PathBandwidth, RateProvider};
 use netqos_topology::path::{self, CommPath};
 use netqos_topology::plan::{DomainSums, PathPlan, PlanError};
 use netqos_topology::{IfIx, NetworkTopology, NodeId, TopologyError};
-
-/// Per-interface rates computed from one poll interval.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct IfRateSample {
-    /// Receive rate, bits/s.
-    pub in_bps: u64,
-    /// Transmit rate, bits/s.
-    pub out_bps: u64,
-    /// Receive unicast packets/s.
-    pub in_ucast_pps: u64,
-    /// Transmit non-unicast packets/s.
-    pub out_nucast_pps: u64,
-}
+use std::borrow::Borrow;
 
 /// How the monitor determines the interval between two polls of a device.
 ///
@@ -46,15 +34,32 @@ pub enum IntervalStrategy {
     NominalPeriod(u32),
 }
 
+/// One poll's reading of one interface: its octet counters and the
+/// agent's clock they were read against.
+#[derive(Clone, Copy)]
+struct Reading {
+    uptime_ticks: u32,
+    in_octets: u32,
+    out_octets: u32,
+}
+
+/// What the monitor keeps of one topology interface.
+#[derive(Clone, Copy, Default)]
+struct Slot {
+    /// The interface's reading at the last ingest that placed it.
+    last: Option<Reading>,
+    /// The rate formed from its last two readings.
+    rates: Option<IfRates>,
+}
+
 /// The monitor.
 pub struct NetworkMonitor {
     topology: NetworkTopology,
-    /// The last snapshot of each node, indexed by [`NodeId`]: one slot
-    /// per topology node, so storing a device's first snapshot allocates
-    /// nothing.
-    previous: Vec<Option<DeviceSnapshot>>,
-    /// Latest rates, indexed by [`NetworkTopology::interface_slot`].
-    rates: Vec<Option<IfRateSample>>,
+    /// The last `sysUpTime` of each node, indexed by [`NodeId`]: one slot
+    /// per topology node, so a device's first snapshot allocates nothing.
+    uptimes: Vec<Option<u32>>,
+    /// Indexed by [`NetworkTopology::interface_slot`].
+    slots: Vec<Slot>,
     polls_ingested: u64,
     interval_strategy: IntervalStrategy,
     tracer: Tracer,
@@ -69,8 +74,8 @@ impl NetworkMonitor {
     /// sysUpTime intervals).
     pub fn new(topology: NetworkTopology) -> Self {
         NetworkMonitor {
-            rates: vec![None; topology.interface_slot_count()],
-            previous: vec![None; topology.node_count()],
+            slots: vec![Slot::default(); topology.interface_slot_count()],
+            uptimes: vec![None; topology.node_count()],
             topology,
             polls_ingested: 0,
             interval_strategy: IntervalStrategy::SysUpTime,
@@ -146,26 +151,25 @@ impl NetworkMonitor {
         })
     }
 
-    /// Ingests a snapshot of `node`. The first snapshot only establishes a
-    /// baseline (returns `false`); subsequent snapshots update the rate
-    /// table (returns `true`). A node the topology does not have is
-    /// refused, its first snapshot included.
-    pub fn ingest(&mut self, node: NodeId, snapshot: DeviceSnapshot) -> Result<bool, MonitorError> {
-        let mut snapshot = snapshot;
-        self.ingest_swap(node, &mut snapshot)
-    }
-
-    /// [`NetworkMonitor::ingest`] without giving the snapshot up: once
-    /// the rates are computed the snapshot becomes the node's baseline by
-    /// swapping places with the previous one, which is handed back in
-    /// `snapshot` (an empty snapshot after a node's first). A poller that
-    /// parses into what comes back reuses one snapshot's memory poll after
-    /// poll. On `Err` nothing is swapped and the baseline stays as it was.
-    pub(crate) fn ingest_swap(
+    /// Ingests a snapshot of `node`, by value or by reference. Each row
+    /// is placed on its topology interface and paired with that
+    /// interface's own last reading, if the node's last poll took it. A
+    /// node's first snapshot only establishes a baseline (returns
+    /// `false`), as does one across a reboot or within the same tick;
+    /// later snapshots update the rate table (returns `true`). A node the
+    /// topology does not have, or a row it cannot place, is refused, the
+    /// first snapshot included.
+    ///
+    /// A refused row leaves the rows before it ingested and the node's
+    /// `sysUpTime` as it was: the next snapshot pairs none of those rows,
+    /// whose readings are not from the node's last poll, and every other
+    /// interface keeps its reading and rate.
+    pub fn ingest(
         &mut self,
         node: NodeId,
-        snapshot: &mut DeviceSnapshot,
+        snapshot: impl Borrow<DeviceSnapshot>,
     ) -> Result<bool, MonitorError> {
+        let snapshot = snapshot.borrow();
         self.polls_ingested += 1;
         let mut span = self.tracer.span("monitor.delta", "ingest");
         if span.is_recording() {
@@ -174,107 +178,81 @@ impl NetworkMonitor {
             }
             span.set_attr("interfaces", snapshot.interfaces.len());
         }
-        let Some(previous) = self.previous.get(node.index()) else {
+        let Some(&previous) = self.uptimes.get(node.index()) else {
             return Err(TopologyError::NoSuchNode(node).into());
         };
-        let Some(prev) = previous else {
-            span.set_attr("baseline", true);
-            self.previous[node.index()] = Some(std::mem::take(snapshot));
-            return Ok(false);
-        };
-
-        // Device reboot between polls: the counters restarted from zero,
-        // so deltas are garbage and the true elapsed time is unknowable.
-        // Mark the sample stale (re-baseline) instead of dividing by a
-        // bogus interval.
-        if delta::uptime_reset(prev.uptime_ticks, snapshot.uptime_ticks) {
-            self.uptime_resets.inc();
-            span.set_attr("uptime_reset", true);
-            self.retire(node, snapshot);
-            return Ok(false);
-        }
-
-        let interval = match self.interval_strategy {
-            IntervalStrategy::SysUpTime => {
-                delta::ticks_delta(prev.uptime_ticks, snapshot.uptime_ticks)
+        let uptime = snapshot.uptime_ticks;
+        // The node's last uptime and the interval since it, if a rate can
+        // be formed against that poll.
+        let pair = match previous {
+            None => {
+                span.set_attr("baseline", true);
+                None
             }
-            IntervalStrategy::NominalPeriod(ticks) => ticks,
+            // Device reboot between polls: the counters restarted from
+            // zero, so deltas are garbage and the true elapsed time is
+            // unknowable. Re-baseline instead of dividing by a bogus
+            // interval.
+            Some(old) if delta::uptime_reset(old, uptime) => {
+                self.uptime_resets.inc();
+                span.set_attr("uptime_reset", true);
+                None
+            }
+            Some(old) => {
+                let interval = match self.interval_strategy {
+                    IntervalStrategy::SysUpTime => delta::ticks_delta(old, uptime),
+                    IntervalStrategy::NominalPeriod(ticks) => ticks,
+                };
+                // A same-tick re-poll forms no rate.
+                (interval != 0).then(|| {
+                    span.set_attr("interval_ticks", interval);
+                    (old, interval)
+                })
+            }
         };
-        if interval == 0 {
-            // Same-tick re-poll: keep the newer counters as baseline but
-            // no rate can be formed.
-            self.retire(node, snapshot);
-            return Ok(false);
-        }
-        span.set_attr("interval_ticks", interval);
 
-        for (pos, cur) in snapshot.interfaces.iter().enumerate() {
-            // Successive snapshots of a device list the same interfaces
-            // in the same order; search only when they do not.
-            let old = match prev.interfaces.get(pos) {
-                Some(p) if p.if_index == cur.if_index => p,
-                _ => match prev.interfaces.iter().find(|p| p.if_index == cur.if_index) {
-                    Some(p) => p,
-                    None => continue, // interface appeared between polls
-                },
+        for row in &snapshot.interfaces {
+            let ifix = self.map_interface(node, &row.descr, row.if_index)?;
+            let slot = self.topology.interface_slot(node, ifix);
+            let slot = &mut self.slots[slot.expect("a mapped interface exists in the topology")];
+            let reading = Reading {
+                uptime_ticks: uptime,
+                in_octets: row.in_octets,
+                out_octets: row.out_octets,
             };
-            if delta::counter_wrapped(old.in_octets, cur.in_octets) {
+            let old = slot.last.replace(reading);
+            let Some((last_uptime, interval)) = pair else {
+                continue;
+            };
+            // A rate pairs only with a reading of the node's last poll.
+            let Some(old) = old.filter(|old| old.uptime_ticks == last_uptime) else {
+                continue;
+            };
+            if delta::counter_wrapped(old.in_octets, reading.in_octets) {
                 self.counter_wraps.inc();
             }
-            if delta::counter_wrapped(old.out_octets, cur.out_octets) {
+            if delta::counter_wrapped(old.out_octets, reading.out_octets) {
                 self.counter_wraps.inc();
             }
-            let ifix = self.map_interface(node, &cur.descr, cur.if_index)?;
-            let slot = self
-                .topology
-                .interface_slot(node, ifix)
-                .expect("a mapped interface exists in the topology");
             // A port fast enough to wrap its counter twice in this
             // interval has no knowable rate: none beats a wrong one.
-            if delta::wraps_ambiguous(cur.speed_bps, interval) {
-                self.rates[slot] = None;
-                continue;
-            }
-            let in_bps =
-                delta::rate_bps(delta::counter_delta(old.in_octets, cur.in_octets), interval)
-                    .unwrap_or(0);
-            let out_bps = delta::rate_bps(
-                delta::counter_delta(old.out_octets, cur.out_octets),
-                interval,
-            )
-            .unwrap_or(0);
-            let in_ucast_pps = delta::pps(
-                delta::counter_delta(old.in_ucast_pkts, cur.in_ucast_pkts),
-                interval,
-            )
-            .unwrap_or(0);
-            let out_nucast_pps = delta::pps(
-                delta::counter_delta(old.out_nucast_pkts, cur.out_nucast_pkts),
-                interval,
-            )
-            .unwrap_or(0);
-            self.rates[slot] = Some(IfRateSample {
-                in_bps,
-                out_bps,
-                in_ucast_pps,
-                out_nucast_pps,
+            slot.rates = (!delta::wraps_ambiguous(row.speed_bps, interval)).then(|| {
+                let rate = |old, new| {
+                    delta::rate_bps(delta::counter_delta(old, new), interval).unwrap_or(0)
+                };
+                IfRates {
+                    in_bps: rate(old.in_octets, reading.in_octets),
+                    out_bps: rate(old.out_octets, reading.out_octets),
+                }
             });
         }
-        self.retire(node, snapshot);
-        Ok(true)
+        self.uptimes[node.index()] = Some(uptime);
+        Ok(pair.is_some())
     }
 
-    /// Makes `snapshot` the baseline of `node`, which has one, and hands
-    /// the baseline it replaces back in `snapshot`.
-    fn retire(&mut self, node: NodeId, snapshot: &mut DeviceSnapshot) {
-        if let Some(previous) = &mut self.previous[node.index()] {
-            std::mem::swap(previous, snapshot);
-        }
-    }
-
-    /// Full per-interface rate detail for an interface, if monitored.
-    pub fn if_rates(&self, node: NodeId, ifix: IfIx) -> Option<IfRateSample> {
-        self.rates[self.topology.interface_slot(node, ifix)?]
+    /// The rates of an interface, if monitored.
+    pub fn if_rates(&self, node: NodeId, ifix: IfIx) -> Option<IfRates> {
+        self.slots[self.topology.interface_slot(node, ifix)?].rates
     }
 
     /// Finds the communication path between two hosts (paper §3.3
@@ -324,10 +302,7 @@ impl NetworkMonitor {
 
 impl RateProvider for NetworkMonitor {
     fn rates(&self, node: NodeId, ifix: IfIx) -> Option<IfRates> {
-        self.if_rates(node, ifix).map(|r| IfRates {
-            in_bps: r.in_bps,
-            out_bps: r.out_bps,
-        })
+        self.if_rates(node, ifix)
     }
 }
 
@@ -384,43 +359,72 @@ mod tests {
                 );
             }
         }
-        assert_eq!(m.previous.len(), 2);
+        assert_eq!(m.uptimes.len(), 2);
         // The nodes it has are not disturbed.
         assert!(!m.ingest(a, snap(100, 0, 0)).unwrap());
         assert!(m.ingest(a, snap(200, 125_000, 0)).unwrap());
     }
 
-    /// The swap hands back the baseline it replaced (nothing after a
-    /// first snapshot), and an ingest that fails swaps nothing.
+    /// A row the topology cannot place fails the ingest and leaves the
+    /// rows before it ingested: their readings are not from the node's
+    /// last poll, so the next snapshot pairs none of them, and the one
+    /// after pairs again.
     #[test]
-    fn ingest_swap_hands_back_the_replaced_baseline() {
+    fn a_failed_ingest_pairs_nothing_across_it() {
         let (t, a, _) = topo();
         let mut m = NetworkMonitor::new(t);
-        let mut s = snap(100, 0, 0);
-        assert!(!m.ingest_swap(a, &mut s).unwrap());
-        assert_eq!(s, DeviceSnapshot::default());
-        s = snap(200, 125_000, 0);
-        assert!(m.ingest_swap(a, &mut s).unwrap());
-        assert_eq!(s, snap(100, 0, 0));
+        assert!(!m.ingest(a, snap(100, 0, 0)).unwrap());
+        let mut s = snap(200, 125_000, 0);
+        let mut mystery = s.interfaces[0].clone();
+        mystery.if_index = 9;
+        mystery.descr = "mystery9".into();
+        s.interfaces.push(mystery);
+        assert!(matches!(
+            m.ingest(a, &s),
+            Err(MonitorError::UnknownInterface { .. })
+        ));
         assert_eq!(m.if_rates(a, IfIx(0)).unwrap().in_bps, 1_000_000);
+        // Paired with the reading at 200 the rate would read 4 Mb/s, or
+        // 2 Mb/s over the node's 200 ticks since its last poll.
+        assert!(m.ingest(a, snap(300, 625_000, 0)).unwrap());
+        assert_eq!(m.if_rates(a, IfIx(0)).unwrap().in_bps, 1_000_000);
+        assert!(m.ingest(a, snap(400, 875_000, 0)).unwrap());
+        assert_eq!(m.if_rates(a, IfIx(0)).unwrap().in_bps, 2_000_000);
+        assert_eq!(m.counter_wraps(), 0);
+    }
 
-        // An interface the topology cannot place fails the ingest once
-        // the baseline has it too.
-        let mystery = |uptime| {
-            let mut s = snap(uptime, 0, 0);
-            s.interfaces[0].if_index = 9;
-            s.interfaces[0].descr = "mystery9".into();
-            s
+    /// An agent that renumbers its interfaces between polls still pairs
+    /// each interface's counters with its own: rows are placed by
+    /// `ifDescr`, not matched by `ifIndex` against the last snapshot.
+    /// (Matched by `ifIndex`, `eth0` read 34 320 738 368 b/s, idle `eth1`
+    /// 40 Mb/s, and a wrap that never happened was counted.)
+    #[test]
+    fn a_renumbered_agent_pairs_each_interface_with_its_own_counters() {
+        let mut t = NetworkTopology::new();
+        let a = t.add_node("A", NodeKind::Switch).unwrap();
+        t.add_interface(a, "eth0", 100_000_000).unwrap();
+        t.add_interface(a, "eth1", 100_000_000).unwrap();
+        let mut m = NetworkMonitor::new(t);
+        let snap = |uptime, rows: [(u32, &str, u32); 2]| DeviceSnapshot {
+            uptime_ticks: uptime,
+            interfaces: (rows.iter())
+                .map(|&(if_index, descr, in_octets)| IfSample {
+                    if_index,
+                    descr: descr.into(),
+                    speed_bps: 100_000_000,
+                    in_octets,
+                    ..IfSample::default()
+                })
+                .collect(),
         };
-        s = mystery(300);
-        assert!(m.ingest_swap(a, &mut s).unwrap());
-        s = mystery(400);
-        assert!(m.ingest_swap(a, &mut s).is_err());
-        assert_eq!(s, mystery(400));
-        // The baseline is still the snapshot at 300.
-        s = snap(500, 0, 0);
-        assert!(m.ingest_swap(a, &mut s).unwrap());
-        assert_eq!(s, mystery(300));
+        m.ingest(a, snap(100, [(1, "eth0", 0), (2, "eth1", 5_000_000)]))
+            .unwrap();
+        assert!(m
+            .ingest(a, snap(200, [(1, "eth1", 5_000_000), (2, "eth0", 125_000)]))
+            .unwrap());
+        assert_eq!(m.if_rates(a, IfIx(0)).unwrap().in_bps, 1_000_000);
+        assert_eq!(m.if_rates(a, IfIx(1)).unwrap().in_bps, 0);
+        assert_eq!(m.counter_wraps(), 0);
     }
 
     #[test]
@@ -630,8 +634,10 @@ mod tests {
                 out_nucast_pkts: 0,
             }],
         };
-        m.ingest(a, mk(0)).unwrap();
-        let err = m.ingest(a, mk(100)).unwrap_err();
-        assert!(matches!(err, MonitorError::UnknownInterface { .. }));
+        // Every row is placed, the first snapshot's included.
+        for uptime in [0, 100] {
+            let err = m.ingest(a, mk(uptime)).unwrap_err();
+            assert!(matches!(err, MonitorError::UnknownInterface { .. }));
+        }
     }
 }

@@ -272,10 +272,9 @@ pub trait Network {
     /// network itself ([`MonitorError::Sim`]) ends the round. Returns the
     /// number of successful polls.
     ///
-    /// Each poll parses into its plan's snapshot, and the ingest swaps
-    /// that with the device's previous one, which becomes the plan's
-    /// snapshot for the next device of its shape: a steady-state poll
-    /// allocates only the datagrams it carries.
+    /// Each poll parses into its plan's snapshot, which the monitor reads
+    /// and the plan keeps for the next device of its shape: once it has
+    /// that shape, a poll allocates only the datagrams it carries.
     fn poll_nodes(
         &mut self,
         nodes: &[NodeId],
@@ -291,7 +290,7 @@ pub trait Network {
                 std::mem::take(&mut self.agents_mut().plans[plan].1)
             });
             let polled = timed_poll(self, node, &mut snapshot)
-                .and_then(|()| monitor.ingest_swap(node, &mut snapshot).map(drop));
+                .and_then(|()| monitor.ingest(node, &snapshot).map(drop));
             if let Some(plan) = plan {
                 self.agents_mut().plans[plan].1 = snapshot;
             }

@@ -11,6 +11,10 @@
 //! | `ifSpeed` | static bandwidth `m_i` |
 //! | `ifInOctets` / `ifOutOctets` | used bandwidth `u_i` |
 //! | `ifInUcastPkts` / `ifOutNUcastPkts` | packet-rate statistics |
+//!
+//! The monitor keeps only the octet counters and `sysUpTime` of each
+//! reading; the packet counters are parsed and checked, and nothing
+//! reads them yet.
 
 use crate::error::MonitorError;
 use netqos_snmp::client::Session;

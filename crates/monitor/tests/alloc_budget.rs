@@ -181,7 +181,7 @@ fn steady_poll_allocations(name: &str, ports: u32, jitter: Option<SimDuration>) 
 /// encode buffer), the agent's answer copied once from the buffer it keeps
 /// into the `Bytes` that travels back, and the `Vec` `exchange` must
 /// return. The answer is decoded straight into the poll plan's snapshot,
-/// which the ingest swaps with the device's previous one, so neither the
+/// which the ingest reads in place, so neither the
 /// bindings nor the `ifDescr` strings nor the snapshot are allocated, and
 /// the count does not grow with the device's interfaces. Nothing per hop,
 /// per event or per app callback either: frames share their payload, a
@@ -218,17 +218,20 @@ fn an_owned_poll_allocates_its_datagrams_and_its_snapshot() {
     assert_eq!(polled, SIM_POLL_BUDGET + 2);
 }
 
-/// A device's first poll keeps its snapshot as the device's baseline:
-/// the poll itself costs its datagrams, and the next poll of that shape
-/// parses into a fresh snapshot — the host's vector and string — as
-/// `poll_device` does. The poller keeps nothing else per device: a
-/// device the simulator already knows costs exactly that, and a first
+/// A device's first poll costs its datagrams and nothing more, and so
+/// does the poll after it: the monitor reads the snapshot the poll parsed
+/// into, keeps each interface's reading in a slot it had from the start,
+/// and the snapshot stays with the poller for the next device of its
+/// shape. The poller keeps nothing else per device: a device the
+/// simulator already knows costs exactly its datagrams, and a first
 /// contact adds only the simulator's first sight of it — the switch's
 /// address table grows to learn it and, jittered, its agent's queue of
-/// parked answers takes its first one. (A first contact cost 2 more
-/// while the poller started a round-trip-time baseline for each device.)
+/// parked answers takes its first one. (The next poll cost 2 more, the
+/// host's vector and string, while the monitor kept a device's first
+/// snapshot as its baseline; a first contact cost 2 more while the
+/// poller started a round-trip-time baseline for each device.)
 #[test]
-fn a_devices_first_poll_costs_the_snapshot_it_keeps() {
+fn a_devices_first_poll_and_the_next_cost_only_their_datagrams() {
     for (jitter, first_sight) in [(None, 1), (Some(SimDuration::from_millis(1)), 2)] {
         for known in [true, false] {
             let (mut net, mut monitor) = network(3, jitter);
@@ -251,7 +254,7 @@ fn a_devices_first_poll_costs_the_snapshot_it_keeps() {
             let (first, next) = (poll(s2), poll(s1));
             let case = format!("jitter {jitter:?}, known {known}");
             assert_eq!(first, SIM_POLL_BUDGET + sight, "{case}");
-            assert_eq!(next, SIM_POLL_BUDGET + 2, "{case}");
+            assert_eq!(next, SIM_POLL_BUDGET, "{case}");
             assert_eq!(poll(s2), SIM_POLL_BUDGET, "{case}");
         }
     }
@@ -433,9 +436,9 @@ fn managed_access_network(hosts: usize) -> netqos_spec::SpecModel {
 }
 
 /// Once every path baseline has its second window, a service keeps no
-/// more heap however long it runs: the poller holds per device only the
-/// snapshot an answer reads, and nothing that grows with the answers
-/// seen. The 1 ms of agent jitter makes every round trip differ, so
+/// more heap however long it runs: the monitor holds per interface only
+/// its last reading and rate, the poller one snapshot per poll plan, and
+/// nothing grows with the answers seen. The 1 ms of agent jitter makes every round trip differ, so
 /// anything kept per round trip would show.
 #[test]
 fn a_jittered_services_live_heap_is_flat_after_warm_up() {
