@@ -36,6 +36,7 @@ use netqos_topology::bandwidth::{IfRates, RateProvider};
 use netqos_topology::{IfIx, NodeId, NodeKind};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::borrow::Cow;
 use std::cell::{OnceCell, RefCell};
 use std::collections::HashMap;
 use std::collections::VecDeque;
@@ -121,9 +122,9 @@ impl LiveMib<'_> {
             let bridge = fdb
                 .iter()
                 .flat_map(|fdb| mib2::bridge::instances(nics.len() as u32, fdb));
-            let cells = column::IF_OUT_QLEN as usize * nics.len();
             let fdb_cells = fdb.as_ref().map_or(0, |fdb| 1 + 3 * fdb.len());
-            let mut mib = ScalarMib::with_capacity(7 + 1 + cells + fdb_cells);
+            // The `ifTable` cells go to the MIB's rows, not its vector.
+            let mut mib = ScalarMib::with_capacity(7 + 1 + fdb_cells);
             // The three groups in MIB order, each column by column, so
             // nothing is sorted.
             mib.extend(system.into_iter().chain(interfaces).chain(bridge));
@@ -134,19 +135,18 @@ impl LiveMib<'_> {
 
 impl MibView for LiveMib<'_> {
     fn get(&self, oid: &Oid) -> Option<ValueRef<'_>> {
+        if let Some((col, if_index)) = ifc::parse_instance(oid) {
+            let nic = self.ctx.nics().get((if_index as usize).checked_sub(1)?)?;
+            return if_cell(nic, if_index, col);
+        }
         match *oid.arcs() {
             // sysUpTime.0
             [1, 3, 6, 1, 2, 1, 1, 3, 0] => Some(ValueRef::TimeTicks(self.ctx.uptime_ticks())),
-            // ifEntry.<column>.<ifIndex>
-            [1, 3, 6, 1, 2, 1, 2, 2, 1, col, if_index] => {
-                let nic = self.ctx.nics().get((if_index as usize).checked_sub(1)?)?;
-                if_cell(nic, if_index, col)
-            }
             _ => self.full().get(oid),
         }
     }
 
-    fn next_after(&self, oid: &Oid) -> Option<(&Oid, ValueRef<'_>)> {
+    fn next_after(&self, oid: &Oid) -> Option<(Cow<'_, Oid>, ValueRef<'_>)> {
         self.full().next_after(oid)
     }
 }
@@ -810,7 +810,7 @@ mod tests {
             // the full map behind the other names) match.
             let fdb = mib2::bridge::fdb_entry_base();
             for (oid, value) in expected.iter() {
-                assert_eq!(live.get(oid), Some(value.into()), "{oid}");
+                assert_eq!(live.get(&oid), Some(value.into()), "{oid}");
                 compared.instances += 1;
                 compared.fdb_instances += usize::from(oid.starts_with(&fdb));
             }

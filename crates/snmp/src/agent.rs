@@ -275,20 +275,21 @@ impl SnmpAgent {
                 continue;
             }
             if !is_bulk {
-                let found = match pdu_tag {
-                    tag::GET_REQUEST => view.get(&name).map(|value| (&name, value)),
-                    _ => view.next_after(&name),
+                let answered = match pdu_tag {
+                    tag::GET_REQUEST => view.get(&name).map(|value| answer(out, &name, value)),
+                    _ => view
+                        .next_after(&name)
+                        .map(|(oid, value)| answer(out, &oid, value)),
                 };
-                match found {
-                    Some((oid, value)) => answer(out, oid, value),
-                    None => failed_at = Some(position),
+                if answered.is_none() {
+                    failed_at = Some(position);
                 }
             } else if position <= second {
                 // RFC 1905 §4.2.3: the leading non-repeaters get one
                 // successor each; walking past the MIB yields
                 // `endOfMibView`, never an error.
                 match view.next_after(&name) {
-                    Some((oid, value)) => answer(out, oid, value),
+                    Some((oid, value)) => answer(out, &oid, value),
                     None => answer(out, &name, ValueRef::EndOfMibView),
                 }
             } else {
@@ -315,8 +316,8 @@ impl SnmpAgent {
             for (cursor, done) in cursors.iter_mut().filter(|(_, done)| !done) {
                 match view.next_after(cursor) {
                     Some((oid, value)) => {
-                        answer(out, oid, value);
-                        *cursor = oid.clone();
+                        answer(out, &oid, value);
+                        *cursor = oid.into_owned();
                     }
                     None => {
                         *done = true;

@@ -59,9 +59,13 @@ pub fn if_number_instance() -> Oid {
     Oid::from([1, 3, 6, 1, 2, 1, 2, 1, 0])
 }
 
+/// Arcs of `ifEntry` (1.3.6.1.2.1.2.2.1), the prefix of every `ifTable`
+/// instance.
+pub const IF_ENTRY_ARCS: [u32; 9] = [1, 3, 6, 1, 2, 1, 2, 2, 1];
+
 /// `ifEntry` base: 1.3.6.1.2.1.2.2.1
 pub fn if_entry_base() -> Oid {
-    Oid::from([1, 3, 6, 1, 2, 1, 2, 2, 1])
+    Oid::from(IF_ENTRY_ARCS)
 }
 
 /// Column OID without instance: `1.3.6.1.2.1.2.2.1.<col>`.
@@ -74,11 +78,14 @@ pub fn instance_oid(col: u32, if_index: u32) -> Oid {
     if_entry_base().extend(&[col, if_index])
 }
 
-/// Decodes an `ifTable` instance OID back into `(column, ifIndex)`.
+/// Decodes an `ifTable` instance OID back into `(column, ifIndex)`, any
+/// two arcs under `ifEntry`. The agent's MIB routes its row cells by it
+/// and the simulated agent answers from live counters by it, so it
+/// matches the arcs in place.
+#[inline]
 pub fn parse_instance(oid: &Oid) -> Option<(u32, u32)> {
-    let suffix = oid.suffix_of(&if_entry_base())?;
-    match suffix {
-        [col, ifindex] => Some((*col, *ifindex)),
+    match *oid.arcs() {
+        [1, 3, 6, 1, 2, 1, 2, 2, 1, col, if_index] => Some((col, if_index)),
         _ => None,
     }
 }
@@ -265,7 +272,7 @@ mod tests {
         // MIB order within the table: column, then ifIndex — the standard
         // SNMP walk order (all ifDescr before any ifType, etc.).
         let (next, _) = mib.next_after(&instance_oid(column::IF_INDEX, 2)).unwrap();
-        assert_eq!(next, &instance_oid(column::IF_DESCR, 1));
+        assert_eq!(*next, instance_oid(column::IF_DESCR, 1));
     }
 
     #[test]

@@ -1,14 +1,16 @@
 //! What an agent's MIB holds, and what answering from it may take: a
-//! one-interface host's MIB stays within a byte budget, a GetBulk walk of
-//! a switch with 10 000 learned stations stops at the response limit
-//! instead of building the whole answer, and (`#[ignore]`d, release mode)
-//! that switch's MIB builds in well under a second.
+//! one-interface host's MIB and a 9-port switch's stay within byte
+//! budgets, a GetBulk walk of a switch with 10 000 learned stations stops
+//! at the response limit instead of building the whole answer, and
+//! (`#[ignore]`d, release mode) that switch's MIB builds in well under a
+//! second.
 
 use netqos_snmp::agent::decode_response;
 use netqos_snmp::mib2::{bridge, interfaces, system, FdbEntry, IfEntry, SystemInfo};
 use netqos_snmp::value::ValueRef;
 use netqos_snmp::{client, ErrorStatus, MibView, Oid, ScalarMib, SnmpAgent};
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::borrow::Cow;
 use std::cell::Cell;
 use std::time::{Duration, Instant};
 
@@ -109,11 +111,29 @@ fn a_hosts_mib_holds_little_more_than_its_entries() {
     );
 }
 
-/// The 29 entries themselves are 2 552 B (88 B each: a 56-byte name and
-/// a 32-byte value), and the strings and the boxed `sysObjectID` the
-/// values own 124 B: 2 676 B. The `BTreeMap` the MIB was before held
-/// 5 140 B.
-const HOST_MIB_BUDGET: isize = 3_000;
+/// The 8 names no row holds are 704 B (88 B each: a 56-byte name and a
+/// 32-byte value), the interface's row of 21 cells 672 B (32 B each),
+/// and the strings and the boxed `sysObjectID` the values own 124 B:
+/// 1 500 B. With every cell under its own name the MIB held 2 676 B, and
+/// as a `BTreeMap` 5 140 B.
+const HOST_MIB_BUDGET: isize = 1_700;
+
+#[test]
+fn a_switchs_mib_holds_its_rows_not_a_name_per_cell() {
+    let (mib, live, _) = heap_of(|| switch_mib(9, 0));
+    assert_eq!(mib.len(), 7 + 1 + 21 * 9 + 1);
+    println!("9-port switch: {} entries, {live} B live", mib.len());
+    assert!(
+        live <= SWITCH_MIB_BUDGET,
+        "{live} B live, budget {SWITCH_MIB_BUDGET} B"
+    );
+}
+
+/// A switch with 9 ports and no learned station, the size of
+/// `agents-direct`'s site switches: 9 names no row holds (792 B), 9 rows
+/// (6 048 B) and the strings (186 B), 7 026 B. With every cell under its
+/// own name the MIB held 17 610 B.
+const SWITCH_MIB_BUDGET: isize = 8_000;
 
 #[test]
 fn a_get_bulk_walk_of_a_large_bridge_stops_at_the_response_limit() {
@@ -159,7 +179,7 @@ impl MibView for Stepped<'_> {
         self.mib.get(oid)
     }
 
-    fn next_after(&self, oid: &Oid) -> Option<(&Oid, ValueRef<'_>)> {
+    fn next_after(&self, oid: &Oid) -> Option<(Cow<'_, Oid>, ValueRef<'_>)> {
         self.steps.set(self.steps.get() + 1);
         self.mib.next_after(oid)
     }

@@ -2,9 +2,9 @@
 //! the flat MIB against the reference oracle (the encoder, agent and
 //! B-tree MIB they replaced).
 //!
-//! The `#[ignore]`d twin runs the MIB property at CI's release-mode
-//! length: `cargo test --release -p netqos-snmp --test differential --
-//! --ignored`.
+//! The `#[ignore]`d twins run the MIB and agent properties at CI's
+//! release-mode length: `cargo test --release -p netqos-snmp --test
+//! differential -- --ignored`.
 
 mod oracle;
 mod strategies;
@@ -14,11 +14,13 @@ use netqos_snmp::client;
 use netqos_snmp::message::{MessageBody, SnmpMessage, SnmpVersion};
 use netqos_snmp::mib::MibView;
 use netqos_snmp::mib::ScalarMib;
+use netqos_snmp::mib2::interfaces;
 use netqos_snmp::pdu::{BulkPdu, ErrorStatus, Pdu, PduType, VarBind};
 use netqos_snmp::{Oid, SnmpValue};
 use oracle::mib::OracleMib;
 use oracle::OracleAgent;
 use proptest::prelude::*;
+use std::borrow::Cow;
 use strategies::{arb_any_oid, arb_any_value, arb_message, arb_oid};
 
 const COMMUNITY: &str = "public";
@@ -285,7 +287,15 @@ fn arb_kind() -> impl Strategy<Value = Kind> {
 /// MIB contents: mostly what an agent would hold, now and then a name or
 /// a value the wire cannot carry.
 fn arb_mib() -> impl Strategy<Value = Vec<(Oid, SnmpValue)>> {
-    let key = prop_oneof![arb_oid(), arb_oid(), arb_oid(), arb_oid(), arb_any_oid()];
+    let key = prop_oneof![
+        arb_oid(),
+        arb_oid(),
+        arb_oid(),
+        arb_oid(),
+        arb_any_oid(),
+        arb_table_name(),
+        arb_table_name(),
+    ];
     let value = prop_oneof![
         strategies::arb_value(),
         strategies::arb_value(),
@@ -293,6 +303,51 @@ fn arb_mib() -> impl Strategy<Value = Vec<(Oid, SnmpValue)>> {
         arb_any_value(),
     ];
     prop::collection::vec((key, value), 0..24)
+}
+
+/// A request: its kind, names, id, community (0 is the wrong one), and
+/// the byte to corrupt in its copy and how.
+type Request = (Kind, Vec<(Name, SnmpValue)>, i32, u8, usize, u8);
+
+fn arb_requests() -> impl Strategy<Value = Vec<Request>> {
+    prop::collection::vec(
+        (
+            arb_kind(),
+            arb_names(),
+            any::<i32>(),
+            0u8..8,
+            any::<usize>(),
+            1u8..=255,
+        ),
+        1..6,
+    )
+}
+
+fn arb_limit() -> impl Strategy<Value = Option<usize>> {
+    prop_oneof![Just(None), (30usize..400).prop_map(Some)]
+}
+
+/// Feeds both agents over `entries` each request and its corrupted copy.
+fn agents_agree(
+    entries: &[(Oid, SnmpValue)],
+    requests: &[Request],
+    limit: Option<usize>,
+    bulk: bool,
+) {
+    let mut pair = Pair::new(entries, bulk, limit);
+    for (kind, names, request_id, community, position, flip) in requests {
+        let community = if *community == 0 {
+            "private"
+        } else {
+            COMMUNITY
+        };
+        let request = build_request(kind, community, *request_id, names, entries);
+        pair.handle(&request);
+        let mut corrupted = request;
+        let position = position % corrupted.len();
+        corrupted[position] ^= flip;
+        pair.handle(&corrupted);
+    }
 }
 
 fn build_request(
@@ -406,23 +461,11 @@ proptest! {
     #[test]
     fn agent_answers_identically(
         entries in arb_mib(),
-        requests in prop::collection::vec(
-            (arb_kind(), arb_names(), any::<i32>(), 0u8..8, any::<usize>(), 1u8..=255),
-            1..6,
-        ),
-        limit in prop_oneof![Just(None), (30usize..400).prop_map(Some)],
+        requests in arb_requests(),
+        limit in arb_limit(),
         bulk in any::<bool>(),
     ) {
-        let mut pair = Pair::new(&entries, bulk, limit);
-        for (kind, names, request_id, community, position, flip) in &requests {
-            let community = if *community == 0 { "private" } else { COMMUNITY };
-            let request = build_request(kind, community, *request_id, names, &entries);
-            pair.handle(&request);
-            let mut corrupted = request;
-            let position = position % corrupted.len();
-            corrupted[position] ^= flip;
-            pair.handle(&corrupted);
-        }
+        agents_agree(&entries, &requests, limit, bulk);
     }
 
     /// Arbitrary bytes never panic either agent and are dropped alike.
@@ -497,6 +540,27 @@ fn arb_key() -> impl Strategy<Value = Key> {
         any::<usize>().prop_map(Key::Before),
         any::<usize>().prop_map(Key::After),
         arb_any_oid().prop_map(Key::Any),
+        arb_table_name().prop_map(Key::Any),
+        arb_table_name().prop_map(Key::Any),
+    ]
+}
+
+/// Names shaped like the `ifTable`'s, where the MIB keeps rows: cells of
+/// columns 0–23 at ifIndex 0–5 or `u32::MAX`, names one arc short of a
+/// cell and one arc long, and the `ifEntry` and `ifTable` prefixes.
+fn arb_table_name() -> impl Strategy<Value = Oid> {
+    let col = || 0u32..24;
+    // Rows exist only from ifIndex 1 up, so the low ones come often.
+    let if_index = || prop_oneof![1u32..3, 0u32..6, Just(u32::MAX)];
+    let cell = || (col(), if_index()).prop_map(|(c, i)| interfaces::instance_oid(c, i));
+    prop_oneof![
+        cell(),
+        cell(),
+        cell(),
+        col().prop_map(interfaces::column_oid),
+        (cell(), 0u32..3).prop_map(|(cell, arc)| cell.child(arc)),
+        Just(interfaces::if_entry_base()),
+        Just(oid("1.3.6.1.2.1.2.2")),
     ]
 }
 
@@ -513,6 +577,11 @@ fn arb_mib_ops() -> impl Strategy<Value = Vec<MibOp>> {
         arb_key().prop_map(MibOp::Subtree),
     ];
     prop::collection::vec(op, 0..48)
+}
+
+/// An oracle entry as the flat MIB hands one out.
+fn borrowed<'a>((name, value): (&'a Oid, &'a SnmpValue)) -> (Cow<'a, Oid>, &'a SnmpValue) {
+    (Cow::Borrowed(name), value)
 }
 
 /// Runs `ops` on the flat MIB and on the B-tree, requiring every answer,
@@ -573,7 +642,7 @@ fn mib_ops_agree(ops: &[MibOp]) {
             MibOp::Subtree(key) => {
                 let name = key.resolve(&oracle);
                 assert!(
-                    mib.subtree(&name).eq(oracle.subtree(&name)),
+                    mib.subtree(&name).eq(oracle.subtree(&name).map(borrowed)),
                     "subtree {name}"
                 );
             }
@@ -581,7 +650,7 @@ fn mib_ops_agree(ops: &[MibOp]) {
         assert_eq!(mib.len(), oracle.len());
         assert_eq!(mib.is_empty(), oracle.len() == 0);
     }
-    assert!(mib.iter().eq(oracle.iter()));
+    assert!(mib.iter().eq(oracle.iter().map(borrowed)));
     for (name, value) in oracle.iter() {
         assert_eq!(mib.get(name), Some(value.into()), "get {name}");
     }
@@ -631,5 +700,16 @@ proptest! {
     #[ignore = "20 000 cases: run in release mode"]
     fn the_flat_mib_answers_as_the_btree_at_length(ops in arb_mib_ops()) {
         mib_ops_agree(&ops);
+    }
+
+    #[test]
+    #[ignore = "20 000 cases: run in release mode"]
+    fn agent_answers_identically_at_length(
+        entries in arb_mib(),
+        requests in arb_requests(),
+        limit in arb_limit(),
+        bulk in any::<bool>(),
+    ) {
+        agents_agree(&entries, &requests, limit, bulk);
     }
 }

@@ -6,6 +6,7 @@
 use netqos_snmp::mib::MibView;
 use netqos_snmp::value::ValueRef;
 use netqos_snmp::{Oid, SnmpValue};
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::ops::Bound;
 
@@ -47,10 +48,10 @@ impl MibView for OracleMib {
         self.entries.get(oid).map(ValueRef::from)
     }
 
-    fn next_after(&self, oid: &Oid) -> Option<(&Oid, ValueRef<'_>)> {
+    fn next_after(&self, oid: &Oid) -> Option<(Cow<'_, Oid>, ValueRef<'_>)> {
         self.entries
             .range::<Oid, _>((Bound::Excluded(oid), Bound::Unbounded))
             .next()
-            .map(|(k, v)| (k, v.into()))
+            .map(|(k, v)| (Cow::Borrowed(k), v.into()))
     }
 }

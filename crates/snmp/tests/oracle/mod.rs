@@ -210,7 +210,8 @@ fn get(view: &dyn MibView, oid: &Oid) -> Option<SnmpValue> {
 }
 
 fn next_after(view: &dyn MibView, oid: &Oid) -> Option<(Oid, SnmpValue)> {
-    view.next_after(oid).map(|(k, v)| (k.clone(), v.to_value()))
+    view.next_after(oid)
+        .map(|(k, v)| (k.into_owned(), v.to_value()))
 }
 
 fn error_response(pdu: &Pdu, status: ErrorStatus, index: u32) -> Pdu {
