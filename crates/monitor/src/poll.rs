@@ -17,7 +17,7 @@
 //! reads them yet.
 
 use crate::error::MonitorError;
-use netqos_snmp::client::Session;
+use netqos_snmp::client::{Manager, Session};
 use netqos_snmp::mib2::{interfaces as ifc, system};
 use netqos_snmp::oid::Oid;
 use netqos_snmp::pdu::VarBind;
@@ -111,6 +111,26 @@ impl PollPlan {
         let mut parse = Parse::begin(snapshot, self.if_count);
         client
             .get_visit(&self.oids, |oid, value| parse.binding(oid, value))
+            .map_err(|e| MonitorError::from_snmp(e, node))??;
+        parse.finish()
+    }
+
+    /// The answer half of [`PollPlan::poll_into`], for a poller that
+    /// posts its requests itself: reads `answer`, the agent's answer to
+    /// this plan's Get sent under `id` (encoded by `manager`'s
+    /// [`Manager::encode_get`]), into `snapshot`, with the outcome
+    /// `poll_into` gives for the same answer.
+    pub fn read_answer(
+        &self,
+        manager: &Manager,
+        answer: &[u8],
+        id: i32,
+        node: &str,
+        snapshot: &mut DeviceSnapshot,
+    ) -> Result<(), MonitorError> {
+        let mut parse = Parse::begin(snapshot, self.if_count);
+        manager
+            .visit_answer(answer, id, |oid, value| parse.binding(oid, value))
             .map_err(|e| MonitorError::from_snmp(e, node))??;
         parse.finish()
     }

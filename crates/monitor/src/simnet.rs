@@ -4,15 +4,15 @@
 //! LAN: every host gets DISCARD and ECHO services, every SNMP-capable
 //! node gets an in-simulation SNMP agent ([`SimSnmpAgent`]) answering on
 //! port 161, and the designated monitor host gets a manager mailbox. The
-//! simulated LAN is then one more [`Transport`] ([`SimLink`]) under the
-//! SNMP manager that also polls over UDP, which sends *real encoded SNMP
+//! simulated LAN is then one more [`Wire`] ([`SimWire`]) under the round
+//! of polls that also runs over UDP, which sends *real encoded SNMP
 //! messages through the simulated network* — so, exactly as in the
 //! paper's testbed, the monitoring traffic itself consumes bandwidth and
 //! contributes to the measurement bias (the paper attributes ~2 % of its
 //! error to "traffic caused by SNMP queries and acknowledgements").
 
 use crate::error::MonitorError;
-use crate::network::{self, AgentLink, Agents, Conversation, Network, POLL_RETRIES, TRAP_PORT};
+use crate::network::{self, Agents, Link, Network, Wire, TRAP_PORT};
 use crate::poll::DeviceSnapshot;
 use crate::telemetry::MonitorTelemetry;
 use bytes::Bytes;
@@ -22,15 +22,13 @@ use netqos_sim::nic::Nic;
 use netqos_sim::packet::{DISCARD_PORT, ECHO_PORT, SNMP_PORT};
 use netqos_sim::time::{SimDuration, SimTime};
 use netqos_sim::traffic::NoiseSource;
-use netqos_sim::{DeviceId, Ipv4Addr, Lan, PortIx, SimError, UdpDatagram};
+use netqos_sim::{DeviceId, Ipv4Addr, Lan, PortIx, UdpDatagram};
 use netqos_snmp::agent::{self, SnmpAgent};
-use netqos_snmp::client;
 use netqos_snmp::mib::{MibView, ScalarMib};
 use netqos_snmp::mib2::interfaces::{self as ifc, column};
 use netqos_snmp::mib2::{self, SystemInfo};
-use netqos_snmp::transport::Transport;
 use netqos_snmp::value::ValueRef;
-use netqos_snmp::{Oid, SnmpError};
+use netqos_snmp::Oid;
 use netqos_spec::SpecModel;
 use netqos_topology::bandwidth::{IfRates, RateProvider};
 use netqos_topology::{IfIx, NodeId, NodeKind};
@@ -258,30 +256,32 @@ pub const MANAGER_PORT: u16 = 16100;
 /// The manager's mailbox: each datagram it received, with when.
 type Inbox = RefCell<Vec<(SimTime, UdpDatagram)>>;
 
-/// Steps `lan` until a datagram in `inbox` past the first `examined`
-/// (ruled out already) is `wanted`, or until `deadline`, and takes it
-/// out: the one wait on the manager's mailbox, for SNMP answers and ECHO
-/// replies alike. Finding one also drops every datagram 10 s old or
-/// older (late duplicates, lost probes' echoes), so the mailbox cannot
-/// grow without bound across long experiments.
+/// Steps `lan` until a datagram in `inbox` is `wanted`, or until
+/// `deadline`, and takes it out: the one wait on the manager's mailbox,
+/// for the round (which wants every datagram) and ECHO replies alike.
+/// Each datagram is looked at once. Finding one also drops every datagram
+/// 10 s old or older (lost probes' echoes), so the mailbox cannot grow
+/// without bound across long experiments.
 fn await_datagram(
     lan: &mut Lan,
     inbox: &Inbox,
     deadline: SimTime,
-    examined: &mut usize,
     wanted: impl Fn(&UdpDatagram) -> bool,
 ) -> Option<(SimTime, UdpDatagram)> {
+    // Entries before this index have been ruled out; the mailbox only
+    // grows while this wait runs.
+    let mut examined = 0;
     loop {
         {
             let mut inbox = inbox.borrow_mut();
-            while *examined < inbox.len() {
-                if wanted(&inbox[*examined].1) {
-                    let found = inbox.remove(*examined);
+            while examined < inbox.len() {
+                if wanted(&inbox[examined].1) {
+                    let found = inbox.remove(examined);
                     let now = lan.now();
                     inbox.retain(|(t, _)| now.duration_since(*t) < SimDuration::from_secs(10));
                     return Some(found);
                 }
-                *examined += 1;
+                examined += 1;
             }
         }
         if lan.now() >= deadline {
@@ -291,75 +291,61 @@ fn await_datagram(
     }
 }
 
-/// The simulated LAN as the [`Transport`] from the manager's mailbox to
-/// one agent, lent for one conversation: an exchange posts the request
-/// and steps simulated time until the answer is in the mailbox,
-/// retransmitting up to `POLL_RETRIES` times — the same recovery a real
-/// manager performs over lossy UDP. Each datagram in the mailbox is
-/// looked at once, by its request-id alone: late duplicates and
-/// datagrams that are not SNMP (an ECHO reply left by
-/// [`SimNetwork::measure_rtt`]) never reach the codec counters.
-pub struct SimLink<'a> {
+/// The simulated LAN as the [`Wire`] between the manager's mailbox and
+/// the agents: a request is posted from the monitor host to an agent's
+/// port 161, and collecting steps simulated time until the next datagram
+/// is in the mailbox, lends its payload and drops it.
+pub struct SimWire<'a> {
     lan: &'a mut Lan,
-    inbox: &'a RefCell<Vec<(SimTime, UdpDatagram)>>,
+    inbox: &'a Inbox,
     manager_dev: DeviceId,
-    agent_ip: Ipv4Addr,
+    node_to_dev: &'a HashMap<NodeId, DeviceId>,
     timeout: SimDuration,
-    /// Requests sent again after a silent attempt, since the last
-    /// [`AgentLink::take_retransmits`].
-    retransmits: u64,
-    /// Why the simulator refused to post a request, when that is what
-    /// failed an exchange.
-    unposted: Option<SimError>,
 }
 
-impl AgentLink for SimLink<'_> {
-    fn take_retransmits(&mut self) -> u64 {
-        std::mem::take(&mut self.retransmits)
+impl Wire for SimWire<'_> {
+    /// An agent's address and port.
+    type Addr = (Ipv4Addr, u16);
+
+    fn now(&self) -> SimTime {
+        self.lan.now()
     }
 
-    /// The `result` of a conversation over this link — or, if it ended
-    /// because the simulator refused a request, the simulator's error in
-    /// its own type instead of as an SNMP failure.
-    fn checked<R>(self, result: Result<R, MonitorError>) -> Result<R, MonitorError> {
-        self.unposted.map_or(result, |e| Err(e.into()))
+    fn timeout(&self) -> SimDuration {
+        self.timeout
     }
-}
 
-impl Transport for SimLink<'_> {
-    fn exchange(&mut self, request: &[u8]) -> Result<Vec<u8>, SnmpError> {
-        let request_id = client::peek_request_id(request)
-            .ok_or_else(|| SnmpError::Transport("request carries no request-id".into()))?;
+    /// An agent answers at its device's address.
+    fn address(&self, node: NodeId) -> Option<(Ipv4Addr, u16)> {
+        let dev = *self.node_to_dev.get(&node)?;
+        let ip = self.lan.device_ip(dev).ok().flatten()?;
+        Some((ip, SNMP_PORT))
+    }
+
+    /// Copies the request once, into the `Bytes` that travels.
+    fn post(&mut self, (ip, port): (Ipv4Addr, u16), request: &[u8]) -> Result<(), MonitorError> {
         let request = Bytes::copy_from_slice(request);
-        // Mailbox entries before this index have been ruled out; the
-        // mailbox only grows while this exchange runs.
-        let mut examined = 0;
-        for attempt in 0..=POLL_RETRIES {
-            if attempt > 0 {
-                self.retransmits += 1;
-            }
-            if let Err(e) = self.lan.post_udp(
-                self.manager_dev,
-                MANAGER_PORT,
-                self.agent_ip,
-                SNMP_PORT,
-                request.clone(),
-            ) {
-                let failure = SnmpError::Transport(e.to_string());
-                self.unposted = Some(e);
-                return Err(failure);
-            }
-            let deadline = self.lan.now() + self.timeout;
-            let answer = await_datagram(self.lan, self.inbox, deadline, &mut examined, |d| {
-                client::peek_request_id(&d.payload) == Some(request_id)
-            });
-            if let Some((_, answer)) = answer {
-                return Ok(answer.payload.to_vec());
-            } // else this attempt timed out; maybe retransmit
-        }
-        Err(SnmpError::Timeout)
+        (self.lan).post_udp(self.manager_dev, MANAGER_PORT, ip, port, request)?;
+        Ok(())
+    }
+
+    fn collect(
+        &mut self,
+        deadline: SimTime,
+        land: impl FnOnce((Ipv4Addr, u16), &[u8], SimTime),
+    ) -> bool {
+        let landed = await_datagram(self.lan, self.inbox, deadline, |_| true);
+        let Some((at, datagram)) = landed else {
+            return false;
+        };
+        land((datagram.src_ip, datagram.src_port), &datagram.payload, at);
+        true
     }
 }
+
+/// The simulated LAN from the monitor host to one agent, as a
+/// [`Transport`](netqos_snmp::transport::Transport) ([`SimNetwork::link`]).
+pub type SimLink<'a> = Link<'a, SimWire<'a>>;
 
 impl SimNetwork {
     /// Materializes a spec model with default options.
@@ -500,10 +486,11 @@ impl SimNetwork {
         self.agents.pollable().to_vec()
     }
 
-    /// The simulated network as a [`Transport`] from the monitor host to
-    /// the agent of `node`, for a manager of the caller's own — how tests
-    /// put the simulator beside the other transports. Polling goes through
-    /// [`SimNetwork::poll_device`].
+    /// The simulated network as a
+    /// [`Transport`](netqos_snmp::transport::Transport) from the monitor
+    /// host to the agent of `node`, for a manager of the caller's own —
+    /// how tests put the simulator beside the other transports. Polling
+    /// goes through [`SimNetwork::poll_device`].
     pub fn link(&mut self, node: NodeId) -> Result<SimLink<'_>, MonitorError> {
         self.conversation(node)
             .map(|conversation| conversation.link)
@@ -555,7 +542,7 @@ impl SimNetwork {
                 ECHO_PORT,
                 Bytes::from(payload),
             )?;
-            let echo = await_datagram(&mut self.lan, &self.inbox, sent_at + timeout, &mut 0, |d| {
+            let echo = await_datagram(&mut self.lan, &self.inbox, sent_at + timeout, |d| {
                 d.src_ip == target_ip && d.payload.starts_with(&tag)
             });
             match echo.map(|(at, _)| at.duration_since(sent_at)) {
@@ -599,28 +586,17 @@ impl Network for SimNetwork {
         &mut self.agents
     }
 
-    type Link<'a> = SimLink<'a>;
+    type Wire<'a> = SimWire<'a>;
 
-    /// The simulated LAN from the manager's mailbox to `node`'s agent: a
-    /// request steps simulated time until its answer arrives (or the poll
-    /// timeout elapses).
-    fn conversation(
-        &mut self,
-        node: NodeId,
-    ) -> Result<Conversation<'_, SimLink<'_>>, MonitorError> {
-        // An agent answers at its device's address.
-        let dev = self.node_to_dev.get(&node).copied();
-        let ip = dev.and_then(|dev| self.lan.device_ip(dev).ok().flatten());
-        let link = ip.map(|agent_ip| SimLink {
+    fn wire(&mut self) -> (SimWire<'_>, &mut Agents, &SpecModel) {
+        let wire = SimWire {
             lan: &mut self.lan,
             inbox: &self.inbox,
             manager_dev: self.monitor_dev,
-            agent_ip,
+            node_to_dev: &self.node_to_dev,
             timeout: self.poll_timeout,
-            retransmits: 0,
-            unposted: None,
-        });
-        self.agents.conversation(&self.model, node, link)
+        };
+        (wire, &mut self.agents, &self.model)
     }
 
     /// Trap transmission is fire-and-forget UDP from the monitor host.
@@ -719,6 +695,9 @@ impl RateProvider for TrueRates {
 mod tests {
     use super::*;
     use crate::monitor::NetworkMonitor;
+    use netqos_snmp::client;
+    use netqos_snmp::transport::Transport;
+    use netqos_snmp::SnmpError;
 
     const SMALL: &str = r#"
         host L  { address 10.0.0.1;  snmp community "public"; interface eth0 { speed 100Mbps; } }

@@ -3,18 +3,18 @@
 //!
 //! [`UdpNetwork`] is the [`Network`] a
 //! [`MonitoringService`](crate::service::MonitoringService) runs over when
-//! the agents are real: one connected [`UdpTransport`] per agent, lent to
-//! the one manager for each conversation with the simulator's timeout and
-//! retransmissions, and wall time since construction as its clock.
+//! the agents are real: one socket for every agent, the [`Wire`] the
+//! round of polls posts each agent's request on and collects the answers
+//! from, with the simulator's timeout and retransmissions, and wall time
+//! since construction as its clock.
 
 use crate::error::MonitorError;
-use crate::network::{AgentLink, Agents, Conversation, Network};
-use crate::network::{POLL_RETRIES, POLL_TIMEOUT, TRAP_PORT};
+use crate::network::{Agents, Network, Wire, TRAP_PORT};
 use crate::telemetry::MonitorTelemetry;
 use netqos_sim::packet::SNMP_PORT;
 use netqos_sim::time::SimTime;
 use netqos_sim::Ipv4Addr;
-use netqos_snmp::transport::UdpTransport;
+use netqos_snmp::SnmpError;
 use netqos_spec::SpecModel;
 use netqos_topology::NodeId;
 use std::collections::HashMap;
@@ -25,10 +25,25 @@ use std::time::{Duration, Instant};
 pub struct UdpNetwork {
     model: SpecModel,
     agents: Agents,
-    /// The socket to each node's agent, indexed by node id; `None` for a
-    /// node without one.
-    links: Vec<Option<UdpTransport>>,
+    /// The manager's one socket, to every agent.
+    socket: UdpSocket,
+    /// The address of each node's agent, indexed by node id; `None` for a
+    /// node without one. IPv4 addresses are IPv6-mapped on an IPv6 socket,
+    /// as the socket reports their senders.
+    addrs: Vec<Option<SocketAddr>>,
+    /// Receive buffer, one maximum-size datagram, reused by every answer.
+    buffer: Vec<u8>,
     /// Where the clock reads zero.
+    origin: Instant,
+}
+
+/// [`UdpNetwork`]'s socket as the [`Wire`] to its agents: each request
+/// goes to its agent's address, and every answer comes back into one
+/// buffer.
+pub struct UdpWire<'a> {
+    socket: &'a UdpSocket,
+    addrs: &'a [Option<SocketAddr>],
+    buffer: &'a mut [u8],
     origin: Instant,
 }
 
@@ -41,24 +56,35 @@ impl UdpNetwork {
         addrs: &HashMap<NodeId, SocketAddr>,
     ) -> Result<Self, MonitorError> {
         let agents = Agents::new(&model, MonitorTelemetry::private());
-        let link = |node: NodeId, name: &str| {
-            let addr = addrs.get(&node).ok_or_else(|| {
+        let addr = |node: NodeId, name: &str| {
+            let addr = addrs.get(&node).copied();
+            addr.ok_or_else(|| {
                 MonitorError::Topology(format!("the agent of `{name}` has no address"))
-            })?;
-            let mut link =
-                UdpTransport::connect(addr).map_err(|e| MonitorError::from_snmp(e, name))?;
-            link.set_timeout(Duration::from_micros(POLL_TIMEOUT.as_micros()));
-            link.set_retries(POLL_RETRIES);
-            Ok(link)
+            })
         };
-        let links = (model.topology.nodes())
-            .map(|(node, n)| agents.has_agent(node).then(|| link(node, &n.name)))
+        let mut addrs: Vec<Option<SocketAddr>> = (model.topology.nodes())
+            .map(|(node, n)| agents.has_agent(node).then(|| addr(node, &n.name)))
             .map(Option::transpose)
             .collect::<Result<_, MonitorError>>()?;
+        // One socket reaches every agent: an IPv6 one (dual-stack) as soon
+        // as one agent needs it.
+        let v6 = addrs.iter().flatten().any(SocketAddr::is_ipv6);
+        if v6 {
+            for addr in addrs.iter_mut().flatten() {
+                if let SocketAddr::V4(v4) = *addr {
+                    *addr = SocketAddr::new(v4.ip().to_ipv6_mapped().into(), v4.port());
+                }
+            }
+        }
+        let bind = if v6 { "[::]:0" } else { "0.0.0.0:0" };
+        let socket = UdpSocket::bind(bind)
+            .map_err(|e| MonitorError::from_snmp(SnmpError::Transport(e.to_string()), bind))?;
         Ok(UdpNetwork {
             model,
             agents,
-            links,
+            socket,
+            addrs,
+            buffer: vec![0; 65_535],
             origin: Instant::now(),
         })
     }
@@ -75,9 +101,56 @@ impl UdpNetwork {
     }
 }
 
+/// Wall time since `origin`.
+fn since(origin: Instant) -> SimTime {
+    SimTime::from_micros(origin.elapsed().as_micros() as u64)
+}
+
+impl Wire for UdpWire<'_> {
+    type Addr = SocketAddr;
+
+    fn now(&self) -> SimTime {
+        since(self.origin)
+    }
+
+    fn address(&self, node: NodeId) -> Option<SocketAddr> {
+        self.addrs.get(node.index()).copied().flatten()
+    }
+
+    /// A send the socket refuses fails the poll: an SNMP failure.
+    fn post(&mut self, to: SocketAddr, request: &[u8]) -> Result<(), MonitorError> {
+        match self.socket.send_to(request, to) {
+            Ok(_) => Ok(()),
+            Err(e) => Err(MonitorError::Snmp(
+                SnmpError::Transport(e.to_string()).to_string(),
+            )),
+        }
+    }
+
+    fn collect(
+        &mut self,
+        deadline: SimTime,
+        land: impl FnOnce(SocketAddr, &[u8], SimTime),
+    ) -> bool {
+        let remaining = deadline.duration_since(self.now());
+        let remaining = Duration::from_micros(remaining.as_micros());
+        if remaining.is_zero() || self.socket.set_read_timeout(Some(remaining)).is_err() {
+            return false;
+        }
+        match self.socket.recv_from(self.buffer) {
+            Ok((n, from)) => {
+                let at = self.now();
+                land(from, &self.buffer[..n], at);
+                true
+            }
+            Err(_) => false,
+        }
+    }
+}
+
 impl Network for UdpNetwork {
     fn now(&self) -> SimTime {
-        SimTime::from_micros(self.origin.elapsed().as_micros() as u64)
+        since(self.origin)
     }
 
     /// Sleeps until the clock reads `t`.
@@ -98,14 +171,16 @@ impl Network for UdpNetwork {
         &mut self.agents
     }
 
-    type Link<'a> = &'a mut UdpTransport;
+    type Wire<'a> = UdpWire<'a>;
 
-    fn conversation(
-        &mut self,
-        node: NodeId,
-    ) -> Result<Conversation<'_, &mut UdpTransport>, MonitorError> {
-        let link = self.links.get_mut(node.index()).and_then(Option::as_mut);
-        self.agents.conversation(&self.model, node, link)
+    fn wire(&mut self) -> (UdpWire<'_>, &mut Agents, &SpecModel) {
+        let wire = UdpWire {
+            socket: &self.socket,
+            addrs: &self.addrs,
+            buffer: &mut self.buffer,
+            origin: self.origin,
+        };
+        (wire, &mut self.agents, &self.model)
     }
 
     fn send_trap(&mut self, dst: Ipv4Addr, trap: &[u8]) {
@@ -118,12 +193,6 @@ impl Network for UdpNetwork {
     /// Traps name no agent address: the monitor's own is not known.
     fn trap_agent_addr(&self) -> [u8; 4] {
         [0; 4]
-    }
-}
-
-impl AgentLink for &mut UdpTransport {
-    fn take_retransmits(&mut self) -> u64 {
-        UdpTransport::take_retransmits(self)
     }
 }
 

@@ -1,7 +1,8 @@
 //! Allocation budget of one steady-state poll. Through the simulator,
 //! `SimNetwork::poll_nodes` decodes each answer into a reused snapshot
 //! and allocates only the datagrams it carries, whatever the device's
-//! interface count; `poll_device` adds the owned snapshot it returns. The
+//! interface count; `poll_device` adds the owned snapshot it returns.
+//! Over UDP the round allocates nothing on the polling thread. The
 //! codec and agent alone, through the public owned-value path, allocate
 //! what its signatures force (the request buffer, the response buffer,
 //! the vector of bindings, the `ifDescr` strings, the snapshot's vectors)
@@ -13,12 +14,15 @@
 use netqos_monitor::poll::{parse_snapshot, poll_oids};
 use netqos_monitor::service::{MonitoringService, ServiceConfig, SURVEY_TICKS};
 use netqos_monitor::simnet::{SimNetwork, SimNetworkOptions};
+use netqos_monitor::udpnet::UdpNetwork;
 use netqos_monitor::{Network, NetworkMonitor};
 use netqos_sim::time::SimDuration;
 use netqos_snmp::mib2::{interfaces, system, IfEntry, SystemInfo};
+use netqos_snmp::transport::UdpAgentServer;
 use netqos_snmp::{client, ScalarMib, SnmpAgent};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use std::collections::HashMap;
 
 thread_local! {
     /// Allocations made by this thread while `Some`.
@@ -175,22 +179,24 @@ fn steady_poll_allocations(name: &str, ports: u32, jitter: Option<SimDuration>) 
     polled
 }
 
-/// What a steady-state poll of any device costs: the datagrams it carries
-/// and nothing else — the request copied once into the `Bytes` that
-/// travels (`Transport::exchange` lends a slice, and the manager keeps its
-/// encode buffer), the agent's answer copied once from the buffer it keeps
-/// into the `Bytes` that travels back, and the `Vec` `exchange` must
-/// return. The answer is decoded straight into the poll plan's snapshot,
-/// which the ingest reads in place, so neither the
-/// bindings nor the `ifDescr` strings nor the snapshot are allocated, and
-/// the count does not grow with the device's interfaces. Nothing per hop,
-/// per event or per app callback either: frames share their payload, a
-/// payload that fits one packet is not copied to be "fragmented", and
-/// callbacks push into a buffer the engine lends them. (It was 8 for a
-/// host and 24 for a 9-port switch while each poll decoded into a vector
-/// of bindings and a fresh snapshot; 13, and 14 with a jittered agent,
-/// before the engine stopped allocating per callback.)
-const SIM_POLL_BUDGET: u64 = 3;
+/// What a steady-state poll of any device costs: the request and the
+/// answer datagram, and nothing copied out of the mailbox. The request is
+/// encoded into the buffer the manager keeps and copied once into the
+/// `Bytes` that travels; the agent's answer is copied once from the buffer
+/// it keeps into the `Bytes` that travels back, and the round lends that
+/// payload to the decoder where it lands and then drops the datagram. The
+/// answer is decoded straight into the poll plan's snapshot, which the
+/// ingest reads in place, so neither the bindings nor the `ifDescr`
+/// strings nor the snapshot are allocated, and the count does not grow
+/// with the device's interfaces. Nothing per hop, per event or per app
+/// callback either: frames share their payload, a payload that fits one
+/// packet is not copied to be "fragmented", and callbacks push into a
+/// buffer the engine lends them. (It was 3 while `Transport::exchange`
+/// copied each answer out of the mailbox into the `Vec` it returns; 8 for
+/// a host and 24 for a 9-port switch while each poll decoded into a
+/// vector of bindings and a fresh snapshot; 13, and 14 with a jittered
+/// agent, before the engine stopped allocating per callback.)
+const SIM_POLL_BUDGET: u64 = 2;
 
 #[test]
 fn a_steady_poll_through_the_simulator_allocates_only_its_datagrams() {
@@ -203,8 +209,9 @@ fn a_steady_poll_through_the_simulator_allocates_only_its_datagrams() {
     }
 }
 
-/// `poll_device` hands back an owned snapshot: the datagrams, then the
-/// snapshot's vector and the one `ifDescr` string of a host.
+/// `poll_device`, a round of one, hands back an owned snapshot: the
+/// datagrams, then the snapshot's vector and the one `ifDescr` string of
+/// a host.
 #[test]
 fn an_owned_poll_allocates_its_datagrams_and_its_snapshot() {
     let (mut net, _) = network(3, None);
@@ -216,6 +223,45 @@ fn an_owned_poll_allocates_its_datagrams_and_its_snapshot() {
         net.poll_device(s1).unwrap();
     });
     assert_eq!(polled, SIM_POLL_BUDGET + 2);
+}
+
+/// Over UDP a steady poll allocates nothing on the polling thread: the
+/// request is encoded into the manager's buffer and sent from it, the
+/// answer is received into the one buffer the network keeps and decoded
+/// from it into the plan's snapshot. (The agent's thread, which builds a
+/// MIB per request, is not counted: the counter is per thread.)
+#[test]
+fn a_steady_poll_over_udp_allocates_nothing_on_the_polling_thread() {
+    let agent = UdpAgentServer::spawn("127.0.0.1:0", "public", || {
+        let mut mib = ScalarMib::new();
+        system::install(&mut mib, &SystemInfo::new("T"), 4_242);
+        let entry = IfEntry::ethernet(1, "eth0", 100_000_000, [2, 0, 0, 0, 0, 9]);
+        interfaces::install(&mut mib, &[entry]);
+        mib
+    })
+    .unwrap();
+    let model = netqos_spec::parse_and_validate(
+        r#"
+        host T { snmp community "public"; interface eth0 { speed 100Mbps; } }
+        host B { interface eth0 { speed 100Mbps; } }
+        connection T.eth0 <-> B.eth0;
+        "#,
+    )
+    .unwrap();
+    let t = model.topology.node_by_name("T").unwrap();
+    let mut monitor = NetworkMonitor::new(model.topology.clone());
+    let addrs = HashMap::from([(t, agent.local_addr())]);
+    let mut net = UdpNetwork::new(model, &addrs).unwrap();
+    let mut poll = || {
+        allocations_in(|| {
+            assert_eq!(net.poll_nodes(&[t], &mut monitor).unwrap(), 1);
+        })
+    };
+    for _ in 0..8 {
+        poll();
+    }
+    assert_eq!(poll(), 0);
+    agent.stop();
 }
 
 /// A device's first poll costs its datagrams and nothing more, and so

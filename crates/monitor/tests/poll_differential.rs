@@ -11,10 +11,13 @@
 
 mod oracle;
 
+use netqos_monitor::network::POLL_WINDOW;
 use netqos_monitor::poll::{poll_oids, poll_once, DeviceSnapshot, PollPlan};
 use netqos_monitor::simnet::{SimNetwork, SimNetworkOptions};
 use netqos_monitor::{MonitorError, Network, NetworkMonitor};
-use netqos_sim::time::SimDuration;
+use netqos_sim::app::Mailbox;
+use netqos_sim::packet::SNMP_PORT;
+use netqos_sim::time::{SimDuration, SimTime};
 use netqos_snmp::client::{self, Manager};
 use netqos_snmp::message::{SnmpMessage, SnmpVersion};
 use netqos_snmp::mib2::{interfaces as ifc, system, IfEntry, SystemInfo};
@@ -499,9 +502,10 @@ fn a_repeated_column_does_not_stand_in_for_a_missing_one() {
 }
 
 /// Over the simulator, `poll_nodes` ingests what the oracle decodes from
-/// the same datagrams: a twin network, sent the same requests through its
-/// links and its answers decoded by the oracle, ends each round with the
-/// same rates.
+/// the same datagrams: a twin network, sent the same requests at the same
+/// instants — a round no wider than the poll window goes out at once — from
+/// a mailbox of the test's own, its answers decoded by the oracle, ends
+/// each round with the same rates.
 #[test]
 fn poll_nodes_ingests_what_the_oracle_decodes() {
     const SPEC: &str = r#"
@@ -514,6 +518,7 @@ fn poll_nodes_ingests_what_the_oracle_decodes() {
         connection S1.hme0 <-> sw.p2;
         connection S2.hme0 <-> sw.p3;
     "#;
+    const TWIN_PORT: u16 = 16_200;
     let build = || {
         let model = netqos_spec::parse_and_validate(SPEC).unwrap();
         let options = SimNetworkOptions {
@@ -522,11 +527,19 @@ fn poll_nodes_ingests_what_the_oracle_decodes() {
             ..SimNetworkOptions::default()
         };
         let monitor = NetworkMonitor::new(model.topology.clone());
-        (SimNetwork::from_model(model, options).unwrap(), monitor)
+        let (mailbox, inbox) = Mailbox::with_handle();
+        let l = model.topology.node_by_name("L").unwrap();
+        let net = SimNetwork::from_model_with(model, options, |b, devs, _| {
+            b.install_app(devs[&l], Box::new(mailbox), Some(TWIN_PORT))
+                .unwrap();
+        });
+        (net.unwrap(), monitor, inbox)
     };
-    let (mut net, mut monitor) = build();
-    let (mut twin, mut twin_monitor) = build();
+    let (mut net, mut monitor, _) = build();
+    let (mut twin, mut twin_monitor, inbox) = build();
     let nodes = net.pollable_nodes();
+    assert!(nodes.len() <= POLL_WINDOW, "the round goes out at once");
+    let manager = twin.device_of(twin.monitor_node()).unwrap();
     for round in 0..12 {
         for n in [&mut net, &mut twin] {
             let next = n.lan.now() + SimDuration::from_secs(1);
@@ -540,18 +553,30 @@ fn poll_nodes_ingests_what_the_oracle_decodes() {
             nodes.iter().rev().copied().collect()
         };
         assert_eq!(net.poll_nodes(&order, &mut monitor).unwrap(), nodes.len());
-        for &node in &order {
-            let topology = twin.model().topology.clone();
-            let name = topology.node(node).unwrap().name.clone();
-            let if_count = topology.node(node).unwrap().interfaces.len() as u32;
-            let mut link = twin.link(node).unwrap();
-            let id =
-                (round * nodes.len() + 1 + order.iter().position(|&n| n == node).unwrap()) as i32;
+        let topology = twin.model().topology.clone();
+        let mut sent = Vec::new();
+        for (position, &node) in order.iter().enumerate() {
+            let n = topology.node(node).unwrap();
+            let ip = twin.model().addresses[&node].parse().unwrap();
+            let id = (round * nodes.len() + 1 + position) as i32;
+            let if_count = n.interfaces.len() as u32;
             let request = client::build_get("public", id, &poll_oids(if_count)).unwrap();
-            let answer = netqos_snmp::transport::Transport::exchange(&mut link, &request).unwrap();
-            let snapshot = oracle::poll(&answer, id, &name, if_count).unwrap();
-            twin_monitor.ingest(node, snapshot).unwrap();
+            (twin.lan)
+                .post_udp(manager, TWIN_PORT, ip, SNMP_PORT, request.into())
+                .unwrap();
+            sent.push((id, node, n.name.clone(), if_count));
         }
+        // The round ends on the step that lands its last answer.
+        while inbox.borrow().len() < sent.len() {
+            assert!(twin.lan.step_before(SimTime::from_micros(u64::MAX)));
+        }
+        for (_, answer) in inbox.borrow_mut().drain(..) {
+            let id = client::peek_request_id(&answer.payload).unwrap();
+            let (_, node, name, if_count) = sent.iter().find(|s| s.0 == id).unwrap();
+            let snapshot = oracle::poll(&answer.payload, id, name, *if_count).unwrap();
+            twin_monitor.ingest(*node, snapshot).unwrap();
+        }
+        assert_eq!(net.lan.now(), twin.lan.now(), "round {round}");
         for &node in &nodes {
             let count = net.model().topology.node(node).unwrap().interfaces.len();
             for ifix in 0..count {

@@ -327,6 +327,152 @@ fn hostile_datagrams_fail_a_poll_and_never_a_tick() {
     assert_eq!((row.name.as_str(), row.used_bps), ("tb", 1_000_000));
 }
 
+/// Hosts A, B, C and D, each polled, and two qospaths that read all four
+/// every tick.
+fn four_hosts() -> SpecModel {
+    netqos_spec::parse_and_validate(
+        r#"
+        host A { snmp community "public"; interface eth0 { speed 100Mbps; } }
+        host B { snmp community "public"; interface eth0 { speed 100Mbps; } }
+        host C { snmp community "public"; interface eth0 { speed 100Mbps; } }
+        host D { snmp community "public"; interface eth0 { speed 100Mbps; } }
+        connection A.eth0 <-> B.eth0;
+        connection C.eth0 <-> D.eth0;
+        qospath ab from A to B { min_available 1Mbps; }
+        qospath cd from C to D { min_available 1Mbps; }
+        "#,
+    )
+    .unwrap()
+}
+
+/// A socket that takes requests and never answers, for as long as it
+/// lives: an agent that is there and silent.
+fn silent_agent() -> UdpSocket {
+    UdpSocket::bind("127.0.0.1:0").unwrap()
+}
+
+#[test]
+fn a_round_waits_for_its_silent_agents_once_and_not_in_turn() {
+    // Two of four agents are silent: the round waits one timeout budget
+    // (3 × 500 ms) for both at once, not one after the other.
+    let (a, c) = (growing_agent(), growing_agent());
+    let (b, d) = (silent_agent(), silent_agent());
+    let addrs = [
+        ("A", a.local_addr()),
+        ("B", b.local_addr().unwrap()),
+        ("C", c.local_addr()),
+        ("D", d.local_addr().unwrap()),
+    ];
+    let mut svc = service(four_hosts(), &addrs, ServiceConfig::default());
+    let started = std::time::Instant::now();
+    svc.tick().unwrap();
+    let lasted = started.elapsed();
+    let (period, budget) = (Duration::from_millis(50), Duration::from_millis(1_500));
+    assert!(lasted >= budget, "{lasted:?}");
+    assert!(
+        lasted <= period + budget + Duration::from_millis(500),
+        "one tick lasted {lasted:?}"
+    );
+    assert_eq!(counter(&svc, "netqos_monitor_polls_total"), 2);
+    assert_eq!(counter(&svc, "netqos_monitor_poll_failures_total"), 0);
+    assert_eq!(counter(&svc, "netqos_monitor_poll_retransmits_total"), 4);
+    assert_eq!(counter(&svc, "netqos_monitor_poll_timeouts_total"), 2);
+    a.stop();
+    c.stop();
+}
+
+/// An agent on a raw socket: each request is answered from `host_mib`,
+/// its counters advancing per request as [`growing_agent`]'s do, by the
+/// datagrams `answers` makes of it and the answer, each sent after its
+/// delay. Stops when told to.
+fn scripted_agent(
+    mut answers: impl FnMut(&[u8], Vec<u8>) -> Vec<(Duration, Vec<u8>)> + Send + 'static,
+) -> (SocketAddr, Arc<AtomicBool>) {
+    let socket = UdpSocket::bind("127.0.0.1:0").unwrap();
+    socket
+        .set_read_timeout(Some(Duration::from_millis(20)))
+        .unwrap();
+    let addr = socket.local_addr().unwrap();
+    let stop = Arc::new(AtomicBool::new(false));
+    let stopped = stop.clone();
+    std::thread::spawn(move || {
+        let mut agent = SnmpAgent::new("public");
+        let mut buf = vec![0u8; 65_535];
+        for k in 1.. {
+            let (n, from) = loop {
+                if stopped.load(Ordering::Relaxed) {
+                    return;
+                }
+                if let Ok(got) = socket.recv_from(&mut buf) {
+                    break got;
+                }
+            };
+            let answer = agent.handle(&buf[..n], &host_mib(k, 125_000, 100)).unwrap();
+            for (delay, datagram) in answers(&buf[..n], answer) {
+                std::thread::sleep(delay);
+                let _ = socket.send_to(&datagram, from);
+            }
+        }
+    });
+    (addr, stop)
+}
+
+#[test]
+fn an_answer_from_another_agents_address_is_not_taken() {
+    // B answers every request it gets with good answers to the requests
+    // next to it — one of them A's, which is silent — and never with its
+    // own. Taken by request id alone, B's answer would pass for A's.
+    let a = silent_agent();
+    let (b, stop) = scripted_agent(|request, _| {
+        let pdu = request_pdu(request);
+        [-1, 1]
+            .map(|step| {
+                let mut other = pdu.clone();
+                other.request_id = other.request_id.wrapping_add(step);
+                let other = SnmpMessage::v1("public", other).encode().unwrap();
+                let answer = SnmpAgent::new("public").handle(&other, &host_mib(1, 1, 1));
+                (Duration::ZERO, answer.unwrap())
+            })
+            .to_vec()
+    });
+    let model = model(true, "1Mbps");
+    let addrs = [("T", a.local_addr().unwrap()), ("B", b)];
+    let mut svc = service(model, &addrs, ServiceConfig::default());
+    svc.tick().unwrap();
+    stop.store(true, Ordering::Relaxed);
+    assert_eq!(counter(&svc, "netqos_monitor_polls_total"), 0);
+    assert_eq!(counter(&svc, "netqos_monitor_poll_failures_total"), 0);
+    assert_eq!(counter(&svc, "netqos_monitor_poll_timeouts_total"), 2);
+}
+
+#[test]
+fn a_late_duplicate_is_dropped_and_fails_no_poll() {
+    // T answers every request three times, the copies 20 and 60 ms late;
+    // B answers after 50 ms. So the first copy lands while the round still
+    // waits for B, and the second after it, while T's next request waits.
+    let (t, stop_t) = scripted_agent(|_, answer| {
+        vec![
+            (Duration::ZERO, answer.clone()),
+            (Duration::from_millis(20), answer.clone()),
+            (Duration::from_millis(40), answer),
+        ]
+    });
+    let (b, stop_b) = scripted_agent(|_, answer| vec![(Duration::from_millis(50), answer)]);
+    let model = model(true, "1Mbps");
+    let node_t = node(&model, "T");
+    let mut svc = service(model, &[("T", t), ("B", b)], ServiceConfig::default());
+    svc.run_ticks(4).unwrap();
+    stop_t.store(true, Ordering::Relaxed);
+    stop_b.store(true, Ordering::Relaxed);
+    assert_eq!(counter(&svc, "netqos_monitor_polls_total"), 8);
+    assert_eq!(counter(&svc, "netqos_monitor_poll_failures_total"), 0);
+    assert_eq!(counter(&svc, "netqos_monitor_poll_timeouts_total"), 0);
+    assert_eq!(
+        svc.monitor().if_rates(node_t, IfIx(0)).unwrap().in_bps,
+        1_000_000
+    );
+}
+
 #[test]
 fn the_whole_pipeline_runs_over_real_udp() {
     let dir = std::env::temp_dir().join(format!("netqos-udp-service-{}", std::process::id()));

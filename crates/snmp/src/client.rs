@@ -8,7 +8,9 @@
 //! one request to the next — its request-id sequence, telemetry handles,
 //! tracer and encode buffer — is a [`Manager`]; it outlives the transports
 //! it talks through, so one manager can poll a thousand agents over links
-//! that each exist for a single call. [`SnmpClient`] is the common case
+//! that each exist for a single call, and it lends a Get's two halves —
+//! [`Manager::encode_get`] and [`Manager::visit_answer`] — to a poller that
+//! keeps many requests in flight itself. [`SnmpClient`] is the common case
 //! bundled up: a manager that owns the transport to its one agent.
 
 use crate::ber::{tag, Reader};
@@ -242,10 +244,62 @@ impl Manager {
         }
     }
 
-    /// Request ids run 1, 2, … `i32::MAX`, 1, …
-    fn fresh_id(&mut self) -> i32 {
+    /// A request-id no request of this manager carried lately: ids run
+    /// 1, 2, … `i32::MAX`, 1, …
+    pub fn fresh_id(&mut self) -> i32 {
         self.last_id = self.last_id.wrapping_add(1).max(1);
         self.last_id
+    }
+
+    /// Encodes `request` under `id` into the buffer this manager keeps,
+    /// and lends it.
+    fn encode(
+        &mut self,
+        community: &str,
+        request: Request,
+        id: i32,
+        oids: &[Oid],
+    ) -> Result<&[u8], SnmpError> {
+        let mut span = self.tracer.span("snmp.codec", "encode");
+        let buffer = std::mem::take(&mut self.request);
+        self.request = encode_request(buffer, community, request, id, oids)?;
+        span.set_attr("bytes", self.request.len());
+        span.set_attr("oids", oids.len());
+        Ok(&self.request)
+    }
+
+    /// The first half of [`Session::get_visit`], for a caller that carries
+    /// the request itself: a `GetRequest` for `oids` under `id` (a
+    /// [`Manager::fresh_id`], or the same id again to retransmit), encoded
+    /// into the buffer this manager keeps. A steady-state request
+    /// allocates nothing.
+    pub fn encode_get(
+        &mut self,
+        community: &str,
+        id: i32,
+        oids: &[Oid],
+    ) -> Result<&[u8], SnmpError> {
+        self.encode(community, Request::Get, id, oids)
+    }
+
+    /// The second half of [`Session::get_visit`]: judges `answer` as the
+    /// answer to the Get sent under `id` and hands each of its bindings to
+    /// `visit`, with the same outcome `get_visit` gives and counted once in
+    /// the codec counters.
+    pub fn visit_answer<E>(
+        &self,
+        answer: &[u8],
+        id: i32,
+        mut visit: impl FnMut(&Oid, ValueRef<'_>) -> Result<(), E>,
+    ) -> Result<Result<usize, E>, SnmpError> {
+        let mut span = self.tracer.span("snmp.codec", "decode");
+        let visited = decode_answer(answer, id, |list| {
+            pdu::visit_varbinds(list, |oid, value| visit(&oid, value))
+        })?;
+        if let Ok(bindings) = visited {
+            span.set_attr("bindings", bindings);
+        }
+        Ok(visited)
     }
 }
 
@@ -262,13 +316,7 @@ impl Session<'_> {
     /// datagram that answers it.
     fn exchange(&mut self, request: Request, oids: &[Oid]) -> Result<(i32, Vec<u8>), SnmpError> {
         let id = self.manager.fresh_id();
-        {
-            let mut span = self.manager.tracer.span("snmp.codec", "encode");
-            let buffer = std::mem::take(&mut self.manager.request);
-            self.manager.request = encode_request(buffer, self.community, request, id, oids)?;
-            span.set_attr("bytes", self.manager.request.len());
-            span.set_attr("oids", oids.len());
-        }
+        self.manager.encode(self.community, request, id, oids)?;
         let _span = self.manager.tracer.span("snmp.client", "exchange");
         let Manager {
             request, telemetry, ..
@@ -302,20 +350,16 @@ impl Session<'_> {
     /// GetResponse, answers another request or reports an error status,
     /// and a malformed binding anywhere outranks what `visit` said.
     /// Otherwise `Ok` holds `visit`'s refusal, or the number of bindings.
+    ///
+    /// It is [`Manager::encode_get`] and [`Manager::visit_answer`] around
+    /// one exchange.
     pub fn get_visit<E>(
         &mut self,
         oids: &[Oid],
-        mut visit: impl FnMut(&Oid, ValueRef<'_>) -> Result<(), E>,
+        visit: impl FnMut(&Oid, ValueRef<'_>) -> Result<(), E>,
     ) -> Result<Result<usize, E>, SnmpError> {
         let (id, bytes) = self.exchange(Request::Get, oids)?;
-        let mut span = self.manager.tracer.span("snmp.codec", "decode");
-        let visited = decode_answer(&bytes, id, |list| {
-            pdu::visit_varbinds(list, |oid, value| visit(&oid, value))
-        })?;
-        if let Ok(bindings) = visited {
-            span.set_attr("bindings", bindings);
-        }
-        Ok(visited)
+        self.manager.visit_answer(&bytes, id, visit)
     }
 
     /// `GetRequest` for several objects; returns the bound values in

@@ -9,7 +9,7 @@
 //! byte slices, so the same agent and manager code runs over real UDP
 //! sockets ([`transport::UdpTransport`]), over an in-process loopback
 //! ([`transport::LoopbackTransport`]), and over the simulated LAN of
-//! `netqos-sim` (`netqos-monitor`'s `SimLink` transport).
+//! `netqos-sim` (`netqos-monitor`'s `SimWire` and `SimLink`).
 //!
 //! ## Layers
 //!

@@ -3,11 +3,15 @@
 //! * [`LoopbackTransport`] — an in-process agent; zero configuration, used
 //!   by tests and by single-host deployments.
 //! * [`UdpTransport`] — real sockets on port 161 (or any port), with
-//!   timeout and retry; `netqos-monitor`'s `UdpNetwork` polls real agents
-//!   through one per agent.
-//! * the simulated LAN — `netqos-monitor`'s `simnet` implements
+//!   timeout and retry, one connected socket per agent.
+//! * the simulated LAN — `netqos-monitor`'s `SimNetwork::link` is a
 //!   [`Transport`] over the simulator (it needs the simulator types), so
-//!   the same manager polls simulated, in-process and real agents.
+//!   the same manager talks to simulated, in-process and real agents.
+//!
+//! `netqos-monitor`'s networks poll through none of these: their round
+//! keeps many requests in flight over one wire, with the two halves of a
+//! Get ([`Manager::encode_get`](crate::client::Manager::encode_get),
+//! [`Manager::visit_answer`](crate::client::Manager::visit_answer)).
 
 use crate::agent::SnmpAgent;
 use crate::client::peek_request_id;
@@ -84,9 +88,6 @@ pub struct UdpTransport {
     peer: SocketAddr,
     timeout: Duration,
     retries: u32,
-    /// Requests sent again after a silent attempt, since the last
-    /// [`UdpTransport::take_retransmits`].
-    retransmits: u64,
     /// Receive buffer, one maximum-size datagram, reused by every
     /// exchange.
     recv_buf: Vec<u8>,
@@ -115,7 +116,6 @@ impl UdpTransport {
             peer,
             timeout: Duration::from_secs(1),
             retries: 2,
-            retransmits: 0,
             recv_buf: vec![0u8; 65_535],
         })
     }
@@ -134,22 +134,13 @@ impl UdpTransport {
     pub fn peer(&self) -> SocketAddr {
         self.peer
     }
-
-    /// How many requests were sent again after a silent attempt since
-    /// the last call; the count starts over from zero.
-    pub fn take_retransmits(&mut self) -> u64 {
-        std::mem::take(&mut self.retransmits)
-    }
 }
 
 impl Transport for UdpTransport {
     fn exchange(&mut self, request: &[u8]) -> Result<Vec<u8>, SnmpError> {
         let wanted = peek_request_id(request)
             .ok_or_else(|| SnmpError::Transport("request carries no request-id".into()))?;
-        for attempt in 0..=self.retries {
-            if attempt > 0 {
-                self.retransmits += 1;
-            }
+        for _ in 0..=self.retries {
             self.socket
                 .send(request)
                 .map_err(|e| SnmpError::Transport(e.to_string()))?;

@@ -168,3 +168,45 @@ fn rows_carry_their_truth_and_loaded_rows_are_within_1_5_percent_of_it() {
         assert!(loaded >= 60, "{loaded} loaded samples");
     }
 }
+
+/// The same judgement with the three loads at once, each on links of its
+/// own: a pulse sensor1 → archive, a ramp console → display and a
+/// staircase sensor2 → sensor1. A tick's seven devices are read in one
+/// round, their requests in flight together, so the hops of a path are
+/// read within a few hundred microseconds of one another.
+///
+/// Measured: the worst loaded sample is 0.024 % off its truth (feed2,
+/// tick 23). While a round polled one device at a time it was 0.998 %
+/// (feed2, tick 17), the hops of a path read up to a round apart.
+#[test]
+fn with_three_loads_at_once_loaded_rows_are_within_1_5_percent_of_their_truth() {
+    let mut svc = build(&[
+        ("sensor1", "archive", LoadProfile::pulse(5, 25, 1_000_000)),
+        (
+            "console",
+            "display",
+            LoadProfile::ramp(5, 35, 200_000, 2_000_000),
+        ),
+        (
+            "sensor2",
+            "sensor1",
+            LoadProfile::staircase(4, 250_000, 250_000, 6, 5),
+        ),
+    ]);
+    let mut loaded = 0;
+    for tick in 1..=40 {
+        svc.tick().unwrap();
+        assert!(tick == 1 || svc.rows().len() == 3, "tick {tick}");
+        for row in svc.rows() {
+            let truth = (row.truth_used_bps)
+                .unwrap_or_else(|| panic!("tick {tick}: {} has no truth", row.name));
+            if truth < 1_000_000 {
+                continue;
+            }
+            let error = (row.used_bps as f64 - truth as f64).abs() / truth as f64;
+            assert!(error <= 0.015, "tick {tick}: {row:?}");
+            loaded += 1;
+        }
+    }
+    assert!(loaded >= 90, "{loaded} loaded samples");
+}
