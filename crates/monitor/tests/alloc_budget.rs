@@ -401,9 +401,11 @@ fn a_steady_service_tick_allocates_only_what_its_polls_carry() {
 
 /// Allocations a steady traced two-switch tick adds to its polls: the
 /// spans' attributes, the cycle's event lines and samples, and the flight
-/// cycle that files them. (138 while each poll span also carried an
-/// `rtt_rank`.)
-const TRACE_BUDGET: u64 = 131;
+/// cycle that files them. The cycle's span buffer is one of them: it
+/// starts with room for the last cycle's spans. (131 while the buffer
+/// regrew from empty inside each cycle; 138 while each poll span also
+/// carried an `rtt_rank`.)
+const TRACE_BUDGET: u64 = 127;
 
 /// A steady traced tick allocates its trace and nothing to profile it:
 /// the phase histograms' handles are cached and `/profile` folds the ring

@@ -14,8 +14,9 @@
 //!   repetitions stop as soon as the answer passes the response limit,
 //!   and the agent answers `tooBig`.
 
-use crate::ber::tag;
+use crate::ber::{self, tag, Reader};
 use crate::error::{BerError, SnmpError};
+use crate::memo::Shapes;
 use crate::message::{self, MessageBody, SnmpMessage, SnmpVersion, Wrapper};
 use crate::mib::MibView;
 use crate::oid::Oid;
@@ -137,7 +138,11 @@ impl SnmpAgent {
     ///
     /// Get, GetNext and GetBulk are answered in one pass over the request:
     /// each name is decoded, looked up, and the name and value the view
-    /// lends are encoded straight into the response.
+    /// lends are encoded straight into the response. A Get whose binding
+    /// list is byte for byte one this thread answered in full lately —
+    /// a monitor's poll, every period — is answered from the names that
+    /// list decoded to and their encodings, which the thread keeps for a
+    /// few such lists.
     pub fn handle_into(&mut self, request: &[u8], view: &dyn MibView, out: &mut Vec<u8>) -> bool {
         out.clear();
         let reply = message::decode_with(request, |wrapper| {
@@ -240,6 +245,18 @@ impl SnmpAgent {
             }
             return Ok(reply);
         }
+        // A Get whose list this thread answered in full lately skips the
+        // names' decoding; everything above still ran.
+        let is_get = pdu_tag == tag::GET_REQUEST;
+        if is_get {
+            let known = GETS_SEEN.with_borrow(|seen| {
+                let names = seen.find(|key| key.as_slice() == bindings.rest())?;
+                Some(self.answer_known(wrapper, view, out, request_id, &bindings, names))
+            });
+            if let Some(reply) = known {
+                return Ok(reply);
+            }
+        }
 
         // A lookup that fails turns the whole reply into an error, and a
         // value that cannot be encoded silences it; in either case the
@@ -297,16 +314,7 @@ impl SnmpAgent {
             }
         }
         if let Some(position) = failed_at {
-            let status = ErrorStatus::NoSuchName;
-            let echoed = write_response(out, wrapper, request_id, status, position, |out| {
-                let mut list = bindings;
-                pdu::visit_varbinds(&mut list, |oid, value| pdu::push_varbind(out, &oid, value))?
-                    .map(drop)
-            });
-            return Ok(match echoed {
-                Ok(()) => Reply::Answer { request_id, status },
-                Err(_) => Reply::Silent,
-            });
+            return Ok(no_such_name(out, wrapper, request_id, position, bindings));
         }
         // Every remaining name is stepped up to max-repetitions times.
         for _ in 0..third {
@@ -333,11 +341,123 @@ impl SnmpAgent {
         // `handle` replaces it with `tooBig`.
         pdu::close_pdu(out, pdu);
         message::close_message(out, message);
+        if is_get {
+            remember(&bindings);
+        }
         Ok(Reply::Answer {
             request_id,
             status: ErrorStatus::NoError,
         })
     }
+
+    /// Answers a Get whose binding list is byte for byte one this thread
+    /// answered in full lately, from the names it decoded to: each is
+    /// looked up, and its canonical encoding copied into the answer. A
+    /// list that decoded whole once decodes whole again, so nothing is
+    /// left to check but the lookups; a failed one takes the `noSuchName`
+    /// echo every Get takes.
+    fn answer_known(
+        &self,
+        wrapper: &Wrapper<'_>,
+        view: &dyn MibView,
+        out: &mut Vec<u8>,
+        request_id: i32,
+        bindings: &Reader<'_>,
+        known: &KnownNames,
+    ) -> Reply {
+        out.reserve(bindings.remaining() * 3 / 2 + 64);
+        let message = message::open_message(out, wrapper.version, wrapper.community);
+        let pdu = pdu::open_pdu(out, tag::GET_RESPONSE, request_id, 0, 0);
+        let mut unencodable = false;
+        let mut start = 0;
+        for (position, (name, end)) in (1..).zip(&known.names) {
+            let Some(value) = view.get(name) else {
+                return no_such_name(out, wrapper, request_id, position, bindings.clone());
+            };
+            if !unencodable {
+                let mark = ber::open(out, tag::SEQUENCE);
+                out.extend_from_slice(&known.encoded[start..*end]);
+                unencodable = ber::push_value(out, value).is_err();
+                ber::close(out, mark);
+            }
+            start = *end;
+        }
+        if unencodable {
+            return Reply::Silent;
+        }
+        pdu::close_pdu(out, pdu);
+        message::close_message(out, message);
+        Reply::Answer {
+            request_id,
+            status: ErrorStatus::NoError,
+        }
+    }
+}
+
+/// The `noSuchName` answer to a request whose `position`th name (from 1)
+/// failed: SNMPv1 echoes the request's bindings, read off `bindings`.
+fn no_such_name(
+    out: &mut Vec<u8>,
+    wrapper: &Wrapper<'_>,
+    request_id: i32,
+    position: u32,
+    mut bindings: Reader<'_>,
+) -> Reply {
+    let status = ErrorStatus::NoSuchName;
+    let echoed = write_response(out, wrapper, request_id, status, position, |out| {
+        pdu::visit_varbinds(&mut bindings, |oid, value| {
+            pdu::push_varbind(out, &oid, value)
+        })?
+        .map(drop)
+    });
+    match echoed {
+        Ok(()) => Reply::Answer { request_id, status },
+        Err(_) => Reply::Silent,
+    }
+}
+
+/// What a Get's binding list decoded to: its names, each with the end of
+/// its canonical encoding in `encoded`, where the encodings lie back to
+/// back.
+#[derive(Default)]
+struct KnownNames {
+    names: Vec<(Oid, usize)>,
+    encoded: Vec<u8>,
+}
+
+thread_local! {
+    /// The Get binding lists this thread answered in full lately, by their
+    /// exact bytes, and the names they decoded to.
+    static GETS_SEEN: RefCell<Shapes<Vec<u8>, KnownNames>> = const { RefCell::new(Shapes::new()) };
+}
+
+/// Records what the binding list at `bindings` — a Get's that decoded
+/// whole and whose every name the view held — decodes to.
+fn remember(bindings: &Reader<'_>) {
+    GETS_SEEN.with_borrow_mut(|seen| {
+        seen.record(|key, known| {
+            key.clear();
+            key.extend_from_slice(bindings.rest());
+            known.names.clear();
+            known.encoded.clear();
+            // One allocation each: the bindings are counted first, and
+            // canonical names take no more octets than the list.
+            let mut scan = bindings.clone();
+            let mut count = 0;
+            while scan.read_element().is_ok() {
+                count += 1;
+            }
+            known.names.reserve(count);
+            known.encoded.reserve(bindings.remaining());
+            let mut list = bindings.clone();
+            while !list.is_empty() {
+                let name = pdu::skip_varbind(&mut list)?;
+                ber::push_oid(&mut known.encoded, &name)?;
+                known.names.push((name, known.encoded.len()));
+            }
+            Ok::<(), BerError>(())
+        })
+    });
 }
 
 thread_local! {

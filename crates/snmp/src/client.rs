@@ -15,6 +15,7 @@
 
 use crate::ber::{tag, Reader};
 use crate::error::{BerError, SnmpError};
+use crate::memo::Shapes;
 use crate::message::{self, SnmpVersion};
 use crate::oid::Oid;
 use crate::pdu::{self, ErrorStatus, PduHead, PduType, VarBind};
@@ -22,6 +23,8 @@ use crate::telemetry::ClientTelemetry;
 use crate::transport::Transport;
 use crate::value::{SnmpValue, ValueRef};
 use netqos_telemetry::Tracer;
+use std::cell::RefCell;
+use std::convert::Infallible;
 
 /// The three requests a manager sends.
 #[derive(Clone, Copy)]
@@ -32,8 +35,17 @@ enum Request {
     GetBulk(u32, u32),
 }
 
+thread_local! {
+    /// The Get binding lists this thread encoded lately, by their names.
+    static GETS_SENT: RefCell<Shapes<Vec<Oid>, Vec<u8>>> = const { RefCell::new(Shapes::new()) };
+}
+
 /// Encodes `request` for `oids` (NULL-valued bindings) into `out`, over
 /// whatever it held, and hands the buffer back.
+///
+/// A Get's binding list depends on its names alone, so a list this thread
+/// encoded lately is copied, not encoded again; a list that cannot be
+/// encoded is never kept.
 fn encode_request(
     mut out: Vec<u8>,
     community: &str,
@@ -51,6 +63,7 @@ fn encode_request(
             max_repetitions.into(),
         ),
     };
+    let is_get = matches!(request, Request::Get);
     // Wrapper and PDU header, then per binding two headers, the NULL and
     // about one octet per arc.
     let names: usize = oids.iter().map(|oid| oid.len() + 6).sum();
@@ -58,8 +71,28 @@ fn encode_request(
     out.reserve(32 + community.len() + names);
     let message = message::open_message(&mut out, version, community.as_bytes());
     let pdu = pdu::open_pdu(&mut out, pdu_tag, request_id, second, third);
-    for oid in oids {
-        pdu::push_varbind(&mut out, oid, ValueRef::Null)?;
+    let list = out.len();
+    let known = is_get
+        && GETS_SENT.with_borrow(|sent| {
+            sent.find(|names| names.as_slice() == oids)
+                .map(|bytes| out.extend_from_slice(bytes))
+                .is_some()
+        });
+    if !known {
+        for oid in oids {
+            pdu::push_varbind(&mut out, oid, ValueRef::Null)?;
+        }
+        if is_get {
+            GETS_SENT.with_borrow_mut(|sent| {
+                sent.record(|names, bytes| {
+                    names.clear();
+                    names.extend_from_slice(oids);
+                    bytes.clear();
+                    bytes.extend_from_slice(&out[list..]);
+                    Ok::<(), Infallible>(())
+                })
+            });
+        }
     }
     pdu::close_pdu(&mut out, pdu);
     message::close_message(&mut out, message);

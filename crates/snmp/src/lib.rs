@@ -53,6 +53,7 @@ pub mod agent;
 pub mod ber;
 pub mod client;
 pub mod error;
+mod memo;
 pub mod message;
 pub mod mib;
 pub mod mib2;

@@ -1,9 +1,9 @@
 //! What an agent's MIB holds, and what answering from it may take: a
 //! one-interface host's MIB and a 9-port switch's stay within byte
 //! budgets, a GetBulk walk of a switch with 10 000 learned stations stops
-//! at the response limit instead of building the whole answer, and
-//! (`#[ignore]`d, release mode) that switch's MIB builds in well under a
-//! second.
+//! at the response limit instead of building the whole answer, a
+//! repeated Get allocates nothing on either side, and (`#[ignore]`d,
+//! release mode) that switch's MIB builds in well under a second.
 
 use netqos_snmp::agent::decode_response;
 use netqos_snmp::mib2::{bridge, interfaces, system, FdbEntry, IfEntry, SystemInfo};
@@ -18,6 +18,12 @@ thread_local! {
     /// Bytes this thread holds (allocated less freed) and the most it
     /// held, while `Some`.
     static HEAP: Cell<Option<(isize, isize)>> = const { Cell::new(None) };
+    /// Allocations and reallocations this thread made, while `Some`.
+    static COUNT: Cell<Option<u64>> = const { Cell::new(None) };
+}
+
+fn count_one() {
+    COUNT.with(|c| c.set(c.get().map(|n| n + 1)));
 }
 
 fn track(delta: isize) {
@@ -36,6 +42,7 @@ struct Tracking;
 // nor runs a destructor.
 unsafe impl GlobalAlloc for Tracking {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        count_one();
         track(layout.size() as isize);
         System.alloc(layout)
     }
@@ -46,6 +53,7 @@ unsafe impl GlobalAlloc for Tracking {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        count_one();
         // A moving realloc holds both blocks for a moment.
         track(new_size as isize);
         track(-(layout.size() as isize));
@@ -63,6 +71,13 @@ fn heap_of<T>(f: impl FnOnce() -> T) -> (T, isize, isize) {
     let out = f();
     let (live, peak) = HEAP.with(|h| h.replace(None)).expect("tracking was on");
     (out, live, peak)
+}
+
+/// How many allocations `f` makes.
+fn allocations_in(f: impl FnOnce()) -> u64 {
+    COUNT.with(|c| c.set(Some(0)));
+    f();
+    COUNT.with(|c| c.replace(None)).expect("counting was on")
 }
 
 /// The MIB of a host with one interface, as `qosbench`'s `agents-direct`
@@ -189,6 +204,70 @@ impl MibView for Stepped<'_> {
 /// moves once more while it does (measured: 137 344 B). An agent that
 /// builds the whole answer before it compares peaks at 136 MB here.
 const BULK_PEAK_BUDGET: isize = 256 * 1024;
+
+/// The names a monitor polls a one-interface host for: `sysUpTime`, then
+/// six `ifTable` columns of interface 1.
+fn host_poll() -> Vec<Oid> {
+    let mut names = vec![system::sys_uptime_instance()];
+    for column in [2, 5, 10, 16, 11, 18] {
+        names.push(interfaces::instance_oid(column, 1));
+    }
+    names
+}
+
+/// A Get's names are worked out once per shape and thread: the manager
+/// keeps the binding list it encoded, the agent the names it decoded.
+/// A shape's first sighting allocates those; a repeat allocates nothing,
+/// and neither does a new shape once the memos are full: it is passed
+/// over, or replaces the oldest one in that one's buffers, which hold it
+/// when it is no larger.
+#[test]
+fn a_repeated_get_allocates_nothing_and_a_new_shape_a_stated_few() {
+    // The process-wide codec counters are resolved on a first decode.
+    netqos_snmp::telemetry::codec();
+    // A thread of its own, so that both memos start empty.
+    std::thread::spawn(|| {
+        let mib = host_mib();
+        let names = host_poll();
+        let mut manager = client::Manager::default();
+        let mut agent = SnmpAgent::new("public");
+        let mut answer = Vec::with_capacity(1024);
+        let mut poll = |id, names: &[Oid]| {
+            allocations_in(|| {
+                let request = manager.encode_get("public", id, names).unwrap();
+                assert!(agent.handle_into(request, &mib, &mut answer));
+            })
+        };
+        assert_eq!(poll(1, &names), FIRST_SIGHTING_ON_A_THREAD);
+        assert_eq!(poll(2, &names), 0, "a repeat");
+        for (id, shorter) in (3..).zip([6, 5, 4]) {
+            assert_eq!(poll(id, &names[..shorter]), NEW_SHAPE, "{shorter} names");
+            assert_eq!(poll(id + 10, &names[..shorter]), 0, "a repeat");
+        }
+        assert_eq!(poll(20, &names), 0, "four shapes held: the first is");
+        // A fifth shape is passed over, and then replaces the first in its
+        // buffers.
+        for id in 21..26 {
+            assert_eq!(poll(id, &names[..3]), 0, "a fifth shape");
+        }
+        let decoded = decode_response(&answer).unwrap();
+        assert_eq!(decoded.request_id, 25);
+        assert_eq!(decoded.bindings.len(), 3);
+    })
+    .join()
+    .unwrap();
+}
+
+/// A thread's first Get: the manager's request buffer; the manager's memo
+/// (its four entries, then the shape's names and binding list); the
+/// agent's memo (its four entries, then the shape's list bytes, names and
+/// name encodings).
+const FIRST_SIGHTING_ON_A_THREAD: u64 = 1 + 3 + 4;
+
+/// A new shape while the memos have room: its names and binding list on
+/// the manager's side, its list bytes, names and name encodings on the
+/// agent's.
+const NEW_SHAPE: u64 = 2 + 3;
 
 #[test]
 #[ignore = "a 30 000-entry MIB: run in release mode"]

@@ -1,6 +1,8 @@
 //! Differential tests: the single-buffer encoder, the one-pass agent and
 //! the flat MIB against the reference oracle (the encoder, agent and
-//! B-tree MIB they replaced).
+//! B-tree MIB they replaced). Repeated Gets, which the manager and the
+//! agent each work out once per shape and per thread, are held to the
+//! oracle however their shapes come and go.
 //!
 //! The `#[ignore]`d twins run the MIB and agent properties at CI's
 //! release-mode length: `cargo test --release -p netqos-snmp --test
@@ -10,6 +12,7 @@ mod oracle;
 mod strategies;
 
 use netqos_snmp::agent::{decode_response, SnmpAgent};
+use netqos_snmp::ber::{self, tag};
 use netqos_snmp::client;
 use netqos_snmp::message::{MessageBody, SnmpMessage, SnmpVersion};
 use netqos_snmp::mib::MibView;
@@ -350,19 +353,14 @@ fn agents_agree(
     }
 }
 
-fn build_request(
-    kind: &Kind,
-    community: &str,
-    request_id: i32,
-    names: &[(Name, SnmpValue)],
-    entries: &[(Oid, SnmpValue)],
-) -> Vec<u8> {
+/// The bindings `names` stand for among `entries`.
+fn resolve(names: &[(Name, SnmpValue)], entries: &[(Oid, SnmpValue)]) -> Vec<VarBind> {
     let entry = |i: usize| {
         entries
             .get(i % entries.len().max(1))
             .map(|(k, _)| k.clone())
     };
-    let bindings: Vec<VarBind> = names
+    names
         .iter()
         .map(|(name, value)| {
             let oid = match name {
@@ -378,7 +376,25 @@ fn build_request(
                 value.clone(),
             )
         })
-        .collect();
+        .collect()
+}
+
+fn build_request(
+    kind: &Kind,
+    community: &str,
+    request_id: i32,
+    names: &[(Name, SnmpValue)],
+    entries: &[(Oid, SnmpValue)],
+) -> Vec<u8> {
+    encode_request(kind, community, request_id, resolve(names, entries))
+}
+
+fn encode_request(
+    kind: &Kind,
+    community: &str,
+    request_id: i32,
+    bindings: Vec<VarBind>,
+) -> Vec<u8> {
     let (version, body) = match kind {
         Kind::Pdu(pdu_type) => (
             SnmpVersion::V1,
@@ -468,6 +484,43 @@ proptest! {
         agents_agree(&entries, &requests, limit, bulk);
     }
 
+    /// Gets the agent meets again — interleaved past its memo, under new
+    /// ids and the wrong community, one byte changed, names padded, and
+    /// after a cell they name went — are answered as the oracle answers
+    /// them, every time.
+    #[test]
+    fn repeated_gets_are_answered_identically(
+        entries in arb_mib(),
+        shapes in arb_shapes(),
+        asks in arb_asks(),
+        removed in any::<usize>(),
+    ) {
+        repeated_gets_agree(&entries, &shapes, &asks, removed);
+    }
+
+    /// Gets over name lists repeated and interleaved — more of them than
+    /// the manager's memo holds — encode to the oracle's bytes, through
+    /// `build_get` and through one `Manager`.
+    #[test]
+    fn repeated_gets_encode_to_identical_bytes(
+        lists in prop::collection::vec(prop::collection::vec(arb_any_oid(), 0..8), 1..9),
+        asks in prop::collection::vec((any::<usize>(), any::<i32>(), "[a-z]{0,8}"), 1..32),
+    ) {
+        let mut manager = client::Manager::default();
+        for (list, request_id, community) in asks {
+            let oids = &lists[list % lists.len()];
+            let get = Pdu::request(PduType::GetRequest, request_id, oids);
+            let expected = oracle::encode_message(&SnmpMessage::v1(&community, get))
+                .map_err(|e| netqos_snmp::SnmpError::from(e).to_string());
+            prop_assert_eq!(
+                client::build_get(&community, request_id, oids).map_err(|e| e.to_string()),
+                expected.clone()
+            );
+            let encoded = manager.encode_get(&community, request_id, oids);
+            prop_assert_eq!(encoded.map(<[u8]>::to_vec).map_err(|e| e.to_string()), expected);
+        }
+    }
+
     /// Arbitrary bytes never panic either agent and are dropped alike.
     #[test]
     fn agents_drop_garbage_alike(bytes in prop::collection::vec(any::<u8>(), 0..256)) {
@@ -486,6 +539,172 @@ proptest! {
             public.community = COMMUNITY.into();
             pair.handle(&oracle::encode_message(&public).unwrap());
         }
+    }
+}
+
+/// The names of a Get that the agent's memo meets again: mostly names the
+/// MIB holds, so that most lists are answered in full and remembered, now
+/// and then a prefix of one or a name it does not hold.
+fn arb_get_names() -> impl Strategy<Value = Vec<(Name, SnmpValue)>> {
+    let name = prop_oneof![
+        any::<usize>().prop_map(Name::Entry),
+        any::<usize>().prop_map(Name::Entry),
+        any::<usize>().prop_map(Name::Entry),
+        any::<usize>().prop_map(Name::Entry),
+        any::<usize>().prop_map(Name::PrefixOf),
+        arb_oid().prop_map(Name::Other),
+    ];
+    let value = prop_oneof![
+        Just(SnmpValue::Null),
+        Just(SnmpValue::Null),
+        strategies::arb_value()
+    ];
+    prop::collection::vec((name, value), 1..8)
+}
+
+/// Up to twice as many shapes as the agent's memo holds.
+fn arb_shapes() -> impl Strategy<Value = Vec<Vec<(Name, SnmpValue)>>> {
+    prop::collection::vec(arb_get_names(), 1..9)
+}
+
+/// Which shape is asked next, under which request-id, and with which
+/// community (0 is the wrong one).
+type Ask = (usize, i32, u8);
+
+fn arb_asks() -> impl Strategy<Value = Vec<Ask>> {
+    prop::collection::vec((any::<usize>(), any::<i32>(), 0u8..6), 1..32)
+}
+
+/// Hands `request` to both agents twice: a Get the library agent answered
+/// in full the first time, it answers from the names it remembered the
+/// second. Both times must agree with the oracle, bytes and statistics.
+fn twice(pair: &mut Pair, request: &[u8]) -> Option<Vec<u8>> {
+    let first = pair.handle(request);
+    let again = pair.handle(request);
+    assert_eq!(first, again, "request {request:02x?}");
+    again
+}
+
+/// A v1 GetRequest for `list` written by hand, each name's first
+/// subidentifier padded with a leading `0x80` octet: names BER allows but
+/// no encoder writes, which an answer carries in canonical form.
+fn padded_get(community: &str, request_id: i32, list: &[VarBind]) -> Vec<u8> {
+    let tlv = |tag_byte: u8, content: &[u8]| {
+        let mut out = vec![tag_byte];
+        ber::push_length(&mut out, content.len());
+        out.extend_from_slice(content);
+        out
+    };
+    let mut bindings = Vec::new();
+    for vb in list {
+        let name = ber::encode_oid(&vb.oid).unwrap();
+        let canonical = ber::Reader::new(&name).expect_element(tag::OID).unwrap();
+        let padded = [&[0x80][..], canonical.rest()].concat();
+        let value = ber::encode_value(&vb.value).unwrap();
+        bindings.extend(tlv(
+            tag::SEQUENCE,
+            &[tlv(tag::OID, &padded), value].concat(),
+        ));
+    }
+    let pdu = [
+        ber::encode_integer(request_id.into()),
+        ber::encode_integer(0),
+        ber::encode_integer(0),
+        tlv(tag::SEQUENCE, &bindings),
+    ]
+    .concat();
+    let message = [
+        ber::encode_integer(0),
+        tlv(tag::OCTET_STRING, community.as_bytes()),
+        tlv(tag::GET_REQUEST, &pdu),
+    ]
+    .concat();
+    tlv(tag::SEQUENCE, &message)
+}
+
+/// Gets over `shapes` of names, asked in the order `asks` gives — more
+/// shapes interleaved than the agent's memo holds, under new ids and the
+/// wrong community — then each shape again as it is, with one byte of its
+/// list changed, and with its names padded; then each once more after the
+/// entry `removed` picks left both MIBs. Every answer, each given twice,
+/// must be the oracle's.
+fn repeated_gets_agree(
+    entries: &[(Oid, SnmpValue)],
+    shapes: &[Vec<(Name, SnmpValue)>],
+    asks: &[Ask],
+    removed: usize,
+) {
+    let mut pair = Pair::new(entries, false, None);
+    let get = Kind::Pdu(PduType::GetRequest);
+    let lists: Vec<Vec<VarBind>> = shapes.iter().map(|names| resolve(names, entries)).collect();
+    for &(shape, request_id, community) in asks {
+        let community = if community == 0 { "private" } else { COMMUNITY };
+        let list = lists[shape % lists.len()].clone();
+        twice(
+            &mut pair,
+            &encode_request(&get, community, request_id, list),
+        );
+    }
+    for (request_id, list) in (0..).zip(&lists) {
+        let request = encode_request(&get, COMMUNITY, request_id, list.clone());
+        twice(&mut pair, &request);
+        // The low bit of the last name's last arc flipped: the lists
+        // differ in that one octet, past the first name when there are
+        // two or more.
+        let last = &list.last().expect("a name or more").oid;
+        if last.len() > 2 {
+            let mut arcs = last.arcs().to_vec();
+            *arcs.last_mut().unwrap() ^= 1;
+            let mut changed = list.clone();
+            changed.last_mut().unwrap().oid = Oid::new(arcs);
+            let other = encode_request(&get, COMMUNITY, request_id, changed);
+            assert_eq!(other.len(), request.len());
+            let differing = request.iter().zip(&other).filter(|(a, b)| a != b);
+            assert_eq!(differing.count(), 1);
+            twice(&mut pair, &other);
+        }
+        twice(&mut pair, &padded_get(COMMUNITY, request_id, list));
+    }
+    let Some((gone, _)) = entries.get(removed % entries.len().max(1)) else {
+        return;
+    };
+    pair.mib.remove(gone);
+    pair.oracle_mib.remove(gone);
+    for (request_id, list) in (0..).zip(&lists) {
+        let request = encode_request(&get, COMMUNITY, request_id, list.clone());
+        let answer = twice(&mut pair, &request);
+        // A list that names a cell no longer held fails at its first such
+        // name, and echoes its bindings.
+        if let Some(missing) = list
+            .iter()
+            .position(|vb| pair.oracle_mib.get(&vb.oid).is_none())
+        {
+            let pdu = decode_response(&answer.expect("an error answer")).unwrap();
+            assert_eq!(pdu.error_status, ErrorStatus::NoSuchName);
+            assert_eq!(pdu.error_index as usize, missing + 1);
+            assert_eq!(pdu.bindings, *list);
+        }
+    }
+}
+
+#[test]
+fn a_padded_name_is_answered_and_echoed_in_canonical_form() {
+    let mut pair = Pair::new(&demo_mib(), false, None);
+    let held = vec![
+        VarBind::null(oid("1.3.6.1.2.1.1.3.0")),
+        VarBind::null(oid("1.3.6.1.2.1.2.2.1.10.1")),
+    ];
+    let missing = vec![held[0].clone(), VarBind::null(oid("1.3.9.9"))];
+    let get = Kind::Pdu(PduType::GetRequest);
+    for list in [held, missing] {
+        let canonical = encode_request(&get, COMMUNITY, 4, list.clone());
+        let padded = padded_get(COMMUNITY, 4, &list);
+        assert_ne!(padded, canonical);
+        // Answered once in full, a list is answered from what the agent
+        // remembered the next time.
+        let first = twice(&mut pair, &padded);
+        assert_eq!(first, twice(&mut pair, &canonical));
+        assert_eq!(first, twice(&mut pair, &padded));
     }
 }
 
@@ -700,6 +919,17 @@ proptest! {
     #[ignore = "20 000 cases: run in release mode"]
     fn the_flat_mib_answers_as_the_btree_at_length(ops in arb_mib_ops()) {
         mib_ops_agree(&ops);
+    }
+
+    #[test]
+    #[ignore = "20 000 cases: run in release mode"]
+    fn repeated_gets_are_answered_identically_at_length(
+        entries in arb_mib(),
+        shapes in arb_shapes(),
+        asks in arb_asks(),
+        removed in any::<usize>(),
+    ) {
+        repeated_gets_agree(&entries, &shapes, &asks, removed);
     }
 
     #[test]
