@@ -5,6 +5,9 @@
 //! simulator build, then monitor ticks polling every SNMP host and
 //! evaluating every QoS path — and the row records devices polled per
 //! second, paths evaluated per second, and tick-latency percentiles.
+//! Setup is recorded whole (`build_ns`) and per step: generating the
+//! spec (`generate_ns`), parsing and validating it (`parse_ns`), and
+//! building the service, simulator included (`service_build_ns`).
 //!
 //! Regenerate with `cargo run --release -p netqos-bench --bin
 //! core_bench`; `--quick` runs the smallest scale with fewer ticks (the
@@ -37,7 +40,9 @@ fn main() {
         };
         let build_start = Instant::now();
         let src = generate_spec(&params);
+        let generated = Instant::now();
         let model = parse_and_validate(&src).expect("generated spec must validate");
+        let parsed = Instant::now();
         let qos_paths = model.qos_paths.len();
         let options = SimNetworkOptions {
             monitor_host: "h0-0".into(),
@@ -45,7 +50,8 @@ fn main() {
         };
         let mut svc = MonitoringService::from_model(model, options, ServiceConfig::default())
             .expect("service build");
-        let build_ns = build_start.elapsed().as_nanos();
+        let built = Instant::now();
+        let build_ns = (built - build_start).as_nanos();
 
         let polls_total = svc.registry().counter("netqos_monitor_polls_total");
         let polls_before = polls_total.get();
@@ -79,7 +85,10 @@ fn main() {
                 .metric("tick_p50_ns", p50)
                 .metric("tick_p99_ns", p99)
                 .metric("tick_max_ns", max)
-                .metric("build_ns", build_ns),
+                .metric("build_ns", build_ns)
+                .metric("generate_ns", (generated - build_start).as_nanos())
+                .metric("parse_ns", (parsed - generated).as_nanos())
+                .metric("service_build_ns", (built - parsed).as_nanos()),
         );
     }
     report

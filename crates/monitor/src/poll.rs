@@ -130,7 +130,9 @@ impl PollPlan {
     ) -> Result<(), MonitorError> {
         let mut parse = Parse::begin(snapshot, self.if_count);
         manager
-            .visit_answer(answer, id, |oid, value| parse.binding(oid, value))
+            .visit_answer(answer, id, &self.oids, |oid, value| {
+                parse.binding(oid, value)
+            })
             .map_err(|e| MonitorError::from_snmp(e, node))??;
         parse.finish()
     }

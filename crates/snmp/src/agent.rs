@@ -405,8 +405,8 @@ fn no_such_name(
 ) -> Reply {
     let status = ErrorStatus::NoSuchName;
     let echoed = write_response(out, wrapper, request_id, status, position, |out| {
-        pdu::visit_varbinds(&mut bindings, |oid, value| {
-            pdu::push_varbind(out, &oid, value)
+        pdu::visit_varbinds(&mut bindings, &[], |oid, value| {
+            pdu::push_varbind(out, oid, value)
         })?
         .map(drop)
     });

@@ -363,6 +363,45 @@ impl<'a> Reader<'a> {
         decode_oid_content(content.rest())
     }
 
+    /// Reads past an OBJECT IDENTIFIER element that is `oid` written one
+    /// octet per subidentifier, and returns true: the short-form length
+    /// `oid.len() - 1`, then `40 * first + second` and every later arc,
+    /// each octet below 128. Such an element decodes to exactly `oid`:
+    /// with no continuation bit every octet is one subidentifier, and the
+    /// first splits back into `first.second`. Anything else — `oid`
+    /// padded, under a long-form length or with an arc of 128 or more,
+    /// another name, a cut element — is left unread and returns false,
+    /// for [`Reader::read_oid`] to decode.
+    pub fn skip_oid_if(&mut self, oid: &Oid) -> bool {
+        let [first, second, rest @ ..] = oid.arcs() else {
+            return false;
+        };
+        // The first subidentifier, where one octet splits back into the
+        // first two arcs.
+        let head = match (*first, *second) {
+            (0 | 1, second @ 0..40) => first * 40 + second,
+            (2, second @ 0..48) => 80 + second,
+            _ => return false,
+        };
+        let len = rest.len() + 1;
+        let Some((element, tail)) = self.data.split_at_checked(len + 2) else {
+            return false;
+        };
+        let [tag::OID, len_octet @ 0..0x80, sub, content @ ..] = element else {
+            return false;
+        };
+        let same = usize::from(*len_octet) == len
+            && u32::from(*sub) == head
+            && content
+                .iter()
+                .zip(rest)
+                .all(|(&octet, &arc)| octet < 0x80 && u32::from(octet) == arc);
+        if same {
+            self.data = tail;
+        }
+        same
+    }
+
     /// Reads any SNMP value element.
     pub fn read_value(&mut self) -> Result<SnmpValue, BerError> {
         let mut oid = Oid::empty();
@@ -677,6 +716,55 @@ mod tests {
         let bad = [0x06, 0x02, 0x2B, 0x86];
         let mut r = Reader::new(&bad);
         assert_eq!(r.read_oid(), Err(BerError::BadOid));
+    }
+
+    #[test]
+    fn skip_oid_if_takes_only_the_one_octet_encoding_of_its_name() {
+        let name = oid("1.3.6.1.2.1.2.2.1.10.1");
+        let mut bytes = encode_oid(&name).unwrap();
+        bytes.extend_from_slice(&[0x41, 0x01, 0x07]);
+        let mut r = Reader::new(&bytes);
+        assert!(r.skip_oid_if(&name));
+        assert_eq!(r.rest(), [0x41, 0x01, 0x07]);
+
+        let padded = [0x06, 0x03, 0x80, 0x2B, 0x06];
+        let long_form = [0x06, 0x81, 0x02, 0x2B, 0x06];
+        let refused: [(&str, &[u8]); 12] = [
+            ("1.3.6", &padded),
+            ("1.3.6", &long_form),
+            ("1.3.6", &[0x06, 0x02, 0x2B, 0x07]), // another last arc
+            ("1.3.6", &[0x06, 0x03, 0x2B, 0x06, 0x01]), // a longer name
+            ("1.3.6", &[0x06, 0x01, 0x2B]),       // a shorter one
+            ("1.3.6", &[0x06, 0x02, 0x2B]),       // cut
+            ("1.3.6", &[0x04, 0x02, 0x2B, 0x06]), // not an OID
+            ("1.3.134", &[0x06, 0x03, 0x2B, 0x81, 0x06]), // an arc of 128 or more
+            ("1.3.129.6", &[0x06, 0x03, 0x2B, 0x81, 0x06]), // its octets as arcs
+            ("0.43.6", &[0x06, 0x02, 0x2B, 0x06]), // 1.3 split another way
+            ("2.48", &[0x06, 0x02, 0x81, 0x00]),  // a two-octet first
+            ("1", &[0x06, 0x00]),
+        ];
+        for (name, bytes) in refused {
+            let mut r = Reader::new(bytes);
+            assert!(!r.skip_oid_if(&oid(name)), "{name} {bytes:02x?}");
+            assert_eq!(r.remaining(), bytes.len(), "{name}: nothing read");
+        }
+        assert!(!Reader::new(&[]).skip_oid_if(&Oid::empty()));
+
+        // 130 arcs, `1.3` then 128 of 0x05: a long-form length octet 0x81
+        // read as a short one would be 129, and this element's content
+        // octets (0x2B of them) would be taken for the name's.
+        let mut arcs = vec![1, 3];
+        arcs.extend([5; 128]);
+        let long = Oid::new(arcs);
+        let mut bytes = vec![0x06, 0x81, 0x2B];
+        bytes.extend([5; 128]);
+        assert!(!Reader::new(&bytes).skip_oid_if(&long));
+        let mut r = Reader::new(&bytes);
+        assert_eq!(r.read_oid().unwrap().len(), 44);
+        // Its one-octet encoding, under a two-octet length, is decoded.
+        let encoded = encode_oid(&long).unwrap();
+        assert_eq!(encoded[..3], [0x06, 0x81, 0x81]);
+        assert!(!Reader::new(&encoded).skip_oid_if(&long));
     }
 
     #[test]

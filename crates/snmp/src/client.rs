@@ -12,6 +12,14 @@
 //! [`Manager::encode_get`] and [`Manager::visit_answer`] — to a poller that
 //! keeps many requests in flight itself. [`SnmpClient`] is the common case
 //! bundled up: a manager that owns the transport to its one agent.
+//!
+//! A Get's answer is read against the names the Get asked: a correct
+//! agent echoes them, so a binding whose name is the asked one, written
+//! one octet per subidentifier, is handed on as the asked name and no
+//! name is decoded, and only a name that differs — padded, reordered,
+//! unexpected, past the asked ones — is decoded. What a caller sees is
+//! the same either way. Walks and [`parse_response`] have no names to
+//! expect and decode every one.
 
 use crate::ber::{tag, Reader};
 use crate::error::{BerError, SnmpError};
@@ -159,7 +167,7 @@ pub fn parse_response(bytes: &[u8]) -> Result<Response, SnmpError> {
         let Some((head, mut list, content)) = read_answer_head(&mut wrapper.rest)? else {
             return Ok(None);
         };
-        let bindings = pdu::decode_varbinds(&mut list)?;
+        let bindings = pdu::decode_varbinds(&mut list, &[])?;
         content.finish()?;
         Ok((head.pdu_type == PduType::GetResponse).then_some(Response {
             request_id: head.request_id,
@@ -316,19 +324,24 @@ impl Manager {
     }
 
     /// The second half of [`Session::get_visit`]: judges `answer` as the
-    /// answer to the Get sent under `id` and hands each of its bindings to
-    /// `visit`, with the same outcome `get_visit` gives and counted once in
-    /// the codec counters.
+    /// answer to the Get for `asked` sent under `id` and hands each of its
+    /// bindings to `visit`, with the same outcome `get_visit` gives and
+    /// counted once in the codec counters.
+    ///
+    /// A binding that names `asked`'s name at its position in the usual
+    /// encoding — one octet per subidentifier, as every agent echoing a
+    /// Table 1 poll writes it — is handed to `visit` as that name, and no
+    /// name is decoded; any other is decoded, so `asked` changes how much
+    /// work an answer takes and never what `visit` sees.
     pub fn visit_answer<E>(
         &self,
         answer: &[u8],
         id: i32,
-        mut visit: impl FnMut(&Oid, ValueRef<'_>) -> Result<(), E>,
+        asked: &[Oid],
+        visit: impl FnMut(&Oid, ValueRef<'_>) -> Result<(), E>,
     ) -> Result<Result<usize, E>, SnmpError> {
         let mut span = self.tracer.span("snmp.codec", "decode");
-        let visited = decode_answer(answer, id, |list| {
-            pdu::visit_varbinds(list, |oid, value| visit(&oid, value))
-        })?;
+        let visited = decode_answer(answer, id, |list| pdu::visit_varbinds(list, asked, visit))?;
         if let Ok(bindings) = visited {
             span.set_attr("bindings", bindings);
         }
@@ -392,15 +405,16 @@ impl Session<'_> {
         visit: impl FnMut(&Oid, ValueRef<'_>) -> Result<(), E>,
     ) -> Result<Result<usize, E>, SnmpError> {
         let (id, bytes) = self.exchange(Request::Get, oids)?;
-        self.manager.visit_answer(&bytes, id, visit)
+        self.manager.visit_answer(&bytes, id, oids, visit)
     }
 
     /// `GetRequest` for several objects; returns the bound values in
-    /// request order.
+    /// request order, the answer read against `oids` into one vector
+    /// sized for them.
     pub fn get_many(&mut self, oids: &[Oid]) -> Result<Vec<VarBind>, SnmpError> {
         let (id, bytes) = self.exchange(Request::Get, oids)?;
         let mut span = self.manager.tracer.span("snmp.codec", "decode");
-        let bindings = decode_answer(&bytes, id, pdu::decode_varbinds)?;
+        let bindings = decode_answer(&bytes, id, |list| pdu::decode_varbinds(list, oids))?;
         span.set_attr("bindings", bindings.len());
         Ok(bindings)
     }

@@ -216,38 +216,64 @@ pub(crate) fn skip_varbind(list: &mut Reader<'_>) -> Result<Oid, BerError> {
 /// whether or not it was visited, so a malformed binding anywhere is the
 /// error (`Err`), and only a list that decodes whole reports what `visit`
 /// said (`Ok`): its refusal, or how many bindings it took.
+///
+/// `asked` is the names the request carried, `&[]` where there were none
+/// to expect. A correct agent's answer to a Get echoes them, so binding
+/// *i*'s name is first compared in place with `asked[i]`; where it is
+/// that name's one-octet-per-subidentifier encoding
+/// ([`Reader::skip_oid_if`]), which decodes to exactly that name, `visit`
+/// is handed `&asked[i]` and no name is built. Any other name — padded,
+/// long, reordered, unexpected, past the end of `asked` — is decoded.
+/// Either way `visit` sees the name the bytes hold, and the outcome is
+/// what `asked = &[]` gives.
 pub(crate) fn visit_varbinds<E>(
     list: &mut Reader<'_>,
-    mut visit: impl FnMut(Oid, ValueRef<'_>) -> Result<(), E>,
+    asked: &[Oid],
+    mut visit: impl FnMut(&Oid, ValueRef<'_>) -> Result<(), E>,
 ) -> Result<Result<usize, E>, BerError> {
     let mut verdict = Ok(0);
+    let mut asked = asked.iter();
+    let mut decoded: Oid;
     let mut oid_value = Oid::empty();
     while !list.is_empty() {
-        let Ok(visited) = verdict else {
-            skip_varbind(list)?;
-            continue;
-        };
         let mut binding = list.expect_element(tag::SEQUENCE)?;
-        let name = binding.read_oid()?;
-        let value = binding.read_value_ref(&mut oid_value)?;
-        binding.finish()?;
-        verdict = visit(name, value).map(|()| visited + 1);
+        let name = match asked.next() {
+            Some(asked) if binding.skip_oid_if(asked) => asked,
+            _ => {
+                decoded = binding.read_oid()?;
+                &decoded
+            }
+        };
+        if let Ok(visited) = verdict {
+            let value = binding.read_value_ref(&mut oid_value)?;
+            binding.finish()?;
+            verdict = visit(name, value).map(|()| visited + 1);
+        } else {
+            binding.skip_value()?;
+            binding.finish()?;
+        }
     }
     Ok(verdict)
 }
 
-/// Collects the bindings of `list`. The elements are counted first so the
-/// vector is allocated once; the count is bounded by the datagram, every
-/// element taking two octets or more.
-pub(crate) fn decode_varbinds(list: &mut Reader<'_>) -> Result<Vec<VarBind>, BerError> {
-    let mut count = 0;
-    let mut scan = list.clone();
-    while scan.read_element().is_ok() {
-        count += 1;
-    }
+/// Collects the bindings of `list`, read against the names `asked` as
+/// [`visit_varbinds`] reads them. The vector is allocated once for the
+/// asked count, which an answer longer than the request grows; where
+/// nothing was asked, the elements are counted first, a count bounded by
+/// the datagram, every element taking two octets or more.
+pub(crate) fn decode_varbinds(
+    list: &mut Reader<'_>,
+    asked: &[Oid],
+) -> Result<Vec<VarBind>, BerError> {
+    let count = if asked.is_empty() {
+        let mut scan = list.clone();
+        std::iter::from_fn(|| scan.read_element().ok()).count()
+    } else {
+        asked.len()
+    };
     let mut bindings = Vec::with_capacity(count);
-    let Ok(_) = visit_varbinds(list, |oid, value| {
-        bindings.push(VarBind::new(oid, value.to_value()));
+    let Ok(_) = visit_varbinds(list, asked, |oid, value| {
+        bindings.push(VarBind::new(oid.clone(), value.to_value()));
         Ok::<(), std::convert::Infallible>(())
     })?;
     Ok(bindings)
@@ -328,7 +354,7 @@ impl Pdu {
     /// Decodes a PDU from a reader positioned at the PDU tag.
     pub fn decode(r: &mut Reader<'_>) -> Result<Self, SnmpError> {
         let (head, mut list, content) = PduHead::read(r)?;
-        let bindings = decode_varbinds(&mut list)?;
+        let bindings = decode_varbinds(&mut list, &[])?;
         content.finish()?;
         Ok(Pdu {
             pdu_type: head.pdu_type,
@@ -437,7 +463,7 @@ impl BulkPdu {
         let request_id = content.read_integer()? as i32;
         let non_repeaters = content.read_integer()?.max(0) as u32;
         let max_repetitions = content.read_integer()?.max(0) as u32;
-        let bindings = decode_varbinds(&mut content.expect_element(tag::SEQUENCE)?)?;
+        let bindings = decode_varbinds(&mut content.expect_element(tag::SEQUENCE)?, &[])?;
         content.finish()?;
         Ok(BulkPdu {
             request_id,
@@ -519,7 +545,7 @@ impl TrapPdu {
         let generic_trap = content.read_integer()? as i32;
         let specific_trap = content.read_integer()? as i32;
         let time_stamp = content.read_unsigned(tag::TIME_TICKS)?;
-        let bindings = decode_varbinds(&mut content.expect_element(tag::SEQUENCE)?)?;
+        let bindings = decode_varbinds(&mut content.expect_element(tag::SEQUENCE)?, &[])?;
         content.finish()?;
         Ok(TrapPdu {
             enterprise,

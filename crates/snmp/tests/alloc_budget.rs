@@ -2,11 +2,14 @@
 //! one-interface host's MIB and a 9-port switch's stay within byte
 //! budgets, a GetBulk walk of a switch with 10 000 learned stations stops
 //! at the response limit instead of building the whole answer, a
-//! repeated Get allocates nothing on either side, and (`#[ignore]`d,
-//! release mode) that switch's MIB builds in well under a second.
+//! repeated Get allocates nothing on either side and `get_many` only
+//! what it hands back, and (`#[ignore]`d, release mode) that switch's
+//! MIB builds in well under a second.
 
 use netqos_snmp::agent::decode_response;
+use netqos_snmp::client::SnmpClient;
 use netqos_snmp::mib2::{bridge, interfaces, system, FdbEntry, IfEntry, SystemInfo};
+use netqos_snmp::transport::{FnTransport, LoopbackTransport};
 use netqos_snmp::value::ValueRef;
 use netqos_snmp::{client, ErrorStatus, MibView, Oid, ScalarMib, SnmpAgent};
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -268,6 +271,47 @@ const FIRST_SIGHTING_ON_A_THREAD: u64 = 1 + 3 + 4;
 /// the manager's side, its list bytes, names and name encodings on the
 /// agent's.
 const NEW_SHAPE: u64 = 2 + 3;
+
+/// A repeated `get_many` reads its answer against the names it asked:
+/// it allocates the answer the transport hands back, the bindings vector
+/// once, for as many bindings as it asked, and the one value that owns
+/// its bytes, `ifDescr`. Names the answer echoes are copied from those
+/// asked, so no name is built; an answer longer than the request grows
+/// the vector, and reads whole.
+#[test]
+fn a_repeated_get_many_allocates_the_answer_the_bindings_and_the_descr() {
+    netqos_snmp::telemetry::codec();
+    std::thread::spawn(|| {
+        let names = host_poll();
+        let loopback = LoopbackTransport::new(SnmpAgent::new("public"), host_mib());
+        let mut client = SnmpClient::new(loopback, "public");
+        client.get_many(&names).unwrap();
+        let mut bindings = Vec::new();
+        let allocations = allocations_in(|| bindings = client.get_many(&names).unwrap());
+        assert_eq!(allocations, GET_MANY_ALLOCATIONS);
+        assert_eq!(bindings.capacity(), names.len());
+        let echoed: Vec<&Oid> = bindings.iter().map(|vb| &vb.oid).collect();
+        assert_eq!(echoed, names.iter().collect::<Vec<_>>());
+
+        // An agent that answers every Get with all seven names.
+        let mib = host_mib();
+        let mut agent = SnmpAgent::new("public");
+        let all = names.clone();
+        let longer = FnTransport(move |request: &[u8]| {
+            let id = client::peek_request_id(request)?;
+            agent.handle(&client::build_get("public", id, &all).ok()?, &mib)
+        });
+        let mut client = SnmpClient::new(longer, "public");
+        let bindings = client.get_many(&names[..3]).unwrap();
+        assert_eq!(bindings.len(), names.len());
+        assert!(bindings.iter().map(|vb| &vb.oid).eq(&names));
+    })
+    .join()
+    .unwrap();
+}
+
+/// The answer, the bindings vector and the `ifDescr` value.
+const GET_MANY_ALLOCATIONS: u64 = 3;
 
 #[test]
 #[ignore = "a 30 000-entry MIB: run in release mode"]

@@ -2,10 +2,12 @@
 //! the flat MIB against the reference oracle (the encoder, agent and
 //! B-tree MIB they replaced). Repeated Gets, which the manager and the
 //! agent each work out once per shape and per thread, are held to the
-//! oracle however their shapes come and go.
+//! oracle however their shapes come and go. The manager's read of an
+//! answer against the names it asked is held to its read against none
+//! and to the oracle's decoder, whatever the answer and the names.
 //!
-//! The `#[ignore]`d twins run the MIB and agent properties at CI's
-//! release-mode length: `cargo test --release -p netqos-snmp --test
+//! The `#[ignore]`d twins run the MIB, agent and answer properties at
+//! CI's release-mode length: `cargo test --release -p netqos-snmp --test
 //! differential -- --ignored`.
 
 mod oracle;
@@ -585,16 +587,18 @@ fn twice(pair: &mut Pair, request: &[u8]) -> Option<Vec<u8>> {
     again
 }
 
+/// One element, written by hand.
+fn tlv(tag_byte: u8, content: &[u8]) -> Vec<u8> {
+    let mut out = vec![tag_byte];
+    ber::push_length(&mut out, content.len());
+    out.extend_from_slice(content);
+    out
+}
+
 /// A v1 GetRequest for `list` written by hand, each name's first
 /// subidentifier padded with a leading `0x80` octet: names BER allows but
 /// no encoder writes, which an answer carries in canonical form.
 fn padded_get(community: &str, request_id: i32, list: &[VarBind]) -> Vec<u8> {
-    let tlv = |tag_byte: u8, content: &[u8]| {
-        let mut out = vec![tag_byte];
-        ber::push_length(&mut out, content.len());
-        out.extend_from_slice(content);
-        out
-    };
     let mut bindings = Vec::new();
     for vb in list {
         let name = ber::encode_oid(&vb.oid).unwrap();
@@ -705,6 +709,410 @@ fn a_padded_name_is_answered_and_echoed_in_canonical_form() {
         let first = twice(&mut pair, &padded);
         assert_eq!(first, twice(&mut pair, &canonical));
         assert_eq!(first, twice(&mut pair, &padded));
+    }
+}
+
+/// How an answer's bindings are changed before the manager reads it.
+#[derive(Debug, Clone)]
+enum Reshape {
+    /// Binding *i*'s name becomes another.
+    Rename(usize, Oid),
+    /// Binding *i*'s name gains an arc.
+    Extend(usize, u32),
+    /// Binding *i*'s name loses its last arc, if it has three or more.
+    Shorten(usize),
+    /// Bindings *i* and *j* trade places.
+    Swap(usize, usize),
+    /// Binding *i*'s name is written with a leading `0x80` octet.
+    Pad(usize),
+    /// Binding *i*'s name is written under a long-form length.
+    LongLength(usize),
+    /// Binding *i* is left out.
+    Drop(usize),
+    /// A binding is added at the end.
+    Append(Oid, SnmpValue),
+}
+
+fn arb_reshape() -> impl Strategy<Value = Reshape> {
+    prop_oneof![
+        (any::<usize>(), arb_oid()).prop_map(|(i, name)| Reshape::Rename(i, name)),
+        (any::<usize>(), strategies::arb_arc()).prop_map(|(i, arc)| Reshape::Extend(i, arc)),
+        any::<usize>().prop_map(Reshape::Shorten),
+        (any::<usize>(), any::<usize>()).prop_map(|(i, j)| Reshape::Swap(i, j)),
+        any::<usize>().prop_map(Reshape::Pad),
+        any::<usize>().prop_map(Reshape::LongLength),
+        any::<usize>().prop_map(Reshape::Drop),
+        (arb_oid(), strategies::arb_value()).prop_map(|(name, value)| Reshape::Append(name, value)),
+    ]
+}
+
+/// Two answers in five as the agent wrote them.
+fn arb_reshapes() -> impl Strategy<Value = Vec<Reshape>> {
+    let some = || prop::collection::vec(arb_reshape(), 1..4);
+    prop_oneof![Just(Vec::new()), Just(Vec::new()), some(), some(), some()]
+}
+
+/// What becomes of the whole encoded answer.
+#[derive(Debug, Clone)]
+enum Damage {
+    None,
+    /// Cut to this many octets (modulo its length).
+    Cut(usize),
+    /// One octet flipped.
+    Flip(usize, u8),
+}
+
+fn arb_damage() -> impl Strategy<Value = Damage> {
+    let flip = || (any::<usize>(), 1u8..=255).prop_map(|(at, flip)| Damage::Flip(at, flip));
+    prop_oneof![
+        Just(Damage::None),
+        Just(Damage::None),
+        Just(Damage::None),
+        any::<usize>().prop_map(Damage::Cut),
+        flip(),
+        flip(),
+    ]
+}
+
+/// The names the manager reads the answer against.
+#[derive(Debug, Clone)]
+enum Asked {
+    /// The names the Get carried.
+    Sent,
+    /// Those, with name *i*'s last arc changed.
+    LastArc(usize, u32),
+    /// Those, with name *i*'s first two arcs split another way: `1.3` as
+    /// `0.43`, `2.5` as `1.45`, names no encoder writes whose first
+    /// subidentifier is the same octet.
+    Aliased(usize),
+    /// Those, with name *i* replaced by the arcs its encoding's octets
+    /// spell, continuation octets and all.
+    RawOctets(usize),
+    /// The first few of them.
+    Shorter(usize),
+    /// All of them and more.
+    Longer(Vec<Oid>),
+    /// Any names at all, BER-encodable or not.
+    Other(Vec<Oid>),
+}
+
+fn arb_asked() -> impl Strategy<Value = Asked> {
+    let names = || prop::collection::vec(arb_any_oid(), 0..8);
+    let last_arc = || {
+        (any::<usize>(), prop_oneof![Just(1u32), any::<u32>()])
+            .prop_map(|(i, change)| Asked::LastArc(i, change))
+    };
+    let raw_octets = || any::<usize>().prop_map(Asked::RawOctets);
+    prop_oneof![
+        Just(Asked::Sent),
+        Just(Asked::Sent),
+        Just(Asked::Sent),
+        Just(Asked::Sent),
+        Just(Asked::Sent),
+        Just(Asked::Sent),
+        last_arc(),
+        last_arc(),
+        any::<usize>().prop_map(Asked::Aliased),
+        raw_octets(),
+        raw_octets(),
+        any::<usize>().prop_map(Asked::Shorter),
+        names().prop_map(Asked::Longer),
+        names().prop_map(Asked::Other),
+    ]
+}
+
+/// Mostly the id a fresh manager's first Get carries, now and then
+/// another.
+fn arb_request_id() -> impl Strategy<Value = i32> {
+    prop_oneof![Just(FIRST_ID), Just(FIRST_ID), Just(FIRST_ID), any::<i32>()]
+}
+
+impl Asked {
+    fn names(&self, sent: &[Oid]) -> Vec<Oid> {
+        let mut names = sent.to_vec();
+        let nth = |i: usize| i % sent.len().max(1);
+        let mut replace = |i: usize, f: &dyn Fn(&[u32]) -> Option<Vec<u32>>| {
+            if let Some(name) = names.get_mut(nth(i)) {
+                if let Some(arcs) = f(name.arcs()) {
+                    *name = Oid::new(arcs);
+                }
+            }
+        };
+        match self {
+            Asked::Sent => {}
+            Asked::LastArc(i, change) => replace(*i, &|arcs| {
+                let mut arcs = arcs.to_vec();
+                *arcs.last_mut()? ^= change;
+                Some(arcs)
+            }),
+            Asked::Aliased(i) => replace(*i, &|arcs| {
+                let mut arcs = arcs.to_vec();
+                match arcs[..] {
+                    [first, second, ..] if first >= 1 => {
+                        arcs[0] = first - 1;
+                        arcs[1] = second.checked_add(40)?;
+                    }
+                    [first, second, ..] if second >= 40 => {
+                        arcs[0] = first + 1;
+                        arcs[1] = second - 40;
+                    }
+                    _ => return None,
+                }
+                Some(arcs)
+            }),
+            Asked::RawOctets(i) => replace(*i, &|arcs| {
+                let element = ber::encode_oid(&Oid::from(arcs)).ok()?;
+                let content = ber::Reader::new(&element)
+                    .expect_element(tag::OID)
+                    .ok()?
+                    .rest();
+                let head = u32::from(content[0]);
+                let mut spelled = vec![head / 40, head % 40];
+                spelled.extend(content[1..].iter().map(|&octet| u32::from(octet)));
+                Some(spelled)
+            }),
+            Asked::Shorter(keep) => names.truncate(keep % (sent.len() + 1)),
+            Asked::Longer(more) => names.extend(more.iter().cloned()),
+            Asked::Other(other) => names = other.clone(),
+        }
+        names
+    }
+}
+
+/// How a binding's name is written.
+#[derive(Debug, Clone, Copy)]
+enum NameForm {
+    Canonical,
+    Padded,
+    LongLength,
+}
+
+/// The datagram that answers the Get for `sent` under `request_id` —
+/// `agent`'s answer over `mib`, or, where it stays silent, every name
+/// bound to NULL — with its bindings reshaped and then damaged.
+fn reshaped_answer(
+    agent: &mut SnmpAgent,
+    mib: &ScalarMib,
+    sent: &[Oid],
+    request_id: i32,
+    reshapes: &[Reshape],
+    damage: &Damage,
+) -> Vec<u8> {
+    let request = client::build_get(COMMUNITY, request_id, sent).unwrap();
+    let pdu = agent.handle(&request, mib).map_or_else(
+        || Pdu::request(PduType::GetResponse, request_id, sent),
+        |answer| decode_response(&answer).unwrap(),
+    );
+    let mut bindings: Vec<(Oid, NameForm, SnmpValue)> = pdu
+        .bindings
+        .into_iter()
+        .map(|vb| (vb.oid, NameForm::Canonical, vb.value))
+        .collect();
+    for reshape in reshapes {
+        let len = bindings.len();
+        if let Reshape::Append(name, value) = reshape {
+            bindings.push((name.clone(), NameForm::Canonical, value.clone()));
+            continue;
+        }
+        if len == 0 {
+            continue;
+        }
+        match reshape {
+            Reshape::Rename(i, name) => bindings[i % len].0 = name.clone(),
+            Reshape::Extend(i, arc) => bindings[i % len].0 = bindings[i % len].0.child(*arc),
+            Reshape::Shorten(i) => {
+                let name = &mut bindings[i % len].0;
+                if name.len() > 2 {
+                    *name = Oid::from(&name.arcs()[..name.len() - 1]);
+                }
+            }
+            Reshape::Swap(i, j) => bindings.swap(i % len, j % len),
+            Reshape::Pad(i) => bindings[i % len].1 = NameForm::Padded,
+            Reshape::LongLength(i) => bindings[i % len].1 = NameForm::LongLength,
+            Reshape::Drop(i) => drop(bindings.remove(i % len)),
+            Reshape::Append(..) => unreachable!("appended above"),
+        }
+    }
+    let mut list = Vec::new();
+    for (name, form, value) in &bindings {
+        let canonical = ber::encode_oid(name).unwrap();
+        let content = ber::Reader::new(&canonical)
+            .expect_element(tag::OID)
+            .unwrap()
+            .rest();
+        let name = match form {
+            NameForm::Canonical => canonical.clone(),
+            NameForm::Padded => tlv(tag::OID, &[&[0x80][..], content].concat()),
+            NameForm::LongLength => [&[tag::OID, 0x81, content.len() as u8][..], content].concat(),
+        };
+        let value = ber::encode_value(value).unwrap();
+        list.extend(tlv(tag::SEQUENCE, &[name, value].concat()));
+    }
+    let body = [
+        ber::encode_integer(pdu.request_id.into()),
+        ber::encode_integer(pdu.error_status.code()),
+        ber::encode_integer(pdu.error_index.into()),
+        tlv(tag::SEQUENCE, &list),
+    ]
+    .concat();
+    let message = [
+        ber::encode_integer(0),
+        tlv(tag::OCTET_STRING, COMMUNITY.as_bytes()),
+        tlv(tag::GET_RESPONSE, &body),
+    ]
+    .concat();
+    let mut answer = tlv(tag::SEQUENCE, &message);
+    match *damage {
+        Damage::None => {}
+        Damage::Cut(at) => answer.truncate(at % answer.len()),
+        Damage::Flip(at, flip) => {
+            let at = at % answer.len();
+            answer[at] ^= flip;
+        }
+    }
+    answer
+}
+
+/// What a polled agent holds: mostly names of arcs below 128, as
+/// MIB-II's are — the ifTable's, and names under `0.x`, `1.x` and `2.x`,
+/// x on both sides of 48 — now and then any name.
+fn arb_polled_mib() -> impl Strategy<Value = Vec<(Oid, SnmpValue)>> {
+    let small = || {
+        let head = prop_oneof![(0u32..=1, 0u32..40), (Just(2u32), 0u32..60)];
+        (head, prop::collection::vec(0u32..128, 0..14))
+            .prop_map(|((first, second), rest)| Oid::from(&[first, second][..]).extend(&rest))
+    };
+    let key = prop_oneof![
+        arb_table_name(),
+        arb_table_name(),
+        small(),
+        small(),
+        arb_oid()
+    ];
+    prop::collection::vec((key, strategies::arb_value()), 1..24)
+}
+
+/// The names of a Get to a polled agent: nearly all of them held, so
+/// that most answers echo the names, now and then a prefix of one or a
+/// name it does not hold.
+fn arb_polled_names() -> impl Strategy<Value = Vec<(Name, SnmpValue)>> {
+    let name = (0u8..16, any::<usize>(), arb_oid()).prop_map(|(pick, i, other)| match pick {
+        0 => Name::PrefixOf(i),
+        1 => Name::Other(other),
+        _ => Name::Entry(i),
+    });
+    prop::collection::vec((name, Just(SnmpValue::Null)), 1..8)
+}
+
+/// The request-id a fresh manager's first Get carries.
+const FIRST_ID: i32 = 1;
+
+/// What `Manager::visit_answer` gives for `answer` read against `asked`
+/// with a visitor that takes `stop` bindings and refuses the next: the
+/// outcome, and every binding the visitor was handed.
+type Visit = (
+    Result<Result<usize, usize>, netqos_snmp::SnmpError>,
+    Vec<VarBind>,
+);
+
+fn visit(answer: &[u8], asked: &[Oid], stop: usize) -> Visit {
+    let mut seen = Vec::new();
+    let outcome =
+        client::Manager::default().visit_answer(answer, FIRST_ID, asked, |name, value| {
+            seen.push(VarBind::new(name.clone(), value.to_value()));
+            if seen.len() > stop {
+                Err(seen.len())
+            } else {
+                Ok(())
+            }
+        });
+    (outcome, seen)
+}
+
+/// What `Session::get_many(asked)` returns when the agent answers with
+/// `answer`, whatever the request was.
+fn get_many(answer: &[u8], asked: &[Oid]) -> Result<Vec<VarBind>, netqos_snmp::SnmpError> {
+    let answer = answer.to_vec();
+    let transport = netqos_snmp::transport::FnTransport(move |_: &[u8]| Some(answer.clone()));
+    client::SnmpClient::new(transport, COMMUNITY).get_many(asked)
+}
+
+/// A Get of the names `names` picks over `entries`, answered by the
+/// library agent, reshaped and damaged, then read against the names
+/// `asked` picks: the visit and the vector decode must give what they
+/// give against no names at all, and what the oracle decoder gives —
+/// names, values, bindings visited, the visitor's refusal, the error.
+fn asked_reads_agree(
+    entries: &[(Oid, SnmpValue)],
+    names: &[(Name, SnmpValue)],
+    request_id: i32,
+    reshapes: &[Reshape],
+    damage: &Damage,
+    asked: &Asked,
+    stop: usize,
+) {
+    let sent: Vec<Oid> = resolve(names, entries)
+        .into_iter()
+        .map(|vb| vb.oid)
+        .collect();
+    let mut mib = ScalarMib::new();
+    mib.extend(entries.iter().cloned());
+    let mut agent = SnmpAgent::new(COMMUNITY);
+    let answer = reshaped_answer(&mut agent, &mib, &sent, request_id, reshapes, damage);
+    let asked = asked.names(&sent);
+
+    let expected = oracle::answer::get_many(&answer, FIRST_ID);
+    // A Get must be able to carry the names it asks.
+    if asked.iter().all(Oid::is_encodable) {
+        assert_eq!(
+            get_many(&answer, &asked),
+            expected,
+            "{answer:02x?} against {asked:?}"
+        );
+    }
+    assert_eq!(get_many(&answer, &[]), expected, "{answer:02x?}");
+
+    let unasked = visit(&answer, &[], stop);
+    assert_eq!(
+        visit(&answer, &asked, stop),
+        unasked,
+        "{answer:02x?} against {asked:?}"
+    );
+    let (outcome, seen) = unasked;
+    match expected {
+        Ok(bindings) => {
+            let taken = bindings.len().min(stop + 1);
+            assert_eq!(seen, bindings[..taken]);
+            let verdict = if bindings.len() > stop {
+                Err(stop + 1)
+            } else {
+                Ok(bindings.len())
+            };
+            assert_eq!(outcome, Ok(verdict));
+        }
+        Err(e) => assert_eq!(outcome, Err(e)),
+    }
+}
+
+proptest! {
+    /// The manager reads an answer against the names it asked exactly as
+    /// it reads it against none, and as the oracle decodes it, whatever
+    /// the answer holds: the echo of the names, names renamed, extended,
+    /// shortened, reordered, padded, under long-form lengths, left out or
+    /// added; cut or with an octet flipped; read against the names sent,
+    /// against those changed, aliased, spelled from their octets, cut
+    /// short or extended, or against any names at all.
+    #[test]
+    fn an_answer_reads_alike_against_the_names_asked_and_against_none(
+        entries in arb_polled_mib(),
+        names in arb_polled_names(),
+        request_id in arb_request_id(),
+        reshapes in arb_reshapes(),
+        damage in arb_damage(),
+        asked in arb_asked(),
+        stop in 0usize..10,
+    ) {
+        asked_reads_agree(&entries, &names, request_id, &reshapes, &damage, &asked, stop);
     }
 }
 
@@ -930,6 +1338,20 @@ proptest! {
         removed in any::<usize>(),
     ) {
         repeated_gets_agree(&entries, &shapes, &asks, removed);
+    }
+
+    #[test]
+    #[ignore = "20 000 cases: run in release mode"]
+    fn an_answer_reads_alike_against_the_names_asked_and_against_none_at_length(
+        entries in arb_polled_mib(),
+        names in arb_polled_names(),
+        request_id in arb_request_id(),
+        reshapes in arb_reshapes(),
+        damage in arb_damage(),
+        asked in arb_asked(),
+        stop in 0usize..10,
+    ) {
+        asked_reads_agree(&entries, &names, request_id, &reshapes, &damage, &asked, stop);
     }
 
     #[test]

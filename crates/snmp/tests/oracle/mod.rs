@@ -27,6 +27,7 @@ use netqos_snmp::mib::MibView;
 use netqos_snmp::pdu::{BulkPdu, ErrorStatus, Pdu, PduType, TrapPdu, VarBind};
 use netqos_snmp::{Oid, SnmpValue};
 
+pub mod answer;
 pub mod mib;
 
 // ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@
 mod strategies;
 
 use netqos_snmp::ber::{self, Reader};
+use netqos_snmp::client::Manager;
 use netqos_snmp::message::{MessageBody, SnmpMessage, SnmpVersion};
 use netqos_snmp::oid::{Oid, INLINE_ARCS};
 use netqos_snmp::pdu::TrapPdu;
@@ -11,7 +12,7 @@ use netqos_snmp::value::SnmpValue;
 use proptest::prelude::*;
 use std::collections::hash_map::DefaultHasher;
 use std::hash::{Hash, Hasher};
-use strategies::{arb_arc, arb_oid, arb_pdu, arb_value, arb_varbind};
+use strategies::{arb_any_oid, arb_arc, arb_oid, arb_pdu, arb_value, arb_varbind};
 
 /// Two arc sequences on either side of the inline capacity that often
 /// share a prefix, so prefix tests and near-equal comparisons occur.
@@ -140,13 +141,58 @@ proptest! {
         prop_assert_eq!(back, msg);
     }
 
-    /// The decoder must never panic, whatever bytes arrive; it may only
-    /// return errors.
+    /// The decoder must never panic, whatever bytes arrive and whatever
+    /// names the manager reads them against; it may only return errors.
     #[test]
-    fn decoder_never_panics_on_garbage(bytes in prop::collection::vec(any::<u8>(), 0..256)) {
+    fn decoder_never_panics_on_garbage(
+        bytes in prop::collection::vec(any::<u8>(), 0..256),
+        asked in prop::collection::vec(arb_any_oid(), 0..8),
+    ) {
         let _ = SnmpMessage::decode(&bytes);
         let mut r = Reader::new(&bytes);
         let _ = r.read_value();
+        let _ = Manager::default().visit_answer(&bytes, 1, &asked, |_, _| Ok::<(), ()>(()));
+        for name in &asked {
+            let _ = Reader::new(&bytes).skip_oid_if(name);
+        }
+    }
+
+    /// `skip_oid_if` takes exactly the name's encoding when every
+    /// subidentifier is one octet, and otherwise reads nothing; what it
+    /// takes decodes to that name, over those octets.
+    #[test]
+    fn skip_oid_if_takes_what_decodes_to_its_name(
+        name in arb_any_oid(),
+        other in arb_oid(),
+        tail in prop::collection::vec(any::<u8>(), 0..4),
+        flip in (any::<usize>(), 0u8..=255),
+    ) {
+        for encoded in [&name, &other].map(|oid| ber::encode_oid(oid).unwrap_or_default()) {
+            let mut bytes = [&encoded[..], &tail].concat();
+            let (at, mask) = flip;
+            if !bytes.is_empty() {
+                let at = at % bytes.len();
+                bytes[at] ^= mask;
+            }
+            let mut skipped = Reader::new(&bytes);
+            let mut read = Reader::new(&bytes);
+            if skipped.skip_oid_if(&name) {
+                prop_assert_eq!(read.read_oid(), Ok(name.clone()));
+                prop_assert_eq!(skipped.rest(), read.rest());
+            } else {
+                prop_assert_eq!(skipped.remaining(), bytes.len());
+            }
+        }
+        let one_octet = name.is_encodable()
+            && name.len() <= 128
+            && name.arcs()[0] * 40 + name.arcs()[1] < 128
+            && name.arcs()[2..].iter().all(|&arc| arc < 128);
+        let encoded = [ber::encode_oid(&name).unwrap_or_default(), tail.clone()].concat();
+        let mut r = Reader::new(&encoded);
+        prop_assert_eq!(r.skip_oid_if(&name), one_octet);
+        if one_octet {
+            prop_assert_eq!(r.rest(), &tail[..]);
+        }
     }
 
     /// Flipping any single byte of a valid message must never panic the
@@ -158,11 +204,14 @@ proptest! {
         pos_seed in any::<usize>(),
         flip in 1u8..=255,
     ) {
+        // Read against the names the message carried, as an answer is.
+        let names: Vec<Oid> = pdu.bindings.iter().map(|vb| vb.oid.clone()).collect();
         let msg = SnmpMessage::v1("public", pdu);
         let mut enc = msg.encode().unwrap();
         let pos = pos_seed % enc.len();
         enc[pos] ^= flip;
         let _ = SnmpMessage::decode(&enc);
+        let _ = Manager::default().visit_answer(&enc, 1, &names, |_, _| Ok::<(), ()>(()));
     }
 
     /// Version field sanity: decoding always reports V1 for messages we
