@@ -2,15 +2,15 @@
 //! and writes the results as `BENCH_query.json` (repo root when run from
 //! there, else the current directory) in the unified `netqos-bench/v1`
 //! schema. Two workloads: `rate()` instant evaluations over an hour of
-//! 1s counter points (reported as evals/s), and cross-shard
-//! `query_range` requests through the federation engine (reported as
-//! latency percentiles, fan-out and JSON rendering included). Regenerate with
+//! 1s counter points, and the same full-window rate over a compacted
+//! store whose sealed segments fold from their header stats (both
+//! reported as evals/s and latency percentiles). Regenerate with
 //! `cargo run --release -p netqos-bench --bin query_bench`.
 
 use netqos_bench::{time_iters, BenchReport, BenchRow};
 use netqos_telemetry::{
-    compact_store, HttpRequest, LtsConfig, LtsCounters, LtsReader, LtsSource, LtsStore, PointValue,
-    QueryEngine, Resolution, SeriesSource, Shard, ShardRegistry,
+    compact_store, LtsConfig, LtsCounters, LtsReader, LtsSource, LtsStore, PointValue, QueryEngine,
+    Resolution, SeriesSource,
 };
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -19,7 +19,6 @@ use std::time::Instant;
 const SERIES: usize = 16;
 const STORE_TICKS: u64 = 3_600;
 const RATE_ITERS: u32 = 400;
-const RANGE_ITERS: u32 = 200;
 
 fn fresh_dir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("netqos-query-bench-{tag}-{}", std::process::id()));
@@ -142,30 +141,6 @@ fn main() {
     let scan_evals_per_sec = RATE_ITERS as f64 / start.elapsed().as_secs_f64();
     std::fs::remove_dir_all(&dir).ok();
 
-    // Cross-shard query_range through the federation engine: two shards,
-    // each backed by its own store, rate() at step 60 over the hour.
-    let dirs = [loaded_store("shard-a"), loaded_store("shard-b")];
-    let fed = ShardRegistry::new();
-    for (name, dir) in ["north", "south"].iter().zip(&dirs) {
-        let shard = Shard::metrics_only(*name, netqos_telemetry::Registry::new())
-            .with_promql(Arc::new(LtsSource::new(LtsReader::open(dir))));
-        fed.register(shard).unwrap();
-    }
-    let req = HttpRequest {
-        method: "GET".into(),
-        path: "/api/v1/query_range".into(),
-        query: format!("query=rate(bench_series_0_total[60])&start=60&end={STORE_TICKS}&step=60"),
-        accept: String::new(),
-    };
-    let (range_p50, range_p99, range_max, range_bytes) = time_iters(RANGE_ITERS, || {
-        let resp = fed.promql_response(&req, true);
-        assert_eq!(resp.status, 200, "{}", resp.body);
-        resp.body.len()
-    });
-    for dir in &dirs {
-        std::fs::remove_dir_all(dir).ok();
-    }
-
     let mut report = BenchReport::new("query");
     report.push(
         BenchRow::new("rate-instant-1h-raw1s")
@@ -189,16 +164,6 @@ fn main() {
             .metric("p50_ns", push_p50)
             .metric("p99_ns", push_p99)
             .metric("max_ns", push_max),
-    );
-    report.push(
-        BenchRow::new("cross-shard-query-range-step60")
-            .param("shards", 2u64)
-            .param("store_ticks", STORE_TICKS)
-            .param("iters", RANGE_ITERS)
-            .metric("p50_ns", range_p50)
-            .metric("p99_ns", range_p99)
-            .metric("max_ns", range_max)
-            .metric("body_bytes", range_bytes as u64),
     );
     report
         .write("BENCH_query.json")

@@ -22,15 +22,13 @@
 //!   fresh document whenever a transition lands, `id:` = transition
 //!   epoch.
 //!
-//! [`shard_for`] makes one such plane a federation
-//! [`Shard`] answered by its own router, so N of
-//! these planes can sit behind one merged export surface (`netqos
-//! federate`).
+//! One process serves one such plane. Several monitors merge outside the
+//! process, in a Prometheus server that scrapes each one's `/metrics`.
 
 use netqos_telemetry::{
     api_query_outcome, profile_response, wants_stats, EventSource, FlightRecorder, HttpRequest,
     HttpResponse, HttpRoute, LtsReader, LtsSource, QueryEngine, Registry, RegistrySource, Router,
-    SeriesSource, Shard,
+    SeriesSource,
 };
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -204,7 +202,7 @@ impl LiveStatus {
     }
 
     /// The latest snapshot document without response framing (what an
-    /// SSE event or a federation digest carries).
+    /// SSE event carries).
     pub fn snapshot_json(&self) -> String {
         self.snapshot_json.lock().clone()
     }
@@ -343,29 +341,21 @@ impl RouterOptions {
 /// (a tiny index).
 /// Unknown paths return `None` (404).
 pub fn build_router(opts: RouterOptions) -> Arc<Router> {
-    let source = query_source(&opts);
-    router_over(opts, source)
-}
-
-/// The one source `/api/v1` reads, never both: with a store attached its
-/// history is the query surface (the live registry feeds it anyway);
-/// without one the registry's current values answer instant queries.
-fn query_source(opts: &RouterOptions) -> Arc<dyn SeriesSource> {
-    match &opts.lts {
-        Some(reader) => Arc::new(LtsSource::new(reader.clone())),
-        None => Arc::new(RegistrySource::new(opts.registry.clone())),
-    }
-}
-
-/// [`build_router`] with its query source already derived.
-fn router_over(opts: RouterOptions, source: Arc<dyn SeriesSource>) -> Arc<Router> {
     let RouterOptions {
         registry,
         live,
+        lts,
         profile,
         slow_query_ns,
-        ..
     } = opts;
+    // The one source `/api/v1` reads, never both: with a store attached
+    // its history is the query surface (the live registry feeds it
+    // anyway); without one the registry's current values answer instant
+    // queries.
+    let source: Arc<dyn SeriesSource> = match lts {
+        Some(reader) => Arc::new(LtsSource::new(reader)),
+        None => Arc::new(RegistrySource::new(registry.clone())),
+    };
     let index = {
         let mut endpoints = vec!["/metrics", "/healthz", "/snapshot", "/alerts"];
         if profile.is_some() {
@@ -405,15 +395,6 @@ fn router_over(opts: RouterOptions, source: Arc<dyn SeriesSource>) -> Arc<Router
         "/" => Some(HttpResponse::json(200, index.clone()).into()),
         _ => None,
     })
-}
-
-/// Makes one export plane a federation member: the federation reads the
-/// plane's own router, and its `/api/v1` engine reads the same source the
-/// plane's queries do.
-pub fn shard_for(name: impl Into<String>, opts: RouterOptions) -> Shard {
-    let source = query_source(&opts);
-    let registry = opts.registry.clone();
-    Shard::new(name, registry, router_over(opts, source.clone())).with_promql(source)
 }
 
 #[cfg(test)]
@@ -570,45 +551,6 @@ mod tests {
         let (cursor, payload) = follow.next_after(cursor).unwrap();
         assert_eq!(cursor, 3);
         assert!(payload.contains("\"firing\":0"));
-    }
-
-    #[test]
-    fn shard_for_reflects_live_state() {
-        let registry = Registry::new();
-        registry.counter("netqos_monitor_ticks_total").inc();
-        let live = LiveStatus::new();
-        live.record_tick(unix_now_ns(), "{\"ticks\":1,\"paths\":[]}".into());
-        live.record_alerts(
-            "{\"tick\":1,\"pending\":0,\"firing\":1,\"alerts\":[],\"resolved\":[]}".into(),
-            0,
-            1,
-            1,
-        );
-        let shard = shard_for("subnet-a", RouterOptions::new(registry, live.clone()));
-        assert_eq!(shard.name(), "subnet-a");
-        let fed = netqos_telemetry::ShardRegistry::new();
-        fed.register(shard).unwrap();
-        let text = fed.render_merged_prometheus();
-        assert!(
-            text.contains("netqos_monitor_ticks_total{shard=\"subnet-a\"} 1"),
-            "{text}"
-        );
-        let health = fed.healthz_response();
-        assert_eq!(health.status, 200, "{}", health.body);
-        let snap = fed.snapshot_response();
-        let doc = parse_json(&snap.body).unwrap();
-        let shards = doc.get("shards").and_then(|v| v.as_array()).unwrap();
-        assert_eq!(
-            shards[0]
-                .get("snapshot")
-                .and_then(|s| s.get("ticks"))
-                .and_then(|v| v.as_u64()),
-            Some(1)
-        );
-        // The shard's own /alerts feeds the merged federation view.
-        let alerts = fed.alerts_response();
-        let doc = parse_json(&alerts.body).unwrap();
-        assert_eq!(doc.get("firing").and_then(|v| v.as_u64()), Some(1));
     }
 
     /// A query whose source cannot read its points is the server's fault:

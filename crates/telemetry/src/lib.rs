@@ -7,9 +7,8 @@
 //! A registry is read only by walking it ([`Registry::visit_counters`] and
 //! its kin), in name order: the alert engine, the long-term store's
 //! sampler, the live query source and the one text exposition writer do.
-//! That writer renders `/metrics`, `netqos stats` and `--telemetry` files
-//! through [`Registry::render_prometheus`], and the federation's
-//! `/metrics` over every shard with the cross-shard total.
+//! That writer, [`Registry::render_prometheus`], renders `/metrics`,
+//! `netqos stats` and the `--telemetry` files.
 //!
 //! Structured events ride alongside metrics through [`EventSink`]
 //! (JSONL, one minimum level).
@@ -24,7 +23,6 @@
 mod alerts;
 mod baseline;
 mod events;
-mod federation;
 mod flight;
 mod http;
 mod json;
@@ -47,7 +45,6 @@ pub use baseline::{
     QuantileBaseline, DEFAULT_WINDOW,
 };
 pub use events::{push_json_str, Event, EventSink, FieldValue, Level};
-pub use federation::{Shard, ShardRegistry};
 pub use flight::{
     cycles_from_jsonl, enforce_retention, to_chrome_trace, to_jsonl, validate_chrome_trace,
     write_snapshot, ChromeTraceStats, CycleTrace, FlightRecorder, RetentionPolicy,
@@ -163,131 +160,65 @@ impl Registry {
     }
 
     /// Renders every metric in the Prometheus text exposition format:
-    /// `write_exposition` over this registry alone, without a total.
-    /// Histograms are exposed as native Prometheus histograms —
+    /// the one writer behind `/metrics`, `netqos stats` and the
+    /// `--telemetry` files. Counters, then gauges, then histograms, each
+    /// in name order; a family's `# TYPE` line comes once, before its
+    /// first key. Histograms are exposed as native Prometheus histograms —
     /// cumulative `*_bucket{le="..."}` series over the log-bucketed
     /// boundaries plus `*_sum` and `*_count` — so Prometheus computes
     /// quantiles server-side; `*_min`/`*_max` ride along as untyped
     /// convenience series.
+    ///
+    /// A read lock is held only while names and values (a histogram's
+    /// handle) are copied. The tick thread registers metrics lazily, so
+    /// formatting under the lock would stall it.
     pub fn render_prometheus(&self) -> String {
+        let (mut counters, mut gauges, mut histograms) = (Vec::new(), Vec::new(), Vec::new());
+        self.visit_counters(|name, c| counters.push((name.to_string(), c.get())));
+        self.visit_gauges(|name, g| gauges.push((name.to_string(), g.get())));
+        self.visit_histograms(|name, h| histograms.push((name.to_string(), h.clone())));
         let mut out = String::new();
-        write_exposition(&mut out, &[(None, self)], false);
+        write_kind(&mut out, "counter", &counters, write_scalar);
+        write_kind(&mut out, "gauge", &gauges, write_scalar);
+        write_kind(&mut out, "histogram", &histograms, render_histogram_into);
         out
     }
 }
 
-/// What each member of an exposition holds under one registry key, in
-/// member order, with the member's shard name.
-type Readings<'a, V> = BTreeMap<String, Vec<(Option<&'a str>, V)>>;
-
-/// Writes the Prometheus text exposition of `members`, each a registry
-/// with the shard name its samples carry as `shard="..."`, if any: the
-/// one writer behind a monitor's `/metrics` and the federation's.
-///
-/// Each kind's keys are unioned across the members and written in name
-/// order: counters, then gauges, then histograms. A family's `# TYPE`
-/// line comes once, before its first key. Each key then has one sample
-/// per member holding it and, with `total`, the unlabelled aggregate:
-/// counters and gauges summed, histograms merged.
-///
-/// A registry's read lock is held only while its names and values (a
-/// histogram's handle) are copied. The tick thread registers metrics
-/// lazily, so formatting under the lock would stall it.
-pub(crate) fn write_exposition(
-    out: &mut String,
-    members: &[(Option<&str>, &Registry)],
-    total: bool,
-) {
-    fn read<'a, V>(readings: &mut Readings<'a, V>, name: &str, shard: Option<&'a str>, v: V) {
-        readings
-            .entry(name.to_string())
-            .or_default()
-            .push((shard, v));
-    }
-    let (mut counters, mut gauges, mut histograms) =
-        (Readings::new(), Readings::new(), Readings::new());
-    for &(shard, registry) in members {
-        registry.visit_counters(|name, c| read(&mut counters, name, shard, c.get()));
-        registry.visit_gauges(|name, g| read(&mut gauges, name, shard, g.get()));
-        registry.visit_histograms(|name, h| read(&mut histograms, name, shard, h.clone()));
-    }
-    write_kind(
-        out,
-        "counter",
-        &counters,
-        total.then_some(sum),
-        write_scalar,
-    );
-    write_kind(out, "gauge", &gauges, total.then_some(sum), write_scalar);
-    write_kind(
-        out,
-        "histogram",
-        &histograms,
-        total.then_some(merge),
-        render_histogram_into,
-    );
-}
-
-/// The members' counter or gauge values summed.
-fn sum<V: Copy + std::iter::Sum>(values: &[(Option<&str>, V)]) -> V {
-    values.iter().map(|&(_, v)| v).sum()
-}
-
-/// The members' histograms merged into one.
-fn merge(values: &[(Option<&str>, Histogram)]) -> Histogram {
-    let merged = Histogram::new();
-    values.iter().for_each(|(_, h)| merged.merge_from(h));
-    merged
-}
-
-/// One kind's families for [`write_exposition`]: `sample` writes one
-/// member's value of a key (name, shard, embedded labels), `total`
-/// folds every member's into the unlabelled aggregate.
-fn write_kind<'a, V>(
+/// One kind's families for [`Registry::render_prometheus`]: `sample`
+/// writes a key's value (name, embedded labels).
+fn write_kind<V>(
     out: &mut String,
     kind: &str,
-    readings: &Readings<'a, V>,
-    total: Option<impl Fn(&[(Option<&'a str>, V)]) -> V>,
-    sample: impl Fn(&mut String, &str, Option<&str>, &str, &V),
+    readings: &[(String, V)],
+    sample: impl Fn(&mut String, &str, &str, &V),
 ) {
     let mut family: Option<String> = None;
-    for (key, values) in readings {
+    for (key, v) in readings {
         let (base, labels) = split_labeled_name(key);
         if family.as_deref() != Some(&base) {
             let _ = writeln!(out, "# TYPE {base} {kind}");
         }
-        for (shard, v) in values {
-            sample(out, &base, *shard, labels, v);
-        }
-        if let Some(total) = &total {
-            sample(out, &base, None, labels, &total(values));
-        }
+        sample(out, &base, labels, v);
         family = Some(base);
     }
 }
 
 /// A counter's or gauge's sample line.
-fn write_scalar(out: &mut String, name: &str, shard: Option<&str>, labels: &str, v: &impl Display) {
+fn write_scalar(out: &mut String, name: &str, labels: &str, v: &impl Display) {
     out.push_str(name);
-    push_labels(out, shard, labels, "");
+    push_labels(out, labels, "");
     let _ = writeln!(out, " {v}");
 }
 
 /// Writes one histogram's Prometheus exposition lines (`_bucket`,
-/// `_sum`, `_count`, `_min`, `_max`), optionally stamped with a
-/// `shard="..."` label and/or the label body embedded in the registry
-/// key (e.g. `phase="monitor.cycle"`). The `# TYPE` header is the
-/// caller's.
-fn render_histogram_into(
-    out: &mut String,
-    name: &str,
-    shard: Option<&str>,
-    labels: &str,
-    h: &Histogram,
-) {
+/// `_sum`, `_count`, `_min`, `_max`), stamped with the label body
+/// embedded in the registry key (e.g. `phase="monitor.cycle"`), if any.
+/// The `# TYPE` header is the caller's.
+fn render_histogram_into(out: &mut String, name: &str, labels: &str, h: &Histogram) {
     let mut line = |suffix: &str, le: &str, v: u64| {
         let _ = write!(out, "{name}{suffix}");
-        push_labels(out, shard, labels, le);
+        push_labels(out, labels, le);
         let _ = writeln!(out, " {v}");
     };
     let buckets = h.cumulative_buckets();
@@ -304,18 +235,10 @@ fn render_histogram_into(
     line("_max", "", h.max());
 }
 
-/// Appends a sample's label set: `shard="..."`, the key's embedded
-/// `labels`, then `le`, comma-joined in braces, or nothing when all
-/// three are absent.
-fn push_labels(out: &mut String, shard: Option<&str>, labels: &str, le: &str) {
+/// Appends a sample's label set: the key's embedded `labels`, then `le`,
+/// comma-joined in braces, or nothing when both are absent.
+fn push_labels(out: &mut String, labels: &str, le: &str) {
     let mut sep = '{';
-    if let Some(shard) = shard {
-        out.push(sep);
-        out.push_str("shard=\"");
-        push_label_value(out, shard);
-        out.push('"');
-        sep = ',';
-    }
     for part in [labels, le] {
         if !part.is_empty() {
             out.push(sep);
@@ -449,30 +372,6 @@ mod tests {
             .filter_map(|v| v.parse().ok())
             .collect();
         assert!(les.windows(2).all(|w| w[0] < w[1]), "{les:?}");
-    }
-
-    #[test]
-    fn a_total_adds_and_merges_across_members() {
-        let a = Registry::new();
-        let b = Registry::new();
-        a.counter("polls").add(3);
-        b.counter("polls").add(4);
-        b.counter("only_b").inc();
-        a.gauge("depth").set(2);
-        b.gauge("depth").set(5);
-        a.histogram("lat").record(10);
-        b.histogram("lat").record(30);
-        let mut text = String::new();
-        write_exposition(&mut text, &[(Some("a"), &a), (Some("b"), &b)], true);
-        for line in [
-            "polls 7",
-            "only_b 1",
-            "depth 7",
-            "lat_count 2",
-            "lat_sum 40",
-        ] {
-            assert!(text.contains(&format!("\n{line}\n")), "{line} in {text}");
-        }
     }
 
     #[test]

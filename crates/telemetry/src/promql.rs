@@ -6,14 +6,10 @@
 //! log-bucket histograms, `sum`/`avg`/`min`/`max`/`count` with
 //! `by`/`without` grouping, and scalar arithmetic/comparisons.
 //!
-//! The engine evaluates one expression over a set of [`SeriesSource`]s.
-//! A source is either a long-term store ([`LtsSource`]) or the live
-//! registry ([`RegistrySource`]); the federation plane registers one
-//! source per shard, tagged with a `shard="..."` label, so a single
-//! evaluation *is* the cross-shard merge: plain selectors keep the
-//! shard label, `sum by (path)` aggregates across shards. A source
-//! that fails to enumerate (unreadable shard store) contributes a
-//! warning to the response instead of failing the whole query.
+//! The engine evaluates one expression over one [`SeriesSource`]: a
+//! long-term store ([`LtsSource`]) or the live registry
+//! ([`RegistrySource`]). A source that fails to enumerate (an unreadable
+//! store) fails the query.
 //!
 //! Semantics deviate from upstream PromQL where the store does
 //! (documented in DESIGN.md Appendix G):
@@ -40,6 +36,7 @@ use crate::Registry;
 use parking_lot::Mutex;
 use std::cell::{Cell, RefCell};
 use std::collections::{BTreeMap, HashMap};
+use std::convert::Infallible;
 use std::fmt::Write as _;
 use std::fs;
 use std::path::PathBuf;
@@ -930,9 +927,7 @@ pub struct PromSeries {
 pub type SeriesFilter<'a> = dyn FnMut(&str, &[(String, String)]) -> bool + 'a;
 
 /// Anything the engine can evaluate over: enumerates its series or
-/// fails with a reason. A shard's reason becomes a response warning; the
-/// one source of an engine without shards failing fails the query
-/// ([`QueryError::Source`]).
+/// fails with a reason, which fails the query ([`QueryError::Source`]).
 pub trait SeriesSource: Send + Sync {
     /// Every series this source can serve.
     fn series(&self) -> Result<Vec<PromSeries>, String>;
@@ -1295,49 +1290,36 @@ enum Val<'a> {
     Vector(Vec<VSample<'a>>),
 }
 
-/// The evaluator: expressions over any number of sources, each
-/// optionally tagged with a shard label. Evaluation is deterministic —
-/// results are sorted by name then labels — so identical stores yield
-/// byte-identical responses.
+/// The evaluator: expressions over one source, or none. Evaluation is
+/// deterministic — results are sorted by name then labels — so identical
+/// stores yield byte-identical responses.
 #[derive(Default)]
 pub struct QueryEngine {
-    sources: Vec<(Option<String>, Arc<dyn SeriesSource>)>,
-    /// Warnings attached to every response (e.g. a federation shard
-    /// with no store to query).
-    extra_warnings: Vec<String>,
+    source: Option<Arc<dyn SeriesSource>>,
 }
 
 impl QueryEngine {
-    /// An engine with no sources (every query is empty).
+    /// An engine with no source (every query is empty).
     pub fn new() -> QueryEngine {
         QueryEngine::default()
     }
 
-    /// Adds a source. With `shard` set, every series it serves gains a
-    /// `shard="..."` label and its failures are reported per shard.
-    pub fn push_source(&mut self, shard: Option<&str>, source: Arc<dyn SeriesSource>) {
-        self.sources.push((shard.map(str::to_owned), source));
-    }
-
-    /// Builder form of [`QueryEngine::push_source`].
-    pub fn with_source(mut self, shard: Option<&str>, source: Arc<dyn SeriesSource>) -> Self {
-        self.push_source(shard, source);
+    /// The engine over `source`. The first argument is always `None`:
+    /// its type has no value, so a source cannot carry a label.
+    pub fn with_source(mut self, _: Option<Infallible>, source: Arc<dyn SeriesSource>) -> Self {
+        self.source = Some(source);
         self
     }
 
-    /// Attaches a warning carried on every response.
-    pub fn push_warning(&mut self, warning: String) {
-        self.extra_warnings.push(warning);
-    }
-
-    /// Newest point timestamp across all sources — the default instant
+    /// Newest point timestamp of the source — the default instant
     /// evaluation time (falls back to the caller's clock when unknown).
     pub fn newest_t(&self) -> Option<u64> {
-        self.sources.iter().filter_map(|(_, s)| s.newest_t()).max()
+        self.source.as_ref().and_then(|s| s.newest_t())
     }
 
     /// The context of evaluations at `first_eval` and later, up to
-    /// `fetch_end`.
+    /// `fetch_end`. A source that cannot list its series fails the
+    /// query.
     fn build_ctx(
         &self,
         ast: &Expr,
@@ -1345,46 +1327,27 @@ impl QueryEngine {
         first_eval: u64,
         fetch_end: u64,
         allow_fold: bool,
-    ) -> Result<(Ctx, Vec<String>), QueryError> {
+    ) -> Result<Ctx, QueryError> {
         let mut leaves = Vec::new();
         collect_leaves(ast, &mut leaves);
         let lookback = LOOKBACK_FLOOR_SECS.max(2 * res.window_secs());
-        let mut warnings = self.extra_warnings.clone();
         let mut series = Vec::new();
-        for (shard, source) in &self.sources {
-            let selected = source.select(&mut |base, labels| match shard {
-                None => leaves.iter().any(|(sel, _)| sel_matches(sel, base, labels)),
-                Some(name) => {
-                    let labels = shard_labels(labels.to_vec(), name);
-                    leaves
-                        .iter()
-                        .any(|(sel, _)| sel_matches(sel, base, &labels))
-                }
-            });
-            // A shard that cannot list its series leaves a partial answer;
-            // the one store of an engine without shards leaves none.
-            let metas = match (selected, shard) {
-                (Ok(m), _) => m,
-                (Err(e), Some(name)) => {
-                    warnings.push(format!("shard {name}: {e}"));
-                    continue;
-                }
-                (Err(e), None) => return Err(QueryError::Source(e)),
-            };
+        if let Some(source) = &self.source {
+            let metas = source
+                .select(&mut |base, labels| {
+                    leaves.iter().any(|(sel, _)| sel_matches(sel, base, labels))
+                })
+                .map_err(QueryError::Source)?;
             for meta in metas {
-                let labels = match shard {
-                    Some(name) => shard_labels(meta.labels, name),
-                    None => meta.labels,
-                };
                 let fetch_start = leaves
                     .iter()
-                    .filter(|(sel, _)| sel_matches(sel, &meta.base, &labels))
+                    .filter(|(sel, _)| sel_matches(sel, &meta.base, &meta.labels))
                     .map(|(_, leaf)| reads_from(leaf, meta.kind, first_eval, lookback))
                     .min()
                     .unwrap_or(0);
                 series.push(SeriesData {
                     base: meta.base,
-                    labels: labels.into(),
+                    labels: meta.labels.into(),
                     kind: meta.kind,
                     key: meta.key,
                     source: source.clone(),
@@ -1398,20 +1361,17 @@ impl QueryEngine {
             series: series.len() as u64,
             ..QueryStats::default()
         });
-        Ok((
-            Ctx {
-                series,
-                lookback,
-                res,
-                fetch_end,
-                allow_fold,
-                stats,
-                fetch_failed: Cell::new(false),
-                no_labels: Rc::new([]),
-                group_keys: RefCell::default(),
-            },
-            warnings,
-        ))
+        Ok(Ctx {
+            series,
+            lookback,
+            res,
+            fetch_end,
+            allow_fold,
+            stats,
+            fetch_failed: Cell::new(false),
+            no_labels: Rc::new([]),
+            group_keys: RefCell::default(),
+        })
     }
 
     /// Evaluates `query` at time `t` against data at resolution `res`.
@@ -1422,14 +1382,14 @@ impl QueryEngine {
         res: Resolution,
     ) -> Result<QueryOutcome, QueryError> {
         let ast = parse_query(query)?;
-        let (ctx, warnings) = self.build_ctx(&ast, res, t, t, true)?;
+        let ctx = self.build_ctx(&ast, res, t, t, true)?;
         let result = match eval(&ast, &ctx, t).map_err(|e| ctx.failure(e))? {
             Val::Scalar(v) => QueryResult::Scalar { t, v },
             Val::Vector(samples) => QueryResult::Vector(sorted_samples(samples, t)),
         };
         Ok(QueryOutcome {
             result,
-            warnings,
+            warnings: Vec::new(),
             stats: ctx.stats.into_inner(),
         })
     }
@@ -1457,7 +1417,7 @@ impl QueryEngine {
         }
         let res = resolution_for_step(step);
         let ast = parse_query(query)?;
-        let (ctx, warnings) = self.build_ctx(&ast, res, start, end, false)?;
+        let ctx = self.build_ctx(&ast, res, start, end, false)?;
         let result = if expr_is_scalar(&ast) {
             let mut values = Vec::new();
             let mut t = start;
@@ -1505,19 +1465,10 @@ impl QueryEngine {
         };
         Ok(QueryOutcome {
             result,
-            warnings,
+            warnings: Vec::new(),
             stats: ctx.stats.into_inner(),
         })
     }
-}
-
-/// `labels` as a shard's series carry them: its own `shard` label, if
-/// any, replaced by the shard's name.
-fn shard_labels(mut labels: Vec<(String, String)>, shard: &str) -> Vec<(String, String)> {
-    labels.retain(|(k, _)| k != "shard");
-    labels.push(("shard".to_owned(), shard.to_owned()));
-    labels.sort();
-    labels
 }
 
 /// The data resolution a range step implies.
@@ -1903,12 +1854,13 @@ pub struct QueryStats {
     pub segments_folded: u64,
 }
 
-/// A query result plus any per-shard warnings gathered on the way.
+/// A query result plus any warnings its server adds (the live plane's
+/// slow-query note).
 #[derive(Debug, Clone, PartialEq)]
 pub struct QueryOutcome {
     /// The evaluated result.
     pub result: QueryResult,
-    /// Warnings (unreadable shard stores, shards without stores).
+    /// Warnings, rendered as the response's `"warnings"` array.
     pub warnings: Vec<String>,
     /// How much work the evaluation did.
     pub stats: QueryStats,
@@ -1978,7 +1930,7 @@ fn write_metric_object(out: &mut String, name: &str, labels: &[(String, String)]
 impl QueryOutcome {
     /// Renders the Prometheus HTTP API response body:
     /// `{"status":"success","data":{"resultType":...,"result":...}}`,
-    /// with a `"warnings"` array when any shard degraded.
+    /// with a `"warnings"` array when there are any.
     pub fn to_api_json(&self) -> String {
         self.to_api_json_with(false)
     }
@@ -2082,8 +2034,7 @@ fn bad_request(msg: &str) -> HttpResponse {
 /// duration like `1m`); the step picks the data resolution. Malformed
 /// parameters and evaluation errors answer 400 with a Prometheus-style
 /// error body, and a store that cannot list or read the series (a
-/// segment that does not decode, named) answers 500; degraded shards
-/// surface as `warnings` on a 200.
+/// segment that does not decode, named) answers 500.
 pub fn api_query_response(
     engine: &QueryEngine,
     req: &HttpRequest,
@@ -2552,48 +2503,10 @@ mod tests {
     }
 
     #[test]
-    fn shard_labels_merge_sources_and_failures_warn() {
-        let s1 = VecSource {
-            series: vec![(
-                "used{path=\"a\"}".into(),
-                SeriesKind::Gauge,
-                gauge_pts(&[(10, 1)]),
-            )],
-        };
-        let s2 = VecSource {
-            series: vec![(
-                "used{path=\"a\"}".into(),
-                SeriesKind::Gauge,
-                gauge_pts(&[(10, 5)]),
-            )],
-        };
-        let mut eng = QueryEngine::new();
-        eng.push_source(Some("east"), Arc::new(s1));
-        eng.push_source(Some("west"), Arc::new(s2));
-        eng.push_source(Some("south"), Arc::new(FailingSource));
-
-        let out = eng.instant("used", 10, Resolution::Raw1s).unwrap();
-        let v = vector_of(&out);
-        assert_eq!(v.len(), 2);
-        assert!(v[0]
-            .labels
-            .contains(&("shard".to_owned(), "east".to_owned())));
-        assert!(v[1]
-            .labels
-            .contains(&("shard".to_owned(), "west".to_owned())));
-        assert_eq!(out.warnings, vec!["shard south: store unreadable"]);
+    fn a_source_that_cannot_list_its_series_fails_the_query() {
         let alone = QueryEngine::new().with_source(None, Arc::new(FailingSource));
         let err = alone.instant("used", 10, Resolution::Raw1s).unwrap_err();
         assert_eq!(err, QueryError::Source("store unreadable".into()));
-
-        // Cross-shard aggregation folds the shard label away.
-        let out = eng
-            .instant("sum by (path) (used)", 10, Resolution::Raw1s)
-            .unwrap();
-        let v = vector_of(&out);
-        assert_eq!(v.len(), 1);
-        assert_eq!(v[0].v, 6.0);
-        assert_eq!(v[0].labels, vec![("path".to_owned(), "a".to_owned())]);
     }
 
     #[test]

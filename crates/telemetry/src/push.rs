@@ -1,7 +1,7 @@
 //! Push-based OTLP delivery: a std-only background worker that POSTs
 //! flight snapshots to a collector.
 //!
-//! Scrape-based export (`/metrics`) loses the traces of a shard that
+//! Scrape-based export (`/metrics`) loses the traces of a monitor that
 //! dies between scrapes; pushing the flight snapshot at violation time
 //! closes that gap. The pusher is deliberately boring: a bounded
 //! queue in front of one worker thread doing blocking HTTP/1.1 POSTs

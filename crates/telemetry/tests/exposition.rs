@@ -1,25 +1,19 @@
 //! The Prometheus text exposition, byte for byte: a monitor's `/metrics`
-//! and a two-shard federation's `/metrics`, each rendered from fixed
-//! registries and compared with a golden file.
+//! rendered from a fixed registry and compared with a golden file.
 //!
-//! The registries cover every rule of the format: counters, gauges
-//! (one negative), histograms with samples across the exact and the
-//! log-bucketed ranges, a key with embedded labels, a name that needs
-//! sanitizing, a family only one shard has, and a shard name that needs
-//! escaping. On a deliberate change of format, copy the file a failure
+//! The registry covers every rule of the format: counters, gauges (one
+//! negative), histograms with samples across the exact and the
+//! log-bucketed ranges, keys with embedded labels, and a name that needs
+//! sanitizing. On a deliberate change of format, copy the file a failure
 //! names over the golden.
 
-use netqos_telemetry::{Registry, Shard, ShardRegistry};
+use netqos_telemetry::Registry;
 use std::path::Path;
 use std::sync::Arc;
 
 const GOLDEN: &str = "tests/golden/exposition.prom";
-const GOLDEN_FEDERATED: &str = "tests/golden/exposition.federated.prom";
 
-/// The name of the second shard: a quote, a backslash and a newline.
-const WEST: &str = "west \"lab\"\\b\nc";
-
-fn east() -> Arc<Registry> {
+fn registry() -> Arc<Registry> {
     let r = Registry::new();
     r.counter("netqos_monitor_polls_total").add(12);
     r.counter("netqos_monitor_ticks_total").add(3);
@@ -40,22 +34,6 @@ fn east() -> Arc<Registry> {
     r
 }
 
-fn west() -> Arc<Registry> {
-    let r = Registry::new();
-    r.counter("netqos_monitor_polls_total").add(30);
-    r.counter("netqos_monitor_ticks_total").add(5);
-    r.counter("netqos_west_only_total").inc();
-    r.gauge("netqos_monitor_trap_outbox_depth").set(2);
-    r.gauge("netqos_temp_offset").set(3);
-    let rtt = r.histogram("netqos_monitor_poll_rtt_us");
-    for v in [2, 40, 40, 5_000] {
-        rtt.record(v);
-    }
-    r.histogram("netqos_tick_phase_ns{phase=\"monitor.cycle\"}")
-        .record(700);
-    r
-}
-
 /// Fails unless `actual` is the golden file at `path`, leaving `actual`
 /// beside the test binary for a deliberate re-recording.
 fn assert_golden(path: &str, actual: &str) {
@@ -70,14 +48,5 @@ fn assert_golden(path: &str, actual: &str) {
 
 #[test]
 fn a_monitors_exposition_is_the_golden() {
-    assert_golden(GOLDEN, &east().render_prometheus());
-}
-
-/// The federation's first scrape, so `netqos_federation_scrapes_total 1`.
-#[test]
-fn a_federations_first_exposition_is_the_golden() {
-    let fed = ShardRegistry::new();
-    fed.register(Shard::metrics_only("east", east())).unwrap();
-    fed.register(Shard::metrics_only(WEST, west())).unwrap();
-    assert_golden(GOLDEN_FEDERATED, &fed.render_merged_prometheus());
+    assert_golden(GOLDEN, &registry().render_prometheus());
 }

@@ -6,7 +6,7 @@
 use netqos_telemetry::{
     baselines_from_json, baselines_to_json, downsample, AlertContext, AlertEngine, AlertRule,
     AlertScope, AlertSeverity, CmpOp, Histogram, Point, PointValue, PromSeries, QuantileBaseline,
-    QueryEngine, QueryResult, Registry, Resolution, SeriesKind, SeriesSource, Shard, ShardRegistry,
+    QueryEngine, QueryResult, Registry, Resolution, SeriesKind, SeriesSource,
 };
 use proptest::prelude::*;
 
@@ -131,59 +131,6 @@ proptest! {
         prop_assert_eq!(shared.max(), reference.max());
         for q in [0.5, 0.9, 0.99] {
             prop_assert_eq!(shared.quantile(q), reference.quantile(q), "q={}", q);
-        }
-    }
-
-    /// Federating K shard registries preserves counter sums and
-    /// histogram totals exactly: each family's unlabelled aggregate
-    /// line carries the per-shard sum, and each histogram's aggregate
-    /// carries the union of all samples, closing its bucket series at
-    /// `le="+Inf"` == count.
-    #[test]
-    fn federation_merge_preserves_sums_and_totals(
-        shards in prop::collection::vec(
-            (
-                prop::collection::vec((0usize..4, 0u64..1_000_000), 0..8),
-                prop::collection::vec((0usize..3, 0u64..100_000_000), 0..50),
-            ),
-            1..6,
-        ),
-    ) {
-        const COUNTERS: [&str; 4] = ["ticks_total", "polls_total", "errors_total", "drops_total"];
-        const HISTOGRAMS: [&str; 3] = ["tick_ns", "poll_ns", "parse_ns"];
-
-        let fed = ShardRegistry::new();
-        let mut counter_sums = std::collections::BTreeMap::new();
-        let mut histo_totals = std::collections::BTreeMap::new();
-        for (i, (counters, samples)) in shards.iter().enumerate() {
-            let registry = Registry::new();
-            for &(which, v) in counters {
-                registry.counter(COUNTERS[which]).add(v);
-                *counter_sums.entry(COUNTERS[which]).or_insert(0u64) += v;
-            }
-            for &(which, v) in samples {
-                registry.histogram(HISTOGRAMS[which]).record(v);
-                let (count, sum) = histo_totals.entry(HISTOGRAMS[which]).or_insert((0u64, 0u64));
-                *count += 1;
-                *sum += v;
-            }
-            fed.register(Shard::metrics_only(format!("shard-{i}"), registry)).unwrap();
-        }
-
-        let text = fed.render_merged_prometheus();
-        for (name, want) in &counter_sums {
-            prop_assert!(
-                text.contains(&format!("\n{name} {want}\n")),
-                "missing aggregate `{} {}` in rendering", name, want
-            );
-        }
-        for (name, (count, sum)) in &histo_totals {
-            prop_assert!(
-                text.contains(&format!("\n{name}_bucket{{le=\"+Inf\"}} {count}\n")),
-                "missing +Inf bucket for {}", name
-            );
-            prop_assert!(text.contains(&format!("\n{name}_sum {sum}\n")), "{} sum", name);
-            prop_assert!(text.contains(&format!("\n{name}_count {count}\n")), "{} count", name);
         }
     }
 

@@ -8,9 +8,7 @@ Fails, naming the line, when
     two `# TYPE` lines;
   * a series line repeats;
   * a histogram's `le="+Inf"` bucket differs from its `_count` for the
-    same labels;
-  * a counter has `shard="..."` series and its series without the shard
-    label is missing or differs from their sum (a federated scrape).
+    same labels.
 """
 
 import sys
@@ -80,7 +78,6 @@ def check(text):
 
     seen = set()
     inf, count = {}, {}
-    counters = {}
     for no, line in enumerate(lines, 1):
         if not line or line.startswith("#"):
             continue
@@ -105,8 +102,6 @@ def check(text):
                 inf[(fam, rest)] = (value, no)
         elif kind == "histogram" and name == fam + "_count":
             count[(fam, labels)] = value
-        elif kind == "counter":
-            counters[(name, labels)] = value
 
     for (fam, labels), (value, no) in inf.items():
         if count.get((fam, labels)) != value:
@@ -115,17 +110,6 @@ def check(text):
                 f"{count.get((fam, labels))}"
             )
 
-    sums = {}
-    for (name, labels), value in counters.items():
-        if "shard" in dict(labels):
-            rest = tuple(kv for kv in labels if kv[0] != "shard")
-            sums[(name, rest)] = sums.get((name, rest), 0) + value
-    for (name, rest), total in sums.items():
-        if counters.get((name, rest)) != total:
-            problems.append(
-                f"{name}{dict(rest) or ''}: the shards sum to {total:g} but the "
-                f"aggregate is {counters.get((name, rest))}"
-            )
     return problems, len(types), len(seen)
 
 

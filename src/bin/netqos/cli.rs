@@ -28,7 +28,7 @@ impl Opt {
 pub struct Cmd {
     /// One word (`monitor`) or two (`lts query`).
     pub name: &'static str,
-    /// Positional synopsis (`<spec>`, `[PATH.jsonl]`, `<spec> <spec>...`);
+    /// Positional synopsis (`<spec>`, `[PATH.jsonl]`, `OLD.json NEW.json`);
     /// its word count bounds the positionals the parser accepts.
     pub args: &'static str,
     pub about: &'static str,
@@ -63,9 +63,9 @@ const BASELINE_SAVE_TICKS: Opt = Opt(
 );
 const LTS: Opt = Opt(
     "--lts DIR",
-    "keep a long-term stats store under DIR (one per shard, DIR/<shard>, under federate): \
-     every tick samples the registry and per-path QoS signals at 1s resolution (downsampled \
-     to 1m/1h); the export plane's /api/v1 queries read it",
+    "keep a long-term stats store under DIR: every tick samples the registry and per-path \
+     QoS signals at 1s resolution (downsampled to 1m/1h); the export plane's /api/v1 \
+     queries read it",
 );
 const LTS_COMPACT: Opt = Opt(
     "--lts-compact",
@@ -148,28 +148,6 @@ pub static COMMANDS: &[Cmd] = &[
             ),
         ],
         run: super::cmd_monitor,
-    },
-    Cmd {
-        name: "federate",
-        args: "<spec> <spec>...",
-        about: "run one monitoring shard per spec file (threads) behind one merged export \
-                plane: /metrics carries shard=\"...\" labelled series plus unlabelled \
-                aggregates; /healthz is 503 if any shard stalls; /profile takes ?shard=NAME",
-        opts: &[
-            DURATION,
-            Opt(
-                "--serve ADDR",
-                "listen address of the merged plane (default 127.0.0.1:0; bound address \
-                 printed to stderr)",
-            ),
-            PACE_MS,
-            ALERT_RULES,
-            BASELINE_SAVE_TICKS,
-            LTS,
-            LTS_COMPACT,
-            RECORD_RULES,
-        ],
-        run: super::cmd_federate,
     },
     Cmd {
         name: "stats",
@@ -255,10 +233,7 @@ pub static COMMANDS: &[Cmd] = &[
                 "--lts DIR",
                 "the long-term store to read (exactly one of this and --url)",
             ),
-            Opt(
-                "--url http://host:port",
-                "the live monitor or federation plane to ask",
-            ),
+            Opt("--url http://host:port", "the live monitor to ask"),
             Opt(
                 "--time T",
                 "instant evaluation time (Unix seconds; default: newest sample)",
@@ -322,10 +297,6 @@ pub static COMMANDS: &[Cmd] = &[
             Opt(
                 "--url http://host:port",
                 "fetch GET /profile from a live export plane",
-            ),
-            Opt(
-                "--shard NAME",
-                "the shard to profile (federations only, with --url)",
             ),
             Opt(
                 "--format json|folded",
@@ -405,11 +376,7 @@ impl Cmd {
 
     /// The most positionals the synopsis allows.
     fn max_positionals(&self) -> usize {
-        if self.args.ends_with("...") {
-            usize::MAX
-        } else {
-            self.args.split_whitespace().count()
-        }
+        self.args.split_whitespace().count()
     }
 }
 
@@ -447,7 +414,6 @@ pub fn lookup(argv: &[String]) -> Result<(&'static Cmd, &[String]), String> {
 }
 
 /// One command line, parsed against its command's declaration.
-#[derive(Clone)]
 pub struct Args {
     pub cmd: &'static Cmd,
     pub positionals: Vec<String>,
@@ -542,14 +508,6 @@ impl Args {
             ))
         })
     }
-
-    /// Replaces the value given for `name`, if one was (`federate`
-    /// re-roots `--lts` per shard).
-    pub fn replace(&mut self, name: &str, with: impl FnOnce(&str) -> String) {
-        if let Some((_, value)) = self.given.iter_mut().find(|(n, _)| *n == name) {
-            *value = with(value);
-        }
-    }
 }
 
 #[cfg(test)]
@@ -636,10 +594,10 @@ mod tests {
 
     #[test]
     fn positionals_interleave_and_are_bounded_by_the_synopsis() {
-        let line = argv(&["--duration", "1", "a", "b", "c"]);
+        let line = argv(&["a", "--tolerance", "1", "b"]);
         assert_eq!(
-            parse(command("federate"), &line).unwrap().positionals,
-            ["a", "b", "c"]
+            parse(command("bench check"), &line).unwrap().positionals,
+            ["a", "b"]
         );
         let err = parse(command("check"), &argv(&["a", "b"])).err().unwrap();
         assert!(err.starts_with("unexpected argument `b`"), "{err}");

@@ -190,16 +190,20 @@ fn stale_after_ns(pace_ms: u64) -> u64 {
     (pace_ms.saturating_mul(10_000_000)).max(2_000_000_000)
 }
 
-/// The export plane `args` ask for over `service`: `/healthz` goes stale
-/// after [`stale_after_ns`], `/api/v1` reads the `--lts` store when one
-/// is open, `/profile` folds the service's flight ring, and `--slow-query-ms`
-/// sets the slow-query threshold. `monitor --serve` and every `federate`
-/// shard build their routers from it.
-fn router_options(
+/// Starts the export plane when `--serve` is given: binds ADDR, prints
+/// the bound address to stderr (`:0` picks an ephemeral port), and
+/// serves `service`'s plane. `/healthz` goes stale after
+/// [`stale_after_ns`], `/api/v1` reads the `--lts` store when one is
+/// open, `/profile` folds the service's flight ring, and
+/// `--slow-query-ms` sets the slow-query threshold.
+fn start_serve_plane(
     service: &MonitoringService,
     args: &Args,
     pace_ms: u64,
-) -> Result<RouterOptions, String> {
+) -> Result<Option<netqos_telemetry::HttpServer>, String> {
+    let Some(addr) = args.value("--serve") else {
+        return Ok(None);
+    };
     let live = service.live().clone();
     live.set_stale_after_ns(stale_after_ns(pace_ms));
     let mut options = RouterOptions::new(service.registry().clone(), live);
@@ -213,21 +217,6 @@ fn router_options(
     if let Some(ms) = args.num::<u64>("--slow-query-ms")? {
         options.slow_query_ns = ms.saturating_mul(1_000_000);
     }
-    Ok(options)
-}
-
-/// Starts the export plane when `--serve` is given: binds ADDR, prints
-/// the bound address to stderr (`:0` picks an ephemeral port), and
-/// serves the [`router_options`] plane.
-fn start_serve_plane(
-    service: &MonitoringService,
-    args: &Args,
-    pace_ms: u64,
-) -> Result<Option<netqos_telemetry::HttpServer>, String> {
-    let Some(addr) = args.value("--serve") else {
-        return Ok(None);
-    };
-    let options = router_options(service, args, pace_ms)?;
     let server = netqos_telemetry::HttpServer::serve(addr, live::build_router(options))
         .map_err(|e| format!("cannot bind {addr}: {e}"))?;
     eprintln!(
@@ -305,11 +294,11 @@ fn build_service(
     Ok(service)
 }
 
-/// The start of every run (`monitor`, `stats`, `trace`, each `federate`
-/// shard): reads and validates the spec at `path`, requires a qospath,
-/// builds the service the options describe on top of `config`, reports
-/// what it could not restore, refuses an `--lts` store it cannot open,
-/// and turns tracing on when an option reads the traces.
+/// The start of every run (`monitor`, `stats`, `trace`): reads and
+/// validates the spec at `path`, requires a qospath, builds the service
+/// the options describe on top of `config`, reports what it could not
+/// restore, refuses an `--lts` store it cannot open, and turns tracing
+/// on when an option reads the traces.
 fn open_service(
     path: &str,
     args: &Args,
@@ -475,135 +464,6 @@ fn cmd_monitor(args: &Args) -> Result<(), String> {
         stop_serve_plane(server, pace_ms);
     }
     Ok(())
-}
-
-/// Runs one monitoring shard per spec file, each on its own thread,
-/// behind a single federated export plane. Shard names come from the
-/// spec file stems (deduplicated); the merged `/metrics` carries every
-/// shard's series labelled `shard="..."` plus unlabelled aggregates,
-/// `/healthz` is 503 if any shard stalls, `/snapshot` and `/alerts` list
-/// every shard's own document, `/profile?shard=NAME` is that shard's
-/// phase profile, and `/api/v1` queries every shard at once.
-fn cmd_federate(args: &Args) -> Result<(), String> {
-    let specs = &args.positionals;
-    if specs.len() < 2 {
-        return Err(args.cmd.fail(format!(
-            "federate needs at least two <spec> files (got {})",
-            specs.len()
-        )));
-    }
-    let (duration, pace_ms) = run_length(args)?;
-
-    // Shard names: file stems, deduplicated by suffixing an index.
-    let mut names: Vec<String> = Vec::new();
-    for path in specs {
-        let stem = std::path::Path::new(path)
-            .file_stem()
-            .map(|s| s.to_string_lossy().into_owned())
-            .unwrap_or_else(|| path.clone());
-        let mut name = stem.clone();
-        let mut n = 2;
-        while names.contains(&name) {
-            name = format!("{stem}-{n}");
-            n += 1;
-        }
-        names.push(name);
-    }
-
-    // Each shard builds and runs its service inside its own thread
-    // (the service itself never crosses threads); only the handles its
-    // export plane reads come back for federation.
-    let fed = netqos_telemetry::ShardRegistry::new();
-    let (handle_tx, handle_rx) =
-        std::sync::mpsc::channel::<Result<(String, RouterOptions), String>>();
-    let mut workers = Vec::new();
-    for (name, path) in names.iter().cloned().zip(specs.iter().cloned()) {
-        let tx = handle_tx.clone();
-        // A shard takes the options as given, except that it keeps its
-        // own store under DIR/<shard>, the store the federated /api/v1
-        // engine reads for it.
-        let mut shard_args = args.clone();
-        shard_args.replace("--lts", |root| {
-            format!("{}", PathBuf::from(root).join(&name).display())
-        });
-        let worker = std::thread::Builder::new()
-            .name(format!("netqos-shard-{name}"))
-            .spawn(move || -> Result<(String, u64, usize), String> {
-                let opened = open_service(&path, &shard_args, ServiceConfig::default()).and_then(
-                    |(mut service, _)| {
-                        // The merged plane always serves /profile?shard=.
-                        service.set_tracing(true);
-                        let options = router_options(&service, &shard_args, pace_ms)?;
-                        Ok((service, options))
-                    },
-                );
-                let (mut service, options) = match opened {
-                    Ok(opened) => opened,
-                    Err(e) => {
-                        let _ = tx.send(Err(e.clone()));
-                        return Err(e);
-                    }
-                };
-                // Close this worker's sender once it has sent: the main
-                // thread serves as soon as every shard has checked in,
-                // not when the runs end.
-                let _ = tx.send(Ok((name.clone(), options)));
-                drop(tx);
-                let violations = run_ticks(&mut service, duration, pace_ms, |_| {})
-                    .map_err(|e| format!("{name}: {e}"))?;
-                finish_run(&mut service, &shard_args)?;
-                service.live().mark_finished();
-                Ok((name, service.telemetry().ticks.get(), violations))
-            })
-            .map_err(|e| format!("cannot spawn shard thread: {e}"))?;
-        workers.push(worker);
-    }
-    drop(handle_tx);
-
-    // Register every shard before serving, so the first scrape already
-    // sees the whole federation.
-    let mut startup_errors = Vec::new();
-    for handles in handle_rx {
-        match handles {
-            Ok((name, options)) => fed
-                .register(live::shard_for(name, options))
-                .map_err(|e| e.to_string())?,
-            Err(e) => startup_errors.push(e),
-        }
-    }
-    if !startup_errors.is_empty() {
-        for w in workers {
-            let _ = w.join();
-        }
-        return Err(startup_errors.join("\n"));
-    }
-
-    let addr = args.value("--serve").unwrap_or("127.0.0.1:0");
-    let server = netqos_telemetry::HttpServer::serve(addr, fed.router())
-        .map_err(|e| format!("cannot bind {addr}: {e}"))?;
-    eprintln!(
-        "federation serving http://{}/ ({} shards: metrics, healthz, snapshot, alerts, \
-         profile, api/v1)",
-        server.local_addr(),
-        fed.len()
-    );
-
-    let mut failures = Vec::new();
-    for worker in workers {
-        match worker.join() {
-            Ok(Ok((name, ticks, violations))) => {
-                println!("shard {name}: {ticks} ticks, {violations} violation(s)");
-            }
-            Ok(Err(e)) => failures.push(e),
-            Err(_) => failures.push("shard thread panicked".into()),
-        }
-    }
-    stop_serve_plane(server, pace_ms);
-    if failures.is_empty() {
-        Ok(())
-    } else {
-        Err(failures.join("\n"))
-    }
 }
 
 /// Parses the rules file at `path` with `parse`, refusing an empty one.
@@ -847,13 +707,13 @@ fn fetch(url: &str, path: &str, what: &str) -> Result<String, String> {
     Ok(body)
 }
 
-/// Renders a monitor's tick-phase profile: online from a live (or
-/// federated) export plane's `GET /profile`, or offline by folding a
-/// flight-recorder JSONL snapshot through the fold the live endpoint runs
-/// over its ring — the same cycles give the same document.
+/// Renders a monitor's tick-phase profile: online from a live export
+/// plane's `GET /profile`, or offline by folding a flight-recorder JSONL
+/// snapshot through the fold the live endpoint runs over its ring — the
+/// same cycles give the same document.
 fn cmd_profile(args: &Args) -> Result<(), String> {
     let format = format_of(args, &["json", "folded"])?;
-    let (url, shard) = (args.value("--url"), args.value("--shard"));
+    let url = args.value("--url");
     let file = args.positionals.first();
     if url.is_some() == file.is_some() {
         return Err(args
@@ -862,17 +722,11 @@ fn cmd_profile(args: &Args) -> Result<(), String> {
     }
 
     if let Some(url) = url {
-        let mut path = format!("/profile?format={format}");
-        if let Some(name) = shard {
-            path.push_str(&format!("&shard={}", percent_encode(name)));
-        }
+        let path = format!("/profile?format={format}");
         print!("{}", fetch(url, &path, "profile")?);
         return Ok(());
     }
 
-    if shard.is_some() {
-        return Err("--shard only applies with --url (offline snapshots are one shard)".into());
-    }
     let profile = netqos_telemetry::PhaseProfile::fold(&read_cycles(args.pos(0)?)?);
     match format {
         "folded" => print!("{}", profile.to_folded()),
@@ -1321,8 +1175,8 @@ fn window_of(args: &Args, newest: impl FnOnce() -> u64) -> Result<Option<(u64, u
 }
 
 /// Evaluates a PromQL-subset expression offline against a long-term
-/// store (`--lts DIR`) or online against a live monitor or federation
-/// plane (`--url http://host:port`, proxied to `/api/v1/query[_range]`).
+/// store (`--lts DIR`) or online against a live monitor's plane
+/// (`--url http://host:port`, proxied to `/api/v1/query[_range]`).
 fn cmd_query(args: &Args) -> Result<(), String> {
     let expr = args.pos(0)?;
     let format = format_of(args, &["json", "prom", "csv"])?;

@@ -264,26 +264,6 @@ fn options_a_command_does_not_act_on_are_refused_with_its_own_usage() {
             "--pace-ms",
         ),
         (&["monitor", "specs/lirtss.spec", "--out", "x"], "--out"),
-        (
-            &[
-                "federate",
-                "specs/lirtss.spec",
-                "specs/two-switch.spec",
-                "--slow-query-ms",
-                "5",
-            ],
-            "--slow-query-ms",
-        ),
-        (
-            &[
-                "federate",
-                "specs/lirtss.spec",
-                "specs/two-switch.spec",
-                "--load",
-                "L:N1:1",
-            ],
-            "--load",
-        ),
         (&["flight", "show", "x.jsonl", "--otlp"], "--otlp"),
         (
             &["check", "specs/lirtss.spec", "--duration", "1"],
@@ -320,17 +300,6 @@ fn options_and_positionals_interleave() {
         csv(&["monitor", "--duration", "2", "specs/lirtss.spec"]),
         after
     );
-
-    // federate counted "0" specs when an option came first.
-    let shards = csv(&[
-        "federate",
-        "--duration",
-        "1",
-        "specs/two-switch.spec",
-        "specs/lirtss.spec",
-    ]);
-    assert!(shards.contains("shard two-switch: 1 ticks"), "{shards}");
-    assert!(shards.contains("shard lirtss: 1 ticks"), "{shards}");
 }
 
 #[test]

@@ -4,12 +4,12 @@
 //! process restart and across `netqos lts compact`, which seals the open
 //! tails — the durability contract the whole subsystem hangs on.
 
-use netqos::monitor::live::{build_router, shard_for, RouterOptions};
+use netqos::monitor::live::{build_router, RouterOptions};
 use netqos::monitor::service::{MonitoringService, ServiceConfig};
 use netqos::monitor::simnet::SimNetworkOptions;
 use netqos_telemetry::{
     compact_store, parse_json, parse_range, store_stats, verify_store, HttpRequest, HttpRoute,
-    JsonValue, LtsReader, Resolution, ShardRegistry,
+    JsonValue, LtsReader, Resolution,
 };
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -170,21 +170,13 @@ fn router_serves_query_and_rejects_bad_params() {
     let (status, body) = get(&*router, "/api/v1/query", "query=x&step=5m").unwrap();
     assert_eq!(status, 400, "{body}");
 
-    // The raw /query route is gone from the monitor's plane and from the
-    // federation's, and neither index lists it.
-    let fed = ShardRegistry::new();
-    fed.register(shard_for(
-        "two-switch",
-        RouterOptions::new(svc.registry().clone(), svc.live().clone()),
-    ))
-    .unwrap();
-    let federated = fed.router();
-    for plane in [&*router, &*federated] {
-        assert_eq!(get(plane, "/query", ""), None);
-        let (_, index) = get(plane, "/", "").unwrap();
-        assert!(!index.contains("\"/query\""), "{index}");
-        assert!(index.contains("\"/api/v1/query\""), "{index}");
-    }
+    // The raw /query route is gone from the monitor's plane, and its
+    // index does not list it.
+    let plane = &*router;
+    assert_eq!(get(plane, "/query", ""), None);
+    let (_, index) = get(plane, "/", "").unwrap();
+    assert!(!index.contains("\"/query\""), "{index}");
+    assert!(index.contains("\"/api/v1/query\""), "{index}");
 
     std::fs::remove_dir_all(&dir).ok();
 }

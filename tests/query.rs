@@ -1,19 +1,14 @@
 //! Integration coverage for the PromQL-subset query plane: golden
-//! `/api/v1/query[_range]` response shapes through the live router, the
-//! byte-identity of range answers across in-monitor background
-//! compaction, and the federation engine's cross-shard merge agreeing
-//! with hand-merged per-shard answers.
+//! `/api/v1/query[_range]` response shapes through the live router, and
+//! the byte-identity of range answers across in-monitor background
+//! compaction.
 
-use netqos::monitor::live::{build_router, shard_for, RouterOptions};
+use netqos::monitor::live::{build_router, RouterOptions};
 use netqos::monitor::service::{MonitoringService, ServiceConfig};
 use netqos::monitor::simnet::SimNetworkOptions;
-use netqos_telemetry::{
-    parse_json, HttpRequest, HttpRoute, JsonValue, LtsReader, LtsSource, QueryEngine, SeriesSource,
-    Shard, ShardRegistry,
-};
+use netqos_telemetry::{parse_json, HttpRequest, HttpRoute, JsonValue, LtsReader};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 
 const SPEC: &str = include_str!("../specs/two-switch.spec");
 
@@ -175,127 +170,6 @@ fn rate_range_is_byte_identical_across_inmonitor_compaction() {
     assert_eq!(before, after, "range answer diverged across compaction");
 
     std::fs::remove_dir_all(&dir).ok();
-}
-
-#[test]
-fn federation_cross_shard_sum_matches_hand_merged_answers() {
-    let dir_a = tmpdir("shard-a");
-    let dir_b = tmpdir("shard-b");
-    for dir in [&dir_a, &dir_b] {
-        let mut svc = service_with_lts(dir, false);
-        svc.run_ticks(6).unwrap();
-        svc.flush_lts().expect("flush");
-        drop(svc);
-    }
-    let t = [&dir_a, &dir_b]
-        .iter()
-        .map(|d| LtsReader::open(d).newest_t().unwrap())
-        .min()
-        .unwrap();
-
-    // Per-shard ground truth: each store answers alone.
-    let expr = "sum by (path) (netqos_path_used_bps)";
-    let mut merged: std::collections::BTreeMap<String, f64> = std::collections::BTreeMap::new();
-    for dir in [&dir_a, &dir_b] {
-        let engine = QueryEngine::new().with_source(
-            None,
-            Arc::new(LtsSource::new(LtsReader::open(dir))) as Arc<dyn SeriesSource>,
-        );
-        let out = engine
-            .instant(expr, t, netqos_telemetry::Resolution::Raw1s)
-            .unwrap();
-        let doc = parse_json(&out.to_api_json()).unwrap();
-        for item in doc
-            .get("data")
-            .and_then(|d| d.get("result"))
-            .and_then(JsonValue::as_array)
-            .unwrap()
-        {
-            let path = item
-                .get("metric")
-                .and_then(|m| m.get("path"))
-                .and_then(JsonValue::as_str)
-                .unwrap()
-                .to_string();
-            let v: f64 = item.get("value").and_then(JsonValue::as_array).unwrap()[1]
-                .as_str()
-                .unwrap()
-                .parse()
-                .unwrap();
-            *merged.entry(path).or_insert(0.0) += v;
-        }
-    }
-    assert!(!merged.is_empty(), "shards recorded path gauges");
-
-    // The federation engine fans out to both stores and folds across
-    // shards in one evaluation.
-    let fed = ShardRegistry::new();
-    for (name, dir) in [("north", &dir_a), ("south", &dir_b)] {
-        let registry = netqos_telemetry::Registry::new();
-        let live = netqos::monitor::live::LiveStatus::new();
-        let shard: Shard = shard_for(
-            name,
-            RouterOptions {
-                lts: Some(LtsReader::open(dir)),
-                ..RouterOptions::new(registry, live)
-            },
-        );
-        fed.register(shard).unwrap();
-    }
-    let fed_query = |q: &str| -> (u16, String) {
-        let req = HttpRequest {
-            method: "GET".into(),
-            path: "/api/v1/query".into(),
-            query: q.into(),
-            accept: String::new(),
-        };
-        let resp = fed.promql_response(&req, false);
-        (resp.status, resp.body)
-    };
-
-    let encoded = "sum%20by%20(path)%20(netqos_path_used_bps)";
-    let (status, body) = fed_query(&format!("query={encoded}&time={t}"));
-    assert_eq!(status, 200, "{body}");
-    let doc = parse_json(&body).unwrap();
-    let result = doc
-        .get("data")
-        .and_then(|d| d.get("result"))
-        .and_then(JsonValue::as_array)
-        .unwrap();
-    assert_eq!(result.len(), merged.len(), "{body}");
-    for item in result {
-        let path = item
-            .get("metric")
-            .and_then(|m| m.get("path"))
-            .and_then(JsonValue::as_str)
-            .unwrap();
-        let v: f64 = item.get("value").and_then(JsonValue::as_array).unwrap()[1]
-            .as_str()
-            .unwrap()
-            .parse()
-            .unwrap();
-        assert_eq!(
-            Some(&v),
-            merged.get(path),
-            "cross-shard sum for {path} diverged from hand-merged answer"
-        );
-    }
-
-    // Unaggregated selectors carry the shard label the engine spliced in.
-    let (status, body) = fed_query(&format!("query=netqos_path_used_bps&time={t}"));
-    assert_eq!(status, 200);
-    assert!(body.contains("\"shard\":\"north\""), "{body}");
-    assert!(body.contains("\"shard\":\"south\""), "{body}");
-
-    // Merge determinism: the same question twice answers byte-for-byte
-    // the same (source order, label sort, and value formatting are all
-    // canonical).
-    let (_, again) = fed_query(&format!("query={encoded}&time={t}"));
-    let (_, first) = fed_query(&format!("query={encoded}&time={t}"));
-    assert_eq!(first, again, "cross-shard merge must be deterministic");
-
-    std::fs::remove_dir_all(&dir_a).ok();
-    std::fs::remove_dir_all(&dir_b).ok();
 }
 
 #[test]

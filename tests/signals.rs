@@ -36,8 +36,6 @@ const SIGNALS: &[(&str, &str)] = &[
     ("netqos_alerts_pending_total", "crates/monitor/src/service.rs .alerts_pending_total"),
     ("netqos_alerts_resolved_total", "tests/alerts.rs .alerts_resolved_total"),
     ("netqos_build_info", "crates/monitor/src/telemetry.rs"),
-    ("netqos_federation_scrapes_total", "crates/telemetry/src/federation.rs .scrapes"),
-    ("netqos_federation_shards", "tests/federation.rs"),
     ("netqos_lts_appends_total", "crates/telemetry/src/lts.rs .appends"),
     ("netqos_lts_bytes_on_disk", ".github/workflows/ci.yml"),
     ("netqos_lts_compactions_total", ".github/workflows/ci.yml"),
