@@ -30,8 +30,8 @@ pub const TRAP_PORT: u16 = 162;
 /// How long one poll attempt waits for its answer, on every network.
 pub(crate) const POLL_TIMEOUT: SimDuration = SimDuration::from_millis(500);
 
-/// Retransmissions per poll on timeout (matching the UDP transport's
-/// default of 2 retries).
+/// Retransmissions per request on timeout, on every network: a request
+/// is sent at most three times before it counts as one timeout.
 pub(crate) const POLL_RETRIES: u32 = 2;
 
 /// Requests a round keeps in flight at once. On `lan-wide`'s 145 polls a
@@ -537,7 +537,7 @@ impl<W: Wire> Transport for Link<'_, W> {
 /// One conversation with one node's agent ([`Network::conversation`]):
 /// the [`Link`] over its network's wire, and what [`Agents`] keeps for it.
 pub struct Conversation<'a, W: Wire> {
-    pub(crate) link: Link<'a, W>,
+    link: Link<'a, W>,
     manager: &'a mut Manager,
     community: &'a str,
     name: &'a str,
@@ -590,6 +590,13 @@ pub trait Network {
     ) -> Result<Conversation<'_, Self::Wire<'_>>, MonitorError> {
         let (wire, agents, model) = self.wire();
         agents.conversation(model, node, wire)
+    }
+
+    /// The network's wire to the agent of `node` as a [`Transport`], for a
+    /// manager of the caller's own: how tests put each network beside the
+    /// loopback. Its exchanges are counted in this network's ledger.
+    fn link(&mut self, node: NodeId) -> Result<Link<'_, Self::Wire<'_>>, MonitorError> {
+        self.conversation(node).map(|c| c.link)
     }
 
     /// Sends one encoded trap from the monitor host to `dst`'s trap port,

@@ -17,7 +17,7 @@
 //! reads them yet.
 
 use crate::error::MonitorError;
-use netqos_snmp::client::{Manager, Session};
+use netqos_snmp::client::Manager;
 use netqos_snmp::mib2::{interfaces as ifc, system};
 use netqos_snmp::oid::Oid;
 use netqos_snmp::pdu::VarBind;
@@ -96,30 +96,12 @@ impl PollPlan {
         &self.oids
     }
 
-    /// One poll of the device `node`: a Get of this plan's names through
-    /// `client`, each binding of the answer decoded straight into
-    /// `snapshot`, whose vectors and strings are reused. With a snapshot of
-    /// this plan's shape — the one a previous poll of such a device left —
-    /// the poll allocates nothing beyond the datagrams its transport
-    /// carries. On `Err`, what `snapshot` holds is unspecified.
-    pub fn poll_into(
-        &self,
-        client: &mut Session<'_>,
-        node: &str,
-        snapshot: &mut DeviceSnapshot,
-    ) -> Result<(), MonitorError> {
-        let mut parse = Parse::begin(snapshot, self.if_count);
-        client
-            .get_visit(&self.oids, |oid, value| parse.binding(oid, value))
-            .map_err(|e| MonitorError::from_snmp(e, node))??;
-        parse.finish()
-    }
-
-    /// The answer half of [`PollPlan::poll_into`], for a poller that
-    /// posts its requests itself: reads `answer`, the agent's answer to
-    /// this plan's Get sent under `id` (encoded by `manager`'s
-    /// [`Manager::encode_get`]), into `snapshot`, with the outcome
-    /// `poll_into` gives for the same answer.
+    /// Reads `answer`, the agent's answer to this plan's Get sent under
+    /// `id` (encoded by `manager`'s [`Manager::encode_get`]), binding by
+    /// binding straight into `snapshot`, whose vectors and strings are
+    /// reused. With a snapshot of this plan's shape — the one a previous
+    /// poll of such a device left — the read allocates nothing. On `Err`,
+    /// what `snapshot` holds is unspecified.
     pub fn read_answer(
         &self,
         manager: &Manager,
@@ -136,20 +118,6 @@ impl PollPlan {
             .map_err(|e| MonitorError::from_snmp(e, node))??;
         parse.finish()
     }
-}
-
-/// One poll of the device `node`: a Get of `plan`'s names through
-/// `client`, parsed into a fresh snapshot — [`PollPlan::poll_into`] for a
-/// caller that keeps no snapshot. The one device poll — over the
-/// simulator, a UDP socket or the loopback alike.
-pub fn poll_once(
-    client: &mut Session<'_>,
-    node: &str,
-    plan: &PollPlan,
-) -> Result<DeviceSnapshot, MonitorError> {
-    let mut snapshot = DeviceSnapshot::default();
-    plan.poll_into(client, node, &mut snapshot)?;
-    Ok(snapshot)
 }
 
 /// Parses a poll response (in any binding order) into a snapshot.

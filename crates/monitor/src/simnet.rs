@@ -12,7 +12,7 @@
 //! error to "traffic caused by SNMP queries and acknowledgements").
 
 use crate::error::MonitorError;
-use crate::network::{self, Agents, Link, Network, Wire, TRAP_PORT};
+use crate::network::{self, Agents, Network, Wire, TRAP_PORT};
 use crate::poll::DeviceSnapshot;
 use crate::telemetry::MonitorTelemetry;
 use bytes::Bytes;
@@ -343,10 +343,6 @@ impl Wire for SimWire<'_> {
     }
 }
 
-/// The simulated LAN from the monitor host to one agent, as a
-/// [`Transport`](netqos_snmp::transport::Transport) ([`SimNetwork::link`]).
-pub type SimLink<'a> = Link<'a, SimWire<'a>>;
-
 impl SimNetwork {
     /// Materializes a spec model with default options.
     pub fn from_model(model: SpecModel, options: SimNetworkOptions) -> Result<Self, MonitorError> {
@@ -484,16 +480,6 @@ impl SimNetwork {
     /// All SNMP-pollable nodes, in node order.
     pub fn pollable_nodes(&self) -> Vec<NodeId> {
         self.agents.pollable().to_vec()
-    }
-
-    /// The simulated network as a
-    /// [`Transport`](netqos_snmp::transport::Transport) from the monitor
-    /// host to the agent of `node`, for a manager of the caller's own —
-    /// how tests put the simulator beside the other transports. Polling
-    /// goes through [`SimNetwork::poll_device`].
-    pub fn link(&mut self, node: NodeId) -> Result<SimLink<'_>, MonitorError> {
-        self.conversation(node)
-            .map(|conversation| conversation.link)
     }
 
     /// Polls one device through the simulated network, advancing simulated

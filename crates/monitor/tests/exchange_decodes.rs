@@ -7,14 +7,13 @@
 //! nothing else in its process decodes anything.
 
 use bytes::Bytes;
-use netqos_monitor::poll::{poll_oids, poll_once, PollPlan};
+use netqos_monitor::poll::{poll_oids, DeviceSnapshot, PollPlan};
 use netqos_monitor::simnet::{SimNetwork, SimNetworkOptions, MANAGER_PORT};
 use netqos_sim::packet::{ECHO_PORT, SNMP_PORT};
 use netqos_sim::time::SimDuration;
 use netqos_sim::Ipv4Addr;
 use netqos_snmp::client::{self, Manager};
 use netqos_snmp::mib2::{interfaces as ifc, system, IfEntry, SystemInfo};
-use netqos_snmp::transport::FnTransport;
 use netqos_snmp::{telemetry, ScalarMib, SnmpAgent, SnmpValue};
 
 const SPEC: &str = r#"
@@ -68,18 +67,15 @@ fn late_duplicate_and_foreign_datagram_are_never_decoded() {
     );
     mib.insert(ifc::instance_oid(ifc::column::IF_SPEED, 1), SnmpValue::Null);
     let mut agent = SnmpAgent::new("public");
+    let (plan, mut manager) = (PollPlan::new(1), Manager::default());
+    let mut snapshot = DeviceSnapshot::default();
     for (cut, refused) in [(0, "WrongType"), (1, "Snmp")] {
         let (decodes, errors) = (codec.decodes.get(), codec.decode_errors.get());
-        let mut link = FnTransport(|request: &[u8]| {
-            let answer = agent.handle(request, &mib)?;
-            Some(answer[..answer.len() - cut].to_vec())
-        });
-        let mut manager = Manager::default();
-        let polled = poll_once(
-            &mut manager.session(&mut link, "public"),
-            "dev",
-            &PollPlan::new(1),
-        );
+        let id = manager.fresh_id();
+        let request = manager.encode_get("public", id, plan.oids()).unwrap();
+        let answer = agent.handle(request, &mib).unwrap();
+        let answer = &answer[..answer.len() - cut];
+        let polled = plan.read_answer(&manager, answer, id, "dev", &mut snapshot);
         assert!(format!("{polled:?}").contains(refused), "{polled:?}");
         // The agent's decode of the request, then the manager's.
         assert_eq!(codec.decodes.get() - decodes, 2 - cut as u64);

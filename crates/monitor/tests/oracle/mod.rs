@@ -28,8 +28,8 @@ const COLUMNS: [u32; 6] = [
     ifc::column::IF_OUT_NUCAST_PKTS,
 ];
 
-/// What the replaced `poll_once` returned for the datagram `answer` to the
-/// Get it sent under request-id `id`.
+/// What the replaced decode-to-vector poll returned for the datagram
+/// `answer` to the Get it sent under request-id `id`.
 pub fn poll(
     answer: &[u8],
     id: i32,

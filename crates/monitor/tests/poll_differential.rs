@@ -1,9 +1,13 @@
-//! Differential and never-panic tests: the streaming poll — each binding
-//! decoded from the datagram straight into a reused snapshot — against
-//! the decode-to-vector poll it replaced (`oracle/`). For every answer,
-//! `poll_once` and `PollPlan::poll_into` over a snapshot left by earlier
-//! polls must return what the oracle returns: the same snapshot, or the
-//! same `MonitorError`.
+//! Differential and never-panic tests: the decoder every poll runs —
+//! `PollPlan::read_answer`, each binding decoded from the datagram
+//! straight into a reused snapshot — against the decode-to-vector poll it
+//! replaced (`oracle/`). Each request is encoded with
+//! `Manager::encode_get`, as the round encodes it, and its answer is read
+//! twice: into a fresh snapshot and into one left by earlier reads. Both
+//! must return what the oracle returns: the same snapshot, or the same
+//! `MonitorError`. The last test holds the round itself — its posts, its
+//! matching of answers to requests and its ingest — to the oracle over
+//! the simulator.
 //!
 //! The `#[ignore]`d twin runs the generated answers at CI's release-mode
 //! length: `cargo test --release -p netqos-monitor --test poll_differential
@@ -12,7 +16,7 @@
 mod oracle;
 
 use netqos_monitor::network::POLL_WINDOW;
-use netqos_monitor::poll::{poll_oids, poll_once, DeviceSnapshot, PollPlan};
+use netqos_monitor::poll::{poll_oids, DeviceSnapshot, PollPlan};
 use netqos_monitor::simnet::{SimNetwork, SimNetworkOptions};
 use netqos_monitor::{MonitorError, Network, NetworkMonitor};
 use netqos_sim::app::Mailbox;
@@ -22,45 +26,32 @@ use netqos_snmp::client::{self, Manager};
 use netqos_snmp::message::{SnmpMessage, SnmpVersion};
 use netqos_snmp::mib2::{interfaces as ifc, system, IfEntry, SystemInfo};
 use netqos_snmp::pdu::{BulkPdu, ErrorStatus, Pdu, PduType, TrapPdu, VarBind};
-use netqos_snmp::transport::FnTransport;
 use netqos_snmp::{Oid, ScalarMib, SnmpAgent, SnmpValue};
 use proptest::TestRng;
 
 /// The request-id a fresh manager sends its first request under.
 const FIRST_ID: i32 = 1;
 
-/// Polls through a transport that answers with `answer_for(request)`, both
-/// with `poll_once` and with `poll_into` over `kept`, and checks each
-/// against the oracle decoding the same datagram.
+/// Encodes `plan`'s Get under [`FIRST_ID`], answers it with
+/// `answer_for(request)`, and reads the answer with `read_answer` into a
+/// fresh snapshot and into `kept`, checking each against the oracle
+/// decoding the same datagram.
 fn check_with(
     plan: &PollPlan,
     if_count: u32,
     kept: &mut DeviceSnapshot,
-    mut answer_for: impl FnMut(&[u8]) -> Vec<u8>,
+    answer_for: impl FnOnce(&[u8]) -> Vec<u8>,
 ) -> Result<DeviceSnapshot, MonitorError> {
-    let mut answers = Vec::new();
-    let mut poll = |into: Option<&mut DeviceSnapshot>| {
-        let mut link = FnTransport(|request: &[u8]| {
-            assert_eq!(client::peek_request_id(request), Some(FIRST_ID));
-            let answer = answer_for(request);
-            answers.push(answer.clone());
-            Some(answer)
-        });
-        let mut manager = Manager::default();
-        let mut session = manager.session(&mut link, "public");
-        match into {
-            None => poll_once(&mut session, "dev", plan),
-            Some(kept) => plan
-                .poll_into(&mut session, "dev", kept)
-                .map(|()| kept.clone()),
-        }
+    let mut manager = Manager::default();
+    let answer = answer_for(manager.encode_get("public", FIRST_ID, plan.oids()).unwrap());
+    let read = |into: &mut DeviceSnapshot| {
+        (plan.read_answer(&manager, &answer, FIRST_ID, "dev", into)).map(|()| into.clone())
     };
-    let fresh = poll(None);
-    let reused = poll(Some(kept));
-    assert_eq!(answers[0], answers[1], "the agent answers alike");
-    let expected = oracle::poll(&answers[0], FIRST_ID, "dev", if_count);
-    assert_eq!(fresh, expected, "poll_once, answer {:02x?}", answers[0]);
-    assert_eq!(reused, expected, "poll_into, answer {:02x?}", answers[0]);
+    let fresh = read(&mut DeviceSnapshot::default());
+    let reused = read(kept);
+    let expected = oracle::poll(&answer, FIRST_ID, "dev", if_count);
+    assert_eq!(fresh, expected, "a fresh snapshot, answer {answer:02x?}");
+    assert_eq!(reused, expected, "a kept snapshot, answer {answer:02x?}");
     expected
 }
 

@@ -1,22 +1,23 @@
 //! One manager, three transports: whatever carries the datagrams — the
-//! in-process loopback, a UDP socket to `UdpAgentServer` on 127.0.0.1, or
-//! the simulated LAN — the same MIB polls to the same snapshot, walks to
-//! the same bindings, is asked for with the same bytes, and goes silent
-//! as the same typed timeout.
+//! in-process loopback, `UdpNetwork`'s socket to a `UdpAgentServer` on
+//! 127.0.0.1, or the simulated LAN — the same MIB polls to the same
+//! snapshot, walks to the same bindings and is asked for with the same
+//! bytes. Over the simulator, silence is a typed timeout; `udp_service.rs`
+//! holds it to the same over UDP.
 
-use netqos_monitor::poll::{poll_once, DeviceSnapshot, PollPlan};
+use netqos_monitor::poll::{parse_snapshot, DeviceSnapshot, PollPlan};
 use netqos_monitor::service::{MonitoringService, ServiceConfig};
 use netqos_monitor::simnet::{SimNetwork, SimNetworkOptions};
-use netqos_monitor::MonitorError;
+use netqos_monitor::udpnet::UdpNetwork;
+use netqos_monitor::{MonitorError, Network};
 use netqos_sim::PortIx;
 use netqos_snmp::client::{self, Manager};
 use netqos_snmp::mib2::interfaces::{self as ifc, column, IfEntry};
 use netqos_snmp::mib2::{self, SystemInfo};
 use netqos_snmp::pdu::VarBind;
-use netqos_snmp::transport::{LoopbackTransport, Transport, UdpAgentServer, UdpTransport};
+use netqos_snmp::transport::{LoopbackTransport, Transport, UdpAgentHandle, UdpAgentServer};
 use netqos_snmp::{telemetry, ScalarMib, SnmpAgent, SnmpError, SnmpValue};
 use netqos_topology::IfIx;
-use std::time::Duration;
 
 const SPEC: &str = r#"
     host L  { address 10.0.0.1;  snmp community "public"; interface eth0 { speed 100Mbps; } }
@@ -30,6 +31,15 @@ const SPEC: &str = r#"
 fn sim() -> SimNetwork {
     let model = netqos_spec::parse_and_validate(SPEC).unwrap();
     SimNetwork::from_model(model, SimNetworkOptions::default()).unwrap()
+}
+
+/// `SPEC`'s agents over real UDP, every one of them at `server`.
+fn udp(server: &UdpAgentHandle) -> UdpNetwork {
+    let model = netqos_spec::parse_and_validate(SPEC).unwrap();
+    let addrs = (model.topology.nodes())
+        .map(|(node, _)| (node, server.local_addr()))
+        .collect();
+    UdpNetwork::new(model, &addrs).unwrap()
 }
 
 /// Keeps every request that goes through.
@@ -46,7 +56,8 @@ impl Transport for Recording<'_> {
 }
 
 /// Answers the first `silent` exchanges with a timeout, without passing
-/// them on; then delegates.
+/// them on; then delegates. The template for a fault a test puts between
+/// a manager and its agent.
 struct Flaky<'a> {
     inner: &'a mut dyn Transport,
     silent: u32,
@@ -79,7 +90,8 @@ fn look(link: &mut dyn Transport) -> Seen {
     };
     let mut manager = Manager::default();
     let mut session = manager.session(&mut link, "public");
-    let snapshot = poll_once(&mut session, "sw", &PollPlan::new(2)).unwrap();
+    let bindings = session.get_many(PollPlan::new(2).oids()).unwrap();
+    let snapshot = parse_snapshot(&bindings, 2).unwrap();
     let descr_walk = session.walk(&ifc::column_oid(column::IF_DESCR)).unwrap();
     // One repetition short of the column, so the walk takes two requests.
     let phys = ifc::column_oid(column::IF_PHYS_ADDRESS);
@@ -144,7 +156,7 @@ fn one_mib_reads_alike_over_loopback_udp_and_the_simulator() {
     assert_eq!(over_loopback, over_sim);
 
     let server = UdpAgentServer::spawn("127.0.0.1:0", "public", move || mib.clone()).unwrap();
-    let over_udp = look(&mut UdpTransport::connect(server.local_addr()).unwrap());
+    let over_udp = look(&mut udp(&server).link(sw).unwrap());
     server.stop();
     assert_eq!(over_udp, over_sim);
 }
@@ -152,7 +164,7 @@ fn one_mib_reads_alike_over_loopback_udp_and_the_simulator() {
 #[test]
 fn a_link_silent_n_times_gives_n_timeouts_then_the_same_snapshot() {
     const SILENT: u32 = 2;
-    fn poll_through_flaky(link: &mut dyn Transport, node: &str) -> DeviceSnapshot {
+    fn poll_through_flaky(link: &mut dyn Transport) -> DeviceSnapshot {
         let mut link = Flaky {
             inner: link,
             silent: SILENT,
@@ -161,10 +173,9 @@ fn a_link_silent_n_times_gives_n_timeouts_then_the_same_snapshot() {
         let mut session = manager.session(&mut link, "public");
         let plan = PollPlan::new(1);
         for _ in 0..SILENT {
-            let timed_out = MonitorError::Timeout { node: node.into() };
-            assert_eq!(poll_once(&mut session, node, &plan), Err(timed_out));
+            assert_eq!(session.get_many(plan.oids()), Err(SnmpError::Timeout));
         }
-        poll_once(&mut session, node, &plan).unwrap()
+        parse_snapshot(&session.get_many(plan.oids()).unwrap(), 1).unwrap()
     }
 
     // Simulator: a twin network polled directly is the reference (the
@@ -173,7 +184,7 @@ fn a_link_silent_n_times_gives_n_timeouts_then_the_same_snapshot() {
     let s1 = net.model().topology.node_by_name("S1").unwrap();
     let expected = twin.poll_device(s1).unwrap();
     assert_eq!(expected.interfaces[0].descr, "hme0");
-    let got = poll_through_flaky(&mut net.link(s1).unwrap(), "S1");
+    let got = poll_through_flaky(&mut net.link(s1).unwrap());
     assert_eq!(got, expected);
     let timeouts = net.telemetry().poll_timeouts.get();
     assert_eq!(timeouts, 0, "the link itself never timed out");
@@ -181,37 +192,16 @@ fn a_link_silent_n_times_gives_n_timeouts_then_the_same_snapshot() {
     // Loopback and UDP serve what the simulated host showed.
     let mib = mib_showing("S1", &expected, &[[2, 0, 0, 0, 0, 1]]);
     let mut loopback = LoopbackTransport::new(SnmpAgent::new("public"), mib.clone());
-    assert_eq!(poll_through_flaky(&mut loopback, "S1"), expected);
+    assert_eq!(poll_through_flaky(&mut loopback), expected);
     let server = UdpAgentServer::spawn("127.0.0.1:0", "public", move || mib.clone()).unwrap();
-    let mut udp = UdpTransport::connect(server.local_addr()).unwrap();
-    assert_eq!(poll_through_flaky(&mut udp, "S1"), expected);
+    let mut udp = udp(&server);
+    assert_eq!(poll_through_flaky(&mut udp.link(s1).unwrap()), expected);
     server.stop();
 }
 
 #[test]
-fn silence_is_a_typed_timeout_on_udp_and_in_the_simulator() {
-    // UDP: a localhost port nothing is bound to.
-    let unbound = {
-        let socket = std::net::UdpSocket::bind("127.0.0.1:0").unwrap();
-        socket.local_addr().unwrap()
-    };
-    let mut udp = UdpTransport::connect(unbound).unwrap();
-    udp.set_timeout(Duration::from_millis(30));
-    udp.set_retries(1);
-    let mut manager = Manager::default();
-    let polled = poll_once(
-        &mut manager.session(&mut udp, "public"),
-        "nobody",
-        &PollPlan::new(1),
-    );
-    assert_eq!(
-        polled,
-        Err(MonitorError::Timeout {
-            node: "nobody".into()
-        })
-    );
-
-    // Simulator: a host whose only link loses every frame.
+fn silence_is_a_typed_timeout_in_the_simulator() {
+    // A host whose only link loses every frame.
     let mut net = sim();
     let s1 = net.model().topology.node_by_name("S1").unwrap();
     let s1_dev = net.device_of(s1).unwrap();

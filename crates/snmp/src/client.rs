@@ -4,7 +4,7 @@
 //! The request builders and [`parse_response`] are sans-IO. [`Session`] is
 //! the one implementation of Get, GetNext, the GetNext walk and the
 //! GetBulk walk on top of them, over any [`Transport`]: the in-process
-//! loopback, a UDP socket, or the simulated LAN. What a manager keeps from
+//! loopback, or a network's wire to one agent. What a manager keeps from
 //! one request to the next — its request-id sequence, telemetry handles,
 //! tracer and encode buffer — is a [`Manager`]; it outlives the transports
 //! it talks through, so one manager can poll a thousand agents over links
@@ -309,11 +309,10 @@ impl Manager {
         Ok(&self.request)
     }
 
-    /// The first half of [`Session::get_visit`], for a caller that carries
-    /// the request itself: a `GetRequest` for `oids` under `id` (a
-    /// [`Manager::fresh_id`], or the same id again to retransmit), encoded
-    /// into the buffer this manager keeps. A steady-state request
-    /// allocates nothing.
+    /// A `GetRequest` for `oids` under `id` (a [`Manager::fresh_id`], or
+    /// the same id again to retransmit), encoded into the buffer this
+    /// manager keeps, for a caller that carries the request itself. A
+    /// steady-state request allocates nothing.
     pub fn encode_get(
         &mut self,
         community: &str,
@@ -323,10 +322,18 @@ impl Manager {
         self.encode(community, Request::Get, id, oids)
     }
 
-    /// The second half of [`Session::get_visit`]: judges `answer` as the
-    /// answer to the Get for `asked` sent under `id` and hands each of its
-    /// bindings to `visit`, with the same outcome `get_visit` gives and
-    /// counted once in the codec counters.
+    /// Judges `answer` as the answer to the Get for `asked` sent under
+    /// `id` ([`Manager::encode_get`]) and hands each of its bindings to
+    /// `visit` in order as it is decoded, its value borrowed from the
+    /// datagram, until `visit` first refuses one; the outcome is counted
+    /// once in the codec counters. Nothing is copied out of the datagram
+    /// and nothing is allocated for the bindings.
+    ///
+    /// `Err` is what [`Session::get_many`] would fail with for the same
+    /// answer: `visit` sees no binding of an answer that is not a
+    /// GetResponse, answers another request or reports an error status,
+    /// and a malformed binding anywhere outranks what `visit` said.
+    /// Otherwise `Ok` holds `visit`'s refusal, or the number of bindings.
     ///
     /// A binding that names `asked`'s name at its position in the usual
     /// encoding — one octet per subidentifier, as every agent echoing a
@@ -384,28 +391,6 @@ impl Session<'_> {
             });
         }
         Ok(response)
-    }
-
-    /// `GetRequest` for several objects, each binding of the answer handed
-    /// to `visit` in order as it is decoded — its value borrowed from the
-    /// datagram — until `visit` first refuses one. Nothing is copied out of
-    /// the datagram and nothing is allocated for the bindings.
-    ///
-    /// `Err` is what [`Session::get_many`] would fail with for the same
-    /// answer: `visit` sees no binding of an answer that is not a
-    /// GetResponse, answers another request or reports an error status,
-    /// and a malformed binding anywhere outranks what `visit` said.
-    /// Otherwise `Ok` holds `visit`'s refusal, or the number of bindings.
-    ///
-    /// It is [`Manager::encode_get`] and [`Manager::visit_answer`] around
-    /// one exchange.
-    pub fn get_visit<E>(
-        &mut self,
-        oids: &[Oid],
-        visit: impl FnMut(&Oid, ValueRef<'_>) -> Result<(), E>,
-    ) -> Result<Result<usize, E>, SnmpError> {
-        let (id, bytes) = self.exchange(Request::Get, oids)?;
-        self.manager.visit_answer(&bytes, id, oids, visit)
     }
 
     /// `GetRequest` for several objects; returns the bound values in
@@ -500,7 +485,8 @@ impl<T: Transport> SnmpClient<T> {
         }
     }
 
-    /// Access to the underlying transport (e.g. to adjust timeouts).
+    /// Access to the underlying transport (e.g. to change the MIB behind a
+    /// loopback between requests).
     pub fn transport_mut(&mut self) -> &mut T {
         &mut self.transport
     }

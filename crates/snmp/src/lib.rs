@@ -6,10 +6,11 @@
 //! (IPPS 2002).
 //!
 //! The crate is **sans-IO at its core**: every protocol operation works on
-//! byte slices, so the same agent and manager code runs over real UDP
-//! sockets ([`transport::UdpTransport`]), over an in-process loopback
-//! ([`transport::LoopbackTransport`]), and over the simulated LAN of
-//! `netqos-sim` (`netqos-monitor`'s `SimWire` and `SimLink`).
+//! byte slices, so the same agent and manager code runs over an
+//! in-process loopback ([`transport::LoopbackTransport`]), over real UDP
+//! sockets ([`transport::UdpAgentServer`] on the agent's side,
+//! `netqos-monitor`'s `UdpWire` on the manager's), and over the simulated
+//! LAN of `netqos-sim` (`netqos-monitor`'s `SimWire`).
 //!
 //! ## Layers
 //!
@@ -26,8 +27,8 @@
 //!   six objects of the paper's Table 1.
 //! * [`agent`] / [`client`] — request handling; request building and the
 //!   one manager (Get, GetNext, both walks) over any transport.
-//! * [`transport`] — pluggable request/response transports with timeout
-//!   and retry behaviour.
+//! * [`transport`] — the request/response transports a
+//!   [`client::Session`] talks through, and a UDP agent server.
 //!
 //! ## Example: in-process agent
 //!

@@ -1,40 +1,37 @@
-//! Request/response transports for the synchronous manager.
+//! Request/response transports for the synchronous manager, and a UDP
+//! agent.
 //!
 //! * [`LoopbackTransport`] — an in-process agent; zero configuration, used
-//!   by tests and by single-host deployments.
-//! * [`UdpTransport`] — real sockets on port 161 (or any port), with
-//!   timeout and retry, one connected socket per agent.
-//! * the simulated LAN — `netqos-monitor`'s `SimNetwork::link` is a
-//!   [`Transport`] over the simulator (it needs the simulator types), so
-//!   the same manager talks to simulated, in-process and real agents.
+//!   by tests and by the benchmark harness.
+//! * [`FnTransport`] — a closure standing in for the agent, for
+//!   fault-injection tests.
+//! * a network's agent — `netqos-monitor`'s `Network::link` is a
+//!   [`Transport`] over the simulator or a UDP socket (it needs the
+//!   monitor's types), so the same manager talks to simulated, in-process
+//!   and real agents.
+//! * [`UdpAgentServer`] — the other end of a real wire: a thread that
+//!   answers requests on a UDP socket.
 //!
-//! `netqos-monitor`'s networks poll through none of these: their round
-//! keeps many requests in flight over one wire, with the two halves of a
-//! Get ([`Manager::encode_get`](crate::client::Manager::encode_get),
-//! [`Manager::visit_answer`](crate::client::Manager::visit_answer)).
+//! `netqos-monitor`'s networks poll through none of these transports:
+//! their round keeps many requests in flight over one wire, retransmits
+//! each on its own, and encodes and reads each Get with
+//! [`Manager::encode_get`](crate::client::Manager::encode_get) and
+//! [`Manager::visit_answer`](crate::client::Manager::visit_answer).
 
 use crate::agent::SnmpAgent;
-use crate::client::peek_request_id;
 use crate::error::SnmpError;
 use crate::mib::ScalarMib;
 use std::net::{SocketAddr, ToSocketAddrs, UdpSocket};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// A blocking request/response exchange with one agent.
 pub trait Transport {
     /// Sends `request` and returns the datagram that answers it — the one
     /// carrying its request-id, not a late answer to an earlier request —
-    /// or [`SnmpError::Timeout`] when the agent stays silent.
-    /// Retransmission is the transport's business: a caller that gets
-    /// `Timeout` does not try again.
+    /// or [`SnmpError::Timeout`] when the agent stays silent. A caller
+    /// that gets `Timeout` does not try again: a transport that
+    /// retransmits has done so before it answers.
     fn exchange(&mut self, request: &[u8]) -> Result<Vec<u8>, SnmpError>;
-}
-
-/// A borrowed transport is a transport.
-impl<T: Transport + ?Sized> Transport for &mut T {
-    fn exchange(&mut self, request: &[u8]) -> Result<Vec<u8>, SnmpError> {
-        (**self).exchange(request)
-    }
 }
 
 /// In-process transport: requests are handled immediately by an owned
@@ -79,91 +76,6 @@ where
 {
     fn exchange(&mut self, request: &[u8]) -> Result<Vec<u8>, SnmpError> {
         (self.0)(request).ok_or(SnmpError::Timeout)
-    }
-}
-
-/// UDP transport with timeout and retransmission.
-pub struct UdpTransport {
-    socket: UdpSocket,
-    peer: SocketAddr,
-    timeout: Duration,
-    retries: u32,
-    /// Receive buffer, one maximum-size datagram, reused by every
-    /// exchange.
-    recv_buf: Vec<u8>,
-}
-
-impl UdpTransport {
-    /// Connects a fresh ephemeral socket to `peer` (e.g.
-    /// `"127.0.0.1:10161"`). Default timeout 1 s, 2 retransmissions.
-    pub fn connect(peer: impl ToSocketAddrs) -> Result<Self, SnmpError> {
-        let peer = peer
-            .to_socket_addrs()
-            .map_err(|e| SnmpError::Transport(e.to_string()))?
-            .next()
-            .ok_or_else(|| SnmpError::Transport("peer address resolved to nothing".into()))?;
-        let bind_addr = if peer.is_ipv4() {
-            "0.0.0.0:0"
-        } else {
-            "[::]:0"
-        };
-        let socket = UdpSocket::bind(bind_addr).map_err(|e| SnmpError::Transport(e.to_string()))?;
-        socket
-            .connect(peer)
-            .map_err(|e| SnmpError::Transport(e.to_string()))?;
-        Ok(UdpTransport {
-            socket,
-            peer,
-            timeout: Duration::from_secs(1),
-            retries: 2,
-            recv_buf: vec![0u8; 65_535],
-        })
-    }
-
-    /// Sets the per-attempt receive timeout.
-    pub fn set_timeout(&mut self, timeout: Duration) {
-        self.timeout = timeout;
-    }
-
-    /// Sets how many times a request is retransmitted after a timeout.
-    pub fn set_retries(&mut self, retries: u32) {
-        self.retries = retries;
-    }
-
-    /// The agent address this transport talks to.
-    pub fn peer(&self) -> SocketAddr {
-        self.peer
-    }
-}
-
-impl Transport for UdpTransport {
-    fn exchange(&mut self, request: &[u8]) -> Result<Vec<u8>, SnmpError> {
-        let wanted = peek_request_id(request)
-            .ok_or_else(|| SnmpError::Transport("request carries no request-id".into()))?;
-        for _ in 0..=self.retries {
-            self.socket
-                .send(request)
-                .map_err(|e| SnmpError::Transport(e.to_string()))?;
-            let deadline = Instant::now() + self.timeout;
-            loop {
-                let remaining = deadline.saturating_duration_since(Instant::now());
-                if remaining.is_zero() {
-                    break;
-                }
-                self.socket
-                    .set_read_timeout(Some(remaining))
-                    .map_err(|e| SnmpError::Transport(e.to_string()))?;
-                match self.socket.recv(&mut self.recv_buf) {
-                    Ok(n) if peek_request_id(&self.recv_buf[..n]) == Some(wanted) => {
-                        return Ok(self.recv_buf[..n].to_vec());
-                    }
-                    // A late answer to a retransmitted request.
-                    Ok(_) => {}
-                    Err(_) => break,
-                }
-            }
-        }
-        Err(SnmpError::Timeout)
     }
 }
 
@@ -253,8 +165,9 @@ impl UdpAgentServer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::client::SnmpClient;
+    use crate::client::{self, SnmpClient};
     use crate::mib2::{self, SystemInfo};
+    use crate::value::SnmpValue;
 
     fn mib_with_uptime(ticks: u32) -> ScalarMib {
         let mut mib = ScalarMib::new();
@@ -262,83 +175,64 @@ mod tests {
         mib
     }
 
+    /// A plain socket of a manager's, connected to `server`.
+    fn manager_socket(server: &UdpAgentHandle) -> UdpSocket {
+        let socket = UdpSocket::bind("127.0.0.1:0").unwrap();
+        socket.connect(server.local_addr()).unwrap();
+        socket
+            .set_read_timeout(Some(Duration::from_secs(5)))
+            .unwrap();
+        socket
+    }
+
+    /// A Get of `sysUpTime.0` under `community` and `id`.
+    fn get_uptime(community: &str, id: i32) -> Vec<u8> {
+        client::build_get(community, id, &[mib2::system::sys_uptime_instance()]).unwrap()
+    }
+
+    /// The next datagram on `socket`, as a response.
+    fn answer(socket: &UdpSocket) -> client::Response {
+        let mut buf = [0u8; 1500];
+        let n = socket.recv(&mut buf).expect("an answer");
+        client::parse_response(&buf[..n]).unwrap()
+    }
+
     #[test]
-    fn udp_end_to_end() {
+    fn the_agent_server_answers_a_get_with_its_mibs_value() {
         let server = UdpAgentServer::spawn("127.0.0.1:0", "public", || mib_with_uptime(31337))
             .expect("spawn agent");
-        let t = UdpTransport::connect(server.local_addr()).unwrap();
-        let mut client = SnmpClient::new(t, "public");
-        let v = client
-            .session()
-            .get_one(&mib2::system::sys_uptime_instance())
-            .unwrap();
-        assert_eq!(v, crate::value::SnmpValue::TimeTicks(31337));
+        let socket = manager_socket(&server);
+        socket.send(&get_uptime("public", 7)).unwrap();
+        let answer = answer(&socket);
+        assert_eq!(answer.request_id, 7);
+        assert_eq!(answer.bindings[0].value, SnmpValue::TimeTicks(31337));
+        server.stop();
+    }
+
+    // The server answers its datagrams in order, so the first answer to
+    // come back shows what the datagrams sent before it got: nothing.
+
+    #[test]
+    fn the_agent_server_is_silent_under_a_wrong_community() {
+        let server = UdpAgentServer::spawn("127.0.0.1:0", "secret", || mib_with_uptime(1))
+            .expect("spawn agent");
+        let socket = manager_socket(&server);
+        socket.send(&get_uptime("public", 1)).unwrap();
+        socket.send(&get_uptime("secret", 2)).unwrap();
+        assert_eq!(answer(&socket).request_id, 2);
         server.stop();
     }
 
     #[test]
-    fn udp_timeout_and_retry_reported() {
-        // Nothing listening here.
-        let mut t = UdpTransport::connect("127.0.0.1:1").unwrap();
-        t.set_timeout(Duration::from_millis(30));
-        t.set_retries(1);
-        let mut client = SnmpClient::new(t, "public");
-        let err = client
-            .session()
-            .get_one(&mib2::system::sys_uptime_instance())
-            .unwrap_err();
-        assert_eq!(err, SnmpError::Timeout);
-    }
-
-    #[test]
-    fn udp_passes_over_answers_to_other_requests() {
-        // An agent that answers three times: with something that is not
-        // SNMP, under a request-id nobody asked with, then properly.
-        let socket = UdpSocket::bind("127.0.0.1:0").unwrap();
-        let addr = socket.local_addr().unwrap();
-        let server = std::thread::spawn(move || {
-            let mut agent = SnmpAgent::new("public");
-            let mib = mib_with_uptime(5);
-            let mut buf = [0u8; 1500];
-            let (n, from) = socket.recv_from(&mut buf).unwrap();
-            let id = peek_request_id(&buf[..n]).unwrap();
-            let oids = [mib2::system::sys_uptime_instance()];
-            let other = crate::client::build_get("public", id + 1000, &oids).unwrap();
-            socket.send_to(b"garbage", from).unwrap();
-            socket
-                .send_to(&agent.handle(&other, &mib).unwrap(), from)
-                .unwrap();
-            socket
-                .send_to(&agent.handle(&buf[..n], &mib).unwrap(), from)
-                .unwrap();
-        });
-        let mut client = SnmpClient::new(UdpTransport::connect(addr).unwrap(), "public");
-        let v = client
-            .session()
-            .get_one(&mib2::system::sys_uptime_instance());
-        assert_eq!(v, Ok(crate::value::SnmpValue::TimeTicks(5)));
-        server.join().unwrap();
-        // A request without a readable request-id matches no answer, and
-        // is refused before it is sent.
-        let refused = client.transport_mut().exchange(b"garbage");
-        assert!(
-            matches!(refused, Err(SnmpError::Transport(_))),
-            "{refused:?}"
-        );
-    }
-
-    #[test]
-    fn udp_wrong_community_gets_no_answer() {
-        let server = UdpAgentServer::spawn("127.0.0.1:0", "secret", || mib_with_uptime(1))
+    fn a_garbage_datagram_gets_no_answer_and_the_next_get_is_answered() {
+        let server = UdpAgentServer::spawn("127.0.0.1:0", "public", || mib_with_uptime(3))
             .expect("spawn agent");
-        let mut t = UdpTransport::connect(server.local_addr()).unwrap();
-        t.set_timeout(Duration::from_millis(30));
-        t.set_retries(0);
-        let mut client = SnmpClient::new(t, "public");
-        assert!(client
-            .session()
-            .get_one(&mib2::system::sys_uptime_instance())
-            .is_err());
+        let socket = manager_socket(&server);
+        socket.send(b"garbage").unwrap();
+        socket.send(&get_uptime("public", 2)).unwrap();
+        let answer = answer(&socket);
+        assert_eq!(answer.request_id, 2);
+        assert_eq!(answer.bindings[0].value, SnmpValue::TimeTicks(3));
         server.stop();
     }
 
